@@ -1,6 +1,7 @@
 //! # rsoc-bench — experiment harness
 //!
-//! One binary per experiment (see `DESIGN.md` §3 for the experiment index):
+//! One binary per experiment (the README's *Experiments* section is the
+//! index):
 //!
 //! | binary | paper claim |
 //! |---|---|
@@ -21,7 +22,8 @@
 //! | `f5_scenarios` | adversarial scenario campaign, oracle-judged (writes `BENCH_5.json`) |
 //!
 //! Every binary prints an aligned table to stdout and, with `--json`, one
-//! JSON object per row (machine-readable for EXPERIMENTS.md regeneration).
+//! JSON object per row; the `f*` campaigns also write the committed
+//! `BENCH_*.json` records the README's results sections quote.
 //! `--quick` cuts trial counts for smoke runs.
 
 use serde::Serialize;

@@ -527,11 +527,21 @@ pub const IMAGE_MAGIC: &[u8; 8] = b"CKIMG1\0\0";
 /// with sessions in ascending client order (all integers little-endian),
 /// so identical state always produces identical bytes.
 pub fn encode_image(kv: &[u8], sessions: &ClientSessions) -> Vec<u8> {
+    encode_image_with(kv.len(), |out| out.extend_from_slice(kv), sessions)
+}
+
+/// [`encode_image`] with the `kv_len` KV bytes appended by `write_kv`
+/// into the exactly-sized image, not copied from a buffer.
+pub(crate) fn encode_image_with(
+    kv_len: usize,
+    write_kv: impl FnOnce(&mut Vec<u8>),
+    sessions: &ClientSessions,
+) -> Vec<u8> {
     let body: usize = sessions.iter().map(|(_, _, r)| 4 + 8 + 8 + r.len()).sum();
-    let mut out = Vec::with_capacity(8 + 8 + kv.len() + 8 + body);
+    let mut out = Vec::with_capacity(8 + 8 + kv_len + 8 + body);
     out.extend_from_slice(IMAGE_MAGIC);
-    out.extend_from_slice(&(kv.len() as u64).to_le_bytes());
-    out.extend_from_slice(kv);
+    out.extend_from_slice(&(kv_len as u64).to_le_bytes());
+    write_kv(&mut out);
     out.extend_from_slice(&(sessions.len() as u64).to_le_bytes());
     for (client, seq, result) in sessions.iter() {
         out.extend_from_slice(&client.0.to_le_bytes());

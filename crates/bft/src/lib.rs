@@ -17,10 +17,30 @@
 //!   anchored in the [`rsoc_hybrid::Usig`] trusted component;
 //! * [`passive`] — primary-backup (passive) replication with a heartbeat
 //!   failure detector — cheap but with a visible failover window;
-//! * [`checkpoint`] — certified checkpoints (f+1 MAC'd vouchers),
-//!   collaborative state transfer, and checkpoint-keyed log truncation,
-//!   shared by all three protocols (enabled via
-//!   [`runner::RunConfig::checkpoint_interval`]);
+//! * [`checkpoint`] — the data types of the recovery story: certified
+//!   checkpoints (f+1 MAC'd vouchers), the transfer response and its
+//!   quorum-voting buffer, the checkpoint image, the truncating log
+//!   (enabled via [`runner::RunConfig::checkpoint_interval`]);
+//! * `shell` (crate-private) — the one replica shell all three protocols
+//!   embed. It *owns* the committed log, the state machine, the
+//!   exactly-once reply index, client sessions, the checkpoint store, the
+//!   state-transfer replay ring and response buffer, and the
+//!   [`durable`] event queue, and holds — once — the code over them:
+//!   execute-and-reply, checkpoint + voucher + truncation, transfer
+//!   request / serve / admit / install, WAL `recover`, and `wipe`. A
+//!   protocol file keeps only its **ordering core** (slots and quorums,
+//!   USIG and ingress windows, view change, passive ship/sync/promote)
+//!   and calls the shell at fixed points: `execute` then `checkpoint`
+//!   for each slot once it is ordered and its predecessors ran;
+//!   `on_voucher` / `accept_cert` when a voucher or certificate arrives;
+//!   `request_transfer` at the tail of every input; `serve_transfer` on a
+//!   peer's state request; `admit_transfer` → `install` on a state
+//!   response, then its own tail (retire windows below the new execution
+//!   watermark, join the view, re-arm patience, resume execution); and
+//!   `recover` / `wipe` from the [`api::ReplicaNode`] methods of the same
+//!   name. Quorums, the log-entry digest, per-executed-op bookkeeping
+//!   and fault-script flags are call-site arguments — the shell never
+//!   asks which protocol it serves;
 //! * [`adversary`] — composable, time-phased fault scripts (crash/recover
 //!   windows, partitions, link degradation, DoS floods, stale replay),
 //!   the named one-fault [`adversary::Behavior`] presets that lower onto
@@ -61,6 +81,7 @@ pub mod passive;
 pub mod pbft;
 pub mod plane;
 pub mod runner;
+mod shell;
 pub mod statemachine;
 
 pub use adversary::{

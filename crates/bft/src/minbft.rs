@@ -24,14 +24,12 @@ use crate::api::{
     ReplicaId, ReplicaNode, Reply, Request, VcRound,
 };
 use crate::checkpoint::{
-    decode_image, encode_image, snapshot_matches, tamper_suffix, CheckpointCert, CheckpointStats,
-    CheckpointStore, CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer,
-    CstInstall, StateTransfer,
+    CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer,
 };
 use crate::dense::{op_token, token_op, OpIndex, ReplicaSet, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::runner::RunConfig;
-use crate::statemachine::{KvStore, StateMachine};
+use crate::shell::{Shell, ShellMsg};
 use rsoc_crypto::Tag;
 use rsoc_hw::{EccRegister, PlainRegister, RegisterCell};
 use rsoc_hybrid::{KeyRing, Usig, UsigId, UI};
@@ -172,6 +170,20 @@ pub enum MinBftMsg {
     StateResponse(Box<StateTransfer>),
 }
 
+impl ShellMsg for MinBftMsg {
+    fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
+        MinBftMsg::Checkpoint(voucher)
+    }
+
+    fn state_request(have: u64, from: ReplicaId) -> Self {
+        MinBftMsg::StateRequest { have, from }
+    }
+
+    fn state_response(transfer: Box<StateTransfer>) -> Self {
+        MinBftMsg::StateResponse(transfer)
+    }
+}
+
 /// One agreement slot; executed slots are *retired* from the window
 /// instead of flagged (see [`SeqWindow::retire_below`]).
 #[derive(Debug, Default)]
@@ -262,38 +274,16 @@ pub struct MinBftReplica {
     /// Per-sender time of the last gap-fill request (rate limiter).
     gap_req_at: Vec<u64>,
     next_seq: u64,
-    /// Agreement slots, watermarked at `exec_upto + 1`.
+    /// Agreement slots, watermarked at `shell.exec_upto() + 1`.
     slots: SeqWindow<Slot>,
     assigned: OpIndex<u64>,
     stored_prepares: SeqWindow<MinBftMsg>,
-    /// Exactly-once dedup: op → shared execution result.
-    executed: OpIndex<Arc<Vec<u8>>>,
     /// Backup watchlist: requests awaiting commit, with patience timers.
     pending: OpIndex<Arc<Request>>,
-    log: CommittedLog,
-    exec_upto: u64,
-    machine: KvStore,
-    /// Certified checkpoints + state-transfer bookkeeping (disabled at
-    /// interval 0 — the byte-identical legacy configuration).
-    ckpt: CheckpointStore,
-    /// Executed batches by agreement slot, retained above the stable
-    /// checkpoint — the replay source for serving state-transfer suffixes.
-    replay_ring: SeqWindow<Arc<Batch>>,
-    /// Buffered state-transfer responses awaiting an f+1 install quorum.
-    cst: CstBuffer,
-    /// Latest executed `(seq, reply)` per client — snapshotted into the
-    /// checkpoint image so retry dedup survives a wipe + CST re-join.
-    /// Maintained only while checkpointing is enabled (byte-invisible
-    /// otherwise).
-    sessions: ClientSessions,
-    /// True once the embedding plane persists [`DurableEvent`]s (never in
-    /// the simulator — see [`crate::durable`]).
-    durability: bool,
-    /// Events awaiting [`ReplicaNode::drain_durable`].
-    durable: Vec<DurableEvent>,
-    /// Highest stable watermark already emitted as a
-    /// [`DurableEvent::Stable`] (dedup across truncation call sites).
-    durable_stable_seq: u64,
+    /// Execution, checkpoints, state transfer, durability (f+1 matching
+    /// vouchers certify a checkpoint, mirroring the commit quorum; f+1
+    /// responders install a transfer).
+    shell: Shell,
     vc_votes: Vec<VcRound>,
     vc_sent_for: u64,
     /// When `vc_sent_for` was last raised — the escalation rate limiter.
@@ -328,18 +318,8 @@ impl MinBftReplica {
             slots: SeqWindow::with_base(1),
             assigned: OpIndex::new(),
             stored_prepares: SeqWindow::with_base(1),
-            executed: OpIndex::new(),
             pending: OpIndex::new(),
-            log: CommittedLog::new(),
-            exec_upto: 0,
-            machine: KvStore::new(),
-            ckpt: CheckpointStore::new(id, (f + 1) as usize, 0, CkptKeys::provision(0, 1)),
-            replay_ring: SeqWindow::with_base(1),
-            cst: CstBuffer::new(),
-            sessions: ClientSessions::new(),
-            durability: false,
-            durable: Vec::new(),
-            durable_stable_seq: 0,
+            shell: Shell::new(id, 2 * f + 1, (f + 1) as usize),
             vc_votes: Vec::new(),
             vc_sent_for: 0,
             vc_demanded_at: 0,
@@ -364,13 +344,13 @@ impl MinBftReplica {
     /// (0 disables — the default, byte-identical to the legacy protocol).
     /// MinBFT's f+1 matching vouchers certify a watermark.
     pub fn set_checkpointing(&mut self, interval: u64, keys: Arc<CkptKeys>) {
-        self.ckpt = CheckpointStore::new(self.id, (self.f + 1) as usize, interval, keys);
+        self.shell.set_checkpointing(interval, keys);
     }
 
     /// Digest of the replica's current state-machine state (for
     /// batched-vs-unbatched equivalence checks).
     pub fn state_digest(&self) -> [u8; 32] {
-        self.machine.state_digest()
+        self.shell.state_digest()
     }
 
     /// `(created, verified)` USIG certificate counts — the replica's MAC
@@ -418,13 +398,11 @@ impl MinBftReplica {
         if counter > SENT_RETENTION {
             self.sent_ui.retire_below(counter - SENT_RETENTION);
         }
-        if self.durability {
-            // Every honest UI issue passes through here, so the persisted
-            // counter watermark tracks the USIG exactly: a restart resumes
-            // *above* it and can never certify two statements under one
-            // counter value.
-            self.durable.push(DurableEvent::UsigCounter(counter));
-        }
+        // Every honest UI issue passes through here, so the persisted
+        // counter watermark tracks the USIG exactly: a restart resumes
+        // *above* it and can never certify two statements under one
+        // counter value.
+        self.shell.persist(DurableEvent::UsigCounter(counter));
     }
 
     /// Verifies a UI and enforces per-sender counter contiguity, buffering
@@ -501,11 +479,8 @@ impl MinBftReplica {
     }
 
     fn handle_request(&mut self, req: Arc<Request>, out: &mut Outbox<MinBftMsg>) {
-        if let Some(result) = self.executed.get(&req.op) {
-            out.send(
-                Endpoint::Client(req.op.client),
-                MinBftMsg::Reply(Reply { replica: self.id, op: req.op, result: result.clone() }),
-            );
+        if let Some(reply) = self.shell.cached_reply(req.op) {
+            out.send(Endpoint::Client(req.op.client), MinBftMsg::Reply(reply));
             return;
         }
         if self.is_primary() {
@@ -524,7 +499,7 @@ impl MinBftReplica {
                 BatchDecision::Wait | BatchDecision::Duplicate => {}
             }
         } else {
-            if !self.pending.contains_key(&req.op) && !self.executed.contains_key(&req.op) {
+            if !self.pending.contains_key(&req.op) && !self.shell.has_executed(&req.op) {
                 let token = op_token(req.op);
                 self.pending.insert(req.op, req);
                 out.arm(self.patience, TIMER_REQUEST, token);
@@ -537,10 +512,10 @@ impl MinBftReplica {
     /// amortized `1/B` across the batch.
     fn flush_batch(&mut self, out: &mut Outbox<MinBftMsg>) {
         // Requests can go stale in the accumulator across a view change.
-        let executed = &self.executed;
+        let shell = &self.shell;
         let assigned = &self.assigned;
         let reqs =
-            self.batcher.drain(|r| !executed.contains_key(&r.op) && !assigned.contains_key(&r.op));
+            self.batcher.drain(|r| !shell.has_executed(&r.op) && !assigned.contains_key(&r.op));
         if reqs.is_empty() {
             return;
         }
@@ -715,7 +690,7 @@ impl MinBftReplica {
     fn try_execute(&mut self, out: &mut Outbox<MinBftMsg>) {
         let quorum = self.commit_quorum();
         loop {
-            let next = self.exec_upto + 1;
+            let next = self.shell.exec_upto() + 1;
             let ready = match self.slots.get(next) {
                 Some(s) => s.batch.is_some() && s.commits.len() >= quorum,
                 None => false,
@@ -731,254 +706,61 @@ impl MinBftReplica {
             let batch = slot.batch.expect("checked");
             // lint: allow(ingress-expect) -- the digest is stored alongside the batch, never alone
             let digest = slot.digest.expect("digest follows batch");
-            self.exec_upto = next;
-            // Per-request log entries (dense global sequence) out of one
-            // agreement slot.
-            for req in batch.requests() {
-                let log_seq = self.log.committed() + 1;
-                let result = Arc::new(self.machine.apply(&req.payload));
-                self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
-                self.executed.insert(req.op, result.clone());
-                if self.ckpt.enabled() {
-                    self.sessions.note(req.op.client, req.op.seq, result.clone());
-                }
-                self.pending.remove(&req.op);
-                self.assigned.insert(req.op, next);
-                out.send(
-                    Endpoint::Client(req.op.client),
-                    MinBftMsg::Reply(Reply { replica: self.id, op: req.op, result }),
-                );
-            }
-            if self.ckpt.enabled() {
-                self.replay_ring.insert(next, batch.clone());
-            }
-            if self.durability {
-                self.durable.push(DurableEvent::Commit { seq: next, batch });
-            }
-            self.maybe_checkpoint(next, out);
-        }
-        self.slots.retire_below(self.exec_upto + 1);
-        self.stored_prepares.retire_below(self.exec_upto + 1);
-    }
-
-    /// Takes a certified checkpoint when execution crosses a watermark
-    /// boundary (see the PBFT twin; MinBFT needs only f+1 matching
-    /// vouchers, mirroring its commit quorum).
-    fn maybe_checkpoint(&mut self, exec_seq: u64, out: &mut Outbox<MinBftMsg>) {
-        if !self.ckpt.due(exec_seq) {
-            return;
-        }
-        if self.script.forges_checkpoint_at(self.now) {
-            // Byzantine: one outsider forgery (garbage MAC) and one
-            // properly MAC'd lie (isolated in its own digest group).
-            let lie = rsoc_crypto::sha256(b"forged-checkpoint-state");
-            let mut garbage = CheckpointVoucher {
-                seq: exec_seq,
-                digest: lie,
-                from: self.id,
-                tag: Tag([0xEE; 32]),
-            };
-            out.broadcast(self.n, self.id, MinBftMsg::Checkpoint(Box::new(garbage.clone())));
-            // The locally retained image stays honest (only the vouched
-            // digest lies) so the forger can still serve honest-certified
-            // checkpoints.
-            garbage = self.ckpt.record_local(
-                exec_seq,
-                lie,
-                self.log.committed(),
-                Arc::new(encode_image(&self.machine.snapshot(), &self.sessions)),
-            );
-            out.broadcast(self.n, self.id, MinBftMsg::Checkpoint(Box::new(garbage)));
-            return;
-        }
-        let image = Arc::new(encode_image(&self.machine.snapshot(), &self.sessions));
-        let digest = rsoc_crypto::sha256(&image);
-        let voucher = self.ckpt.record_local(exec_seq, digest, self.log.committed(), image);
-        out.broadcast(self.n, self.id, MinBftMsg::Checkpoint(Box::new(voucher.clone())));
-        if self.ckpt.record(&voucher).is_some() {
-            self.apply_truncation();
-        }
-    }
-
-    /// Truncates the log and replay ring below the stable checkpoint
-    /// (no-op while this replica has no locally recorded watermark). With
-    /// durability on, a newly stable certificate we hold the snapshot for
-    /// is also emitted once as a [`DurableEvent::Stable`].
-    fn apply_truncation(&mut self) {
-        if let Some(log_len) = self.ckpt.stable_log_len() {
-            self.log.truncate_below(log_len);
-            self.replay_ring.retire_below(self.ckpt.stable_seq() + 1);
-        }
-        if self.durability && self.ckpt.stable_seq() > self.durable_stable_seq {
-            if let Some((cert, log_len, snapshot)) = self.ckpt.serve() {
-                self.durable_stable_seq = cert.seq;
-                let cert = cert.clone();
-                self.durable.push(DurableEvent::Stable { cert, log_len, snapshot });
-            }
-        }
-    }
-
-    /// Ingests a peer's checkpoint voucher (MAC-verified by the store).
-    fn handle_checkpoint(&mut self, voucher: CheckpointVoucher, out: &mut Outbox<MinBftMsg>) {
-        if self.ckpt.record(&voucher).is_some() {
-            self.apply_truncation();
-        }
-        self.maybe_request_transfer(out);
-    }
-
-    /// Broadcasts a state-transfer request if the stable certificate is
-    /// ahead of local execution (rate-limited by the CST backoff).
-    fn maybe_request_transfer(&mut self, out: &mut Outbox<MinBftMsg>) {
-        if self.ckpt.behind(self.exec_upto) && self.ckpt.may_request(self.now) {
-            out.broadcast(
-                self.n,
-                self.id,
-                MinBftMsg::StateRequest { have: self.exec_upto, from: self.id },
-            );
-        }
-    }
-
-    /// Serves a state-transfer request: stable certificate + certified
-    /// snapshot + the committed suffix above it (see the PBFT twin).
-    fn handle_state_request(&mut self, have: u64, from: ReplicaId, out: &mut Outbox<MinBftMsg>) {
-        let Some((cert, log_base, snapshot)) = self.ckpt.serve() else { return };
-        if cert.seq <= have {
-            return; // requester is not behind our certificate
-        }
-        let cert = cert.clone();
-        let mut suffix = Vec::new();
-        for slot in cert.seq + 1..=self.exec_upto {
-            match self.replay_ring.get(slot) {
-                Some(batch) => suffix.push((slot, batch.clone())),
-                None => return, // suffix gap (mid-install): let another peer serve
-            }
-        }
-        let mut snapshot = snapshot;
-        if self.script.corrupts_snapshot_at(self.now) {
-            // Byzantine responder: the requester's digest cross-check
-            // against the certificate must catch the flipped byte.
-            let mut bytes = (*snapshot).clone();
-            match bytes.first_mut() {
-                Some(b) => *b ^= 0xFF,
-                None => bytes.push(0xFF),
-            }
-            snapshot = Arc::new(bytes);
-        }
-        if self.script.corrupts_suffix_at(self.now) {
-            // Byzantine responder: a suffix the cluster never committed,
-            // under an honest certificate and snapshot — only the
-            // requester's f+1 slot-by-slot vote can out-vote it.
-            tamper_suffix(&mut suffix, cert.seq);
-        }
-        let transfer = StateTransfer {
-            cert,
-            snapshot,
-            log_base,
-            suffix: Arc::new(suffix),
-            view: self.view,
-            from: self.id,
-        };
-        out.send(Endpoint::Replica(from), MinBftMsg::StateResponse(Box::new(transfer)));
-    }
-
-    /// Validates a transfer response (certificate verifies, snapshot
-    /// digest matches, snapshot parses — everything in the response is
-    /// adversarial input until those checks pass) and buffers it;
-    /// installs once f+1 distinct responders agree on the watermark, with
-    /// the log suffix voted slot by slot (see [`CstBuffer`]).
-    fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<MinBftMsg>) {
-        if !self.ckpt.enabled() || st.cert.seq <= self.exec_upto {
-            return; // not ahead of us: nothing to install
-        }
-        if !self.ckpt.verify_cert(&st.cert) {
-            self.ckpt.note_rejected();
-            return;
-        }
-        if !snapshot_matches(&st.cert, &st.snapshot) {
-            self.ckpt.note_rejected();
-            return; // corrupted snapshot: digest does not match the cert
-        }
-        let parses = decode_image(&st.snapshot)
-            .is_some_and(|(kv, _)| KvStore::install_snapshot(kv).is_some());
-        if !parses {
-            self.ckpt.note_rejected();
-            return;
-        }
-        self.cst.admit(st, self.exec_upto);
-        let Some(plan) = self.cst.install_plan((self.f + 1) as usize) else { return };
-        self.cst.clear();
-        self.install_transfer(plan, out);
-    }
-
-    /// Installs a quorum-voted transfer: snapshot, certificate, voted log
-    /// suffix; then rejoins the cluster's view and resumes execution.
-    fn install_transfer(&mut self, plan: CstInstall, out: &mut Outbox<MinBftMsg>) {
-        let Some((kv, sessions)) = decode_image(&plan.snapshot) else { return };
-        let Some(machine) = KvStore::install_snapshot(kv) else { return };
-        self.ckpt.adopt_cert(&plan.cert);
-        self.machine = machine;
-        self.sessions = sessions;
-        // Repopulate the dedup index from the snapshotted sessions: a
-        // client retrying an op committed below the watermark still gets
-        // its byte-identical reply instead of a re-execution.
-        for (client, seq, result) in self.sessions.iter() {
-            self.executed.insert(OpId { client, seq }, result.clone());
-        }
-        self.log.reset_to(plan.log_base);
-        self.replay_ring = SeqWindow::with_base(plan.cert.seq + 1);
-        self.exec_upto = plan.cert.seq;
-        if self.durability && plan.cert.seq > self.durable_stable_seq {
-            self.durable_stable_seq = plan.cert.seq;
-            self.durable.push(DurableEvent::Stable {
-                cert: plan.cert.clone(),
-                log_len: plan.log_base,
-                snapshot: Arc::clone(&plan.snapshot),
+            let (pending, assigned) = (&mut self.pending, &mut self.assigned);
+            self.shell.execute(next, &batch, digest, |seq, reply| {
+                pending.remove(&reply.op);
+                assigned.insert(reply.op, seq);
+                out.send(Endpoint::Client(reply.op.client), MinBftMsg::Reply(reply));
             });
+            self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
         }
-        // Replay the voted suffix: every slot here matched at f+1
-        // responders, at least one of them honest.
-        for (slot, batch) in &plan.suffix {
-            self.replay_commit(*slot, batch);
+        self.retire_executed();
+    }
+
+    /// Retires the agreement windows below the execution watermark:
+    /// executed sequence numbers are dead, never resurrected.
+    fn retire_executed(&mut self) {
+        let floor = self.shell.exec_upto() + 1;
+        self.slots.retire_below(floor);
+        self.stored_prepares.retire_below(floor);
+    }
+
+    /// Ingests a peer's checkpoint voucher and, if this replica turns out
+    /// to be behind the newly stable watermark, starts state transfer.
+    fn handle_checkpoint(&mut self, voucher: CheckpointVoucher, out: &mut Outbox<MinBftMsg>) {
+        self.shell.on_voucher(&voucher);
+        self.shell.request_transfer(self.now, out);
+    }
+
+    /// Hands a transfer response to the shell; once f+1 responders agree
+    /// it installs, and this replica retires its windows, rejoins the
+    /// cluster's view and resumes execution.
+    fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<MinBftMsg>) {
+        let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
+        let (pending, assigned) = (&mut self.pending, &mut self.assigned);
+        if !self.shell.install(&plan, Batch::digest, |seq, reply| {
+            pending.remove(&reply.op);
+            assigned.insert(reply.op, seq);
+        }) {
+            return;
         }
-        self.slots.retire_below(self.exec_upto + 1);
-        self.stored_prepares.retire_below(self.exec_upto + 1);
-        self.next_seq = self.next_seq.max(self.exec_upto + 1);
+        self.retire_executed();
+        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
         if plan.view > self.view {
             // The cluster moved on while we were down; join its view.
             self.view = plan.view;
             self.vc_sent_for = self.vc_sent_for.max(plan.view);
             self.vc_votes.retain(|r| r.view > plan.view);
         }
-        self.ckpt.note_transfer();
-        let tokens: Vec<u64> =
-            self.pending.iter_canonical().into_iter().map(|(op, _)| op_token(op)).collect();
-        for token in tokens {
-            out.arm(self.patience, TIMER_REQUEST, token);
-        }
+        self.rearm_patience(out);
         self.try_execute(out);
     }
 
-    /// Applies one committed batch without emitting client replies —
-    /// shared by CST suffix install and WAL recovery replay.
-    fn replay_commit(&mut self, seq: u64, batch: &Arc<Batch>) {
-        let digest = batch.digest();
-        self.exec_upto = seq;
-        for req in batch.requests() {
-            let log_seq = self.log.committed() + 1;
-            let result = Arc::new(self.machine.apply(&req.payload));
-            self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
-            self.executed.insert(req.op, result.clone());
-            if self.ckpt.enabled() {
-                self.sessions.note(req.op.client, req.op.seq, result);
-            }
-            self.pending.remove(&req.op);
-            self.assigned.insert(req.op, seq);
-        }
-        if self.ckpt.enabled() {
-            self.replay_ring.insert(seq, batch.clone());
-        }
-        if self.durability {
-            self.durable.push(DurableEvent::Commit { seq, batch: batch.clone() });
+    /// Arms one patience timer per pending request (canonical order keeps
+    /// the timer schedule deterministic).
+    fn rearm_patience(&self, out: &mut Outbox<MinBftMsg>) {
+        for (op, _) in self.pending.iter_canonical() {
+            out.arm(self.patience, TIMER_REQUEST, op_token(op));
         }
     }
 
@@ -997,10 +779,8 @@ impl MinBftReplica {
         if from != Endpoint::Replica(sender) {
             return; // a replica may resync only its own stream
         }
-        if self.ckpt.adopt_cert(&cert) {
-            self.apply_truncation();
-        } else if !self.ckpt.verify_cert(&cert) {
-            return; // forged hint (adopt_cert counted the rejection)
+        if self.shell.accept_cert(&cert).is_none() {
+            return; // forged hint (the shell counted the rejection)
         }
         let s = sender.0 as usize;
         let Some(accepted) = self.accepted.get_mut(s) else { return };
@@ -1011,7 +791,7 @@ impl MinBftReplica {
             *accepted = ring_base - 1;
             // bounds: accepted and ingress share length n; s indexed accepted above
             self.ingress[s].retire_below(ring_base);
-            self.ckpt.note_hint_resync();
+            self.shell.note_hint_resync();
         }
     }
 
@@ -1061,8 +841,8 @@ impl MinBftReplica {
             new_view,
             self.id,
             prepared.clone(),
-            self.exec_upto,
-            self.ckpt.stable_seq(),
+            self.shell.exec_upto(),
+            self.shell.ckpt().stable_seq(),
         );
         out.broadcast(
             self.n,
@@ -1071,8 +851,8 @@ impl MinBftReplica {
                 new_view,
                 from: self.id,
                 prepared,
-                executed_upto: self.exec_upto,
-                cert: self.ckpt.stable().cloned().map(Box::new),
+                executed_upto: self.shell.exec_upto(),
+                cert: self.shell.ckpt().stable().cloned().map(Box::new),
             },
         );
         self.maybe_install_view(new_view, out);
@@ -1090,22 +870,9 @@ impl MinBftReplica {
         if new_view <= self.view {
             return;
         }
-        // A carried certificate is verified before it influences anything
-        // (see the PBFT twin): fresh-and-valid is adopted, valid-but-stale
-        // still floors at its seq, forged contributes 0.
-        let cert_seq = match cert {
-            Some(c) => {
-                if self.ckpt.adopt_cert(&c) {
-                    self.apply_truncation();
-                    c.seq
-                } else if self.ckpt.verify_cert(&c) {
-                    c.seq
-                } else {
-                    0
-                }
-            }
-            None => 0,
-        };
+        // A carried certificate floors the round only once verified; a
+        // forged one contributes 0.
+        let cert_seq = cert.and_then(|c| self.shell.accept_cert(&c)).unwrap_or(0);
         self.record_vc_vote(new_view, from, prepared, executed_upto, cert_seq);
         // In MinBFT a single valid suspicion suffices to join, because
         // UI certificates make false accusations non-amplifiable; we
@@ -1144,8 +911,8 @@ impl MinBftReplica {
         if cert_floor > 0 {
             repropose.retain(|seq, _| *seq > cert_floor);
         }
-        let floor = round.exec_floor.max(self.exec_upto).max(cert_floor);
-        let max_seq = repropose.keys().max().copied().unwrap_or(self.exec_upto);
+        let floor = round.exec_floor.max(self.shell.exec_upto()).max(cert_floor);
+        let max_seq = repropose.keys().max().copied().unwrap_or(self.shell.exec_upto());
         for seq in floor.saturating_add(1)..max_seq {
             repropose.entry(seq).or_insert_with(|| noop_batch(seq));
         }
@@ -1162,7 +929,7 @@ impl MinBftReplica {
             .iter_canonical()
             .into_iter()
             .map(|(_, r)| r)
-            .filter(|r| !covered.contains(&r.op) && !self.executed.contains_key(&r.op))
+            .filter(|r| !covered.contains(&r.op) && !self.shell.has_executed(&r.op))
             .cloned()
             .collect();
         for chunk in pending.chunks(self.batcher.batch_size()) {
@@ -1229,11 +996,7 @@ impl MinBftReplica {
             slot.prepare_ok = false;
             slot.sent_commit = false;
         }
-        let tokens: Vec<u64> =
-            self.pending.iter_canonical().into_iter().map(|(op, _)| op_token(op)).collect();
-        for token in tokens {
-            out.arm(self.patience, TIMER_REQUEST, token);
-        }
+        self.rearm_patience(out);
         self.replay_future(out);
     }
 
@@ -1320,7 +1083,7 @@ impl MinBftReplica {
                         // Hand over the stable certificate (if any) so the
                         // requester resyncs and escalates to state
                         // transfer instead of backing off forever.
-                        if let Some(cert) = self.ckpt.stable() {
+                        if let Some(cert) = self.shell.ckpt().stable() {
                             out.send(
                                 Endpoint::Replica(requester),
                                 MinBftMsg::CheckpointHint {
@@ -1343,9 +1106,14 @@ impl MinBftReplica {
                 self.handle_checkpoint_hint(from, *cert, ring_base, sender)
             }
             MinBftMsg::Checkpoint(voucher) => self.handle_checkpoint(*voucher, out),
-            MinBftMsg::StateRequest { have, from: requester } => {
-                self.handle_state_request(have, requester, out)
-            }
+            MinBftMsg::StateRequest { have, from: requester } => self.shell.serve_transfer(
+                have,
+                requester,
+                self.view,
+                self.script.corrupts_snapshot_at(self.now),
+                self.script.corrupts_suffix_at(self.now),
+                out,
+            ),
             MinBftMsg::StateResponse(st) => self.handle_state_response(*st, out),
             MinBftMsg::Reply(_) => {}
         }
@@ -1377,12 +1145,10 @@ impl MinBftReplica {
             }
             Input::Timer { .. } => {}
         }
-        if self.ckpt.enabled() {
-            // Any input may have revealed a stable certificate ahead of us
-            // (post-wipe, or crashed past retention): chase it,
-            // rate-limited by the CST backoff.
-            self.maybe_request_transfer(staged);
-        }
+        // Any input may have revealed a stable certificate ahead of us
+        // (post-wipe, or crashed past retention): chase it, rate-limited
+        // by the CST backoff.
+        self.shell.request_transfer(self.now, staged);
     }
 
     fn drain_ready(&mut self, out: &mut Outbox<MinBftMsg>) {
@@ -1425,11 +1191,7 @@ impl ReplicaNode for MinBftReplica {
             // Fail-recover: revive the per-op patience chains killed while
             // the outage swallowed their firings (see the PBFT twin).
             self.in_outage = false;
-            let tokens: Vec<u64> =
-                self.pending.iter_canonical().into_iter().map(|(op, _)| op_token(op)).collect();
-            for token in tokens {
-                out.arm(self.patience, TIMER_REQUEST, token);
-            }
+            self.rearm_patience(out);
         }
         if self.script.unconstrained() {
             // Fast path: a correct replica's outputs are never gated, so
@@ -1446,11 +1208,11 @@ impl ReplicaNode for MinBftReplica {
     }
 
     fn committed_log(&self) -> &[LogEntry] {
-        self.log.entries()
+        self.shell.log()
     }
 
     fn committed_seq(&self) -> u64 {
-        self.log.committed()
+        self.shell.committed()
     }
 
     fn wipe(&mut self) {
@@ -1470,15 +1232,7 @@ impl ReplicaNode for MinBftReplica {
         self.slots = SeqWindow::with_base(1);
         self.assigned = OpIndex::new();
         self.stored_prepares = SeqWindow::with_base(1);
-        self.executed = OpIndex::new();
         self.pending = OpIndex::new();
-        self.log = CommittedLog::new();
-        self.exec_upto = 0;
-        self.machine = KvStore::new();
-        self.replay_ring = SeqWindow::with_base(1);
-        self.cst.clear();
-        self.sessions.clear();
-        self.durable.clear();
         self.vc_votes.clear();
         self.vc_sent_for = 0;
         self.vc_demanded_at = 0;
@@ -1486,15 +1240,15 @@ impl ReplicaNode for MinBftReplica {
         let (size, flush) = (self.batcher.batch_size(), self.batcher.flush_cycles());
         self.batcher = Batcher::new();
         self.batcher.configure(size, flush);
-        self.ckpt.wipe();
+        self.shell.wipe();
     }
 
     fn checkpoint_stats(&self) -> CheckpointStats {
-        self.ckpt.stats()
+        self.shell.ckpt().stats()
     }
 
     fn checkpoint_history(&self) -> &[(u64, [u8; 32])] {
-        self.ckpt.history()
+        self.shell.ckpt().history()
     }
 
     fn make_request(req: Arc<Request>) -> MinBftMsg {
@@ -1509,7 +1263,7 @@ impl ReplicaNode for MinBftReplica {
     }
 
     fn state_digest(&self) -> [u8; 32] {
-        self.machine.state_digest()
+        self.shell.state_digest()
     }
 
     fn current_view(&self) -> u64 {
@@ -1517,15 +1271,14 @@ impl ReplicaNode for MinBftReplica {
     }
 
     fn enable_durability(&mut self) {
-        self.durability = true;
+        self.shell.enable_durability();
     }
 
     fn drain_durable(&mut self, out: &mut Vec<DurableEvent>) {
-        out.append(&mut self.durable);
+        self.shell.drain_durable(out);
     }
 
     fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
         // Resume the USIG at or above the highest persisted counter: the
         // restarted process must never certify two statements under one
         // counter value. Anchoring the resend ring *above* that watermark
@@ -1536,42 +1289,15 @@ impl ReplicaNode for MinBftReplica {
             self.usig.resume(state.usig_counter);
             self.sent_ui = SeqWindow::with_base(state.usig_counter + 1);
         }
-        if let Some((cert, log_len, snapshot)) = state.snapshot {
-            // Disk contents are ingress: the certificate and snapshot are
-            // re-verified exactly as a transfer response would be.
-            if self.ckpt.verify_cert(&cert) && snapshot_matches(&cert, &snapshot) {
-                if let Some((kv, sessions)) = decode_image(&snapshot) {
-                    if let Some(machine) = KvStore::install_snapshot(kv) {
-                        self.ckpt.adopt_cert(&cert);
-                        self.machine = machine;
-                        self.sessions = sessions;
-                        for (client, seq, result) in self.sessions.iter() {
-                            self.executed.insert(OpId { client, seq }, result.clone());
-                        }
-                        self.log.reset_to(log_len);
-                        self.replay_ring = SeqWindow::with_base(cert.seq + 1);
-                        self.exec_upto = cert.seq;
-                        self.slots.retire_below(cert.seq + 1);
-                        self.stored_prepares.retire_below(cert.seq + 1);
-                        report.installed_seq = cert.seq;
-                    }
-                }
-            }
-        }
-        // Replay the contiguous commit run above the snapshot; the first
-        // gap or garbage batch abandons the rest to state transfer.
-        for (seq, batch) in &state.commits {
-            if *seq <= self.exec_upto {
-                continue;
-            }
-            if *seq != self.exec_upto + 1 || batch.is_empty() || !batch.verify() {
-                break;
-            }
-            self.replay_commit(*seq, batch);
-            report.replayed += 1;
-        }
-        self.next_seq = self.next_seq.max(self.exec_upto + 1);
-        report.committed = self.log.committed();
+        let (pending, assigned) = (&mut self.pending, &mut self.assigned);
+        let report = self.shell.recover(&state, Batch::digest, |seq, reply| {
+            pending.remove(&reply.op);
+            assigned.insert(reply.op, seq);
+        });
+        // Executed sequence numbers are dead from the first input on — both
+        // below the snapshot and below the replayed WAL tail.
+        self.retire_executed();
+        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
         report
     }
 }
@@ -1960,5 +1686,48 @@ mod tests {
             "PassiveMsg grew to {}",
             size_of::<crate::passive::PassiveMsg>()
         );
+    }
+
+    /// MinBFT twin of PBFT's
+    /// `recovered_replica_refuses_proposals_below_its_replayed_wal`: a
+    /// genuine, in-order PREPARE for a slot the restarted backup already
+    /// replayed from its WAL must not draw a COMMIT vote.
+    #[test]
+    fn recovered_replica_refuses_proposals_below_its_replayed_wal() {
+        let cfg = config(1, 1, 1, 5);
+        let mut nodes = MinBftCluster::new(&cfg).into_nodes();
+        let request = |tag: &str| {
+            Arc::new(Request {
+                op: OpId { client: crate::api::ClientId(1), seq: 1 },
+                payload: format!("SET k {tag}").into_bytes(),
+            })
+        };
+        // The primary proposes slot 1 under its first USIG counter.
+        let mut out = Outbox::new();
+        let client = Endpoint::Client(crate::api::ClientId(1));
+        nodes[0].on_input(
+            Input::Message { from: client, msg: MinBftMsg::Request(request("live")) },
+            1,
+            &mut out,
+        );
+        let (_, prepare) = out
+            .msgs
+            .iter()
+            .find(|(to, m)| {
+                *to == Endpoint::Replica(ReplicaId(1)) && matches!(m, MinBftMsg::Prepare { .. })
+            })
+            .cloned()
+            .expect("primary proposed");
+        // The backup restarts with slot 1 already in its WAL.
+        let wal = vec![(1, Arc::new(Batch::single(request("wal"))))];
+        let report = nodes[1].recover(RecoveredState { commits: wal, ..Default::default() });
+        assert_eq!(report.replayed, 1);
+        let mut out = Outbox::new();
+        nodes[1].on_input(
+            Input::Message { from: Endpoint::Replica(ReplicaId(0)), msg: prepare },
+            10,
+            &mut out,
+        );
+        assert!(out.msgs.is_empty(), "voted on an executed sequence number: {:?}", out.msgs);
     }
 }

@@ -11,17 +11,14 @@
 
 use crate::adversary::ReplicaScript;
 use crate::api::{
-    Batch, BatchDecision, Batcher, Cluster, Endpoint, Input, LogEntry, OpId, Outbox, ReplicaId,
+    Batch, BatchDecision, Batcher, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId,
     ReplicaNode, Reply, Request,
 };
-use crate::checkpoint::{
-    decode_image, encode_image, snapshot_matches, CheckpointStats, CheckpointStore,
-    CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer, StateTransfer,
-};
-use crate::dense::{OpIndex, SeqWindow};
+use crate::checkpoint::{CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer};
+use crate::dense::SeqWindow;
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::runner::RunConfig;
-use crate::statemachine::{KvStore, StateMachine};
+use crate::shell::{Shell, ShellMsg};
 use std::sync::Arc;
 
 /// Timer kind: primary sends its next heartbeat.
@@ -91,6 +88,32 @@ pub enum PassiveMsg {
     StateResponse(Box<StateTransfer>),
 }
 
+impl ShellMsg for PassiveMsg {
+    fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
+        PassiveMsg::Checkpoint(voucher)
+    }
+
+    fn state_request(have: u64, from: ReplicaId) -> Self {
+        PassiveMsg::StateRequest { have, from }
+    }
+
+    fn state_response(transfer: Box<StateTransfer>) -> Self {
+        PassiveMsg::StateResponse(transfer)
+    }
+}
+
+/// Passive's slot and log domains coincide: every operation is its own
+/// single-request batch (which is also how suffixes and durable commits
+/// ship), logged under the *request* digest.
+fn single(req: Arc<Request>) -> Arc<Batch> {
+    Arc::new(Batch::single(req))
+}
+
+/// The log-entry digest of a [`single`] batch.
+fn entry_digest(batch: &Batch) -> [u8; 32] {
+    batch.requests().first().map_or_else(|| batch.digest(), |req| req.digest())
+}
+
 /// How many shipped `(request, result)` pairs the primary retains for
 /// backup resync (beyond this horizon a gapped backup stays a laggard).
 const SHIP_RETENTION: u64 = 512;
@@ -115,38 +138,14 @@ pub struct PassiveReplica {
     last_heartbeat: u64,
     heartbeat_interval: u64,
     detect_timeout: u64,
-    log: CommittedLog,
-    /// Exactly-once dedup: op → shared execution result.
-    executed: OpIndex<Arc<Vec<u8>>>,
-    machine: KvStore,
     next_seq: u64,
-    /// Certified checkpoints + state-transfer bookkeeping (disabled at
-    /// interval 0 — the byte-identical legacy configuration). Both
-    /// replicas must vouch: passive has no spare quorum to outvote a lie.
-    ckpt: CheckpointStore,
-    /// Requests by log seq, retained above the stable checkpoint — the
-    /// replay source for serving state-transfer suffixes (passive's slot
-    /// and log domains coincide; suffixes ship as single-request batches).
-    replay_ring: SeqWindow<Arc<Request>>,
-    /// Buffered state-transfer responses (install quorum 1: with n = 2
-    /// there is no spare responder to outvote a lie — the documented
-    /// passive residual).
-    cst: CstBuffer,
-    /// Latest executed `(seq, reply)` per client — snapshotted into the
-    /// checkpoint image so retry dedup survives a wipe + state transfer.
-    /// Maintained only while checkpointing is enabled (byte-invisible
-    /// otherwise).
-    sessions: ClientSessions,
-    /// True once the embedding plane persists [`DurableEvent`]s.
-    durability: bool,
-    /// Events awaiting [`ReplicaNode::drain_durable`].
-    durable: Vec<DurableEvent>,
-    /// Highest stable watermark already emitted as a
-    /// [`DurableEvent::Stable`].
-    durable_stable_seq: u64,
+    /// Execution, checkpoints, state transfer, durability. Both replicas
+    /// must vouch for a checkpoint — passive has no spare quorum to
+    /// outvote a lie — and checkpoints are per log sequence.
+    shell: Shell,
     /// Out-of-order state updates held back until their predecessors
     /// apply; the window watermark tracks the applied log prefix.
-    held_updates: SeqWindow<(Arc<Request>, Arc<Vec<u8>>)>,
+    held_updates: SeqWindow<Arc<Request>>,
     /// Count of failovers this replica performed.
     failovers: u32,
     /// Shipped updates retained for backup resync, keyed by log sequence.
@@ -173,17 +172,8 @@ impl PassiveReplica {
             last_heartbeat: 0,
             heartbeat_interval,
             detect_timeout,
-            log: CommittedLog::new(),
-            executed: OpIndex::new(),
-            machine: KvStore::new(),
             next_seq: 1,
-            ckpt: CheckpointStore::new(id, 2, 0, CkptKeys::provision(0, 1)),
-            replay_ring: SeqWindow::with_base(1),
-            cst: CstBuffer::new(),
-            sessions: ClientSessions::new(),
-            durability: false,
-            durable: Vec::new(),
-            durable_stable_seq: 0,
+            shell: Shell::new(id, 2, 2),
             held_updates: SeqWindow::with_base(1),
             failovers: 0,
             shipped: SeqWindow::with_base(1),
@@ -202,13 +192,13 @@ impl PassiveReplica {
     /// sequences (0 disables — the default, byte-identical to the legacy
     /// protocol). Both replicas must vouch for a watermark to stabilize.
     pub fn set_checkpointing(&mut self, interval: u64, keys: Arc<CkptKeys>) {
-        self.ckpt = CheckpointStore::new(self.id, 2, interval, keys);
+        self.shell.set_checkpointing(interval, keys);
     }
 
     /// Digest of the replica's current state-machine state (for
     /// batched-vs-unbatched equivalence checks).
     pub fn state_digest(&self) -> [u8; 32] {
-        self.machine.state_digest()
+        self.shell.state_digest()
     }
 
     /// Installs a composable, time-phased fault script. Content-attack
@@ -257,11 +247,8 @@ impl PassiveReplica {
     // panic here is a remote crash (`rsoc_lint` enforces the contract).
     // lint: ingress
     fn handle_request(&mut self, req: Arc<Request>, out: &mut Outbox<PassiveMsg>) {
-        if let Some(result) = self.executed.get(&req.op) {
-            out.send(
-                Endpoint::Client(req.op.client),
-                PassiveMsg::Reply(Reply { replica: self.id, op: req.op, result: result.clone() }),
-            );
+        if let Some(reply) = self.shell.cached_reply(req.op) {
+            out.send(Endpoint::Client(req.op.client), PassiveMsg::Reply(reply));
             return;
         }
         if !self.is_primary() {
@@ -279,8 +266,8 @@ impl PassiveReplica {
     /// Executes the accumulated requests and ships them to the backup as a
     /// single state update.
     fn flush_batch(&mut self, out: &mut Outbox<PassiveMsg>) {
-        let executed = &self.executed;
-        let reqs = self.batcher.drain(|r| !executed.contains_key(&r.op));
+        let shell = &self.shell;
+        let reqs = self.batcher.drain(|r| !shell.has_executed(&r.op));
         if reqs.is_empty() {
             return;
         }
@@ -289,27 +276,12 @@ impl PassiveReplica {
         for req in reqs {
             let seq = self.next_seq;
             self.next_seq += 1;
-            let result = Arc::new(self.machine.apply(&req.payload));
-            self.log.push(LogEntry { seq, op: req.op, digest: req.digest() });
-            if self.ckpt.enabled() {
-                self.replay_ring.insert(seq, req.clone());
-            }
-            self.executed.insert(req.op, result.clone());
-            if self.ckpt.enabled() {
-                self.sessions.note(req.op.client, req.op.seq, result.clone());
-            }
-            if self.durability {
-                self.durable.push(DurableEvent::Commit {
-                    seq,
-                    batch: Arc::new(Batch::single(req.clone())),
-                });
-            }
-            out.send(
-                Endpoint::Client(req.op.client),
-                PassiveMsg::Reply(Reply { replica: self.id, op: req.op, result: result.clone() }),
-            );
-            ops.push((req, result));
-            self.maybe_checkpoint(seq, out);
+            let batch = single(req.clone());
+            self.shell.execute(seq, &batch, entry_digest(&batch), |_, reply| {
+                ops.push((req.clone(), reply.result.clone()));
+                out.send(Endpoint::Client(reply.op.client), PassiveMsg::Reply(reply));
+            });
+            self.checkpoint(seq, out);
         }
         for (i, op) in ops.iter().enumerate() {
             self.shipped.insert(first_seq + i as u64, op.clone());
@@ -324,161 +296,49 @@ impl PassiveReplica {
     }
 
     /// Takes a certified checkpoint when the committed log crosses a
-    /// watermark boundary (per log sequence — passive's execution and log
-    /// domains coincide). Content-attack scripts are inert here (no votes
-    /// to forge), so there is no Byzantine voucher path.
-    fn maybe_checkpoint(&mut self, seq: u64, out: &mut Outbox<PassiveMsg>) {
-        if !self.ckpt.due(seq) {
-            return;
-        }
-        let image = Arc::new(encode_image(&self.machine.snapshot(), &self.sessions));
-        let digest = rsoc_crypto::sha256(&image);
-        let voucher = self.ckpt.record_local(seq, digest, self.log.committed(), image);
-        out.send(Endpoint::Replica(self.peer()), PassiveMsg::Checkpoint(Box::new(voucher.clone())));
-        if self.ckpt.record(&voucher).is_some() {
-            self.apply_truncation();
+    /// watermark boundary. Content-attack scripts are inert here (no votes
+    /// to forge), so never the forged-voucher path.
+    fn checkpoint(&mut self, seq: u64, out: &mut Outbox<PassiveMsg>) {
+        if self.shell.checkpoint(seq, false, out) {
+            self.retire_shipped();
         }
     }
 
-    /// Truncates the log, replay ring, and shipped window below the
-    /// stable checkpoint — the shipped-window retention is keyed off the
-    /// certified watermark, because below it [`PassiveMsg::SyncRequest`]
-    /// replay is superseded by state transfer.
-    fn apply_truncation(&mut self) {
-        if let Some(log_len) = self.ckpt.stable_log_len() {
-            self.log.truncate_below(log_len);
-            self.replay_ring.retire_below(log_len + 1);
+    /// The shipped-window retention is keyed off the certified watermark:
+    /// below it [`PassiveMsg::SyncRequest`] replay is superseded by state
+    /// transfer.
+    fn retire_shipped(&mut self) {
+        if let Some(log_len) = self.shell.ckpt().stable_log_len() {
             self.shipped.retire_below(log_len + 1);
         }
-        if self.durability && self.ckpt.stable_seq() > self.durable_stable_seq {
-            if let Some((cert, log_len, snapshot)) = self.ckpt.serve() {
-                self.durable_stable_seq = cert.seq;
-                let cert = cert.clone();
-                self.durable.push(DurableEvent::Stable { cert, log_len, snapshot });
-            }
-        }
     }
 
-    /// Ingests the peer's checkpoint voucher (MAC-verified by the store).
-    fn handle_checkpoint(&mut self, voucher: CheckpointVoucher) {
-        if self.ckpt.record(&voucher).is_some() {
-            self.apply_truncation();
-        }
-    }
-
-    /// Sends a state-transfer request if the stable certificate is ahead
-    /// of the committed log (rate-limited by the CST backoff).
-    fn maybe_request_transfer(&mut self, now: u64, out: &mut Outbox<PassiveMsg>) {
-        if self.ckpt.behind(self.log.committed()) && self.ckpt.may_request(now) {
-            out.send(
-                Endpoint::Replica(self.peer()),
-                PassiveMsg::StateRequest { have: self.log.committed(), from: self.id },
-            );
-        }
-    }
-
-    /// Serves a state-transfer request: stable certificate + certified
-    /// snapshot + the committed suffix above it (see the PBFT twin).
-    fn handle_state_request(&mut self, have: u64, from: ReplicaId, out: &mut Outbox<PassiveMsg>) {
-        let Some((cert, log_base, snapshot)) = self.ckpt.serve() else { return };
-        if cert.seq <= have {
-            return; // requester is not behind our certificate
-        }
-        let mut suffix = Vec::new();
-        for entry in self.log.entries() {
-            if entry.seq <= log_base {
-                continue;
-            }
-            // Passive's slot and log domains coincide: each committed log
-            // entry ships as a single-request batch keyed by its log seq.
-            match self.replay_ring.get(entry.seq) {
-                Some(req) => suffix.push((entry.seq, Arc::new(Batch::single(req.clone())))),
-                None => return, // suffix gap (mid-install)
-            }
-        }
-        let transfer = StateTransfer {
-            cert: cert.clone(),
-            snapshot,
-            log_base,
-            suffix: Arc::new(suffix),
-            view: self.epoch,
-            from: self.id,
-        };
-        out.send(Endpoint::Replica(from), PassiveMsg::StateResponse(Box::new(transfer)));
-    }
-
-    /// Installs a transferred state if it checks out — certificate,
-    /// snapshot digest, snapshot framing. Promotion is gated on this
+    /// Installs a transferred state once the shell has checked it out.
+    /// With n = 2 there is no second responder to cross-check, so the
+    /// install quorum is 1 — the shell still enforces batch integrity and
+    /// density on the suffix (the documented passive residual: a lying
+    /// primary can feed a recovering backup). Promotion is gated on this
     /// completing: a backup behind the certified watermark refuses to
     /// fail over until the transfer lands (see the `TIMER_DETECT` arm).
     fn handle_state_response(&mut self, st: StateTransfer, now: u64) {
-        if !self.ckpt.enabled() || st.cert.seq <= self.log.committed() {
-            return; // not ahead of us: nothing to install
-        }
-        if !self.ckpt.verify_cert(&st.cert) {
-            self.ckpt.note_rejected();
+        let Some(plan) = self.shell.admit_transfer(st, 1) else { return };
+        if !self.shell.install(&plan, entry_digest, |_, _| {}) {
             return;
         }
-        if !snapshot_matches(&st.cert, &st.snapshot) {
-            self.ckpt.note_rejected();
-            return; // corrupted snapshot: digest does not match the cert
-        }
-        let parses = decode_image(&st.snapshot)
-            .is_some_and(|(kv, _)| KvStore::install_snapshot(kv).is_some());
-        if !parses {
-            self.ckpt.note_rejected();
-            return;
-        }
-        // With n = 2 there is no second responder to cross-check, so the
-        // install quorum is 1 — the shared buffer still enforces batch
-        // integrity and density on the suffix (the documented passive
-        // residual: a lying primary can feed a recovering backup).
-        self.cst.admit(st, self.log.committed());
-        let Some(plan) = self.cst.install_plan(1) else { return };
-        self.cst.clear();
-        let Some((kv, sessions)) = decode_image(&plan.snapshot) else { return };
-        let Some(machine) = KvStore::install_snapshot(kv) else { return };
-        self.ckpt.adopt_cert(&plan.cert);
-        self.machine = machine;
-        self.sessions = sessions;
-        // Repopulate the dedup index from the snapshotted sessions: a
-        // client retrying an op committed below the watermark still gets
-        // its byte-identical reply instead of a re-execution.
-        for (client, seq, result) in self.sessions.iter() {
-            self.executed.insert(OpId { client, seq }, result.clone());
-        }
-        self.log.reset_to(plan.log_base);
-        self.replay_ring = SeqWindow::with_base(plan.log_base + 1);
-        if self.durability && plan.cert.seq > self.durable_stable_seq {
-            self.durable_stable_seq = plan.cert.seq;
-            self.durable.push(DurableEvent::Stable {
-                cert: plan.cert.clone(),
-                log_len: plan.log_base,
-                snapshot: plan.snapshot.clone(),
-            });
-        }
-        for (slot, batch) in &plan.suffix {
-            for req in batch.requests() {
-                let log_seq = self.log.committed() + 1;
-                let result = Arc::new(self.machine.apply(&req.payload));
-                self.log.push(LogEntry { seq: log_seq, op: req.op, digest: req.digest() });
-                self.replay_ring.insert(log_seq, req.clone());
-                self.executed.insert(req.op, result.clone());
-                self.sessions.note(req.op.client, req.op.seq, result);
-            }
-            if self.durability {
-                self.durable.push(DurableEvent::Commit { seq: *slot, batch: batch.clone() });
-            }
-        }
-        self.held_updates = SeqWindow::with_base(self.log.committed() + 1);
-        self.next_seq = self.next_seq.max(self.log.committed() + 1);
+        self.resume_above_log();
         if plan.view > self.epoch {
             // The peer's epoch moved on while we were down; adopt it so
             // role accounting (primary = epoch % 2) stays coherent.
             self.epoch = plan.view;
         }
         self.last_heartbeat = now;
-        self.ckpt.note_transfer();
+    }
+
+    /// Re-anchors update hold-back and sequence assignment just above the
+    /// committed log after an install or a recovery moved it.
+    fn resume_above_log(&mut self) {
+        self.held_updates = SeqWindow::with_base(self.shell.committed() + 1);
+        self.next_seq = self.next_seq.max(self.shell.committed() + 1);
     }
 
     /// Emits a rate-limited resync request when this backup's applied log
@@ -488,7 +348,7 @@ impl PassiveReplica {
             self.sync_req_at = now;
             out.send(
                 Endpoint::Replica(self.peer()),
-                PassiveMsg::SyncRequest { from_seq: self.log.committed() + 1, from: self.id },
+                PassiveMsg::SyncRequest { from_seq: self.shell.committed() + 1, from: self.id },
             );
         }
     }
@@ -508,38 +368,28 @@ impl PassiveReplica {
         // predecessor applied so the backup's log mirrors the primary's.
         // Re-deliveries of already-applied sequences fall below the window
         // watermark and are rejected outright.
-        for (i, (req, result)) in ops.into_iter().enumerate() {
-            if self.executed.contains_key(&req.op) {
+        // The shipped results are not kept: the backup executes every
+        // update itself and answers retries with its own (deterministically
+        // identical) result, like every other execution path.
+        for (i, (req, _)) in ops.into_iter().enumerate() {
+            if self.shell.has_executed(&req.op) {
                 continue;
             }
-            self.held_updates.insert(first_seq + i as u64, (req, result));
+            self.held_updates.insert(first_seq + i as u64, req);
         }
         loop {
-            let next = self.log.committed() + 1;
-            let Some((req, result)) = self.held_updates.remove(next) else { break };
-            self.machine.apply(&req.payload);
-            self.log.push(LogEntry { seq: next, op: req.op, digest: req.digest() });
-            if self.ckpt.enabled() {
-                self.replay_ring.insert(next, req.clone());
-            }
-            if self.durability {
-                self.durable.push(DurableEvent::Commit {
-                    seq: next,
-                    batch: Arc::new(Batch::single(req.clone())),
-                });
-            }
-            self.executed.insert(req.op, result.clone());
-            if self.ckpt.enabled() {
-                self.sessions.note(req.op.client, req.op.seq, result);
-            }
+            let next = self.shell.committed() + 1;
+            let Some(req) = self.held_updates.remove(next) else { break };
+            let batch = single(req);
+            self.shell.execute(next, &batch, entry_digest(&batch), |_, _| {});
             self.next_seq = self.next_seq.max(next + 1);
-            self.maybe_checkpoint(next, out);
+            self.checkpoint(next, out);
         }
-        self.held_updates.retire_below(self.log.committed() + 1);
+        self.held_updates.retire_below(self.shell.committed() + 1);
         // A gap below the held-back updates means earlier updates were
         // lost (network drop, or this backup crashed through them): ask
         // the primary to replay from our log head.
-        if first_seq > self.log.committed() + 1 {
+        if first_seq > self.shell.committed() + 1 {
             self.maybe_request_sync(now, out);
         }
     }
@@ -586,11 +436,11 @@ impl ReplicaNode for PassiveReplica {
     }
 
     fn committed_log(&self) -> &[LogEntry] {
-        self.log.entries()
+        self.shell.log()
     }
 
     fn committed_seq(&self) -> u64 {
-        self.log.committed()
+        self.shell.committed()
     }
 
     fn wipe(&mut self) {
@@ -603,29 +453,22 @@ impl ReplicaNode for PassiveReplica {
         self.epoch = 0;
         self.bootstrapped = false;
         self.last_heartbeat = 0;
-        self.log = CommittedLog::new();
-        self.executed = OpIndex::new();
-        self.machine = KvStore::new();
         self.next_seq = 1;
         self.held_updates = SeqWindow::with_base(1);
         self.shipped = SeqWindow::with_base(1);
         self.sync_req_at = 0;
-        self.replay_ring = SeqWindow::with_base(1);
-        self.cst.clear();
-        self.sessions.clear();
-        self.durable.clear();
         let (size, flush) = (self.batcher.batch_size(), self.batcher.flush_cycles());
         self.batcher = Batcher::new();
         self.batcher.configure(size, flush);
-        self.ckpt.wipe();
+        self.shell.wipe();
     }
 
     fn checkpoint_stats(&self) -> CheckpointStats {
-        self.ckpt.stats()
+        self.shell.ckpt().stats()
     }
 
     fn checkpoint_history(&self) -> &[(u64, [u8; 32])] {
-        self.ckpt.history()
+        self.shell.ckpt().history()
     }
 
     fn make_request(req: Arc<Request>) -> PassiveMsg {
@@ -640,7 +483,7 @@ impl ReplicaNode for PassiveReplica {
     }
 
     fn state_digest(&self) -> [u8; 32] {
-        self.machine.state_digest()
+        self.shell.state_digest()
     }
 
     fn current_view(&self) -> u64 {
@@ -648,62 +491,16 @@ impl ReplicaNode for PassiveReplica {
     }
 
     fn enable_durability(&mut self) {
-        self.durability = true;
+        self.shell.enable_durability();
     }
 
     fn drain_durable(&mut self, out: &mut Vec<DurableEvent>) {
-        out.append(&mut self.durable);
+        self.shell.drain_durable(out);
     }
 
-    /// Rebuilds volatile state from the persisted record before the first
-    /// input. Everything read back from disk is ingress: the certificate
-    /// and snapshot digest are re-verified, the commit run must be dense
-    /// and integrity-checked, and the first gap or garbage record stops
-    /// the replay (state transfer closes the rest). (Already inside the
-    /// crate-wide ingress lint region that opens above `handle_request`.)
     fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
-        if let Some((cert, log_len, snapshot)) = state.snapshot {
-            if self.ckpt.verify_cert(&cert) && snapshot_matches(&cert, &snapshot) {
-                if let Some((kv, sessions)) = decode_image(&snapshot) {
-                    if let Some(machine) = KvStore::install_snapshot(kv) {
-                        self.ckpt.adopt_cert(&cert);
-                        self.machine = machine;
-                        self.sessions = sessions;
-                        for (client, seq, result) in self.sessions.iter() {
-                            self.executed.insert(OpId { client, seq }, result.clone());
-                        }
-                        self.log.reset_to(log_len);
-                        self.replay_ring = SeqWindow::with_base(log_len + 1);
-                        report.installed_seq = cert.seq;
-                    }
-                }
-            }
-        }
-        for (seq, batch) in &state.commits {
-            if *seq <= self.log.committed() {
-                continue; // covered by the snapshot
-            }
-            if *seq != self.log.committed() + 1 || batch.is_empty() || !batch.verify() {
-                break; // gap or garbage: the rest comes via state transfer
-            }
-            for req in batch.requests() {
-                let log_seq = self.log.committed() + 1;
-                let result = Arc::new(self.machine.apply(&req.payload));
-                self.log.push(LogEntry { seq: log_seq, op: req.op, digest: req.digest() });
-                if self.ckpt.enabled() {
-                    self.replay_ring.insert(log_seq, req.clone());
-                }
-                self.executed.insert(req.op, result.clone());
-                if self.ckpt.enabled() {
-                    self.sessions.note(req.op.client, req.op.seq, result);
-                }
-            }
-            report.replayed += 1;
-        }
-        self.held_updates = SeqWindow::with_base(self.log.committed() + 1);
-        self.next_seq = self.next_seq.max(self.log.committed() + 1);
-        report.committed = self.log.committed();
+        let report = self.shell.recover(&state, entry_digest, |_, _| {});
+        self.resume_above_log();
         report
     }
 }
@@ -731,7 +528,7 @@ impl PassiveReplica {
                         // backup never saw (e.g. lost during its own crash
                         // window) — resync before any failover promotes a
                         // stale log into committed history.
-                        if !self.is_primary() && log_len > self.log.committed() {
+                        if !self.is_primary() && log_len > self.shell.committed() {
                             self.maybe_request_sync(now, staged);
                         }
                     }
@@ -746,11 +543,7 @@ impl PassiveReplica {
                             // fill (it would silently stay promotable with
                             // a shorter log). Serve a full state transfer
                             // instead — the certificate-checked path.
-                            self.handle_state_request(
-                                from_seq.saturating_sub(1),
-                                requester,
-                                staged,
-                            );
+                            self.serve_transfer(from_seq.saturating_sub(1), requester, staged);
                             return;
                         }
                         // Replay the retained contiguous run from the
@@ -774,9 +567,13 @@ impl PassiveReplica {
                         }
                     }
                 }
-                PassiveMsg::Checkpoint(voucher) => self.handle_checkpoint(*voucher),
+                PassiveMsg::Checkpoint(voucher) => {
+                    if self.shell.on_voucher(&voucher) {
+                        self.retire_shipped();
+                    }
+                }
                 PassiveMsg::StateRequest { have, from: requester } => {
-                    self.handle_state_request(have, requester, staged)
+                    self.serve_transfer(have, requester, staged)
                 }
                 PassiveMsg::StateResponse(st) => self.handle_state_response(*st, now),
                 PassiveMsg::Reply(_) => {}
@@ -793,7 +590,7 @@ impl PassiveReplica {
                         PassiveMsg::Heartbeat {
                             epoch: self.epoch,
                             from: self.id,
-                            log_len: self.log.committed(),
+                            log_len: self.shell.committed(),
                         },
                     );
                     staged.arm(self.heartbeat_interval, TIMER_HEARTBEAT, 0);
@@ -802,7 +599,7 @@ impl PassiveReplica {
             Input::Timer { kind: TIMER_DETECT, .. } => {
                 if !self.is_primary() {
                     if now.saturating_sub(self.last_heartbeat) > self.detect_timeout {
-                        if self.ckpt.stable_seq() > self.log.committed() {
+                        if self.shell.behind() {
                             // Promotion gate: a certified checkpoint ahead
                             // of our log proves committed history we do
                             // not hold — promoting now would install a
@@ -811,7 +608,7 @@ impl PassiveReplica {
                             // the only snapshot holder is dead, the pair
                             // stays safely unavailable — the documented
                             // 2-replica residual.)
-                            self.maybe_request_transfer(now, staged);
+                            self.shell.request_transfer(now, staged);
                             staged.arm(self.detect_timeout, TIMER_DETECT, 0);
                             return;
                         }
@@ -824,7 +621,7 @@ impl PassiveReplica {
                             PassiveMsg::Heartbeat {
                                 epoch: self.epoch,
                                 from: self.id,
-                                log_len: self.log.committed(),
+                                log_len: self.shell.committed(),
                             },
                         );
                         staged.arm(self.heartbeat_interval, TIMER_HEARTBEAT, 0);
@@ -835,12 +632,16 @@ impl PassiveReplica {
             }
             Input::Timer { .. } => {}
         }
-        if self.ckpt.enabled() {
-            // Any input may have revealed a stable certificate ahead of us
-            // (post-wipe, or gapped past the shipped window): chase it,
-            // rate-limited by the CST backoff.
-            self.maybe_request_transfer(now, staged);
-        }
+        // Any input may have revealed a stable certificate ahead of us
+        // (post-wipe, or gapped past the shipped window): chase it,
+        // rate-limited by the CST backoff.
+        self.shell.request_transfer(now, staged);
+    }
+
+    /// Serves a state transfer; snapshot/suffix corruption scripts are
+    /// inert for passive replication, like every content attack.
+    fn serve_transfer(&self, have: u64, to: ReplicaId, out: &mut Outbox<PassiveMsg>) {
+        self.shell.serve_transfer(have, to, self.epoch, false, false, out);
     }
 }
 // lint: end

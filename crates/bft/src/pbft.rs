@@ -38,14 +38,12 @@ use crate::api::{
     ReplicaId, ReplicaNode, Reply, Request, VcRound,
 };
 use crate::checkpoint::{
-    decode_image, encode_image, snapshot_matches, tamper_suffix, CheckpointCert, CheckpointStats,
-    CheckpointStore, CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer,
-    CstInstall, StateTransfer,
+    CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer,
 };
 use crate::dense::{op_token, token_op, OpIndex, ReplicaSet, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::runner::RunConfig;
-use crate::statemachine::{KvStore, StateMachine};
+use crate::shell::{Shell, ShellMsg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -147,6 +145,20 @@ pub enum PbftMsg {
     StateResponse(Box<StateTransfer>),
 }
 
+impl ShellMsg for PbftMsg {
+    fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
+        PbftMsg::Checkpoint(voucher)
+    }
+
+    fn state_request(have: u64, from: ReplicaId) -> Self {
+        PbftMsg::StateRequest { have, from }
+    }
+
+    fn state_response(transfer: Box<StateTransfer>) -> Self {
+        PbftMsg::StateResponse(transfer)
+    }
+}
+
 /// One agreement slot. Slots live in the [`SeqWindow`]; execution removes
 /// and retires them, so an "executed" slot is simply one below the window
 /// watermark — no flag needed.
@@ -170,43 +182,17 @@ pub struct PbftReplica {
     /// Virtual time of the input being handled (scripts are time-phased).
     now: u64,
     next_seq: u64,
-    /// Agreement slots, watermarked at `exec_upto + 1` (sequence 0 is
-    /// never used, so the window starts at base 1).
+    /// Agreement slots, watermarked at `shell.exec_upto() + 1` (sequence
+    /// 0 is never used, so the window starts at base 1).
     slots: SeqWindow<Slot>,
     /// Op → agreement slot, for duplicate-proposal suppression.
     assigned: OpIndex<u64>,
-    /// Exactly-once dedup: op → shared execution result.
-    executed: OpIndex<Arc<Vec<u8>>>,
     /// Backup watchlist: requests awaiting commit, with patience timers.
     pending: OpIndex<Arc<Request>>,
     stored_preprepares: SeqWindow<PbftMsg>,
-    /// Committed log; truncates below the stable checkpoint watermark.
-    log: CommittedLog,
-    exec_upto: u64,
-    machine: KvStore,
-    /// Checkpoint vouchers/certificates and the transfer backoff
-    /// (inert when the interval is 0).
-    ckpt: CheckpointStore,
-    /// Executed batches above the stable checkpoint, keyed by agreement
-    /// slot — the suffix served with state transfers. Only populated
-    /// while checkpointing is enabled; retired below the watermark when a
-    /// certificate forms.
-    replay_ring: SeqWindow<Arc<Batch>>,
-    /// Buffered state-transfer responses awaiting an f+1 install quorum.
-    cst: CstBuffer,
-    /// Latest executed reply per client, snapshotted into checkpoint
-    /// images so a transfer-recovered replica answers client retries for
-    /// ops below the watermark (maintained only while checkpointing is
-    /// enabled — byte-invisible otherwise).
-    sessions: ClientSessions,
-    /// True once the embedding plane persists [`DurableEvent`]s (never in
-    /// the simulator — see [`crate::durable`]).
-    durability: bool,
-    /// Events awaiting [`ReplicaNode::drain_durable`].
-    durable: Vec<DurableEvent>,
-    /// Highest stable watermark already emitted as a
-    /// [`DurableEvent::Stable`] (dedup across truncation call sites).
-    durable_stable_seq: u64,
+    /// Execution, checkpoints, state transfer, durability (f+1 vouchers
+    /// certify a checkpoint; f+1 responders install a transfer).
+    shell: Shell,
     vc_votes: Vec<VcRound>,
     vc_sent_for: u64,
     /// When `vc_sent_for` was last raised — the escalation rate limiter.
@@ -234,19 +220,9 @@ impl PbftReplica {
             next_seq: 1,
             slots: SeqWindow::with_base(1),
             assigned: OpIndex::new(),
-            executed: OpIndex::new(),
             pending: OpIndex::new(),
             stored_preprepares: SeqWindow::with_base(1),
-            log: CommittedLog::new(),
-            exec_upto: 0,
-            machine: KvStore::new(),
-            ckpt: CheckpointStore::new(id, (f + 1) as usize, 0, CkptKeys::provision(0, 1)),
-            replay_ring: SeqWindow::with_base(1),
-            cst: CstBuffer::new(),
-            sessions: ClientSessions::new(),
-            durability: false,
-            durable: Vec::new(),
-            durable_stable_seq: 0,
+            shell: Shell::new(id, 3 * f + 1, (f + 1) as usize),
             vc_votes: Vec::new(),
             vc_sent_for: 0,
             vc_demanded_at: 0,
@@ -271,13 +247,13 @@ impl PbftReplica {
     /// the cluster-shared `keys` (0 disables — the default, byte-invisible
     /// configuration).
     pub fn set_checkpointing(&mut self, interval: u64, keys: Arc<CkptKeys>) {
-        self.ckpt = CheckpointStore::new(self.id, (self.f + 1) as usize, interval, keys);
+        self.shell.set_checkpointing(interval, keys);
     }
 
     /// Digest of the replica's current state-machine state (for
     /// batched-vs-unbatched equivalence checks).
     pub fn state_digest(&self) -> [u8; 32] {
-        self.machine.state_digest()
+        self.shell.state_digest()
     }
 
     /// Installs a composable, time-phased fault script.
@@ -313,11 +289,8 @@ impl PbftReplica {
     // the reasoned allows mark invariants the window/state machine holds.
     // lint: ingress
     fn handle_request(&mut self, req: Arc<Request>, out: &mut Outbox<PbftMsg>) {
-        if let Some(result) = self.executed.get(&req.op) {
-            out.send(
-                Endpoint::Client(req.op.client),
-                PbftMsg::Reply(Reply { replica: self.id, op: req.op, result: result.clone() }),
-            );
+        if let Some(reply) = self.shell.cached_reply(req.op) {
+            out.send(Endpoint::Client(req.op.client), PbftMsg::Reply(reply));
             return;
         }
         if self.is_primary() {
@@ -339,7 +312,7 @@ impl PbftReplica {
             }
         } else {
             // Backup: remember the request and watch the primary.
-            if !self.pending.contains_key(&req.op) && !self.executed.contains_key(&req.op) {
+            if !self.pending.contains_key(&req.op) && !self.shell.has_executed(&req.op) {
                 let token = op_token(req.op);
                 self.pending.insert(req.op, req);
                 out.arm(self.patience, TIMER_REQUEST, token);
@@ -353,10 +326,10 @@ impl PbftReplica {
     fn flush_batch(&mut self, out: &mut Outbox<PbftMsg>) {
         // Requests can go stale in the accumulator across a view change
         // (proposed by the new primary, then this replica re-elected).
-        let executed = &self.executed;
+        let shell = &self.shell;
         let assigned = &self.assigned;
         let reqs =
-            self.batcher.drain(|r| !executed.contains_key(&r.op) && !assigned.contains_key(&r.op));
+            self.batcher.drain(|r| !shell.has_executed(&r.op) && !assigned.contains_key(&r.op));
         if reqs.is_empty() {
             return;
         }
@@ -538,7 +511,7 @@ impl PbftReplica {
     fn try_execute(&mut self, out: &mut Outbox<PbftMsg>) {
         let quorum = self.quorum();
         loop {
-            let next = self.exec_upto + 1;
+            let next = self.shell.exec_upto() + 1;
             let ready = match self.slots.get(next) {
                 Some(slot) => {
                     slot.batch.is_some() && slot.sent_commit && slot.commits.len() >= quorum
@@ -556,233 +529,44 @@ impl PbftReplica {
             let batch = slot.batch.expect("checked");
             // lint: allow(ingress-expect) -- sent_commit is only set after the digest is stored
             let digest = slot.digest.expect("checked");
-            self.exec_upto = next;
-            // One agreement slot commits the whole batch; the log stays
-            // per-request (dense global sequence) so latency and safety
-            // accounting remain per-operation.
-            for req in batch.requests() {
-                let log_seq = self.log.committed() + 1;
-                let result = Arc::new(self.machine.apply(&req.payload));
-                self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
-                self.executed.insert(req.op, result.clone());
-                if self.ckpt.enabled() {
-                    self.sessions.note(req.op.client, req.op.seq, result.clone());
-                }
-                self.pending.remove(&req.op);
-                out.send(
-                    Endpoint::Client(req.op.client),
-                    PbftMsg::Reply(Reply { replica: self.id, op: req.op, result }),
-                );
-            }
-            if self.ckpt.enabled() {
-                self.replay_ring.insert(next, batch.clone());
-            }
-            if self.durability {
-                self.durable.push(DurableEvent::Commit { seq: next, batch });
-            }
-            self.maybe_checkpoint(next, out);
-        }
-        self.slots.retire_below(self.exec_upto + 1);
-        self.stored_preprepares.retire_below(self.exec_upto + 1);
-    }
-
-    /// Takes a certified checkpoint when execution crosses a watermark
-    /// boundary: snapshot + digest the machine, retain the snapshot for
-    /// serving transfers, broadcast the MAC'd voucher, and count our own.
-    fn maybe_checkpoint(&mut self, exec_seq: u64, out: &mut Outbox<PbftMsg>) {
-        if !self.ckpt.due(exec_seq) {
-            return;
-        }
-        if self.script.forges_checkpoint_at(self.now) {
-            // Byzantine: vouch for fabricated state instead. One voucher
-            // with a garbage MAC (an outsider forgery — rejected by key
-            // verification) and one properly MAC'd over a lying digest (a
-            // colluder — isolated in its own digest group, never quorate).
-            let lie = rsoc_crypto::sha256(b"forged-checkpoint-state");
-            let mut garbage = CheckpointVoucher {
-                seq: exec_seq,
-                digest: lie,
-                from: self.id,
-                tag: rsoc_crypto::Tag([0xEE; 32]),
-            };
-            out.broadcast(self.n, self.id, PbftMsg::Checkpoint(Box::new(garbage.clone())));
-            // The locally retained image stays honest (only the vouched
-            // digest lies), so this replica can still serve a transfer if
-            // its peers certify the honest digest for this watermark.
-            garbage = self.ckpt.record_local(
-                exec_seq,
-                lie,
-                self.log.committed(),
-                Arc::new(encode_image(&self.machine.snapshot(), &self.sessions)),
-            );
-            out.broadcast(self.n, self.id, PbftMsg::Checkpoint(Box::new(garbage)));
-            return;
-        }
-        // Certificates digest the full checkpoint *image* — KV snapshot
-        // plus client sessions — so a recovered replica's dedup state is
-        // covered by the same f+1 vouchers as the application state.
-        let image = Arc::new(encode_image(&self.machine.snapshot(), &self.sessions));
-        let digest = rsoc_crypto::sha256(&image);
-        let voucher = self.ckpt.record_local(exec_seq, digest, self.log.committed(), image);
-        out.broadcast(self.n, self.id, PbftMsg::Checkpoint(Box::new(voucher.clone())));
-        if self.ckpt.record(&voucher).is_some() {
-            self.apply_truncation();
-        }
-    }
-
-    /// Truncates the log and replay ring below the stable checkpoint
-    /// (no-op while this replica has no locally recorded watermark — a
-    /// laggard keeps its suffix until state transfer resets it). With
-    /// durability on, a newly stable certificate we hold the snapshot for
-    /// is also emitted once as a [`DurableEvent::Stable`].
-    fn apply_truncation(&mut self) {
-        if let Some(log_len) = self.ckpt.stable_log_len() {
-            self.log.truncate_below(log_len);
-            self.replay_ring.retire_below(self.ckpt.stable_seq() + 1);
-        }
-        if self.durability && self.ckpt.stable_seq() > self.durable_stable_seq {
-            if let Some((cert, log_len, snapshot)) = self.ckpt.serve() {
-                self.durable_stable_seq = cert.seq;
-                let cert = cert.clone();
-                self.durable.push(DurableEvent::Stable { cert, log_len, snapshot });
-            }
-        }
-    }
-
-    /// Ingests a peer's checkpoint voucher (adversarial: MAC-verified by
-    /// the store) and, if this replica turns out to be behind the newly
-    /// stable watermark, starts state transfer.
-    fn handle_checkpoint(&mut self, voucher: CheckpointVoucher, out: &mut Outbox<PbftMsg>) {
-        if self.ckpt.record(&voucher).is_some() {
-            self.apply_truncation();
-        }
-        self.maybe_request_transfer(out);
-    }
-
-    /// Broadcasts a state-transfer request if the stable certificate is
-    /// ahead of local execution (rate-limited; peers below the watermark
-    /// have truncated, so only transfer can close the gap).
-    fn maybe_request_transfer(&mut self, out: &mut Outbox<PbftMsg>) {
-        if self.ckpt.behind(self.exec_upto) && self.ckpt.may_request(self.now) {
-            out.broadcast(
-                self.n,
-                self.id,
-                PbftMsg::StateRequest { have: self.exec_upto, from: self.id },
-            );
-        }
-    }
-
-    /// Serves a state-transfer request: stable certificate + the snapshot
-    /// it certifies + the committed suffix above it. Only answered when we
-    /// hold the certified snapshot ourselves and it would actually advance
-    /// the requester.
-    fn handle_state_request(&mut self, have: u64, from: ReplicaId, out: &mut Outbox<PbftMsg>) {
-        let Some((cert, log_base, snapshot)) = self.ckpt.serve() else { return };
-        if cert.seq <= have {
-            return; // requester is not behind our certificate
-        }
-        let cert = cert.clone();
-        let mut suffix = Vec::new();
-        for slot in cert.seq + 1..=self.exec_upto {
-            match self.replay_ring.get(slot) {
-                Some(batch) => suffix.push((slot, batch.clone())),
-                None => return, // suffix gap (mid-install): let another peer serve
-            }
-        }
-        let mut snapshot = snapshot;
-        if self.script.corrupts_snapshot_at(self.now) {
-            // Byzantine responder: flip a snapshot byte (or fabricate one
-            // for an empty snapshot). The requester's digest cross-check
-            // against the certificate must catch this.
-            let mut bytes = (*snapshot).clone();
-            match bytes.first_mut() {
-                Some(b) => *b ^= 0xFF,
-                None => bytes.push(0xFF),
-            }
-            snapshot = Arc::new(bytes);
-        }
-        if self.script.corrupts_suffix_at(self.now) {
-            // Byzantine responder: serve a suffix the cluster never
-            // committed. The requester's f+1 slot-by-slot vote must
-            // out-vote it (the snapshot and certificate stay honest, so
-            // this lie survives every digest cross-check a single
-            // responder could be subjected to).
-            tamper_suffix(&mut suffix, cert.seq);
-        }
-        let transfer = StateTransfer {
-            cert,
-            snapshot,
-            log_base,
-            suffix: Arc::new(suffix),
-            view: self.view,
-            from: self.id,
-        };
-        out.send(Endpoint::Replica(from), PbftMsg::StateResponse(Box::new(transfer)));
-    }
-
-    /// Validates a transfer response (certificate verifies, snapshot
-    /// digest matches the certificate, snapshot parses — everything in
-    /// the response is adversarial input until those checks pass) and
-    /// buffers it; installs once f+1 distinct responders agree on the
-    /// watermark, with the log suffix voted slot by slot (see
-    /// [`CstBuffer`]).
-    fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<PbftMsg>) {
-        if !self.ckpt.enabled() || st.cert.seq <= self.exec_upto {
-            return; // not ahead of us: nothing to install
-        }
-        if !self.ckpt.verify_cert(&st.cert) {
-            self.ckpt.note_rejected();
-            return;
-        }
-        if !snapshot_matches(&st.cert, &st.snapshot) {
-            self.ckpt.note_rejected();
-            return; // corrupted snapshot: digest does not match the cert
-        }
-        let parses = decode_image(&st.snapshot)
-            .is_some_and(|(kv, _)| KvStore::install_snapshot(kv).is_some());
-        if !parses {
-            self.ckpt.note_rejected();
-            return; // digest collision is out of scope; malformed framing is not
-        }
-        self.cst.admit(st, self.exec_upto);
-        let Some(plan) = self.cst.install_plan((self.f + 1) as usize) else { return };
-        self.cst.clear();
-        self.install_transfer(plan, out);
-    }
-
-    /// Installs a quorum-voted transfer: snapshot, certificate, voted log
-    /// suffix; then rejoins the cluster's view and resumes execution.
-    fn install_transfer(&mut self, plan: CstInstall, out: &mut Outbox<PbftMsg>) {
-        let Some((kv, sessions)) = decode_image(&plan.snapshot) else { return };
-        let Some(machine) = KvStore::install_snapshot(kv) else { return };
-        self.ckpt.adopt_cert(&plan.cert);
-        self.machine = machine;
-        // Restore the dedup index for ops below the watermark: a client
-        // retrying a committed op gets its original reply back instead of
-        // silently landing on this replica's pending watchlist.
-        self.sessions = sessions;
-        for (client, seq, result) in self.sessions.iter() {
-            self.executed.insert(OpId { client, seq }, result.clone());
-        }
-        self.log.reset_to(plan.log_base);
-        self.replay_ring = SeqWindow::with_base(plan.cert.seq + 1);
-        self.exec_upto = plan.cert.seq;
-        if self.durability && plan.cert.seq > self.durable_stable_seq {
-            self.durable_stable_seq = plan.cert.seq;
-            self.durable.push(DurableEvent::Stable {
-                cert: plan.cert.clone(),
-                log_len: plan.log_base,
-                snapshot: Arc::clone(&plan.snapshot),
+            let pending = &mut self.pending;
+            self.shell.execute(next, &batch, digest, |_, reply| {
+                pending.remove(&reply.op);
+                out.send(Endpoint::Client(reply.op.client), PbftMsg::Reply(reply));
             });
+            self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
         }
-        // Replay the voted suffix: every slot here matched at f+1
-        // responders, at least one of them honest.
-        for (slot, batch) in &plan.suffix {
-            self.replay_commit(*slot, batch);
+        self.retire_executed();
+    }
+
+    /// Retires the agreement windows below the execution watermark:
+    /// executed sequence numbers are dead, never resurrected.
+    fn retire_executed(&mut self) {
+        let floor = self.shell.exec_upto() + 1;
+        self.slots.retire_below(floor);
+        self.stored_preprepares.retire_below(floor);
+    }
+
+    /// Ingests a peer's checkpoint voucher and, if this replica turns out
+    /// to be behind the newly stable watermark, starts state transfer.
+    fn handle_checkpoint(&mut self, voucher: CheckpointVoucher, out: &mut Outbox<PbftMsg>) {
+        self.shell.on_voucher(&voucher);
+        self.shell.request_transfer(self.now, out);
+    }
+
+    /// Hands a transfer response to the shell; once f+1 responders agree
+    /// it installs, and this replica retires its windows, rejoins the
+    /// cluster's view and resumes execution.
+    fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<PbftMsg>) {
+        let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
+        let pending = &mut self.pending;
+        if !self.shell.install(&plan, Batch::digest, |_, reply| {
+            pending.remove(&reply.op);
+        }) {
+            return;
         }
-        self.slots.retire_below(self.exec_upto + 1);
-        self.stored_preprepares.retire_below(self.exec_upto + 1);
-        self.next_seq = self.next_seq.max(self.exec_upto + 1);
+        self.retire_executed();
+        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
         if plan.view > self.view {
             // The cluster moved on while we were down; join its view so the
             // current primary's proposals are accepted.
@@ -790,39 +574,17 @@ impl PbftReplica {
             self.vc_sent_for = self.vc_sent_for.max(plan.view);
             self.vc_votes.retain(|r| r.view > plan.view);
         }
-        self.ckpt.note_transfer();
         // Re-arm patience for requests still pending after the replay, and
         // resume normal execution for anything already quorate.
-        let tokens: Vec<u64> =
-            self.pending.iter_canonical().into_iter().map(|(op, _)| op_token(op)).collect();
-        for token in tokens {
-            out.arm(self.patience, TIMER_REQUEST, token);
-        }
+        self.rearm_patience(out);
         self.try_execute(out);
     }
 
-    /// Applies one committed batch without emitting client replies —
-    /// shared by CST suffix install and WAL recovery replay (replies for
-    /// these operations either went out before the crash or will be
-    /// re-requested by their clients).
-    fn replay_commit(&mut self, seq: u64, batch: &Arc<Batch>) {
-        let digest = batch.digest();
-        self.exec_upto = seq;
-        for req in batch.requests() {
-            let log_seq = self.log.committed() + 1;
-            let result = Arc::new(self.machine.apply(&req.payload));
-            self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
-            self.executed.insert(req.op, result.clone());
-            if self.ckpt.enabled() {
-                self.sessions.note(req.op.client, req.op.seq, result);
-            }
-            self.pending.remove(&req.op);
-        }
-        if self.ckpt.enabled() {
-            self.replay_ring.insert(seq, batch.clone());
-        }
-        if self.durability {
-            self.durable.push(DurableEvent::Commit { seq, batch: batch.clone() });
+    /// Arms one patience timer per pending request (canonical order keeps
+    /// the timer schedule deterministic).
+    fn rearm_patience(&self, out: &mut Outbox<PbftMsg>) {
+        for (op, _) in self.pending.iter_canonical() {
+            out.arm(self.patience, TIMER_REQUEST, op_token(op));
         }
     }
 
@@ -873,8 +635,8 @@ impl PbftReplica {
             new_view,
             self.id,
             prepared.clone(),
-            self.exec_upto,
-            self.ckpt.stable_seq(),
+            self.shell.exec_upto(),
+            self.shell.ckpt().stable_seq(),
         );
         out.broadcast(
             self.n,
@@ -883,8 +645,8 @@ impl PbftReplica {
                 new_view,
                 from: self.id,
                 prepared,
-                executed_upto: self.exec_upto,
-                cert: self.ckpt.stable().cloned().map(Box::new),
+                executed_upto: self.shell.exec_upto(),
+                cert: self.shell.ckpt().stable().cloned().map(Box::new),
             },
         );
         self.maybe_install_view(new_view, out);
@@ -902,23 +664,9 @@ impl PbftReplica {
         if new_view <= self.view {
             return;
         }
-        // A carried certificate is verified before it influences anything:
-        // a fresh valid one is adopted (our stable watermark catches up and
-        // we truncate), a valid-but-stale one still floors at its seq, and
-        // a forged one contributes 0 (`adopt_cert` counts the rejection).
-        let cert_seq = match cert {
-            Some(c) => {
-                if self.ckpt.adopt_cert(&c) {
-                    self.apply_truncation();
-                    c.seq
-                } else if self.ckpt.verify_cert(&c) {
-                    c.seq
-                } else {
-                    0
-                }
-            }
-            None => 0,
-        };
+        // A carried certificate floors the round only once verified; a
+        // forged one contributes 0.
+        let cert_seq = cert.and_then(|c| self.shell.accept_cert(&c)).unwrap_or(0);
         self.record_vc_vote(new_view, from, prepared, executed_upto, cert_seq);
         let count = self.vc_round_mut(new_view).count;
         // Join the view change once f+1 replicas demand it.
@@ -965,8 +713,8 @@ impl PbftReplica {
         if cert_floor > 0 {
             repropose.retain(|seq, _| *seq > cert_floor);
         }
-        let floor = round.exec_floor.max(self.exec_upto).max(cert_floor);
-        let max_seq = repropose.keys().max().copied().unwrap_or(self.exec_upto);
+        let floor = round.exec_floor.max(self.shell.exec_upto()).max(cert_floor);
+        let max_seq = repropose.keys().max().copied().unwrap_or(self.shell.exec_upto());
         for seq in floor.saturating_add(1)..max_seq {
             repropose.entry(seq).or_insert_with(|| noop_batch(seq));
         }
@@ -988,7 +736,7 @@ impl PbftReplica {
             .iter_canonical()
             .into_iter()
             .map(|(_, r)| r)
-            .filter(|r| !covered.contains(&r.op) && !self.executed.contains_key(&r.op))
+            .filter(|r| !covered.contains(&r.op) && !self.shell.has_executed(&r.op))
             .cloned()
             .collect();
         for chunk in pending.chunks(self.batcher.batch_size()) {
@@ -1065,13 +813,8 @@ impl PbftReplica {
             return;
         }
         self.install_new_view(view, &preprepares, out);
-        // Re-arm patience for still-pending requests under the new primary
-        // (canonical order keeps the timer schedule deterministic).
-        let tokens: Vec<u64> =
-            self.pending.iter_canonical().into_iter().map(|(op, _)| op_token(op)).collect();
-        for token in tokens {
-            out.arm(self.patience, TIMER_REQUEST, token);
-        }
+        // Re-arm patience for still-pending requests under the new primary.
+        self.rearm_patience(out);
     }
     // lint: end
 }
@@ -1098,11 +841,7 @@ impl ReplicaNode for PbftReplica {
             // canonical order, so the recovered backup keeps watching its
             // pending ops.
             self.in_outage = false;
-            let tokens: Vec<u64> =
-                self.pending.iter_canonical().into_iter().map(|(op, _)| op_token(op)).collect();
-            for token in tokens {
-                out.arm(self.patience, TIMER_REQUEST, token);
-            }
+            self.rearm_patience(out);
         }
         if self.script.unconstrained() {
             // Fast path (the overwhelmingly common case): a correct
@@ -1122,11 +861,11 @@ impl ReplicaNode for PbftReplica {
     }
 
     fn committed_log(&self) -> &[LogEntry] {
-        self.log.entries()
+        self.shell.log()
     }
 
     fn committed_seq(&self) -> u64 {
-        self.log.committed()
+        self.shell.committed()
     }
 
     fn wipe(&mut self) {
@@ -1136,16 +875,8 @@ impl ReplicaNode for PbftReplica {
         self.next_seq = 1;
         self.slots = SeqWindow::with_base(1);
         self.assigned = OpIndex::new();
-        self.executed = OpIndex::new();
         self.pending = OpIndex::new();
         self.stored_preprepares = SeqWindow::with_base(1);
-        self.log = CommittedLog::new();
-        self.exec_upto = 0;
-        self.machine = KvStore::new();
-        self.replay_ring = SeqWindow::with_base(1);
-        self.cst.clear();
-        self.sessions.clear();
-        self.durable.clear();
         self.vc_votes.clear();
         self.vc_sent_for = 0;
         self.vc_demanded_at = 0;
@@ -1154,15 +885,15 @@ impl ReplicaNode for PbftReplica {
         let (size, flush) = (self.batcher.batch_size(), self.batcher.flush_cycles());
         self.batcher = Batcher::new();
         self.batcher.configure(size, flush);
-        self.ckpt.wipe();
+        self.shell.wipe();
     }
 
     fn checkpoint_stats(&self) -> CheckpointStats {
-        self.ckpt.stats()
+        self.shell.ckpt().stats()
     }
 
     fn checkpoint_history(&self) -> &[(u64, [u8; 32])] {
-        self.ckpt.history()
+        self.shell.ckpt().history()
     }
 
     fn make_request(req: Arc<Request>) -> PbftMsg {
@@ -1177,7 +908,7 @@ impl ReplicaNode for PbftReplica {
     }
 
     fn state_digest(&self) -> [u8; 32] {
-        self.machine.state_digest()
+        self.shell.state_digest()
     }
 
     fn current_view(&self) -> u64 {
@@ -1185,51 +916,22 @@ impl ReplicaNode for PbftReplica {
     }
 
     fn enable_durability(&mut self) {
-        self.durability = true;
+        self.shell.enable_durability();
     }
 
     fn drain_durable(&mut self, out: &mut Vec<DurableEvent>) {
-        out.append(&mut self.durable);
+        self.shell.drain_durable(out);
     }
 
     fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
-        if let Some((cert, log_len, snapshot)) = state.snapshot {
-            // Disk contents are ingress: the certificate and snapshot are
-            // re-verified exactly as a transfer response would be.
-            if self.ckpt.verify_cert(&cert) && snapshot_matches(&cert, &snapshot) {
-                if let Some((kv, sessions)) = decode_image(&snapshot) {
-                    if let Some(machine) = KvStore::install_snapshot(kv) {
-                        self.ckpt.adopt_cert(&cert);
-                        self.machine = machine;
-                        self.sessions = sessions;
-                        for (client, seq, result) in self.sessions.iter() {
-                            self.executed.insert(OpId { client, seq }, result.clone());
-                        }
-                        self.log.reset_to(log_len);
-                        self.replay_ring = SeqWindow::with_base(cert.seq + 1);
-                        self.exec_upto = cert.seq;
-                        self.slots.retire_below(cert.seq + 1);
-                        self.stored_preprepares.retire_below(cert.seq + 1);
-                        report.installed_seq = cert.seq;
-                    }
-                }
-            }
-        }
-        // Replay the contiguous commit run above the snapshot; the first
-        // gap or garbage batch abandons the rest to state transfer.
-        for (seq, batch) in &state.commits {
-            if *seq <= self.exec_upto {
-                continue;
-            }
-            if *seq != self.exec_upto + 1 || batch.is_empty() || !batch.verify() {
-                break;
-            }
-            self.replay_commit(*seq, batch);
-            report.replayed += 1;
-        }
-        self.next_seq = self.next_seq.max(self.exec_upto + 1);
-        report.committed = self.log.committed();
+        let pending = &mut self.pending;
+        let report = self.shell.recover(&state, Batch::digest, |_, reply| {
+            pending.remove(&reply.op);
+        });
+        // Executed sequence numbers are dead from the first input on — both
+        // below the snapshot and below the replayed WAL tail.
+        self.retire_executed();
+        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
         report
     }
 }
@@ -1257,9 +959,14 @@ impl PbftReplica {
                     self.handle_new_view(view, preprepares, from, staged)
                 }
                 PbftMsg::Checkpoint(voucher) => self.handle_checkpoint(*voucher, staged),
-                PbftMsg::StateRequest { have, from } => {
-                    self.handle_state_request(have, from, staged)
-                }
+                PbftMsg::StateRequest { have, from } => self.shell.serve_transfer(
+                    have,
+                    from,
+                    self.view,
+                    self.script.corrupts_snapshot_at(now),
+                    self.script.corrupts_suffix_at(now),
+                    staged,
+                ),
                 PbftMsg::StateResponse(st) => self.handle_state_response(*st, staged),
                 PbftMsg::Reply(_) => {}
             },
@@ -1293,12 +1000,10 @@ impl PbftReplica {
             }
             Input::Timer { .. } => {}
         }
-        if self.ckpt.enabled() {
-            // Any input may have revealed a stable certificate ahead of us
-            // (post-wipe, or crashed past retention): chase it, rate-limited
-            // by the CST backoff.
-            self.maybe_request_transfer(staged);
-        }
+        // Any input may have revealed a stable certificate ahead of us
+        // (post-wipe, or crashed past retention): chase it, rate-limited
+        // by the CST backoff.
+        self.shell.request_transfer(now, staged);
     }
 }
 // lint: end
@@ -1605,5 +1310,33 @@ mod tests {
             assert_eq!(node.committed_log().len(), 5, "exactly-once execution");
         }
         assert!(report.client_retries > 0, "test must actually exercise retries");
+    }
+
+    /// A restarted replica must treat every sequence number its WAL
+    /// replayed as dead, not only those below its snapshot: retiring the
+    /// agreement windows at the snapshot watermark alone would let a
+    /// recovered backup PREPARE a conflicting proposal for a slot it had
+    /// already executed.
+    #[test]
+    fn recovered_replica_refuses_proposals_below_its_replayed_wal() {
+        let batch = |tag: &str, seq: u64| {
+            Arc::new(Batch::single(Arc::new(Request {
+                op: OpId { client: crate::api::ClientId(1), seq },
+                payload: format!("SET k {tag}{seq}").into_bytes(),
+            })))
+        };
+        let mut r = PbftReplica::new(ReplicaId(1), 1);
+        let commits = (1..=3).map(|seq| (seq, batch("wal", seq))).collect();
+        let report = r.recover(RecoveredState { commits, ..Default::default() });
+        assert_eq!((report.installed_seq, report.replayed, report.committed), (0, 3, 3));
+        let mut out = Outbox::new();
+        let conflicting = PbftMsg::PrePrepare { view: 0, seq: 2, batch: batch("evil", 2) };
+        let from = Endpoint::Replica(ReplicaId(0));
+        r.on_input(Input::Message { from, msg: conflicting }, 10, &mut out);
+        assert!(out.msgs.is_empty(), "voted on an executed sequence number: {:?}", out.msgs);
+        // The next live slot is still accepted.
+        let next = PbftMsg::PrePrepare { view: 0, seq: 4, batch: batch("live", 4) };
+        r.on_input(Input::Message { from, msg: next }, 11, &mut out);
+        assert!(out.msgs.iter().any(|(_, m)| matches!(m, PbftMsg::Prepare { seq: 4, .. })));
     }
 }

@@ -23,6 +23,9 @@ pub trait StateMachine: std::fmt::Debug {
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
     map: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// Byte length of [`snapshot`](Self::snapshot), kept current by
+    /// `apply` so a checkpoint sizes its image without walking the map.
+    snapshot_len: usize,
 }
 
 impl KvStore {
@@ -48,14 +51,28 @@ impl KvStore {
     /// over the digest certifies the snapshot bytes directly, with no
     /// second serialization format to keep in sync.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        for (k, v) in &self.map {
-            bytes.extend_from_slice(&(k.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(k);
-            bytes.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(v);
-        }
+        let mut bytes = Vec::with_capacity(self.snapshot_len);
+        self.write_snapshot(&mut bytes);
         bytes
+    }
+
+    /// Byte length of [`snapshot`](Self::snapshot).
+    pub(crate) fn snapshot_len(&self) -> usize {
+        self.snapshot_len
+    }
+
+    /// Appends the [`snapshot`](Self::snapshot) bytes to `out`. A
+    /// checkpoint frames them straight into its exactly-sized image: a
+    /// state-sized temporary grown by doubling, allocated between the
+    /// long-lived small allocations of execution, fragments the heap by
+    /// tens of MiB once the state is a few MiB.
+    pub(crate) fn write_snapshot(&self, out: &mut Vec<u8>) {
+        for (k, v) in &self.map {
+            out.extend_from_slice(&(k.len() as u64).to_le_bytes());
+            out.extend_from_slice(k);
+            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
+            out.extend_from_slice(v);
+        }
     }
 
     // lint: ingress
@@ -89,7 +106,8 @@ impl KvStore {
             prev_key = Some(key.clone());
             map.insert(key, value);
         }
-        Some(KvStore { map })
+        // Every byte was consumed by exactly one framed, distinct pair.
+        Some(KvStore { map, snapshot_len: bytes.len() })
     }
     // lint: end
 }
@@ -99,14 +117,26 @@ impl StateMachine for KvStore {
         let parts: Vec<&[u8]> = command.splitn(3, |b| *b == b' ').collect();
         match parts.as_slice() {
             [op, key, value] if *op == b"SET" => {
-                let old = self.map.insert(key.to_vec(), value.to_vec());
-                old.unwrap_or_else(|| b"(nil)".to_vec())
+                self.snapshot_len += value.len();
+                match self.map.insert(key.to_vec(), value.to_vec()) {
+                    Some(old) => {
+                        self.snapshot_len -= old.len();
+                        old
+                    }
+                    None => {
+                        self.snapshot_len += 16 + key.len();
+                        b"(nil)".to_vec()
+                    }
+                }
             }
             [op, key] if *op == b"GET" => {
                 self.map.get(*key).cloned().unwrap_or_else(|| b"(nil)".to_vec())
             }
             [op, key] if *op == b"DEL" => match self.map.remove(*key) {
-                Some(_) => b"1".to_vec(),
+                Some(old) => {
+                    self.snapshot_len -= 16 + key.len() + old.len();
+                    b"1".to_vec()
+                }
                 None => b"0".to_vec(),
             },
             _ => b"ERR".to_vec(),
@@ -255,6 +285,28 @@ mod tests {
         assert_eq!(kv1.state_digest(), kv2.state_digest());
         kv2.apply(b"SET d 4");
         assert_ne!(kv1.state_digest(), kv2.state_digest());
+    }
+
+    #[test]
+    fn snapshot_len_tracks_every_mutation() {
+        let mut kv = KvStore::new();
+        let commands: &[&[u8]] = &[
+            b"SET a 1",
+            b"SET msg hello world",
+            b"SET a a-longer-value",
+            b"SET msg x",
+            b"DEL nope",
+            b"GET a",
+            b"DEL a",
+            b"FROB",
+        ];
+        assert_eq!(kv.snapshot_len(), 0);
+        for c in commands {
+            kv.apply(c);
+            assert_eq!(kv.snapshot_len(), kv.snapshot().len(), "after {:?}", c);
+        }
+        let installed = KvStore::install_snapshot(&kv.snapshot()).unwrap();
+        assert_eq!(installed.snapshot_len(), kv.snapshot_len());
     }
 
     #[test]

@@ -94,7 +94,8 @@ enum ReplicaState {
 /// Runs one campaign of the APT against the replicated system under
 /// `policy`.
 ///
-/// Adversary model (documented in DESIGN.md §5): the APT is
+/// Adversary model (the crate docs give the paper's argument for it; E6
+/// in the README's *Experiments* table sweeps it): the APT is
 /// *effort-bounded* — it develops one exploit at a time, greedily targeting
 /// the deployed variant that covers the most currently-healthy replicas.
 /// Development takes an `Exp(mean_exploit_time)` delay; if the target
@@ -398,7 +399,8 @@ mod tests {
 
     #[test]
     fn simulation_matches_analytic_mttf() {
-        // Cross-validation against closed forms (DESIGN.md §6): the
+        // Cross-validation against the closed forms of
+        // `analytic_mttf_no_rejuvenation`: the
         // simulator's mean TTF without rejuvenation should sit within 15%
         // of the analytic expectation for both extremes.
         let rng = SimRng::new(42);

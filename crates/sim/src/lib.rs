@@ -39,7 +39,7 @@ pub use engine::{Action, Engine};
 pub use rng::SimRng;
 pub use script::{PulseTrain, Window};
 pub use slab::Slab;
-pub use stats::{Counter, Histogram, LogHistogram, OnlineStats, TimeSeries};
+pub use stats::{Histogram, LogHistogram, OnlineStats};
 pub use time::SimTime;
 pub use wheel::TimingWheel;
 pub use workload::{Arrival, ArrivalGen, KeyDist, KeyPicker, RateMod};

@@ -2,54 +2,6 @@
 
 use std::fmt;
 
-/// A named monotonically increasing event counter.
-///
-/// ```
-/// use rsoc_sim::Counter;
-/// let mut c = Counter::new("messages");
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter { name: name.into(), value: 0 }
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Counter name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
 /// Numerically stable online mean/variance/min/max (Welford's algorithm).
 ///
 /// ```
@@ -407,94 +359,9 @@ impl Default for LogHistogram {
     }
 }
 
-/// A `(time, value)` series, e.g. threat level or compromised-replica count
-/// over an experiment run.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(u64, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a point. Time must be non-decreasing.
-    ///
-    /// # Panics
-    /// Panics in debug builds when time regresses.
-    pub fn push(&mut self, time: u64, value: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(t, _)| t <= time),
-            "time series must be monotonic"
-        );
-        self.points.push((time, value));
-    }
-
-    /// All points.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Value at or before `time` (step interpolation); `None` before first point.
-    pub fn value_at(&self, time: u64) -> Option<f64> {
-        match self.points.binary_search_by_key(&time, |&(t, _)| t) {
-            Ok(i) => Some(self.points[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
-        }
-    }
-
-    /// Time-weighted average over `[start, end)` using step interpolation.
-    ///
-    /// Returns `None` when the series has no value at `start`.
-    pub fn time_weighted_mean(&self, start: u64, end: u64) -> Option<f64> {
-        if end <= start {
-            return None;
-        }
-        let mut acc = 0.0;
-        let mut cur = self.value_at(start)?;
-        let mut cur_t = start;
-        for &(t, v) in &self.points {
-            if t <= start {
-                continue;
-            }
-            if t >= end {
-                break;
-            }
-            acc += cur * (t - cur_t) as f64;
-            cur = v;
-            cur_t = t;
-        }
-        acc += cur * (end - cur_t) as f64;
-        Some(acc / (end - start) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-        assert_eq!(c.name(), "x");
-        assert_eq!(format!("{c}"), "x=5");
-    }
 
     #[test]
     fn online_stats_matches_direct_computation() {
@@ -670,22 +537,5 @@ mod tests {
         assert!(LogHistogram::from_sparse(&[oob], &[1]).is_none(), "index out of range");
         assert!(LogHistogram::from_sparse(&[0, 1], &[u64::MAX, 1]).is_none(), "total overflow");
         assert!(LogHistogram::from_sparse(&[], &[]).is_some_and(|h| h.is_empty()));
-    }
-
-    #[test]
-    fn time_series_step_semantics() {
-        let mut ts = TimeSeries::new();
-        ts.push(0, 1.0);
-        ts.push(10, 3.0);
-        ts.push(20, 5.0);
-        assert_eq!(ts.value_at(0), Some(1.0));
-        assert_eq!(ts.value_at(9), Some(1.0));
-        assert_eq!(ts.value_at(10), Some(3.0));
-        assert_eq!(ts.value_at(25), Some(5.0));
-        // Average over [0, 20): 1.0 for 10 cycles, 3.0 for 10 cycles.
-        assert_eq!(ts.time_weighted_mean(0, 20), Some(2.0));
-        assert_eq!(ts.time_weighted_mean(5, 5), None);
-        assert_eq!(ts.len(), 3);
-        assert!(!ts.is_empty());
     }
 }

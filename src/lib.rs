@@ -6,9 +6,10 @@
 //! and hosts the runnable examples (`examples/`) and cross-crate
 //! integration tests (`tests/`).
 //!
-//! See `README.md` for the architecture tour, `DESIGN.md` for the system
-//! inventory and experiment index, and `EXPERIMENTS.md` for
-//! paper-claim-vs-measured results.
+//! See `README.md`: *Architecture tour* is the system inventory,
+//! *Experiments* the experiment index, and *Performance* onwards the
+//! paper-claim-vs-measured results, backed by the committed, regenerable
+//! `BENCH_*.json` records.
 //!
 //! ## Layer map (paper Fig. 1 → crates)
 //!
