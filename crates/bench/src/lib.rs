@@ -17,8 +17,6 @@
 //! | `e10_noc_faults` | routing policies vs link faults (§I) |
 //! | `f1_layered_stack` | full-stack ablation (Fig. 1) |
 //! | `f2_batching` | batched consensus + amortized authentication (writes `BENCH_2.json`) |
-//! | `f3_simcore` | simulation-core rework wall-clock (writes `BENCH_3.json`) |
-//! | `f4_replica_state` | dense replica state, virtual-time-identical (writes `BENCH_4.json`) |
 //! | `f5_scenarios` | adversarial scenario campaign, oracle-judged (writes `BENCH_5.json`) |
 //!
 //! Every binary prints an aligned table to stdout and, with `--json`, one

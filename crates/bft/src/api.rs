@@ -246,6 +246,14 @@ impl Batcher {
         }
     }
 
+    /// Forgets the accumulation and its flush epochs, keeping the
+    /// configuration (rejuvenation).
+    pub fn reset(&mut self) {
+        self.accum.clear();
+        self.epoch = 0;
+        self.armed_for = None;
+    }
+
     /// Takes the accumulated requests, keeping only those `admit` accepts
     /// (protocols drop requests that went stale across a view change).
     /// Starts a new flush epoch: any armed timer becomes stale.
@@ -265,81 +273,12 @@ pub const NOOP_CLIENT: u32 = u32::MAX;
 /// to [`NOOP_CLIENT`], which the harness ignores. New primaries use it to
 /// fill sequence holes left by proposals that died unprepared below a
 /// prepared neighbour (the checkpoint-less analogue of PBFT's null
-/// requests) — shared here so PBFT and MinBFT cannot drift on the
-/// sentinel or the payload format.
+/// requests; see [`crate::viewchange`]).
 pub fn noop_batch(seq: u64) -> Arc<Batch> {
     Arc::new(Batch::single(Arc::new(Request {
         op: OpId { client: ClientId(NOOP_CLIENT), seq },
         payload: b"NOOP".to_vec(),
     })))
-}
-
-/// Prepared-but-unexecuted `(seq, batch)` entries carried by one
-/// view-change vote.
-pub(crate) type PreparedEntries = Vec<(u64, Arc<Batch>)>;
-
-/// Votes of one in-progress view change, indexed by voter id — shared by
-/// PBFT and MinBFT so the hole-filling floor rule cannot drift between
-/// them.
-///
-/// # Trust boundary
-///
-/// `executed_upto` claims and prepared sets are **unauthenticated and
-/// trusted as honest**: this model measures resilience against replica
-/// misbehaviour in the agreement path (equivocation, forgery, crashes,
-/// omission, transport faults), not against arbitrarily forged
-/// view-change content. Since PR 7 the boundary is partially defended by
-/// certified checkpoints (Castro–Liskov): votes carry the sender's stable
-/// [`CheckpointCert`](crate::checkpoint::CheckpointCert), the receiver
-/// verifies it (f+1 MAC'd vouchers) before it counts, and the verified
-/// `cert_floor` caps the round from below — prepared entries and
-/// watermark claims **at or below the stable checkpoint are discarded**,
-/// so a fabricated prepared set cannot rewrite certified history. Claims
-/// *above* the stable checkpoint remain trusted; USIG-signing the
-/// view-change messages themselves (Veronese et al.) is the remaining
-/// step, recorded in the ROADMAP.
-#[derive(Debug)]
-pub(crate) struct VcRound {
-    /// The view this round votes for.
-    pub view: u64,
-    /// Per-voter prepared sets (`None` until the voter is heard).
-    pub votes: Vec<Option<PreparedEntries>>,
-    /// Distinct voters recorded.
-    pub count: usize,
-    /// Highest execution watermark any recorded voter reported — the
-    /// floor above which sequence holes may be no-op-filled, and the
-    /// bound fresh proposals must start above.
-    pub exec_floor: u64,
-    /// Highest **verified** stable-checkpoint watermark carried by any
-    /// vote. Unlike `exec_floor` this floor is authenticated: prepared
-    /// entries at or below it are certified history and are dropped.
-    pub cert_floor: u64,
-}
-
-impl VcRound {
-    /// An empty round for `view` in a cluster of `n` replicas.
-    pub fn new(view: u64, n: usize) -> Self {
-        VcRound { view, votes: vec![None; n], count: 0, exec_floor: 0, cert_floor: 0 }
-    }
-
-    /// Records one voter's prepared set and watermark claims. `cert_seq`
-    /// is the voter's stable-checkpoint watermark, **already verified by
-    /// the caller** (0 when the vote carried no certificate).
-    pub fn record(
-        &mut self,
-        from: ReplicaId,
-        prepared: PreparedEntries,
-        executed_upto: u64,
-        cert_seq: u64,
-    ) {
-        let slot = &mut self.votes[from.0 as usize];
-        if slot.is_none() {
-            self.count += 1;
-        }
-        *slot = Some(prepared);
-        self.exec_floor = self.exec_floor.max(executed_upto);
-        self.cert_floor = self.cert_floor.max(cert_seq);
-    }
 }
 
 /// A reply from a replica to a client.

@@ -28,6 +28,7 @@ use crate::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
 use crate::minbft::{CommitVote, MinBftMsg};
 use crate::passive::PassiveMsg;
 use crate::pbft::PbftMsg;
+use crate::viewchange::VcVote;
 use rsoc_crypto::Tag;
 use rsoc_hybrid::{UsigId, UI};
 use std::sync::Arc;
@@ -470,6 +471,26 @@ impl Wire for CommitVote {
     }
 }
 
+impl Wire for VcVote {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.new_view.encode(buf);
+        self.from.encode(buf);
+        self.prepared.encode(buf);
+        self.executed_upto.encode(buf);
+        self.cert.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(VcVote {
+            new_view: r.u64()?,
+            from: ReplicaId::decode(r)?,
+            prepared: Vec::<(u64, Arc<Batch>)>::decode(r)?,
+            executed_upto: r.u64()?,
+            cert: Option::<Box<CheckpointCert>>::decode(r)?,
+        })
+    }
+}
+
 impl Wire for PbftMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -501,13 +522,9 @@ impl Wire for PbftMsg {
                 buf.push(4);
                 reply.encode(buf);
             }
-            PbftMsg::ViewChange { new_view, from, prepared, executed_upto, cert } => {
+            PbftMsg::ViewChange(vote) => {
                 buf.push(5);
-                new_view.encode(buf);
-                from.encode(buf);
-                prepared.encode(buf);
-                executed_upto.encode(buf);
-                cert.encode(buf);
+                vote.encode(buf);
             }
             PbftMsg::NewView { view, preprepares } => {
                 buf.push(6);
@@ -551,13 +568,7 @@ impl Wire for PbftMsg {
                 from: ReplicaId::decode(r)?,
             },
             4 => PbftMsg::Reply(Reply::decode(r)?),
-            5 => PbftMsg::ViewChange {
-                new_view: r.u64()?,
-                from: ReplicaId::decode(r)?,
-                prepared: Vec::<(u64, Arc<Batch>)>::decode(r)?,
-                executed_upto: r.u64()?,
-                cert: Option::<Box<CheckpointCert>>::decode(r)?,
-            },
+            5 => PbftMsg::ViewChange(VcVote::decode(r)?),
             6 => PbftMsg::NewView {
                 view: r.u64()?,
                 preprepares: Vec::<(u64, Arc<Batch>)>::decode(r)?,
@@ -592,13 +603,9 @@ impl Wire for MinBftMsg {
                 buf.push(3);
                 reply.encode(buf);
             }
-            MinBftMsg::ReqViewChange { new_view, from, prepared, executed_upto, cert } => {
+            MinBftMsg::ReqViewChange(vote) => {
                 buf.push(4);
-                new_view.encode(buf);
-                from.encode(buf);
-                prepared.encode(buf);
-                executed_upto.encode(buf);
-                cert.encode(buf);
+                vote.encode(buf);
             }
             MinBftMsg::NewView { view, preprepares } => {
                 buf.push(5);
@@ -645,13 +652,7 @@ impl Wire for MinBftMsg {
             },
             2 => MinBftMsg::Commit(Arc::<CommitVote>::decode(r)?),
             3 => MinBftMsg::Reply(Reply::decode(r)?),
-            4 => MinBftMsg::ReqViewChange {
-                new_view: r.u64()?,
-                from: ReplicaId::decode(r)?,
-                prepared: Vec::<(u64, Arc<Batch>)>::decode(r)?,
-                executed_upto: r.u64()?,
-                cert: Option::<Box<CheckpointCert>>::decode(r)?,
-            },
+            4 => MinBftMsg::ReqViewChange(VcVote::decode(r)?),
             5 => MinBftMsg::NewView {
                 view: r.u64()?,
                 preprepares: Vec::<(u64, Arc<Batch>)>::decode(r)?,
@@ -823,20 +824,20 @@ mod tests {
                 op: OpId { client: ClientId(1), seq: 1 },
                 result: Arc::new(b"OK".to_vec()),
             }),
-            PbftMsg::ViewChange {
+            PbftMsg::ViewChange(VcVote {
                 new_view: 2,
                 from: ReplicaId(1),
                 prepared: vec![(2, batch.clone())],
                 executed_upto: 1,
                 cert: Some(Box::new(cert(4))),
-            },
-            PbftMsg::ViewChange {
+            }),
+            PbftMsg::ViewChange(VcVote {
                 new_view: 3,
                 from: ReplicaId(2),
                 prepared: vec![],
                 executed_upto: 0,
                 cert: None,
-            },
+            }),
             PbftMsg::NewView { view: 2, preprepares: vec![(3, batch.clone())] },
             PbftMsg::Checkpoint(Box::new(voucher(8, 1, 5))),
             PbftMsg::StateRequest { have: 4, from: ReplicaId(3) },
@@ -866,13 +867,13 @@ mod tests {
                 op: OpId { client: ClientId(2), seq: 5 },
                 result: Arc::new(Vec::new()),
             }),
-            MinBftMsg::ReqViewChange {
+            MinBftMsg::ReqViewChange(VcVote {
                 new_view: 1,
                 from: ReplicaId(2),
                 prepared: vec![(6, batch.clone())],
                 executed_upto: 5,
                 cert: Some(Box::new(cert(4))),
-            },
+            }),
             MinBftMsg::NewView { view: 1, preprepares: vec![(6, batch.clone())] },
             MinBftMsg::FillGap {
                 sender: ReplicaId(0),

@@ -22,25 +22,28 @@
 //!   quorum-voting buffer, the checkpoint image, the truncating log
 //!   (enabled via [`runner::RunConfig::checkpoint_interval`]);
 //! * `shell` (crate-private) — the one replica shell all three protocols
-//!   embed. It *owns* the committed log, the state machine, the
-//!   exactly-once reply index, client sessions, the checkpoint store, the
-//!   state-transfer replay ring and response buffer, and the
-//!   [`durable`] event queue, and holds — once — the code over them:
-//!   execute-and-reply, checkpoint + voucher + truncation, transfer
-//!   request / serve / admit / install, WAL `recover`, and `wipe`. A
-//!   protocol file keeps only its **ordering core** (slots and quorums,
-//!   USIG and ingress windows, view change, passive ship/sync/promote)
-//!   and calls the shell at fixed points: `execute` then `checkpoint`
-//!   for each slot once it is ordered and its predecessors ran;
-//!   `on_voucher` / `accept_cert` when a voucher or certificate arrives;
-//!   `request_transfer` at the tail of every input; `serve_transfer` on a
-//!   peer's state request; `admit_transfer` → `install` on a state
-//!   response, then its own tail (retire windows below the new execution
-//!   watermark, join the view, re-arm patience, resume execution); and
-//!   `recover` / `wipe` from the [`api::ReplicaNode`] methods of the same
-//!   name. Quorums, the log-entry digest, per-executed-op bookkeeping
-//!   and fault-script flags are call-site arguments — the shell never
-//!   asks which protocol it serves;
+//!   embed. It *owns* the request accumulator, the op → slot assignments,
+//!   the backup watchlist and the next free sequence number, the committed
+//!   log, the state machine, the exactly-once reply index, client
+//!   sessions, the checkpoint store, the state-transfer replay ring and
+//!   response buffer, and the [`durable`] event queue, and holds — once —
+//!   the code over them: request `intake` (cached reply / re-announce /
+//!   accumulate-and-seal / watch) and its flush timer, execute-and-reply,
+//!   checkpoint + voucher + truncation, transfer request / serve / admit /
+//!   install, WAL `recover`, and `wipe`. A protocol file keeps only its
+//!   **ordering core** (how to propose sealed requests, slots and
+//!   quorums, USIG and ingress windows, passive ship/sync/promote) and
+//!   calls the shell at fixed points (the table in `shell.rs`). The
+//!   replica's role, quorums, the log-entry digest and fault-script flags
+//!   are call-site arguments — the shell never asks which protocol it
+//!   serves;
+//! * [`viewchange`] — the view-change ledger PBFT and MinBFT share: the
+//!   [`viewchange::VcVote`] both carry on the wire, who demands which
+//!   view (votes are bound to the link they arrive on), the rate-limited
+//!   patience escalation, and the new primary's re-proposal plan (merge,
+//!   certified-floor discard, no-op hole filling, re-batching of pending
+//!   requests). The cores keep their install quorum, their notion of
+//!   "prepared", and how a plan is installed;
 //! * [`adversary`] — composable, time-phased fault scripts (crash/recover
 //!   windows, partitions, link degradation, DoS floods, stale replay),
 //!   the named one-fault [`adversary::Behavior`] presets that lower onto
@@ -83,6 +86,7 @@ pub mod plane;
 pub mod runner;
 mod shell;
 pub mod statemachine;
+pub mod viewchange;
 
 pub use adversary::{
     Behavior, Flood, LinkFault, OracleVerdict, Partition, ReplaySpec, ReplicaScript, Scenario,

@@ -20,32 +20,20 @@
 
 use crate::adversary::ReplicaScript;
 use crate::api::{
-    noop_batch, Batch, BatchDecision, Batcher, Cluster, Endpoint, Input, LogEntry, OpId, Outbox,
-    ReplicaId, ReplicaNode, Reply, Request, VcRound,
+    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
 };
 use crate::checkpoint::{
     CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer,
 };
-use crate::dense::{op_token, token_op, OpIndex, ReplicaSet, SeqWindow};
+use crate::dense::{ReplicaSet, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::runner::RunConfig;
-use crate::shell::{Shell, ShellMsg};
+use crate::shell::{Intake, Shell, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
+use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
 use rsoc_crypto::Tag;
 use rsoc_hw::{EccRegister, PlainRegister, RegisterCell};
 use rsoc_hybrid::{KeyRing, Usig, UsigId, UI};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Timer kind: request patience expired.
-const TIMER_REQUEST: u32 = 1;
-/// Timer kind: the primary's partially filled batch waited long enough.
-const TIMER_FLUSH: u32 = 2;
-/// Default backup patience before suspecting the primary (see
-/// [`RunConfig::request_patience`]).
-const REQUEST_PATIENCE: u64 = 1_500;
-
-/// Prepared-but-unexecuted `(seq, batch)` entries carried by view changes.
-type PreparedSet = Vec<(u64, Arc<Batch>)>;
 
 /// A backup's UI-certified commit vote (carries the batch so replicas
 /// that missed the PREPARE can still execute on a commit quorum).
@@ -97,21 +85,7 @@ pub enum MinBftMsg {
     /// Execution result (replica → client).
     Reply(Reply),
     /// Vote to replace the primary.
-    ReqViewChange {
-        /// Proposed view.
-        new_view: u64,
-        /// Voter.
-        from: ReplicaId,
-        /// Prepared-but-unexecuted entries that must survive.
-        prepared: Vec<(u64, Arc<Batch>)>,
-        /// The voter's execution watermark (the hole-filling floor — see
-        /// the PBFT `ViewChange` twin).
-        executed_upto: u64,
-        /// The voter's stable checkpoint certificate, if any: the new
-        /// primary verifies it and refuses to re-propose below it.
-        /// Boxed — certificates are rare and bulky.
-        cert: Option<Box<CheckpointCert>>,
-    },
+    ReqViewChange(VcVote),
     /// New primary's installation message (re-proposals follow as normal
     /// UI-certified PREPAREs).
     NewView {
@@ -171,6 +145,10 @@ pub enum MinBftMsg {
 }
 
 impl ShellMsg for MinBftMsg {
+    fn reply(reply: Reply) -> Self {
+        MinBftMsg::Reply(reply)
+    }
+
     fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
         MinBftMsg::Checkpoint(voucher)
     }
@@ -255,7 +233,6 @@ pub struct MinBftReplica {
     id: ReplicaId,
     n: u32,
     f: u32,
-    view: u64,
     script: ReplicaScript,
     /// Virtual time of the input being handled (scripts are time-phased).
     now: u64,
@@ -273,28 +250,18 @@ pub struct MinBftReplica {
     sent_ui: SeqWindow<MinBftMsg>,
     /// Per-sender time of the last gap-fill request (rate limiter).
     gap_req_at: Vec<u64>,
-    next_seq: u64,
     /// Agreement slots, watermarked at `shell.exec_upto() + 1`.
     slots: SeqWindow<Slot>,
-    assigned: OpIndex<u64>,
     stored_prepares: SeqWindow<MinBftMsg>,
-    /// Backup watchlist: requests awaiting commit, with patience timers.
-    pending: OpIndex<Arc<Request>>,
-    /// Execution, checkpoints, state transfer, durability (f+1 matching
-    /// vouchers certify a checkpoint, mirroring the commit quorum; f+1
-    /// responders install a transfer).
+    /// Request intake, execution, checkpoints, state transfer, durability
+    /// (f+1 matching vouchers certify a checkpoint, mirroring the commit
+    /// quorum; f+1 responders install a transfer).
     shell: Shell,
-    vc_votes: Vec<VcRound>,
-    vc_sent_for: u64,
-    /// When `vc_sent_for` was last raised — the escalation rate limiter.
-    vc_demanded_at: u64,
+    /// The current view and the view changes under way.
+    vc: ViewLedger,
     /// Set while a crash window swallows inputs; the first input after
     /// recovery re-arms the per-op patience chains killed in the outage.
     in_outage: bool,
-    /// Batching front-end (primary only).
-    batcher: Batcher,
-    /// Backup patience before suspecting the primary.
-    patience: u64,
 }
 
 impl MinBftReplica {
@@ -305,7 +272,6 @@ impl MinBftReplica {
             id,
             n: 2 * f + 1,
             f,
-            view: 0,
             script: ReplicaScript::correct(),
             now: 0,
             usig: Usig::new(UsigId(id.0), ring, protection.build()),
@@ -314,30 +280,24 @@ impl MinBftReplica {
             accepted: vec![0; (2 * f + 1) as usize],
             sent_ui: SeqWindow::with_base(1),
             gap_req_at: vec![0; (2 * f + 1) as usize],
-            next_seq: 1,
             slots: SeqWindow::with_base(1),
-            assigned: OpIndex::new(),
             stored_prepares: SeqWindow::with_base(1),
-            pending: OpIndex::new(),
             shell: Shell::new(id, 2 * f + 1, (f + 1) as usize),
-            vc_votes: Vec::new(),
-            vc_sent_for: 0,
-            vc_demanded_at: 0,
+            vc: ViewLedger::new(id, 2 * f + 1),
             in_outage: false,
-            batcher: Batcher::new(),
-            patience: REQUEST_PATIENCE,
         }
     }
 
     /// Configures the batching front-end: seal a batch at `batch_size`
     /// requests, or after `batch_flush` cycles, whichever comes first.
     pub fn set_batching(&mut self, batch_size: usize, batch_flush: u64) {
-        self.batcher.configure(batch_size, batch_flush);
+        self.shell.set_batching(batch_size, batch_flush);
     }
 
-    /// Sets the backup's request patience (clamped to ≥ 1).
+    /// Sets the backup's request patience (clamped to ≥ 1; see
+    /// [`RunConfig::request_patience`]).
     pub fn set_patience(&mut self, cycles: u64) {
-        self.patience = cycles.max(1);
+        self.shell.set_patience(cycles);
     }
 
     /// Enables certified checkpoints every `interval` executed slots
@@ -371,20 +331,18 @@ impl MinBftReplica {
 
     /// Current view.
     pub fn view(&self) -> u64 {
-        self.view
+        self.vc.view()
+    }
+
+    /// View-change votes refused because the voter they named was not the
+    /// replica that sent them.
+    pub fn rejected_votes(&self) -> u64 {
+        self.vc.rejected()
     }
 
     /// SEU injection into the USIG counter register (E2 / F1).
     pub fn inject_usig_flip(&mut self, bit: u32) {
         self.usig.inject_counter_flip(bit);
-    }
-
-    fn primary_of(&self, view: u64) -> ReplicaId {
-        ReplicaId((view % self.n as u64) as u32)
-    }
-
-    fn is_primary(&self) -> bool {
-        self.primary_of(self.view) == self.id
     }
 
     fn commit_quorum(&self) -> usize {
@@ -478,66 +436,24 @@ impl MinBftReplica {
         None
     }
 
-    fn handle_request(&mut self, req: Arc<Request>, out: &mut Outbox<MinBftMsg>) {
-        if let Some(reply) = self.shell.cached_reply(req.op) {
-            out.send(Endpoint::Client(req.op.client), MinBftMsg::Reply(reply));
-            return;
-        }
-        if self.is_primary() {
-            if let Some(seq) = self.assigned.get(&req.op).copied() {
-                // Retransmit the stored PREPARE (heals backups with counter gaps).
-                if let Some(prep) = self.stored_prepares.get(seq).cloned() {
-                    out.broadcast(self.n, self.id, prep);
-                }
-                return;
-            }
-            match self.batcher.offer(req) {
-                BatchDecision::Seal => self.flush_batch(out),
-                BatchDecision::ArmTimer(token) => {
-                    out.arm(self.batcher.flush_cycles(), TIMER_FLUSH, token)
-                }
-                BatchDecision::Wait | BatchDecision::Duplicate => {}
-            }
-        } else {
-            if !self.pending.contains_key(&req.op) && !self.shell.has_executed(&req.op) {
-                let token = op_token(req.op);
-                self.pending.insert(req.op, req);
-                out.arm(self.patience, TIMER_REQUEST, token);
-            }
-        }
-    }
-
-    /// Seals the accumulated requests into one batch and proposes it under
-    /// a single USIG certificate — MAC creation and verification are
-    /// amortized `1/B` across the batch.
-    fn flush_batch(&mut self, out: &mut Outbox<MinBftMsg>) {
-        // Requests can go stale in the accumulator across a view change.
-        let shell = &self.shell;
-        let assigned = &self.assigned;
-        let reqs =
-            self.batcher.drain(|r| !shell.has_executed(&r.op) && !assigned.contains_key(&r.op));
-        if reqs.is_empty() {
-            return;
-        }
-        let batch = Arc::new(Batch::new(reqs));
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        for r in batch.requests() {
-            self.assigned.insert(r.op, seq);
-        }
+    /// Proposes `reqs` as one batch under a single USIG certificate — MAC
+    /// creation and verification are amortized `1/B` across the batch.
+    fn propose(&mut self, reqs: Vec<Arc<Request>>, out: &mut Outbox<MinBftMsg>) {
+        let (seq, batch) = self.shell.open_slot(reqs);
+        let view = self.vc.view();
         if self.script.forges_ui_at(self.now) {
             self.forge_equivocation(seq, batch, out);
             return;
         }
         let digest = batch.digest();
-        let Ok(ui) = self.usig.create_ui(&prepare_bytes(self.view, seq, &digest)) else {
+        let Ok(ui) = self.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
             return; // fail-stopped USIG: replica can no longer lead
         };
-        let prep = MinBftMsg::Prepare { view: self.view, seq, batch: batch.clone(), ui };
+        let prep = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
         self.stored_prepares.insert(seq, prep.clone());
         self.record_sent(ui.counter, prep.clone());
         let me = self.id;
-        // lint: allow(ingress-expect) -- seq is freshly drawn from next_seq, strictly above exec_upto
+        // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
         let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
         slot.batch = Some(batch);
         slot.digest = Some(digest);
@@ -547,13 +463,22 @@ impl MinBftReplica {
         out.broadcast(self.n, self.id, prep);
     }
 
+    /// Answers a client retry for the op in flight at `seq`: retransmit
+    /// the stored PREPARE (heals backups with counter gaps).
+    fn reannounce(&self, seq: u64, out: &mut Outbox<MinBftMsg>) {
+        if let Some(prep) = self.stored_prepares.get(seq).cloned() {
+            out.broadcast(self.n, self.id, prep);
+        }
+    }
+
     /// Byzantine primary attempting equivocation: a valid PREPARE for the
     /// batch to half the backups and a *forged* certificate (same counter,
     /// fabricated tag — the USIG refuses to sign twice) for a conflicting
     /// batch to the rest. The hybrid makes the forgery detectable.
     fn forge_equivocation(&mut self, seq: u64, batch: Arc<Batch>, out: &mut Outbox<MinBftMsg>) {
+        let view = self.vc.view();
         let digest = batch.digest();
-        let Ok(ui) = self.usig.create_ui(&prepare_bytes(self.view, seq, &digest)) else {
+        let Ok(ui) = self.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
             return;
         };
         let evil_reqs: Vec<Arc<Request>> = batch
@@ -573,14 +498,14 @@ impl MinBftReplica {
                 continue;
             }
             let msg = if i < half {
-                MinBftMsg::Prepare { view: self.view, seq, batch: batch.clone(), ui }
+                MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui }
             } else {
-                MinBftMsg::Prepare { view: self.view, seq, batch: evil.clone(), ui: forged_ui }
+                MinBftMsg::Prepare { view, seq, batch: evil.clone(), ui: forged_ui }
             };
             out.send(Endpoint::Replica(ReplicaId(i)), msg);
         }
         let me = self.id;
-        // lint: allow(ingress-expect) -- seq is freshly drawn from next_seq, strictly above exec_upto
+        // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
         let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
         slot.batch = Some(batch);
         slot.digest = Some(digest);
@@ -597,7 +522,7 @@ impl MinBftReplica {
         ui: UI,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        if view != self.view {
+        if view != self.vc.view() {
             return;
         }
         // One content check per batch: the cached digest (which the UI
@@ -606,7 +531,7 @@ impl MinBftReplica {
             return;
         }
         let digest = batch.digest();
-        let primary = self.primary_of(view);
+        let primary = self.vc.primary_of(view);
         let me = self.id;
         // Below the watermark = already executed: rejected, not resurrected.
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
@@ -615,9 +540,7 @@ impl MinBftReplica {
                 return; // conflicts with already-evidenced assignment
             }
         }
-        for r in batch.requests() {
-            self.assigned.insert(r.op, seq);
-        }
+        self.shell.assign(seq, &batch);
         // lint: allow(ingress-expect) -- get_or_insert_default above returned Some for this seq
         let slot = self.slots.get_mut(seq).expect("slot just ensured");
         slot.batch = Some(batch.clone());
@@ -654,19 +577,19 @@ impl MinBftReplica {
         from: ReplicaId,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        if view != self.view {
+        if view != self.vc.view() {
             return;
         }
         // The commit must reference a genuine primary certificate.
         let digest = batch.digest();
         if !self.usig.verify_ui(
-            UsigId(self.primary_of(view).0),
+            UsigId(self.vc.primary_of(view).0),
             &primary_ui,
             &prepare_bytes(view, seq, &digest),
         ) {
             return;
         }
-        let primary = self.primary_of(view);
+        let primary = self.vc.primary_of(view);
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
         if let Some(d) = slot.digest {
             if d != digest {
@@ -706,10 +629,7 @@ impl MinBftReplica {
             let batch = slot.batch.expect("checked");
             // lint: allow(ingress-expect) -- the digest is stored alongside the batch, never alone
             let digest = slot.digest.expect("digest follows batch");
-            let (pending, assigned) = (&mut self.pending, &mut self.assigned);
-            self.shell.execute(next, &batch, digest, |seq, reply| {
-                pending.remove(&reply.op);
-                assigned.insert(reply.op, seq);
+            self.shell.execute(next, &batch, digest, |reply| {
                 out.send(Endpoint::Client(reply.op.client), MinBftMsg::Reply(reply));
             });
             self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
@@ -737,31 +657,14 @@ impl MinBftReplica {
     /// cluster's view and resumes execution.
     fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<MinBftMsg>) {
         let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
-        let (pending, assigned) = (&mut self.pending, &mut self.assigned);
-        if !self.shell.install(&plan, Batch::digest, |seq, reply| {
-            pending.remove(&reply.op);
-            assigned.insert(reply.op, seq);
-        }) {
+        if !self.shell.install(&plan, Batch::digest) {
             return;
         }
         self.retire_executed();
-        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
-        if plan.view > self.view {
-            // The cluster moved on while we were down; join its view.
-            self.view = plan.view;
-            self.vc_sent_for = self.vc_sent_for.max(plan.view);
-            self.vc_votes.retain(|r| r.view > plan.view);
-        }
-        self.rearm_patience(out);
+        // The cluster may have moved on while we were down; join its view.
+        self.vc.join(plan.view);
+        self.shell.rearm_patience(out);
         self.try_execute(out);
-    }
-
-    /// Arms one patience timer per pending request (canonical order keeps
-    /// the timer schedule deterministic).
-    fn rearm_patience(&self, out: &mut Outbox<MinBftMsg>) {
-        for (op, _) in self.pending.iter_canonical() {
-            out.arm(self.patience, TIMER_REQUEST, op_token(op));
-        }
     }
 
     /// Ingests a [`MinBftMsg::CheckpointHint`] — the FillGap escalation
@@ -795,7 +698,7 @@ impl MinBftReplica {
         }
     }
 
-    fn prepared_uncommitted(&self) -> Vec<(u64, Arc<Batch>)> {
+    fn prepared_uncommitted(&self) -> PreparedSet {
         // Every slot still in the window is unexecuted (execution retires).
         self.slots
             .iter()
@@ -804,166 +707,64 @@ impl MinBftReplica {
             .collect()
     }
 
-    /// The vote round for `view`, created on first use (linear scan: view
-    /// changes are rare and the live round count is tiny).
-    fn vc_round_mut(&mut self, view: u64) -> &mut VcRound {
-        let n = self.n as usize;
-        let idx = match self.vc_votes.iter().position(|r| r.view == view) {
-            Some(i) => i,
-            None => {
-                self.vc_votes.push(VcRound::new(view, n));
-                self.vc_votes.len() - 1
-            }
-        };
-        // bounds: idx is either a position() hit or the just-pushed last element
-        &mut self.vc_votes[idx]
-    }
-
-    fn record_vc_vote(
-        &mut self,
-        view: u64,
-        from: ReplicaId,
-        prepared: PreparedSet,
-        executed_upto: u64,
-        cert_seq: u64,
-    ) {
-        self.vc_round_mut(view).record(from, prepared, executed_upto, cert_seq);
-    }
-
+    /// Votes for `new_view` (once) and checks whether that elects us.
     fn start_view_change(&mut self, new_view: u64, out: &mut Outbox<MinBftMsg>) {
-        if new_view <= self.view || self.vc_sent_for >= new_view {
-            return;
-        }
-        self.vc_sent_for = new_view;
-        self.vc_demanded_at = self.now;
         let prepared = self.prepared_uncommitted();
-        self.record_vc_vote(
-            new_view,
-            self.id,
-            prepared.clone(),
-            self.shell.exec_upto(),
-            self.shell.ckpt().stable_seq(),
-        );
-        out.broadcast(
-            self.n,
-            self.id,
-            MinBftMsg::ReqViewChange {
-                new_view,
-                from: self.id,
-                prepared,
-                executed_upto: self.shell.exec_upto(),
-                cert: self.shell.ckpt().stable().cloned().map(Box::new),
-            },
-        );
+        let Some(vote) = self.vc.demand(new_view, self.now, prepared, &self.shell) else { return };
+        out.broadcast(self.n, self.id, MinBftMsg::ReqViewChange(vote));
         self.maybe_install_view(new_view, out);
     }
 
     fn handle_req_view_change(
         &mut self,
-        new_view: u64,
-        from: ReplicaId,
-        prepared: Vec<(u64, Arc<Batch>)>,
-        executed_upto: u64,
-        cert: Option<CheckpointCert>,
+        from: Endpoint,
+        vote: VcVote,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        if new_view <= self.view {
-            return;
-        }
-        // A carried certificate floors the round only once verified; a
-        // forged one contributes 0.
-        let cert_seq = cert.and_then(|c| self.shell.accept_cert(&c)).unwrap_or(0);
-        self.record_vc_vote(new_view, from, prepared, executed_upto, cert_seq);
+        let new_view = vote.new_view;
+        let Some(count) = self.vc.record(from, vote, &mut self.shell) else { return };
         // In MinBFT a single valid suspicion suffices to join, because
         // UI certificates make false accusations non-amplifiable; we
         // require our own patience timer OR f+1 votes, matching the
         // conservative reading:
-        if self.vc_round_mut(new_view).count >= (self.f + 1) as usize {
+        if count >= (self.f + 1) as usize {
             self.start_view_change(new_view, out);
         }
         self.maybe_install_view(new_view, out);
     }
 
+    /// Becomes primary of `new_view` once f+1 replicas demand it. (With
+    /// f+1 quorums, full defense of the view change itself needs the
+    /// USIG-signed view-change messages of the original protocol, a
+    /// ROADMAP next step.)
     fn maybe_install_view(&mut self, new_view: u64, out: &mut Outbox<MinBftMsg>) {
-        let Some(round) = self.vc_votes.iter().find(|r| r.view == new_view) else { return };
-        if round.count < (self.f + 1) as usize || self.primary_of(new_view) != self.id {
+        let own = self.prepared_uncommitted();
+        let Some(plan) = self.vc.plan(new_view, self.commit_quorum(), own, &self.shell) else {
             return;
-        }
-        // Votes merge in voter-id order (canonical and deterministic).
-        let mut repropose: BTreeMap<u64, Arc<Batch>> = BTreeMap::new();
-        for entries in round.votes.iter().flatten() {
-            for (seq, batch) in entries {
-                repropose.entry(*seq).or_insert_with(|| batch.clone());
-            }
-        }
-        for (seq, batch) in self.prepared_uncommitted() {
-            repropose.entry(seq).or_insert(batch);
-        }
-        // Fill sequence holes with no-op batches above the vote quorum's
-        // execution floor (see the PBFT twin for the argument; watermark
-        // claims are trusted as honest per [`VcRound`]'s trust boundary —
-        // with MinBFT's f+1 quorums, full defense of the view change
-        // itself needs the USIG-signed view-change messages of the
-        // original protocol, a ROADMAP next step). The *certified* floor
-        // is proven, though: prepared entries at or below a verified
-        // checkpoint certificate are certified history and are discarded.
-        let cert_floor = round.cert_floor;
-        if cert_floor > 0 {
-            repropose.retain(|seq, _| *seq > cert_floor);
-        }
-        let floor = round.exec_floor.max(self.shell.exec_upto()).max(cert_floor);
-        let max_seq = repropose.keys().max().copied().unwrap_or(self.shell.exec_upto());
-        for seq in floor.saturating_add(1)..max_seq {
-            repropose.entry(seq).or_insert_with(|| noop_batch(seq));
-        }
-        self.view = new_view;
-        self.vc_votes.retain(|r| r.view > new_view);
-        // Fresh proposals start above both the re-proposed entries and the
-        // quorum's execution floor (see the PBFT twin: a laggard primary
-        // proposing below its peers' watermarks stalls every pending op).
-        self.next_seq = self.next_seq.max(max_seq + 1).max(floor.saturating_add(1));
-        let covered: BTreeSet<OpId> =
-            repropose.values().flat_map(|b| b.requests().iter().map(|r| r.op)).collect();
-        let pending: Vec<Arc<Request>> = self
-            .pending
-            .iter_canonical()
-            .into_iter()
-            .map(|(_, r)| r)
-            .filter(|r| !covered.contains(&r.op) && !self.shell.has_executed(&r.op))
-            .cloned()
-            .collect();
-        for chunk in pending.chunks(self.batcher.batch_size()) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            repropose.insert(seq, Arc::new(Batch::new(chunk.to_vec())));
-        }
-        let preprepares: Vec<(u64, Arc<Batch>)> =
-            repropose.iter().map(|(s, b)| (*s, b.clone())).collect();
+        };
+        self.vc.installed(new_view);
+        self.shell.resume_at(plan.next_seq);
+        let preprepares = plan.repropose.clone();
         out.broadcast(self.n, self.id, MinBftMsg::NewView { view: new_view, preprepares });
         // Re-propose everything with fresh UIs as the new primary.
-        self.install_as_primary(repropose, out);
+        self.install_as_primary(plan.repropose, out);
         self.replay_future(out);
     }
 
-    fn install_as_primary(
-        &mut self,
-        entries: BTreeMap<u64, Arc<Batch>>,
-        out: &mut Outbox<MinBftMsg>,
-    ) {
+    fn install_as_primary(&mut self, entries: PreparedSet, out: &mut Outbox<MinBftMsg>) {
+        let view = self.vc.view();
         for (seq, batch) in entries {
             if self.slots.is_retired(seq) {
                 continue; // already executed: dead, not resurrectable
             }
             let digest = batch.digest();
-            let Ok(ui) = self.usig.create_ui(&prepare_bytes(self.view, seq, &digest)) else {
+            let Ok(ui) = self.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
                 return;
             };
-            let prep = MinBftMsg::Prepare { view: self.view, seq, batch: batch.clone(), ui };
+            let prep = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
             self.stored_prepares.insert(seq, prep.clone());
             self.record_sent(ui.counter, prep.clone());
-            for r in batch.requests() {
-                self.assigned.insert(r.op, seq);
-            }
+            self.shell.assign(seq, &batch);
             let me = self.id;
             // lint: allow(ingress-expect) -- is_retired() continued the loop just above
             let slot = self.slots.get_or_insert_default(seq).expect("not retired");
@@ -980,29 +781,27 @@ impl MinBftReplica {
     }
 
     fn handle_new_view(&mut self, view: u64, from: Endpoint, out: &mut Outbox<MinBftMsg>) {
-        if view <= self.view {
+        if view <= self.vc.view() {
             return;
         }
-        if from != Endpoint::Replica(self.primary_of(view)) {
+        if from != Endpoint::Replica(self.vc.primary_of(view)) {
             return;
         }
         // Adopt the view; actual agreement re-runs via the primary's fresh
         // PREPAREs (which carry verifiable UIs). Clear stale votes.
-        self.view = view;
-        self.vc_sent_for = self.vc_sent_for.max(view);
-        self.vc_votes.retain(|r| r.view > view);
+        self.vc.installed(view);
         for slot in self.slots.values_mut() {
             slot.commits.clear();
             slot.prepare_ok = false;
             slot.sent_commit = false;
         }
-        self.rearm_patience(out);
+        self.shell.rearm_patience(out);
         self.replay_future(out);
     }
 
     /// Re-dispatches messages stashed for views we had not installed yet.
     fn replay_future(&mut self, out: &mut Outbox<MinBftMsg>) {
-        let current = self.view;
+        let current = self.vc.view();
         let stash = std::mem::take(&mut self.future);
         for msg in stash {
             let msg_view = match &msg {
@@ -1014,16 +813,20 @@ impl MinBftReplica {
                 self.future.push(msg); // still ahead of us
             } else {
                 // From a generic peer endpoint: dispatch re-checks everything.
-                self.dispatch(Endpoint::Replica(self.primary_of(msg_view)), msg, out);
+                self.dispatch(Endpoint::Replica(self.vc.primary_of(msg_view)), msg, out);
             }
         }
     }
 
     fn dispatch(&mut self, from: Endpoint, msg: MinBftMsg, out: &mut Outbox<MinBftMsg>) {
         match msg {
-            MinBftMsg::Request(req) => self.handle_request(req, out),
+            MinBftMsg::Request(req) => match self.shell.intake(req, self.vc.role(), out) {
+                Intake::Sealed(reqs) => self.propose(reqs, out),
+                Intake::Reannounce(seq) => self.reannounce(seq, out),
+                Intake::Done => {}
+            },
             MinBftMsg::Prepare { view, seq, batch, ui } => {
-                if view > self.view {
+                if view > self.vc.view() {
                     // The installing NewView may still be in flight. Do NOT
                     // consume the sender's UI counter yet — stash verbatim.
                     self.future.push(MinBftMsg::Prepare { view, seq, batch, ui });
@@ -1033,14 +836,14 @@ impl MinBftReplica {
                 // is checked against it once, in handle_prepare.
                 let digest = batch.digest();
                 let msg_copy = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
-                let sender = self.primary_of(view);
+                let sender = self.vc.primary_of(view);
                 if self.ingest_ui(sender, &ui, &prepare_bytes(view, seq, &digest), &msg_copy, out) {
                     self.handle_prepare(view, seq, batch, ui, out);
                     self.drain_ready(out);
                 }
             }
             MinBftMsg::Commit(vote) => {
-                if vote.view > self.view {
+                if vote.view > self.vc.view() {
                     self.future.push(MinBftMsg::Commit(vote));
                     return;
                 }
@@ -1064,10 +867,7 @@ impl MinBftReplica {
                     self.drain_ready(out);
                 }
             }
-            MinBftMsg::ReqViewChange { new_view, from: voter, prepared, executed_upto, cert } => {
-                let cert = cert.map(|c| *c);
-                self.handle_req_view_change(new_view, voter, prepared, executed_upto, cert, out)
-            }
+            MinBftMsg::ReqViewChange(vote) => self.handle_req_view_change(from, vote, out),
             MinBftMsg::NewView { view, preprepares } => {
                 let _ = preprepares; // re-proposals arrive as fresh PREPAREs
                 self.handle_new_view(view, from, out)
@@ -1109,7 +909,7 @@ impl MinBftReplica {
             MinBftMsg::StateRequest { have, from: requester } => self.shell.serve_transfer(
                 have,
                 requester,
-                self.view,
+                self.vc.view(),
                 self.script.corrupts_snapshot_at(self.now),
                 self.script.corrupts_suffix_at(self.now),
                 out,
@@ -1123,24 +923,16 @@ impl MinBftReplica {
     fn dispatch_input(&mut self, input: Input<MinBftMsg>, staged: &mut Outbox<MinBftMsg>) {
         match input {
             Input::Message { from, msg } => self.dispatch(from, msg, staged),
-            Input::Timer { kind: TIMER_REQUEST, token } => {
-                if self.pending.contains_key(&token_op(token)) {
-                    // Demand at most one new view per full patience period,
-                    // escalating past a demanded-but-never-installed one
-                    // (see the PBFT twin of this branch for the full
-                    // rationale: the escalation un-wedges a CrashAt firing
-                    // mid view-change; the rate limit prevents the per-op
-                    // timers from outrunning installation entirely).
-                    if self.now >= self.vc_demanded_at.saturating_add(self.patience) {
-                        let next = self.view.max(self.vc_sent_for) + 1;
-                        self.start_view_change(next, staged);
-                    }
-                    staged.arm(self.patience, TIMER_REQUEST, token);
+            Input::Timer { kind: TIMER_REQUEST, token } if self.shell.watching(token) => {
+                if let Some(next) = self.vc.on_patience_timer(self.now, self.shell.patience()) {
+                    self.start_view_change(next, staged);
                 }
+                // Keep watching: if the new view also stalls, escalate.
+                staged.arm(self.shell.patience(), TIMER_REQUEST, token);
             }
             Input::Timer { kind: TIMER_FLUSH, token } => {
-                if self.batcher.on_flush_timer(token) && self.is_primary() {
-                    self.flush_batch(staged);
+                if let Some(reqs) = self.shell.on_flush_timer(token, self.vc.is_primary()) {
+                    self.propose(reqs, staged);
                 }
             }
             Input::Timer { .. } => {}
@@ -1188,10 +980,10 @@ impl ReplicaNode for MinBftReplica {
             return;
         }
         if self.in_outage {
-            // Fail-recover: revive the per-op patience chains killed while
-            // the outage swallowed their firings (see the PBFT twin).
+            // Fail-recover: per-op patience timers whose firing landed
+            // inside the outage are dead chains — revive them once.
             self.in_outage = false;
-            self.rearm_patience(out);
+            self.shell.rearm_patience(out);
         }
         if self.script.unconstrained() {
             // Fast path: a correct replica's outputs are never gated, so
@@ -1222,24 +1014,15 @@ impl ReplicaNode for MinBftReplica {
         // The trusted counter is hardware-monotonic: it survives software
         // rejuvenation, and resuming it (rather than resetting) is what
         // keeps the replica's counter stream acceptable to peers.
-        self.view = 0;
         self.ingress = (0..self.n).map(|_| SeqWindow::with_base(1)).collect();
         self.future = Vec::new();
         self.accepted = vec![0; self.n as usize];
         self.sent_ui = SeqWindow::with_base(1);
         self.gap_req_at = vec![0; self.n as usize];
-        self.next_seq = 1;
         self.slots = SeqWindow::with_base(1);
-        self.assigned = OpIndex::new();
         self.stored_prepares = SeqWindow::with_base(1);
-        self.pending = OpIndex::new();
-        self.vc_votes.clear();
-        self.vc_sent_for = 0;
-        self.vc_demanded_at = 0;
+        self.vc.wipe();
         self.in_outage = false;
-        let (size, flush) = (self.batcher.batch_size(), self.batcher.flush_cycles());
-        self.batcher = Batcher::new();
-        self.batcher.configure(size, flush);
         self.shell.wipe();
     }
 
@@ -1267,7 +1050,7 @@ impl ReplicaNode for MinBftReplica {
     }
 
     fn current_view(&self) -> u64 {
-        self.view
+        self.vc.view()
     }
 
     fn enable_durability(&mut self) {
@@ -1289,15 +1072,10 @@ impl ReplicaNode for MinBftReplica {
             self.usig.resume(state.usig_counter);
             self.sent_ui = SeqWindow::with_base(state.usig_counter + 1);
         }
-        let (pending, assigned) = (&mut self.pending, &mut self.assigned);
-        let report = self.shell.recover(&state, Batch::digest, |seq, reply| {
-            pending.remove(&reply.op);
-            assigned.insert(reply.op, seq);
-        });
+        let report = self.shell.recover(&state, Batch::digest);
         // Executed sequence numbers are dead from the first input on — both
         // below the snapshot and below the replayed WAL tail.
         self.retire_executed();
-        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
         report
     }
 }
@@ -1380,6 +1158,7 @@ impl Cluster for MinBftCluster {
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
+    use crate::api::{ClientId, OpId};
     use crate::runner::{run, RunConfig};
 
     fn config(f: u32, clients: u32, reqs: u64, seed: u64) -> RunConfig {
@@ -1698,13 +1477,13 @@ mod tests {
         let mut nodes = MinBftCluster::new(&cfg).into_nodes();
         let request = |tag: &str| {
             Arc::new(Request {
-                op: OpId { client: crate::api::ClientId(1), seq: 1 },
+                op: OpId { client: ClientId(1), seq: 1 },
                 payload: format!("SET k {tag}").into_bytes(),
             })
         };
         // The primary proposes slot 1 under its first USIG counter.
         let mut out = Outbox::new();
-        let client = Endpoint::Client(crate::api::ClientId(1));
+        let client = Endpoint::Client(ClientId(1));
         nodes[0].on_input(
             Input::Message { from: client, msg: MinBftMsg::Request(request("live")) },
             1,
@@ -1729,5 +1508,53 @@ mod tests {
             &mut out,
         );
         assert!(out.msgs.is_empty(), "voted on an executed sequence number: {:?}", out.msgs);
+    }
+
+    fn vote(new_view: u64, from: u32) -> MinBftMsg {
+        MinBftMsg::ReqViewChange(VcVote {
+            new_view,
+            from: ReplicaId(from),
+            prepared: Vec::new(),
+            executed_upto: 0,
+            cert: None,
+        })
+    }
+
+    fn replica(id: u32) -> MinBftReplica {
+        MinBftReplica::new(ReplicaId(id), 1, KeyRing::provision(5, 3), CounterProtection::SecDed)
+    }
+
+    /// The voter id is wire-supplied: one naming a replica outside the
+    /// cluster must be refused, not used as an index (a remote crash).
+    #[test]
+    fn view_change_vote_from_outside_the_cluster_is_refused() {
+        let mut r = replica(1);
+        let mut out = Outbox::new();
+        for link in [2, 99] {
+            let from = Endpoint::Replica(ReplicaId(link));
+            r.on_input(Input::Message { from, msg: vote(1, 99) }, 10, &mut out);
+        }
+        assert_eq!((r.rejected_votes(), r.view()), (2, 0));
+        assert!(out.msgs.is_empty());
+    }
+
+    /// One endpoint is one vote: replica 2 alone, claiming to be 0 and 2
+    /// in turn, must not assemble the f+1 demands that make replica 1
+    /// install view 1.
+    #[test]
+    fn one_link_cannot_forge_a_view_change_quorum() {
+        let mut r = replica(1);
+        let mut out = Outbox::new();
+        let link = Endpoint::Replica(ReplicaId(2));
+        for claimed in [0, 2] {
+            r.on_input(Input::Message { from: link, msg: vote(1, claimed) }, 10, &mut out);
+        }
+        assert_eq!((r.rejected_votes(), r.view()), (1, 0));
+        assert!(out.msgs.is_empty(), "one real demand is below the f+1 join threshold");
+        // The same vote over its voter's own link does install it.
+        let from = Endpoint::Replica(ReplicaId(0));
+        r.on_input(Input::Message { from, msg: vote(1, 0) }, 11, &mut out);
+        assert_eq!((r.rejected_votes(), r.view()), (1, 1));
+        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::NewView { view: 1, .. })));
     }
 }

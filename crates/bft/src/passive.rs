@@ -11,22 +11,20 @@
 
 use crate::adversary::ReplicaScript;
 use crate::api::{
-    Batch, BatchDecision, Batcher, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId,
-    ReplicaNode, Reply, Request,
+    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
 };
 use crate::checkpoint::{CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer};
 use crate::dense::SeqWindow;
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::runner::RunConfig;
-use crate::shell::{Shell, ShellMsg};
+use crate::shell::{Intake, Role, Shell, ShellMsg, TIMER_FLUSH};
 use std::sync::Arc;
 
-/// Timer kind: primary sends its next heartbeat.
-const TIMER_HEARTBEAT: u32 = 1;
+/// Timer kind: primary sends its next heartbeat (kinds 1 and 2 are the
+/// shell's).
+const TIMER_HEARTBEAT: u32 = 3;
 /// Timer kind: backup checks heartbeat freshness.
-const TIMER_DETECT: u32 = 2;
-/// Timer kind: the primary's partially filled batch waited long enough.
-const TIMER_FLUSH: u32 = 3;
+const TIMER_DETECT: u32 = 4;
 
 /// Passive-replication wire messages.
 ///
@@ -89,6 +87,10 @@ pub enum PassiveMsg {
 }
 
 impl ShellMsg for PassiveMsg {
+    fn reply(reply: Reply) -> Self {
+        PassiveMsg::Reply(reply)
+    }
+
     fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
         PassiveMsg::Checkpoint(voucher)
     }
@@ -138,10 +140,9 @@ pub struct PassiveReplica {
     last_heartbeat: u64,
     heartbeat_interval: u64,
     detect_timeout: u64,
-    next_seq: u64,
-    /// Execution, checkpoints, state transfer, durability. Both replicas
-    /// must vouch for a checkpoint — passive has no spare quorum to
-    /// outvote a lie — and checkpoints are per log sequence.
+    /// Request intake, execution, checkpoints, state transfer, durability.
+    /// Both replicas must vouch for a checkpoint — passive has no spare
+    /// quorum to outvote a lie — and checkpoints are per log sequence.
     shell: Shell,
     /// Out-of-order state updates held back until their predecessors
     /// apply; the window watermark tracks the applied log prefix.
@@ -152,8 +153,6 @@ pub struct PassiveReplica {
     shipped: SeqWindow<(Arc<Request>, Arc<Vec<u8>>)>,
     /// When this backup last asked for a resync (rate limiter).
     sync_req_at: u64,
-    /// Batching front-end (primary only).
-    batcher: Batcher,
 }
 
 impl PassiveReplica {
@@ -172,20 +171,18 @@ impl PassiveReplica {
             last_heartbeat: 0,
             heartbeat_interval,
             detect_timeout,
-            next_seq: 1,
             shell: Shell::new(id, 2, 2),
             held_updates: SeqWindow::with_base(1),
             failovers: 0,
             shipped: SeqWindow::with_base(1),
             sync_req_at: 0,
-            batcher: Batcher::new(),
         }
     }
 
     /// Configures the batching front-end: execute-and-ship a batch at
     /// `batch_size` requests, or after `batch_flush` cycles.
     pub fn set_batching(&mut self, batch_size: usize, batch_flush: u64) {
-        self.batcher.configure(batch_size, batch_flush);
+        self.shell.set_batching(batch_size, batch_flush);
     }
 
     /// Enables certified checkpoints every `interval` committed log
@@ -246,38 +243,15 @@ impl PassiveReplica {
     // engine can forge clients and replay/reorder replica traffic, so a
     // panic here is a remote crash (`rsoc_lint` enforces the contract).
     // lint: ingress
-    fn handle_request(&mut self, req: Arc<Request>, out: &mut Outbox<PassiveMsg>) {
-        if let Some(reply) = self.shell.cached_reply(req.op) {
-            out.send(Endpoint::Client(req.op.client), PassiveMsg::Reply(reply));
-            return;
-        }
-        if !self.is_primary() {
-            return; // backups ignore requests — the failover gap E4 measures
-        }
-        match self.batcher.offer(req) {
-            BatchDecision::Seal => self.flush_batch(out),
-            BatchDecision::ArmTimer(token) => {
-                out.arm(self.batcher.flush_cycles(), TIMER_FLUSH, token)
-            }
-            BatchDecision::Wait | BatchDecision::Duplicate => {}
-        }
-    }
-
-    /// Executes the accumulated requests and ships them to the backup as a
-    /// single state update.
-    fn flush_batch(&mut self, out: &mut Outbox<PassiveMsg>) {
-        let shell = &self.shell;
-        let reqs = self.batcher.drain(|r| !shell.has_executed(&r.op));
-        if reqs.is_empty() {
-            return;
-        }
-        let first_seq = self.next_seq;
+    /// Executes `reqs` and ships them to the backup as a single state
+    /// update.
+    fn propose(&mut self, reqs: Vec<Arc<Request>>, out: &mut Outbox<PassiveMsg>) {
+        let first_seq = self.shell.next_seq();
         let mut ops = Vec::with_capacity(reqs.len());
         for req in reqs {
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.shell.next_seq();
             let batch = single(req.clone());
-            self.shell.execute(seq, &batch, entry_digest(&batch), |_, reply| {
+            self.shell.execute(seq, &batch, entry_digest(&batch), |reply| {
                 ops.push((req.clone(), reply.result.clone()));
                 out.send(Endpoint::Client(reply.op.client), PassiveMsg::Reply(reply));
             });
@@ -286,8 +260,8 @@ impl PassiveReplica {
         for (i, op) in ops.iter().enumerate() {
             self.shipped.insert(first_seq + i as u64, op.clone());
         }
-        if self.next_seq > SHIP_RETENTION {
-            self.shipped.retire_below(self.next_seq - SHIP_RETENTION);
+        if self.shell.next_seq() > SHIP_RETENTION {
+            self.shipped.retire_below(self.shell.next_seq() - SHIP_RETENTION);
         }
         out.send(
             Endpoint::Replica(self.peer()),
@@ -322,7 +296,7 @@ impl PassiveReplica {
     /// fail over until the transfer lands (see the `TIMER_DETECT` arm).
     fn handle_state_response(&mut self, st: StateTransfer, now: u64) {
         let Some(plan) = self.shell.admit_transfer(st, 1) else { return };
-        if !self.shell.install(&plan, entry_digest, |_, _| {}) {
+        if !self.shell.install(&plan, entry_digest) {
             return;
         }
         self.resume_above_log();
@@ -334,11 +308,10 @@ impl PassiveReplica {
         self.last_heartbeat = now;
     }
 
-    /// Re-anchors update hold-back and sequence assignment just above the
-    /// committed log after an install or a recovery moved it.
+    /// Re-anchors update hold-back just above the committed log after an
+    /// install or a recovery moved it.
     fn resume_above_log(&mut self) {
         self.held_updates = SeqWindow::with_base(self.shell.committed() + 1);
-        self.next_seq = self.next_seq.max(self.shell.committed() + 1);
     }
 
     /// Emits a rate-limited resync request when this backup's applied log
@@ -381,8 +354,7 @@ impl PassiveReplica {
             let next = self.shell.committed() + 1;
             let Some(req) = self.held_updates.remove(next) else { break };
             let batch = single(req);
-            self.shell.execute(next, &batch, entry_digest(&batch), |_, _| {});
-            self.next_seq = self.next_seq.max(next + 1);
+            self.shell.execute(next, &batch, entry_digest(&batch), |_| {});
             self.checkpoint(next, out);
         }
         self.held_updates.retire_below(self.shell.committed() + 1);
@@ -453,13 +425,9 @@ impl ReplicaNode for PassiveReplica {
         self.epoch = 0;
         self.bootstrapped = false;
         self.last_heartbeat = 0;
-        self.next_seq = 1;
         self.held_updates = SeqWindow::with_base(1);
         self.shipped = SeqWindow::with_base(1);
         self.sync_req_at = 0;
-        let (size, flush) = (self.batcher.batch_size(), self.batcher.flush_cycles());
-        self.batcher = Batcher::new();
-        self.batcher.configure(size, flush);
         self.shell.wipe();
     }
 
@@ -499,7 +467,7 @@ impl ReplicaNode for PassiveReplica {
     }
 
     fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let report = self.shell.recover(&state, entry_digest, |_, _| {});
+        let report = self.shell.recover(&state, entry_digest);
         self.resume_above_log();
         report
     }
@@ -516,7 +484,12 @@ impl PassiveReplica {
         self.bootstrap(now, staged);
         match input {
             Input::Message { from: _, msg } => match msg {
-                PassiveMsg::Request(req) => self.handle_request(req, staged),
+                PassiveMsg::Request(req) => {
+                    let role = if self.is_primary() { Role::Primary } else { Role::Idle };
+                    if let Intake::Sealed(reqs) = self.shell.intake(req, role, staged) {
+                        self.propose(reqs, staged);
+                    }
+                }
                 PassiveMsg::StateUpdate { epoch, first_seq, ops } => {
                     self.handle_state_update(epoch, first_seq, ops, now, staged)
                 }
@@ -579,8 +552,8 @@ impl PassiveReplica {
                 PassiveMsg::Reply(_) => {}
             },
             Input::Timer { kind: TIMER_FLUSH, token } => {
-                if self.batcher.on_flush_timer(token) && self.is_primary() {
-                    self.flush_batch(staged);
+                if let Some(reqs) = self.shell.on_flush_timer(token, self.is_primary()) {
+                    self.propose(reqs, staged);
                 }
             }
             Input::Timer { kind: TIMER_HEARTBEAT, .. } => {

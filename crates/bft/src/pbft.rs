@@ -29,34 +29,21 @@
 //! Replica state is *dense* (see [`crate::dense`]): agreement slots live
 //! in a [`SeqWindow`] anchored at the execution watermark (executed slots
 //! are retired — garbage-collected and structurally unresurrectable),
-//! per-op dedup/assignment in open-addressed [`OpIndex`]es, and quorum
-//! tallies in [`ReplicaSet`] bitmasks.
+//! per-op dedup/assignment in the shell's open-addressed
+//! [`OpIndex`](crate::dense::OpIndex)es, and quorum tallies in
+//! [`ReplicaSet`] bitmasks.
 
 use crate::adversary::ReplicaScript;
 use crate::api::{
-    noop_batch, Batch, BatchDecision, Batcher, Cluster, Endpoint, Input, LogEntry, OpId, Outbox,
-    ReplicaId, ReplicaNode, Reply, Request, VcRound,
+    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
 };
-use crate::checkpoint::{
-    CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer,
-};
-use crate::dense::{op_token, token_op, OpIndex, ReplicaSet, SeqWindow};
+use crate::checkpoint::{CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer};
+use crate::dense::{ReplicaSet, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::runner::RunConfig;
-use crate::shell::{Shell, ShellMsg};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::shell::{Intake, Shell, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
+use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
 use std::sync::Arc;
-
-/// Timer kind: a backup's patience for a pending request ran out.
-const TIMER_REQUEST: u32 = 1;
-/// Timer kind: the primary's partially filled batch waited long enough.
-const TIMER_FLUSH: u32 = 2;
-/// Default cycles a backup waits for a request to commit before
-/// suspecting the primary (see [`RunConfig::request_patience`]).
-const REQUEST_PATIENCE: u64 = 1_500;
-
-/// Prepared-but-unexecuted `(seq, batch)` entries carried by view changes.
-type PreparedSet = Vec<(u64, Arc<Batch>)>;
 
 /// PBFT wire messages.
 ///
@@ -102,25 +89,8 @@ pub enum PbftMsg {
     },
     /// Execution result (replica → client).
     Reply(Reply),
-    /// Suspicion of the primary; vote to move to `new_view`.
-    ViewChange {
-        /// Proposed view.
-        new_view: u64,
-        /// Voter.
-        from: ReplicaId,
-        /// Entries prepared at the voter (must survive the view change).
-        prepared: Vec<(u64, Arc<Batch>)>,
-        /// The voter's execution watermark — the quorum's maximum is the
-        /// floor above which sequence holes may be safely no-op-filled
-        /// (the checkpoint-less stand-in for PBFT's stable-checkpoint
-        /// `min-s`).
-        executed_upto: u64,
-        /// The voter's stable checkpoint certificate, if any. Verified by
-        /// the receiver; the certified watermark floors the new view, so
-        /// prepared entries at or below certified history are discarded.
-        /// Boxed — certificates are rare and bulky.
-        cert: Option<Box<CheckpointCert>>,
-    },
+    /// Suspicion of the primary; vote to move to a new view.
+    ViewChange(VcVote),
     /// New primary's installation message.
     NewView {
         /// The installed view.
@@ -146,6 +116,10 @@ pub enum PbftMsg {
 }
 
 impl ShellMsg for PbftMsg {
+    fn reply(reply: Reply) -> Self {
+        PbftMsg::Reply(reply)
+    }
+
     fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
         PbftMsg::Checkpoint(voucher)
     }
@@ -177,33 +151,22 @@ pub struct PbftReplica {
     id: ReplicaId,
     n: u32,
     f: u32,
-    view: u64,
     script: ReplicaScript,
     /// Virtual time of the input being handled (scripts are time-phased).
     now: u64,
-    next_seq: u64,
     /// Agreement slots, watermarked at `shell.exec_upto() + 1` (sequence
     /// 0 is never used, so the window starts at base 1).
     slots: SeqWindow<Slot>,
-    /// Op → agreement slot, for duplicate-proposal suppression.
-    assigned: OpIndex<u64>,
-    /// Backup watchlist: requests awaiting commit, with patience timers.
-    pending: OpIndex<Arc<Request>>,
     stored_preprepares: SeqWindow<PbftMsg>,
-    /// Execution, checkpoints, state transfer, durability (f+1 vouchers
-    /// certify a checkpoint; f+1 responders install a transfer).
+    /// Request intake, execution, checkpoints, state transfer, durability
+    /// (f+1 vouchers certify a checkpoint; f+1 responders install a
+    /// transfer).
     shell: Shell,
-    vc_votes: Vec<VcRound>,
-    vc_sent_for: u64,
-    /// When `vc_sent_for` was last raised — the escalation rate limiter.
-    vc_demanded_at: u64,
+    /// The current view and the view changes under way.
+    vc: ViewLedger,
     /// Set while a crash window swallows inputs; the first input after
     /// recovery re-arms the per-op patience chains killed in the outage.
     in_outage: bool,
-    /// Batching front-end (primary only).
-    batcher: Batcher,
-    /// Backup patience before suspecting the primary.
-    patience: u64,
 }
 
 impl PbftReplica {
@@ -214,33 +177,26 @@ impl PbftReplica {
             id,
             n: 3 * f + 1,
             f,
-            view: 0,
             script: ReplicaScript::correct(),
             now: 0,
-            next_seq: 1,
             slots: SeqWindow::with_base(1),
-            assigned: OpIndex::new(),
-            pending: OpIndex::new(),
             stored_preprepares: SeqWindow::with_base(1),
             shell: Shell::new(id, 3 * f + 1, (f + 1) as usize),
-            vc_votes: Vec::new(),
-            vc_sent_for: 0,
-            vc_demanded_at: 0,
+            vc: ViewLedger::new(id, 3 * f + 1),
             in_outage: false,
-            batcher: Batcher::new(),
-            patience: REQUEST_PATIENCE,
         }
     }
 
     /// Configures the batching front-end: seal a batch at `batch_size`
     /// requests, or after `batch_flush` cycles, whichever comes first.
     pub fn set_batching(&mut self, batch_size: usize, batch_flush: u64) {
-        self.batcher.configure(batch_size, batch_flush);
+        self.shell.set_batching(batch_size, batch_flush);
     }
 
-    /// Sets the backup's request patience (clamped to ≥ 1).
+    /// Sets the backup's request patience (clamped to ≥ 1; see
+    /// [`RunConfig::request_patience`]).
     pub fn set_patience(&mut self, cycles: u64) {
-        self.patience = cycles.max(1);
+        self.shell.set_patience(cycles);
     }
 
     /// Enables certified checkpoints every `interval` executed slots under
@@ -268,15 +224,13 @@ impl PbftReplica {
 
     /// Current view.
     pub fn view(&self) -> u64 {
-        self.view
+        self.vc.view()
     }
 
-    fn primary_of(&self, view: u64) -> ReplicaId {
-        ReplicaId((view % self.n as u64) as u32)
-    }
-
-    fn is_primary(&self) -> bool {
-        self.primary_of(self.view) == self.id
+    /// View-change votes refused because the voter they named was not the
+    /// replica that sent them.
+    pub fn rejected_votes(&self) -> u64 {
+        self.vc.rejected()
     }
 
     fn quorum(&self) -> usize {
@@ -288,71 +242,33 @@ impl PbftReplica {
     // here is a remote crash. `rsoc_lint` enforces the no-panic contract;
     // the reasoned allows mark invariants the window/state machine holds.
     // lint: ingress
-    fn handle_request(&mut self, req: Arc<Request>, out: &mut Outbox<PbftMsg>) {
-        if let Some(reply) = self.shell.cached_reply(req.op) {
-            out.send(Endpoint::Client(req.op.client), PbftMsg::Reply(reply));
-            return;
-        }
-        if self.is_primary() {
-            if let Some(seq) = self.assigned.get(&req.op).copied() {
-                // Client retry for an in-flight op: re-announce so replicas
-                // that discarded messages during a view change catch up.
-                if let Some(pp) = self.stored_preprepares.get(seq).cloned() {
-                    out.broadcast(self.n, self.id, pp);
-                }
-                self.reannounce_commit(seq, out);
-                return;
-            }
-            match self.batcher.offer(req) {
-                BatchDecision::Seal => self.flush_batch(out),
-                BatchDecision::ArmTimer(token) => {
-                    out.arm(self.batcher.flush_cycles(), TIMER_FLUSH, token)
-                }
-                BatchDecision::Wait | BatchDecision::Duplicate => {}
-            }
-        } else {
-            // Backup: remember the request and watch the primary.
-            if !self.pending.contains_key(&req.op) && !self.shell.has_executed(&req.op) {
-                let token = op_token(req.op);
-                self.pending.insert(req.op, req);
-                out.arm(self.patience, TIMER_REQUEST, token);
-            }
-        }
-    }
-
-    /// Seals the accumulated requests into one batch and proposes it: one
-    /// agreement round (and one digest computation) for up to `batch_size`
-    /// requests.
-    fn flush_batch(&mut self, out: &mut Outbox<PbftMsg>) {
-        // Requests can go stale in the accumulator across a view change
-        // (proposed by the new primary, then this replica re-elected).
-        let shell = &self.shell;
-        let assigned = &self.assigned;
-        let reqs =
-            self.batcher.drain(|r| !shell.has_executed(&r.op) && !assigned.contains_key(&r.op));
-        if reqs.is_empty() {
-            return;
-        }
-        let batch = Arc::new(Batch::new(reqs));
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        for r in batch.requests() {
-            self.assigned.insert(r.op, seq);
-        }
+    /// Proposes `reqs` as one batch: one agreement round (and one digest
+    /// computation) for up to `batch_size` requests.
+    fn propose(&mut self, reqs: Vec<Arc<Request>>, out: &mut Outbox<PbftMsg>) {
+        let (seq, batch) = self.shell.open_slot(reqs);
         if self.script.equivocates_at(self.now) {
             self.equivocate(seq, batch, out);
             return;
         }
         let digest = batch.digest();
         let me = self.id;
-        // lint: allow(ingress-expect) -- seq is freshly drawn from next_seq, strictly above exec_upto
+        // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
         let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
         slot.batch = Some(batch.clone());
         slot.digest = Some(digest);
         slot.prepares.insert(me);
-        let pp = PbftMsg::PrePrepare { view: self.view, seq, batch };
+        let pp = PbftMsg::PrePrepare { view: self.vc.view(), seq, batch };
         self.stored_preprepares.insert(seq, pp.clone());
         out.broadcast(self.n, self.id, pp);
+    }
+
+    /// Answers a client retry for the op in flight at `seq`: re-announce
+    /// so replicas that discarded messages during a view change catch up.
+    fn reannounce(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
+        if let Some(pp) = self.stored_preprepares.get(seq).cloned() {
+            out.broadcast(self.n, self.id, pp);
+        }
+        self.reannounce_commit(seq, out);
     }
 
     /// Byzantine primary: proposes conflicting batches for the same
@@ -369,6 +285,7 @@ impl PbftReplica {
             .collect();
         let evil = Arc::new(Batch::new(evil_reqs));
         let half = self.n / 2;
+        let view = self.vc.view();
         for i in 0..self.n {
             if i == self.id.0 {
                 continue;
@@ -377,15 +294,15 @@ impl PbftReplica {
             let d = b.digest();
             out.send(
                 Endpoint::Replica(ReplicaId(i)),
-                PbftMsg::PrePrepare { view: self.view, seq, batch: b.clone() },
+                PbftMsg::PrePrepare { view, seq, batch: b.clone() },
             );
             out.send(
                 Endpoint::Replica(ReplicaId(i)),
-                PbftMsg::Prepare { view: self.view, seq, digest: d, from: self.id },
+                PbftMsg::Prepare { view, seq, digest: d, from: self.id },
             );
             out.send(
                 Endpoint::Replica(ReplicaId(i)),
-                PbftMsg::Commit { view: self.view, seq, digest: d, from: self.id },
+                PbftMsg::Commit { view, seq, digest: d, from: self.id },
             );
         }
     }
@@ -398,17 +315,17 @@ impl PbftReplica {
         batch: Arc<Batch>,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.view {
+        if view != self.vc.view() {
             return;
         }
-        if from != Endpoint::Replica(self.primary_of(view)) {
+        if from != Endpoint::Replica(self.vc.primary_of(view)) {
             return; // only the view's primary may pre-prepare
         }
         if batch.is_empty() || !batch.verify() {
             return; // content does not match the claimed digest
         }
         let digest = batch.digest();
-        let primary = self.primary_of(view);
+        let primary = self.vc.primary_of(view);
         let me = self.id;
         // Below the watermark = already executed: rejected, never
         // resurrected (the window refuses to store it).
@@ -418,9 +335,7 @@ impl PbftReplica {
                 return; // conflicting proposal for the slot: keep the first
             }
         }
-        for r in batch.requests() {
-            self.assigned.insert(r.op, seq);
-        }
+        self.shell.assign(seq, &batch);
         // lint: allow(ingress-expect) -- get_or_insert_default above returned Some for this seq
         let slot = self.slots.get_mut(seq).expect("slot just ensured");
         slot.batch = Some(batch);
@@ -435,7 +350,7 @@ impl PbftReplica {
     /// Rebroadcasts this replica's COMMIT for `seq` if it has already voted
     /// — heals peers that discarded the original during a view change.
     fn reannounce_commit(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
-        let view = self.view;
+        let view = self.vc.view();
         let me = self.id;
         let n = self.n;
         // Executed slots are retired from the window, so a bare `get`
@@ -457,7 +372,7 @@ impl PbftReplica {
         from: ReplicaId,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.view {
+        if view != self.vc.view() {
             return;
         }
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
@@ -475,7 +390,7 @@ impl PbftReplica {
         from: ReplicaId,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.view {
+        if view != self.vc.view() {
             return;
         }
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
@@ -500,7 +415,7 @@ impl PbftReplica {
                 slot.commits.insert(self.id);
             }
             // lint: allow(ingress-expect) -- is_none() early-returned two branches up
-            (send_commit, self.view, slot.digest.expect("digest set"))
+            (send_commit, self.vc.view(), slot.digest.expect("digest set"))
         };
         if send_commit {
             out.broadcast(self.n, self.id, PbftMsg::Commit { view, seq, digest, from: self.id });
@@ -529,9 +444,7 @@ impl PbftReplica {
             let batch = slot.batch.expect("checked");
             // lint: allow(ingress-expect) -- sent_commit is only set after the digest is stored
             let digest = slot.digest.expect("checked");
-            let pending = &mut self.pending;
-            self.shell.execute(next, &batch, digest, |_, reply| {
-                pending.remove(&reply.op);
+            self.shell.execute(next, &batch, digest, |reply| {
                 out.send(Endpoint::Client(reply.op.client), PbftMsg::Reply(reply));
             });
             self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
@@ -559,36 +472,20 @@ impl PbftReplica {
     /// cluster's view and resumes execution.
     fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<PbftMsg>) {
         let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
-        let pending = &mut self.pending;
-        if !self.shell.install(&plan, Batch::digest, |_, reply| {
-            pending.remove(&reply.op);
-        }) {
+        if !self.shell.install(&plan, Batch::digest) {
             return;
         }
         self.retire_executed();
-        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
-        if plan.view > self.view {
-            // The cluster moved on while we were down; join its view so the
-            // current primary's proposals are accepted.
-            self.view = plan.view;
-            self.vc_sent_for = self.vc_sent_for.max(plan.view);
-            self.vc_votes.retain(|r| r.view > plan.view);
-        }
+        // The cluster may have moved on while we were down; join its view
+        // so the current primary's proposals are accepted.
+        self.vc.join(plan.view);
         // Re-arm patience for requests still pending after the replay, and
         // resume normal execution for anything already quorate.
-        self.rearm_patience(out);
+        self.shell.rearm_patience(out);
         self.try_execute(out);
     }
 
-    /// Arms one patience timer per pending request (canonical order keeps
-    /// the timer schedule deterministic).
-    fn rearm_patience(&self, out: &mut Outbox<PbftMsg>) {
-        for (op, _) in self.pending.iter_canonical() {
-            out.arm(self.patience, TIMER_REQUEST, op_token(op));
-        }
-    }
-
-    fn prepared_uncommitted(&self) -> Vec<(u64, Arc<Batch>)> {
+    fn prepared_uncommitted(&self) -> PreparedSet {
         let quorum = self.quorum();
         // Every slot still in the window is unexecuted (execution retires).
         self.slots
@@ -598,77 +495,17 @@ impl PbftReplica {
             .collect()
     }
 
-    /// The vote round for `view`, created on first use (linear scan: view
-    /// changes are rare and the live round count is tiny).
-    fn vc_round_mut(&mut self, view: u64) -> &mut VcRound {
-        let n = self.n as usize;
-        let idx = match self.vc_votes.iter().position(|r| r.view == view) {
-            Some(i) => i,
-            None => {
-                self.vc_votes.push(VcRound::new(view, n));
-                self.vc_votes.len() - 1
-            }
-        };
-        // bounds: idx is either a position() hit or the just-pushed last element
-        &mut self.vc_votes[idx]
-    }
-
-    fn record_vc_vote(
-        &mut self,
-        view: u64,
-        from: ReplicaId,
-        prepared: PreparedSet,
-        executed_upto: u64,
-        cert_seq: u64,
-    ) {
-        self.vc_round_mut(view).record(from, prepared, executed_upto, cert_seq);
-    }
-
+    /// Votes for `new_view` (once) and checks whether that elects us.
     fn start_view_change(&mut self, new_view: u64, out: &mut Outbox<PbftMsg>) {
-        if new_view <= self.view || self.vc_sent_for >= new_view {
-            return;
-        }
-        self.vc_sent_for = new_view;
-        self.vc_demanded_at = self.now;
         let prepared = self.prepared_uncommitted();
-        self.record_vc_vote(
-            new_view,
-            self.id,
-            prepared.clone(),
-            self.shell.exec_upto(),
-            self.shell.ckpt().stable_seq(),
-        );
-        out.broadcast(
-            self.n,
-            self.id,
-            PbftMsg::ViewChange {
-                new_view,
-                from: self.id,
-                prepared,
-                executed_upto: self.shell.exec_upto(),
-                cert: self.shell.ckpt().stable().cloned().map(Box::new),
-            },
-        );
+        let Some(vote) = self.vc.demand(new_view, self.now, prepared, &self.shell) else { return };
+        out.broadcast(self.n, self.id, PbftMsg::ViewChange(vote));
         self.maybe_install_view(new_view, out);
     }
 
-    fn handle_view_change(
-        &mut self,
-        new_view: u64,
-        from: ReplicaId,
-        prepared: Vec<(u64, Arc<Batch>)>,
-        executed_upto: u64,
-        cert: Option<CheckpointCert>,
-        out: &mut Outbox<PbftMsg>,
-    ) {
-        if new_view <= self.view {
-            return;
-        }
-        // A carried certificate floors the round only once verified; a
-        // forged one contributes 0.
-        let cert_seq = cert.and_then(|c| self.shell.accept_cert(&c)).unwrap_or(0);
-        self.record_vc_vote(new_view, from, prepared, executed_upto, cert_seq);
-        let count = self.vc_round_mut(new_view).count;
+    fn handle_view_change(&mut self, from: Endpoint, vote: VcVote, out: &mut Outbox<PbftMsg>) {
+        let new_view = vote.new_view;
+        let Some(count) = self.vc.record(from, vote, &mut self.shell) else { return };
         // Join the view change once f+1 replicas demand it.
         if count >= (self.f + 1) as usize {
             self.start_view_change(new_view, out);
@@ -676,78 +513,18 @@ impl PbftReplica {
         self.maybe_install_view(new_view, out);
     }
 
+    /// Becomes primary of `new_view` once 2f+1 replicas demand it.
     fn maybe_install_view(&mut self, new_view: u64, out: &mut Outbox<PbftMsg>) {
-        let quorum = self.quorum();
-        let Some(round) = self.vc_votes.iter().find(|r| r.view == new_view) else { return };
-        if round.count < quorum || self.primary_of(new_view) != self.id {
-            return;
-        }
-        // Become primary of the new view: gather every prepared entry and
-        // re-propose; pending-but-unprepared requests get fresh sequences.
-        // Votes are merged in voter-id order (canonical and deterministic).
-        let mut repropose: BTreeMap<u64, Arc<Batch>> = BTreeMap::new();
-        for entries in round.votes.iter().flatten() {
-            for (seq, batch) in entries {
-                repropose.entry(*seq).or_insert_with(|| batch.clone());
-            }
-        }
-        // Also re-propose our own prepared-but-unexecuted entries.
-        for (seq, batch) in self.prepared_uncommitted() {
-            repropose.entry(seq).or_insert(batch);
-        }
-        // Fill sequence holes with no-op batches. A proposal can die
-        // *unprepared* at seq s (its pre-prepare lost to drops) while s+1
-        // prepared and survives the view change — execution is strictly
-        // in-order, so without a filler every replica wedges at s forever,
-        // view change after view change. Filling is safe only above the
-        // vote quorum's execution floor: if ANY correct replica executed
-        // seq s, then s gathered a commit quorum, whose prepared-set
-        // holders intersect every view-change quorum — so s is in
-        // `repropose` and is not a hole (the checkpoint-less analogue of
-        // PBFT's null requests above the stable checkpoint). Un-certified
-        // watermark claims are trusted as honest — see [`VcRound`]'s trust
-        // boundary — but the *certified* floor is proven: prepared entries
-        // at or below a verified checkpoint certificate are certified
-        // history a forger is trying to rewrite, and are discarded.
-        let cert_floor = round.cert_floor;
-        if cert_floor > 0 {
-            repropose.retain(|seq, _| *seq > cert_floor);
-        }
-        let floor = round.exec_floor.max(self.shell.exec_upto()).max(cert_floor);
-        let max_seq = repropose.keys().max().copied().unwrap_or(self.shell.exec_upto());
-        for seq in floor.saturating_add(1)..max_seq {
-            repropose.entry(seq).or_insert_with(|| noop_batch(seq));
-        }
-        self.view = new_view;
-        // Fresh proposals must start above BOTH the highest re-proposed
-        // entry and the quorum's execution floor: a laggard primary that
-        // ignored `floor` would re-batch pending requests at sequences its
-        // peers already executed and retired — proposals that can never
-        // prepare (the watermark rejects them), stalling every pending op
-        // until a caught-up replica rotates in.
-        self.next_seq = self.next_seq.max(max_seq + 1).max(floor.saturating_add(1));
-        // Pending requests not covered get new slots, re-batched at the
-        // configured batch size. The pending index is order-canonicalized
-        // (sorted by op id) so re-batching is deterministic.
-        let covered: BTreeSet<OpId> =
-            repropose.values().flat_map(|b| b.requests().iter().map(|r| r.op)).collect();
-        let pending: Vec<Arc<Request>> = self
-            .pending
-            .iter_canonical()
-            .into_iter()
-            .map(|(_, r)| r)
-            .filter(|r| !covered.contains(&r.op) && !self.shell.has_executed(&r.op))
-            .cloned()
-            .collect();
-        for chunk in pending.chunks(self.batcher.batch_size()) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            repropose.insert(seq, Arc::new(Batch::new(chunk.to_vec())));
-        }
-        let preprepares: Vec<(u64, Arc<Batch>)> = repropose.into_iter().collect();
+        let own = self.prepared_uncommitted();
+        let Some(plan) = self.vc.plan(new_view, self.quorum(), own, &self.shell) else { return };
+        self.shell.resume_at(plan.next_seq);
         // Install locally.
-        self.install_new_view(new_view, &preprepares, out);
-        out.broadcast(self.n, self.id, PbftMsg::NewView { view: new_view, preprepares });
+        self.install_new_view(new_view, &plan.repropose, out);
+        out.broadcast(
+            self.n,
+            self.id,
+            PbftMsg::NewView { view: new_view, preprepares: plan.repropose },
+        );
     }
 
     fn install_new_view(
@@ -756,10 +533,7 @@ impl PbftReplica {
         preprepares: &[(u64, Arc<Batch>)],
         out: &mut Outbox<PbftMsg>,
     ) {
-        self.view = view;
-        self.vc_sent_for = self.vc_sent_for.max(view);
-        // Stale rounds for installed views can never fire again.
-        self.vc_votes.retain(|r| r.view > view);
+        self.vc.installed(view);
         // Reset vote state for uncommitted slots (everything still in the
         // window); re-run agreement in the new view.
         for slot in self.slots.values_mut() {
@@ -772,11 +546,9 @@ impl PbftReplica {
                 continue; // already executed: dead, not resurrectable
             }
             let digest = batch.digest();
-            let primary = self.primary_of(view);
+            let primary = self.vc.primary_of(view);
             let me = self.id;
-            for r in batch.requests() {
-                self.assigned.insert(r.op, *seq);
-            }
+            self.shell.assign(*seq, batch);
             // lint: allow(ingress-expect) -- is_retired() continued the loop just above
             let slot = self.slots.get_or_insert_default(*seq).expect("not retired");
             slot.batch = Some(batch.clone());
@@ -806,15 +578,15 @@ impl PbftReplica {
         from: Endpoint,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view <= self.view && self.view != 0 {
+        if view <= self.vc.view() && self.vc.view() != 0 {
             return;
         }
-        if from != Endpoint::Replica(self.primary_of(view)) {
+        if from != Endpoint::Replica(self.vc.primary_of(view)) {
             return;
         }
         self.install_new_view(view, &preprepares, out);
         // Re-arm patience for still-pending requests under the new primary.
-        self.rearm_patience(out);
+        self.shell.rearm_patience(out);
     }
     // lint: end
 }
@@ -841,7 +613,7 @@ impl ReplicaNode for PbftReplica {
             // canonical order, so the recovered backup keeps watching its
             // pending ops.
             self.in_outage = false;
-            self.rearm_patience(out);
+            self.shell.rearm_patience(out);
         }
         if self.script.unconstrained() {
             // Fast path (the overwhelmingly common case): a correct
@@ -872,19 +644,10 @@ impl ReplicaNode for PbftReplica {
         // Rejuvenation: volatile protocol + application state goes; the
         // replica's identity, keys, fault script, and the self-verifying
         // stable checkpoint certificate (trusted persistent store) stay.
-        self.next_seq = 1;
         self.slots = SeqWindow::with_base(1);
-        self.assigned = OpIndex::new();
-        self.pending = OpIndex::new();
         self.stored_preprepares = SeqWindow::with_base(1);
-        self.vc_votes.clear();
-        self.vc_sent_for = 0;
-        self.vc_demanded_at = 0;
+        self.vc.wipe();
         self.in_outage = false;
-        self.view = 0;
-        let (size, flush) = (self.batcher.batch_size(), self.batcher.flush_cycles());
-        self.batcher = Batcher::new();
-        self.batcher.configure(size, flush);
         self.shell.wipe();
     }
 
@@ -912,7 +675,7 @@ impl ReplicaNode for PbftReplica {
     }
 
     fn current_view(&self) -> u64 {
-        self.view
+        self.vc.view()
     }
 
     fn enable_durability(&mut self) {
@@ -924,14 +687,10 @@ impl ReplicaNode for PbftReplica {
     }
 
     fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let pending = &mut self.pending;
-        let report = self.shell.recover(&state, Batch::digest, |_, reply| {
-            pending.remove(&reply.op);
-        });
+        let report = self.shell.recover(&state, Batch::digest);
         // Executed sequence numbers are dead from the first input on — both
         // below the snapshot and below the replayed WAL tail.
         self.retire_executed();
-        self.next_seq = self.next_seq.max(self.shell.exec_upto() + 1);
         report
     }
 }
@@ -941,7 +700,11 @@ impl PbftReplica {
     fn dispatch_input(&mut self, input: Input<PbftMsg>, now: u64, staged: &mut Outbox<PbftMsg>) {
         match input {
             Input::Message { from, msg } => match msg {
-                PbftMsg::Request(req) => self.handle_request(req, staged),
+                PbftMsg::Request(req) => match self.shell.intake(req, self.vc.role(), staged) {
+                    Intake::Sealed(reqs) => self.propose(reqs, staged),
+                    Intake::Reannounce(seq) => self.reannounce(seq, staged),
+                    Intake::Done => {}
+                },
                 PbftMsg::PrePrepare { view, seq, batch } => {
                     self.handle_preprepare(from, view, seq, batch, staged)
                 }
@@ -951,10 +714,7 @@ impl PbftReplica {
                 PbftMsg::Commit { view, seq, digest, from } => {
                     self.handle_commit(view, seq, digest, from, staged)
                 }
-                PbftMsg::ViewChange { new_view, from, prepared, executed_upto, cert } => {
-                    let cert = cert.map(|c| *c);
-                    self.handle_view_change(new_view, from, prepared, executed_upto, cert, staged)
-                }
+                PbftMsg::ViewChange(vote) => self.handle_view_change(from, vote, staged),
                 PbftMsg::NewView { view, preprepares } => {
                     self.handle_new_view(view, preprepares, from, staged)
                 }
@@ -962,7 +722,7 @@ impl PbftReplica {
                 PbftMsg::StateRequest { have, from } => self.shell.serve_transfer(
                     have,
                     from,
-                    self.view,
+                    self.vc.view(),
                     self.script.corrupts_snapshot_at(now),
                     self.script.corrupts_suffix_at(now),
                     staged,
@@ -970,32 +730,16 @@ impl PbftReplica {
                 PbftMsg::StateResponse(st) => self.handle_state_response(*st, staged),
                 PbftMsg::Reply(_) => {}
             },
-            Input::Timer { kind: TIMER_REQUEST, token } => {
-                if self.pending.contains_key(&token_op(token)) {
-                    // Demand at most one new view per full patience period
-                    // (`vc_demanded_at` is stamped on every demand, own or
-                    // joined). The escalation target skips past a
-                    // demanded-but-never-installed view, so a CrashAt
-                    // firing *mid view-change* — killing the incoming
-                    // primary — escalates to a live one instead of wedging
-                    // the cluster on a view nobody can install. The rate
-                    // limit matters as much as the escalation: every
-                    // pending op runs its own patience timer, and demanding
-                    // per fire outruns any installation (a view-change
-                    // livelock storm that starves re-proposals forever).
-                    if now >= self.vc_demanded_at.saturating_add(self.patience) {
-                        let next = self.view.max(self.vc_sent_for) + 1;
-                        self.start_view_change(next, staged);
-                    }
-                    // Keep watching: if the new view also stalls, escalate.
-                    staged.arm(self.patience, TIMER_REQUEST, token);
+            Input::Timer { kind: TIMER_REQUEST, token } if self.shell.watching(token) => {
+                if let Some(next) = self.vc.on_patience_timer(now, self.shell.patience()) {
+                    self.start_view_change(next, staged);
                 }
+                // Keep watching: if the new view also stalls, escalate.
+                staged.arm(self.shell.patience(), TIMER_REQUEST, token);
             }
             Input::Timer { kind: TIMER_FLUSH, token } => {
-                // Stale tokens (from accumulations already sealed by size)
-                // are ignored; only the current epoch's timer flushes.
-                if self.batcher.on_flush_timer(token) && self.is_primary() {
-                    self.flush_batch(staged);
+                if let Some(reqs) = self.shell.on_flush_timer(token, self.vc.is_primary()) {
+                    self.propose(reqs, staged);
                 }
             }
             Input::Timer { .. } => {}
@@ -1076,6 +820,7 @@ impl Cluster for PbftCluster {
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
+    use crate::api::{ClientId, OpId};
     use crate::runner::{run, RunConfig};
 
     fn config(f: u32, clients: u32, reqs: u64, seed: u64) -> RunConfig {
@@ -1321,7 +1066,7 @@ mod tests {
     fn recovered_replica_refuses_proposals_below_its_replayed_wal() {
         let batch = |tag: &str, seq: u64| {
             Arc::new(Batch::single(Arc::new(Request {
-                op: OpId { client: crate::api::ClientId(1), seq },
+                op: OpId { client: ClientId(1), seq },
                 payload: format!("SET k {tag}{seq}").into_bytes(),
             })))
         };
@@ -1338,5 +1083,51 @@ mod tests {
         let next = PbftMsg::PrePrepare { view: 0, seq: 4, batch: batch("live", 4) };
         r.on_input(Input::Message { from, msg: next }, 11, &mut out);
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, PbftMsg::Prepare { seq: 4, .. })));
+    }
+
+    fn vote(new_view: u64, from: u32) -> PbftMsg {
+        PbftMsg::ViewChange(VcVote {
+            new_view,
+            from: ReplicaId(from),
+            prepared: Vec::new(),
+            executed_upto: 0,
+            cert: None,
+        })
+    }
+
+    /// The voter id is wire-supplied: one naming a replica outside the
+    /// cluster must be refused, not used as an index (a remote crash).
+    #[test]
+    fn view_change_vote_from_outside_the_cluster_is_refused() {
+        let mut r = PbftReplica::new(ReplicaId(1), 1);
+        let mut out = Outbox::new();
+        for link in [3, 99] {
+            let from = Endpoint::Replica(ReplicaId(link));
+            r.on_input(Input::Message { from, msg: vote(1, 99) }, 10, &mut out);
+        }
+        assert_eq!((r.rejected_votes(), r.view()), (2, 0));
+        assert!(out.msgs.is_empty());
+    }
+
+    /// One endpoint is one vote: replica 3 alone, claiming to be 0, 2 and
+    /// 3 in turn, must not assemble the 2f+1 demands that make replica 1
+    /// install view 1.
+    #[test]
+    fn one_link_cannot_forge_a_view_change_quorum() {
+        let mut r = PbftReplica::new(ReplicaId(1), 1);
+        let mut out = Outbox::new();
+        let link = Endpoint::Replica(ReplicaId(3));
+        for claimed in [0, 2, 3] {
+            r.on_input(Input::Message { from: link, msg: vote(1, claimed) }, 10, &mut out);
+        }
+        assert_eq!((r.rejected_votes(), r.view()), (2, 0));
+        assert!(out.msgs.is_empty(), "one real demand is below the f+1 join threshold");
+        // The same votes over their voters' own links do install it.
+        for voter in [0, 2] {
+            let from = Endpoint::Replica(ReplicaId(voter));
+            r.on_input(Input::Message { from, msg: vote(1, voter) }, 11, &mut out);
+        }
+        assert_eq!((r.rejected_votes(), r.view()), (2, 1));
+        assert!(out.msgs.iter().any(|(_, m)| matches!(m, PbftMsg::NewView { view: 1, .. })));
     }
 }

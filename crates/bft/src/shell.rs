@@ -1,16 +1,22 @@
-//! The replica shell: everything a replica does *after* its protocol has
-//! ordered a batch, written once for all three protocols.
+//! The replica shell: everything a replica does *before* its protocol
+//! orders a request and *after* it has ordered a batch, written once for
+//! all three protocols.
 //!
 //! PBFT, MinBFT and passive replication are three **ordering**
-//! disciplines over one **recovery** story (§II-A / §III-C of the paper:
-//! rejuvenation is wipe + state transfer, independent of how agreement is
-//! reached). The [`Shell`] owns that story — the committed log, the state
+//! disciplines between one **intake** and one **recovery** story (§II-A /
+//! §III-C of the paper: rejuvenation is wipe + state transfer, independent
+//! of how agreement is reached). The [`Shell`] owns both — the request
+//! accumulator, the op → slot assignments, the backup watchlist and its
+//! patience, the next free sequence number; the committed log, the state
 //! machine, the exactly-once reply index, client sessions, certified
 //! checkpoints, the state-transfer replay ring and buffer, and the durable
 //! event queue — and the code that runs over them:
 //!
 //! | a protocol core calls…            | when                                          |
 //! |-----------------------------------|-----------------------------------------------|
+//! | [`Shell::intake`]                 | a client request arrives                      |
+//! | [`Shell::on_flush_timer`]         | a [`TIMER_FLUSH`] fires                       |
+//! | [`Shell::open_slot`] / [`Shell::assign`] | it proposes / accepts a proposal       |
 //! | [`Shell::execute`]                | a slot is ordered and every earlier one ran   |
 //! | [`Shell::checkpoint`]             | right after each executed slot                |
 //! | [`Shell::on_voucher`]             | a peer's checkpoint voucher arrives           |
@@ -18,24 +24,28 @@
 //! | [`Shell::request_transfer`]       | at the tail of every input (rate-limited)     |
 //! | [`Shell::serve_transfer`]         | a peer's state request arrives                |
 //! | [`Shell::admit_transfer`] then [`Shell::install`] | a state response arrives      |
+//! | [`Shell::rearm_patience`]         | after an outage, an install or a new view     |
 //! | [`Shell::recover`]                | once, before the first input, on restart      |
 //! | [`Shell::wipe`]                   | rejuvenation                                  |
 //!
 //! What legitimately differs between protocols is a call-site argument,
-//! never a branch in here: the voucher and install quorums, the log-entry
-//! digest, the per-executed-op hook (PBFT drops the op from its watchlist,
-//! MinBFT also marks it assigned), and whether a fault script forges
-//! vouchers or corrupts served transfers. After an install or a recovery
-//! the protocol runs its own tail — retire its windows below
+//! never a branch in here: the replica's [`Role`] towards a request, the
+//! voucher and install quorums, the log-entry digest, and whether a fault
+//! script forges vouchers or corrupts served transfers. What a core does
+//! with sealed requests is its own: PBFT pre-prepares them, MinBFT stamps
+//! a UI on a PREPARE, passive executes and ships them. After an install or
+//! a recovery the protocol runs its own tail — retire its windows below
 //! [`Shell::exec_upto`], join the view, re-arm patience, resume execution.
 
-use crate::api::{Batch, Endpoint, LogEntry, OpId, Outbox, ReplicaId, Reply};
+use crate::api::{
+    Batch, BatchDecision, Batcher, Endpoint, LogEntry, OpId, Outbox, ReplicaId, Reply, Request,
+};
 use crate::checkpoint::{
     decode_image, encode_image_with, snapshot_matches, tamper_suffix, CheckpointCert,
     CheckpointStore, CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer,
     CstInstall, StateTransfer,
 };
-use crate::dense::{OpIndex, SeqWindow};
+use crate::dense::{op_token, token_op, OpIndex, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::statemachine::{KvStore, StateMachine};
 use rsoc_crypto::{sha256, Tag};
@@ -45,12 +55,48 @@ use std::sync::Arc;
 /// enum carries, so the shell writes straight into the caller's
 /// [`Outbox`] (no returned `Vec`, no per-op allocation).
 pub(crate) trait ShellMsg: Clone {
+    /// Wraps an execution result on its way to the client.
+    fn reply(reply: Reply) -> Self;
     /// Wraps a checkpoint voucher.
     fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self;
     /// A state-transfer request from `from`, which has executed `have`.
     fn state_request(have: u64, from: ReplicaId) -> Self;
     /// Wraps a state-transfer response.
     fn state_response(transfer: Box<StateTransfer>) -> Self;
+}
+
+/// Timer kind: a backup's patience for a watched request ran out.
+pub(crate) const TIMER_REQUEST: u32 = 1;
+/// Timer kind: the primary's partially filled batch waited long enough.
+pub(crate) const TIMER_FLUSH: u32 = 2;
+/// Default cycles a backup waits for a request to commit before
+/// suspecting the primary.
+const REQUEST_PATIENCE: u64 = 1_500;
+
+/// What a replica is to a client request arriving now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Orders requests: accumulate, seal, propose.
+    Primary,
+    /// Watches the primary: remember the request and start its patience.
+    Backup,
+    /// Neither (a passive backup ignores requests — the failover gap E4
+    /// measures).
+    Idle,
+}
+
+/// What [`Shell::intake`] leaves for the ordering core to do.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Intake {
+    /// Nothing: answered from the reply cache, accumulated, watched or
+    /// dropped.
+    Done,
+    /// A client retry for an op already in flight at this slot:
+    /// re-announce it so replicas that discarded messages during a view
+    /// change catch up.
+    Reannounce(u64),
+    /// The accumulator sealed: propose these requests, in this order.
+    Sealed(Vec<Arc<Request>>),
 }
 
 /// The protocol-independent half of a replica (see the module docs).
@@ -91,6 +137,18 @@ pub(crate) struct Shell {
     /// Highest stable watermark already emitted as a
     /// [`DurableEvent::Stable`].
     durable_stable_seq: u64,
+    /// Primary-side accumulator: requests waiting to be sealed.
+    batcher: Batcher,
+    /// Op → agreement slot, for duplicate-proposal suppression.
+    assigned: OpIndex<u64>,
+    /// Backup watchlist: requests awaiting commit, one patience timer each.
+    pending: OpIndex<Arc<Request>>,
+    /// The next sequence number free for a proposal; always above
+    /// `exec_upto`.
+    next_seq: u64,
+    /// Cycles a backup waits for a watched request to commit before
+    /// suspecting the primary (see [`RunConfig::request_patience`](crate::runner::RunConfig::request_patience)).
+    patience: u64,
 }
 
 // Vouchers, certificates, transfer responses and disk contents are all
@@ -115,6 +173,11 @@ impl Shell {
             durability: false,
             durable: Vec::new(),
             durable_stable_seq: 0,
+            batcher: Batcher::new(),
+            assigned: OpIndex::new(),
+            pending: OpIndex::new(),
+            next_seq: 1,
+            patience: REQUEST_PATIENCE,
         }
     }
 
@@ -122,6 +185,37 @@ impl Shell {
     /// the cluster-shared `keys` (0 disables — the byte-invisible default).
     pub(crate) fn set_checkpointing(&mut self, interval: u64, keys: Arc<CkptKeys>) {
         self.ckpt = CheckpointStore::new(self.id, self.voucher_quorum, interval, keys);
+    }
+
+    /// Configures the batching front-end: seal a batch at `batch_size`
+    /// requests, or after `batch_flush` cycles, whichever comes first.
+    pub(crate) fn set_batching(&mut self, batch_size: usize, batch_flush: u64) {
+        self.batcher.configure(batch_size, batch_flush);
+    }
+
+    /// Sets the backup's request patience (clamped to ≥ 1).
+    pub(crate) fn set_patience(&mut self, cycles: u64) {
+        self.patience = cycles.max(1);
+    }
+
+    /// The backup's request patience.
+    pub(crate) fn patience(&self) -> u64 {
+        self.patience
+    }
+
+    /// The configured seal threshold.
+    pub(crate) fn batch_size(&self) -> usize {
+        self.batcher.batch_size()
+    }
+
+    /// The next sequence number free for a proposal.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// A new primary resumes proposing at `seq` (never moves backwards).
+    pub(crate) fn resume_at(&mut self, seq: u64) {
+        self.next_seq = self.next_seq.max(seq);
     }
 
     /// Highest executed agreement slot.
@@ -161,7 +255,7 @@ impl Shell {
     }
 
     /// The byte-identical reply to a retry of an already-executed `op`.
-    pub(crate) fn cached_reply(&self, op: OpId) -> Option<Reply> {
+    fn cached_reply(&self, op: OpId) -> Option<Reply> {
         let result = self.executed.get(&op)?.clone();
         Some(Reply { replica: self.id, op, result })
     }
@@ -188,30 +282,133 @@ impl Shell {
         }
     }
 
-    /// Executes ordered slot `seq`: apply → log → dedup index → session →
-    /// replay ring → [`DurableEvent::Commit`]. One agreement slot commits
-    /// the whole batch; the log stays per-request (dense global sequence,
-    /// each entry stamped `digest`). `executed(seq, reply)` runs once per
-    /// request, in order: the live path sends the reply there, replay
-    /// paths (transfer suffix, WAL) only do their protocol bookkeeping —
-    /// those replies went out before the crash or will be re-requested.
+    /// Takes one client request in. A retry of an executed op is answered
+    /// from the reply cache whatever the role. A primary then either finds
+    /// the op already in flight ([`Intake::Reannounce`]) or offers it to
+    /// the accumulator, which seals at `batch_size` ([`Intake::Sealed`])
+    /// or arms the flush timer; a backup puts it on its watchlist and
+    /// starts its patience timer.
+    pub(crate) fn intake<M: ShellMsg>(
+        &mut self,
+        req: Arc<Request>,
+        role: Role,
+        out: &mut Outbox<M>,
+    ) -> Intake {
+        if let Some(reply) = self.cached_reply(req.op) {
+            out.send(Endpoint::Client(req.op.client), M::reply(reply));
+            return Intake::Done;
+        }
+        match role {
+            Role::Primary => {
+                if let Some(seq) = self.assigned.get(&req.op) {
+                    return Intake::Reannounce(*seq);
+                }
+                match self.batcher.offer(req) {
+                    BatchDecision::Seal => return self.seal().map_or(Intake::Done, Intake::Sealed),
+                    BatchDecision::ArmTimer(token) => {
+                        out.arm(self.batcher.flush_cycles(), TIMER_FLUSH, token)
+                    }
+                    BatchDecision::Wait | BatchDecision::Duplicate => {}
+                }
+            }
+            Role::Backup => {
+                if !self.pending.contains_key(&req.op) {
+                    let token = op_token(req.op);
+                    self.pending.insert(req.op, req);
+                    out.arm(self.patience, TIMER_REQUEST, token);
+                }
+            }
+            Role::Idle => {}
+        }
+        Intake::Done
+    }
+
+    /// A [`TIMER_FLUSH`] fired: the requests to propose, if the timer is
+    /// the current accumulation's (stale tokens, from accumulations
+    /// already sealed by size, are ignored) and this replica still leads.
+    pub(crate) fn on_flush_timer(
+        &mut self,
+        token: u64,
+        primary: bool,
+    ) -> Option<Vec<Arc<Request>>> {
+        if self.batcher.on_flush_timer(token) && primary {
+            self.seal()
+        } else {
+            None
+        }
+    }
+
+    /// Drains the accumulator. Requests can go stale in it across a view
+    /// change (proposed by the new primary, then this replica re-elected):
+    /// those already executed or in flight are dropped.
+    fn seal(&mut self) -> Option<Vec<Arc<Request>>> {
+        let (executed, assigned) = (&self.executed, &self.assigned);
+        let reqs =
+            self.batcher.drain(|r| !executed.contains_key(&r.op) && !assigned.contains_key(&r.op));
+        (!reqs.is_empty()).then_some(reqs)
+    }
+
+    /// Seals `reqs` into one batch at the next free sequence number — one
+    /// agreement round (and one digest computation) for the lot.
+    pub(crate) fn open_slot(&mut self, reqs: Vec<Arc<Request>>) -> (u64, Arc<Batch>) {
+        let batch = Arc::new(Batch::new(reqs));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.assign(seq, &batch);
+        (seq, batch)
+    }
+
+    /// Marks every op of `batch` as in flight at slot `seq`.
+    pub(crate) fn assign(&mut self, seq: u64, batch: &Batch) {
+        for r in batch.requests() {
+            self.assigned.insert(r.op, seq);
+        }
+    }
+
+    /// Whether the op behind patience-timer `token` is still unexecuted.
+    pub(crate) fn watching(&self, token: u64) -> bool {
+        self.pending.contains_key(&token_op(token))
+    }
+
+    /// The watchlist in canonical (op id) order.
+    pub(crate) fn pending_canonical(&self) -> Vec<(OpId, &Arc<Request>)> {
+        self.pending.iter_canonical()
+    }
+
+    /// Arms one patience timer per watched request (canonical order keeps
+    /// the timer schedule deterministic) — after an outage, a transfer or
+    /// a new view killed or outdated the running ones.
+    pub(crate) fn rearm_patience<M>(&self, out: &mut Outbox<M>) {
+        for (op, _) in self.pending.iter_canonical() {
+            out.arm(self.patience, TIMER_REQUEST, op_token(op));
+        }
+    }
+
+    /// Executes ordered slot `seq`: apply → log → dedup index → watchlist
+    /// → session → replay ring → [`DurableEvent::Commit`]. One agreement
+    /// slot commits the whole batch; the log stays per-request (dense
+    /// global sequence, each entry stamped `digest`). `executed(reply)`
+    /// runs once per request, in order: the live path sends the reply
+    /// there, replay paths (transfer suffix, WAL) pass a no-op — those
+    /// replies went out before the crash or will be re-requested.
     pub(crate) fn execute(
         &mut self,
         seq: u64,
         batch: &Arc<Batch>,
         digest: [u8; 32],
-        mut executed: impl FnMut(u64, Reply),
+        mut executed: impl FnMut(Reply),
     ) {
-        self.exec_upto = seq;
+        self.advance_to(seq);
         for req in batch.requests() {
             let log_seq = self.log.committed() + 1;
             let result = Arc::new(self.machine.apply(&req.payload));
             self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
             self.executed.insert(req.op, result.clone());
+            self.pending.remove(&req.op);
             if self.ckpt.enabled() {
                 self.sessions.note(req.op.client, req.op.seq, result.clone());
             }
-            executed(seq, Reply { replica: self.id, op: req.op, result });
+            executed(Reply { replica: self.id, op: req.op, result });
         }
         if self.ckpt.enabled() {
             self.replay_ring.insert(seq, batch.clone());
@@ -219,6 +416,13 @@ impl Shell {
         if self.durability {
             self.durable.push(DurableEvent::Commit { seq, batch: batch.clone() });
         }
+    }
+
+    /// Moves the execution watermark to `seq`; fresh proposals stay above
+    /// it.
+    fn advance_to(&mut self, seq: u64) {
+        self.exec_upto = seq;
+        self.next_seq = self.next_seq.max(seq + 1);
     }
 
     /// Takes a certified checkpoint when execution crossed a watermark
@@ -402,7 +606,6 @@ impl Shell {
         &mut self,
         plan: &CstInstall,
         entry_digest: fn(&Batch) -> [u8; 32],
-        mut executed: impl FnMut(u64, Reply),
     ) -> bool {
         if !self.restore(&plan.cert, plan.log_base, &plan.snapshot) {
             return false;
@@ -416,7 +619,7 @@ impl Shell {
             });
         }
         for (slot, batch) in &plan.suffix {
-            self.execute(*slot, batch, entry_digest(batch), &mut executed);
+            self.execute(*slot, batch, entry_digest(batch), |_| {});
         }
         self.ckpt.note_transfer();
         true
@@ -438,7 +641,7 @@ impl Shell {
         }
         self.log.reset_to(log_len);
         self.replay_ring = SeqWindow::with_base(cert.seq + 1);
-        self.exec_upto = cert.seq;
+        self.advance_to(cert.seq);
         true
     }
 
@@ -451,7 +654,6 @@ impl Shell {
         &mut self,
         state: &RecoveredState,
         entry_digest: fn(&Batch) -> [u8; 32],
-        mut executed: impl FnMut(u64, Reply),
     ) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         if let Some((cert, log_len, snapshot)) = &state.snapshot {
@@ -469,14 +671,15 @@ impl Shell {
             if *seq != self.exec_upto + 1 || batch.is_empty() || !batch.verify() {
                 break;
             }
-            self.execute(*seq, batch, entry_digest(batch), &mut executed);
+            self.execute(*seq, batch, entry_digest(batch), |_| {});
             report.replayed += 1;
         }
         report.committed = self.log.committed();
         report
     }
 
-    /// Rejuvenation: volatile execution state goes. The stable certificate
+    /// Rejuvenation: volatile execution and intake state goes (the
+    /// batching and patience configuration stays). The stable certificate
     /// (self-verifying; a real tile keeps it in trusted persistent store)
     /// stays inside the checkpoint store, and so does
     /// `durable_stable_seq` — it mirrors what the disk already holds, and
@@ -484,6 +687,10 @@ impl Shell {
     pub(crate) fn wipe(&mut self) {
         self.log = CommittedLog::new();
         self.exec_upto = 0;
+        self.next_seq = 1;
+        self.assigned = OpIndex::new();
+        self.pending = OpIndex::new();
+        self.batcher.reset();
         self.machine = KvStore::new();
         self.executed = OpIndex::new();
         self.sessions.clear();
@@ -500,16 +707,21 @@ mod tests {
     use super::*;
     use crate::api::{ClientId, Request};
 
-    /// The three shell-emitted variants, nothing else: no protocol, no
+    /// The four shell-emitted variants, nothing else: no protocol, no
     /// runner.
     #[derive(Debug, Clone, PartialEq)]
     enum Msg {
+        Reply(Reply),
         Checkpoint(Box<CheckpointVoucher>),
         StateRequest { have: u64, from: ReplicaId },
         StateResponse(Box<StateTransfer>),
     }
 
     impl ShellMsg for Msg {
+        fn reply(reply: Reply) -> Self {
+            Msg::Reply(reply)
+        }
+
         fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
             Msg::Checkpoint(voucher)
         }
@@ -556,7 +768,7 @@ mod tests {
         let mut out = Outbox::<Msg>::new();
         for seq in from..=to {
             let b = batch(seq);
-            shell.execute(seq, &b, b.digest(), |_, reply| replies.push(reply));
+            shell.execute(seq, &b, b.digest(), |reply| replies.push(reply));
             shell.checkpoint(seq, false, &mut out);
         }
         // One copy per peer, adjacent: collapse each broadcast to one.
@@ -649,10 +861,7 @@ mod tests {
         let plan = laggard.admit_transfer(served(&s[2], 0, false, false), QUORUM).unwrap();
         assert_eq!(plan.suffix.iter().map(|(slot, _)| *slot).collect::<Vec<_>>(), vec![5, 6]);
         assert_eq!(plan.view, 5);
-        let mut replayed = Vec::new();
-        assert!(laggard.install(&plan, Batch::digest, |seq, reply| replayed.push((seq, reply.op))));
-        assert_eq!(replayed.len(), 4, "the hook sees every replayed op with its slot");
-        assert_eq!(replayed[0].0, 5);
+        assert!(laggard.install(&plan, Batch::digest));
 
         // Same state, same log position, and the transfer is counted.
         assert_eq!(laggard.state_digest(), s[1].state_digest());
@@ -678,7 +887,7 @@ mod tests {
         let mut out = Outbox::<Msg>::new();
         for seq in 1..=4 {
             let b = batch(seq);
-            s[0].execute(seq, &b, b.digest(), |_, _| {});
+            s[0].execute(seq, &b, b.digest(), |_| {});
             assert!(!s[0].checkpoint(seq, true, &mut out));
         }
         // Two vouchers per peer: a garbage MAC and a properly MAC'd lie.
@@ -728,10 +937,8 @@ mod tests {
         // Clean restart: snapshot at 4, commits 5 and 6 replayed above it.
         let fresh = || shells(&keys).remove(0);
         let mut r = fresh();
-        let mut hooked = 0;
-        let report = r.recover(&disk, Batch::digest, |_, _| hooked += 1);
+        let report = r.recover(&disk, Batch::digest);
         assert_eq!(report, RecoveryReport { installed_seq: 4, replayed: 2, committed: 12 });
-        assert_eq!(hooked, 4);
         assert_eq!(r.state_digest(), s[0].state_digest());
         assert_eq!(r.log(), s[0].log());
 
@@ -740,7 +947,7 @@ mod tests {
         gapped.snapshot = disk.snapshot.clone();
         gapped.commits.retain(|(seq, _)| *seq != 5);
         let mut r = fresh();
-        let report = r.recover(&gapped, Batch::digest, |_, _| {});
+        let report = r.recover(&gapped, Batch::digest);
         assert_eq!(report, RecoveryReport { installed_seq: 4, replayed: 0, committed: 8 });
 
         // A garbage record stops it too, and a snapshot whose bytes no
@@ -756,9 +963,127 @@ mod tests {
         });
         torn.commits[2] = (3, Arc::new(Batch::new(Vec::new())));
         let mut r = fresh();
-        let report = r.recover(&torn, Batch::digest, |_, _| {});
+        let report = r.recover(&torn, Batch::digest);
         assert_eq!(report, RecoveryReport { installed_seq: 0, replayed: 2, committed: 4 });
         assert_eq!(r.exec_upto(), 2);
+    }
+
+    fn req(client: u32, seq: u64) -> Arc<Request> {
+        Arc::new(Request {
+            op: OpId { client: ClientId(client), seq },
+            payload: format!("SET k{client} v{seq}").into_bytes(),
+        })
+    }
+
+    /// A shell sealing at two requests, flushing after 50 cycles, with a
+    /// patience of 300.
+    fn front_end() -> (Shell, Outbox<Msg>) {
+        let mut shell = Shell::new(ReplicaId(0), N, QUORUM);
+        shell.set_batching(2, 50);
+        shell.set_patience(300);
+        (shell, Outbox::new())
+    }
+
+    #[test]
+    fn intake_as_primary_accumulates_seals_and_reannounces() {
+        let (mut shell, mut out) = front_end();
+        // First request of an accumulation: arm the flush timer.
+        assert_eq!(shell.intake(req(1, 1), Role::Primary, &mut out), Intake::Done);
+        assert_eq!(out.timers, vec![(50, TIMER_FLUSH, 0)]);
+        // A duplicate of an accumulated request is dropped.
+        assert_eq!(shell.intake(req(1, 1), Role::Primary, &mut out), Intake::Done);
+        // The second distinct request seals by size, in arrival order.
+        let Intake::Sealed(reqs) = shell.intake(req(2, 1), Role::Primary, &mut out) else {
+            panic!("batch_size requests must seal");
+        };
+        assert_eq!(reqs, vec![req(1, 1), req(2, 1)]);
+        let (seq, batch) = shell.open_slot(reqs);
+        assert_eq!((seq, batch.len(), shell.next_seq()), (1, 2, 2));
+        // A retry of an op in flight is re-announced, not re-proposed.
+        assert_eq!(shell.intake(req(2, 1), Role::Primary, &mut out), Intake::Reannounce(1));
+        // Once executed, the retry is answered from the reply cache — for
+        // every role — and nothing else happens.
+        let mut executed = Vec::new();
+        shell.execute(seq, &batch, batch.digest(), |reply| executed.push(reply));
+        out.clear();
+        for role in [Role::Primary, Role::Backup, Role::Idle] {
+            assert_eq!(shell.intake(req(2, 1), role, &mut out), Intake::Done);
+        }
+        assert_eq!(out.msgs.len(), 3);
+        for (to, msg) in &out.msgs {
+            assert_eq!(
+                (to, msg),
+                (&Endpoint::Client(ClientId(2)), &Msg::Reply(executed[1].clone()))
+            );
+        }
+        assert!(out.timers.is_empty());
+    }
+
+    #[test]
+    fn flush_timer_seals_a_partial_batch_only_when_current_and_primary() {
+        let (mut shell, mut out) = front_end();
+        shell.intake(req(1, 1), Role::Primary, &mut out);
+        assert_eq!(shell.on_flush_timer(7, true), None, "a token from another epoch is stale");
+        assert_eq!(shell.on_flush_timer(0, true), Some(vec![req(1, 1)]));
+        assert_eq!(shell.on_flush_timer(0, true), None, "already acknowledged");
+        // Deposed before the timer fired: the accumulation stays put.
+        shell.intake(req(1, 2), Role::Primary, &mut out);
+        assert_eq!(out.timers.last(), Some(&(50, TIMER_FLUSH, 1)));
+        assert_eq!(shell.on_flush_timer(1, false), None);
+    }
+
+    #[test]
+    fn accumulated_requests_gone_stale_across_a_view_change_are_not_proposed() {
+        let (mut shell, mut out) = front_end();
+        shell.intake(req(1, 1), Role::Primary, &mut out);
+        // Another primary took over and proposed the request at slot 5 …
+        shell.assign(5, &Batch::single(req(1, 1)));
+        // … then this replica is re-elected and its accumulator fills.
+        let sealed = shell.intake(req(2, 1), Role::Primary, &mut out);
+        assert_eq!(sealed, Intake::Sealed(vec![req(2, 1)]));
+        // An accumulation that is stale throughout proposes nothing and
+        // consumes no sequence number.
+        shell.intake(req(3, 1), Role::Primary, &mut out);
+        let b = Arc::new(Batch::single(req(3, 1)));
+        shell.execute(1, &b, b.digest(), |_| {});
+        shell.assign(6, &Batch::single(req(4, 1)));
+        assert_eq!(shell.intake(req(4, 1), Role::Primary, &mut out), Intake::Reannounce(6));
+        assert_eq!(shell.on_flush_timer(1, true), None);
+        assert_eq!(shell.next_seq(), 2, "only execution moved it");
+    }
+
+    #[test]
+    fn intake_as_backup_watches_each_request_once_until_it_executes() {
+        let (mut shell, mut out) = front_end();
+        let token = op_token(req(3, 9).op);
+        assert_eq!(shell.intake(req(3, 9), Role::Backup, &mut out), Intake::Done);
+        assert_eq!(shell.intake(req(3, 9), Role::Backup, &mut out), Intake::Done);
+        assert_eq!(out.timers, vec![(300, TIMER_REQUEST, token)], "one patience timer per op");
+        assert!(shell.watching(token));
+        // An idle replica (a passive backup) neither watches nor queues.
+        assert_eq!(shell.intake(req(4, 1), Role::Idle, &mut out), Intake::Done);
+        assert!(!shell.watching(op_token(req(4, 1).op)));
+        out.clear();
+        shell.intake(req(2, 2), Role::Backup, &mut out);
+        out.clear();
+        shell.rearm_patience(&mut out);
+        let rearmed =
+            vec![(300, TIMER_REQUEST, op_token(req(2, 2).op)), (300, TIMER_REQUEST, token)];
+        assert_eq!(out.timers, rearmed, "canonical op order");
+        // Execution — live or replayed — takes the op off the watchlist.
+        let b = Arc::new(Batch::single(req(3, 9)));
+        shell.execute(1, &b, b.digest(), |_| {});
+        assert!(!shell.watching(token));
+        assert_eq!(shell.pending_canonical().len(), 1);
+        // Rejuvenation forgets watchlist, assignments and accumulator, and
+        // keeps the configuration.
+        shell.intake(req(5, 1), Role::Primary, &mut out);
+        shell.wipe();
+        assert!(shell.pending_canonical().is_empty());
+        assert_eq!((shell.next_seq(), shell.batch_size(), shell.patience()), (1, 2, 300));
+        out.clear();
+        assert_eq!(shell.intake(req(5, 1), Role::Primary, &mut out), Intake::Done);
+        assert_eq!(out.timers, vec![(50, TIMER_FLUSH, 0)], "a fresh accumulation, epoch 0");
     }
 
     #[test]

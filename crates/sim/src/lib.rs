@@ -1,7 +1,7 @@
 //! # rsoc-sim — deterministic discrete-event simulation kernel
 //!
 //! Foundation for every simulator in the workspace: virtual time in cycles,
-//! a deterministic discrete-event engine, a seeded pseudo-random number
+//! a deterministic O(1) event queue, a seeded pseudo-random number
 //! generator with stream forking, and online statistics collectors.
 //!
 //! All higher layers (NoC, BFT protocols, FPGA fabric, rejuvenation epochs)
@@ -11,22 +11,25 @@
 //! ## Example
 //!
 //! ```
-//! use rsoc_sim::{Engine, SimTime};
+//! use rsoc_sim::TimingWheel;
 //!
-//! // World state: a counter bumped by scheduled events.
+//! // World state: a counter bumped by scheduled events; an event is the
+//! // amount to add, and may schedule a follow-up.
 //! let mut world = 0u32;
-//! let mut engine = Engine::new();
-//! engine.schedule(SimTime::from_cycles(10), Box::new(|w: &mut u32, e| {
-//!     *w += 1;
-//!     // Events may schedule follow-up events.
-//!     e.schedule_in(5, Box::new(|w: &mut u32, _| *w += 10));
-//! }));
-//! engine.run(&mut world);
+//! let mut queue: TimingWheel<u32> = TimingWheel::new();
+//! queue.push(10, 1);
+//! let mut now = 0;
+//! while let Some((at, add)) = queue.pop() {
+//!     now = at;
+//!     world += add;
+//!     if add == 1 {
+//!         queue.push(now + 5, 10);
+//!     }
+//! }
 //! assert_eq!(world, 11);
-//! assert_eq!(engine.now(), SimTime::from_cycles(15));
+//! assert_eq!(now, 15);
 //! ```
 
-pub mod engine;
 pub mod rng;
 pub mod script;
 pub mod slab;
@@ -35,7 +38,6 @@ pub mod time;
 pub mod wheel;
 pub mod workload;
 
-pub use engine::{Action, Engine};
 pub use rng::SimRng;
 pub use script::{PulseTrain, Window};
 pub use slab::Slab;

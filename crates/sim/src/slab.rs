@@ -1,9 +1,8 @@
 //! Slab arena with an intrusive freelist — the allocation-free backing
 //! store for event queues.
 //!
-//! Discrete-event hot paths (the [`Engine`](crate::Engine), the BFT
-//! protocol harness, the NoC flight table) previously paid one heap
-//! allocation per queued event (`BTreeMap` nodes keyed by a monotonically
+//! Discrete-event hot paths (the BFT protocol harness, the NoC flight
+//! table) previously paid one heap allocation per queued event (`BTreeMap` nodes keyed by a monotonically
 //! growing id). A [`Slab`] keeps every entry in one contiguous `Vec`:
 //! freed slots are chained into an intrusive freelist and reused by the
 //! next insert, so steady-state event traffic allocates nothing and both
