@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use rsoc_bft::minbft::MinBftCluster;
 use rsoc_bft::pbft::PbftCluster;
 use rsoc_bft::runner::{run, RunConfig};
+use rsoc_bft::statemachine::{KvStore, StateMachine};
 use rsoc_crypto::{hmac_sha256, sha256, MacKey};
 use rsoc_fpga::{Bitstream, FpgaFabric, Icap, Principal, ReconfigEngine, Region};
 use rsoc_hw::ecc::Hamming;
@@ -141,6 +142,57 @@ fn bench_commit_batching(c: &mut Criterion) {
     g.finish();
 }
 
+/// Write number `op` of the harness's shape: 8 clients, each op writing
+/// its own key, a 100-byte value.
+fn kv_set(kv: &mut KvStore, command: &mut Vec<u8>, op: u64) -> Vec<u8> {
+    use std::io::Write as _;
+    command.clear();
+    write!(command, "SET k{}.{} ", op % 8, op / 8).expect("writing to a Vec");
+    command.extend_from_slice(&[0x5A; 100]);
+    kv.apply(command)
+}
+
+/// The replicated store under a checkpointing replica: one write, one
+/// checkpoint's worth of state work (256 writes, then the certified
+/// digest and the retained copy-on-write clone) at two state sizes —
+/// the same number twice is the point — and the O(state) serialization
+/// only transfers and persisted checkpoints still pay.
+fn bench_kv(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kv");
+    let mut command = Vec::new();
+    for (label, keys) in [("10k", 10_000u64), ("100k", 100_000)] {
+        let mut kv = KvStore::new();
+        for op in 0..keys {
+            kv_set(&mut kv, &mut command, op);
+        }
+        let mut next = keys;
+        if keys == 10_000 {
+            g.throughput(Throughput::Bytes(kv.snapshot().len() as u64));
+            g.bench_function("snapshot_bytes/10k", |b| b.iter(|| kv.snapshot()));
+            g.throughput(Throughput::Elements(1));
+            g.bench_function("apply_set", |b| {
+                b.iter(|| {
+                    next += 1;
+                    kv_set(&mut kv, &mut command, next)
+                })
+            });
+        }
+        let mut retained = kv.clone();
+        g.throughput(Throughput::Elements(256));
+        g.bench_function(format!("checkpoint_after_256_sets/{label}"), |b| {
+            b.iter(|| {
+                for _ in 0..256 {
+                    next += 1;
+                    kv_set(&mut kv, &mut command, next);
+                }
+                retained = kv.clone();
+                kv.state_digest()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_fpga(c: &mut Criterion) {
     let mut g = c.benchmark_group("fpga");
     let key = MacKey::derive(3, "bs");
@@ -165,6 +217,7 @@ criterion_group!(
     bench_noc,
     bench_protocols,
     bench_commit_batching,
+    bench_kv,
     bench_fpga
 );
 criterion_main!(benches);

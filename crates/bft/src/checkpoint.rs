@@ -14,9 +14,10 @@
 //!   one *correct* replica vouches for that state.
 //! * **Collaborative state transfer** (the febft CST shape): a replica
 //!   that learns of a stable certificate ahead of its own execution
-//!   requests `cert + snapshot + log suffix` from its peers, cross-checks
-//!   `sha256(snapshot) == cert.digest` **before** installing, replays the
-//!   suffix, and rejoins live agreement.
+//!   requests `cert + image + log suffix` from its peers, rebuilds the
+//!   state from the image bytes and cross-checks *its own* digest of the
+//!   rebuilt state against `cert.digest` **before** installing
+//!   ([`verify_image`]), replays the suffix, and rejoins live agreement.
 //! * **Log truncation**: once a checkpoint is stable, everything below it
 //!   is recoverable via CST, so retention rings (MinBFT `sent_ui`,
 //!   passive `shipped`, the per-slot batch replay ring) and the committed
@@ -27,6 +28,26 @@
 //! no messages, no timers, no RNG draws, no report changes — the
 //! fault-free benches (BENCH_2/4/5) stay byte-identical to the
 //! checkpoint-less build.
+//!
+//! # What a certificate certifies
+//!
+//! The state machine and the client-session table each live in a paged
+//! Merkle tree (see [`KvStore`]), and a voucher signs
+//!
+//! ```text
+//! digest = sha256("CKROOT1\0" · kv_root · sessions_root)
+//! ```
+//!
+//! — the *contents* of both, not a hash over a byte image. Taking a
+//! checkpoint is therefore O(pages written since the last one): the two
+//! roots rehash only dirty pages, and the retained [`CheckpointImage`] is
+//! two `Arc` clones whose pages the live state copies on write. Bytes
+//! exist only where bytes are needed — a served transfer, a persisted
+//! stable checkpoint — in the unchanged `CKIMG1` framing
+//! ([`encode_image`]), built at most once per checkpoint. Every consumer
+//! of such bytes goes through [`verify_image`]: decode, rebuild both
+//! trees from scratch, recompute the digest, compare with the
+//! certificate. `sha256(image) == cert.digest` is **not** the contract.
 //!
 //! # Trust boundary
 //!
@@ -47,9 +68,10 @@
 //! metadata, like the view claims in view-change votes.
 
 use crate::api::{Batch, ClientId, LogEntry, ReplicaId};
-use rsoc_crypto::{sha256, MacKey, Tag};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::statemachine::{KvStore, StateMachine};
+use crate::statetree::StateTree;
+use rsoc_crypto::{MacKey, Sha256, Tag};
+use std::sync::{Arc, OnceLock};
 
 /// Cycles a recovering replica waits between state-transfer requests
 /// (mirrors the MinBFT `FillGap` backoff: one outstanding round per
@@ -143,7 +165,8 @@ pub struct CheckpointCert {
 pub struct StateTransfer {
     /// The stable checkpoint certificate the snapshot is checked against.
     pub cert: CheckpointCert,
-    /// KV snapshot; `sha256(snapshot)` must equal `cert.digest`.
+    /// The checkpoint image ([`encode_image`] framing); the state rebuilt
+    /// from it must digest to `cert.digest` ([`verify_image`]).
     pub snapshot: Arc<Vec<u8>>,
     /// Committed log length at the certificate watermark — replayed
     /// entries are numbered `log_base + 1 ..` (cross-checked against
@@ -175,13 +198,61 @@ pub struct CheckpointStats {
     pub hint_resyncs: u64,
 }
 
-/// Own snapshot taken at a watermark, retained until a certificate forms
-/// (then only the stable one is kept, for serving transfers).
+/// Domain tag of the certified digest (see the module docs).
+const DIGEST_TAG: &[u8; 8] = b"CKROOT1\0";
+
+/// The digest a voucher signs for this state machine and session table.
+fn certified_digest(kv: &KvStore, sessions: &ClientSessions) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(DIGEST_TAG);
+    h.update(&kv.state_digest());
+    h.update(&sessions.tree.root());
+    h.finalize()
+}
+
+/// The state a checkpoint covers, held structurally: O(1) clones of the
+/// state machine and the session table, sharing every page with the live
+/// state until it overwrites them.
+#[derive(Debug)]
+pub struct CheckpointImage {
+    kv: KvStore,
+    sessions: ClientSessions,
+    /// The image bytes, built on first use.
+    bytes: OnceLock<Arc<Vec<u8>>>,
+}
+
+impl CheckpointImage {
+    /// Captures `kv` and `sessions` as they are now.
+    pub fn capture(kv: &KvStore, sessions: &ClientSessions) -> Self {
+        CheckpointImage { kv: kv.clone(), sessions: sessions.clone(), bytes: OnceLock::new() }
+    }
+
+    /// The digest a voucher for this state signs.
+    pub fn digest(&self) -> [u8; 32] {
+        certified_digest(&self.kv, &self.sessions)
+    }
+
+    /// The image in [`encode_image`] framing — O(state) the first time,
+    /// shared afterwards.
+    pub fn bytes(&self) -> Arc<Vec<u8>> {
+        Arc::clone(self.bytes.get_or_init(|| {
+            let kv = &self.kv;
+            Arc::new(encode_image_with(
+                kv.snapshot_len(),
+                |out| kv.write_snapshot(out),
+                &self.sessions,
+            ))
+        }))
+    }
+}
+
+/// Own checkpoint taken at a watermark, retained until a certificate
+/// forms (then only the stable one is kept, for serving transfers).
 #[derive(Debug)]
 struct LocalCheckpoint {
     seq: u64,
     log_len: u64,
-    snapshot: Arc<Vec<u8>>,
+    image: CheckpointImage,
 }
 
 /// Vouchers collected for one not-yet-stable watermark, grouped by the
@@ -271,19 +342,19 @@ impl CheckpointStore {
         }
     }
 
-    /// Records this replica's own checkpoint at `seq`: retains the
-    /// snapshot (for serving transfers once certified) and returns the
-    /// signed voucher to broadcast. The caller also feeds the voucher back
+    /// Records this replica's own checkpoint at `seq`: retains the image
+    /// (for serving transfers once certified) and returns the signed
+    /// voucher to broadcast. The caller also feeds the voucher back
     /// through [`record`](Self::record) to count itself.
     pub fn record_local(
         &mut self,
         seq: u64,
         digest: [u8; 32],
         log_len: u64,
-        snapshot: Arc<Vec<u8>>,
+        image: CheckpointImage,
     ) -> CheckpointVoucher {
         self.local.retain(|l| l.seq != seq);
-        self.local.push(LocalCheckpoint { seq, log_len, snapshot });
+        self.local.push(LocalCheckpoint { seq, log_len, image });
         self.keys.sign(self.me, seq, digest)
     }
 
@@ -395,13 +466,14 @@ impl CheckpointStore {
         self.local.iter().find(|l| l.seq == stable.seq).map(|l| l.log_len)
     }
 
-    /// The transfer a peer can serve: stable certificate plus the snapshot
-    /// it certifies. `None` while no certificate is stable or the snapshot
+    /// The transfer a peer can serve: stable certificate plus the image
+    /// it certifies, as bytes (materialised on the first call for this
+    /// checkpoint). `None` while no certificate is stable or the image
     /// predates this replica's own participation (post-wipe).
     pub fn serve(&self) -> Option<(&CheckpointCert, u64, Arc<Vec<u8>>)> {
         let stable = self.stable.as_ref()?;
         let local = self.local.iter().find(|l| l.seq == stable.seq)?;
-        Some((stable, local.log_len, Arc::clone(&local.snapshot)))
+        Some((stable, local.log_len, local.image.bytes()))
     }
 
     /// Whether this replica is behind the stable checkpoint — committed
@@ -453,13 +525,6 @@ impl CheckpointStore {
     }
 }
 
-/// Checks a transfer's snapshot against its certificate:
-/// `sha256(snapshot) == cert.digest`. The one line between "collaborative
-/// state transfer" and "installing whatever a peer sent".
-pub fn snapshot_matches(cert: &CheckpointCert, snapshot: &[u8]) -> bool {
-    sha256(snapshot) == cert.digest
-}
-
 /// Latest executed `(seq, reply)` per client — the checkpointable core of
 /// the executed-reply dedup index.
 ///
@@ -471,9 +536,14 @@ pub fn snapshot_matches(cert: &CheckpointCert, snapshot: &[u8]) -> bool {
 /// With pipelined clients (window > 1) only the *latest* op per client is
 /// retained — a deliberate bound on image size; with window = 1 (every
 /// recovery campaign cell) it covers every retryable op exactly.
+///
+/// The table rides in a second instance of the state machine's paged
+/// Merkle tree (key: the client id, big-endian so tree order is client
+/// order; value: `seq u64 LE · reply`), so it is digested incrementally
+/// and cloned in O(1) with it; two tables are equal when their roots are.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClientSessions {
-    sessions: BTreeMap<ClientId, (u64, Arc<Vec<u8>>)>,
+    tree: StateTree,
 }
 
 impl ClientSessions {
@@ -483,38 +553,49 @@ impl ClientSessions {
     }
 
     /// Records an executed op's reply; keeps the highest seq per client.
-    pub fn note(&mut self, client: ClientId, seq: u64, result: Arc<Vec<u8>>) {
-        match self.sessions.get(&client) {
-            Some((have, _)) if *have >= seq => {}
-            _ => {
-                self.sessions.insert(client, (seq, result));
-            }
+    pub fn note(&mut self, client: ClientId, seq: u64, result: &[u8]) {
+        if self.get(client).is_some_and(|(have, _)| have >= seq) {
+            return;
         }
+        let mut value = Vec::with_capacity(8 + result.len());
+        value.extend_from_slice(&seq.to_le_bytes());
+        value.extend_from_slice(result);
+        self.tree.insert(&client.0.to_be_bytes(), &value);
     }
 
     /// Latest executed `(seq, reply)` for a client.
-    pub fn get(&self, client: ClientId) -> Option<(u64, &Arc<Vec<u8>>)> {
-        self.sessions.get(&client).map(|(seq, result)| (*seq, result))
+    pub fn get(&self, client: ClientId) -> Option<(u64, &[u8])> {
+        Self::split(self.tree.get(&client.0.to_be_bytes())?)
     }
 
     /// Number of clients with a recorded session.
     pub fn len(&self) -> usize {
-        self.sessions.len()
+        self.tree.len()
     }
 
     /// True when no sessions are recorded.
     pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
+        self.tree.len() == 0
     }
 
     /// Drops all sessions (rejuvenation wipe).
     pub fn clear(&mut self) {
-        self.sessions.clear();
+        self.tree = StateTree::new();
     }
 
-    /// Sessions in ascending client order.
-    pub fn iter(&self) -> impl Iterator<Item = (ClientId, u64, &Arc<Vec<u8>>)> {
-        self.sessions.iter().map(|(c, (seq, result))| (*c, *seq, result))
+    /// Visits every session in ascending client order.
+    pub fn for_each(&self, mut visit: impl FnMut(ClientId, u64, &[u8])) {
+        self.tree.for_each(|key, value| {
+            if let (Ok(client), Some((seq, reply))) = (key.try_into(), Self::split(value)) {
+                visit(ClientId(u32::from_be_bytes(client)), seq, reply);
+            }
+        });
+    }
+
+    /// Splits a stored value into `(seq, reply)`.
+    fn split(value: &[u8]) -> Option<(u64, &[u8])> {
+        let (seq, reply) = value.split_first_chunk::<8>()?;
+        Some((u64::from_le_bytes(*seq), reply))
     }
 }
 
@@ -522,7 +603,8 @@ impl ClientSessions {
 pub const IMAGE_MAGIC: &[u8; 8] = b"CKIMG1\0\0";
 
 /// Frames a KV snapshot and the client-session table into one checkpoint
-/// image. This is what certificates digest and transfers carry:
+/// image. This is what transfers and snapshot files carry (certificates
+/// sign the state's Merkle roots, not these bytes — see the module docs):
 /// `magic · kv_len · kv · n_sessions · [client · seq · reply_len · reply]*`
 /// with sessions in ascending client order (all integers little-endian),
 /// so identical state always produces identical bytes.
@@ -537,18 +619,19 @@ pub(crate) fn encode_image_with(
     write_kv: impl FnOnce(&mut Vec<u8>),
     sessions: &ClientSessions,
 ) -> Vec<u8> {
-    let body: usize = sessions.iter().map(|(_, _, r)| 4 + 8 + 8 + r.len()).sum();
+    let mut body = 0usize;
+    sessions.for_each(|_, _, reply| body += 4 + 8 + 8 + reply.len());
     let mut out = Vec::with_capacity(8 + 8 + kv_len + 8 + body);
     out.extend_from_slice(IMAGE_MAGIC);
     out.extend_from_slice(&(kv_len as u64).to_le_bytes());
     write_kv(&mut out);
     out.extend_from_slice(&(sessions.len() as u64).to_le_bytes());
-    for (client, seq, result) in sessions.iter() {
+    sessions.for_each(|client, seq, reply| {
         out.extend_from_slice(&client.0.to_le_bytes());
         out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&(result.len() as u64).to_le_bytes());
-        out.extend_from_slice(result);
-    }
+        out.extend_from_slice(&(reply.len() as u64).to_le_bytes());
+        out.extend_from_slice(reply);
+    });
     out
 }
 
@@ -586,12 +669,24 @@ pub fn decode_image(bytes: &[u8]) -> Option<(&[u8], ClientSessions)> {
         let seq = take_u64(bytes, &mut at)?;
         let len = usize::try_from(take_u64(bytes, &mut at)?).ok()?;
         let result = take(bytes, &mut at, len)?;
-        sessions.note(ClientId(client), seq, Arc::new(result.to_vec()));
+        sessions.note(ClientId(client), seq, result);
     }
     if at != bytes.len() {
         return None; // trailing garbage
     }
     Some((kv, sessions))
+}
+
+/// The one check between "collaborative state transfer" and "installing
+/// whatever a peer sent", and between a snapshot file and trusting the
+/// disk: parses `image`, rebuilds the state machine and the session table
+/// from its bytes, digests what was rebuilt, and returns it only if that
+/// digest is the one `cert` certifies. The certificate's own vouchers are
+/// the caller's to verify ([`CheckpointStore::verify_cert`]).
+pub fn verify_image(cert: &CheckpointCert, image: &[u8]) -> Option<(KvStore, ClientSessions)> {
+    let (kv, sessions) = decode_image(image)?;
+    let kv = KvStore::install_snapshot(kv)?;
+    (certified_digest(&kv, &sessions) == cert.digest).then_some((kv, sessions))
 }
 // lint: end
 
@@ -599,13 +694,15 @@ pub fn decode_image(bytes: &[u8]) -> Option<(&[u8], ClientSessions)> {
 /// responders agree: certificate, snapshot, log numbering base, the
 /// slot-by-slot voted suffix (dense from `cert.seq + 1`), and the install
 /// quorum's maximum view claim.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CstInstall {
     /// The certificate the quorum converged on.
     pub cert: CheckpointCert,
-    /// The certified snapshot (taken from any quorum member — all carry
-    /// digest-identical bytes, pinned by the certificate).
+    /// The certified image (taken from any quorum member — all carry
+    /// digest-identical state, pinned by the certificate).
     pub snapshot: Arc<Vec<u8>>,
+    /// The state [`verify_image`] rebuilt from `snapshot` on admission.
+    pub state: (KvStore, ClientSessions),
     /// Committed-log length at the watermark (quorum-agreed).
     pub log_base: u64,
     /// Slots with an f+1-matching batch digest, dense from
@@ -616,9 +713,10 @@ pub struct CstInstall {
 }
 
 // lint: ingress
-/// Buffers *validated* transfer responses (certificate verified, snapshot
-/// digest-matched and parseable — the caller's job) until `quorum`
-/// distinct responders agree on a `(cert.seq, log_base)` group, then
+/// Buffers *validated* transfer responses (certificate verified, image
+/// rebuilt and digest-matched by [`verify_image`] — the caller's job),
+/// each with the state rebuilt from it, until `quorum` distinct
+/// responders agree on a `(cert.seq, log_base)` group, then
 /// votes the suffix slot by slot.
 ///
 /// This is the PR 9 closure of the single-responder CST residual: with
@@ -628,8 +726,11 @@ pub struct CstInstall {
 /// recovering replica execute a batch the cluster did not commit.
 #[derive(Debug, Default)]
 pub struct CstBuffer {
-    pending: Vec<StateTransfer>,
+    pending: Vec<Admitted>,
 }
+
+/// A validated response and the state rebuilt from its image.
+type Admitted = (StateTransfer, (KvStore, ClientSessions));
 
 impl CstBuffer {
     /// An empty buffer.
@@ -656,11 +757,10 @@ impl CstBuffer {
     /// (latest wins — re-requests refresh a peer's answer); responses at
     /// or below `floor` (the requester's execution watermark) are stale
     /// and dropped.
-    pub fn admit(&mut self, st: StateTransfer, floor: u64) {
-        self.pending.retain(|p| p.from != st.from);
-        self.pending.retain(|p| p.cert.seq > floor);
+    pub fn admit(&mut self, st: StateTransfer, state: (KvStore, ClientSessions), floor: u64) {
+        self.pending.retain(|(p, _)| p.from != st.from && p.cert.seq > floor);
         if st.cert.seq > floor {
-            self.pending.push(st);
+            self.pending.push((st, state));
         }
     }
 
@@ -672,14 +772,14 @@ impl CstBuffer {
         let quorum = quorum.max(1);
         // Group keys, best watermark first.
         let mut keys: Vec<(u64, u64)> =
-            self.pending.iter().map(|p| (p.cert.seq, p.log_base)).collect();
+            self.pending.iter().map(|(p, _)| (p.cert.seq, p.log_base)).collect();
         keys.sort_unstable_by(|a, b| b.cmp(a));
         keys.dedup();
         for (seq, log_base) in keys {
-            let group: Vec<&StateTransfer> = self
+            let group: Vec<&Admitted> = self
                 .pending
                 .iter()
-                .filter(|p| p.cert.seq == seq && p.log_base == log_base)
+                .filter(|(p, _)| p.cert.seq == seq && p.log_base == log_base)
                 .collect();
             if group.len() < quorum {
                 continue;
@@ -693,12 +793,13 @@ impl CstBuffer {
     /// only when `quorum` members carry the same batch digest for it (at
     /// least one of them honest), batches are content-verified, and the
     /// accepted run is dense from the watermark.
-    fn vote(group: &[&StateTransfer], quorum: usize, seq: u64, log_base: u64) -> CstInstall {
+    fn vote(group: &[&Admitted], quorum: usize, seq: u64, log_base: u64) -> CstInstall {
         // bounds: install_plan only calls with group.len() >= quorum >= 1
-        let first = &group[0];
+        let (first, state) = group[0];
         let cert = first.cert.clone();
         let snapshot = Arc::clone(&first.snapshot);
-        let view = group.iter().map(|p| p.view).max().unwrap_or(0);
+        let state = state.clone();
+        let view = group.iter().map(|(p, _)| p.view).max().unwrap_or(0);
         let mut suffix = Vec::new();
         let mut slot = seq;
         'slots: loop {
@@ -707,7 +808,7 @@ impl CstBuffer {
             // (linear scans: suffixes are bounded by inter-checkpoint
             // traffic and groups by the cluster size).
             let mut tally: Vec<([u8; 32], usize, &Arc<Batch>)> = Vec::new();
-            for p in group {
+            for (p, _) in group {
                 let Some((_, batch)) = p.suffix.iter().find(|(s, _)| *s == slot) else {
                     continue;
                 };
@@ -725,7 +826,7 @@ impl CstBuffer {
             }
             break; // first non-quorate slot ends the dense run
         }
-        CstInstall { cert, snapshot, log_base, suffix, view }
+        CstInstall { cert, snapshot, state, log_base, suffix, view }
     }
 }
 
@@ -821,6 +922,18 @@ impl CommittedLog {
 mod tests {
     use super::*;
     use crate::api::{ClientId, OpId};
+    use rsoc_crypto::sha256;
+
+    /// A store holding `pairs` and a table with one session.
+    fn state(pairs: &[(&str, &str)]) -> (KvStore, ClientSessions) {
+        let mut kv = KvStore::new();
+        for (k, v) in pairs {
+            kv.apply(format!("SET {k} {v}").as_bytes());
+        }
+        let mut sessions = ClientSessions::new();
+        sessions.note(ClientId(7), 3, b"(nil)");
+        (kv, sessions)
+    }
 
     fn entry(seq: u64) -> LogEntry {
         LogEntry { seq, op: OpId { client: ClientId(1), seq }, digest: sha256(&seq.to_le_bytes()) }
@@ -914,16 +1027,20 @@ mod tests {
     fn serving_requires_the_certified_snapshot() {
         let keys = CkptKeys::provision(7, 4);
         let mut s = store(1, 2, 4, &keys);
-        let digest = sha256(b"state");
         assert!(s.serve().is_none());
-        let snapshot = Arc::new(b"snapshot-bytes".to_vec());
-        let v = s.record_local(4, digest, 4, Arc::clone(&snapshot));
+        let (kv, sessions) = state(&[("a", "1")]);
+        let image = CheckpointImage::capture(&kv, &sessions);
+        let digest = image.digest();
+        let v = s.record_local(4, digest, 4, image);
         s.record(&v);
         assert!(s.serve().is_none(), "no certificate yet");
         s.record(&keys.sign(ReplicaId(2), 4, digest));
-        let (cert, log_len, served) = s.serve().expect("stable + local snapshot");
+        let (cert, log_len, served) = s.serve().expect("stable + local image");
         assert_eq!((cert.seq, log_len), (4, 4));
-        assert!(Arc::ptr_eq(&served, &snapshot));
+        assert_eq!(*served, encode_image(&kv.snapshot(), &sessions));
+        assert!(verify_image(cert, &served).is_some());
+        // The bytes are built once per checkpoint, then shared.
+        assert!(Arc::ptr_eq(&served, &s.serve().unwrap().2));
         // A replica that adopted a cert it never checkpointed (post-wipe)
         // has nothing to serve.
         let mut wiped = store(3, 2, 4, &keys);
@@ -937,7 +1054,8 @@ mod tests {
         let keys = CkptKeys::provision(7, 4);
         let mut s = store(0, 2, 4, &keys);
         let digest = sha256(b"state");
-        let v = s.record_local(4, digest, 4, Arc::new(vec![1]));
+        let (kv, sessions) = state(&[]);
+        let v = s.record_local(4, digest, 4, CheckpointImage::capture(&kv, &sessions));
         s.record(&v);
         s.record(&keys.sign(ReplicaId(2), 4, digest));
         s.wipe();
@@ -993,26 +1111,48 @@ mod tests {
         assert_eq!(log.entries().len(), 1);
     }
 
+    /// The certificate signs the state's roots, and only a state
+    /// *rebuilt from the bytes* is ever compared with it.
     #[test]
     fn snapshot_cross_check() {
-        let bytes = b"framed snapshot".to_vec();
-        let cert = CheckpointCert { seq: 1, digest: sha256(&bytes), vouchers: vec![] };
-        assert!(snapshot_matches(&cert, &bytes));
-        assert!(!snapshot_matches(&cert, b"corrupted"));
+        let (kv, sessions) = state(&[("a", "1"), ("b", "2")]);
+        let captured = CheckpointImage::capture(&kv, &sessions);
+        let cert = CheckpointCert { seq: 1, digest: captured.digest(), vouchers: vec![] };
+        let image = captured.bytes();
+        let (kv2, sessions2) = verify_image(&cert, &image).expect("the certified state");
+        assert_eq!((kv2.snapshot(), &sessions2), (kv.snapshot(), &sessions));
+        // Not the flat hash of the image: that contract is gone.
+        let flat = CheckpointCert { digest: sha256(&image), ..cert.clone() };
+        assert!(verify_image(&flat, &image).is_none());
+        // A flipped byte anywhere: malformed, or well-formed but not the
+        // certified state. Either way, refused.
+        for at in 0..image.len() {
+            let mut flipped = (*image).clone();
+            flipped[at] ^= 0x01;
+            assert!(verify_image(&cert, &flipped).is_none(), "byte {at}");
+        }
+        // A well-formed image of *other* state under the honest
+        // certificate: other pairs, or the same pairs and another session.
+        let (other, _) = state(&[("a", "1"), ("b", "3")]);
+        assert!(verify_image(&cert, &encode_image(&other.snapshot(), &sessions)).is_none());
+        let mut replayed = sessions.clone();
+        replayed.note(ClientId(7), 4, b"1");
+        assert!(verify_image(&cert, &encode_image(&kv.snapshot(), &replayed)).is_none());
     }
 
     #[test]
     fn sessions_keep_latest_per_client() {
         let mut s = ClientSessions::new();
-        s.note(ClientId(3), 2, Arc::new(b"r2".to_vec()));
-        s.note(ClientId(3), 1, Arc::new(b"r1".to_vec()));
-        s.note(ClientId(1), 5, Arc::new(b"r5".to_vec()));
+        s.note(ClientId(3), 2, b"r2");
+        s.note(ClientId(3), 1, b"r1");
+        s.note(ClientId(1), 5, b"r5");
         assert_eq!(s.len(), 2);
         let (seq, result) = s.get(ClientId(3)).unwrap();
-        assert_eq!((seq, result.as_slice()), (2, b"r2".as_slice()), "older seq must not clobber");
-        s.note(ClientId(3), 7, Arc::new(b"r7".to_vec()));
+        assert_eq!((seq, result), (2, b"r2".as_slice()), "older seq must not clobber");
+        s.note(ClientId(3), 7, b"r7");
         assert_eq!(s.get(ClientId(3)).unwrap().0, 7);
-        let order: Vec<u32> = s.iter().map(|(c, _, _)| c.0).collect();
+        let mut order = Vec::new();
+        s.for_each(|client, _, _| order.push(client.0));
         assert_eq!(order, vec![1, 3], "iteration is ascending client order");
         s.clear();
         assert!(s.is_empty());
@@ -1021,8 +1161,8 @@ mod tests {
     #[test]
     fn image_roundtrip_is_canonical() {
         let mut s = ClientSessions::new();
-        s.note(ClientId(9), 4, Arc::new(b"ok 9.4".to_vec()));
-        s.note(ClientId(2), 1, Arc::new(Vec::new())); // empty replies survive
+        s.note(ClientId(9), 4, b"ok 9.4");
+        s.note(ClientId(2), 1, b""); // empty replies survive
         let kv = b"KV k1 v1\nKV k2 v2\n";
         let image = encode_image(kv, &s);
         let (kv2, s2) = decode_image(&image).expect("well-formed image");
@@ -1039,7 +1179,7 @@ mod tests {
     #[test]
     fn image_decode_rejects_malformed() {
         let mut s = ClientSessions::new();
-        s.note(ClientId(1), 1, Arc::new(b"r".to_vec()));
+        s.note(ClientId(1), 1, b"r");
         let good = encode_image(b"kv", &s);
         assert!(decode_image(&good).is_some());
         assert!(decode_image(b"").is_none(), "empty");
@@ -1054,8 +1194,8 @@ mod tests {
         assert!(decode_image(&huge).is_none(), "kv length overruns");
         // Duplicate / descending clients violate canonical order.
         let mut two = ClientSessions::new();
-        two.note(ClientId(1), 1, Arc::new(b"a".to_vec()));
-        two.note(ClientId(2), 1, Arc::new(b"b".to_vec()));
+        two.note(ClientId(1), 1, b"a");
+        two.note(ClientId(2), 1, b"b");
         let img = encode_image(b"", &two);
         let mut swapped = img.clone();
         // Sessions start after magic(8) + kv_len(8) + kv(0) + count(8) = 24;

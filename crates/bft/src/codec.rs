@@ -37,8 +37,11 @@ use std::sync::Arc;
 /// incompatible layout change; decoders reject other versions outright.
 /// Version 2: `StateTransfer` carries a slot-grained batch suffix and no
 /// longer an `exec_upto` claim (the receiver derives it from the voted
-/// suffix).
-pub const WIRE_VERSION: u8 = 2;
+/// suffix). Version 3: no layout change, but `CheckpointCert::digest` now
+/// certifies the state's Merkle roots instead of `sha256(image)` — a
+/// version-2 peer or snapshot file would never match a version-3
+/// certificate, so it is refused at the frame instead.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Emits the canonical wire bytes of one request:
 /// `client u32 LE | seq u64 LE | payload_len u64 LE | payload`.

@@ -21,6 +21,11 @@
 //!   checkpoints (f+1 MAC'd vouchers), the transfer response and its
 //!   quorum-voting buffer, the checkpoint image, the truncating log
 //!   (enabled via [`runner::RunConfig::checkpoint_interval`]);
+//! * `statetree` (crate-private) — the paged Merkle radix tree the
+//!   [`KvStore`] and the client-session table live in: its root is what
+//!   a certificate certifies, a checkpoint rehashes only the pages
+//!   written since the last one, and a retained checkpoint is an O(1)
+//!   clone whose pages the live state copies on write;
 //! * `shell` (crate-private) — the one replica shell all three protocols
 //!   embed. It *owns* the request accumulator, the op → slot assignments,
 //!   the backup watchlist and the next free sequence number, the committed
@@ -86,6 +91,7 @@ pub mod plane;
 pub mod runner;
 mod shell;
 pub mod statemachine;
+mod statetree;
 pub mod viewchange;
 
 pub use adversary::{

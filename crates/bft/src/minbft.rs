@@ -657,9 +657,7 @@ impl MinBftReplica {
     /// cluster's view and resumes execution.
     fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<MinBftMsg>) {
         let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
-        if !self.shell.install(&plan, Batch::digest) {
-            return;
-        }
+        self.shell.install(&plan, Batch::digest);
         self.retire_executed();
         // The cluster may have moved on while we were down; join its view.
         self.vc.join(plan.view);

@@ -296,9 +296,7 @@ impl PassiveReplica {
     /// fail over until the transfer lands (see the `TIMER_DETECT` arm).
     fn handle_state_response(&mut self, st: StateTransfer, now: u64) {
         let Some(plan) = self.shell.admit_transfer(st, 1) else { return };
-        if !self.shell.install(&plan, entry_digest) {
-            return;
-        }
+        self.shell.install(&plan, entry_digest);
         self.resume_above_log();
         if plan.view > self.epoch {
             // The peer's epoch moved on while we were down; adopt it so

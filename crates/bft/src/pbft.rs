@@ -472,9 +472,7 @@ impl PbftReplica {
     /// cluster's view and resumes execution.
     fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<PbftMsg>) {
         let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
-        if !self.shell.install(&plan, Batch::digest) {
-            return;
-        }
+        self.shell.install(&plan, Batch::digest);
         self.retire_executed();
         // The cluster may have moved on while we were down; join its view
         // so the current primary's proposals are accepted.

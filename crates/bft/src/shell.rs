@@ -41,9 +41,9 @@ use crate::api::{
     Batch, BatchDecision, Batcher, Endpoint, LogEntry, OpId, Outbox, ReplicaId, Reply, Request,
 };
 use crate::checkpoint::{
-    decode_image, encode_image_with, snapshot_matches, tamper_suffix, CheckpointCert,
-    CheckpointStore, CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer,
-    CstInstall, StateTransfer,
+    tamper_suffix, verify_image, CheckpointCert, CheckpointImage, CheckpointStore,
+    CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer, CstInstall,
+    StateTransfer,
 };
 use crate::dense::{op_token, token_op, OpIndex, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
@@ -406,7 +406,7 @@ impl Shell {
             self.executed.insert(req.op, result.clone());
             self.pending.remove(&req.op);
             if self.ckpt.enabled() {
-                self.sessions.note(req.op.client, req.op.seq, result.clone());
+                self.sessions.note(req.op.client, req.op.seq, &result);
             }
             executed(Reply { replica: self.id, op: req.op, result });
         }
@@ -426,12 +426,14 @@ impl Shell {
     }
 
     /// Takes a certified checkpoint when execution crossed a watermark
-    /// boundary: image + digest the state, retain the image for serving
-    /// transfers, broadcast the MAC'd voucher, and count our own. The
-    /// certificate digests the full *image* — KV snapshot plus client
-    /// sessions — so a recovered replica's dedup state is covered by the
-    /// same vouchers as the application state. Returns `true` when this
-    /// made a certificate stable (the log was truncated).
+    /// boundary: capture the state (two O(1) clones the live state then
+    /// copies on write), digest it (rehashing only the pages written since
+    /// the last checkpoint), retain the capture for serving transfers,
+    /// broadcast the MAC'd voucher, and count our own. The digest covers
+    /// the state machine *and* the client sessions, so a recovered
+    /// replica's dedup state is covered by the same vouchers as the
+    /// application state. Returns `true` when this made a certificate
+    /// stable (the log was truncated).
     ///
     /// `forge` is the Byzantine script path: vouch for fabricated state —
     /// one voucher with a garbage MAC (an outsider forgery, rejected by
@@ -448,11 +450,7 @@ impl Shell {
         if !self.ckpt.due(exec_seq) {
             return false;
         }
-        let image = Arc::new(encode_image_with(
-            self.machine.snapshot_len(),
-            |out| self.machine.write_snapshot(out),
-            &self.sessions,
-        ));
+        let image = CheckpointImage::capture(&self.machine, &self.sessions);
         if forge {
             let lie = sha256(b"forged-checkpoint-state");
             let garbage = CheckpointVoucher {
@@ -466,7 +464,7 @@ impl Shell {
             out.broadcast(self.n, self.id, M::checkpoint(Box::new(colluder)));
             return false;
         }
-        let digest = sha256(&image);
+        let digest = image.digest();
         let voucher = self.ckpt.record_local(exec_seq, digest, self.log.committed(), image);
         out.broadcast(self.n, self.id, M::checkpoint(Box::new(voucher.clone())));
         self.on_voucher(&voucher)
@@ -569,12 +567,13 @@ impl Shell {
         out.send(Endpoint::Replica(to), M::state_response(Box::new(transfer)));
     }
 
-    /// Validates a transfer response — certificate verifies, snapshot
-    /// digest matches the certificate, image parses; everything in the
-    /// response is adversarial until those pass, and every failure is
-    /// counted — and buffers it. Returns the install once `quorum`
-    /// distinct responders agree on the watermark, with the suffix voted
-    /// slot by slot (see [`CstBuffer`]).
+    /// Validates a transfer response — the certificate verifies and the
+    /// state rebuilt from the image digests to what it certifies;
+    /// everything in the response is adversarial until both pass, and a
+    /// failure of either is counted, once — and buffers it with the
+    /// rebuilt state. Returns the install once `quorum` distinct
+    /// responders agree on the watermark, with the suffix voted slot by
+    /// slot (see [`CstBuffer`]).
     pub(crate) fn admit_transfer(
         &mut self,
         st: StateTransfer,
@@ -583,33 +582,35 @@ impl Shell {
         if !self.ckpt.enabled() || st.cert.seq <= self.exec_upto {
             return None; // not ahead of us: nothing to install
         }
-        // Digest collision is out of scope; malformed framing is not.
-        let valid = self.ckpt.verify_cert(&st.cert)
-            && snapshot_matches(&st.cert, &st.snapshot)
-            && decode_image(&st.snapshot)
-                .is_some_and(|(kv, _)| KvStore::install_snapshot(kv).is_some());
-        if !valid {
+        let Some(state) = self.certified_state(&st.cert, &st.snapshot) else {
             self.ckpt.note_rejected();
             return None;
-        }
-        self.cst.admit(st, self.exec_upto);
+        };
+        self.cst.admit(st, state, self.exec_upto);
         let plan = self.cst.install_plan(quorum)?;
         self.cst.clear();
         Some(plan)
     }
 
-    /// Installs a quorum-voted transfer: image, certificate, then the
-    /// voted suffix replayed through [`execute`](Self::execute) (every
-    /// slot matched at the install quorum). Returns `false`, changing
-    /// nothing, if the image does not parse.
-    pub(crate) fn install(
-        &mut self,
-        plan: &CstInstall,
-        entry_digest: fn(&Batch) -> [u8; 32],
-    ) -> bool {
-        if !self.restore(&plan.cert, plan.log_base, &plan.snapshot) {
-            return false;
+    /// The state `image` rebuilds to, if `cert` verifies and certifies it —
+    /// the one gate a peer's image and a disk's image both pass through.
+    fn certified_state(
+        &self,
+        cert: &CheckpointCert,
+        image: &[u8],
+    ) -> Option<(KvStore, ClientSessions)> {
+        if !self.ckpt.verify_cert(cert) {
+            return None;
         }
+        verify_image(cert, image)
+    }
+
+    /// Installs a quorum-voted transfer: the state admission rebuilt from
+    /// the image, the certificate, then the voted suffix replayed through
+    /// [`execute`](Self::execute) (every slot matched at the install
+    /// quorum).
+    pub(crate) fn install(&mut self, plan: &CstInstall, entry_digest: fn(&Batch) -> [u8; 32]) {
+        self.restore(&plan.cert, plan.log_base, plan.state.clone());
         if self.durability && plan.cert.seq > self.durable_stable_seq {
             self.durable_stable_seq = plan.cert.seq;
             self.durable.push(DurableEvent::Stable {
@@ -622,45 +623,48 @@ impl Shell {
             self.execute(*slot, batch, entry_digest(batch), |_| {});
         }
         self.ckpt.note_transfer();
-        true
     }
 
     /// Replaces state machine, sessions, dedup index, log base and replay
-    /// ring with a certified image at `cert.seq`.
-    fn restore(&mut self, cert: &CheckpointCert, log_len: u64, image: &[u8]) -> bool {
-        let Some((kv, sessions)) = decode_image(image) else { return false };
-        let Some(machine) = KvStore::install_snapshot(kv) else { return false };
+    /// ring with the state [`verify_image`] rebuilt from a certified image
+    /// at `cert.seq`.
+    fn restore(
+        &mut self,
+        cert: &CheckpointCert,
+        log_len: u64,
+        (machine, sessions): (KvStore, ClientSessions),
+    ) {
         self.ckpt.adopt_cert(cert);
         self.machine = machine;
         self.sessions = sessions;
         // Restore the dedup index for ops below the watermark: a client
         // retrying a committed op gets its original reply back instead of
         // a re-execution (or a silent wait on a backup's watchlist).
-        for (client, seq, result) in self.sessions.iter() {
-            self.executed.insert(OpId { client, seq }, result.clone());
-        }
+        let executed = &mut self.executed;
+        self.sessions.for_each(|client, seq, reply| {
+            executed.insert(OpId { client, seq }, Arc::new(reply.to_vec()));
+        });
         self.log.reset_to(log_len);
         self.replay_ring = SeqWindow::with_base(cert.seq + 1);
         self.advance_to(cert.seq);
-        true
     }
 
     /// Rebuilds state from a store's replay before the first input. Disk
-    /// contents are ingress: the certificate and snapshot are re-verified
-    /// exactly as a transfer response would be, and only the dense,
-    /// integrity-checked commit run above the snapshot replays — the
-    /// first gap or garbage batch abandons the rest to state transfer.
+    /// contents are ingress: the certificate and image are re-verified
+    /// exactly as a transfer response would be (a snapshot that fails is
+    /// skipped — WAL replay and state transfer cover for it), and only
+    /// the dense, integrity-checked commit run above the snapshot replays
+    /// — the first gap or garbage batch abandons the rest to state
+    /// transfer.
     pub(crate) fn recover(
         &mut self,
         state: &RecoveredState,
         entry_digest: fn(&Batch) -> [u8; 32],
     ) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        if let Some((cert, log_len, snapshot)) = &state.snapshot {
-            if self.ckpt.verify_cert(cert)
-                && snapshot_matches(cert, snapshot)
-                && self.restore(cert, *log_len, snapshot)
-            {
+        if let Some((cert, log_len, image)) = &state.snapshot {
+            if let Some(rebuilt) = self.certified_state(cert, image) {
+                self.restore(cert, *log_len, rebuilt);
                 report.installed_seq = cert.seq;
             }
         }
@@ -861,7 +865,7 @@ mod tests {
         let plan = laggard.admit_transfer(served(&s[2], 0, false, false), QUORUM).unwrap();
         assert_eq!(plan.suffix.iter().map(|(slot, _)| *slot).collect::<Vec<_>>(), vec![5, 6]);
         assert_eq!(plan.view, 5);
-        assert!(laggard.install(&plan, Batch::digest));
+        laggard.install(&plan, Batch::digest);
 
         // Same state, same log position, and the transfer is counted.
         assert_eq!(laggard.state_digest(), s[1].state_digest());
@@ -878,6 +882,41 @@ mod tests {
         // … and so do the replayed ones; older ops aged out of the session.
         assert!(laggard.has_executed(&OpId { client: ClientId(8), seq: 6 }));
         assert!(!laggard.has_executed(&OpId { client: ClientId(7), seq: 3 }));
+    }
+
+    /// The check a byte flip cannot reach: an image that frames, parses
+    /// and rebuilds — into state the certificate does not sign. It is the
+    /// rebuilt state's digest that is compared, so it is refused, from a
+    /// peer and from disk alike, and counted once.
+    #[test]
+    fn a_well_formed_image_of_other_state_is_rejected_and_counted_once() {
+        let keys = CkptKeys::provision(11, N as usize);
+        let mut s = shells(&keys);
+        let mut laggard = s.pop().unwrap();
+        let (_, v0) = run(&mut s[0], 1, 5);
+        let (_, v1) = run(&mut s[1], 1, 5);
+        assert!(s[0].on_voucher(&v1[0]) && s[1].on_voucher(&v0[0]));
+        // Replica 0's *current* state (slot 5 applied) under the honest
+        // certificate for slot 4.
+        let mut st = served(&s[0], 0, false, false);
+        let newer = crate::checkpoint::encode_image(&s[0].machine.snapshot(), &s[0].sessions);
+        assert_ne!(*st.snapshot, newer);
+        st.snapshot = Arc::new(newer);
+        let on_disk = RecoveredState {
+            snapshot: Some((st.cert.clone(), st.log_base, (*st.snapshot).clone())),
+            ..Default::default()
+        };
+        assert!(laggard.admit_transfer(st, 1).is_none());
+        assert_eq!(laggard.ckpt().stats().rejected, 1);
+        assert_eq!(laggard.recover(&on_disk, Batch::digest), RecoveryReport::default());
+        assert_eq!(
+            (laggard.exec_upto(), laggard.state_digest()),
+            (0, shells(&keys)[0].state_digest())
+        );
+        // The honest image still installs afterwards.
+        let plan = laggard.admit_transfer(served(&s[1], 0, false, false), 1).unwrap();
+        laggard.install(&plan, Batch::digest);
+        assert_eq!(laggard.state_digest(), s[1].state_digest());
     }
 
     #[test]
@@ -905,7 +944,7 @@ mod tests {
         let cert = s[1].ckpt().stable().unwrap().clone();
         assert_eq!(s[0].accept_cert(&cert), Some(4));
         let st = served(&s[0], 0, false, false);
-        assert!(snapshot_matches(&st.cert, &st.snapshot));
+        assert!(verify_image(&st.cert, &st.snapshot).is_some());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! generic services, a counter for quick tests, and an actuator-command
 //! arbiter for the automotive scenario).
 
+use crate::statetree::{StateTree, MAX_KEY_LEN};
 use std::collections::BTreeMap;
 
 /// A deterministic state machine: same command sequence → same results.
@@ -19,13 +20,28 @@ pub trait StateMachine: std::fmt::Debug {
 /// A simple ordered key-value store.
 ///
 /// Wire format (text, for debuggability):
-/// `SET key value` | `GET key` | `DEL key`.
+/// `SET key value` | `GET key` | `DEL key`. A `SET` whose key is longer
+/// than 256 bytes answers `ERR` (the bound is what keeps the state tree's
+/// depth, and so every walk over it, bounded).
+///
+/// The pairs live in a paged Merkle radix tree (the crate-private
+/// `statetree` module), which is what makes a certified checkpoint cost
+/// what changed since the last one:
+///
+/// * [`state_digest`](StateMachine::state_digest) is the tree's root —
+///   a function of the *contents* alone, whatever order the writes came
+///   in — and rehashes only the pages written since it was last asked;
+/// * `clone()` is O(1): the clone shares every page, and a later write
+///   copies only the pages on its own path;
+/// * [`snapshot`](Self::snapshot) is the pages in key order, whose bytes
+///   are the length-framed sorted `(key, value)` pairs they always were.
+///
+/// The digest is therefore **not** `sha256(snapshot)`. What ties the two
+/// together is [`install_snapshot`](Self::install_snapshot): it rebuilds
+/// the tree from the bytes, and equal bytes rebuild an equal root.
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
-    /// Byte length of [`snapshot`](Self::snapshot), kept current by
-    /// `apply` so a checkpoint sizes its image without walking the map.
-    snapshot_len: usize,
+    tree: StateTree,
 }
 
 impl KvStore {
@@ -36,107 +52,61 @@ impl KvStore {
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.tree.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.tree.len() == 0
     }
 
-    /// Serializes the store for state transfer. The framing is **exactly**
-    /// the byte stream [`state_digest`](StateMachine::state_digest) hashes
-    /// (length-framed `(key, value)` pairs in `BTreeMap` order), so
-    /// `sha256(snapshot) == state_digest()` — a checkpoint certificate
-    /// over the digest certifies the snapshot bytes directly, with no
-    /// second serialization format to keep in sync.
+    /// Serializes the store for state transfer: length-framed
+    /// `(key, value)` pairs (`key_len u64 LE · key · value_len u64 LE ·
+    /// value`) in ascending key order. O(state) — a checkpoint does not
+    /// call it; a served transfer or a persisted stable checkpoint does.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.snapshot_len);
+        let mut bytes = Vec::with_capacity(self.snapshot_len());
         self.write_snapshot(&mut bytes);
         bytes
     }
 
     /// Byte length of [`snapshot`](Self::snapshot).
     pub(crate) fn snapshot_len(&self) -> usize {
-        self.snapshot_len
+        self.tree.byte_len()
     }
 
     /// Appends the [`snapshot`](Self::snapshot) bytes to `out`. A
-    /// checkpoint frames them straight into its exactly-sized image: a
-    /// state-sized temporary grown by doubling, allocated between the
-    /// long-lived small allocations of execution, fragments the heap by
-    /// tens of MiB once the state is a few MiB.
+    /// checkpoint image frames them straight into its exactly-sized
+    /// buffer: a state-sized temporary grown by doubling, allocated
+    /// between the long-lived small allocations of execution, fragments
+    /// the heap by tens of MiB once the state is a few MiB.
     pub(crate) fn write_snapshot(&self, out: &mut Vec<u8>) {
-        for (k, v) in &self.map {
-            out.extend_from_slice(&(k.len() as u64).to_le_bytes());
-            out.extend_from_slice(k);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            out.extend_from_slice(v);
-        }
+        self.tree.write_to(out);
     }
 
-    // lint: ingress
     /// Parses a transferred snapshot (adversarial input: the bytes come
-    /// from a peer). Returns `None` for any malformed framing — truncated
-    /// lengths, trailing bytes, or keys out of order (order is part of the
-    /// digest contract, so an honest snapshot is always sorted).
+    /// from a peer or from disk) and rebuilds the store from scratch, so
+    /// its digest is computed here, from the bytes, never taken from the
+    /// sender. Returns `None` for any malformed framing — truncated
+    /// lengths, trailing bytes, keys out of order or repeated (an honest
+    /// snapshot is always sorted), or a key longer than `SET` accepts.
     pub fn install_snapshot(bytes: &[u8]) -> Option<KvStore> {
-        let mut map = BTreeMap::new();
-        let mut at = 0usize;
-        let mut prev_key: Option<Vec<u8>> = None;
-        let read_chunk = |at: &mut usize| -> Option<Vec<u8>> {
-            let len_end = at.checked_add(8)?;
-            let len_bytes = bytes.get(*at..len_end)?;
-            // lint: allow(ingress-expect) -- get() above proved the slice is 8 bytes
-            let len = u64::from_le_bytes(len_bytes.try_into().expect("8-byte slice"));
-            let len = usize::try_from(len).ok()?;
-            let end = len_end.checked_add(len)?;
-            let chunk = bytes.get(len_end..end)?.to_vec();
-            *at = end;
-            Some(chunk)
-        };
-        while at < bytes.len() {
-            let key = read_chunk(&mut at)?;
-            let value = read_chunk(&mut at)?;
-            if let Some(prev) = &prev_key {
-                if *prev >= key {
-                    return None; // unsorted or duplicate: not digest framing
-                }
-            }
-            prev_key = Some(key.clone());
-            map.insert(key, value);
-        }
-        // Every byte was consumed by exactly one framed, distinct pair.
-        Some(KvStore { map, snapshot_len: bytes.len() })
+        Some(KvStore { tree: StateTree::from_snapshot(bytes)? })
     }
-    // lint: end
 }
 
 impl StateMachine for KvStore {
     fn apply(&mut self, command: &[u8]) -> Vec<u8> {
-        let parts: Vec<&[u8]> = command.splitn(3, |b| *b == b' ').collect();
-        match parts.as_slice() {
-            [op, key, value] if *op == b"SET" => {
-                self.snapshot_len += value.len();
-                match self.map.insert(key.to_vec(), value.to_vec()) {
-                    Some(old) => {
-                        self.snapshot_len -= old.len();
-                        old
-                    }
-                    None => {
-                        self.snapshot_len += 16 + key.len();
-                        b"(nil)".to_vec()
-                    }
-                }
+        let mut parts = command.splitn(3, |b| *b == b' ');
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(b"SET"), Some(key), Some(value)) if key.len() <= MAX_KEY_LEN => {
+                self.tree.insert(key, value).unwrap_or_else(|| b"(nil)".to_vec())
             }
-            [op, key] if *op == b"GET" => {
-                self.map.get(*key).cloned().unwrap_or_else(|| b"(nil)".to_vec())
+            (Some(b"GET"), Some(key), None) => {
+                self.tree.get(key).map_or_else(|| b"(nil)".to_vec(), <[u8]>::to_vec)
             }
-            [op, key] if *op == b"DEL" => match self.map.remove(*key) {
-                Some(old) => {
-                    self.snapshot_len -= 16 + key.len() + old.len();
-                    b"1".to_vec()
-                }
+            (Some(b"DEL"), Some(key), None) => match self.tree.remove(key) {
+                Some(_) => b"1".to_vec(),
                 None => b"0".to_vec(),
             },
             _ => b"ERR".to_vec(),
@@ -144,14 +114,7 @@ impl StateMachine for KvStore {
     }
 
     fn state_digest(&self) -> [u8; 32] {
-        let mut h = rsoc_crypto::Sha256::new();
-        for (k, v) in &self.map {
-            h.update(&(k.len() as u64).to_le_bytes());
-            h.update(k);
-            h.update(&(v.len() as u64).to_le_bytes());
-            h.update(v);
-        }
-        h.finalize()
+        self.tree.root()
     }
 }
 
@@ -317,16 +280,30 @@ mod tests {
         kv.apply(b"SET b 2");
         kv.apply(b"DEL a");
         let snap = kv.snapshot();
-        // The snapshot IS the digest pre-image: a certificate over the
-        // state digest certifies the snapshot bytes.
-        assert_eq!(rsoc_crypto::sha256(&snap), kv.state_digest());
+        // The framing is what it always was: sorted length-framed pairs.
+        let mut framed = Vec::new();
+        for chunk in [&b"b"[..], b"2", b"msg", b"hello world"] {
+            framed.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
+            framed.extend_from_slice(chunk);
+        }
+        assert_eq!(snap, framed);
+        // The digest is the root of the page tree, not a hash of those
+        // bytes. What a certificate over it certifies about a snapshot is
+        // that the store *rebuilt from the bytes* has that root …
+        assert_ne!(rsoc_crypto::sha256(&snap), kv.state_digest());
         let restored = KvStore::install_snapshot(&snap).expect("well-formed");
         assert_eq!(restored.state_digest(), kv.state_digest());
-        assert_eq!(restored.len(), kv.len());
+        assert_eq!((restored.len(), restored.snapshot()), (kv.len(), snap));
+        // … and a store rebuilt from any other bytes does not.
+        let mut other = kv.clone();
+        other.apply(b"SET b 3");
+        let rebuilt = KvStore::install_snapshot(&other.snapshot()).expect("well-formed");
+        assert_ne!(rebuilt.state_digest(), kv.state_digest());
         // Empty store: empty snapshot, still round-trips.
         let empty = KvStore::new();
         assert_eq!(empty.snapshot(), Vec::<u8>::new());
-        assert!(KvStore::install_snapshot(&[]).is_some());
+        let installed = KvStore::install_snapshot(&[]).expect("empty is well-formed");
+        assert_eq!(installed.state_digest(), empty.state_digest());
     }
 
     #[test]
@@ -352,6 +329,38 @@ mod tests {
             unsorted.extend_from_slice(b"x");
         }
         assert!(KvStore::install_snapshot(&unsorted).is_none(), "unsorted keys");
+    }
+
+    /// Every branch of the state tree consumes a key byte, so nested
+    /// prefixes are what drive it deep — and the key bound is what stops
+    /// them: neither 300 nested prefixes nor a 64 KiB key may overflow a
+    /// stack or panic, and what `SET` refuses, a snapshot may not smuggle
+    /// in.
+    #[test]
+    fn long_and_nested_keys_are_bounded() {
+        let mut kv = KvStore::new();
+        for len in 1..=300 {
+            let set = [b"SET ", &vec![b'a'; len][..], b" v"].concat();
+            let expected: &[u8] = if len <= MAX_KEY_LEN { b"(nil)" } else { b"ERR" };
+            assert_eq!(kv.apply(&set), expected, "key of {len} bytes");
+        }
+        assert_eq!(kv.len(), MAX_KEY_LEN);
+        let huge = vec![b'k'; 64 << 10];
+        assert_eq!(kv.apply(&[b"SET ", &huge[..], b" v"].concat()), b"ERR");
+        assert_eq!(kv.apply(&[b"GET ", &huge[..]].concat()), b"(nil)");
+        assert_eq!(kv.apply(&[b"DEL ", &huge[..]].concat()), b"0");
+        let restored = KvStore::install_snapshot(&kv.snapshot()).expect("well-formed");
+        assert_eq!(restored.state_digest(), kv.state_digest());
+        let mut smuggled = Vec::new();
+        for chunk in [&huge[..], b"v"] {
+            smuggled.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
+            smuggled.extend_from_slice(chunk);
+        }
+        assert!(KvStore::install_snapshot(&smuggled).is_none());
+        for len in (1..=MAX_KEY_LEN).rev() {
+            assert_eq!(kv.apply(&[b"DEL ", &vec![b'a'; len][..]].concat()), b"1");
+        }
+        assert_eq!(kv.state_digest(), KvStore::new().state_digest());
     }
 
     #[test]

@@ -1,0 +1,673 @@
+//! The replicated state as one persistent, paged Merkle radix tree.
+//!
+//! A certified checkpoint has to digest the state and keep an image of it
+//! while execution moves on. Over a flat map both cost O(state) every
+//! time; over this tree they cost what *changed* since the last one —
+//! the partition tree of Castro–Liskov's proactive-recovery PBFT, keyed
+//! by the entries' own key bytes so it stays ordered:
+//!
+//! * a subtree holding at most [`PAGE_CAP`] entries is one **leaf page**:
+//!   a byte buffer in exactly the snapshot framing
+//!   (`key_len u64 LE · key · value_len u64 LE · value`, keys ascending);
+//! * a larger subtree is a **branch** on the byte that follows the
+//!   longest prefix all of its keys share (a key that *is* the prefix
+//!   takes slot 0, byte `b` takes slot `b + 1`, so slot order is key
+//!   order). A branch therefore always has at least two children.
+//!
+//! Which of the two a subtree is depends on its contents alone, never on
+//! the order of the writes that produced them, so equal contents give an
+//! equal shape and an equal root:
+//!
+//! ```text
+//! digest(page)   = sha256(0x00 · page bytes)
+//! digest(branch) = sha256(0x01 · (slot u16 LE · digest(child))*)
+//! ```
+//!
+//! Nodes are `Arc`-shared and cache their digest. A write copies and
+//! invalidates the nodes on its own path only — and copies only those a
+//! retained clone still shares — so [`StateTree::clone`] is O(1),
+//! [`StateTree::root`] rehashes the pages written since it was last
+//! asked, and the in-order concatenation of the pages *is* the snapshot.
+//!
+//! Keys are capped at [`MAX_KEY_LEN`] bytes: every branch consumes at
+//! least one key byte, so the cap bounds the depth of the tree and with
+//! it the recursion of every walk over it.
+
+use rsoc_crypto::Sha256;
+use std::sync::{Arc, OnceLock};
+
+/// Most entries one leaf page holds. Part of the digest definition:
+/// changing it changes every root.
+pub(crate) const PAGE_CAP: usize = 32;
+
+/// Longest key the tree stores (see the module docs).
+pub(crate) const MAX_KEY_LEN: usize = 256;
+
+/// Domain tags of the two node hashes — part of the digest definition.
+const PAGE_TAG: u8 = 0x00;
+const BRANCH_TAG: u8 = 0x01;
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes fed to node hashes on this thread (the rehash-work tests).
+    static HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// One framed pair occupying `start..end` of a page or snapshot.
+#[derive(Clone, Copy)]
+struct Entry<'a> {
+    start: usize,
+    key: &'a [u8],
+    value: &'a [u8],
+    end: usize,
+}
+
+// Snapshots arrive from peers and from disk: the framing is checked
+// before a single byte of it is interpreted.
+// lint: ingress
+/// Reads the framed pair at `bytes[start..]`; `None` if it is truncated
+/// or a length field overruns the buffer.
+fn read_entry(bytes: &[u8], start: usize) -> Option<Entry<'_>> {
+    fn chunk<'a>(bytes: &'a [u8], at: &mut usize) -> Option<&'a [u8]> {
+        let body = at.checked_add(8)?;
+        let len = u64::from_le_bytes(bytes.get(*at..body)?.try_into().ok()?);
+        let end = body.checked_add(usize::try_from(len).ok()?)?;
+        let chunk = bytes.get(body..end)?;
+        *at = end;
+        Some(chunk)
+    }
+    let mut at = start;
+    let key = chunk(bytes, &mut at)?;
+    let value = chunk(bytes, &mut at)?;
+    Some(Entry { start, key, value, end: at })
+}
+
+/// Parses a whole snapshot into its run of entries. `None` for any framing
+/// violation: a truncated pair, trailing bytes, keys not strictly
+/// ascending (order is part of the framing, so an honest snapshot is
+/// always sorted and free of duplicates), or a key no honest store holds.
+fn parse(bytes: &[u8]) -> Option<Vec<Entry<'_>>> {
+    let mut run: Vec<Entry<'_>> = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let entry = read_entry(bytes, at)?;
+        if entry.key.len() > MAX_KEY_LEN || run.last().is_some_and(|p| p.key >= entry.key) {
+            return None;
+        }
+        at = entry.end;
+        run.push(entry);
+    }
+    Some(run)
+}
+// lint: end
+
+/// The pairs of a page, in order.
+fn entries(page: &[u8]) -> impl Iterator<Item = Entry<'_>> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let entry = read_entry(page, at)?;
+        at = entry.end;
+        Some(entry)
+    })
+}
+
+/// Finds `key` in a page: its entry, or the offset it would be framed at.
+fn locate<'a>(page: &'a [u8], key: &[u8]) -> Result<Entry<'a>, usize> {
+    for entry in entries(page) {
+        match entry.key.cmp(key) {
+            std::cmp::Ordering::Less => {}
+            std::cmp::Ordering::Equal => return Ok(entry),
+            std::cmp::Ordering::Greater => return Err(entry.start),
+        }
+    }
+    Err(page.len())
+}
+
+/// Replaces `old` bytes at `at` with the concatenation of `parts`, moving
+/// the tail once.
+fn replace(bytes: &mut Vec<u8>, at: usize, old: usize, parts: &[&[u8]]) {
+    let new: usize = parts.iter().map(|p| p.len()).sum();
+    let len = bytes.len();
+    if new > old {
+        bytes.resize(len + (new - old), 0);
+    }
+    bytes.copy_within(at + old..len, at + new);
+    bytes.truncate(len - old + new);
+    let mut to = at;
+    for part in parts {
+        bytes[to..to + part.len()].copy_from_slice(part);
+        to += part.len();
+    }
+}
+
+/// A length as the framing writes it.
+fn len_le(chunk: &[u8]) -> [u8; 8] {
+    (chunk.len() as u64).to_le_bytes()
+}
+
+/// The child slot `key` falls in under a branch whose prefix is `depth`
+/// bytes long: 0 if the key ends there, else one past its next byte.
+fn slot_of(key: &[u8], depth: usize) -> u16 {
+    key.get(depth).map_or(0, |b| 1 + u16::from(*b))
+}
+
+fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+#[derive(Clone)]
+struct Node {
+    /// Cached digest of this subtree, cleared along the path of a write.
+    digest: OnceLock<[u8; 32]>,
+    /// Entries in this subtree.
+    entries: usize,
+    body: Body,
+}
+
+#[derive(Clone)]
+enum Body {
+    /// At most [`PAGE_CAP`] entries, in snapshot framing.
+    Page(Vec<u8>),
+    /// More than [`PAGE_CAP`] entries, split on the byte after `prefix`.
+    Branch {
+        /// The longest prefix every key below shares.
+        prefix: Vec<u8>,
+        /// Snapshot bytes of the subtree.
+        bytes: usize,
+        /// `(slot, subtree)`, ascending; at least two.
+        children: Vec<(u16, Arc<Node>)>,
+    },
+}
+
+/// The canonical subtree over `run`, a sorted run of entries of `src`.
+fn build(src: &[u8], run: &[Entry<'_>]) -> Node {
+    let (Some(first), Some(last)) = (run.first(), run.last()) else {
+        return Node::page(Vec::new(), 0);
+    };
+    if run.len() <= PAGE_CAP {
+        return Node::page(src[first.start..last.end].to_vec(), run.len());
+    }
+    // Sorted, so what the first and last key share, every key shares.
+    let depth = common_prefix_len(first.key, last.key);
+    let children = run
+        .chunk_by(|a, b| slot_of(a.key, depth) == slot_of(b.key, depth))
+        .map(|group| (slot_of(group[0].key, depth), Arc::new(build(src, group))))
+        .collect();
+    Node::branch(first.key[..depth].to_vec(), children)
+}
+
+impl Node {
+    fn page(bytes: Vec<u8>, entries: usize) -> Node {
+        Node { digest: OnceLock::new(), entries, body: Body::Page(bytes) }
+    }
+
+    fn single(key: &[u8], value: &[u8]) -> Node {
+        let mut bytes = Vec::with_capacity(16 + key.len() + value.len());
+        replace(&mut bytes, 0, 0, &[&len_le(key), key, &len_le(value), value]);
+        Node::page(bytes, 1)
+    }
+
+    fn branch(prefix: Vec<u8>, children: Vec<(u16, Arc<Node>)>) -> Node {
+        Node {
+            digest: OnceLock::new(),
+            entries: children.iter().map(|(_, c)| c.entries).sum(),
+            body: Body::Branch {
+                prefix,
+                bytes: children.iter().map(|(_, c)| c.byte_len()).sum(),
+                children,
+            },
+        }
+    }
+
+    fn byte_len(&self) -> usize {
+        match &self.body {
+            Body::Page(bytes) => bytes.len(),
+            Body::Branch { bytes, .. } => *bytes,
+        }
+    }
+
+    fn digest(&self) -> [u8; 32] {
+        *self.digest.get_or_init(|| {
+            let mut h = Sha256::new();
+            let mut feed = |bytes: &[u8]| {
+                #[cfg(test)]
+                HASHED.with(|n| n.set(n.get() + bytes.len() as u64));
+                h.update(bytes);
+            };
+            match &self.body {
+                Body::Page(bytes) => {
+                    feed(&[PAGE_TAG]);
+                    feed(bytes);
+                }
+                Body::Branch { children, .. } => {
+                    feed(&[BRANCH_TAG]);
+                    for (slot, child) in children {
+                        feed(&slot.to_le_bytes());
+                        feed(&child.digest());
+                    }
+                }
+            }
+            h.finalize()
+        })
+    }
+
+    /// Visits the pages of this subtree in key order.
+    fn pages<F: FnMut(&[u8])>(&self, visit: &mut F) {
+        match &self.body {
+            Body::Page(bytes) => visit(bytes),
+            Body::Branch { children, .. } => children.iter().for_each(|(_, c)| c.pages(visit)),
+        }
+    }
+
+    /// Writes `key → value` beneath `slot`; returns the value replaced.
+    fn insert(slot: &mut Arc<Node>, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+        // A key outside a branch's prefix becomes its sibling under a new,
+        // shorter-prefixed parent; the branch itself is shared, untouched.
+        if let Body::Branch { prefix, .. } = &slot.body {
+            let shared = common_prefix_len(prefix, key);
+            if shared < prefix.len() {
+                let mut children = vec![
+                    (slot_of(prefix, shared), Arc::clone(slot)),
+                    (slot_of(key, shared), Arc::new(Node::single(key, value))),
+                ];
+                children.sort_unstable_by_key(|(s, _)| *s);
+                *slot = Arc::new(Node::branch(key[..shared].to_vec(), children));
+                return None;
+            }
+        }
+        let node = Arc::make_mut(slot);
+        node.digest = OnceLock::new();
+        let old = match &mut node.body {
+            Body::Page(page) => {
+                match locate(page, key).map(|e| (e.end - e.value.len() - 8, e.value.to_vec())) {
+                    Ok((at, old)) => {
+                        replace(page, at, 8 + old.len(), &[&len_le(value), value]);
+                        Some(old)
+                    }
+                    Err(at) => {
+                        replace(page, at, 0, &[&len_le(key), key, &len_le(value), value]);
+                        None
+                    }
+                }
+            }
+            Body::Branch { prefix, bytes, children } => {
+                let s = slot_of(key, prefix.len());
+                let old = match children.binary_search_by_key(&s, |(s, _)| *s) {
+                    // bounds: `i` is the position binary_search just found
+                    Ok(i) => Node::insert(&mut children[i].1, key, value),
+                    Err(i) => {
+                        children.insert(i, (s, Arc::new(Node::single(key, value))));
+                        None
+                    }
+                };
+                *bytes += value.len();
+                match &old {
+                    Some(old) => *bytes -= old.len(),
+                    None => *bytes += 16 + key.len(),
+                }
+                old
+            }
+        };
+        if old.is_none() {
+            node.entries += 1;
+            if let Body::Page(page) = &node.body {
+                if node.entries > PAGE_CAP {
+                    *node = build(page, &entries(page).collect::<Vec<_>>());
+                }
+            }
+        }
+        old
+    }
+
+    /// Deletes `key` beneath `slot`; returns the value it held.
+    fn remove(slot: &mut Arc<Node>, key: &[u8]) -> Option<Vec<u8>> {
+        let node = Arc::make_mut(slot);
+        let old = match &mut node.body {
+            Body::Page(page) => {
+                let (at, size, old) =
+                    locate(page, key).map(|e| (e.start, e.end - e.start, e.value.to_vec())).ok()?;
+                replace(page, at, size, &[]);
+                old
+            }
+            Body::Branch { prefix, bytes, children } => {
+                if !key.starts_with(prefix) {
+                    return None;
+                }
+                let s = slot_of(key, prefix.len());
+                let i = children.binary_search_by_key(&s, |(s, _)| *s).ok()?;
+                // bounds: `i` is the position binary_search just found
+                let old = Node::remove(&mut children[i].1, key)?;
+                *bytes -= 16 + key.len() + old.len();
+                // bounds: as above; nothing moved since
+                if children[i].1.entries == 0 {
+                    children.remove(i);
+                }
+                old
+            }
+        };
+        node.digest = OnceLock::new();
+        node.entries -= 1;
+        if let Body::Branch { bytes, children, .. } = &mut node.body {
+            if node.entries <= PAGE_CAP {
+                // Small enough for one page again; so is every child.
+                let mut page = Vec::with_capacity(*bytes);
+                children.iter().for_each(|(_, c)| c.pages(&mut |p| page.extend_from_slice(p)));
+                node.body = Body::Page(page);
+            } else if children.len() == 1 {
+                // One slot left: the keys share a longer prefix, which is
+                // the prefix the remaining child (a branch) already has.
+                if let Some((_, only)) = children.pop() {
+                    *slot = only;
+                }
+            }
+        }
+        Some(old)
+    }
+}
+
+/// An ordered byte-string map with an incrementally maintained Merkle
+/// root and O(1) copy-on-write clones (see the module docs).
+#[derive(Clone)]
+pub(crate) struct StateTree {
+    root: Arc<Node>,
+}
+
+impl Default for StateTree {
+    fn default() -> Self {
+        StateTree { root: Arc::new(Node::page(Vec::new(), 0)) }
+    }
+}
+
+impl std::fmt::Debug for StateTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StateTree")
+            .field("entries", &self.len())
+            .field("bytes", &self.byte_len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Equal contents have equal roots, so trees compare by root.
+impl PartialEq for StateTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.root() == other.root()
+    }
+}
+
+impl Eq for StateTree {}
+
+impl StateTree {
+    /// An empty tree.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds a tree from snapshot bytes, from scratch; `None` unless
+    /// they are exactly the framing [`write_to`](Self::write_to) emits.
+    pub(crate) fn from_snapshot(bytes: &[u8]) -> Option<StateTree> {
+        let run = parse(bytes)?;
+        Some(StateTree { root: Arc::new(build(bytes, &run)) })
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.root.entries
+    }
+
+    /// Byte length of the snapshot [`write_to`](Self::write_to) produces.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.root.byte_len()
+    }
+
+    /// The Merkle root. Rehashes only nodes written since they were last
+    /// digested.
+    pub(crate) fn root(&self) -> [u8; 32] {
+        self.root.digest()
+    }
+
+    /// The value stored under `key`.
+    pub(crate) fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        let mut node = &*self.root;
+        loop {
+            match &node.body {
+                Body::Page(page) => return locate(page, key).ok().map(|e| e.value),
+                Body::Branch { prefix, children, .. } => {
+                    if !key.starts_with(prefix) {
+                        return None;
+                    }
+                    let s = slot_of(key, prefix.len());
+                    let i = children.binary_search_by_key(&s, |(s, _)| *s).ok()?;
+                    node = &children.get(i)?.1;
+                }
+            }
+        }
+    }
+
+    /// Stores `key → value` and returns the value it replaces. `key` must
+    /// be at most [`MAX_KEY_LEN`] bytes: callers refuse longer ones.
+    pub(crate) fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+        debug_assert!(key.len() <= MAX_KEY_LEN, "callers bound keys: depth is bounded by it");
+        Node::insert(&mut self.root, key, value)
+    }
+
+    /// Deletes `key` and returns the value it held.
+    pub(crate) fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+        // A miss must not copy shared pages or drop cached digests.
+        self.get(key)?;
+        Node::remove(&mut self.root, key)
+    }
+
+    /// Appends the snapshot — every pair, framed, in key order — to `out`.
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
+        self.root.pages(&mut |page| out.extend_from_slice(page));
+    }
+
+    /// Visits every `(key, value)` in key order.
+    pub(crate) fn for_each(&self, mut visit: impl FnMut(&[u8], &[u8])) {
+        self.root.pages(&mut |page| entries(page).for_each(|e| visit(e.key, e.value)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// The snapshot framing of a reference map.
+    fn framing(model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (k, v) in model {
+            for chunk in [k, v] {
+                out.extend_from_slice(&len_le(chunk));
+                out.extend_from_slice(chunk);
+            }
+        }
+        out
+    }
+
+    fn snapshot(tree: &StateTree) -> Vec<u8> {
+        let mut out = Vec::new();
+        tree.write_to(&mut out);
+        out
+    }
+
+    fn hashed_by(work: impl FnOnce()) -> u64 {
+        HASHED.with(|n| n.set(0));
+        work();
+        HASHED.with(|n| n.get())
+    }
+
+    /// Every structural rule of the module docs, checked node by node.
+    fn check_shape(node: &Node, inherited: &[u8]) {
+        match &node.body {
+            Body::Page(page) => {
+                assert!(node.entries <= PAGE_CAP);
+                assert_eq!(entries(page).count(), node.entries);
+                assert_eq!(entries(page).last().map_or(0, |e| e.end), page.len());
+                assert!(entries(page).all(|e| e.key.starts_with(inherited)));
+            }
+            Body::Branch { prefix, bytes, children } => {
+                assert!(node.entries > PAGE_CAP && children.len() >= 2);
+                assert!(prefix.starts_with(inherited));
+                assert!(children.windows(2).all(|w| w[0].0 < w[1].0));
+                assert_eq!(children.iter().map(|(_, c)| c.entries).sum::<usize>(), node.entries);
+                assert_eq!(children.iter().map(|(_, c)| c.byte_len()).sum::<usize>(), *bytes);
+                for (slot, child) in children {
+                    assert!(child.entries > 0);
+                    let mut below = prefix.clone();
+                    match slot.checked_sub(1) {
+                        Some(byte) => below.push(byte as u8),
+                        None => assert_eq!(child.entries, 1, "only the prefix itself ends here"),
+                    }
+                    check_shape(child, &below);
+                }
+            }
+        }
+    }
+
+    /// A long mixed run over keys built to collide: the empty key, keys
+    /// that are prefixes of one another, 0x00 and 0xFF bytes, and enough
+    /// of them under one prefix that pages split, split again, and — as
+    /// deletes outnumber writes in the second half — collapse.
+    #[test]
+    fn a_mixed_run_tracks_the_reference_map_and_keeps_the_canonical_shape() {
+        let mut tree = StateTree::new();
+        let mut model = BTreeMap::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let alphabet = [0x00u8, b'a', b'b', 0xFF];
+        for step in 0..6_000 {
+            let key: Vec<u8> = (0..next() % 7).map(|_| alphabet[next() % 4]).collect();
+            let deletes = if step < 3_000 { 1 } else { 3 };
+            if next() % 4 < deletes {
+                assert_eq!(tree.remove(&key), model.remove(&key), "step {step}");
+            } else {
+                let value = vec![step as u8; next() % 24];
+                assert_eq!(tree.insert(&key, &value), model.insert(key, value), "step {step}");
+            }
+            assert_eq!((tree.len(), tree.byte_len()), (model.len(), framing(&model).len()));
+            if step % 50 == 0 {
+                check_shape(&tree.root, b"");
+                let bytes = snapshot(&tree);
+                assert_eq!(bytes, framing(&model), "step {step}");
+                let rebuilt = StateTree::from_snapshot(&bytes).expect("own snapshot");
+                assert_eq!(rebuilt.root(), tree.root(), "step {step}");
+                for (k, v) in &model {
+                    assert_eq!(tree.get(k), Some(v.as_slice()));
+                }
+            }
+        }
+        assert!(model.len() > 4 * PAGE_CAP, "the run must have split pages: {}", model.len());
+        let full: Vec<Vec<u8>> = model.keys().cloned().collect();
+        for key in &full {
+            tree.remove(key);
+            check_shape(&tree.root, b"");
+        }
+        assert_eq!((tree.len(), tree.byte_len(), tree.root()), (0, 0, StateTree::new().root()));
+    }
+
+    #[test]
+    fn the_root_depends_on_the_contents_not_on_their_history() {
+        let keys: Vec<Vec<u8>> =
+            (0..5 * PAGE_CAP).map(|i| format!("user/{i:03}").into_bytes()).collect();
+        let mut ascending = StateTree::new();
+        let mut descending = StateTree::new();
+        let mut churned = StateTree::new();
+        for key in &keys {
+            ascending.insert(key, b"v");
+        }
+        for key in keys.iter().rev() {
+            descending.insert(key, b"v");
+        }
+        for key in &keys {
+            churned.insert(key, b"another value");
+            churned.insert(&[key.as_slice(), b"/tmp"].concat(), b"x");
+        }
+        churned.insert(b"unrelated", b"x");
+        for key in &keys {
+            churned.remove(&[key.as_slice(), b"/tmp"].concat());
+            churned.insert(key, b"v");
+        }
+        churned.remove(b"unrelated");
+        assert_eq!(ascending.root(), descending.root());
+        assert_eq!(ascending.root(), churned.root());
+        assert_eq!(snapshot(&ascending), snapshot(&churned));
+        // And on nothing else: one value differs, the root differs.
+        churned.insert(&keys[7], b"w");
+        assert_ne!(ascending.root(), churned.root());
+    }
+
+    #[test]
+    fn a_clone_shares_pages_until_they_are_written_and_never_moves() {
+        let mut live = StateTree::new();
+        for i in 0..1_000 {
+            live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"value");
+        }
+        let retained = live.clone();
+        let (root, bytes) = (retained.root(), snapshot(&retained));
+        // Rehashing after one write touches one path, not the state.
+        let one_write = hashed_by(|| {
+            live.insert(b"k3.500", b"other");
+            live.root();
+        });
+        assert!(one_write < (bytes.len() / 20) as u64, "{one_write} of {} bytes", bytes.len());
+        for i in 0..1_000 {
+            live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"overwritten");
+            live.remove(format!("k{}.{}", i % 8, i + 1).as_bytes());
+        }
+        assert_eq!((retained.root(), snapshot(&retained)), (root, bytes));
+        assert_ne!(live.root(), root);
+        // An unchanged tree rehashes nothing at all.
+        assert_eq!(hashed_by(|| _ = live.root()), 0);
+        // A miss changes nothing, so it invalidates nothing.
+        assert_eq!(live.remove(b"absent"), None);
+        assert_eq!(hashed_by(|| _ = live.root()), 0);
+    }
+
+    /// The point of the tree: digesting after 256 fresh writes costs the
+    /// pages those writes touched, whatever the size of the state. Keys
+    /// and values have the shape of the harness's workload (8 clients,
+    /// `k{client}.{seq}`, each op a new key).
+    #[test]
+    fn rehash_work_follows_the_writes_not_the_state() {
+        let write = |tree: &mut StateTree, op: usize| {
+            let key = format!("k{}.{}", op % 8, op / 8);
+            tree.insert(key.as_bytes(), &[op as u8; 100]);
+        };
+        let rehash_after_256 = |keys: usize| {
+            let mut tree = StateTree::new();
+            (0..keys).for_each(|op| write(&mut tree, op));
+            tree.root();
+            let hashed = hashed_by(|| {
+                (keys..keys + 256).for_each(|op| write(&mut tree, op));
+                tree.root();
+            });
+            (hashed, tree.byte_len() as u64)
+        };
+        let (small, _) = rehash_after_256(10_000);
+        let (large, state) = rehash_after_256(100_000);
+        assert!(small <= 2 * large && large <= 2 * small, "10^4: {small} B, 10^5: {large} B");
+        assert!(large * 20 < state, "{large} B rehashed of a {state} B state");
+    }
+
+    #[test]
+    fn malformed_snapshots_do_not_build() {
+        let pair = |k: &[u8], v: &[u8]| [&len_le(k)[..], k, &len_le(v)[..], v].concat();
+        let good = [pair(b"a", b"1"), pair(b"ab", b"2")].concat();
+        assert!(StateTree::from_snapshot(&good).is_some());
+        assert!(StateTree::from_snapshot(&good[..good.len() - 1]).is_none(), "truncated");
+        assert!(StateTree::from_snapshot(&[&good[..], &[0]].concat()).is_none(), "trailing byte");
+        let swapped = [pair(b"ab", b"2"), pair(b"a", b"1")].concat();
+        assert!(StateTree::from_snapshot(&swapped).is_none(), "descending");
+        let twice = [pair(b"a", b"1"), pair(b"a", b"1")].concat();
+        assert!(StateTree::from_snapshot(&twice).is_none(), "duplicate");
+        let overrun = [&u64::MAX.to_le_bytes()[..], b"a"].concat();
+        assert!(StateTree::from_snapshot(&overrun).is_none(), "length overruns the buffer");
+        let long = pair(&[b'k'; MAX_KEY_LEN + 1], b"v");
+        assert!(StateTree::from_snapshot(&long).is_none(), "a key no store accepts");
+        assert!(StateTree::from_snapshot(&pair(&[b'k'; MAX_KEY_LEN], b"v")).is_some());
+    }
+}

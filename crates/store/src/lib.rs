@@ -80,11 +80,16 @@ const fn build_crc_table() -> [u32; 256] {
 /// any single-burst error shorter than 32 bits, which covers the torn
 /// and bit-flipped tails the chaos harness injects.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    !crc32_feed(!0, bytes)
+}
+
+/// Runs `bytes` through the CRC register `c`, so a checksum can be taken
+/// over parts that never sit in one buffer.
+fn crc32_feed(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 /// One WAL record. The `Wire` impl is the disk layout (inside the
@@ -167,6 +172,30 @@ fn frame_record<T: Wire>(value: &T, out: &mut Vec<u8>) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
+}
+
+/// The bytes a snapshot file holds before and after `image`: the record
+/// header and the [`SnapshotRecord`] fields around its `bytes`, so that
+/// `head · image · tail` is exactly `frame_record(&SnapshotRecord { .. })`
+/// without the state-sized image ever being copied. The checksum runs
+/// over the three parts in turn.
+fn snapshot_envelope(
+    cert: &CheckpointCert,
+    log_len: u64,
+    image: &[u8],
+    wal_start: u64,
+) -> [Vec<u8>; 2] {
+    let mut head = vec![0u8; 8];
+    encode_frame(cert, &mut head);
+    log_len.encode(&mut head);
+    (image.len() as u64).encode(&mut head);
+    let mut tail = Vec::new();
+    wal_start.encode(&mut tail);
+    let len = (head.len() - 8 + image.len() + tail.len()) as u32;
+    let crc = !crc32_feed(crc32_feed(crc32_feed(!0, &head[8..]), image), &tail);
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..8].copy_from_slice(&crc.to_le_bytes());
+    [head, tail]
 }
 
 /// Parses the record at `bytes[off..]`. Returns the decoded value and
@@ -349,25 +378,20 @@ impl DataDir {
         &mut self,
         cert: &CheckpointCert,
         log_len: u64,
-        snapshot: &Arc<Vec<u8>>,
+        snapshot: &[u8],
     ) -> io::Result<()> {
         // Commits above the watermark may already sit in the current
         // segment (they committed before the certificate stabilised), so
         // the snapshot points replay at the segment being closed, not the
         // fresh one.
-        let rec = SnapshotRecord {
-            cert: cert.clone(),
-            log_len,
-            bytes: snapshot.as_ref().clone(),
-            wal_start: self.seg,
-        };
-        let mut framed = Vec::new();
-        frame_record(&rec, &mut framed);
+        let [head, tail] = snapshot_envelope(cert, log_len, snapshot, self.seg);
         let tmp = self.dir.join("snap.tmp");
         let path = self.dir.join(format!("snap-{}.bin", cert.seq));
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&framed)?;
+            f.write_all(&head)?;
+            f.write_all(snapshot)?;
+            f.write_all(&tail)?;
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
@@ -542,6 +566,22 @@ mod tests {
         // Segment 1 (closed by the seq-3 snapshot) still replays commit 3;
         // the core skips it as covered. Commit 4 is the live tail.
         assert_eq!(state.commits.last().unwrap().0, 4);
+    }
+
+    /// The snapshot file is streamed around the borrowed image; its bytes
+    /// must stay exactly the framed [`SnapshotRecord`] `open` parses.
+    #[test]
+    fn snapshot_file_is_the_framed_record_byte_for_byte() {
+        for image in [Vec::new(), b"state@7".to_vec(), vec![0xA5; 70_000]] {
+            let scratch = Scratch::new();
+            let (mut store, _) = DataDir::open(&scratch.0).unwrap();
+            store.persist(&[commit(1, b"a".to_vec()), stable(7, image.clone())]).unwrap();
+            let rec =
+                SnapshotRecord { cert: cert(7, &image), log_len: 7, bytes: image, wal_start: 0 };
+            let mut framed = Vec::new();
+            frame_record(&rec, &mut framed);
+            assert_eq!(fs::read(scratch.0.join("snap-7.bin")).unwrap(), framed);
+        }
     }
 
     #[test]

@@ -521,6 +521,105 @@ proptest! {
     }
 }
 
+// ---------------- the paged Merkle state tree ----------------
+//
+// `KvStore` keeps its pairs in a paged Merkle radix tree whose root is
+// the certified state digest. Against a `BTreeMap` reference, over keys
+// built to collide (the empty key, keys that are prefixes of one
+// another, 0x00 and 0xFF bytes, and 160 keys under one prefix so pages
+// split going up and collapse coming down), after **every** command:
+// the reply, the size and the snapshot bytes are the reference's, and
+// the incrementally maintained root is the root of a store rebuilt from
+// those bytes from scratch. At the end: the root does not depend on the
+// order the contents arrived in, and a clone taken on the way never
+// moved.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kv_store_tracks_a_btreemap_reference_and_its_root_is_canonical(
+        ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u8>()), 1..500),
+        clone_at in 0usize..500,
+    ) {
+        use manycore_resilience::bft::statemachine::{KvStore, StateMachine};
+        use std::collections::BTreeMap;
+
+        let key_of = |a: u32| -> Vec<u8> {
+            if a.is_multiple_of(4) {
+                let alphabet = [0x00u8, b'a', 0xFF];
+                (0..(a >> 2) % 5).map(|i| alphabet[(a >> (5 + 2 * i)) as usize % 3]).collect()
+            } else {
+                format!("p/{}", (a >> 2) % 160).into_bytes()
+            }
+        };
+        let framing = |model: &BTreeMap<Vec<u8>, Vec<u8>>| {
+            let mut out = Vec::new();
+            for (k, v) in model {
+                for chunk in [k, v] {
+                    out.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
+                    out.extend_from_slice(chunk);
+                }
+            }
+            out
+        };
+        let command = |op: &[u8], key: &[u8], value: Option<&[u8]>| {
+            let mut c = [op, b" ", key].concat();
+            if let Some(value) = value {
+                c.push(b' ');
+                c.extend_from_slice(value);
+            }
+            c
+        };
+
+        let mut kv = KvStore::new();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut retained = None;
+        for (i, &(kind, a, v)) in ops.iter().enumerate() {
+            if i == clone_at % ops.len() {
+                retained = Some((kv.clone(), kv.state_digest(), kv.snapshot()));
+            }
+            let key = key_of(a);
+            // Writes dominate the first half, deletes the second.
+            let deletes = if i < ops.len() / 2 { 1 } else { 4 };
+            let (reply, expected) = if kind == 7 {
+                let expected = model.get(&key).cloned().unwrap_or_else(|| b"(nil)".to_vec());
+                (kv.apply(&command(b"GET", &key, None)), expected)
+            } else if kind < deletes {
+                let expected = if model.remove(&key).is_some() { b"1" } else { b"0" };
+                (kv.apply(&command(b"DEL", &key, None)), expected.to_vec())
+            } else {
+                let value = vec![v; v as usize % 20];
+                let reply = kv.apply(&command(b"SET", &key, Some(&value)));
+                (reply, model.insert(key, value).unwrap_or_else(|| b"(nil)".to_vec()))
+            };
+            prop_assert_eq!(reply, expected, "reply diverged at step {}", i);
+            prop_assert_eq!(kv.len(), model.len());
+            let snapshot = kv.snapshot();
+            prop_assert_eq!(&snapshot, &framing(&model), "snapshot diverged at step {}", i);
+            let rebuilt = KvStore::install_snapshot(&snapshot).expect("own snapshot");
+            prop_assert_eq!(rebuilt.state_digest(), kv.state_digest(), "root drifted at step {}", i);
+        }
+
+        // History independence: the same contents, written in key order
+        // and in reverse key order into fresh stores.
+        for reverse in [false, true] {
+            let mut pairs: Vec<_> = model.iter().collect();
+            if reverse {
+                pairs.reverse();
+            }
+            let mut fresh = KvStore::new();
+            for (k, v) in pairs {
+                fresh.apply(&command(b"SET", k, Some(v)));
+            }
+            prop_assert_eq!(fresh.state_digest(), kv.state_digest());
+        }
+        // Copy-on-write isolation.
+        let (clone, digest, bytes) = retained.expect("clone_at is within the run");
+        prop_assert_eq!(clone.state_digest(), digest);
+        prop_assert_eq!(clone.snapshot(), bytes);
+    }
+}
+
 // ---------------- certified checkpoints (PR 7) ----------------
 //
 // Checkpoint digests are the protocols' *common knowledge*: at every
