@@ -3,8 +3,12 @@
 //! commits.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use rsoc_bft::api::{
+    Batch, ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
+};
+use rsoc_bft::durable::{DurableEvent, RecoveredState};
 use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::pbft::PbftCluster;
+use rsoc_bft::pbft::{PbftCluster, PbftMsg, PbftReplica};
 use rsoc_bft::runner::{run, RunConfig};
 use rsoc_bft::statemachine::{KvStore, StateMachine};
 use rsoc_crypto::{hmac_sha256, sha256, MacKey};
@@ -14,6 +18,10 @@ use rsoc_hw::{EccRegister, PlainRegister, RegisterCell};
 use rsoc_hybrid::{KeyRing, Usig, UsigId};
 use rsoc_noc::network::{Network, NetworkConfig};
 use rsoc_noc::{Mesh2d, Routing};
+use rsoc_store::{crc32, frame_record, DataDir, WalRecord};
+use rsoc_transport::wire::{encode_envelope, Envelope};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 fn bench_crypto(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto");
@@ -193,6 +201,171 @@ fn bench_kv(c: &mut Criterion) {
     g.finish();
 }
 
+/// Client 1's write number `seq`: its own key, a `value_len`-byte value.
+fn write_request(seq: u64, value_len: usize) -> Arc<Request> {
+    let mut payload = format!("SET k{seq} ").into_bytes();
+    payload.resize(payload.len() + value_len, 0x5A);
+    Arc::new(Request { op: OpId { client: ClientId(1), seq }, payload })
+}
+
+/// What every persisted or framed byte costs: the checksum at three
+/// lengths, one WAL record framed in place, and the frame the primary
+/// sends most bytes in.
+fn bench_framing(c: &mut Criterion) {
+    let mut g = c.benchmark_group("store");
+    for (label, len) in [("64B", 64usize), ("4KiB", 4 << 10), ("1MiB", 1 << 20)] {
+        let block: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("crc32/{label}"), |b| b.iter(|| crc32(black_box(&block))));
+    }
+    let record =
+        WalRecord::Commit { seq: 9, batch: Arc::new(Batch::single(write_request(9, 600))) };
+    let mut pending = Vec::new();
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("frame_record/600B", |b| {
+        b.iter(|| {
+            pending.clear();
+            frame_record(black_box(&record), &mut pending).expect("a 600-byte record");
+            pending.len()
+        })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("transport");
+    let batch = Arc::new(Batch::new((1..=4).map(|seq| write_request(seq, 600)).collect()));
+    let envelope = Envelope::Msg {
+        from: Endpoint::Replica(ReplicaId(0)),
+        msg: PbftMsg::PrePrepare { view: 0, seq: 1, batch },
+    };
+    g.bench_function("encode_envelope/preprepare_b4", |b| {
+        b.iter(|| encode_envelope(black_box(&envelope)))
+    });
+    g.finish();
+}
+
+/// Four durable PBFT replicas driven by hand over a FIFO in-memory
+/// network, replica 0 persisting to a [`DataDir`] before its messages
+/// leave, with a checkpoint every 256 slots.
+struct DurableCluster {
+    nodes: Vec<PbftReplica>,
+    store: DataDir,
+    now: u64,
+    next_seq: u64,
+    /// Commit bytes and image bytes replica 0 handed to its store, and
+    /// the length of the last image among them.
+    wal_bytes: u64,
+    image_bytes: u64,
+    last_image: u64,
+}
+
+impl DurableCluster {
+    /// A cluster whose state already holds `keys` keys (replayed through
+    /// `recover`, as a restart would, not ordered one by one).
+    fn preloaded(keys: u64) -> Self {
+        let config = RunConfig::builder().f(1).seed(7).checkpoint_interval(256).build();
+        let mut nodes = PbftCluster::new(&config).into_nodes();
+        let commits: Vec<_> =
+            (1..=keys).map(|seq| (seq, Arc::new(Batch::single(write_request(seq, 100))))).collect();
+        for node in &mut nodes {
+            let state = RecoveredState { commits: commits.clone(), ..Default::default() };
+            assert_eq!(node.recover(state).replayed, keys);
+            node.enable_durability();
+        }
+        let dir = std::env::temp_dir()
+            .join(format!("rsoc_micro_persist_stable_{keys}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, _) = DataDir::open(&dir).expect("open the data directory");
+        DurableCluster {
+            nodes,
+            store,
+            now: 0,
+            next_seq: keys + 1,
+            wal_bytes: 0,
+            image_bytes: 0,
+            last_image: 0,
+        }
+    }
+
+    /// Orders 256 fresh writes — exactly one stable checkpoint — each run
+    /// until the network is quiet.
+    fn checkpoint_interval(&mut self) {
+        let mut out = Outbox::new();
+        let mut events = Vec::new();
+        for _ in 0..256 {
+            let request = write_request(self.next_seq, 100);
+            self.next_seq += 1;
+            let client = Endpoint::Client(request.op.client);
+            let mut queue: VecDeque<(usize, Endpoint, PbftMsg)> = (0..self.nodes.len())
+                .map(|to| (to, client, PbftReplica::make_request(request.clone())))
+                .collect();
+            while let Some((to, from, msg)) = queue.pop_front() {
+                self.now += 1;
+                out.clear();
+                self.nodes[to].on_input(Input::Message { from, msg }, self.now, &mut out);
+                events.clear();
+                self.nodes[to].drain_durable(&mut events);
+                if to == 0 {
+                    for event in &events {
+                        match event {
+                            DurableEvent::Commit { batch, .. } => {
+                                self.wal_bytes += batch.wire_len()
+                            }
+                            DurableEvent::Stable { snapshot, .. } => {
+                                self.last_image = snapshot.len() as u64;
+                                self.image_bytes += self.last_image;
+                            }
+                            DurableEvent::UsigCounter(_) => {}
+                        }
+                    }
+                    self.store.persist(&events).expect("persist");
+                }
+                let from = Endpoint::Replica(ReplicaId(to as u32));
+                for (dest, msg) in out.msgs.drain(..) {
+                    if let Endpoint::Replica(r) = dest {
+                        queue.push_back((r.0 as usize, from, msg));
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Drop for DurableCluster {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(self.store.path());
+    }
+}
+
+/// One checkpoint interval of a durable replica at two state sizes: 256
+/// ordered writes, their WAL records and whatever the stable checkpoint
+/// at the end puts on disk. The same number twice is the point — the
+/// images written stay within the WAL written plus one, however large the
+/// state — and the interval before the timed ones takes the first image,
+/// which is always written.
+fn bench_persist_stable(c: &mut Criterion) {
+    let mut g = c.benchmark_group("store");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(256));
+    for (label, keys) in [("10k", 10_000u64), ("100k", 100_000)] {
+        let mut cluster = DurableCluster::preloaded(keys);
+        cluster.checkpoint_interval();
+        assert!(
+            cluster.image_bytes > keys * 100,
+            "the first stable checkpoint writes the whole state"
+        );
+        g.bench_function(format!("persist_stable/{label}"), |b| {
+            b.iter(|| cluster.checkpoint_interval())
+        });
+        assert!(
+            cluster.image_bytes <= cluster.wal_bytes + cluster.last_image,
+            "{} image bytes over {} WAL bytes",
+            cluster.image_bytes,
+            cluster.wal_bytes
+        );
+    }
+    g.finish();
+}
+
 fn bench_fpga(c: &mut Criterion) {
     let mut g = c.benchmark_group("fpga");
     let key = MacKey::derive(3, "bs");
@@ -218,6 +391,8 @@ criterion_group!(
     bench_protocols,
     bench_commit_batching,
     bench_kv,
+    bench_framing,
+    bench_persist_stable,
     bench_fpga
 );
 criterion_main!(benches);

@@ -52,6 +52,12 @@ pub struct Request {
 }
 
 impl Request {
+    /// Length of the request's [`Wire`] encoding (see [`request_fields`]):
+    /// client, sequence number and payload length, then the payload.
+    pub fn wire_len(&self) -> u64 {
+        4 + 8 + 8 + self.payload.len() as u64
+    }
+
     /// SHA-256 digest of the request (identity + payload), used in
     /// prepare/commit certificates.
     pub fn digest(&self) -> [u8; 32] {
@@ -114,6 +120,12 @@ impl Batch {
     /// The cached batch digest.
     pub fn digest(&self) -> [u8; 32] {
         self.digest
+    }
+
+    /// Length of the batch's [`Wire`] encoding — the request count, then
+    /// each request — without encoding it.
+    pub fn wire_len(&self) -> u64 {
+        8 + self.requests.iter().map(|r| r.wire_len()).sum::<u64>()
     }
 
     /// Recomputes the digest from content and checks it against the cached

@@ -33,6 +33,11 @@ use rsoc_crypto::Tag;
 use rsoc_hybrid::{UsigId, UI};
 use std::sync::Arc;
 
+/// The checksum the planes put *around* an encoded frame (`rsoc_store`'s
+/// on-disk record header), re-exported next to the encoding it guards so
+/// a plane that frames these bytes needs no second path to the kernel.
+pub use rsoc_crypto::{crc32, Crc32};
+
 /// Wire format version, the first byte of every frame. Bumped on any
 /// incompatible layout change; decoders reject other versions outright.
 /// Version 2: `StateTransfer` carries a slot-grained batch suffix and no
@@ -137,7 +142,22 @@ pub trait Wire: Sized {
     fn encode(&self, buf: &mut Vec<u8>);
     /// Decodes one value, advancing `r` past exactly the bytes consumed.
     fn decode(r: &mut Reader<'_>) -> Option<Self>;
+    /// The bytes of client request, reply and state image this value
+    /// carries — everything in a frame that is not a small fixed-size
+    /// field. A frame buffer sized `FRAME_SLACK + payload_len()` is
+    /// allocated once instead of doubling its way up; it is a sizing
+    /// estimate only (a view-change vote's certificate and a passive
+    /// update's results are not counted), and a buffer that is short
+    /// simply grows.
+    fn payload_len(&self) -> usize {
+        0
+    }
 }
+
+/// Room for a frame's version byte, envelope and fixed-size fields beside
+/// its [`Wire::payload_len`]: every payload-free message of the three
+/// protocols fits (the largest, a checkpoint voucher, is 84 bytes).
+pub const FRAME_SLACK: usize = 128;
 
 /// Encodes `value` as one versioned frame body (no length prefix — the
 /// socket layer owns that).
@@ -228,6 +248,10 @@ impl<T: Wire> Wire for Box<T> {
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         Some(Box::new(T::decode(r)?))
     }
+
+    fn payload_len(&self) -> usize {
+        (**self).payload_len()
+    }
 }
 
 impl<T: Wire> Wire for Arc<T> {
@@ -237,6 +261,10 @@ impl<T: Wire> Wire for Arc<T> {
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         Some(Arc::new(T::decode(r)?))
+    }
+
+    fn payload_len(&self) -> usize {
+        (**self).payload_len()
     }
 }
 
@@ -256,6 +284,10 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Some(out)
     }
+
+    fn payload_len(&self) -> usize {
+        self.iter().map(T::payload_len).sum()
+    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
@@ -266,6 +298,10 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         Some((A::decode(r)?, B::decode(r)?))
+    }
+
+    fn payload_len(&self) -> usize {
+        self.0.payload_len() + self.1.payload_len()
     }
 }
 
@@ -334,6 +370,10 @@ impl Wire for Request {
         let payload = Vec::<u8>::decode(r)?;
         Some(Request { op: OpId { client, seq }, payload })
     }
+
+    fn payload_len(&self) -> usize {
+        self.wire_len() as usize
+    }
 }
 
 impl Wire for Batch {
@@ -356,6 +396,10 @@ impl Wire for Batch {
         let requests = Vec::<Arc<Request>>::decode(r)?;
         Some(Batch::new(requests))
     }
+
+    fn payload_len(&self) -> usize {
+        self.wire_len() as usize
+    }
 }
 
 impl Wire for Reply {
@@ -371,6 +415,10 @@ impl Wire for Reply {
             op: OpId::decode(r)?,
             result: Arc::<Vec<u8>>::decode(r)?,
         })
+    }
+
+    fn payload_len(&self) -> usize {
+        self.result.len()
     }
 }
 
@@ -450,6 +498,10 @@ impl Wire for StateTransfer {
             from: ReplicaId::decode(r)?,
         })
     }
+
+    fn payload_len(&self) -> usize {
+        self.snapshot.len() + self.suffix.payload_len()
+    }
 }
 
 impl Wire for CommitVote {
@@ -472,6 +524,10 @@ impl Wire for CommitVote {
             ui: UI::decode(r)?,
         })
     }
+
+    fn payload_len(&self) -> usize {
+        self.batch.payload_len()
+    }
 }
 
 impl Wire for VcVote {
@@ -491,6 +547,10 @@ impl Wire for VcVote {
             executed_upto: r.u64()?,
             cert: Option::<Box<CheckpointCert>>::decode(r)?,
         })
+    }
+
+    fn payload_len(&self) -> usize {
+        self.prepared.payload_len()
     }
 }
 
@@ -581,6 +641,18 @@ impl Wire for PbftMsg {
             9 => PbftMsg::StateResponse(Box::<StateTransfer>::decode(r)?),
             _ => return None,
         })
+    }
+
+    fn payload_len(&self) -> usize {
+        match self {
+            PbftMsg::Request(req) => req.payload_len(),
+            PbftMsg::PrePrepare { batch, .. } => batch.payload_len(),
+            PbftMsg::Reply(reply) => reply.payload_len(),
+            PbftMsg::ViewChange(vote) => vote.payload_len(),
+            PbftMsg::NewView { preprepares, .. } => preprepares.payload_len(),
+            PbftMsg::StateResponse(st) => st.payload_len(),
+            _ => 0,
+        }
     }
 }
 
@@ -677,6 +749,19 @@ impl Wire for MinBftMsg {
             _ => return None,
         })
     }
+
+    fn payload_len(&self) -> usize {
+        match self {
+            MinBftMsg::Request(req) => req.payload_len(),
+            MinBftMsg::Prepare { batch, .. } => batch.payload_len(),
+            MinBftMsg::Commit(vote) => vote.payload_len(),
+            MinBftMsg::Reply(reply) => reply.payload_len(),
+            MinBftMsg::ReqViewChange(vote) => vote.payload_len(),
+            MinBftMsg::NewView { preprepares, .. } => preprepares.payload_len(),
+            MinBftMsg::StateResponse(st) => st.payload_len(),
+            _ => 0,
+        }
+    }
 }
 
 impl Wire for PassiveMsg {
@@ -744,6 +829,16 @@ impl Wire for PassiveMsg {
             _ => return None,
         })
     }
+
+    fn payload_len(&self) -> usize {
+        match self {
+            PassiveMsg::Request(req) => req.payload_len(),
+            PassiveMsg::StateUpdate { ops, .. } => ops.payload_len(),
+            PassiveMsg::Reply(reply) => reply.payload_len(),
+            PassiveMsg::StateResponse(st) => st.payload_len(),
+            _ => 0,
+        }
+    }
 }
 
 // lint: end
@@ -790,6 +885,8 @@ mod tests {
         encode_frame(value, &mut buf);
         let back: T = decode_frame(&buf).expect("well-formed frame decodes");
         assert_eq!(&back, value);
+        // The sizing estimate counts bytes that are really there.
+        assert!(value.payload_len() < buf.len(), "{value:?} over-counts its payload");
         // Any strict prefix is a truncated frame and must be rejected:
         // every length field promises bytes the prefix no longer has.
         for cut in 0..buf.len() {
@@ -974,6 +1071,7 @@ mod tests {
             let mut buf = Vec::new();
             batch.encode(&mut buf);
             prop_assert_eq!(sha256(&buf), batch.digest());
+            prop_assert_eq!(batch.wire_len(), buf.len() as u64);
             let back: Batch = {
                 let mut r = Reader::new(&buf);
                 let b = Batch::decode(&mut r);

@@ -25,7 +25,15 @@
 //! * [`DurableEvent::Stable`] — a stable [`CheckpointCert`] with the
 //!   snapshot it certifies. Recovery re-*verifies* the certificate and
 //!   the snapshot digest before installing: disk contents are ingress,
-//!   not trusted state.
+//!   not trusted state. **Not one per stable checkpoint**: the commit
+//!   records already hold every change since the last image, so the next
+//!   image is emitted (and only then serialized) at the first stable
+//!   checkpoint at which the commit bytes queued since the last emitted
+//!   image have reached that image's length. The first stable checkpoint
+//!   and every installed state transfer always emit. The rule is a
+//!   constant, not a setting: images sum to at most the commit bytes plus
+//!   one image, and a restart replays at most about one image's worth of
+//!   commits on top of the image it installs.
 //! * [`DurableEvent::UsigCounter`] — the MinBFT USIG's issued counter.
 //!   The USIG abstracts a *hardware-monotonic* counter; a process
 //!   restart must resume it at or above the highest value ever certified
@@ -52,8 +60,9 @@ pub enum DurableEvent {
         batch: Arc<Batch>,
     },
     /// A checkpoint certificate became stable with a locally held
-    /// snapshot: persist both and let the store garbage-collect the WAL
-    /// prefix the snapshot covers.
+    /// snapshot, and the commits since the last such event outweigh that
+    /// event's snapshot (see the module docs): persist both and let the
+    /// store garbage-collect the WAL prefix the snapshot covers.
     Stable {
         /// The stable certificate.
         cert: CheckpointCert,

@@ -137,6 +137,11 @@ pub(crate) struct Shell {
     /// Highest stable watermark already emitted as a
     /// [`DurableEvent::Stable`].
     durable_stable_seq: u64,
+    /// Length of the image that event carried (0 before the first).
+    durable_image_len: u64,
+    /// Commit bytes ([`Batch::wire_len`]) executed since that image: the
+    /// WAL a restart replays on top of it.
+    wal_since_image: u64,
     /// Primary-side accumulator: requests waiting to be sealed.
     batcher: Batcher,
     /// Op → agreement slot, for duplicate-proposal suppression.
@@ -173,6 +178,8 @@ impl Shell {
             durability: false,
             durable: Vec::new(),
             durable_stable_seq: 0,
+            durable_image_len: 0,
+            wal_since_image: 0,
             batcher: Batcher::new(),
             assigned: OpIndex::new(),
             pending: OpIndex::new(),
@@ -385,12 +392,13 @@ impl Shell {
     }
 
     /// Executes ordered slot `seq`: apply → log → dedup index → watchlist
-    /// → session → replay ring → [`DurableEvent::Commit`]. One agreement
-    /// slot commits the whole batch; the log stays per-request (dense
-    /// global sequence, each entry stamped `digest`). `executed(reply)`
-    /// runs once per request, in order: the live path sends the reply
-    /// there, replay paths (transfer suffix, WAL) pass a no-op — those
-    /// replies went out before the crash or will be re-requested.
+    /// and assignment → session → replay ring → [`DurableEvent::Commit`].
+    /// One agreement slot commits the whole batch; the log stays
+    /// per-request (dense global sequence, each entry stamped `digest`).
+    /// `executed(reply)` runs once per request, in order: the live path
+    /// sends the reply there, replay paths (transfer suffix, WAL) pass a
+    /// no-op — those replies went out before the crash or will be
+    /// re-requested.
     pub(crate) fn execute(
         &mut self,
         seq: u64,
@@ -405,6 +413,9 @@ impl Shell {
             self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
             self.executed.insert(req.op, result.clone());
             self.pending.remove(&req.op);
+            // Unreachable from here on: `intake` and `seal` ask the
+            // executed index first.
+            self.assigned.remove(&req.op);
             if self.ckpt.enabled() {
                 self.sessions.note(req.op.client, req.op.seq, &result);
             }
@@ -413,6 +424,7 @@ impl Shell {
         if self.ckpt.enabled() {
             self.replay_ring.insert(seq, batch.clone());
         }
+        self.wal_since_image += batch.wire_len();
         if self.durability {
             self.durable.push(DurableEvent::Commit { seq, batch: batch.clone() });
         }
@@ -498,19 +510,45 @@ impl Shell {
     /// (no-op while this replica has no locally recorded watermark — a
     /// laggard keeps its suffix until state transfer resets it). With
     /// durability on, a newly stable certificate we hold the snapshot for
-    /// is also emitted once as a [`DurableEvent::Stable`].
+    /// is also emitted as a [`DurableEvent::Stable`] — once the commits
+    /// executed since the last emitted image weigh as much as that image
+    /// did. The WAL holds every change since then, so until it does a new
+    /// image would only save replaying less than one image's worth of
+    /// commits, at the price of writing (and, before that, materialising)
+    /// the whole state: under the rule the images written sum to at most
+    /// the WAL written plus one, whatever the checkpoint interval, and a
+    /// restart replays about one image's worth of WAL at most (the rule
+    /// is checked at stable checkpoints, so up to an interval more) on
+    /// top of the image it installs.
     fn apply_truncation(&mut self) {
         if let Some(log_len) = self.ckpt.stable_log_len() {
             self.log.truncate_below(log_len);
             self.replay_ring.retire_below(self.ckpt.stable_seq() + 1);
         }
-        if self.durability && self.ckpt.stable_seq() > self.durable_stable_seq {
+        if self.durability
+            && self.ckpt.stable_seq() > self.durable_stable_seq
+            && self.wal_since_image >= self.durable_image_len
+        {
             if let Some((cert, log_len, snapshot)) = self.ckpt.serve() {
-                self.durable_stable_seq = cert.seq;
                 let cert = cert.clone();
-                self.durable.push(DurableEvent::Stable { cert, log_len, snapshot });
+                self.emit_stable(cert, log_len, snapshot);
             }
         }
+    }
+
+    /// Queues `snapshot` for the disk and restarts the count of commit
+    /// bytes on top of it.
+    fn emit_stable(&mut self, cert: CheckpointCert, log_len: u64, snapshot: Arc<Vec<u8>>) {
+        self.image_on_disk(cert.seq, snapshot.len());
+        self.durable.push(DurableEvent::Stable { cert, log_len, snapshot });
+    }
+
+    /// The disk's newest image is the one at `seq`, `len` bytes long, with
+    /// no commit on top of it yet.
+    fn image_on_disk(&mut self, seq: u64, len: usize) {
+        self.durable_stable_seq = seq;
+        self.durable_image_len = len as u64;
+        self.wal_since_image = 0;
     }
 
     /// Broadcasts a state-transfer request if the stable certificate is
@@ -611,13 +649,10 @@ impl Shell {
     /// quorum).
     pub(crate) fn install(&mut self, plan: &CstInstall, entry_digest: fn(&Batch) -> [u8; 32]) {
         self.restore(&plan.cert, plan.log_base, plan.state.clone());
+        // An installed image always goes to disk: the WAL below it was
+        // never ours to replay.
         if self.durability && plan.cert.seq > self.durable_stable_seq {
-            self.durable_stable_seq = plan.cert.seq;
-            self.durable.push(DurableEvent::Stable {
-                cert: plan.cert.clone(),
-                log_len: plan.log_base,
-                snapshot: Arc::clone(&plan.snapshot),
-            });
+            self.emit_stable(plan.cert.clone(), plan.log_base, Arc::clone(&plan.snapshot));
         }
         for (slot, batch) in &plan.suffix {
             self.execute(*slot, batch, entry_digest(batch), |_| {});
@@ -644,6 +679,7 @@ impl Shell {
         self.sessions.for_each(|client, seq, reply| {
             executed.insert(OpId { client, seq }, Arc::new(reply.to_vec()));
         });
+        self.assigned = OpIndex::new();
         self.log.reset_to(log_len);
         self.replay_ring = SeqWindow::with_base(cert.seq + 1);
         self.advance_to(cert.seq);
@@ -665,6 +701,7 @@ impl Shell {
         if let Some((cert, log_len, image)) = &state.snapshot {
             if let Some(rebuilt) = self.certified_state(cert, image) {
                 self.restore(cert, *log_len, rebuilt);
+                self.image_on_disk(cert.seq, image.len());
                 report.installed_seq = cert.seq;
             }
         }
@@ -685,9 +722,9 @@ impl Shell {
     /// Rejuvenation: volatile execution and intake state goes (the
     /// batching and patience configuration stays). The stable certificate
     /// (self-verifying; a real tile keeps it in trusted persistent store)
-    /// stays inside the checkpoint store, and so does
-    /// `durable_stable_seq` — it mirrors what the disk already holds, and
-    /// a wipe does not erase the disk.
+    /// stays inside the checkpoint store, and so do `durable_stable_seq`,
+    /// `durable_image_len` and `wal_since_image` — they mirror what the
+    /// disk already holds, and a wipe does not erase the disk.
     pub(crate) fn wipe(&mut self) {
         self.log = CommittedLog::new();
         self.exec_upto = 0;
@@ -768,10 +805,20 @@ mod tests {
     /// Executes slots `from..=to` with a checkpoint after each; returns
     /// the replies and the vouchers the shell broadcast.
     fn run(shell: &mut Shell, from: u64, to: u64) -> (Vec<Reply>, Vec<CheckpointVoucher>) {
+        run_with(shell, from, to, batch)
+    }
+
+    /// [`run`] over the batches `make` builds.
+    fn run_with(
+        shell: &mut Shell,
+        from: u64,
+        to: u64,
+        make: fn(u64) -> Arc<Batch>,
+    ) -> (Vec<Reply>, Vec<CheckpointVoucher>) {
         let mut replies = Vec::new();
         let mut out = Outbox::<Msg>::new();
         for seq in from..=to {
-            let b = batch(seq);
+            let b = make(seq);
             shell.execute(seq, &b, b.digest(), |reply| replies.push(reply));
             shell.checkpoint(seq, false, &mut out);
         }
@@ -865,7 +912,11 @@ mod tests {
         let plan = laggard.admit_transfer(served(&s[2], 0, false, false), QUORUM).unwrap();
         assert_eq!(plan.suffix.iter().map(|(slot, _)| *slot).collect::<Vec<_>>(), vec![5, 6]);
         assert_eq!(plan.view, 5);
+        // A proposal the laggard accepted for a slot it will never execute
+        // (the others did, below the watermark) goes with the install.
+        laggard.assign(2, &batch(2));
         laggard.install(&plan, Batch::digest);
+        assert_eq!(laggard.assigned.len(), 0);
 
         // Same state, same log position, and the transfer is counted.
         assert_eq!(laggard.state_digest(), s[1].state_digest());
@@ -1005,6 +1056,155 @@ mod tests {
         let report = r.recover(&torn, Batch::digest);
         assert_eq!(report, RecoveryReport { installed_seq: 0, replayed: 2, committed: 4 });
         assert_eq!(r.exec_upto(), 2);
+    }
+
+    /// Slot `seq` writes one fresh key with a 500-byte value: every
+    /// checkpoint interval adds the same bytes to the WAL and (a little
+    /// less, the framing differs) to the image.
+    fn fresh(seq: u64) -> Arc<Batch> {
+        let mut payload = format!("SET key{seq:05} ").into_bytes();
+        payload.resize(payload.len() + 500, b'v');
+        Arc::new(Batch::single(Arc::new(Request {
+            op: OpId { client: ClientId(7), seq },
+            payload,
+        })))
+    }
+
+    /// Runs every shell through stable checkpoint number `k` of the
+    /// [`fresh`] workload (slots `4k-3..=4k`; each shell's voucher is
+    /// completed by one from another replica id) and returns what each one
+    /// queued for its disk.
+    fn stabilise(shells: &mut [&mut Shell], k: u64) -> Vec<Vec<DurableEvent>> {
+        let (from, to) = (INTERVAL * (k - 1) + 1, INTERVAL * k);
+        let vouchers: Vec<CheckpointVoucher> =
+            shells.iter_mut().map(|s| run_with(s, from, to, fresh).1.remove(0)).collect();
+        let mut queued = Vec::new();
+        for shell in shells.iter_mut() {
+            let other = vouchers.iter().find(|v| v.from != shell.id).expect("two replica ids");
+            assert!(shell.on_voucher(other));
+            assert_eq!(shell.ckpt().stable_seq(), to);
+            let mut events = Vec::new();
+            shell.drain_durable(&mut events);
+            queued.push(events);
+        }
+        queued
+    }
+
+    fn image_lens(events: &[DurableEvent]) -> Vec<u64> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                DurableEvent::Stable { snapshot, .. } => Some(snapshot.len() as u64),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_image_is_written_only_when_the_wal_since_the_last_one_outweighs_it() {
+        const CHECKPOINTS: u64 = 40;
+        let keys = CkptKeys::provision(11, N as usize);
+        let mut s = shells(&keys);
+        let (mut live, mut peer) = (s.remove(0), s.remove(0));
+        live.enable_durability();
+        let mut written = Vec::new(); // stable checkpoints that put an image on disk
+        let (mut wal, mut images) = (0u64, Vec::new());
+        let mut disk = RecoveredState::default();
+        for k in 1..=CHECKPOINTS {
+            for event in stabilise(&mut [&mut live, &mut peer], k).swap_remove(0) {
+                match event {
+                    DurableEvent::Commit { seq, batch } => {
+                        wal += batch.wire_len();
+                        disk.commits.push((seq, batch));
+                    }
+                    DurableEvent::Stable { cert, log_len, snapshot } => {
+                        assert_eq!(cert.seq, INTERVAL * k, "never an older image");
+                        written.push(k);
+                        images.push(snapshot.len() as u64);
+                        // What the store does: the image replaces the WAL
+                        // below it.
+                        disk.commits.retain(|(seq, _)| *seq > cert.seq);
+                        disk.snapshot = Some((cert, log_len, (*snapshot).clone()));
+                    }
+                    DurableEvent::UsigCounter(_) => unreachable!("the shell never emits one"),
+                }
+            }
+        }
+        // The state grows by as much as the WAL does, so the gap between
+        // images doubles: logarithmically many, and never more image bytes
+        // than WAL bytes plus one image.
+        assert_eq!(written, [1, 2, 4, 8, 16, 32]);
+        assert!(written.len() as u32 <= CHECKPOINTS.ilog2() + 2);
+        let largest = *images.last().unwrap();
+        assert!(images.iter().sum::<u64>() <= 2 * wal + largest);
+        assert!(images.iter().sum::<u64>() <= wal + largest, "the bound the rule itself gives");
+
+        // A restart installs the last image written, replays the eight
+        // skipped checkpoints' worth of WAL above it, and stands where the
+        // live replica does — including on when the next image is due:
+        // recovery queues nothing, and the disk's image is not written
+        // again until the WAL on top of it (replayed and new) outweighs it.
+        let mut restarted = shells(&keys).remove(0);
+        let report = restarted.recover(&disk, Batch::digest);
+        assert_eq!(report, RecoveryReport { installed_seq: 128, replayed: 32, committed: 160 });
+        assert_eq!(restarted.state_digest(), live.state_digest());
+        restarted.enable_durability();
+        for k in CHECKPOINTS + 1..=64 {
+            let queued = stabilise(&mut [&mut live, &mut peer, &mut restarted], k);
+            assert_eq!(image_lens(&queued[0]).len(), usize::from(k == 64), "checkpoint {k}");
+            assert_eq!(image_lens(&queued[2]), image_lens(&queued[0]), "checkpoint {k}");
+        }
+
+        // An installed image always goes to disk, whatever the counters
+        // say: a replica whose disk holds a large image and no WAL yet
+        // falls behind and is brought back by transfer.
+        let mut behind = shells(&keys).remove(0);
+        behind.recover(&disk, Batch::digest);
+        behind.enable_durability();
+        let before = (behind.durable_image_len, behind.wal_since_image);
+        assert!(before.0 > before.1, "its own next checkpoint would be skipped");
+        let cert = live.ckpt().stable().unwrap().clone();
+        assert_eq!(behind.accept_cert(&cert), Some(256));
+        let plan = behind.admit_transfer(served(&live, 160, false, false), 1).unwrap();
+        behind.install(&plan, Batch::digest);
+        let mut events = Vec::new();
+        behind.drain_durable(&mut events);
+        assert_eq!(image_lens(&events), [plan.snapshot.len() as u64]);
+        assert_eq!(behind.state_digest(), live.state_digest());
+    }
+
+    /// `assigned` answers "is this op in flight?", so it holds the ops in
+    /// flight — not every op ever proposed.
+    #[test]
+    fn assignments_are_dropped_at_execution_and_retries_still_hit_the_reply_cache() {
+        let (mut shell, mut out) = front_end();
+        let mut last = None;
+        for seq in 1..=5_000 {
+            shell.intake(req(1, seq), Role::Primary, &mut out);
+            let Intake::Sealed(reqs) = shell.intake(req(2, seq), Role::Primary, &mut out) else {
+                panic!("two requests seal");
+            };
+            let (slot, batch) = shell.open_slot(reqs);
+            assert_eq!(shell.assigned.len(), 2, "the open slot's two ops");
+            let mut replies = Vec::new();
+            shell.execute(slot, &batch, batch.digest(), |reply| replies.push(reply));
+            assert_eq!(shell.assigned.len(), 0, "slot {slot}");
+            last = replies.pop();
+        }
+        assert_eq!(shell.committed(), 10_000);
+        // An executed op is answered from the reply cache — the oldest and
+        // the newest alike, whatever the role — and never re-proposed.
+        out.clear();
+        for role in [Role::Primary, Role::Backup, Role::Idle] {
+            assert_eq!(shell.intake(req(1, 1), role, &mut out), Intake::Done);
+            assert_eq!(shell.intake(req(2, 5_000), role, &mut out), Intake::Done);
+        }
+        assert_eq!(out.msgs.len(), 6);
+        assert_eq!(
+            out.msgs[5],
+            (Endpoint::Client(ClientId(2)), Msg::Reply(last.expect("5 000 slots ran")))
+        );
+        assert!(out.timers.is_empty() && shell.assigned.is_empty());
     }
 
     fn req(client: u32, seq: u64) -> Arc<Request> {

@@ -6,6 +6,8 @@
 //! HMAC-SHA-256 from scratch so the workspace has no external crypto
 //! dependencies and the hybrid's behaviour (including its failure modes
 //! under register bit-flips, experiment E2) is fully under our control.
+//! The CRC-32 that guards bitstreams and on-disk records against accidental
+//! damage lives here too ([`crc32()`]), so both share one kernel.
 //!
 //! ## Example
 //!
@@ -21,8 +23,10 @@
 //! assert!(!rsoc_crypto::hmac_verify(key.as_bytes(), b"forged", &tag));
 //! ```
 
+pub mod crc32;
 pub mod hmac;
 pub mod sha256;
 
+pub use crc32::{crc32, Crc32};
 pub use hmac::{hmac_sha256, hmac_verify, MacKey, Tag};
 pub use sha256::{sha256, Sha256};

@@ -8,18 +8,8 @@
 use crate::fabric::Region;
 use rsoc_crypto::{MacKey, Tag};
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) over bytes.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3) over bytes — the workspace's one kernel.
+pub use rsoc_crypto::crc32;
 
 /// A configuration payload for one region.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -27,69 +27,58 @@
 //! lost its tail is merely *behind* (collaborative state transfer closes
 //! the gap), while a replica that trusts a torn record is *wrong*.
 //!
-//! **Everything read back is ingress.** Lengths are bounded before
-//! allocation, every payload must pass CRC and versioned decode, and the
-//! first failure ends replay — later bytes, and later segments, are
-//! discarded rather than resynchronized (a heuristic resync could splice
-//! histories). The protocol core then re-verifies certificates and batch
-//! digests on top; the store's CRC is a torn-write detector, not an
+//! **Everything read back is ingress.** A length field is checked against
+//! the bytes actually read before it is used (the one bound writer and
+//! reader share is the field's own `u32`), every payload must pass CRC and
+//! versioned decode, and the first failure ends replay — later bytes, and
+//! later segments, are discarded rather than resynchronized (a heuristic
+//! resync could splice histories). The protocol core then re-verifies the
+//! snapshot's certificate and the state rebuilt from its image; the WAL
+//! replayed above the snapshot is CRC- and batch-digest-checked but not
+//! certificate-checked — a commit record carries no quorum proof, and
+//! never did. The store's CRC is a torn-write detector, not an
 //! authenticator.
 //!
-//! **Garbage collection.** Each stable checkpoint rolls the WAL to a
-//! fresh segment and records the segment that was current when the
-//! snapshot was taken as its `wal_start`: commits above the watermark
-//! that were appended before the certificate stabilised still replay.
-//! Segments below `wal_start` and snapshots below the newest valid one
-//! are deleted, so steady state holds one snapshot and at most two
-//! segments.
+//! **The WAL is the delta log.** A core does not hand over a
+//! [`DurableEvent::Stable`] at every stable checkpoint, only once the
+//! commits appended since the last image weigh as much as that image did
+//! (see `rsoc_bft::durable`): until then a new image would save replaying
+//! less than one image's worth of records and cost writing the whole
+//! state. Images written therefore sum to at most the WAL written plus
+//! one, whatever the checkpoint interval and however large the state.
+//!
+//! **Garbage collection.** Each snapshot written rolls the WAL to a fresh
+//! segment and records the segment that was current when it was taken as
+//! its `wal_start`: commits above the watermark that were appended before
+//! the certificate stabilised still replay. Segments below `wal_start`
+//! and snapshots below the newest valid one are deleted, so steady state
+//! holds one snapshot and at most one image's worth of WAL above it (plus
+//! the closed segment `wal_start` names).
 
 use rsoc_bft::api::Batch;
 use rsoc_bft::checkpoint::CheckpointCert;
-use rsoc_bft::codec::{decode_frame, encode_frame, Reader, Wire};
+use rsoc_bft::codec::{decode_frame, encode_frame, Crc32, Reader, Wire};
 use rsoc_bft::durable::{DurableEvent, RecoveredState};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Hard cap on one record's payload, mirroring the socket framing cap:
-/// a garbage length field must not drive allocation.
-const MAX_RECORD: u32 = 64 << 20;
+/// CRC-32 (IEEE) — the per-record integrity check. Detects any
+/// single-burst error shorter than 32 bits, which covers the torn and
+/// bit-flipped tails the chaos harness injects.
+pub use rsoc_bft::codec::crc32;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) lookup table, built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE) of `bytes` — the per-record integrity check. Detects
-/// any single-burst error shorter than 32 bits, which covers the torn
-/// and bit-flipped tails the chaos harness injects.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_feed(!0, bytes)
-}
-
-/// Runs `bytes` through the CRC register `c`, so a checksum can be taken
-/// over parts that never sit in one buffer.
-fn crc32_feed(mut c: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
+/// The length field of a record holding `payload` bytes. It is a `u32`,
+/// and that is the only bound: writer and reader must agree on it, or a
+/// record the writer accepted (and garbage-collected its predecessors
+/// for) is one the reader refuses. The reader needs no tighter cap — it
+/// parses a buffer it has already read, so a lying length is caught by
+/// the bounds check, not by an allocation.
+fn record_len(payload: usize) -> io::Result<u32> {
+    u32::try_from(payload).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidInput, "record exceeds the u32 length field")
+    })
 }
 
 /// One WAL record. The `Wire` impl is the disk layout (inside the
@@ -165,13 +154,24 @@ impl Wire for SnapshotRecord {
     }
 }
 
-/// Frames `value` as one on-disk record: `len | crc | payload`.
-fn frame_record<T: Wire>(value: &T, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    encode_frame(value, &mut payload);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+/// Appends `value` to `out` as one on-disk record, `len | crc | payload`:
+/// the payload is encoded in place behind a blank header, which is then
+/// patched. A payload too long for the header leaves `out` as it was.
+pub fn frame_record<T: Wire>(value: &T, out: &mut Vec<u8>) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode_frame(value, out);
+    let payload = &out[start + 8..];
+    let (len, crc) = match record_len(payload.len()) {
+        Ok(len) => (len, crc32(payload)),
+        Err(e) => {
+            out.truncate(start);
+            return Err(e);
+        }
+    };
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// The bytes a snapshot file holds before and after `image`: the record
@@ -184,18 +184,21 @@ fn snapshot_envelope(
     log_len: u64,
     image: &[u8],
     wal_start: u64,
-) -> [Vec<u8>; 2] {
+) -> io::Result<[Vec<u8>; 2]> {
     let mut head = vec![0u8; 8];
     encode_frame(cert, &mut head);
     log_len.encode(&mut head);
     (image.len() as u64).encode(&mut head);
     let mut tail = Vec::new();
     wal_start.encode(&mut tail);
-    let len = (head.len() - 8 + image.len() + tail.len()) as u32;
-    let crc = !crc32_feed(crc32_feed(crc32_feed(!0, &head[8..]), image), &tail);
+    let len = record_len(head.len() - 8 + image.len() + tail.len())?;
+    let mut crc = Crc32::new();
+    crc.feed(&head[8..]);
+    crc.feed(image);
+    crc.feed(&tail);
     head[..4].copy_from_slice(&len.to_le_bytes());
-    head[4..8].copy_from_slice(&crc.to_le_bytes());
-    [head, tail]
+    head[4..8].copy_from_slice(&crc.finish().to_le_bytes());
+    Ok([head, tail])
 }
 
 /// Parses the record at `bytes[off..]`. Returns the decoded value and
@@ -210,9 +213,6 @@ fn parse_record<T: Wire>(bytes: &[u8], off: usize) -> Option<(T, usize)> {
     let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     // bounds: indexes 4..8 of the same 8-byte slice
     let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_RECORD {
-        return None;
-    }
     let start = off + 8;
     let payload = bytes.get(start..start + len as usize)?;
     if crc32(payload) != crc {
@@ -348,10 +348,10 @@ impl DataDir {
             match event {
                 DurableEvent::Commit { seq, batch } => {
                     let rec = WalRecord::Commit { seq: *seq, batch: batch.clone() };
-                    frame_record(&rec, &mut self.pending);
+                    frame_record(&rec, &mut self.pending)?;
                 }
                 DurableEvent::UsigCounter(c) => {
-                    frame_record(&WalRecord::UsigCounter(*c), &mut self.pending);
+                    frame_record(&WalRecord::UsigCounter(*c), &mut self.pending)?;
                 }
                 DurableEvent::Stable { cert, log_len, snapshot } => {
                     self.flush_pending()?;
@@ -383,8 +383,9 @@ impl DataDir {
         // Commits above the watermark may already sit in the current
         // segment (they committed before the certificate stabilised), so
         // the snapshot points replay at the segment being closed, not the
-        // fresh one.
-        let [head, tail] = snapshot_envelope(cert, log_len, snapshot, self.seg);
+        // fresh one. An image the record header cannot describe is refused
+        // here, with the previous snapshot and its segments untouched.
+        let [head, tail] = snapshot_envelope(cert, log_len, snapshot, self.seg)?;
         let tmp = self.dir.join("snap.tmp");
         let path = self.dir.join(format!("snap-{}.bin", cert.seq));
         {
@@ -512,6 +513,7 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
     #[test]
@@ -551,7 +553,7 @@ mod tests {
             store.persist(&[stable(3, b"state@3".to_vec())]).unwrap();
             store.persist(&[commit(4, b"d".to_vec())]).unwrap();
         }
-        // Steady state: one snapshot, at most two segments.
+        // One snapshot, and the two segments around it.
         let snaps: Vec<_> = fs::read_dir(&scratch.0)
             .unwrap()
             .filter_map(|e| e.unwrap().file_name().to_str().map(str::to_string))
@@ -579,9 +581,70 @@ mod tests {
             let rec =
                 SnapshotRecord { cert: cert(7, &image), log_len: 7, bytes: image, wal_start: 0 };
             let mut framed = Vec::new();
-            frame_record(&rec, &mut framed);
+            frame_record(&rec, &mut framed).unwrap();
             assert_eq!(fs::read(scratch.0.join("snap-7.bin")).unwrap(), framed);
         }
+    }
+
+    /// What the writer accepts — and collects the older snapshot and
+    /// segments for — the reader must read: an image above the socket
+    /// frame cap of 64 MiB (≈ 4·10⁵ keys) is inside the one bound both
+    /// sides share, the `u32` length field.
+    #[test]
+    fn a_snapshot_above_64_mib_reads_back() {
+        let scratch = Scratch::new();
+        let image = vec![0xA5u8; (64 << 20) + 1];
+        let event = DurableEvent::Stable {
+            cert: cert(2, b"not what is certified: the store never looks"),
+            log_len: 2,
+            snapshot: Arc::new(image),
+        };
+        {
+            let (mut store, _) = DataDir::open(&scratch.0).unwrap();
+            store.persist(&[commit(1, b"a".to_vec()), stable(1, b"state@1".to_vec())]).unwrap();
+            store.persist(&[commit(2, b"b".to_vec()), event.clone()]).unwrap();
+        }
+        let (_store, state) = DataDir::open(&scratch.0).unwrap();
+        let (c, _, bytes) = state.snapshot.expect("the large snapshot survived");
+        let DurableEvent::Stable { snapshot, .. } = event else { unreachable!() };
+        assert!(c.seq == 2 && bytes == *snapshot);
+    }
+
+    #[test]
+    fn a_record_the_length_field_cannot_describe_is_refused_before_anything_is_written() {
+        assert_eq!(record_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let refused = record_len(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// Between two written images the segment now runs across skipped
+    /// checkpoints; a tear inside it still costs only the torn record.
+    #[test]
+    fn torn_tail_above_a_snapshot_keeps_the_snapshot_and_the_valid_prefix() {
+        let scratch = Scratch::new();
+        {
+            let (mut store, _) = DataDir::open(&scratch.0).unwrap();
+            store.persist(&[commit(1, b"a".to_vec()), stable(1, b"state@1".to_vec())]).unwrap();
+            for seq in 2..=9 {
+                store.persist(&[commit(seq, vec![seq as u8; 40])]).unwrap();
+            }
+        }
+        let seg = segment_path(&scratch.0, 1);
+        let len = fs::metadata(&seg).unwrap().len();
+        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 5).unwrap();
+
+        let (_store, state) = DataDir::open(&scratch.0).unwrap();
+        assert_eq!(state.snapshot.expect("the snapshot is intact").0.seq, 1);
+        let seqs: Vec<u64> = state.commits.iter().map(|c| c.0).collect();
+        assert_eq!(seqs, [1, 2, 3, 4, 5, 6, 7, 8], "segment 0, then segment 1 up to the tear");
+        let valid = fs::metadata(&seg).unwrap().len();
+        assert!(valid < len - 5, "the torn record is gone from disk");
+        // Appends resume behind the valid prefix.
+        let (mut store, _) = DataDir::open(&scratch.0).unwrap();
+        store.persist(&[commit(9, b"again".to_vec())]).unwrap();
+        drop(store);
+        let (_store, state) = DataDir::open(&scratch.0).unwrap();
+        assert_eq!(state.commits.last().map(|c| c.0), Some(9));
     }
 
     #[test]

@@ -5,94 +5,16 @@
 //! comes up behind, and collaborative state transfer brings it back onto
 //! the cluster's digest.
 //!
-//! Four PBFT replicas are driven by hand over a FIFO in-memory network
-//! (no timers: the primary is correct), each persisting its durable
-//! events to its own [`DataDir`] before its messages leave.
+//! The cluster is [`common::Net`]: four PBFT replicas driven by hand,
+//! each persisting its durable events before its messages leave.
 
-use rsoc_bft::api::{
-    ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
-};
+mod common;
+
+use common::{cluster, dir_of, scratch};
+use rsoc_bft::api::ReplicaNode;
 use rsoc_bft::codec::WIRE_VERSION;
-use rsoc_bft::pbft::{PbftCluster, PbftMsg, PbftReplica};
-use rsoc_bft::runner::RunConfig;
-use rsoc_store::{crc32, DataDir};
-use std::collections::VecDeque;
+use rsoc_store::crc32;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-const N: usize = 4;
-const INTERVAL: u64 = 4;
-
-fn fresh_nodes() -> Vec<PbftReplica> {
-    let config = RunConfig::builder().f(1).seed(23).checkpoint_interval(INTERVAL).build();
-    PbftCluster::new(&config).into_nodes()
-}
-
-struct Net {
-    nodes: Vec<PbftReplica>,
-    stores: Vec<DataDir>,
-    now: u64,
-}
-
-impl Net {
-    /// Delivers client op `seq` to every replica and runs the network
-    /// until it is quiet.
-    fn commit(&mut self, seq: u64) {
-        let request = Arc::new(Request {
-            op: OpId { client: ClientId(1), seq },
-            payload: format!("SET k1.{seq} v{seq}").into_bytes(),
-        });
-        let from = Endpoint::Client(ClientId(1));
-        let mut queue: VecDeque<(usize, Endpoint, PbftMsg)> =
-            (0..N).map(|to| (to, from, PbftReplica::make_request(request.clone()))).collect();
-        let mut out = Outbox::new();
-        let mut events = Vec::new();
-        while let Some((to, from, msg)) = queue.pop_front() {
-            self.now += 1;
-            out.clear();
-            self.nodes[to].on_input(Input::Message { from, msg }, self.now, &mut out);
-            self.nodes[to].drain_durable(&mut events);
-            self.stores[to].persist(&events).expect("persist");
-            events.clear();
-            let from = Endpoint::Replica(ReplicaId(to as u32));
-            for (dest, msg) in out.msgs.drain(..) {
-                if let Endpoint::Replica(r) = dest {
-                    queue.push_back((r.0 as usize, from, msg));
-                }
-            }
-        }
-    }
-
-    /// Kills replica `id` and restarts it from its data directory.
-    /// Returns whether the store replayed anything at all, and how many
-    /// operations recovery then committed.
-    fn restart(&mut self, id: usize, dir: &Path) -> (bool, u64) {
-        let (store, state) = DataDir::open(dir).expect("reopen");
-        let replayed = !state.is_empty();
-        let mut node = fresh_nodes().swap_remove(id);
-        let report = node.recover(state);
-        node.enable_durability();
-        self.nodes[id] = node;
-        self.stores[id] = store;
-        (replayed, report.committed)
-    }
-}
-
-fn cluster(root: &Path) -> Net {
-    let _ = std::fs::remove_dir_all(root);
-    let mut nodes = fresh_nodes();
-    nodes.iter_mut().for_each(|n| n.enable_durability());
-    let stores = (0..N).map(|i| DataDir::open(dir_of(root, i)).expect("open").0).collect();
-    Net { nodes, stores, now: 0 }
-}
-
-fn dir_of(root: &Path, i: usize) -> PathBuf {
-    root.join(format!("replica-{i}"))
-}
-
-fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rsoc_stale_snapshot_{name}_{}", std::process::id()))
-}
 
 /// The one snapshot file in `dir`.
 fn snapshot_file(dir: &Path) -> PathBuf {
@@ -115,7 +37,11 @@ fn rejoin_after(name: &str, store_replays: bool, damage: impl FnOnce(&Path)) {
     (1..=10).for_each(|seq| net.commit(seq));
     assert!(net.nodes.iter().all(|n| n.committed_seq() == 10));
 
+    // The premise of both tests: the WAL below the snapshot about to be
+    // damaged is gone, because the checkpoint at 8 did write its image
+    // (the commits since the image at 4 outweigh it) and collected it.
     let victim = dir_of(&root, 3);
+    assert!(snapshot_file(&victim).ends_with("snap-8.bin"));
     damage(&snapshot_file(&victim));
     let (replayed, committed) = net.restart(3, &victim);
     assert_eq!(replayed, store_replays);

@@ -8,7 +8,7 @@
 //! one `decode_frame` call validates the whole thing.
 
 use rsoc_bft::api::Endpoint;
-use rsoc_bft::codec::{decode_frame, encode_frame, Reader, Wire};
+use rsoc_bft::codec::{decode_frame, encode_frame, Reader, Wire, FRAME_SLACK};
 
 /// One transport-plane frame body.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,7 @@ pub enum Envelope<M> {
 /// Encodes an envelope into a versioned frame body (ready for
 /// [`crate::frame::write_frame`]).
 pub fn encode_envelope<M: Wire>(env: &Envelope<M>) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(FRAME_SLACK + env.payload_len());
     encode_frame(env, &mut buf);
     buf
 }
@@ -103,6 +103,13 @@ impl<M: Wire> Wire for Envelope<M> {
             _ => return None,
         })
     }
+
+    fn payload_len(&self) -> usize {
+        match self {
+            Envelope::Msg { msg, .. } => msg.payload_len(),
+            _ => 0,
+        }
+    }
 }
 // lint: end
 
@@ -138,6 +145,37 @@ mod tests {
         roundtrip(&Envelope::DigestQuery);
         roundtrip(&Envelope::DigestReply { replica: 2, committed: 240, digest: [0x5A; 32] });
         roundtrip(&Envelope::Shutdown);
+    }
+
+    /// The frames that carry client bytes are allocated once: the buffer
+    /// `encode_envelope` sized up front is the one it returns.
+    #[test]
+    fn payload_frames_are_sized_before_they_are_encoded() {
+        let request = |seq: u64| {
+            Arc::new(rsoc_bft::Request {
+                op: rsoc_bft::OpId { client: rsoc_bft::ClientId(7), seq },
+                payload: vec![0x5A; 600],
+            })
+        };
+        let batch = Arc::new(rsoc_bft::api::Batch::new((1..=4).map(request).collect()));
+        let from = Endpoint::Replica(ReplicaId(1));
+        let reply = rsoc_bft::Reply {
+            replica: ReplicaId(1),
+            op: request(1).op,
+            result: Arc::new(vec![1; 300]),
+        };
+        for msg in [
+            PbftMsg::Request(request(1)),
+            PbftMsg::PrePrepare { view: 0, seq: 1, batch: batch.clone() },
+            PbftMsg::Prepare { view: 0, seq: 1, digest: batch.digest(), from: ReplicaId(1) },
+            PbftMsg::Commit { view: 0, seq: 1, digest: batch.digest(), from: ReplicaId(1) },
+            PbftMsg::Reply(reply),
+        ] {
+            let env = Envelope::Msg { from, msg };
+            let body = encode_envelope(&env);
+            assert_eq!(body.capacity(), FRAME_SLACK + env.payload_len(), "{env:?} grew");
+            assert!(body.len() + FRAME_SLACK >= body.capacity(), "{env:?} over-allocated");
+        }
     }
 
     #[test]
