@@ -53,9 +53,12 @@
 //!   windows, partitions, link degradation, DoS floods, stale replay),
 //!   the named one-fault [`adversary::Behavior`] presets that lower onto
 //!   them, and the safety/liveness [`adversary::ScenarioOracle`];
-//! * [`runner`] — the closed-loop client harness, latency models, message
-//!   accounting, the cross-replica safety checker, and the scenario
-//!   interpreter ([`runner::run_scenario`]).
+//! * [`runner`] — the deterministic harness: one event loop under two load
+//!   sources (closed-loop clients, [`runner::run_scenario`]; an open-loop
+//!   arrival schedule, [`runner::run_open_loop`]), latency models, message
+//!   accounting, the scenario interpreter and the cross-replica safety
+//!   checker; its clients count reply quorums with [`plane::ReplyTally`],
+//!   per link.
 //!
 //! Experiments **E3** (replica/message cost), **E4** (passive vs active)
 //! and the protocol halves of **E5–E7** run on this crate.

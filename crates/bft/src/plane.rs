@@ -14,17 +14,22 @@
 //!   and the scheduling of every armed timer.
 //! * [`step_node`] — the one canonical way to drive a node: clear the
 //!   (reused) outbox, deliver the input, hand the effects to the plane.
+//! * [`ReplyTally`] — the client's side of the same line: when f+1
+//!   matching replies are a result. Both planes' clients count with it,
+//!   and both hand it the *link* a reply arrived on, never the id the
+//!   reply claims.
 //!
 //! Two planes implement [`Transport`]: the deterministic simulator in
 //! [`runner`](crate::runner) (virtual time, latency models, fault
-//! injection — the first and reference implementation, byte-identical to
-//! the pre-carve-out harness) and the threaded TCP plane in the
-//! `rsoc_transport` crate (real sockets, real time). The protocol cores
-//! cannot tell which one is driving them — that is the point: the same
-//! `rsoc_bft` cores that pass the scenario oracle serve real request
-//! traffic over sockets unchanged.
+//! injection — the first and reference implementation) and the threaded
+//! TCP plane in the `rsoc_transport` crate (real sockets, real time). The
+//! protocol cores cannot tell which one is driving them — that is the
+//! point: the same `rsoc_bft` cores that pass the scenario oracle serve
+//! real request traffic over sockets unchanged.
 
-use crate::api::{Input, Outbox, ReplicaId, ReplicaNode};
+use crate::api::{Input, Outbox, ReplicaId, ReplicaNode, Reply};
+use crate::dense::ReplicaSet;
+use std::sync::Arc;
 
 /// A plane's time source, in protocol cycles.
 ///
@@ -75,11 +80,49 @@ pub fn step_node<N, P>(
     plane.dispatch(node.id(), out, now);
 }
 
+/// One client operation's reply quorum: which links vouched for which
+/// result. f+1 matching replies mask f intruded replicas only if each
+/// replica is counted once, so a vote belongs to the **link** it arrived
+/// on — the simulator's delivering replica, the TCP connection the client
+/// dialled itself — and a reply that names another replica is refused:
+/// otherwise one intruded replica answers under f+1 ids and is a quorum
+/// by itself.
+///
+/// Distinct results per op are almost always one, so the buckets are a
+/// linear-scan list; a vote shares the replica's result buffer and sets
+/// one bit. The empty tally (`default()`) allocates nothing.
+#[derive(Debug, Default)]
+pub struct ReplyTally {
+    results: Vec<(Arc<Vec<u8>>, ReplicaSet)>,
+}
+
+impl ReplyTally {
+    /// Counts `reply`, which arrived on the link to replica `link` of an
+    /// `n`-replica cluster. Returns `true` when this vote is the one that
+    /// brings its result to `quorum` distinct links. Refused — and never
+    /// counted — when the reply claims a replica other than `link` or
+    /// `link` is not one of the `n`; a link's repeated vote for a result
+    /// counts once.
+    pub fn record(&mut self, link: ReplicaId, n: usize, quorum: usize, reply: &Reply) -> bool {
+        if reply.replica != link || link.0 as usize >= n {
+            return false;
+        }
+        let at = match self.results.iter().position(|(result, _)| *result == reply.result) {
+            Some(at) => at,
+            None => {
+                self.results.push((Arc::clone(&reply.result), ReplicaSet::new()));
+                self.results.len() - 1
+            }
+        };
+        let voters = &mut self.results[at].1;
+        voters.insert(link) && voters.len() >= quorum
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Endpoint, LogEntry, Request};
-    use std::sync::Arc;
+    use crate::api::{ClientId, Endpoint, LogEntry, OpId, Request};
 
     /// A node that echoes every message back to its sender and arms one
     /// timer per input — just enough surface to exercise the choreography.
@@ -155,5 +198,36 @@ mod tests {
         assert_eq!(plane.msgs, vec![(ReplicaId(2), from, 6)]);
         assert_eq!(plane.timers, vec![(110, 1, 1), (120, 1, 2)]);
         assert!(out.msgs.is_empty() && out.timers.is_empty(), "plane drained the outbox");
+    }
+
+    fn reply(replica: u32, result: &[u8]) -> Reply {
+        Reply {
+            replica: ReplicaId(replica),
+            op: OpId { client: ClientId(0), seq: 1 },
+            result: Arc::new(result.to_vec()),
+        }
+    }
+
+    #[test]
+    fn tally_reaches_quorum_on_distinct_links_with_one_result() {
+        let mut tally = ReplyTally::default();
+        assert!(!tally.record(ReplicaId(0), 3, 2, &reply(0, b"ok")));
+        assert!(!tally.record(ReplicaId(1), 3, 2, &reply(1, b"other")), "results count apart");
+        assert!(tally.record(ReplicaId(2), 3, 2, &reply(2, b"ok")));
+    }
+
+    #[test]
+    fn tally_binds_a_vote_to_its_link() {
+        // One link answering as replicas 0 and 1 is one voter, not two.
+        let mut tally = ReplyTally::default();
+        assert!(!tally.record(ReplicaId(0), 3, 2, &reply(0, b"forged")));
+        assert!(!tally.record(ReplicaId(0), 3, 2, &reply(1, b"forged")));
+        // A resent reply does not double-count either.
+        assert!(!tally.record(ReplicaId(0), 3, 2, &reply(0, b"forged")));
+        // An id outside the cluster is refused even on its "own" link.
+        assert!(!tally.record(ReplicaId(3), 3, 2, &reply(3, b"forged")));
+        assert!(!tally.record(ReplicaId(64), 3, 2, &reply(64, b"forged")));
+        // The honest second link still completes the quorum.
+        assert!(tally.record(ReplicaId(1), 3, 2, &reply(1, b"forged")));
     }
 }

@@ -1,6 +1,15 @@
-//! The deterministic protocol harness: windowed closed-loop clients,
-//! message latencies, message accounting, and the cross-replica safety
-//! checker.
+//! The deterministic protocol harness: one event loop under two load
+//! sources, message latencies, message accounting, and the cross-replica
+//! safety checker.
+//!
+//! [`run`], [`run_scenario`] and [`run_open_loop`] are the same private
+//! `drive` loop over the same `Sim` — the plane that owns the event queue,
+//! the RNG streams, the message counters, the scenario state and the
+//! client side (pending table, [`ReplyTally`] quorums, retransmission),
+//! and that *is* the [`Transport`] the replicas emit into. They differ
+//! only in their `Load`, *who issues the next request*: closed-loop
+//! clients, whose next request is gated on a reply quorum, or an open-loop
+//! arrival schedule that never waits. Everything else exists once.
 //!
 //! The event queue is allocation-free *and* O(1) on the hot path: events
 //! live in a [`TimingWheel`] — bodies in a freelist arena, ordering in
@@ -11,20 +20,21 @@
 //! The message plane is allocation-free too: each client op allocates its
 //! [`Request`] exactly once and every send — the n-way fan-out *and*
 //! every retransmission — shares it through an `Arc`; one [`Outbox`] is
-//! reused across all delivered events (cleared, never reallocated).
+//! reused across all delivered events (cleared, never reallocated). That
+//! path is a `lint: hot-path` region: `rsoc_lint` holds it to this claim.
 //!
 //! # Scenario interpretation
 //!
-//! [`run_scenario`] drives the same event loop under an adversarial
-//! [`Scenario`]: replica fault scripts are installed on the cluster
+//! The driver interprets an adversarial [`Scenario`] uniformly for every
+//! protocol and load: replica fault scripts are installed on the cluster
 //! (crash/silence/content-attack windows are interpreted where the
 //! replica's behaviour lives), while every *transport-level* fault is
-//! interpreted uniformly here — partitions sever replica↔replica
-//! deliveries, link faults drop and delay crossing messages, per-replica
-//! send scripts delay/duplicate/reorder outbox bursts, replay schedules
-//! re-inject recorded stale messages, and DoS floods synthesize attacker
-//! client traffic. All scenario randomness comes from a dedicated fault
-//! RNG stream, so an **empty scenario leaves the virtual-time trace
+//! interpreted here — partitions sever replica↔replica deliveries, link
+//! faults drop and delay crossing messages, per-replica send scripts
+//! delay/duplicate/reorder outbox bursts, replay schedules re-inject
+//! recorded stale messages, and DoS floods synthesize attacker client
+//! traffic. All scenario randomness comes from a dedicated fault RNG
+//! stream, so an **empty scenario leaves the virtual-time trace
 //! bit-identical** to the unscripted path (the committed BENCH records
 //! regenerate unchanged).
 
@@ -32,17 +42,28 @@ use crate::adversary::Scenario;
 use crate::api::{
     ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
 };
-use crate::plane::{step_node, Transport};
+use crate::dense::OpIndex;
+use crate::plane::{step_node, ReplyTally, Transport};
 use rsoc_sim::{
     Arrival, ArrivalGen, Histogram, KeyDist, KeyPicker, LogHistogram, RateMod, SimRng, TimingWheel,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Messages per replica kept for stale-replay injection (oldest kept:
 /// early-run messages are the interesting stale ones — old views, consumed
 /// USIG counters, already-applied state updates).
 const REPLAY_RECORD_CAP: usize = 64;
+
+/// Deliveries the quiesce drain handles before it gives up (without
+/// timers every protocol's message cascades are finite).
+const QUIESCE_EVENT_CAP: u64 = 5_000_000;
+
+/// RNG stream salts, XORed into [`RunConfig::seed`] — one stream per
+/// consumer, so no subsystem's draws perturb another's: latencies and
+/// baseline loss; scenario faults; the open loop's arrivals and users.
+const SALT_MAIN: u64 = 0xB07_F00D;
+const SALT_FAULT: u64 = 0xADD_FA017;
+const SALT_WORKLOAD: u64 = 0x0A22_17A1;
 
 /// Message latency models for the on-chip interconnect.
 #[derive(Debug, Clone)]
@@ -359,9 +380,9 @@ enum Queued<M> {
         kind: u32,
         token: u64,
     },
+    /// The retransmit timer of one client operation.
     ClientTimer {
-        client: ClientId,
-        op_seq: u64,
+        op: OpId,
     },
     /// Scenario: the next injection of flood `flood` (k requests sent so
     /// far). Never queued by the fault-free path.
@@ -381,9 +402,7 @@ enum Queued<M> {
     RejuvTick {
         replica: u32,
     },
-    /// Open-loop plane: the next workload arrival is due. Never queued by
-    /// the closed-loop path; the generator state lives in
-    /// [`run_open_loop`]'s locals, so the event carries nothing.
+    /// Open loop: the next arrival is due (the generator lives in the load).
     Arrival,
 }
 
@@ -413,7 +432,7 @@ impl<'a, M: Clone> FaultCtx<'a, M> {
         FaultCtx {
             scenario,
             active: !scenario.is_empty(),
-            rng: SimRng::new(seed ^ 0xADD_FA017),
+            rng: SimRng::new(seed ^ SALT_FAULT),
             scripts: (0..n as u32)
                 .map(|i| scenario.script_for(i).cloned().unwrap_or_default())
                 .collect(),
@@ -454,44 +473,484 @@ pub struct ScenarioOutcome {
 }
 
 /// One in-flight client operation: the request (shared with every wire
-/// copy, including retransmissions), when it was first sent
-/// (retransmissions do not reset the latency clock), and the per-result
-/// reply tally — a tiny linear-scan list (distinct results per op are
-/// almost always 1) with voter *bitmasks*, so recording a reply allocates
-/// nothing and shares the replica's result buffer.
+/// copy, retransmissions included), when it was first sent (a
+/// retransmission does not reset the latency clock), and its quorum so far.
 struct PendingOp {
     request: Arc<Request>,
     sent_at: u64,
-    replies: Vec<(Arc<Vec<u8>>, u64)>,
+    tally: ReplyTally,
 }
 
-struct ClientState {
-    id: ClientId,
-    next_seq: u64,
-    done: u64,
-    target: u64,
-    /// Maximum concurrently outstanding operations.
-    window: usize,
-    /// Outstanding operations keyed by client sequence number.
-    pending: BTreeMap<u64, PendingOp>,
+/// The simulator plane: what a run owns besides the cluster and the load.
+/// It is the [`Transport`] the replicas emit into — delivery (latency
+/// sampling, egress serialization, baseline loss, every scripted transport
+/// fault) and timers go straight onto its wheel — and the client side of
+/// every load: in-flight operations, reply quorums, retransmit timers.
+struct Sim<'a, N: ReplicaNode> {
+    config: &'a RunConfig,
+    n: usize,
+    quorum: usize,
+    /// Cycle-indexed wheel: O(1) push/pop, (time, push-order) pop order.
+    queue: TimingWheel<Queued<N::Msg>>,
+    rng: SimRng,
+    egress_free: Vec<u64>,
+    messages_total: u64,
+    messages_protocol: u64,
+    fault: FaultCtx<'a, N::Msg>,
+    /// Quiesce: deliveries keep flowing, timers die with the run.
+    draining: bool,
+    /// In-flight ops, keyed sparsely by identity: a hot user may have many
+    /// at once, and a million idle users must cost no per-user state.
+    pending: OpIndex<PendingOp>,
+    committed: u64,
     retries: u64,
+    /// First client id past the load's population: flood `i` attacks as
+    /// client `attackers_from + i`, so an attacker never aliases a user.
+    attackers_from: u32,
+}
+
+// The steady state: a fault-free workload runs here and in the replicas.
+// lint: hot-path
+impl<N: ReplicaNode> Sim<'_, N> {
+    /// Sends client operation `op` for the first time.
+    fn issue(&mut self, op: OpId, now: u64) {
+        let payload =
+            client_payload(self.config.seed, op.client.0, op.seq, self.config.payload_size);
+        // The op's single allocation: every wire copy (and every later
+        // retransmission) shares this Arc.
+        let request = Arc::new(Request { op, payload });
+        self.fan_out(&request, now, false);
+        self.queue.push(now + self.config.client_timeout, Queued::ClientTimer { op });
+        self.pending.insert(op, PendingOp { request, sent_at: now, tally: ReplyTally::default() });
+    }
+
+    /// One wire copy of `request` to every replica, latency-sampled (from
+    /// the fault stream for an `attack`: main-stream draws stay unscripted).
+    fn fan_out(&mut self, request: &Arc<Request>, now: u64, attack: bool) {
+        let from = Endpoint::Client(request.op.client);
+        for i in 0..self.n {
+            let to = Endpoint::Replica(ReplicaId(i as u32));
+            let rng = if attack { &mut self.fault.rng } else { &mut self.rng };
+            let delay = self.config.latency.sample(from, to, rng);
+            self.messages_total += 1;
+            let msg = N::make_request(Arc::clone(request));
+            self.queue.push(now + delay, Queued::Deliver { from, to, msg });
+        }
+    }
+
+    /// Counts a reply to one of `to`'s in-flight ops as a vote of the link
+    /// it came in on; the vote that completes the quorum retires the op and
+    /// returns it. Attackers have no pending ops.
+    fn on_reply(&mut self, from: Endpoint, to: ClientId, msg: &N::Msg) -> Option<PendingOp> {
+        let Endpoint::Replica(link) = from else { return None };
+        let reply = N::as_reply(msg).filter(|reply| reply.op.client == to)?;
+        let tally = &mut self.pending.get_mut(&reply.op)?.tally;
+        if !tally.record(link, self.n, self.quorum, reply) {
+            return None;
+        }
+        self.committed += 1;
+        self.pending.remove(&reply.op)
+    }
+
+    /// `op`'s timer fired: if it is still in flight, every replica gets
+    /// another copy of its one request — refcount bumps, no payload clone.
+    fn retransmit(&mut self, op: OpId, now: u64) {
+        let Some(pending) = self.pending.get(&op) else { return };
+        let request = Arc::clone(&pending.request);
+        self.retries += 1;
+        self.fan_out(&request, now, false);
+        self.queue.push(now + self.config.client_timeout, Queued::ClientTimer { op });
+    }
+
+    /// Routes one outgoing message: egress serialization, baseline loss,
+    /// then — only under an active scenario — partition severing,
+    /// link-fault drop/delay, per-replica send delay, duplication, and
+    /// replay recording. The fault-free tail is exactly the pre-scenario
+    /// harness (same main-RNG draws in the same order).
+    fn route_one(&mut self, from: ReplicaId, to: Endpoint, msg: N::Msg, now: u64) {
+        let config = self.config;
+        // Sender-side serialization: each message occupies the replica's
+        // egress port for `link_occupancy` cycles, so a burst departs
+        // back-to-back rather than simultaneously. This charges the
+        // per-message fixed cost that batching amortizes; lost messages
+        // still occupy the port (they were physically sent).
+        let depart = if config.link_occupancy > 0 {
+            let free = self.egress_free[from.0 as usize].max(now) + config.link_occupancy;
+            self.egress_free[from.0 as usize] = free;
+            free
+        } else {
+            now
+        };
+        if let Endpoint::Replica(_) = to {
+            self.messages_protocol += 1;
+            if self.rng.chance(config.drop_rate) {
+                self.messages_total += 1; // sent but lost
+                return;
+            }
+        }
+        if self.fault.active {
+            let script = &self.fault.scripts[from.0 as usize];
+            // Record protocol sends for stale-replay schedules (oldest kept).
+            if !script.replays().is_empty()
+                && matches!(to, Endpoint::Replica(_))
+                && self.fault.recorded[from.0 as usize].len() < REPLAY_RECORD_CAP
+            {
+                // lint: allow(hot-clone) -- scripted replay schedules only: the ring keeps its own copy
+                self.fault.recorded[from.0 as usize].push((to, msg.clone()));
+            }
+            // Partition severing, judged at departure time: the message was
+            // sent (and charged) but never crosses the boundary.
+            if let Endpoint::Replica(dst) = to {
+                if self.fault.severed(depart, from, dst) {
+                    self.fault.script_drops += 1;
+                    self.messages_total += 1;
+                    return;
+                }
+            }
+            // Link faults: probabilistic drops plus fixed extra delay on
+            // matching (source, dest) pairs. All randomness from the fault
+            // stream — the main RNG's draw order is scenario-independent.
+            let mut extra = script.send_delay_at(now);
+            let duplicate = script.duplicates_at(now);
+            for l in &self.fault.scenario.links {
+                let src_match = l.source.is_none_or(|s| s == from.0);
+                let dst_match = match (l.dest, to) {
+                    (None, _) => true,
+                    (Some(d), Endpoint::Replica(r)) => d == r.0,
+                    (Some(_), Endpoint::Client(_)) => false,
+                };
+                if src_match && dst_match && l.window.contains(depart) {
+                    if l.drop_rate > 0.0 && self.fault.rng.chance(l.drop_rate) {
+                        self.fault.script_drops += 1;
+                        self.messages_total += 1;
+                        return;
+                    }
+                    extra += l.extra_delay;
+                }
+            }
+            self.messages_total += 1;
+            let delay = config.latency.sample(Endpoint::Replica(from), to, &mut self.rng);
+            // lint: allow(hot-clone) -- scripted runs only: a duplication window sends `msg` again below
+            let first = Queued::Deliver { from: Endpoint::Replica(from), to, msg: msg.clone() };
+            self.queue.push(depart + delay + extra, first);
+            if duplicate {
+                // The copy takes its own (fault-stream) latency draw: the
+                // two arrivals interleave arbitrarily with other traffic.
+                let dup_delay =
+                    config.latency.sample(Endpoint::Replica(from), to, &mut self.fault.rng);
+                self.messages_total += 1;
+                if matches!(to, Endpoint::Replica(_)) {
+                    self.messages_protocol += 1;
+                }
+                self.fault.duplicates += 1;
+                self.queue.push(
+                    depart + dup_delay + extra,
+                    Queued::Deliver { from: Endpoint::Replica(from), to, msg },
+                );
+            }
+            return;
+        }
+        self.messages_total += 1;
+        let delay = config.latency.sample(Endpoint::Replica(from), to, &mut self.rng);
+        self.queue.push(depart + delay, Queued::Deliver { from: Endpoint::Replica(from), to, msg });
+    }
+}
+// lint: end
+
+impl<N: ReplicaNode> Transport<N::Msg> for Sim<'_, N> {
+    fn dispatch(&mut self, from: ReplicaId, out: &mut Outbox<N::Msg>, now: u64) {
+        // A reorder window flips the departure order of this whole burst —
+        // later-queued messages grab the egress port (and their latency
+        // samples) first. Only taken when a scenario scripts it.
+        if self.fault.active && self.fault.scripts[from.0 as usize].reorders_at(now) {
+            out.msgs.reverse();
+        }
+        for (to, msg) in out.msgs.drain(..) {
+            self.route_one(from, to, msg, now);
+        }
+        for (delay, kind, token) in out.timers.drain(..) {
+            if !self.draining {
+                self.queue.push(now + delay, Queued::ReplicaTimer { replica: from, kind, token });
+            }
+        }
+    }
+}
+
+/// The scenario schedules: taken only when a scenario scripts them.
+impl<N: ReplicaNode> Sim<'_, N> {
+    /// Arms the first tick of every flood, replay and rejuvenation
+    /// schedule. The empty scenario schedules nothing — the event stream
+    /// (every wheel push sequence number) stays exactly the fault-free one.
+    fn arm_schedules(&mut self) {
+        if !self.fault.active {
+            return;
+        }
+        for (i, f) in self.fault.scenario.floods.iter().enumerate() {
+            if let Some(at) = f.train().first() {
+                self.queue.push(at, Queued::FloodTick { flood: i as u32, k: 0 });
+            }
+        }
+        for (r, script) in self.fault.scripts.iter().enumerate() {
+            for (si, spec) in script.replays().iter().enumerate() {
+                if let Some(at) = spec.train().first() {
+                    self.queue
+                        .push(at, Queued::ReplayTick { replica: r as u32, spec: si as u32, k: 0 });
+                }
+            }
+            for &at in script.rejuvenations() {
+                self.queue.push(at, Queued::RejuvTick { replica: r as u32 });
+            }
+        }
+    }
+
+    /// Injection `k` of flood `flood`: a well-formed request from a
+    /// non-workload client id. Replicas order and execute it like any
+    /// other (that is the attack — it consumes agreement and egress
+    /// capacity), but it is never pending: no reply quorum is tallied.
+    fn flood_tick(&mut self, flood: u32, k: u64, now: u64) {
+        let f = self.fault.scenario.floods[flood as usize];
+        if !f.window.contains(now) {
+            return;
+        }
+        let seq = k + 1;
+        let client = ClientId(self.attackers_from + flood);
+        let text = format!("SET f{flood}.{seq} v{seq}");
+        let mut payload = text.into_bytes();
+        payload.resize(payload.len().max(f.payload_size), b'_');
+        self.fan_out(&Arc::new(Request { op: OpId { client, seq }, payload }), now, true);
+        self.fault.flood_requests += 1;
+        if let Some(next) = f.train().next_after(now) {
+            self.queue.push(next, Queued::FloodTick { flood, k: seq });
+        }
+    }
+
+    /// Burst `k` of `replica`'s replay schedule `spec`.
+    fn replay_tick(&mut self, replica: u32, spec: u32, k: u64, now: u64) {
+        let s = self.fault.scripts[replica as usize].replays()[spec as usize];
+        if !s.window.contains(now) {
+            return;
+        }
+        let burst = s.burst.max(1);
+        let rec_len = self.fault.recorded[replica as usize].len();
+        let from = Endpoint::Replica(ReplicaId(replica));
+        // Cycle through the recorded ring, oldest first: stale views,
+        // consumed USIG counters, and already-applied state updates come
+        // back from the network's past.
+        for j in 0..burst.min(rec_len) {
+            let idx = (k as usize * burst + j) % rec_len;
+            let (to, msg) = self.fault.recorded[replica as usize][idx].clone();
+            let delay = self.config.latency.sample(from, to, &mut self.fault.rng);
+            self.messages_total += 1;
+            if matches!(to, Endpoint::Replica(_)) {
+                self.messages_protocol += 1;
+            }
+            self.fault.replays += 1;
+            self.queue.push(now + delay, Queued::Deliver { from, to, msg });
+        }
+        if let Some(next) = s.train().next_after(now) {
+            self.queue.push(next, Queued::ReplayTick { replica, spec, k: k + 1 });
+        }
+    }
+}
+
+/// Who issues the next request — all the closed and the open loop disagree
+/// on. A load acts through [`Sim::issue`]: the run cannot tell them apart.
+trait Load<N: ReplicaNode> {
+    /// Client ids below this belong to the load.
+    fn population(&self) -> u32;
+    /// Operations the run commits before it ends.
+    fn total_ops(&self) -> u64;
+    /// Cycle 0: issue the first requests, or schedule the first arrival.
+    fn start(&mut self, sim: &mut Sim<'_, N>);
+    /// `op` got its reply quorum at `now`, `latency` cycles after first sent.
+    fn on_commit(&mut self, op: OpId, latency: u64, now: u64, sim: &mut Sim<'_, N>);
+    /// A [`Queued::Arrival`] is due (only a load schedules them).
+    fn on_arrival(&mut self, _now: u64, _sim: &mut Sim<'_, N>) {}
+}
+
+/// The one event loop: installs `scenario`'s replica scripts, lets `load`
+/// start, dispatches events until every operation of the load has its
+/// reply quorum (or `max_cycles` strikes), and drains what is in flight.
+/// `commit_latency` comes back empty: latencies go to the load as ops
+/// commit, into the histogram its report exposes.
+fn drive<C: Cluster, L: Load<C::Node>>(
+    cluster: &mut C,
+    config: &RunConfig,
+    scenario: &Scenario,
+    load: &mut L,
+) -> ScenarioOutcome {
+    let n = cluster.nodes().len();
+    for (r, s) in &scenario.replicas {
+        if (*r as usize) < n {
+            cluster.set_script(ReplicaId(*r), s.clone());
+        }
+    }
+    let mut sim: Sim<'_, C::Node> = Sim {
+        config,
+        n,
+        quorum: cluster.reply_quorum(),
+        queue: TimingWheel::new(),
+        rng: SimRng::new(config.seed ^ SALT_MAIN),
+        egress_free: vec![0; n],
+        messages_total: 0,
+        messages_protocol: 0,
+        fault: FaultCtx::new(scenario, n, config.seed),
+        draining: false,
+        pending: OpIndex::new(),
+        committed: 0,
+        retries: 0,
+        attackers_from: load.population(),
+    };
+    // One outbox reused for every delivered event: cleared (capacity
+    // kept), so the steady state allocates nothing per event.
+    let mut out: Outbox<<C::Node as ReplicaNode>::Msg> = Outbox::new();
+    let total_ops = load.total_ops();
+    let mut now: u64 = 0;
+
+    load.start(&mut sim);
+    sim.arm_schedules();
+
+    while let Some((at, ev)) = sim.queue.pop() {
+        if at > config.max_cycles {
+            now = config.max_cycles;
+            break;
+        }
+        now = at;
+        match ev {
+            Queued::Deliver { from, to: Endpoint::Replica(r), msg } => {
+                let node = &mut cluster.nodes_mut()[r.0 as usize];
+                step_node(node, Input::Message { from, msg }, now, &mut out, &mut sim);
+            }
+            Queued::Deliver { from, to: Endpoint::Client(c), msg } => {
+                if let Some(done) = sim.on_reply(from, c, &msg) {
+                    load.on_commit(done.request.op, now - done.sent_at, now, &mut sim);
+                }
+            }
+            Queued::ReplicaTimer { replica, kind, token } => {
+                let node = &mut cluster.nodes_mut()[replica.0 as usize];
+                step_node(node, Input::Timer { kind, token }, now, &mut out, &mut sim);
+            }
+            Queued::ClientTimer { op } => sim.retransmit(op, now),
+            Queued::Arrival => load.on_arrival(now, &mut sim),
+            Queued::FloodTick { flood, k } => sim.flood_tick(flood, k, now),
+            Queued::ReplayTick { replica, spec, k } => sim.replay_tick(replica, spec, k, now),
+            Queued::RejuvTick { replica } => {
+                // Leave/wipe/re-join: all volatile state goes; the replica
+                // discovers it is behind (its kept stable certificate, or a
+                // peer's next checkpoint/view-change) and re-joins through
+                // state transfer.
+                cluster.nodes_mut()[replica as usize].wipe();
+                sim.fault.rejuvenations += 1;
+            }
+        }
+        if sim.committed >= total_ops {
+            break;
+        }
+    }
+
+    // Quiesce: the workload is over, but messages already in flight (the
+    // final commit round, a checkpoint or state-transfer exchange) still
+    // reach their replicas, as do the cascades they trigger. Timers are
+    // dropped — no new workload can start — and `now` stays frozen at the
+    // break point so throughput is measured over the active phase only.
+    if sim.committed >= total_ops {
+        sim.draining = true;
+        let mut drained = 0u64;
+        while let Some((at, ev)) = sim.queue.pop() {
+            if at > config.max_cycles || drained > QUIESCE_EVENT_CAP {
+                break;
+            }
+            drained += 1;
+            let Queued::Deliver { from, to: Endpoint::Replica(r), msg } = ev else { continue };
+            let node = &mut cluster.nodes_mut()[r.0 as usize];
+            step_node(node, Input::Message { from, msg }, at, &mut out, &mut sim);
+        }
+    }
+
+    ScenarioOutcome {
+        report: RunReport {
+            protocol: cluster.protocol_name(),
+            n_replicas: n,
+            committed: sim.committed,
+            requested: sim.committed + sim.pending.len() as u64,
+            commit_latency: Histogram::new(),
+            messages_total: sim.messages_total,
+            messages_protocol: sim.messages_protocol,
+            client_retries: sim.retries,
+            safety_ok: check_safety(cluster),
+            duration_cycles: now,
+            batch_size: config.batch_size,
+        },
+        flood_requests: sim.fault.flood_requests,
+        script_drops: sim.fault.script_drops,
+        duplicates: sim.fault.duplicates,
+        replays: sim.fault.replays,
+        rejuvenations: sim.fault.rejuvenations,
+    }
+}
+
+/// The closed-loop load: clients that each keep up to `window` requests
+/// outstanding until they have issued `target`. A completed op frees a
+/// slot and the client fills it at once: the pipeline stays full.
+struct ClosedLoop {
+    /// Per client: the next sequence number and the ops in flight.
+    clients: Vec<(u64, usize)>,
+    target: u64,
+    window: usize,
+    latency: Histogram,
+}
+
+impl ClosedLoop {
+    /// Issues `client`'s next request if target and window leave room for it.
+    fn refill<N: ReplicaNode>(&mut self, client: ClientId, now: u64, sim: &mut Sim<'_, N>) -> bool {
+        let (next_seq, outstanding) = &mut self.clients[client.0 as usize];
+        if *next_seq > self.target || *outstanding >= self.window {
+            return false;
+        }
+        sim.issue(OpId { client, seq: *next_seq }, now);
+        *next_seq += 1;
+        *outstanding += 1;
+        true
+    }
+}
+
+impl<N: ReplicaNode> Load<N> for ClosedLoop {
+    fn population(&self) -> u32 {
+        self.clients.len() as u32
+    }
+
+    fn total_ops(&self) -> u64 {
+        self.clients.len() as u64 * self.target
+    }
+
+    /// Every client fills its pipeline window at cycle 0.
+    fn start(&mut self, sim: &mut Sim<'_, N>) {
+        for c in 0..self.clients.len() as u32 {
+            while self.refill(ClientId(c), 0, sim) {}
+        }
+    }
+
+    fn on_commit(&mut self, op: OpId, latency: u64, now: u64, sim: &mut Sim<'_, N>) {
+        self.latency.record(latency as f64);
+        self.clients[op.client.0 as usize].1 -= 1;
+        self.refill(op.client, now, sim);
+    }
 }
 
 /// Runs `cluster` under `config`, returning the measured report.
 ///
 /// Deterministic: identical `(cluster initial state, config)` gives an
 /// identical report. Equivalent to [`run_scenario`] with the empty
-/// [`Scenario`] — and bit-identical to the pre-scenario harness, because
-/// every scenario hook short-circuits on an inactive context.
+/// [`Scenario`], whose every hook short-circuits on an inactive context.
 pub fn run<C: Cluster>(cluster: &mut C, config: &RunConfig) -> RunReport {
     run_scenario(cluster, config, &Scenario::none()).report
 }
 
-/// Runs `cluster` under `config` while interpreting `scenario`: replica
-/// fault scripts are installed on the cluster, transport faults
-/// (partitions, link degradation, send delay/duplication/reordering,
-/// stale replay, DoS floods) are interpreted here, uniformly for every
-/// protocol.
+/// Runs `cluster` under `config`'s closed-loop clients while interpreting
+/// `scenario`: replica fault scripts are installed on the cluster,
+/// transport faults (partitions, link degradation, send
+/// delay/duplication/reordering, stale replay, DoS floods) are interpreted
+/// by the driver, uniformly for every protocol.
 ///
 /// Scenario replica ids beyond the cluster size are ignored, so one
 /// scenario can target protocols with different replica counts.
@@ -500,351 +959,15 @@ pub fn run_scenario<C: Cluster>(
     config: &RunConfig,
     scenario: &Scenario,
 ) -> ScenarioOutcome {
-    let n = cluster.nodes().len();
-    for (r, s) in &scenario.replicas {
-        if (*r as usize) < n {
-            cluster.set_script(ReplicaId(*r), s.clone());
-        }
-    }
-    let mut fault: FaultCtx<<C::Node as ReplicaNode>::Msg> =
-        FaultCtx::new(scenario, n, config.seed);
-    let mut rng = SimRng::new(config.seed ^ 0xB07_F00D);
-    // Cycle-indexed wheel: O(1) push/pop, (time, push-order) pop order.
-    let mut queue: TimingWheel<Queued<<C::Node as ReplicaNode>::Msg>> = TimingWheel::new();
-    let mut now: u64 = 0;
-    let mut egress_free: Vec<u64> = vec![0; n];
-
-    let mut messages_total = 0u64;
-    let mut messages_protocol = 0u64;
-    let mut commit_latency = Histogram::new();
-    let mut committed = 0u64;
-
-    let mut clients: Vec<ClientState> = (0..config.clients)
-        .map(|i| ClientState {
-            id: ClientId(i),
-            next_seq: 1,
-            done: 0,
-            target: config.requests_per_client,
-            window: config.client_window.max(1),
-            pending: BTreeMap::new(),
-            retries: 0,
-        })
-        .collect();
-
-    let quorum = cluster.reply_quorum();
-
-    // One outbox reused for every delivered event: cleared (capacity
-    // kept), so the steady state allocates nothing per event.
-    let mut out: Outbox<<C::Node as ReplicaNode>::Msg> = Outbox::new();
-
-    macro_rules! push_event {
-        ($at:expr, $ev:expr) => {{
-            queue.push($at, $ev);
-        }};
-    }
-
-    // Drives one replica through one input via the sans-io boundary: a
-    // fresh `SimPlane` borrows the routing state for the duration of the
-    // dispatch (the wheel is borrowed through `$push`, so the plane is
-    // rebuilt per event instead of held across `queue.pop()`).
-    macro_rules! step_replica {
-        ($r:expr, $input:expr, $now:expr, $push:expr) => {{
-            let mut plane = SimPlane {
-                config,
-                rng: &mut rng,
-                egress_free: &mut egress_free,
-                messages_total: &mut messages_total,
-                messages_protocol: &mut messages_protocol,
-                fault: &mut fault,
-                push: $push,
-            };
-            step_node(&mut cluster.nodes_mut()[$r.0 as usize], $input, $now, &mut out, &mut plane);
-        }};
-    }
-
-    // Kick off: every client fills its pipeline window at time ~0.
-    for client in clients.iter_mut() {
-        let id = client.id;
-        while let Some((op_seq, sends)) = client_issue::<C>(client, n, config, &mut rng, 0) {
-            for (at, from, to, msg) in sends {
-                messages_total += 1;
-                push_event!(at, Queued::Deliver { from, to, msg });
-            }
-            push_event!(config.client_timeout, Queued::ClientTimer { client: id, op_seq });
-        }
-    }
-
-    // Scenario kick-off: arm the first tick of every flood and replay
-    // schedule. The empty scenario schedules nothing — the event stream
-    // (and every wheel push sequence number) stays exactly the fault-free
-    // one.
-    if fault.active {
-        for (i, f) in scenario.floods.iter().enumerate() {
-            if let Some(at) = f.train().first() {
-                push_event!(at, Queued::FloodTick { flood: i as u32, k: 0 });
-            }
-        }
-        for (r, script) in fault.scripts.iter().enumerate() {
-            for (si, spec) in script.replays().iter().enumerate() {
-                if let Some(at) = spec.train().first() {
-                    push_event!(
-                        at,
-                        Queued::ReplayTick { replica: r as u32, spec: si as u32, k: 0 }
-                    );
-                }
-            }
-            for &at in script.rejuvenations() {
-                push_event!(at, Queued::RejuvTick { replica: r as u32 });
-            }
-        }
-    }
-
-    while let Some((at, ev)) = queue.pop() {
-        if at > config.max_cycles {
-            now = config.max_cycles;
-            break;
-        }
-        now = at;
-        match ev {
-            Queued::Deliver { from, to, msg } => match to {
-                Endpoint::Replica(r) => {
-                    step_replica!(r, Input::Message { from, msg }, now, &mut |at, ev| {
-                        queue.push(at, ev)
-                    });
-                }
-                Endpoint::Client(c) => {
-                    let Some(reply) = C::Node::as_reply(&msg) else { continue };
-                    // Flood (attacker) clients have no state: replies to
-                    // them fall outside the workload population.
-                    let Some(client) = clients.get_mut(c.0 as usize) else { continue };
-                    let Some(op) = client.pending.get_mut(&reply.op.seq) else { continue };
-                    if reply.op != op.request.op {
-                        continue;
-                    }
-                    let voters = match op.replies.iter_mut().find(|(r, _)| *r == reply.result) {
-                        Some((_, v)) => v,
-                        None => {
-                            op.replies.push((reply.result.clone(), 0));
-                            &mut op.replies.last_mut().expect("just pushed").1
-                        }
-                    };
-                    *voters |= 1u64 << (reply.replica.0 & 63);
-                    if voters.count_ones() as usize >= quorum {
-                        committed += 1;
-                        commit_latency.record((now - op.sent_at) as f64);
-                        client.done += 1;
-                        client.pending.remove(&reply.op.seq);
-                        // A completed op frees one window slot: issue the
-                        // next request immediately (the pipeline stays full
-                        // until the target is exhausted).
-                        if let Some((op_seq, sends)) =
-                            client_issue::<C>(client, n, config, &mut rng, now)
-                        {
-                            for (at, from, to, msg) in sends {
-                                messages_total += 1;
-                                push_event!(at, Queued::Deliver { from, to, msg });
-                            }
-                            push_event!(
-                                now + config.client_timeout,
-                                Queued::ClientTimer { client: c, op_seq }
-                            );
-                        }
-                    }
-                }
-            },
-            Queued::ReplicaTimer { replica, kind, token } => {
-                step_replica!(replica, Input::Timer { kind, token }, now, &mut |at, ev| {
-                    queue.push(at, ev)
-                });
-            }
-            Queued::ClientTimer { client, op_seq } => {
-                let c = &mut clients[client.0 as usize];
-                if let Some(op) = c.pending.get(&op_seq) {
-                    c.retries += 1;
-                    // Retransmissions reuse the op's one Arc'd request —
-                    // a refcount bump per wire copy, no payload clone.
-                    let req = op.request.clone();
-                    for i in 0..n {
-                        let delay = config.latency.sample(
-                            Endpoint::Client(client),
-                            Endpoint::Replica(ReplicaId(i as u32)),
-                            &mut rng,
-                        );
-                        messages_total += 1;
-                        push_event!(
-                            now + delay,
-                            Queued::Deliver {
-                                from: Endpoint::Client(client),
-                                to: Endpoint::Replica(ReplicaId(i as u32)),
-                                msg: C::Node::make_request(req.clone()),
-                            }
-                        );
-                    }
-                    push_event!(
-                        now + config.client_timeout,
-                        Queued::ClientTimer { client, op_seq }
-                    );
-                }
-            }
-            Queued::FloodTick { flood, k } => {
-                let f = fault.scenario.floods[flood as usize];
-                if f.window.contains(now) {
-                    // A well-formed request from a non-workload client id:
-                    // replicas order and execute it like any other (that is
-                    // the attack — it consumes agreement and egress
-                    // capacity), but no reply quorum is tallied for it.
-                    let seq = k + 1;
-                    let client = ClientId(config.clients + flood);
-                    let text = format!("SET f{flood}.{seq} v{seq}");
-                    let mut payload = text.into_bytes();
-                    payload.resize(payload.len().max(f.payload_size), b'_');
-                    let req = Arc::new(Request { op: OpId { client, seq }, payload });
-                    for i in 0..n {
-                        let to = Endpoint::Replica(ReplicaId(i as u32));
-                        let delay =
-                            config.latency.sample(Endpoint::Client(client), to, &mut fault.rng);
-                        messages_total += 1;
-                        push_event!(
-                            now + delay,
-                            Queued::Deliver {
-                                from: Endpoint::Client(client),
-                                to,
-                                msg: C::Node::make_request(req.clone()),
-                            }
-                        );
-                    }
-                    fault.flood_requests += 1;
-                    if let Some(next) = f.train().next_after(now) {
-                        push_event!(next, Queued::FloodTick { flood, k: seq });
-                    }
-                }
-            }
-            Queued::ReplayTick { replica, spec, k } => {
-                let s = fault.scripts[replica as usize].replays()[spec as usize];
-                if s.window.contains(now) {
-                    let burst = s.burst.max(1);
-                    let rec_len = fault.recorded[replica as usize].len();
-                    let from = Endpoint::Replica(ReplicaId(replica));
-                    // Cycle through the recorded ring, oldest first: stale
-                    // views, consumed USIG counters, and already-applied
-                    // state updates come back from the network's past.
-                    for j in 0..burst.min(rec_len) {
-                        let idx = (k as usize * burst + j) % rec_len;
-                        let (to, msg) = fault.recorded[replica as usize][idx].clone();
-                        let delay = config.latency.sample(from, to, &mut fault.rng);
-                        messages_total += 1;
-                        if matches!(to, Endpoint::Replica(_)) {
-                            messages_protocol += 1;
-                        }
-                        fault.replays += 1;
-                        push_event!(now + delay, Queued::Deliver { from, to, msg });
-                    }
-                    if let Some(next) = s.train().next_after(now) {
-                        push_event!(next, Queued::ReplayTick { replica, spec, k: k + 1 });
-                    }
-                }
-            }
-            Queued::RejuvTick { replica } => {
-                // Leave/wipe/re-join: all volatile state goes; the replica
-                // discovers it is behind (its kept stable certificate, or a
-                // peer's next checkpoint/view-change) and re-joins through
-                // state transfer.
-                cluster.nodes_mut()[replica as usize].wipe();
-                fault.rejuvenations += 1;
-            }
-            // Open-loop plane event: never queued by the closed-loop path.
-            Queued::Arrival => {}
-        }
-        // Early exit when all clients have finished.
-        if clients.iter().all(|c| c.done >= c.target) {
-            break;
-        }
-    }
-
-    // Quiesce: the workload is over, but messages already in flight (e.g.
-    // the final state update or commit round) still reach their replicas,
-    // as do the cascades they trigger. Timers are dropped — no new
-    // workload can start — and `now` stays frozen at the break point so
-    // throughput is measured over the active phase only. Bounded because
-    // without timers every protocol's message cascades are finite.
-    if clients.iter().all(|c| c.done >= c.target) {
-        let mut drained = 0u64;
-        while let Some((at, ev)) = queue.pop() {
-            if at > config.max_cycles || drained > 5_000_000 {
-                break;
-            }
-            drained += 1;
-            let Queued::Deliver { from, to: Endpoint::Replica(r), msg } = ev else { continue };
-            step_replica!(r, Input::Message { from, msg }, at, &mut |at2, ev| {
-                // Deliveries keep flowing; timers die with the run.
-                if matches!(ev, Queued::Deliver { .. }) {
-                    queue.push(at2, ev);
-                }
-            });
-        }
-    }
-
-    let requested: u64 = clients.iter().map(|c| c.done + c.pending.len() as u64).sum();
-    let retries = clients.iter().map(|c| c.retries).sum();
-    let safety_ok = check_safety(cluster);
-
-    ScenarioOutcome {
-        report: RunReport {
-            protocol: cluster.protocol_name(),
-            n_replicas: n,
-            committed,
-            requested,
-            commit_latency,
-            messages_total,
-            messages_protocol,
-            client_retries: retries,
-            safety_ok,
-            duration_cycles: now,
-            batch_size: config.batch_size,
-        },
-        flood_requests: fault.flood_requests,
-        script_drops: fault.script_drops,
-        duplicates: fault.duplicates,
-        replays: fault.replays,
-        rejuvenations: fault.rejuvenations,
-    }
-}
-
-/// Issues the next request for `client`, if the target is not exhausted
-/// and the pipeline window has a free slot. Returns the issued client
-/// sequence number and the scheduled send tuples.
-#[allow(clippy::type_complexity)]
-fn client_issue<C: Cluster>(
-    client: &mut ClientState,
-    n: usize,
-    config: &RunConfig,
-    rng: &mut SimRng,
-    now: u64,
-) -> Option<(u64, Vec<(u64, Endpoint, Endpoint, <C::Node as ReplicaNode>::Msg)>)> {
-    let issued = client.next_seq - 1;
-    if issued >= client.target || client.pending.len() >= client.window {
-        return None;
-    }
-    let seq = client.next_seq;
-    client.next_seq += 1;
-    let client_id = client.id;
-    let payload = client_payload(config.seed, client_id.0, seq, config.payload_size);
-
-    // The op's single allocation: every wire copy below (and every later
-    // retransmission) shares this Arc.
-    let req = Arc::new(Request { op: OpId { client: client_id, seq }, payload });
-    client
-        .pending
-        .insert(seq, PendingOp { request: req.clone(), sent_at: now, replies: Vec::new() });
-
-    let sends = (0..n)
-        .map(|i| {
-            let to = Endpoint::Replica(ReplicaId(i as u32));
-            let delay = config.latency.sample(Endpoint::Client(client_id), to, rng);
-            (now + delay, Endpoint::Client(client_id), to, C::Node::make_request(req.clone()))
-        })
-        .collect();
-    Some((seq, sends))
+    let mut load = ClosedLoop {
+        clients: vec![(1, 0); config.clients as usize],
+        target: config.requests_per_client,
+        window: config.client_window.max(1),
+        latency: Histogram::new(),
+    };
+    let mut outcome = drive(cluster, config, scenario, &mut load);
+    outcome.report.commit_latency = load.latency;
+    outcome
 }
 
 /// The deterministic payload of request `(client, seq)` under `seed` — a
@@ -960,364 +1083,91 @@ pub struct OpenLoopReport {
     pub batch_size: usize,
 }
 
+/// The open-loop load: an arrival issues one op for the user it draws and
+/// schedules the next arrival; commits only feed the histogram.
+struct OpenLoop {
+    total_ops: u64,
+    arrivals: ArrivalGen,
+    picker: KeyPicker,
+    pick_rng: SimRng,
+    users: UserTable,
+    issued: u64,
+    latency: LogHistogram,
+}
+
+impl<N: ReplicaNode> Load<N> for OpenLoop {
+    fn population(&self) -> u32 {
+        self.picker.keyspace()
+    }
+
+    fn total_ops(&self) -> u64 {
+        self.total_ops
+    }
+
+    fn start(&mut self, sim: &mut Sim<'_, N>) {
+        if self.total_ops > 0 {
+            sim.queue.push(self.arrivals.next_arrival(), Queued::Arrival);
+        }
+    }
+
+    fn on_commit(&mut self, _op: OpId, latency: u64, _now: u64, _sim: &mut Sim<'_, N>) {
+        self.latency.record(latency);
+    }
+
+    fn on_arrival(&mut self, now: u64, sim: &mut Sim<'_, N>) {
+        let user = self.picker.pick(&mut self.pick_rng);
+        let seq = self.users.bump(user);
+        self.issued += 1;
+        sim.issue(OpId { client: ClientId(user), seq }, now);
+        if self.issued < self.total_ops {
+            // Absolute times: the generator's clock *is* the arrival
+            // schedule, strictly increasing past `now`.
+            sim.queue.push(self.arrivals.next_arrival(), Queued::Arrival);
+        }
+    }
+}
+
 /// Runs `cluster` under an open-loop workload, optionally scripted by
 /// `scenario`. Deterministic for identical `(cluster, config, spec,
 /// scenario)` — the workload draws from its own RNG streams
-/// (`seed ^ 0x0A22_17A1`), so the arrival schedule and user sequence are
-/// invariant across protocols and batch sizes.
+/// (`SALT_WORKLOAD`), so the arrival schedule and user sequence are
+/// invariant across protocols, batch sizes and scenarios.
 ///
-/// Scenario support covers replica scripts (crash/silence/content
-/// attacks, rejuvenation), partitions, and link faults. Flood and replay
-/// schedules are closed-loop-plane constructs and are not interpreted
-/// here (the open loop *is* the traffic source).
+/// The scenario is interpreted exactly as in [`run_scenario`]; flood
+/// attackers take client ids past `spec.users`' keyspace.
 pub fn run_open_loop<C: Cluster>(
     cluster: &mut C,
     config: &RunConfig,
     spec: &OpenLoopSpec,
     scenario: &Scenario,
 ) -> OpenLoopReport {
-    let n = cluster.nodes().len();
-    for (r, s) in &scenario.replicas {
-        if (*r as usize) < n {
-            cluster.set_script(ReplicaId(*r), s.clone());
-        }
-    }
-    let mut fault: FaultCtx<<C::Node as ReplicaNode>::Msg> =
-        FaultCtx::new(scenario, n, config.seed);
-    let mut rng = SimRng::new(config.seed ^ 0xB07_F00D);
     // Dedicated workload streams: other subsystems' draws (latencies,
     // faults) never perturb the arrival schedule or the user sequence.
-    let workload_rng = SimRng::new(config.seed ^ 0x0A22_17A1);
-    let mut arrivals = ArrivalGen::new(spec.arrival, spec.mods.clone(), workload_rng.fork(0));
-    let mut pick_rng = workload_rng.fork(1);
+    let workload_rng = SimRng::new(config.seed ^ SALT_WORKLOAD);
     let picker = KeyPicker::new(spec.users);
-    let mut table = UserTable::new(picker.keyspace());
-
-    let mut queue: TimingWheel<Queued<<C::Node as ReplicaNode>::Msg>> = TimingWheel::new();
-    let mut now: u64 = 0;
-    let mut egress_free: Vec<u64> = vec![0; n];
-
-    let mut messages_total = 0u64;
-    let mut messages_protocol = 0u64;
-    let mut latency = LogHistogram::new();
-    let mut committed = 0u64;
-    let mut issued = 0u64;
-    let mut retries = 0u64;
-
-    // In-flight ops, keyed sparsely by identity: a hot user may have many
-    // ops outstanding at once, and a million-user population must not pay
-    // per-user state for the idle majority.
-    let mut pending: crate::dense::OpIndex<PendingOp> = crate::dense::OpIndex::new();
-
-    let quorum = cluster.reply_quorum();
-    let mut out: Outbox<<C::Node as ReplicaNode>::Msg> = Outbox::new();
-
-    macro_rules! push_event {
-        ($at:expr, $ev:expr) => {{
-            queue.push($at, $ev);
-        }};
-    }
-
-    macro_rules! step_replica {
-        ($r:expr, $input:expr, $now:expr, $push:expr) => {{
-            let mut plane = SimPlane {
-                config,
-                rng: &mut rng,
-                egress_free: &mut egress_free,
-                messages_total: &mut messages_total,
-                messages_protocol: &mut messages_protocol,
-                fault: &mut fault,
-                push: $push,
-            };
-            step_node(&mut cluster.nodes_mut()[$r.0 as usize], $input, $now, &mut out, &mut plane);
-        }};
-    }
-
-    // Fan one wire copy of `req` to every replica, latency-sampled.
-    macro_rules! broadcast_request {
-        ($req:expr, $client:expr, $now:expr) => {{
-            for i in 0..n {
-                let to = Endpoint::Replica(ReplicaId(i as u32));
-                let delay = config.latency.sample(Endpoint::Client($client), to, &mut rng);
-                messages_total += 1;
-                push_event!(
-                    $now + delay,
-                    Queued::Deliver {
-                        from: Endpoint::Client($client),
-                        to,
-                        msg: C::Node::make_request($req.clone()),
-                    }
-                );
-            }
-        }};
-    }
-
-    if spec.total_ops > 0 {
-        push_event!(arrivals.next_arrival(), Queued::Arrival);
-    }
-    if fault.active {
-        for (r, script) in fault.scripts.iter().enumerate() {
-            for &at in script.rejuvenations() {
-                push_event!(at, Queued::RejuvTick { replica: r as u32 });
-            }
-        }
-    }
-
-    while let Some((at, ev)) = queue.pop() {
-        if at > config.max_cycles {
-            now = config.max_cycles;
-            break;
-        }
-        now = at;
-        match ev {
-            Queued::Arrival => {
-                let user = picker.pick(&mut pick_rng);
-                let seq = table.bump(user);
-                let client = ClientId(user);
-                let op = OpId { client, seq };
-                let payload = client_payload(config.seed, user, seq, config.payload_size);
-                let req = Arc::new(Request { op, payload });
-                pending.insert(
-                    op,
-                    PendingOp { request: req.clone(), sent_at: now, replies: Vec::new() },
-                );
-                issued += 1;
-                broadcast_request!(req, client, now);
-                push_event!(
-                    now + config.client_timeout,
-                    Queued::ClientTimer { client, op_seq: seq }
-                );
-                if issued < spec.total_ops {
-                    // Absolute times: the generator's clock *is* the
-                    // arrival schedule, strictly increasing past `now`.
-                    push_event!(arrivals.next_arrival(), Queued::Arrival);
-                }
-            }
-            Queued::Deliver { from, to, msg } => match to {
-                Endpoint::Replica(r) => {
-                    step_replica!(r, Input::Message { from, msg }, now, &mut |at, ev| {
-                        queue.push(at, ev)
-                    });
-                }
-                Endpoint::Client(c) => {
-                    let Some(reply) = C::Node::as_reply(&msg) else { continue };
-                    if reply.op.client != c {
-                        continue;
-                    }
-                    let Some(op) = pending.get_mut(&reply.op) else { continue };
-                    let voters = match op.replies.iter_mut().find(|(r, _)| *r == reply.result) {
-                        Some((_, v)) => v,
-                        None => {
-                            op.replies.push((reply.result.clone(), 0));
-                            &mut op.replies.last_mut().expect("just pushed").1
-                        }
-                    };
-                    *voters |= 1u64 << (reply.replica.0 & 63);
-                    if voters.count_ones() as usize >= quorum {
-                        committed += 1;
-                        latency.record(now - op.sent_at);
-                        pending.remove(&reply.op);
-                    }
-                }
-            },
-            Queued::ReplicaTimer { replica, kind, token } => {
-                step_replica!(replica, Input::Timer { kind, token }, now, &mut |at, ev| {
-                    queue.push(at, ev)
-                });
-            }
-            Queued::ClientTimer { client, op_seq } => {
-                let op = OpId { client, seq: op_seq };
-                if let Some(p) = pending.get(&op) {
-                    retries += 1;
-                    let req = p.request.clone();
-                    broadcast_request!(req, client, now);
-                    push_event!(
-                        now + config.client_timeout,
-                        Queued::ClientTimer { client, op_seq }
-                    );
-                }
-            }
-            Queued::RejuvTick { replica } => {
-                cluster.nodes_mut()[replica as usize].wipe();
-                fault.rejuvenations += 1;
-            }
-            // Closed-loop-plane scenario events: never scheduled here.
-            Queued::FloodTick { .. } | Queued::ReplayTick { .. } => {}
-        }
-        if issued >= spec.total_ops && pending.is_empty() {
-            break;
-        }
-    }
-
-    // Quiesce: drain in-flight deliveries (and the cascades they trigger)
-    // so checkpoint/state-transfer exchanges settle before the safety
-    // check; timers die with the run. Same bound as the closed loop.
-    if issued >= spec.total_ops && pending.is_empty() {
-        let mut drained = 0u64;
-        while let Some((at, ev)) = queue.pop() {
-            if at > config.max_cycles || drained > 5_000_000 {
-                break;
-            }
-            drained += 1;
-            let Queued::Deliver { from, to: Endpoint::Replica(r), msg } = ev else { continue };
-            step_replica!(r, Input::Message { from, msg }, at, &mut |at2, ev| {
-                if matches!(ev, Queued::Deliver { .. }) {
-                    queue.push(at2, ev);
-                }
-            });
-        }
-    }
-
+    let mut load = OpenLoop {
+        total_ops: spec.total_ops,
+        arrivals: ArrivalGen::new(spec.arrival, spec.mods.clone(), workload_rng.fork(0)),
+        pick_rng: workload_rng.fork(1),
+        users: UserTable::new(picker.keyspace()),
+        picker,
+        issued: 0,
+        latency: LogHistogram::new(),
+    };
+    let report = drive(cluster, config, scenario, &mut load).report;
     OpenLoopReport {
-        protocol: cluster.protocol_name(),
-        n_replicas: n,
-        issued,
-        committed,
-        distinct_users: table.distinct,
-        latency,
-        messages_total,
-        messages_protocol,
-        retries,
-        safety_ok: check_safety(cluster),
-        duration_cycles: now,
-        batch_size: config.batch_size,
-    }
-}
-
-/// The simulator's side of the sans-io boundary: the first (and
-/// reference) [`Transport`] implementation. It owns delivery — latency
-/// sampling, egress serialization, baseline loss, and every scripted
-/// transport fault — and timer scheduling, pushing both back into the
-/// run's [`TimingWheel`] through `push`.
-///
-/// A `SimPlane` is rebuilt per dispatched event (it borrows the routing
-/// state, and the wheel itself is borrowed through the closure), which
-/// keeps the carve-out byte-identical: the operation and RNG-draw order
-/// is exactly the pre-trait harness's.
-struct SimPlane<'a, 'b, M> {
-    config: &'a RunConfig,
-    rng: &'a mut SimRng,
-    egress_free: &'a mut [u64],
-    messages_total: &'a mut u64,
-    messages_protocol: &'a mut u64,
-    fault: &'a mut FaultCtx<'b, M>,
-    push: &'a mut dyn FnMut(u64, Queued<M>),
-}
-
-impl<M: Clone> Transport<M> for SimPlane<'_, '_, M> {
-    fn dispatch(&mut self, from: ReplicaId, out: &mut Outbox<M>, now: u64) {
-        // A reorder window flips the departure order of this whole burst —
-        // later-queued messages grab the egress port (and their latency
-        // samples) first. Only taken when a scenario scripts it.
-        if self.fault.active && self.fault.scripts[from.0 as usize].reorders_at(now) {
-            let mut msgs: Vec<_> = out.msgs.drain(..).collect();
-            msgs.reverse();
-            for (to, msg) in msgs {
-                self.route_one(from, to, msg, now);
-            }
-        } else {
-            for (to, msg) in out.msgs.drain(..) {
-                self.route_one(from, to, msg, now);
-            }
-        }
-        for (delay, kind, token) in out.timers.drain(..) {
-            (self.push)(now + delay, Queued::ReplicaTimer { replica: from, kind, token });
-        }
-    }
-}
-
-impl<M: Clone> SimPlane<'_, '_, M> {
-    /// Routes one outgoing message: egress serialization, baseline loss,
-    /// then — only under an active scenario — partition severing,
-    /// link-fault drop/delay, per-replica send delay, duplication, and
-    /// replay recording. The fault-free tail is exactly the pre-scenario
-    /// harness (same main-RNG draws in the same order).
-    fn route_one(&mut self, from: ReplicaId, to: Endpoint, msg: M, now: u64) {
-        let config = self.config;
-        // Sender-side serialization: each message occupies the replica's
-        // egress port for `link_occupancy` cycles, so a burst departs
-        // back-to-back rather than simultaneously. This charges the
-        // per-message fixed cost that batching amortizes; lost messages
-        // still occupy the port (they were physically sent).
-        let depart = if config.link_occupancy > 0 {
-            let free = self.egress_free[from.0 as usize].max(now) + config.link_occupancy;
-            self.egress_free[from.0 as usize] = free;
-            free
-        } else {
-            now
-        };
-        if let Endpoint::Replica(_) = to {
-            *self.messages_protocol += 1;
-            if self.rng.chance(config.drop_rate) {
-                *self.messages_total += 1; // sent but lost
-                return;
-            }
-        }
-        if self.fault.active {
-            let script = &self.fault.scripts[from.0 as usize];
-            // Record protocol sends for stale-replay schedules (oldest kept).
-            if !script.replays().is_empty()
-                && matches!(to, Endpoint::Replica(_))
-                && self.fault.recorded[from.0 as usize].len() < REPLAY_RECORD_CAP
-            {
-                self.fault.recorded[from.0 as usize].push((to, msg.clone()));
-            }
-            // Partition severing, judged at departure time: the message was
-            // sent (and charged) but never crosses the boundary.
-            if let Endpoint::Replica(dst) = to {
-                if self.fault.severed(depart, from, dst) {
-                    self.fault.script_drops += 1;
-                    *self.messages_total += 1;
-                    return;
-                }
-            }
-            // Link faults: probabilistic drops plus fixed extra delay on
-            // matching (source, dest) pairs. All randomness from the fault
-            // stream — the main RNG's draw order is scenario-independent.
-            let mut extra = script.send_delay_at(now);
-            let duplicate = script.duplicates_at(now);
-            for l in &self.fault.scenario.links {
-                let src_match = l.source.is_none_or(|s| s == from.0);
-                let dst_match = match (l.dest, to) {
-                    (None, _) => true,
-                    (Some(d), Endpoint::Replica(r)) => d == r.0,
-                    (Some(_), Endpoint::Client(_)) => false,
-                };
-                if src_match && dst_match && l.window.contains(depart) {
-                    if l.drop_rate > 0.0 && self.fault.rng.chance(l.drop_rate) {
-                        self.fault.script_drops += 1;
-                        *self.messages_total += 1;
-                        return;
-                    }
-                    extra += l.extra_delay;
-                }
-            }
-            *self.messages_total += 1;
-            let delay = config.latency.sample(Endpoint::Replica(from), to, self.rng);
-            (self.push)(
-                depart + delay + extra,
-                Queued::Deliver { from: Endpoint::Replica(from), to, msg: msg.clone() },
-            );
-            if duplicate {
-                // The copy takes its own (fault-stream) latency draw: the
-                // two arrivals interleave arbitrarily with other traffic.
-                let dup_delay =
-                    config.latency.sample(Endpoint::Replica(from), to, &mut self.fault.rng);
-                *self.messages_total += 1;
-                if matches!(to, Endpoint::Replica(_)) {
-                    *self.messages_protocol += 1;
-                }
-                self.fault.duplicates += 1;
-                (self.push)(
-                    depart + dup_delay + extra,
-                    Queued::Deliver { from: Endpoint::Replica(from), to, msg },
-                );
-            }
-            return;
-        }
-        *self.messages_total += 1;
-        let delay = config.latency.sample(Endpoint::Replica(from), to, self.rng);
-        (self.push)(depart + delay, Queued::Deliver { from: Endpoint::Replica(from), to, msg });
+        protocol: report.protocol,
+        n_replicas: report.n_replicas,
+        issued: load.issued,
+        committed: report.committed,
+        distinct_users: load.users.distinct,
+        latency: load.latency,
+        messages_total: report.messages_total,
+        messages_protocol: report.messages_protocol,
+        retries: report.client_retries,
+        safety_ok: report.safety_ok,
+        duration_cycles: report.duration_cycles,
+        batch_size: report.batch_size,
     }
 }
 

@@ -4,7 +4,8 @@
 //! once, the histogram accounts for every commit, and the whole report
 //! is a pure function of `(config, spec)`.
 
-use rsoc_bft::api::Cluster;
+use rsoc_bft::adversary::{Flood, ReplaySpec, ReplicaScript, Scenario};
+use rsoc_bft::api::{Cluster, ReplicaNode};
 use rsoc_bft::minbft::MinBftCluster;
 use rsoc_bft::passive::PassiveCluster;
 use rsoc_bft::pbft::PbftCluster;
@@ -33,7 +34,17 @@ fn config(seed: u64) -> RunConfig {
 
 fn run_one<C: Cluster>(mut cluster: C, seed: u64, total: u64) -> OpenLoopReport {
     let cfg = config(seed);
-    run_open_loop(&mut cluster, &cfg, &spec(total), &rsoc_bft::adversary::Scenario::none())
+    run_open_loop(&mut cluster, &cfg, &spec(total), &Scenario::none())
+}
+
+fn assert_same_report(a: &OpenLoopReport, b: &OpenLoopReport) {
+    assert_eq!(a.issued, b.issued);
+    assert_eq!(a.committed, b.committed);
+    assert_eq!(a.distinct_users, b.distinct_users);
+    assert_eq!(a.messages_total, b.messages_total);
+    assert_eq!(a.retries, b.retries);
+    assert_eq!(a.duration_cycles, b.duration_cycles);
+    assert_eq!(a.latency.to_sparse(), b.latency.to_sparse());
 }
 
 fn assert_plane_contract(r: &OpenLoopReport, total: u64) {
@@ -79,13 +90,43 @@ fn open_loop_replays_bit_identically() {
     let cfg = config(29);
     let a = run_one(PbftCluster::new(&cfg), 29, 400);
     let b = run_one(PbftCluster::new(&cfg), 29, 400);
-    assert_eq!(a.issued, b.issued);
-    assert_eq!(a.committed, b.committed);
-    assert_eq!(a.distinct_users, b.distinct_users);
-    assert_eq!(a.messages_total, b.messages_total);
-    assert_eq!(a.retries, b.retries);
-    assert_eq!(a.duration_cycles, b.duration_cycles);
-    assert_eq!(a.latency.to_sparse(), b.latency.to_sparse());
+    assert_same_report(&a, &b);
+}
+
+/// Flood and replay schedules belong to the driver, not to the closed
+/// loop: under open load the attackers' requests are ordered and executed
+/// on top of every arrival (under client ids past the user population, so
+/// no user's op is shadowed), the stale copies cross the wire, and the
+/// scripted run still replays bit-identically.
+#[test]
+fn open_loop_interprets_flood_and_replay_schedules() {
+    let cfg = config(37);
+    let total = 600;
+    // Both windows close well before the ~20k-cycle run does, so the whole
+    // flood train is injected: pulses at 1000, 1100, …, 4900.
+    let flood = Flood { window: Window::new(1_000, 5_000), period: 100, payload_size: 32 };
+    let injected = 40;
+    let replay = ReplaySpec { window: Window::new(2_000, 8_000), period: 50, burst: 3 };
+    let flooded = Scenario::none().flood(flood);
+    let scenario = flooded.clone().script(1, ReplicaScript::correct().replay_sends(replay));
+    let run = |scenario: &Scenario| {
+        let mut cluster = PbftCluster::new(&cfg);
+        let report = run_open_loop(&mut cluster, &cfg, &spec(total), scenario);
+        (report, cluster)
+    };
+
+    let (plain, _) = run(&Scenario::none());
+    let (scripted, cluster) = run(&scenario);
+    assert_plane_contract(&scripted, total);
+    for node in cluster.nodes() {
+        assert_eq!(node.committed_seq(), total + injected, "replica {:?}", node.id());
+    }
+    // The report has no attack counters; message totals tell each
+    // schedule apart: the flood adds to the plain run, the replays to that.
+    let flood_only = run(&flooded).0.messages_total;
+    assert!(flood_only > plain.messages_total, "{flood_only} vs {}", plain.messages_total);
+    assert!(scripted.messages_total > flood_only, "{} vs {flood_only}", scripted.messages_total);
+    assert_same_report(&scripted, &run(&scenario).0);
 }
 
 /// A population far beyond the closed-loop client count: the paged user
@@ -107,7 +148,7 @@ fn open_loop_scales_to_large_sparse_populations() {
         total_ops: 5_000,
     };
     let mut cluster = PassiveCluster::new(&cfg);
-    let r = run_open_loop(&mut cluster, &cfg, &s, &rsoc_bft::adversary::Scenario::none());
+    let r = run_open_loop(&mut cluster, &cfg, &s, &Scenario::none());
     assert_eq!(r.committed, 5_000);
     // 5k uniform draws over 200k users: collisions are rare, so nearly
     // every draw is a fresh identity.

@@ -2,6 +2,11 @@
 //! over TCP, tallies reply quorums, and checks cross-replica digest
 //! convergence.
 //!
+//! A reply is a vote of the *connection* it was read from: the client
+//! dialled `addrs[i]` itself, so whatever arrives there speaks for replica
+//! `i` and for no one else, whatever id it claims ([`ReplyTally`]). One
+//! intruded replica answering under f+1 ids is still one vote.
+//!
 //! The workload is *the same request log the simulator issues*:
 //! [`client_payload`] is shared with the deterministic harness, so a
 //! cluster run over real sockets and a simulator run with the same
@@ -11,8 +16,9 @@
 
 use crate::frame::{read_frame, write_frame};
 use crate::wire::{decode_envelope, encode_envelope, Envelope};
-use rsoc_bft::api::{ClientId, Endpoint, OpId, ReplicaNode, Request};
+use rsoc_bft::api::{ClientId, Endpoint, OpId, ReplicaId, ReplicaNode, Request};
 use rsoc_bft::codec::Wire;
+use rsoc_bft::plane::ReplyTally;
 use rsoc_bft::runner::client_payload;
 use rsoc_sim::LogHistogram;
 use std::io;
@@ -113,13 +119,14 @@ where
 {
     let n = config.addrs.len();
     let mut conns = Vec::with_capacity(n);
-    let (tx, rx) = channel::<Envelope<N::Msg>>();
+    let (tx, rx) = channel::<Tagged<N::Msg>>();
     let hello = Arc::new(encode_envelope::<N::Msg>(&Envelope::HelloClient {
         ids: (0..config.clients).collect(),
     }));
-    for addr in &config.addrs {
+    for (link, addr) in config.addrs.iter().enumerate() {
         let stream = dial(addr)?;
         let mut conn = ReplicaConn::<N> {
+            link: ReplicaId(link as u32),
             addr: addr.clone(),
             hello: hello.clone(),
             tx: tx.clone(),
@@ -159,15 +166,21 @@ where
     })
 }
 
+/// An envelope and the link it was read from.
+type Tagged<M> = (ReplicaId, Envelope<M>);
+
 /// One replica connection that survives the replica dying and coming
 /// back: a failed write drops the stream, and the next send redials,
 /// replays the hello, and spawns a fresh reader thread. While the
 /// replica is down, sends shed — every caller path retransmits or
 /// re-polls, so a dead replica costs retries, not the run.
 struct ReplicaConn<N: ReplicaNode> {
+    /// The replica this connection was dialled to: its index in
+    /// [`ClientConfig::addrs`].
+    link: ReplicaId,
     addr: String,
     hello: Arc<Vec<u8>>,
-    tx: Sender<Envelope<N::Msg>>,
+    tx: Sender<Tagged<N::Msg>>,
     stream: Option<TcpStream>,
 }
 
@@ -181,8 +194,8 @@ where
     fn adopt(&mut self, mut stream: TcpStream) -> io::Result<()> {
         write_frame(&mut stream, &self.hello)?;
         let reader = stream.try_clone()?;
-        let tx = self.tx.clone();
-        thread::spawn(move || reader_loop::<N>(reader, &tx));
+        let (link, tx) = (self.link, self.tx.clone());
+        thread::spawn(move || reader_loop::<N>(link, reader, &tx));
         self.stream = Some(stream);
         Ok(())
     }
@@ -236,7 +249,7 @@ fn dial(addr: &str) -> io::Result<TcpStream> {
 fn run_one_op<N>(
     config: &ClientConfig,
     conns: &mut [ReplicaConn<N>],
-    rx: &Receiver<Envelope<N::Msg>>,
+    rx: &Receiver<Tagged<N::Msg>>,
     request: &Arc<Request>,
 ) -> io::Result<u64>
 where
@@ -247,9 +260,7 @@ where
     let mut retries = 0u64;
     broadcast::<N>(conns, request);
     let mut deadline = Instant::now() + config.op_timeout;
-    // One tally bucket per distinct result; replicas are deduped by id
-    // bit so a resent reply never double-counts.
-    let mut tallies: Vec<(Arc<Vec<u8>>, u64)> = Vec::new();
+    let mut tally = ReplyTally::default();
     loop {
         let now = Instant::now();
         if now >= deadline {
@@ -264,32 +275,22 @@ where
             deadline = now + config.op_timeout;
             continue;
         }
-        let envelope = match rx.recv_timeout(deadline - now) {
-            Ok(e) => e,
+        let (link, envelope) = match rx.recv_timeout(deadline - now) {
+            Ok(tagged) => tagged,
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => {
                 return Err(io::Error::new(io::ErrorKind::BrokenPipe, "all replica readers died"));
             }
         };
+        // The envelope's self-declared `from` is ignored: the link is who
+        // spoke.
         let Envelope::Msg { from: _, msg } = envelope else { continue };
         let Some(reply) = N::as_reply(&msg) else { continue };
         if reply.op != op {
             continue; // stale reply from an earlier (already decided) op
         }
-        let mask = 1u64 << (reply.replica.0 % 64);
-        let entry = match tallies.iter_mut().find(|(r, _)| *r == reply.result) {
-            Some(e) => e,
-            None => {
-                tallies.push((reply.result.clone(), 0));
-                let back = tallies.len() - 1;
-                &mut tallies[back]
-            }
-        };
-        if entry.1 & mask == 0 {
-            entry.1 |= mask;
-            if entry.1.count_ones() as usize >= config.quorum {
-                return Ok(retries);
-            }
+        if tally.record(link, conns.len(), config.quorum, reply) {
+            return Ok(retries);
         }
     }
 }
@@ -315,7 +316,7 @@ where
 fn settle<N>(
     config: &ClientConfig,
     conns: &mut [ReplicaConn<N>],
-    rx: &Receiver<Envelope<N::Msg>>,
+    rx: &Receiver<Tagged<N::Msg>>,
 ) -> io::Result<(u64, [u8; 32])>
 where
     N: ReplicaNode,
@@ -337,9 +338,10 @@ where
                 break;
             }
             match rx.recv_timeout(round_end - now) {
-                Ok(Envelope::DigestReply { replica, committed, digest }) => {
-                    if let Some(slot) = latest.get_mut(replica as usize) {
-                        *slot = Some((committed, digest));
+                // A digest speaks for the link it came in on, like a reply.
+                Ok((link, Envelope::DigestReply { replica, committed, digest })) => {
+                    if replica == link.0 {
+                        latest[link.0 as usize] = Some((committed, digest));
                     }
                 }
                 Ok(_) => {} // late replies from the workload phase
@@ -368,15 +370,16 @@ where
     }
 }
 
-/// Decodes frames from one replica connection into the shared channel.
-fn reader_loop<N>(mut stream: TcpStream, tx: &Sender<Envelope<N::Msg>>)
+/// Decodes frames from the connection to replica `link` into the shared
+/// channel, tagged with that link.
+fn reader_loop<N>(link: ReplicaId, mut stream: TcpStream, tx: &Sender<Tagged<N::Msg>>)
 where
     N: ReplicaNode,
     N::Msg: Wire,
 {
     while let Ok(Some(body)) = read_frame(&mut stream) {
         if let Some(env) = decode_envelope::<N::Msg>(&body) {
-            if tx.send(env).is_err() {
+            if tx.send((link, env)).is_err() {
                 return;
             }
         }

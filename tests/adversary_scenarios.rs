@@ -10,7 +10,8 @@ use manycore_resilience::bft::api::{Cluster, ReplicaNode};
 use manycore_resilience::bft::minbft::MinBftCluster;
 use manycore_resilience::bft::passive::PassiveCluster;
 use manycore_resilience::bft::pbft::PbftCluster;
-use manycore_resilience::bft::runner::{run, run_scenario, RunConfig};
+use manycore_resilience::bft::runner::{run, run_open_loop, run_scenario, OpenLoopSpec, RunConfig};
+use manycore_resilience::sim::{Arrival, KeyDist};
 
 fn config(f: u32, clients: u32, reqs: u64, seed: u64) -> RunConfig {
     RunConfig {
@@ -35,6 +36,90 @@ fn empty_scenario_is_bit_identical_to_plain_run() {
     assert_eq!(plain.messages_protocol, scripted.report.messages_protocol);
     assert_eq!(plain.duration_cycles, scripted.report.duration_cycles);
     assert_eq!(scripted.flood_requests + scripted.script_drops + scripted.replays, 0);
+}
+
+/// `(committed, duration_cycles, messages_total, messages_protocol,
+/// retries, p50, max)` of one fault-free run.
+type TraceRow = (u64, u64, u64, u64, u64, u64, u64);
+
+/// The three load shapes of the pin below, run on a fresh cluster each:
+/// closed loop window 1, closed loop window 4 / batch 8 / busy egress
+/// port, open-loop Poisson arrivals.
+fn fault_free_trace<C: Cluster>(new: impl Fn(&RunConfig) -> C) -> [TraceRow; 3] {
+    let closed = |cfg: RunConfig| {
+        let r = run(&mut new(&cfg), &cfg);
+        let q = |q| r.commit_latency.quantile(q).unwrap_or(0.0) as u64;
+        let (p50, max) = (q(0.5), q(1.0));
+        (
+            r.committed,
+            r.duration_cycles,
+            r.messages_total,
+            r.messages_protocol,
+            r.client_retries,
+            p50,
+            max,
+        )
+    };
+    let open = |cfg: RunConfig| {
+        let spec = OpenLoopSpec {
+            arrival: Arrival::Poisson { mean_gap: 40 },
+            mods: vec![],
+            users: KeyDist::Zipf { n: 1_000, theta_per_mille: 900 },
+            total_ops: 300,
+        };
+        let r = run_open_loop(&mut new(&cfg), &cfg, &spec, &Scenario::none());
+        (
+            r.committed,
+            r.duration_cycles,
+            r.messages_total,
+            r.messages_protocol,
+            r.retries,
+            r.latency.quantile(0.5).unwrap_or(0),
+            r.latency.max().unwrap_or(0),
+        )
+    };
+    [
+        closed(config(1, 3, 20, 977)),
+        closed(RunConfig {
+            client_window: 4,
+            batch_size: 8,
+            link_occupancy: 8,
+            ..config(1, 4, 40, 977)
+        }),
+        open(RunConfig { batch_size: 4, ..config(1, 1, 0, 977) }),
+    ]
+}
+
+/// The fault-free virtual-time trace, pinned: a reordered wheel push or
+/// main-RNG draw anywhere in the driver moves at least one of these
+/// numbers. `cargo test` says so in seconds; the full BENCH_2/5/6/8
+/// regenerations that also would are CI-only.
+#[test]
+fn fault_free_trace_is_pinned() {
+    assert_eq!(
+        fault_free_trace(PbftCluster::new),
+        [
+            (60, 979, 1920, 1440, 0, 48, 61),
+            (160, 2361, 1760, 480, 0, 229, 266),
+            (300, 11924, 4272, 1872, 0, 91, 263),
+        ]
+    );
+    assert_eq!(
+        fault_free_trace(MinBftCluster::new),
+        [
+            (60, 660, 764, 402, 0, 32, 41),
+            (160, 1814, 1080, 120, 0, 178, 195),
+            (300, 11907, 2269, 468, 0, 77, 239),
+        ]
+    );
+    assert_eq!(
+        fault_free_trace(PassiveCluster::new),
+        [
+            (60, 406, 245, 65, 0, 20, 30),
+            (160, 1504, 507, 27, 0, 149, 163),
+            (300, 11894, 1044, 142, 0, 63, 227),
+        ]
+    );
 }
 
 #[test]
