@@ -36,11 +36,25 @@ fn bench_crypto(c: &mut Criterion) {
     // two skipped pad-block compressions, so it is starkest on the short
     // certificate-sized messages the consensus hot path authenticates.
     g.bench_function("hmac_cached_key/1KiB", |b| b.iter(|| key.mac(black_box(&data_1k))));
-    let cert = [0x5Au8; 44]; // UI payload size: id + counter + digest
-    g.bench_function("hmac_sha256/44B", |b| {
-        b.iter(|| hmac_sha256(black_box(key.as_bytes()), black_box(&cert)))
-    });
-    g.bench_function("hmac_cached_key/44B", |b| b.iter(|| key.mac(black_box(&cert))));
+    // The sizes the protocols actually hash and MAC: a UI payload is the
+    // 21-byte USIG header (form, id, counter, length) plus the 56-byte
+    // PREPARE or 63-byte COMMIT statement; a request digest covers ~32
+    // bytes and a single-request batch digest ~96.
+    for len in [77usize, 84] {
+        let payload = vec![0x5Au8; len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("hmac_sha256/{len}B"), |b| {
+            b.iter(|| hmac_sha256(black_box(key.as_bytes()), black_box(&payload)))
+        });
+        g.bench_function(format!("hmac_cached_key/{len}B"), |b| {
+            b.iter(|| key.mac(black_box(&payload)))
+        });
+    }
+    for len in [32usize, 96] {
+        let data = vec![0xA5u8; len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("sha256/{len}B"), |b| b.iter(|| sha256(black_box(&data))));
+    }
     g.finish();
 }
 
@@ -75,6 +89,14 @@ fn bench_ecc(c: &mut Criterion) {
     g.bench_function("decode_correct1", |b| b.iter(|| code.decode(black_box(corrupted))));
     let mut reg = EccRegister::new(64);
     reg.store(42);
+    // The per-certificate path: `create_ui` loads the counter and stores
+    // its successor.
+    g.bench_function("register_rmw", |b| {
+        b.iter(|| {
+            let v = reg.load().value().expect("clean register");
+            reg.store(black_box(v.wrapping_add(1)));
+        })
+    });
     g.bench_function("register_load_scrub", |b| {
         b.iter(|| {
             reg.inject_flip(13);

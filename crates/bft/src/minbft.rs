@@ -168,9 +168,26 @@ impl ShellMsg for MinBftMsg {
 struct Slot {
     batch: Option<Arc<Batch>>,
     digest: Option<[u8; 32]>,
+    /// The primary certificate `(view, UI)` over `digest` that this replica
+    /// has verified (or, as primary, issued) for the slot. A COMMIT quoting
+    /// exactly this pair needs no second MAC; the view is part of the pair
+    /// because the same UI quoted in a later view names another primary's
+    /// key and must fail under it.
+    primary_cert: Option<(u64, UI)>,
     prepare_ok: bool,
     commits: ReplicaSet,
     sent_commit: bool,
+}
+
+impl Slot {
+    /// Takes the PREPARE `(view, batch, ui)` whose certificate the caller
+    /// has verified or issued.
+    fn prepare(&mut self, view: u64, batch: Arc<Batch>, digest: [u8; 32], ui: UI) {
+        self.batch = Some(batch);
+        self.digest = Some(digest);
+        self.primary_cert = Some((view, ui));
+        self.prepare_ok = true;
+    }
 }
 
 /// How many of its own UI-certified sends a replica keeps for gap-fill
@@ -240,9 +257,15 @@ pub struct MinBftReplica {
     /// Hold-back ingress: per-sender buffered UI-bearing messages, each a
     /// counter-keyed window anchored just past the accepted counter.
     ingress: Vec<SeqWindow<MinBftMsg>>,
-    /// Messages for views we have not installed yet (a NewView may still be
-    /// in flight); re-dispatched on installation.
-    future: Vec<MinBftMsg>,
+    /// UI-certified messages for views we have not installed yet (a NewView
+    /// may still be in flight), in arrival order with the replica whose
+    /// counter stream each belongs to; re-dispatched on installation. Only
+    /// messages whose certificate verifies are held, at most
+    /// [`SENT_RETENTION`] per sender.
+    future: Vec<(ReplicaId, MinBftMsg)>,
+    /// Certified future-view messages dropped because their sender's share
+    /// of the stash was full.
+    future_dropped: u64,
     /// Last accepted USIG counter per sender (dense by replica id).
     accepted: Vec<u64>,
     /// This replica's own UI-certified sends, keyed by counter — the
@@ -277,6 +300,7 @@ impl MinBftReplica {
             usig: Usig::new(UsigId(id.0), ring, protection.build()),
             ingress: (0..2 * f + 1).map(|_| SeqWindow::with_base(1)).collect(),
             future: Vec::new(),
+            future_dropped: 0,
             accepted: vec![0; (2 * f + 1) as usize],
             sent_ui: SeqWindow::with_base(1),
             gap_req_at: vec![0; (2 * f + 1) as usize],
@@ -334,10 +358,12 @@ impl MinBftReplica {
         self.vc.view()
     }
 
-    /// View-change votes refused because the voter they named was not the
-    /// replica that sent them.
+    /// Votes refused: view-change votes whose named voter was not the
+    /// replica that sent them, and certified PREPAREs / COMMITs for a view
+    /// not yet installed that arrived after their sender had filled its
+    /// share of the stash.
     pub fn rejected_votes(&self) -> u64 {
-        self.vc.rejected()
+        self.vc.rejected() + self.future_dropped
     }
 
     /// SEU injection into the USIG counter register (E2 / F1).
@@ -364,8 +390,9 @@ impl MinBftReplica {
     }
 
     /// Verifies a UI and enforces per-sender counter contiguity, buffering
-    /// out-of-order arrivals. Returns `true` when `msg` should be processed
-    /// now; queued messages are drained by the caller via
+    /// out-of-order arrivals. Returns `true` when the message should be
+    /// processed now; one ahead of its turn is queued (`held_back` builds
+    /// the copy, on that branch only) and drained by the caller via
     /// [`Self::take_ready`]. Buffering a counter gap emits a rate-limited
     /// [`MinBftMsg::FillGap`] so a *lost* message (the channels are not
     /// reliable) cannot poison the sender's stream forever.
@@ -379,7 +406,7 @@ impl MinBftReplica {
         sender: ReplicaId,
         ui: &UI,
         signed: &[u8],
-        msg: &MinBftMsg,
+        held_back: impl FnOnce() -> MinBftMsg,
         out: &mut Outbox<MinBftMsg>,
     ) -> bool {
         if !self.usig.verify_ui(UsigId(sender.0), ui, signed) {
@@ -397,7 +424,7 @@ impl MinBftReplica {
             }
             std::cmp::Ordering::Greater => {
                 // bounds: s < n (verify_ui)
-                self.ingress[s].insert(ui.counter, msg.clone());
+                self.ingress[s].insert(ui.counter, held_back());
                 // bounds: s < n (verify_ui)
                 if self.now >= self.gap_req_at[s].saturating_add(GAP_REQ_BACKOFF) {
                     // bounds: s < n (verify_ui)
@@ -416,6 +443,25 @@ impl MinBftReplica {
             }
             std::cmp::Ordering::Less => false, // replay / duplicate counter
         }
+    }
+
+    /// Holds a UI-certified message for a view not installed yet. The
+    /// certificate is checked first — an unauthenticated stash is a remote
+    /// memory DoS — but `accepted` does not move: `replay_future` sends the
+    /// message through [`Self::ingest_ui`] once its view is installed. A
+    /// sender may hold [`SENT_RETENTION`] entries, the horizon past which
+    /// its counters could not be gap-filled anyway; later ones are dropped
+    /// and counted.
+    fn stash_future(&mut self, sender: ReplicaId, ui: &UI, signed: &[u8], msg: MinBftMsg) {
+        if !self.usig.verify_ui(UsigId(sender.0), ui, signed) {
+            return;
+        }
+        let held = self.future.iter().filter(|(s, _)| *s == sender).count() as u64;
+        if held >= SENT_RETENTION {
+            self.future_dropped += 1;
+            return;
+        }
+        self.future.push((sender, msg));
     }
 
     /// Pops the next contiguous buffered message from any sender, if ready
@@ -455,9 +501,7 @@ impl MinBftReplica {
         let me = self.id;
         // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
         let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
-        slot.batch = Some(batch);
-        slot.digest = Some(digest);
-        slot.prepare_ok = true;
+        slot.prepare(view, batch, digest, ui);
         slot.commits.insert(me); // the PREPARE is the primary's commit
         slot.sent_commit = true;
         out.broadcast(self.n, self.id, prep);
@@ -507,9 +551,7 @@ impl MinBftReplica {
         let me = self.id;
         // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
         let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
-        slot.batch = Some(batch);
-        slot.digest = Some(digest);
-        slot.prepare_ok = true;
+        slot.prepare(view, batch, digest, ui);
         slot.commits.insert(me);
         slot.sent_commit = true;
     }
@@ -543,9 +585,7 @@ impl MinBftReplica {
         self.shell.assign(seq, &batch);
         // lint: allow(ingress-expect) -- get_or_insert_default above returned Some for this seq
         let slot = self.slots.get_mut(seq).expect("slot just ensured");
-        slot.batch = Some(batch.clone());
-        slot.digest = Some(digest);
-        slot.prepare_ok = true;
+        slot.prepare(view, batch.clone(), digest, ui);
         slot.commits.insert(primary);
         if !slot.sent_commit {
             slot.sent_commit = true;
@@ -577,19 +617,29 @@ impl MinBftReplica {
         from: ReplicaId,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        if view != self.vc.view() {
-            return;
+        if view != self.vc.view() || self.slots.is_retired(seq) {
+            return; // a vote cannot change an executed slot: no MAC for it
         }
-        // The commit must reference a genuine primary certificate.
+        // The commit must reference a genuine primary certificate — checked
+        // once per slot: whichever of the PREPARE or a COMMIT delivered
+        // `(view, seq, digest, UI)` first paid for the MAC, and a COMMIT
+        // quoting that very certificate is compared, not re-verified.
+        // Anything else (another tag, counter or id, the same UI under a
+        // later view's primary, no PREPARE accepted yet) pays in full.
         let digest = batch.digest();
-        if !self.usig.verify_ui(
-            UsigId(self.vc.primary_of(view).0),
-            &primary_ui,
-            &prepare_bytes(view, seq, &digest),
-        ) {
+        let primary = self.vc.primary_of(view);
+        let verified = self.slots.get(seq).is_some_and(|slot| {
+            slot.digest == Some(digest) && slot.primary_cert == Some((view, primary_ui))
+        });
+        if !verified
+            && !self.usig.verify_ui(
+                UsigId(primary.0),
+                &primary_ui,
+                &prepare_bytes(view, seq, &digest),
+            )
+        {
             return;
         }
-        let primary = self.vc.primary_of(view);
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
         if let Some(d) = slot.digest {
             if d != digest {
@@ -605,6 +655,7 @@ impl MinBftReplica {
             slot.batch = Some(batch);
         }
         slot.digest = Some(digest);
+        slot.primary_cert = Some((view, primary_ui));
         slot.commits.insert(from);
         slot.commits.insert(primary);
         self.try_execute(out);
@@ -768,9 +819,7 @@ impl MinBftReplica {
             let slot = self.slots.get_or_insert_default(seq).expect("not retired");
             // Reset stale votes from the old view.
             slot.commits.clear();
-            slot.batch = Some(batch);
-            slot.digest = Some(digest);
-            slot.prepare_ok = true;
+            slot.prepare(view, batch, digest, ui);
             slot.commits.insert(me);
             slot.sent_commit = true;
             out.broadcast(self.n, self.id, prep);
@@ -801,14 +850,14 @@ impl MinBftReplica {
     fn replay_future(&mut self, out: &mut Outbox<MinBftMsg>) {
         let current = self.vc.view();
         let stash = std::mem::take(&mut self.future);
-        for msg in stash {
+        for (sender, msg) in stash {
             let msg_view = match &msg {
                 MinBftMsg::Prepare { view, .. } => *view,
                 MinBftMsg::Commit(vote) => vote.view,
                 _ => continue,
             };
             if msg_view > current {
-                self.future.push(msg); // still ahead of us
+                self.future.push((sender, msg)); // still ahead of us
             } else {
                 // From a generic peer endpoint: dispatch re-checks everything.
                 self.dispatch(Endpoint::Replica(self.vc.primary_of(msg_view)), msg, out);
@@ -824,36 +873,33 @@ impl MinBftReplica {
                 Intake::Done => {}
             },
             MinBftMsg::Prepare { view, seq, batch, ui } => {
-                if view > self.vc.view() {
-                    // The installing NewView may still be in flight. Do NOT
-                    // consume the sender's UI counter yet — stash verbatim.
-                    self.future.push(MinBftMsg::Prepare { view, seq, batch, ui });
-                    return;
-                }
                 // The cached batch digest is what the UI certifies; content
                 // is checked against it once, in handle_prepare.
-                let digest = batch.digest();
-                let msg_copy = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
+                let signed = prepare_bytes(view, seq, &batch.digest());
                 let sender = self.vc.primary_of(view);
-                if self.ingest_ui(sender, &ui, &prepare_bytes(view, seq, &digest), &msg_copy, out) {
+                if view > self.vc.view() {
+                    // The installing NewView may still be in flight. Do NOT
+                    // consume the sender's UI counter yet.
+                    let msg = MinBftMsg::Prepare { view, seq, batch, ui };
+                    self.stash_future(sender, &ui, &signed, msg);
+                    return;
+                }
+                let held_back = || MinBftMsg::Prepare { view, seq, batch: Arc::clone(&batch), ui };
+                if self.ingest_ui(sender, &ui, &signed, held_back, out) {
                     self.handle_prepare(view, seq, batch, ui, out);
                     self.drain_ready(out);
                 }
             }
             MinBftMsg::Commit(vote) => {
+                let digest = vote.batch.digest();
+                let signed = commit_bytes(vote.view, vote.seq, &digest, vote.primary_ui.counter);
                 if vote.view > self.vc.view() {
-                    self.future.push(MinBftMsg::Commit(vote));
+                    let (sender, ui) = (vote.from, vote.ui);
+                    self.stash_future(sender, &ui, &signed, MinBftMsg::Commit(vote));
                     return;
                 }
-                let digest = vote.batch.digest();
-                let msg_copy = MinBftMsg::Commit(vote.clone());
-                if self.ingest_ui(
-                    vote.from,
-                    &vote.ui,
-                    &commit_bytes(vote.view, vote.seq, &digest, vote.primary_ui.counter),
-                    &msg_copy,
-                    out,
-                ) {
+                let held_back = || MinBftMsg::Commit(Arc::clone(&vote));
+                if self.ingest_ui(vote.from, &vote.ui, &signed, held_back, out) {
                     self.handle_commit(
                         vote.view,
                         vote.seq,
@@ -1520,6 +1566,210 @@ mod tests {
 
     fn replica(id: u32) -> MinBftReplica {
         MinBftReplica::new(ReplicaId(id), 1, KeyRing::provision(5, 3), CounterProtection::SecDed)
+    }
+
+    /// Replica `id` of an f = 2 cluster: five replicas, commit quorum 3, so
+    /// an accepted PREPARE (primary + own vote) leaves its slot open.
+    fn replica_of_five(id: u32) -> MinBftReplica {
+        MinBftReplica::new(ReplicaId(id), 2, KeyRing::provision(5, 5), CounterProtection::SecDed)
+    }
+
+    fn batch_of(tag: &str) -> Arc<Batch> {
+        Arc::new(Batch::single(Arc::new(Request {
+            op: OpId { client: ClientId(1), seq: 1 },
+            payload: format!("SET k {tag}").into_bytes(),
+        })))
+    }
+
+    /// A PREPARE certified by `signer`'s own USIG (its next counter).
+    fn prepare_from(signer: &mut MinBftReplica, view: u64, seq: u64, batch: &Arc<Batch>) -> UI {
+        signer.usig.create_ui(&prepare_bytes(view, seq, &batch.digest())).unwrap()
+    }
+
+    /// A COMMIT from `signer` quoting `primary_ui`, its own UI genuine.
+    fn commit_from(
+        signer: &mut MinBftReplica,
+        view: u64,
+        seq: u64,
+        batch: &Arc<Batch>,
+        primary_ui: UI,
+    ) -> MinBftMsg {
+        let statement = commit_bytes(view, seq, &batch.digest(), primary_ui.counter);
+        let ui = signer.usig.create_ui(&statement).unwrap();
+        let (batch, from) = (batch.clone(), signer.id);
+        MinBftMsg::Commit(Arc::new(CommitVote { view, seq, batch, primary_ui, from, ui }))
+    }
+
+    /// Delivers `msg` from replica `from`; returns how many MACs it cost.
+    fn deliver(
+        r: &mut MinBftReplica,
+        from: u32,
+        msg: MinBftMsg,
+        out: &mut Outbox<MinBftMsg>,
+    ) -> u64 {
+        let before = r.usig.verified();
+        r.on_input(Input::Message { from: Endpoint::Replica(ReplicaId(from)), msg }, 10, out);
+        r.usig.verified() - before
+    }
+
+    fn votes(r: &MinBftReplica, seq: u64) -> usize {
+        r.slots.get(seq).map_or(0, |s| s.commits.len())
+    }
+
+    /// Verify-once is not verify-never: only a COMMIT quoting *exactly* the
+    /// certificate the PREPARE delivered skips the primary's MAC.
+    #[test]
+    fn commit_quoting_another_primary_certificate_is_verified_and_refused() {
+        let (mut p, mut r) = (replica_of_five(0), replica_of_five(2));
+        let batch = batch_of("a");
+        let ui = prepare_from(&mut p, 0, 1, &batch);
+        let mut out = Outbox::new();
+        let prepare = MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui };
+        assert_eq!(deliver(&mut r, 0, prepare, &mut out), 1);
+        assert_eq!(votes(&r, 1), 2, "primary + own vote, below the quorum of 3");
+
+        let mut bad_tag = ui;
+        bad_tag.tag.0[0] ^= 1;
+        let bad_counter = UI { counter: ui.counter + 1, ..ui };
+        let bad_id = UI { id: UsigId(3), ..ui };
+        for (sender, quoted, macs) in [(1, bad_tag, 2), (3, bad_counter, 2), (4, bad_id, 1)] {
+            let commit = commit_from(&mut replica_of_five(sender), 0, 1, &batch, quoted);
+            // The sender's UI is genuine and costs one MAC; the quoted one is
+            // checked too (a foreign id is refused before its MAC) and fails.
+            assert_eq!(deliver(&mut r, sender, commit, &mut out), macs, "sender {sender}");
+            assert_eq!(votes(&r, 1), 2, "sender {sender}: a forged quote must not count");
+        }
+        assert_eq!(r.committed_seq(), 0);
+
+        // The accepted certificate itself: the sender's MAC only, and the
+        // vote counts — the third of three, so the slot executes.
+        let mut honest = replica_of_five(1);
+        honest.usig.resume(1); // its counter 1 was spent above
+        let commit = commit_from(&mut honest, 0, 1, &batch, ui);
+        assert_eq!(deliver(&mut r, 1, commit, &mut out), 1);
+        assert_eq!(r.committed_seq(), 1);
+    }
+
+    /// The remembered pair includes the view: the same UI quoted in a later
+    /// view is a different statement (and may be another primary's to make).
+    #[test]
+    fn accepted_ui_replayed_in_a_later_view_is_verified_and_refused() {
+        for (later, macs) in [(1, 1), (5, 2)] {
+            let (mut p, mut r) = (replica_of_five(0), replica_of_five(2));
+            let batch = batch_of("a");
+            let ui = prepare_from(&mut p, 0, 1, &batch);
+            let mut out = Outbox::new();
+            let prepare = MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui };
+            deliver(&mut r, 0, prepare, &mut out);
+            let new_view = MinBftMsg::NewView { view: later, preprepares: Vec::new() };
+            deliver(&mut r, (later % 5) as u32, new_view, &mut out);
+            assert_eq!((r.view(), votes(&r, 1)), (later, 0));
+
+            // View 1 belongs to replica 1: replica 0's UI is refused by id.
+            // View 5 is replica 0's again, but its UI certifies "view 0":
+            // under "view 5" the MAC is computed and does not match.
+            let commit = commit_from(&mut replica_of_five(3), later, 1, &batch, ui);
+            assert_eq!(deliver(&mut r, 3, commit, &mut out), macs, "view {later}");
+            assert_eq!(votes(&r, 1), 0, "view {later}: the stale certificate must not count");
+        }
+    }
+
+    #[test]
+    fn commit_before_its_prepare_pays_the_check_and_the_prepare_is_still_ingested() {
+        let (mut p, mut r) = (replica_of_five(0), replica_of_five(2));
+        let batch = batch_of("a");
+        let ui = prepare_from(&mut p, 0, 1, &batch);
+        let mut out = Outbox::new();
+        // No PREPARE accepted yet: sender's MAC + the primary's.
+        let first = commit_from(&mut replica_of_five(1), 0, 1, &batch, ui);
+        assert_eq!(deliver(&mut r, 1, first, &mut out), 2);
+        assert_eq!(votes(&r, 1), 2, "the voter and the primary it quotes");
+        // A forged quote is still refused while the slot waits.
+        let forged = UI { tag: Tag([0xEE; 32]), ..ui };
+        let second = commit_from(&mut replica_of_five(3), 0, 1, &batch, forged);
+        assert_eq!(deliver(&mut r, 3, second, &mut out), 2);
+        assert_eq!(votes(&r, 1), 2);
+        // The PREPARE's own UI is always checked — the primary's counter
+        // stream depends on it — and advances that stream in order.
+        assert_eq!(r.accepted[0], 0);
+        let prepare = MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui };
+        assert_eq!(deliver(&mut r, 0, prepare, &mut out), 1);
+        assert_eq!(r.accepted[0], 1);
+        assert_eq!(r.committed_seq(), 1, "primary + replica 1 + own vote");
+        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.from == r.id)));
+        // A vote for the executed slot: the sender's MAC, nothing more.
+        let late = commit_from(&mut replica_of_five(4), 0, 1, &batch, ui);
+        assert_eq!(deliver(&mut r, 4, late, &mut out), 1);
+    }
+
+    /// The stash for views not installed yet holds certified messages only:
+    /// forged ones cost their sender nothing to make and must cost the
+    /// receiver nothing to keep.
+    #[test]
+    fn forged_future_view_prepares_are_not_stashed() {
+        let mut r = replica(1);
+        let mut out = Outbox::new();
+        let batch = batch_of("a");
+        for i in 0..10_000u64 {
+            let view = if i % 2 == 0 { u64::MAX } else { 2 + i };
+            let ui = UI { id: UsigId((view % 3) as u32), counter: i + 1, tag: Tag([0xEE; 32]) };
+            let prepare = MinBftMsg::Prepare { view, seq: i + 1, batch: batch.clone(), ui };
+            deliver(&mut r, 0, prepare, &mut out);
+            let forged = UI { id: UsigId(0), ..ui };
+            let vote = CommitVote {
+                view,
+                seq: i + 1,
+                batch: batch.clone(),
+                primary_ui: ui,
+                from: ReplicaId(0),
+                ui: forged,
+            };
+            deliver(&mut r, 0, MinBftMsg::Commit(Arc::new(vote)), &mut out);
+        }
+        assert!(r.future.is_empty());
+        assert_eq!(r.rejected_votes(), 0, "forgeries are refused, not counted as drops");
+        assert!(out.msgs.is_empty());
+    }
+
+    #[test]
+    fn certified_future_view_messages_stop_at_the_per_sender_cap() {
+        let mut r = replica(1);
+        let mut sender = replica(2); // primary of view 2
+        let mut out = Outbox::new();
+        let batch = batch_of("a");
+        let extra = 88;
+        for seq in 1..=SENT_RETENTION + extra {
+            let ui = prepare_from(&mut sender, 2, seq, &batch);
+            let prepare = MinBftMsg::Prepare { view: 2, seq, batch: batch.clone(), ui };
+            assert_eq!(deliver(&mut r, 2, prepare, &mut out), 1);
+        }
+        assert_eq!(r.future.len() as u64, SENT_RETENTION);
+        assert_eq!(r.rejected_votes(), extra, "the newest beyond the cap are dropped and counted");
+        assert_eq!(r.accepted[2], 0, "stashing must not consume the sender's counters");
+        // The cap is per sender: another replica's stream still has room.
+        let mut other = replica(0);
+        let commit = commit_from(&mut other, 2, 1, &batch, prepare_from(&mut sender, 2, 1, &batch));
+        deliver(&mut r, 0, commit, &mut out);
+        assert_eq!(r.future.len() as u64, SENT_RETENTION + 1);
+        assert_eq!(r.rejected_votes(), extra);
+    }
+
+    #[test]
+    fn early_prepare_for_the_next_view_is_replayed_and_committed_after_the_new_view() {
+        let mut r = replica(2);
+        let mut next_primary = replica(1); // primary of view 1
+        let mut out = Outbox::new();
+        let batch = batch_of("a");
+        let ui = prepare_from(&mut next_primary, 1, 1, &batch);
+        let prepare = MinBftMsg::Prepare { view: 1, seq: 1, batch, ui };
+        deliver(&mut r, 1, prepare, &mut out);
+        assert_eq!((r.future.len(), r.accepted[1], r.committed_seq()), (1, 0, 0));
+        let new_view = MinBftMsg::NewView { view: 1, preprepares: Vec::new() };
+        deliver(&mut r, 1, new_view, &mut out);
+        assert_eq!((r.future.len(), r.accepted[1], r.view()), (0, 1, 1));
+        assert_eq!(r.committed_seq(), 1, "primary + own vote is the f+1 quorum");
+        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.view == 1)));
+        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Reply(_))));
     }
 
     /// The voter id is wire-supplied: one naming a replica outside the

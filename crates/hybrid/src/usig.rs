@@ -140,6 +140,10 @@ impl Usig {
         self.verified.get()
     }
 
+    // One `create_ui` or `verify_ui` per protocol message per replica, and
+    // nothing in them but the register access and the MAC: `rsoc_lint`
+    // keeps both allocation-free.
+    // lint: hot-path
     /// Creates a certified unique identifier for `message`.
     ///
     /// Loads the counter (detecting/correcting upsets per the register's
@@ -176,6 +180,7 @@ impl Usig {
         let (payload, len) = ui_payload(sender, ui.counter, message);
         key.verify(&payload[..len], &ui.tag)
     }
+    // lint: end
 
     /// Resumes the counter at or above `counter` after a process restart.
     ///
@@ -211,6 +216,7 @@ impl Usig {
     }
 }
 
+// lint: hot-path
 fn ui_payload(id: UsigId, counter: u64, message: &[u8]) -> ([u8; 85], usize) {
     // Fixed-size stack buffer: this runs once per MAC operation on the
     // consensus hot path, so it must not allocate. Short messages (every
@@ -239,6 +245,7 @@ fn certify(key: &MacKey, id: UsigId, counter: u64, message: &[u8]) -> Tag {
     let (payload, len) = ui_payload(id, counter, message);
     key.mac(&payload[..len])
 }
+// lint: end
 
 /// Receiver-side monotonicity window: accepts each sender's UIs only in
 /// strict counter order (`last + 1`), which MinBFT requires so a faulty

@@ -6,12 +6,17 @@
 use manycore_resilience::bft::adversary::{
     Flood, LinkFault, ReplaySpec, ReplicaScript, Scenario, ScenarioOracle, Window,
 };
-use manycore_resilience::bft::api::{Cluster, ReplicaNode};
-use manycore_resilience::bft::minbft::MinBftCluster;
+use manycore_resilience::bft::api::{
+    ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
+};
+use manycore_resilience::bft::minbft::{CommitVote, MinBftCluster, MinBftMsg, MinBftReplica};
 use manycore_resilience::bft::passive::PassiveCluster;
 use manycore_resilience::bft::pbft::PbftCluster;
-use manycore_resilience::bft::runner::{run, run_open_loop, run_scenario, OpenLoopSpec, RunConfig};
+use manycore_resilience::bft::runner::{
+    run, run_open_loop, run_scenario, LatencyModel, OpenLoopSpec, RunConfig,
+};
 use manycore_resilience::sim::{Arrival, KeyDist};
+use std::sync::Arc;
 
 fn config(f: u32, clients: u32, reqs: u64, seed: u64) -> RunConfig {
     RunConfig {
@@ -449,4 +454,78 @@ fn forged_checkpoint_certificates_never_certify() {
             assert_ne!(digest, &lie, "forged digest certified at watermark {seq}");
         }
     }
+}
+
+/// Sum of every replica's USIG creates and verifies.
+fn mac_total(nodes: &[MinBftReplica]) -> u64 {
+    nodes.iter().map(|n| n.mac_ops()).map(|(created, verified)| created + verified).sum()
+}
+
+#[test]
+fn minbft_fault_free_costs_exactly_nine_macs_per_op() {
+    // f = 1, batch 1: three certificates created (one PREPARE, two
+    // COMMITs), two PREPARE receipts and four COMMIT receipts each checked
+    // for its sender's UI. The primary certificate a COMMIT quotes is the
+    // one the receiver already holds — verified once, with the PREPARE —
+    // where the parent paid for it again on every receipt (13 per op).
+    // Exact when every PREPARE reaches a backup before the COMMITs that
+    // quote it (fixed link latency); under the default jittered links a
+    // COMMIT can overtake its PREPARE and pay the full check, and client
+    // retries re-announce PREPAREs — never past the parent's 13.
+    let fixed = RunConfig { latency: LatencyModel::Fixed(20), ..config(1, 2, 50, 977) };
+    for (cfg, exact) in [(fixed, true), (config(1, 2, 50, 977), false)] {
+        let mut cluster = MinBftCluster::new(&cfg);
+        let report = run(&mut cluster, &cfg);
+        assert_eq!(report.committed, 100);
+        assert!(report.safety_ok);
+        let macs = mac_total(cluster.nodes());
+        if exact {
+            assert_eq!(macs, 9 * report.committed);
+        }
+        assert!(macs <= 13 * report.committed, "{macs} MACs for {} ops", report.committed);
+    }
+}
+
+#[test]
+fn verify_once_still_refuses_a_commit_quoting_a_tampered_primary_certificate() {
+    // Hand-stepped f = 2 cluster (commit quorum 3, so an accepted PREPARE
+    // leaves its slot open for votes): replica 1 is intruded and relays a
+    // genuine COMMIT with the primary's tag altered. Its own UI is valid,
+    // the quote differs from the certificate replica 2 accepted, so it is
+    // verified — and refused; replica 3's honest vote costs one MAC.
+    let cfg = config(2, 1, 1, 5);
+    let mut nodes = MinBftCluster::new(&cfg).into_nodes();
+    let step = |node: &mut MinBftReplica, from: Endpoint, msg: MinBftMsg| {
+        let mut out = Outbox::new();
+        let before = node.mac_ops().1;
+        node.on_input(Input::Message { from, msg }, 10, &mut out);
+        (out, node.mac_ops().1 - before)
+    };
+    let sent_to = |out: &Outbox<MinBftMsg>, to: u32| {
+        let to = Endpoint::Replica(ReplicaId(to));
+        out.msgs.iter().find(|(dest, _)| *dest == to).map(|(_, m)| m.clone()).expect("broadcast")
+    };
+    let request = MinBftMsg::Request(Arc::new(Request {
+        op: OpId { client: ClientId(1), seq: 1 },
+        payload: b"SET k v".to_vec(),
+    }));
+    let (proposed, _) = step(&mut nodes[0], Endpoint::Client(ClientId(1)), request);
+    let primary = Endpoint::Replica(ReplicaId(0));
+    let (voted_1, _) = step(&mut nodes[1], primary, sent_to(&proposed, 1));
+    let (voted_3, _) = step(&mut nodes[3], primary, sent_to(&proposed, 3));
+    let (_, macs) = step(&mut nodes[2], primary, sent_to(&proposed, 2));
+    assert_eq!((macs, nodes[2].committed_seq()), (1, 0));
+
+    let MinBftMsg::Commit(genuine) = sent_to(&voted_1, 2) else { panic!("a COMMIT") };
+    let mut tampered = CommitVote::clone(&genuine);
+    tampered.primary_ui.tag.0[7] ^= 0x40;
+    let relay = MinBftMsg::Commit(Arc::new(tampered));
+    let (_, macs) = step(&mut nodes[2], Endpoint::Replica(ReplicaId(1)), relay);
+    assert_eq!(macs, 2, "the sender's UI and the certificate it quotes");
+    assert_eq!(nodes[2].committed_seq(), 0, "a forged quote is not a vote");
+
+    let honest = sent_to(&voted_3, 2);
+    let (_, macs) = step(&mut nodes[2], Endpoint::Replica(ReplicaId(3)), honest);
+    assert_eq!(macs, 1, "the quoted certificate is the one already accepted");
+    assert_eq!(nodes[2].committed_seq(), 1, "primary + own vote + replica 3");
 }
