@@ -6,6 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use rsoc_bft::api::{
     Batch, ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
 };
+use rsoc_bft::checkpoint::{CheckpointCert, StateTransfer};
+use rsoc_bft::codec::{decode_frame, encode_frame};
 use rsoc_bft::durable::{DurableEvent, RecoveredState};
 use rsoc_bft::minbft::MinBftCluster;
 use rsoc_bft::pbft::{PbftCluster, PbftMsg, PbftReplica};
@@ -19,7 +21,7 @@ use rsoc_hybrid::{KeyRing, Usig, UsigId};
 use rsoc_noc::network::{Network, NetworkConfig};
 use rsoc_noc::{Mesh2d, Routing};
 use rsoc_store::{crc32, frame_record, DataDir, WalRecord};
-use rsoc_transport::wire::{encode_envelope, Envelope};
+use rsoc_transport::wire::{decode_envelope, encode_envelope, Envelope};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -230,12 +232,13 @@ fn write_request(seq: u64, value_len: usize) -> Arc<Request> {
     Arc::new(Request { op: OpId { client: ClientId(1), seq }, payload })
 }
 
-/// What every persisted or framed byte costs: the checksum at three
-/// lengths, one WAL record framed in place, and the frame the primary
-/// sends most bytes in.
+/// What every persisted or framed byte costs: the checksum at four
+/// lengths (618 B is one `wire_pbft_durable` WAL record), one WAL record
+/// framed in place, the frame the primary sends most bytes in, both ways,
+/// and a state image taken off the wire.
 fn bench_framing(c: &mut Criterion) {
     let mut g = c.benchmark_group("store");
-    for (label, len) in [("64B", 64usize), ("4KiB", 4 << 10), ("1MiB", 1 << 20)] {
+    for (label, len) in [("64B", 64usize), ("618B", 618), ("4KiB", 4 << 10), ("1MiB", 1 << 20)] {
         let block: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
         g.throughput(Throughput::Bytes(len as u64));
         g.bench_function(format!("crc32/{label}"), |b| b.iter(|| crc32(black_box(&block))));
@@ -261,6 +264,28 @@ fn bench_framing(c: &mut Criterion) {
     };
     g.bench_function("encode_envelope/preprepare_b4", |b| {
         b.iter(|| encode_envelope(black_box(&envelope)))
+    });
+    let frame = encode_envelope(&envelope);
+    g.bench_function("decode_envelope/preprepare_b4", |b| {
+        b.iter(|| decode_envelope::<PbftMsg>(black_box(&frame)).expect("a well-formed frame"))
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("codec");
+    let image: Vec<u8> = (0..1 << 20).map(|i| (i * 31) as u8).collect();
+    let transfer = StateTransfer {
+        cert: CheckpointCert { seq: 256, digest: [7; 32], vouchers: Vec::new() },
+        snapshot: Arc::new(image),
+        log_base: 256,
+        suffix: Arc::new(Vec::new()),
+        view: 0,
+        from: ReplicaId(1),
+    };
+    let mut frame = Vec::new();
+    encode_frame(&transfer, &mut frame);
+    g.throughput(Throughput::Bytes(frame.len() as u64));
+    g.bench_function("state_transfer_decode/1MiB", |b| {
+        b.iter(|| decode_frame::<StateTransfer>(black_box(&frame)).expect("a well-formed frame"))
     });
     g.finish();
 }

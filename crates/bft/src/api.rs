@@ -59,13 +59,22 @@ impl Request {
     }
 
     /// SHA-256 digest of the request (identity + payload), used in
-    /// prepare/commit certificates.
+    /// prepare/commit certificates: `client u32 LE · seq u64 LE · payload`.
+    /// Nothing is allocated: a request of up to 256 such bytes is framed on
+    /// the stack and hashed in one pass (the hasher's staging costs more
+    /// than the copy at these sizes), a longer one incrementally.
     pub fn digest(&self) -> [u8; 32] {
-        let mut bytes = Vec::with_capacity(12 + 8 + self.payload.len());
-        bytes.extend_from_slice(&self.op.client.0.to_le_bytes());
-        bytes.extend_from_slice(&self.op.seq.to_le_bytes());
-        bytes.extend_from_slice(&self.payload);
-        sha256(&bytes)
+        let mut frame = [0u8; 256];
+        frame[..4].copy_from_slice(&self.op.client.0.to_le_bytes());
+        frame[4..12].copy_from_slice(&self.op.seq.to_le_bytes());
+        if let Some(body) = frame.get_mut(12..12 + self.payload.len()) {
+            body.copy_from_slice(&self.payload);
+            return sha256(&frame[..12 + self.payload.len()]);
+        }
+        let mut h = Sha256::new();
+        h.update(&frame[..12]);
+        h.update(&self.payload);
+        h.finalize()
     }
 }
 
@@ -79,9 +88,16 @@ impl Request {
 /// The digest is computed **once** at construction, in a single
 /// incremental SHA-256 pass over every request (length-framed, so request
 /// boundaries are unambiguous), and cached — replicas hash a batch's
-/// payload once, not once per protocol phase. Receivers of a full batch
-/// (as opposed to a digest-only vote) call [`Batch::verify`] once to check
-/// the cached digest against the content before trusting it.
+/// payload once, not once per protocol phase.
+///
+/// **Invariant: a `Batch`'s digest is a pure function of its requests.**
+/// [`Batch::new`] is the only constructor and the fields are private, so
+/// no value of this type pairs content with another content's digest —
+/// a batch decoded off the wire or out of a WAL was sealed by
+/// [`Batch::new`] from the bytes received, and carries *their* digest. A
+/// receiver therefore never re-hashes a batch; what it checks is the
+/// digest itself, against the slot's quorum and against any proposal it
+/// already holds for that slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     requests: Vec<Arc<Request>>,
@@ -126,12 +142,6 @@ impl Batch {
     /// each request — without encoding it.
     pub fn wire_len(&self) -> u64 {
         8 + self.requests.iter().map(|r| r.wire_len()).sum::<u64>()
-    }
-
-    /// Recomputes the digest from content and checks it against the cached
-    /// value — a receiver-side integrity check performed once per batch.
-    pub fn verify(&self) -> bool {
-        Self::compute_digest(&self.requests) == self.digest
     }
 
     /// Hashes the batch's canonical wire bytes incrementally (no
@@ -539,6 +549,13 @@ mod tests {
         assert_ne!(r1.digest(), r3.digest(), "op id is part of identity");
         let r4 = Request { op: OpId { client: ClientId(1), seq: 5 }, payload: b"set x=2".to_vec() };
         assert_ne!(r1.digest(), r4.digest());
+        // The bytes hashed, pinned: client u32 LE · seq u64 LE · payload,
+        // on both sides of the stack frame's 256 bytes.
+        for len in [0, 7, 243, 244, 245, 1000] {
+            let r = Request { op: OpId { client: ClientId(1), seq: 5 }, payload: vec![0xA5; len] };
+            let bytes = [&1u32.to_le_bytes()[..], &5u64.to_le_bytes(), &r.payload].concat();
+            assert_eq!(r.digest(), sha256(&bytes), "payload of {len} bytes");
+        }
     }
 
     #[test]
@@ -550,7 +567,6 @@ mod tests {
         let b12 = Batch::new(vec![r1.clone(), r2.clone()]);
         let b21 = Batch::new(vec![r2.clone(), r1.clone()]);
         assert_ne!(b12.digest(), b21.digest(), "order is part of identity");
-        assert!(b12.verify());
         assert_eq!(b12.len(), 2);
         // Length framing: moving a byte across a request boundary changes
         // the digest even though the concatenation is identical.
@@ -617,19 +633,6 @@ mod tests {
         assert_eq!(flushed[0].op.seq, 3);
         // A re-fire of an already-acknowledged timer is also stale.
         assert!(!b.on_flush_timer(1));
-    }
-
-    #[test]
-    fn tampered_batch_fails_verification() {
-        let r =
-            Arc::new(Request { op: OpId { client: ClientId(2), seq: 9 }, payload: b"x".to_vec() });
-        let good = Batch::new(vec![r.clone()]);
-        let mut evil = Request::clone(&r);
-        evil.payload = b"y".to_vec();
-        // Splice a lying digest next to different content.
-        let forged = Batch { requests: vec![Arc::new(evil)], digest: good.digest() };
-        assert!(!forged.verify());
-        assert!(good.verify());
     }
 
     #[test]

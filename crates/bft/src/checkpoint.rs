@@ -546,6 +546,10 @@ pub struct ClientSessions {
     tree: StateTree,
 }
 
+/// Longest reply [`ClientSessions::note`] stores without a heap buffer
+/// (a `SET`'s `(nil)` or an overwritten value of ordinary size).
+const INLINE_REPLY: usize = 120;
+
 impl ClientSessions {
     /// An empty table.
     pub fn new() -> Self {
@@ -553,14 +557,24 @@ impl ClientSessions {
     }
 
     /// Records an executed op's reply; keeps the highest seq per client.
+    /// Every op of a checkpointing run passes through here, so the stored
+    /// value is built on the stack when the reply is short (up to 120
+    /// bytes), and the value it replaces is not copied out.
     pub fn note(&mut self, client: ClientId, seq: u64, result: &[u8]) {
         if self.get(client).is_some_and(|(have, _)| have >= seq) {
             return;
         }
-        let mut value = Vec::with_capacity(8 + result.len());
-        value.extend_from_slice(&seq.to_le_bytes());
-        value.extend_from_slice(result);
-        self.tree.insert(&client.0.to_be_bytes(), &value);
+        let mut inline = [0u8; 8 + INLINE_REPLY];
+        let spilled: Vec<u8>;
+        let value = if result.len() <= INLINE_REPLY {
+            inline[..8].copy_from_slice(&seq.to_le_bytes());
+            inline[8..8 + result.len()].copy_from_slice(result);
+            &inline[..8 + result.len()]
+        } else {
+            spilled = [&seq.to_le_bytes()[..], result].concat();
+            &spilled[..]
+        };
+        self.tree.insert(&client.0.to_be_bytes(), value, |_| {});
     }
 
     /// Latest executed `(seq, reply)` for a client.
@@ -791,8 +805,8 @@ impl CstBuffer {
 
     /// Votes the suffix of one quorate group slot by slot: a slot installs
     /// only when `quorum` members carry the same batch digest for it (at
-    /// least one of them honest), batches are content-verified, and the
-    /// accepted run is dense from the watermark.
+    /// least one of them honest; a digest is its batch's content, see
+    /// [`Batch`]), and the accepted run is dense from the watermark.
     fn vote(group: &[&Admitted], quorum: usize, seq: u64, log_base: u64) -> CstInstall {
         // bounds: install_plan only calls with group.len() >= quorum >= 1
         let (first, state) = group[0];
@@ -819,7 +833,7 @@ impl CstBuffer {
                 }
             }
             for (_, count, batch) in &tally {
-                if *count >= quorum && batch.verify() && !batch.is_empty() {
+                if *count >= quorum && !batch.is_empty() {
                     suffix.push((slot, Arc::clone(batch)));
                     continue 'slots;
                 }

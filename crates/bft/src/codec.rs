@@ -16,6 +16,11 @@
 //!   implements; [`encode_frame`]/[`decode_frame`] add the format version
 //!   byte. The socket layer's u32 length prefix lives in
 //!   `rsoc_transport::frame` — framing is transport, content is here.
+//! * A byte field (request payload, reply result, state image) is one
+//!   length plus one copy: `count u64 LE · bytes`, appended with
+//!   `extend_from_slice` and taken back as one slice. `u8` is not a
+//!   [`Wire`] type, so no byte vector crosses the codec an element at a
+//!   time.
 //!
 //! Decoding is total: it consumes attacker-controlled bytes and returns
 //! `Option`, never panicking and never trusting a length field beyond the
@@ -180,13 +185,18 @@ pub fn decode_frame<T: Wire>(bytes: &[u8]) -> Option<T> {
     Some(value)
 }
 
-impl Wire for u8 {
+/// A byte field: one length, then one copy each way (see the module docs).
+/// The layout is the one `Vec<T>` gives any element type; the count is
+/// checked against the input before the copy is made.
+impl Wire for Vec<u8> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self);
+        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        buf.extend_from_slice(self);
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        r.u8()
+        let n = r.count()?;
+        Some(r.take(n)?.to_vec())
     }
 }
 
@@ -897,6 +907,73 @@ mod tests {
         assert!(decode_frame::<T>(&buf).is_none());
     }
 
+    /// A byte field as built by hand: `count u64 LE · bytes`.
+    fn field(bytes: &[u8]) -> Vec<u8> {
+        [&(bytes.len() as u64).to_le_bytes()[..], bytes].concat()
+    }
+
+    /// A request as built by hand: `client u32 LE · seq u64 LE · payload`.
+    fn request_layout(client: u32, seq: u64, payload: &[u8]) -> Vec<u8> {
+        [&client.to_le_bytes()[..], &seq.to_le_bytes(), &field(payload)].concat()
+    }
+
+    /// `value`'s frame is `WIRE_VERSION · body` byte for byte, and it
+    /// round-trips with every strict prefix refused.
+    fn golden<T: Wire + PartialEq + std::fmt::Debug>(value: &T, body: &[u8]) {
+        let mut frame = Vec::new();
+        encode_frame(value, &mut frame);
+        assert_eq!(frame, [&[WIRE_VERSION][..], body].concat(), "{value:?}");
+        roundtrip(value);
+    }
+
+    /// Every value that carries bytes lays them out as one count and the
+    /// bytes — the layout they had when they crossed the codec one element
+    /// at a time, so no frame changes.
+    #[test]
+    fn byte_fields_are_a_count_then_the_bytes() {
+        let payload = [0u8, 255, 7, b'S'];
+        let request =
+            Request { op: OpId { client: ClientId(9), seq: 3 }, payload: payload.to_vec() };
+        golden(&request, &request_layout(9, 3, &payload));
+
+        let reply = Reply {
+            replica: ReplicaId(2),
+            op: OpId { client: ClientId(1), seq: 4 },
+            result: Arc::new(b"OK".to_vec()),
+        };
+        let layout = [&2u32.to_le_bytes()[..], &1u32.to_le_bytes(), &4u64.to_le_bytes()].concat();
+        golden(&reply, &[&layout[..], &field(b"OK")].concat());
+
+        let batch = Arc::new(Batch::new(vec![req(1, 1, b"ab".to_vec()), req(2, 5, Vec::new())]));
+        let preprepare = PbftMsg::PrePrepare { view: 7, seq: 8, batch };
+        let layout = [
+            &[1u8][..],
+            &7u64.to_le_bytes(),
+            &8u64.to_le_bytes(),
+            &2u64.to_le_bytes(),
+            &request_layout(1, 1, b"ab"),
+            &request_layout(2, 5, b""),
+        ]
+        .concat();
+        golden(&preprepare, &layout);
+
+        let mut cert_layout = Vec::new();
+        cert(8).encode(&mut cert_layout);
+        let layout = [
+            &cert_layout[..],
+            &field(b"snapshot"),
+            &9u64.to_le_bytes(),
+            &1u64.to_le_bytes(),
+            &9u64.to_le_bytes(),
+            &1u64.to_le_bytes(),
+            &request_layout(1, 9, b"op"),
+            &2u64.to_le_bytes(),
+            &1u32.to_le_bytes(),
+        ]
+        .concat();
+        golden(&transfer(), &layout);
+    }
+
     #[test]
     fn batch_frame_is_the_digest_preimage() {
         // The satellite invariant: the socket framing and the simulator's
@@ -1080,6 +1157,26 @@ mod tests {
                 b.unwrap()
             };
             prop_assert_eq!(back.digest(), batch.digest());
+        }
+
+        /// One copy accepts and refuses exactly the inputs that one
+        /// `u8` a time did, and consumes the same bytes.
+        #[test]
+        fn a_byte_field_decodes_as_it_did_per_element(
+            count in 0u64..80,
+            tail in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let input = [&count.to_le_bytes()[..], &tail].concat();
+            let per_element = |r: &mut Reader<'_>| -> Option<Vec<u8>> {
+                let n = r.count()?;
+                (0..n).map(|_| r.u8()).collect()
+            };
+            let (mut one_copy, mut by_element) = (Reader::new(&input), Reader::new(&input));
+            let got = Vec::<u8>::decode(&mut one_copy);
+            prop_assert_eq!(&got, &per_element(&mut by_element));
+            if got.is_some() {
+                prop_assert_eq!(one_copy.remaining(), by_element.remaining());
+            }
         }
 
         #[test]

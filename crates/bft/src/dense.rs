@@ -25,6 +25,14 @@ use crate::api::{ClientId, OpId};
 
 // ---------------------------------------------------------------- SeqWindow
 
+/// How far above its watermark an agreement window takes a slot that a
+/// peer's message names. The ring grows to the highest slot it stores, so
+/// without this bound one PBFT COMMIT naming slot 2^24 took its receiver
+/// from 2 MiB to 1 GiB, and slot 2^28 aborted it on a 16 GiB allocation.
+/// Correct replicas stay far inside it: the largest lead any f2 / f5 / f6 /
+/// f8 campaign cell or ledger workload reaches is 47 slots.
+pub(crate) const SLOT_HORIZON: u64 = 4096;
+
 /// A map from `u64` sequence numbers to `T`, backed by a ring buffer and
 /// anchored at a *low-watermark* (`base`).
 ///
@@ -73,6 +81,20 @@ impl<T> SeqWindow<T> {
     /// True when `seq` is below the watermark (rejected forever).
     pub fn is_retired(&self, seq: u64) -> bool {
         seq < self.base
+    }
+
+    /// Whether a message from the wire may name slot `seq`: not retired,
+    /// and at most [`SLOT_HORIZON`] above the watermark. The protocols ask
+    /// before they touch an agreement window on every ingress that names a
+    /// slot; their own proposals do not ask.
+    pub(crate) fn admits(&self, seq: u64) -> bool {
+        seq >= self.base && seq - self.base <= SLOT_HORIZON
+    }
+
+    /// Slots the ring can hold without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.ring.len()
     }
 
     /// Occupied entry count.

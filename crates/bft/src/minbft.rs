@@ -564,18 +564,20 @@ impl MinBftReplica {
         ui: UI,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        if view != self.vc.view() {
+        // Below the watermark = already executed: rejected, not resurrected;
+        // past the horizon: refused before the window grows. (Stash replays
+        // and held-back messages come through here too.)
+        if view != self.vc.view() || !self.slots.admits(seq) {
             return;
         }
-        // One content check per batch: the cached digest (which the UI
-        // certifies) must match the carried requests.
-        if batch.is_empty() || !batch.verify() {
-            return;
+        if batch.is_empty() {
+            return; // never proposed by a correct primary
         }
+        // The digest the UI certifies is the carried requests' own (see
+        // `Batch`), so the certificate already covers the content.
         let digest = batch.digest();
         let primary = self.vc.primary_of(view);
         let me = self.id;
-        // Below the watermark = already executed: rejected, not resurrected.
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
         if let Some(d) = slot.digest {
             if d != digest {
@@ -617,8 +619,8 @@ impl MinBftReplica {
         from: ReplicaId,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        if view != self.vc.view() || self.slots.is_retired(seq) {
-            return; // a vote cannot change an executed slot: no MAC for it
+        if view != self.vc.view() || !self.slots.admits(seq) {
+            return; // an executed slot, or one past the horizon: no MAC for it
         }
         // The commit must reference a genuine primary certificate — checked
         // once per slot: whichever of the PREPARE or a COMMIT delivered
@@ -647,11 +649,8 @@ impl MinBftReplica {
             }
         }
         if slot.batch.is_none() {
-            // Adopting content we never saw a PREPARE for: check it against
-            // the certified digest once.
-            if !batch.verify() {
-                return;
-            }
+            // Adopting content we never saw a PREPARE for: the primary
+            // certificate verified above is over this content's digest.
             slot.batch = Some(batch);
         }
         slot.digest = Some(digest);
@@ -873,8 +872,8 @@ impl MinBftReplica {
                 Intake::Done => {}
             },
             MinBftMsg::Prepare { view, seq, batch, ui } => {
-                // The cached batch digest is what the UI certifies; content
-                // is checked against it once, in handle_prepare.
+                // The UI certifies the batch digest, which is a function of
+                // the carried requests (see `Batch`).
                 let signed = prepare_bytes(view, seq, &batch.digest());
                 let sender = self.vc.primary_of(view);
                 if view > self.vc.view() {
@@ -1203,6 +1202,7 @@ mod tests {
     use super::*;
     use crate::adversary::Behavior;
     use crate::api::{ClientId, OpId};
+    use crate::dense::SLOT_HORIZON;
     use crate::runner::{run, RunConfig};
 
     fn config(f: u32, clients: u32, reqs: u64, seed: u64) -> RunConfig {
@@ -1700,6 +1700,32 @@ mod tests {
         // A vote for the executed slot: the sender's MAC, nothing more.
         let late = commit_from(&mut replica_of_five(4), 0, 1, &batch, ui);
         assert_eq!(deliver(&mut r, 4, late, &mut out), 1);
+    }
+
+    /// A valid UI is all an intruded replica needs to name any slot: one
+    /// COMMIT far past the watermark, quoting a genuine primary
+    /// certificate, must not grow the agreement window to it. It costs the
+    /// sender's MAC only, its counter is consumed, and a COMMIT exactly at
+    /// the horizon is still taken.
+    #[test]
+    fn a_certified_commit_past_the_slot_horizon_leaves_the_window_alone() {
+        let (mut p, mut r, mut voter) = (replica(0), replica(1), replica(2));
+        let batch = batch_of("far");
+        let capacity = r.slots.capacity();
+        let mut out = Outbox::new();
+        for seq in [SLOT_HORIZON + 2, 1 << 28] {
+            let ui = prepare_from(&mut p, 0, seq, &batch);
+            let commit = commit_from(&mut voter, 0, seq, &batch, ui);
+            assert_eq!(deliver(&mut r, 2, commit, &mut out), 1, "slot {seq}");
+            assert_eq!((r.slots.len(), r.slots.capacity()), (0, capacity), "slot {seq}");
+        }
+        assert_eq!(r.accepted[2], 2, "the voter's stream moved on: nothing is held back");
+
+        let at = 1 + SLOT_HORIZON;
+        let ui = prepare_from(&mut p, 0, at, &batch);
+        let commit = commit_from(&mut voter, 0, at, &batch, ui);
+        assert_eq!(deliver(&mut r, 2, commit, &mut out), 2);
+        assert_eq!(votes(&r, at), 2, "the voter and the primary it quotes");
     }
 
     /// The stash for views not installed yet holds certified messages only:

@@ -321,14 +321,19 @@ impl PbftReplica {
         if from != Endpoint::Replica(self.vc.primary_of(view)) {
             return; // only the view's primary may pre-prepare
         }
-        if batch.is_empty() || !batch.verify() {
-            return; // content does not match the claimed digest
+        if batch.is_empty() {
+            return; // never proposed by a correct primary
         }
+        // Below the watermark = already executed: rejected, never
+        // resurrected; past the horizon: refused before the window grows.
+        if !self.slots.admits(seq) {
+            return;
+        }
+        // The digest is the received content's own (see `Batch`): what is
+        // checked is whether it may take the slot.
         let digest = batch.digest();
         let primary = self.vc.primary_of(view);
         let me = self.id;
-        // Below the watermark = already executed: rejected, never
-        // resurrected (the window refuses to store it).
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
         if let Some(existing) = slot.digest {
             if existing != digest {
@@ -372,7 +377,7 @@ impl PbftReplica {
         from: ReplicaId,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.vc.view() {
+        if view != self.vc.view() || !self.slots.admits(seq) {
             return;
         }
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
@@ -390,7 +395,7 @@ impl PbftReplica {
         from: ReplicaId,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.vc.view() {
+        if view != self.vc.view() || !self.slots.admits(seq) {
             return;
         }
         let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
@@ -540,14 +545,14 @@ impl PbftReplica {
             slot.sent_commit = false;
         }
         for (seq, batch) in preprepares {
-            if self.slots.is_retired(*seq) {
-                continue; // already executed: dead, not resurrectable
+            if !self.slots.admits(*seq) {
+                continue; // executed (dead, not resurrectable) or past the horizon
             }
             let digest = batch.digest();
             let primary = self.vc.primary_of(view);
             let me = self.id;
             self.shell.assign(*seq, batch);
-            // lint: allow(ingress-expect) -- is_retired() continued the loop just above
+            // lint: allow(ingress-expect) -- admits() continued the loop just above
             let slot = self.slots.get_or_insert_default(*seq).expect("not retired");
             slot.batch = Some(batch.clone());
             slot.digest = Some(digest);
@@ -819,7 +824,10 @@ mod tests {
     use super::*;
     use crate::adversary::Behavior;
     use crate::api::{ClientId, OpId};
+    use crate::codec::{decode_frame, encode_frame, Wire};
+    use crate::dense::SLOT_HORIZON;
     use crate::runner::{run, RunConfig};
+    use rsoc_crypto::sha256;
 
     fn config(f: u32, clients: u32, reqs: u64, seed: u64) -> RunConfig {
         RunConfig { f, clients, requests_per_client: reqs, seed, ..Default::default() }
@@ -1081,6 +1089,112 @@ mod tests {
         let next = PbftMsg::PrePrepare { view: 0, seq: 4, batch: batch("live", 4) };
         r.on_input(Input::Message { from, msg: next }, 11, &mut out);
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, PbftMsg::Prepare { seq: 4, .. })));
+    }
+
+    /// A batch has no digest but its own content's: one decoded from a
+    /// tampered frame carries the digest of the bytes received, so it can
+    /// neither take a slot prepared for the original nor count toward it.
+    #[test]
+    fn a_tampered_batch_carries_its_own_digest_and_cannot_take_a_prepared_slot() {
+        let good = Arc::new(Batch::single(Arc::new(Request {
+            op: OpId { client: ClientId(1), seq: 1 },
+            payload: b"SET k good".to_vec(),
+        })));
+        let proposal = PbftMsg::PrePrepare { view: 0, seq: 1, batch: good.clone() };
+        let mut frame = Vec::new();
+        encode_frame(&proposal, &mut frame);
+        // The frame ends with the payload: flip its last byte.
+        if let Some(last) = frame.last_mut() {
+            *last ^= 0x01;
+        }
+        let Some(PbftMsg::PrePrepare { batch: tampered, .. }) = decode_frame(&frame) else {
+            panic!("a tampered payload is still a well-formed frame");
+        };
+        let mut received = Vec::new();
+        tampered.encode(&mut received);
+        assert_eq!(tampered.digest(), sha256(&received), "the digest of what was received");
+        assert_ne!(tampered.digest(), good.digest());
+
+        let mut r = PbftReplica::new(ReplicaId(1), 1);
+        let mut out = Outbox::new();
+        let mut deliver = |r: &mut PbftReplica, from: u32, msg: PbftMsg| {
+            let from = Endpoint::Replica(ReplicaId(from));
+            r.on_input(Input::Message { from, msg }, 10, &mut out);
+            std::mem::take(&mut out.msgs)
+        };
+        deliver(&mut r, 0, proposal);
+        let mut sent = Vec::new();
+        for from in [2, 3] {
+            let prepare =
+                PbftMsg::Prepare { view: 0, seq: 1, digest: good.digest(), from: ReplicaId(from) };
+            sent.extend(deliver(&mut r, from, prepare));
+        }
+        assert!(sent.iter().any(|(_, m)| matches!(m, PbftMsg::Commit { .. })), "prepared");
+        let proposal = PbftMsg::PrePrepare { view: 0, seq: 1, batch: tampered.clone() };
+        assert!(deliver(&mut r, 0, proposal).is_empty(), "a second proposal for the slot");
+        for from in [0, 2, 3] {
+            let commit = PbftMsg::Commit {
+                view: 0,
+                seq: 1,
+                digest: tampered.digest(),
+                from: ReplicaId(from),
+            };
+            deliver(&mut r, from, commit);
+        }
+        assert_eq!(r.committed_seq(), 0, "votes for the tampered digest do not count");
+        for from in [0, 2] {
+            let commit =
+                PbftMsg::Commit { view: 0, seq: 1, digest: good.digest(), from: ReplicaId(from) };
+            deliver(&mut r, from, commit);
+        }
+        assert_eq!(r.committed_log()[0].digest, good.digest());
+    }
+
+    /// One unauthenticated message naming a slot far past the watermark
+    /// must not grow the agreement window to it: a COMMIT for slot 2^24
+    /// took a replica from 2 MiB to 1 GiB, one for 2^28 aborted it. Every
+    /// ingress that names a slot refuses it; a COMMIT exactly at the
+    /// horizon is still taken.
+    #[test]
+    fn a_commit_past_the_slot_horizon_leaves_the_window_alone() {
+        let batch = Arc::new(Batch::single(Arc::new(Request {
+            op: OpId { client: ClientId(1), seq: 1 },
+            payload: b"SET k far".to_vec(),
+        })));
+        let digest = batch.digest();
+        let mut r = PbftReplica::new(ReplicaId(2), 1);
+        let capacity = r.slots.capacity();
+        let mut out = Outbox::new();
+        for seq in [SLOT_HORIZON + 2, 1 << 28, u64::MAX] {
+            for (from, msg) in [
+                (0, PbftMsg::PrePrepare { view: 0, seq, batch: batch.clone() }),
+                (3, PbftMsg::Prepare { view: 0, seq, digest, from: ReplicaId(3) }),
+                (3, PbftMsg::Commit { view: 0, seq, digest, from: ReplicaId(3) }),
+            ] {
+                let from = Endpoint::Replica(ReplicaId(from));
+                r.on_input(Input::Message { from, msg }, 10, &mut out);
+                assert_eq!((r.slots.len(), r.slots.capacity()), (0, capacity), "slot {seq}");
+            }
+        }
+        // A NEW-VIEW entry past the horizon is skipped like an executed one.
+        let far = vec![(SLOT_HORIZON + 2, batch.clone())];
+        let new_view = PbftMsg::NewView { view: 1, preprepares: far };
+        r.on_input(
+            Input::Message { from: Endpoint::Replica(ReplicaId(1)), msg: new_view },
+            11,
+            &mut out,
+        );
+        assert_eq!((r.view(), r.slots.len(), r.slots.capacity()), (1, 0, capacity));
+        assert!(out.msgs.is_empty(), "voted past the horizon: {:?}", out.msgs);
+
+        let at = 1 + SLOT_HORIZON;
+        let commit = PbftMsg::Commit { view: 1, seq: at, digest, from: ReplicaId(3) };
+        r.on_input(
+            Input::Message { from: Endpoint::Replica(ReplicaId(3)), msg: commit },
+            12,
+            &mut out,
+        );
+        assert_eq!(r.slots.get(at).map(|s| s.commits.len()), Some(1));
     }
 
     fn vote(new_view: u64, from: u32) -> PbftMsg {

@@ -689,9 +689,8 @@ impl Shell {
     /// contents are ingress: the certificate and image are re-verified
     /// exactly as a transfer response would be (a snapshot that fails is
     /// skipped — WAL replay and state transfer cover for it), and only
-    /// the dense, integrity-checked commit run above the snapshot replays
-    /// — the first gap or garbage batch abandons the rest to state
-    /// transfer.
+    /// the dense, CRC-checked commit run above the snapshot replays — the
+    /// first gap or empty batch abandons the rest to state transfer.
     pub(crate) fn recover(
         &mut self,
         state: &RecoveredState,
@@ -709,7 +708,7 @@ impl Shell {
             if *seq <= self.exec_upto {
                 continue; // covered by the snapshot
             }
-            if *seq != self.exec_upto + 1 || batch.is_empty() || !batch.verify() {
+            if *seq != self.exec_upto + 1 || batch.is_empty() {
                 break;
             }
             self.execute(*seq, batch, entry_digest(batch), |_| {});
@@ -1044,8 +1043,7 @@ mod tests {
         // longer match its certificate is not installed: without it the
         // WAL replays from slot 1 as far as it is dense and well-formed.
         // (A decoded batch always carries the digest of its own content —
-        // see `Wire for Batch` — so the garbage a WAL can hold is an empty
-        // batch; a spliced digest is covered by `Batch::verify`'s own test.)
+        // see `Batch` — so the garbage a WAL can hold is an empty batch.)
         let mut torn = RecoveredState { commits: disk.commits.clone(), ..Default::default() };
         torn.snapshot = disk.snapshot.clone().map(|(cert, len, mut bytes)| {
             bytes[0] ^= 0xFF;

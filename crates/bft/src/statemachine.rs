@@ -100,7 +100,9 @@ impl StateMachine for KvStore {
         let mut parts = command.splitn(3, |b| *b == b' ');
         match (parts.next(), parts.next(), parts.next()) {
             (Some(b"SET"), Some(key), Some(value)) if key.len() <= MAX_KEY_LEN => {
-                self.tree.insert(key, value).unwrap_or_else(|| b"(nil)".to_vec())
+                let mut old = None;
+                self.tree.insert(key, value, |replaced| old = Some(replaced.to_vec()));
+                old.unwrap_or_else(|| b"(nil)".to_vec())
             }
             (Some(b"GET"), Some(key), None) => {
                 self.tree.get(key).map_or_else(|| b"(nil)".to_vec(), <[u8]>::to_vec)

@@ -259,8 +259,14 @@ impl Node {
         }
     }
 
-    /// Writes `key → value` beneath `slot`; returns the value replaced.
-    fn insert(slot: &mut Arc<Node>, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+    /// Writes `key → value` beneath `slot`, lending the value it replaces
+    /// to `replaced`; returns that value's length.
+    fn insert(
+        slot: &mut Arc<Node>,
+        key: &[u8],
+        value: &[u8],
+        replaced: impl FnOnce(&[u8]),
+    ) -> Option<usize> {
         // A key outside a branch's prefix becomes its sibling under a new,
         // shorter-prefixed parent; the branch itself is shared, untouched.
         if let Body::Branch { prefix, .. } = &slot.body {
@@ -278,31 +284,31 @@ impl Node {
         let node = Arc::make_mut(slot);
         node.digest = OnceLock::new();
         let old = match &mut node.body {
-            Body::Page(page) => {
-                match locate(page, key).map(|e| (e.end - e.value.len() - 8, e.value.to_vec())) {
-                    Ok((at, old)) => {
-                        replace(page, at, 8 + old.len(), &[&len_le(value), value]);
-                        Some(old)
-                    }
-                    Err(at) => {
-                        replace(page, at, 0, &[&len_le(key), key, &len_le(value), value]);
-                        None
-                    }
+            Body::Page(page) => match locate(page, key) {
+                Ok(e) => {
+                    let (at, old) = (e.end - e.value.len() - 8, e.value.len());
+                    replaced(e.value);
+                    replace(page, at, 8 + old, &[&len_le(value), value]);
+                    Some(old)
                 }
-            }
+                Err(at) => {
+                    replace(page, at, 0, &[&len_le(key), key, &len_le(value), value]);
+                    None
+                }
+            },
             Body::Branch { prefix, bytes, children } => {
                 let s = slot_of(key, prefix.len());
                 let old = match children.binary_search_by_key(&s, |(s, _)| *s) {
                     // bounds: `i` is the position binary_search just found
-                    Ok(i) => Node::insert(&mut children[i].1, key, value),
+                    Ok(i) => Node::insert(&mut children[i].1, key, value, replaced),
                     Err(i) => {
                         children.insert(i, (s, Arc::new(Node::single(key, value))));
                         None
                     }
                 };
                 *bytes += value.len();
-                match &old {
-                    Some(old) => *bytes -= old.len(),
+                match old {
+                    Some(old) => *bytes -= old,
                     None => *bytes += 16 + key.len(),
                 }
                 old
@@ -443,11 +449,13 @@ impl StateTree {
         }
     }
 
-    /// Stores `key → value` and returns the value it replaces. `key` must
-    /// be at most [`MAX_KEY_LEN`] bytes: callers refuse longer ones.
-    pub(crate) fn insert(&mut self, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
+    /// Stores `key → value`. The value it replaces, if any, is lent to
+    /// `replaced` just before it is overwritten: a caller that wants it
+    /// copies it there, one that does not pays nothing. `key` must be at
+    /// most [`MAX_KEY_LEN`] bytes: callers refuse longer ones.
+    pub(crate) fn insert(&mut self, key: &[u8], value: &[u8], replaced: impl FnOnce(&[u8])) {
         debug_assert!(key.len() <= MAX_KEY_LEN, "callers bound keys: depth is bounded by it");
-        Node::insert(&mut self.root, key, value)
+        Node::insert(&mut self.root, key, value, replaced);
     }
 
     /// Deletes `key` and returns the value it held.
@@ -546,7 +554,9 @@ mod tests {
                 assert_eq!(tree.remove(&key), model.remove(&key), "step {step}");
             } else {
                 let value = vec![step as u8; next() % 24];
-                assert_eq!(tree.insert(&key, &value), model.insert(key, value), "step {step}");
+                let mut old = None;
+                tree.insert(&key, &value, |v| old = Some(v.to_vec()));
+                assert_eq!(old, model.insert(key, value), "step {step}");
             }
             assert_eq!((tree.len(), tree.byte_len()), (model.len(), framing(&model).len()));
             if step % 50 == 0 {
@@ -577,26 +587,26 @@ mod tests {
         let mut descending = StateTree::new();
         let mut churned = StateTree::new();
         for key in &keys {
-            ascending.insert(key, b"v");
+            ascending.insert(key, b"v", |_| {});
         }
         for key in keys.iter().rev() {
-            descending.insert(key, b"v");
+            descending.insert(key, b"v", |_| {});
         }
         for key in &keys {
-            churned.insert(key, b"another value");
-            churned.insert(&[key.as_slice(), b"/tmp"].concat(), b"x");
+            churned.insert(key, b"another value", |_| {});
+            churned.insert(&[key.as_slice(), b"/tmp"].concat(), b"x", |_| {});
         }
-        churned.insert(b"unrelated", b"x");
+        churned.insert(b"unrelated", b"x", |_| {});
         for key in &keys {
             churned.remove(&[key.as_slice(), b"/tmp"].concat());
-            churned.insert(key, b"v");
+            churned.insert(key, b"v", |_| {});
         }
         churned.remove(b"unrelated");
         assert_eq!(ascending.root(), descending.root());
         assert_eq!(ascending.root(), churned.root());
         assert_eq!(snapshot(&ascending), snapshot(&churned));
         // And on nothing else: one value differs, the root differs.
-        churned.insert(&keys[7], b"w");
+        churned.insert(&keys[7], b"w", |_| {});
         assert_ne!(ascending.root(), churned.root());
     }
 
@@ -604,18 +614,18 @@ mod tests {
     fn a_clone_shares_pages_until_they_are_written_and_never_moves() {
         let mut live = StateTree::new();
         for i in 0..1_000 {
-            live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"value");
+            live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"value", |_| {});
         }
         let retained = live.clone();
         let (root, bytes) = (retained.root(), snapshot(&retained));
         // Rehashing after one write touches one path, not the state.
         let one_write = hashed_by(|| {
-            live.insert(b"k3.500", b"other");
+            live.insert(b"k3.500", b"other", |_| {});
             live.root();
         });
         assert!(one_write < (bytes.len() / 20) as u64, "{one_write} of {} bytes", bytes.len());
         for i in 0..1_000 {
-            live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"overwritten");
+            live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"overwritten", |_| {});
             live.remove(format!("k{}.{}", i % 8, i + 1).as_bytes());
         }
         assert_eq!((retained.root(), snapshot(&retained)), (root, bytes));
@@ -635,7 +645,7 @@ mod tests {
     fn rehash_work_follows_the_writes_not_the_state() {
         let write = |tree: &mut StateTree, op: usize| {
             let key = format!("k{}.{}", op % 8, op / 8);
-            tree.insert(key.as_bytes(), &[op as u8; 100]);
+            tree.insert(key.as_bytes(), &[op as u8; 100], |_| {});
         };
         let rehash_after_256 = |keys: usize| {
             let mut tree = StateTree::new();

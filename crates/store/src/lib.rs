@@ -34,7 +34,8 @@
 //! later segments, are discarded rather than resynchronized (a heuristic
 //! resync could splice histories). The protocol core then re-verifies the
 //! snapshot's certificate and the state rebuilt from its image; the WAL
-//! replayed above the snapshot is CRC- and batch-digest-checked but not
+//! replayed above the snapshot is CRC-checked, and each batch is sealed
+//! from the bytes read (so it carries their digest), but it is not
 //! certificate-checked — a commit record carries no quorum proof, and
 //! never did. The store's CRC is a torn-write detector, not an
 //! authenticator.
@@ -101,12 +102,12 @@ impl Wire for WalRecord {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::Commit { seq, batch } => {
-                0u8.encode(buf);
+                buf.push(0);
                 seq.encode(buf);
                 batch.encode(buf);
             }
             WalRecord::UsigCounter(c) => {
-                1u8.encode(buf);
+                buf.push(1);
                 c.encode(buf);
             }
         }
@@ -455,6 +456,7 @@ mod tests {
     use proptest::prelude::*;
     use rsoc_bft::api::{ClientId, OpId, Request};
     use rsoc_bft::checkpoint::CheckpointVoucher;
+    use rsoc_bft::codec::WIRE_VERSION;
     use rsoc_crypto::{sha256, Tag};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -508,6 +510,47 @@ mod tests {
         }
     }
 
+    /// `value`'s frame is `golden` byte for byte, decodes back, and every
+    /// strict prefix of it is refused.
+    fn check_layout<T: Wire + PartialEq + std::fmt::Debug>(value: &T, golden: &[u8]) {
+        let mut frame = Vec::new();
+        encode_frame(value, &mut frame);
+        assert_eq!(frame, golden, "{value:?}");
+        assert_eq!(decode_frame::<T>(&frame).as_ref(), Some(value));
+        for cut in 0..frame.len() {
+            assert!(decode_frame::<T>(&frame[..cut]).is_none(), "prefix of {cut} bytes");
+        }
+    }
+
+    /// The on-disk records, laid out by hand: a byte field is `count u64
+    /// LE · bytes`, as it was when it crossed the codec one element at a
+    /// time, so no WAL segment or snapshot file changes.
+    #[test]
+    fn records_are_their_hand_built_layouts() {
+        let field = |b: &[u8]| [&(b.len() as u64).to_le_bytes()[..], b].concat();
+        let batch = Arc::new(Batch::single(req(3, 9, b"SET k v".to_vec())));
+        let request = [&3u32.to_le_bytes()[..], &9u64.to_le_bytes(), &field(b"SET k v")].concat();
+        let commit = WalRecord::Commit { seq: 9, batch };
+        let layout = [&[WIRE_VERSION, 0][..], &9u64.to_le_bytes(), &1u64.to_le_bytes(), &request];
+        check_layout(&commit, &layout.concat());
+        let counter = WalRecord::UsigCounter(77);
+        check_layout(&counter, &[&[WIRE_VERSION, 1][..], &77u64.to_le_bytes()].concat());
+
+        let image = b"CKIMG1 state".to_vec();
+        let cert = cert(5, &image);
+        let mut cert_layout = Vec::new();
+        cert.encode(&mut cert_layout);
+        let snapshot = SnapshotRecord { cert, log_len: 5, bytes: image.clone(), wal_start: 2 };
+        let layout = [
+            &[WIRE_VERSION][..],
+            &cert_layout,
+            &5u64.to_le_bytes(),
+            &field(&image),
+            &2u64.to_le_bytes(),
+        ];
+        check_layout(&snapshot, &layout.concat());
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE 802.3 check value for "123456789".
@@ -534,10 +577,14 @@ mod tests {
             store.persist(&events).unwrap();
         }
         let (_store, state) = DataDir::open(&scratch.0).unwrap();
-        assert_eq!(state.commits.len(), 2);
-        assert_eq!(state.commits[0].0, 1);
-        assert_eq!(state.commits[1].0, 2);
-        assert!(state.commits.iter().all(|(_, b)| b.verify()));
+        let written: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                DurableEvent::Commit { seq, batch } => Some((*seq, batch.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(state.commits, written);
         assert_eq!(state.usig_counter, 4);
         assert!(state.snapshot.is_none());
     }
@@ -669,16 +716,7 @@ mod tests {
     #[test]
     fn corrupt_record_ends_replay() {
         let scratch = Scratch::new();
-        {
-            let (mut store, _) = DataDir::open(&scratch.0).unwrap();
-            store
-                .persist(&[
-                    commit(1, b"aa".to_vec()),
-                    commit(2, b"bb".to_vec()),
-                    commit(3, b"cc".to_vec()),
-                ])
-                .unwrap();
-        }
+        let written = write_commits(&scratch.0, &[b"aa".to_vec(), b"bb".to_vec(), b"cc".to_vec()]);
         let seg = segment_path(&scratch.0, 0);
         let mut bytes = fs::read(&seg).unwrap();
         let mid = bytes.len() / 2;
@@ -688,10 +726,7 @@ mod tests {
         let (_store, state) = DataDir::open(&scratch.0).unwrap();
         // Whatever survived is a clean prefix of what was written.
         assert!(state.commits.len() < 3);
-        for (i, (seq, batch)) in state.commits.iter().enumerate() {
-            assert_eq!(*seq, i as u64 + 1);
-            assert!(batch.verify());
-        }
+        assert_eq!(&state.commits[..], &written[..state.commits.len()]);
     }
 
     #[test]
