@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Rows are matched on every identity field present (`generator`,
-//! `protocol`, `latency_model`, `batch_size`, `client_window`). A
+//! `protocol`, `latency_model`, `batch_size`). A
 //! baseline row with no matching current row fails (a silently dropped
 //! cell is a regression too), as does any current row with
 //! `safety_ok = false` — or one whose sparse latency histogram
@@ -28,11 +28,11 @@
 //! lower-metric field in the baseline are skipped for that check.
 //! Exit code: 0 clean, 1 regression, 2 usage/parse error.
 
+use rsoc_bench::hist_inconsistency;
 use serde_json::Value;
 
 /// Fields that identify a swept cell (order fixed for stable output).
-const KEY_FIELDS: [&str; 5] =
-    ["generator", "protocol", "latency_model", "batch_size", "client_window"];
+const KEY_FIELDS: [&str; 4] = ["generator", "protocol", "latency_model", "batch_size"];
 
 fn row_key(row: &Value) -> String {
     let mut parts = Vec::new();
@@ -45,34 +45,6 @@ fn row_key(row: &Value) -> String {
         }
     }
     parts.join(" ")
-}
-
-/// Histogram self-consistency: a row carrying a sparse latency histogram
-/// (`hist_bucket_indices` / `hist_bucket_counts`) must account for every
-/// committed op — ragged arrays or a count-sum ≠ `committed` means the
-/// record was produced by a broken merge (e.g. a bad shard stitch) and
-/// cannot be trusted as a baseline or a current run. Rows without
-/// histogram fields (earlier campaigns) are skipped.
-fn hist_inconsistency(row: &Value) -> Option<String> {
-    let counts = row["hist_bucket_counts"].as_array()?;
-    let Some(indices) = row["hist_bucket_indices"].as_array() else {
-        return Some("hist_bucket_counts present but hist_bucket_indices missing".into());
-    };
-    if indices.len() != counts.len() {
-        return Some(format!(
-            "ragged histogram: {} bucket indices vs {} counts",
-            indices.len(),
-            counts.len()
-        ));
-    }
-    let Some(committed) = row["committed"].as_u64() else {
-        return Some("histogram present but committed count missing".into());
-    };
-    let sum: u64 = counts.iter().filter_map(Value::as_u64).sum();
-    if sum != committed {
-        return Some(format!("histogram sums to {sum} but committed is {committed}"));
-    }
-    None
 }
 
 fn load_rows(path: &str) -> Result<Vec<Value>, String> {

@@ -116,7 +116,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
     println!(
         "\nExpected shape (paper §I): plain XY loses messages roughly in\n\
          proportion to the fraction of source-destination pairs whose unique\n\

@@ -77,7 +77,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
 
     // --- Part 2: replicated vs diverse gates under design flaws (§I:
     // "replicated parallel gates, or diverse gates"). ---------------------
@@ -136,7 +136,7 @@ fn main() {
             },
         );
     }
-    flaw_table.print(&options);
+    flaw_table.print(options.json);
 
     println!(
         "\nExpected shape (paper §I): with a protected voter, TMR/5-MR cut the\n\

@@ -138,7 +138,7 @@ fn main() {
             );
         }
     }
-    table.print(&options);
+    table.print(options.json);
     let _ = MacKey::derive(0, "unused"); // keep the crypto dep honest in docs
     println!(
         "\nExpected shape (paper §III): plain registers convert SEUs into\n\

@@ -7,10 +7,9 @@
 //! replicas, protocol messages per committed op, median commit latency,
 //! throughput.
 
-use rsoc_bench::{f1, f3, ExpOptions, Table};
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::pbft::PbftCluster;
-use rsoc_bft::runner::{run, LatencyModel, RunConfig};
+use rsoc_bench::{f1, f3, CellStats, ClusterJob, ExpOptions, Protocol, Table};
+use rsoc_bft::api::Cluster;
+use rsoc_bft::runner::{run, LatencyModel, RunConfig, RunReport};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -35,6 +34,16 @@ fn mesh_latency(n: u32) -> LatencyModel {
     }
 }
 
+/// A closed-loop run on whichever cluster the protocol builds.
+struct ClosedLoop<'a>(&'a RunConfig);
+
+impl ClusterJob for ClosedLoop<'_> {
+    type Output = RunReport;
+    fn run<C: Cluster>(self, cluster: &mut C, _: fn(&C) -> CellStats) -> RunReport {
+        run(cluster, self.0)
+    }
+}
+
 fn main() {
     let options = ExpOptions::from_args();
     let requests = options.trials(200);
@@ -45,10 +54,10 @@ fn main() {
     );
     // Canonical cell grid; each cell is a pure function of (f, protocol),
     // so the sweep fans out across worker threads.
-    let cells: Vec<(u32, &'static str)> =
-        (1..=4u32).flat_map(|f| [(f, "pbft"), (f, "minbft")]).collect();
+    let cells: Vec<(u32, Protocol)> =
+        (1..=4u32).flat_map(|f| Protocol::BFT.iter().map(move |&p| (f, p))).collect();
     let reports = rsoc_bench::run_cells(&cells, options.jobs, |&(f, protocol)| {
-        let n = if protocol == "pbft" { 3 * f + 1 } else { 2 * f + 1 };
+        let n = protocol.replicas(f);
         let config = RunConfig::builder()
             .f(f)
             .clients(4)
@@ -57,12 +66,10 @@ fn main() {
             .latency(mesh_latency(n))
             .max_cycles(200_000_000)
             .build();
-        match protocol {
-            "pbft" => run(&mut PbftCluster::new(&config), &config),
-            _ => run(&mut MinBftCluster::new(&config), &config),
-        }
+        protocol.build(&config, ClosedLoop(&config))
     });
     for (&(f, protocol), report) in cells.iter().zip(&reports) {
+        let protocol = protocol.name();
         assert!(report.safety_ok, "{protocol} f={f} violated safety");
         let p50 = report.commit_latency.median().unwrap_or(0.0);
         let p99 = report.commit_latency.quantile(0.99).unwrap_or(0.0);
@@ -88,7 +95,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
     println!(
         "\nExpected shape (paper §II-A/§III): MinBFT uses 2f+1 tiles vs PBFT's\n\
          3f+1, with clearly fewer protocol messages per op (two phases, no\n\

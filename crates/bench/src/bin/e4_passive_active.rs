@@ -110,7 +110,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
     println!(
         "\nExpected shape (paper §II-A): passive is cheapest per op but its\n\
          worst-case latency grows with the detector timeout (the visible\n\

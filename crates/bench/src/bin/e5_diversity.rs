@@ -116,7 +116,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
     println!(
         "\nExpected shape (paper §II-B): what matters is the *largest group of\n\
          replicas sharing a variant* (max_share): as long as max_share > f, a\n\

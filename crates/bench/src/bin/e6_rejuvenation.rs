@@ -95,7 +95,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
     println!(
         "\nExpected shape (paper §II-C): no rejuvenation loses eventually;\n\
          same-variant restarts barely help (the exploit inventory re-strikes\n\

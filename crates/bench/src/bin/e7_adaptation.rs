@@ -79,7 +79,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
 
     // --- Part 2: detector in the loop (no oracle labels). ----------------
     use rsoc_adapt::{run_closed_loop, DetectorConfig, GroundTruthWindow, ObservationModel};
@@ -157,7 +157,7 @@ fn main() {
             },
         );
     }
-    loop_table.print(&options);
+    loop_table.print(options.json);
 
     println!(
         "\nExpected shape (paper §II-D): static-small is cheap but spends the\n\

@@ -137,7 +137,7 @@ fn main() {
             &Row { mode, kernels, compromised, contaminated, legit_ops_ok: legit_ok },
         );
     }
-    table.print(&options);
+    table.print(options.json);
     let _ = f3(0.0);
     println!(
         "\nExpected shape (paper §II-E / [55]): with direct grants a single\n\

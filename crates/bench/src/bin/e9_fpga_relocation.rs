@@ -149,7 +149,7 @@ fn main() {
             },
         );
     }
-    table.print(&options);
+    table.print(options.json);
     println!(
         "\nExpected shape (paper §II-C/E): fixed placement and random\n\
          relocation have the same *mean* exposure (≈ per-region backdoor\n\

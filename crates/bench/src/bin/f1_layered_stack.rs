@@ -104,7 +104,7 @@ fn main() {
             &row,
         );
     }
-    table.print(&options);
+    table.print(options.json);
     println!(
         "\nExpected shape (Fig. 1): the full stack stays safe through the\n\
          storm while averaging a small replica footprint (adaptation shrinks\n\

@@ -17,14 +17,16 @@
 //! (machine-readable, self-validated by re-reading) to seed the repo's
 //! recorded perf trajectory, and asserts the headline result: ≥2× ops/cycle
 //! at batch=8 vs batch=1 on the mesh workload, safety checker green
-//! throughout.
+//! throughout. The grid has no named scenarios, so `--scenario` and
+//! `--list` are refused; `--shard i/N` and `--stitch` work as in every
+//! campaign (see `rsoc_bench::campaign`).
 
-use rsoc_bench::{f1, f3, ExpOptions, Table};
+use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
+use rsoc_bench::{f1, f3, quick_trials, CellStats, Protocol};
 use rsoc_bft::api::Cluster;
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::pbft::PbftCluster;
-use rsoc_bft::runner::{run, LatencyModel, RunConfig, RunReport};
+use rsoc_bft::runner::{run, LatencyModel, RunConfig};
 use serde::Serialize;
+use serde_json::Value;
 
 /// Closed-loop clients; must reach the largest batch size so batches can
 /// fill, while keeping the batch=1 egress backlog (clients x msgs/op x
@@ -42,7 +44,13 @@ const BATCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 /// Fault threshold for every swept cell (replica counts derive from it).
 const F: u32 = 1;
 
-#[derive(Serialize, Clone)]
+/// A latency model of the sweep.
+struct Spec {
+    name: &'static str,
+    mesh: bool,
+}
+
+#[derive(Serialize)]
 struct Row {
     protocol: &'static str,
     latency_model: &'static str,
@@ -64,19 +72,6 @@ struct Summary {
     mac_ratio_batch8_vs_1: f64,
 }
 
-#[derive(Serialize)]
-struct Bench2 {
-    experiment: &'static str,
-    schema_version: u32,
-    quick: bool,
-    clients: u32,
-    requests_per_client: u64,
-    link_occupancy: u64,
-    batch_flush: u64,
-    rows: Vec<Row>,
-    summaries: Vec<Summary>,
-}
-
 /// The E3 placement: replica i on tile (i % 4, i / 4), clients at the I/O
 /// corner of the mesh.
 fn mesh_latency(n: u32) -> LatencyModel {
@@ -88,187 +83,159 @@ fn mesh_latency(n: u32) -> LatencyModel {
     }
 }
 
-fn config(requests: u64, batch: usize, latency: LatencyModel, seed: u64) -> RunConfig {
-    RunConfig::builder()
-        .f(F)
-        .clients(CLIENTS)
-        .requests_per_client(requests)
-        .seed(seed)
-        .latency(latency)
-        .max_cycles(50_000_000)
-        .batch_size(batch)
-        .batch_flush(BATCH_FLUSH)
-        .link_occupancy(LINK_OCCUPANCY)
-        .build()
+fn requests(quick: bool) -> u64 {
+    quick_trials(100, quick)
 }
 
-/// Runs one cell of the sweep, returning the report and total MAC ops
-/// (USIG create + verify summed over replicas; 0 for the unauthenticated
-/// PBFT model).
-fn run_cell(protocol: &'static str, cfg: &RunConfig) -> (RunReport, u64) {
-    match protocol {
-        "pbft" => {
-            let mut cluster = PbftCluster::new(cfg);
-            (run(&mut cluster, cfg), 0)
-        }
-        _ => {
-            let mut cluster = MinBftCluster::new(cfg);
-            let report = run(&mut cluster, cfg);
-            let macs = cluster
-                .nodes()
-                .iter()
-                .map(|n| {
-                    let (created, verified) = n.mac_ops();
-                    created + verified
-                })
-                .sum();
-            (report, macs)
-        }
+struct F2;
+
+impl Campaign for F2 {
+    const NAME: &'static str = "f2_batching";
+    const RECORD: &'static str = "BENCH_2.json";
+    const NAMED: bool = false;
+    const TITLE: &'static str = "F2 batched consensus: batch size x protocol x latency model";
+    const COLUMNS: &'static [Column<Row>] = &[
+        ("protocol", |r| r.protocol.into()),
+        ("latency", |r| r.latency_model.into()),
+        ("batch", |r| r.batch_size.to_string()),
+        ("ops/kcycle", |r| f3(r.ops_per_kcycle)),
+        ("MACs/op", |r| f1(r.macs_per_op)),
+        ("msg/op", |r| f1(r.msgs_per_op)),
+        ("lat_p50", |r| f1(r.p50_latency)),
+        ("lat_p99", |r| f1(r.p99_latency)),
+    ];
+    const SHAPE: &'static str = "Expected shape: ops/cycle rises steeply with batch size while\n\
+         MACs/op and msg/op fall ~1/B; p50 latency pays a bounded batching\n\
+         tax at low load. The mesh rows are the E3 workload's placement\n\
+         under egress serialization - the recorded perf baseline.";
+    type Spec = Spec;
+    type Row = Row;
+
+    fn specs(&self) -> Vec<Spec> {
+        vec![Spec { name: "mesh", mesh: true }, Spec { name: "uniform", mesh: false }]
     }
-}
 
-fn main() {
-    let options = ExpOptions::from_args();
-    let requests = options.trials(100);
+    fn axes(spec: &Spec) -> Axes {
+        Axes { name: spec.name, protocols: Protocol::BFT, batches: &BATCH_SIZES }
+    }
 
-    let mut table = Table::new(
-        "F2 batched consensus: batch size x protocol x latency model",
-        &["protocol", "latency", "batch", "ops/kcycle", "MACs/op", "msg/op", "lat_p50", "lat_p99"],
-    );
-    let mut rows: Vec<Row> = Vec::new();
+    fn seed(_: Coord, batch: usize) -> u64 {
+        0xF2 + batch as u64
+    }
 
-    // Canonical cell grid (latency model × protocol × batch); every cell
-    // derives its seed from its own parameters, so the sweep fans out
-    // across worker threads and merges in this exact order.
-    let cells: Vec<(&'static str, bool, &'static str, usize)> =
-        [("mesh", true), ("uniform", false)]
-            .into_iter()
-            .flat_map(|(ln, mesh)| {
-                ["pbft", "minbft"]
-                    .into_iter()
-                    .flat_map(move |p| BATCH_SIZES.into_iter().map(move |b| (ln, mesh, p, b)))
-            })
-            .collect();
-    let results = rsoc_bench::run_cells(&cells, options.jobs, |&(_, mesh, protocol, batch)| {
-        let n = if protocol == "pbft" { 3 * F + 1 } else { 2 * F + 1 };
-        let latency =
-            if mesh { mesh_latency(n) } else { LatencyModel::Uniform { min: 5, max: 15 } };
-        let seed = 0xF2 + batch as u64;
-        let cfg = config(requests, batch, latency, seed);
-        run_cell(protocol, &cfg)
-    });
-    for (&(latency_name, _, protocol, batch), (report, macs)) in cells.iter().zip(&results) {
-        assert!(report.safety_ok, "{protocol} batch={batch} violated safety");
-        assert_eq!(
-            report.committed,
-            CLIENTS as u64 * requests,
-            "{protocol} batch={batch} failed to commit the workload"
-        );
-        let row = Row {
-            protocol: if protocol == "pbft" { "pbft" } else { "minbft" },
-            latency_model: latency_name,
+    fn config(&self, cell: &Cell<Spec>) -> RunConfig {
+        let latency = if cell.spec.mesh {
+            mesh_latency(cell.protocol.replicas(F))
+        } else {
+            LatencyModel::Uniform { min: 5, max: 15 }
+        };
+        RunConfig::builder()
+            .f(F)
+            .clients(CLIENTS)
+            .requests_per_client(requests(cell.quick))
+            .seed(cell.seed)
+            .latency(latency)
+            .max_cycles(50_000_000)
+            .batch_size(cell.batch)
+            .batch_flush(BATCH_FLUSH)
+            .link_occupancy(LINK_OCCUPANCY)
+            .build()
+    }
+
+    /// MAC ops are USIG create + verify summed over replicas (0 for the
+    /// unauthenticated PBFT model).
+    fn run<C: Cluster>(
+        &self,
+        cell: &Cell<Spec>,
+        cfg: &RunConfig,
+        cluster: &mut C,
+        harvest: fn(&C) -> CellStats,
+    ) -> Row {
+        let report = run(cluster, cfg);
+        Row {
+            protocol: cell.protocol.name(),
+            latency_model: cell.spec.name,
             batch_size: report.batch_size,
             committed: report.committed,
             ops_per_kcycle: report.throughput_per_kcycle(),
-            macs_per_op: *macs as f64 / report.committed as f64,
+            macs_per_op: harvest(cluster).mac_ops as f64 / report.committed as f64,
             msgs_per_op: report.messages_per_commit(),
             p50_latency: report.commit_latency.median().unwrap_or(0.0),
             p99_latency: report.commit_latency.quantile(0.99).unwrap_or(0.0),
             safety_ok: report.safety_ok,
-        };
-        table.row(
-            &[
-                row.protocol.to_string(),
-                latency_name.to_string(),
-                batch.to_string(),
-                f3(row.ops_per_kcycle),
-                f1(row.macs_per_op),
-                f1(row.msgs_per_op),
-                f1(row.p50_latency),
-                f1(row.p99_latency),
-            ],
-            &row,
-        );
-        rows.push(row);
-    }
-    table.print(&options);
-
-    // Headline summaries: batch=8 vs batch=1 per (protocol, latency model).
-    let cell = |proto: &str, lat: &str, batch: usize| -> &Row {
-        rows.iter()
-            .find(|r| r.protocol == proto && r.latency_model == lat && r.batch_size == batch)
-            .expect("swept cell")
-    };
-    let mut summaries = Vec::new();
-    for lat in ["mesh", "uniform"] {
-        for proto in ["pbft", "minbft"] {
-            let b1 = cell(proto, lat, 1);
-            let b8 = cell(proto, lat, 8);
-            summaries.push(Summary {
-                protocol: b8.protocol,
-                latency_model: b1.latency_model,
-                speedup_batch8_vs_1: b8.ops_per_kcycle / b1.ops_per_kcycle,
-                mac_ratio_batch8_vs_1: if b1.macs_per_op > 0.0 {
-                    b8.macs_per_op / b1.macs_per_op
-                } else {
-                    0.0
-                },
-            });
         }
     }
-    println!();
-    for s in &summaries {
-        println!(
-            "  {}/{}: batch=8 gives {:.2}x ops/cycle vs batch=1{}",
-            s.protocol,
-            s.latency_model,
-            s.speedup_batch8_vs_1,
-            if s.mac_ratio_batch8_vs_1 > 0.0 {
-                format!(" ({:.2}x the MACs/op)", s.mac_ratio_batch8_vs_1)
-            } else {
-                String::new()
+
+    fn check(&self, cell: &Cell<Spec>, row: &Row) -> Result<(), String> {
+        let at = format!("{}/{} batch={}", row.protocol, row.latency_model, row.batch_size);
+        if !row.safety_ok {
+            return Err(format!("{at} violated safety"));
+        }
+        if row.committed != CLIENTS as u64 * requests(cell.quick) {
+            return Err(format!("{at} failed to commit the workload"));
+        }
+        Ok(())
+    }
+
+    fn header(&self, quick: bool, _: usize, _: usize) -> String {
+        format!(
+            ",\"clients\":{CLIENTS},\"requests_per_client\":{},\"link_occupancy\":{LINK_OCCUPANCY},\
+             \"batch_flush\":{BATCH_FLUSH}",
+            requests(quick)
+        )
+    }
+
+    /// Headline summaries: batch=8 vs batch=1 per (protocol, latency model).
+    fn trailer(&self, rows: &[Value]) -> String {
+        let mut summaries = Vec::new();
+        for latency_model in ["mesh", "uniform"] {
+            for protocol in ["pbft", "minbft"] {
+                let at = |batch: u64, key: &str| {
+                    let row = rows.iter().find(|r| {
+                        (r["protocol"].as_str(), r["latency_model"].as_str())
+                            == (Some(protocol), Some(latency_model))
+                            && r["batch_size"].as_u64() == Some(batch)
+                    });
+                    row.and_then(|r| r[key].as_f64()).expect("swept cell")
+                };
+                let ratio = |key| if at(1, key) > 0.0 { at(8, key) / at(1, key) } else { 0.0 };
+                summaries.push(Summary {
+                    protocol,
+                    latency_model,
+                    speedup_batch8_vs_1: ratio("ops_per_kcycle"),
+                    mac_ratio_batch8_vs_1: ratio("macs_per_op"),
+                });
             }
-        );
-    }
-
-    let bench = Bench2 {
-        experiment: "f2_batching",
-        schema_version: 1,
-        quick: options.quick,
-        clients: CLIENTS,
-        requests_per_client: requests,
-        link_occupancy: LINK_OCCUPANCY,
-        batch_flush: BATCH_FLUSH,
-        rows,
-        summaries,
-    };
-    let json = serde_json::to_string(&bench).expect("serialize BENCH_2");
-    std::fs::write("BENCH_2.json", &json).expect("write BENCH_2.json");
-    // Self-validation: the file on disk must parse back and carry every
-    // swept cell — a malformed perf record should fail loudly, not seed
-    // the trajectory with garbage.
-    let reread = std::fs::read_to_string("BENCH_2.json").expect("re-read BENCH_2.json");
-    let parsed: serde_json::Value = serde_json::from_str(&reread).expect("BENCH_2.json malformed");
-    let row_count = parsed["rows"].as_array().map(|a| a.len()).unwrap_or(0);
-    assert_eq!(row_count, 2 * 2 * BATCH_SIZES.len(), "BENCH_2.json row count");
-    println!("\nwrote BENCH_2.json ({row_count} rows, validated)");
-
-    // The acceptance gate for the full run; quick runs are too short for a
-    // stable ratio but still exercise the pipeline end to end.
-    if !options.quick {
-        for s in bench.summaries.iter().filter(|s| s.latency_model == "mesh") {
-            assert!(
-                s.speedup_batch8_vs_1 >= 2.0,
-                "{} mesh speedup {:.2} below the 2x target",
-                s.protocol,
-                s.speedup_batch8_vs_1
-            );
         }
+        format!(",\"summaries\":{}", serde_json::to_string(&summaries).expect("summaries"))
     }
-    println!(
-        "\nExpected shape: ops/cycle rises steeply with batch size while\n\
-         MACs/op and msg/op fall ~1/B; p50 latency pays a bounded batching\n\
-         tax at low load. The mesh rows are the E3 workload's placement\n\
-         under egress serialization - the recorded perf baseline."
-    );
+
+    /// Prints the summaries; full runs must show the ≥2× mesh speedup
+    /// (quick runs are too short for a stable ratio).
+    fn audit(&self, record: &Value) -> Result<(), String> {
+        println!();
+        for s in record["summaries"].as_array().ok_or("no summaries")? {
+            let (proto, lat) = (s["protocol"].as_str(), s["latency_model"].as_str());
+            let (proto, lat) = (proto.unwrap_or("?"), lat.unwrap_or("?"));
+            let speedup = s["speedup_batch8_vs_1"].as_f64().unwrap_or(0.0);
+            let macs = s["mac_ratio_batch8_vs_1"].as_f64().unwrap_or(0.0);
+            let note =
+                if macs > 0.0 { format!(" ({macs:.2}x the MACs/op)") } else { String::new() };
+            println!("  {proto}/{lat}: batch=8 gives {speedup:.2}x ops/cycle vs batch=1{note}");
+            if record["quick"] == Value::Bool(false) && lat == "mesh" && speedup < 2.0 {
+                return Err(format!("{proto} mesh speedup {speedup:.2} below the 2x target"));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn main() {
+    campaign::main(F2);
+}
+
+#[test]
+fn seeds_are_pinned() {
+    assert_eq!(F2::seed(Coord { spec: 0, protocol: 0, batch: 0 }, 1), 0xF3);
+    assert_eq!(F2::seed(Coord { spec: 1, protocol: 1, batch: 4 }, 16), 0x102);
 }

@@ -35,20 +35,19 @@
 //! record is virtual-time only, hence byte-identical for any `--jobs N`
 //! (checked in CI) and machine-independent. `--quick` sweeps the same
 //! matrix (the cells are already small); `--scenario NAME` filters to one
-//! scenario (CI uses it for per-scenario log groups) and `--list` prints
-//! the scenario names.
+//! scenario (CI uses it for per-scenario log groups), `--list` prints
+//! the scenario names, and `--shard i/N` / `--stitch` split the matrix
+//! across invocations (see `rsoc_bench::campaign`).
 //!
 //! [`ScenarioOracle`]: rsoc_bft::adversary::ScenarioOracle
 
-use rsoc_bench::{default_jobs, run_cells, Table};
+use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
+use rsoc_bench::{CellStats, Protocol};
 use rsoc_bft::adversary::{
     Flood, LinkFault, ReplaySpec, ReplicaScript, Scenario, ScenarioOracle, Window,
 };
 use rsoc_bft::api::Cluster;
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::passive::PassiveCluster;
-use rsoc_bft::pbft::PbftCluster;
-use rsoc_bft::runner::{run_scenario, LatencyModel, RunConfig, ScenarioOutcome};
+use rsoc_bft::runner::{run_scenario, LatencyModel, RunConfig};
 use serde::Serialize;
 
 /// Workload clients per cell.
@@ -69,204 +68,14 @@ struct Spec {
     /// Protocols the scenario applies to (content attacks and
     /// quorum-dependent partitions exclude the 2-replica passive pair,
     /// which tolerates neither by design).
-    protocols: &'static [&'static str],
+    protocols: &'static [Protocol],
     /// Fault threshold of the cell (2 for the cascading double crash).
     f: u32,
     /// Builds the scenario for a cluster of `n` replicas.
     build: fn(n: u32) -> Scenario,
 }
 
-const ALL: &[&str] = &["pbft", "minbft", "passive"];
-const BFT: &[&str] = &["pbft", "minbft"];
-
-fn specs() -> Vec<Spec> {
-    vec![
-        Spec {
-            name: "baseline",
-            attacks: "nothing (control row)",
-            protocols: ALL,
-            f: 1,
-            build: |_| Scenario::none(),
-        },
-        Spec {
-            name: "crash_backup",
-            attacks: "fail-stop of one backup",
-            protocols: ALL,
-            f: 1,
-            build: |n| {
-                Scenario::none().script(n - 1, ReplicaScript::correct().crash(Window::from(500)))
-            },
-        },
-        Spec {
-            name: "crash_primary",
-            attacks: "fail-stop of the initial primary",
-            protocols: ALL,
-            f: 1,
-            build: |_| {
-                Scenario::none().script(0, ReplicaScript::correct().crash(Window::from(150)))
-            },
-        },
-        Spec {
-            name: "crash_recover_backup",
-            attacks: "transient backup outage (fail-recover)",
-            protocols: ALL,
-            f: 1,
-            build: |n| {
-                Scenario::none()
-                    .script(n - 1, ReplicaScript::correct().crash(Window::new(500, 2_600)))
-            },
-        },
-        Spec {
-            name: "crash_recover_primary",
-            attacks: "transient primary outage; deposed, then rejoins",
-            protocols: BFT,
-            f: 1,
-            build: |_| {
-                Scenario::none().script(0, ReplicaScript::correct().crash(Window::new(150, 2_600)))
-            },
-        },
-        Spec {
-            name: "silent_backup",
-            attacks: "omission window (receives, never sends)",
-            protocols: ALL,
-            f: 1,
-            build: |n| {
-                Scenario::none()
-                    .script(n - 1, ReplicaScript::correct().silence(Window::new(200, 2_600)))
-            },
-        },
-        Spec {
-            name: "byzantine_primary",
-            attacks: "equivocation + forged UI certificates",
-            protocols: BFT,
-            f: 1,
-            build: |_| {
-                Scenario::none().script(
-                    0,
-                    ReplicaScript::correct()
-                        .equivocate(Window::new(0, 3_000))
-                        .forge_ui(Window::new(0, 3_000)),
-                )
-            },
-        },
-        Spec {
-            name: "partition_blip",
-            attacks: "short NoC partition (below detector timeouts)",
-            protocols: ALL,
-            f: 1,
-            build: |n| Scenario::none().partition(vec![n - 1], Window::new(400, 900)),
-        },
-        Spec {
-            name: "partition_minority",
-            attacks: "minority replica severed for a long window, then healed",
-            protocols: BFT,
-            f: 1,
-            build: |n| Scenario::none().partition(vec![n - 1], Window::new(400, 3_400)),
-        },
-        Spec {
-            name: "dos_flood",
-            attacks: "attacker client floods well-formed requests",
-            protocols: ALL,
-            f: 1,
-            build: |_| {
-                Scenario::none().flood(Flood {
-                    window: Window::new(300, 2_700),
-                    period: 40,
-                    payload_size: 16,
-                })
-            },
-        },
-        Spec {
-            name: "drop_storm",
-            attacks: "25% loss on every replica link for a window",
-            protocols: BFT,
-            f: 1,
-            build: |_| {
-                Scenario::none().link_fault(LinkFault {
-                    source: None,
-                    dest: None,
-                    window: Window::new(200, 2_200),
-                    drop_rate: 0.25,
-                    extra_delay: 0,
-                })
-            },
-        },
-        Spec {
-            name: "slow_primary_egress",
-            attacks: "aging/degraded egress link on the primary",
-            protocols: ALL,
-            f: 1,
-            build: |_| {
-                Scenario::none().link_fault(LinkFault {
-                    source: Some(0),
-                    dest: None,
-                    window: Window::new(300, 2_300),
-                    drop_rate: 0.0,
-                    extra_delay: 250,
-                })
-            },
-        },
-        Spec {
-            name: "duplicate_deluge",
-            attacks: "every send delivered twice (exactly-once stress)",
-            protocols: ALL,
-            f: 1,
-            build: |n| {
-                let mut s = Scenario::none();
-                for r in 0..n {
-                    s = s.script(
-                        r,
-                        ReplicaScript::correct().duplicate_sends(Window::new(200, 2_200)),
-                    );
-                }
-                s
-            },
-        },
-        Spec {
-            name: "reorder_wavefront",
-            attacks: "outbox bursts reversed (hold-back/ordering stress)",
-            protocols: ALL,
-            f: 1,
-            build: |n| {
-                let mut s = Scenario::none();
-                for r in 0..n {
-                    s = s
-                        .script(r, ReplicaScript::correct().reorder_sends(Window::new(200, 2_200)));
-                }
-                s
-            },
-        },
-        Spec {
-            name: "stale_replay",
-            attacks: "network replays the primary's old protocol messages",
-            protocols: ALL,
-            f: 1,
-            build: |_| {
-                Scenario::none().script(
-                    0,
-                    ReplicaScript::correct().replay_sends(ReplaySpec {
-                        window: Window::new(250, 2_500),
-                        period: 75,
-                        burst: 4,
-                    }),
-                )
-            },
-        },
-        Spec {
-            name: "cascading_primary_crash",
-            attacks: "CrashAt firing mid view-change (double failover)",
-            protocols: BFT,
-            f: 2,
-            build: |_| {
-                Scenario::none()
-                    .script(0, ReplicaScript::correct().crash(Window::from(40)))
-                    .script(1, ReplicaScript::correct().crash(Window::from(1_525)))
-            },
-        },
-    ]
-}
-
-#[derive(Serialize, Clone)]
+#[derive(Serialize)]
 struct Row {
     scenario: &'static str,
     attacks: &'static str,
@@ -288,251 +97,304 @@ struct Row {
     pass: bool,
 }
 
-#[derive(Serialize)]
-struct Bench5 {
-    experiment: &'static str,
-    schema_version: u32,
-    quick: bool,
-    clients: u32,
-    requests_per_client: u64,
-    scenarios: usize,
-    rows: Vec<Row>,
-}
+struct F5;
 
-struct Options {
-    json: bool,
-    quick: bool,
-    jobs: usize,
-    scenario: Option<String>,
-    list: bool,
-}
-
-fn parse_args() -> Options {
-    let mut o =
-        Options { json: false, quick: false, jobs: default_jobs(), scenario: None, list: false };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => o.json = true,
-            "--quick" => o.quick = true,
-            "--list" => o.list = true,
-            "--scenario" => o.scenario = args.next(),
-            "--jobs" => {
-                let v = args.next().unwrap_or_default();
-                o.jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs needs a positive integer, got {v:?}");
-                    std::process::exit(2);
-                });
-                o.jobs = o.jobs.max(1);
-            }
-            other => eprintln!("ignoring unknown argument: {other}"),
-        }
-    }
-    o
-}
-
-fn config(f: u32, batch: usize, seed: u64) -> RunConfig {
-    RunConfig::builder()
-        .f(f)
-        .clients(CLIENTS)
-        .requests_per_client(REQUESTS)
-        .seed(seed)
-        .latency(LatencyModel::Uniform { min: 5, max: 15 })
-        .max_cycles(MAX_CYCLES)
-        .batch_size(batch)
-        .batch_flush(80)
-        .build()
-}
-
-/// Runs one cell and judges it.
-fn run_cell(spec: &Spec, protocol: &'static str, batch: usize, seed: u64) -> Row {
-    let cfg = config(spec.f, batch, seed);
-    let expected = CLIENTS as u64 * REQUESTS;
-    let (outcome, verdict, views) = match protocol {
-        "pbft" => {
-            let mut c = PbftCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32);
-            let out = run_scenario(&mut c, &cfg, &scenario);
-            judge(&c, out, expected)
-        }
-        "minbft" => {
-            let mut c = MinBftCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32);
-            let out = run_scenario(&mut c, &cfg, &scenario);
-            judge(&c, out, expected)
-        }
-        _ => {
-            let mut c = PassiveCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32);
-            let out = run_scenario(&mut c, &cfg, &scenario);
-            judge(&c, out, expected)
-        }
-    };
-    Row {
-        scenario: spec.name,
-        attacks: spec.attacks,
-        protocol,
-        batch_size: batch,
-        committed: outcome.report.committed,
-        expected_ops: expected,
-        duration_cycles: outcome.report.duration_cycles,
-        view_changes: views,
-        client_retries: outcome.report.client_retries,
-        messages_total: outcome.report.messages_total,
-        flood_requests: outcome.flood_requests,
-        script_drops: outcome.script_drops,
-        duplicates: outcome.duplicates,
-        replays: outcome.replays,
-        safety_ok: verdict.safety_ok,
-        digests_ok: verdict.digests_ok,
-        liveness_ok: verdict.liveness_ok,
-        pass: verdict.pass(),
-    }
-}
-
-fn judge<C: Cluster>(
-    cluster: &C,
-    outcome: ScenarioOutcome,
-    expected: u64,
-) -> (ScenarioOutcome, rsoc_bft::adversary::OracleVerdict, u64) {
-    use rsoc_bft::api::ReplicaNode;
-    let verdict = ScenarioOracle::expecting_liveness().judge(cluster, &outcome.report, expected);
-    let views = cluster
-        .correct_replicas()
-        .iter()
-        .map(|r| cluster.nodes()[r.0 as usize].current_view())
-        .max()
-        .unwrap_or(0);
-    (outcome, verdict, views)
-}
-
-fn main() {
-    let options = parse_args();
-    let specs = specs();
-    if options.list {
-        for s in &specs {
-            println!("{}", s.name);
-        }
-        return;
-    }
-    let selected: Vec<(usize, &Spec)> = specs
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| options.scenario.as_deref().is_none_or(|want| want == s.name))
-        .collect();
-    if selected.is_empty() {
-        eprintln!("unknown scenario {:?}; use --list", options.scenario);
-        std::process::exit(2);
-    }
-
-    // The cell grid in canonical order: scenario × protocol × batch.
-    let mut cells: Vec<(&Spec, &'static str, usize, u64)> = Vec::new();
-    for (si, spec) in &selected {
-        for (pi, proto) in spec.protocols.iter().enumerate() {
-            for (bi, batch) in BATCHES.iter().enumerate() {
-                // Per-cell seed: a pure function of the cell's coordinates
-                // in the UNFILTERED matrix (never a shared sequential
-                // stream) — a `--scenario` run replays exactly the same
-                // traces as the full matrix, so a failing BENCH_5 cell is
-                // reproducible from its own CI log group.
-                let seed = 0xF5_0000 ^ ((*si as u64) << 12) ^ ((pi as u64) << 8) ^ (bi as u64);
-                cells.push((*spec, proto, *batch, seed));
-            }
-        }
-    }
-
-    let rows: Vec<Row> = run_cells(&cells, options.jobs, |(spec, proto, batch, seed)| {
-        run_cell(spec, proto, *batch, *seed)
-    });
-
-    let mut table = Table::new(
-        "F5 adversarial scenario campaign: safety always, liveness once faults heal",
-        &[
-            "scenario",
-            "protocol",
-            "batch",
-            "committed",
-            "cycles",
-            "views",
-            "drops",
-            "floods",
-            "replays",
-            "verdict",
-        ],
-    );
-    let mut failures = Vec::new();
-    for row in &rows {
-        table.row(
-            &[
-                row.scenario.to_string(),
-                row.protocol.to_string(),
-                row.batch_size.to_string(),
-                format!("{}/{}", row.committed, row.expected_ops),
-                row.duration_cycles.to_string(),
-                row.view_changes.to_string(),
-                row.script_drops.to_string(),
-                row.flood_requests.to_string(),
-                row.replays.to_string(),
-                if row.pass { "pass".into() } else { "FAIL".into() },
-            ],
-            row,
-        );
-        if !row.pass {
-            failures.push(format!(
-                "{}/{}/b{}: safety={} digests={} liveness={} ({}/{} committed)",
-                row.scenario,
-                row.protocol,
-                row.batch_size,
-                row.safety_ok,
-                row.digests_ok,
-                row.liveness_ok,
-                row.committed,
-                row.expected_ops
-            ));
-        }
-    }
-    let opts_for_print = rsoc_bench::ExpOptions {
-        json: options.json,
-        quick: options.quick,
-        jobs: options.jobs,
-        shard: None,
-    };
-    table.print(&opts_for_print);
-    assert!(failures.is_empty(), "oracle failures:\n  {}", failures.join("\n  "));
-
-    // Partial (filtered) runs are for CI log groups; only the full matrix
-    // writes the committed record.
-    if options.scenario.is_none() {
-        let bench = Bench5 {
-            experiment: "f5_scenarios",
-            schema_version: 1,
-            quick: options.quick,
-            clients: CLIENTS,
-            requests_per_client: REQUESTS,
-            scenarios: specs.len(),
-            rows,
-        };
-        let json = serde_json::to_string(&bench).expect("serialize BENCH_5");
-        std::fs::write("BENCH_5.json", &json).expect("write BENCH_5.json");
-        let reread = std::fs::read_to_string("BENCH_5.json").expect("re-read BENCH_5.json");
-        let parsed: serde_json::Value =
-            serde_json::from_str(&reread).expect("BENCH_5.json malformed");
-        let row_count = parsed["rows"].as_array().map(|a| a.len()).unwrap_or(0);
-        assert!(row_count >= 36, "campaign shrank below the 36-cell floor: {row_count}");
-        for row in parsed["rows"].as_array().expect("rows array") {
-            assert_eq!(row["pass"].as_bool(), Some(true), "failed cell recorded: {row:?}");
-            assert_eq!(row["safety_ok"].as_bool(), Some(true), "unsafe cell recorded: {row:?}");
-        }
-        println!(
-            "\nwrote BENCH_5.json ({row_count} cells across {} scenarios, all oracle-passing)",
-            specs.len()
-        );
-    }
-    println!(
-        "\nExpected shape: every cell passes — safety and digest agreement\n\
+impl Campaign for F5 {
+    const NAME: &'static str = "f5_scenarios";
+    const RECORD: &'static str = "BENCH_5.json";
+    const TITLE: &'static str =
+        "F5 adversarial scenario campaign: safety always, liveness once faults heal";
+    const COLUMNS: &'static [Column<Row>] = &[
+        ("scenario", |r| r.scenario.into()),
+        ("protocol", |r| r.protocol.into()),
+        ("batch", |r| r.batch_size.to_string()),
+        ("committed", |r| format!("{}/{}", r.committed, r.expected_ops)),
+        ("cycles", |r| r.duration_cycles.to_string()),
+        ("views", |r| r.view_changes.to_string()),
+        ("drops", |r| r.script_drops.to_string()),
+        ("floods", |r| r.flood_requests.to_string()),
+        ("replays", |r| r.replays.to_string()),
+        ("verdict", |r| if r.pass { "pass" } else { "FAIL" }.into()),
+    ];
+    const SHAPE: &'static str = "Expected shape: every cell passes — safety and digest agreement\n\
          unconditionally; liveness because each scripted fault heals or\n\
          stays within the protocol's tolerance. Fault-heavy cells show\n\
          view changes (detection/recovery rounds), script drops, flood\n\
-         and replay volume actually absorbed."
-    );
+         and replay volume actually absorbed.";
+    type Spec = Spec;
+    type Row = Row;
+
+    fn specs(&self) -> Vec<Spec> {
+        vec![
+            Spec {
+                name: "baseline",
+                attacks: "nothing (control row)",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |_| Scenario::none(),
+            },
+            Spec {
+                name: "crash_backup",
+                attacks: "fail-stop of one backup",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |n| {
+                    Scenario::none()
+                        .script(n - 1, ReplicaScript::correct().crash(Window::from(500)))
+                },
+            },
+            Spec {
+                name: "crash_primary",
+                attacks: "fail-stop of the initial primary",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |_| {
+                    Scenario::none().script(0, ReplicaScript::correct().crash(Window::from(150)))
+                },
+            },
+            Spec {
+                name: "crash_recover_backup",
+                attacks: "transient backup outage (fail-recover)",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |n| {
+                    Scenario::none()
+                        .script(n - 1, ReplicaScript::correct().crash(Window::new(500, 2_600)))
+                },
+            },
+            Spec {
+                name: "crash_recover_primary",
+                attacks: "transient primary outage; deposed, then rejoins",
+                protocols: Protocol::BFT,
+                f: 1,
+                build: |_| {
+                    Scenario::none()
+                        .script(0, ReplicaScript::correct().crash(Window::new(150, 2_600)))
+                },
+            },
+            Spec {
+                name: "silent_backup",
+                attacks: "omission window (receives, never sends)",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |n| {
+                    Scenario::none()
+                        .script(n - 1, ReplicaScript::correct().silence(Window::new(200, 2_600)))
+                },
+            },
+            Spec {
+                name: "byzantine_primary",
+                attacks: "equivocation + forged UI certificates",
+                protocols: Protocol::BFT,
+                f: 1,
+                build: |_| {
+                    Scenario::none().script(
+                        0,
+                        ReplicaScript::correct()
+                            .equivocate(Window::new(0, 3_000))
+                            .forge_ui(Window::new(0, 3_000)),
+                    )
+                },
+            },
+            Spec {
+                name: "partition_blip",
+                attacks: "short NoC partition (below detector timeouts)",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |n| Scenario::none().partition(vec![n - 1], Window::new(400, 900)),
+            },
+            Spec {
+                name: "partition_minority",
+                attacks: "minority replica severed for a long window, then healed",
+                protocols: Protocol::BFT,
+                f: 1,
+                build: |n| Scenario::none().partition(vec![n - 1], Window::new(400, 3_400)),
+            },
+            Spec {
+                name: "dos_flood",
+                attacks: "attacker client floods well-formed requests",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |_| {
+                    Scenario::none().flood(Flood {
+                        window: Window::new(300, 2_700),
+                        period: 40,
+                        payload_size: 16,
+                    })
+                },
+            },
+            Spec {
+                name: "drop_storm",
+                attacks: "25% loss on every replica link for a window",
+                protocols: Protocol::BFT,
+                f: 1,
+                build: |_| {
+                    Scenario::none().link_fault(LinkFault {
+                        source: None,
+                        dest: None,
+                        window: Window::new(200, 2_200),
+                        drop_rate: 0.25,
+                        extra_delay: 0,
+                    })
+                },
+            },
+            Spec {
+                name: "slow_primary_egress",
+                attacks: "aging/degraded egress link on the primary",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |_| {
+                    Scenario::none().link_fault(LinkFault {
+                        source: Some(0),
+                        dest: None,
+                        window: Window::new(300, 2_300),
+                        drop_rate: 0.0,
+                        extra_delay: 250,
+                    })
+                },
+            },
+            Spec {
+                name: "duplicate_deluge",
+                attacks: "every send delivered twice (exactly-once stress)",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |n| {
+                    let mut s = Scenario::none();
+                    for r in 0..n {
+                        s = s.script(
+                            r,
+                            ReplicaScript::correct().duplicate_sends(Window::new(200, 2_200)),
+                        );
+                    }
+                    s
+                },
+            },
+            Spec {
+                name: "reorder_wavefront",
+                attacks: "outbox bursts reversed (hold-back/ordering stress)",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |n| {
+                    let mut s = Scenario::none();
+                    for r in 0..n {
+                        s = s.script(
+                            r,
+                            ReplicaScript::correct().reorder_sends(Window::new(200, 2_200)),
+                        );
+                    }
+                    s
+                },
+            },
+            Spec {
+                name: "stale_replay",
+                attacks: "network replays the primary's old protocol messages",
+                protocols: Protocol::ALL,
+                f: 1,
+                build: |_| {
+                    Scenario::none().script(
+                        0,
+                        ReplicaScript::correct().replay_sends(ReplaySpec {
+                            window: Window::new(250, 2_500),
+                            period: 75,
+                            burst: 4,
+                        }),
+                    )
+                },
+            },
+            Spec {
+                name: "cascading_primary_crash",
+                attacks: "CrashAt firing mid view-change (double failover)",
+                protocols: Protocol::BFT,
+                f: 2,
+                build: |_| {
+                    Scenario::none()
+                        .script(0, ReplicaScript::correct().crash(Window::from(40)))
+                        .script(1, ReplicaScript::correct().crash(Window::from(1_525)))
+                },
+            },
+        ]
+    }
+
+    fn axes(spec: &Spec) -> Axes {
+        Axes { name: spec.name, protocols: spec.protocols, batches: &BATCHES }
+    }
+
+    /// A pure function of the cell's coordinates in the UNFILTERED matrix:
+    /// a `--scenario` run replays exactly the same traces as the full
+    /// matrix, so a failing BENCH_5 cell is reproducible from its own CI
+    /// log group.
+    fn seed(at: Coord, _: usize) -> u64 {
+        at.xor_seed(0xF5_0000)
+    }
+
+    fn config(&self, cell: &Cell<Spec>) -> RunConfig {
+        RunConfig::builder()
+            .f(cell.spec.f)
+            .clients(CLIENTS)
+            .requests_per_client(REQUESTS)
+            .seed(cell.seed)
+            .latency(LatencyModel::Uniform { min: 5, max: 15 })
+            .max_cycles(MAX_CYCLES)
+            .batch_size(cell.batch)
+            .batch_flush(80)
+            .build()
+    }
+
+    fn run<C: Cluster>(
+        &self,
+        cell: &Cell<Spec>,
+        cfg: &RunConfig,
+        cluster: &mut C,
+        harvest: fn(&C) -> CellStats,
+    ) -> Row {
+        let expected = CLIENTS as u64 * REQUESTS;
+        let scenario = (cell.spec.build)(cluster.nodes().len() as u32);
+        let outcome = run_scenario(cluster, cfg, &scenario);
+        let verdict =
+            ScenarioOracle::expecting_liveness().judge(cluster, &outcome.report, expected);
+        Row {
+            scenario: cell.spec.name,
+            attacks: cell.spec.attacks,
+            protocol: cell.protocol.name(),
+            batch_size: cell.batch,
+            committed: outcome.report.committed,
+            expected_ops: expected,
+            duration_cycles: outcome.report.duration_cycles,
+            view_changes: harvest(cluster).max_view,
+            client_retries: outcome.report.client_retries,
+            messages_total: outcome.report.messages_total,
+            flood_requests: outcome.flood_requests,
+            script_drops: outcome.script_drops,
+            duplicates: outcome.duplicates,
+            replays: outcome.replays,
+            safety_ok: verdict.safety_ok,
+            digests_ok: verdict.digests_ok,
+            liveness_ok: verdict.liveness_ok,
+            pass: verdict.pass(),
+        }
+    }
+
+    fn check(&self, _: &Cell<Spec>, r: &Row) -> Result<(), String> {
+        let (safety, digests, liveness) = (r.safety_ok, r.digests_ok, r.liveness_ok);
+        r.pass.then_some(()).ok_or_else(|| {
+            format!(
+                "{}/{}/b{}: safety={safety} digests={digests} liveness={liveness} ({}/{} committed)",
+                r.scenario, r.protocol, r.batch_size, r.committed, r.expected_ops
+            )
+        })
+    }
+
+    fn header(&self, _: bool, specs: usize, _: usize) -> String {
+        format!(",\"clients\":{CLIENTS},\"requests_per_client\":{REQUESTS},\"scenarios\":{specs}")
+    }
+}
+
+fn main() {
+    campaign::main(F5);
+}
+
+#[test]
+fn seeds_are_pinned() {
+    assert_eq!(F5::seed(Coord { spec: 0, protocol: 0, batch: 0 }, 1), 0xF5_0000);
+    assert_eq!(F5::seed(Coord { spec: 15, protocol: 1, batch: 1 }, 8), 0xF5_F101);
 }

@@ -43,18 +43,17 @@
 //!
 //! Writes **`BENCH_6.json`** (self-validated by re-reading). Virtual-time
 //! only: byte-identical for any `--jobs N` (checked in CI) and
-//! machine-independent. `--scenario NAME` filters to one scenario and
-//! `--list` prints the names.
+//! machine-independent. `--scenario NAME` filters to one scenario,
+//! `--list` prints the names, and `--shard i/N` / `--stitch` split the
+//! matrix across invocations (see `rsoc_bench::campaign`).
 //!
 //! [`ScenarioOracle`]: rsoc_bft::adversary::ScenarioOracle
 
-use rsoc_bench::{default_jobs, run_cells, Table};
+use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
+use rsoc_bench::{CellStats, Protocol};
 use rsoc_bft::adversary::{ReplicaScript, Scenario, ScenarioOracle, Window};
 use rsoc_bft::api::Cluster;
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::passive::PassiveCluster;
-use rsoc_bft::pbft::PbftCluster;
-use rsoc_bft::runner::{run_scenario, LatencyModel, RunConfig, ScenarioOutcome};
+use rsoc_bft::runner::{run_scenario, LatencyModel, RunConfig};
 use serde::Serialize;
 
 /// Workload clients per cell.
@@ -89,98 +88,13 @@ struct Spec {
     /// What the scenario exercises (for the table and README matrix).
     attacks: &'static str,
     /// Protocols the scenario applies to.
-    protocols: &'static [&'static str],
+    protocols: &'static [Protocol],
     /// Builds the scenario for a cluster of `n` replicas at batch size
     /// `batch` (timing-sensitive scripts shift with the batch regime).
     build: fn(n: u32, batch: usize) -> Scenario,
 }
 
-const ALL: &[&str] = &["pbft", "minbft", "passive"];
-const BFT: &[&str] = &["pbft", "minbft"];
-
-fn specs() -> Vec<Spec> {
-    vec![
-        Spec {
-            name: "baseline_ckpt",
-            attacks: "nothing (control row: checkpointing on, no faults)",
-            protocols: ALL,
-            build: |_, _| Scenario::none(),
-        },
-        Spec {
-            name: "rejuvenate_under_load",
-            attacks: "backup wiped mid-load; must re-join via state transfer",
-            protocols: ALL,
-            build: |n, batch| {
-                // MinBFT (n = 3): the suffix install quorum is f+1 = 2, and
-                // the 512-counter resend ring can replay a freshly-wiped
-                // stream before the second matching responder lands — wipe
-                // later so the re-join is pinned to a genuine transfer.
-                let delay = if n == 3 { 200 } else { 0 };
-                Scenario::none()
-                    .script(n - 1, ReplicaScript::correct().rejuvenate_at(wipe_at(batch) + delay))
-            },
-        },
-        Spec {
-            name: "crash_long_rejoin",
-            attacks: "backup sleeps through certified history; pbft escalates to transfer",
-            protocols: ALL,
-            build: |n, batch| {
-                let heal = if batch == 1 { 180 } else { 700 };
-                Scenario::none()
-                    .script(n - 1, ReplicaScript::correct().crash(Window::new(60, heal)))
-            },
-        },
-        Spec {
-            name: "corrupted_snapshot",
-            attacks: "every server corrupts transfer snapshots; re-joiner must reject all",
-            protocols: BFT,
-            build: |n, batch| {
-                // Wiped a little later than `rejuvenate_under_load`: the
-                // re-joiner must be mid-transfer when the corrupt
-                // responses land (MinBFT's FillGap replay can otherwise
-                // rebuild a very young stream before any response
-                // arrives, leaving the rejection path unexercised).
-                let mut s = Scenario::none()
-                    .script(n - 1, ReplicaScript::correct().rejuvenate_at(wipe_at(batch) + 200));
-                for r in 0..n - 1 {
-                    s = s.script(
-                        r,
-                        ReplicaScript::correct().corrupt_snapshots(Window::new(0, MAX_CYCLES)),
-                    );
-                }
-                s
-            },
-        },
-        Spec {
-            name: "lying_responder",
-            attacks: "one transfer responder tampers its suffix; f+1 slot voting outvotes it",
-            protocols: BFT,
-            build: |n, batch| {
-                // Same late wipe as `corrupted_snapshot`: the re-joiner
-                // must be mid-transfer when the lying response lands.
-                Scenario::none()
-                    .script(n - 1, ReplicaScript::correct().rejuvenate_at(wipe_at(batch) + 200))
-                    .script(
-                        1,
-                        ReplicaScript::correct().corrupt_suffixes(Window::new(0, MAX_CYCLES)),
-                    )
-            },
-        },
-        Spec {
-            name: "forged_certificate",
-            attacks: "forged checkpoint vouchers (garbage MACs + signed digest lies)",
-            protocols: BFT,
-            build: |_, _| {
-                Scenario::none().script(
-                    1,
-                    ReplicaScript::correct().forge_checkpoints(Window::new(0, MAX_CYCLES)),
-                )
-            },
-        },
-    ]
-}
-
-#[derive(Serialize, Clone)]
+#[derive(Serialize)]
 struct Row {
     scenario: &'static str,
     attacks: &'static str,
@@ -201,340 +115,248 @@ struct Row {
     pass: bool,
 }
 
-#[derive(Serialize)]
-struct Bench6 {
-    experiment: &'static str,
-    schema_version: u32,
-    quick: bool,
-    clients: u32,
-    requests_per_client: u64,
-    checkpoint_interval: u64,
-    scenarios: usize,
-    rows: Vec<Row>,
-}
+struct F6;
 
-struct Options {
-    json: bool,
-    quick: bool,
-    jobs: usize,
-    scenario: Option<String>,
-    list: bool,
-}
+impl Campaign for F6 {
+    const NAME: &'static str = "f6_recovery";
+    const RECORD: &'static str = "BENCH_6.json";
+    const TITLE: &'static str =
+        "F6 recovery campaign: certified checkpoints, state transfer, rejuvenation re-join";
+    const COLUMNS: &'static [Column<Row>] = &[
+        ("scenario", |r| r.scenario.into()),
+        ("protocol", |r| r.protocol.into()),
+        ("batch", |r| r.batch_size.to_string()),
+        ("committed", |r| format!("{}/{}", r.committed, r.expected_ops)),
+        ("cycles", |r| r.duration_cycles.to_string()),
+        ("stable", |r| r.stable_seq.to_string()),
+        ("transfers", |r| r.state_transfers.to_string()),
+        ("rejuv", |r| r.rejuvenations.to_string()),
+        ("rejected", |r| r.vouchers_rejected.to_string()),
+        ("verdict", |r| if r.pass { "pass" } else { "FAIL" }.into()),
+    ];
+    const SHAPE: &'static str = "Expected shape: every cell passes the oracle. Rejuvenation and\n\
+         long-crash cells show completed state transfers (the re-join is\n\
+         genuine, not a lucky replay); the attack cells show rejections —\n\
+         corrupted snapshots never install, forged vouchers never\n\
+         certify — while real certificates keep forming.";
+    type Spec = Spec;
+    type Row = Row;
 
-fn parse_args() -> Options {
-    let mut o =
-        Options { json: false, quick: false, jobs: default_jobs(), scenario: None, list: false };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => o.json = true,
-            "--quick" => o.quick = true,
-            "--list" => o.list = true,
-            "--scenario" => o.scenario = args.next(),
-            "--jobs" => {
-                let v = args.next().unwrap_or_default();
-                o.jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs needs a positive integer, got {v:?}");
-                    std::process::exit(2);
-                });
-                o.jobs = o.jobs.max(1);
-            }
-            other => eprintln!("ignoring unknown argument: {other}"),
+    fn specs(&self) -> Vec<Spec> {
+        vec![
+            Spec {
+                name: "baseline_ckpt",
+                attacks: "nothing (control row: checkpointing on, no faults)",
+                protocols: Protocol::ALL,
+                build: |_, _| Scenario::none(),
+            },
+            Spec {
+                name: "rejuvenate_under_load",
+                attacks: "backup wiped mid-load; must re-join via state transfer",
+                protocols: Protocol::ALL,
+                build: |n, batch| {
+                    // MinBFT (n = 3): the suffix install quorum is f+1 = 2, and
+                    // the 512-counter resend ring can replay a freshly-wiped
+                    // stream before the second matching responder lands — wipe
+                    // later so the re-join is pinned to a genuine transfer.
+                    let delay = if n == 3 { 200 } else { 0 };
+                    Scenario::none().script(
+                        n - 1,
+                        ReplicaScript::correct().rejuvenate_at(wipe_at(batch) + delay),
+                    )
+                },
+            },
+            Spec {
+                name: "crash_long_rejoin",
+                attacks: "backup sleeps through certified history; pbft escalates to transfer",
+                protocols: Protocol::ALL,
+                build: |n, batch| {
+                    let heal = if batch == 1 { 180 } else { 700 };
+                    Scenario::none()
+                        .script(n - 1, ReplicaScript::correct().crash(Window::new(60, heal)))
+                },
+            },
+            Spec {
+                name: "corrupted_snapshot",
+                attacks: "every server corrupts transfer snapshots; re-joiner must reject all",
+                protocols: Protocol::BFT,
+                build: |n, batch| {
+                    // Wiped a little later than `rejuvenate_under_load`: the
+                    // re-joiner must be mid-transfer when the corrupt
+                    // responses land (MinBFT's FillGap replay can otherwise
+                    // rebuild a very young stream before any response
+                    // arrives, leaving the rejection path unexercised).
+                    let mut s = Scenario::none().script(
+                        n - 1,
+                        ReplicaScript::correct().rejuvenate_at(wipe_at(batch) + 200),
+                    );
+                    for r in 0..n - 1 {
+                        s = s.script(
+                            r,
+                            ReplicaScript::correct().corrupt_snapshots(Window::new(0, MAX_CYCLES)),
+                        );
+                    }
+                    s
+                },
+            },
+            Spec {
+                name: "lying_responder",
+                attacks: "one transfer responder tampers its suffix; f+1 slot voting outvotes it",
+                protocols: Protocol::BFT,
+                build: |n, batch| {
+                    // Same late wipe as `corrupted_snapshot`: the re-joiner
+                    // must be mid-transfer when the lying response lands.
+                    Scenario::none()
+                        .script(n - 1, ReplicaScript::correct().rejuvenate_at(wipe_at(batch) + 200))
+                        .script(
+                            1,
+                            ReplicaScript::correct().corrupt_suffixes(Window::new(0, MAX_CYCLES)),
+                        )
+                },
+            },
+            Spec {
+                name: "forged_certificate",
+                attacks: "forged checkpoint vouchers (garbage MACs + signed digest lies)",
+                protocols: Protocol::BFT,
+                build: |_, _| {
+                    Scenario::none().script(
+                        1,
+                        ReplicaScript::correct().forge_checkpoints(Window::new(0, MAX_CYCLES)),
+                    )
+                },
+            },
+        ]
+    }
+
+    fn axes(spec: &Spec) -> Axes {
+        Axes { name: spec.name, protocols: spec.protocols, batches: &BATCHES }
+    }
+
+    /// A pure function of the cell's coordinates in the UNFILTERED matrix:
+    /// a `--scenario` run replays exactly the same traces as the full
+    /// matrix.
+    fn seed(at: Coord, _: usize) -> u64 {
+        at.xor_seed(0xF6_0000)
+    }
+
+    fn config(&self, cell: &Cell<Spec>) -> RunConfig {
+        RunConfig::builder()
+            .f(1)
+            .clients(CLIENTS)
+            .requests_per_client(REQUESTS)
+            .seed(cell.seed)
+            .latency(LatencyModel::Uniform { min: 5, max: 15 })
+            .max_cycles(MAX_CYCLES)
+            .batch_size(cell.batch)
+            .batch_flush(80)
+            .checkpoint_interval(CKPT_INTERVAL)
+            .build()
+    }
+
+    fn run<C: Cluster>(
+        &self,
+        cell: &Cell<Spec>,
+        cfg: &RunConfig,
+        cluster: &mut C,
+        harvest: fn(&C) -> CellStats,
+    ) -> Row {
+        let expected = CLIENTS as u64 * REQUESTS;
+        let scenario = (cell.spec.build)(cluster.nodes().len() as u32, cell.batch);
+        let outcome = run_scenario(cluster, cfg, &scenario);
+        let verdict =
+            ScenarioOracle::expecting_liveness().judge(cluster, &outcome.report, expected);
+        let stats = harvest(cluster);
+        Row {
+            scenario: cell.spec.name,
+            attacks: cell.spec.attacks,
+            protocol: cell.protocol.name(),
+            batch_size: cell.batch,
+            committed: outcome.report.committed,
+            expected_ops: expected,
+            duration_cycles: outcome.report.duration_cycles,
+            view_changes: stats.max_view,
+            messages_total: outcome.report.messages_total,
+            rejuvenations: outcome.rejuvenations,
+            stable_seq: stats.stable_seq,
+            state_transfers: stats.transfers,
+            vouchers_rejected: stats.rejected,
+            safety_ok: verdict.safety_ok,
+            digests_ok: verdict.digests_ok,
+            liveness_ok: verdict.liveness_ok,
+            pass: verdict.pass(),
         }
     }
-    o
-}
 
-fn config(batch: usize, seed: u64) -> RunConfig {
-    RunConfig::builder()
-        .f(1)
-        .clients(CLIENTS)
-        .requests_per_client(REQUESTS)
-        .seed(seed)
-        .latency(LatencyModel::Uniform { min: 5, max: 15 })
-        .max_cycles(MAX_CYCLES)
-        .batch_size(batch)
-        .batch_flush(80)
-        .checkpoint_interval(CKPT_INTERVAL)
-        .build()
-}
-
-/// Runs one cell and judges it.
-fn run_cell(spec: &Spec, protocol: &'static str, batch: usize, seed: u64) -> Row {
-    let cfg = config(batch, seed);
-    let expected = CLIENTS as u64 * REQUESTS;
-    let (outcome, verdict, views, ckpt) = match protocol {
-        "pbft" => {
-            let mut c = PbftCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32, batch);
-            let out = run_scenario(&mut c, &cfg, &scenario);
-            judge(&c, out, expected)
+    /// The oracle's verdict, then the recovery-specific counters each
+    /// scenario exists to produce.
+    fn check(&self, _: &Cell<Spec>, r: &Row) -> Result<(), String> {
+        let at = format!("{}/{}/b{}", r.scenario, r.protocol, r.batch_size);
+        if !r.pass {
+            let (safety, digests, liveness) = (r.safety_ok, r.digests_ok, r.liveness_ok);
+            let done = format!("{}/{} committed", r.committed, r.expected_ops);
+            return Err(format!(
+                "{at}: safety={safety} digests={digests} liveness={liveness} ({done})"
+            ));
         }
-        "minbft" => {
-            let mut c = MinBftCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32, batch);
-            let out = run_scenario(&mut c, &cfg, &scenario);
-            judge(&c, out, expected)
-        }
-        _ => {
-            let mut c = PassiveCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32, batch);
-            let out = run_scenario(&mut c, &cfg, &scenario);
-            judge(&c, out, expected)
-        }
-    };
-    Row {
-        scenario: spec.name,
-        attacks: spec.attacks,
-        protocol,
-        batch_size: batch,
-        committed: outcome.report.committed,
-        expected_ops: expected,
-        duration_cycles: outcome.report.duration_cycles,
-        view_changes: views,
-        messages_total: outcome.report.messages_total,
-        rejuvenations: outcome.rejuvenations,
-        stable_seq: ckpt.0,
-        state_transfers: ckpt.1,
-        vouchers_rejected: ckpt.2,
-        safety_ok: verdict.safety_ok,
-        digests_ok: verdict.digests_ok,
-        liveness_ok: verdict.liveness_ok,
-        pass: verdict.pass(),
-    }
-}
-
-/// Judges a finished cell and aggregates its checkpoint counters:
-/// (max stable watermark, total transfers installed, total rejections).
-fn judge<C: Cluster>(
-    cluster: &C,
-    outcome: ScenarioOutcome,
-    expected: u64,
-) -> (ScenarioOutcome, rsoc_bft::adversary::OracleVerdict, u64, (u64, u64, u64)) {
-    use rsoc_bft::api::ReplicaNode;
-    let verdict = ScenarioOracle::expecting_liveness().judge(cluster, &outcome.report, expected);
-    let views = cluster
-        .correct_replicas()
-        .iter()
-        .map(|r| cluster.nodes()[r.0 as usize].current_view())
-        .max()
-        .unwrap_or(0);
-    let mut stable = 0u64;
-    let mut transfers = 0u64;
-    let mut rejected = 0u64;
-    for node in cluster.nodes() {
-        let s = node.checkpoint_stats();
-        stable = stable.max(s.stable_seq);
-        transfers += s.transfers;
-        rejected += s.rejected;
-    }
-    (outcome, verdict, views, (stable, transfers, rejected))
-}
-
-/// Per-scenario acceptance beyond the oracle: the recovery-specific
-/// counters each scenario exists to produce.
-fn check_row(row: &Row) -> Result<(), String> {
-    let fail = |what: &str| {
-        Err(format!(
-            "{}/{}/b{}: {what} (stable={} transfers={} rejuv={} rejected={})",
-            row.scenario,
-            row.protocol,
-            row.batch_size,
-            row.stable_seq,
-            row.state_transfers,
-            row.rejuvenations,
-            row.vouchers_rejected
-        ))
-    };
-    match row.scenario {
-        "baseline_ckpt" => {
-            if row.stable_seq == 0 {
-                return fail("no certificate ever stabilised");
-            }
-            if row.state_transfers != 0 {
-                return fail("fault-free cell should never need state transfer");
-            }
-        }
-        "rejuvenate_under_load" => {
-            if row.rejuvenations < 1 {
-                return fail("wipe never fired");
-            }
-            if row.state_transfers < 1 {
-                return fail("re-join did not go through state transfer");
-            }
-        }
-        "crash_long_rejoin" => {
+        let (stable, transfers) = (r.stable_seq, r.state_transfers);
+        let (rejuv, rejected) = (r.rejuvenations, r.vouchers_rejected);
+        let broken: &[(bool, &str)] = match r.scenario {
+            "baseline_ckpt" => &[
+                (stable == 0, "no certificate ever stabilised"),
+                (transfers != 0, "fault-free cell should never need state transfer"),
+            ],
+            "rejuvenate_under_load" => &[
+                (rejuv < 1, "wipe never fired"),
+                (transfers < 1, "re-join did not go through state transfer"),
+            ],
             // Only PBFT's truncation forces escalation at this run length:
             // MinBFT's 512-counter resend ring and passive's stability
             // quorum (which cannot outrun its own lagging backup) both
             // absorb the gap by ordinary replay — that absorption, with an
             // advancing watermark, is exactly what their rows assert.
-            if row.protocol == "pbft" && row.state_transfers < 1 {
-                return fail("recovery did not escalate to state transfer");
-            }
-            if row.stable_seq == 0 {
-                return fail("no certificate stabilised across the outage");
-            }
+            "crash_long_rejoin" => &[
+                (
+                    r.protocol == "pbft" && transfers < 1,
+                    "recovery did not escalate to state transfer",
+                ),
+                (stable == 0, "no certificate stabilised across the outage"),
+            ],
+            "corrupted_snapshot" => &[
+                (rejected < 1, "corrupted snapshot was never rejected"),
+                (transfers != 0, "a corrupted snapshot was installed"),
+            ],
+            "forged_certificate" => &[
+                (rejected < 1, "forged voucher was never rejected"),
+                (stable == 0, "forgery suppressed real certificates"),
+            ],
+            "lying_responder" => &[
+                (rejuv < 1, "wipe never fired"),
+                (transfers < 1, "the lie blocked the re-join entirely"),
+            ],
+            _ => &[],
+        };
+        match broken.iter().find(|(bad, _)| *bad) {
+            Some((_, what)) => Err(format!(
+                "{at}: {what} (stable={stable} transfers={transfers} rejuv={rejuv} rejected={rejected})"
+            )),
+            None => Ok(()),
         }
-        "corrupted_snapshot" => {
-            if row.vouchers_rejected < 1 {
-                return fail("corrupted snapshot was never rejected");
-            }
-            if row.state_transfers != 0 {
-                return fail("a corrupted snapshot was installed");
-            }
-        }
-        "forged_certificate" => {
-            if row.vouchers_rejected < 1 {
-                return fail("forged voucher was never rejected");
-            }
-            if row.stable_seq == 0 {
-                return fail("forgery suppressed real certificates");
-            }
-        }
-        "lying_responder" => {
-            if row.rejuvenations < 1 {
-                return fail("wipe never fired");
-            }
-            if row.state_transfers < 1 {
-                return fail("the lie blocked the re-join entirely");
-            }
-        }
-        _ => {}
     }
-    Ok(())
+
+    fn header(&self, _: bool, specs: usize, _: usize) -> String {
+        format!(
+            ",\"clients\":{CLIENTS},\"requests_per_client\":{REQUESTS},\
+             \"checkpoint_interval\":{CKPT_INTERVAL},\"scenarios\":{specs}"
+        )
+    }
 }
 
 fn main() {
-    let options = parse_args();
-    let specs = specs();
-    if options.list {
-        for s in &specs {
-            println!("{}", s.name);
-        }
-        return;
-    }
-    let selected: Vec<(usize, &Spec)> = specs
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| options.scenario.as_deref().is_none_or(|want| want == s.name))
-        .collect();
-    if selected.is_empty() {
-        eprintln!("unknown scenario {:?}; use --list", options.scenario);
-        std::process::exit(2);
-    }
+    campaign::main(F6);
+}
 
-    // The cell grid in canonical order: scenario × protocol × batch.
-    let mut cells: Vec<(&Spec, &'static str, usize, u64)> = Vec::new();
-    for (si, spec) in &selected {
-        for (pi, proto) in spec.protocols.iter().enumerate() {
-            for (bi, batch) in BATCHES.iter().enumerate() {
-                // Per-cell seed: a pure function of the cell's coordinates
-                // in the UNFILTERED matrix (never a shared sequential
-                // stream) — a `--scenario` run replays exactly the same
-                // traces as the full matrix.
-                let seed = 0xF6_0000 ^ ((*si as u64) << 12) ^ ((pi as u64) << 8) ^ (bi as u64);
-                cells.push((*spec, proto, *batch, seed));
-            }
-        }
-    }
-
-    let rows: Vec<Row> = run_cells(&cells, options.jobs, |(spec, proto, batch, seed)| {
-        run_cell(spec, proto, *batch, *seed)
-    });
-
-    let mut table = Table::new(
-        "F6 recovery campaign: certified checkpoints, state transfer, rejuvenation re-join",
-        &[
-            "scenario",
-            "protocol",
-            "batch",
-            "committed",
-            "cycles",
-            "stable",
-            "transfers",
-            "rejuv",
-            "rejected",
-            "verdict",
-        ],
-    );
-    let mut failures = Vec::new();
-    for row in &rows {
-        table.row(
-            &[
-                row.scenario.to_string(),
-                row.protocol.to_string(),
-                row.batch_size.to_string(),
-                format!("{}/{}", row.committed, row.expected_ops),
-                row.duration_cycles.to_string(),
-                row.stable_seq.to_string(),
-                row.state_transfers.to_string(),
-                row.rejuvenations.to_string(),
-                row.vouchers_rejected.to_string(),
-                if row.pass { "pass".into() } else { "FAIL".into() },
-            ],
-            row,
-        );
-        if !row.pass {
-            failures.push(format!(
-                "{}/{}/b{}: safety={} digests={} liveness={} ({}/{} committed)",
-                row.scenario,
-                row.protocol,
-                row.batch_size,
-                row.safety_ok,
-                row.digests_ok,
-                row.liveness_ok,
-                row.committed,
-                row.expected_ops
-            ));
-        }
-        if let Err(e) = check_row(row) {
-            failures.push(e);
-        }
-    }
-    let opts_for_print = rsoc_bench::ExpOptions {
-        json: options.json,
-        quick: options.quick,
-        jobs: options.jobs,
-        shard: None,
-    };
-    table.print(&opts_for_print);
-    assert!(failures.is_empty(), "recovery failures:\n  {}", failures.join("\n  "));
-
-    // Partial (filtered) runs are for CI log groups; only the full matrix
-    // writes the committed record.
-    if options.scenario.is_none() {
-        let bench = Bench6 {
-            experiment: "f6_recovery",
-            schema_version: 1,
-            quick: options.quick,
-            clients: CLIENTS,
-            requests_per_client: REQUESTS,
-            checkpoint_interval: CKPT_INTERVAL,
-            scenarios: specs.len(),
-            rows,
-        };
-        let json = serde_json::to_string(&bench).expect("serialize BENCH_6");
-        std::fs::write("BENCH_6.json", &json).expect("write BENCH_6.json");
-        let reread = std::fs::read_to_string("BENCH_6.json").expect("re-read BENCH_6.json");
-        let parsed: serde_json::Value =
-            serde_json::from_str(&reread).expect("BENCH_6.json malformed");
-        let row_count = parsed["rows"].as_array().map(|a| a.len()).unwrap_or(0);
-        assert!(row_count >= 30, "campaign shrank below the 30-cell floor: {row_count}");
-        for row in parsed["rows"].as_array().expect("rows array") {
-            assert_eq!(row["pass"].as_bool(), Some(true), "failed cell recorded: {row:?}");
-            assert_eq!(row["safety_ok"].as_bool(), Some(true), "unsafe cell recorded: {row:?}");
-        }
-        println!(
-            "\nwrote BENCH_6.json ({row_count} cells across {} scenarios, all oracle-passing)",
-            specs.len()
-        );
-    }
-    println!(
-        "\nExpected shape: every cell passes the oracle. Rejuvenation and\n\
-         long-crash cells show completed state transfers (the re-join is\n\
-         genuine, not a lucky replay); the attack cells show rejections —\n\
-         corrupted snapshots never install, forged vouchers never\n\
-         certify — while real certificates keep forming."
-    );
+#[test]
+fn seeds_are_pinned() {
+    assert_eq!(F6::seed(Coord { spec: 0, protocol: 2, batch: 1 }, 8), 0xF6_0201);
+    assert_eq!(F6::seed(Coord { spec: 5, protocol: 1, batch: 0 }, 1), 0xF6_5100);
 }

@@ -35,14 +35,14 @@
 //! `BENCH_8.shard{i}of{N}.jsonl`; `--stitch OUT IN...` re-assembles shard
 //! files into a document byte-identical to the unsharded `BENCH_8.json` —
 //! the multi-machine sweep contract CI's shard-stitch gate asserts.
+//! `--scenario NAME` runs one generator's cells (see
+//! `rsoc_bench::campaign`).
 
-use rsoc_bench::{default_jobs, run_cells_sharded, Table};
+use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
+use rsoc_bench::{quick_trials, CellStats, Protocol};
 use rsoc_bft::adversary::{ReplicaScript, Scenario};
-use rsoc_bft::api::{Cluster, ReplicaNode};
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::passive::PassiveCluster;
-use rsoc_bft::pbft::PbftCluster;
-use rsoc_bft::runner::{run_open_loop, LatencyModel, OpenLoopReport, OpenLoopSpec, RunConfig};
+use rsoc_bft::api::Cluster;
+use rsoc_bft::runner::{run_open_loop, LatencyModel, OpenLoopSpec, RunConfig};
 use rsoc_sim::{Arrival, KeyDist, RateMod, Window};
 use serde::Serialize;
 use serde_json::Value;
@@ -55,8 +55,6 @@ const MAX_CYCLES: u64 = 200_000_000;
 /// 40 under a gentle diurnal swing, issued by a 262144-user hot-set
 /// population (half the traffic from 512 hot users, half uniform).
 const PRODUCTION_USERS: KeyDist = KeyDist::HotSet { n: 262_144, hot: 512, hot_per_mille: 500 };
-
-const ALL: &[&str] = &["pbft", "minbft", "passive"];
 
 /// One generator of the campaign matrix.
 struct Spec {
@@ -72,106 +70,19 @@ struct Spec {
     total_ops: u64,
     /// Certified-checkpoint interval (0 = subsystem off).
     ckpt_interval: u64,
-    protocols: &'static [&'static str],
+    protocols: &'static [Protocol],
     batches: &'static [usize],
     /// Scenario for a cluster of `n` replicas.
     build: fn(n: u32) -> Scenario,
-}
-
-fn specs() -> Vec<Spec> {
-    vec![
-        Spec {
-            name: "steady_poisson",
-            generator: "poisson(gap 150) / uniform 20k users",
-            arrival: Arrival::Poisson { mean_gap: 150 },
-            mods: Vec::new,
-            users: KeyDist::Uniform { n: 20_000 },
-            total_ops: 20_000,
-            ckpt_interval: 0,
-            protocols: ALL,
-            batches: &[1, 8],
-            build: |_| Scenario::none(),
-        },
-        Spec {
-            name: "diurnal_hotset",
-            generator: "poisson(gap 50) * diurnal 0.6-1.8x / hotset 50k users",
-            arrival: Arrival::Poisson { mean_gap: 50 },
-            mods: || {
-                vec![RateMod::Diurnal {
-                    period: 200_000,
-                    low_per_mille: 600,
-                    high_per_mille: 1_800,
-                }]
-            },
-            users: KeyDist::HotSet { n: 50_000, hot: 64, hot_per_mille: 800 },
-            total_ops: 20_000,
-            ckpt_interval: 0,
-            protocols: ALL,
-            batches: &[8],
-            build: |_| Scenario::none(),
-        },
-        Spec {
-            name: "flash_zipf",
-            generator: "bursty(16 @ gap 2, quiet 1200) * 3x crowd / zipf 30k users",
-            arrival: Arrival::Bursty { burst: 16, gap_in: 2, mean_gap_between: 1_200 },
-            mods: || {
-                vec![RateMod::FlashCrowd {
-                    window: Window::new(100_000, 200_000),
-                    mult_per_mille: 3_000,
-                }]
-            },
-            users: KeyDist::Zipf { n: 30_000, theta_per_mille: 900 },
-            total_ops: 20_000,
-            ckpt_interval: 0,
-            protocols: ALL,
-            batches: &[8],
-            build: |_| Scenario::none(),
-        },
-        Spec {
-            name: "production_scale",
-            generator: "poisson(gap 40) * diurnal 0.7-1.4x / hotset 262k users",
-            arrival: Arrival::Poisson { mean_gap: 40 },
-            mods: production_mods,
-            users: PRODUCTION_USERS,
-            total_ops: 1_000_000,
-            ckpt_interval: 0,
-            protocols: &["pbft", "passive"],
-            batches: &[8],
-            build: |_| Scenario::none(),
-        },
-        Spec {
-            name: "minbft_ring_aging",
-            generator: "poisson(gap 40) * diurnal 0.7-1.4x / hotset 262k users + backup crash",
-            arrival: Arrival::Poisson { mean_gap: 40 },
-            mods: production_mods,
-            users: PRODUCTION_USERS,
-            total_ops: 1_000_000,
-            // Certified checkpoints every 2048 slots: the healed backup's
-            // only way past the retired resend rings is a checkpoint hint.
-            ckpt_interval: 2_048,
-            protocols: &["minbft"],
-            batches: &[8],
-            // A ~300k-cycle outage ≈ 940 slots ≈ 1900 UI-stamped sends per
-            // peer — far past the 512-counter resend ring, so ordinary
-            // FillGap replay is structurally impossible when it heals.
-            build: |n| {
-                Scenario::none().script(
-                    n - 1,
-                    ReplicaScript::correct()
-                        .crash(rsoc_bft::adversary::Window::new(100_000, 400_000)),
-                )
-            },
-        },
-    ]
 }
 
 fn production_mods() -> Vec<RateMod> {
     vec![RateMod::Diurnal { period: 2_000_000, low_per_mille: 700, high_per_mille: 1_400 }]
 }
 
-#[derive(Serialize, Clone)]
+#[derive(Serialize)]
 struct Row {
-    /// Canonical index in the unfiltered grid (the shard-stitch key).
+    /// Canonical index in the unfiltered grid.
     cell_index: usize,
     generator: &'static str,
     arrival: &'static str,
@@ -202,400 +113,248 @@ struct Row {
     pass: bool,
 }
 
-struct Options {
-    json: bool,
-    quick: bool,
-    jobs: usize,
-    shard: Option<(usize, usize)>,
-    /// `--stitch OUT IN...`: re-assemble shard files instead of running.
-    stitch: Option<Vec<String>>,
-}
+struct F8;
 
-fn parse_args() -> Options {
-    let mut o =
-        Options { json: false, quick: false, jobs: default_jobs(), shard: None, stitch: None };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => o.json = true,
-            "--quick" => o.quick = true,
-            "--jobs" => {
-                let v = args.next().unwrap_or_default();
-                o.jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs needs a positive integer, got {v:?}");
-                    std::process::exit(2);
-                });
-                o.jobs = o.jobs.max(1);
-            }
-            "--shard" => {
-                let v = args.next().unwrap_or_default();
-                o.shard = Some(rsoc_bench::parse_shard(&v).unwrap_or_else(|| {
-                    eprintln!("--shard needs i/N with 0 <= i < N, got {v:?}");
-                    std::process::exit(2);
-                }));
-            }
-            "--stitch" => {
-                let rest: Vec<String> = args.by_ref().collect();
-                if rest.len() < 2 {
-                    eprintln!("--stitch needs OUT plus at least one shard file");
-                    std::process::exit(2);
-                }
-                o.stitch = Some(rest);
-            }
-            other => eprintln!("ignoring unknown argument: {other}"),
-        }
-    }
-    o
-}
-
-/// Runs one cell: builds the cluster, drives the open-loop plane, and
-/// aggregates the checkpoint counters across replicas.
-fn run_cell(
-    cell_index: usize,
-    spec: &Spec,
-    protocol: &'static str,
-    batch: usize,
-    seed: u64,
-    total_ops: u64,
-) -> Row {
-    let cfg = RunConfig::builder()
-        .f(1)
-        .seed(seed)
-        .latency(LatencyModel::Uniform { min: 5, max: 15 })
-        .max_cycles(MAX_CYCLES)
-        .batch_size(batch)
-        .batch_flush(80)
-        .checkpoint_interval(spec.ckpt_interval)
-        .build();
-    let ospec =
-        OpenLoopSpec { arrival: spec.arrival, mods: (spec.mods)(), users: spec.users, total_ops };
-    let (report, ckpt) = match protocol {
-        "pbft" => {
-            let mut c = PbftCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32);
-            let r = run_open_loop(&mut c, &cfg, &ospec, &scenario);
-            (r, ckpt_stats(&c))
-        }
-        "minbft" => {
-            let mut c = MinBftCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32);
-            let r = run_open_loop(&mut c, &cfg, &ospec, &scenario);
-            (r, ckpt_stats(&c))
-        }
-        _ => {
-            let mut c = PassiveCluster::new(&cfg);
-            let scenario = (spec.build)(c.nodes().len() as u32);
-            let r = run_open_loop(&mut c, &cfg, &ospec, &scenario);
-            (r, ckpt_stats(&c))
-        }
-    };
-    row_from(cell_index, spec, protocol, batch, total_ops, &report, ckpt)
-}
-
-/// (max stable watermark, transfers installed, checkpoint-hint resyncs).
-fn ckpt_stats<C: Cluster>(cluster: &C) -> (u64, u64, u64) {
-    let mut stable = 0u64;
-    let mut transfers = 0u64;
-    let mut resyncs = 0u64;
-    for node in cluster.nodes() {
-        let s = node.checkpoint_stats();
-        stable = stable.max(s.stable_seq);
-        transfers += s.transfers;
-        resyncs += s.hint_resyncs;
-    }
-    (stable, transfers, resyncs)
-}
-
-fn row_from(
-    cell_index: usize,
-    spec: &Spec,
-    protocol: &'static str,
-    batch: usize,
-    total_ops: u64,
-    r: &OpenLoopReport,
-    (stable_seq, state_transfers, hint_resyncs): (u64, u64, u64),
-) -> Row {
-    let (hist_bucket_indices, hist_bucket_counts) = r.latency.to_sparse();
-    let q = |q: f64| r.latency.quantile(q).unwrap_or(0);
-    let pass = r.committed == r.issued
-        && r.issued == total_ops
-        && r.safety_ok
-        && r.latency.count() == r.committed;
-    Row {
-        cell_index,
-        generator: spec.name,
-        arrival: spec.generator,
-        protocol,
-        batch_size: batch,
-        total_ops,
-        issued: r.issued,
-        committed: r.committed,
-        distinct_users: r.distinct_users,
-        retries: r.retries,
-        messages_total: r.messages_total,
-        messages_protocol: r.messages_protocol,
-        duration_cycles: r.duration_cycles,
-        ops_per_kcycle: if r.duration_cycles == 0 {
-            0.0
-        } else {
-            r.committed as f64 * 1000.0 / r.duration_cycles as f64
-        },
-        p50_cycles: q(0.5),
-        p99_cycles: q(0.99),
-        p999_cycles: q(0.999),
-        max_latency_cycles: r.latency.max().unwrap_or(0),
-        hist_bucket_indices,
-        hist_bucket_counts,
-        stable_seq,
-        state_transfers,
-        hint_resyncs,
-        safety_ok: r.safety_ok,
-        pass,
-    }
-}
-
-/// Assembles the final record from pre-serialized row texts. The whole
-/// run and the stitcher both funnel through here, which is what makes a
-/// stitched document byte-identical to the unsharded one.
-fn assemble(quick: bool, grid_cells: usize, row_jsons: &[String]) -> String {
-    format!(
-        "{{\"experiment\":\"f8_openloop\",\"schema_version\":1,\"quick\":{quick},\
-         \"grid_cells\":{grid_cells},\"rows\":[{}]}}",
-        row_jsons.join(",")
-    )
-}
-
-/// Self-validates an assembled record (whole-run or stitched): every row
-/// passed, every histogram sums to its committed count, the ring-aging
-/// cell actually escalated through the hint path, and (full runs only)
-/// the population and million-op floors hold.
-fn validate(doc: &Value) {
-    let quick = doc["quick"].as_bool().expect("quick flag");
-    let grid = doc["grid_cells"].as_u64().expect("grid_cells") as usize;
-    let rows = doc["rows"].as_array().expect("rows array");
-    assert_eq!(rows.len(), grid, "record must cover the whole grid");
-    let mut max_users = 0u64;
-    let mut aging_resyncs = 0u64;
-    let mut million: Vec<&str> = Vec::new();
-    for row in rows {
-        let ctx = || {
-            format!(
-                "{}/{}",
-                row["generator"].as_str().unwrap_or("?"),
-                row["protocol"].as_str().unwrap_or("?")
-            )
-        };
-        assert_eq!(row["pass"].as_bool(), Some(true), "failed cell recorded: {}", ctx());
-        assert_eq!(row["safety_ok"].as_bool(), Some(true), "unsafe cell recorded: {}", ctx());
-        let committed = row["committed"].as_u64().expect("committed");
-        let counts = row["hist_bucket_counts"].as_array().expect("hist counts");
-        let indices = row["hist_bucket_indices"].as_array().expect("hist indices");
-        assert_eq!(indices.len(), counts.len(), "ragged histogram: {}", ctx());
-        let sum: u64 = counts.iter().filter_map(Value::as_u64).sum();
-        assert_eq!(sum, committed, "histogram does not account for every commit: {}", ctx());
-        max_users = max_users.max(row["distinct_users"].as_u64().unwrap_or(0));
-        if row["generator"].as_str() == Some("minbft_ring_aging") {
-            aging_resyncs += row["hint_resyncs"].as_u64().unwrap_or(0);
-        }
-        if row["total_ops"].as_u64().unwrap_or(0) >= 1_000_000 {
-            million.push(row["protocol"].as_str().unwrap_or("?"));
-        }
-    }
-    assert!(
-        aging_resyncs >= 1,
-        "the ring-aging cell never escalated through the checkpoint-hint path"
-    );
-    if !quick {
-        assert!(
-            max_users >= 100_000,
-            "population floor: best cell reached only {max_users} distinct users"
-        );
-        for p in ["pbft", "minbft", "passive"] {
-            assert!(million.contains(&p), "no million-op cell recorded for {p}");
-        }
-    }
-}
-
-/// `--stitch OUT IN...`: merges shard `.jsonl` files (header line + one
-/// row line each) into the full record, byte-identical to an unsharded
-/// run's `BENCH_8.json`.
-fn stitch(paths: &[String]) {
-    let out_path = &paths[0];
-    let mut head: Option<(bool, usize)> = None;
-    let mut rows: Vec<(usize, String)> = Vec::new();
-    for path in &paths[1..] {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read shard {path}: {e}"));
-        let mut lines = text.lines();
-        let h: Value = serde_json::from_str(lines.next().unwrap_or_default())
-            .unwrap_or_else(|e| panic!("parse shard header {path}: {e:?}"));
-        let this = (
-            h["quick"].as_bool().expect("shard header quick"),
-            h["grid_cells"].as_u64().expect("shard header grid_cells") as usize,
-        );
-        match head {
-            None => head = Some(this),
-            Some(prev) => assert_eq!(prev, this, "{path}: shard headers disagree"),
-        }
-        for line in lines {
-            let v: Value = serde_json::from_str(line)
-                .unwrap_or_else(|e| panic!("parse shard row in {path}: {e:?}"));
-            let i = v["cell_index"].as_u64().expect("row cell_index") as usize;
-            // Keep the ORIGINAL text: re-serializing a parsed Value would
-            // reorder keys and break byte-identity with the whole run.
-            rows.push((i, line.to_string()));
-        }
-    }
-    let (quick, grid) = head.expect("at least one shard file");
-    rows.sort_by_key(|&(i, _)| i);
-    let indices: Vec<usize> = rows.iter().map(|&(i, _)| i).collect();
-    assert_eq!(
-        indices,
-        (0..grid).collect::<Vec<_>>(),
-        "shards must cover every grid cell exactly once"
-    );
-    let row_jsons: Vec<String> = rows.into_iter().map(|(_, t)| t).collect();
-    let doc = assemble(quick, grid, &row_jsons);
-    validate(&serde_json::from_str(&doc).expect("stitched record malformed"));
-    std::fs::write(out_path, &doc).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("stitched {} shards into {out_path} ({grid} cells, validated)", paths.len() - 1);
-}
-
-fn main() {
-    let options = parse_args();
-    if let Some(paths) = &options.stitch {
-        stitch(paths);
-        return;
-    }
-    let specs = specs();
-
-    // The cell grid in canonical order: generator × protocol × batch.
-    struct CellDef<'a> {
-        index: usize,
-        spec: &'a Spec,
-        protocol: &'static str,
-        batch: usize,
-        seed: u64,
-        total_ops: u64,
-    }
-    let mut cells: Vec<CellDef> = Vec::new();
-    for (si, spec) in specs.iter().enumerate() {
-        for (pi, proto) in spec.protocols.iter().enumerate() {
-            for (bi, batch) in spec.batches.iter().enumerate() {
-                // Per-cell seed: a pure function of the cell's coordinates,
-                // never a shared sequential stream — shards replay exactly
-                // the traces the whole sweep does.
-                let seed = 0xF8_0000 ^ ((si as u64) << 12) ^ ((pi as u64) << 8) ^ (bi as u64);
-                let total_ops =
-                    if options.quick { (spec.total_ops / 10).max(1) } else { spec.total_ops };
-                cells.push(CellDef {
-                    index: cells.len(),
-                    spec,
-                    protocol: proto,
-                    batch: *batch,
-                    seed,
-                    total_ops,
-                });
-            }
-        }
-    }
-    let grid_cells = cells.len();
-
-    let rows: Vec<Row> = run_cells_sharded(&cells, options.jobs, options.shard, |c| {
-        run_cell(c.index, c.spec, c.protocol, c.batch, c.seed, c.total_ops)
-    })
-    .into_iter()
-    .map(|(_, r)| r)
-    .collect();
-
-    let mut table = Table::new(
-        "F8 open-loop campaign: rate-scheduled arrivals, skewed populations, latency tails",
-        &[
-            "generator",
-            "protocol",
-            "batch",
-            "committed",
-            "users",
-            "p50",
-            "p99",
-            "p999",
-            "ops/kcyc",
-            "resyncs",
-            "verdict",
-        ],
-    );
-    let mut failures = Vec::new();
-    for row in &rows {
-        table.row(
-            &[
-                row.generator.to_string(),
-                row.protocol.to_string(),
-                row.batch_size.to_string(),
-                format!("{}/{}", row.committed, row.issued),
-                row.distinct_users.to_string(),
-                row.p50_cycles.to_string(),
-                row.p99_cycles.to_string(),
-                row.p999_cycles.to_string(),
-                format!("{:.1}", row.ops_per_kcycle),
-                row.hint_resyncs.to_string(),
-                if row.pass { "pass".into() } else { "FAIL".into() },
-            ],
-            row,
-        );
-        if !row.pass {
-            failures.push(format!(
-                "{}/{}/b{}: committed {}/{} safety={} hist={}",
-                row.generator,
-                row.protocol,
-                row.batch_size,
-                row.committed,
-                row.issued,
-                row.safety_ok,
-                row.hist_bucket_counts.iter().sum::<u64>(),
-            ));
-        }
-    }
-    let opts_for_print = rsoc_bench::ExpOptions {
-        json: options.json,
-        quick: options.quick,
-        jobs: options.jobs,
-        shard: options.shard,
-    };
-    table.print(&opts_for_print);
-    assert!(failures.is_empty(), "open-loop failures:\n  {}", failures.join("\n  "));
-
-    let row_jsons: Vec<String> =
-        rows.iter().map(|r| serde_json::to_string(r).expect("serialize row")).collect();
-    match options.shard {
-        None => {
-            let doc = assemble(options.quick, grid_cells, &row_jsons);
-            std::fs::write("BENCH_8.json", &doc).expect("write BENCH_8.json");
-            let reread = std::fs::read_to_string("BENCH_8.json").expect("re-read BENCH_8.json");
-            validate(&serde_json::from_str(&reread).expect("BENCH_8.json malformed"));
-            println!("\nwrote BENCH_8.json ({grid_cells} cells, self-validated)");
-        }
-        Some((i, n)) => {
-            let path = format!("BENCH_8.shard{i}of{n}.jsonl");
-            let header = format!(
-                "{{\"experiment\":\"f8_openloop\",\"schema_version\":1,\"quick\":{},\
-                 \"grid_cells\":{grid_cells},\"shard\":\"{i}/{n}\"}}",
-                options.quick
-            );
-            let mut doc = header;
-            for r in &row_jsons {
-                doc.push('\n');
-                doc.push_str(r);
-            }
-            std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("\nwrote {path} ({} of {grid_cells} cells)", row_jsons.len());
-        }
-    }
-    println!(
-        "\nExpected shape: every cell absorbs its full arrival schedule\n\
+impl Campaign for F8 {
+    const NAME: &'static str = "f8_openloop";
+    const RECORD: &'static str = "BENCH_8.json";
+    const TITLE: &'static str =
+        "F8 open-loop campaign: rate-scheduled arrivals, skewed populations, latency tails";
+    const COLUMNS: &'static [Column<Row>] = &[
+        ("generator", |r| r.generator.into()),
+        ("protocol", |r| r.protocol.into()),
+        ("batch", |r| r.batch_size.to_string()),
+        ("committed", |r| format!("{}/{}", r.committed, r.issued)),
+        ("users", |r| r.distinct_users.to_string()),
+        ("p50", |r| r.p50_cycles.to_string()),
+        ("p99", |r| r.p99_cycles.to_string()),
+        ("p999", |r| r.p999_cycles.to_string()),
+        ("ops/kcyc", |r| format!("{:.1}", r.ops_per_kcycle)),
+        ("resyncs", |r| r.hint_resyncs.to_string()),
+        ("verdict", |r| if r.pass { "pass" } else { "FAIL" }.into()),
+    ];
+    const SHAPE: &'static str = "Expected shape: every cell absorbs its full arrival schedule\n\
          (committed == issued) with the histogram accounting for every\n\
          commit. The million-op cells hold >= 10^5 distinct users in one\n\
          process; the MinBFT ring-aging cell re-joins through the\n\
          checkpoint-hint path (resyncs >= 1), which only a long-run\n\
-         open-loop plane can exercise."
-    );
+         open-loop plane can exercise.";
+    type Spec = Spec;
+    type Row = Row;
+
+    fn specs(&self) -> Vec<Spec> {
+        vec![
+            Spec {
+                name: "steady_poisson",
+                generator: "poisson(gap 150) / uniform 20k users",
+                arrival: Arrival::Poisson { mean_gap: 150 },
+                mods: Vec::new,
+                users: KeyDist::Uniform { n: 20_000 },
+                total_ops: 20_000,
+                ckpt_interval: 0,
+                protocols: Protocol::ALL,
+                batches: &[1, 8],
+                build: |_| Scenario::none(),
+            },
+            Spec {
+                name: "diurnal_hotset",
+                generator: "poisson(gap 50) * diurnal 0.6-1.8x / hotset 50k users",
+                arrival: Arrival::Poisson { mean_gap: 50 },
+                mods: || {
+                    vec![RateMod::Diurnal {
+                        period: 200_000,
+                        low_per_mille: 600,
+                        high_per_mille: 1_800,
+                    }]
+                },
+                users: KeyDist::HotSet { n: 50_000, hot: 64, hot_per_mille: 800 },
+                total_ops: 20_000,
+                ckpt_interval: 0,
+                protocols: Protocol::ALL,
+                batches: &[8],
+                build: |_| Scenario::none(),
+            },
+            Spec {
+                name: "flash_zipf",
+                generator: "bursty(16 @ gap 2, quiet 1200) * 3x crowd / zipf 30k users",
+                arrival: Arrival::Bursty { burst: 16, gap_in: 2, mean_gap_between: 1_200 },
+                mods: || {
+                    vec![RateMod::FlashCrowd {
+                        window: Window::new(100_000, 200_000),
+                        mult_per_mille: 3_000,
+                    }]
+                },
+                users: KeyDist::Zipf { n: 30_000, theta_per_mille: 900 },
+                total_ops: 20_000,
+                ckpt_interval: 0,
+                protocols: Protocol::ALL,
+                batches: &[8],
+                build: |_| Scenario::none(),
+            },
+            Spec {
+                name: "production_scale",
+                generator: "poisson(gap 40) * diurnal 0.7-1.4x / hotset 262k users",
+                arrival: Arrival::Poisson { mean_gap: 40 },
+                mods: production_mods,
+                users: PRODUCTION_USERS,
+                total_ops: 1_000_000,
+                ckpt_interval: 0,
+                protocols: &[Protocol::Pbft, Protocol::Passive],
+                batches: &[8],
+                build: |_| Scenario::none(),
+            },
+            Spec {
+                name: "minbft_ring_aging",
+                generator: "poisson(gap 40) * diurnal 0.7-1.4x / hotset 262k users + backup crash",
+                arrival: Arrival::Poisson { mean_gap: 40 },
+                mods: production_mods,
+                users: PRODUCTION_USERS,
+                total_ops: 1_000_000,
+                // Certified checkpoints every 2048 slots: the healed backup's
+                // only way past the retired resend rings is a checkpoint hint.
+                ckpt_interval: 2_048,
+                protocols: &[Protocol::MinBft],
+                batches: &[8],
+                // A ~300k-cycle outage ≈ 940 slots ≈ 1900 UI-stamped sends per
+                // peer — far past the 512-counter resend ring, so ordinary
+                // FillGap replay is structurally impossible when it heals.
+                build: |n| {
+                    Scenario::none().script(
+                        n - 1,
+                        ReplicaScript::correct()
+                            .crash(rsoc_bft::adversary::Window::new(100_000, 400_000)),
+                    )
+                },
+            },
+        ]
+    }
+
+    fn axes(spec: &Spec) -> Axes {
+        Axes { name: spec.name, protocols: spec.protocols, batches: spec.batches }
+    }
+
+    /// A pure function of the cell's coordinates, never a shared
+    /// sequential stream — shards replay exactly the traces the whole
+    /// sweep does.
+    fn seed(at: Coord, _: usize) -> u64 {
+        at.xor_seed(0xF8_0000)
+    }
+
+    fn config(&self, cell: &Cell<Spec>) -> RunConfig {
+        RunConfig::builder()
+            .f(1)
+            .seed(cell.seed)
+            .latency(LatencyModel::Uniform { min: 5, max: 15 })
+            .max_cycles(MAX_CYCLES)
+            .batch_size(cell.batch)
+            .batch_flush(80)
+            .checkpoint_interval(cell.spec.ckpt_interval)
+            .build()
+    }
+
+    fn run<C: Cluster>(
+        &self,
+        cell: &Cell<Spec>,
+        cfg: &RunConfig,
+        cluster: &mut C,
+        harvest: fn(&C) -> CellStats,
+    ) -> Row {
+        let spec = cell.spec;
+        let total_ops = quick_trials(spec.total_ops, cell.quick);
+        let ospec = OpenLoopSpec {
+            arrival: spec.arrival,
+            mods: (spec.mods)(),
+            users: spec.users,
+            total_ops,
+        };
+        let scenario = (spec.build)(cluster.nodes().len() as u32);
+        let r = run_open_loop(cluster, cfg, &ospec, &scenario);
+        let stats = harvest(cluster);
+        let (hist_bucket_indices, hist_bucket_counts) = r.latency.to_sparse();
+        let q = |q: f64| r.latency.quantile(q).unwrap_or(0);
+        let pass = r.committed == r.issued
+            && r.issued == total_ops
+            && r.safety_ok
+            && r.latency.count() == r.committed;
+        Row {
+            cell_index: cell.index,
+            generator: spec.name,
+            arrival: spec.generator,
+            protocol: cell.protocol.name(),
+            batch_size: cell.batch,
+            total_ops,
+            issued: r.issued,
+            committed: r.committed,
+            distinct_users: r.distinct_users,
+            retries: r.retries,
+            messages_total: r.messages_total,
+            messages_protocol: r.messages_protocol,
+            duration_cycles: r.duration_cycles,
+            ops_per_kcycle: if r.duration_cycles == 0 {
+                0.0
+            } else {
+                r.committed as f64 * 1000.0 / r.duration_cycles as f64
+            },
+            p50_cycles: q(0.5),
+            p99_cycles: q(0.99),
+            p999_cycles: q(0.999),
+            max_latency_cycles: r.latency.max().unwrap_or(0),
+            hist_bucket_indices,
+            hist_bucket_counts,
+            stable_seq: stats.stable_seq,
+            state_transfers: stats.transfers,
+            hint_resyncs: stats.hint_resyncs,
+            safety_ok: r.safety_ok,
+            pass,
+        }
+    }
+
+    fn check(&self, _: &Cell<Spec>, r: &Row) -> Result<(), String> {
+        let hist = r.hist_bucket_counts.iter().sum::<u64>();
+        r.pass.then_some(()).ok_or_else(|| {
+            format!(
+                "{}/{}/b{}: committed {}/{} safety={} hist={hist}",
+                r.generator, r.protocol, r.batch_size, r.committed, r.issued, r.safety_ok
+            )
+        })
+    }
+
+    fn header(&self, _: bool, _: usize, cells: usize) -> String {
+        format!(",\"grid_cells\":{cells}")
+    }
+
+    /// The ring-aging cell actually escalated through the hint path, and
+    /// (full runs only) the population and million-op floors hold.
+    fn audit(&self, record: &Value) -> Result<(), String> {
+        let rows = record["rows"].as_array().ok_or("no rows")?;
+        let field = |row: &Value, key: &str| row[key].as_u64().unwrap_or(0);
+        let aging = rows.iter().filter(|r| r["generator"].as_str() == Some("minbft_ring_aging"));
+        if aging.map(|r| field(r, "hint_resyncs")).sum::<u64>() < 1 {
+            return Err("the ring-aging cell never escalated through the hint path".into());
+        }
+        if record["quick"].as_bool() != Some(false) {
+            return Ok(());
+        }
+        let max_users = rows.iter().map(|r| field(r, "distinct_users")).max().unwrap_or(0);
+        if max_users < 100_000 {
+            return Err(format!("population floor: best cell reached {max_users} users"));
+        }
+        for p in Protocol::ALL.iter().map(|p| p.name()) {
+            let million = |r: &&Value| field(r, "total_ops") >= 1_000_000;
+            if !rows.iter().filter(million).any(|r| r["protocol"].as_str() == Some(p)) {
+                return Err(format!("no million-op cell recorded for {p}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+fn main() {
+    campaign::main(F8);
+}
+
+#[test]
+fn seeds_are_pinned() {
+    assert_eq!(F8::seed(Coord { spec: 0, protocol: 2, batch: 1 }, 8), 0xF8_0201);
+    assert_eq!(F8::seed(Coord { spec: 4, protocol: 0, batch: 0 }, 8), 0xF8_4000);
 }

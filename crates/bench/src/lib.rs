@@ -18,27 +18,37 @@
 //! | `f1_layered_stack` | full-stack ablation (Fig. 1) |
 //! | `f2_batching` | batched consensus + amortized authentication (writes `BENCH_2.json`) |
 //! | `f5_scenarios` | adversarial scenario campaign, oracle-judged (writes `BENCH_5.json`) |
+//! | `f6_recovery` | checkpoints, state transfer and rejuvenation re-join (writes `BENCH_6.json`) |
+//! | `f8_openloop` | open-loop arrivals, skewed populations, latency tails (writes `BENCH_8.json`) |
 //!
 //! Every binary prints an aligned table to stdout and, with `--json`, one
-//! JSON object per row; the `f*` campaigns also write the committed
-//! `BENCH_*.json` records the README's results sections quote.
-//! `--quick` cuts trial counts for smoke runs.
+//! JSON object per row. `--quick` cuts trial counts for smoke runs. The
+//! `f*` campaigns above share one [`campaign`] module, which also writes
+//! the committed `BENCH_*.json` records the README's results sections
+//! quote, shards them (`--shard i/N`) and stitches shards back together
+//! (`--stitch`).
 
 use serde::Serialize;
 
+pub mod campaign;
 pub mod parallel;
+pub use campaign::{hist_inconsistency, Campaign, CellStats, ClusterJob, Protocol};
 pub use parallel::{default_jobs, run_cells, run_cells_sharded};
 
-/// Shared command-line options for experiment binaries.
-#[derive(Debug, Clone, Copy)]
+/// The command line of every experiment binary: one parser, seven
+/// options. A binary names the [`Flags`] it honours beyond `--json`,
+/// `--quick` and `--jobs N`; anything else is refused (exit 2) before a
+/// cell runs or a file is written.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpOptions {
     /// Emit one JSON object per row after the table.
     pub json: bool,
     /// Reduce trial counts for a fast smoke run.
     pub quick: bool,
-    /// Worker threads for the parallel sweep runner (`--jobs N`; defaults
-    /// to the machine's available parallelism). Results are merged in
-    /// canonical cell order, so output is identical for any value.
+    /// Worker threads for the parallel sweep runner (`--jobs N`; parsing
+    /// defaults it to the machine's available parallelism). Results are
+    /// merged in canonical cell order, so output is identical for any
+    /// value.
     pub jobs: usize,
     /// Cell partition for multi-machine sweeps (`--shard i/N`): this
     /// invocation computes only cells whose canonical index is `i mod N`.
@@ -46,53 +56,108 @@ pub struct ExpOptions {
     /// the shards' records in canonical index order reproduces the
     /// unsharded sweep byte-identically. `None` = the whole grid.
     pub shard: Option<(usize, usize)>,
+    /// `--stitch OUT SHARD...`: the output path, then the shard files to
+    /// re-assemble into it instead of running anything.
+    pub stitch: Option<Vec<String>>,
+    /// `--scenario NAME`: run only the named spec's cells.
+    pub scenario: Option<String>,
+    /// `--list`: print the spec names and exit.
+    pub list: bool,
 }
 
-impl Default for ExpOptions {
-    fn default() -> Self {
-        ExpOptions { json: false, quick: false, jobs: default_jobs(), shard: None }
-    }
+/// The flags a binary honours beyond `--json`, `--quick` and `--jobs N`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Flags {
+    /// `--shard i/N` and `--stitch OUT SHARD...`.
+    pub shard: bool,
+    /// `--scenario NAME` and `--list`.
+    pub scenario: bool,
 }
 
 impl ExpOptions {
-    /// Parses `--json` / `--quick` / `--jobs N` / `--shard i/N` from
-    /// `std::env::args`.
+    /// Parses `std::env::args` for a binary honouring only `--json`,
+    /// `--quick` and `--jobs N`; see [`from_args_with`](Self::from_args_with).
     pub fn from_args() -> Self {
-        let mut o = ExpOptions::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
+        Self::from_args_with(Flags::default())
+    }
+
+    /// Parses `std::env::args`, or prints the error and a usage line and
+    /// exits with status 2.
+    pub fn from_args_with(flags: Flags) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, flags).unwrap_or_else(|e| usage_error(&e, flags))
+    }
+
+    /// Parses an argument vector (without the program name).
+    ///
+    /// # Errors
+    /// An unknown flag, a missing or malformed value, a flag outside
+    /// `flags`, `--shard` with `--scenario`, or `--stitch` anywhere but
+    /// first (it takes the rest of the line).
+    pub fn parse<S: AsRef<str>>(args: &[S], flags: Flags) -> Result<Self, String> {
+        let mut o = ExpOptions { jobs: default_jobs(), ..ExpOptions::default() };
+        let mut args = args.iter().map(AsRef::as_ref).enumerate();
+        while let Some((at, a)) = args.next() {
+            let honoured = (flags.shard || !matches!(a, "--shard" | "--stitch"))
+                && (flags.scenario || !matches!(a, "--scenario" | "--list"));
+            if !honoured {
+                return Err(format!("{a} is not supported by this binary"));
+            }
+            let mut value = || args.next().map(|(_, v)| v).ok_or(format!("{a} needs a value"));
+            match a {
                 "--json" => o.json = true,
                 "--quick" => o.quick = true,
+                "--list" => o.list = true,
                 "--jobs" => {
-                    let v = args.next().unwrap_or_default();
-                    o.jobs = v.parse().unwrap_or_else(|_| {
-                        eprintln!("--jobs needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    });
-                    o.jobs = o.jobs.max(1);
+                    let v = value()?;
+                    let bad = format!("--jobs needs a positive integer, got {v:?}");
+                    o.jobs = v.parse::<usize>().map_err(|_| bad)?.max(1);
                 }
                 "--shard" => {
-                    let v = args.next().unwrap_or_default();
-                    o.shard = Some(parse_shard(&v).unwrap_or_else(|| {
-                        eprintln!("--shard needs i/N with 0 <= i < N, got {v:?}");
-                        std::process::exit(2);
-                    }));
+                    let v = value()?;
+                    let bad = format!("--shard needs i/N with 0 <= i < N, got {v:?}");
+                    o.shard = Some(parse_shard(v).ok_or(bad)?);
                 }
-                other => eprintln!("ignoring unknown argument: {other}"),
+                "--scenario" => o.scenario = Some(value()?.to_string()),
+                "--stitch" => {
+                    let rest: Vec<String> = args.by_ref().map(|(_, v)| v.to_string()).collect();
+                    if at > 0 || rest.len() < 2 {
+                        return Err("--stitch OUT SHARD... takes the whole command line".into());
+                    }
+                    o.stitch = Some(rest);
+                }
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        o
+        if o.shard.is_some() && o.scenario.is_some() {
+            return Err("--shard splits the whole grid; it does not combine with --scenario".into());
+        }
+        Ok(o)
     }
 
     /// Scales a trial count down in quick mode.
     pub fn trials(&self, full: u64) -> u64 {
-        if self.quick {
-            (full / 10).max(1)
-        } else {
-            full
-        }
+        quick_trials(full, self.quick)
     }
+}
+
+/// `full`, or a tenth of it (at least 1) in quick mode.
+pub fn quick_trials(full: u64, quick: bool) -> u64 {
+    if quick {
+        (full / 10).max(1)
+    } else {
+        full
+    }
+}
+
+/// Reports a command-line error with the binary's usage line and exits 2.
+pub fn usage_error(msg: &str, flags: Flags) -> ! {
+    let bin = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&bin).file_name().unwrap_or_default().to_string_lossy();
+    let scenario = if flags.scenario { " [--scenario NAME | --list]" } else { "" };
+    let shard = if flags.shard { " [--shard i/N]\n       or: --stitch OUT SHARD..." } else { "" };
+    eprintln!("error: {msg}\nusage: {bin} [--json] [--quick] [--jobs N]{scenario}{shard}");
+    std::process::exit(2);
 }
 
 /// Parses a `i/N` shard designator (`0 <= i < N`, `N >= 1`).
@@ -134,7 +199,7 @@ impl Table {
     }
 
     /// Prints the aligned table (and JSON lines when requested).
-    pub fn print(&self, options: &ExpOptions) {
+    pub fn print(&self, json: bool) {
         println!("\n== {} ==", self.title);
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -155,7 +220,7 @@ impl Table {
         for row in &self.rows {
             line(row);
         }
-        if options.json {
+        if json {
             for j in &self.json_rows {
                 println!("{j}");
             }
@@ -186,13 +251,13 @@ mod tests {
     fn table_roundtrip() {
         let mut t = Table::new("demo", &["x", "y"]);
         t.row(&["1".into(), "2".into()], &Rec { a: 1 });
-        t.print(&ExpOptions { json: true, quick: false, jobs: 1, shard: None });
+        t.print(true);
         assert_eq!(t.rows.len(), 1);
     }
 
     #[test]
     fn quick_scales_trials() {
-        let q = ExpOptions { json: false, quick: true, jobs: 1, shard: None };
+        let q = ExpOptions { quick: true, ..ExpOptions::default() };
         assert_eq!(q.trials(1000), 100);
         assert_eq!(q.trials(5), 1);
         let f = ExpOptions::default();

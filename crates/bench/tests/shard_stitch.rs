@@ -6,15 +6,13 @@
 //! gate rest on.
 
 use proptest::prelude::*;
-use rsoc_bench::run_cells_sharded;
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::passive::PassiveCluster;
-use rsoc_bft::pbft::PbftCluster;
-use rsoc_bft::runner::{run_open_loop, OpenLoopSpec, RunConfig};
+use rsoc_bench::{run_cells_sharded, CellStats, ClusterJob, Protocol};
+use rsoc_bft::adversary::Scenario;
+use rsoc_bft::api::Cluster;
+use rsoc_bft::runner::{run_open_loop, OpenLoopReport, OpenLoopSpec, RunConfig};
 use rsoc_sim::{Arrival, KeyDist, LogHistogram};
 use serde::Serialize;
 
-const PROTOCOLS: [&str; 3] = ["pbft", "minbft", "passive"];
 const BATCHES: [usize; 2] = [1, 8];
 
 /// The serialized form a sweep would record per cell: every counter plus
@@ -33,7 +31,17 @@ struct CellRecord {
     hist_bucket_counts: Vec<u64>,
 }
 
-fn run_cell(protocol: &'static str, batch: usize, seed: u64) -> String {
+/// An open-loop run on whichever cluster the protocol builds.
+struct OpenLoop<'a>(&'a RunConfig, &'a OpenLoopSpec);
+
+impl ClusterJob for OpenLoop<'_> {
+    type Output = OpenLoopReport;
+    fn run<C: Cluster>(self, cluster: &mut C, _: fn(&C) -> CellStats) -> OpenLoopReport {
+        run_open_loop(cluster, self.0, self.1, &Scenario::none())
+    }
+}
+
+fn run_cell(protocol: Protocol, batch: usize, seed: u64) -> String {
     let cfg =
         RunConfig { f: 1, seed, batch_size: batch, max_cycles: 20_000_000, ..RunConfig::default() };
     let spec = OpenLoopSpec {
@@ -42,15 +50,10 @@ fn run_cell(protocol: &'static str, batch: usize, seed: u64) -> String {
         users: KeyDist::HotSet { n: 400, hot: 8, hot_per_mille: 600 },
         total_ops: 120,
     };
-    let scenario = rsoc_bft::adversary::Scenario::none();
-    let r = match protocol {
-        "pbft" => run_open_loop(&mut PbftCluster::new(&cfg), &cfg, &spec, &scenario),
-        "minbft" => run_open_loop(&mut MinBftCluster::new(&cfg), &cfg, &spec, &scenario),
-        _ => run_open_loop(&mut PassiveCluster::new(&cfg), &cfg, &spec, &scenario),
-    };
+    let r = protocol.build(&cfg, OpenLoop(&cfg, &spec));
     let (hist_bucket_indices, hist_bucket_counts) = r.latency.to_sparse();
     serde_json::to_string(&CellRecord {
-        protocol,
+        protocol: protocol.name(),
         batch,
         issued: r.issued,
         committed: r.committed,
@@ -76,7 +79,7 @@ proptest! {
         n_shards in 1usize..5,
         shard_jobs in 1usize..4,
     ) {
-        let cells: Vec<(&'static str, usize)> = PROTOCOLS
+        let cells: Vec<(Protocol, usize)> = Protocol::ALL
             .iter()
             .flat_map(|p| BATCHES.iter().map(move |b| (*p, *b)))
             .collect();
@@ -84,7 +87,7 @@ proptest! {
         let whole: Vec<String> = cells
             .iter()
             .enumerate()
-            .map(|(i, (p, b))| run_cell(p, *b, seed ^ ((i as u64) << 8)))
+            .map(|(i, &(p, b))| run_cell(p, b, seed ^ ((i as u64) << 8)))
             .collect();
         let mut stitched: Vec<(usize, String)> = (0..n_shards)
             .flat_map(|s| {
