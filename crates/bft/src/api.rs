@@ -146,9 +146,8 @@ impl Batch {
 
     /// Hashes the batch's canonical wire bytes incrementally (no
     /// allocation): `count u64 LE`, then each request's
-    /// [`request_fields`](crate::codec::request_fields). The codec's
-    /// [`Wire`](crate::codec::Wire) impl for `Batch` emits the *same*
-    /// bytes to a frame, so `sha256(encode(batch)) == batch.digest()` —
+    /// [`request_fields`]. The codec's [`Wire`] impl for `Batch` emits the
+    /// *same* bytes to a frame, so `sha256(encode(batch)) == batch.digest()` —
     /// the simulator's digest path and the socket framing share one
     /// definition.
     fn compute_digest(requests: &[Arc<Request>]) -> [u8; 32] {

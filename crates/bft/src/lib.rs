@@ -26,9 +26,17 @@
 //!   a certificate certifies, a checkpoint rehashes only the pages
 //!   written since the last one, and a retained checkpoint is an O(1)
 //!   clone whose pages the live state copies on write;
-//! * `shell` (crate-private) — the one replica shell all three protocols
-//!   embed. It *owns* the request accumulator, the op → slot assignments,
-//!   the backup watchlist and the next free sequence number, the committed
+//! * `chassis` (crate-private) — the one replica all three protocols are:
+//!   `Replica<P>` owns the id, `n`/`f`, the fault script, the outage flag
+//!   and the shell, and is the one [`api::ReplicaNode`] impl — the crash
+//!   window, timer revival after it, the output gate of a muted script,
+//!   wipe and recovery — while `P` holds a protocol's own state and
+//!   handlers. `Replicas<P>` is the one [`api::Cluster`] impl and
+//!   provisioning loop; `PbftReplica`, `PbftCluster` and their siblings
+//!   are aliases of the two;
+//! * `shell` (crate-private) — the one replica shell inside the chassis.
+//!   It *owns* the request accumulator, the op → slot assignments, the
+//!   backup watchlist and the next free sequence number, the committed
 //!   log, the state machine, the exactly-once reply index, client
 //!   sessions, the checkpoint store, the state-transfer replay ring and
 //!   response buffer, and the [`durable`] event queue, and holds — once —
@@ -38,7 +46,8 @@
 //!   install, WAL `recover`, and `wipe`. A protocol file keeps only its
 //!   **ordering core** (how to propose sealed requests, slots and
 //!   quorums, USIG and ingress windows, passive ship/sync/promote) and
-//!   calls the shell at fixed points (the table in `shell.rs`). The
+//!   calls the shell at fixed points (the table in `shell.rs`; the
+//!   chassis makes the per-input and lifecycle calls). The
 //!   replica's role, quorums, the log-entry digest and fault-script flags
 //!   are call-site arguments — the shell never asks which protocol it
 //!   serves;
@@ -82,6 +91,7 @@
 pub mod adversary;
 pub mod api;
 pub mod broadcast;
+mod chassis;
 pub mod checkpoint;
 pub mod codec;
 pub mod dense;

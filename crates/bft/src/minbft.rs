@@ -18,17 +18,13 @@
 //! Wire format: PREPARE and COMMIT carry [`Arc<Batch>`] — the broadcast
 //! fan-out bumps a refcount per peer instead of deep-cloning the batch.
 
-use crate::adversary::ReplicaScript;
-use crate::api::{
-    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
-};
-use crate::checkpoint::{
-    CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer,
-};
+use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
+use crate::chassis::{Protocol, Replica, Replicas};
+use crate::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
 use crate::dense::{ReplicaSet, SeqWindow};
-use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
+use crate::durable::{DurableEvent, RecoveredState};
 use crate::runner::RunConfig;
-use crate::shell::{Intake, Shell, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
+use crate::shell::{Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
 use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
 use rsoc_crypto::Tag;
 use rsoc_hw::{EccRegister, PlainRegister, RegisterCell};
@@ -244,15 +240,10 @@ impl CounterProtection {
     }
 }
 
-/// One MinBFT replica.
+/// MinBFT's ordering state: the USIG, the per-sender counter streams and
+/// their hold-back, the resend ring, the agreement slots, and the view.
 #[derive(Debug)]
-pub struct MinBftReplica {
-    id: ReplicaId,
-    n: u32,
-    f: u32,
-    script: ReplicaScript,
-    /// Virtual time of the input being handled (scripts are time-phased).
-    now: u64,
+pub struct MinBft {
     usig: Usig,
     /// Hold-back ingress: per-sender buffered UI-bearing messages, each a
     /// counter-keyed window anchored just past the accepted counter.
@@ -276,86 +267,59 @@ pub struct MinBftReplica {
     /// Agreement slots, watermarked at `shell.exec_upto() + 1`.
     slots: SeqWindow<Slot>,
     stored_prepares: SeqWindow<MinBftMsg>,
-    /// Request intake, execution, checkpoints, state transfer, durability
-    /// (f+1 matching vouchers certify a checkpoint, mirroring the commit
-    /// quorum; f+1 responders install a transfer).
-    shell: Shell,
     /// The current view and the view changes under way.
     vc: ViewLedger,
-    /// Set while a crash window swallows inputs; the first input after
-    /// recovery re-arms the per-op patience chains killed in the outage.
-    in_outage: bool,
+}
+
+/// One MinBFT replica.
+pub type MinBftReplica = Replica<MinBft>;
+
+/// A MinBFT cluster of `2f+1` replicas sharing a provisioned key ring.
+pub type MinBftCluster = Replicas<MinBft>;
+
+impl MinBftCluster {
+    /// Builds the cluster for `config.f` with SEC-DED-protected USIGs.
+    pub fn new(config: &RunConfig) -> Self {
+        Self::with_protection(config, CounterProtection::SecDed)
+    }
+
+    /// Builds the cluster with an explicit USIG counter protection level.
+    pub fn with_protection(config: &RunConfig, protection: CounterProtection) -> Self {
+        let n = 2 * config.f + 1;
+        // One provisioning pass (key derivation + HMAC key-schedule
+        // precomputation) shared by every replica via Arc.
+        let ring = KeyRing::provision(config.seed, n);
+        Replicas::provision(config, n, |id| {
+            MinBftReplica::new(id, config.f, ring.clone(), protection)
+        })
+    }
 }
 
 impl MinBftReplica {
     /// Creates replica `id` of an `n = 2f+1` cluster sharing `ring`
-    /// (a refcount bump, not a key-material copy).
+    /// (a refcount bump, not a key-material copy). f+1 matching vouchers
+    /// certify a checkpoint, mirroring the commit quorum.
     pub fn new(id: ReplicaId, f: u32, ring: Arc<KeyRing>, protection: CounterProtection) -> Self {
-        MinBftReplica {
-            id,
-            n: 2 * f + 1,
-            f,
-            script: ReplicaScript::correct(),
-            now: 0,
+        let n = 2 * f + 1;
+        let core = MinBft {
             usig: Usig::new(UsigId(id.0), ring, protection.build()),
-            ingress: (0..2 * f + 1).map(|_| SeqWindow::with_base(1)).collect(),
+            ingress: (0..n).map(|_| SeqWindow::with_base(1)).collect(),
             future: Vec::new(),
             future_dropped: 0,
-            accepted: vec![0; (2 * f + 1) as usize],
+            accepted: vec![0; n as usize],
             sent_ui: SeqWindow::with_base(1),
-            gap_req_at: vec![0; (2 * f + 1) as usize],
+            gap_req_at: vec![0; n as usize],
             slots: SeqWindow::with_base(1),
             stored_prepares: SeqWindow::with_base(1),
-            shell: Shell::new(id, 2 * f + 1, (f + 1) as usize),
-            vc: ViewLedger::new(id, 2 * f + 1),
-            in_outage: false,
-        }
-    }
-
-    /// Configures the batching front-end: seal a batch at `batch_size`
-    /// requests, or after `batch_flush` cycles, whichever comes first.
-    pub fn set_batching(&mut self, batch_size: usize, batch_flush: u64) {
-        self.shell.set_batching(batch_size, batch_flush);
-    }
-
-    /// Sets the backup's request patience (clamped to ≥ 1; see
-    /// [`RunConfig::request_patience`]).
-    pub fn set_patience(&mut self, cycles: u64) {
-        self.shell.set_patience(cycles);
-    }
-
-    /// Enables certified checkpoints every `interval` executed slots
-    /// (0 disables — the default, byte-identical to the legacy protocol).
-    /// MinBFT's f+1 matching vouchers certify a watermark.
-    pub fn set_checkpointing(&mut self, interval: u64, keys: Arc<CkptKeys>) {
-        self.shell.set_checkpointing(interval, keys);
-    }
-
-    /// Digest of the replica's current state-machine state (for
-    /// batched-vs-unbatched equivalence checks).
-    pub fn state_digest(&self) -> [u8; 32] {
-        self.shell.state_digest()
+            vc: ViewLedger::new(id, n),
+        };
+        Replica::assemble(id, n, f, (f + 1) as usize, core)
     }
 
     /// `(created, verified)` USIG certificate counts — the replica's MAC
     /// operations, for authentication-cost accounting.
     pub fn mac_ops(&self) -> (u64, u64) {
-        (self.usig.issued(), self.usig.verified())
-    }
-
-    /// Installs a composable, time-phased fault script.
-    pub fn set_script(&mut self, script: ReplicaScript) {
-        self.script = script;
-    }
-
-    /// The active fault script.
-    pub fn script(&self) -> &ReplicaScript {
-        &self.script
-    }
-
-    /// Current view.
-    pub fn view(&self) -> u64 {
-        self.vc.view()
+        (self.core.usig.issued(), self.core.usig.verified())
     }
 
     /// Votes refused: view-change votes whose named voter was not the
@@ -363,12 +327,12 @@ impl MinBftReplica {
     /// not yet installed that arrived after their sender had filled its
     /// share of the stash.
     pub fn rejected_votes(&self) -> u64 {
-        self.vc.rejected() + self.future_dropped
+        self.core.vc.rejected() + self.core.future_dropped
     }
 
     /// SEU injection into the USIG counter register (E2 / F1).
     pub fn inject_usig_flip(&mut self, bit: u32) {
-        self.usig.inject_counter_flip(bit);
+        self.core.usig.inject_counter_flip(bit);
     }
 
     fn commit_quorum(&self) -> usize {
@@ -378,9 +342,9 @@ impl MinBftReplica {
     /// Remembers one of this replica's own UI-certified sends so a peer
     /// with a counter gap can ask for a verbatim resend.
     fn record_sent(&mut self, counter: u64, msg: MinBftMsg) {
-        self.sent_ui.insert(counter, msg);
+        self.core.sent_ui.insert(counter, msg);
         if counter > SENT_RETENTION {
-            self.sent_ui.retire_below(counter - SENT_RETENTION);
+            self.core.sent_ui.retire_below(counter - SENT_RETENTION);
         }
         // Every honest UI issue passes through here, so the persisted
         // counter watermark tracks the USIG exactly: a restart resumes
@@ -409,26 +373,26 @@ impl MinBftReplica {
         held_back: impl FnOnce() -> MinBftMsg,
         out: &mut Outbox<MinBftMsg>,
     ) -> bool {
-        if !self.usig.verify_ui(UsigId(sender.0), ui, signed) {
+        if !self.core.usig.verify_ui(UsigId(sender.0), ui, signed) {
             return false; // forged or corrupted certificate
         }
         let s = sender.0 as usize;
         // bounds: verify_ui above rejects senders without a ring key, so
         // s < n for every line that indexes the per-sender arrays here.
-        let last = self.accepted[s];
+        let last = self.core.accepted[s];
         match ui.counter.cmp(&(last + 1)) {
             std::cmp::Ordering::Equal => {
-                self.accepted[s] = ui.counter; // bounds: s < n (verify_ui)
-                self.ingress[s].retire_below(ui.counter + 1); // bounds: s < n (verify_ui)
+                self.core.accepted[s] = ui.counter; // bounds: s < n (verify_ui)
+                self.core.ingress[s].retire_below(ui.counter + 1); // bounds: s < n (verify_ui)
                 true
             }
             std::cmp::Ordering::Greater => {
                 // bounds: s < n (verify_ui)
-                self.ingress[s].insert(ui.counter, held_back());
+                self.core.ingress[s].insert(ui.counter, held_back());
                 // bounds: s < n (verify_ui)
-                if self.now >= self.gap_req_at[s].saturating_add(GAP_REQ_BACKOFF) {
+                if self.now >= self.core.gap_req_at[s].saturating_add(GAP_REQ_BACKOFF) {
                     // bounds: s < n (verify_ui)
-                    self.gap_req_at[s] = self.now;
+                    self.core.gap_req_at[s] = self.now;
                     out.send(
                         Endpoint::Replica(sender),
                         MinBftMsg::FillGap {
@@ -453,29 +417,29 @@ impl MinBftReplica {
     /// its counters could not be gap-filled anyway; later ones are dropped
     /// and counted.
     fn stash_future(&mut self, sender: ReplicaId, ui: &UI, signed: &[u8], msg: MinBftMsg) {
-        if !self.usig.verify_ui(UsigId(sender.0), ui, signed) {
+        if !self.core.usig.verify_ui(UsigId(sender.0), ui, signed) {
             return;
         }
-        let held = self.future.iter().filter(|(s, _)| *s == sender).count() as u64;
+        let held = self.core.future.iter().filter(|(s, _)| *s == sender).count() as u64;
         if held >= SENT_RETENTION {
-            self.future_dropped += 1;
+            self.core.future_dropped += 1;
             return;
         }
-        self.future.push((sender, msg));
+        self.core.future.push((sender, msg));
     }
 
     /// Pops the next contiguous buffered message from any sender, if ready
     /// (ascending sender order, matching the old map-keyed scan).
     fn take_ready(&mut self) -> Option<MinBftMsg> {
-        for s in 0..self.ingress.len() {
+        for s in 0..self.core.ingress.len() {
             // bounds: s iterates 0..len; accepted/ingress share length n
-            let next = self.accepted[s] + 1;
+            let next = self.core.accepted[s] + 1;
             // bounds: s iterates 0..len
-            if let Some(msg) = self.ingress[s].remove(next) {
+            if let Some(msg) = self.core.ingress[s].remove(next) {
                 // bounds: s iterates 0..len
-                self.accepted[s] = next;
+                self.core.accepted[s] = next;
                 // bounds: s iterates 0..len
-                self.ingress[s].retire_below(next + 1);
+                self.core.ingress[s].retire_below(next + 1);
                 return Some(msg);
             }
         }
@@ -486,21 +450,21 @@ impl MinBftReplica {
     /// creation and verification are amortized `1/B` across the batch.
     fn propose(&mut self, reqs: Vec<Arc<Request>>, out: &mut Outbox<MinBftMsg>) {
         let (seq, batch) = self.shell.open_slot(reqs);
-        let view = self.vc.view();
+        let view = self.core.vc.view();
         if self.script.forges_ui_at(self.now) {
             self.forge_equivocation(seq, batch, out);
             return;
         }
         let digest = batch.digest();
-        let Ok(ui) = self.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
+        let Ok(ui) = self.core.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
             return; // fail-stopped USIG: replica can no longer lead
         };
         let prep = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
-        self.stored_prepares.insert(seq, prep.clone());
+        self.core.stored_prepares.insert(seq, prep.clone());
         self.record_sent(ui.counter, prep.clone());
         let me = self.id;
         // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
-        let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
+        let slot = self.core.slots.get_or_insert_default(seq).expect("fresh seq above watermark");
         slot.prepare(view, batch, digest, ui);
         slot.commits.insert(me); // the PREPARE is the primary's commit
         slot.sent_commit = true;
@@ -510,7 +474,7 @@ impl MinBftReplica {
     /// Answers a client retry for the op in flight at `seq`: retransmit
     /// the stored PREPARE (heals backups with counter gaps).
     fn reannounce(&self, seq: u64, out: &mut Outbox<MinBftMsg>) {
-        if let Some(prep) = self.stored_prepares.get(seq).cloned() {
+        if let Some(prep) = self.core.stored_prepares.get(seq).cloned() {
             out.broadcast(self.n, self.id, prep);
         }
     }
@@ -520,9 +484,9 @@ impl MinBftReplica {
     /// fabricated tag — the USIG refuses to sign twice) for a conflicting
     /// batch to the rest. The hybrid makes the forgery detectable.
     fn forge_equivocation(&mut self, seq: u64, batch: Arc<Batch>, out: &mut Outbox<MinBftMsg>) {
-        let view = self.vc.view();
+        let view = self.core.vc.view();
         let digest = batch.digest();
-        let Ok(ui) = self.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
+        let Ok(ui) = self.core.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
             return;
         };
         let evil_reqs: Vec<Arc<Request>> = batch
@@ -550,7 +514,7 @@ impl MinBftReplica {
         }
         let me = self.id;
         // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
-        let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
+        let slot = self.core.slots.get_or_insert_default(seq).expect("fresh seq above watermark");
         slot.prepare(view, batch, digest, ui);
         slot.commits.insert(me);
         slot.sent_commit = true;
@@ -567,7 +531,7 @@ impl MinBftReplica {
         // Below the watermark = already executed: rejected, not resurrected;
         // past the horizon: refused before the window grows. (Stash replays
         // and held-back messages come through here too.)
-        if view != self.vc.view() || !self.slots.admits(seq) {
+        if view != self.core.vc.view() || !self.core.slots.admits(seq) {
             return;
         }
         if batch.is_empty() {
@@ -576,9 +540,9 @@ impl MinBftReplica {
         // The digest the UI certifies is the carried requests' own (see
         // `Batch`), so the certificate already covers the content.
         let digest = batch.digest();
-        let primary = self.vc.primary_of(view);
+        let primary = self.core.vc.primary_of(view);
         let me = self.id;
-        let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
+        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if let Some(d) = slot.digest {
             if d != digest {
                 return; // conflicts with already-evidenced assignment
@@ -586,13 +550,13 @@ impl MinBftReplica {
         }
         self.shell.assign(seq, &batch);
         // lint: allow(ingress-expect) -- get_or_insert_default above returned Some for this seq
-        let slot = self.slots.get_mut(seq).expect("slot just ensured");
+        let slot = self.core.slots.get_mut(seq).expect("slot just ensured");
         slot.prepare(view, batch.clone(), digest, ui);
         slot.commits.insert(primary);
         if !slot.sent_commit {
             slot.sent_commit = true;
             slot.commits.insert(me);
-            let Ok(my_ui) = self.usig.create_ui(&commit_bytes(view, seq, &digest, ui.counter))
+            let Ok(my_ui) = self.core.usig.create_ui(&commit_bytes(view, seq, &digest, ui.counter))
             else {
                 return;
             };
@@ -619,7 +583,7 @@ impl MinBftReplica {
         from: ReplicaId,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        if view != self.vc.view() || !self.slots.admits(seq) {
+        if view != self.core.vc.view() || !self.core.slots.admits(seq) {
             return; // an executed slot, or one past the horizon: no MAC for it
         }
         // The commit must reference a genuine primary certificate — checked
@@ -629,12 +593,12 @@ impl MinBftReplica {
         // Anything else (another tag, counter or id, the same UI under a
         // later view's primary, no PREPARE accepted yet) pays in full.
         let digest = batch.digest();
-        let primary = self.vc.primary_of(view);
-        let verified = self.slots.get(seq).is_some_and(|slot| {
+        let primary = self.core.vc.primary_of(view);
+        let verified = self.core.slots.get(seq).is_some_and(|slot| {
             slot.digest == Some(digest) && slot.primary_cert == Some((view, primary_ui))
         });
         if !verified
-            && !self.usig.verify_ui(
+            && !self.core.usig.verify_ui(
                 UsigId(primary.0),
                 &primary_ui,
                 &prepare_bytes(view, seq, &digest),
@@ -642,7 +606,7 @@ impl MinBftReplica {
         {
             return;
         }
-        let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
+        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if let Some(d) = slot.digest {
             if d != digest {
                 return;
@@ -664,7 +628,7 @@ impl MinBftReplica {
         let quorum = self.commit_quorum();
         loop {
             let next = self.shell.exec_upto() + 1;
-            let ready = match self.slots.get(next) {
+            let ready = match self.core.slots.get(next) {
                 Some(s) => s.batch.is_some() && s.commits.len() >= quorum,
                 None => false,
             };
@@ -674,7 +638,7 @@ impl MinBftReplica {
             // Execution consumes the slot; the watermark retirement below
             // makes the sequence number permanently dead.
             // lint: allow(ingress-expect) -- `ready` above proved the slot exists in the window
-            let slot = self.slots.remove(next).expect("checked");
+            let slot = self.core.slots.remove(next).expect("checked");
             // lint: allow(ingress-expect) -- `ready` above proved batch.is_some()
             let batch = slot.batch.expect("checked");
             // lint: allow(ingress-expect) -- the digest is stored alongside the batch, never alone
@@ -691,15 +655,8 @@ impl MinBftReplica {
     /// executed sequence numbers are dead, never resurrected.
     fn retire_executed(&mut self) {
         let floor = self.shell.exec_upto() + 1;
-        self.slots.retire_below(floor);
-        self.stored_prepares.retire_below(floor);
-    }
-
-    /// Ingests a peer's checkpoint voucher and, if this replica turns out
-    /// to be behind the newly stable watermark, starts state transfer.
-    fn handle_checkpoint(&mut self, voucher: CheckpointVoucher, out: &mut Outbox<MinBftMsg>) {
-        self.shell.on_voucher(&voucher);
-        self.shell.request_transfer(self.now, out);
+        self.core.slots.retire_below(floor);
+        self.core.stored_prepares.retire_below(floor);
     }
 
     /// Hands a transfer response to the shell; once f+1 responders agree
@@ -710,7 +667,7 @@ impl MinBftReplica {
         self.shell.install(&plan, Batch::digest);
         self.retire_executed();
         // The cluster may have moved on while we were down; join its view.
-        self.vc.join(plan.view);
+        self.core.vc.join(plan.view);
         self.shell.rearm_patience(out);
         self.try_execute(out);
     }
@@ -734,21 +691,22 @@ impl MinBftReplica {
             return; // forged hint (the shell counted the rejection)
         }
         let s = sender.0 as usize;
-        let Some(accepted) = self.accepted.get_mut(s) else { return };
+        let Some(accepted) = self.core.accepted.get_mut(s) else { return };
         if ring_base > 0 && *accepted + 1 < ring_base {
             // Counters below the ring can never be resent; skip to the
             // resendable range so the stream un-wedges. The certificate
             // (plus state transfer) covers what those counters ordered.
             *accepted = ring_base - 1;
             // bounds: accepted and ingress share length n; s indexed accepted above
-            self.ingress[s].retire_below(ring_base);
+            self.core.ingress[s].retire_below(ring_base);
             self.shell.note_hint_resync();
         }
     }
 
     fn prepared_uncommitted(&self) -> PreparedSet {
         // Every slot still in the window is unexecuted (execution retires).
-        self.slots
+        self.core
+            .slots
             .iter()
             .filter(|(_, s)| s.prepare_ok)
             .filter_map(|(seq, s)| s.batch.clone().map(|b| (seq, b)))
@@ -758,7 +716,9 @@ impl MinBftReplica {
     /// Votes for `new_view` (once) and checks whether that elects us.
     fn start_view_change(&mut self, new_view: u64, out: &mut Outbox<MinBftMsg>) {
         let prepared = self.prepared_uncommitted();
-        let Some(vote) = self.vc.demand(new_view, self.now, prepared, &self.shell) else { return };
+        let Some(vote) = self.core.vc.demand(new_view, self.now, prepared, &self.shell) else {
+            return;
+        };
         out.broadcast(self.n, self.id, MinBftMsg::ReqViewChange(vote));
         self.maybe_install_view(new_view, out);
     }
@@ -770,7 +730,7 @@ impl MinBftReplica {
         out: &mut Outbox<MinBftMsg>,
     ) {
         let new_view = vote.new_view;
-        let Some(count) = self.vc.record(from, vote, &mut self.shell) else { return };
+        let Some(count) = self.core.vc.record(from, vote, &mut self.shell) else { return };
         // In MinBFT a single valid suspicion suffices to join, because
         // UI certificates make false accusations non-amplifiable; we
         // require our own patience timer OR f+1 votes, matching the
@@ -787,10 +747,10 @@ impl MinBftReplica {
     /// ROADMAP next step.)
     fn maybe_install_view(&mut self, new_view: u64, out: &mut Outbox<MinBftMsg>) {
         let own = self.prepared_uncommitted();
-        let Some(plan) = self.vc.plan(new_view, self.commit_quorum(), own, &self.shell) else {
+        let Some(plan) = self.core.vc.plan(new_view, self.commit_quorum(), own, &self.shell) else {
             return;
         };
-        self.vc.installed(new_view);
+        self.core.vc.installed(new_view);
         self.shell.resume_at(plan.next_seq);
         let preprepares = plan.repropose.clone();
         out.broadcast(self.n, self.id, MinBftMsg::NewView { view: new_view, preprepares });
@@ -800,22 +760,22 @@ impl MinBftReplica {
     }
 
     fn install_as_primary(&mut self, entries: PreparedSet, out: &mut Outbox<MinBftMsg>) {
-        let view = self.vc.view();
+        let view = self.core.vc.view();
         for (seq, batch) in entries {
-            if self.slots.is_retired(seq) {
+            if self.core.slots.is_retired(seq) {
                 continue; // already executed: dead, not resurrectable
             }
             let digest = batch.digest();
-            let Ok(ui) = self.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
+            let Ok(ui) = self.core.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
                 return;
             };
             let prep = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
-            self.stored_prepares.insert(seq, prep.clone());
+            self.core.stored_prepares.insert(seq, prep.clone());
             self.record_sent(ui.counter, prep.clone());
             self.shell.assign(seq, &batch);
             let me = self.id;
             // lint: allow(ingress-expect) -- is_retired() continued the loop just above
-            let slot = self.slots.get_or_insert_default(seq).expect("not retired");
+            let slot = self.core.slots.get_or_insert_default(seq).expect("not retired");
             // Reset stale votes from the old view.
             slot.commits.clear();
             slot.prepare(view, batch, digest, ui);
@@ -827,16 +787,16 @@ impl MinBftReplica {
     }
 
     fn handle_new_view(&mut self, view: u64, from: Endpoint, out: &mut Outbox<MinBftMsg>) {
-        if view <= self.vc.view() {
+        if view <= self.core.vc.view() {
             return;
         }
-        if from != Endpoint::Replica(self.vc.primary_of(view)) {
+        if from != Endpoint::Replica(self.core.vc.primary_of(view)) {
             return;
         }
         // Adopt the view; actual agreement re-runs via the primary's fresh
         // PREPAREs (which carry verifiable UIs). Clear stale votes.
-        self.vc.installed(view);
-        for slot in self.slots.values_mut() {
+        self.core.vc.installed(view);
+        for slot in self.core.slots.values_mut() {
             slot.commits.clear();
             slot.prepare_ok = false;
             slot.sent_commit = false;
@@ -847,8 +807,8 @@ impl MinBftReplica {
 
     /// Re-dispatches messages stashed for views we had not installed yet.
     fn replay_future(&mut self, out: &mut Outbox<MinBftMsg>) {
-        let current = self.vc.view();
-        let stash = std::mem::take(&mut self.future);
+        let current = self.core.vc.view();
+        let stash = std::mem::take(&mut self.core.future);
         for (sender, msg) in stash {
             let msg_view = match &msg {
                 MinBftMsg::Prepare { view, .. } => *view,
@@ -856,17 +816,17 @@ impl MinBftReplica {
                 _ => continue,
             };
             if msg_view > current {
-                self.future.push((sender, msg)); // still ahead of us
+                self.core.future.push((sender, msg)); // still ahead of us
             } else {
                 // From a generic peer endpoint: dispatch re-checks everything.
-                self.dispatch(Endpoint::Replica(self.vc.primary_of(msg_view)), msg, out);
+                self.dispatch(Endpoint::Replica(self.core.vc.primary_of(msg_view)), msg, out);
             }
         }
     }
 
     fn dispatch(&mut self, from: Endpoint, msg: MinBftMsg, out: &mut Outbox<MinBftMsg>) {
         match msg {
-            MinBftMsg::Request(req) => match self.shell.intake(req, self.vc.role(), out) {
+            MinBftMsg::Request(req) => match self.shell.intake(req, self.core.vc.role(), out) {
                 Intake::Sealed(reqs) => self.propose(reqs, out),
                 Intake::Reannounce(seq) => self.reannounce(seq, out),
                 Intake::Done => {}
@@ -875,8 +835,8 @@ impl MinBftReplica {
                 // The UI certifies the batch digest, which is a function of
                 // the carried requests (see `Batch`).
                 let signed = prepare_bytes(view, seq, &batch.digest());
-                let sender = self.vc.primary_of(view);
-                if view > self.vc.view() {
+                let sender = self.core.vc.primary_of(view);
+                if view > self.core.vc.view() {
                     // The installing NewView may still be in flight. Do NOT
                     // consume the sender's UI counter yet.
                     let msg = MinBftMsg::Prepare { view, seq, batch, ui };
@@ -892,7 +852,7 @@ impl MinBftReplica {
             MinBftMsg::Commit(vote) => {
                 let digest = vote.batch.digest();
                 let signed = commit_bytes(vote.view, vote.seq, &digest, vote.primary_ui.counter);
-                if vote.view > self.vc.view() {
+                if vote.view > self.core.vc.view() {
                     let (sender, ui) = (vote.from, vote.ui);
                     self.stash_future(sender, &ui, &signed, MinBftMsg::Commit(vote));
                     return;
@@ -916,11 +876,13 @@ impl MinBftReplica {
                 self.handle_new_view(view, from, out)
             }
             MinBftMsg::FillGap { sender, from_counter, upto, from: requester } => {
-                // Serve only gaps in OUR stream, with a bounded burst; the
-                // resends are the original UI-certified messages, which the
-                // requester re-verifies and ingests in counter order.
-                if sender == self.id && requester != self.id {
-                    if from_counter < self.sent_ui.base() {
+                // Serve only gaps in OUR stream, only over the requester's
+                // own link, with a bounded burst; the resends are the
+                // original UI-certified messages, which the requester
+                // re-verifies and ingests in counter order.
+                if sender == self.id && requester != self.id && from == Endpoint::Replica(requester)
+                {
+                    if from_counter < self.core.sent_ui.base() {
                         // The gap starts below the resend ring: those
                         // counters are gone and USIGs never re-sign them.
                         // Hand over the stable certificate (if any) so the
@@ -931,7 +893,7 @@ impl MinBftReplica {
                                 Endpoint::Replica(requester),
                                 MinBftMsg::CheckpointHint {
                                     cert: Box::new(cert.clone()),
-                                    ring_base: self.sent_ui.base(),
+                                    ring_base: self.core.sent_ui.base(),
                                     from: self.id,
                                 },
                             );
@@ -939,7 +901,7 @@ impl MinBftReplica {
                     }
                     let hi = upto.min(from_counter.saturating_add(GAP_FILL_BURST - 1));
                     for counter in from_counter..=hi {
-                        if let Some(m) = self.sent_ui.get(counter) {
+                        if let Some(m) = self.core.sent_ui.get(counter) {
                             out.send(Endpoint::Replica(requester), m.clone());
                         }
                     }
@@ -948,42 +910,26 @@ impl MinBftReplica {
             MinBftMsg::CheckpointHint { cert, ring_base, from: sender } => {
                 self.handle_checkpoint_hint(from, *cert, ring_base, sender)
             }
-            MinBftMsg::Checkpoint(voucher) => self.handle_checkpoint(*voucher, out),
-            MinBftMsg::StateRequest { have, from: requester } => self.shell.serve_transfer(
-                have,
-                requester,
-                self.vc.view(),
-                self.script.corrupts_snapshot_at(self.now),
-                self.script.corrupts_suffix_at(self.now),
-                out,
-            ),
+            MinBftMsg::Checkpoint(voucher) => {
+                self.shell.on_voucher(&voucher);
+            }
+            // Served only to the requester's own link: a transfer is the
+            // whole state, not something to reflect at a third party.
+            MinBftMsg::StateRequest { have, from: requester }
+                if from == Endpoint::Replica(requester) =>
+            {
+                self.shell.serve_transfer(
+                    have,
+                    requester,
+                    self.core.vc.view(),
+                    self.script.corrupts_snapshot_at(self.now),
+                    self.script.corrupts_suffix_at(self.now),
+                    out,
+                )
+            }
             MinBftMsg::StateResponse(st) => self.handle_state_response(*st, out),
-            MinBftMsg::Reply(_) => {}
+            MinBftMsg::StateRequest { .. } | MinBftMsg::Reply(_) => {}
         }
-    }
-
-    /// Routes one input to its handler, emitting effects into `staged`.
-    fn dispatch_input(&mut self, input: Input<MinBftMsg>, staged: &mut Outbox<MinBftMsg>) {
-        match input {
-            Input::Message { from, msg } => self.dispatch(from, msg, staged),
-            Input::Timer { kind: TIMER_REQUEST, token } if self.shell.watching(token) => {
-                if let Some(next) = self.vc.on_patience_timer(self.now, self.shell.patience()) {
-                    self.start_view_change(next, staged);
-                }
-                // Keep watching: if the new view also stalls, escalate.
-                staged.arm(self.shell.patience(), TIMER_REQUEST, token);
-            }
-            Input::Timer { kind: TIMER_FLUSH, token } => {
-                if let Some(reqs) = self.shell.on_flush_timer(token, self.vc.is_primary()) {
-                    self.propose(reqs, staged);
-                }
-            }
-            Input::Timer { .. } => {}
-        }
-        // Any input may have revealed a stable certificate ahead of us
-        // (post-wipe, or crashed past retention): chase it, rate-limited
-        // by the CST backoff.
-        self.shell.request_transfer(self.now, staged);
     }
 
     fn drain_ready(&mut self, out: &mut Outbox<MinBftMsg>) {
@@ -1004,107 +950,54 @@ impl MinBftReplica {
             }
         }
     }
-    // lint: end
 }
 
-// The node-facing input surface: every simulator event enters here.
-// lint: ingress
-impl ReplicaNode for MinBftReplica {
+// The node-facing routing table: every simulator event enters here.
+impl Protocol for MinBft {
     type Msg = MinBftMsg;
+    const NAME: &'static str = "minbft";
 
-    fn id(&self) -> ReplicaId {
-        self.id
-    }
-
-    fn on_input(&mut self, input: Input<MinBftMsg>, now: u64, out: &mut Outbox<MinBftMsg>) {
-        self.now = now;
-        if self.script.crashed_at(now) {
-            self.in_outage = true;
-            return;
-        }
-        if self.in_outage {
-            // Fail-recover: per-op patience timers whose firing landed
-            // inside the outage are dead chains — revive them once.
-            self.in_outage = false;
-            self.shell.rearm_patience(out);
-        }
-        if self.script.unconstrained() {
-            // Fast path: a correct replica's outputs are never gated, so
-            // handlers write the caller's outbox directly.
-            self.dispatch_input(input, out);
-            return;
-        }
-        let mut staged = Outbox::new();
-        self.dispatch_input(input, &mut staged);
-        if self.script.sends_at(now) {
-            out.msgs.extend(staged.msgs);
-        }
-        out.timers.extend(staged.timers);
-    }
-
-    fn committed_log(&self) -> &[LogEntry] {
-        self.shell.log()
-    }
-
-    fn committed_seq(&self) -> u64 {
-        self.shell.committed()
-    }
-
-    fn wipe(&mut self) {
-        // Rejuvenation: volatile protocol + application state goes; the
-        // replica's identity, keys, fault script, the stable certificate
-        // (trusted persistent store), and — crucially — the USIG stay.
-        // The trusted counter is hardware-monotonic: it survives software
-        // rejuvenation, and resuming it (rather than resetting) is what
-        // keeps the replica's counter stream acceptable to peers.
-        self.ingress = (0..self.n).map(|_| SeqWindow::with_base(1)).collect();
-        self.future = Vec::new();
-        self.accepted = vec![0; self.n as usize];
-        self.sent_ui = SeqWindow::with_base(1);
-        self.gap_req_at = vec![0; self.n as usize];
-        self.slots = SeqWindow::with_base(1);
-        self.stored_prepares = SeqWindow::with_base(1);
-        self.vc.wipe();
-        self.in_outage = false;
-        self.shell.wipe();
-    }
-
-    fn checkpoint_stats(&self) -> CheckpointStats {
-        self.shell.ckpt().stats()
-    }
-
-    fn checkpoint_history(&self) -> &[(u64, [u8; 32])] {
-        self.shell.ckpt().history()
-    }
-
-    fn make_request(req: Arc<Request>) -> MinBftMsg {
-        MinBftMsg::Request(req)
-    }
-
-    fn as_reply(msg: &MinBftMsg) -> Option<&Reply> {
-        match msg {
-            MinBftMsg::Reply(r) => Some(r),
-            _ => None,
+    fn dispatch(r: &mut MinBftReplica, input: Input<MinBftMsg>, out: &mut Outbox<MinBftMsg>) {
+        match input {
+            Input::Message { from, msg } => r.dispatch(from, msg, out),
+            Input::Timer { kind: TIMER_REQUEST, token } if r.shell.watching(token) => {
+                if let Some(next) = r.core.vc.on_patience_timer(r.now, r.shell.patience()) {
+                    r.start_view_change(next, out);
+                }
+                // Keep watching: if the new view also stalls, escalate.
+                out.arm(r.shell.patience(), TIMER_REQUEST, token);
+            }
+            Input::Timer { kind: TIMER_FLUSH, token } => {
+                if let Some(reqs) = r.shell.on_flush_timer(token, r.core.vc.is_primary()) {
+                    r.propose(reqs, out);
+                }
+            }
+            Input::Timer { .. } => {}
         }
     }
 
-    fn state_digest(&self) -> [u8; 32] {
-        self.shell.state_digest()
-    }
-
-    fn current_view(&self) -> u64 {
+    fn view(&self) -> u64 {
         self.vc.view()
     }
 
-    fn enable_durability(&mut self) {
-        self.shell.enable_durability();
+    fn wipe(&mut self) {
+        // The USIG stays: the trusted counter is hardware-monotonic, it
+        // survives software rejuvenation, and resuming it (rather than
+        // resetting) is what keeps the replica's counter stream acceptable
+        // to peers.
+        for window in &mut self.ingress {
+            *window = SeqWindow::with_base(1);
+        }
+        self.future = Vec::new();
+        self.accepted.fill(0);
+        self.sent_ui = SeqWindow::with_base(1);
+        self.gap_req_at.fill(0);
+        self.slots = SeqWindow::with_base(1);
+        self.stored_prepares = SeqWindow::with_base(1);
+        self.vc.wipe();
     }
 
-    fn drain_durable(&mut self, out: &mut Vec<DurableEvent>) {
-        self.shell.drain_durable(out);
-    }
-
-    fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
+    fn recovered(r: &mut MinBftReplica, state: &RecoveredState) {
         // Resume the USIG at or above the highest persisted counter: the
         // restarted process must never certify two statements under one
         // counter value. Anchoring the resend ring *above* that watermark
@@ -1112,96 +1005,32 @@ impl ReplicaNode for MinBftReplica {
         // to CheckpointHint (exactly as after a rejuvenation wipe), so
         // their streams resync instead of wedging.
         if state.usig_counter > 0 {
-            self.usig.resume(state.usig_counter);
-            self.sent_ui = SeqWindow::with_base(state.usig_counter + 1);
+            r.core.usig.resume(state.usig_counter);
+            r.core.sent_ui = SeqWindow::with_base(state.usig_counter + 1);
         }
-        let report = self.shell.recover(&state, Batch::digest);
         // Executed sequence numbers are dead from the first input on — both
         // below the snapshot and below the replayed WAL tail.
-        self.retire_executed();
-        report
+        r.retire_executed();
+    }
+
+    fn request(req: Arc<Request>) -> MinBftMsg {
+        MinBftMsg::Request(req)
+    }
+
+    fn reply_of(msg: &MinBftMsg) -> Option<&Reply> {
+        match msg {
+            MinBftMsg::Reply(r) => Some(r),
+            _ => None,
+        }
     }
 }
 // lint: end
-
-/// A MinBFT cluster of `2f+1` replicas sharing a provisioned key ring.
-#[derive(Debug)]
-pub struct MinBftCluster {
-    nodes: Vec<MinBftReplica>,
-    f: u32,
-}
-
-impl MinBftCluster {
-    /// Builds the cluster for `config.f` with SEC-DED-protected USIGs.
-    pub fn new(config: &RunConfig) -> Self {
-        Self::with_protection(config, CounterProtection::SecDed)
-    }
-
-    /// Builds the cluster with an explicit USIG counter protection level.
-    pub fn with_protection(config: &RunConfig, protection: CounterProtection) -> Self {
-        let n = 2 * config.f + 1;
-        // One provisioning pass (key derivation + HMAC key-schedule
-        // precomputation) shared by every replica via Arc.
-        let ring = KeyRing::provision(config.seed, n);
-        let keys = CkptKeys::provision(config.seed, n as usize);
-        MinBftCluster {
-            nodes: (0..n)
-                .map(|i| {
-                    let mut r =
-                        MinBftReplica::new(ReplicaId(i), config.f, ring.clone(), protection);
-                    r.set_batching(config.batch_size, config.batch_flush);
-                    r.set_patience(config.request_patience);
-                    r.set_checkpointing(config.checkpoint_interval, Arc::clone(&keys));
-                    r
-                })
-                .collect(),
-            f: config.f,
-        }
-    }
-
-    /// Fault threshold.
-    pub fn f(&self) -> u32 {
-        self.f
-    }
-}
-
-impl Cluster for MinBftCluster {
-    type Node = MinBftReplica;
-
-    fn nodes_mut(&mut self) -> &mut [MinBftReplica] {
-        &mut self.nodes
-    }
-
-    fn nodes(&self) -> &[MinBftReplica] {
-        &self.nodes
-    }
-
-    fn into_nodes(self) -> Vec<MinBftReplica> {
-        self.nodes
-    }
-
-    fn reply_quorum(&self) -> usize {
-        (self.f + 1) as usize
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        "minbft"
-    }
-
-    fn correct_replicas(&self) -> Vec<ReplicaId> {
-        self.nodes.iter().filter(|n| !n.script().is_byzantine()).map(|n| n.id()).collect()
-    }
-
-    fn set_script(&mut self, id: ReplicaId, script: ReplicaScript) {
-        self.nodes[id.0 as usize].set_script(script);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
-    use crate::api::{ClientId, OpId};
+    use crate::api::{ClientId, Cluster, OpId, ReplicaNode};
     use crate::dense::SLOT_HORIZON;
     use crate::runner::{run, RunConfig};
 
@@ -1406,7 +1235,7 @@ mod tests {
         let ring_base = 5;
         let requester = ReplicaId(2);
         let responder = &mut cluster.nodes_mut()[1];
-        responder.sent_ui.retire_below(ring_base);
+        responder.core.sent_ui.retire_below(ring_base);
         let mut out = Outbox::new();
         responder.on_input(
             Input::Message {
@@ -1455,14 +1284,14 @@ mod tests {
             10_001,
             &mut out,
         );
-        assert_eq!(node.accepted[1], ring_base - 1, "stream resynced at the ring base");
+        assert_eq!(node.core.accepted[1], ring_base - 1, "stream resynced at the ring base");
         assert!(
             out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::StateRequest { .. })),
             "the adopted certificate must trigger a state-transfer request"
         );
 
         // A spoofed hint (relayed for someone else's stream) is inert.
-        let accepted_before = node.accepted[0];
+        let accepted_before = node.core.accepted[0];
         let mut out = Outbox::new();
         node.on_input(
             Input::Message {
@@ -1472,7 +1301,7 @@ mod tests {
             10_002,
             &mut out,
         );
-        assert_eq!(node.accepted[0], accepted_before, "only the sender may resync its stream");
+        assert_eq!(node.core.accepted[0], accepted_before, "only the sender may resync its stream");
     }
 
     #[test]
@@ -1481,7 +1310,7 @@ mod tests {
         let mut cluster = MinBftCluster::with_protection(&cfg, CounterProtection::Plain);
         let report = run(&mut cluster, &cfg);
         assert_eq!(report.committed, 4);
-        assert_eq!(cluster.nodes()[0].usig.protection_name(), "plain");
+        assert_eq!(cluster.nodes()[0].core.usig.protection_name(), "plain");
     }
 
     /// Every queued event memcpys the whole message enum through the
@@ -1583,7 +1412,7 @@ mod tests {
 
     /// A PREPARE certified by `signer`'s own USIG (its next counter).
     fn prepare_from(signer: &mut MinBftReplica, view: u64, seq: u64, batch: &Arc<Batch>) -> UI {
-        signer.usig.create_ui(&prepare_bytes(view, seq, &batch.digest())).unwrap()
+        signer.core.usig.create_ui(&prepare_bytes(view, seq, &batch.digest())).unwrap()
     }
 
     /// A COMMIT from `signer` quoting `primary_ui`, its own UI genuine.
@@ -1595,7 +1424,7 @@ mod tests {
         primary_ui: UI,
     ) -> MinBftMsg {
         let statement = commit_bytes(view, seq, &batch.digest(), primary_ui.counter);
-        let ui = signer.usig.create_ui(&statement).unwrap();
+        let ui = signer.core.usig.create_ui(&statement).unwrap();
         let (batch, from) = (batch.clone(), signer.id);
         MinBftMsg::Commit(Arc::new(CommitVote { view, seq, batch, primary_ui, from, ui }))
     }
@@ -1607,13 +1436,13 @@ mod tests {
         msg: MinBftMsg,
         out: &mut Outbox<MinBftMsg>,
     ) -> u64 {
-        let before = r.usig.verified();
+        let before = r.core.usig.verified();
         r.on_input(Input::Message { from: Endpoint::Replica(ReplicaId(from)), msg }, 10, out);
-        r.usig.verified() - before
+        r.core.usig.verified() - before
     }
 
     fn votes(r: &MinBftReplica, seq: u64) -> usize {
-        r.slots.get(seq).map_or(0, |s| s.commits.len())
+        r.core.slots.get(seq).map_or(0, |s| s.commits.len())
     }
 
     /// Verify-once is not verify-never: only a COMMIT quoting *exactly* the
@@ -1644,7 +1473,7 @@ mod tests {
         // The accepted certificate itself: the sender's MAC only, and the
         // vote counts — the third of three, so the slot executes.
         let mut honest = replica_of_five(1);
-        honest.usig.resume(1); // its counter 1 was spent above
+        honest.core.usig.resume(1); // its counter 1 was spent above
         let commit = commit_from(&mut honest, 0, 1, &batch, ui);
         assert_eq!(deliver(&mut r, 1, commit, &mut out), 1);
         assert_eq!(r.committed_seq(), 1);
@@ -1691,10 +1520,10 @@ mod tests {
         assert_eq!(votes(&r, 1), 2);
         // The PREPARE's own UI is always checked — the primary's counter
         // stream depends on it — and advances that stream in order.
-        assert_eq!(r.accepted[0], 0);
+        assert_eq!(r.core.accepted[0], 0);
         let prepare = MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui };
         assert_eq!(deliver(&mut r, 0, prepare, &mut out), 1);
-        assert_eq!(r.accepted[0], 1);
+        assert_eq!(r.core.accepted[0], 1);
         assert_eq!(r.committed_seq(), 1, "primary + replica 1 + own vote");
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.from == r.id)));
         // A vote for the executed slot: the sender's MAC, nothing more.
@@ -1711,15 +1540,15 @@ mod tests {
     fn a_certified_commit_past_the_slot_horizon_leaves_the_window_alone() {
         let (mut p, mut r, mut voter) = (replica(0), replica(1), replica(2));
         let batch = batch_of("far");
-        let capacity = r.slots.capacity();
+        let capacity = r.core.slots.capacity();
         let mut out = Outbox::new();
         for seq in [SLOT_HORIZON + 2, 1 << 28] {
             let ui = prepare_from(&mut p, 0, seq, &batch);
             let commit = commit_from(&mut voter, 0, seq, &batch, ui);
             assert_eq!(deliver(&mut r, 2, commit, &mut out), 1, "slot {seq}");
-            assert_eq!((r.slots.len(), r.slots.capacity()), (0, capacity), "slot {seq}");
+            assert_eq!((r.core.slots.len(), r.core.slots.capacity()), (0, capacity), "slot {seq}");
         }
-        assert_eq!(r.accepted[2], 2, "the voter's stream moved on: nothing is held back");
+        assert_eq!(r.core.accepted[2], 2, "the voter's stream moved on: nothing is held back");
 
         let at = 1 + SLOT_HORIZON;
         let ui = prepare_from(&mut p, 0, at, &batch);
@@ -1752,7 +1581,7 @@ mod tests {
             };
             deliver(&mut r, 0, MinBftMsg::Commit(Arc::new(vote)), &mut out);
         }
-        assert!(r.future.is_empty());
+        assert!(r.core.future.is_empty());
         assert_eq!(r.rejected_votes(), 0, "forgeries are refused, not counted as drops");
         assert!(out.msgs.is_empty());
     }
@@ -1769,14 +1598,14 @@ mod tests {
             let prepare = MinBftMsg::Prepare { view: 2, seq, batch: batch.clone(), ui };
             assert_eq!(deliver(&mut r, 2, prepare, &mut out), 1);
         }
-        assert_eq!(r.future.len() as u64, SENT_RETENTION);
+        assert_eq!(r.core.future.len() as u64, SENT_RETENTION);
         assert_eq!(r.rejected_votes(), extra, "the newest beyond the cap are dropped and counted");
-        assert_eq!(r.accepted[2], 0, "stashing must not consume the sender's counters");
+        assert_eq!(r.core.accepted[2], 0, "stashing must not consume the sender's counters");
         // The cap is per sender: another replica's stream still has room.
         let mut other = replica(0);
         let commit = commit_from(&mut other, 2, 1, &batch, prepare_from(&mut sender, 2, 1, &batch));
         deliver(&mut r, 0, commit, &mut out);
-        assert_eq!(r.future.len() as u64, SENT_RETENTION + 1);
+        assert_eq!(r.core.future.len() as u64, SENT_RETENTION + 1);
         assert_eq!(r.rejected_votes(), extra);
     }
 
@@ -1789,10 +1618,10 @@ mod tests {
         let ui = prepare_from(&mut next_primary, 1, 1, &batch);
         let prepare = MinBftMsg::Prepare { view: 1, seq: 1, batch, ui };
         deliver(&mut r, 1, prepare, &mut out);
-        assert_eq!((r.future.len(), r.accepted[1], r.committed_seq()), (1, 0, 0));
+        assert_eq!((r.core.future.len(), r.core.accepted[1], r.committed_seq()), (1, 0, 0));
         let new_view = MinBftMsg::NewView { view: 1, preprepares: Vec::new() };
         deliver(&mut r, 1, new_view, &mut out);
-        assert_eq!((r.future.len(), r.accepted[1], r.view()), (0, 1, 1));
+        assert_eq!((r.core.future.len(), r.core.accepted[1], r.view()), (0, 1, 1));
         assert_eq!(r.committed_seq(), 1, "primary + own vote is the f+1 quorum");
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.view == 1)));
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Reply(_))));
@@ -1830,5 +1659,27 @@ mod tests {
         r.on_input(Input::Message { from, msg: vote(1, 0) }, 11, &mut out);
         assert_eq!((r.rejected_votes(), r.view()), (1, 1));
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::NewView { view: 1, .. })));
+    }
+
+    /// A gap fill resends to the replica that asked, over its own link: one
+    /// naming another requester is not served to it.
+    #[test]
+    fn fillgap_is_served_only_over_the_requesters_link() {
+        let cfg = config(1, 2, 4, 37);
+        let mut cluster = MinBftCluster::new(&cfg);
+        run(&mut cluster, &cfg);
+        let responder = &mut cluster.nodes_mut()[1];
+        let requester = ReplicaId(2);
+        let fill =
+            MinBftMsg::FillGap { sender: ReplicaId(1), from_counter: 1, upto: 4, from: requester };
+        let mut out = Outbox::new();
+        for link in [Endpoint::Replica(ReplicaId(0)), Endpoint::Client(ClientId(1))] {
+            responder.on_input(Input::Message { from: link, msg: fill.clone() }, 10_000, &mut out);
+        }
+        assert!(out.msgs.is_empty(), "resent over a forged link: {:?}", out.msgs);
+        let from = Endpoint::Replica(requester);
+        responder.on_input(Input::Message { from, msg: fill }, 10_001, &mut out);
+        assert_eq!(out.msgs.len(), 4, "counters 1..=4 resent");
+        assert!(out.msgs.iter().all(|(to, _)| *to == from));
     }
 }

@@ -9,15 +9,13 @@
 //! quiet. Experiment E4 measures exactly the paper's trade-off: steady-state
 //! cost (2 replicas, 2 messages/op) vs the failover unavailability window.
 
-use crate::adversary::ReplicaScript;
-use crate::api::{
-    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
-};
-use crate::checkpoint::{CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer};
+use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
+use crate::chassis::{Protocol, Replica, Replicas};
+use crate::checkpoint::{CheckpointVoucher, StateTransfer};
 use crate::dense::SeqWindow;
-use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
+use crate::durable::RecoveredState;
 use crate::runner::RunConfig;
-use crate::shell::{Intake, Role, Shell, ShellMsg, TIMER_FLUSH};
+use crate::shell::{Intake, Role, ShellMsg, TIMER_FLUSH};
 use std::sync::Arc;
 
 /// Timer kind: primary sends its next heartbeat (kinds 1 and 2 are the
@@ -125,25 +123,16 @@ const SYNC_REQ_BACKOFF: u64 = 100;
 /// Maximum operations resent per sync request.
 const SYNC_BURST: u64 = 64;
 
-/// One passive-replication replica (two per cluster).
+/// Passive replication's own state: the epoch, the heartbeat detector,
+/// the update hold-back and the shipped-update retention.
 #[derive(Debug)]
-pub struct PassiveReplica {
-    id: ReplicaId,
-    script: ReplicaScript,
-    /// Set while a crash window swallows inputs; the first input after
-    /// recovery re-arms the heartbeat/detector chains (self-re-arming
-    /// timers die when their firing lands inside the outage).
-    in_outage: bool,
+pub struct Passive {
     /// Current primary epoch; primary is `epoch % 2`.
     epoch: u64,
     bootstrapped: bool,
     last_heartbeat: u64,
     heartbeat_interval: u64,
     detect_timeout: u64,
-    /// Request intake, execution, checkpoints, state transfer, durability.
-    /// Both replicas must vouch for a checkpoint — passive has no spare
-    /// quorum to outvote a lie — and checkpoints are per log sequence.
-    shell: Shell,
     /// Out-of-order state updates held back until their predecessors
     /// apply; the window watermark tracks the applied log prefix.
     held_updates: SeqWindow<Arc<Request>>,
@@ -155,87 +144,87 @@ pub struct PassiveReplica {
     sync_req_at: u64,
 }
 
+/// One passive-replication replica (two per cluster).
+pub type PassiveReplica = Replica<Passive>;
+
+/// A primary-backup pair.
+pub type PassiveCluster = Replicas<Passive>;
+
+impl PassiveCluster {
+    /// Builds the pair with default detector settings (heartbeat every 200
+    /// cycles, suspect after 800).
+    pub fn new(config: &RunConfig) -> Self {
+        Replicas::provision(config, 2, |id| PassiveReplica::new(id, 200, 800))
+    }
+
+    /// Builds the pair with explicit detector settings.
+    pub fn with_detector(heartbeat_interval: u64, detect_timeout: u64) -> Self {
+        Replicas::provision(&RunConfig::default(), 2, |id| {
+            PassiveReplica::new(id, heartbeat_interval, detect_timeout)
+        })
+    }
+}
+
 impl PassiveReplica {
     /// Creates a replica; `id.0` must be 0 (initial primary) or 1 (backup).
+    /// Passive replication masks no Byzantine fault (f = 0: one reply
+    /// suffices), and both replicas must vouch for a checkpoint — there is
+    /// no spare quorum to outvote a lie. Checkpoints are per log sequence.
+    ///
+    /// Content-attack script windows (equivocation, UI or checkpoint
+    /// forgery, transfer corruption) are inert here: passive replication
+    /// has no votes or certificates to forge — a compromised tile manifests
+    /// as silence or crash (see the
+    /// [`rsoc_soc`-level mapping](crate::adversary::Behavior)).
     ///
     /// # Panics
     /// Panics for ids other than 0 and 1.
     pub fn new(id: ReplicaId, heartbeat_interval: u64, detect_timeout: u64) -> Self {
         assert!(id.0 < 2, "passive replication uses exactly two replicas");
-        PassiveReplica {
-            id,
-            script: ReplicaScript::correct(),
-            in_outage: false,
+        let core = Passive {
             epoch: 0,
             bootstrapped: false,
             last_heartbeat: 0,
             heartbeat_interval,
             detect_timeout,
-            shell: Shell::new(id, 2, 2),
             held_updates: SeqWindow::with_base(1),
             failovers: 0,
             shipped: SeqWindow::with_base(1),
             sync_req_at: 0,
-        }
-    }
-
-    /// Configures the batching front-end: execute-and-ship a batch at
-    /// `batch_size` requests, or after `batch_flush` cycles.
-    pub fn set_batching(&mut self, batch_size: usize, batch_flush: u64) {
-        self.shell.set_batching(batch_size, batch_flush);
-    }
-
-    /// Enables certified checkpoints every `interval` committed log
-    /// sequences (0 disables — the default, byte-identical to the legacy
-    /// protocol). Both replicas must vouch for a watermark to stabilize.
-    pub fn set_checkpointing(&mut self, interval: u64, keys: Arc<CkptKeys>) {
-        self.shell.set_checkpointing(interval, keys);
-    }
-
-    /// Digest of the replica's current state-machine state (for
-    /// batched-vs-unbatched equivalence checks).
-    pub fn state_digest(&self) -> [u8; 32] {
-        self.shell.state_digest()
-    }
-
-    /// Installs a composable, time-phased fault script. Content-attack
-    /// windows (equivocation, UI forgery) are inert here: passive
-    /// replication has no votes or certificates to forge — a compromised
-    /// tile manifests as silence or crash (see the
-    /// [`rsoc_soc`-level mapping](crate::adversary::Behavior)).
-    pub fn set_script(&mut self, script: ReplicaScript) {
-        self.script = script;
-    }
-
-    /// The active fault script.
-    pub fn script(&self) -> &ReplicaScript {
-        &self.script
+        };
+        Replica::assemble(id, 2, 0, 2, core)
     }
 
     /// Whether this replica currently believes it is the primary.
     pub fn is_primary(&self) -> bool {
-        (self.epoch % 2) as u32 == self.id.0
+        (self.core.epoch % 2) as u32 == self.id.0
     }
 
     /// Number of failovers this replica performed.
     pub fn failovers(&self) -> u32 {
-        self.failovers
+        self.core.failovers
     }
 
     fn peer(&self) -> ReplicaId {
         ReplicaId(1 - self.id.0)
     }
 
-    fn bootstrap(&mut self, now: u64, out: &mut Outbox<PassiveMsg>) {
-        if self.bootstrapped {
-            return;
+    fn bootstrap(&mut self, out: &mut Outbox<PassiveMsg>) {
+        if !self.core.bootstrapped {
+            self.core.bootstrapped = true;
+            self.start_detector(out);
         }
-        self.bootstrapped = true;
-        self.last_heartbeat = now;
+    }
+
+    /// Starts this replica's self-re-arming timer chain — heartbeats as
+    /// primary, freshness checks as backup — granting the primary a fresh
+    /// detection period from now.
+    fn start_detector(&mut self, out: &mut Outbox<PassiveMsg>) {
+        self.core.last_heartbeat = self.now;
         if self.is_primary() {
-            out.arm(self.heartbeat_interval, TIMER_HEARTBEAT, 0);
+            out.arm(self.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
         } else {
-            out.arm(self.detect_timeout, TIMER_DETECT, 0);
+            out.arm(self.core.detect_timeout, TIMER_DETECT, 0);
         }
     }
 
@@ -258,14 +247,14 @@ impl PassiveReplica {
             self.checkpoint(seq, out);
         }
         for (i, op) in ops.iter().enumerate() {
-            self.shipped.insert(first_seq + i as u64, op.clone());
+            self.core.shipped.insert(first_seq + i as u64, op.clone());
         }
         if self.shell.next_seq() > SHIP_RETENTION {
-            self.shipped.retire_below(self.shell.next_seq() - SHIP_RETENTION);
+            self.core.shipped.retire_below(self.shell.next_seq() - SHIP_RETENTION);
         }
         out.send(
             Endpoint::Replica(self.peer()),
-            PassiveMsg::StateUpdate { epoch: self.epoch, first_seq, ops },
+            PassiveMsg::StateUpdate { epoch: self.core.epoch, first_seq, ops },
         );
     }
 
@@ -283,7 +272,7 @@ impl PassiveReplica {
     /// transfer.
     fn retire_shipped(&mut self) {
         if let Some(log_len) = self.shell.ckpt().stable_log_len() {
-            self.shipped.retire_below(log_len + 1);
+            self.core.shipped.retire_below(log_len + 1);
         }
     }
 
@@ -298,25 +287,25 @@ impl PassiveReplica {
         let Some(plan) = self.shell.admit_transfer(st, 1) else { return };
         self.shell.install(&plan, entry_digest);
         self.resume_above_log();
-        if plan.view > self.epoch {
+        if plan.view > self.core.epoch {
             // The peer's epoch moved on while we were down; adopt it so
             // role accounting (primary = epoch % 2) stays coherent.
-            self.epoch = plan.view;
+            self.core.epoch = plan.view;
         }
-        self.last_heartbeat = now;
+        self.core.last_heartbeat = now;
     }
 
     /// Re-anchors update hold-back just above the committed log after an
     /// install or a recovery moved it.
     fn resume_above_log(&mut self) {
-        self.held_updates = SeqWindow::with_base(self.shell.committed() + 1);
+        self.core.held_updates = SeqWindow::with_base(self.shell.committed() + 1);
     }
 
     /// Emits a rate-limited resync request when this backup's applied log
     /// is behind what the primary has shipped/advertised.
     fn maybe_request_sync(&mut self, now: u64, out: &mut Outbox<PassiveMsg>) {
-        if now >= self.sync_req_at.saturating_add(SYNC_REQ_BACKOFF) {
-            self.sync_req_at = now;
+        if now >= self.core.sync_req_at.saturating_add(SYNC_REQ_BACKOFF) {
+            self.core.sync_req_at = now;
             out.send(
                 Endpoint::Replica(self.peer()),
                 PassiveMsg::SyncRequest { from_seq: self.shell.committed() + 1, from: self.id },
@@ -332,7 +321,7 @@ impl PassiveReplica {
         now: u64,
         out: &mut Outbox<PassiveMsg>,
     ) {
-        if epoch < self.epoch || self.is_primary() {
+        if epoch < self.core.epoch || self.is_primary() {
             return; // stale update from a deposed primary
         }
         // Updates can be reordered by the interconnect; hold back until the
@@ -346,16 +335,16 @@ impl PassiveReplica {
             if self.shell.has_executed(&req.op) {
                 continue;
             }
-            self.held_updates.insert(first_seq + i as u64, req);
+            self.core.held_updates.insert(first_seq + i as u64, req);
         }
         loop {
             let next = self.shell.committed() + 1;
-            let Some(req) = self.held_updates.remove(next) else { break };
+            let Some(req) = self.core.held_updates.remove(next) else { break };
             let batch = single(req);
             self.shell.execute(next, &batch, entry_digest(&batch), |_| {});
             self.checkpoint(next, out);
         }
-        self.held_updates.retire_below(self.shell.committed() + 1);
+        self.core.held_updates.retire_below(self.shell.committed() + 1);
         // A gap below the held-back updates means earlier updates were
         // lost (network drop, or this backup crashed through them): ask
         // the primary to replay from our log head.
@@ -365,123 +354,13 @@ impl PassiveReplica {
     }
 }
 
-impl ReplicaNode for PassiveReplica {
-    type Msg = PassiveMsg;
-
-    fn id(&self) -> ReplicaId {
-        self.id
-    }
-
-    fn on_input(&mut self, input: Input<PassiveMsg>, now: u64, out: &mut Outbox<PassiveMsg>) {
-        if self.script.crashed_at(now) {
-            self.in_outage = true;
-            return;
-        }
-        if self.in_outage {
-            // Fail-recover: timer firings swallowed during the outage
-            // killed their chains — restart them (a duplicate chain from a
-            // timer that survived the window is harmless: each fire
-            // re-arms exactly one successor). `last_heartbeat` is bumped
-            // so a recovered backup grants the primary one fresh detection
-            // period instead of failing over on pre-outage staleness.
-            self.in_outage = false;
-            self.last_heartbeat = now;
-            if self.is_primary() {
-                out.arm(self.heartbeat_interval, TIMER_HEARTBEAT, 0);
-            } else {
-                out.arm(self.detect_timeout, TIMER_DETECT, 0);
-            }
-        }
-        if self.script.unconstrained() {
-            // Fast path: outputs are never gated for a correct replica.
-            self.dispatch_input(input, now, out);
-            return;
-        }
-        let mut staged = Outbox::new();
-        self.dispatch_input(input, now, &mut staged);
-        if self.script.sends_at(now) {
-            out.msgs.extend(staged.msgs);
-        }
-        out.timers.extend(staged.timers);
-    }
-
-    fn committed_log(&self) -> &[LogEntry] {
-        self.shell.log()
-    }
-
-    fn committed_seq(&self) -> u64 {
-        self.shell.committed()
-    }
-
-    fn wipe(&mut self) {
-        // Rejuvenation: volatile protocol + application state goes; the
-        // replica's identity, keys, detector configuration, fault script,
-        // and the stable checkpoint certificate (trusted persistent
-        // store) stay. Re-bootstrap re-arms the timer chains, and the
-        // first heartbeat re-teaches us the epoch.
-        self.in_outage = false;
-        self.epoch = 0;
-        self.bootstrapped = false;
-        self.last_heartbeat = 0;
-        self.held_updates = SeqWindow::with_base(1);
-        self.shipped = SeqWindow::with_base(1);
-        self.sync_req_at = 0;
-        self.shell.wipe();
-    }
-
-    fn checkpoint_stats(&self) -> CheckpointStats {
-        self.shell.ckpt().stats()
-    }
-
-    fn checkpoint_history(&self) -> &[(u64, [u8; 32])] {
-        self.shell.ckpt().history()
-    }
-
-    fn make_request(req: Arc<Request>) -> PassiveMsg {
-        PassiveMsg::Request(req)
-    }
-
-    fn as_reply(msg: &PassiveMsg) -> Option<&Reply> {
-        match msg {
-            PassiveMsg::Reply(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    fn state_digest(&self) -> [u8; 32] {
-        self.shell.state_digest()
-    }
-
-    fn current_view(&self) -> u64 {
-        self.epoch
-    }
-
-    fn enable_durability(&mut self) {
-        self.shell.enable_durability();
-    }
-
-    fn drain_durable(&mut self, out: &mut Vec<DurableEvent>) {
-        self.shell.drain_durable(out);
-    }
-
-    fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let report = self.shell.recover(&state, entry_digest);
-        self.resume_above_log();
-        report
-    }
-}
-
 impl PassiveReplica {
     /// Routes one input to its handler, emitting effects into `staged`.
-    fn dispatch_input(
-        &mut self,
-        input: Input<PassiveMsg>,
-        now: u64,
-        staged: &mut Outbox<PassiveMsg>,
-    ) {
-        self.bootstrap(now, staged);
+    fn dispatch_input(&mut self, input: Input<PassiveMsg>, staged: &mut Outbox<PassiveMsg>) {
+        let now = self.now;
+        self.bootstrap(staged);
         match input {
-            Input::Message { from: _, msg } => match msg {
+            Input::Message { from, msg } => match msg {
                 PassiveMsg::Request(req) => {
                     let role = if self.is_primary() { Role::Primary } else { Role::Idle };
                     if let Intake::Sealed(reqs) = self.shell.intake(req, role, staged) {
@@ -492,9 +371,9 @@ impl PassiveReplica {
                     self.handle_state_update(epoch, first_seq, ops, now, staged)
                 }
                 PassiveMsg::Heartbeat { epoch, from: _, log_len } => {
-                    if epoch >= self.epoch {
-                        self.epoch = epoch;
-                        self.last_heartbeat = now;
+                    if epoch >= self.core.epoch {
+                        self.core.epoch = epoch;
+                        self.core.last_heartbeat = now;
                         // The advertised log length exposes updates this
                         // backup never saw (e.g. lost during its own crash
                         // window) — resync before any failover promotes a
@@ -505,8 +384,12 @@ impl PassiveReplica {
                     }
                 }
                 PassiveMsg::SyncRequest { from_seq, from: requester } => {
-                    if self.is_primary() && requester != self.id {
-                        if from_seq < self.shipped.base() {
+                    // Replayed only to the requester's own link.
+                    if self.is_primary()
+                        && requester != self.id
+                        && from == Endpoint::Replica(requester)
+                    {
+                        if from_seq < self.core.shipped.base() {
                             // The gap starts below the shipped-window
                             // retention: those updates are gone, and a
                             // partial replay from `shipped.base()` would
@@ -521,7 +404,7 @@ impl PassiveReplica {
                         // requested sequence (bounded burst).
                         let mut ops = Vec::new();
                         for seq in from_seq..from_seq.saturating_add(SYNC_BURST) {
-                            match self.shipped.get(seq) {
+                            match self.core.shipped.get(seq) {
                                 Some(op) => ops.push(op.clone()),
                                 None => break,
                             }
@@ -530,7 +413,7 @@ impl PassiveReplica {
                             staged.send(
                                 Endpoint::Replica(requester),
                                 PassiveMsg::StateUpdate {
-                                    epoch: self.epoch,
+                                    epoch: self.core.epoch,
                                     first_seq: from_seq,
                                     ops,
                                 },
@@ -543,11 +426,13 @@ impl PassiveReplica {
                         self.retire_shipped();
                     }
                 }
-                PassiveMsg::StateRequest { have, from: requester } => {
+                PassiveMsg::StateRequest { have, from: requester }
+                    if from == Endpoint::Replica(requester) =>
+                {
                     self.serve_transfer(have, requester, staged)
                 }
                 PassiveMsg::StateResponse(st) => self.handle_state_response(*st, now),
-                PassiveMsg::Reply(_) => {}
+                PassiveMsg::StateRequest { .. } | PassiveMsg::Reply(_) => {}
             },
             Input::Timer { kind: TIMER_FLUSH, token } => {
                 if let Some(reqs) = self.shell.on_flush_timer(token, self.is_primary()) {
@@ -559,130 +444,110 @@ impl PassiveReplica {
                     staged.send(
                         Endpoint::Replica(self.peer()),
                         PassiveMsg::Heartbeat {
-                            epoch: self.epoch,
+                            epoch: self.core.epoch,
                             from: self.id,
                             log_len: self.shell.committed(),
                         },
                     );
-                    staged.arm(self.heartbeat_interval, TIMER_HEARTBEAT, 0);
+                    staged.arm(self.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
                 }
             }
             Input::Timer { kind: TIMER_DETECT, .. } => {
                 if !self.is_primary() {
-                    if now.saturating_sub(self.last_heartbeat) > self.detect_timeout {
+                    if now.saturating_sub(self.core.last_heartbeat) > self.core.detect_timeout {
                         if self.shell.behind() {
                             // Promotion gate: a certified checkpoint ahead
                             // of our log proves committed history we do
                             // not hold — promoting now would install a
                             // shorter log as the new committed prefix.
-                            // Chase the transfer and keep detecting. (If
-                            // the only snapshot holder is dead, the pair
-                            // stays safely unavailable — the documented
-                            // 2-replica residual.)
-                            self.shell.request_transfer(now, staged);
-                            staged.arm(self.detect_timeout, TIMER_DETECT, 0);
+                            // Keep detecting; the transfer is chased after
+                            // every input. (If the only snapshot holder is
+                            // dead, the pair stays safely unavailable — the
+                            // documented 2-replica residual.)
+                            staged.arm(self.core.detect_timeout, TIMER_DETECT, 0);
                             return;
                         }
                         // Failure detected: promote self.
-                        self.epoch += 1;
-                        self.failovers += 1;
+                        self.core.epoch += 1;
+                        self.core.failovers += 1;
                         debug_assert!(self.is_primary());
                         staged.send(
                             Endpoint::Replica(self.peer()),
                             PassiveMsg::Heartbeat {
-                                epoch: self.epoch,
+                                epoch: self.core.epoch,
                                 from: self.id,
                                 log_len: self.shell.committed(),
                             },
                         );
-                        staged.arm(self.heartbeat_interval, TIMER_HEARTBEAT, 0);
+                        staged.arm(self.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
                     } else {
-                        staged.arm(self.detect_timeout, TIMER_DETECT, 0);
+                        staged.arm(self.core.detect_timeout, TIMER_DETECT, 0);
                     }
                 }
             }
             Input::Timer { .. } => {}
         }
-        // Any input may have revealed a stable certificate ahead of us
-        // (post-wipe, or gapped past the shipped window): chase it,
-        // rate-limited by the CST backoff.
-        self.shell.request_transfer(now, staged);
     }
 
     /// Serves a state transfer; snapshot/suffix corruption scripts are
     /// inert for passive replication, like every content attack.
     fn serve_transfer(&self, have: u64, to: ReplicaId, out: &mut Outbox<PassiveMsg>) {
-        self.shell.serve_transfer(have, to, self.epoch, false, false, out);
+        self.shell.serve_transfer(have, to, self.core.epoch, false, false, out);
+    }
+}
+
+impl Protocol for Passive {
+    type Msg = PassiveMsg;
+    const NAME: &'static str = "passive";
+    const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = entry_digest;
+
+    fn dispatch(r: &mut PassiveReplica, input: Input<PassiveMsg>, out: &mut Outbox<PassiveMsg>) {
+        r.dispatch_input(input, out);
+    }
+
+    fn revive(r: &mut PassiveReplica, out: &mut Outbox<PassiveMsg>) {
+        // A duplicate chain from a timer that survived the window is
+        // harmless: each fire re-arms exactly one successor.
+        r.start_detector(out);
+    }
+
+    fn view(&self) -> u64 {
+        self.epoch
+    }
+
+    fn wipe(&mut self) {
+        // Re-bootstrap re-arms the timer chains, and the first heartbeat
+        // re-teaches us the epoch; the detector configuration stays.
+        self.epoch = 0;
+        self.bootstrapped = false;
+        self.last_heartbeat = 0;
+        self.held_updates = SeqWindow::with_base(1);
+        self.shipped = SeqWindow::with_base(1);
+        self.sync_req_at = 0;
+    }
+
+    fn recovered(r: &mut PassiveReplica, _: &RecoveredState) {
+        r.resume_above_log();
+    }
+
+    fn request(req: Arc<Request>) -> PassiveMsg {
+        PassiveMsg::Request(req)
+    }
+
+    fn reply_of(msg: &PassiveMsg) -> Option<&Reply> {
+        match msg {
+            PassiveMsg::Reply(r) => Some(r),
+            _ => None,
+        }
     }
 }
 // lint: end
-
-/// A primary-backup pair.
-#[derive(Debug)]
-pub struct PassiveCluster {
-    nodes: Vec<PassiveReplica>,
-}
-
-impl PassiveCluster {
-    /// Builds the pair with default detector settings (heartbeat every 200
-    /// cycles, suspect after 800).
-    pub fn new(config: &RunConfig) -> Self {
-        let mut cluster = Self::with_detector(200, 800);
-        let keys = CkptKeys::provision(config.seed, 2);
-        for node in &mut cluster.nodes {
-            node.set_batching(config.batch_size, config.batch_flush);
-            node.set_checkpointing(config.checkpoint_interval, Arc::clone(&keys));
-        }
-        cluster
-    }
-
-    /// Builds the pair with explicit detector settings.
-    pub fn with_detector(heartbeat_interval: u64, detect_timeout: u64) -> Self {
-        PassiveCluster {
-            nodes: vec![
-                PassiveReplica::new(ReplicaId(0), heartbeat_interval, detect_timeout),
-                PassiveReplica::new(ReplicaId(1), heartbeat_interval, detect_timeout),
-            ],
-        }
-    }
-}
-
-impl Cluster for PassiveCluster {
-    type Node = PassiveReplica;
-
-    fn nodes_mut(&mut self) -> &mut [PassiveReplica] {
-        &mut self.nodes
-    }
-
-    fn nodes(&self) -> &[PassiveReplica] {
-        &self.nodes
-    }
-
-    fn into_nodes(self) -> Vec<PassiveReplica> {
-        self.nodes
-    }
-
-    fn reply_quorum(&self) -> usize {
-        1
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        "passive"
-    }
-
-    fn correct_replicas(&self) -> Vec<ReplicaId> {
-        self.nodes.iter().filter(|n| !n.script().is_byzantine()).map(|n| n.id()).collect()
-    }
-
-    fn set_script(&mut self, id: ReplicaId, script: ReplicaScript) {
-        self.nodes[id.0 as usize].set_script(script);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
+    use crate::api::{ClientId, Cluster, ReplicaNode};
     use crate::runner::{run, RunConfig};
 
     fn config(clients: u32, reqs: u64, seed: u64) -> RunConfig {
@@ -764,5 +629,27 @@ mod tests {
     #[should_panic(expected = "exactly two replicas")]
     fn rejects_third_replica() {
         PassiveReplica::new(ReplicaId(2), 100, 400);
+    }
+
+    /// The primary replays shipped updates to the backup that asked, over
+    /// its own link: a request naming the backup from a client's link is
+    /// not answered.
+    #[test]
+    fn sync_requests_are_replayed_only_over_the_requesters_link() {
+        let cfg = config(1, 4, 51);
+        let mut cluster = PassiveCluster::new(&cfg);
+        run(&mut cluster, &cfg);
+        let primary = &mut cluster.nodes_mut()[0];
+        let sync = PassiveMsg::SyncRequest { from_seq: 1, from: ReplicaId(1) };
+        let mut out = Outbox::new();
+        let client = Endpoint::Client(ClientId(1));
+        primary.on_input(Input::Message { from: client, msg: sync.clone() }, 1 << 30, &mut out);
+        assert!(out.msgs.is_empty(), "replayed over a forged link: {:?}", out.msgs);
+        let backup = Endpoint::Replica(ReplicaId(1));
+        primary.on_input(Input::Message { from: backup, msg: sync }, 1 << 30, &mut out);
+        assert!(matches!(
+            out.msgs.as_slice(),
+            [(to, PassiveMsg::StateUpdate { first_seq: 1, ops, .. })] if *to == backup && ops.len() == 4
+        ));
     }
 }

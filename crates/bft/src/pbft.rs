@@ -33,15 +33,13 @@
 //! [`OpIndex`](crate::dense::OpIndex)es, and quorum tallies in
 //! [`ReplicaSet`] bitmasks.
 
-use crate::adversary::ReplicaScript;
-use crate::api::{
-    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
-};
-use crate::checkpoint::{CheckpointStats, CheckpointVoucher, CkptKeys, StateTransfer};
+use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
+use crate::chassis::{Protocol, Replica, Replicas};
+use crate::checkpoint::{CheckpointVoucher, StateTransfer};
 use crate::dense::{ReplicaSet, SeqWindow};
-use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
+use crate::durable::RecoveredState;
 use crate::runner::RunConfig;
-use crate::shell::{Intake, Shell, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
+use crate::shell::{Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
 use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
 use std::sync::Arc;
 
@@ -145,92 +143,48 @@ struct Slot {
     sent_commit: bool,
 }
 
-/// One PBFT replica.
+/// PBFT's ordering state: the agreement slots, the proposals stored for
+/// re-announcement, and the view.
 #[derive(Debug)]
-pub struct PbftReplica {
-    id: ReplicaId,
-    n: u32,
-    f: u32,
-    script: ReplicaScript,
-    /// Virtual time of the input being handled (scripts are time-phased).
-    now: u64,
+pub struct Pbft {
     /// Agreement slots, watermarked at `shell.exec_upto() + 1` (sequence
     /// 0 is never used, so the window starts at base 1).
     slots: SeqWindow<Slot>,
     stored_preprepares: SeqWindow<PbftMsg>,
-    /// Request intake, execution, checkpoints, state transfer, durability
-    /// (f+1 vouchers certify a checkpoint; f+1 responders install a
-    /// transfer).
-    shell: Shell,
     /// The current view and the view changes under way.
     vc: ViewLedger,
-    /// Set while a crash window swallows inputs; the first input after
-    /// recovery re-arms the per-op patience chains killed in the outage.
-    in_outage: bool,
+}
+
+/// One PBFT replica.
+pub type PbftReplica = Replica<Pbft>;
+
+/// A PBFT cluster of `3f+1` replicas.
+pub type PbftCluster = Replicas<Pbft>;
+
+impl PbftCluster {
+    /// Builds the cluster for `config.f`.
+    pub fn new(config: &RunConfig) -> Self {
+        Replicas::provision(config, 3 * config.f + 1, |id| PbftReplica::new(id, config.f))
+    }
 }
 
 impl PbftReplica {
-    /// Creates replica `id` of an `n = 3f+1` cluster (unbatched; see
-    /// [`Self::set_batching`]).
+    /// Creates replica `id` of an `n = 3f+1` cluster, unbatched and
+    /// without checkpoints (f+1 vouchers certify one once enabled).
     pub fn new(id: ReplicaId, f: u32) -> Self {
-        PbftReplica {
-            id,
-            n: 3 * f + 1,
-            f,
-            script: ReplicaScript::correct(),
-            now: 0,
+        let n = 3 * f + 1;
+        let core = Pbft {
             slots: SeqWindow::with_base(1),
             stored_preprepares: SeqWindow::with_base(1),
-            shell: Shell::new(id, 3 * f + 1, (f + 1) as usize),
-            vc: ViewLedger::new(id, 3 * f + 1),
-            in_outage: false,
-        }
-    }
-
-    /// Configures the batching front-end: seal a batch at `batch_size`
-    /// requests, or after `batch_flush` cycles, whichever comes first.
-    pub fn set_batching(&mut self, batch_size: usize, batch_flush: u64) {
-        self.shell.set_batching(batch_size, batch_flush);
-    }
-
-    /// Sets the backup's request patience (clamped to ≥ 1; see
-    /// [`RunConfig::request_patience`]).
-    pub fn set_patience(&mut self, cycles: u64) {
-        self.shell.set_patience(cycles);
-    }
-
-    /// Enables certified checkpoints every `interval` executed slots under
-    /// the cluster-shared `keys` (0 disables — the default, byte-invisible
-    /// configuration).
-    pub fn set_checkpointing(&mut self, interval: u64, keys: Arc<CkptKeys>) {
-        self.shell.set_checkpointing(interval, keys);
-    }
-
-    /// Digest of the replica's current state-machine state (for
-    /// batched-vs-unbatched equivalence checks).
-    pub fn state_digest(&self) -> [u8; 32] {
-        self.shell.state_digest()
-    }
-
-    /// Installs a composable, time-phased fault script.
-    pub fn set_script(&mut self, script: ReplicaScript) {
-        self.script = script;
-    }
-
-    /// The active fault script.
-    pub fn script(&self) -> &ReplicaScript {
-        &self.script
-    }
-
-    /// Current view.
-    pub fn view(&self) -> u64 {
-        self.vc.view()
+            vc: ViewLedger::new(id, n),
+        };
+        Replica::assemble(id, n, f, (f + 1) as usize, core)
     }
 
     /// View-change votes refused because the voter they named was not the
     /// replica that sent them.
     pub fn rejected_votes(&self) -> u64 {
-        self.vc.rejected()
+        self.core.vc.rejected()
     }
 
     fn quorum(&self) -> usize {
@@ -253,19 +207,19 @@ impl PbftReplica {
         let digest = batch.digest();
         let me = self.id;
         // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
-        let slot = self.slots.get_or_insert_default(seq).expect("fresh seq is above watermark");
+        let slot = self.core.slots.get_or_insert_default(seq).expect("fresh seq above watermark");
         slot.batch = Some(batch.clone());
         slot.digest = Some(digest);
         slot.prepares.insert(me);
-        let pp = PbftMsg::PrePrepare { view: self.vc.view(), seq, batch };
-        self.stored_preprepares.insert(seq, pp.clone());
+        let pp = PbftMsg::PrePrepare { view: self.core.vc.view(), seq, batch };
+        self.core.stored_preprepares.insert(seq, pp.clone());
         out.broadcast(self.n, self.id, pp);
     }
 
     /// Answers a client retry for the op in flight at `seq`: re-announce
     /// so replicas that discarded messages during a view change catch up.
     fn reannounce(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
-        if let Some(pp) = self.stored_preprepares.get(seq).cloned() {
+        if let Some(pp) = self.core.stored_preprepares.get(seq).cloned() {
             out.broadcast(self.n, self.id, pp);
         }
         self.reannounce_commit(seq, out);
@@ -285,7 +239,7 @@ impl PbftReplica {
             .collect();
         let evil = Arc::new(Batch::new(evil_reqs));
         let half = self.n / 2;
-        let view = self.vc.view();
+        let view = self.core.vc.view();
         for i in 0..self.n {
             if i == self.id.0 {
                 continue;
@@ -315,10 +269,10 @@ impl PbftReplica {
         batch: Arc<Batch>,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.vc.view() {
+        if view != self.core.vc.view() {
             return;
         }
-        if from != Endpoint::Replica(self.vc.primary_of(view)) {
+        if from != Endpoint::Replica(self.core.vc.primary_of(view)) {
             return; // only the view's primary may pre-prepare
         }
         if batch.is_empty() {
@@ -326,15 +280,15 @@ impl PbftReplica {
         }
         // Below the watermark = already executed: rejected, never
         // resurrected; past the horizon: refused before the window grows.
-        if !self.slots.admits(seq) {
+        if !self.core.slots.admits(seq) {
             return;
         }
         // The digest is the received content's own (see `Batch`): what is
         // checked is whether it may take the slot.
         let digest = batch.digest();
-        let primary = self.vc.primary_of(view);
+        let primary = self.core.vc.primary_of(view);
         let me = self.id;
-        let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
+        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if let Some(existing) = slot.digest {
             if existing != digest {
                 return; // conflicting proposal for the slot: keep the first
@@ -342,7 +296,7 @@ impl PbftReplica {
         }
         self.shell.assign(seq, &batch);
         // lint: allow(ingress-expect) -- get_or_insert_default above returned Some for this seq
-        let slot = self.slots.get_mut(seq).expect("slot just ensured");
+        let slot = self.core.slots.get_mut(seq).expect("slot just ensured");
         slot.batch = Some(batch);
         slot.digest = Some(digest);
         slot.prepares.insert(primary);
@@ -355,12 +309,12 @@ impl PbftReplica {
     /// Rebroadcasts this replica's COMMIT for `seq` if it has already voted
     /// — heals peers that discarded the original during a view change.
     fn reannounce_commit(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
-        let view = self.vc.view();
+        let view = self.core.vc.view();
         let me = self.id;
         let n = self.n;
         // Executed slots are retired from the window, so a bare `get`
         // already excludes them.
-        if let Some(slot) = self.slots.get(seq) {
+        if let Some(slot) = self.core.slots.get(seq) {
             if slot.sent_commit {
                 if let Some(digest) = slot.digest {
                     out.broadcast(n, me, PbftMsg::Commit { view, seq, digest, from: me });
@@ -377,10 +331,10 @@ impl PbftReplica {
         from: ReplicaId,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.vc.view() || !self.slots.admits(seq) {
+        if view != self.core.vc.view() || !self.core.slots.admits(seq) {
             return;
         }
-        let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
+        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if slot.digest.is_none_or(|d| d == digest) {
             slot.prepares.insert(from);
         }
@@ -395,10 +349,10 @@ impl PbftReplica {
         from: ReplicaId,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.vc.view() || !self.slots.admits(seq) {
+        if view != self.core.vc.view() || !self.core.slots.admits(seq) {
             return;
         }
-        let Some(slot) = self.slots.get_or_insert_default(seq) else { return };
+        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if slot.digest.is_none_or(|d| d == digest) {
             slot.commits.insert(from);
         }
@@ -409,7 +363,7 @@ impl PbftReplica {
     fn maybe_advance(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
         let quorum = self.quorum();
         let (send_commit, view, digest) = {
-            let Some(slot) = self.slots.get_mut(seq) else { return };
+            let Some(slot) = self.core.slots.get_mut(seq) else { return };
             if slot.digest.is_none() {
                 return;
             }
@@ -420,7 +374,7 @@ impl PbftReplica {
                 slot.commits.insert(self.id);
             }
             // lint: allow(ingress-expect) -- is_none() early-returned two branches up
-            (send_commit, self.vc.view(), slot.digest.expect("digest set"))
+            (send_commit, self.core.vc.view(), slot.digest.expect("digest set"))
         };
         if send_commit {
             out.broadcast(self.n, self.id, PbftMsg::Commit { view, seq, digest, from: self.id });
@@ -432,7 +386,7 @@ impl PbftReplica {
         let quorum = self.quorum();
         loop {
             let next = self.shell.exec_upto() + 1;
-            let ready = match self.slots.get(next) {
+            let ready = match self.core.slots.get(next) {
                 Some(slot) => {
                     slot.batch.is_some() && slot.sent_commit && slot.commits.len() >= quorum
                 }
@@ -444,7 +398,7 @@ impl PbftReplica {
             // Execution consumes the slot; retiring the watermark below
             // makes the sequence number permanently dead.
             // lint: allow(ingress-expect) -- `ready` above proved the slot exists in the window
-            let slot = self.slots.remove(next).expect("checked");
+            let slot = self.core.slots.remove(next).expect("checked");
             // lint: allow(ingress-expect) -- `ready` above proved batch.is_some()
             let batch = slot.batch.expect("checked");
             // lint: allow(ingress-expect) -- sent_commit is only set after the digest is stored
@@ -461,15 +415,8 @@ impl PbftReplica {
     /// executed sequence numbers are dead, never resurrected.
     fn retire_executed(&mut self) {
         let floor = self.shell.exec_upto() + 1;
-        self.slots.retire_below(floor);
-        self.stored_preprepares.retire_below(floor);
-    }
-
-    /// Ingests a peer's checkpoint voucher and, if this replica turns out
-    /// to be behind the newly stable watermark, starts state transfer.
-    fn handle_checkpoint(&mut self, voucher: CheckpointVoucher, out: &mut Outbox<PbftMsg>) {
-        self.shell.on_voucher(&voucher);
-        self.shell.request_transfer(self.now, out);
+        self.core.slots.retire_below(floor);
+        self.core.stored_preprepares.retire_below(floor);
     }
 
     /// Hands a transfer response to the shell; once f+1 responders agree
@@ -481,7 +428,7 @@ impl PbftReplica {
         self.retire_executed();
         // The cluster may have moved on while we were down; join its view
         // so the current primary's proposals are accepted.
-        self.vc.join(plan.view);
+        self.core.vc.join(plan.view);
         // Re-arm patience for requests still pending after the replay, and
         // resume normal execution for anything already quorate.
         self.shell.rearm_patience(out);
@@ -491,7 +438,8 @@ impl PbftReplica {
     fn prepared_uncommitted(&self) -> PreparedSet {
         let quorum = self.quorum();
         // Every slot still in the window is unexecuted (execution retires).
-        self.slots
+        self.core
+            .slots
             .iter()
             .filter(|(_, s)| s.prepares.len() >= quorum)
             .filter_map(|(seq, s)| s.batch.clone().map(|b| (seq, b)))
@@ -501,14 +449,16 @@ impl PbftReplica {
     /// Votes for `new_view` (once) and checks whether that elects us.
     fn start_view_change(&mut self, new_view: u64, out: &mut Outbox<PbftMsg>) {
         let prepared = self.prepared_uncommitted();
-        let Some(vote) = self.vc.demand(new_view, self.now, prepared, &self.shell) else { return };
+        let Some(vote) = self.core.vc.demand(new_view, self.now, prepared, &self.shell) else {
+            return;
+        };
         out.broadcast(self.n, self.id, PbftMsg::ViewChange(vote));
         self.maybe_install_view(new_view, out);
     }
 
     fn handle_view_change(&mut self, from: Endpoint, vote: VcVote, out: &mut Outbox<PbftMsg>) {
         let new_view = vote.new_view;
-        let Some(count) = self.vc.record(from, vote, &mut self.shell) else { return };
+        let Some(count) = self.core.vc.record(from, vote, &mut self.shell) else { return };
         // Join the view change once f+1 replicas demand it.
         if count >= (self.f + 1) as usize {
             self.start_view_change(new_view, out);
@@ -519,7 +469,9 @@ impl PbftReplica {
     /// Becomes primary of `new_view` once 2f+1 replicas demand it.
     fn maybe_install_view(&mut self, new_view: u64, out: &mut Outbox<PbftMsg>) {
         let own = self.prepared_uncommitted();
-        let Some(plan) = self.vc.plan(new_view, self.quorum(), own, &self.shell) else { return };
+        let Some(plan) = self.core.vc.plan(new_view, self.quorum(), own, &self.shell) else {
+            return;
+        };
         self.shell.resume_at(plan.next_seq);
         // Install locally.
         self.install_new_view(new_view, &plan.repropose, out);
@@ -536,30 +488,31 @@ impl PbftReplica {
         preprepares: &[(u64, Arc<Batch>)],
         out: &mut Outbox<PbftMsg>,
     ) {
-        self.vc.installed(view);
+        self.core.vc.installed(view);
         // Reset vote state for uncommitted slots (everything still in the
         // window); re-run agreement in the new view.
-        for slot in self.slots.values_mut() {
+        for slot in self.core.slots.values_mut() {
             slot.prepares.clear();
             slot.commits.clear();
             slot.sent_commit = false;
         }
         for (seq, batch) in preprepares {
-            if !self.slots.admits(*seq) {
+            if !self.core.slots.admits(*seq) {
                 continue; // executed (dead, not resurrectable) or past the horizon
             }
             let digest = batch.digest();
-            let primary = self.vc.primary_of(view);
+            let primary = self.core.vc.primary_of(view);
             let me = self.id;
             self.shell.assign(*seq, batch);
             // lint: allow(ingress-expect) -- admits() continued the loop just above
-            let slot = self.slots.get_or_insert_default(*seq).expect("not retired");
+            let slot = self.core.slots.get_or_insert_default(*seq).expect("not retired");
             slot.batch = Some(batch.clone());
             slot.digest = Some(digest);
             slot.prepares.insert(primary);
             slot.prepares.insert(me);
             if primary == me {
-                self.stored_preprepares
+                self.core
+                    .stored_preprepares
                     .insert(*seq, PbftMsg::PrePrepare { view, seq: *seq, batch: batch.clone() });
             }
             out.broadcast(
@@ -581,249 +534,123 @@ impl PbftReplica {
         from: Endpoint,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view <= self.vc.view() && self.vc.view() != 0 {
+        if view <= self.core.vc.view() && self.core.vc.view() != 0 {
             return;
         }
-        if from != Endpoint::Replica(self.vc.primary_of(view)) {
+        if from != Endpoint::Replica(self.core.vc.primary_of(view)) {
             return;
         }
         self.install_new_view(view, &preprepares, out);
         // Re-arm patience for still-pending requests under the new primary.
         self.shell.rearm_patience(out);
     }
-    // lint: end
 }
 
-// The node-facing input surface: every simulator event enters here.
-// lint: ingress
-impl ReplicaNode for PbftReplica {
+// The node-facing routing table: every simulator event enters here.
+impl Protocol for Pbft {
     type Msg = PbftMsg;
+    const NAME: &'static str = "pbft";
 
-    fn id(&self) -> ReplicaId {
-        self.id
+    fn dispatch(r: &mut PbftReplica, input: Input<PbftMsg>, out: &mut Outbox<PbftMsg>) {
+        let now = r.now;
+        match input {
+            Input::Message { from, msg } => match msg {
+                PbftMsg::Request(req) => match r.shell.intake(req, r.core.vc.role(), out) {
+                    Intake::Sealed(reqs) => r.propose(reqs, out),
+                    Intake::Reannounce(seq) => r.reannounce(seq, out),
+                    Intake::Done => {}
+                },
+                PbftMsg::PrePrepare { view, seq, batch } => {
+                    r.handle_preprepare(from, view, seq, batch, out)
+                }
+                // A vote counts only from its voter's own link: one link
+                // naming three ids is one replica, not a quorum.
+                PbftMsg::Prepare { view, seq, digest, from: voter }
+                    if from == Endpoint::Replica(voter) =>
+                {
+                    r.handle_prepare(view, seq, digest, voter, out)
+                }
+                PbftMsg::Commit { view, seq, digest, from: voter }
+                    if from == Endpoint::Replica(voter) =>
+                {
+                    r.handle_commit(view, seq, digest, voter, out)
+                }
+                PbftMsg::ViewChange(vote) => r.handle_view_change(from, vote, out),
+                PbftMsg::NewView { view, preprepares } => {
+                    r.handle_new_view(view, preprepares, from, out)
+                }
+                PbftMsg::Checkpoint(voucher) => {
+                    r.shell.on_voucher(&voucher);
+                }
+                // Served only to the requester's own link: a transfer is
+                // the whole state, not something to reflect at a third
+                // party.
+                PbftMsg::StateRequest { have, from: to } if from == Endpoint::Replica(to) => {
+                    r.shell.serve_transfer(
+                        have,
+                        to,
+                        r.core.vc.view(),
+                        r.script.corrupts_snapshot_at(now),
+                        r.script.corrupts_suffix_at(now),
+                        out,
+                    )
+                }
+                PbftMsg::StateResponse(st) => r.handle_state_response(*st, out),
+                PbftMsg::Prepare { .. }
+                | PbftMsg::Commit { .. }
+                | PbftMsg::StateRequest { .. }
+                | PbftMsg::Reply(_) => {}
+            },
+            Input::Timer { kind: TIMER_REQUEST, token } if r.shell.watching(token) => {
+                if let Some(next) = r.core.vc.on_patience_timer(now, r.shell.patience()) {
+                    r.start_view_change(next, out);
+                }
+                // Keep watching: if the new view also stalls, escalate.
+                out.arm(r.shell.patience(), TIMER_REQUEST, token);
+            }
+            Input::Timer { kind: TIMER_FLUSH, token } => {
+                if let Some(reqs) = r.shell.on_flush_timer(token, r.core.vc.is_primary()) {
+                    r.propose(reqs, out);
+                }
+            }
+            Input::Timer { .. } => {}
+        }
     }
 
-    fn on_input(&mut self, input: Input<PbftMsg>, now: u64, out: &mut Outbox<PbftMsg>) {
-        self.now = now;
-        if self.script.crashed_at(now) {
-            self.in_outage = true;
-            return;
-        }
-        if self.in_outage {
-            // Fail-recover: per-op patience timers whose firing landed
-            // inside the outage are dead chains (retransmissions do not
-            // re-arm an already-pending op) — revive them once, in
-            // canonical order, so the recovered backup keeps watching its
-            // pending ops.
-            self.in_outage = false;
-            self.shell.rearm_patience(out);
-        }
-        if self.script.unconstrained() {
-            // Fast path (the overwhelmingly common case): a correct
-            // replica's outputs are never gated, so handlers write the
-            // caller's outbox directly — no staging buffer, no per-event
-            // re-moves of every queued message.
-            self.dispatch_input(input, now, out);
-            return;
-        }
-        let mut staged = Outbox::new();
-        self.dispatch_input(input, now, &mut staged);
-        // Script gate on outputs (timers always pass — they are local).
-        if self.script.sends_at(now) {
-            out.msgs.extend(staged.msgs);
-        }
-        out.timers.extend(staged.timers);
-    }
-
-    fn committed_log(&self) -> &[LogEntry] {
-        self.shell.log()
-    }
-
-    fn committed_seq(&self) -> u64 {
-        self.shell.committed()
+    fn view(&self) -> u64 {
+        self.vc.view()
     }
 
     fn wipe(&mut self) {
-        // Rejuvenation: volatile protocol + application state goes; the
-        // replica's identity, keys, fault script, and the self-verifying
-        // stable checkpoint certificate (trusted persistent store) stay.
         self.slots = SeqWindow::with_base(1);
         self.stored_preprepares = SeqWindow::with_base(1);
         self.vc.wipe();
-        self.in_outage = false;
-        self.shell.wipe();
     }
 
-    fn checkpoint_stats(&self) -> CheckpointStats {
-        self.shell.ckpt().stats()
+    fn recovered(r: &mut PbftReplica, _: &RecoveredState) {
+        // Executed sequence numbers are dead from the first input on — both
+        // below the snapshot and below the replayed WAL tail.
+        r.retire_executed();
     }
 
-    fn checkpoint_history(&self) -> &[(u64, [u8; 32])] {
-        self.shell.ckpt().history()
-    }
-
-    fn make_request(req: Arc<Request>) -> PbftMsg {
+    fn request(req: Arc<Request>) -> PbftMsg {
         PbftMsg::Request(req)
     }
 
-    fn as_reply(msg: &PbftMsg) -> Option<&Reply> {
+    fn reply_of(msg: &PbftMsg) -> Option<&Reply> {
         match msg {
             PbftMsg::Reply(r) => Some(r),
             _ => None,
         }
     }
-
-    fn state_digest(&self) -> [u8; 32] {
-        self.shell.state_digest()
-    }
-
-    fn current_view(&self) -> u64 {
-        self.vc.view()
-    }
-
-    fn enable_durability(&mut self) {
-        self.shell.enable_durability();
-    }
-
-    fn drain_durable(&mut self, out: &mut Vec<DurableEvent>) {
-        self.shell.drain_durable(out);
-    }
-
-    fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let report = self.shell.recover(&state, Batch::digest);
-        // Executed sequence numbers are dead from the first input on — both
-        // below the snapshot and below the replayed WAL tail.
-        self.retire_executed();
-        report
-    }
-}
-
-impl PbftReplica {
-    /// Routes one input to its handler, emitting effects into `out`.
-    fn dispatch_input(&mut self, input: Input<PbftMsg>, now: u64, staged: &mut Outbox<PbftMsg>) {
-        match input {
-            Input::Message { from, msg } => match msg {
-                PbftMsg::Request(req) => match self.shell.intake(req, self.vc.role(), staged) {
-                    Intake::Sealed(reqs) => self.propose(reqs, staged),
-                    Intake::Reannounce(seq) => self.reannounce(seq, staged),
-                    Intake::Done => {}
-                },
-                PbftMsg::PrePrepare { view, seq, batch } => {
-                    self.handle_preprepare(from, view, seq, batch, staged)
-                }
-                PbftMsg::Prepare { view, seq, digest, from } => {
-                    self.handle_prepare(view, seq, digest, from, staged)
-                }
-                PbftMsg::Commit { view, seq, digest, from } => {
-                    self.handle_commit(view, seq, digest, from, staged)
-                }
-                PbftMsg::ViewChange(vote) => self.handle_view_change(from, vote, staged),
-                PbftMsg::NewView { view, preprepares } => {
-                    self.handle_new_view(view, preprepares, from, staged)
-                }
-                PbftMsg::Checkpoint(voucher) => self.handle_checkpoint(*voucher, staged),
-                PbftMsg::StateRequest { have, from } => self.shell.serve_transfer(
-                    have,
-                    from,
-                    self.vc.view(),
-                    self.script.corrupts_snapshot_at(now),
-                    self.script.corrupts_suffix_at(now),
-                    staged,
-                ),
-                PbftMsg::StateResponse(st) => self.handle_state_response(*st, staged),
-                PbftMsg::Reply(_) => {}
-            },
-            Input::Timer { kind: TIMER_REQUEST, token } if self.shell.watching(token) => {
-                if let Some(next) = self.vc.on_patience_timer(now, self.shell.patience()) {
-                    self.start_view_change(next, staged);
-                }
-                // Keep watching: if the new view also stalls, escalate.
-                staged.arm(self.shell.patience(), TIMER_REQUEST, token);
-            }
-            Input::Timer { kind: TIMER_FLUSH, token } => {
-                if let Some(reqs) = self.shell.on_flush_timer(token, self.vc.is_primary()) {
-                    self.propose(reqs, staged);
-                }
-            }
-            Input::Timer { .. } => {}
-        }
-        // Any input may have revealed a stable certificate ahead of us
-        // (post-wipe, or crashed past retention): chase it, rate-limited
-        // by the CST backoff.
-        self.shell.request_transfer(now, staged);
-    }
 }
 // lint: end
-
-/// A PBFT cluster of `3f+1` replicas.
-#[derive(Debug)]
-pub struct PbftCluster {
-    nodes: Vec<PbftReplica>,
-    f: u32,
-}
-
-impl PbftCluster {
-    /// Builds the cluster for `config.f`.
-    pub fn new(config: &RunConfig) -> Self {
-        let n = 3 * config.f + 1;
-        let keys = CkptKeys::provision(config.seed, n as usize);
-        PbftCluster {
-            nodes: (0..n)
-                .map(|i| {
-                    let mut r = PbftReplica::new(ReplicaId(i), config.f);
-                    r.set_batching(config.batch_size, config.batch_flush);
-                    r.set_patience(config.request_patience);
-                    r.set_checkpointing(config.checkpoint_interval, Arc::clone(&keys));
-                    r
-                })
-                .collect(),
-            f: config.f,
-        }
-    }
-
-    /// Fault threshold.
-    pub fn f(&self) -> u32 {
-        self.f
-    }
-}
-
-impl Cluster for PbftCluster {
-    type Node = PbftReplica;
-
-    fn nodes_mut(&mut self) -> &mut [PbftReplica] {
-        &mut self.nodes
-    }
-
-    fn nodes(&self) -> &[PbftReplica] {
-        &self.nodes
-    }
-
-    fn into_nodes(self) -> Vec<PbftReplica> {
-        self.nodes
-    }
-
-    fn reply_quorum(&self) -> usize {
-        (self.f + 1) as usize
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        "pbft"
-    }
-
-    fn correct_replicas(&self) -> Vec<ReplicaId> {
-        self.nodes.iter().filter(|n| !n.script().is_byzantine()).map(|n| n.id()).collect()
-    }
-
-    fn set_script(&mut self, id: ReplicaId, script: ReplicaScript) {
-        self.nodes[id.0 as usize].set_script(script);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
-    use crate::api::{ClientId, OpId};
+    use crate::api::{ClientId, Cluster, OpId, ReplicaNode};
     use crate::codec::{decode_frame, encode_frame, Wire};
     use crate::dense::SLOT_HORIZON;
     use crate::runner::{run, RunConfig};
@@ -1163,7 +990,7 @@ mod tests {
         })));
         let digest = batch.digest();
         let mut r = PbftReplica::new(ReplicaId(2), 1);
-        let capacity = r.slots.capacity();
+        let capacity = r.core.slots.capacity();
         let mut out = Outbox::new();
         for seq in [SLOT_HORIZON + 2, 1 << 28, u64::MAX] {
             for (from, msg) in [
@@ -1173,7 +1000,11 @@ mod tests {
             ] {
                 let from = Endpoint::Replica(ReplicaId(from));
                 r.on_input(Input::Message { from, msg }, 10, &mut out);
-                assert_eq!((r.slots.len(), r.slots.capacity()), (0, capacity), "slot {seq}");
+                assert_eq!(
+                    (r.core.slots.len(), r.core.slots.capacity()),
+                    (0, capacity),
+                    "slot {seq}"
+                );
             }
         }
         // A NEW-VIEW entry past the horizon is skipped like an executed one.
@@ -1184,7 +1015,7 @@ mod tests {
             11,
             &mut out,
         );
-        assert_eq!((r.view(), r.slots.len(), r.slots.capacity()), (1, 0, capacity));
+        assert_eq!((r.view(), r.core.slots.len(), r.core.slots.capacity()), (1, 0, capacity));
         assert!(out.msgs.is_empty(), "voted past the horizon: {:?}", out.msgs);
 
         let at = 1 + SLOT_HORIZON;
@@ -1194,7 +1025,7 @@ mod tests {
             12,
             &mut out,
         );
-        assert_eq!(r.slots.get(at).map(|s| s.commits.len()), Some(1));
+        assert_eq!(r.core.slots.get(at).map(|s| s.commits.len()), Some(1));
     }
 
     fn vote(new_view: u64, from: u32) -> PbftMsg {
@@ -1241,5 +1072,42 @@ mod tests {
         }
         assert_eq!((r.rejected_votes(), r.view()), (2, 1));
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, PbftMsg::NewView { view: 1, .. })));
+    }
+
+    /// The same holds for the agreement votes: replica 3 alone, naming 0,
+    /// 2 and 3 in its PREPAREs and COMMITs, must not make replica 1 execute
+    /// a slot — on a fresh slot that would let one Byzantine primary commit
+    /// both halves of an equivocation.
+    #[test]
+    fn one_link_cannot_forge_a_commit_quorum() {
+        let batch = Arc::new(Batch::single(Arc::new(Request {
+            op: OpId { client: ClientId(1), seq: 1 },
+            payload: b"SET k v".to_vec(),
+        })));
+        let digest = batch.digest();
+        let mut r = PbftReplica::new(ReplicaId(1), 1);
+        let mut out = Outbox::new();
+        let proposal = PbftMsg::PrePrepare { view: 0, seq: 1, batch };
+        let primary = Endpoint::Replica(ReplicaId(0));
+        r.on_input(Input::Message { from: primary, msg: proposal }, 10, &mut out);
+        let vote = |r: &mut PbftReplica, link: u32, voter: u32| {
+            let (from, voter) = (Endpoint::Replica(ReplicaId(link)), ReplicaId(voter));
+            let mut out = Outbox::new();
+            for msg in [
+                PbftMsg::Prepare { view: 0, seq: 1, digest, from: voter },
+                PbftMsg::Commit { view: 0, seq: 1, digest, from: voter },
+            ] {
+                r.on_input(Input::Message { from, msg }, 11, &mut out);
+            }
+        };
+        for claimed in [0, 2, 3] {
+            vote(&mut r, 3, claimed);
+        }
+        assert_eq!(r.committed_seq(), 0, "one link voted three times");
+        // The same votes over their voters' own links do commit it.
+        for voter in [0, 2] {
+            vote(&mut r, voter, voter);
+        }
+        assert_eq!(r.committed_seq(), 1);
     }
 }

@@ -10,9 +10,12 @@
 //! patience, the next free sequence number; the committed log, the state
 //! machine, the exactly-once reply index, client sessions, certified
 //! checkpoints, the state-transfer replay ring and buffer, and the durable
-//! event queue — and the code that runs over them:
+//! event queue — and the code that runs over them. The shell sits inside
+//! the replica chassis ([`Replica`](crate::chassis::Replica)), which
+//! gates a faulty script's outputs and makes the calls every input or
+//! lifecycle event makes; the protocol core makes the rest:
 //!
-//! | a protocol core calls…            | when                                          |
+//! | the core (or the chassis) calls…  | when                                          |
 //! |-----------------------------------|-----------------------------------------------|
 //! | [`Shell::intake`]                 | a client request arrives                      |
 //! | [`Shell::on_flush_timer`]         | a [`TIMER_FLUSH`] fires                       |
@@ -21,12 +24,12 @@
 //! | [`Shell::checkpoint`]             | right after each executed slot                |
 //! | [`Shell::on_voucher`]             | a peer's checkpoint voucher arrives           |
 //! | [`Shell::accept_cert`]            | a certificate rides a view change or hint     |
-//! | [`Shell::request_transfer`]       | at the tail of every input (rate-limited)     |
+//! | [`Shell::request_transfer`]       | chassis: after every input (rate-limited)     |
 //! | [`Shell::serve_transfer`]         | a peer's state request arrives                |
 //! | [`Shell::admit_transfer`] then [`Shell::install`] | a state response arrives      |
-//! | [`Shell::rearm_patience`]         | after an outage, an install or a new view     |
-//! | [`Shell::recover`]                | once, before the first input, on restart      |
-//! | [`Shell::wipe`]                   | rejuvenation                                  |
+//! | [`Shell::rearm_patience`]         | after an outage (chassis), an install or a new view |
+//! | [`Shell::recover`]                | chassis: once, before the first input, on restart |
+//! | [`Shell::wipe`]                   | chassis: rejuvenation                         |
 //!
 //! What legitimately differs between protocols is a call-site argument,
 //! never a branch in here: the replica's [`Role`] towards a request, the
@@ -36,6 +39,7 @@
 //! a UI on a PREPARE, passive executes and ships them. After an install or
 //! a recovery the protocol runs its own tail — retire its windows below
 //! [`Shell::exec_upto`], join the view, re-arm patience, resume execution.
+//! Provisioning (batching, patience, checkpoint keys) is the chassis's.
 
 use crate::api::{
     Batch, BatchDecision, Batcher, Endpoint, LogEntry, OpId, Outbox, ReplicaId, Reply, Request,
@@ -53,8 +57,9 @@ use std::sync::Arc;
 
 /// Constructors for the shell-emitted variants every protocol's message
 /// enum carries, so the shell writes straight into the caller's
-/// [`Outbox`] (no returned `Vec`, no per-op allocation).
-pub(crate) trait ShellMsg: Clone {
+/// [`Outbox`] (no returned `Vec`, no per-op allocation). (`pub` only so the
+/// chassis's public impls may name it; the module is private.)
+pub trait ShellMsg: Clone {
     /// Wraps an execution result on its way to the client.
     fn reply(reply: Reply) -> Self;
     /// Wraps a checkpoint voucher.
