@@ -1,40 +1,14 @@
 //! The adaptive controller and the static-vs-adaptive comparison harness.
 
 use crate::detector::ThreatLevel;
-
-/// Which replication protocol a deployment runs (§II-D "switching to a
-/// backup protocol that is more adequate to the current conditions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ProtocolChoice {
-    /// Primary-backup: cheapest, crash faults only.
-    Passive,
-    /// MinBFT: Byzantine tolerance at 2f+1 (needs hybrids).
-    MinBft,
-    /// PBFT: Byzantine tolerance at 3f+1, no hybrid assumption.
-    Pbft,
-}
-
-impl ProtocolChoice {
-    /// Replicas needed to tolerate `f` faults under this protocol.
-    pub fn replicas_for(self, f: u32) -> u32 {
-        match self {
-            ProtocolChoice::Passive => 2,
-            ProtocolChoice::MinBft => 2 * f + 1,
-            ProtocolChoice::Pbft => 3 * f + 1,
-        }
-    }
-
-    /// Whether the protocol masks Byzantine (not just crash) faults.
-    pub fn tolerates_byzantine(self) -> bool {
-        !matches!(self, ProtocolChoice::Passive)
-    }
-}
+use rsoc_bft::Protocol;
 
 /// A deployed configuration: protocol plus fault threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Deployment {
-    /// Protocol in use.
-    pub protocol: ProtocolChoice,
+    /// Protocol in use: §II-D's "switching to a backup protocol that is
+    /// more adequate to the current conditions" changes this.
+    pub protocol: Protocol,
     /// Fault threshold the deployment is sized for.
     pub f: u32,
 }
@@ -42,7 +16,7 @@ pub struct Deployment {
 impl Deployment {
     /// Tiles/replicas this deployment occupies.
     pub fn replicas(&self) -> u32 {
-        self.protocol.replicas_for(self.f)
+        self.protocol.replicas(self.f)
     }
 
     /// Whether the deployment masks an attacker able to compromise
@@ -68,10 +42,10 @@ impl Default for AdaptiveController {
     fn default() -> Self {
         AdaptiveController {
             table: [
-                Deployment { protocol: ProtocolChoice::Passive, f: 1 },
-                Deployment { protocol: ProtocolChoice::MinBft, f: 1 },
-                Deployment { protocol: ProtocolChoice::MinBft, f: 2 },
-                Deployment { protocol: ProtocolChoice::Pbft, f: 3 },
+                Deployment { protocol: Protocol::Passive, f: 1 },
+                Deployment { protocol: Protocol::MinBft, f: 1 },
+                Deployment { protocol: Protocol::MinBft, f: 2 },
+                Deployment { protocol: Protocol::Pbft, f: 3 },
             ],
             switch_cost: 500,
         }
@@ -210,24 +184,24 @@ mod tests {
 
     #[test]
     fn replica_requirements() {
-        assert_eq!(ProtocolChoice::Passive.replicas_for(3), 2);
-        assert_eq!(ProtocolChoice::MinBft.replicas_for(2), 5);
-        assert_eq!(ProtocolChoice::Pbft.replicas_for(2), 7);
+        assert_eq!(Protocol::Passive.replicas(3), 2);
+        assert_eq!(Protocol::MinBft.replicas(2), 5);
+        assert_eq!(Protocol::Pbft.replicas(2), 7);
     }
 
     #[test]
     fn masking_logic() {
-        let passive = Deployment { protocol: ProtocolChoice::Passive, f: 1 };
+        let passive = Deployment { protocol: Protocol::Passive, f: 1 };
         assert!(passive.masks(0));
         assert!(!passive.masks(1), "passive cannot mask Byzantine faults");
-        let minbft2 = Deployment { protocol: ProtocolChoice::MinBft, f: 2 };
+        let minbft2 = Deployment { protocol: Protocol::MinBft, f: 2 };
         assert!(minbft2.masks(2));
         assert!(!minbft2.masks(3));
     }
 
     #[test]
     fn static_small_is_cheap_but_underprotected() {
-        let small = Deployment { protocol: ProtocolChoice::MinBft, f: 1 };
+        let small = Deployment { protocol: Protocol::MinBft, f: 1 };
         let r = simulate_adaptation(&trace(), AdaptPolicy::Static(small));
         assert_eq!(r.underprotected_time, 8_000, "the f=2 phase defeats f=1");
         assert_eq!(r.mean_replicas(), 3.0);
@@ -236,7 +210,7 @@ mod tests {
 
     #[test]
     fn static_large_is_protected_but_expensive() {
-        let big = Deployment { protocol: ProtocolChoice::Pbft, f: 2 };
+        let big = Deployment { protocol: Protocol::Pbft, f: 2 };
         let r = simulate_adaptation(&trace(), AdaptPolicy::Static(big));
         assert_eq!(r.underprotected_time, 0);
         assert_eq!(r.mean_replicas(), 7.0, "7 replicas burn all the time");

@@ -14,7 +14,7 @@
 //!   verification failures, request timeouts, detected equivocations, SEU
 //!   rate) into a [`ThreatLevel`] with hysteresis;
 //! * [`AdaptiveController`] + [`simulate_adaptation`] — maps threat level
-//!   to a deployment (protocol + f), and replays a ground-truth threat
+//!   to a deployment (an [`rsoc_bft::Protocol`] + f), and replays a ground-truth threat
 //!   trace to compare static vs adaptive configurations on
 //!   *under-protection time* and *resource cost* (experiment E7).
 //!
@@ -37,6 +37,6 @@ pub mod detector;
 
 pub use closed_loop::{run_closed_loop, ClosedLoopReport, GroundTruthWindow, ObservationModel};
 pub use controller::{
-    simulate_adaptation, AdaptPolicy, AdaptReport, AdaptiveController, Deployment, ProtocolChoice,
+    simulate_adaptation, AdaptPolicy, AdaptReport, AdaptiveController, Deployment,
 };
 pub use detector::{AnomalySample, DetectorConfig, ThreatDetector, ThreatLevel};

@@ -7,9 +7,10 @@
 //! replicas, protocol messages per committed op, median commit latency,
 //! throughput.
 
-use rsoc_bench::{f1, f3, CellStats, ClusterJob, ExpOptions, Protocol, Table};
+use rsoc_bench::{f1, f3, ExpOptions, Table};
 use rsoc_bft::api::Cluster;
 use rsoc_bft::runner::{run, LatencyModel, RunConfig, RunReport};
+use rsoc_bft::{ClusterJob, Protocol};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -39,8 +40,8 @@ struct ClosedLoop<'a>(&'a RunConfig);
 
 impl ClusterJob for ClosedLoop<'_> {
     type Output = RunReport;
-    fn run<C: Cluster>(self, cluster: &mut C, _: fn(&C) -> CellStats) -> RunReport {
-        run(cluster, self.0)
+    fn run<C: Cluster>(self, mut cluster: C) -> RunReport {
+        run(&mut cluster, self.0)
     }
 }
 

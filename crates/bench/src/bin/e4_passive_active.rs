@@ -62,7 +62,7 @@ fn main() {
             .build();
         match *cell {
             Cell::Passive { detect } => {
-                let mut cluster = PassiveCluster::with_detector(detect / 4, detect);
+                let mut cluster = PassiveCluster::with_detector(&config, detect / 4, detect);
                 cluster.set_script(ReplicaId(0), Behavior::CrashAt(crash_at).into());
                 run(&mut cluster, &config)
             }

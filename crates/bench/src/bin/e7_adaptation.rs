@@ -9,10 +9,9 @@
 //! detection latency. Policies: static-small, static-large, adaptive.
 
 use rsoc_adapt::controller::TraceSegment;
-use rsoc_adapt::{
-    simulate_adaptation, AdaptPolicy, AdaptiveController, Deployment, ProtocolChoice, ThreatLevel,
-};
+use rsoc_adapt::{simulate_adaptation, AdaptPolicy, AdaptiveController, Deployment, ThreatLevel};
 use rsoc_bench::{f3, ExpOptions, Table};
+use rsoc_bft::Protocol;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -50,11 +49,9 @@ fn main() {
     let policy_for = |name: &str| -> AdaptPolicy {
         match name {
             "static minbft f=1" => {
-                AdaptPolicy::Static(Deployment { protocol: ProtocolChoice::MinBft, f: 1 })
+                AdaptPolicy::Static(Deployment { protocol: Protocol::MinBft, f: 1 })
             }
-            "static pbft f=3" => {
-                AdaptPolicy::Static(Deployment { protocol: ProtocolChoice::Pbft, f: 3 })
-            }
+            "static pbft f=3" => AdaptPolicy::Static(Deployment { protocol: Protocol::Pbft, f: 3 }),
             _ => AdaptPolicy::Adaptive(AdaptiveController::default()),
         }
     };

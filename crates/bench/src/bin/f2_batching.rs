@@ -22,9 +22,10 @@
 //! campaign (see `rsoc_bench::campaign`).
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
-use rsoc_bench::{f1, f3, quick_trials, CellStats, Protocol};
-use rsoc_bft::api::Cluster;
+use rsoc_bench::{f1, f3, quick_trials};
+use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run, LatencyModel, RunConfig};
+use rsoc_bft::Protocol;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -144,13 +145,7 @@ impl Campaign for F2 {
 
     /// MAC ops are USIG create + verify summed over replicas (0 for the
     /// unauthenticated PBFT model).
-    fn run<C: Cluster>(
-        &self,
-        cell: &Cell<Spec>,
-        cfg: &RunConfig,
-        cluster: &mut C,
-        harvest: fn(&C) -> CellStats,
-    ) -> Row {
+    fn run<C: Cluster>(&self, cell: &Cell<Spec>, cfg: &RunConfig, cluster: &mut C) -> Row {
         let report = run(cluster, cfg);
         Row {
             protocol: cell.protocol.name(),
@@ -158,7 +153,7 @@ impl Campaign for F2 {
             batch_size: report.batch_size,
             committed: report.committed,
             ops_per_kcycle: report.throughput_per_kcycle(),
-            macs_per_op: harvest(cluster).mac_ops as f64 / report.committed as f64,
+            macs_per_op: ClusterStats::of(cluster).mac_ops as f64 / report.committed as f64,
             msgs_per_op: report.messages_per_commit(),
             p50_latency: report.commit_latency.median().unwrap_or(0.0),
             p99_latency: report.commit_latency.quantile(0.99).unwrap_or(0.0),

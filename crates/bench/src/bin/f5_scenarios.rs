@@ -42,12 +42,12 @@
 //! [`ScenarioOracle`]: rsoc_bft::adversary::ScenarioOracle
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
-use rsoc_bench::{CellStats, Protocol};
 use rsoc_bft::adversary::{
     Flood, LinkFault, ReplaySpec, ReplicaScript, Scenario, ScenarioOracle, Window,
 };
-use rsoc_bft::api::Cluster;
+use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run_scenario, LatencyModel, RunConfig};
+use rsoc_bft::Protocol;
 use serde::Serialize;
 
 /// Workload clients per cell.
@@ -340,13 +340,7 @@ impl Campaign for F5 {
             .build()
     }
 
-    fn run<C: Cluster>(
-        &self,
-        cell: &Cell<Spec>,
-        cfg: &RunConfig,
-        cluster: &mut C,
-        harvest: fn(&C) -> CellStats,
-    ) -> Row {
+    fn run<C: Cluster>(&self, cell: &Cell<Spec>, cfg: &RunConfig, cluster: &mut C) -> Row {
         let expected = CLIENTS as u64 * REQUESTS;
         let scenario = (cell.spec.build)(cluster.nodes().len() as u32);
         let outcome = run_scenario(cluster, cfg, &scenario);
@@ -360,7 +354,7 @@ impl Campaign for F5 {
             committed: outcome.report.committed,
             expected_ops: expected,
             duration_cycles: outcome.report.duration_cycles,
-            view_changes: harvest(cluster).max_view,
+            view_changes: ClusterStats::of(cluster).max_view,
             client_retries: outcome.report.client_retries,
             messages_total: outcome.report.messages_total,
             flood_requests: outcome.flood_requests,

@@ -50,10 +50,10 @@
 //! [`ScenarioOracle`]: rsoc_bft::adversary::ScenarioOracle
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
-use rsoc_bench::{CellStats, Protocol};
 use rsoc_bft::adversary::{ReplicaScript, Scenario, ScenarioOracle, Window};
-use rsoc_bft::api::Cluster;
+use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run_scenario, LatencyModel, RunConfig};
+use rsoc_bft::Protocol;
 use serde::Serialize;
 
 /// Workload clients per cell.
@@ -253,19 +253,13 @@ impl Campaign for F6 {
             .build()
     }
 
-    fn run<C: Cluster>(
-        &self,
-        cell: &Cell<Spec>,
-        cfg: &RunConfig,
-        cluster: &mut C,
-        harvest: fn(&C) -> CellStats,
-    ) -> Row {
+    fn run<C: Cluster>(&self, cell: &Cell<Spec>, cfg: &RunConfig, cluster: &mut C) -> Row {
         let expected = CLIENTS as u64 * REQUESTS;
         let scenario = (cell.spec.build)(cluster.nodes().len() as u32, cell.batch);
         let outcome = run_scenario(cluster, cfg, &scenario);
         let verdict =
             ScenarioOracle::expecting_liveness().judge(cluster, &outcome.report, expected);
-        let stats = harvest(cluster);
+        let stats = ClusterStats::of(cluster);
         Row {
             scenario: cell.spec.name,
             attacks: cell.spec.attacks,

@@ -30,19 +30,18 @@
 //!    restarted victim — to exit cleanly reporting that digest.
 //!
 //! Usage: `f7_chaos [--clients N] [--requests N]` (defaults 4×60 = 240
-//! committed ops per cell).
+//! committed ops per cell); a bad flag exits 2 before any process starts.
 
-use rsoc_bft::api::Cluster;
-use rsoc_bft::runner::{run, RunConfig};
-use rsoc_transport::run::{digest_hex, Protocol};
+use rsoc_bench::tcp_cluster::{client_command, load_from_args, spawn_replica, workload, Replica};
+use rsoc_bft::Protocol;
+use rsoc_transport::run::digest_hex;
+use rsoc_transport::simulator_digest;
 use std::fs;
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdout, Command, ExitCode, Stdio};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-const SEED: u64 = 42;
-const PAYLOAD: usize = 64;
 const CHECKPOINT_INTERVAL: u64 = 8;
 /// Replica to kill: a backup in view 0 for both protocols, so the
 /// cluster keeps committing through the outage.
@@ -74,21 +73,8 @@ impl Variant {
 }
 
 fn main() -> ExitCode {
-    let mut clients = 4u32;
-    let mut requests = 60u64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match (flag.as_str(), it.next()) {
-            ("--clients", Some(v)) => clients = v.parse().expect("--clients"),
-            ("--requests", Some(v)) => requests = v.parse().expect("--requests"),
-            (other, _) => {
-                eprintln!("unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    for protocol in [Protocol::Pbft, Protocol::MinBft] {
+    let (clients, requests) = load_from_args();
+    for &protocol in Protocol::BFT {
         for variant in Variant::ALL {
             if let Err(e) = chaos(protocol, variant, clients, requests) {
                 eprintln!("f7_chaos[{}/{}]: {e}", protocol.name(), variant.name());
@@ -97,85 +83,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Simulator digest for the workload the cluster is about to serve.
-fn simulator_digest(protocol: Protocol, clients: u32, requests: u64) -> Result<[u8; 32], String> {
-    let config = RunConfig::builder()
-        .f(1)
-        .clients(clients)
-        .requests_per_client(requests)
-        .payload_size(PAYLOAD)
-        .seed(SEED)
-        .checkpoint_interval(CHECKPOINT_INTERVAL)
-        .build();
-    let expected_ops = u64::from(clients) * requests;
-    let (committed, digest) = match protocol {
-        Protocol::Pbft => {
-            let mut cluster = rsoc_bft::pbft::PbftCluster::new(&config);
-            let report = run(&mut cluster, &config);
-            (report.committed, cluster.nodes()[0].state_digest())
-        }
-        Protocol::MinBft => {
-            let mut cluster = rsoc_bft::minbft::MinBftCluster::new(&config);
-            let report = run(&mut cluster, &config);
-            (report.committed, cluster.nodes()[0].state_digest())
-        }
-    };
-    if committed != expected_ops {
-        return Err(format!("simulator committed {committed}, expected {expected_ops}"));
-    }
-    Ok(digest)
-}
-
-/// A serve process plus the stdout reader its rendezvous line came from
-/// (kept so the `RECOVERED` / `DONE` lines can be read at exit).
-struct Replica {
-    child: Child,
-    reader: BufReader<ChildStdout>,
-}
-
-fn spawn_replica(
-    bin: &Path,
-    protocol: Protocol,
-    id: u32,
-    data_dir: &Path,
-    listen: Option<&str>,
-) -> Result<(Replica, String), String> {
-    let mut cmd = Command::new(bin);
-    cmd.args(["--protocol", protocol.name()])
-        .args(["--id", &id.to_string()])
-        .args(["--f", "1"])
-        .args(["--seed", &SEED.to_string()])
-        .args(["--checkpoint-interval", &CHECKPOINT_INTERVAL.to_string()])
-        .arg("--data-dir")
-        .arg(data_dir)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped());
-    if let Some(addr) = listen {
-        cmd.args(["--listen", addr]);
-    }
-    let mut child = cmd.spawn().map_err(|e| format!("spawning {}: {e}", bin.display()))?;
-    let stdout = child.stdout.take().ok_or("no stdout")?;
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("reading LISTENING line: {e}"))?;
-    let addr = line
-        .strip_prefix("LISTENING ")
-        .ok_or_else(|| format!("replica {id}: expected LISTENING line, got {line:?}"))?
-        .trim()
-        .to_string();
-    Ok((Replica { child, reader }, addr))
-}
-
-fn send_peers(replica: &mut Replica, peers_line: &str) -> Result<(), String> {
-    replica
-        .child
-        .stdin
-        .as_mut()
-        .ok_or("no stdin")?
-        .write_all(peers_line.as_bytes())
-        .map_err(|e| format!("writing PEERS line: {e}"))
 }
 
 /// Total durable WAL bytes under `dir` (0 while the dir is still empty).
@@ -234,17 +141,15 @@ fn mutate_wal(dir: &Path, variant: Variant) -> Result<(), String> {
 }
 
 fn chaos(protocol: Protocol, variant: Variant, clients: u32, requests: u64) -> Result<(), String> {
-    let expected = simulator_digest(protocol, clients, requests)?;
-    let n = protocol.cluster_size(1);
+    let cfg = workload(clients, requests, CHECKPOINT_INTERVAL);
+    let expected = simulator_digest(protocol, &cfg)?;
+    let n = protocol.replicas(cfg.f);
     println!(
         "[{}/{}] n={n}, {clients} clients x {requests} ops, expecting digest {}",
         protocol.name(),
         variant.name(),
         digest_hex(&expected)
     );
-
-    let serve_bin = sibling_binary("rsoc-serve")?;
-    let client_bin = sibling_binary("rsoc-client")?;
 
     // Fresh per-cell data directories.
     let root = std::env::temp_dir().join(format!(
@@ -260,28 +165,19 @@ fn chaos(protocol: Protocol, variant: Variant, clients: u32, requests: u64) -> R
     let mut replicas: Vec<Replica> = Vec::new();
     let mut addrs: Vec<String> = Vec::new();
     for id in 0..n {
-        let (replica, addr) = spawn_replica(&serve_bin, protocol, id, &data_dir(id), None)?;
+        let (replica, addr) = spawn_replica(protocol, id, &cfg, Some(&data_dir(id)), None)?;
         replicas.push(replica);
         addrs.push(addr);
     }
-    let peers_line = format!("PEERS {}\n", addrs.join(" "));
     for replica in &mut replicas {
-        send_peers(replica, &peers_line)?;
+        replica.send_peers(&addrs)?;
     }
 
     // Phase 2: the client starts issuing the workload in the background.
-    let mut client = Command::new(&client_bin)
-        .args(["--protocol", protocol.name()])
-        .args(["--f", "1"])
-        .args(["--seed", &SEED.to_string()])
-        .args(["--clients", &clients.to_string()])
-        .args(["--requests", &requests.to_string()])
-        .args(["--payload", &PAYLOAD.to_string()])
-        .args(["--addrs", &addrs.join(",")])
-        .args(["--expect-digest", &digest_hex(&expected)])
+    let mut client = client_command(protocol, &cfg, &addrs, &expected)?
         .args(["--settle-timeout-ms", "60000"])
         .spawn()
-        .map_err(|e| format!("spawning {}: {e}", client_bin.display()))?;
+        .map_err(|e| format!("spawning rsoc-client: {e}"))?;
 
     // Phase 3: wait for the victim's WAL to take commits, then SIGKILL
     // it mid-run. The threshold guarantees the mutation below damages at
@@ -315,12 +211,13 @@ fn chaos(protocol: Protocol, variant: Variant, clients: u32, requests: u64) -> R
     // Phase 4: damage the WAL tail per the variant, restart the victim
     // on its original address, and re-run the rendezvous for it.
     mutate_wal(&victim_dir, variant)?;
+    let victim_addr = addrs[VICTIM as usize].as_str();
     let (mut restarted, addr) =
-        spawn_replica(&serve_bin, protocol, VICTIM, &victim_dir, Some(&addrs[VICTIM as usize]))?;
-    if addr != addrs[VICTIM as usize] {
-        return Err(format!("restarted victim bound {addr}, wanted {}", addrs[VICTIM as usize]));
+        spawn_replica(protocol, VICTIM, &cfg, Some(&victim_dir), Some(victim_addr))?;
+    if addr != victim_addr {
+        return Err(format!("restarted victim bound {addr}, wanted {victim_addr}"));
     }
-    send_peers(&mut restarted, &peers_line)?;
+    restarted.send_peers(&addrs)?;
     replicas.insert(VICTIM as usize, restarted);
 
     // Phase 5: the client must finish — its --expect-digest settle gate
@@ -387,20 +284,5 @@ fn chaos(protocol: Protocol, variant: Variant, clients: u32, requests: u64) -> R
         Ok(())
     } else {
         Err(failures.join("; "))
-    }
-}
-
-/// Locates a cluster binary next to this driver (same target profile).
-fn sibling_binary(name: &str) -> Result<PathBuf, String> {
-    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let dir = me.parent().ok_or("current_exe has no parent")?;
-    let path = dir.join(name);
-    if path.exists() {
-        Ok(path)
-    } else {
-        Err(format!(
-            "{} not found — build it first: cargo build -p rsoc_transport --bin {name}",
-            path.display()
-        ))
     }
 }

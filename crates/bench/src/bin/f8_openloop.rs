@@ -39,10 +39,11 @@
 //! `rsoc_bench::campaign`).
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
-use rsoc_bench::{quick_trials, CellStats, Protocol};
+use rsoc_bench::quick_trials;
 use rsoc_bft::adversary::{ReplicaScript, Scenario};
-use rsoc_bft::api::Cluster;
+use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run_open_loop, LatencyModel, OpenLoopSpec, RunConfig};
+use rsoc_bft::Protocol;
 use rsoc_sim::{Arrival, KeyDist, RateMod, Window};
 use serde::Serialize;
 use serde_json::Value;
@@ -252,13 +253,7 @@ impl Campaign for F8 {
             .build()
     }
 
-    fn run<C: Cluster>(
-        &self,
-        cell: &Cell<Spec>,
-        cfg: &RunConfig,
-        cluster: &mut C,
-        harvest: fn(&C) -> CellStats,
-    ) -> Row {
+    fn run<C: Cluster>(&self, cell: &Cell<Spec>, cfg: &RunConfig, cluster: &mut C) -> Row {
         let spec = cell.spec;
         let total_ops = quick_trials(spec.total_ops, cell.quick);
         let ospec = OpenLoopSpec {
@@ -269,7 +264,7 @@ impl Campaign for F8 {
         };
         let scenario = (spec.build)(cluster.nodes().len() as u32);
         let r = run_open_loop(cluster, cfg, &ospec, &scenario);
-        let stats = harvest(cluster);
+        let stats = ClusterStats::of(cluster);
         let (hist_bucket_indices, hist_bucket_counts) = r.latency.to_sparse();
         let q = |q: f64| r.latency.quantile(q).unwrap_or(0);
         let pass = r.committed == r.issued

@@ -14,34 +14,18 @@
 //! 4. check every process exits cleanly.
 //!
 //! Usage: `transport_smoke [--clients N] [--requests N]` (defaults
-//! 4×60 = 240 committed ops per protocol, above the 200-op gate).
+//! 4×60 = 240 committed ops per protocol, above the 200-op gate); a bad
+//! flag exits 2 before any process starts.
 
-use rsoc_bft::api::Cluster;
-use rsoc_bft::runner::{run, RunConfig};
-use rsoc_transport::run::{digest_hex, Protocol};
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
-use std::process::{Child, Command, ExitCode, Stdio};
-
-const SEED: u64 = 42;
-const PAYLOAD: usize = 64;
+use rsoc_bench::tcp_cluster::{client_command, load_from_args, spawn_replica, workload, Replica};
+use rsoc_bft::Protocol;
+use rsoc_transport::run::digest_hex;
+use rsoc_transport::simulator_digest;
+use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut clients = 4u32;
-    let mut requests = 60u64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match (flag.as_str(), it.next()) {
-            ("--clients", Some(v)) => clients = v.parse().expect("--clients"),
-            ("--requests", Some(v)) => requests = v.parse().expect("--requests"),
-            (other, _) => {
-                eprintln!("unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    for protocol in [Protocol::Pbft, Protocol::MinBft] {
+    let (clients, requests) = load_from_args();
+    for &protocol in Protocol::BFT {
         if let Err(e) = smoke(protocol, clients, requests) {
             eprintln!("transport_smoke[{}]: {e}", protocol.name());
             return ExitCode::FAILURE;
@@ -50,96 +34,34 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Simulator digest for the workload the cluster is about to serve.
-fn simulator_digest(protocol: Protocol, clients: u32, requests: u64) -> Result<[u8; 32], String> {
-    let config = RunConfig::builder()
-        .f(1)
-        .clients(clients)
-        .requests_per_client(requests)
-        .payload_size(PAYLOAD)
-        .seed(SEED)
-        .build();
-    let expected_ops = u64::from(clients) * requests;
-    let (committed, digest) = match protocol {
-        Protocol::Pbft => {
-            let mut cluster = rsoc_bft::pbft::PbftCluster::new(&config);
-            let report = run(&mut cluster, &config);
-            (report.committed, cluster.nodes()[0].state_digest())
-        }
-        Protocol::MinBft => {
-            let mut cluster = rsoc_bft::minbft::MinBftCluster::new(&config);
-            let report = run(&mut cluster, &config);
-            (report.committed, cluster.nodes()[0].state_digest())
-        }
-    };
-    if committed != expected_ops {
-        return Err(format!("simulator committed {committed}, expected {expected_ops}"));
-    }
-    Ok(digest)
-}
-
 fn smoke(protocol: Protocol, clients: u32, requests: u64) -> Result<(), String> {
-    let expected = simulator_digest(protocol, clients, requests)?;
-    let n = protocol.cluster_size(1);
+    let cfg = workload(clients, requests, 0);
+    let expected = simulator_digest(protocol, &cfg)?;
+    let n = protocol.replicas(cfg.f);
     println!(
         "[{}] n={n}, {clients} clients x {requests} ops, expecting digest {}",
         protocol.name(),
         digest_hex(&expected)
     );
 
-    let serve_bin = sibling_binary("rsoc-serve")?;
-    let client_bin = sibling_binary("rsoc-client")?;
-
     // Phase 1: start every replica and collect its ephemeral address.
-    let mut replicas: Vec<Child> = Vec::new();
+    let mut replicas: Vec<Replica> = Vec::new();
     let mut addrs: Vec<String> = Vec::new();
     for id in 0..n {
-        let mut child = Command::new(&serve_bin)
-            .args(["--protocol", protocol.name()])
-            .args(["--id", &id.to_string()])
-            .args(["--f", "1"])
-            .args(["--seed", &SEED.to_string()])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("spawning {}: {e}", serve_bin.display()))?;
-        let stdout = child.stdout.as_mut().ok_or("no stdout")?;
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .map_err(|e| format!("reading LISTENING line: {e}"))?;
-        let addr = line
-            .strip_prefix("LISTENING ")
-            .ok_or_else(|| format!("replica {id}: expected LISTENING line, got {line:?}"))?
-            .trim()
-            .to_string();
+        let (replica, addr) = spawn_replica(protocol, id, &cfg, None, None)?;
+        replicas.push(replica);
         addrs.push(addr);
-        replicas.push(child);
     }
 
     // Phase 2: rendezvous — every replica learns every address.
-    let peers_line = format!("PEERS {}\n", addrs.join(" "));
-    for child in &mut replicas {
-        child
-            .stdin
-            .as_mut()
-            .ok_or("no stdin")?
-            .write_all(peers_line.as_bytes())
-            .map_err(|e| format!("writing PEERS line: {e}"))?;
+    for replica in &mut replicas {
+        replica.send_peers(&addrs)?;
     }
 
     // Phase 3: the external client drives the run and gates on digest.
-    let status = Command::new(&client_bin)
-        .args(["--protocol", protocol.name()])
-        .args(["--f", "1"])
-        .args(["--seed", &SEED.to_string()])
-        .args(["--clients", &clients.to_string()])
-        .args(["--requests", &requests.to_string()])
-        .args(["--payload", &PAYLOAD.to_string()])
-        .args(["--addrs", &addrs.join(",")])
-        .args(["--expect-digest", &digest_hex(&expected)])
+    let status = client_command(protocol, &cfg, &addrs, &expected)?
         .status()
-        .map_err(|e| format!("spawning {}: {e}", client_bin.display()))?;
+        .map_err(|e| format!("spawning rsoc-client: {e}"))?;
     let client_failed = !status.success();
 
     // Phase 4: replicas exit through the client's Shutdown.
@@ -147,12 +69,12 @@ fn smoke(protocol: Protocol, clients: u32, requests: u64) -> Result<(), String> 
     if client_failed {
         failures.push("rsoc-client exited nonzero".to_string());
     }
-    for (id, child) in replicas.iter_mut().enumerate() {
+    for (id, replica) in replicas.iter_mut().enumerate() {
         if client_failed {
             // No Shutdown was sent; don't hang on a live serve loop.
-            let _ = child.kill();
+            let _ = replica.child.kill();
         }
-        match child.wait() {
+        match replica.child.wait() {
             Ok(s) if s.success() || client_failed => {}
             Ok(s) => failures.push(format!("replica {id} exited with {s}")),
             Err(e) => failures.push(format!("replica {id} wait: {e}")),
@@ -167,20 +89,5 @@ fn smoke(protocol: Protocol, clients: u32, requests: u64) -> Result<(), String> 
         Ok(())
     } else {
         Err(failures.join("; "))
-    }
-}
-
-/// Locates a cluster binary next to this driver (same target profile).
-fn sibling_binary(name: &str) -> Result<PathBuf, String> {
-    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let dir = me.parent().ok_or("current_exe has no parent")?;
-    let path = dir.join(name);
-    if path.exists() {
-        Ok(path)
-    } else {
-        Err(format!(
-            "{} not found — build it first: cargo build -p rsoc_transport --bin {name}",
-            path.display()
-        ))
     }
 }

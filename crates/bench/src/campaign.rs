@@ -11,9 +11,8 @@
 //! 2. enumerate the grid in canonical order ([`grid`]): every cell keeps
 //!    the index and seed it has in the unfiltered grid, so a `--scenario`
 //!    subset or a `--shard` replays exactly the full grid's cells;
-//! 3. build each cell's cluster ([`Protocol::build`], the crate's only
-//!    `match` that constructs clusters), run it and harvest its
-//!    [`CellStats`];
+//! 3. build each cell's cluster ([`Protocol::build`], the workspace's
+//!    only `match` that constructs clusters) and run it;
 //! 4. judge every row with the campaign's oracle and print the table;
 //! 5. write the record, a shard of it (`--shard i/N`), or the record
 //!    stitched from shards (`--stitch OUT SHARD...`). A whole run and a
@@ -22,109 +21,13 @@
 
 use std::fs;
 
-use rsoc_bft::api::{Cluster, ReplicaNode};
-use rsoc_bft::minbft::{MinBftCluster, MinBftReplica};
-use rsoc_bft::passive::PassiveCluster;
-use rsoc_bft::pbft::PbftCluster;
+use rsoc_bft::api::Cluster;
 use rsoc_bft::runner::RunConfig;
+use rsoc_bft::{ClusterJob, Protocol};
 use serde::Serialize;
 use serde_json::Value;
 
 use crate::{parse_shard, run_cells_sharded, usage_error, ExpOptions, Flags, Table};
-
-/// A replication protocol a cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// PBFT: 3f+1 replicas.
-    Pbft,
-    /// MinBFT over USIG hybrids: 2f+1 replicas.
-    MinBft,
-    /// Passive primary-backup: a pair.
-    Passive,
-}
-
-impl Protocol {
-    /// Every protocol, in canonical grid order.
-    pub const ALL: &'static [Protocol] = &[Protocol::Pbft, Protocol::MinBft, Protocol::Passive];
-    /// The Byzantine-tolerant protocols.
-    pub const BFT: &'static [Protocol] = &[Protocol::Pbft, Protocol::MinBft];
-
-    /// The name rows and tables carry.
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Pbft => "pbft",
-            Protocol::MinBft => "minbft",
-            Protocol::Passive => "passive",
-        }
-    }
-
-    /// Replicas in a cluster configured for `f` faults.
-    pub fn replicas(self, f: u32) -> u32 {
-        match self {
-            Protocol::Pbft => 3 * f + 1,
-            Protocol::MinBft => 2 * f + 1,
-            Protocol::Passive => 2,
-        }
-    }
-
-    /// Builds this protocol's cluster from `cfg` and hands it to `job`.
-    pub fn build<J: ClusterJob>(self, cfg: &RunConfig, job: J) -> J::Output {
-        match self {
-            Protocol::Pbft => job.run(&mut PbftCluster::new(cfg), CellStats::of),
-            Protocol::MinBft => job.run(&mut MinBftCluster::new(cfg), minbft_stats),
-            Protocol::Passive => job.run(&mut PassiveCluster::new(cfg), CellStats::of),
-        }
-    }
-}
-
-/// Work on a freshly built cluster of whichever protocol a cell names.
-pub trait ClusterJob {
-    /// What the work yields.
-    type Output;
-    /// Does the work; `harvest` reads the cluster's counters afterwards.
-    fn run<C: Cluster>(self, cluster: &mut C, harvest: fn(&C) -> CellStats) -> Self::Output;
-}
-
-/// A finished cluster's counters, taken over its replicas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellStats {
-    /// Highest view among correct replicas (detection-and-recovery rounds).
-    pub max_view: u64,
-    /// Highest stable checkpoint watermark.
-    pub stable_seq: u64,
-    /// State-transfer installs, summed.
-    pub transfers: u64,
-    /// Rejected vouchers, certificates and snapshots, summed.
-    pub rejected: u64,
-    /// Checkpoint-hint resyncs past an aged-out resend ring, summed.
-    pub hint_resyncs: u64,
-    /// USIG creates plus verifies, summed (MinBFT only; 0 otherwise).
-    pub mac_ops: u64,
-}
-
-impl CellStats {
-    /// Every counter but `mac_ops`, which only [`Protocol::build`] knows
-    /// how to read.
-    pub fn of<C: Cluster>(cluster: &C) -> CellStats {
-        let nodes = cluster.nodes();
-        let views =
-            cluster.correct_replicas().into_iter().map(|r| nodes[r.0 as usize].current_view());
-        let mut stats = CellStats { max_view: views.max().unwrap_or(0), ..CellStats::default() };
-        for node in nodes {
-            let c = node.checkpoint_stats();
-            stats.stable_seq = stats.stable_seq.max(c.stable_seq);
-            stats.transfers += c.transfers;
-            stats.rejected += c.rejected;
-            stats.hint_resyncs += c.hint_resyncs;
-        }
-        stats
-    }
-}
-
-fn minbft_stats(cluster: &MinBftCluster) -> CellStats {
-    let mac_ops = cluster.nodes().iter().map(MinBftReplica::mac_ops).map(|(c, v)| c + v).sum();
-    CellStats { mac_ops, ..CellStats::of(cluster) }
-}
 
 /// Where a spec sits in the grid: its name and the protocols and batch
 /// sizes it crosses, each in grid order.
@@ -211,7 +114,6 @@ pub trait Campaign: Sync {
         cell: &Cell<Self::Spec>,
         cfg: &RunConfig,
         cluster: &mut C,
-        harvest: fn(&C) -> CellStats,
     ) -> Self::Row;
     /// The row oracle: why the cell's row fails, if it does.
     fn check(&self, cell: &Cell<Self::Spec>, row: &Self::Row) -> Result<(), String>;
@@ -262,8 +164,8 @@ pub fn run_cell<K: Campaign>(campaign: &K, cell: &Cell<K::Spec>) -> K::Row {
     struct Job<'a, K: Campaign>(&'a K, &'a Cell<'a, K::Spec>, &'a RunConfig);
     impl<K: Campaign> ClusterJob for Job<'_, K> {
         type Output = K::Row;
-        fn run<C: Cluster>(self, cluster: &mut C, harvest: fn(&C) -> CellStats) -> K::Row {
-            self.0.run(self.1, self.2, cluster, harvest)
+        fn run<C: Cluster>(self, mut cluster: C) -> K::Row {
+            self.0.run(self.1, self.2, &mut cluster)
         }
     }
     let cfg = campaign.config(cell);

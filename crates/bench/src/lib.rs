@@ -26,13 +26,15 @@
 //! `f*` campaigns above share one [`campaign`] module, which also writes
 //! the committed `BENCH_*.json` records the README's results sections
 //! quote, shards them (`--shard i/N`) and stitches shards back together
-//! (`--stitch`).
+//! (`--stitch`). `transport_smoke` and `f7_chaos` drive real `rsoc-serve`
+//! / `rsoc-client` processes through one [`tcp_cluster`] harness.
 
 use serde::Serialize;
 
 pub mod campaign;
 pub mod parallel;
-pub use campaign::{hist_inconsistency, Campaign, CellStats, ClusterJob, Protocol};
+pub mod tcp_cluster;
+pub use campaign::{hist_inconsistency, Campaign};
 pub use parallel::{default_jobs, run_cells, run_cells_sharded};
 
 /// The command line of every experiment binary: one parser, seven

@@ -5,16 +5,16 @@
 //!   byte for byte, and a missing cell, a repeated cell or shards whose
 //!   headers disagree are refused;
 //! - a `--scenario` subset runs its cells with the full grid's seeds;
-//! - one dispatch builds every protocol's cluster and harvests its
-//!   counters;
-//! - a flag a binary does not honour exits 2 before anything is written.
+//! - a flag a binary does not honour exits 2 before anything is written
+//!   or spawned.
 
 use std::process::Command;
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
-use rsoc_bench::{CellStats, ClusterJob, ExpOptions, Flags, Protocol};
-use rsoc_bft::api::Cluster;
+use rsoc_bench::{ExpOptions, Flags};
+use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run, RunConfig};
+use rsoc_bft::Protocol;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -65,13 +65,7 @@ impl Campaign for Toy {
             .build()
     }
 
-    fn run<C: Cluster>(
-        &self,
-        cell: &Cell<ToySpec>,
-        cfg: &RunConfig,
-        cluster: &mut C,
-        harvest: fn(&C) -> CellStats,
-    ) -> ToyRow {
+    fn run<C: Cluster>(&self, cell: &Cell<ToySpec>, cfg: &RunConfig, cluster: &mut C) -> ToyRow {
         let report = run(cluster, cfg);
         ToyRow {
             spec: cell.spec.0,
@@ -80,7 +74,7 @@ impl Campaign for Toy {
             seed: cell.seed,
             replicas: cluster.nodes().len(),
             committed: report.committed,
-            mac_ops: harvest(cluster).mac_ops,
+            mac_ops: ClusterStats::of(cluster).mac_ops,
             safety_ok: report.safety_ok,
         }
     }
@@ -184,31 +178,6 @@ fn a_scenario_subset_runs_the_full_grids_cells() {
     assert_eq!(subset[3].seed, 0x70_1101);
 }
 
-#[test]
-fn one_dispatch_builds_every_protocol_and_harvests_its_counters() {
-    for (row, cell) in rows(false).iter().zip(campaign::grid::<Toy>(&Toy.specs(), None, false)) {
-        let row: Value = serde_json::from_str(row).expect("row");
-        let p = cell.protocol;
-        assert_eq!(row["protocol"].as_str(), Some(p.name()));
-        assert_eq!(row["replicas"].as_u64(), Some(u64::from(p.replicas(1))));
-        assert_eq!(row["committed"].as_u64(), Some(6));
-        let macs = row["mac_ops"].as_u64().expect("mac_ops");
-        assert_eq!(macs > 0, p == Protocol::MinBft, "{}: {macs} MAC ops", p.name());
-    }
-
-    struct Size;
-    impl ClusterJob for Size {
-        type Output = usize;
-        fn run<C: Cluster>(self, cluster: &mut C, _: fn(&C) -> CellStats) -> usize {
-            cluster.nodes().len()
-        }
-    }
-    for &p in Protocol::ALL {
-        let cfg = RunConfig::builder().f(2).build();
-        assert_eq!(p.build(&cfg, Size), p.replicas(2) as usize, "{}", p.name());
-    }
-}
-
 const ALL: Flags = Flags { shard: true, scenario: true };
 const NONE: Flags = Flags { shard: false, scenario: false };
 
@@ -264,6 +233,11 @@ fn refused_flags_exit_2_before_anything_is_written() {
         (env!("CARGO_BIN_EXE_f5_scenarios"), &["--quick", "--scenario", "no_such_scenario"]),
         (env!("CARGO_BIN_EXE_f6_recovery"), &["--scenario"]),
         (env!("CARGO_BIN_EXE_f2_batching"), &["--list"]),
+        (env!("CARGO_BIN_EXE_f7_chaos"), &["--clients", "abc"]),
+        (env!("CARGO_BIN_EXE_f7_chaos"), &["--requests"]),
+        (env!("CARGO_BIN_EXE_transport_smoke"), &["--clients", "abc"]),
+        (env!("CARGO_BIN_EXE_transport_smoke"), &["--requests"]),
+        (env!("CARGO_BIN_EXE_transport_smoke"), &["--bogus"]),
     ];
     for &(bin, args) in cases {
         let out = Command::new(bin).args(args).current_dir(&dir).output().expect("spawn");

@@ -6,10 +6,11 @@
 //! gate rest on.
 
 use proptest::prelude::*;
-use rsoc_bench::{run_cells_sharded, CellStats, ClusterJob, Protocol};
+use rsoc_bench::run_cells_sharded;
 use rsoc_bft::adversary::Scenario;
 use rsoc_bft::api::Cluster;
 use rsoc_bft::runner::{run_open_loop, OpenLoopReport, OpenLoopSpec, RunConfig};
+use rsoc_bft::{ClusterJob, Protocol};
 use rsoc_sim::{Arrival, KeyDist, LogHistogram};
 use serde::Serialize;
 
@@ -36,8 +37,8 @@ struct OpenLoop<'a>(&'a RunConfig, &'a OpenLoopSpec);
 
 impl ClusterJob for OpenLoop<'_> {
     type Output = OpenLoopReport;
-    fn run<C: Cluster>(self, cluster: &mut C, _: fn(&C) -> CellStats) -> OpenLoopReport {
-        run_open_loop(cluster, self.0, self.1, &Scenario::none())
+    fn run<C: Cluster>(self, mut cluster: C) -> OpenLoopReport {
+        run_open_loop(&mut cluster, self.0, self.1, &Scenario::none())
     }
 }
 

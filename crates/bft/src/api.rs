@@ -492,6 +492,12 @@ pub trait ReplicaNode {
     ) -> crate::durable::RecoveryReport {
         crate::durable::RecoveryReport::default()
     }
+    /// MAC operations performed so far (MinBFT: USIG certificates created
+    /// plus verified), for authentication-cost accounting. Default: 0,
+    /// for protocols that authenticate nothing in the model.
+    fn mac_count(&self) -> u64 {
+        0
+    }
 }
 
 /// A cluster: the set of nodes plus protocol-level metadata the harness
@@ -533,6 +539,44 @@ pub trait Cluster {
     /// owns just its own node. The simulator keeps driving the intact
     /// cluster through [`nodes_mut`](Self::nodes_mut).
     fn into_nodes(self) -> Vec<Self::Node>;
+}
+
+/// A finished cluster's counters, taken over its replicas.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClusterStats {
+    /// Highest view among correct replicas (detection-and-recovery rounds).
+    pub max_view: u64,
+    /// Highest stable checkpoint watermark.
+    pub stable_seq: u64,
+    /// State-transfer installs, summed.
+    pub transfers: u64,
+    /// Rejected vouchers, certificates and snapshots, summed.
+    pub rejected: u64,
+    /// Checkpoint-hint resyncs past an aged-out resend ring, summed.
+    pub hint_resyncs: u64,
+    /// MAC operations, summed (MinBFT's USIG creates plus verifies; 0
+    /// otherwise).
+    pub mac_ops: u64,
+}
+
+impl ClusterStats {
+    /// Reads the counters off `cluster`'s replicas.
+    pub fn of<C: Cluster>(cluster: &C) -> ClusterStats {
+        let nodes = cluster.nodes();
+        let views =
+            cluster.correct_replicas().into_iter().map(|r| nodes[r.0 as usize].current_view());
+        let mut stats =
+            ClusterStats { max_view: views.max().unwrap_or(0), ..ClusterStats::default() };
+        for node in nodes {
+            let c = node.checkpoint_stats();
+            stats.stable_seq = stats.stable_seq.max(c.stable_seq);
+            stats.transfers += c.transfers;
+            stats.rejected += c.rejected;
+            stats.hint_resyncs += c.hint_resyncs;
+            stats.mac_ops += node.mac_count();
+        }
+        stats
+    }
 }
 
 #[cfg(test)]

@@ -12,13 +12,13 @@
 //! | the chassis…                                            | the protocol supplies…  |
 //! |---------------------------------------------------------|-------------------------|
 //! | swallows every input inside a crash window              | —                       |
-//! | on the first input after one, revives the timer chains  | [`Protocol::revive`]    |
-//! | routes every other input                                | [`Protocol::dispatch`]  |
+//! | on the first input after one, revives the timer chains  | [`Core::revive`]        |
+//! | routes every other input                                | [`Core::dispatch`]      |
 //! | then chases a stable certificate ahead of execution     | —                       |
 //! | gates outputs: a muted script's messages are dropped, its timers pass | —         |
-//! | wipes the shell and the protocol state, keeps the script | [`Protocol::wipe`]     |
-//! | recovers through the shell, then runs the protocol tail | [`Protocol::recovered`] |
-//! | answers the [`ReplicaNode`] reads                       | [`Protocol::view`]      |
+//! | wipes the shell and the protocol state, keeps the script | [`Core::wipe`]         |
+//! | recovers through the shell, then runs the protocol tail | [`Core::recovered`]     |
+//! | answers the [`ReplicaNode`] reads                       | [`Core::view`]          |
 //! | provisions a cluster from a [`RunConfig`]               | the replica constructor |
 //!
 //! A protocol file keeps its message enum, its state and its handlers:
@@ -30,6 +30,7 @@ use crate::adversary::ReplicaScript;
 use crate::api::{Batch, Cluster, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request};
 use crate::checkpoint::{CheckpointStats, CkptKeys};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
+use crate::protocol::Protocol;
 use crate::runner::RunConfig;
 use crate::shell::{Shell, ShellMsg};
 use std::fmt;
@@ -37,11 +38,11 @@ use std::sync::Arc;
 
 /// What differs between the protocols that share the chassis. (`pub` only
 /// so the public `Replica<P>` impls may name it; the module is private.)
-pub trait Protocol: Sized {
+pub trait Core: Sized {
     /// The protocol's wire messages.
     type Msg: ShellMsg + fmt::Debug;
-    /// Name in reports.
-    const NAME: &'static str;
+    /// Which protocol this core is.
+    const PROTOCOL: Protocol;
 
     /// Routes one input to its handler, emitting effects into `out`.
     fn dispatch(r: &mut Replica<Self>, input: Input<Self::Msg>, out: &mut Outbox<Self::Msg>);
@@ -69,6 +70,12 @@ pub trait Protocol: Sized {
 
     /// The reply `msg` carries, if it is one.
     fn reply_of(msg: &Self::Msg) -> Option<&Reply>;
+
+    /// MAC operations performed so far. By default none: only MinBFT's
+    /// USIG authenticates in the model.
+    fn mac_count(&self) -> u64 {
+        0
+    }
 }
 
 /// One replica of protocol `P` (see the module docs).
@@ -91,7 +98,7 @@ pub struct Replica<P> {
     pub(crate) core: P,
 }
 
-impl<P: Protocol> Replica<P> {
+impl<P: Core> Replica<P> {
     /// Replica `id` of an `n`-replica cluster masking `f` faults, with
     /// `voucher_quorum` matching vouchers certifying a checkpoint.
     pub(crate) fn assemble(id: ReplicaId, n: u32, f: u32, voucher_quorum: usize, core: P) -> Self {
@@ -131,7 +138,7 @@ impl<P: Protocol> Replica<P> {
 
 // The node-facing input surface: every simulator event enters here.
 // lint: ingress
-impl<P: Protocol> ReplicaNode for Replica<P> {
+impl<P: Core> ReplicaNode for Replica<P> {
     type Msg = P::Msg;
 
     fn id(&self) -> ReplicaId {
@@ -221,6 +228,10 @@ impl<P: Protocol> ReplicaNode for Replica<P> {
         P::recovered(self, &state);
         report
     }
+
+    fn mac_count(&self) -> u64 {
+        self.core.mac_count()
+    }
 }
 // lint: end
 
@@ -230,14 +241,12 @@ pub struct Replicas<P> {
     nodes: Vec<Replica<P>>,
 }
 
-impl<P: Protocol> Replicas<P> {
-    /// Builds replicas `0..n` with `make` and configures each from
-    /// `config`: batching, patience, and checkpoints under one key set.
-    pub(crate) fn provision(
-        config: &RunConfig,
-        n: u32,
-        make: impl Fn(ReplicaId) -> Replica<P>,
-    ) -> Self {
+impl<P: Core> Replicas<P> {
+    /// Builds the protocol's replicas for `config.f` with `make` and
+    /// configures each from `config`: batching, patience, and checkpoints
+    /// under one key set.
+    pub(crate) fn provision(config: &RunConfig, make: impl Fn(ReplicaId) -> Replica<P>) -> Self {
+        let n = P::PROTOCOL.replicas(config.f);
         let keys = CkptKeys::provision(config.seed, n as usize);
         let nodes = (0..n)
             .map(|i| {
@@ -252,7 +261,7 @@ impl<P: Protocol> Replicas<P> {
     }
 }
 
-impl<P: Protocol> Cluster for Replicas<P> {
+impl<P: Core> Cluster for Replicas<P> {
     type Node = Replica<P>;
 
     fn nodes_mut(&mut self) -> &mut [Replica<P>] {
@@ -273,7 +282,7 @@ impl<P: Protocol> Cluster for Replicas<P> {
     }
 
     fn protocol_name(&self) -> &'static str {
-        P::NAME
+        P::PROTOCOL.name()
     }
 
     fn correct_replicas(&self) -> Vec<ReplicaId> {
@@ -296,7 +305,7 @@ mod tests {
     use crate::runner::run;
 
     /// Client 1's request `seq`.
-    fn request<P: Protocol>(seq: u64) -> Input<P::Msg> {
+    fn request<P: Core>(seq: u64) -> Input<P::Msg> {
         let op = OpId { client: ClientId(1), seq };
         let req = Arc::new(Request { op, payload: format!("SET k v{seq}").into_bytes() });
         Input::Message { from: Endpoint::Client(ClientId(1)), msg: P::request(req) }
@@ -309,7 +318,7 @@ mod tests {
 
     /// Twelve requests with a checkpoint every four slots: every replica
     /// ends holding a stable certificate and the image it certifies.
-    fn checkpointed<P: Protocol>(make: fn(&RunConfig) -> Replicas<P>) -> Replicas<P> {
+    fn checkpointed<P: Core>(make: fn(&RunConfig) -> Replicas<P>) -> Replicas<P> {
         let config = RunConfig {
             clients: 2,
             requests_per_client: 6,
@@ -322,8 +331,8 @@ mod tests {
     }
 
     /// What the chassis promises whichever protocol it carries.
-    fn keeps_the_contract<P: Protocol>(make: fn(&RunConfig) -> Replicas<P>) {
-        let name = P::NAME;
+    fn keeps_the_contract<P: Core>(make: fn(&RunConfig) -> Replicas<P>) {
+        let name = P::PROTOCOL.name();
         let config = RunConfig { batch_size: 2, ..RunConfig::default() };
         // An input inside a crash window emits nothing; the first one after
         // it revives exactly the chains the replica had running — a
@@ -377,20 +386,24 @@ mod tests {
     /// A transfer is the whole state: a request naming a replica but
     /// arriving on another link (here a client's) must not be answered to
     /// the replica it names.
-    fn serves_transfers_only_over_the_requesters_link<P: Protocol>(
+    fn serves_transfers_only_over_the_requesters_link<P: Core>(
         make: fn(&RunConfig) -> Replicas<P>,
     ) {
         let mut nodes = checkpointed(make).into_nodes();
         let requester = ReplicaId(nodes.len() as u32 - 1);
         let server = &mut nodes[0];
-        assert!(server.shell.ckpt().stable_seq() > 0, "{}", P::NAME);
+        assert!(server.shell.ckpt().stable_seq() > 0, "{}", P::PROTOCOL.name());
         let ask = |from| Input::Message { from, msg: P::Msg::state_request(0, requester) };
         let mut out = Outbox::new();
         server.on_input(ask(Endpoint::Client(ClientId(1))), 1 << 30, &mut out);
-        assert!(out.msgs.is_empty(), "{}: a transfer reflected to {requester:?}", P::NAME);
+        assert!(
+            out.msgs.is_empty(),
+            "{}: a transfer reflected to {requester:?}",
+            P::PROTOCOL.name()
+        );
         server.on_input(ask(Endpoint::Replica(requester)), 1 << 30, &mut out);
         let to: Vec<Endpoint> = out.msgs.iter().map(|(to, _)| *to).collect();
-        assert_eq!(to, [Endpoint::Replica(requester)], "{}", P::NAME);
+        assert_eq!(to, [Endpoint::Replica(requester)], "{}", P::PROTOCOL.name());
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   anchored in the [`rsoc_hybrid::Usig`] trusted component;
 //! * [`passive`] — primary-backup (passive) replication with a heartbeat
 //!   failure detector — cheap but with a visible failover window;
+//! * [`protocol`] — [`Protocol`], the one value naming a protocol (its
+//!   name, replica count and reply quorum), and [`Protocol::build`], the
+//!   workspace's only `match` that constructs a cluster: it hands the
+//!   cluster to a [`ClusterJob`] generic over the cluster type;
 //! * [`checkpoint`] — the data types of the recovery story: certified
 //!   checkpoints (f+1 MAC'd vouchers), the transfer response and its
 //!   quorum-voting buffer, the checkpoint image, the truncating log
@@ -30,10 +34,10 @@
 //!   `Replica<P>` owns the id, `n`/`f`, the fault script, the outage flag
 //!   and the shell, and is the one [`api::ReplicaNode`] impl — the crash
 //!   window, timer revival after it, the output gate of a muted script,
-//!   wipe and recovery — while `P` holds a protocol's own state and
-//!   handlers. `Replicas<P>` is the one [`api::Cluster`] impl and
-//!   provisioning loop; `PbftReplica`, `PbftCluster` and their siblings
-//!   are aliases of the two;
+//!   wipe and recovery — while `P` (a crate-private `Core`) holds a
+//!   protocol's own state and handlers. `Replicas<P>` is the one
+//!   [`api::Cluster`] impl and provisioning loop; `PbftReplica`,
+//!   `PbftCluster` and their siblings are aliases of the two;
 //! * `shell` (crate-private) — the one replica shell inside the chassis.
 //!   It *owns* the request accumulator, the op → slot assignments, the
 //!   backup watchlist and the next free sequence number, the committed
@@ -101,6 +105,7 @@ pub mod minbft;
 pub mod passive;
 pub mod pbft;
 pub mod plane;
+pub mod protocol;
 pub mod runner;
 mod shell;
 pub mod statemachine;
@@ -116,6 +121,7 @@ pub use checkpoint::{CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKey
 pub use codec::{decode_frame, encode_frame, Wire, WIRE_VERSION};
 pub use durable::{DurableEvent, RecoveredState, RecoveryReport};
 pub use plane::{step_node, Clock, Transport};
+pub use protocol::{ClusterJob, Protocol};
 pub use runner::{
     run, run_open_loop, run_scenario, OpenLoopReport, OpenLoopSpec, RunConfig, RunConfigBuilder,
     RunReport, ScenarioOutcome,

@@ -19,10 +19,11 @@
 //! fan-out bumps a refcount per peer instead of deep-cloning the batch.
 
 use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
-use crate::chassis::{Protocol, Replica, Replicas};
+use crate::chassis::{Core, Replica, Replicas};
 use crate::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
 use crate::dense::{ReplicaSet, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState};
+use crate::protocol::Protocol;
 use crate::runner::RunConfig;
 use crate::shell::{Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
 use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
@@ -285,13 +286,10 @@ impl MinBftCluster {
 
     /// Builds the cluster with an explicit USIG counter protection level.
     pub fn with_protection(config: &RunConfig, protection: CounterProtection) -> Self {
-        let n = 2 * config.f + 1;
         // One provisioning pass (key derivation + HMAC key-schedule
         // precomputation) shared by every replica via Arc.
-        let ring = KeyRing::provision(config.seed, n);
-        Replicas::provision(config, n, |id| {
-            MinBftReplica::new(id, config.f, ring.clone(), protection)
-        })
+        let ring = KeyRing::provision(config.seed, Protocol::MinBft.replicas(config.f));
+        Replicas::provision(config, |id| MinBftReplica::new(id, config.f, ring.clone(), protection))
     }
 }
 
@@ -300,7 +298,7 @@ impl MinBftReplica {
     /// (a refcount bump, not a key-material copy). f+1 matching vouchers
     /// certify a checkpoint, mirroring the commit quorum.
     pub fn new(id: ReplicaId, f: u32, ring: Arc<KeyRing>, protection: CounterProtection) -> Self {
-        let n = 2 * f + 1;
+        let n = Protocol::MinBft.replicas(f);
         let core = MinBft {
             usig: Usig::new(UsigId(id.0), ring, protection.build()),
             ingress: (0..n).map(|_| SeqWindow::with_base(1)).collect(),
@@ -953,9 +951,9 @@ impl MinBftReplica {
 }
 
 // The node-facing routing table: every simulator event enters here.
-impl Protocol for MinBft {
+impl Core for MinBft {
     type Msg = MinBftMsg;
-    const NAME: &'static str = "minbft";
+    const PROTOCOL: Protocol = Protocol::MinBft;
 
     fn dispatch(r: &mut MinBftReplica, input: Input<MinBftMsg>, out: &mut Outbox<MinBftMsg>) {
         match input {
@@ -1022,6 +1020,10 @@ impl Protocol for MinBft {
             MinBftMsg::Reply(r) => Some(r),
             _ => None,
         }
+    }
+
+    fn mac_count(&self) -> u64 {
+        self.usig.issued() + self.usig.verified()
     }
 }
 // lint: end

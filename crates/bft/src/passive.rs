@@ -10,10 +10,11 @@
 //! cost (2 replicas, 2 messages/op) vs the failover unavailability window.
 
 use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
-use crate::chassis::{Protocol, Replica, Replicas};
+use crate::chassis::{Core, Replica, Replicas};
 use crate::checkpoint::{CheckpointVoucher, StateTransfer};
 use crate::dense::SeqWindow;
 use crate::durable::RecoveredState;
+use crate::protocol::Protocol;
 use crate::runner::RunConfig;
 use crate::shell::{Intake, Role, ShellMsg, TIMER_FLUSH};
 use std::sync::Arc;
@@ -154,12 +155,12 @@ impl PassiveCluster {
     /// Builds the pair with default detector settings (heartbeat every 200
     /// cycles, suspect after 800).
     pub fn new(config: &RunConfig) -> Self {
-        Replicas::provision(config, 2, |id| PassiveReplica::new(id, 200, 800))
+        Self::with_detector(config, 200, 800)
     }
 
-    /// Builds the pair with explicit detector settings.
-    pub fn with_detector(heartbeat_interval: u64, detect_timeout: u64) -> Self {
-        Replicas::provision(&RunConfig::default(), 2, |id| {
+    /// Builds the pair from `config` with explicit detector settings.
+    pub fn with_detector(config: &RunConfig, heartbeat_interval: u64, detect_timeout: u64) -> Self {
+        Replicas::provision(config, |id| {
             PassiveReplica::new(id, heartbeat_interval, detect_timeout)
         })
     }
@@ -496,9 +497,9 @@ impl PassiveReplica {
     }
 }
 
-impl Protocol for Passive {
+impl Core for Passive {
     type Msg = PassiveMsg;
-    const NAME: &'static str = "passive";
+    const PROTOCOL: Protocol = Protocol::Passive;
     const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = entry_digest;
 
     fn dispatch(r: &mut PassiveReplica, input: Input<PassiveMsg>, out: &mut Outbox<PassiveMsg>) {

@@ -34,10 +34,11 @@
 //! [`ReplicaSet`] bitmasks.
 
 use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
-use crate::chassis::{Protocol, Replica, Replicas};
+use crate::chassis::{Core, Replica, Replicas};
 use crate::checkpoint::{CheckpointVoucher, StateTransfer};
 use crate::dense::{ReplicaSet, SeqWindow};
 use crate::durable::RecoveredState;
+use crate::protocol::Protocol;
 use crate::runner::RunConfig;
 use crate::shell::{Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
 use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
@@ -164,7 +165,7 @@ pub type PbftCluster = Replicas<Pbft>;
 impl PbftCluster {
     /// Builds the cluster for `config.f`.
     pub fn new(config: &RunConfig) -> Self {
-        Replicas::provision(config, 3 * config.f + 1, |id| PbftReplica::new(id, config.f))
+        Replicas::provision(config, |id| PbftReplica::new(id, config.f))
     }
 }
 
@@ -172,7 +173,7 @@ impl PbftReplica {
     /// Creates replica `id` of an `n = 3f+1` cluster, unbatched and
     /// without checkpoints (f+1 vouchers certify one once enabled).
     pub fn new(id: ReplicaId, f: u32) -> Self {
-        let n = 3 * f + 1;
+        let n = Protocol::Pbft.replicas(f);
         let core = Pbft {
             slots: SeqWindow::with_base(1),
             stored_preprepares: SeqWindow::with_base(1),
@@ -547,9 +548,9 @@ impl PbftReplica {
 }
 
 // The node-facing routing table: every simulator event enters here.
-impl Protocol for Pbft {
+impl Core for Pbft {
     type Msg = PbftMsg;
-    const NAME: &'static str = "pbft";
+    const PROTOCOL: Protocol = Protocol::Pbft;
 
     fn dispatch(r: &mut PbftReplica, input: Input<PbftMsg>, out: &mut Outbox<PbftMsg>) {
         let now = r.now;

@@ -14,40 +14,16 @@
 //! (the cluster must absorb the rejuvenation without losing the workload).
 
 use rsoc_bft::adversary::{ReplicaScript, Scenario, ScenarioOracle};
-use rsoc_bft::api::{Cluster, ReplicaNode};
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::passive::PassiveCluster;
-use rsoc_bft::pbft::PbftCluster;
+use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run_scenario, RunConfig};
-
-/// Which replication protocol hosts the cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleProtocol {
-    /// PBFT, 3f+1 replicas.
-    Pbft,
-    /// MinBFT, 2f+1 replicas (the USIG survives rejuvenation — it is the
-    /// trusted component).
-    MinBft,
-    /// Primary-backup pair.
-    Passive,
-}
-
-impl CycleProtocol {
-    /// Display name (matches the bench campaign's protocol column).
-    pub fn name(self) -> &'static str {
-        match self {
-            CycleProtocol::Pbft => "pbft",
-            CycleProtocol::MinBft => "minbft",
-            CycleProtocol::Passive => "passive",
-        }
-    }
-}
+use rsoc_bft::{ClusterJob, Protocol};
 
 /// Parameters of one rejuvenation cycle.
 #[derive(Debug, Clone)]
 pub struct CycleConfig {
-    /// Protocol under test.
-    pub protocol: CycleProtocol,
+    /// Protocol under test (MinBFT's USIG survives rejuvenation — it is
+    /// the trusted component).
+    pub protocol: Protocol,
     /// Fault threshold (passive ignores this — it is always a pair).
     pub f: u32,
     /// Workload clients.
@@ -71,7 +47,7 @@ pub struct CycleConfig {
 impl Default for CycleConfig {
     fn default() -> Self {
         CycleConfig {
-            protocol: CycleProtocol::MinBft,
+            protocol: Protocol::MinBft,
             f: 1,
             clients: 4,
             requests_per_client: 12,
@@ -117,36 +93,6 @@ impl CycleReport {
     }
 }
 
-fn run_cycle<C: Cluster>(
-    cluster: &mut C,
-    run: &RunConfig,
-    scenario: &Scenario,
-    expected_ops: u64,
-) -> CycleReport {
-    let outcome = run_scenario(cluster, run, scenario);
-    let verdict =
-        ScenarioOracle::expecting_liveness().judge(cluster, &outcome.report, expected_ops);
-    let mut transfers = 0;
-    let mut stable_seq = 0;
-    let mut rejected = 0;
-    for node in cluster.nodes() {
-        let stats = node.checkpoint_stats();
-        transfers += stats.transfers;
-        stable_seq = stable_seq.max(stats.stable_seq);
-        rejected += stats.rejected;
-    }
-    CycleReport {
-        committed: outcome.report.committed,
-        rejuvenations: outcome.rejuvenations,
-        transfers,
-        stable_seq,
-        rejected,
-        duration_cycles: outcome.report.duration_cycles,
-        oracle_pass: verdict.pass(),
-        converged: verdict.digests_ok,
-    }
-}
-
 /// Runs one leave → wipe → re-join → transfer cycle and reports whether
 /// the rejuvenated replica re-converged.
 pub fn rejuvenation_cycle(cfg: &CycleConfig) -> CycleReport {
@@ -158,16 +104,32 @@ pub fn rejuvenation_cycle(cfg: &CycleConfig) -> CycleReport {
         .checkpoint_interval(cfg.checkpoint_interval)
         .max_cycles(cfg.max_cycles)
         .build();
-    let scenario =
-        Scenario::none().script(cfg.replica, ReplicaScript::correct().rejuvenate_at(cfg.at));
-    let expected = cfg.clients as u64 * cfg.requests_per_client;
-    match cfg.protocol {
-        CycleProtocol::Pbft => run_cycle(&mut PbftCluster::new(&run), &run, &scenario, expected),
-        CycleProtocol::MinBft => {
-            run_cycle(&mut MinBftCluster::new(&run), &run, &scenario, expected)
-        }
-        CycleProtocol::Passive => {
-            run_cycle(&mut PassiveCluster::new(&run), &run, &scenario, expected)
+    cfg.protocol.build(&run, Cycle(cfg, &run))
+}
+
+/// The cycle on whichever cluster the protocol builds.
+struct Cycle<'a>(&'a CycleConfig, &'a RunConfig);
+
+impl ClusterJob for Cycle<'_> {
+    type Output = CycleReport;
+    fn run<C: Cluster>(self, mut cluster: C) -> CycleReport {
+        let Cycle(cfg, run) = self;
+        let scenario =
+            Scenario::none().script(cfg.replica, ReplicaScript::correct().rejuvenate_at(cfg.at));
+        let expected = cfg.clients as u64 * cfg.requests_per_client;
+        let outcome = run_scenario(&mut cluster, run, &scenario);
+        let verdict =
+            ScenarioOracle::expecting_liveness().judge(&cluster, &outcome.report, expected);
+        let stats = ClusterStats::of(&cluster);
+        CycleReport {
+            committed: outcome.report.committed,
+            rejuvenations: outcome.rejuvenations,
+            transfers: stats.transfers,
+            stable_seq: stats.stable_seq,
+            rejected: stats.rejected,
+            duration_cycles: outcome.report.duration_cycles,
+            oracle_pass: verdict.pass(),
+            converged: verdict.digests_ok,
         }
     }
 }
@@ -186,7 +148,7 @@ mod tests {
 
     #[test]
     fn pbft_cycle_rejoins_via_state_transfer() {
-        let cfg = CycleConfig { protocol: CycleProtocol::Pbft, ..CycleConfig::default() };
+        let cfg = CycleConfig { protocol: Protocol::Pbft, ..CycleConfig::default() };
         let report = rejuvenation_cycle(&cfg);
         assert!(report.oracle_pass, "oracle failed: {report:?}");
         assert!(report.rejoined(), "no genuine re-join: {report:?}");
@@ -194,7 +156,7 @@ mod tests {
 
     #[test]
     fn passive_backup_cycle_reconverges() {
-        let cfg = CycleConfig { protocol: CycleProtocol::Passive, ..CycleConfig::default() };
+        let cfg = CycleConfig { protocol: Protocol::Passive, ..CycleConfig::default() };
         let report = rejuvenation_cycle(&cfg);
         assert!(report.oracle_pass, "oracle failed: {report:?}");
         assert!(report.rejoined(), "no genuine re-join: {report:?}");

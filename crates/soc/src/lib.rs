@@ -30,10 +30,10 @@
 //!
 //! ```
 //! use rsoc_soc::{ResilientSoc, SocConfig};
-//! use rsoc_adapt::ProtocolChoice;
+//! use rsoc_bft::Protocol;
 //!
 //! let mut soc = ResilientSoc::new(SocConfig { mesh_width: 4, mesh_height: 4, seed: 7 });
-//! let report = soc.run_workload(ProtocolChoice::MinBft, 1, 2, 5);
+//! let report = soc.run_workload(Protocol::MinBft, 1, 2, 5);
 //! assert!(report.safety_ok);
 //! assert_eq!(report.committed, 10);
 //! ```

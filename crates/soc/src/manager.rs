@@ -6,10 +6,10 @@ use crate::privilege::{PrivilegeGate, PrivilegedOp, Vote};
 use crate::soc::{ResilientSoc, SocConfig};
 use crate::tile::{TileHealth, TileId};
 use rsoc_adapt::{
-    AdaptiveController, AnomalySample, Deployment, DetectorConfig, ProtocolChoice, ThreatDetector,
-    ThreatLevel,
+    AdaptiveController, AnomalySample, Deployment, DetectorConfig, ThreatDetector, ThreatLevel,
 };
 use rsoc_bft::runner::RunReport;
+use rsoc_bft::Protocol;
 use rsoc_crypto::MacKey;
 use rsoc_diversity::VariantId;
 use rsoc_fpga::{Bitstream, FpgaFabric, Icap, ReconfigEngine, Region};
@@ -195,7 +195,7 @@ impl SocManager {
         let deployment = if self.config.enable_adaptation {
             self.config.controller.deployment_for(level)
         } else {
-            Deployment { protocol: ProtocolChoice::MinBft, f: 1 }
+            Deployment { protocol: Protocol::MinBft, f: 1 }
         };
 
         // 4. Workload.
@@ -296,7 +296,7 @@ mod tests {
         assert_eq!(report.level, ThreatLevel::Low);
         assert_eq!(report.run.committed, 5);
         assert!(report.run.safety_ok);
-        assert_eq!(report.deployment.protocol, ProtocolChoice::Passive, "low threat → cheap");
+        assert_eq!(report.deployment.protocol, Protocol::Passive, "low threat → cheap");
         assert!(report.rejuvenated.is_empty());
     }
 

@@ -1,14 +1,10 @@
 //! The tile inventory and protocol-run orchestration.
 
 use crate::tile::{Tile, TileHealth, TileId};
-use rsoc_adapt::ProtocolChoice;
 use rsoc_bft::adversary::Behavior;
 use rsoc_bft::api::Cluster;
-use rsoc_bft::minbft::MinBftCluster;
-use rsoc_bft::passive::PassiveCluster;
-use rsoc_bft::pbft::PbftCluster;
 use rsoc_bft::runner::{run, LatencyModel, RunConfig, RunReport};
-use rsoc_bft::ReplicaId;
+use rsoc_bft::{ClusterJob, Protocol, ReplicaId};
 use rsoc_diversity::{PoolConfig, VariantPool};
 use rsoc_noc::Mesh2d;
 use rsoc_sim::SimRng;
@@ -152,12 +148,12 @@ impl ResilientSoc {
     /// Panics when not enough non-crashed tiles exist for the deployment.
     pub fn run_workload(
         &mut self,
-        protocol: ProtocolChoice,
+        protocol: Protocol,
         f: u32,
         clients: u32,
         requests_per_client: u64,
     ) -> RunReport {
-        let n = protocol.replicas_for(f) as usize;
+        let n = protocol.replicas(f) as usize;
         let placement =
             self.select_replica_tiles(n).expect("not enough usable tiles for deployment");
         let seed = self.rng.next_u64();
@@ -176,32 +172,35 @@ impl ResilientSoc {
             .filter(|(_, t)| self.tiles[t.0 as usize].health == TileHealth::Compromised)
             .map(|(i, _)| ReplicaId(i as u32))
             .collect();
-        match protocol {
-            ProtocolChoice::Pbft => {
-                let mut cluster = PbftCluster::new(&config);
-                for r in &byz {
-                    cluster.set_script(*r, Behavior::Equivocate.into());
-                }
-                run(&mut cluster, &config)
-            }
-            ProtocolChoice::MinBft => {
-                let mut cluster = MinBftCluster::new(&config);
-                for r in &byz {
-                    cluster.set_script(*r, Behavior::ForgeUi.into());
-                }
-                run(&mut cluster, &config)
-            }
-            ProtocolChoice::Passive => {
-                let mut cluster = PassiveCluster::new(&config);
-                // Passive has no Byzantine mode; a compromised tile behaves
-                // as silent (it cannot forge the absent MACs profitably in
-                // this model, but it withholds service).
-                for r in &byz {
-                    cluster.set_script(*r, Behavior::Silent.into());
-                }
-                run(&mut cluster, &config)
-            }
+        protocol.build(&config, Workload { config: &config, byz, behavior: byzantine(protocol) })
+    }
+}
+
+/// How a compromised tile behaves under each protocol. Passive
+/// replication has no Byzantine mode: a compromised tile cannot forge the
+/// absent MACs profitably in this model, but it withholds service.
+fn byzantine(protocol: Protocol) -> Behavior {
+    match protocol {
+        Protocol::Pbft => Behavior::Equivocate,
+        Protocol::MinBft => Behavior::ForgeUi,
+        Protocol::Passive => Behavior::Silent,
+    }
+}
+
+/// A closed-loop run with `behavior` scripted on the `byz` replicas.
+struct Workload<'a> {
+    config: &'a RunConfig,
+    byz: Vec<ReplicaId>,
+    behavior: Behavior,
+}
+
+impl ClusterJob for Workload<'_> {
+    type Output = RunReport;
+    fn run<C: Cluster>(self, mut cluster: C) -> RunReport {
+        for &r in &self.byz {
+            cluster.set_script(r, self.behavior.into());
         }
+        run(&mut cluster, self.config)
     }
 }
 
@@ -221,7 +220,7 @@ mod tests {
     #[test]
     fn minbft_workload_runs_over_noc() {
         let mut soc = ResilientSoc::new(SocConfig { seed: 3, ..Default::default() });
-        let report = soc.run_workload(ProtocolChoice::MinBft, 1, 2, 5);
+        let report = soc.run_workload(Protocol::MinBft, 1, 2, 5);
         assert_eq!(report.committed, 10);
         assert!(report.safety_ok);
         assert_eq!(report.n_replicas, 3);
@@ -231,7 +230,7 @@ mod tests {
     fn pbft_workload_masks_compromised_tile() {
         let mut soc = ResilientSoc::new(SocConfig { seed: 4, ..Default::default() });
         soc.compromise_tile(TileId(0));
-        let report = soc.run_workload(ProtocolChoice::Pbft, 1, 1, 5);
+        let report = soc.run_workload(Protocol::Pbft, 1, 1, 5);
         assert!(report.safety_ok, "one Byzantine tile must be masked at f=1");
         assert_eq!(report.committed, 5);
     }
@@ -258,7 +257,7 @@ mod tests {
     #[test]
     fn passive_workload_runs() {
         let mut soc = ResilientSoc::new(SocConfig { seed: 5, ..Default::default() });
-        let report = soc.run_workload(ProtocolChoice::Passive, 1, 1, 5);
+        let report = soc.run_workload(Protocol::Passive, 1, 1, 5);
         assert_eq!(report.committed, 5);
         assert_eq!(report.n_replicas, 2);
     }

@@ -15,7 +15,8 @@
 //! committed=<n> digest=<hex> retransmits=<n>`; any quorum failure,
 //! divergence, or digest mismatch exits nonzero.
 
-use rsoc_transport::run::{digest_hex, parse_digest_hex, Protocol};
+use rsoc_bft::Protocol;
+use rsoc_transport::run::{client, digest_hex, parse_digest_hex, parse_protocol};
 use rsoc_transport::ClientConfig;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -49,10 +50,7 @@ fn run() -> Result<(), String> {
             it.next().map(String::as_str).ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--protocol" => {
-                let v = value("--protocol")?;
-                protocol = Protocol::parse(v).ok_or_else(|| format!("unknown protocol {v:?}"))?;
-            }
+            "--protocol" => protocol = parse_protocol(value("--protocol")?)?,
             "--f" => f = parse(value("--f")?, "--f")?,
             "--seed" => seed = parse(value("--seed")?, "--seed")?,
             "--clients" => clients = parse(value("--clients")?, "--clients")?,
@@ -76,7 +74,7 @@ fn run() -> Result<(), String> {
         }
     }
 
-    let n = protocol.cluster_size(f) as usize;
+    let n = protocol.replicas(f) as usize;
     if addrs.len() != n {
         return Err(format!(
             "--addrs has {} entries, {} cluster needs {n}",
@@ -96,7 +94,7 @@ fn run() -> Result<(), String> {
         max_retries: 10,
         settle_timeout: Duration::from_millis(settle_timeout_ms),
     };
-    let report = protocol.client(&config).map_err(|e| format!("cluster run: {e}"))?;
+    let report = client(protocol, &config).map_err(|e| format!("cluster run: {e}"))?;
     if let Some(expected) = expect_digest {
         if report.digest != expected {
             return Err(format!(

@@ -22,7 +22,8 @@
 //! restarted replica reclaims the address its peers already hold.
 
 use rsoc_bft::runner::RunConfig;
-use rsoc_transport::run::{digest_hex, Protocol};
+use rsoc_bft::Protocol;
+use rsoc_transport::run::{digest_hex, parse_protocol, serve};
 use rsoc_transport::{bind_reuseaddr, WallClock};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
@@ -56,10 +57,7 @@ fn run() -> Result<(), String> {
             it.next().map(String::as_str).ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--protocol" => {
-                let v = value("--protocol")?;
-                protocol = Protocol::parse(v).ok_or_else(|| format!("unknown protocol {v:?}"))?;
-            }
+            "--protocol" => protocol = parse_protocol(value("--protocol")?)?,
             "--id" => id = parse(value("--id")?, "--id")?,
             "--f" => f = parse(value("--f")?, "--f")?,
             "--seed" => seed = parse(value("--seed")?, "--seed")?,
@@ -74,7 +72,7 @@ fn run() -> Result<(), String> {
         }
     }
 
-    let n = protocol.cluster_size(f);
+    let n = protocol.replicas(f);
     if id >= n {
         return Err(format!("--id {id} out of range for n={n}"));
     }
@@ -95,9 +93,9 @@ fn run() -> Result<(), String> {
     let config =
         RunConfig::builder().f(f).seed(seed).checkpoint_interval(checkpoint_interval).build();
     let clock = WallClock::new(cycle_ns);
-    let (report, recovery) = protocol
-        .serve(id, &config, listener, peers, clock, data_dir.as_deref())
-        .map_err(|e| format!("serve: {e}"))?;
+    let (report, recovery) =
+        serve(protocol, id, &config, listener, peers, clock, data_dir.as_deref())
+            .map_err(|e| format!("serve: {e}"))?;
     if let Some(r) = recovery {
         println!(
             "RECOVERED installed={} replayed={} committed={}",

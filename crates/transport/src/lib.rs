@@ -22,8 +22,9 @@
 //!   data directory (persist before dispatch);
 //! * [`client`] — the external cluster client issuing the simulator's
 //!   exact request log and checking digest convergence;
-//! * [`run`] — protocol selection shared by the `rsoc-serve` /
-//!   `rsoc-client` binaries and the in-process smoke test.
+//! * [`run`] — the `rsoc-serve` / `rsoc-client` entry points over
+//!   [`rsoc_bft::Protocol`], and the simulator digest a TCP cluster must
+//!   reproduce.
 //!
 //! Because both planes share one codec ([`rsoc_bft::codec`]) and one
 //! workload ([`rsoc_bft::runner::client_payload`]), a TCP cluster run
@@ -46,5 +47,5 @@ pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use listen::bind_reuseaddr;
 pub use node::{serve, ServeReport, TcpPlane};
 pub use pool::PeerPool;
-pub use run::Protocol;
+pub use run::simulator_digest;
 pub use wire::{decode_envelope, encode_envelope, Envelope};

@@ -6,11 +6,12 @@
 //! *simulator* run of the same request log produces — the two-planes,
 //! one-core property the sans-io split exists for.
 
-use rsoc_bft::api::Cluster;
-use rsoc_bft::runner::{run, RunConfig};
-use rsoc_transport::run::Protocol;
-use rsoc_transport::{ClientConfig, WallClock};
+use rsoc_bft::runner::RunConfig;
+use rsoc_bft::Protocol;
+use rsoc_transport::run::{client, serve};
+use rsoc_transport::{simulator_digest, ClientConfig, WallClock};
 use std::net::TcpListener;
+use std::process::Command;
 use std::thread;
 use std::time::Duration;
 
@@ -19,36 +20,9 @@ const CLIENTS: u32 = 2;
 const REQUESTS: u64 = 5;
 const PAYLOAD: usize = 48;
 
-/// Digest from a deterministic-simulator run of the identical workload.
-fn simulator_digest(protocol: Protocol, f: u32) -> [u8; 32] {
-    let config = RunConfig::builder()
-        .f(f)
-        .clients(CLIENTS)
-        .requests_per_client(REQUESTS)
-        .payload_size(PAYLOAD)
-        .seed(SEED)
-        .build();
-    match protocol {
-        Protocol::Pbft => {
-            let mut cluster = rsoc_bft::pbft::PbftCluster::new(&config);
-            let r = run(&mut cluster, &config);
-            assert!(r.safety_ok);
-            assert_eq!(r.committed, u64::from(CLIENTS) * REQUESTS);
-            cluster.nodes()[0].state_digest()
-        }
-        Protocol::MinBft => {
-            let mut cluster = rsoc_bft::minbft::MinBftCluster::new(&config);
-            let r = run(&mut cluster, &config);
-            assert!(r.safety_ok);
-            assert_eq!(r.committed, u64::from(CLIENTS) * REQUESTS);
-            cluster.nodes()[0].state_digest()
-        }
-    }
-}
-
 fn smoke(protocol: Protocol) {
     let f = 1u32;
-    let n = protocol.cluster_size(f) as usize;
+    let n = protocol.replicas(f) as usize;
 
     // Bind every listener first so the peer address list is complete
     // before any serve loop starts.
@@ -65,9 +39,9 @@ fn smoke(protocol: Protocol) {
         replicas.push(thread::spawn(move || {
             // 50 µs cycles: timer patience ~75 ms, snappy for a test.
             let clock = WallClock::new(50_000);
-            let (report, _) = protocol
-                .serve(id as u32, &config, listener, peer_addrs, clock, None)
-                .expect("serve");
+            let (report, _) =
+                serve(protocol, id as u32, &config, listener, peer_addrs, clock, None)
+                    .expect("serve");
             report
         }));
     }
@@ -83,7 +57,7 @@ fn smoke(protocol: Protocol) {
         max_retries: 10,
         settle_timeout: Duration::from_secs(20),
     };
-    let report = protocol.client(&client_config).expect("cluster client");
+    let report = client(protocol, &client_config).expect("cluster client");
     assert_eq!(report.committed, u64::from(CLIENTS) * REQUESTS);
 
     // Every replica exits through Shutdown and reports the same digest
@@ -96,7 +70,15 @@ fn smoke(protocol: Protocol) {
 
     // The two-planes property: the TCP cluster's digest equals the
     // simulator's for the same request log.
-    assert_eq!(report.digest, simulator_digest(protocol, f), "plane digests diverged");
+    let simulated = RunConfig::builder()
+        .f(f)
+        .clients(CLIENTS)
+        .requests_per_client(REQUESTS)
+        .payload_size(PAYLOAD)
+        .seed(SEED)
+        .build();
+    let expected = simulator_digest(protocol, &simulated).expect("simulator run");
+    assert_eq!(report.digest, expected, "plane digests diverged");
 }
 
 #[test]
@@ -107,4 +89,17 @@ fn pbft_cluster_over_tcp_matches_the_simulator() {
 #[test]
 fn minbft_cluster_over_tcp_matches_the_simulator() {
     smoke(Protocol::MinBft);
+}
+
+#[test]
+fn passive_is_refused_before_any_socket_is_bound() {
+    let serve = [env!("CARGO_BIN_EXE_rsoc-serve"), "--protocol", "passive", "--id", "0"];
+    let client = [env!("CARGO_BIN_EXE_rsoc-client"), "--protocol", "passive", "--addrs", "x,y"];
+    for argv in [&serve[..], &client[..]] {
+        let out = Command::new(argv[0]).args(&argv[1..]).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{argv:?} accepted passive");
+        assert!(stderr.contains("not served over TCP"), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} bound before refusing: {:?}", out.stdout);
+    }
 }

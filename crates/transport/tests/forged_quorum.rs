@@ -9,7 +9,8 @@
 
 use rsoc_bft::api::{Endpoint, ReplicaId, Reply};
 use rsoc_bft::minbft::MinBftMsg;
-use rsoc_transport::run::Protocol;
+use rsoc_bft::Protocol;
+use rsoc_transport::run::client;
 use rsoc_transport::{
     decode_envelope, encode_envelope, read_frame, write_frame, ClientConfig, Envelope,
 };
@@ -63,7 +64,7 @@ fn one_link_claiming_two_ids_is_not_a_quorum() {
         addrs.push(listener.local_addr().expect("addr").to_string());
         spawn_listener(listener, serve);
     }
-    assert_eq!(addrs.len(), Protocol::MinBft.cluster_size(f) as usize);
+    assert_eq!(addrs.len(), Protocol::MinBft.replicas(f) as usize);
 
     let config = ClientConfig {
         addrs,
@@ -76,7 +77,7 @@ fn one_link_claiming_two_ids_is_not_a_quorum() {
         max_retries: 2,
         settle_timeout: Duration::from_secs(1),
     };
-    let err = Protocol::MinBft.client(&config).expect_err("a forged quorum was accepted");
+    let err = client(Protocol::MinBft, &config).expect_err("a forged quorum was accepted");
     assert!(
         err.to_string().contains("no quorum after 2 retransmissions"),
         "failed otherwise: {err}"

@@ -14,8 +14,9 @@
 use manycore_resilience::adapt::controller::TraceSegment;
 use manycore_resilience::adapt::{
     simulate_adaptation, AdaptPolicy, AdaptiveController, AnomalySample, Deployment,
-    DetectorConfig, ProtocolChoice, ThreatDetector, ThreatLevel,
+    DetectorConfig, ThreatDetector, ThreatLevel,
 };
+use manycore_resilience::bft::Protocol;
 
 fn main() {
     // --- 1. Detector timeline. -------------------------------------------
@@ -68,14 +69,8 @@ fn main() {
         TraceSegment { duration: 100_000, byz_faults: 0, detected: ThreatLevel::Low },
     ];
     for (name, policy) in [
-        (
-            "static minbft f=1",
-            AdaptPolicy::Static(Deployment { protocol: ProtocolChoice::MinBft, f: 1 }),
-        ),
-        (
-            "static pbft   f=3",
-            AdaptPolicy::Static(Deployment { protocol: ProtocolChoice::Pbft, f: 3 }),
-        ),
+        ("static minbft f=1", AdaptPolicy::Static(Deployment { protocol: Protocol::MinBft, f: 1 })),
+        ("static pbft   f=3", AdaptPolicy::Static(Deployment { protocol: Protocol::Pbft, f: 3 })),
         ("adaptive         ", AdaptPolicy::Adaptive(AdaptiveController::default())),
     ] {
         let r = simulate_adaptation(&trace, policy);

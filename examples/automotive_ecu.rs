@@ -14,8 +14,8 @@
 //! cargo run --example automotive_ecu
 //! ```
 
-use manycore_resilience::adapt::ProtocolChoice;
 use manycore_resilience::bft::statemachine::ActuatorArbiter;
+use manycore_resilience::bft::Protocol;
 use manycore_resilience::bft::StateMachine;
 use manycore_resilience::diversity::{
     common_mode_exposure, greedy_exploits_to_defeat, PoolConfig, VariantId, VariantPool,
@@ -28,9 +28,9 @@ fn main() {
 
     // --- 1. Protocol footprint on the chip. -----------------------------
     for (name, protocol) in [
-        ("passive ", ProtocolChoice::Passive),
-        ("minbft  ", ProtocolChoice::MinBft),
-        ("pbft    ", ProtocolChoice::Pbft),
+        ("passive ", Protocol::Passive),
+        ("minbft  ", Protocol::MinBft),
+        ("pbft    ", Protocol::Pbft),
     ] {
         let mut soc = ResilientSoc::new(SocConfig { mesh_width: 4, mesh_height: 4, seed: 7 });
         let report = soc.run_workload(protocol, 1, 2, 20);
@@ -100,7 +100,7 @@ fn main() {
     // Keep a realistic tie-in: compromise one ECU tile and show masking.
     let mut soc = ResilientSoc::new(SocConfig { mesh_width: 4, mesh_height: 4, seed: 7 });
     soc.compromise_tile(TileId(0));
-    let report = soc.run_workload(ProtocolChoice::MinBft, 1, 1, 10);
+    let report = soc.run_workload(Protocol::MinBft, 1, 1, 10);
     assert!(report.safety_ok);
     println!(
         "\nwith one compromised ECU tile, MinBFT still committed {} commands safely",

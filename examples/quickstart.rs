@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use manycore_resilience::adapt::ProtocolChoice;
+use manycore_resilience::bft::Protocol;
 use manycore_resilience::soc::{
     EpochThreat, ManagerConfig, ResilientSoc, SocConfig, SocManager, TileId,
 };
@@ -21,7 +21,7 @@ fn main() {
         soc.tiles().iter().map(|t| t.variant).collect::<std::collections::BTreeSet<_>>().len(),
     );
 
-    let clean = soc.run_workload(ProtocolChoice::MinBft, 1, 2, 10);
+    let clean = soc.run_workload(Protocol::MinBft, 1, 2, 10);
     println!(
         "\nfault-free MinBFT (f=1, {} replicas): {} ops committed, \
          {:.1} msgs/op, median latency {:.0} cycles, safety={}",
@@ -34,7 +34,7 @@ fn main() {
 
     // --- 2. Compromise a tile: the protocol masks it. -------------------
     soc.compromise_tile(TileId(1));
-    let under_attack = soc.run_workload(ProtocolChoice::MinBft, 1, 2, 10);
+    let under_attack = soc.run_workload(Protocol::MinBft, 1, 2, 10);
     println!(
         "with tile t1 Byzantine: {} ops committed, safety={} (masked by 2f+1 + USIG)",
         under_attack.committed, under_attack.safety_ok,

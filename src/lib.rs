@@ -30,11 +30,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use manycore_resilience::adapt::ProtocolChoice;
+//! use manycore_resilience::bft::Protocol;
 //! use manycore_resilience::soc::{ResilientSoc, SocConfig};
 //!
 //! let mut soc = ResilientSoc::new(SocConfig::default());
-//! let report = soc.run_workload(ProtocolChoice::MinBft, 1, 1, 3);
+//! let report = soc.run_workload(Protocol::MinBft, 1, 1, 3);
 //! assert!(report.safety_ok);
 //! ```
 

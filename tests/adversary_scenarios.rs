@@ -7,7 +7,7 @@ use manycore_resilience::bft::adversary::{
     Flood, LinkFault, ReplaySpec, ReplicaScript, Scenario, ScenarioOracle, Window,
 };
 use manycore_resilience::bft::api::{
-    ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
+    ClientId, Cluster, ClusterStats, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
 };
 use manycore_resilience::bft::minbft::{CommitVote, MinBftCluster, MinBftMsg, MinBftReplica};
 use manycore_resilience::bft::passive::PassiveCluster;
@@ -456,11 +456,6 @@ fn forged_checkpoint_certificates_never_certify() {
     }
 }
 
-/// Sum of every replica's USIG creates and verifies.
-fn mac_total(nodes: &[MinBftReplica]) -> u64 {
-    nodes.iter().map(|n| n.mac_ops()).map(|(created, verified)| created + verified).sum()
-}
-
 #[test]
 fn minbft_fault_free_costs_exactly_nine_macs_per_op() {
     // f = 1, batch 1: three certificates created (one PREPARE, two
@@ -478,7 +473,7 @@ fn minbft_fault_free_costs_exactly_nine_macs_per_op() {
         let report = run(&mut cluster, &cfg);
         assert_eq!(report.committed, 100);
         assert!(report.safety_ok);
-        let macs = mac_total(cluster.nodes());
+        let macs = ClusterStats::of(&cluster).mac_ops;
         if exact {
             assert_eq!(macs, 9 * report.committed);
         }

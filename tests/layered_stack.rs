@@ -1,7 +1,8 @@
 //! Integration: the managed SoC (detector → controller → workload → voted
 //! rejuvenation) across multi-epoch campaigns — the Fig. 1 vertical slice.
 
-use manycore_resilience::adapt::{ProtocolChoice, ThreatLevel};
+use manycore_resilience::adapt::ThreatLevel;
+use manycore_resilience::bft::Protocol;
 use manycore_resilience::soc::{EpochThreat, ManagerConfig, SocConfig, SocManager, TileId};
 
 fn manager(seed: u64, config: ManagerConfig) -> SocManager {
@@ -41,7 +42,7 @@ fn adaptation_scales_deployment_with_threat() {
     let mut mgr = manager(2, ManagerConfig::default());
     let quiet = mgr.run_epoch(&EpochThreat::default(), 1, 3);
     assert_eq!(quiet.level, ThreatLevel::Low);
-    assert_eq!(quiet.deployment.protocol, ProtocolChoice::Passive);
+    assert_eq!(quiet.deployment.protocol, Protocol::Passive);
     let attack = EpochThreat { compromise: vec![TileId(3), TileId(5)], ..Default::default() };
     let hot = mgr.run_epoch(&attack, 1, 3);
     assert!(hot.level >= ThreatLevel::High);

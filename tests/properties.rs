@@ -3,7 +3,7 @@
 //! protocol safety under random fault configurations, NoC delivery.
 
 use manycore_resilience::bft::adversary::Behavior;
-use manycore_resilience::bft::api::{Cluster, ReplicaNode};
+use manycore_resilience::bft::api::{Cluster, ClusterStats, ReplicaNode};
 use manycore_resilience::bft::broadcast::{run_broadcast, SenderBehavior};
 use manycore_resilience::bft::minbft::MinBftCluster;
 use manycore_resilience::bft::passive::PassiveCluster;
@@ -395,9 +395,7 @@ proptest! {
             prop_assert_eq!(a.state_digest(), b.state_digest(), "replica {} diverged", a.id());
         }
         // Authentication is amortized, never inflated, by batching.
-        let macs = |c: &MinBftCluster| -> u64 {
-            c.nodes().iter().map(|n| { let (i, v) = n.mac_ops(); i + v }).sum()
-        };
+        let macs = |c: &MinBftCluster| ClusterStats::of(c).mac_ops;
         prop_assert!(macs(&batched) <= macs(&plain), "batching must not add MAC work");
     }
 

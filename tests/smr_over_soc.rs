@@ -1,7 +1,7 @@
 //! Integration: replication protocols running over the SoC's NoC-derived
 //! latencies, with tile-level fault injection.
 
-use manycore_resilience::adapt::ProtocolChoice;
+use manycore_resilience::bft::Protocol;
 use manycore_resilience::soc::{ResilientSoc, SocConfig, TileId};
 
 fn soc(seed: u64) -> ResilientSoc {
@@ -10,7 +10,7 @@ fn soc(seed: u64) -> ResilientSoc {
 
 #[test]
 fn all_protocols_commit_fault_free() {
-    for protocol in [ProtocolChoice::Passive, ProtocolChoice::MinBft, ProtocolChoice::Pbft] {
+    for protocol in [Protocol::Passive, Protocol::MinBft, Protocol::Pbft] {
         let mut s = soc(1);
         let report = s.run_workload(protocol, 1, 2, 10);
         assert_eq!(report.committed, 20, "{protocol:?}");
@@ -21,26 +21,26 @@ fn all_protocols_commit_fault_free() {
 #[test]
 fn replica_counts_match_paper_table() {
     let mut s = soc(2);
-    assert_eq!(s.run_workload(ProtocolChoice::Passive, 1, 1, 2).n_replicas, 2);
-    assert_eq!(s.run_workload(ProtocolChoice::MinBft, 1, 1, 2).n_replicas, 3);
-    assert_eq!(s.run_workload(ProtocolChoice::Pbft, 1, 1, 2).n_replicas, 4);
-    assert_eq!(s.run_workload(ProtocolChoice::MinBft, 2, 1, 2).n_replicas, 5);
-    assert_eq!(s.run_workload(ProtocolChoice::Pbft, 2, 1, 2).n_replicas, 7);
+    assert_eq!(s.run_workload(Protocol::Passive, 1, 1, 2).n_replicas, 2);
+    assert_eq!(s.run_workload(Protocol::MinBft, 1, 1, 2).n_replicas, 3);
+    assert_eq!(s.run_workload(Protocol::Pbft, 1, 1, 2).n_replicas, 4);
+    assert_eq!(s.run_workload(Protocol::MinBft, 2, 1, 2).n_replicas, 5);
+    assert_eq!(s.run_workload(Protocol::Pbft, 2, 1, 2).n_replicas, 7);
 }
 
 #[test]
 fn minbft_cheaper_than_pbft_on_chip() {
     let mut s1 = soc(3);
     let mut s2 = soc(3);
-    let minbft = s1.run_workload(ProtocolChoice::MinBft, 1, 2, 20);
-    let pbft = s2.run_workload(ProtocolChoice::Pbft, 1, 2, 20);
+    let minbft = s1.run_workload(Protocol::MinBft, 1, 2, 20);
+    let pbft = s2.run_workload(Protocol::Pbft, 1, 2, 20);
     assert!(minbft.messages_per_commit() < pbft.messages_per_commit());
     assert!(minbft.n_replicas < pbft.n_replicas);
 }
 
 #[test]
 fn byzantine_tile_masked_by_both_bft_protocols() {
-    for protocol in [ProtocolChoice::MinBft, ProtocolChoice::Pbft] {
+    for protocol in [Protocol::MinBft, Protocol::Pbft] {
         let mut s = soc(4);
         s.compromise_tile(TileId(0));
         let report = s.run_workload(protocol, 1, 1, 8);
@@ -55,7 +55,7 @@ fn crashed_tiles_are_excluded_from_placement() {
     s.crash_tile(TileId(0));
     s.crash_tile(TileId(1));
     s.crash_tile(TileId(2));
-    let report = s.run_workload(ProtocolChoice::MinBft, 1, 1, 5);
+    let report = s.run_workload(Protocol::MinBft, 1, 1, 5);
     assert_eq!(report.committed, 5, "healthy tiles carry the deployment");
     assert!(report.safety_ok);
 }
@@ -69,8 +69,8 @@ fn far_apart_replicas_pay_noc_latency() {
     for i in 0..48 {
         large.crash_tile(TileId(i));
     }
-    let near = small.run_workload(ProtocolChoice::MinBft, 1, 1, 10);
-    let far = large.run_workload(ProtocolChoice::MinBft, 1, 1, 10);
+    let near = small.run_workload(Protocol::MinBft, 1, 1, 10);
+    let far = large.run_workload(Protocol::MinBft, 1, 1, 10);
     let near_lat = near.commit_latency.median().unwrap();
     let far_lat = far.commit_latency.median().unwrap();
     assert!(far_lat > near_lat, "distance must cost cycles: near {near_lat} vs far {far_lat}");
@@ -80,7 +80,7 @@ fn far_apart_replicas_pay_noc_latency() {
 fn runs_are_deterministic_per_seed() {
     let run = |seed| {
         let mut s = soc(seed);
-        let r = s.run_workload(ProtocolChoice::MinBft, 1, 2, 10);
+        let r = s.run_workload(Protocol::MinBft, 1, 2, 10);
         (r.committed, r.messages_total, r.duration_cycles)
     };
     assert_eq!(run(7), run(7));

@@ -4,13 +4,13 @@
 //! green. This covers the facade entry point end-to-end beyond what the
 //! scenario-specific integration suites exercise.
 
-use manycore_resilience::adapt::ProtocolChoice;
+use manycore_resilience::bft::Protocol;
 use manycore_resilience::soc::{ResilientSoc, SocConfig};
 
 /// One committed-workload run; returns the report after asserting the
 /// universal invariants every healthy run must satisfy.
 fn run(
-    protocol: ProtocolChoice,
+    protocol: Protocol,
     f: u32,
     clients: u32,
     requests_per_client: u64,
@@ -34,26 +34,26 @@ fn run(
 
 #[test]
 fn minbft_workload_commits_safely() {
-    let report = run(ProtocolChoice::MinBft, 1, 1, 3);
+    let report = run(Protocol::MinBft, 1, 1, 3);
     assert_eq!(report.n_replicas, 3, "MinBFT is a 2f+1 protocol");
 }
 
 #[test]
 fn pbft_workload_commits_safely() {
-    let report = run(ProtocolChoice::Pbft, 1, 1, 3);
+    let report = run(Protocol::Pbft, 1, 1, 3);
     assert_eq!(report.n_replicas, 4, "PBFT is a 3f+1 protocol");
 }
 
 #[test]
 fn passive_workload_commits_safely() {
-    let report = run(ProtocolChoice::Passive, 1, 1, 3);
+    let report = run(Protocol::Passive, 1, 1, 3);
     assert_eq!(report.n_replicas, 2, "passive replication is f+1");
 }
 
 #[test]
 fn minbft_pays_fewer_messages_than_pbft() {
-    let minbft = run(ProtocolChoice::MinBft, 1, 2, 5);
-    let pbft = run(ProtocolChoice::Pbft, 1, 2, 5);
+    let minbft = run(Protocol::MinBft, 1, 2, 5);
+    let pbft = run(Protocol::Pbft, 1, 2, 5);
     assert!(
         minbft.messages_protocol < pbft.messages_protocol,
         "hybrid-anchored MinBFT ({} msgs) must beat PBFT ({} msgs)",
@@ -66,8 +66,8 @@ fn minbft_pays_fewer_messages_than_pbft() {
 fn workload_is_deterministic_per_seed() {
     let mut a = ResilientSoc::new(SocConfig { mesh_width: 4, mesh_height: 4, seed: 99 });
     let mut b = ResilientSoc::new(SocConfig { mesh_width: 4, mesh_height: 4, seed: 99 });
-    let ra = a.run_workload(ProtocolChoice::MinBft, 1, 2, 4);
-    let rb = b.run_workload(ProtocolChoice::MinBft, 1, 2, 4);
+    let ra = a.run_workload(Protocol::MinBft, 1, 2, 4);
+    let rb = b.run_workload(Protocol::MinBft, 1, 2, 4);
     assert_eq!(ra.committed, rb.committed);
     assert_eq!(ra.messages_total, rb.messages_total);
     assert_eq!(ra.duration_cycles, rb.duration_cycles);
