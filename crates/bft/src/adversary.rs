@@ -30,9 +30,10 @@
 //! runner's virtual-time trace bit-identical to the unscripted path (the
 //! BENCH_2/3/4 records regenerate unchanged — asserted in CI).
 
-use crate::api::{Cluster, ReplicaNode};
+use crate::api::{Batch, Cluster, ReplicaNode, Request};
 use crate::runner::RunReport;
 use rsoc_sim::PulseTrain;
+use std::sync::Arc;
 // The time-phasing primitive is shared with the NoC's `LinkScript` via
 // `rsoc_sim`, so window-containment semantics cannot drift between the
 // message-plane and packet-plane fault interpreters.
@@ -331,6 +332,17 @@ impl From<Behavior> for ReplicaScript {
             Behavior::ForgeUi => s.forge_ui(Window::ALWAYS),
         }
     }
+}
+
+/// What an equivocating primary proposes beside `batch` to the other half
+/// of its backups: the same operations, every payload reversed.
+pub(crate) fn conflicting_batch(batch: &Batch) -> Arc<Batch> {
+    let evil = batch.requests().iter().map(|r| {
+        let mut e = Request::clone(r);
+        e.payload.reverse();
+        Arc::new(e)
+    });
+    Arc::new(Batch::new(evil.collect()))
 }
 
 /// A replica-set partition over a cycle window: while active, every

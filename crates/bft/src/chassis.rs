@@ -12,7 +12,11 @@
 //! | the chassis…                                            | the protocol supplies…  |
 //! |---------------------------------------------------------|-------------------------|
 //! | swallows every input inside a crash window              | —                       |
-//! | on the first input after one, revives the timer chains  | [`Core::revive`]        |
+//! | starts the timer chains on the first input after it, a wipe or assembly | [`Core::revive`] |
+//! | drops a [`ShellMsg`] that names a sender other than its link | —                  |
+//! | hands a voucher to [`Shell::on_voucher`]                | [`Core::certified`]     |
+//! | serves a state request ([`Shell::serve_transfer`])      | [`Core::view`]          |
+//! | admits a state response at f+1 and installs it          | [`Core::installed`]     |
 //! | routes every other input                                | [`Core::dispatch`]      |
 //! | then chases a stable certificate ahead of execution     | —                       |
 //! | gates outputs: a muted script's messages are dropped, its timers pass | —         |
@@ -21,18 +25,21 @@
 //! | answers the [`ReplicaNode`] reads                       | [`Core::view`]          |
 //! | provisions a cluster from a [`RunConfig`]               | the replica constructor |
 //!
-//! A protocol file keeps its message enum, its state and its handlers:
-//! inherent `impl Replica<Pbft>` blocks that reach the shell, the script
-//! and `now` as fields of the replica they run on, and the protocol's own
-//! state as `core`.
+//! A protocol file keeps its message enum (its own messages plus one
+//! `Shell(ShellMsg)` variant), its state and its handlers: inherent
+//! `impl Replica<Pbft>` blocks that reach the shell, the script and `now`
+//! as fields of the replica they run on, and the protocol's own state as
+//! `core`.
 
 use crate::adversary::ReplicaScript;
-use crate::api::{Batch, Cluster, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request};
-use crate::checkpoint::{CheckpointStats, CkptKeys};
+use crate::api::{
+    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
+};
+use crate::checkpoint::{CheckpointStats, CkptKeys, CstInstall};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::protocol::Protocol;
 use crate::runner::RunConfig;
-use crate::shell::{Shell, ShellMsg};
+use crate::shell::{Carrier, Shell, ShellMsg};
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,14 +47,18 @@ use std::sync::Arc;
 /// so the public `Replica<P>` impls may name it; the module is private.)
 pub trait Core: Sized {
     /// The protocol's wire messages.
-    type Msg: ShellMsg + fmt::Debug;
+    type Msg: Carrier + fmt::Debug;
     /// Which protocol this core is.
     const PROTOCOL: Protocol;
+    /// Wraps a client request.
+    const REQUEST: fn(Arc<Request>) -> Self::Msg;
 
-    /// Routes one input to its handler, emitting effects into `out`.
+    /// Routes one timer or protocol message (never a [`ShellMsg`]: the
+    /// chassis routes those) to its handler, emitting effects into `out`.
     fn dispatch(r: &mut Replica<Self>, input: Input<Self::Msg>, out: &mut Outbox<Self::Msg>);
 
-    /// Restarts the self-re-arming timer chains an outage killed. By
+    /// Starts the self-re-arming timer chains — on the first input after
+    /// assembly or a wipe, and again after an outage killed them. By
     /// default: one patience timer per request the replica watches.
     fn revive(r: &mut Replica<Self>, out: &mut Outbox<Self::Msg>) {
         r.shell.rearm_patience(out);
@@ -62,14 +73,16 @@ pub trait Core: Sized {
     /// The digest a committed log entry carries for a batch.
     const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = Batch::digest;
 
+    /// A peer's voucher completed a stable certificate. By default
+    /// nothing: the shell already truncated its log.
+    fn certified(_: &mut Replica<Self>) {}
+
+    /// The protocol's tail after the shell installed the quorum-voted
+    /// transfer `plan`.
+    fn installed(r: &mut Replica<Self>, plan: &CstInstall, out: &mut Outbox<Self::Msg>);
+
     /// The protocol's tail after the shell replayed `state` on restart.
     fn recovered(r: &mut Replica<Self>, state: &RecoveredState);
-
-    /// Wraps a client request.
-    fn request(req: Arc<Request>) -> Self::Msg;
-
-    /// The reply `msg` carries, if it is one.
-    fn reply_of(msg: &Self::Msg) -> Option<&Reply>;
 
     /// MAC operations performed so far. By default none: only MinBFT's
     /// USIG authenticates in the model.
@@ -92,6 +105,8 @@ pub struct Replica<P> {
     /// Set while a crash window swallows inputs; the first input after it
     /// revives the timer chains killed in the outage.
     in_outage: bool,
+    /// Whether the timer chains started since assembly or the last wipe.
+    booted: bool,
     /// Request intake, execution, checkpoints, state transfer, durability.
     pub(crate) shell: Shell,
     /// The protocol's own state.
@@ -110,6 +125,7 @@ impl<P: Core> Replica<P> {
             script: ReplicaScript::correct(),
             now: 0,
             in_outage: false,
+            booted: false,
             shell,
             core,
         }
@@ -126,15 +142,68 @@ impl<P: Core> Replica<P> {
     pub fn state_digest(&self) -> [u8; 32] {
         self.shell.state_digest()
     }
+}
 
-    /// Dispatches one input, then chases any stable certificate it
-    /// revealed ahead of local execution (post-wipe, or crashed past
-    /// retention), rate-limited by the transfer backoff.
+// Every message a peer (or a forged client) sends enters here.
+// lint: ingress
+impl<P: Core> Replica<P> {
+    /// Routes one input — a shell message here, anything else to the
+    /// protocol — then chases any stable certificate it revealed ahead of
+    /// local execution (post-wipe, or crashed past retention),
+    /// rate-limited by the transfer backoff.
     fn step(&mut self, input: Input<P::Msg>, out: &mut Outbox<P::Msg>) {
-        P::dispatch(self, input, out);
+        match input {
+            Input::Message { from, msg } => match msg.into_shell() {
+                Ok(msg) => self.route(from, msg, out),
+                Err(msg) => P::dispatch(self, Input::Message { from, msg }, out),
+            },
+            timer => P::dispatch(self, timer, out),
+        }
         self.shell.request_transfer(self.now, out);
     }
+
+    /// Routes a shell message, the same for every protocol. Each one names
+    /// its sender and counts only over that sender's own link: one link
+    /// naming two ids is one replica — not two vouchers, not a transfer
+    /// reflected at a third party, and not two of the f+1 responders a
+    /// transfer installs on. A Byzantine responder script corrupts a served
+    /// transfer only where the protocol masks Byzantine faults: passive
+    /// replication has no quorum to outvote a lie, so its content-attack
+    /// scripts stay inert (a compromised passive tile shows as silence or
+    /// crash).
+    pub(crate) fn route(&mut self, from: Endpoint, msg: ShellMsg, out: &mut Outbox<P::Msg>) {
+        if from != Endpoint::Replica(msg.sender()) {
+            return;
+        }
+        match msg {
+            ShellMsg::Checkpoint(voucher) => {
+                if self.shell.on_voucher(&voucher) {
+                    P::certified(self);
+                }
+            }
+            ShellMsg::StateRequest { have, from: to } => {
+                let byzantine = P::PROTOCOL.tolerates_byzantine();
+                self.shell.serve_transfer(
+                    have,
+                    to,
+                    self.core.view(),
+                    byzantine && self.script.corrupts_snapshot_at(self.now),
+                    byzantine && self.script.corrupts_suffix_at(self.now),
+                    out,
+                );
+            }
+            ShellMsg::StateResponse(st) => {
+                let Some(plan) = self.shell.admit_transfer(*st, self.f as usize + 1) else {
+                    return;
+                };
+                self.shell.install(&plan, P::ENTRY_DIGEST);
+                P::installed(self, &plan, out);
+            }
+            ShellMsg::Reply(_) => {}
+        }
+    }
 }
+// lint: end
 
 // The node-facing input surface: every simulator event enters here.
 // lint: ingress
@@ -156,6 +225,13 @@ impl<P: Core> ReplicaNode for Replica<P> {
             // were swallowed with it, and each was the only link of its
             // chain — revive the chains once.
             self.in_outage = false;
+            P::revive(self, out);
+        }
+        if !self.booted {
+            // Assembled or wiped: nothing started the chains yet. (After an
+            // outage in that state this arms a second chain beside the one
+            // just revived — harmless, each fire re-arms one successor.)
+            self.booted = true;
             P::revive(self, out);
         }
         if self.script.unconstrained() {
@@ -187,6 +263,7 @@ impl<P: Core> ReplicaNode for Replica<P> {
         // replica's identity, keys, fault script and the self-verifying
         // stable certificate (trusted persistent store) stay.
         self.in_outage = false;
+        self.booted = false;
         self.core.wipe();
         self.shell.wipe();
     }
@@ -200,11 +277,14 @@ impl<P: Core> ReplicaNode for Replica<P> {
     }
 
     fn make_request(req: Arc<Request>) -> P::Msg {
-        P::request(req)
+        P::REQUEST(req)
     }
 
     fn as_reply(msg: &P::Msg) -> Option<&Reply> {
-        P::reply_of(msg)
+        match msg.as_shell() {
+            Some(ShellMsg::Reply(reply)) => Some(reply),
+            _ => None,
+        }
     }
 
     fn state_digest(&self) -> [u8; 32] {
@@ -298,7 +378,8 @@ impl<P: Core> Cluster for Replicas<P> {
 mod tests {
     use super::*;
     use crate::adversary::Window;
-    use crate::api::{ClientId, Endpoint, OpId};
+    use crate::api::{ClientId, OpId};
+    use crate::checkpoint::{verify_image, StateTransfer};
     use crate::minbft::MinBftCluster;
     use crate::passive::PassiveCluster;
     use crate::pbft::PbftCluster;
@@ -308,12 +389,17 @@ mod tests {
     fn request<P: Core>(seq: u64) -> Input<P::Msg> {
         let op = OpId { client: ClientId(1), seq };
         let req = Arc::new(Request { op, payload: format!("SET k v{seq}").into_bytes() });
-        Input::Message { from: Endpoint::Client(ClientId(1)), msg: P::request(req) }
+        Input::Message { from: Endpoint::Client(ClientId(1)), msg: P::REQUEST(req) }
     }
 
     /// A timer kind no protocol arms: every replica ignores it.
     fn idle<M>() -> Input<M> {
         Input::Timer { kind: u32::MAX, token: 0 }
+    }
+
+    /// `requester`'s state request, having executed nothing.
+    fn ask<M: From<ShellMsg>>(requester: ReplicaId) -> M {
+        ShellMsg::StateRequest { have: 0, from: requester }.into()
     }
 
     /// Twelve requests with a checkpoint every four slots: every replica
@@ -393,7 +479,7 @@ mod tests {
         let requester = ReplicaId(nodes.len() as u32 - 1);
         let server = &mut nodes[0];
         assert!(server.shell.ckpt().stable_seq() > 0, "{}", P::PROTOCOL.name());
-        let ask = |from| Input::Message { from, msg: P::Msg::state_request(0, requester) };
+        let ask = |from| Input::Message { from, msg: ask(requester) };
         let mut out = Outbox::new();
         server.on_input(ask(Endpoint::Client(ClientId(1))), 1 << 30, &mut out);
         assert!(
@@ -411,5 +497,76 @@ mod tests {
         serves_transfers_only_over_the_requesters_link(PbftCluster::new);
         serves_transfers_only_over_the_requesters_link(MinBftCluster::new);
         serves_transfers_only_over_the_requesters_link(PassiveCluster::new);
+    }
+
+    /// The one transfer `server` answers `requester`'s request with, asked
+    /// over the requester's own link.
+    fn served<P: Core>(server: &mut Replica<P>, requester: ReplicaId) -> StateTransfer {
+        let from = Endpoint::Replica(requester);
+        let mut out = Outbox::new();
+        server.on_input(Input::Message { from, msg: ask(requester) }, 1 << 30, &mut out);
+        match out.msgs.pop().map(|(to, msg)| (to, msg.into_shell())) {
+            Some((to, Ok(ShellMsg::StateResponse(st)))) if to == from => *st,
+            other => panic!("{}: expected one state response, got {other:?}", P::PROTOCOL.name()),
+        }
+    }
+
+    /// A content-attack script corrupts a served image only where the
+    /// protocol masks Byzantine faults: passive replication has no second
+    /// responder to outvote a flipped byte, so its scripts stay inert.
+    fn corrupts_images_only_where_byzantine_faults_are_masked<P: Core>(
+        make: fn(&RunConfig) -> Replicas<P>,
+    ) {
+        let mut nodes = checkpointed(make).into_nodes();
+        let requester = ReplicaId(nodes.len() as u32 - 1);
+        let server = &mut nodes[0];
+        server.script = ReplicaScript::correct().corrupt_snapshots(Window::ALWAYS);
+        let st = served(server, requester);
+        let intact = verify_image(&st.cert, &st.snapshot).is_some();
+        assert_eq!(intact, !P::PROTOCOL.tolerates_byzantine(), "{}", P::PROTOCOL.name());
+    }
+
+    #[test]
+    fn content_attack_scripts_corrupt_transfers_only_under_byzantine_protocols() {
+        corrupts_images_only_where_byzantine_faults_are_masked(PbftCluster::new);
+        corrupts_images_only_where_byzantine_faults_are_masked(MinBftCluster::new);
+        corrupts_images_only_where_byzantine_faults_are_masked(PassiveCluster::new);
+    }
+
+    /// A transfer installs on f+1 responders, one per link: replica 0's
+    /// tampered transfer, delivered twice over its own link — once as
+    /// itself, once relabelled as replica 1 — must not install on a wiped
+    /// replica. With replica 1's honest answer the two agree on the
+    /// certified image and out-vote the tampered suffix.
+    fn installs_transfers_only_from_f_plus_1_links<P: Core>(make: fn(&RunConfig) -> Replicas<P>) {
+        let name = P::PROTOCOL.name();
+        let mut nodes = checkpointed(make).into_nodes();
+        let requester = ReplicaId(nodes.len() as u32 - 1);
+        nodes[0].script = ReplicaScript::correct().corrupt_suffixes(Window::ALWAYS);
+        let lie = served(&mut nodes[0], requester);
+        let honest = served(&mut nodes[1], requester);
+        let mut relabelled = lie.clone();
+        relabelled.from = ReplicaId(1);
+        let digest = nodes[1].state_digest();
+        let wiped = &mut nodes[requester.0 as usize];
+        wiped.wipe();
+        let mut out = Outbox::new();
+        let mut deliver = |wiped: &mut Replica<P>, link: u32, st: StateTransfer| {
+            let msg = ShellMsg::StateResponse(Box::new(st)).into();
+            let from = Endpoint::Replica(ReplicaId(link));
+            wiped.on_input(Input::Message { from, msg }, 1 << 30, &mut out);
+        };
+        deliver(wiped, 0, lie);
+        deliver(wiped, 0, relabelled);
+        assert_eq!(wiped.committed_seq(), 0, "{name}: one link installed a transfer");
+        deliver(wiped, 1, honest);
+        assert!(wiped.committed_seq() > 0, "{name}");
+        assert_eq!(wiped.state_digest(), digest, "{name}");
+    }
+
+    #[test]
+    fn one_link_cannot_forge_a_state_transfer_quorum() {
+        installs_transfers_only_from_f_plus_1_links(PbftCluster::new);
+        installs_transfers_only_from_f_plus_1_links(MinBftCluster::new);
     }
 }

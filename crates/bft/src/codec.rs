@@ -31,8 +31,9 @@
 use crate::api::{Batch, ClientId, Endpoint, OpId, ReplicaId, Reply, Request};
 use crate::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
 use crate::minbft::{CommitVote, MinBftMsg};
-use crate::passive::PassiveMsg;
+use crate::passive::{PassiveMsg, Shipped};
 use crate::pbft::PbftMsg;
+use crate::shell::ShellMsg;
 use crate::viewchange::VcVote;
 use rsoc_crypto::Tag;
 use rsoc_hybrid::{UsigId, UI};
@@ -50,8 +51,16 @@ pub use rsoc_crypto::{crc32, Crc32};
 /// suffix). Version 3: no layout change, but `CheckpointCert::digest` now
 /// certifies the state's Merkle roots instead of `sha256(image)` — a
 /// version-2 peer or snapshot file would never match a version-3
-/// certificate, so it is refused at the frame instead.
-pub const WIRE_VERSION: u8 = 3;
+/// certificate, so it is refused at the frame instead. Version 4: the
+/// reply, checkpoint voucher, state request and state response are one
+/// [`ShellMsg`], framed the same in every protocol — tag `0x80`, then a
+/// one-byte inner tag — so each of them is a byte longer; requests and
+/// ordering messages are unchanged.
+pub const WIRE_VERSION: u8 = 4;
+
+/// The tag of a [`ShellMsg`] in every protocol's frame, clear of the
+/// protocols' own tags (which count up from 0).
+pub(crate) const SHELL_TAG: u8 = 0x80;
 
 /// Emits the canonical wire bytes of one request:
 /// `client u32 LE | seq u64 LE | payload_len u64 LE | payload`.
@@ -161,7 +170,7 @@ pub trait Wire: Sized {
 
 /// Room for a frame's version byte, envelope and fixed-size fields beside
 /// its [`Wire::payload_len`]: every payload-free message of the three
-/// protocols fits (the largest, a checkpoint voucher, is 84 bytes).
+/// protocols fits (the largest, a checkpoint voucher, is 85 bytes).
 pub const FRAME_SLACK: usize = 128;
 
 /// Encodes `value` as one versioned frame body (no length prefix — the
@@ -564,6 +573,48 @@ impl Wire for VcVote {
     }
 }
 
+impl Wire for ShellMsg {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            ShellMsg::Reply(reply) => {
+                buf.push(0);
+                reply.encode(buf);
+            }
+            ShellMsg::Checkpoint(voucher) => {
+                buf.push(1);
+                voucher.encode(buf);
+            }
+            ShellMsg::StateRequest { have, from } => {
+                buf.push(2);
+                have.encode(buf);
+                from.encode(buf);
+            }
+            ShellMsg::StateResponse(st) => {
+                buf.push(3);
+                st.encode(buf);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match r.u8()? {
+            0 => ShellMsg::Reply(Reply::decode(r)?),
+            1 => ShellMsg::Checkpoint(Box::<CheckpointVoucher>::decode(r)?),
+            2 => ShellMsg::StateRequest { have: r.u64()?, from: ReplicaId::decode(r)? },
+            3 => ShellMsg::StateResponse(Box::<StateTransfer>::decode(r)?),
+            _ => return None,
+        })
+    }
+
+    fn payload_len(&self) -> usize {
+        match self {
+            ShellMsg::Reply(reply) => reply.payload_len(),
+            ShellMsg::StateResponse(st) => st.payload_len(),
+            ShellMsg::Checkpoint(_) | ShellMsg::StateRequest { .. } => 0,
+        }
+    }
+}
+
 impl Wire for PbftMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -591,10 +642,6 @@ impl Wire for PbftMsg {
                 digest.encode(buf);
                 from.encode(buf);
             }
-            PbftMsg::Reply(reply) => {
-                buf.push(4);
-                reply.encode(buf);
-            }
             PbftMsg::ViewChange(vote) => {
                 buf.push(5);
                 vote.encode(buf);
@@ -604,18 +651,9 @@ impl Wire for PbftMsg {
                 view.encode(buf);
                 preprepares.encode(buf);
             }
-            PbftMsg::Checkpoint(voucher) => {
-                buf.push(7);
-                voucher.encode(buf);
-            }
-            PbftMsg::StateRequest { have, from } => {
-                buf.push(8);
-                have.encode(buf);
-                from.encode(buf);
-            }
-            PbftMsg::StateResponse(st) => {
-                buf.push(9);
-                st.encode(buf);
+            PbftMsg::Shell(msg) => {
+                buf.push(SHELL_TAG);
+                msg.encode(buf);
             }
         }
     }
@@ -640,15 +678,12 @@ impl Wire for PbftMsg {
                 digest: r.array32()?,
                 from: ReplicaId::decode(r)?,
             },
-            4 => PbftMsg::Reply(Reply::decode(r)?),
             5 => PbftMsg::ViewChange(VcVote::decode(r)?),
             6 => PbftMsg::NewView {
                 view: r.u64()?,
                 preprepares: Vec::<(u64, Arc<Batch>)>::decode(r)?,
             },
-            7 => PbftMsg::Checkpoint(Box::<CheckpointVoucher>::decode(r)?),
-            8 => PbftMsg::StateRequest { have: r.u64()?, from: ReplicaId::decode(r)? },
-            9 => PbftMsg::StateResponse(Box::<StateTransfer>::decode(r)?),
+            SHELL_TAG => PbftMsg::Shell(ShellMsg::decode(r)?),
             _ => return None,
         })
     }
@@ -657,10 +692,9 @@ impl Wire for PbftMsg {
         match self {
             PbftMsg::Request(req) => req.payload_len(),
             PbftMsg::PrePrepare { batch, .. } => batch.payload_len(),
-            PbftMsg::Reply(reply) => reply.payload_len(),
             PbftMsg::ViewChange(vote) => vote.payload_len(),
             PbftMsg::NewView { preprepares, .. } => preprepares.payload_len(),
-            PbftMsg::StateResponse(st) => st.payload_len(),
+            PbftMsg::Shell(msg) => msg.payload_len(),
             _ => 0,
         }
     }
@@ -684,10 +718,6 @@ impl Wire for MinBftMsg {
                 buf.push(2);
                 vote.encode(buf);
             }
-            MinBftMsg::Reply(reply) => {
-                buf.push(3);
-                reply.encode(buf);
-            }
             MinBftMsg::ReqViewChange(vote) => {
                 buf.push(4);
                 vote.encode(buf);
@@ -710,18 +740,9 @@ impl Wire for MinBftMsg {
                 ring_base.encode(buf);
                 from.encode(buf);
             }
-            MinBftMsg::Checkpoint(voucher) => {
-                buf.push(8);
-                voucher.encode(buf);
-            }
-            MinBftMsg::StateRequest { have, from } => {
-                buf.push(9);
-                have.encode(buf);
-                from.encode(buf);
-            }
-            MinBftMsg::StateResponse(st) => {
-                buf.push(10);
-                st.encode(buf);
+            MinBftMsg::Shell(msg) => {
+                buf.push(SHELL_TAG);
+                msg.encode(buf);
             }
         }
     }
@@ -736,7 +757,6 @@ impl Wire for MinBftMsg {
                 ui: UI::decode(r)?,
             },
             2 => MinBftMsg::Commit(Arc::<CommitVote>::decode(r)?),
-            3 => MinBftMsg::Reply(Reply::decode(r)?),
             4 => MinBftMsg::ReqViewChange(VcVote::decode(r)?),
             5 => MinBftMsg::NewView {
                 view: r.u64()?,
@@ -753,9 +773,7 @@ impl Wire for MinBftMsg {
                 ring_base: r.u64()?,
                 from: ReplicaId::decode(r)?,
             },
-            8 => MinBftMsg::Checkpoint(Box::<CheckpointVoucher>::decode(r)?),
-            9 => MinBftMsg::StateRequest { have: r.u64()?, from: ReplicaId::decode(r)? },
-            10 => MinBftMsg::StateResponse(Box::<StateTransfer>::decode(r)?),
+            SHELL_TAG => MinBftMsg::Shell(ShellMsg::decode(r)?),
             _ => return None,
         })
     }
@@ -765,10 +783,9 @@ impl Wire for MinBftMsg {
             MinBftMsg::Request(req) => req.payload_len(),
             MinBftMsg::Prepare { batch, .. } => batch.payload_len(),
             MinBftMsg::Commit(vote) => vote.payload_len(),
-            MinBftMsg::Reply(reply) => reply.payload_len(),
             MinBftMsg::ReqViewChange(vote) => vote.payload_len(),
             MinBftMsg::NewView { preprepares, .. } => preprepares.payload_len(),
-            MinBftMsg::StateResponse(st) => st.payload_len(),
+            MinBftMsg::Shell(msg) => msg.payload_len(),
             _ => 0,
         }
     }
@@ -785,7 +802,8 @@ impl Wire for PassiveMsg {
                 buf.push(1);
                 epoch.encode(buf);
                 first_seq.encode(buf);
-                ops.encode(buf);
+                (ops.len() as u64).encode(buf); // as a `Vec` would
+                ops.iter().for_each(|op| op.encode(buf));
             }
             PassiveMsg::Heartbeat { epoch, from, log_len } => {
                 buf.push(2);
@@ -798,22 +816,9 @@ impl Wire for PassiveMsg {
                 from_seq.encode(buf);
                 from.encode(buf);
             }
-            PassiveMsg::Reply(reply) => {
-                buf.push(4);
-                reply.encode(buf);
-            }
-            PassiveMsg::Checkpoint(voucher) => {
-                buf.push(5);
-                voucher.encode(buf);
-            }
-            PassiveMsg::StateRequest { have, from } => {
-                buf.push(6);
-                have.encode(buf);
-                from.encode(buf);
-            }
-            PassiveMsg::StateResponse(st) => {
-                buf.push(7);
-                st.encode(buf);
+            PassiveMsg::Shell(msg) => {
+                buf.push(SHELL_TAG);
+                msg.encode(buf);
             }
         }
     }
@@ -824,7 +829,7 @@ impl Wire for PassiveMsg {
             1 => PassiveMsg::StateUpdate {
                 epoch: r.u64()?,
                 first_seq: r.u64()?,
-                ops: Vec::<(Arc<Request>, Arc<Vec<u8>>)>::decode(r)?,
+                ops: Vec::<Shipped>::decode(r)?.into(),
             },
             2 => PassiveMsg::Heartbeat {
                 epoch: r.u64()?,
@@ -832,10 +837,7 @@ impl Wire for PassiveMsg {
                 log_len: r.u64()?,
             },
             3 => PassiveMsg::SyncRequest { from_seq: r.u64()?, from: ReplicaId::decode(r)? },
-            4 => PassiveMsg::Reply(Reply::decode(r)?),
-            5 => PassiveMsg::Checkpoint(Box::<CheckpointVoucher>::decode(r)?),
-            6 => PassiveMsg::StateRequest { have: r.u64()?, from: ReplicaId::decode(r)? },
-            7 => PassiveMsg::StateResponse(Box::<StateTransfer>::decode(r)?),
+            SHELL_TAG => PassiveMsg::Shell(ShellMsg::decode(r)?),
             _ => return None,
         })
     }
@@ -843,9 +845,8 @@ impl Wire for PassiveMsg {
     fn payload_len(&self) -> usize {
         match self {
             PassiveMsg::Request(req) => req.payload_len(),
-            PassiveMsg::StateUpdate { ops, .. } => ops.payload_len(),
-            PassiveMsg::Reply(reply) => reply.payload_len(),
-            PassiveMsg::StateResponse(st) => st.payload_len(),
+            PassiveMsg::StateUpdate { ops, .. } => ops.iter().map(Wire::payload_len).sum(),
+            PassiveMsg::Shell(msg) => msg.payload_len(),
             _ => 0,
         }
     }
@@ -888,6 +889,26 @@ mod tests {
             view: 2,
             from: ReplicaId(1),
         }
+    }
+
+    /// One of each shell message — further inputs to every protocol's
+    /// round trip.
+    fn shell_msgs() -> Vec<ShellMsg> {
+        vec![
+            ShellMsg::Reply(Reply {
+                replica: ReplicaId(2),
+                op: OpId { client: ClientId(1), seq: 1 },
+                result: Arc::new(b"OK".to_vec()),
+            }),
+            ShellMsg::Reply(Reply {
+                replica: ReplicaId(1),
+                op: OpId { client: ClientId(2), seq: 5 },
+                result: Arc::new(Vec::new()),
+            }),
+            ShellMsg::Checkpoint(Box::new(voucher(8, 1, 5))),
+            ShellMsg::StateRequest { have: 4, from: ReplicaId(3) },
+            ShellMsg::StateResponse(Box::new(transfer())),
+        ]
     }
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
@@ -972,6 +993,20 @@ mod tests {
         ]
         .concat();
         golden(&transfer(), &layout);
+
+        // A request frame is what it was before shell messages shared one
+        // tag: tag 0 and the request, in every protocol.
+        let request = req(9, 3, payload.to_vec());
+        let layout = [&[0u8][..], &request_layout(9, 3, &payload)].concat();
+        golden(&PbftMsg::Request(request.clone()), &layout);
+        golden(&MinBftMsg::Request(request.clone()), &layout);
+        golden(&PassiveMsg::Request(request), &layout);
+        // A shell message is the shell tag, its own tag, then its fields.
+        let ask = ShellMsg::StateRequest { have: 4, from: ReplicaId(3) };
+        let layout = [&[SHELL_TAG, 2][..], &4u64.to_le_bytes(), &3u32.to_le_bytes()].concat();
+        golden(&PbftMsg::Shell(ask.clone()), &layout);
+        golden(&MinBftMsg::Shell(ask.clone()), &layout);
+        golden(&PassiveMsg::Shell(ask), &layout);
     }
 
     #[test]
@@ -991,16 +1026,11 @@ mod tests {
     #[test]
     fn pbft_variants_roundtrip() {
         let batch = Arc::new(Batch::single(req(1, 1, b"SET k1.1 v1".to_vec())));
-        let msgs = vec![
+        let msgs = [
             PbftMsg::Request(req(9, 3, vec![0, 255, 7])),
             PbftMsg::PrePrepare { view: 1, seq: 2, batch: batch.clone() },
             PbftMsg::Prepare { view: 1, seq: 2, digest: batch.digest(), from: ReplicaId(3) },
             PbftMsg::Commit { view: 1, seq: 2, digest: batch.digest(), from: ReplicaId(0) },
-            PbftMsg::Reply(Reply {
-                replica: ReplicaId(2),
-                op: OpId { client: ClientId(1), seq: 1 },
-                result: Arc::new(b"OK".to_vec()),
-            }),
             PbftMsg::ViewChange(VcVote {
                 new_view: 2,
                 from: ReplicaId(1),
@@ -1016,19 +1046,16 @@ mod tests {
                 cert: None,
             }),
             PbftMsg::NewView { view: 2, preprepares: vec![(3, batch.clone())] },
-            PbftMsg::Checkpoint(Box::new(voucher(8, 1, 5))),
-            PbftMsg::StateRequest { have: 4, from: ReplicaId(3) },
-            PbftMsg::StateResponse(Box::new(transfer())),
         ];
-        for msg in &msgs {
-            roundtrip(msg);
+        for msg in msgs.into_iter().chain(shell_msgs().into_iter().map(PbftMsg::Shell)) {
+            roundtrip(&msg);
         }
     }
 
     #[test]
     fn minbft_variants_roundtrip() {
         let batch = Arc::new(Batch::single(req(2, 5, b"SET k2.5 v5".to_vec())));
-        let msgs = vec![
+        let msgs = [
             MinBftMsg::Request(req(2, 5, vec![1, 2, 3])),
             MinBftMsg::Prepare { view: 0, seq: 5, batch: batch.clone(), ui: ui(0, 6, 9) },
             MinBftMsg::Commit(Arc::new(CommitVote {
@@ -1039,11 +1066,6 @@ mod tests {
                 from: ReplicaId(1),
                 ui: ui(1, 7, 11),
             })),
-            MinBftMsg::Reply(Reply {
-                replica: ReplicaId(1),
-                op: OpId { client: ClientId(2), seq: 5 },
-                result: Arc::new(Vec::new()),
-            }),
             MinBftMsg::ReqViewChange(VcVote {
                 new_view: 1,
                 from: ReplicaId(2),
@@ -1063,37 +1085,26 @@ mod tests {
                 ring_base: 7,
                 from: ReplicaId(0),
             },
-            MinBftMsg::Checkpoint(Box::new(voucher(12, 2, 6))),
-            MinBftMsg::StateRequest { have: 2, from: ReplicaId(1) },
-            MinBftMsg::StateResponse(Box::new(transfer())),
         ];
-        for msg in &msgs {
-            roundtrip(msg);
+        for msg in msgs.into_iter().chain(shell_msgs().into_iter().map(MinBftMsg::Shell)) {
+            roundtrip(&msg);
         }
     }
 
     #[test]
     fn passive_variants_roundtrip() {
-        let msgs = vec![
+        let msgs = [
             PassiveMsg::Request(req(0, 1, b"SET k0.1 v1".to_vec())),
             PassiveMsg::StateUpdate {
                 epoch: 1,
                 first_seq: 4,
-                ops: vec![(req(0, 4, b"SET k0.4 v4".to_vec()), Arc::new(b"OK".to_vec()))],
+                ops: Box::new([(req(0, 4, b"SET k0.4 v4".to_vec()), Arc::new(b"OK".to_vec()))]),
             },
             PassiveMsg::Heartbeat { epoch: 1, from: ReplicaId(0), log_len: 9 },
             PassiveMsg::SyncRequest { from_seq: 5, from: ReplicaId(1) },
-            PassiveMsg::Reply(Reply {
-                replica: ReplicaId(0),
-                op: OpId { client: ClientId(0), seq: 4 },
-                result: Arc::new(b"OK".to_vec()),
-            }),
-            PassiveMsg::Checkpoint(Box::new(voucher(8, 0, 2))),
-            PassiveMsg::StateRequest { have: 3, from: ReplicaId(1) },
-            PassiveMsg::StateResponse(Box::new(transfer())),
         ];
-        for msg in &msgs {
-            roundtrip(msg);
+        for msg in msgs.into_iter().chain(shell_msgs().into_iter().map(PassiveMsg::Shell)) {
+            roundtrip(&msg);
         }
     }
 
@@ -1102,16 +1113,33 @@ mod tests {
         // Wrong version byte.
         let good = {
             let mut buf = Vec::new();
-            encode_frame(&PbftMsg::StateRequest { have: 1, from: ReplicaId(0) }, &mut buf);
+            let ask = ShellMsg::StateRequest { have: 1, from: ReplicaId(0) };
+            encode_frame(&PbftMsg::Shell(ask), &mut buf);
             buf
         };
         let mut wrong_version = good.clone();
         wrong_version[0] = WIRE_VERSION.wrapping_add(1);
         assert!(decode_frame::<PbftMsg>(&wrong_version).is_none());
-        // Unknown discriminant.
-        let mut unknown = good.clone();
-        unknown[1] = 0xEE;
-        assert!(decode_frame::<PbftMsg>(&unknown).is_none());
+        // Unknown discriminant, and an unknown shell message behind the
+        // shell tag.
+        for (at, tag) in [(1, 0xEE), (2, 4), (2, 0xEE)] {
+            let mut unknown = good.clone();
+            unknown[at] = tag;
+            assert!(decode_frame::<PbftMsg>(&unknown).is_none(), "tag {tag:#x} at {at}");
+            assert!(decode_frame::<MinBftMsg>(&unknown).is_none(), "tag {tag:#x} at {at}");
+            assert!(decode_frame::<PassiveMsg>(&unknown).is_none(), "tag {tag:#x} at {at}");
+        }
+        // Every strict prefix of every shell frame (the same bytes in every
+        // protocol).
+        for msg in shell_msgs() {
+            let mut frame = Vec::new();
+            encode_frame(&PbftMsg::Shell(msg.clone()), &mut frame);
+            for cut in 0..frame.len() {
+                assert!(decode_frame::<PbftMsg>(&frame[..cut]).is_none(), "{msg:?} at {cut}");
+                assert!(decode_frame::<MinBftMsg>(&frame[..cut]).is_none(), "{msg:?} at {cut}");
+                assert!(decode_frame::<PassiveMsg>(&frame[..cut]).is_none(), "{msg:?} at {cut}");
+            }
+        }
         // A lying collection count cannot force an allocation: count is
         // checked against the bytes actually present.
         let mut lying = vec![WIRE_VERSION, 5]; // ViewChange

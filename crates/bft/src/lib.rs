@@ -33,11 +33,14 @@
 //! * `chassis` (crate-private) — the one replica all three protocols are:
 //!   `Replica<P>` owns the id, `n`/`f`, the fault script, the outage flag
 //!   and the shell, and is the one [`api::ReplicaNode`] impl — the crash
-//!   window, timer revival after it, the output gate of a muted script,
-//!   wipe and recovery — while `P` (a crate-private `Core`) holds a
-//!   protocol's own state and handlers. `Replicas<P>` is the one
-//!   [`api::Cluster`] impl and provisioning loop; `PbftReplica`,
-//!   `PbftCluster` and their siblings are aliases of the two;
+//!   window, timer start and revival, the output gate of a muted script,
+//!   wipe and recovery, and the one router of every [`ShellMsg`] (each
+//!   taken only over its named sender's own link: a voucher to the shell,
+//!   a state request served, a state response admitted at f+1 and
+//!   installed) — while `P` (a crate-private `Core`) holds a protocol's
+//!   own state and handlers. `Replicas<P>` is the one [`api::Cluster`]
+//!   impl and provisioning loop; `PbftReplica`, `PbftCluster` and their
+//!   siblings are aliases of the two;
 //! * `shell` (crate-private) — the one replica shell inside the chassis.
 //!   It *owns* the request accumulator, the op → slot assignments, the
 //!   backup watchlist and the next free sequence number, the committed
@@ -51,10 +54,11 @@
 //!   **ordering core** (how to propose sealed requests, slots and
 //!   quorums, USIG and ingress windows, passive ship/sync/promote) and
 //!   calls the shell at fixed points (the table in `shell.rs`; the
-//!   chassis makes the per-input and lifecycle calls). The
-//!   replica's role, quorums, the log-entry digest and fault-script flags
-//!   are call-site arguments — the shell never asks which protocol it
-//!   serves;
+//!   chassis makes the per-input, shell-message and lifecycle calls).
+//!   The replica's role, quorums, the log-entry digest and fault-script
+//!   flags are call-site arguments — the shell never asks which protocol
+//!   it serves. Its four messages are one [`ShellMsg`], carried by every
+//!   protocol's message enum in a single `Shell` variant;
 //! * [`viewchange`] — the view-change ledger PBFT and MinBFT share: the
 //!   [`viewchange::VcVote`] both carry on the wire, who demands which
 //!   view (votes are bound to the link they arrive on), the rate-limited
@@ -126,4 +130,5 @@ pub use runner::{
     run, run_open_loop, run_scenario, OpenLoopReport, OpenLoopSpec, RunConfig, RunConfigBuilder,
     RunReport, ScenarioOutcome,
 };
+pub use shell::ShellMsg;
 pub use statemachine::{CounterMachine, KvStore, StateMachine};

@@ -18,14 +18,15 @@
 //! Wire format: PREPARE and COMMIT carry [`Arc<Batch>`] — the broadcast
 //! fan-out bumps a refcount per peer instead of deep-cloning the batch.
 
-use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
+use crate::adversary::conflicting_batch;
+use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica, Replicas};
-use crate::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
+use crate::checkpoint::{CheckpointCert, CstInstall};
 use crate::dense::{ReplicaSet, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState};
 use crate::protocol::Protocol;
 use crate::runner::RunConfig;
-use crate::shell::{Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
+use crate::shell::{carries_shell, Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
 use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
 use rsoc_crypto::Tag;
 use rsoc_hw::{EccRegister, PlainRegister, RegisterCell};
@@ -58,10 +59,10 @@ pub struct CommitVote {
 
 /// MinBFT wire messages.
 ///
-/// Rare, bulky variants (commit votes, checkpoint vouchers/certs, state
-/// transfers) live behind `Arc`/`Box` so the enum's size — and with it
-/// every per-event memcpy through the timing-wheel arena — is pinned by
-/// the hot `Prepare` variant (see `message_enums_stay_small`).
+/// Rare, bulky variants (commit votes, checkpoint hints, the shell's
+/// vouchers and transfers) live behind `Arc`/`Box` so the enum's size —
+/// and with it every per-event memcpy through the timing-wheel arena — is
+/// pinned by the hot `Prepare` variant (see `message_enums_stay_small`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MinBftMsg {
     /// Client request (shared across the fan-out).
@@ -79,8 +80,6 @@ pub enum MinBftMsg {
     },
     /// Backup's UI-certified commit vote (see [`CommitVote`]).
     Commit(Arc<CommitVote>),
-    /// Execution result (replica → client).
-    Reply(Reply),
     /// Vote to replace the primary.
     ReqViewChange(VcVote),
     /// New primary's installation message (re-proposals follow as normal
@@ -126,38 +125,11 @@ pub enum MinBftMsg {
         /// The responder (whose counter stream the requester resyncs).
         from: ReplicaId,
     },
-    /// A replica's MAC'd vouch for its state digest at a watermark.
-    /// Boxed — vouchers are periodic, not per-request.
-    Checkpoint(Box<CheckpointVoucher>),
-    /// A laggard asks peers for the latest certified state.
-    StateRequest {
-        /// The requester's execution watermark.
-        have: u64,
-        /// The requester.
-        from: ReplicaId,
-    },
-    /// Certificate + certified snapshot + committed suffix (see
-    /// [`StateTransfer`]). Boxed — transfers are rare and huge.
-    StateResponse(Box<StateTransfer>),
+    /// A reply, checkpoint voucher or state transfer (see [`ShellMsg`]).
+    Shell(ShellMsg),
 }
 
-impl ShellMsg for MinBftMsg {
-    fn reply(reply: Reply) -> Self {
-        MinBftMsg::Reply(reply)
-    }
-
-    fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
-        MinBftMsg::Checkpoint(voucher)
-    }
-
-    fn state_request(have: u64, from: ReplicaId) -> Self {
-        MinBftMsg::StateRequest { have, from }
-    }
-
-    fn state_response(transfer: Box<StateTransfer>) -> Self {
-        MinBftMsg::StateResponse(transfer)
-    }
-}
+carries_shell!(MinBftMsg);
 
 /// One agreement slot; executed slots are *retired* from the window
 /// instead of flagged (see [`SeqWindow::retire_below`]).
@@ -487,16 +459,7 @@ impl MinBftReplica {
         let Ok(ui) = self.core.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
             return;
         };
-        let evil_reqs: Vec<Arc<Request>> = batch
-            .requests()
-            .iter()
-            .map(|r| {
-                let mut e = Request::clone(r);
-                e.payload.reverse();
-                Arc::new(e)
-            })
-            .collect();
-        let evil = Arc::new(Batch::new(evil_reqs));
+        let evil = conflicting_batch(&batch);
         let forged_ui = UI { id: UsigId(self.id.0), counter: ui.counter, tag: Tag([0xEE; 32]) };
         let half = self.n / 2 + 1;
         for i in 0..self.n {
@@ -572,15 +535,8 @@ impl MinBftReplica {
         self.try_execute(out);
     }
 
-    fn handle_commit(
-        &mut self,
-        view: u64,
-        seq: u64,
-        batch: Arc<Batch>,
-        primary_ui: UI,
-        from: ReplicaId,
-        out: &mut Outbox<MinBftMsg>,
-    ) {
+    fn handle_commit(&mut self, vote: &CommitVote, out: &mut Outbox<MinBftMsg>) {
+        let CommitVote { view, seq, primary_ui, from, .. } = *vote;
         if view != self.core.vc.view() || !self.core.slots.admits(seq) {
             return; // an executed slot, or one past the horizon: no MAC for it
         }
@@ -590,7 +546,7 @@ impl MinBftReplica {
         // quoting that very certificate is compared, not re-verified.
         // Anything else (another tag, counter or id, the same UI under a
         // later view's primary, no PREPARE accepted yet) pays in full.
-        let digest = batch.digest();
+        let digest = vote.batch.digest();
         let primary = self.core.vc.primary_of(view);
         let verified = self.core.slots.get(seq).is_some_and(|slot| {
             slot.digest == Some(digest) && slot.primary_cert == Some((view, primary_ui))
@@ -613,7 +569,7 @@ impl MinBftReplica {
         if slot.batch.is_none() {
             // Adopting content we never saw a PREPARE for: the primary
             // certificate verified above is over this content's digest.
-            slot.batch = Some(batch);
+            slot.batch = Some(vote.batch.clone());
         }
         slot.digest = Some(digest);
         slot.primary_cert = Some((view, primary_ui));
@@ -642,7 +598,7 @@ impl MinBftReplica {
             // lint: allow(ingress-expect) -- the digest is stored alongside the batch, never alone
             let digest = slot.digest.expect("digest follows batch");
             self.shell.execute(next, &batch, digest, |reply| {
-                out.send(Endpoint::Client(reply.op.client), MinBftMsg::Reply(reply));
+                out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
             });
             self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
         }
@@ -655,19 +611,6 @@ impl MinBftReplica {
         let floor = self.shell.exec_upto() + 1;
         self.core.slots.retire_below(floor);
         self.core.stored_prepares.retire_below(floor);
-    }
-
-    /// Hands a transfer response to the shell; once f+1 responders agree
-    /// it installs, and this replica retires its windows, rejoins the
-    /// cluster's view and resumes execution.
-    fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<MinBftMsg>) {
-        let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
-        self.shell.install(&plan, Batch::digest);
-        self.retire_executed();
-        // The cluster may have moved on while we were down; join its view.
-        self.core.vc.join(plan.view);
-        self.shell.rearm_patience(out);
-        self.try_execute(out);
     }
 
     /// Ingests a [`MinBftMsg::CheckpointHint`] — the FillGap escalation
@@ -857,14 +800,7 @@ impl MinBftReplica {
                 }
                 let held_back = || MinBftMsg::Commit(Arc::clone(&vote));
                 if self.ingest_ui(vote.from, &vote.ui, &signed, held_back, out) {
-                    self.handle_commit(
-                        vote.view,
-                        vote.seq,
-                        vote.batch.clone(),
-                        vote.primary_ui,
-                        vote.from,
-                        out,
-                    );
+                    self.handle_commit(&vote, out);
                     self.drain_ready(out);
                 }
             }
@@ -908,25 +844,7 @@ impl MinBftReplica {
             MinBftMsg::CheckpointHint { cert, ring_base, from: sender } => {
                 self.handle_checkpoint_hint(from, *cert, ring_base, sender)
             }
-            MinBftMsg::Checkpoint(voucher) => {
-                self.shell.on_voucher(&voucher);
-            }
-            // Served only to the requester's own link: a transfer is the
-            // whole state, not something to reflect at a third party.
-            MinBftMsg::StateRequest { have, from: requester }
-                if from == Endpoint::Replica(requester) =>
-            {
-                self.shell.serve_transfer(
-                    have,
-                    requester,
-                    self.core.vc.view(),
-                    self.script.corrupts_snapshot_at(self.now),
-                    self.script.corrupts_suffix_at(self.now),
-                    out,
-                )
-            }
-            MinBftMsg::StateResponse(st) => self.handle_state_response(*st, out),
-            MinBftMsg::StateRequest { .. } | MinBftMsg::Reply(_) => {}
+            MinBftMsg::Shell(_) => {}
         }
     }
 
@@ -936,14 +854,7 @@ impl MinBftReplica {
                 MinBftMsg::Prepare { view, seq, batch, ui } => {
                     self.handle_prepare(view, seq, batch, ui, out)
                 }
-                MinBftMsg::Commit(vote) => self.handle_commit(
-                    vote.view,
-                    vote.seq,
-                    vote.batch.clone(),
-                    vote.primary_ui,
-                    vote.from,
-                    out,
-                ),
+                MinBftMsg::Commit(vote) => self.handle_commit(&vote, out),
                 _ => {}
             }
         }
@@ -954,6 +865,7 @@ impl MinBftReplica {
 impl Core for MinBft {
     type Msg = MinBftMsg;
     const PROTOCOL: Protocol = Protocol::MinBft;
+    const REQUEST: fn(Arc<Request>) -> MinBftMsg = MinBftMsg::Request;
 
     fn dispatch(r: &mut MinBftReplica, input: Input<MinBftMsg>, out: &mut Outbox<MinBftMsg>) {
         match input {
@@ -995,6 +907,15 @@ impl Core for MinBft {
         self.vc.wipe();
     }
 
+    fn installed(r: &mut MinBftReplica, plan: &CstInstall, out: &mut Outbox<MinBftMsg>) {
+        // The cluster may have moved on while we were down; join its view,
+        // re-arm patience for what is still pending, and resume execution
+        // (which retires the windows below the installed watermark).
+        r.core.vc.join(plan.view);
+        r.shell.rearm_patience(out);
+        r.try_execute(out);
+    }
+
     fn recovered(r: &mut MinBftReplica, state: &RecoveredState) {
         // Resume the USIG at or above the highest persisted counter: the
         // restarted process must never certify two statements under one
@@ -1009,17 +930,6 @@ impl Core for MinBft {
         // Executed sequence numbers are dead from the first input on — both
         // below the snapshot and below the replayed WAL tail.
         r.retire_executed();
-    }
-
-    fn request(req: Arc<Request>) -> MinBftMsg {
-        MinBftMsg::Request(req)
-    }
-
-    fn reply_of(msg: &MinBftMsg) -> Option<&Reply> {
-        match msg {
-            MinBftMsg::Reply(r) => Some(r),
-            _ => None,
-        }
     }
 
     fn mac_count(&self) -> u64 {
@@ -1288,7 +1198,9 @@ mod tests {
         );
         assert_eq!(node.core.accepted[1], ring_base - 1, "stream resynced at the ring base");
         assert!(
-            out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::StateRequest { .. })),
+            out.msgs
+                .iter()
+                .any(|(_, m)| matches!(m, MinBftMsg::Shell(ShellMsg::StateRequest { .. }))),
             "the adopted certificate must trigger a state-transfer request"
         );
 
@@ -1626,7 +1538,7 @@ mod tests {
         assert_eq!((r.core.future.len(), r.core.accepted[1], r.view()), (0, 1, 1));
         assert_eq!(r.committed_seq(), 1, "primary + own vote is the f+1 quorum");
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.view == 1)));
-        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Reply(_))));
+        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Shell(ShellMsg::Reply(_)))));
     }
 
     /// The voter id is wire-supplied: one naming a replica outside the

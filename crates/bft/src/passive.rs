@@ -9,14 +9,14 @@
 //! quiet. Experiment E4 measures exactly the paper's trade-off: steady-state
 //! cost (2 replicas, 2 messages/op) vs the failover unavailability window.
 
-use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
+use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica, Replicas};
-use crate::checkpoint::{CheckpointVoucher, StateTransfer};
+use crate::checkpoint::CstInstall;
 use crate::dense::SeqWindow;
 use crate::durable::RecoveredState;
 use crate::protocol::Protocol;
 use crate::runner::RunConfig;
-use crate::shell::{Intake, Role, ShellMsg, TIMER_FLUSH};
+use crate::shell::{carries_shell, Intake, Role, ShellMsg, TIMER_FLUSH};
 use std::sync::Arc;
 
 /// Timer kind: primary sends its next heartbeat (kinds 1 and 2 are the
@@ -27,7 +27,7 @@ const TIMER_DETECT: u32 = 4;
 
 /// Passive-replication wire messages.
 ///
-/// Rare, bulky variants (checkpoint vouchers, state transfers) live behind
+/// Rare, bulky variants (the shell's vouchers and transfers) live behind
 /// `Box` so the enum's size — and with it every per-event memcpy through
 /// the timing-wheel arena — is pinned by the hot sync-path variants.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +44,9 @@ pub enum PassiveMsg {
         first_seq: u64,
         /// Executed `(request, result)` pairs in log order (results let the
         /// backup answer retries identically) — both shared, not copied.
-        ops: Vec<(Arc<Request>, Arc<Vec<u8>>)>,
+        /// A boxed slice, not a `Vec`: it keeps this variant small enough
+        /// for the enum to stay the size of its [`ShellMsg`].
+        ops: Box<[Shipped]>,
     },
     /// Primary liveness signal, advertising the primary's log length so a
     /// recovering backup can detect that it missed state updates.
@@ -66,42 +68,17 @@ pub enum PassiveMsg {
         /// The requesting replica.
         from: ReplicaId,
     },
-    /// Execution result (replica → client).
-    Reply(Reply),
-    /// A replica's MAC'd vouch for its state digest at a log watermark
-    /// (passive checkpoints are per log sequence — the two domains
-    /// coincide here). Boxed — vouchers are periodic, not per-request.
-    Checkpoint(Box<CheckpointVoucher>),
-    /// A laggard asks its peer for the latest certified state (emitted
-    /// when a sync gap exceeds the shipped-window retention).
-    StateRequest {
-        /// The requester's committed-log length.
-        have: u64,
-        /// The requester.
-        from: ReplicaId,
-    },
-    /// Certificate + certified snapshot + committed suffix (see
-    /// [`StateTransfer`]). Boxed — transfers are rare and huge.
-    StateResponse(Box<StateTransfer>),
+    /// A reply, checkpoint voucher or state transfer (see [`ShellMsg`]).
+    /// Passive checkpoints are per log sequence — the slot and log domains
+    /// coincide here.
+    Shell(ShellMsg),
 }
 
-impl ShellMsg for PassiveMsg {
-    fn reply(reply: Reply) -> Self {
-        PassiveMsg::Reply(reply)
-    }
+carries_shell!(PassiveMsg);
 
-    fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
-        PassiveMsg::Checkpoint(voucher)
-    }
-
-    fn state_request(have: u64, from: ReplicaId) -> Self {
-        PassiveMsg::StateRequest { have, from }
-    }
-
-    fn state_response(transfer: Box<StateTransfer>) -> Self {
-        PassiveMsg::StateResponse(transfer)
-    }
-}
+/// One executed operation as the primary ships it: the request and its
+/// result.
+pub type Shipped = (Arc<Request>, Arc<Vec<u8>>);
 
 /// Passive's slot and log domains coincide: every operation is its own
 /// single-request batch (which is also how suffixes and durable commits
@@ -130,7 +107,6 @@ const SYNC_BURST: u64 = 64;
 pub struct Passive {
     /// Current primary epoch; primary is `epoch % 2`.
     epoch: u64,
-    bootstrapped: bool,
     last_heartbeat: u64,
     heartbeat_interval: u64,
     detect_timeout: u64,
@@ -140,7 +116,7 @@ pub struct Passive {
     /// Count of failovers this replica performed.
     failovers: u32,
     /// Shipped updates retained for backup resync, keyed by log sequence.
-    shipped: SeqWindow<(Arc<Request>, Arc<Vec<u8>>)>,
+    shipped: SeqWindow<Shipped>,
     /// When this backup last asked for a resync (rate limiter).
     sync_req_at: u64,
 }
@@ -176,7 +152,9 @@ impl PassiveReplica {
     /// forgery, transfer corruption) are inert here: passive replication
     /// has no votes or certificates to forge — a compromised tile manifests
     /// as silence or crash (see the
-    /// [`rsoc_soc`-level mapping](crate::adversary::Behavior)).
+    /// [`rsoc_soc`-level mapping](crate::adversary::Behavior)). The
+    /// chassis derives the transfer half from
+    /// [`Protocol::tolerates_byzantine`].
     ///
     /// # Panics
     /// Panics for ids other than 0 and 1.
@@ -184,7 +162,6 @@ impl PassiveReplica {
         assert!(id.0 < 2, "passive replication uses exactly two replicas");
         let core = Passive {
             epoch: 0,
-            bootstrapped: false,
             last_heartbeat: 0,
             heartbeat_interval,
             detect_timeout,
@@ -210,25 +187,6 @@ impl PassiveReplica {
         ReplicaId(1 - self.id.0)
     }
 
-    fn bootstrap(&mut self, out: &mut Outbox<PassiveMsg>) {
-        if !self.core.bootstrapped {
-            self.core.bootstrapped = true;
-            self.start_detector(out);
-        }
-    }
-
-    /// Starts this replica's self-re-arming timer chain — heartbeats as
-    /// primary, freshness checks as backup — granting the primary a fresh
-    /// detection period from now.
-    fn start_detector(&mut self, out: &mut Outbox<PassiveMsg>) {
-        self.core.last_heartbeat = self.now;
-        if self.is_primary() {
-            out.arm(self.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
-        } else {
-            out.arm(self.core.detect_timeout, TIMER_DETECT, 0);
-        }
-    }
-
     // Everything below is reachable from adversarial input: the scenario
     // engine can forge clients and replay/reorder replica traffic, so a
     // panic here is a remote crash (`rsoc_lint` enforces the contract).
@@ -243,7 +201,7 @@ impl PassiveReplica {
             let batch = single(req.clone());
             self.shell.execute(seq, &batch, entry_digest(&batch), |reply| {
                 ops.push((req.clone(), reply.result.clone()));
-                out.send(Endpoint::Client(reply.op.client), PassiveMsg::Reply(reply));
+                out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
             });
             self.checkpoint(seq, out);
         }
@@ -255,7 +213,7 @@ impl PassiveReplica {
         }
         out.send(
             Endpoint::Replica(self.peer()),
-            PassiveMsg::StateUpdate { epoch: self.core.epoch, first_seq, ops },
+            PassiveMsg::StateUpdate { epoch: self.core.epoch, first_seq, ops: ops.into() },
         );
     }
 
@@ -275,25 +233,6 @@ impl PassiveReplica {
         if let Some(log_len) = self.shell.ckpt().stable_log_len() {
             self.core.shipped.retire_below(log_len + 1);
         }
-    }
-
-    /// Installs a transferred state once the shell has checked it out.
-    /// With n = 2 there is no second responder to cross-check, so the
-    /// install quorum is 1 — the shell still enforces batch integrity and
-    /// density on the suffix (the documented passive residual: a lying
-    /// primary can feed a recovering backup). Promotion is gated on this
-    /// completing: a backup behind the certified watermark refuses to
-    /// fail over until the transfer lands (see the `TIMER_DETECT` arm).
-    fn handle_state_response(&mut self, st: StateTransfer, now: u64) {
-        let Some(plan) = self.shell.admit_transfer(st, 1) else { return };
-        self.shell.install(&plan, entry_digest);
-        self.resume_above_log();
-        if plan.view > self.core.epoch {
-            // The peer's epoch moved on while we were down; adopt it so
-            // role accounting (primary = epoch % 2) stays coherent.
-            self.core.epoch = plan.view;
-        }
-        self.core.last_heartbeat = now;
     }
 
     /// Re-anchors update hold-back just above the committed log after an
@@ -318,7 +257,7 @@ impl PassiveReplica {
         &mut self,
         epoch: u64,
         first_seq: u64,
-        ops: Vec<(Arc<Request>, Arc<Vec<u8>>)>,
+        ops: Box<[Shipped]>,
         now: u64,
         out: &mut Outbox<PassiveMsg>,
     ) {
@@ -332,7 +271,7 @@ impl PassiveReplica {
         // The shipped results are not kept: the backup executes every
         // update itself and answers retries with its own (deterministically
         // identical) result, like every other execution path.
-        for (i, (req, _)) in ops.into_iter().enumerate() {
+        for (i, (req, _)) in ops.into_vec().into_iter().enumerate() {
             if self.shell.has_executed(&req.op) {
                 continue;
             }
@@ -355,66 +294,63 @@ impl PassiveReplica {
     }
 }
 
-impl PassiveReplica {
-    /// Routes one input to its handler, emitting effects into `staged`.
-    fn dispatch_input(&mut self, input: Input<PassiveMsg>, staged: &mut Outbox<PassiveMsg>) {
-        let now = self.now;
-        self.bootstrap(staged);
+impl Core for Passive {
+    type Msg = PassiveMsg;
+    const PROTOCOL: Protocol = Protocol::Passive;
+    const REQUEST: fn(Arc<Request>) -> PassiveMsg = PassiveMsg::Request;
+    const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = entry_digest;
+
+    fn dispatch(r: &mut PassiveReplica, input: Input<PassiveMsg>, out: &mut Outbox<PassiveMsg>) {
+        let now = r.now;
         match input {
             Input::Message { from, msg } => match msg {
                 PassiveMsg::Request(req) => {
-                    let role = if self.is_primary() { Role::Primary } else { Role::Idle };
-                    if let Intake::Sealed(reqs) = self.shell.intake(req, role, staged) {
-                        self.propose(reqs, staged);
+                    let role = if r.is_primary() { Role::Primary } else { Role::Idle };
+                    if let Intake::Sealed(reqs) = r.shell.intake(req, role, out) {
+                        r.propose(reqs, out);
                     }
                 }
                 PassiveMsg::StateUpdate { epoch, first_seq, ops } => {
-                    self.handle_state_update(epoch, first_seq, ops, now, staged)
+                    r.handle_state_update(epoch, first_seq, ops, now, out)
                 }
                 PassiveMsg::Heartbeat { epoch, from: _, log_len } => {
-                    if epoch >= self.core.epoch {
-                        self.core.epoch = epoch;
-                        self.core.last_heartbeat = now;
+                    if epoch >= r.core.epoch {
+                        r.core.epoch = epoch;
+                        r.core.last_heartbeat = now;
                         // The advertised log length exposes updates this
                         // backup never saw (e.g. lost during its own crash
                         // window) — resync before any failover promotes a
                         // stale log into committed history.
-                        if !self.is_primary() && log_len > self.shell.committed() {
-                            self.maybe_request_sync(now, staged);
+                        if !r.is_primary() && log_len > r.shell.committed() {
+                            r.maybe_request_sync(now, out);
                         }
                     }
                 }
                 PassiveMsg::SyncRequest { from_seq, from: requester } => {
                     // Replayed only to the requester's own link.
-                    if self.is_primary()
-                        && requester != self.id
-                        && from == Endpoint::Replica(requester)
-                    {
-                        if from_seq < self.core.shipped.base() {
+                    if r.is_primary() && requester != r.id && from == Endpoint::Replica(requester) {
+                        if from_seq < r.core.shipped.base() {
                             // The gap starts below the shipped-window
                             // retention: those updates are gone, and a
                             // partial replay from `shipped.base()` would
                             // leave the backup with a hole it can never
                             // fill (it would silently stay promotable with
-                            // a shorter log). Serve a full state transfer
-                            // instead — the certificate-checked path.
-                            self.serve_transfer(from_seq.saturating_sub(1), requester, staged);
+                            // a shorter log). Answer the state request this
+                            // stands for — the certificate-checked path.
+                            let have = from_seq.saturating_sub(1);
+                            r.route(from, ShellMsg::StateRequest { have, from: requester }, out);
                             return;
                         }
                         // Replay the retained contiguous run from the
                         // requested sequence (bounded burst).
-                        let mut ops = Vec::new();
-                        for seq in from_seq..from_seq.saturating_add(SYNC_BURST) {
-                            match self.core.shipped.get(seq) {
-                                Some(op) => ops.push(op.clone()),
-                                None => break,
-                            }
-                        }
+                        let ops: Box<[Shipped]> = (from_seq..from_seq.saturating_add(SYNC_BURST))
+                            .map_while(|seq| r.core.shipped.get(seq).cloned())
+                            .collect();
                         if !ops.is_empty() {
-                            staged.send(
+                            out.send(
                                 Endpoint::Replica(requester),
                                 PassiveMsg::StateUpdate {
-                                    epoch: self.core.epoch,
+                                    epoch: r.core.epoch,
                                     first_seq: from_seq,
                                     ops,
                                 },
@@ -422,41 +358,30 @@ impl PassiveReplica {
                         }
                     }
                 }
-                PassiveMsg::Checkpoint(voucher) => {
-                    if self.shell.on_voucher(&voucher) {
-                        self.retire_shipped();
-                    }
-                }
-                PassiveMsg::StateRequest { have, from: requester }
-                    if from == Endpoint::Replica(requester) =>
-                {
-                    self.serve_transfer(have, requester, staged)
-                }
-                PassiveMsg::StateResponse(st) => self.handle_state_response(*st, now),
-                PassiveMsg::StateRequest { .. } | PassiveMsg::Reply(_) => {}
+                PassiveMsg::Shell(_) => {}
             },
             Input::Timer { kind: TIMER_FLUSH, token } => {
-                if let Some(reqs) = self.shell.on_flush_timer(token, self.is_primary()) {
-                    self.propose(reqs, staged);
+                if let Some(reqs) = r.shell.on_flush_timer(token, r.is_primary()) {
+                    r.propose(reqs, out);
                 }
             }
             Input::Timer { kind: TIMER_HEARTBEAT, .. } => {
-                if self.is_primary() {
-                    staged.send(
-                        Endpoint::Replica(self.peer()),
+                if r.is_primary() {
+                    out.send(
+                        Endpoint::Replica(r.peer()),
                         PassiveMsg::Heartbeat {
-                            epoch: self.core.epoch,
-                            from: self.id,
-                            log_len: self.shell.committed(),
+                            epoch: r.core.epoch,
+                            from: r.id,
+                            log_len: r.shell.committed(),
                         },
                     );
-                    staged.arm(self.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
+                    out.arm(r.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
                 }
             }
             Input::Timer { kind: TIMER_DETECT, .. } => {
-                if !self.is_primary() {
-                    if now.saturating_sub(self.core.last_heartbeat) > self.core.detect_timeout {
-                        if self.shell.behind() {
+                if !r.is_primary() {
+                    if now.saturating_sub(r.core.last_heartbeat) > r.core.detect_timeout {
+                        if r.shell.behind() {
                             // Promotion gate: a certified checkpoint ahead
                             // of our log proves committed history we do
                             // not hold — promoting now would install a
@@ -465,24 +390,24 @@ impl PassiveReplica {
                             // every input. (If the only snapshot holder is
                             // dead, the pair stays safely unavailable — the
                             // documented 2-replica residual.)
-                            staged.arm(self.core.detect_timeout, TIMER_DETECT, 0);
+                            out.arm(r.core.detect_timeout, TIMER_DETECT, 0);
                             return;
                         }
-                        // Failure detected: promote self.
-                        self.core.epoch += 1;
-                        self.core.failovers += 1;
-                        debug_assert!(self.is_primary());
-                        staged.send(
-                            Endpoint::Replica(self.peer()),
+                        // Failure detected: promote r.
+                        r.core.epoch += 1;
+                        r.core.failovers += 1;
+                        debug_assert!(r.is_primary());
+                        out.send(
+                            Endpoint::Replica(r.peer()),
                             PassiveMsg::Heartbeat {
-                                epoch: self.core.epoch,
-                                from: self.id,
-                                log_len: self.shell.committed(),
+                                epoch: r.core.epoch,
+                                from: r.id,
+                                log_len: r.shell.committed(),
                             },
                         );
-                        staged.arm(self.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
+                        out.arm(r.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
                     } else {
-                        staged.arm(self.core.detect_timeout, TIMER_DETECT, 0);
+                        out.arm(r.core.detect_timeout, TIMER_DETECT, 0);
                     }
                 }
             }
@@ -490,26 +415,17 @@ impl PassiveReplica {
         }
     }
 
-    /// Serves a state transfer; snapshot/suffix corruption scripts are
-    /// inert for passive replication, like every content attack.
-    fn serve_transfer(&self, have: u64, to: ReplicaId, out: &mut Outbox<PassiveMsg>) {
-        self.shell.serve_transfer(have, to, self.core.epoch, false, false, out);
-    }
-}
-
-impl Core for Passive {
-    type Msg = PassiveMsg;
-    const PROTOCOL: Protocol = Protocol::Passive;
-    const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = entry_digest;
-
-    fn dispatch(r: &mut PassiveReplica, input: Input<PassiveMsg>, out: &mut Outbox<PassiveMsg>) {
-        r.dispatch_input(input, out);
-    }
-
+    /// Starts the replica's timer chain — heartbeats as primary,
+    /// freshness checks as backup — granting the primary a fresh detection
+    /// period from now. A duplicate chain from a timer that survived an
+    /// outage is harmless: each fire re-arms exactly one successor.
     fn revive(r: &mut PassiveReplica, out: &mut Outbox<PassiveMsg>) {
-        // A duplicate chain from a timer that survived the window is
-        // harmless: each fire re-arms exactly one successor.
-        r.start_detector(out);
+        r.core.last_heartbeat = r.now;
+        if r.is_primary() {
+            out.arm(r.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
+        } else {
+            out.arm(r.core.detect_timeout, TIMER_DETECT, 0);
+        }
     }
 
     fn view(&self) -> u64 {
@@ -517,29 +433,39 @@ impl Core for Passive {
     }
 
     fn wipe(&mut self) {
-        // Re-bootstrap re-arms the timer chains, and the first heartbeat
-        // re-teaches us the epoch; the detector configuration stays.
+        // The chassis restarts the timer chains on the next input, and the
+        // first heartbeat re-teaches us the epoch; the detector
+        // configuration stays.
         self.epoch = 0;
-        self.bootstrapped = false;
         self.last_heartbeat = 0;
         self.held_updates = SeqWindow::with_base(1);
         self.shipped = SeqWindow::with_base(1);
         self.sync_req_at = 0;
     }
 
+    fn certified(r: &mut PassiveReplica) {
+        r.retire_shipped();
+    }
+
+    /// With n = 2 there is no second responder to cross-check, so the
+    /// install quorum is f+1 = 1 — the shell still enforces batch
+    /// integrity and density on the suffix (the documented passive
+    /// residual: a lying primary can feed a recovering backup). Promotion
+    /// is gated on this completing: a backup behind the certified
+    /// watermark refuses to fail over until the transfer lands (see the
+    /// `TIMER_DETECT` arm).
+    fn installed(r: &mut PassiveReplica, plan: &CstInstall, _: &mut Outbox<PassiveMsg>) {
+        r.resume_above_log();
+        if plan.view > r.core.epoch {
+            // The peer's epoch moved on while we were down; adopt it so
+            // role accounting (primary = epoch % 2) stays coherent.
+            r.core.epoch = plan.view;
+        }
+        r.core.last_heartbeat = r.now;
+    }
+
     fn recovered(r: &mut PassiveReplica, _: &RecoveredState) {
         r.resume_above_log();
-    }
-
-    fn request(req: Arc<Request>) -> PassiveMsg {
-        PassiveMsg::Request(req)
-    }
-
-    fn reply_of(msg: &PassiveMsg) -> Option<&Reply> {
-        match msg {
-            PassiveMsg::Reply(r) => Some(r),
-            _ => None,
-        }
     }
 }
 // lint: end

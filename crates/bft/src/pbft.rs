@@ -8,11 +8,12 @@
 //! (request timeouts → VIEW-CHANGE → NEW-VIEW re-proposal). With
 //! [`RunConfig::checkpoint_interval`] set, replicas additionally take
 //! **certified checkpoints** every `interval` executed slots (f+1 MAC'd
-//! [`CheckpointVoucher`]s form a certificate), truncate their logs and
-//! retention rings below the stable watermark, recover long-crashed or
-//! rejuvenated peers through **collaborative state transfer**
-//! (certificate plus snapshot plus log suffix, the snapshot
-//! cross-checked against the certificate before install), and carry the
+//! [`CheckpointVoucher`](crate::checkpoint::CheckpointVoucher)s form a
+//! certificate), truncate their logs and retention rings below the
+//! stable watermark, recover long-crashed or rejuvenated peers through
+//! **collaborative state transfer** (certificate plus snapshot plus log
+//! suffix, the snapshot cross-checked against the certificate before
+//! install), and carry the
 //! stable certificate in view changes — a verified certificate floors
 //! the new view, so forged prepared sets at or below certified history
 //! are rejected (see [`crate::checkpoint`]). View-change content
@@ -33,23 +34,24 @@
 //! [`OpIndex`](crate::dense::OpIndex)es, and quorum tallies in
 //! [`ReplicaSet`] bitmasks.
 
-use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Reply, Request};
+use crate::adversary::conflicting_batch;
+use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica, Replicas};
-use crate::checkpoint::{CheckpointVoucher, StateTransfer};
+use crate::checkpoint::CstInstall;
 use crate::dense::{ReplicaSet, SeqWindow};
 use crate::durable::RecoveredState;
 use crate::protocol::Protocol;
 use crate::runner::RunConfig;
-use crate::shell::{Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
+use crate::shell::{carries_shell, Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
 use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
 use std::sync::Arc;
 
 /// PBFT wire messages.
 ///
-/// Rare, bulky variants (checkpoint vouchers/certs, state transfers) live
-/// behind `Box` so the enum's size — and with it every per-event memcpy
-/// through the timing-wheel arena — is pinned by the hot agreement
-/// variants (see `message_enums_stay_small` in `minbft`).
+/// Rare, bulky variants (the shell's vouchers and transfers) live behind
+/// `Box` so the enum's size — and with it every per-event memcpy through
+/// the timing-wheel arena — is pinned by the hot agreement variants (see
+/// `message_enums_stay_small` in `minbft`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PbftMsg {
     /// Client request (client → all replicas; shared across the fan-out).
@@ -86,8 +88,6 @@ pub enum PbftMsg {
         /// Voting replica.
         from: ReplicaId,
     },
-    /// Execution result (replica → client).
-    Reply(Reply),
     /// Suspicion of the primary; vote to move to a new view.
     ViewChange(VcVote),
     /// New primary's installation message.
@@ -97,40 +97,11 @@ pub enum PbftMsg {
         /// Re-proposed `(seq, batch)` pairs.
         preprepares: Vec<(u64, Arc<Batch>)>,
     },
-    /// Periodic checkpoint voucher: "my state digested to `digest` after
-    /// executing slot `seq`" (MAC'd; f+1 matching form a certificate).
-    /// Boxed — vouchers are periodic, not per-request.
-    Checkpoint(Box<CheckpointVoucher>),
-    /// A recovering replica asks peers for the latest certificate +
-    /// snapshot + log suffix (`have` = its execution watermark).
-    StateRequest {
-        /// Requester's execution watermark.
-        have: u64,
-        /// Requesting replica.
-        from: ReplicaId,
-    },
-    /// A peer's state-transfer answer (see [`StateTransfer`]).
-    /// Boxed — transfers are rare and huge.
-    StateResponse(Box<StateTransfer>),
+    /// A reply, checkpoint voucher or state transfer (see [`ShellMsg`]).
+    Shell(ShellMsg),
 }
 
-impl ShellMsg for PbftMsg {
-    fn reply(reply: Reply) -> Self {
-        PbftMsg::Reply(reply)
-    }
-
-    fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
-        PbftMsg::Checkpoint(voucher)
-    }
-
-    fn state_request(have: u64, from: ReplicaId) -> Self {
-        PbftMsg::StateRequest { have, from }
-    }
-
-    fn state_response(transfer: Box<StateTransfer>) -> Self {
-        PbftMsg::StateResponse(transfer)
-    }
-}
+carries_shell!(PbftMsg);
 
 /// One agreement slot. Slots live in the [`SeqWindow`]; execution removes
 /// and retires them, so an "executed" slot is simply one below the window
@@ -229,16 +200,7 @@ impl PbftReplica {
     /// Byzantine primary: proposes conflicting batches for the same
     /// sequence number to two halves of the backups (and votes for both).
     fn equivocate(&mut self, seq: u64, batch: Arc<Batch>, out: &mut Outbox<PbftMsg>) {
-        let evil_reqs: Vec<Arc<Request>> = batch
-            .requests()
-            .iter()
-            .map(|r| {
-                let mut e = Request::clone(r);
-                e.payload.reverse();
-                Arc::new(e)
-            })
-            .collect();
-        let evil = Arc::new(Batch::new(evil_reqs));
+        let evil = conflicting_batch(&batch);
         let half = self.n / 2;
         let view = self.core.vc.view();
         for i in 0..self.n {
@@ -324,8 +286,11 @@ impl PbftReplica {
         }
     }
 
-    fn handle_prepare(
+    /// Counts `from`'s PREPARE — or, with `commit`, its COMMIT — for
+    /// `digest` at `seq`.
+    fn handle_vote(
         &mut self,
+        commit: bool,
         view: u64,
         seq: u64,
         digest: [u8; 32],
@@ -337,25 +302,8 @@ impl PbftReplica {
         }
         let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if slot.digest.is_none_or(|d| d == digest) {
-            slot.prepares.insert(from);
-        }
-        self.maybe_advance(seq, out);
-    }
-
-    fn handle_commit(
-        &mut self,
-        view: u64,
-        seq: u64,
-        digest: [u8; 32],
-        from: ReplicaId,
-        out: &mut Outbox<PbftMsg>,
-    ) {
-        if view != self.core.vc.view() || !self.core.slots.admits(seq) {
-            return;
-        }
-        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
-        if slot.digest.is_none_or(|d| d == digest) {
-            slot.commits.insert(from);
+            let votes = if commit { &mut slot.commits } else { &mut slot.prepares };
+            votes.insert(from);
         }
         self.maybe_advance(seq, out);
     }
@@ -405,7 +353,7 @@ impl PbftReplica {
             // lint: allow(ingress-expect) -- sent_commit is only set after the digest is stored
             let digest = slot.digest.expect("checked");
             self.shell.execute(next, &batch, digest, |reply| {
-                out.send(Endpoint::Client(reply.op.client), PbftMsg::Reply(reply));
+                out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
             });
             self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
         }
@@ -418,22 +366,6 @@ impl PbftReplica {
         let floor = self.shell.exec_upto() + 1;
         self.core.slots.retire_below(floor);
         self.core.stored_preprepares.retire_below(floor);
-    }
-
-    /// Hands a transfer response to the shell; once f+1 responders agree
-    /// it installs, and this replica retires its windows, rejoins the
-    /// cluster's view and resumes execution.
-    fn handle_state_response(&mut self, st: StateTransfer, out: &mut Outbox<PbftMsg>) {
-        let Some(plan) = self.shell.admit_transfer(st, (self.f + 1) as usize) else { return };
-        self.shell.install(&plan, Batch::digest);
-        self.retire_executed();
-        // The cluster may have moved on while we were down; join its view
-        // so the current primary's proposals are accepted.
-        self.core.vc.join(plan.view);
-        // Re-arm patience for requests still pending after the replay, and
-        // resume normal execution for anything already quorate.
-        self.shell.rearm_patience(out);
-        self.try_execute(out);
     }
 
     fn prepared_uncommitted(&self) -> PreparedSet {
@@ -551,9 +483,9 @@ impl PbftReplica {
 impl Core for Pbft {
     type Msg = PbftMsg;
     const PROTOCOL: Protocol = Protocol::Pbft;
+    const REQUEST: fn(Arc<Request>) -> PbftMsg = PbftMsg::Request;
 
     fn dispatch(r: &mut PbftReplica, input: Input<PbftMsg>, out: &mut Outbox<PbftMsg>) {
-        let now = r.now;
         match input {
             Input::Message { from, msg } => match msg {
                 PbftMsg::Request(req) => match r.shell.intake(req, r.core.vc.role(), out) {
@@ -569,41 +501,21 @@ impl Core for Pbft {
                 PbftMsg::Prepare { view, seq, digest, from: voter }
                     if from == Endpoint::Replica(voter) =>
                 {
-                    r.handle_prepare(view, seq, digest, voter, out)
+                    r.handle_vote(false, view, seq, digest, voter, out)
                 }
                 PbftMsg::Commit { view, seq, digest, from: voter }
                     if from == Endpoint::Replica(voter) =>
                 {
-                    r.handle_commit(view, seq, digest, voter, out)
+                    r.handle_vote(true, view, seq, digest, voter, out)
                 }
                 PbftMsg::ViewChange(vote) => r.handle_view_change(from, vote, out),
                 PbftMsg::NewView { view, preprepares } => {
                     r.handle_new_view(view, preprepares, from, out)
                 }
-                PbftMsg::Checkpoint(voucher) => {
-                    r.shell.on_voucher(&voucher);
-                }
-                // Served only to the requester's own link: a transfer is
-                // the whole state, not something to reflect at a third
-                // party.
-                PbftMsg::StateRequest { have, from: to } if from == Endpoint::Replica(to) => {
-                    r.shell.serve_transfer(
-                        have,
-                        to,
-                        r.core.vc.view(),
-                        r.script.corrupts_snapshot_at(now),
-                        r.script.corrupts_suffix_at(now),
-                        out,
-                    )
-                }
-                PbftMsg::StateResponse(st) => r.handle_state_response(*st, out),
-                PbftMsg::Prepare { .. }
-                | PbftMsg::Commit { .. }
-                | PbftMsg::StateRequest { .. }
-                | PbftMsg::Reply(_) => {}
+                PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } | PbftMsg::Shell(_) => {}
             },
             Input::Timer { kind: TIMER_REQUEST, token } if r.shell.watching(token) => {
-                if let Some(next) = r.core.vc.on_patience_timer(now, r.shell.patience()) {
+                if let Some(next) = r.core.vc.on_patience_timer(r.now, r.shell.patience()) {
                     r.start_view_change(next, out);
                 }
                 // Keep watching: if the new view also stalls, escalate.
@@ -628,21 +540,19 @@ impl Core for Pbft {
         self.vc.wipe();
     }
 
+    fn installed(r: &mut PbftReplica, plan: &CstInstall, out: &mut Outbox<PbftMsg>) {
+        // The cluster may have moved on while we were down; join its view,
+        // re-arm patience for what is still pending, and resume execution
+        // (which retires the windows below the installed watermark).
+        r.core.vc.join(plan.view);
+        r.shell.rearm_patience(out);
+        r.try_execute(out);
+    }
+
     fn recovered(r: &mut PbftReplica, _: &RecoveredState) {
         // Executed sequence numbers are dead from the first input on — both
         // below the snapshot and below the replayed WAL tail.
         r.retire_executed();
-    }
-
-    fn request(req: Arc<Request>) -> PbftMsg {
-        PbftMsg::Request(req)
-    }
-
-    fn reply_of(msg: &PbftMsg) -> Option<&Reply> {
-        match msg {
-            PbftMsg::Reply(r) => Some(r),
-            _ => None,
-        }
     }
 }
 // lint: end

@@ -22,11 +22,11 @@
 //! | [`Shell::open_slot`] / [`Shell::assign`] | it proposes / accepts a proposal       |
 //! | [`Shell::execute`]                | a slot is ordered and every earlier one ran   |
 //! | [`Shell::checkpoint`]             | right after each executed slot                |
-//! | [`Shell::on_voucher`]             | a peer's checkpoint voucher arrives           |
+//! | [`Shell::on_voucher`]             | chassis: a peer's checkpoint voucher arrives  |
 //! | [`Shell::accept_cert`]            | a certificate rides a view change or hint     |
 //! | [`Shell::request_transfer`]       | chassis: after every input (rate-limited)     |
-//! | [`Shell::serve_transfer`]         | a peer's state request arrives                |
-//! | [`Shell::admit_transfer`] then [`Shell::install`] | a state response arrives      |
+//! | [`Shell::serve_transfer`]         | chassis: a peer's state request arrives       |
+//! | [`Shell::admit_transfer`] then [`Shell::install`] | chassis: a state response arrives |
 //! | [`Shell::rearm_patience`]         | after an outage (chassis), an install or a new view |
 //! | [`Shell::recover`]                | chassis: once, before the first input, on restart |
 //! | [`Shell::wipe`]                   | chassis: rejuvenation                         |
@@ -55,20 +55,79 @@ use crate::statemachine::{KvStore, StateMachine};
 use rsoc_crypto::{sha256, Tag};
 use std::sync::Arc;
 
-/// Constructors for the shell-emitted variants every protocol's message
-/// enum carries, so the shell writes straight into the caller's
-/// [`Outbox`] (no returned `Vec`, no per-op allocation). (`pub` only so the
-/// chassis's public impls may name it; the module is private.)
-pub trait ShellMsg: Clone {
-    /// Wraps an execution result on its way to the client.
-    fn reply(reply: Reply) -> Self;
-    /// Wraps a checkpoint voucher.
-    fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self;
-    /// A state-transfer request from `from`, which has executed `have`.
-    fn state_request(have: u64, from: ReplicaId) -> Self;
-    /// Wraps a state-transfer response.
-    fn state_response(transfer: Box<StateTransfer>) -> Self;
+/// The four messages every replica's shell sends and receives, whichever
+/// protocol orders its requests: each protocol's message enum carries them
+/// in one `Shell(ShellMsg)` variant, and the chassis routes them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ShellMsg {
+    /// Execution result (replica → client).
+    Reply(Reply),
+    /// A MAC'd checkpoint voucher; a quorum of matching ones forms a
+    /// certificate. Boxed — vouchers are periodic, not per-request.
+    Checkpoint(Box<CheckpointVoucher>),
+    /// A recovering replica asks its peers for the certified state.
+    StateRequest {
+        /// Requester's execution watermark.
+        have: u64,
+        /// Requesting replica.
+        from: ReplicaId,
+    },
+    /// A peer's state-transfer answer (see [`StateTransfer`]). Boxed —
+    /// transfers are rare and huge.
+    StateResponse(Box<StateTransfer>),
 }
+
+impl ShellMsg {
+    /// The replica the message names as its sender: a replica takes it
+    /// only over that replica's own link.
+    pub(crate) fn sender(&self) -> ReplicaId {
+        match self {
+            ShellMsg::Reply(reply) => reply.replica,
+            ShellMsg::Checkpoint(voucher) => voucher.from,
+            ShellMsg::StateRequest { from, .. } => *from,
+            ShellMsg::StateResponse(st) => st.from,
+        }
+    }
+}
+
+/// A protocol's message enum: its own messages plus one `Shell(ShellMsg)`
+/// variant — implemented by [`carries_shell!`], never by hand. (`pub` only
+/// so the chassis's public impls may name it; the module is private.)
+pub trait Carrier: From<ShellMsg> + Clone {
+    /// The shell message this is, or the protocol's own message back.
+    fn into_shell(self) -> Result<ShellMsg, Self>;
+    /// The shell message this is, if it is one.
+    fn as_shell(&self) -> Option<&ShellMsg>;
+}
+
+/// Implements [`Carrier`] (and `From<ShellMsg>`) for a message enum with a
+/// `Shell(ShellMsg)` variant.
+macro_rules! carries_shell {
+    ($msg:ident) => {
+        impl From<$crate::shell::ShellMsg> for $msg {
+            fn from(msg: $crate::shell::ShellMsg) -> Self {
+                $msg::Shell(msg)
+            }
+        }
+
+        impl $crate::shell::Carrier for $msg {
+            fn into_shell(self) -> Result<$crate::shell::ShellMsg, Self> {
+                match self {
+                    $msg::Shell(msg) => Ok(msg),
+                    other => Err(other),
+                }
+            }
+
+            fn as_shell(&self) -> Option<&$crate::shell::ShellMsg> {
+                match self {
+                    $msg::Shell(msg) => Some(msg),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+pub(crate) use carries_shell;
 
 /// Timer kind: a backup's patience for a watched request ran out.
 pub(crate) const TIMER_REQUEST: u32 = 1;
@@ -300,14 +359,14 @@ impl Shell {
     /// the accumulator, which seals at `batch_size` ([`Intake::Sealed`])
     /// or arms the flush timer; a backup puts it on its watchlist and
     /// starts its patience timer.
-    pub(crate) fn intake<M: ShellMsg>(
+    pub(crate) fn intake<M: From<ShellMsg>>(
         &mut self,
         req: Arc<Request>,
         role: Role,
         out: &mut Outbox<M>,
     ) -> Intake {
         if let Some(reply) = self.cached_reply(req.op) {
-            out.send(Endpoint::Client(req.op.client), M::reply(reply));
+            out.send(Endpoint::Client(req.op.client), ShellMsg::Reply(reply).into());
             return Intake::Done;
         }
         match role {
@@ -458,7 +517,7 @@ impl Shell {
     /// colluder, isolated in its own digest group, never quorate). The
     /// retained image stays honest, so the forger can still serve a
     /// transfer if its peers certify the honest digest.
-    pub(crate) fn checkpoint<M: ShellMsg>(
+    pub(crate) fn checkpoint<M: From<ShellMsg> + Clone>(
         &mut self,
         exec_seq: u64,
         forge: bool,
@@ -476,14 +535,14 @@ impl Shell {
                 from: self.id,
                 tag: Tag([0xEE; 32]),
             };
-            out.broadcast(self.n, self.id, M::checkpoint(Box::new(garbage)));
+            out.broadcast(self.n, self.id, ShellMsg::Checkpoint(Box::new(garbage)).into());
             let colluder = self.ckpt.record_local(exec_seq, lie, self.log.committed(), image);
-            out.broadcast(self.n, self.id, M::checkpoint(Box::new(colluder)));
+            out.broadcast(self.n, self.id, ShellMsg::Checkpoint(Box::new(colluder)).into());
             return false;
         }
         let digest = image.digest();
         let voucher = self.ckpt.record_local(exec_seq, digest, self.log.committed(), image);
-        out.broadcast(self.n, self.id, M::checkpoint(Box::new(voucher.clone())));
+        out.broadcast(self.n, self.id, ShellMsg::Checkpoint(Box::new(voucher.clone())).into());
         self.on_voucher(&voucher)
     }
 
@@ -558,9 +617,17 @@ impl Shell {
 
     /// Broadcasts a state-transfer request if the stable certificate is
     /// ahead of local execution (rate-limited by the CST backoff).
-    pub(crate) fn request_transfer<M: ShellMsg>(&mut self, now: u64, out: &mut Outbox<M>) {
+    pub(crate) fn request_transfer<M: From<ShellMsg> + Clone>(
+        &mut self,
+        now: u64,
+        out: &mut Outbox<M>,
+    ) {
         if self.behind() && self.ckpt.may_request(now) {
-            out.broadcast(self.n, self.id, M::state_request(self.exec_upto, self.id));
+            out.broadcast(
+                self.n,
+                self.id,
+                ShellMsg::StateRequest { have: self.exec_upto, from: self.id }.into(),
+            );
         }
     }
 
@@ -573,7 +640,7 @@ impl Shell {
     /// suffix under an honest certificate and snapshot survives every
     /// check a single responder can be subjected to, so only the
     /// requester's slot-by-slot quorum vote can out-vote it.
-    pub(crate) fn serve_transfer<M: ShellMsg>(
+    pub(crate) fn serve_transfer<M: From<ShellMsg>>(
         &self,
         have: u64,
         to: ReplicaId,
@@ -607,7 +674,7 @@ impl Shell {
         }
         let suffix = Arc::new(suffix);
         let transfer = StateTransfer { cert, snapshot, log_base, suffix, view, from: self.id };
-        out.send(Endpoint::Replica(to), M::state_response(Box::new(transfer)));
+        out.send(Endpoint::Replica(to), ShellMsg::StateResponse(Box::new(transfer)).into());
     }
 
     /// Validates a transfer response — the certificate verifies and the
@@ -752,34 +819,6 @@ mod tests {
     use super::*;
     use crate::api::{ClientId, Request};
 
-    /// The four shell-emitted variants, nothing else: no protocol, no
-    /// runner.
-    #[derive(Debug, Clone, PartialEq)]
-    enum Msg {
-        Reply(Reply),
-        Checkpoint(Box<CheckpointVoucher>),
-        StateRequest { have: u64, from: ReplicaId },
-        StateResponse(Box<StateTransfer>),
-    }
-
-    impl ShellMsg for Msg {
-        fn reply(reply: Reply) -> Self {
-            Msg::Reply(reply)
-        }
-
-        fn checkpoint(voucher: Box<CheckpointVoucher>) -> Self {
-            Msg::Checkpoint(voucher)
-        }
-
-        fn state_request(have: u64, from: ReplicaId) -> Self {
-            Msg::StateRequest { have, from }
-        }
-
-        fn state_response(transfer: Box<StateTransfer>) -> Self {
-            Msg::StateResponse(transfer)
-        }
-    }
-
     const N: u32 = 4;
     const QUORUM: usize = 2;
     const INTERVAL: u64 = 4;
@@ -820,7 +859,7 @@ mod tests {
         make: fn(u64) -> Arc<Batch>,
     ) -> (Vec<Reply>, Vec<CheckpointVoucher>) {
         let mut replies = Vec::new();
-        let mut out = Outbox::<Msg>::new();
+        let mut out = Outbox::<ShellMsg>::new();
         for seq in from..=to {
             let b = make(seq);
             shell.execute(seq, &b, b.digest(), |reply| replies.push(reply));
@@ -829,7 +868,7 @@ mod tests {
         // One copy per peer, adjacent: collapse each broadcast to one.
         let mut vouchers = Vec::new();
         for (_, msg) in out.msgs {
-            if let Msg::Checkpoint(v) = msg {
+            if let ShellMsg::Checkpoint(v) = msg {
                 vouchers.push(*v);
             }
         }
@@ -838,10 +877,10 @@ mod tests {
     }
 
     fn served(shell: &Shell, have: u64, snapshot: bool, suffix: bool) -> StateTransfer {
-        let mut out = Outbox::<Msg>::new();
+        let mut out = Outbox::<ShellMsg>::new();
         shell.serve_transfer(have, ReplicaId(3), 5, snapshot, suffix, &mut out);
         match out.msgs.pop() {
-            Some((Endpoint::Replica(ReplicaId(3)), Msg::StateResponse(st))) => *st,
+            Some((Endpoint::Replica(ReplicaId(3)), ShellMsg::StateResponse(st))) => *st,
             other => panic!("expected one state response to r3, got {other:?}"),
         }
     }
@@ -877,11 +916,11 @@ mod tests {
         let cert = s[0].ckpt().stable().unwrap().clone();
         assert_eq!(laggard.accept_cert(&cert), Some(4));
         assert!(laggard.behind());
-        let mut out = Outbox::<Msg>::new();
+        let mut out = Outbox::<ShellMsg>::new();
         laggard.request_transfer(0, &mut out);
         laggard.request_transfer(1, &mut out);
         assert_eq!(out.msgs.len(), (N - 1) as usize, "one broadcast inside the backoff");
-        assert_eq!(out.msgs[0].1, Msg::StateRequest { have: 0, from: ReplicaId(3) });
+        assert_eq!(out.msgs[0].1, ShellMsg::StateRequest { have: 0, from: ReplicaId(3) });
 
         // The served image is exactly the framed snapshot + sessions of the
         // state at the watermark.
@@ -978,7 +1017,7 @@ mod tests {
     fn forged_vouchers_lie_without_poisoning_the_served_image() {
         let keys = CkptKeys::provision(11, N as usize);
         let mut s = shells(&keys);
-        let mut out = Outbox::<Msg>::new();
+        let mut out = Outbox::<ShellMsg>::new();
         for seq in 1..=4 {
             let b = batch(seq);
             s[0].execute(seq, &b, b.digest(), |_| {});
@@ -988,7 +1027,7 @@ mod tests {
         assert_eq!(out.msgs.len(), 2 * (N - 1) as usize);
         let (_, honest) = run(&mut s[1], 1, 4);
         for (_, msg) in &out.msgs {
-            if let Msg::Checkpoint(v) = msg {
+            if let ShellMsg::Checkpoint(v) = msg {
                 assert!(!s[1].on_voucher(v), "neither forgery completes a quorum");
             }
         }
@@ -1205,7 +1244,7 @@ mod tests {
         assert_eq!(out.msgs.len(), 6);
         assert_eq!(
             out.msgs[5],
-            (Endpoint::Client(ClientId(2)), Msg::Reply(last.expect("5 000 slots ran")))
+            (Endpoint::Client(ClientId(2)), ShellMsg::Reply(last.expect("5 000 slots ran")))
         );
         assert!(out.timers.is_empty() && shell.assigned.is_empty());
     }
@@ -1219,7 +1258,7 @@ mod tests {
 
     /// A shell sealing at two requests, flushing after 50 cycles, with a
     /// patience of 300.
-    fn front_end() -> (Shell, Outbox<Msg>) {
+    fn front_end() -> (Shell, Outbox<ShellMsg>) {
         let mut shell = Shell::new(ReplicaId(0), N, QUORUM);
         shell.set_batching(2, 50);
         shell.set_patience(300);
@@ -1255,7 +1294,7 @@ mod tests {
         for (to, msg) in &out.msgs {
             assert_eq!(
                 (to, msg),
-                (&Endpoint::Client(ClientId(2)), &Msg::Reply(executed[1].clone()))
+                (&Endpoint::Client(ClientId(2)), &ShellMsg::Reply(executed[1].clone()))
             );
         }
         assert!(out.timers.is_empty());
@@ -1343,7 +1382,7 @@ mod tests {
         assert_eq!(s[0].ckpt().stable_seq(), 4, "the certificate survives");
         assert!(s[0].behind(), "which is what sends a wiped replica to state transfer");
         // The image went with the wipe: this replica can no longer serve.
-        let mut out = Outbox::<Msg>::new();
+        let mut out = Outbox::<ShellMsg>::new();
         s[0].serve_transfer(0, ReplicaId(3), 0, false, false, &mut out);
         assert!(out.msgs.is_empty());
     }

@@ -12,7 +12,7 @@
 //! ```text
 //! wal-<k>.log    record*            (k = segment index, dense)
 //! record         = len:u32 LE | crc32(payload):u32 LE | payload
-//! payload        = encode_frame(WalRecord)            (versioned)
+//! payload        = RECORD_VERSION | WalRecord         (versioned)
 //! snap-<seq>.bin = one record whose payload is a SnapshotRecord
 //! ```
 //!
@@ -58,7 +58,7 @@
 
 use rsoc_bft::api::Batch;
 use rsoc_bft::checkpoint::CheckpointCert;
-use rsoc_bft::codec::{decode_frame, encode_frame, Crc32, Reader, Wire};
+use rsoc_bft::codec::{Crc32, Reader, Wire};
 use rsoc_bft::durable::{DurableEvent, RecoveredState};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -69,6 +69,13 @@ use std::sync::Arc;
 /// single-burst error shorter than 32 bits, which covers the torn and
 /// bit-flipped tails the chaos harness injects.
 pub use rsoc_bft::codec::crc32;
+
+/// The version byte every record payload starts with. It moved with the
+/// wire version through version 3 (certificates certify Merkle roots);
+/// wire version 4 reframed only protocol messages, which never reach the
+/// disk, so records stay at 3 and a data directory written before it
+/// still opens.
+pub const RECORD_VERSION: u8 = 3;
 
 /// The length field of a record holding `payload` bytes. It is a `u32`,
 /// and that is the only bound: writer and reader must agree on it, or a
@@ -82,9 +89,9 @@ fn record_len(payload: usize) -> io::Result<u32> {
     })
 }
 
-/// One WAL record. The `Wire` impl is the disk layout (inside the
-/// versioned frame), so a codec version bump invalidates old WALs
-/// explicitly instead of misreading them.
+/// One WAL record. The `Wire` impl is the disk layout (behind
+/// [`RECORD_VERSION`]), so a layout change bumps the version and
+/// invalidates old WALs explicitly instead of misreading them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Agreement slot `seq` committed `batch`.
@@ -161,7 +168,8 @@ impl Wire for SnapshotRecord {
 pub fn frame_record<T: Wire>(value: &T, out: &mut Vec<u8>) -> io::Result<()> {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    encode_frame(value, out);
+    out.push(RECORD_VERSION);
+    value.encode(out);
     let payload = &out[start + 8..];
     let (len, crc) = match record_len(payload.len()) {
         Ok(len) => (len, crc32(payload)),
@@ -187,7 +195,8 @@ fn snapshot_envelope(
     wal_start: u64,
 ) -> io::Result<[Vec<u8>; 2]> {
     let mut head = vec![0u8; 8];
-    encode_frame(cert, &mut head);
+    head.push(RECORD_VERSION);
+    cert.encode(&mut head);
     log_len.encode(&mut head);
     (image.len() as u64).encode(&mut head);
     let mut tail = Vec::new();
@@ -219,7 +228,17 @@ fn parse_record<T: Wire>(bytes: &[u8], off: usize) -> Option<(T, usize)> {
     if crc32(payload) != crc {
         return None;
     }
-    Some((decode_frame::<T>(payload)?, start + len as usize))
+    Some((decode_record::<T>(payload)?, start + len as usize))
+}
+
+/// Decodes one record payload: [`RECORD_VERSION`], then exactly one value.
+fn decode_record<T: Wire>(payload: &[u8]) -> Option<T> {
+    let mut r = Reader::new(payload);
+    if r.u8()? != RECORD_VERSION {
+        return None;
+    }
+    let value = T::decode(&mut r)?;
+    r.is_empty().then_some(value)
 }
 // lint: end
 
@@ -456,7 +475,6 @@ mod tests {
     use proptest::prelude::*;
     use rsoc_bft::api::{ClientId, OpId, Request};
     use rsoc_bft::checkpoint::CheckpointVoucher;
-    use rsoc_bft::codec::WIRE_VERSION;
     use rsoc_crypto::{sha256, Tag};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -510,15 +528,16 @@ mod tests {
         }
     }
 
-    /// `value`'s frame is `golden` byte for byte, decodes back, and every
-    /// strict prefix of it is refused.
+    /// `value`'s record payload is `golden` byte for byte, decodes back,
+    /// and every strict prefix of it is refused.
     fn check_layout<T: Wire + PartialEq + std::fmt::Debug>(value: &T, golden: &[u8]) {
-        let mut frame = Vec::new();
-        encode_frame(value, &mut frame);
+        let mut record = Vec::new();
+        frame_record(value, &mut record).expect("small record");
+        let frame = &record[8..];
         assert_eq!(frame, golden, "{value:?}");
-        assert_eq!(decode_frame::<T>(&frame).as_ref(), Some(value));
+        assert_eq!(decode_record::<T>(frame).as_ref(), Some(value));
         for cut in 0..frame.len() {
-            assert!(decode_frame::<T>(&frame[..cut]).is_none(), "prefix of {cut} bytes");
+            assert!(decode_record::<T>(&frame[..cut]).is_none(), "prefix of {cut} bytes");
         }
     }
 
@@ -531,10 +550,10 @@ mod tests {
         let batch = Arc::new(Batch::single(req(3, 9, b"SET k v".to_vec())));
         let request = [&3u32.to_le_bytes()[..], &9u64.to_le_bytes(), &field(b"SET k v")].concat();
         let commit = WalRecord::Commit { seq: 9, batch };
-        let layout = [&[WIRE_VERSION, 0][..], &9u64.to_le_bytes(), &1u64.to_le_bytes(), &request];
+        let layout = [&[RECORD_VERSION, 0][..], &9u64.to_le_bytes(), &1u64.to_le_bytes(), &request];
         check_layout(&commit, &layout.concat());
         let counter = WalRecord::UsigCounter(77);
-        check_layout(&counter, &[&[WIRE_VERSION, 1][..], &77u64.to_le_bytes()].concat());
+        check_layout(&counter, &[&[RECORD_VERSION, 1][..], &77u64.to_le_bytes()].concat());
 
         let image = b"CKIMG1 state".to_vec();
         let cert = cert(5, &image);
@@ -542,7 +561,7 @@ mod tests {
         cert.encode(&mut cert_layout);
         let snapshot = SnapshotRecord { cert, log_len: 5, bytes: image.clone(), wal_start: 2 };
         let layout = [
-            &[WIRE_VERSION][..],
+            &[RECORD_VERSION][..],
             &cert_layout,
             &5u64.to_le_bytes(),
             &field(&image),

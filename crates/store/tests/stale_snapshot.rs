@@ -12,8 +12,7 @@ mod common;
 
 use common::{cluster, dir_of, scratch};
 use rsoc_bft::api::ReplicaNode;
-use rsoc_bft::codec::WIRE_VERSION;
-use rsoc_store::crc32;
+use rsoc_store::{crc32, RECORD_VERSION};
 use std::path::{Path, PathBuf};
 
 /// The one snapshot file in `dir`.
@@ -65,7 +64,7 @@ fn a_version_2_snapshot_is_skipped_and_the_replica_rejoins_by_state_transfer() {
         // Re-frame the record as wire version 2, checksum and all: only
         // the version byte stands between it and the decoder.
         let mut bytes = std::fs::read(snap).expect("read");
-        assert_eq!(bytes[8], WIRE_VERSION);
+        assert_eq!(bytes[8], RECORD_VERSION);
         bytes[8] = 2;
         let crc = crc32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());

@@ -19,7 +19,9 @@
 //!   reclaims its advertised address through `TIME_WAIT`;
 //! * [`node`] — the threaded serve loop and [`node::TcpPlane`], the
 //!   `Transport` implementation — durable when given an `rsoc_store`
-//!   data directory (persist before dispatch);
+//!   data directory (persist before dispatch); every frame is bound to
+//!   the connection its hello opened, so a message names only that
+//!   connection's replica or clients as its sender;
 //! * [`client`] — the external cluster client issuing the simulator's
 //!   exact request log and checking digest convergence;
 //! * [`run`] — the `rsoc-serve` / `rsoc-client` entry points over

@@ -18,7 +18,11 @@
 //!
 //! The node loop never touches a socket: protocol code stays sans-io,
 //! and every byte entering it went through the total frame + envelope
-//! decoders.
+//! decoders. Every message is bound to the connection it arrived on: a
+//! peer connection speaks only as the replica its hello named, a client
+//! connection only as the client ids it registered, so the protocols'
+//! per-link vote counting holds on real sockets too. (The hello itself is
+//! not yet authenticated.)
 
 use crate::clock::WallClock;
 use crate::frame::{read_frame, write_frame};
@@ -276,18 +280,22 @@ fn spawn_acceptor<M: Wire + Send + 'static>(listener: TcpListener, tx: Sender<Ne
 ///
 /// The first frame must be a hello; it decides whether the connection is
 /// a peer replica (messages only) or a client process (messages, digest
-/// queries, shutdown — with a writer half for replies). Malformed bodies
-/// are skipped: framing stays intact, so one bad body never desyncs the
-/// stream.
+/// queries, shutdown — with a writer half for replies), and whom its
+/// messages may name as their sender: the replica the hello named, or one
+/// of the client ids it registered. A message naming anyone else is
+/// dropped, as are malformed bodies: framing stays intact, so one bad body
+/// never desyncs the stream.
 fn reader_loop<M: Wire + Send>(mut stream: TcpStream, tx: &Sender<NetEvent<M>>) {
     let Ok(Some(first)) = read_frame(&mut stream) else { return };
     match decode_envelope::<M>(&first) {
-        Some(Envelope::HelloReplica(_)) => {
+        Some(Envelope::HelloReplica(id)) => {
+            let link = Endpoint::Replica(ReplicaId(id));
             while let Ok(Some(body)) = read_frame(&mut stream) {
-                if let Some(Envelope::Msg { from, msg }) = decode_envelope::<M>(&body) {
-                    if tx.send(NetEvent::Deliver { from, msg }).is_err() {
-                        return;
-                    }
+                let Some(Envelope::Msg { from, msg }) = decode_envelope::<M>(&body) else {
+                    continue;
+                };
+                if from == link && tx.send(NetEvent::Deliver { from, msg }).is_err() {
+                    return;
                 }
             }
         }
@@ -295,12 +303,17 @@ fn reader_loop<M: Wire + Send>(mut stream: TcpStream, tx: &Sender<NetEvent<M>>) 
             let Ok(write_half) = stream.try_clone() else { return };
             let (wtx, wrx) = sync_channel::<Vec<u8>>(CLIENT_QUEUE_DEPTH);
             thread::spawn(move || client_writer_loop(write_half, &wrx));
+            let owned = ids.clone();
             if tx.send(NetEvent::RegisterClients { ids, tx: wtx.clone() }).is_err() {
                 return;
             }
             while let Ok(Some(body)) = read_frame(&mut stream) {
                 let event = match decode_envelope::<M>(&body) {
-                    Some(Envelope::Msg { from, msg }) => NetEvent::Deliver { from, msg },
+                    Some(Envelope::Msg { from: Endpoint::Client(c), msg })
+                        if owned.contains(&c.0) =>
+                    {
+                        NetEvent::Deliver { from: Endpoint::Client(c), msg }
+                    }
                     Some(Envelope::DigestQuery) => NetEvent::Query { tx: wtx.clone() },
                     Some(Envelope::Shutdown) => {
                         let _ = tx.send(NetEvent::Shutdown);

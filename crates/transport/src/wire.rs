@@ -169,7 +169,7 @@ mod tests {
             PbftMsg::PrePrepare { view: 0, seq: 1, batch: batch.clone() },
             PbftMsg::Prepare { view: 0, seq: 1, digest: batch.digest(), from: ReplicaId(1) },
             PbftMsg::Commit { view: 0, seq: 1, digest: batch.digest(), from: ReplicaId(1) },
-            PbftMsg::Reply(reply),
+            PbftMsg::Shell(rsoc_bft::ShellMsg::Reply(reply)),
         ] {
             let env = Envelope::Msg { from, msg };
             let body = encode_envelope(&env);

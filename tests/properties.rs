@@ -775,6 +775,7 @@ proptest! {
     ) {
         use manycore_resilience::bft::api::{ClientId, Endpoint, Input, OpId, Outbox, Request};
         use manycore_resilience::bft::minbft::MinBftMsg;
+        use manycore_resilience::bft::ShellMsg;
         use std::sync::Arc;
 
         let cfg = RunConfig {
@@ -802,7 +803,7 @@ proptest! {
         );
         prop_assert_eq!(out.msgs.len(), 1, "exactly one cached reply, no re-proposal");
         match &out.msgs[0] {
-            (Endpoint::Client(c), MinBftMsg::Reply(r)) => {
+            (Endpoint::Client(c), MinBftMsg::Shell(ShellMsg::Reply(r))) => {
                 prop_assert_eq!(*c, ClientId(0));
                 prop_assert_eq!(r.op, op);
             }
@@ -841,13 +842,13 @@ proptest! {
                 msg: PassiveMsg::StateUpdate {
                     epoch: 0,
                     first_seq: 1,
-                    ops: vec![(
+                    ops: Box::new([(
                         Arc::new(Request {
                             op: OpId { client: ClientId(9), seq: 999 },
                             payload: b"SET k9.999 forged".to_vec(),
                         }),
                         Arc::new(b"forged".to_vec()),
-                    )],
+                    )]),
                 },
             },
             1, &mut out,
