@@ -7,7 +7,7 @@ use rsoc_bft::api::{
     Batch, ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
 };
 use rsoc_bft::checkpoint::{CheckpointCert, StateTransfer};
-use rsoc_bft::codec::{decode_frame, encode_frame};
+use rsoc_bft::codec::{decode_frame, encode_frame, Wire};
 use rsoc_bft::durable::{DurableEvent, RecoveredState};
 use rsoc_bft::minbft::MinBftCluster;
 use rsoc_bft::pbft::{PbftCluster, PbftMsg, PbftReplica};
@@ -355,7 +355,7 @@ impl DurableCluster {
                     for event in &events {
                         match event {
                             DurableEvent::Commit { batch, .. } => {
-                                self.wal_bytes += batch.wire_len()
+                                self.wal_bytes += batch.wire_len() as u64
                             }
                             DurableEvent::Stable { snapshot, .. } => {
                                 self.last_image = snapshot.len() as u64;

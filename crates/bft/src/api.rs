@@ -17,6 +17,8 @@ pub use crate::codec::{decode_frame, encode_frame, request_fields, Reader, Wire,
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplicaId(pub u32);
 
+crate::wire! { struct ReplicaId(0) }
+
 impl fmt::Display for ReplicaId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "r{}", self.0)
@@ -26,6 +28,8 @@ impl fmt::Display for ReplicaId {
 /// Client identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
+
+crate::wire! { struct ClientId(0) }
 
 impl fmt::Display for ClientId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -42,6 +46,8 @@ pub struct OpId {
     pub seq: u64,
 }
 
+crate::wire! { struct OpId { client, seq } }
+
 /// A client request carrying an opaque state-machine command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -52,12 +58,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// Length of the request's [`Wire`] encoding (see [`request_fields`]):
-    /// client, sequence number and payload length, then the payload.
-    pub fn wire_len(&self) -> u64 {
-        4 + 8 + 8 + self.payload.len() as u64
-    }
-
     /// SHA-256 digest of the request (identity + payload), used in
     /// prepare/commit certificates: `client u32 LE · seq u64 LE · payload`.
     /// Nothing is allocated: a request of up to 256 such bytes is framed on
@@ -136,12 +136,6 @@ impl Batch {
     /// The cached batch digest.
     pub fn digest(&self) -> [u8; 32] {
         self.digest
-    }
-
-    /// Length of the batch's [`Wire`] encoding — the request count, then
-    /// each request — without encoding it.
-    pub fn wire_len(&self) -> u64 {
-        8 + self.requests.iter().map(|r| r.wire_len()).sum::<u64>()
     }
 
     /// Hashes the batch's canonical wire bytes incrementally (no
@@ -314,6 +308,8 @@ pub struct Reply {
     pub result: Arc<Vec<u8>>,
 }
 
+crate::wire! { struct Reply { replica, op, result } }
+
 /// One committed slot of a replica's totally-ordered log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntry {
@@ -333,6 +329,8 @@ pub enum Endpoint {
     /// A client.
     Client(ClientId),
 }
+
+crate::wire! { enum Endpoint { 0 => Replica(id), 1 => Client(id) } }
 
 /// Input delivered to a replica by the harness.
 #[derive(Debug, Clone)]

@@ -137,6 +137,8 @@ pub struct CheckpointVoucher {
     pub tag: Tag,
 }
 
+crate::wire! { struct CheckpointVoucher { seq, digest, from, tag } }
+
 /// `quorum` matching vouchers from distinct replicas: the stable-checkpoint
 /// certificate. Verifiable by anyone holding [`CkptKeys`], including a
 /// freshly wiped replica — which is what makes certificate-gated re-join
@@ -150,6 +152,8 @@ pub struct CheckpointCert {
     /// The matching vouchers (distinct senders).
     pub vouchers: Vec<CheckpointVoucher>,
 }
+
+crate::wire! { struct CheckpointCert { seq, digest, vouchers } }
 
 /// One peer's answer to a state-transfer request: the stable certificate,
 /// the snapshot it certifies, and the committed tail above it.
@@ -182,6 +186,8 @@ pub struct StateTransfer {
     /// Responding replica.
     pub from: ReplicaId,
 }
+
+crate::wire! { struct StateTransfer { cert, snapshot, log_base, suffix, view, from } }
 
 /// Counters the campaign rows record per replica.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

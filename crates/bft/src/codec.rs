@@ -1,47 +1,42 @@
 //! The shared wire codec: one versioned, length-framed binary encoding
 //! for every protocol message, used by *both* planes.
 //!
-//! The simulator never serializes (messages travel as in-memory values),
-//! but its **digest path does**: [`crate::api::Batch`] identity is
-//! a SHA-256 over a canonical length-framed byte layout. The TCP plane
-//! (`rsoc_transport`) needs exactly such a layout for its socket frames.
+//! The simulator never serializes, but its **digest path does**: a
+//! [`Batch`]'s identity is a SHA-256 over a canonical length-framed
+//! layout, the one the TCP plane (`rsoc_transport`) puts on its sockets.
 //! This module is the single definition both consume:
 //!
-//! * [`request_fields`] emits the canonical bytes of one request — the
-//!   batch digest hashes them incrementally (no allocation on the hot
-//!   path), the [`Wire`] impl appends the very same bytes to a frame. A
-//!   batch's frame encoding *is* its digest pre-image:
-//!   `sha256(encode(batch)) == batch.digest()`.
+//! * [`request_fields`] emits the canonical bytes of one request: the
+//!   batch digest hashes them without allocating, the [`Wire`] impl
+//!   appends them to a frame, so a batch's frame *is* its digest
+//!   pre-image: `sha256(encode(batch)) == batch.digest()`.
 //! * [`Wire`] is the encode/decode pair every wire-visible type
-//!   implements; [`encode_frame`]/[`decode_frame`] add the format version
-//!   byte. The socket layer's u32 length prefix lives in
-//!   `rsoc_transport::frame` — framing is transport, content is here.
-//! * A byte field (request payload, reply result, state image) is one
-//!   length plus one copy: `count u64 LE · bytes`, appended with
-//!   `extend_from_slice` and taken back as one slice. `u8` is not a
-//!   [`Wire`] type, so no byte vector crosses the codec an element at a
-//!   time.
+//!   implements, with [`Wire::wire_len`], the exact length of the
+//!   encoding, so a frame is allocated once, at its size.
+//!   [`encode_frame`]/[`decode_frame`] add the format version byte; the
+//!   socket's u32 length prefix lives in `rsoc_transport::frame`.
+//! * [`wire!`](crate::wire) declares a type once, beside its definition:
+//!   a struct as its fields in wire order, an enum as a tag byte per
+//!   variant. `encode`, `decode` and `wire_len` are generated from that
+//!   one list. Only the primitives and containers, [`Request`] (its bytes
+//!   are the digest pre-image) and [`Batch`] (sealed through
+//!   [`Batch::new`]) implement [`Wire`] by hand.
+//! * A byte field (request payload, reply result, state image) is
+//!   `count u64 LE · bytes`, appended and taken back as one slice: `u8`
+//!   is not a [`Wire`] type, so no byte vector crosses element by element.
 //!
-//! Decoding is total: it consumes attacker-controlled bytes and returns
-//! `Option`, never panicking and never trusting a length field beyond the
-//! bytes actually present (collection counts are sanity-checked against
-//! the remaining input before any allocation). The decode path is an
-//! ingress region under `rsoc_lint`.
+//! Decoding is total: it returns `Option`, never panics, and trusts no
+//! count beyond the bytes present, nor reserves memory beyond them. The
+//! decode path, the `wire!` macro included, is an `rsoc_lint` ingress
+//! region.
 
-use crate::api::{Batch, ClientId, Endpoint, OpId, ReplicaId, Reply, Request};
-use crate::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
-use crate::minbft::{CommitVote, MinBftMsg};
-use crate::passive::{PassiveMsg, Shipped};
-use crate::pbft::PbftMsg;
-use crate::shell::ShellMsg;
-use crate::viewchange::VcVote;
+use crate::api::{Batch, OpId, Request};
 use rsoc_crypto::Tag;
 use rsoc_hybrid::{UsigId, UI};
 use std::sync::Arc;
 
 /// The checksum the planes put *around* an encoded frame (`rsoc_store`'s
-/// on-disk record header), re-exported next to the encoding it guards so
-/// a plane that frames these bytes needs no second path to the kernel.
+/// record header), re-exported next to the encoding it guards.
 pub use rsoc_crypto::{crc32, Crc32};
 
 /// Wire format version, the first byte of every frame. Bumped on any
@@ -53,17 +48,17 @@ pub use rsoc_crypto::{crc32, Crc32};
 /// version-2 peer or snapshot file would never match a version-3
 /// certificate, so it is refused at the frame instead. Version 4: the
 /// reply, checkpoint voucher, state request and state response are one
-/// [`ShellMsg`], framed the same in every protocol — tag `0x80`, then a
-/// one-byte inner tag — so each of them is a byte longer; requests and
-/// ordering messages are unchanged.
+/// [`ShellMsg`](crate::ShellMsg), framed the same in every protocol — tag
+/// `0x80`, then a one-byte inner tag — so each of them is a byte longer;
+/// requests and ordering messages are unchanged.
 pub const WIRE_VERSION: u8 = 4;
 
-/// The tag of a [`ShellMsg`] in every protocol's frame, clear of the
-/// protocols' own tags (which count up from 0).
+/// The tag of a [`ShellMsg`](crate::ShellMsg) in every protocol's frame,
+/// clear of the protocols' own tags (which count up from 0).
 pub(crate) const SHELL_TAG: u8 = 0x80;
 
 /// Emits the canonical wire bytes of one request:
-/// `client u32 LE | seq u64 LE | payload_len u64 LE | payload`.
+/// `client u32 LE | seq u64 LE | payload length u64 LE | payload`.
 ///
 /// The **single definition** of request framing: the batch digest hashes
 /// these slices incrementally and the [`Wire`] impl appends them to a
@@ -77,8 +72,6 @@ pub fn request_fields(r: &Request, emit: &mut dyn FnMut(&[u8])) {
 }
 
 // lint: ingress
-// (Everything below decodes attacker-controlled bytes: no panics, no
-// unchecked indexing, no length field trusted beyond the bytes present.)
 
 /// A bounds-checked cursor over an incoming byte slice.
 #[derive(Debug, Clone, Copy)]
@@ -117,26 +110,16 @@ impl<'a> Reader<'a> {
         self.take(1)?.first().copied()
     }
 
-    /// Reads a `u32` (little-endian).
-    pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// Reads a `u64` (little-endian).
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// Reads a 32-byte array (digests, tags).
-    pub fn array32(&mut self) -> Option<[u8; 32]> {
-        self.take(32)?.try_into().ok()
+    /// Reads `N` bytes as an array (integers, digests, tags).
+    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
     }
 
     /// Reads a collection count and sanity-checks it against the input:
     /// every element encodes to at least one byte, so a count exceeding
     /// the remaining bytes is a lie — reject it *before* allocating.
     pub fn count(&mut self) -> Option<usize> {
-        let n = self.u64()?;
+        let n = u64::from_le_bytes(self.array()?);
         if n > self.remaining() as u64 {
             return None;
         }
@@ -144,10 +127,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Versioned binary encoding of one wire-visible type.
+/// Versioned binary encoding of one wire-visible type; a message type
+/// declares it through [`wire!`](crate::wire).
 ///
-/// `encode` appends to `buf` (frames are built incrementally, one
-/// allocation per frame); `decode` consumes from a bounds-checked
+/// `encode` appends to `buf`; `decode` consumes from a bounds-checked
 /// [`Reader`] and returns `None` on any malformed input — short buffers,
 /// unknown discriminants, lying length fields, content that fails
 /// integrity checks. It must never panic.
@@ -156,25 +139,13 @@ pub trait Wire: Sized {
     fn encode(&self, buf: &mut Vec<u8>);
     /// Decodes one value, advancing `r` past exactly the bytes consumed.
     fn decode(r: &mut Reader<'_>) -> Option<Self>;
-    /// The bytes of client request, reply and state image this value
-    /// carries — everything in a frame that is not a small fixed-size
-    /// field. A frame buffer sized `FRAME_SLACK + payload_len()` is
-    /// allocated once instead of doubling its way up; it is a sizing
-    /// estimate only (a view-change vote's certificate and a passive
-    /// update's results are not counted), and a buffer that is short
-    /// simply grows.
-    fn payload_len(&self) -> usize {
-        0
-    }
+    /// The exact number of bytes [`Wire::encode`] appends, computed
+    /// without encoding: a frame buffer is allocated once, at its size.
+    fn wire_len(&self) -> usize;
 }
 
-/// Room for a frame's version byte, envelope and fixed-size fields beside
-/// its [`Wire::payload_len`]: every payload-free message of the three
-/// protocols fits (the largest, a checkpoint voucher, is 85 bytes).
-pub const FRAME_SLACK: usize = 128;
-
 /// Encodes `value` as one versioned frame body (no length prefix — the
-/// socket layer owns that).
+/// socket layer owns that). The frame is `1 + value.wire_len()` bytes.
 pub fn encode_frame<T: Wire>(value: &T, buf: &mut Vec<u8>) {
     buf.push(WIRE_VERSION);
     value.encode(buf);
@@ -194,9 +165,77 @@ pub fn decode_frame<T: Wire>(bytes: &[u8]) -> Option<T> {
     Some(value)
 }
 
-/// A byte field: one length, then one copy each way (see the module docs).
-/// The layout is the one `Vec<T>` gives any element type; the count is
-/// checked against the input before the copy is made.
+/// Declares the [`Wire`] encoding of types, each once:
+///
+/// ```text
+/// wire! {
+///     struct ReplicaId(0)                // a newtype
+///     struct OpId { client, seq }        // the fields, in wire order
+///     enum Endpoint { 0 => Replica(id), 1 => Client(id) }
+/// }
+/// ```
+///
+/// An enum encodes its tag byte, then the variant's fields; `encode`,
+/// `decode` and `wire_len` all walk the one list. A tag is a literal or a
+/// `u8` constant in scope; an unlisted one decodes to `None`, a repeated
+/// one draws an unreachable-pattern warning.
+#[macro_export]
+macro_rules! wire {
+    () => {};
+    (struct $name:ident ($($field:tt),*) $($rest:tt)*) => {
+        $crate::wire! { struct $name { $($field),* } $($rest)* }
+    };
+    (struct $name:ident { $($field:tt),* } $($rest:tt)*) => {
+        impl $crate::codec::Wire for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::codec::Wire::encode(&self.$field, buf);)*
+            }
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> Option<Self> {
+                Some(Self { $($field: $crate::codec::Wire::decode(r)?),* })
+            }
+            fn wire_len(&self) -> usize {
+                0 $(+ $crate::codec::Wire::wire_len(&self.$field))*
+            }
+        }
+        $crate::wire! { $($rest)* }
+    };
+    (enum $name:ident $(<$($gen:ident),*>)? {
+        $($tag:tt => $variant:ident $(($($tf:ident),*))? $({$($sf:ident),*})?),* $(,)?
+    } $($rest:tt)*) => {
+        impl$(<$($gen: $crate::codec::Wire),*>)? $crate::codec::Wire for $name$(<$($gen),*>)? {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Self::$variant $(($($tf),*))? $({$($sf),*})? => {
+                        buf.push($tag);
+                        $($($crate::codec::Wire::encode($tf, buf);)*)?
+                        $($($crate::codec::Wire::encode($sf, buf);)*)?
+                    })*
+                }
+            }
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> Option<Self> {
+                Some(match r.u8()? {
+                    $($tag => {
+                        $($(let $tf = $crate::codec::Wire::decode(r)?;)*)?
+                        $($(let $sf = $crate::codec::Wire::decode(r)?;)*)?
+                        Self::$variant $(($($tf),*))? $({$($sf),*})?
+                    })*
+                    _ => return None,
+                })
+            }
+            fn wire_len(&self) -> usize {
+                1 + match self {
+                    $(Self::$variant $(($($tf),*))? $({$($sf),*})? => 0
+                        $($(+ $crate::codec::Wire::wire_len($tf))*)?
+                        $($(+ $crate::codec::Wire::wire_len($sf))*)?,)*
+                }
+            }
+        }
+        $crate::wire! { $($rest)* }
+    };
+}
+
+/// A byte field: one length, then one copy each way (see the module docs),
+/// laid out as `Vec<T>` lays out any element type.
 impl Wire for Vec<u8> {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
@@ -207,27 +246,29 @@ impl Wire for Vec<u8> {
         let n = r.count()?;
         Some(r.take(n)?.to_vec())
     }
-}
 
-impl Wire for u32 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        r.u32()
+    fn wire_len(&self) -> usize {
+        8 + self.len()
     }
 }
 
-impl Wire for u64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        r.u64()
-    }
+/// Integers are their little-endian bytes.
+macro_rules! le_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(r: &mut Reader<'_>) -> Option<Self> {
+                Some(<$int>::from_le_bytes(r.array()?))
+            }
+            fn wire_len(&self) -> usize {
+                std::mem::size_of::<$int>()
+            }
+        }
+    )*};
 }
+le_int!(u32, u64);
 
 impl Wire for [u8; 32] {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -235,19 +276,18 @@ impl Wire for [u8; 32] {
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        r.array32()
+        r.array()
+    }
+
+    fn wire_len(&self) -> usize {
+        32
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.push(0),
-            Some(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-        }
+        buf.push(u8::from(self.is_some()));
+        self.iter().for_each(|v| v.encode(buf));
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
@@ -257,55 +297,74 @@ impl<T: Wire> Wire for Option<T> {
             _ => None,
         }
     }
-}
 
-impl<T: Wire> Wire for Box<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (**self).encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(Box::new(T::decode(r)?))
-    }
-
-    fn payload_len(&self) -> usize {
-        (**self).payload_len()
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::wire_len)
     }
 }
 
-impl<T: Wire> Wire for Arc<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (**self).encode(buf);
-    }
+/// A pointer is laid out as what it points to.
+macro_rules! pointer {
+    ($($ptr:ident),*) => {$(
+        impl<T: Wire> Wire for $ptr<T> {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                (**self).encode(buf);
+            }
+            fn decode(r: &mut Reader<'_>) -> Option<Self> {
+                Some($ptr::new(T::decode(r)?))
+            }
+            fn wire_len(&self) -> usize {
+                (**self).wire_len()
+            }
+        }
+    )*};
+}
+pointer!(Box, Arc);
 
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(Arc::new(T::decode(r)?))
-    }
+/// A sequence's encoding: `count u64 LE`, then each element.
+fn encode_seq<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
+    (items.len() as u64).encode(buf);
+    items.iter().for_each(|v| v.encode(buf));
+}
 
-    fn payload_len(&self) -> usize {
-        (**self).payload_len()
-    }
+/// The length of [`encode_seq`]'s output.
+fn seq_len<T: Wire>(items: &[T]) -> usize {
+    8 + items.iter().map(Wire::wire_len).sum::<usize>()
 }
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            v.encode(buf);
-        }
+        encode_seq(self, buf);
     }
 
+    /// An element can be larger in memory than on the wire: reserve no
+    /// more than the remaining input, whatever the count claims.
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let n = r.count()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(r.remaining() / std::mem::size_of::<T>().max(1)));
         for _ in 0..n {
             out.push(T::decode(r)?);
         }
         Some(out)
     }
 
-    fn payload_len(&self) -> usize {
-        self.iter().map(T::payload_len).sum()
+    fn wire_len(&self) -> usize {
+        seq_len(self)
+    }
+}
+
+/// A boxed slice is laid out as the `Vec` it was built from.
+impl<T: Wire> Wire for Box<[T]> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        encode_seq(self, buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Vec::decode(r).map(Vec::into_boxed_slice)
+    }
+
+    fn wire_len(&self) -> usize {
+        seq_len(self)
     }
 }
 
@@ -319,62 +378,8 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
         Some((A::decode(r)?, B::decode(r)?))
     }
 
-    fn payload_len(&self) -> usize {
-        self.0.payload_len() + self.1.payload_len()
-    }
-}
-
-impl Wire for ReplicaId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(ReplicaId(r.u32()?))
-    }
-}
-
-impl Wire for ClientId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(ClientId(r.u32()?))
-    }
-}
-
-impl Wire for OpId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.client.encode(buf);
-        self.seq.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(OpId { client: ClientId::decode(r)?, seq: r.u64()? })
-    }
-}
-
-impl Wire for Endpoint {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Endpoint::Replica(id) => {
-                buf.push(0);
-                id.encode(buf);
-            }
-            Endpoint::Client(id) => {
-                buf.push(1);
-                id.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(Endpoint::Replica(ReplicaId::decode(r)?)),
-            1 => Some(Endpoint::Client(ClientId::decode(r)?)),
-            _ => None,
-        }
+    fn wire_len(&self) -> usize {
+        self.0.wire_len() + self.1.wire_len()
     }
 }
 
@@ -384,472 +389,39 @@ impl Wire for Request {
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let client = ClientId(r.u32()?);
-        let seq = r.u64()?;
-        let payload = Vec::<u8>::decode(r)?;
-        Some(Request { op: OpId { client, seq }, payload })
+        Some(Request { op: OpId::decode(r)?, payload: Vec::decode(r)? })
     }
 
-    fn payload_len(&self) -> usize {
-        self.wire_len() as usize
+    fn wire_len(&self) -> usize {
+        4 + 8 + 8 + self.payload.len()
     }
 }
 
 impl Wire for Batch {
-    /// A batch encodes as `count u64 LE` + each request's canonical bytes
-    /// — exactly the digest pre-image (see [`request_fields`]), so
+    /// The digest pre-image (see [`request_fields`]):
     /// `sha256(encode(batch)) == batch.digest()`.
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for r in self.requests() {
-            r.encode(buf);
-        }
+        encode_seq(self.requests(), buf);
     }
 
-    /// Reconstructs the batch through [`Batch::new`], which recomputes the
-    /// digest from content: a decoded batch is always internally
-    /// consistent. (The cached digest is a local optimization, never a
-    /// wire field — transmitting it would only hand attackers a lying
-    /// digest to splice.)
+    /// Seals the requests through [`Batch::new`], which recomputes the
+    /// digest: the cached digest is never a wire field, so a decoded batch
+    /// cannot carry a lying one.
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let requests = Vec::<Arc<Request>>::decode(r)?;
-        Some(Batch::new(requests))
+        Some(Batch::new(Vec::decode(r)?))
     }
 
-    fn payload_len(&self) -> usize {
-        self.wire_len() as usize
+    fn wire_len(&self) -> usize {
+        seq_len(self.requests())
     }
 }
 
-impl Wire for Reply {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.replica.encode(buf);
-        self.op.encode(buf);
-        self.result.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(Reply {
-            replica: ReplicaId::decode(r)?,
-            op: OpId::decode(r)?,
-            result: Arc::<Vec<u8>>::decode(r)?,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        self.result.len()
-    }
-}
-
-impl Wire for Tag {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(Tag(r.array32()?))
-    }
-}
-
-impl Wire for UI {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.0.encode(buf);
-        self.counter.encode(buf);
-        self.tag.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(UI { id: UsigId(r.u32()?), counter: r.u64()?, tag: Tag::decode(r)? })
-    }
-}
-
-impl Wire for CheckpointVoucher {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.seq.encode(buf);
-        self.digest.encode(buf);
-        self.from.encode(buf);
-        self.tag.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(CheckpointVoucher {
-            seq: r.u64()?,
-            digest: r.array32()?,
-            from: ReplicaId::decode(r)?,
-            tag: Tag::decode(r)?,
-        })
-    }
-}
-
-impl Wire for CheckpointCert {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.seq.encode(buf);
-        self.digest.encode(buf);
-        self.vouchers.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(CheckpointCert {
-            seq: r.u64()?,
-            digest: r.array32()?,
-            vouchers: Vec::<CheckpointVoucher>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for StateTransfer {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cert.encode(buf);
-        self.snapshot.encode(buf);
-        self.log_base.encode(buf);
-        self.suffix.encode(buf);
-        self.view.encode(buf);
-        self.from.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(StateTransfer {
-            cert: CheckpointCert::decode(r)?,
-            snapshot: Arc::<Vec<u8>>::decode(r)?,
-            log_base: r.u64()?,
-            suffix: Arc::<Vec<(u64, Arc<Batch>)>>::decode(r)?,
-            view: r.u64()?,
-            from: ReplicaId::decode(r)?,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        self.snapshot.len() + self.suffix.payload_len()
-    }
-}
-
-impl Wire for CommitVote {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.view.encode(buf);
-        self.seq.encode(buf);
-        self.batch.encode(buf);
-        self.primary_ui.encode(buf);
-        self.from.encode(buf);
-        self.ui.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(CommitVote {
-            view: r.u64()?,
-            seq: r.u64()?,
-            batch: Arc::<Batch>::decode(r)?,
-            primary_ui: UI::decode(r)?,
-            from: ReplicaId::decode(r)?,
-            ui: UI::decode(r)?,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        self.batch.payload_len()
-    }
-}
-
-impl Wire for VcVote {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.new_view.encode(buf);
-        self.from.encode(buf);
-        self.prepared.encode(buf);
-        self.executed_upto.encode(buf);
-        self.cert.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(VcVote {
-            new_view: r.u64()?,
-            from: ReplicaId::decode(r)?,
-            prepared: Vec::<(u64, Arc<Batch>)>::decode(r)?,
-            executed_upto: r.u64()?,
-            cert: Option::<Box<CheckpointCert>>::decode(r)?,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        self.prepared.payload_len()
-    }
-}
-
-impl Wire for ShellMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ShellMsg::Reply(reply) => {
-                buf.push(0);
-                reply.encode(buf);
-            }
-            ShellMsg::Checkpoint(voucher) => {
-                buf.push(1);
-                voucher.encode(buf);
-            }
-            ShellMsg::StateRequest { have, from } => {
-                buf.push(2);
-                have.encode(buf);
-                from.encode(buf);
-            }
-            ShellMsg::StateResponse(st) => {
-                buf.push(3);
-                st.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => ShellMsg::Reply(Reply::decode(r)?),
-            1 => ShellMsg::Checkpoint(Box::<CheckpointVoucher>::decode(r)?),
-            2 => ShellMsg::StateRequest { have: r.u64()?, from: ReplicaId::decode(r)? },
-            3 => ShellMsg::StateResponse(Box::<StateTransfer>::decode(r)?),
-            _ => return None,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        match self {
-            ShellMsg::Reply(reply) => reply.payload_len(),
-            ShellMsg::StateResponse(st) => st.payload_len(),
-            ShellMsg::Checkpoint(_) | ShellMsg::StateRequest { .. } => 0,
-        }
-    }
-}
-
-impl Wire for PbftMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PbftMsg::Request(req) => {
-                buf.push(0);
-                req.encode(buf);
-            }
-            PbftMsg::PrePrepare { view, seq, batch } => {
-                buf.push(1);
-                view.encode(buf);
-                seq.encode(buf);
-                batch.encode(buf);
-            }
-            PbftMsg::Prepare { view, seq, digest, from } => {
-                buf.push(2);
-                view.encode(buf);
-                seq.encode(buf);
-                digest.encode(buf);
-                from.encode(buf);
-            }
-            PbftMsg::Commit { view, seq, digest, from } => {
-                buf.push(3);
-                view.encode(buf);
-                seq.encode(buf);
-                digest.encode(buf);
-                from.encode(buf);
-            }
-            PbftMsg::ViewChange(vote) => {
-                buf.push(5);
-                vote.encode(buf);
-            }
-            PbftMsg::NewView { view, preprepares } => {
-                buf.push(6);
-                view.encode(buf);
-                preprepares.encode(buf);
-            }
-            PbftMsg::Shell(msg) => {
-                buf.push(SHELL_TAG);
-                msg.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => PbftMsg::Request(Arc::<Request>::decode(r)?),
-            1 => PbftMsg::PrePrepare {
-                view: r.u64()?,
-                seq: r.u64()?,
-                batch: Arc::<Batch>::decode(r)?,
-            },
-            2 => PbftMsg::Prepare {
-                view: r.u64()?,
-                seq: r.u64()?,
-                digest: r.array32()?,
-                from: ReplicaId::decode(r)?,
-            },
-            3 => PbftMsg::Commit {
-                view: r.u64()?,
-                seq: r.u64()?,
-                digest: r.array32()?,
-                from: ReplicaId::decode(r)?,
-            },
-            5 => PbftMsg::ViewChange(VcVote::decode(r)?),
-            6 => PbftMsg::NewView {
-                view: r.u64()?,
-                preprepares: Vec::<(u64, Arc<Batch>)>::decode(r)?,
-            },
-            SHELL_TAG => PbftMsg::Shell(ShellMsg::decode(r)?),
-            _ => return None,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        match self {
-            PbftMsg::Request(req) => req.payload_len(),
-            PbftMsg::PrePrepare { batch, .. } => batch.payload_len(),
-            PbftMsg::ViewChange(vote) => vote.payload_len(),
-            PbftMsg::NewView { preprepares, .. } => preprepares.payload_len(),
-            PbftMsg::Shell(msg) => msg.payload_len(),
-            _ => 0,
-        }
-    }
-}
-
-impl Wire for MinBftMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            MinBftMsg::Request(req) => {
-                buf.push(0);
-                req.encode(buf);
-            }
-            MinBftMsg::Prepare { view, seq, batch, ui } => {
-                buf.push(1);
-                view.encode(buf);
-                seq.encode(buf);
-                batch.encode(buf);
-                ui.encode(buf);
-            }
-            MinBftMsg::Commit(vote) => {
-                buf.push(2);
-                vote.encode(buf);
-            }
-            MinBftMsg::ReqViewChange(vote) => {
-                buf.push(4);
-                vote.encode(buf);
-            }
-            MinBftMsg::NewView { view, preprepares } => {
-                buf.push(5);
-                view.encode(buf);
-                preprepares.encode(buf);
-            }
-            MinBftMsg::FillGap { sender, from_counter, upto, from } => {
-                buf.push(6);
-                sender.encode(buf);
-                from_counter.encode(buf);
-                upto.encode(buf);
-                from.encode(buf);
-            }
-            MinBftMsg::CheckpointHint { cert, ring_base, from } => {
-                buf.push(7);
-                cert.encode(buf);
-                ring_base.encode(buf);
-                from.encode(buf);
-            }
-            MinBftMsg::Shell(msg) => {
-                buf.push(SHELL_TAG);
-                msg.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => MinBftMsg::Request(Arc::<Request>::decode(r)?),
-            1 => MinBftMsg::Prepare {
-                view: r.u64()?,
-                seq: r.u64()?,
-                batch: Arc::<Batch>::decode(r)?,
-                ui: UI::decode(r)?,
-            },
-            2 => MinBftMsg::Commit(Arc::<CommitVote>::decode(r)?),
-            4 => MinBftMsg::ReqViewChange(VcVote::decode(r)?),
-            5 => MinBftMsg::NewView {
-                view: r.u64()?,
-                preprepares: Vec::<(u64, Arc<Batch>)>::decode(r)?,
-            },
-            6 => MinBftMsg::FillGap {
-                sender: ReplicaId::decode(r)?,
-                from_counter: r.u64()?,
-                upto: r.u64()?,
-                from: ReplicaId::decode(r)?,
-            },
-            7 => MinBftMsg::CheckpointHint {
-                cert: Box::<CheckpointCert>::decode(r)?,
-                ring_base: r.u64()?,
-                from: ReplicaId::decode(r)?,
-            },
-            SHELL_TAG => MinBftMsg::Shell(ShellMsg::decode(r)?),
-            _ => return None,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        match self {
-            MinBftMsg::Request(req) => req.payload_len(),
-            MinBftMsg::Prepare { batch, .. } => batch.payload_len(),
-            MinBftMsg::Commit(vote) => vote.payload_len(),
-            MinBftMsg::ReqViewChange(vote) => vote.payload_len(),
-            MinBftMsg::NewView { preprepares, .. } => preprepares.payload_len(),
-            MinBftMsg::Shell(msg) => msg.payload_len(),
-            _ => 0,
-        }
-    }
-}
-
-impl Wire for PassiveMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PassiveMsg::Request(req) => {
-                buf.push(0);
-                req.encode(buf);
-            }
-            PassiveMsg::StateUpdate { epoch, first_seq, ops } => {
-                buf.push(1);
-                epoch.encode(buf);
-                first_seq.encode(buf);
-                (ops.len() as u64).encode(buf); // as a `Vec` would
-                ops.iter().for_each(|op| op.encode(buf));
-            }
-            PassiveMsg::Heartbeat { epoch, from, log_len } => {
-                buf.push(2);
-                epoch.encode(buf);
-                from.encode(buf);
-                log_len.encode(buf);
-            }
-            PassiveMsg::SyncRequest { from_seq, from } => {
-                buf.push(3);
-                from_seq.encode(buf);
-                from.encode(buf);
-            }
-            PassiveMsg::Shell(msg) => {
-                buf.push(SHELL_TAG);
-                msg.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => PassiveMsg::Request(Arc::<Request>::decode(r)?),
-            1 => PassiveMsg::StateUpdate {
-                epoch: r.u64()?,
-                first_seq: r.u64()?,
-                ops: Vec::<Shipped>::decode(r)?.into(),
-            },
-            2 => PassiveMsg::Heartbeat {
-                epoch: r.u64()?,
-                from: ReplicaId::decode(r)?,
-                log_len: r.u64()?,
-            },
-            3 => PassiveMsg::SyncRequest { from_seq: r.u64()?, from: ReplicaId::decode(r)? },
-            SHELL_TAG => PassiveMsg::Shell(ShellMsg::decode(r)?),
-            _ => return None,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        match self {
-            PassiveMsg::Request(req) => req.payload_len(),
-            PassiveMsg::StateUpdate { ops, .. } => ops.iter().map(Wire::payload_len).sum(),
-            PassiveMsg::Shell(msg) => msg.payload_len(),
-            _ => 0,
-        }
-    }
+// The USIG certificate and its MAC tag are defined in crates below this
+// one, so they are declared here rather than beside their definitions.
+crate::wire! {
+    struct Tag(0)
+    struct UsigId(0)
+    struct UI { id, counter, tag }
 }
 
 // lint: end
@@ -857,6 +429,13 @@ impl Wire for PassiveMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ClientId, ReplicaId, Reply};
+    use crate::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
+    use crate::minbft::{CommitVote, MinBftMsg};
+    use crate::passive::PassiveMsg;
+    use crate::pbft::PbftMsg;
+    use crate::shell::ShellMsg;
+    use crate::viewchange::VcVote;
     use proptest::prelude::*;
     use rsoc_crypto::sha256;
 
@@ -916,8 +495,8 @@ mod tests {
         encode_frame(value, &mut buf);
         let back: T = decode_frame(&buf).expect("well-formed frame decodes");
         assert_eq!(&back, value);
-        // The sizing estimate counts bytes that are really there.
-        assert!(value.payload_len() < buf.len(), "{value:?} over-counts its payload");
+        // The length is exact: the frame is the version byte and the value.
+        assert_eq!(value.wire_len() + 1, buf.len(), "{value:?}");
         // Any strict prefix is a truncated frame and must be rejected:
         // every length field promises bytes the prefix no longer has.
         for cut in 0..buf.len() {
@@ -1023,10 +602,11 @@ mod tests {
         assert_eq!(sha256(&buf), batch.digest());
     }
 
-    #[test]
-    fn pbft_variants_roundtrip() {
+    /// One of each PBFT message but the shell's, two view changes (with and
+    /// without a certificate).
+    fn pbft_msgs() -> Vec<PbftMsg> {
         let batch = Arc::new(Batch::single(req(1, 1, b"SET k1.1 v1".to_vec())));
-        let msgs = [
+        vec![
             PbftMsg::Request(req(9, 3, vec![0, 255, 7])),
             PbftMsg::PrePrepare { view: 1, seq: 2, batch: batch.clone() },
             PbftMsg::Prepare { view: 1, seq: 2, digest: batch.digest(), from: ReplicaId(3) },
@@ -1046,16 +626,13 @@ mod tests {
                 cert: None,
             }),
             PbftMsg::NewView { view: 2, preprepares: vec![(3, batch.clone())] },
-        ];
-        for msg in msgs.into_iter().chain(shell_msgs().into_iter().map(PbftMsg::Shell)) {
-            roundtrip(&msg);
-        }
+        ]
     }
 
-    #[test]
-    fn minbft_variants_roundtrip() {
+    /// One of each MinBFT message but the shell's.
+    fn minbft_msgs() -> Vec<MinBftMsg> {
         let batch = Arc::new(Batch::single(req(2, 5, b"SET k2.5 v5".to_vec())));
-        let msgs = [
+        vec![
             MinBftMsg::Request(req(2, 5, vec![1, 2, 3])),
             MinBftMsg::Prepare { view: 0, seq: 5, batch: batch.clone(), ui: ui(0, 6, 9) },
             MinBftMsg::Commit(Arc::new(CommitVote {
@@ -1085,15 +662,12 @@ mod tests {
                 ring_base: 7,
                 from: ReplicaId(0),
             },
-        ];
-        for msg in msgs.into_iter().chain(shell_msgs().into_iter().map(MinBftMsg::Shell)) {
-            roundtrip(&msg);
-        }
+        ]
     }
 
-    #[test]
-    fn passive_variants_roundtrip() {
-        let msgs = [
+    /// One of each passive message but the shell's.
+    fn passive_msgs() -> Vec<PassiveMsg> {
+        vec![
             PassiveMsg::Request(req(0, 1, b"SET k0.1 v1".to_vec())),
             PassiveMsg::StateUpdate {
                 epoch: 1,
@@ -1102,9 +676,57 @@ mod tests {
             },
             PassiveMsg::Heartbeat { epoch: 1, from: ReplicaId(0), log_len: 9 },
             PassiveMsg::SyncRequest { from_seq: 5, from: ReplicaId(1) },
-        ];
-        for msg in msgs.into_iter().chain(shell_msgs().into_iter().map(PassiveMsg::Shell)) {
-            roundtrip(&msg);
+        ]
+    }
+
+    /// Every message of one protocol: its own, then each shell message.
+    fn with_shell<M: From<ShellMsg>>(own: Vec<M>) -> impl Iterator<Item = M> {
+        own.into_iter().chain(shell_msgs().into_iter().map(M::from))
+    }
+
+    /// [`with_shell`], encoded.
+    fn frames<M: Wire + From<ShellMsg>>(own: Vec<M>) -> Vec<Vec<u8>> {
+        with_shell(own)
+            .map(|msg| {
+                let mut frame = Vec::new();
+                encode_frame(&msg, &mut frame);
+                frame
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pbft_variants_roundtrip() {
+        with_shell(pbft_msgs()).for_each(|msg| roundtrip(&msg));
+    }
+
+    #[test]
+    fn minbft_variants_roundtrip() {
+        with_shell(minbft_msgs()).for_each(|msg| roundtrip(&msg));
+    }
+
+    #[test]
+    fn passive_variants_roundtrip() {
+        with_shell(passive_msgs()).for_each(|msg| roundtrip(&msg));
+    }
+
+    /// Every tag byte in `0..=255` that no frame in `frames` carries at
+    /// `at` — after checking that the tags they do carry are `used`.
+    fn unused_tags(frames: &[Vec<u8>], at: usize, used: &[u8]) -> Vec<u8> {
+        let carried: std::collections::BTreeSet<u8> = frames.iter().map(|f| f[at]).collect();
+        assert_eq!(carried.into_iter().collect::<Vec<_>>(), used, "tags at byte {at}");
+        (0..=255).filter(|t| !used.contains(t)).collect()
+    }
+
+    /// Each frame, with each of `tags` written over byte `at`, is refused.
+    fn refuses_tags<M: Wire + std::fmt::Debug>(frames: &[Vec<u8>], at: usize, tags: &[u8]) {
+        for frame in frames {
+            for &tag in tags {
+                let mut unknown = frame.clone();
+                unknown[at] = tag;
+                let got = decode_frame::<M>(&unknown);
+                assert!(got.is_none(), "tag {tag:#x} at {at} decoded to {got:?}");
+            }
         }
     }
 
@@ -1120,24 +742,28 @@ mod tests {
         let mut wrong_version = good.clone();
         wrong_version[0] = WIRE_VERSION.wrapping_add(1);
         assert!(decode_frame::<PbftMsg>(&wrong_version).is_none());
-        // Unknown discriminant, and an unknown shell message behind the
-        // shell tag.
-        for (at, tag) in [(1, 0xEE), (2, 4), (2, 0xEE)] {
-            let mut unknown = good.clone();
-            unknown[at] = tag;
-            assert!(decode_frame::<PbftMsg>(&unknown).is_none(), "tag {tag:#x} at {at}");
-            assert!(decode_frame::<MinBftMsg>(&unknown).is_none(), "tag {tag:#x} at {at}");
-            assert!(decode_frame::<PassiveMsg>(&unknown).is_none(), "tag {tag:#x} at {at}");
-        }
-        // Every strict prefix of every shell frame (the same bytes in every
-        // protocol).
-        for msg in shell_msgs() {
-            let mut frame = Vec::new();
-            encode_frame(&PbftMsg::Shell(msg.clone()), &mut frame);
+        // Every tag byte no variant uses, behind a frame of every variant.
+        let pbft = frames(pbft_msgs());
+        refuses_tags::<PbftMsg>(&pbft, 1, &unused_tags(&pbft, 1, &[0, 1, 2, 3, 5, 6, SHELL_TAG]));
+        let minbft = frames(minbft_msgs());
+        let tags = unused_tags(&minbft, 1, &[0, 1, 2, 4, 5, 6, 7, SHELL_TAG]);
+        refuses_tags::<MinBftMsg>(&minbft, 1, &tags);
+        let passive = frames(passive_msgs());
+        let tags = unused_tags(&passive, 1, &[0, 1, 2, 3, SHELL_TAG]);
+        refuses_tags::<PassiveMsg>(&passive, 1, &tags);
+        // Every unknown shell message behind the shell tag, in every
+        // protocol (the frames are the same bytes in all three).
+        let shell = frames::<PbftMsg>(Vec::new());
+        let tags = unused_tags(&shell, 2, &[0, 1, 2, 3]);
+        refuses_tags::<PbftMsg>(&shell, 2, &tags);
+        refuses_tags::<MinBftMsg>(&shell, 2, &tags);
+        refuses_tags::<PassiveMsg>(&shell, 2, &tags);
+        // Every strict prefix of every shell frame, in every protocol.
+        for frame in &shell {
             for cut in 0..frame.len() {
-                assert!(decode_frame::<PbftMsg>(&frame[..cut]).is_none(), "{msg:?} at {cut}");
-                assert!(decode_frame::<MinBftMsg>(&frame[..cut]).is_none(), "{msg:?} at {cut}");
-                assert!(decode_frame::<PassiveMsg>(&frame[..cut]).is_none(), "{msg:?} at {cut}");
+                assert!(decode_frame::<PbftMsg>(&frame[..cut]).is_none(), "{frame:?} at {cut}");
+                assert!(decode_frame::<MinBftMsg>(&frame[..cut]).is_none(), "{frame:?} at {cut}");
+                assert!(decode_frame::<PassiveMsg>(&frame[..cut]).is_none(), "{frame:?} at {cut}");
             }
         }
         // A lying collection count cannot force an allocation: count is
@@ -1176,7 +802,7 @@ mod tests {
             let mut buf = Vec::new();
             batch.encode(&mut buf);
             prop_assert_eq!(sha256(&buf), batch.digest());
-            prop_assert_eq!(batch.wire_len(), buf.len() as u64);
+            prop_assert_eq!(batch.wire_len(), buf.len());
             let back: Batch = {
                 let mut r = Reader::new(&buf);
                 let b = Batch::decode(&mut r);

@@ -12,6 +12,7 @@
 use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica, Replicas};
 use crate::checkpoint::CstInstall;
+use crate::codec::SHELL_TAG;
 use crate::dense::SeqWindow;
 use crate::durable::RecoveredState;
 use crate::protocol::Protocol;
@@ -75,6 +76,16 @@ pub enum PassiveMsg {
 }
 
 carries_shell!(PassiveMsg);
+
+crate::wire! {
+    enum PassiveMsg {
+        0 => Request(req),
+        1 => StateUpdate { epoch, first_seq, ops },
+        2 => Heartbeat { epoch, from, log_len },
+        3 => SyncRequest { from_seq, from },
+        SHELL_TAG => Shell(msg),
+    }
+}
 
 /// One executed operation as the primary ships it: the request and its
 /// result.

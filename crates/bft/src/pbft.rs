@@ -38,6 +38,7 @@ use crate::adversary::conflicting_batch;
 use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica, Replicas};
 use crate::checkpoint::CstInstall;
+use crate::codec::SHELL_TAG;
 use crate::dense::{ReplicaSet, SeqWindow};
 use crate::durable::RecoveredState;
 use crate::protocol::Protocol;
@@ -102,6 +103,18 @@ pub enum PbftMsg {
 }
 
 carries_shell!(PbftMsg);
+
+crate::wire! {
+    enum PbftMsg {
+        0 => Request(req),
+        1 => PrePrepare { view, seq, batch },
+        2 => Prepare { view, seq, digest, from },
+        3 => Commit { view, seq, digest, from },
+        5 => ViewChange(vote),
+        6 => NewView { view, preprepares },
+        SHELL_TAG => Shell(msg),
+    }
+}
 
 /// One agreement slot. Slots live in the [`SeqWindow`]; execution removes
 /// and retires them, so an "executed" slot is simply one below the window

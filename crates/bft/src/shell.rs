@@ -49,6 +49,7 @@ use crate::checkpoint::{
     CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer, CstInstall,
     StateTransfer,
 };
+use crate::codec::Wire;
 use crate::dense::{op_token, token_op, OpIndex, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::statemachine::{KvStore, StateMachine};
@@ -75,6 +76,15 @@ pub enum ShellMsg {
     /// A peer's state-transfer answer (see [`StateTransfer`]). Boxed —
     /// transfers are rare and huge.
     StateResponse(Box<StateTransfer>),
+}
+
+crate::wire! {
+    enum ShellMsg {
+        0 => Reply(reply),
+        1 => Checkpoint(voucher),
+        2 => StateRequest { have, from },
+        3 => StateResponse(transfer),
+    }
 }
 
 impl ShellMsg {
@@ -203,8 +213,8 @@ pub(crate) struct Shell {
     durable_stable_seq: u64,
     /// Length of the image that event carried (0 before the first).
     durable_image_len: u64,
-    /// Commit bytes ([`Batch::wire_len`]) executed since that image: the
-    /// WAL a restart replays on top of it.
+    /// Commit bytes (each batch's [`Wire::wire_len`]) executed since that
+    /// image: the WAL a restart replays on top of it.
     wal_since_image: u64,
     /// Primary-side accumulator: requests waiting to be sealed.
     batcher: Batcher,
@@ -488,7 +498,7 @@ impl Shell {
         if self.ckpt.enabled() {
             self.replay_ring.insert(seq, batch.clone());
         }
-        self.wal_since_image += batch.wire_len();
+        self.wal_since_image += batch.wire_len() as u64;
         if self.durability {
             self.durable.push(DurableEvent::Commit { seq, batch: batch.clone() });
         }
@@ -1156,7 +1166,7 @@ mod tests {
             for event in stabilise(&mut [&mut live, &mut peer], k).swap_remove(0) {
                 match event {
                     DurableEvent::Commit { seq, batch } => {
-                        wal += batch.wire_len();
+                        wal += batch.wire_len() as u64;
                         disk.commits.push((seq, batch));
                     }
                     DurableEvent::Stable { cert, log_len, snapshot } => {

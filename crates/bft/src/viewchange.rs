@@ -73,6 +73,8 @@ pub struct VcVote {
     pub cert: Option<Box<CheckpointCert>>,
 }
 
+crate::wire! { struct VcVote { new_view, from, prepared, executed_upto, cert } }
+
 /// What the primary-elect re-proposes when it installs a view.
 #[derive(Debug, PartialEq)]
 pub(crate) struct NewViewPlan {

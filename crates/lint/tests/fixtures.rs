@@ -43,6 +43,9 @@ fn ingress_fixture_fires_inside_the_region_only() {
             ("ingress-expect", 9),
             ("ingress-panic", 11),
             ("ingress-index", 13),
+            // The same rules reach into a `macro_rules!` body.
+            ("ingress-unwrap", 19),
+            ("ingress-index", 20),
         ]
     );
 }

@@ -12,6 +12,14 @@ fn handle(xs: &[u32], x: Option<u32>, i: usize) -> u32 {
     }
     xs[i]
 }
+
+// A decoder a macro generates is an ingress path like any other.
+macro_rules! decode_at {
+    ($xs:expr, $x:expr, $i:expr) => {{
+        let first = $x.unwrap();
+        first + $xs[$i]
+    }};
+}
 // lint: end
 
 fn after(x: Option<u32>) -> u32 {

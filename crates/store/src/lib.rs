@@ -89,7 +89,7 @@ fn record_len(payload: usize) -> io::Result<u32> {
     })
 }
 
-/// One WAL record. The `Wire` impl is the disk layout (behind
+/// One WAL record. Its `wire!` declaration is the disk layout (behind
 /// [`RECORD_VERSION`]), so a layout change bumps the version and
 /// invalidates old WALs explicitly instead of misreading them.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,29 +105,7 @@ pub enum WalRecord {
     UsigCounter(u64),
 }
 
-impl Wire for WalRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            WalRecord::Commit { seq, batch } => {
-                buf.push(0);
-                seq.encode(buf);
-                batch.encode(buf);
-            }
-            WalRecord::UsigCounter(c) => {
-                buf.push(1);
-                c.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(WalRecord::Commit { seq: r.u64()?, batch: Arc::<Batch>::decode(r)? }),
-            1 => Some(WalRecord::UsigCounter(r.u64()?)),
-            _ => None,
-        }
-    }
-}
+rsoc_bft::wire! { enum WalRecord { 0 => Commit { seq, batch }, 1 => UsigCounter(counter) } }
 
 /// The payload of a snapshot file: the stable certificate, the snapshot
 /// it certifies, and the WAL segment replay must start from.
@@ -144,23 +122,7 @@ pub struct SnapshotRecord {
     pub wal_start: u64,
 }
 
-impl Wire for SnapshotRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cert.encode(buf);
-        self.log_len.encode(buf);
-        self.bytes.encode(buf);
-        self.wal_start.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(SnapshotRecord {
-            cert: CheckpointCert::decode(r)?,
-            log_len: r.u64()?,
-            bytes: Vec::<u8>::decode(r)?,
-            wal_start: r.u64()?,
-        })
-    }
-}
+rsoc_bft::wire! { struct SnapshotRecord { cert, log_len, bytes, wal_start } }
 
 /// Appends `value` to `out` as one on-disk record, `len | crc | payload`:
 /// the payload is encoded in place behind a blank header, which is then
@@ -528,13 +490,15 @@ mod tests {
         }
     }
 
-    /// `value`'s record payload is `golden` byte for byte, decodes back,
-    /// and every strict prefix of it is refused.
+    /// `value`'s record payload is `golden` byte for byte, is as long as
+    /// its `wire_len` says, decodes back, and every strict prefix of it is
+    /// refused.
     fn check_layout<T: Wire + PartialEq + std::fmt::Debug>(value: &T, golden: &[u8]) {
         let mut record = Vec::new();
         frame_record(value, &mut record).expect("small record");
         let frame = &record[8..];
         assert_eq!(frame, golden, "{value:?}");
+        assert_eq!(value.wire_len() + 1, frame.len(), "{value:?}: the version byte and the value");
         assert_eq!(decode_record::<T>(frame).as_ref(), Some(value));
         for cut in 0..frame.len() {
             assert!(decode_record::<T>(&frame[..cut]).is_none(), "prefix of {cut} bytes");

@@ -3,12 +3,13 @@
 //! Protocol messages are wrapped in an [`Envelope`] that adds the plane's
 //! own concerns — who is speaking (hello handshakes), where a protocol
 //! message came from, and the out-of-band digest/shutdown channel the
-//! cluster client uses to check convergence. The envelope body is encoded
-//! with the same versioned [`Wire`] codec as every protocol message, so
-//! one `decode_frame` call validates the whole thing.
+//! cluster client uses to check convergence. The envelope is declared
+//! through [`rsoc_bft::wire!`] like every protocol message, so one
+//! `decode_frame` call validates the whole body, and [`encode_envelope`]
+//! allocates each frame once, at its exact [`Wire::wire_len`].
 
 use rsoc_bft::api::Endpoint;
-use rsoc_bft::codec::{decode_frame, encode_frame, Reader, Wire, FRAME_SLACK};
+use rsoc_bft::codec::{decode_frame, encode_frame, Wire};
 
 /// One transport-plane frame body.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,9 +46,10 @@ pub enum Envelope<M> {
 }
 
 /// Encodes an envelope into a versioned frame body (ready for
-/// [`crate::frame::write_frame`]).
+/// [`crate::frame::write_frame`]), allocated once at its exact size: the
+/// version byte and [`Wire::wire_len`].
 pub fn encode_envelope<M: Wire>(env: &Envelope<M>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(FRAME_SLACK + env.payload_len());
+    let mut buf = Vec::with_capacity(1 + env.wire_len());
     encode_frame(env, &mut buf);
     buf
 }
@@ -61,54 +63,14 @@ pub fn decode_envelope<M: Wire>(body: &[u8]) -> Option<Envelope<M>> {
 // Envelopes are decoded straight off the network; the decode path must
 // reject malformed input without panicking.
 // lint: ingress
-impl<M: Wire> Wire for Envelope<M> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Envelope::HelloReplica(id) => {
-                buf.push(0);
-                id.encode(buf);
-            }
-            Envelope::HelloClient { ids } => {
-                buf.push(1);
-                ids.encode(buf);
-            }
-            Envelope::Msg { from, msg } => {
-                buf.push(2);
-                from.encode(buf);
-                msg.encode(buf);
-            }
-            Envelope::DigestQuery => buf.push(3),
-            Envelope::DigestReply { replica, committed, digest } => {
-                buf.push(4);
-                replica.encode(buf);
-                committed.encode(buf);
-                digest.encode(buf);
-            }
-            Envelope::Shutdown => buf.push(5),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => Envelope::HelloReplica(u32::decode(r)?),
-            1 => Envelope::HelloClient { ids: Vec::<u32>::decode(r)? },
-            2 => Envelope::Msg { from: Endpoint::decode(r)?, msg: M::decode(r)? },
-            3 => Envelope::DigestQuery,
-            4 => Envelope::DigestReply {
-                replica: u32::decode(r)?,
-                committed: u64::decode(r)?,
-                digest: <[u8; 32]>::decode(r)?,
-            },
-            5 => Envelope::Shutdown,
-            _ => return None,
-        })
-    }
-
-    fn payload_len(&self) -> usize {
-        match self {
-            Envelope::Msg { msg, .. } => msg.payload_len(),
-            _ => 0,
-        }
+rsoc_bft::wire! {
+    enum Envelope<M> {
+        0 => HelloReplica(id),
+        1 => HelloClient { ids },
+        2 => Msg { from, msg },
+        3 => DigestQuery,
+        4 => DigestReply { replica, committed, digest },
+        5 => Shutdown,
     }
 }
 // lint: end
@@ -117,8 +79,15 @@ impl<M: Wire> Wire for Envelope<M> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rsoc_bft::api::ReplicaId;
+    use rsoc_bft::api::{Batch, ClientId, OpId, ReplicaId, Reply, Request};
+    use rsoc_bft::checkpoint::{CheckpointCert, CheckpointVoucher, StateTransfer};
+    use rsoc_bft::minbft::{CommitVote, MinBftMsg};
+    use rsoc_bft::passive::PassiveMsg;
     use rsoc_bft::pbft::PbftMsg;
+    use rsoc_bft::viewchange::VcVote;
+    use rsoc_bft::ShellMsg;
+    use rsoc_crypto::Tag;
+    use rsoc_hybrid::{UsigId, UI};
     use std::sync::Arc;
 
     fn roundtrip(env: &Envelope<PbftMsg>) {
@@ -133,56 +102,137 @@ mod tests {
 
     #[test]
     fn envelope_variants_round_trip() {
-        roundtrip(&Envelope::HelloReplica(3));
-        roundtrip(&Envelope::HelloClient { ids: vec![0, 1, 2, 3] });
-        roundtrip(&Envelope::Msg {
-            from: Endpoint::Replica(ReplicaId(1)),
-            msg: PbftMsg::Request(Arc::new(rsoc_bft::Request {
-                op: rsoc_bft::OpId { client: rsoc_bft::ClientId(7), seq: 9 },
-                payload: b"SET k v".to_vec(),
-            })),
-        });
-        roundtrip(&Envelope::DigestQuery);
-        roundtrip(&Envelope::DigestReply { replica: 2, committed: 240, digest: [0x5A; 32] });
-        roundtrip(&Envelope::Shutdown);
-    }
-
-    /// The frames that carry client bytes are allocated once: the buffer
-    /// `encode_envelope` sized up front is the one it returns.
-    #[test]
-    fn payload_frames_are_sized_before_they_are_encoded() {
-        let request = |seq: u64| {
-            Arc::new(rsoc_bft::Request {
-                op: rsoc_bft::OpId { client: rsoc_bft::ClientId(7), seq },
-                payload: vec![0x5A; 600],
-            })
-        };
-        let batch = Arc::new(rsoc_bft::api::Batch::new((1..=4).map(request).collect()));
-        let from = Endpoint::Replica(ReplicaId(1));
-        let reply = rsoc_bft::Reply {
-            replica: ReplicaId(1),
-            op: request(1).op,
-            result: Arc::new(vec![1; 300]),
-        };
-        for msg in [
-            PbftMsg::Request(request(1)),
-            PbftMsg::PrePrepare { view: 0, seq: 1, batch: batch.clone() },
-            PbftMsg::Prepare { view: 0, seq: 1, digest: batch.digest(), from: ReplicaId(1) },
-            PbftMsg::Commit { view: 0, seq: 1, digest: batch.digest(), from: ReplicaId(1) },
-            PbftMsg::Shell(rsoc_bft::ShellMsg::Reply(reply)),
-        ] {
-            let env = Envelope::Msg { from, msg };
-            let body = encode_envelope(&env);
-            assert_eq!(body.capacity(), FRAME_SLACK + env.payload_len(), "{env:?} grew");
-            assert!(body.len() + FRAME_SLACK >= body.capacity(), "{env:?} over-allocated");
+        for env in envelopes() {
+            roundtrip(&env);
         }
     }
 
+    fn request(seq: u64) -> Arc<Request> {
+        Arc::new(Request { op: OpId { client: ClientId(7), seq }, payload: vec![0x5A; 600] })
+    }
+
+    /// A stable-checkpoint certificate of `2f + 1` vouchers.
+    fn cert(f: u32) -> Box<CheckpointCert> {
+        let voucher = |from| CheckpointVoucher {
+            seq: 64,
+            digest: [3; 32],
+            from: ReplicaId(from),
+            tag: Tag([4; 32]),
+        };
+        let vouchers = (0..=2 * f).map(voucher).collect();
+        Box::new(CheckpointCert { seq: 64, digest: [3; 32], vouchers })
+    }
+
+    /// Each envelope's frame is allocated once, at exactly its length.
+    fn sized_once<M: Wire + std::fmt::Debug>(envs: impl IntoIterator<Item = Envelope<M>>) {
+        for env in envs {
+            let body = encode_envelope(&env);
+            assert_eq!(body.capacity(), body.len(), "{env:?}");
+        }
+    }
+
+    /// Every frame is allocated once, at its size: every variant of the
+    /// three protocols, every shell message, and the certificates a view
+    /// change or a checkpoint hint carries at f = 1..=3.
+    #[test]
+    fn payload_frames_are_sized_before_they_are_encoded() {
+        let batch = Arc::new(Batch::new((1..=4).map(request).collect()));
+        let ui = UI { id: UsigId(1), counter: 9, tag: Tag([6; 32]) };
+        let vote = |cert| VcVote {
+            new_view: 2,
+            from: ReplicaId(1),
+            prepared: vec![(1, batch.clone())],
+            executed_upto: 0,
+            cert,
+        };
+        let transfer = StateTransfer {
+            cert: *cert(1),
+            snapshot: Arc::new(vec![7; 900]),
+            log_base: 64,
+            suffix: Arc::new(vec![(65, batch.clone())]),
+            view: 1,
+            from: ReplicaId(3),
+        };
+        let shell = [
+            ShellMsg::Reply(Reply {
+                replica: ReplicaId(1),
+                op: request(1).op,
+                result: Arc::new(vec![1; 300]),
+            }),
+            ShellMsg::Checkpoint(Box::new(cert(1).vouchers[0].clone())),
+            ShellMsg::StateRequest { have: 4, from: ReplicaId(2) },
+            ShellMsg::StateResponse(Box::new(transfer)),
+        ];
+        let (digest, from) = (batch.digest(), ReplicaId(1));
+        let preprepares = vec![(1, batch.clone()), (2, batch.clone())];
+        let pbft = [
+            PbftMsg::Request(request(1)),
+            PbftMsg::PrePrepare { view: 0, seq: 1, batch: batch.clone() },
+            PbftMsg::Prepare { view: 0, seq: 1, digest, from },
+            PbftMsg::Commit { view: 0, seq: 1, digest, from },
+            PbftMsg::ViewChange(vote(None)),
+            PbftMsg::NewView { view: 2, preprepares: preprepares.clone() },
+        ]
+        .into_iter()
+        .chain((1..=3).map(|f| PbftMsg::ViewChange(vote(Some(cert(f))))))
+        .chain(shell.iter().cloned().map(PbftMsg::Shell));
+        let commit = CommitVote { view: 0, seq: 1, batch: batch.clone(), primary_ui: ui, from, ui };
+        let minbft = [
+            MinBftMsg::Request(request(1)),
+            MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui },
+            MinBftMsg::Commit(Arc::new(commit)),
+            MinBftMsg::ReqViewChange(vote(Some(cert(1)))),
+            MinBftMsg::NewView { view: 2, preprepares },
+            MinBftMsg::FillGap { sender: ReplicaId(0), from_counter: 3, upto: 9, from },
+        ]
+        .into_iter()
+        .chain((1..=3).map(|f| MinBftMsg::CheckpointHint { cert: cert(f), ring_base: 7, from }))
+        .chain(shell.iter().cloned().map(MinBftMsg::Shell));
+        let ops = (1..=4).map(|seq| (request(seq), Arc::new(vec![2; 40]))).collect();
+        let passive = [
+            PassiveMsg::Request(request(1)),
+            PassiveMsg::StateUpdate { epoch: 1, first_seq: 1, ops },
+            PassiveMsg::Heartbeat { epoch: 1, from, log_len: 9 },
+            PassiveMsg::SyncRequest { from_seq: 5, from },
+        ]
+        .into_iter()
+        .chain(shell.iter().cloned().map(PassiveMsg::Shell));
+        let from = Endpoint::Replica(from);
+        sized_once(pbft.map(|msg| Envelope::Msg { from, msg }));
+        sized_once(minbft.map(|msg| Envelope::Msg { from, msg }));
+        sized_once(passive.map(|msg| Envelope::Msg { from, msg }));
+        sized_once(envelopes());
+    }
+
+    /// One envelope of each kind.
+    fn envelopes() -> Vec<Envelope<PbftMsg>> {
+        vec![
+            Envelope::HelloReplica(3),
+            Envelope::HelloClient { ids: vec![0, 1, 2, 3] },
+            Envelope::Msg {
+                from: Endpoint::Client(ClientId(7)),
+                msg: PbftMsg::Request(request(9)),
+            },
+            Envelope::DigestQuery,
+            Envelope::DigestReply { replica: 2, committed: 240, digest: [0x5A; 32] },
+            Envelope::Shutdown,
+        ]
+    }
+
+    /// Every tag byte no envelope uses, behind a frame of every kind, is
+    /// refused.
     #[test]
     fn unknown_discriminant_is_rejected() {
-        let mut body = encode_envelope::<PbftMsg>(&Envelope::DigestQuery);
-        *body.last_mut().unwrap() = 6; // past the last variant tag
-        assert!(decode_envelope::<PbftMsg>(&body).is_none());
+        let frames: Vec<Vec<u8>> = envelopes().iter().map(encode_envelope).collect();
+        let used: Vec<u8> = frames.iter().map(|f| f[1]).collect();
+        assert_eq!(used, [0, 1, 2, 3, 4, 5]);
+        for frame in &frames {
+            for tag in (0..=255).filter(|t| !used.contains(t)) {
+                let mut body = frame.clone();
+                body[1] = tag;
+                assert!(decode_envelope::<PbftMsg>(&body).is_none(), "tag {tag:#x}");
+            }
+        }
     }
 
     proptest! {
