@@ -27,9 +27,12 @@
 //!
 //! A protocol file keeps its message enum (its own messages plus one
 //! `Shell(ShellMsg)` variant), its state and its handlers: inherent
-//! `impl Replica<Pbft>` blocks that reach the shell, the script and `now`
-//! as fields of the replica they run on, and the protocol's own state as
-//! `core`.
+//! `impl Replica<…>` blocks that reach the shell, the script and `now` as
+//! fields of the replica they run on, and the protocol's own state as
+//! `core`. Passive replication implements [`Core`] itself; PBFT and MinBFT
+//! share one implementation, the agreement front-end
+//! ([`Agreement`](crate::agreement::Agreement)), and supply only a
+//! [`Discipline`](crate::agreement::Discipline).
 
 use crate::adversary::ReplicaScript;
 use crate::api::{

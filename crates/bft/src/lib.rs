@@ -41,6 +41,15 @@
 //!   own state and handlers. `Replicas<P>` is the one [`api::Cluster`]
 //!   impl and provisioning loop; `PbftReplica`, `PbftCluster` and their
 //!   siblings are aliases of the two;
+//! * `agreement` (crate-private) — the agreement front-end PBFT and
+//!   MinBFT share, one `Core` for both: the slot window and the stored
+//!   proposals, proposal admission (view, horizon, non-empty batch, first
+//!   digest wins), in-order execution, request intake and the patience and
+//!   flush timers, the view change from vote to install, the NEW-VIEW gate
+//!   (a higher view, from its primary) and the transfer and recovery
+//!   tails. A protocol supplies a `Discipline`: its quorum, which slots
+//!   are prepared and executable, how it certifies a proposal, and how its
+//!   new primary leads and a backup follows;
 //! * `shell` (crate-private) — the one replica shell inside the chassis.
 //!   It *owns* the request accumulator, the op → slot assignments, the
 //!   backup watchlist and the next free sequence number, the committed
@@ -97,6 +106,7 @@
 //! ```
 
 pub mod adversary;
+mod agreement;
 pub mod api;
 pub mod broadcast;
 mod chassis;

@@ -10,25 +10,29 @@
 //! 2f+1 and the commit quorum to f+1.
 //!
 //! Out-of-order delivery is handled with a per-sender hold-back queue (the
-//! USIG contiguity window only advances in counter order). The view change
-//! follows the same operational shape as our PBFT: request-patience timers,
-//! `ReqViewChange` votes (carrying prepared-but-unexecuted entries), and a
-//! re-proposal round by the new primary.
+//! USIG contiguity window only advances in counter order). The slot
+//! window, execution, intake and the view change — request-patience
+//! timers, `ReqViewChange` votes carrying prepared-but-unexecuted entries,
+//! a re-proposal round by the new primary — are the agreement front-end
+//! PBFT shares (`agreement.rs`); this file keeps the USIG certification,
+//! `FillGap`, `CheckpointHint`, the future-view stash, and how its new
+//! primary leads.
 //!
 //! Wire format: PREPARE and COMMIT carry [`Arc<Batch>`] — the broadcast
 //! fan-out bumps a refcount per peer instead of deep-cloning the batch.
 
 use crate::adversary::conflicting_batch;
-use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
-use crate::chassis::{Core, Replica, Replicas};
-use crate::checkpoint::{CheckpointCert, CstInstall};
+use crate::agreement::{Agreement, Discipline, Slot};
+use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
+use crate::chassis::{Replica, Replicas};
+use crate::checkpoint::CheckpointCert;
 use crate::codec::SHELL_TAG;
-use crate::dense::{ReplicaSet, SeqWindow};
+use crate::dense::SeqWindow;
 use crate::durable::{DurableEvent, RecoveredState};
 use crate::protocol::Protocol;
 use crate::runner::RunConfig;
-use crate::shell::{carries_shell, Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
-use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
+use crate::shell::{carries_shell, ShellMsg};
+use crate::viewchange::{PreparedSet, VcVote};
 use rsoc_crypto::Tag;
 use rsoc_hw::{EccRegister, PlainRegister, RegisterCell};
 use rsoc_hybrid::{KeyRing, Usig, UsigId, UI};
@@ -147,31 +151,36 @@ crate::wire! {
     }
 }
 
-/// One agreement slot; executed slots are *retired* from the window
-/// instead of flagged (see [`SeqWindow::retire_below`]).
+/// MinBFT's evidence that a slot is prepared: the primary certificate the
+/// slot's PREPARE carried.
 #[derive(Debug, Default)]
-struct Slot {
-    batch: Option<Arc<Batch>>,
-    digest: Option<[u8; 32]>,
-    /// The primary certificate `(view, UI)` over `digest` that this replica
-    /// has verified (or, as primary, issued) for the slot. A COMMIT quoting
+pub struct PrimaryCert {
+    /// The primary certificate `(view, UI)` over the slot's digest that
+    /// this replica has verified (or, as primary, issued). A COMMIT quoting
     /// exactly this pair needs no second MAC; the view is part of the pair
     /// because the same UI quoted in a later view names another primary's
     /// key and must fail under it.
-    primary_cert: Option<(u64, UI)>,
-    prepare_ok: bool,
-    commits: ReplicaSet,
-    sent_commit: bool,
+    primary: Option<(u64, UI)>,
+    /// Whether the slot's PREPARE was taken in the current view.
+    prepared: bool,
 }
 
-impl Slot {
-    /// Takes the PREPARE `(view, batch, ui)` whose certificate the caller
-    /// has verified or issued.
-    fn prepare(&mut self, view: u64, batch: Arc<Batch>, digest: [u8; 32], ui: UI) {
-        self.batch = Some(batch);
-        self.digest = Some(digest);
-        self.primary_cert = Some((view, ui));
-        self.prepare_ok = true;
+impl PrimaryCert {
+    /// Takes the PREPARE certificate `(view, ui)` the caller has verified
+    /// or issued.
+    fn prepare(&mut self, view: u64, ui: UI) {
+        self.primary = Some((view, ui));
+        self.prepared = true;
+    }
+}
+
+impl Slot<PrimaryCert> {
+    /// Takes this primary's own PREPARE `(view, ui)`, which is also its
+    /// commit vote.
+    fn issued(&mut self, view: u64, ui: UI, me: ReplicaId) {
+        self.cert.prepare(view, ui);
+        self.commits.insert(me);
+        self.sent_commit = true;
     }
 }
 
@@ -229,8 +238,8 @@ impl CounterProtection {
     }
 }
 
-/// MinBFT's ordering state: the USIG, the per-sender counter streams and
-/// their hold-back, the resend ring, the agreement slots, and the view.
+/// MinBFT's own ordering state: the USIG, the per-sender counter streams
+/// and their hold-back, the future-view stash and the resend ring.
 #[derive(Debug)]
 pub struct MinBft {
     usig: Usig,
@@ -253,18 +262,13 @@ pub struct MinBft {
     sent_ui: SeqWindow<MinBftMsg>,
     /// Per-sender time of the last gap-fill request (rate limiter).
     gap_req_at: Vec<u64>,
-    /// Agreement slots, watermarked at `shell.exec_upto() + 1`.
-    slots: SeqWindow<Slot>,
-    stored_prepares: SeqWindow<MinBftMsg>,
-    /// The current view and the view changes under way.
-    vc: ViewLedger,
 }
 
 /// One MinBFT replica.
-pub type MinBftReplica = Replica<MinBft>;
+pub type MinBftReplica = Replica<Agreement<MinBft>>;
 
 /// A MinBFT cluster of `2f+1` replicas sharing a provisioned key ring.
-pub type MinBftCluster = Replicas<MinBft>;
+pub type MinBftCluster = Replicas<Agreement<MinBft>>;
 
 impl MinBftCluster {
     /// Builds the cluster for `config.f` with SEC-DED-protected USIGs.
@@ -283,11 +287,12 @@ impl MinBftCluster {
 
 impl MinBftReplica {
     /// Creates replica `id` of an `n = 2f+1` cluster sharing `ring`
-    /// (a refcount bump, not a key-material copy). f+1 matching vouchers
-    /// certify a checkpoint, mirroring the commit quorum.
+    /// (a refcount bump, not a key-material copy). Slots commit and views
+    /// install on f+1 votes, and f+1 matching vouchers certify a
+    /// checkpoint.
     pub fn new(id: ReplicaId, f: u32, ring: Arc<KeyRing>, protection: CounterProtection) -> Self {
         let n = Protocol::MinBft.replicas(f);
-        let core = MinBft {
+        let own = MinBft {
             usig: Usig::new(UsigId(id.0), ring, protection.build()),
             ingress: (0..n).map(|_| SeqWindow::with_base(1)).collect(),
             future: Vec::new(),
@@ -295,42 +300,28 @@ impl MinBftReplica {
             accepted: vec![0; n as usize],
             sent_ui: SeqWindow::with_base(1),
             gap_req_at: vec![0; n as usize],
-            slots: SeqWindow::with_base(1),
-            stored_prepares: SeqWindow::with_base(1),
-            vc: ViewLedger::new(id, n),
         };
-        Replica::assemble(id, n, f, (f + 1) as usize, core)
+        let quorum = (f + 1) as usize;
+        Replica::assemble(id, n, f, quorum, Agreement::new(id, n, quorum, own))
     }
 
     /// `(created, verified)` USIG certificate counts — the replica's MAC
     /// operations, for authentication-cost accounting.
     pub fn mac_ops(&self) -> (u64, u64) {
-        (self.core.usig.issued(), self.core.usig.verified())
-    }
-
-    /// Votes refused: view-change votes whose named voter was not the
-    /// replica that sent them, and certified PREPAREs / COMMITs for a view
-    /// not yet installed that arrived after their sender had filled its
-    /// share of the stash.
-    pub fn rejected_votes(&self) -> u64 {
-        self.core.vc.rejected() + self.core.future_dropped
+        (self.core.own.usig.issued(), self.core.own.usig.verified())
     }
 
     /// SEU injection into the USIG counter register (E2 / F1).
     pub fn inject_usig_flip(&mut self, bit: u32) {
-        self.core.usig.inject_counter_flip(bit);
-    }
-
-    fn commit_quorum(&self) -> usize {
-        (self.f + 1) as usize
+        self.core.own.usig.inject_counter_flip(bit);
     }
 
     /// Remembers one of this replica's own UI-certified sends so a peer
     /// with a counter gap can ask for a verbatim resend.
     fn record_sent(&mut self, counter: u64, msg: MinBftMsg) {
-        self.core.sent_ui.insert(counter, msg);
+        self.core.own.sent_ui.insert(counter, msg);
         if counter > SENT_RETENTION {
-            self.core.sent_ui.retire_below(counter - SENT_RETENTION);
+            self.core.own.sent_ui.retire_below(counter - SENT_RETENTION);
         }
         // Every honest UI issue passes through here, so the persisted
         // counter watermark tracks the USIG exactly: a restart resumes
@@ -359,26 +350,26 @@ impl MinBftReplica {
         held_back: impl FnOnce() -> MinBftMsg,
         out: &mut Outbox<MinBftMsg>,
     ) -> bool {
-        if !self.core.usig.verify_ui(UsigId(sender.0), ui, signed) {
+        if !self.core.own.usig.verify_ui(UsigId(sender.0), ui, signed) {
             return false; // forged or corrupted certificate
         }
         let s = sender.0 as usize;
         // bounds: verify_ui above rejects senders without a ring key, so
         // s < n for every line that indexes the per-sender arrays here.
-        let last = self.core.accepted[s];
+        let last = self.core.own.accepted[s];
         match ui.counter.cmp(&(last + 1)) {
             std::cmp::Ordering::Equal => {
-                self.core.accepted[s] = ui.counter; // bounds: s < n (verify_ui)
-                self.core.ingress[s].retire_below(ui.counter + 1); // bounds: s < n (verify_ui)
+                self.core.own.accepted[s] = ui.counter; // bounds: s < n (verify_ui)
+                self.core.own.ingress[s].retire_below(ui.counter + 1); // bounds: s < n (verify_ui)
                 true
             }
             std::cmp::Ordering::Greater => {
                 // bounds: s < n (verify_ui)
-                self.core.ingress[s].insert(ui.counter, held_back());
+                self.core.own.ingress[s].insert(ui.counter, held_back());
                 // bounds: s < n (verify_ui)
-                if self.now >= self.core.gap_req_at[s].saturating_add(GAP_REQ_BACKOFF) {
+                if self.now >= self.core.own.gap_req_at[s].saturating_add(GAP_REQ_BACKOFF) {
                     // bounds: s < n (verify_ui)
-                    self.core.gap_req_at[s] = self.now;
+                    self.core.own.gap_req_at[s] = self.now;
                     out.send(
                         Endpoint::Replica(sender),
                         MinBftMsg::FillGap {
@@ -403,98 +394,56 @@ impl MinBftReplica {
     /// its counters could not be gap-filled anyway; later ones are dropped
     /// and counted.
     fn stash_future(&mut self, sender: ReplicaId, ui: &UI, signed: &[u8], msg: MinBftMsg) {
-        if !self.core.usig.verify_ui(UsigId(sender.0), ui, signed) {
+        if !self.core.own.usig.verify_ui(UsigId(sender.0), ui, signed) {
             return;
         }
-        let held = self.core.future.iter().filter(|(s, _)| *s == sender).count() as u64;
+        let held = self.core.own.future.iter().filter(|(s, _)| *s == sender).count() as u64;
         if held >= SENT_RETENTION {
-            self.core.future_dropped += 1;
+            self.core.own.future_dropped += 1;
             return;
         }
-        self.core.future.push((sender, msg));
+        self.core.own.future.push((sender, msg));
     }
 
     /// Pops the next contiguous buffered message from any sender, if ready
     /// (ascending sender order, matching the old map-keyed scan).
     fn take_ready(&mut self) -> Option<MinBftMsg> {
-        for s in 0..self.core.ingress.len() {
+        for s in 0..self.core.own.ingress.len() {
             // bounds: s iterates 0..len; accepted/ingress share length n
-            let next = self.core.accepted[s] + 1;
+            let next = self.core.own.accepted[s] + 1;
             // bounds: s iterates 0..len
-            if let Some(msg) = self.core.ingress[s].remove(next) {
+            if let Some(msg) = self.core.own.ingress[s].remove(next) {
                 // bounds: s iterates 0..len
-                self.core.accepted[s] = next;
+                self.core.own.accepted[s] = next;
                 // bounds: s iterates 0..len
-                self.core.ingress[s].retire_below(next + 1);
+                self.core.own.ingress[s].retire_below(next + 1);
                 return Some(msg);
             }
         }
         None
     }
 
-    /// Proposes `reqs` as one batch under a single USIG certificate — MAC
-    /// creation and verification are amortized `1/B` across the batch.
-    fn propose(&mut self, reqs: Vec<Arc<Request>>, out: &mut Outbox<MinBftMsg>) {
-        let (seq, batch) = self.shell.open_slot(reqs);
-        let view = self.core.vc.view();
-        if self.script.forges_ui_at(self.now) {
-            self.forge_equivocation(seq, batch, out);
-            return;
-        }
-        let digest = batch.digest();
-        let Ok(ui) = self.core.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
-            return; // fail-stopped USIG: replica can no longer lead
-        };
-        let prep = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
-        self.core.stored_prepares.insert(seq, prep.clone());
-        self.record_sent(ui.counter, prep.clone());
-        let me = self.id;
-        // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
-        let slot = self.core.slots.get_or_insert_default(seq).expect("fresh seq above watermark");
-        slot.prepare(view, batch, digest, ui);
-        slot.commits.insert(me); // the PREPARE is the primary's commit
-        slot.sent_commit = true;
-        out.broadcast(self.n, self.id, prep);
-    }
-
-    /// Answers a client retry for the op in flight at `seq`: retransmit
-    /// the stored PREPARE (heals backups with counter gaps).
-    fn reannounce(&self, seq: u64, out: &mut Outbox<MinBftMsg>) {
-        if let Some(prep) = self.core.stored_prepares.get(seq).cloned() {
-            out.broadcast(self.n, self.id, prep);
-        }
-    }
-
-    /// Byzantine primary attempting equivocation: a valid PREPARE for the
-    /// batch to half the backups and a *forged* certificate (same counter,
-    /// fabricated tag — the USIG refuses to sign twice) for a conflicting
-    /// batch to the rest. The hybrid makes the forgery detectable.
-    fn forge_equivocation(&mut self, seq: u64, batch: Arc<Batch>, out: &mut Outbox<MinBftMsg>) {
-        let view = self.core.vc.view();
-        let digest = batch.digest();
-        let Ok(ui) = self.core.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
-            return;
-        };
-        let evil = conflicting_batch(&batch);
+    /// Byzantine primary attempting equivocation: its PREPARE of `batch`
+    /// under `ui` to half the backups and a *forged* certificate (same
+    /// counter, fabricated tag — the USIG refuses to sign twice) for a
+    /// conflicting batch to the rest. The hybrid makes the forgery
+    /// detectable.
+    fn forge_equivocation(
+        &self,
+        view: u64,
+        seq: u64,
+        batch: &Arc<Batch>,
+        ui: UI,
+        out: &mut Outbox<MinBftMsg>,
+    ) {
+        let evil = conflicting_batch(batch);
         let forged_ui = UI { id: UsigId(self.id.0), counter: ui.counter, tag: Tag([0xEE; 32]) };
         let half = self.n / 2 + 1;
-        for i in 0..self.n {
-            if i == self.id.0 {
-                continue;
-            }
-            let msg = if i < half {
-                MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui }
-            } else {
-                MinBftMsg::Prepare { view, seq, batch: evil.clone(), ui: forged_ui }
-            };
-            out.send(Endpoint::Replica(ReplicaId(i)), msg);
+        for i in (0..self.n).filter(|&i| i != self.id.0) {
+            let (batch, ui) =
+                if i < half { (batch.clone(), ui) } else { (evil.clone(), forged_ui) };
+            out.send(Endpoint::Replica(ReplicaId(i)), MinBftMsg::Prepare { view, seq, batch, ui });
         }
-        let me = self.id;
-        // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
-        let slot = self.core.slots.get_or_insert_default(seq).expect("fresh seq above watermark");
-        slot.prepare(view, batch, digest, ui);
-        slot.commits.insert(me);
-        slot.sent_commit = true;
     }
 
     fn handle_prepare(
@@ -505,36 +454,18 @@ impl MinBftReplica {
         ui: UI,
         out: &mut Outbox<MinBftMsg>,
     ) {
-        // Below the watermark = already executed: rejected, not resurrected;
-        // past the horizon: refused before the window grows. (Stash replays
-        // and held-back messages come through here too.)
-        if view != self.core.vc.view() || !self.core.slots.admits(seq) {
-            return;
-        }
-        if batch.is_empty() {
-            return; // never proposed by a correct primary
-        }
-        // The digest the UI certifies is the carried requests' own (see
-        // `Batch`), so the certificate already covers the content.
-        let digest = batch.digest();
-        let primary = self.core.vc.primary_of(view);
-        let me = self.id;
-        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
-        if let Some(d) = slot.digest {
-            if d != digest {
-                return; // conflicts with already-evidenced assignment
-            }
-        }
-        self.shell.assign(seq, &batch);
-        // lint: allow(ingress-expect) -- get_or_insert_default above returned Some for this seq
-        let slot = self.core.slots.get_mut(seq).expect("slot just ensured");
-        slot.prepare(view, batch.clone(), digest, ui);
+        // Stash replays and held-back messages come through here too. The
+        // UI the caller verified certifies the carried requests' own digest
+        // (see `Batch`), so the certificate already covers the content.
+        let (primary, me) = (self.core.vc.primary_of(view), self.id);
+        let Some((digest, slot)) = self.admit(view, seq, &batch) else { return };
+        slot.cert.prepare(view, ui);
         slot.commits.insert(primary);
         if !slot.sent_commit {
             slot.sent_commit = true;
             slot.commits.insert(me);
-            let Ok(my_ui) = self.core.usig.create_ui(&commit_bytes(view, seq, &digest, ui.counter))
-            else {
+            let statement = commit_bytes(view, seq, &digest, ui.counter);
+            let Ok(my_ui) = self.core.own.usig.create_ui(&statement) else {
                 return;
             };
             let commit = MinBftMsg::Commit(Arc::new(CommitVote {
@@ -542,11 +473,11 @@ impl MinBftReplica {
                 seq,
                 batch,
                 primary_ui: ui,
-                from: self.id,
+                from: me,
                 ui: my_ui,
             }));
             self.record_sent(my_ui.counter, commit.clone());
-            out.broadcast(self.n, self.id, commit);
+            out.broadcast(self.n, me, commit);
         }
         self.try_execute(out);
     }
@@ -565,10 +496,10 @@ impl MinBftReplica {
         let digest = vote.batch.digest();
         let primary = self.core.vc.primary_of(view);
         let verified = self.core.slots.get(seq).is_some_and(|slot| {
-            slot.digest == Some(digest) && slot.primary_cert == Some((view, primary_ui))
+            slot.digest == Some(digest) && slot.cert.primary == Some((view, primary_ui))
         });
         if !verified
-            && !self.core.usig.verify_ui(
+            && !self.core.own.usig.verify_ui(
                 UsigId(primary.0),
                 &primary_ui,
                 &prepare_bytes(view, seq, &digest),
@@ -577,10 +508,8 @@ impl MinBftReplica {
             return;
         }
         let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
-        if let Some(d) = slot.digest {
-            if d != digest {
-                return;
-            }
+        if slot.digest.is_some_and(|d| d != digest) {
+            return;
         }
         if slot.batch.is_none() {
             // Adopting content we never saw a PREPARE for: the primary
@@ -588,45 +517,10 @@ impl MinBftReplica {
             slot.batch = Some(vote.batch.clone());
         }
         slot.digest = Some(digest);
-        slot.primary_cert = Some((view, primary_ui));
+        slot.cert.primary = Some((view, primary_ui));
         slot.commits.insert(from);
         slot.commits.insert(primary);
         self.try_execute(out);
-    }
-
-    fn try_execute(&mut self, out: &mut Outbox<MinBftMsg>) {
-        let quorum = self.commit_quorum();
-        loop {
-            let next = self.shell.exec_upto() + 1;
-            let ready = match self.core.slots.get(next) {
-                Some(s) => s.batch.is_some() && s.commits.len() >= quorum,
-                None => false,
-            };
-            if !ready {
-                break;
-            }
-            // Execution consumes the slot; the watermark retirement below
-            // makes the sequence number permanently dead.
-            // lint: allow(ingress-expect) -- `ready` above proved the slot exists in the window
-            let slot = self.core.slots.remove(next).expect("checked");
-            // lint: allow(ingress-expect) -- `ready` above proved batch.is_some()
-            let batch = slot.batch.expect("checked");
-            // lint: allow(ingress-expect) -- the digest is stored alongside the batch, never alone
-            let digest = slot.digest.expect("digest follows batch");
-            self.shell.execute(next, &batch, digest, |reply| {
-                out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
-            });
-            self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
-        }
-        self.retire_executed();
-    }
-
-    /// Retires the agreement windows below the execution watermark:
-    /// executed sequence numbers are dead, never resurrected.
-    fn retire_executed(&mut self) {
-        let floor = self.shell.exec_upto() + 1;
-        self.core.slots.retire_below(floor);
-        self.core.stored_prepares.retire_below(floor);
     }
 
     /// Ingests a [`MinBftMsg::CheckpointHint`] — the FillGap escalation
@@ -648,124 +542,49 @@ impl MinBftReplica {
             return; // forged hint (the shell counted the rejection)
         }
         let s = sender.0 as usize;
-        let Some(accepted) = self.core.accepted.get_mut(s) else { return };
+        let Some(accepted) = self.core.own.accepted.get_mut(s) else { return };
         if ring_base > 0 && *accepted + 1 < ring_base {
             // Counters below the ring can never be resent; skip to the
             // resendable range so the stream un-wedges. The certificate
             // (plus state transfer) covers what those counters ordered.
             *accepted = ring_base - 1;
             // bounds: accepted and ingress share length n; s indexed accepted above
-            self.core.ingress[s].retire_below(ring_base);
+            self.core.own.ingress[s].retire_below(ring_base);
             self.shell.note_hint_resync();
         }
     }
 
-    fn prepared_uncommitted(&self) -> PreparedSet {
-        // Every slot still in the window is unexecuted (execution retires).
-        self.core
-            .slots
-            .iter()
-            .filter(|(_, s)| s.prepare_ok)
-            .filter_map(|(seq, s)| s.batch.clone().map(|b| (seq, b)))
-            .collect()
-    }
-
-    /// Votes for `new_view` (once) and checks whether that elects us.
-    fn start_view_change(&mut self, new_view: u64, out: &mut Outbox<MinBftMsg>) {
-        let prepared = self.prepared_uncommitted();
-        let Some(vote) = self.core.vc.demand(new_view, self.now, prepared, &self.shell) else {
-            return;
-        };
-        out.broadcast(self.n, self.id, MinBftMsg::ReqViewChange(vote));
-        self.maybe_install_view(new_view, out);
-    }
-
-    fn handle_req_view_change(
-        &mut self,
-        from: Endpoint,
-        vote: VcVote,
-        out: &mut Outbox<MinBftMsg>,
-    ) {
-        let new_view = vote.new_view;
-        let Some(count) = self.core.vc.record(from, vote, &mut self.shell) else { return };
-        // In MinBFT a single valid suspicion suffices to join, because
-        // UI certificates make false accusations non-amplifiable; we
-        // require our own patience timer OR f+1 votes, matching the
-        // conservative reading:
-        if count >= (self.f + 1) as usize {
-            self.start_view_change(new_view, out);
-        }
-        self.maybe_install_view(new_view, out);
-    }
-
-    /// Becomes primary of `new_view` once f+1 replicas demand it. (With
-    /// f+1 quorums, full defense of the view change itself needs the
-    /// USIG-signed view-change messages of the original protocol, a
-    /// ROADMAP next step.)
-    fn maybe_install_view(&mut self, new_view: u64, out: &mut Outbox<MinBftMsg>) {
-        let own = self.prepared_uncommitted();
-        let Some(plan) = self.core.vc.plan(new_view, self.commit_quorum(), own, &self.shell) else {
-            return;
-        };
-        self.core.vc.installed(new_view);
-        self.shell.resume_at(plan.next_seq);
-        let preprepares = plan.repropose.clone();
-        out.broadcast(self.n, self.id, MinBftMsg::NewView { view: new_view, preprepares });
-        // Re-propose everything with fresh UIs as the new primary.
-        self.install_as_primary(plan.repropose, out);
-        self.replay_future(out);
-    }
-
+    /// Re-proposes `entries` under fresh UIs as the new primary.
     fn install_as_primary(&mut self, entries: PreparedSet, out: &mut Outbox<MinBftMsg>) {
         let view = self.core.vc.view();
         for (seq, batch) in entries {
-            if self.core.slots.is_retired(seq) {
-                continue; // already executed: dead, not resurrectable
+            if !self.core.slots.admits(seq) {
+                continue; // executed (dead, not resurrectable) or past the horizon
             }
             let digest = batch.digest();
-            let Ok(ui) = self.core.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
+            let Ok(ui) = self.core.own.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
                 return;
             };
             let prep = MinBftMsg::Prepare { view, seq, batch: batch.clone(), ui };
-            self.core.stored_prepares.insert(seq, prep.clone());
+            self.core.proposals.insert(seq, prep.clone());
             self.record_sent(ui.counter, prep.clone());
             self.shell.assign(seq, &batch);
             let me = self.id;
-            // lint: allow(ingress-expect) -- is_retired() continued the loop just above
-            let slot = self.core.slots.get_or_insert_default(seq).expect("not retired");
-            // Reset stale votes from the old view.
-            slot.commits.clear();
-            slot.prepare(view, batch, digest, ui);
-            slot.commits.insert(me);
-            slot.sent_commit = true;
-            out.broadcast(self.n, self.id, prep);
+            // lint: allow(ingress-expect) -- admits() continued the loop just above
+            let slot = self.core.slots.get_or_insert_default(seq).expect("admitted");
+            slot.batch = Some(batch);
+            slot.digest = Some(digest);
+            slot.commits.clear(); // stale votes from the old view
+            slot.issued(view, ui, me);
+            out.broadcast(self.n, me, prep);
         }
         self.try_execute(out);
-    }
-
-    fn handle_new_view(&mut self, view: u64, from: Endpoint, out: &mut Outbox<MinBftMsg>) {
-        if view <= self.core.vc.view() {
-            return;
-        }
-        if from != Endpoint::Replica(self.core.vc.primary_of(view)) {
-            return;
-        }
-        // Adopt the view; actual agreement re-runs via the primary's fresh
-        // PREPAREs (which carry verifiable UIs). Clear stale votes.
-        self.core.vc.installed(view);
-        for slot in self.core.slots.values_mut() {
-            slot.commits.clear();
-            slot.prepare_ok = false;
-            slot.sent_commit = false;
-        }
-        self.shell.rearm_patience(out);
-        self.replay_future(out);
     }
 
     /// Re-dispatches messages stashed for views we had not installed yet.
     fn replay_future(&mut self, out: &mut Outbox<MinBftMsg>) {
         let current = self.core.vc.view();
-        let stash = std::mem::take(&mut self.core.future);
+        let stash = std::mem::take(&mut self.core.own.future);
         for (sender, msg) in stash {
             let msg_view = match &msg {
                 MinBftMsg::Prepare { view, .. } => *view,
@@ -773,94 +592,12 @@ impl MinBftReplica {
                 _ => continue,
             };
             if msg_view > current {
-                self.core.future.push((sender, msg)); // still ahead of us
+                self.core.own.future.push((sender, msg)); // still ahead of us
             } else {
                 // From a generic peer endpoint: dispatch re-checks everything.
-                self.dispatch(Endpoint::Replica(self.core.vc.primary_of(msg_view)), msg, out);
+                let from = Endpoint::Replica(self.core.vc.primary_of(msg_view));
+                MinBft::on_message(self, from, msg, out);
             }
-        }
-    }
-
-    fn dispatch(&mut self, from: Endpoint, msg: MinBftMsg, out: &mut Outbox<MinBftMsg>) {
-        match msg {
-            MinBftMsg::Request(req) => match self.shell.intake(req, self.core.vc.role(), out) {
-                Intake::Sealed(reqs) => self.propose(reqs, out),
-                Intake::Reannounce(seq) => self.reannounce(seq, out),
-                Intake::Done => {}
-            },
-            MinBftMsg::Prepare { view, seq, batch, ui } => {
-                // The UI certifies the batch digest, which is a function of
-                // the carried requests (see `Batch`).
-                let signed = prepare_bytes(view, seq, &batch.digest());
-                let sender = self.core.vc.primary_of(view);
-                if view > self.core.vc.view() {
-                    // The installing NewView may still be in flight. Do NOT
-                    // consume the sender's UI counter yet.
-                    let msg = MinBftMsg::Prepare { view, seq, batch, ui };
-                    self.stash_future(sender, &ui, &signed, msg);
-                    return;
-                }
-                let held_back = || MinBftMsg::Prepare { view, seq, batch: Arc::clone(&batch), ui };
-                if self.ingest_ui(sender, &ui, &signed, held_back, out) {
-                    self.handle_prepare(view, seq, batch, ui, out);
-                    self.drain_ready(out);
-                }
-            }
-            MinBftMsg::Commit(vote) => {
-                let digest = vote.batch.digest();
-                let signed = commit_bytes(vote.view, vote.seq, &digest, vote.primary_ui.counter);
-                if vote.view > self.core.vc.view() {
-                    let (sender, ui) = (vote.from, vote.ui);
-                    self.stash_future(sender, &ui, &signed, MinBftMsg::Commit(vote));
-                    return;
-                }
-                let held_back = || MinBftMsg::Commit(Arc::clone(&vote));
-                if self.ingest_ui(vote.from, &vote.ui, &signed, held_back, out) {
-                    self.handle_commit(&vote, out);
-                    self.drain_ready(out);
-                }
-            }
-            MinBftMsg::ReqViewChange(vote) => self.handle_req_view_change(from, vote, out),
-            MinBftMsg::NewView { view, preprepares } => {
-                let _ = preprepares; // re-proposals arrive as fresh PREPAREs
-                self.handle_new_view(view, from, out)
-            }
-            MinBftMsg::FillGap { sender, from_counter, upto, from: requester } => {
-                // Serve only gaps in OUR stream, only over the requester's
-                // own link, with a bounded burst; the resends are the
-                // original UI-certified messages, which the requester
-                // re-verifies and ingests in counter order.
-                if sender == self.id && requester != self.id && from == Endpoint::Replica(requester)
-                {
-                    if from_counter < self.core.sent_ui.base() {
-                        // The gap starts below the resend ring: those
-                        // counters are gone and USIGs never re-sign them.
-                        // Hand over the stable certificate (if any) so the
-                        // requester resyncs and escalates to state
-                        // transfer instead of backing off forever.
-                        if let Some(cert) = self.shell.ckpt().stable() {
-                            out.send(
-                                Endpoint::Replica(requester),
-                                MinBftMsg::CheckpointHint {
-                                    cert: Box::new(cert.clone()),
-                                    ring_base: self.core.sent_ui.base(),
-                                    from: self.id,
-                                },
-                            );
-                        }
-                    }
-                    let hi = upto.min(from_counter.saturating_add(GAP_FILL_BURST - 1));
-                    for counter in from_counter..=hi {
-                        if let Some(m) = self.core.sent_ui.get(counter) {
-                            out.send(Endpoint::Replica(requester), m.clone());
-                        }
-                    }
-                }
-            }
-            MinBftMsg::CheckpointHint { cert, ring_base, from: sender } => {
-                self.handle_checkpoint_hint(from, *cert, ring_base, sender)
-            }
-            MinBftMsg::Shell(_) => {}
         }
     }
 
@@ -877,33 +614,138 @@ impl MinBftReplica {
     }
 }
 
-// The node-facing routing table: every simulator event enters here.
-impl Core for MinBft {
+impl Discipline for MinBft {
     type Msg = MinBftMsg;
+    type Cert = PrimaryCert;
     const PROTOCOL: Protocol = Protocol::MinBft;
     const REQUEST: fn(Arc<Request>) -> MinBftMsg = MinBftMsg::Request;
+    const VIEW_CHANGE: fn(VcVote) -> MinBftMsg = MinBftMsg::ReqViewChange;
 
-    fn dispatch(r: &mut MinBftReplica, input: Input<MinBftMsg>, out: &mut Outbox<MinBftMsg>) {
-        match input {
-            Input::Message { from, msg } => r.dispatch(from, msg, out),
-            Input::Timer { kind: TIMER_REQUEST, token } if r.shell.watching(token) => {
-                if let Some(next) = r.core.vc.on_patience_timer(r.now, r.shell.patience()) {
-                    r.start_view_change(next, out);
+    fn prepared(slot: &Slot<PrimaryCert>, _: usize) -> bool {
+        slot.cert.prepared
+    }
+
+    fn executable(slot: &Slot<PrimaryCert>, quorum: usize) -> bool {
+        slot.commits.len() >= quorum
+    }
+
+    fn on_message(
+        r: &mut MinBftReplica,
+        from: Endpoint,
+        msg: MinBftMsg,
+        out: &mut Outbox<MinBftMsg>,
+    ) {
+        match msg {
+            MinBftMsg::Request(req) => r.intake(req, out),
+            MinBftMsg::Prepare { view, seq, batch, ui } => {
+                // The UI certifies the batch digest, which is a function of
+                // the carried requests (see `Batch`).
+                let signed = prepare_bytes(view, seq, &batch.digest());
+                let sender = r.core.vc.primary_of(view);
+                if view > r.core.vc.view() {
+                    // The installing NewView may still be in flight. Do NOT
+                    // consume the sender's UI counter yet.
+                    let msg = MinBftMsg::Prepare { view, seq, batch, ui };
+                    r.stash_future(sender, &ui, &signed, msg);
+                    return;
                 }
-                // Keep watching: if the new view also stalls, escalate.
-                out.arm(r.shell.patience(), TIMER_REQUEST, token);
-            }
-            Input::Timer { kind: TIMER_FLUSH, token } => {
-                if let Some(reqs) = r.shell.on_flush_timer(token, r.core.vc.is_primary()) {
-                    r.propose(reqs, out);
+                let held_back = || MinBftMsg::Prepare { view, seq, batch: Arc::clone(&batch), ui };
+                if r.ingest_ui(sender, &ui, &signed, held_back, out) {
+                    r.handle_prepare(view, seq, batch, ui, out);
+                    r.drain_ready(out);
                 }
             }
-            Input::Timer { .. } => {}
+            MinBftMsg::Commit(vote) => {
+                let digest = vote.batch.digest();
+                let signed = commit_bytes(vote.view, vote.seq, &digest, vote.primary_ui.counter);
+                if vote.view > r.core.vc.view() {
+                    let (sender, ui) = (vote.from, vote.ui);
+                    r.stash_future(sender, &ui, &signed, MinBftMsg::Commit(vote));
+                    return;
+                }
+                let held_back = || MinBftMsg::Commit(Arc::clone(&vote));
+                if r.ingest_ui(vote.from, &vote.ui, &signed, held_back, out) {
+                    r.handle_commit(&vote, out);
+                    r.drain_ready(out);
+                }
+            }
+            MinBftMsg::ReqViewChange(vote) => r.on_view_change(from, vote, out),
+            MinBftMsg::NewView { view, preprepares } => r.on_new_view(from, view, preprepares, out),
+            MinBftMsg::FillGap { sender, from_counter, upto, from: requester } => {
+                // Serve only gaps in OUR stream, only over the requester's
+                // own link, with a bounded burst; the resends are the
+                // original UI-certified messages, which the requester
+                // re-verifies and ingests in counter order.
+                if sender == r.id && requester != r.id && from == Endpoint::Replica(requester) {
+                    if from_counter < r.core.own.sent_ui.base() {
+                        // The gap starts below the resend ring: those
+                        // counters are gone and USIGs never re-sign them.
+                        // Hand over the stable certificate (if any) so the
+                        // requester resyncs and escalates to state
+                        // transfer instead of backing off forever.
+                        if let Some(cert) = r.shell.ckpt().stable() {
+                            out.send(
+                                Endpoint::Replica(requester),
+                                MinBftMsg::CheckpointHint {
+                                    cert: Box::new(cert.clone()),
+                                    ring_base: r.core.own.sent_ui.base(),
+                                    from: r.id,
+                                },
+                            );
+                        }
+                    }
+                    let hi = upto.min(from_counter.saturating_add(GAP_FILL_BURST - 1));
+                    for counter in from_counter..=hi {
+                        if let Some(m) = r.core.own.sent_ui.get(counter) {
+                            out.send(Endpoint::Replica(requester), m.clone());
+                        }
+                    }
+                }
+            }
+            MinBftMsg::CheckpointHint { cert, ring_base, from: sender } => {
+                r.handle_checkpoint_hint(from, *cert, ring_base, sender)
+            }
+            MinBftMsg::Shell(_) => {}
         }
     }
 
-    fn view(&self) -> u64 {
-        self.vc.view()
+    /// Proposes `reqs` as one batch under a single USIG certificate — MAC
+    /// creation and verification are amortized `1/B` across the batch.
+    fn propose(r: &mut MinBftReplica, reqs: Vec<Arc<Request>>, out: &mut Outbox<MinBftMsg>) {
+        let (seq, batch) = r.shell.open_slot(reqs);
+        let (view, digest, me) = (r.core.vc.view(), batch.digest(), r.id);
+        let Ok(ui) = r.core.own.usig.create_ui(&prepare_bytes(view, seq, &digest)) else {
+            return; // fail-stopped USIG: replica can no longer lead
+        };
+        r.own_slot(seq, &batch, digest).issued(view, ui, me);
+        if r.script.forges_ui_at(r.now) {
+            r.forge_equivocation(view, seq, &batch, ui, out);
+            return;
+        }
+        let prep = MinBftMsg::Prepare { view, seq, batch, ui };
+        r.core.proposals.insert(seq, prep.clone());
+        r.record_sent(ui.counter, prep.clone());
+        out.broadcast(r.n, me, prep);
+    }
+
+    /// Announces the view, then re-proposes the plan under fresh UIs.
+    fn lead(r: &mut MinBftReplica, plan: PreparedSet, out: &mut Outbox<MinBftMsg>) {
+        let view = r.core.vc.view();
+        out.broadcast(r.n, r.id, MinBftMsg::NewView { view, preprepares: plan.clone() });
+        r.install_as_primary(plan, out);
+        r.replay_future(out);
+    }
+
+    /// Agreement re-runs under the new primary's fresh PREPAREs, which
+    /// carry verifiable UIs — the NEW-VIEW's entries are not used — so
+    /// following is clearing the old view's votes.
+    fn follow(r: &mut MinBftReplica, _: PreparedSet, out: &mut Outbox<MinBftMsg>) {
+        for slot in r.core.slots.values_mut() {
+            slot.commits.clear();
+            slot.cert.prepared = false;
+            slot.sent_commit = false;
+        }
+        r.replay_future(out);
     }
 
     fn wipe(&mut self) {
@@ -918,18 +760,6 @@ impl Core for MinBft {
         self.accepted.fill(0);
         self.sent_ui = SeqWindow::with_base(1);
         self.gap_req_at.fill(0);
-        self.slots = SeqWindow::with_base(1);
-        self.stored_prepares = SeqWindow::with_base(1);
-        self.vc.wipe();
-    }
-
-    fn installed(r: &mut MinBftReplica, plan: &CstInstall, out: &mut Outbox<MinBftMsg>) {
-        // The cluster may have moved on while we were down; join its view,
-        // re-arm patience for what is still pending, and resume execution
-        // (which retires the windows below the installed watermark).
-        r.core.vc.join(plan.view);
-        r.shell.rearm_patience(out);
-        r.try_execute(out);
     }
 
     fn recovered(r: &mut MinBftReplica, state: &RecoveredState) {
@@ -940,16 +770,17 @@ impl Core for MinBft {
         // to CheckpointHint (exactly as after a rejuvenation wipe), so
         // their streams resync instead of wedging.
         if state.usig_counter > 0 {
-            r.core.usig.resume(state.usig_counter);
-            r.core.sent_ui = SeqWindow::with_base(state.usig_counter + 1);
+            r.core.own.usig.resume(state.usig_counter);
+            r.core.own.sent_ui = SeqWindow::with_base(state.usig_counter + 1);
         }
-        // Executed sequence numbers are dead from the first input on — both
-        // below the snapshot and below the replayed WAL tail.
-        r.retire_executed();
     }
 
     fn mac_count(&self) -> u64 {
         self.usig.issued() + self.usig.verified()
+    }
+
+    fn refused(&self) -> u64 {
+        self.future_dropped
     }
 }
 // lint: end
@@ -958,7 +789,7 @@ impl Core for MinBft {
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
-    use crate::api::{ClientId, Cluster, OpId, ReplicaNode};
+    use crate::api::{ClientId, Cluster, Input, OpId, ReplicaNode};
     use crate::dense::SLOT_HORIZON;
     use crate::runner::{run, RunConfig};
 
@@ -1163,7 +994,7 @@ mod tests {
         let ring_base = 5;
         let requester = ReplicaId(2);
         let responder = &mut cluster.nodes_mut()[1];
-        responder.core.sent_ui.retire_below(ring_base);
+        responder.core.own.sent_ui.retire_below(ring_base);
         let mut out = Outbox::new();
         responder.on_input(
             Input::Message {
@@ -1212,7 +1043,7 @@ mod tests {
             10_001,
             &mut out,
         );
-        assert_eq!(node.core.accepted[1], ring_base - 1, "stream resynced at the ring base");
+        assert_eq!(node.core.own.accepted[1], ring_base - 1, "stream resynced at the ring base");
         assert!(
             out.msgs
                 .iter()
@@ -1221,7 +1052,7 @@ mod tests {
         );
 
         // A spoofed hint (relayed for someone else's stream) is inert.
-        let accepted_before = node.core.accepted[0];
+        let accepted_before = node.core.own.accepted[0];
         let mut out = Outbox::new();
         node.on_input(
             Input::Message {
@@ -1231,7 +1062,10 @@ mod tests {
             10_002,
             &mut out,
         );
-        assert_eq!(node.core.accepted[0], accepted_before, "only the sender may resync its stream");
+        assert_eq!(
+            node.core.own.accepted[0], accepted_before,
+            "only the sender may resync its stream"
+        );
     }
 
     #[test]
@@ -1240,7 +1074,7 @@ mod tests {
         let mut cluster = MinBftCluster::with_protection(&cfg, CounterProtection::Plain);
         let report = run(&mut cluster, &cfg);
         assert_eq!(report.committed, 4);
-        assert_eq!(cluster.nodes()[0].core.usig.protection_name(), "plain");
+        assert_eq!(cluster.nodes()[0].core.own.usig.protection_name(), "plain");
     }
 
     /// Every queued event memcpys the whole message enum through the
@@ -1315,16 +1149,6 @@ mod tests {
         assert!(out.msgs.is_empty(), "voted on an executed sequence number: {:?}", out.msgs);
     }
 
-    fn vote(new_view: u64, from: u32) -> MinBftMsg {
-        MinBftMsg::ReqViewChange(VcVote {
-            new_view,
-            from: ReplicaId(from),
-            prepared: Vec::new(),
-            executed_upto: 0,
-            cert: None,
-        })
-    }
-
     fn replica(id: u32) -> MinBftReplica {
         MinBftReplica::new(ReplicaId(id), 1, KeyRing::provision(5, 3), CounterProtection::SecDed)
     }
@@ -1344,7 +1168,7 @@ mod tests {
 
     /// A PREPARE certified by `signer`'s own USIG (its next counter).
     fn prepare_from(signer: &mut MinBftReplica, view: u64, seq: u64, batch: &Arc<Batch>) -> UI {
-        signer.core.usig.create_ui(&prepare_bytes(view, seq, &batch.digest())).unwrap()
+        signer.core.own.usig.create_ui(&prepare_bytes(view, seq, &batch.digest())).unwrap()
     }
 
     /// A COMMIT from `signer` quoting `primary_ui`, its own UI genuine.
@@ -1356,7 +1180,7 @@ mod tests {
         primary_ui: UI,
     ) -> MinBftMsg {
         let statement = commit_bytes(view, seq, &batch.digest(), primary_ui.counter);
-        let ui = signer.core.usig.create_ui(&statement).unwrap();
+        let ui = signer.core.own.usig.create_ui(&statement).unwrap();
         let (batch, from) = (batch.clone(), signer.id);
         MinBftMsg::Commit(Arc::new(CommitVote { view, seq, batch, primary_ui, from, ui }))
     }
@@ -1368,9 +1192,9 @@ mod tests {
         msg: MinBftMsg,
         out: &mut Outbox<MinBftMsg>,
     ) -> u64 {
-        let before = r.core.usig.verified();
+        let before = r.core.own.usig.verified();
         r.on_input(Input::Message { from: Endpoint::Replica(ReplicaId(from)), msg }, 10, out);
-        r.core.usig.verified() - before
+        r.core.own.usig.verified() - before
     }
 
     fn votes(r: &MinBftReplica, seq: u64) -> usize {
@@ -1405,7 +1229,7 @@ mod tests {
         // The accepted certificate itself: the sender's MAC only, and the
         // vote counts — the third of three, so the slot executes.
         let mut honest = replica_of_five(1);
-        honest.core.usig.resume(1); // its counter 1 was spent above
+        honest.core.own.usig.resume(1); // its counter 1 was spent above
         let commit = commit_from(&mut honest, 0, 1, &batch, ui);
         assert_eq!(deliver(&mut r, 1, commit, &mut out), 1);
         assert_eq!(r.committed_seq(), 1);
@@ -1452,10 +1276,10 @@ mod tests {
         assert_eq!(votes(&r, 1), 2);
         // The PREPARE's own UI is always checked — the primary's counter
         // stream depends on it — and advances that stream in order.
-        assert_eq!(r.core.accepted[0], 0);
+        assert_eq!(r.core.own.accepted[0], 0);
         let prepare = MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui };
         assert_eq!(deliver(&mut r, 0, prepare, &mut out), 1);
-        assert_eq!(r.core.accepted[0], 1);
+        assert_eq!(r.core.own.accepted[0], 1);
         assert_eq!(r.committed_seq(), 1, "primary + replica 1 + own vote");
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.from == r.id)));
         // A vote for the executed slot: the sender's MAC, nothing more.
@@ -1480,7 +1304,7 @@ mod tests {
             assert_eq!(deliver(&mut r, 2, commit, &mut out), 1, "slot {seq}");
             assert_eq!((r.core.slots.len(), r.core.slots.capacity()), (0, capacity), "slot {seq}");
         }
-        assert_eq!(r.core.accepted[2], 2, "the voter's stream moved on: nothing is held back");
+        assert_eq!(r.core.own.accepted[2], 2, "the voter's stream moved on: nothing is held back");
 
         let at = 1 + SLOT_HORIZON;
         let ui = prepare_from(&mut p, 0, at, &batch);
@@ -1513,7 +1337,7 @@ mod tests {
             };
             deliver(&mut r, 0, MinBftMsg::Commit(Arc::new(vote)), &mut out);
         }
-        assert!(r.core.future.is_empty());
+        assert!(r.core.own.future.is_empty());
         assert_eq!(r.rejected_votes(), 0, "forgeries are refused, not counted as drops");
         assert!(out.msgs.is_empty());
     }
@@ -1530,14 +1354,14 @@ mod tests {
             let prepare = MinBftMsg::Prepare { view: 2, seq, batch: batch.clone(), ui };
             assert_eq!(deliver(&mut r, 2, prepare, &mut out), 1);
         }
-        assert_eq!(r.core.future.len() as u64, SENT_RETENTION);
+        assert_eq!(r.core.own.future.len() as u64, SENT_RETENTION);
         assert_eq!(r.rejected_votes(), extra, "the newest beyond the cap are dropped and counted");
-        assert_eq!(r.core.accepted[2], 0, "stashing must not consume the sender's counters");
+        assert_eq!(r.core.own.accepted[2], 0, "stashing must not consume the sender's counters");
         // The cap is per sender: another replica's stream still has room.
         let mut other = replica(0);
         let commit = commit_from(&mut other, 2, 1, &batch, prepare_from(&mut sender, 2, 1, &batch));
         deliver(&mut r, 0, commit, &mut out);
-        assert_eq!(r.core.future.len() as u64, SENT_RETENTION + 1);
+        assert_eq!(r.core.own.future.len() as u64, SENT_RETENTION + 1);
         assert_eq!(r.rejected_votes(), extra);
     }
 
@@ -1550,47 +1374,13 @@ mod tests {
         let ui = prepare_from(&mut next_primary, 1, 1, &batch);
         let prepare = MinBftMsg::Prepare { view: 1, seq: 1, batch, ui };
         deliver(&mut r, 1, prepare, &mut out);
-        assert_eq!((r.core.future.len(), r.core.accepted[1], r.committed_seq()), (1, 0, 0));
+        assert_eq!((r.core.own.future.len(), r.core.own.accepted[1], r.committed_seq()), (1, 0, 0));
         let new_view = MinBftMsg::NewView { view: 1, preprepares: Vec::new() };
         deliver(&mut r, 1, new_view, &mut out);
-        assert_eq!((r.core.future.len(), r.core.accepted[1], r.view()), (0, 1, 1));
+        assert_eq!((r.core.own.future.len(), r.core.own.accepted[1], r.view()), (0, 1, 1));
         assert_eq!(r.committed_seq(), 1, "primary + own vote is the f+1 quorum");
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.view == 1)));
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Shell(ShellMsg::Reply(_)))));
-    }
-
-    /// The voter id is wire-supplied: one naming a replica outside the
-    /// cluster must be refused, not used as an index (a remote crash).
-    #[test]
-    fn view_change_vote_from_outside_the_cluster_is_refused() {
-        let mut r = replica(1);
-        let mut out = Outbox::new();
-        for link in [2, 99] {
-            let from = Endpoint::Replica(ReplicaId(link));
-            r.on_input(Input::Message { from, msg: vote(1, 99) }, 10, &mut out);
-        }
-        assert_eq!((r.rejected_votes(), r.view()), (2, 0));
-        assert!(out.msgs.is_empty());
-    }
-
-    /// One endpoint is one vote: replica 2 alone, claiming to be 0 and 2
-    /// in turn, must not assemble the f+1 demands that make replica 1
-    /// install view 1.
-    #[test]
-    fn one_link_cannot_forge_a_view_change_quorum() {
-        let mut r = replica(1);
-        let mut out = Outbox::new();
-        let link = Endpoint::Replica(ReplicaId(2));
-        for claimed in [0, 2] {
-            r.on_input(Input::Message { from: link, msg: vote(1, claimed) }, 10, &mut out);
-        }
-        assert_eq!((r.rejected_votes(), r.view()), (1, 0));
-        assert!(out.msgs.is_empty(), "one real demand is below the f+1 join threshold");
-        // The same vote over its voter's own link does install it.
-        let from = Endpoint::Replica(ReplicaId(0));
-        r.on_input(Input::Message { from, msg: vote(1, 0) }, 11, &mut out);
-        assert_eq!((r.rejected_votes(), r.view()), (1, 1));
-        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::NewView { view: 1, .. })));
     }
 
     /// A gap fill resends to the replica that asked, over its own link: one
@@ -1613,5 +1403,20 @@ mod tests {
         responder.on_input(Input::Message { from, msg: fill }, 10_001, &mut out);
         assert_eq!(out.msgs.len(), 4, "counters 1..=4 resent");
         assert!(out.msgs.iter().all(|(to, _)| *to == from));
+    }
+
+    /// The voter id is wire-supplied: one naming a replica outside the
+    /// cluster must be refused, not used as an index (a remote crash).
+    #[test]
+    fn view_change_vote_from_outside_the_cluster_is_refused() {
+        crate::agreement::tests::refuses_votes_from_outside_the_cluster(MinBftCluster::new);
+    }
+
+    /// One endpoint is one vote: one link claiming every other voter's id
+    /// must not assemble the demands that install the next view.
+    #[test]
+    fn one_link_cannot_forge_a_view_change_quorum() {
+        use crate::agreement::tests::{counts_one_vote_per_link, minbft_new_view};
+        counts_one_vote_per_link(MinBftCluster::new, minbft_new_view);
     }
 }

@@ -27,24 +27,21 @@
 //! [`crate::api`]), so the steady-state message plane performs no payload
 //! copies at all.
 //!
-//! Replica state is *dense* (see [`crate::dense`]): agreement slots live
-//! in a [`SeqWindow`] anchored at the execution watermark (executed slots
-//! are retired — garbage-collected and structurally unresurrectable),
-//! per-op dedup/assignment in the shell's open-addressed
-//! [`OpIndex`](crate::dense::OpIndex)es, and quorum tallies in
-//! [`ReplicaSet`] bitmasks.
+//! The slot window, execution, intake and the view change are the
+//! agreement front-end MinBFT shares (`agreement.rs`); this file keeps how
+//! PBFT certifies a proposal — PRE-PREPARE, then PREPARE and COMMIT votes
+//! tallied in [`ReplicaSet`] bitmasks — and how its new primary leads.
 
 use crate::adversary::conflicting_batch;
-use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
-use crate::chassis::{Core, Replica, Replicas};
-use crate::checkpoint::CstInstall;
+use crate::agreement::{Agreement, Discipline, Slot};
+use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
+use crate::chassis::{Replica, Replicas};
 use crate::codec::SHELL_TAG;
-use crate::dense::{ReplicaSet, SeqWindow};
-use crate::durable::RecoveredState;
+use crate::dense::ReplicaSet;
 use crate::protocol::Protocol;
 use crate::runner::RunConfig;
-use crate::shell::{carries_shell, Intake, ShellMsg, TIMER_FLUSH, TIMER_REQUEST};
-use crate::viewchange::{PreparedSet, VcVote, ViewLedger};
+use crate::shell::{carries_shell, ShellMsg};
+use crate::viewchange::{PreparedSet, VcVote};
 use std::sync::Arc;
 
 /// PBFT wire messages.
@@ -116,35 +113,17 @@ crate::wire! {
     }
 }
 
-/// One agreement slot. Slots live in the [`SeqWindow`]; execution removes
-/// and retires them, so an "executed" slot is simply one below the window
-/// watermark — no flag needed.
-#[derive(Debug, Default)]
-struct Slot {
-    batch: Option<Arc<Batch>>,
-    digest: Option<[u8; 32]>,
-    prepares: ReplicaSet,
-    commits: ReplicaSet,
-    sent_commit: bool,
-}
-
-/// PBFT's ordering state: the agreement slots, the proposals stored for
-/// re-announcement, and the view.
+/// PBFT's discipline: a slot is prepared by the PREPARE voters it holds,
+/// and PBFT keeps no state of its own beyond the agreement front-end it
+/// shares with MinBFT.
 #[derive(Debug)]
-pub struct Pbft {
-    /// Agreement slots, watermarked at `shell.exec_upto() + 1` (sequence
-    /// 0 is never used, so the window starts at base 1).
-    slots: SeqWindow<Slot>,
-    stored_preprepares: SeqWindow<PbftMsg>,
-    /// The current view and the view changes under way.
-    vc: ViewLedger,
-}
+pub struct Pbft;
 
 /// One PBFT replica.
-pub type PbftReplica = Replica<Pbft>;
+pub type PbftReplica = Replica<Agreement<Pbft>>;
 
 /// A PBFT cluster of `3f+1` replicas.
-pub type PbftCluster = Replicas<Pbft>;
+pub type PbftCluster = Replicas<Agreement<Pbft>>;
 
 impl PbftCluster {
     /// Builds the cluster for `config.f`.
@@ -155,25 +134,12 @@ impl PbftCluster {
 
 impl PbftReplica {
     /// Creates replica `id` of an `n = 3f+1` cluster, unbatched and
-    /// without checkpoints (f+1 vouchers certify one once enabled).
+    /// without checkpoints (f+1 vouchers certify one once enabled). Slots
+    /// prepare, commit and views install on 2f+1 votes.
     pub fn new(id: ReplicaId, f: u32) -> Self {
         let n = Protocol::Pbft.replicas(f);
-        let core = Pbft {
-            slots: SeqWindow::with_base(1),
-            stored_preprepares: SeqWindow::with_base(1),
-            vc: ViewLedger::new(id, n),
-        };
+        let core = Agreement::new(id, n, (2 * f + 1) as usize, Pbft);
         Replica::assemble(id, n, f, (f + 1) as usize, core)
-    }
-
-    /// View-change votes refused because the voter they named was not the
-    /// replica that sent them.
-    pub fn rejected_votes(&self) -> u64 {
-        self.core.vc.rejected()
-    }
-
-    fn quorum(&self) -> usize {
-        (2 * self.f + 1) as usize
     }
 
     // Everything below is reachable from adversarial input: a Byzantine
@@ -181,35 +147,6 @@ impl PbftReplica {
     // here is a remote crash. `rsoc_lint` enforces the no-panic contract;
     // the reasoned allows mark invariants the window/state machine holds.
     // lint: ingress
-    /// Proposes `reqs` as one batch: one agreement round (and one digest
-    /// computation) for up to `batch_size` requests.
-    fn propose(&mut self, reqs: Vec<Arc<Request>>, out: &mut Outbox<PbftMsg>) {
-        let (seq, batch) = self.shell.open_slot(reqs);
-        if self.script.equivocates_at(self.now) {
-            self.equivocate(seq, batch, out);
-            return;
-        }
-        let digest = batch.digest();
-        let me = self.id;
-        // lint: allow(ingress-expect) -- the shell keeps next_seq strictly above exec_upto
-        let slot = self.core.slots.get_or_insert_default(seq).expect("fresh seq above watermark");
-        slot.batch = Some(batch.clone());
-        slot.digest = Some(digest);
-        slot.prepares.insert(me);
-        let pp = PbftMsg::PrePrepare { view: self.core.vc.view(), seq, batch };
-        self.core.stored_preprepares.insert(seq, pp.clone());
-        out.broadcast(self.n, self.id, pp);
-    }
-
-    /// Answers a client retry for the op in flight at `seq`: re-announce
-    /// so replicas that discarded messages during a view change catch up.
-    fn reannounce(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
-        if let Some(pp) = self.core.stored_preprepares.get(seq).cloned() {
-            out.broadcast(self.n, self.id, pp);
-        }
-        self.reannounce_commit(seq, out);
-    }
-
     /// Byzantine primary: proposes conflicting batches for the same
     /// sequence number to two halves of the backups (and votes for both).
     fn equivocate(&mut self, seq: u64, batch: Arc<Batch>, out: &mut Outbox<PbftMsg>) {
@@ -221,19 +158,10 @@ impl PbftReplica {
                 continue;
             }
             let b = if i < half { &batch } else { &evil };
-            let d = b.digest();
-            out.send(
-                Endpoint::Replica(ReplicaId(i)),
-                PbftMsg::PrePrepare { view, seq, batch: b.clone() },
-            );
-            out.send(
-                Endpoint::Replica(ReplicaId(i)),
-                PbftMsg::Prepare { view, seq, digest: d, from: self.id },
-            );
-            out.send(
-                Endpoint::Replica(ReplicaId(i)),
-                PbftMsg::Commit { view, seq, digest: d, from: self.id },
-            );
+            let (to, digest, from) = (Endpoint::Replica(ReplicaId(i)), b.digest(), self.id);
+            out.send(to, PbftMsg::PrePrepare { view, seq, batch: b.clone() });
+            out.send(to, PbftMsg::Prepare { view, seq, digest, from });
+            out.send(to, PbftMsg::Commit { view, seq, digest, from });
         }
     }
 
@@ -245,58 +173,16 @@ impl PbftReplica {
         batch: Arc<Batch>,
         out: &mut Outbox<PbftMsg>,
     ) {
-        if view != self.core.vc.view() {
-            return;
-        }
-        if from != Endpoint::Replica(self.core.vc.primary_of(view)) {
+        let (primary, me) = (self.core.vc.primary_of(view), self.id);
+        if from != Endpoint::Replica(primary) {
             return; // only the view's primary may pre-prepare
         }
-        if batch.is_empty() {
-            return; // never proposed by a correct primary
-        }
-        // Below the watermark = already executed: rejected, never
-        // resurrected; past the horizon: refused before the window grows.
-        if !self.core.slots.admits(seq) {
-            return;
-        }
-        // The digest is the received content's own (see `Batch`): what is
-        // checked is whether it may take the slot.
-        let digest = batch.digest();
-        let primary = self.core.vc.primary_of(view);
-        let me = self.id;
-        let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
-        if let Some(existing) = slot.digest {
-            if existing != digest {
-                return; // conflicting proposal for the slot: keep the first
-            }
-        }
-        self.shell.assign(seq, &batch);
-        // lint: allow(ingress-expect) -- get_or_insert_default above returned Some for this seq
-        let slot = self.core.slots.get_mut(seq).expect("slot just ensured");
-        slot.batch = Some(batch);
-        slot.digest = Some(digest);
-        slot.prepares.insert(primary);
-        slot.prepares.insert(me);
+        let Some((digest, slot)) = self.admit(view, seq, &batch) else { return };
+        slot.cert.insert(primary);
+        slot.cert.insert(me);
         out.broadcast(self.n, self.id, PbftMsg::Prepare { view, seq, digest, from: self.id });
-        self.reannounce_commit(seq, out);
+        Pbft::reannounce_commit(self, seq, out);
         self.maybe_advance(seq, out);
-    }
-
-    /// Rebroadcasts this replica's COMMIT for `seq` if it has already voted
-    /// — heals peers that discarded the original during a view change.
-    fn reannounce_commit(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
-        let view = self.core.vc.view();
-        let me = self.id;
-        let n = self.n;
-        // Executed slots are retired from the window, so a bare `get`
-        // already excludes them.
-        if let Some(slot) = self.core.slots.get(seq) {
-            if slot.sent_commit {
-                if let Some(digest) = slot.digest {
-                    out.broadcast(n, me, PbftMsg::Commit { view, seq, digest, from: me });
-                }
-            }
-        }
     }
 
     /// Counts `from`'s PREPARE — or, with `commit`, its COMMIT — for
@@ -315,7 +201,7 @@ impl PbftReplica {
         }
         let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if slot.digest.is_none_or(|d| d == digest) {
-            let votes = if commit { &mut slot.commits } else { &mut slot.prepares };
+            let votes = if commit { &mut slot.commits } else { &mut slot.cert };
             votes.insert(from);
         }
         self.maybe_advance(seq, out);
@@ -323,249 +209,130 @@ impl PbftReplica {
 
     /// Drives a slot through prepared → committed → executed.
     fn maybe_advance(&mut self, seq: u64, out: &mut Outbox<PbftMsg>) {
-        let quorum = self.quorum();
-        let (send_commit, view, digest) = {
-            let Some(slot) = self.core.slots.get_mut(seq) else { return };
-            if slot.digest.is_none() {
-                return;
-            }
-            let prepared = slot.prepares.len() >= quorum;
-            let send_commit = prepared && !slot.sent_commit;
-            if send_commit {
-                slot.sent_commit = true;
-                slot.commits.insert(self.id);
-            }
-            // lint: allow(ingress-expect) -- is_none() early-returned two branches up
-            (send_commit, self.core.vc.view(), slot.digest.expect("digest set"))
-        };
-        if send_commit {
-            out.broadcast(self.n, self.id, PbftMsg::Commit { view, seq, digest, from: self.id });
+        let (quorum, me) = (self.core.quorum, self.id);
+        let Some(slot) = self.core.slots.get_mut(seq) else { return };
+        let Some(digest) = slot.digest else { return };
+        if slot.cert.len() >= quorum && !slot.sent_commit {
+            slot.sent_commit = true;
+            slot.commits.insert(me);
+            let view = self.core.vc.view();
+            out.broadcast(self.n, me, PbftMsg::Commit { view, seq, digest, from: me });
         }
         self.try_execute(out);
     }
 
-    fn try_execute(&mut self, out: &mut Outbox<PbftMsg>) {
-        let quorum = self.quorum();
-        loop {
-            let next = self.shell.exec_upto() + 1;
-            let ready = match self.core.slots.get(next) {
-                Some(slot) => {
-                    slot.batch.is_some() && slot.sent_commit && slot.commits.len() >= quorum
-                }
-                None => false,
-            };
-            if !ready {
-                break;
-            }
-            // Execution consumes the slot; retiring the watermark below
-            // makes the sequence number permanently dead.
-            // lint: allow(ingress-expect) -- `ready` above proved the slot exists in the window
-            let slot = self.core.slots.remove(next).expect("checked");
-            // lint: allow(ingress-expect) -- `ready` above proved batch.is_some()
-            let batch = slot.batch.expect("checked");
-            // lint: allow(ingress-expect) -- sent_commit is only set after the digest is stored
-            let digest = slot.digest.expect("checked");
-            self.shell.execute(next, &batch, digest, |reply| {
-                out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
-            });
-            self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
-        }
-        self.retire_executed();
-    }
-
-    /// Retires the agreement windows below the execution watermark:
-    /// executed sequence numbers are dead, never resurrected.
-    fn retire_executed(&mut self) {
-        let floor = self.shell.exec_upto() + 1;
-        self.core.slots.retire_below(floor);
-        self.core.stored_preprepares.retire_below(floor);
-    }
-
-    fn prepared_uncommitted(&self) -> PreparedSet {
-        let quorum = self.quorum();
-        // Every slot still in the window is unexecuted (execution retires).
-        self.core
-            .slots
-            .iter()
-            .filter(|(_, s)| s.prepares.len() >= quorum)
-            .filter_map(|(seq, s)| s.batch.clone().map(|b| (seq, b)))
-            .collect()
-    }
-
-    /// Votes for `new_view` (once) and checks whether that elects us.
-    fn start_view_change(&mut self, new_view: u64, out: &mut Outbox<PbftMsg>) {
-        let prepared = self.prepared_uncommitted();
-        let Some(vote) = self.core.vc.demand(new_view, self.now, prepared, &self.shell) else {
-            return;
-        };
-        out.broadcast(self.n, self.id, PbftMsg::ViewChange(vote));
-        self.maybe_install_view(new_view, out);
-    }
-
-    fn handle_view_change(&mut self, from: Endpoint, vote: VcVote, out: &mut Outbox<PbftMsg>) {
-        let new_view = vote.new_view;
-        let Some(count) = self.core.vc.record(from, vote, &mut self.shell) else { return };
-        // Join the view change once f+1 replicas demand it.
-        if count >= (self.f + 1) as usize {
-            self.start_view_change(new_view, out);
-        }
-        self.maybe_install_view(new_view, out);
-    }
-
-    /// Becomes primary of `new_view` once 2f+1 replicas demand it.
-    fn maybe_install_view(&mut self, new_view: u64, out: &mut Outbox<PbftMsg>) {
-        let own = self.prepared_uncommitted();
-        let Some(plan) = self.core.vc.plan(new_view, self.quorum(), own, &self.shell) else {
-            return;
-        };
-        self.shell.resume_at(plan.next_seq);
-        // Install locally.
-        self.install_new_view(new_view, &plan.repropose, out);
-        out.broadcast(
-            self.n,
-            self.id,
-            PbftMsg::NewView { view: new_view, preprepares: plan.repropose },
-        );
-    }
-
-    fn install_new_view(
-        &mut self,
-        view: u64,
-        preprepares: &[(u64, Arc<Batch>)],
-        out: &mut Outbox<PbftMsg>,
-    ) {
-        self.core.vc.installed(view);
-        // Reset vote state for uncommitted slots (everything still in the
-        // window); re-run agreement in the new view.
+    /// Re-runs agreement on `preprepares` in the view just installed: every
+    /// vote for a slot still in the window is reset, and each entry is
+    /// PREPARED afresh — the primary keeps it for re-announcement.
+    fn reprepare(&mut self, preprepares: &[(u64, Arc<Batch>)], out: &mut Outbox<PbftMsg>) {
+        let view = self.core.vc.view();
         for slot in self.core.slots.values_mut() {
-            slot.prepares.clear();
+            slot.cert.clear();
             slot.commits.clear();
             slot.sent_commit = false;
         }
+        let (primary, me) = (self.core.vc.primary_of(view), self.id);
         for (seq, batch) in preprepares {
             if !self.core.slots.admits(*seq) {
                 continue; // executed (dead, not resurrectable) or past the horizon
             }
             let digest = batch.digest();
-            let primary = self.core.vc.primary_of(view);
-            let me = self.id;
             self.shell.assign(*seq, batch);
             // lint: allow(ingress-expect) -- admits() continued the loop just above
-            let slot = self.core.slots.get_or_insert_default(*seq).expect("not retired");
+            let slot = self.core.slots.get_or_insert_default(*seq).expect("admitted");
             slot.batch = Some(batch.clone());
             slot.digest = Some(digest);
-            slot.prepares.insert(primary);
-            slot.prepares.insert(me);
+            slot.cert.insert(primary);
+            slot.cert.insert(me);
             if primary == me {
-                self.core
-                    .stored_preprepares
-                    .insert(*seq, PbftMsg::PrePrepare { view, seq: *seq, batch: batch.clone() });
+                let pp = PbftMsg::PrePrepare { view, seq: *seq, batch: batch.clone() };
+                self.core.proposals.insert(*seq, pp);
             }
-            out.broadcast(
-                self.n,
-                self.id,
-                PbftMsg::Prepare { view, seq: *seq, digest, from: self.id },
-            );
+            out.broadcast(self.n, me, PbftMsg::Prepare { view, seq: *seq, digest, from: me });
         }
-        let seqs: Vec<u64> = preprepares.iter().map(|(s, _)| *s).collect();
-        for seq in seqs {
-            self.maybe_advance(seq, out);
+        for (seq, _) in preprepares {
+            self.maybe_advance(*seq, out);
         }
-    }
-
-    fn handle_new_view(
-        &mut self,
-        view: u64,
-        preprepares: Vec<(u64, Arc<Batch>)>,
-        from: Endpoint,
-        out: &mut Outbox<PbftMsg>,
-    ) {
-        if view <= self.core.vc.view() && self.core.vc.view() != 0 {
-            return;
-        }
-        if from != Endpoint::Replica(self.core.vc.primary_of(view)) {
-            return;
-        }
-        self.install_new_view(view, &preprepares, out);
-        // Re-arm patience for still-pending requests under the new primary.
-        self.shell.rearm_patience(out);
     }
 }
 
-// The node-facing routing table: every simulator event enters here.
-impl Core for Pbft {
+impl Discipline for Pbft {
     type Msg = PbftMsg;
+    /// The replicas whose PREPARE (or PRE-PREPARE) for the slot's digest
+    /// arrived in the current view.
+    type Cert = ReplicaSet;
     const PROTOCOL: Protocol = Protocol::Pbft;
     const REQUEST: fn(Arc<Request>) -> PbftMsg = PbftMsg::Request;
+    const VIEW_CHANGE: fn(VcVote) -> PbftMsg = PbftMsg::ViewChange;
 
-    fn dispatch(r: &mut PbftReplica, input: Input<PbftMsg>, out: &mut Outbox<PbftMsg>) {
-        match input {
-            Input::Message { from, msg } => match msg {
-                PbftMsg::Request(req) => match r.shell.intake(req, r.core.vc.role(), out) {
-                    Intake::Sealed(reqs) => r.propose(reqs, out),
-                    Intake::Reannounce(seq) => r.reannounce(seq, out),
-                    Intake::Done => {}
-                },
-                PbftMsg::PrePrepare { view, seq, batch } => {
-                    r.handle_preprepare(from, view, seq, batch, out)
-                }
-                // A vote counts only from its voter's own link: one link
-                // naming three ids is one replica, not a quorum.
-                PbftMsg::Prepare { view, seq, digest, from: voter }
-                    if from == Endpoint::Replica(voter) =>
-                {
-                    r.handle_vote(false, view, seq, digest, voter, out)
-                }
-                PbftMsg::Commit { view, seq, digest, from: voter }
-                    if from == Endpoint::Replica(voter) =>
-                {
-                    r.handle_vote(true, view, seq, digest, voter, out)
-                }
-                PbftMsg::ViewChange(vote) => r.handle_view_change(from, vote, out),
-                PbftMsg::NewView { view, preprepares } => {
-                    r.handle_new_view(view, preprepares, from, out)
-                }
-                PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } | PbftMsg::Shell(_) => {}
-            },
-            Input::Timer { kind: TIMER_REQUEST, token } if r.shell.watching(token) => {
-                if let Some(next) = r.core.vc.on_patience_timer(r.now, r.shell.patience()) {
-                    r.start_view_change(next, out);
-                }
-                // Keep watching: if the new view also stalls, escalate.
-                out.arm(r.shell.patience(), TIMER_REQUEST, token);
+    fn prepared(slot: &Slot<ReplicaSet>, quorum: usize) -> bool {
+        slot.cert.len() >= quorum
+    }
+
+    fn executable(slot: &Slot<ReplicaSet>, quorum: usize) -> bool {
+        slot.sent_commit && slot.commits.len() >= quorum
+    }
+
+    fn on_message(r: &mut PbftReplica, from: Endpoint, msg: PbftMsg, out: &mut Outbox<PbftMsg>) {
+        match msg {
+            PbftMsg::Request(req) => r.intake(req, out),
+            PbftMsg::PrePrepare { view, seq, batch } => {
+                r.handle_preprepare(from, view, seq, batch, out)
             }
-            Input::Timer { kind: TIMER_FLUSH, token } => {
-                if let Some(reqs) = r.shell.on_flush_timer(token, r.core.vc.is_primary()) {
-                    r.propose(reqs, out);
-                }
+            // A vote counts only from its voter's own link: one link
+            // naming three ids is one replica, not a quorum.
+            PbftMsg::Prepare { view, seq, digest, from: voter }
+                if from == Endpoint::Replica(voter) =>
+            {
+                r.handle_vote(false, view, seq, digest, voter, out)
             }
-            Input::Timer { .. } => {}
+            PbftMsg::Commit { view, seq, digest, from: voter }
+                if from == Endpoint::Replica(voter) =>
+            {
+                r.handle_vote(true, view, seq, digest, voter, out)
+            }
+            PbftMsg::ViewChange(vote) => r.on_view_change(from, vote, out),
+            PbftMsg::NewView { view, preprepares } => r.on_new_view(from, view, preprepares, out),
+            PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } | PbftMsg::Shell(_) => {}
         }
     }
 
-    fn view(&self) -> u64 {
-        self.vc.view()
+    /// Proposes `reqs` as one batch: one agreement round (and one digest
+    /// computation) for up to `batch_size` requests.
+    fn propose(r: &mut PbftReplica, reqs: Vec<Arc<Request>>, out: &mut Outbox<PbftMsg>) {
+        let (seq, batch) = r.shell.open_slot(reqs);
+        if r.script.equivocates_at(r.now) {
+            r.equivocate(seq, batch, out);
+            return;
+        }
+        let me = r.id;
+        r.own_slot(seq, &batch, batch.digest()).cert.insert(me);
+        let pp = PbftMsg::PrePrepare { view: r.core.vc.view(), seq, batch };
+        r.core.proposals.insert(seq, pp.clone());
+        out.broadcast(r.n, me, pp);
     }
 
-    fn wipe(&mut self) {
-        self.slots = SeqWindow::with_base(1);
-        self.stored_preprepares = SeqWindow::with_base(1);
-        self.vc.wipe();
+    /// Rebroadcasts this replica's COMMIT for `seq` if it has already voted
+    /// — heals peers that discarded the original during a view change.
+    fn reannounce_commit(r: &mut PbftReplica, seq: u64, out: &mut Outbox<PbftMsg>) {
+        // Executed slots are retired from the window, so a bare `get`
+        // already excludes them.
+        let Some(slot) = r.core.slots.get(seq) else { return };
+        if let (true, Some(digest)) = (slot.sent_commit, slot.digest) {
+            let (view, me) = (r.core.vc.view(), r.id);
+            out.broadcast(r.n, me, PbftMsg::Commit { view, seq, digest, from: me });
+        }
     }
 
-    fn installed(r: &mut PbftReplica, plan: &CstInstall, out: &mut Outbox<PbftMsg>) {
-        // The cluster may have moved on while we were down; join its view,
-        // re-arm patience for what is still pending, and resume execution
-        // (which retires the windows below the installed watermark).
-        r.core.vc.join(plan.view);
-        r.shell.rearm_patience(out);
-        r.try_execute(out);
+    /// Re-prepares the plan, then announces it.
+    fn lead(r: &mut PbftReplica, plan: PreparedSet, out: &mut Outbox<PbftMsg>) {
+        r.reprepare(&plan, out);
+        let view = r.core.vc.view();
+        out.broadcast(r.n, r.id, PbftMsg::NewView { view, preprepares: plan });
     }
 
-    fn recovered(r: &mut PbftReplica, _: &RecoveredState) {
-        // Executed sequence numbers are dead from the first input on — both
-        // below the snapshot and below the replayed WAL tail.
-        r.retire_executed();
+    fn follow(r: &mut PbftReplica, preprepares: PreparedSet, out: &mut Outbox<PbftMsg>) {
+        r.reprepare(&preprepares, out);
     }
 }
 // lint: end
@@ -574,9 +341,10 @@ impl Core for Pbft {
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
-    use crate::api::{ClientId, Cluster, OpId, ReplicaNode};
+    use crate::api::{ClientId, Cluster, Input, OpId, ReplicaNode};
     use crate::codec::{decode_frame, encode_frame, Wire};
     use crate::dense::SLOT_HORIZON;
+    use crate::durable::RecoveredState;
     use crate::runner::{run, RunConfig};
     use rsoc_crypto::sha256;
 
@@ -952,52 +720,6 @@ mod tests {
         assert_eq!(r.core.slots.get(at).map(|s| s.commits.len()), Some(1));
     }
 
-    fn vote(new_view: u64, from: u32) -> PbftMsg {
-        PbftMsg::ViewChange(VcVote {
-            new_view,
-            from: ReplicaId(from),
-            prepared: Vec::new(),
-            executed_upto: 0,
-            cert: None,
-        })
-    }
-
-    /// The voter id is wire-supplied: one naming a replica outside the
-    /// cluster must be refused, not used as an index (a remote crash).
-    #[test]
-    fn view_change_vote_from_outside_the_cluster_is_refused() {
-        let mut r = PbftReplica::new(ReplicaId(1), 1);
-        let mut out = Outbox::new();
-        for link in [3, 99] {
-            let from = Endpoint::Replica(ReplicaId(link));
-            r.on_input(Input::Message { from, msg: vote(1, 99) }, 10, &mut out);
-        }
-        assert_eq!((r.rejected_votes(), r.view()), (2, 0));
-        assert!(out.msgs.is_empty());
-    }
-
-    /// One endpoint is one vote: replica 3 alone, claiming to be 0, 2 and
-    /// 3 in turn, must not assemble the 2f+1 demands that make replica 1
-    /// install view 1.
-    #[test]
-    fn one_link_cannot_forge_a_view_change_quorum() {
-        let mut r = PbftReplica::new(ReplicaId(1), 1);
-        let mut out = Outbox::new();
-        let link = Endpoint::Replica(ReplicaId(3));
-        for claimed in [0, 2, 3] {
-            r.on_input(Input::Message { from: link, msg: vote(1, claimed) }, 10, &mut out);
-        }
-        assert_eq!((r.rejected_votes(), r.view()), (2, 0));
-        assert!(out.msgs.is_empty(), "one real demand is below the f+1 join threshold");
-        // The same votes over their voters' own links do install it.
-        for voter in [0, 2] {
-            let from = Endpoint::Replica(ReplicaId(voter));
-            r.on_input(Input::Message { from, msg: vote(1, voter) }, 11, &mut out);
-        }
-        assert_eq!((r.rejected_votes(), r.view()), (2, 1));
-        assert!(out.msgs.iter().any(|(_, m)| matches!(m, PbftMsg::NewView { view: 1, .. })));
-    }
-
     /// The same holds for the agreement votes: replica 3 alone, naming 0,
     /// 2 and 3 in its PREPAREs and COMMITs, must not make replica 1 execute
     /// a slot — on a fresh slot that would let one Byzantine primary commit
@@ -1033,5 +755,20 @@ mod tests {
             vote(&mut r, voter, voter);
         }
         assert_eq!(r.committed_seq(), 1);
+    }
+
+    /// The voter id is wire-supplied: one naming a replica outside the
+    /// cluster must be refused, not used as an index (a remote crash).
+    #[test]
+    fn view_change_vote_from_outside_the_cluster_is_refused() {
+        crate::agreement::tests::refuses_votes_from_outside_the_cluster(PbftCluster::new);
+    }
+
+    /// One endpoint is one vote: one link claiming every other voter's id
+    /// must not assemble the demands that install the next view.
+    #[test]
+    fn one_link_cannot_forge_a_view_change_quorum() {
+        use crate::agreement::tests::{counts_one_vote_per_link, pbft_new_view};
+        counts_one_vote_per_link(PbftCluster::new, pbft_new_view);
     }
 }

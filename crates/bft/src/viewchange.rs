@@ -10,7 +10,7 @@
 //! votes is in, re-proposing everything that may have committed anywhere.
 //! The `ViewLedger` owns that bookkeeping:
 //!
-//! | a protocol core calls…                      | when                                      |
+//! | the agreement front-end calls…              | when                                      |
 //! |----------------------------------------------|-------------------------------------------|
 //! | `ViewLedger::on_patience_timer`              | a watched request's patience timer fires  |
 //! | `ViewLedger::demand`                         | it decides to vote for a view             |
@@ -18,10 +18,11 @@
 //! | `ViewLedger::plan`                           | after either, to see whether it now leads |
 //! | `ViewLedger::installed` / `ViewLedger::join` | a view took effect here                   |
 //!
-//! What differs between the protocols stays with them: the install quorum
-//! (2f+1 against f+1), which slots count as prepared, and how a plan is
-//! installed (PBFT re-runs agreement under a NEW-VIEW, MinBFT re-issues
-//! UI-certified PREPAREs).
+//! The front-end (`crate::agreement`) makes those calls once for both
+//! protocols; what differs stays with each protocol's discipline: the
+//! install quorum (2f+1 against f+1), which slots count as prepared, and
+//! how a plan is installed (PBFT re-runs agreement under a NEW-VIEW,
+//! MinBFT re-issues UI-certified PREPAREs).
 //!
 //! # Trust boundary
 //!
