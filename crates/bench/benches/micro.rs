@@ -279,7 +279,6 @@ fn bench_framing(c: &mut Criterion) {
         log_base: 256,
         suffix: Arc::new(Vec::new()),
         view: 0,
-        from: ReplicaId(1),
     };
     let mut frame = Vec::new();
     encode_frame(&transfer, &mut frame);

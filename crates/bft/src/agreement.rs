@@ -24,7 +24,7 @@
 //! before NEW-VIEW, MinBFT's after — outbox order drives the simulator's
 //! latency draws.
 
-use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
+use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica};
 use crate::checkpoint::CstInstall;
 use crate::dense::{ReplicaSet, SeqWindow};
@@ -57,8 +57,6 @@ pub trait Discipline: Sized + fmt::Debug {
     type Cert: Default + fmt::Debug;
     /// Which protocol this is.
     const PROTOCOL: Protocol;
-    /// Wraps a client request.
-    const REQUEST: fn(Arc<Request>) -> Self::Msg;
     /// Wraps a view-change vote.
     const VIEW_CHANGE: fn(VcVote) -> Self::Msg;
 
@@ -69,11 +67,11 @@ pub trait Discipline: Sized + fmt::Debug {
     /// slot has.
     fn executable(slot: &Slot<Self::Cert>, quorum: usize) -> bool;
 
-    /// Routes one protocol message (never a [`ShellMsg`]: the chassis
-    /// routes those).
+    /// Routes one protocol message from replica `link` (never a request or
+    /// a [`ShellMsg`]: the chassis routes those).
     fn on_message(
         r: &mut Replica<Agreement<Self>>,
-        from: Endpoint,
+        link: ReplicaId,
         msg: Self::Msg,
         out: &mut Outbox<Self::Msg>,
     );
@@ -109,11 +107,6 @@ pub trait Discipline: Sized + fmt::Debug {
 
     /// MAC operations performed so far.
     fn mac_count(&self) -> u64 {
-        0
-    }
-
-    /// Messages refused beyond the view ledger's rejected votes.
-    fn refused(&self) -> u64 {
         0
     }
 }
@@ -154,30 +147,6 @@ impl<D: Discipline> Agreement<D> {
 // remote crash. `rsoc_lint` enforces the no-panic contract.
 // lint: ingress
 impl<D: Discipline> Replica<Agreement<D>> {
-    /// Votes refused: view-change votes whose named voter was not the
-    /// replica that sent them, plus what the discipline refused (MinBFT:
-    /// certified PREPAREs / COMMITs for a view not installed yet that
-    /// arrived after their sender had filled its share of the stash).
-    pub fn rejected_votes(&self) -> u64 {
-        self.core.vc.rejected() + self.core.own.refused()
-    }
-
-    /// Takes a client request in: proposes what the shell sealed, or
-    /// re-announces an op in flight so replicas that discarded messages
-    /// during a view change catch up.
-    pub(crate) fn intake(&mut self, req: Arc<Request>, out: &mut Outbox<D::Msg>) {
-        match self.shell.intake(req, self.core.vc.role(), out) {
-            Intake::Sealed(reqs) => D::propose(self, reqs, out),
-            Intake::Reannounce(seq) => {
-                if let Some(proposal) = self.core.proposals.get(seq).cloned() {
-                    out.broadcast(self.n, self.id, proposal);
-                }
-                D::reannounce_commit(self, seq, out);
-            }
-            Intake::Done => {}
-        }
-    }
-
     /// The slot of this primary's own proposal `batch` at the fresh `seq`.
     pub(crate) fn own_slot(
         &mut self,
@@ -272,15 +241,15 @@ impl<D: Discipline> Replica<Agreement<D>> {
         self.maybe_install_view(new_view, out);
     }
 
-    /// Counts a peer's view-change vote, which arrived from `from`.
+    /// Counts `voter`'s view-change vote.
     pub(crate) fn on_view_change(
         &mut self,
-        from: Endpoint,
+        voter: ReplicaId,
         vote: VcVote,
         out: &mut Outbox<D::Msg>,
     ) {
         let new_view = vote.new_view;
-        let Some(count) = self.core.vc.record(from, vote, &mut self.shell) else { return };
+        let Some(count) = self.core.vc.record(voter, vote, &mut self.shell) else { return };
         // Join once f+1 replicas demand the view: at least one of them is
         // correct, so f Byzantine replicas cannot start a view change
         // alone. (MinBFT could join on one suspicion — UI certificates make
@@ -305,18 +274,18 @@ impl<D: Discipline> Replica<Agreement<D>> {
     }
 
     /// Follows a NEW-VIEW for `view`, carrying `preprepares`, if it is
-    /// above the current view and came from that view's primary. A
+    /// above the current view and came from that view's primary `link`. A
     /// replayed NEW-VIEW for the view in force would reset its votes and
     /// re-run agreement on slots another correct replica may already have
     /// executed.
     pub(crate) fn on_new_view(
         &mut self,
-        from: Endpoint,
+        link: ReplicaId,
         view: u64,
         preprepares: PreparedSet,
         out: &mut Outbox<D::Msg>,
     ) {
-        if view <= self.core.vc.view() || from != Endpoint::Replica(self.core.vc.primary_of(view)) {
+        if view <= self.core.vc.view() || link != self.core.vc.primary_of(view) {
             return;
         }
         self.core.vc.installed(view);
@@ -330,24 +299,41 @@ impl<D: Discipline> Replica<Agreement<D>> {
 impl<D: Discipline> Core for Agreement<D> {
     type Msg = D::Msg;
     const PROTOCOL: Protocol = D::PROTOCOL;
-    const REQUEST: fn(Arc<Request>) -> D::Msg = D::REQUEST;
 
-    fn dispatch(r: &mut Replica<Self>, input: Input<D::Msg>, out: &mut Outbox<D::Msg>) {
-        match input {
-            Input::Message { from, msg } => D::on_message(r, from, msg, out),
-            Input::Timer { kind: TIMER_REQUEST, token } if r.shell.watching(token) => {
+    /// Proposes what the shell sealed, or re-announces an op in flight so
+    /// replicas that discarded messages during a view change catch up.
+    fn intake(r: &mut Replica<Self>, req: Arc<Request>, out: &mut Outbox<D::Msg>) {
+        match r.shell.intake(req, r.core.vc.role(), out) {
+            Intake::Sealed(reqs) => D::propose(r, reqs, out),
+            Intake::Reannounce(seq) => {
+                if let Some(proposal) = r.core.proposals.get(seq).cloned() {
+                    out.broadcast(r.n, r.id, proposal);
+                }
+                D::reannounce_commit(r, seq, out);
+            }
+            Intake::Done => {}
+        }
+    }
+
+    fn on_message(r: &mut Replica<Self>, link: ReplicaId, msg: D::Msg, out: &mut Outbox<D::Msg>) {
+        D::on_message(r, link, msg, out);
+    }
+
+    fn on_timer(r: &mut Replica<Self>, kind: u32, token: u64, out: &mut Outbox<D::Msg>) {
+        match kind {
+            TIMER_REQUEST if r.shell.watching(token) => {
                 if let Some(next) = r.core.vc.on_patience_timer(r.now, r.shell.patience()) {
                     r.start_view_change(next, out);
                 }
                 // Keep watching: if the new view also stalls, escalate.
                 out.arm(r.shell.patience(), TIMER_REQUEST, token);
             }
-            Input::Timer { kind: TIMER_FLUSH, token } => {
+            TIMER_FLUSH => {
                 if let Some(reqs) = r.shell.on_flush_timer(token, r.core.vc.is_primary()) {
                     D::propose(r, reqs, out);
                 }
             }
-            Input::Timer { .. } => {}
+            _ => {}
         }
     }
 
@@ -387,7 +373,7 @@ impl<D: Discipline> Core for Agreement<D> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::api::{ClientId, Cluster, OpId, ReplicaNode};
+    use crate::api::{ClientId, Cluster, Input, OpId, ReplicaNode};
     use crate::chassis::Replicas;
     use crate::dense::SLOT_HORIZON;
     use crate::minbft::{MinBftCluster, MinBftMsg};
@@ -400,14 +386,8 @@ pub(crate) mod tests {
     /// Messages in flight: `(sender, destination, message)`.
     type Round<M> = Vec<(ReplicaId, Endpoint, M)>;
 
-    fn vote<D: Discipline>(new_view: u64, from: u32) -> D::Msg {
-        D::VIEW_CHANGE(VcVote {
-            new_view,
-            from: ReplicaId(from),
-            prepared: Vec::new(),
-            executed_upto: 0,
-            cert: None,
-        })
+    fn vote<D: Discipline>(new_view: u64) -> D::Msg {
+        D::VIEW_CHANGE(VcVote { new_view, prepared: Vec::new(), executed_upto: 0, cert: None })
     }
 
     pub(crate) fn pbft_new_view(view: u64, preprepares: PreparedSet) -> PbftMsg {
@@ -418,26 +398,24 @@ pub(crate) mod tests {
         MinBftMsg::NewView { view, preprepares }
     }
 
-    /// The voter id is wire-supplied: one naming a replica outside the
-    /// cluster must be refused, not used as an index (a remote crash).
+    /// The voter is the link, so a vote over a link that is no replica of
+    /// the cluster — replica 99's, or a client's — must be refused and
+    /// counted, not used as an index (a remote crash).
     pub(crate) fn refuses_votes_from_outside_the_cluster<D: Discipline>(make: Make<D>) {
         let name = D::PROTOCOL.name();
         let mut nodes = make(&RunConfig::default()).into_nodes();
-        let last = nodes.len() as u32 - 1;
         let r = &mut nodes[1];
         let mut out = Outbox::new();
-        for link in [last, 99] {
-            let from = Endpoint::Replica(ReplicaId(link));
-            r.on_input(Input::Message { from, msg: vote::<D>(1, 99) }, 10, &mut out);
+        for from in [Endpoint::Replica(ReplicaId(99)), Endpoint::Client(ClientId(3))] {
+            r.on_input(Input::Message { from, msg: vote::<D>(1) }, 10, &mut out);
         }
-        assert_eq!((r.rejected_votes(), r.view()), (2, 0), "{name}");
+        assert_eq!((r.refused(), r.view()), (2, 0), "{name}");
         assert!(out.msgs.is_empty(), "{name}");
     }
 
-    /// One endpoint is one vote: the last replica alone, claiming every id
-    /// but replica 1's in turn, must not assemble the demands that make
-    /// replica 1 install view 1 (PBFT: 0, 2 and 3 of four; MinBFT: 0 and 2
-    /// of three).
+    /// One link is one vote: the last replica alone, voting once per
+    /// other replica, must not assemble the demands that make replica 1
+    /// install view 1 (PBFT: three of four; MinBFT: two of three).
     pub(crate) fn counts_one_vote_per_link<D: Discipline>(make: Make<D>, new_view: NewView<D>)
     where
         D::Msg: PartialEq,
@@ -448,19 +426,18 @@ pub(crate) mod tests {
         let r = &mut nodes[1];
         let mut out = Outbox::new();
         let link = Endpoint::Replica(ReplicaId(n - 1));
-        let claimed: Vec<u32> = (0..n).filter(|&id| id != 1).collect();
-        for &id in &claimed {
-            r.on_input(Input::Message { from: link, msg: vote::<D>(1, id) }, 10, &mut out);
+        let others: Vec<u32> = (0..n).filter(|&id| id != 1).collect();
+        for _ in &others {
+            r.on_input(Input::Message { from: link, msg: vote::<D>(1) }, 10, &mut out);
         }
-        let forged = claimed.len() as u64 - 1;
-        assert_eq!((r.rejected_votes(), r.view()), (forged, 0), "{name}");
+        assert_eq!((r.refused(), r.view()), (0, 0), "{name}");
         assert!(out.msgs.is_empty(), "{name}: one real demand is below the f+1 join threshold");
-        // The same votes over their voters' own links do install it.
-        for &voter in &claimed[..claimed.len() - 1] {
+        // The other voters, each over its own link, do install it.
+        for &voter in &others[..others.len() - 1] {
             let from = Endpoint::Replica(ReplicaId(voter));
-            r.on_input(Input::Message { from, msg: vote::<D>(1, voter) }, 11, &mut out);
+            r.on_input(Input::Message { from, msg: vote::<D>(1) }, 11, &mut out);
         }
-        assert_eq!((r.rejected_votes(), r.view()), (forged, 1), "{name}");
+        assert_eq!((r.refused(), r.view()), (0, 1), "{name}");
         assert!(out.msgs.iter().any(|(_, m)| *m == new_view(1, Vec::new())), "{name}");
     }
 
@@ -477,10 +454,10 @@ pub(crate) mod tests {
         let mut out = Outbox::new();
         for voter in voters {
             let prepared = if voter == 0 { vec![(far, batch_of("far"))] } else { Vec::new() };
-            let from = ReplicaId(voter);
-            let vote = VcVote { new_view: 1, from, prepared, executed_upto: 0, cert: None };
-            let msg = D::VIEW_CHANGE(vote);
-            r.on_input(Input::Message { from: Endpoint::Replica(from), msg }, 10, &mut out);
+            let from = Endpoint::Replica(ReplicaId(voter));
+            let msg =
+                D::VIEW_CHANGE(VcVote { new_view: 1, prepared, executed_upto: 0, cert: None });
+            r.on_input(Input::Message { from, msg }, 10, &mut out);
         }
         assert_eq!(r.view(), 1, "{name}");
         assert_eq!(r.core.slots.len() as u64, far - 1, "{name}: the no-op fillers below it");
@@ -530,7 +507,7 @@ pub(crate) mod tests {
         let mut nodes = make(&RunConfig { f: 2, ..RunConfig::default() }).into_nodes();
         let a = batch_of("A");
         let mut out = Outbox::new();
-        let request = D::REQUEST(a.requests()[0].clone());
+        let request = D::Msg::from(a.requests()[0].clone());
         nodes[0].on_input(
             Input::Message { from: Endpoint::Client(ClientId(1)), msg: request },
             1,

@@ -13,17 +13,26 @@
 //! |---------------------------------------------------------|-------------------------|
 //! | swallows every input inside a crash window              | —                       |
 //! | starts the timer chains on the first input after it, a wipe or assembly | [`Core::revive`] |
-//! | drops a [`ShellMsg`] that names a sender other than its link | —                  |
-//! | hands a voucher to [`Shell::on_voucher`]                | [`Core::certified`]     |
-//! | serves a state request ([`Shell::serve_transfer`])      | [`Core::view`]          |
-//! | admits a state response at f+1 and installs it          | [`Core::installed`]     |
-//! | routes every other input                                | [`Core::dispatch`]      |
+//! | routes a client request, over any link                  | [`Core::intake`]        |
+//! | resolves every other message's link to a replica of the cluster, or refuses and counts it | — |
+//! | hands a voucher naming its own link to [`Shell::on_voucher`] | [`Core::certified`] |
+//! | serves a state request to its link ([`Shell::serve_transfer`]) | [`Core::view`]   |
+//! | admits a state response at f+1 links and installs it   | [`Core::installed`]     |
+//! | routes a protocol message with its link as the sender   | [`Core::on_message`]    |
+//! | routes a timer                                          | [`Core::on_timer`]      |
 //! | then chases a stable certificate ahead of execution     | —                       |
 //! | gates outputs: a muted script's messages are dropped, its timers pass | —         |
 //! | wipes the shell and the protocol state, keeps the script | [`Core::wipe`]         |
 //! | recovers through the shell, then runs the protocol tail | [`Core::recovered`]     |
 //! | answers the [`ReplicaNode`] reads                       | [`Core::view`]          |
-//! | provisions a cluster from a [`RunConfig`]               | the replica constructor |
+//! | provisions a cluster of at most [`MAX_REPLICAS`] from a [`RunConfig`] | the replica constructor |
+//!
+//! The link is the sender. A replica message names a replica only where a
+//! key proves the name (a USIG's `UI.id`, a voucher's `from`); the chassis
+//! takes every message but a request only over `Endpoint::Replica(id)`
+//! with `id < n` and `id` not its own, and hands the handler that `id` as
+//! the voter, requester or responder. One link is therefore one replica,
+//! however many ids its messages might claim.
 //!
 //! A protocol file keeps its message enum (its own messages plus one
 //! `Shell(ShellMsg)` variant), its state and its handlers: inherent
@@ -39,10 +48,11 @@ use crate::api::{
     Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
 };
 use crate::checkpoint::{CheckpointStats, CkptKeys, CstInstall};
+use crate::dense::MAX_REPLICAS;
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::protocol::Protocol;
 use crate::runner::RunConfig;
-use crate::shell::{Carrier, Shell, ShellMsg};
+use crate::shell::{Carrier, Routed, Shell, ShellMsg};
 use std::fmt;
 use std::sync::Arc;
 
@@ -53,12 +63,22 @@ pub trait Core: Sized {
     type Msg: Carrier + fmt::Debug;
     /// Which protocol this core is.
     const PROTOCOL: Protocol;
-    /// Wraps a client request.
-    const REQUEST: fn(Arc<Request>) -> Self::Msg;
 
-    /// Routes one timer or protocol message (never a [`ShellMsg`]: the
-    /// chassis routes those) to its handler, emitting effects into `out`.
-    fn dispatch(r: &mut Replica<Self>, input: Input<Self::Msg>, out: &mut Outbox<Self::Msg>);
+    /// Takes a client request in, whichever link it arrived on.
+    fn intake(r: &mut Replica<Self>, req: Arc<Request>, out: &mut Outbox<Self::Msg>);
+
+    /// Routes one of the protocol's own messages (never a request or a
+    /// [`ShellMsg`]: the chassis routes those), sent by replica `link` of
+    /// this cluster over its own link.
+    fn on_message(
+        r: &mut Replica<Self>,
+        link: ReplicaId,
+        msg: Self::Msg,
+        out: &mut Outbox<Self::Msg>,
+    );
+
+    /// Handles a timer of `kind` the replica armed with `token`.
+    fn on_timer(r: &mut Replica<Self>, kind: u32, token: u64, out: &mut Outbox<Self::Msg>);
 
     /// Starts the self-re-arming timer chains — on the first input after
     /// assembly or a wipe, and again after an outage killed them. By
@@ -110,6 +130,8 @@ pub struct Replica<P> {
     in_outage: bool,
     /// Whether the timer chains started since assembly or the last wipe.
     booted: bool,
+    /// Messages refused (see [`Replica::refused`]).
+    pub(crate) refused: u64,
     /// Request intake, execution, checkpoints, state transfer, durability.
     pub(crate) shell: Shell,
     /// The protocol's own state.
@@ -129,6 +151,7 @@ impl<P: Core> Replica<P> {
             now: 0,
             in_outage: false,
             booted: false,
+            refused: 0,
             shell,
             core,
         }
@@ -145,50 +168,68 @@ impl<P: Core> Replica<P> {
     pub fn state_digest(&self) -> [u8; 32] {
         self.shell.state_digest()
     }
+
+    /// Messages refused, each counted once: every message but a request
+    /// that did not arrive over the link of another replica of this
+    /// cluster, a voucher naming another replica than its link, and
+    /// (MinBFT) a certified future-view message past its sender's share of
+    /// the stash.
+    pub fn refused(&self) -> u64 {
+        self.refused
+    }
 }
 
 // Every message a peer (or a forged client) sends enters here.
 // lint: ingress
 impl<P: Core> Replica<P> {
-    /// Routes one input — a shell message here, anything else to the
-    /// protocol — then chases any stable certificate it revealed ahead of
-    /// local execution (post-wipe, or crashed past retention),
+    /// Routes one input — a request or a timer to the protocol, any other
+    /// message only over a replica's link: a shell message here, the rest
+    /// to the protocol — then chases any stable certificate it revealed
+    /// ahead of local execution (post-wipe, or crashed past retention),
     /// rate-limited by the transfer backoff.
     fn step(&mut self, input: Input<P::Msg>, out: &mut Outbox<P::Msg>) {
         match input {
-            Input::Message { from, msg } => match msg.into_shell() {
-                Ok(msg) => self.route(from, msg, out),
-                Err(msg) => P::dispatch(self, Input::Message { from, msg }, out),
-            },
-            timer => P::dispatch(self, timer, out),
+            Input::Message { from, msg } => {
+                // A replica of the cluster, and never this one: a replica
+                // does not message itself.
+                let link = match from {
+                    Endpoint::Replica(id) if id.0 < self.n && id != self.id => Some(id),
+                    _ => None,
+                };
+                match (msg.route(), link) {
+                    (Routed::Request(req), _) => P::intake(self, req, out),
+                    (Routed::Shell(msg), Some(link)) => self.route(link, msg, out),
+                    (Routed::Own(msg), Some(link)) => P::on_message(self, link, msg, out),
+                    (_, None) => self.refused += 1,
+                }
+            }
+            Input::Timer { kind, token } => P::on_timer(self, kind, token, out),
         }
         self.shell.request_transfer(self.now, out);
     }
 
-    /// Routes a shell message, the same for every protocol. Each one names
-    /// its sender and counts only over that sender's own link: one link
-    /// naming two ids is one replica — not two vouchers, not a transfer
-    /// reflected at a third party, and not two of the f+1 responders a
-    /// transfer installs on. A Byzantine responder script corrupts a served
-    /// transfer only where the protocol masks Byzantine faults: passive
-    /// replication has no quorum to outvote a lie, so its content-attack
-    /// scripts stay inert (a compromised passive tile shows as silence or
-    /// crash).
-    pub(crate) fn route(&mut self, from: Endpoint, msg: ShellMsg, out: &mut Outbox<P::Msg>) {
-        if from != Endpoint::Replica(msg.sender()) {
-            return;
-        }
+    /// Routes a shell message from replica `link`, the same for every
+    /// protocol: one link is one voucher, one transfer goes back to the
+    /// link that asked, and one link is one of the f+1 responders a
+    /// transfer installs on. A loose voucher still names its signer, and
+    /// the voucher key ring is one ring, so the voucher must name its own
+    /// link. A Byzantine responder script corrupts a served transfer only
+    /// where the protocol masks Byzantine faults: passive replication has
+    /// no quorum to outvote a lie, so its content-attack scripts stay inert
+    /// (a compromised passive tile shows as silence or crash).
+    pub(crate) fn route(&mut self, link: ReplicaId, msg: ShellMsg, out: &mut Outbox<P::Msg>) {
         match msg {
+            ShellMsg::Checkpoint(voucher) if voucher.from != link => self.refused += 1,
             ShellMsg::Checkpoint(voucher) => {
                 if self.shell.on_voucher(&voucher) {
                     P::certified(self);
                 }
             }
-            ShellMsg::StateRequest { have, from: to } => {
+            ShellMsg::StateRequest { have } => {
                 let byzantine = P::PROTOCOL.tolerates_byzantine();
                 self.shell.serve_transfer(
                     have,
-                    to,
+                    link,
                     self.core.view(),
                     byzantine && self.script.corrupts_snapshot_at(self.now),
                     byzantine && self.script.corrupts_suffix_at(self.now),
@@ -196,7 +237,7 @@ impl<P: Core> Replica<P> {
                 );
             }
             ShellMsg::StateResponse(st) => {
-                let Some(plan) = self.shell.admit_transfer(*st, self.f as usize + 1) else {
+                let Some(plan) = self.shell.admit_transfer(link, *st, self.f as usize + 1) else {
                     return;
                 };
                 self.shell.install(&plan, P::ENTRY_DIGEST);
@@ -280,7 +321,7 @@ impl<P: Core> ReplicaNode for Replica<P> {
     }
 
     fn make_request(req: Arc<Request>) -> P::Msg {
-        P::REQUEST(req)
+        req.into()
     }
 
     fn as_reply(msg: &P::Msg) -> Option<&Reply> {
@@ -328,8 +369,13 @@ impl<P: Core> Replicas<P> {
     /// Builds the protocol's replicas for `config.f` with `make` and
     /// configures each from `config`: batching, patience, and checkpoints
     /// under one key set.
+    ///
+    /// # Panics
+    /// Panics beyond [`MAX_REPLICAS`] replicas.
     pub(crate) fn provision(config: &RunConfig, make: impl Fn(ReplicaId) -> Replica<P>) -> Self {
-        let n = P::PROTOCOL.replicas(config.f);
+        let n = P::PROTOCOL
+            .checked_replicas(config.f)
+            .unwrap_or_else(|| panic!("f = {} needs more than {MAX_REPLICAS} replicas", config.f));
         let keys = CkptKeys::provision(config.seed, n as usize);
         let nodes = (0..n)
             .map(|i| {
@@ -392,7 +438,7 @@ mod tests {
     fn request<P: Core>(seq: u64) -> Input<P::Msg> {
         let op = OpId { client: ClientId(1), seq };
         let req = Arc::new(Request { op, payload: format!("SET k v{seq}").into_bytes() });
-        Input::Message { from: Endpoint::Client(ClientId(1)), msg: P::REQUEST(req) }
+        Input::Message { from: Endpoint::Client(ClientId(1)), msg: req.into() }
     }
 
     /// A timer kind no protocol arms: every replica ignores it.
@@ -400,9 +446,9 @@ mod tests {
         Input::Timer { kind: u32::MAX, token: 0 }
     }
 
-    /// `requester`'s state request, having executed nothing.
-    fn ask<M: From<ShellMsg>>(requester: ReplicaId) -> M {
-        ShellMsg::StateRequest { have: 0, from: requester }.into()
+    /// A state request from a replica that executed nothing.
+    fn ask<M: From<ShellMsg>>() -> M {
+        ShellMsg::StateRequest { have: 0 }.into()
     }
 
     /// Twelve requests with a checkpoint every four slots: every replica
@@ -472,27 +518,25 @@ mod tests {
         keeps_the_contract(PassiveCluster::new);
     }
 
-    /// A transfer is the whole state: a request naming a replica but
-    /// arriving on another link (here a client's) must not be answered to
-    /// the replica it names.
+    /// A transfer is the whole state, and it goes to the link that asked:
+    /// a request over a client's link is refused and counted, one over
+    /// replica r's link is answered to r alone.
     fn serves_transfers_only_over_the_requesters_link<P: Core>(
         make: fn(&RunConfig) -> Replicas<P>,
     ) {
+        let name = P::PROTOCOL.name();
         let mut nodes = checkpointed(make).into_nodes();
         let requester = ReplicaId(nodes.len() as u32 - 1);
         let server = &mut nodes[0];
-        assert!(server.shell.ckpt().stable_seq() > 0, "{}", P::PROTOCOL.name());
-        let ask = |from| Input::Message { from, msg: ask(requester) };
+        assert!(server.shell.ckpt().stable_seq() > 0, "{name}");
+        let ask = |from| Input::Message { from, msg: ask() };
         let mut out = Outbox::new();
         server.on_input(ask(Endpoint::Client(ClientId(1))), 1 << 30, &mut out);
-        assert!(
-            out.msgs.is_empty(),
-            "{}: a transfer reflected to {requester:?}",
-            P::PROTOCOL.name()
-        );
+        assert!(out.msgs.is_empty(), "{name}: a transfer served to a client link");
+        assert_eq!(server.refused(), 1, "{name}");
         server.on_input(ask(Endpoint::Replica(requester)), 1 << 30, &mut out);
         let to: Vec<Endpoint> = out.msgs.iter().map(|(to, _)| *to).collect();
-        assert_eq!(to, [Endpoint::Replica(requester)], "{}", P::PROTOCOL.name());
+        assert_eq!(to, [Endpoint::Replica(requester)], "{name}");
     }
 
     #[test]
@@ -507,10 +551,11 @@ mod tests {
     fn served<P: Core>(server: &mut Replica<P>, requester: ReplicaId) -> StateTransfer {
         let from = Endpoint::Replica(requester);
         let mut out = Outbox::new();
-        server.on_input(Input::Message { from, msg: ask(requester) }, 1 << 30, &mut out);
-        match out.msgs.pop().map(|(to, msg)| (to, msg.into_shell())) {
-            Some((to, Ok(ShellMsg::StateResponse(st)))) if to == from => *st,
-            other => panic!("{}: expected one state response, got {other:?}", P::PROTOCOL.name()),
+        server.on_input(Input::Message { from, msg: ask() }, 1 << 30, &mut out);
+        let got = out.msgs.pop();
+        match got.as_ref().map(|(to, msg)| (*to, msg.as_shell())) {
+            Some((to, Some(ShellMsg::StateResponse(st)))) if to == from => (**st).clone(),
+            _ => panic!("{}: expected one state response, got {got:?}", P::PROTOCOL.name()),
         }
     }
 
@@ -536,33 +581,42 @@ mod tests {
         corrupts_images_only_where_byzantine_faults_are_masked(PassiveCluster::new);
     }
 
-    /// A transfer installs on f+1 responders, one per link: replica 0's
-    /// tampered transfer, delivered twice over its own link — once as
-    /// itself, once relabelled as replica 1 — must not install on a wiped
-    /// replica. With replica 1's honest answer the two agree on the
-    /// certified image and out-vote the tampered suffix.
-    fn installs_transfers_only_from_f_plus_1_links<P: Core>(make: fn(&RunConfig) -> Replicas<P>) {
-        let name = P::PROTOCOL.name();
+    /// Delivers `st` to `wiped` as a state response over link `link`.
+    fn deliver_transfer<P: Core>(wiped: &mut Replica<P>, link: u32, st: StateTransfer) {
+        let msg = ShellMsg::StateResponse(Box::new(st)).into();
+        let from = Endpoint::Replica(ReplicaId(link));
+        wiped.on_input(Input::Message { from, msg }, 1 << 30, &mut Outbox::new());
+    }
+
+    /// A checkpointed cluster whose last replica is wiped, with replica 0's
+    /// transfer to it under a `corrupt_suffixes` script (a batch the
+    /// cluster never committed on top), replica 1's honest one, and the
+    /// state every correct replica reached.
+    fn lie_and_truth<P: Core>(
+        make: fn(&RunConfig) -> Replicas<P>,
+    ) -> (Vec<Replica<P>>, StateTransfer, StateTransfer, [u8; 32]) {
         let mut nodes = checkpointed(make).into_nodes();
         let requester = ReplicaId(nodes.len() as u32 - 1);
         nodes[0].script = ReplicaScript::correct().corrupt_suffixes(Window::ALWAYS);
         let lie = served(&mut nodes[0], requester);
         let honest = served(&mut nodes[1], requester);
-        let mut relabelled = lie.clone();
-        relabelled.from = ReplicaId(1);
         let digest = nodes[1].state_digest();
-        let wiped = &mut nodes[requester.0 as usize];
-        wiped.wipe();
-        let mut out = Outbox::new();
-        let mut deliver = |wiped: &mut Replica<P>, link: u32, st: StateTransfer| {
-            let msg = ShellMsg::StateResponse(Box::new(st)).into();
-            let from = Endpoint::Replica(ReplicaId(link));
-            wiped.on_input(Input::Message { from, msg }, 1 << 30, &mut out);
-        };
-        deliver(wiped, 0, lie);
-        deliver(wiped, 0, relabelled);
+        nodes[requester.0 as usize].wipe();
+        (nodes, lie, honest, digest)
+    }
+
+    /// A transfer installs on f+1 responders, one per link: replica 0's
+    /// tampered transfer, delivered twice over its own link, must not
+    /// install on a wiped replica. With replica 1's honest answer the two
+    /// agree on the certified image and out-vote the tampered suffix.
+    fn installs_transfers_only_from_f_plus_1_links<P: Core>(make: fn(&RunConfig) -> Replicas<P>) {
+        let name = P::PROTOCOL.name();
+        let (mut nodes, lie, honest, digest) = lie_and_truth(make);
+        let wiped = nodes.last_mut().expect("a cluster");
+        deliver_transfer(wiped, 0, lie.clone());
+        deliver_transfer(wiped, 0, lie);
         assert_eq!(wiped.committed_seq(), 0, "{name}: one link installed a transfer");
-        deliver(wiped, 1, honest);
+        deliver_transfer(wiped, 1, honest);
         assert!(wiped.committed_seq() > 0, "{name}");
         assert_eq!(wiped.state_digest(), digest, "{name}");
     }
@@ -571,5 +625,28 @@ mod tests {
     fn one_link_cannot_forge_a_state_transfer_quorum() {
         installs_transfers_only_from_f_plus_1_links(PbftCluster::new);
         installs_transfers_only_from_f_plus_1_links(MinBftCluster::new);
+    }
+
+    /// Links 5 and 6 are no replicas of the cluster (PBFT f = 1 is 0–3,
+    /// MinBFT 0–2): replica 0's tampered transfer over them is refused and
+    /// counted, not two of the f+1 responders a wiped replica installs on.
+    /// The real links still install the honest state.
+    fn refuses_transfers_from_outside_the_cluster<P: Core>(make: fn(&RunConfig) -> Replicas<P>) {
+        let name = P::PROTOCOL.name();
+        let (mut nodes, lie, honest, digest) = lie_and_truth(make);
+        let wiped = nodes.last_mut().expect("a cluster");
+        deliver_transfer(wiped, 5, lie.clone());
+        deliver_transfer(wiped, 6, lie.clone());
+        assert_eq!(wiped.committed_seq(), 0, "{name}: links outside the cluster installed");
+        assert_eq!(wiped.refused(), 2, "{name}");
+        deliver_transfer(wiped, 1, honest);
+        deliver_transfer(wiped, 0, lie);
+        assert_eq!(wiped.state_digest(), digest, "{name}");
+    }
+
+    #[test]
+    fn links_outside_the_cluster_cannot_install_a_state_transfer() {
+        refuses_transfers_from_outside_the_cluster(PbftCluster::new);
+        refuses_transfers_from_outside_the_cluster(MinBftCluster::new);
     }
 }

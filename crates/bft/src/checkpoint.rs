@@ -68,6 +68,7 @@
 //! metadata, like the view claims in view-change votes.
 
 use crate::api::{Batch, ClientId, LogEntry, ReplicaId};
+use crate::dense::{ReplicaSet, MAX_REPLICAS};
 use crate::statemachine::{KvStore, StateMachine};
 use crate::statetree::StateTree;
 use rsoc_crypto::{MacKey, Sha256, Tag};
@@ -183,11 +184,9 @@ pub struct StateTransfer {
     /// from the install quorum's maximum so a laggard joins the view the
     /// cluster moved to while it was down.
     pub view: u64,
-    /// Responding replica.
-    pub from: ReplicaId,
 }
 
-crate::wire! { struct StateTransfer { cert, snapshot, log_base, suffix, view, from } }
+crate::wire! { struct StateTransfer { cert, snapshot, log_base, suffix, view } }
 
 /// Counters the campaign rows record per replica.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -416,22 +415,15 @@ impl CheckpointStore {
         if !self.enabled() {
             return false;
         }
-        let mut seen = 0u64;
-        let mut distinct = 0usize;
+        let mut signers = ReplicaSet::new();
         for v in &cert.vouchers {
-            if v.seq != cert.seq || v.digest != cert.digest || !self.keys.verify(v) {
+            let named = v.seq == cert.seq && v.digest == cert.digest && v.from.0 < MAX_REPLICAS;
+            if !named || !self.keys.verify(v) {
                 return false;
             }
-            if v.from.0 >= 64 {
-                return false;
-            }
-            let bit = 1u64 << v.from.0;
-            if seen & bit == 0 {
-                seen |= bit;
-                distinct += 1;
-            }
+            signers.insert(v.from);
         }
-        distinct >= self.quorum
+        signers.len() >= self.quorum
     }
 
     /// Adopts a certificate learned from a peer (FillGap answers, view
@@ -749,8 +741,9 @@ pub struct CstBuffer {
     pending: Vec<Admitted>,
 }
 
-/// A validated response and the state rebuilt from its image.
-type Admitted = (StateTransfer, (KvStore, ClientSessions));
+/// A validated response, the replica whose link it arrived on, and the
+/// state rebuilt from its image.
+type Admitted = (StateTransfer, ReplicaId, (KvStore, ClientSessions));
 
 impl CstBuffer {
     /// An empty buffer.
@@ -773,14 +766,21 @@ impl CstBuffer {
         self.pending.is_empty()
     }
 
-    /// Admits one validated response. One response per responder is kept
-    /// (latest wins — re-requests refresh a peer's answer); responses at
+    /// Admits one validated response from `responder`. One response per
+    /// responder is kept (latest wins — re-requests refresh a peer's
+    /// answer), so the buffer holds at most one per replica; responses at
     /// or below `floor` (the requester's execution watermark) are stale
     /// and dropped.
-    pub fn admit(&mut self, st: StateTransfer, state: (KvStore, ClientSessions), floor: u64) {
-        self.pending.retain(|(p, _)| p.from != st.from && p.cert.seq > floor);
+    pub fn admit(
+        &mut self,
+        responder: ReplicaId,
+        st: StateTransfer,
+        state: (KvStore, ClientSessions),
+        floor: u64,
+    ) {
+        self.pending.retain(|(p, from, _)| *from != responder && p.cert.seq > floor);
         if st.cert.seq > floor {
-            self.pending.push((st, state));
+            self.pending.push((st, responder, state));
         }
     }
 
@@ -792,14 +792,14 @@ impl CstBuffer {
         let quorum = quorum.max(1);
         // Group keys, best watermark first.
         let mut keys: Vec<(u64, u64)> =
-            self.pending.iter().map(|(p, _)| (p.cert.seq, p.log_base)).collect();
+            self.pending.iter().map(|(p, ..)| (p.cert.seq, p.log_base)).collect();
         keys.sort_unstable_by(|a, b| b.cmp(a));
         keys.dedup();
         for (seq, log_base) in keys {
             let group: Vec<&Admitted> = self
                 .pending
                 .iter()
-                .filter(|(p, _)| p.cert.seq == seq && p.log_base == log_base)
+                .filter(|(p, ..)| p.cert.seq == seq && p.log_base == log_base)
                 .collect();
             if group.len() < quorum {
                 continue;
@@ -815,11 +815,11 @@ impl CstBuffer {
     /// [`Batch`]), and the accepted run is dense from the watermark.
     fn vote(group: &[&Admitted], quorum: usize, seq: u64, log_base: u64) -> CstInstall {
         // bounds: install_plan only calls with group.len() >= quorum >= 1
-        let (first, state) = group[0];
+        let (first, _, state) = group[0];
         let cert = first.cert.clone();
         let snapshot = Arc::clone(&first.snapshot);
         let state = state.clone();
-        let view = group.iter().map(|(p, _)| p.view).max().unwrap_or(0);
+        let view = group.iter().map(|(p, ..)| p.view).max().unwrap_or(0);
         let mut suffix = Vec::new();
         let mut slot = seq;
         'slots: loop {
@@ -828,7 +828,7 @@ impl CstBuffer {
             // (linear scans: suffixes are bounded by inter-checkpoint
             // traffic and groups by the cluster size).
             let mut tally: Vec<([u8; 32], usize, &Arc<Batch>)> = Vec::new();
-            for (p, _) in group {
+            for (p, ..) in group {
                 let Some((_, batch)) = p.suffix.iter().find(|(s, _)| *s == slot) else {
                     continue;
                 };

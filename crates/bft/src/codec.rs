@@ -50,8 +50,13 @@ pub use rsoc_crypto::{crc32, Crc32};
 /// reply, checkpoint voucher, state request and state response are one
 /// [`ShellMsg`](crate::ShellMsg), framed the same in every protocol — tag
 /// `0x80`, then a one-byte inner tag — so each of them is a byte longer;
-/// requests and ordering messages are unchanged.
-pub const WIRE_VERSION: u8 = 4;
+/// requests and ordering messages are unchanged. Version 5: a message
+/// names a replica only where a key proves the name (`UI.id`, a voucher's
+/// `from`) or a client reads it (`Reply.replica`); the sender fields of
+/// PBFT `Prepare` / `Commit`, `VcVote`, MinBFT `CommitVote`, `FillGap` and
+/// `CheckpointHint`, passive `Heartbeat` and `SyncRequest`, and the shell's
+/// `StateRequest` and `StateTransfer` are gone — the link is the sender.
+pub const WIRE_VERSION: u8 = 5;
 
 /// The tag of a [`ShellMsg`](crate::ShellMsg) in every protocol's frame,
 /// clear of the protocols' own tags (which count up from 0).
@@ -466,7 +471,6 @@ mod tests {
             log_base: 9,
             suffix: Arc::new(vec![(9u64, Arc::new(Batch::single(req(1, 9, b"op".to_vec()))))]),
             view: 2,
-            from: ReplicaId(1),
         }
     }
 
@@ -485,7 +489,7 @@ mod tests {
                 result: Arc::new(Vec::new()),
             }),
             ShellMsg::Checkpoint(Box::new(voucher(8, 1, 5))),
-            ShellMsg::StateRequest { have: 4, from: ReplicaId(3) },
+            ShellMsg::StateRequest { have: 4 },
             ShellMsg::StateResponse(Box::new(transfer())),
         ]
     }
@@ -568,10 +572,15 @@ mod tests {
             &1u64.to_le_bytes(),
             &request_layout(1, 9, b"op"),
             &2u64.to_le_bytes(),
-            &1u32.to_le_bytes(),
         ]
         .concat();
         golden(&transfer(), &layout);
+
+        // A vote names no voter: its link is the sender.
+        let digest = [9u8; 32];
+        let prepare = PbftMsg::Prepare { view: 7, seq: 8, digest };
+        let layout = [&[2u8][..], &7u64.to_le_bytes(), &8u64.to_le_bytes(), &digest].concat();
+        golden(&prepare, &layout);
 
         // A request frame is what it was before shell messages shared one
         // tag: tag 0 and the request, in every protocol.
@@ -581,8 +590,8 @@ mod tests {
         golden(&MinBftMsg::Request(request.clone()), &layout);
         golden(&PassiveMsg::Request(request), &layout);
         // A shell message is the shell tag, its own tag, then its fields.
-        let ask = ShellMsg::StateRequest { have: 4, from: ReplicaId(3) };
-        let layout = [&[SHELL_TAG, 2][..], &4u64.to_le_bytes(), &3u32.to_le_bytes()].concat();
+        let ask = ShellMsg::StateRequest { have: 4 };
+        let layout = [&[SHELL_TAG, 2][..], &4u64.to_le_bytes()].concat();
         golden(&PbftMsg::Shell(ask.clone()), &layout);
         golden(&MinBftMsg::Shell(ask.clone()), &layout);
         golden(&PassiveMsg::Shell(ask), &layout);
@@ -609,18 +618,16 @@ mod tests {
         vec![
             PbftMsg::Request(req(9, 3, vec![0, 255, 7])),
             PbftMsg::PrePrepare { view: 1, seq: 2, batch: batch.clone() },
-            PbftMsg::Prepare { view: 1, seq: 2, digest: batch.digest(), from: ReplicaId(3) },
-            PbftMsg::Commit { view: 1, seq: 2, digest: batch.digest(), from: ReplicaId(0) },
+            PbftMsg::Prepare { view: 1, seq: 2, digest: batch.digest() },
+            PbftMsg::Commit { view: 1, seq: 2, digest: batch.digest() },
             PbftMsg::ViewChange(VcVote {
                 new_view: 2,
-                from: ReplicaId(1),
                 prepared: vec![(2, batch.clone())],
                 executed_upto: 1,
                 cert: Some(Box::new(cert(4))),
             }),
             PbftMsg::ViewChange(VcVote {
                 new_view: 3,
-                from: ReplicaId(2),
                 prepared: vec![],
                 executed_upto: 0,
                 cert: None,
@@ -640,28 +647,17 @@ mod tests {
                 seq: 5,
                 batch: batch.clone(),
                 primary_ui: ui(0, 6, 9),
-                from: ReplicaId(1),
                 ui: ui(1, 7, 11),
             })),
             MinBftMsg::ReqViewChange(VcVote {
                 new_view: 1,
-                from: ReplicaId(2),
                 prepared: vec![(6, batch.clone())],
                 executed_upto: 5,
                 cert: Some(Box::new(cert(4))),
             }),
             MinBftMsg::NewView { view: 1, preprepares: vec![(6, batch.clone())] },
-            MinBftMsg::FillGap {
-                sender: ReplicaId(0),
-                from_counter: 3,
-                upto: 9,
-                from: ReplicaId(2),
-            },
-            MinBftMsg::CheckpointHint {
-                cert: Box::new(cert(12)),
-                ring_base: 7,
-                from: ReplicaId(0),
-            },
+            MinBftMsg::FillGap { from_counter: 3, upto: 9 },
+            MinBftMsg::CheckpointHint { cert: Box::new(cert(12)), ring_base: 7 },
         ]
     }
 
@@ -674,8 +670,8 @@ mod tests {
                 first_seq: 4,
                 ops: Box::new([(req(0, 4, b"SET k0.4 v4".to_vec()), Arc::new(b"OK".to_vec()))]),
             },
-            PassiveMsg::Heartbeat { epoch: 1, from: ReplicaId(0), log_len: 9 },
-            PassiveMsg::SyncRequest { from_seq: 5, from: ReplicaId(1) },
+            PassiveMsg::Heartbeat { epoch: 1, log_len: 9 },
+            PassiveMsg::SyncRequest { from_seq: 5 },
         ]
     }
 
@@ -735,7 +731,7 @@ mod tests {
         // Wrong version byte.
         let good = {
             let mut buf = Vec::new();
-            let ask = ShellMsg::StateRequest { have: 1, from: ReplicaId(0) };
+            let ask = ShellMsg::StateRequest { have: 1 };
             encode_frame(&PbftMsg::Shell(ask), &mut buf);
             buf
         };
@@ -770,7 +766,6 @@ mod tests {
         // checked against the bytes actually present.
         let mut lying = vec![WIRE_VERSION, 5]; // ViewChange
         lying.extend_from_slice(&2u64.to_le_bytes()); // new_view
-        lying.extend_from_slice(&1u32.to_le_bytes()); // from
         lying.extend_from_slice(&u64::MAX.to_le_bytes()); // prepared count: lie
         assert!(decode_frame::<PbftMsg>(&lying).is_none());
         // Empty input.
@@ -853,7 +848,6 @@ mod tests {
                 seq,
                 batch,
                 primary_ui: ui(0, c1, 1),
-                from: ReplicaId(1),
                 ui: ui(1, c2, 2),
             }));
             let mut buf = Vec::new();

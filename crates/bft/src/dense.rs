@@ -479,9 +479,13 @@ pub fn token_op(token: u64) -> OpId {
 
 // --------------------------------------------------------------- ReplicaSet
 
+/// The largest cluster a [`ReplicaSet`] can tally: 64 replicas (f ≤ 21 for
+/// PBFT, f ≤ 31 for MinBFT), far beyond any on-chip configuration in the
+/// experiments. Cluster provisioning and the TCP binaries refuse more.
+pub const MAX_REPLICAS: u32 = 64;
+
 /// A set of replica ids as a 64-bit mask — quorum tallies without a heap
-/// allocation per vote. Supports clusters up to 64 replicas (f ≤ 21 for
-/// PBFT), far beyond any on-chip configuration in the experiments.
+/// allocation per vote, for clusters of up to [`MAX_REPLICAS`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaSet(u64);
 
@@ -496,7 +500,7 @@ impl ReplicaSet {
     /// # Panics
     /// Debug-panics for ids ≥ 64.
     pub fn insert(&mut self, id: crate::api::ReplicaId) -> bool {
-        debug_assert!(id.0 < 64, "ReplicaSet supports up to 64 replicas");
+        debug_assert!(id.0 < MAX_REPLICAS, "ReplicaSet supports up to 64 replicas");
         let bit = 1u64 << (id.0 & 63);
         let fresh = self.0 & bit == 0;
         self.0 |= bit;

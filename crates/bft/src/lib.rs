@@ -34,11 +34,14 @@
 //!   `Replica<P>` owns the id, `n`/`f`, the fault script, the outage flag
 //!   and the shell, and is the one [`api::ReplicaNode`] impl — the crash
 //!   window, timer start and revival, the output gate of a muted script,
-//!   wipe and recovery, and the one router of every [`ShellMsg`] (each
-//!   taken only over its named sender's own link: a voucher to the shell,
-//!   a state request served, a state response admitted at f+1 and
-//!   installed) — while `P` (a crate-private `Core`) holds a protocol's
-//!   own state and handlers. `Replicas<P>` is the one [`api::Cluster`]
+//!   wipe and recovery, the one link resolution (the link is the sender:
+//!   every message but a client request is taken only over the link of
+//!   another replica of the cluster, which the handler receives as the
+//!   voter, requester or responder) and the one router of every
+//!   [`ShellMsg`] (a voucher to the shell, a state request served to its
+//!   link, a state response admitted at f+1 links and installed) — while
+//!   `P` (a crate-private `Core`) holds a protocol's own state and
+//!   handlers. `Replicas<P>` is the one [`api::Cluster`]
 //!   impl and provisioning loop; `PbftReplica`, `PbftCluster` and their
 //!   siblings are aliases of the two;
 //! * `agreement` (crate-private) — the agreement front-end PBFT and
@@ -70,7 +73,7 @@
 //!   protocol's message enum in a single `Shell` variant;
 //! * [`viewchange`] — the view-change ledger PBFT and MinBFT share: the
 //!   [`viewchange::VcVote`] both carry on the wire, who demands which
-//!   view (votes are bound to the link they arrive on), the rate-limited
+//!   view (a vote's voter is the link it arrives on), the rate-limited
 //!   patience escalation, and the new primary's re-proposal plan (merge,
 //!   certified-floor discard, no-op hole filling, re-batching of pending
 //!   requests). The cores keep their install quorum, their notion of

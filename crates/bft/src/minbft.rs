@@ -56,13 +56,11 @@ pub struct CommitVote {
     pub batch: Arc<Batch>,
     /// The primary's UI from the PREPARE (evidence of assignment).
     pub primary_ui: UI,
-    /// Voting replica.
-    pub from: ReplicaId,
-    /// Voter's own USIG certificate.
+    /// Voter's own USIG certificate; its `id` is the voter.
     pub ui: UI,
 }
 
-crate::wire! { struct CommitVote { view, seq, batch, primary_ui, from, ui } }
+crate::wire! { struct CommitVote { view, seq, batch, primary_ui, ui } }
 
 /// MinBFT wire messages.
 ///
@@ -97,8 +95,9 @@ pub enum MinBftMsg {
         /// Re-proposed entries.
         preprepares: Vec<(u64, Arc<Batch>)>,
     },
-    /// Reliable-FIFO-channel emulation: `from` asks `sender` to resend its
-    /// UI-certified messages with counters in `[from_counter, upto]`.
+    /// Reliable-FIFO-channel emulation: the requester (its link) asks the
+    /// receiver to resend its own UI-certified messages with counters in
+    /// `[from_counter, upto]`.
     ///
     /// MinBFT's system model assumes eventually-reliable channels; a
     /// dropped PREPARE/COMMIT otherwise poisons the sender's counter
@@ -107,30 +106,26 @@ pub enum MinBftMsg {
     /// scenario exposed exactly that wedge. Resends are the *original*
     /// stored messages, so their UIs re-verify unchanged.
     FillGap {
-        /// Whose counter stream has the gap.
-        sender: ReplicaId,
         /// First missing counter.
         from_counter: u64,
         /// Last missing counter (inclusive; responders cap the burst).
         upto: u64,
-        /// The requesting replica (resends go only to it).
-        from: ReplicaId,
     },
     /// FillGap answer for counters already retired from the resend ring:
     /// the responder cannot resend (USIGs never re-sign old counters), so
     /// it hands over its stable checkpoint certificate instead. The
-    /// requester adopts the certificate, resyncs the responder's counter
-    /// stream at `ring_base`, and escalates to state transfer — the only
-    /// path that can close a gap older than `SENT_RETENTION`.
+    /// requester adopts the certificate, resyncs the responder's (its
+    /// link's) counter stream at `ring_base`, and escalates to state
+    /// transfer — the only path that can close a gap older than
+    /// `SENT_RETENTION`.
     CheckpointHint {
         /// The responder's stable checkpoint certificate (f+1 vouchers).
         /// Boxed — certificates are rare and bulky.
         cert: Box<CheckpointCert>,
         /// Lowest counter still in the responder's resend ring; the
-        /// requester fast-forwards `accepted[from]` to just below it.
+        /// requester fast-forwards the responder's `accepted` to just
+        /// below it.
         ring_base: u64,
-        /// The responder (whose counter stream the requester resyncs).
-        from: ReplicaId,
     },
     /// A reply, checkpoint voucher or state transfer (see [`ShellMsg`]).
     Shell(ShellMsg),
@@ -145,8 +140,8 @@ crate::wire! {
         2 => Commit(vote),
         4 => ReqViewChange(vote),
         5 => NewView { view, preprepares },
-        6 => FillGap { sender, from_counter, upto, from },
-        7 => CheckpointHint { cert, ring_base, from },
+        6 => FillGap { from_counter, upto },
+        7 => CheckpointHint { cert, ring_base },
         SHELL_TAG => Shell(msg),
     }
 }
@@ -252,9 +247,6 @@ pub struct MinBft {
     /// messages whose certificate verifies are held, at most
     /// [`SENT_RETENTION`] per sender.
     future: Vec<(ReplicaId, MinBftMsg)>,
-    /// Certified future-view messages dropped because their sender's share
-    /// of the stash was full.
-    future_dropped: u64,
     /// Last accepted USIG counter per sender (dense by replica id).
     accepted: Vec<u64>,
     /// This replica's own UI-certified sends, keyed by counter — the
@@ -296,7 +288,6 @@ impl MinBftReplica {
             usig: Usig::new(UsigId(id.0), ring, protection.build()),
             ingress: (0..n).map(|_| SeqWindow::with_base(1)).collect(),
             future: Vec::new(),
-            future_dropped: 0,
             accepted: vec![0; n as usize],
             sent_ui: SeqWindow::with_base(1),
             gap_req_at: vec![0; n as usize],
@@ -370,15 +361,8 @@ impl MinBftReplica {
                 if self.now >= self.core.own.gap_req_at[s].saturating_add(GAP_REQ_BACKOFF) {
                     // bounds: s < n (verify_ui)
                     self.core.own.gap_req_at[s] = self.now;
-                    out.send(
-                        Endpoint::Replica(sender),
-                        MinBftMsg::FillGap {
-                            sender,
-                            from_counter: last + 1,
-                            upto: ui.counter - 1,
-                            from: self.id,
-                        },
-                    );
+                    let gap = MinBftMsg::FillGap { from_counter: last + 1, upto: ui.counter - 1 };
+                    out.send(Endpoint::Replica(sender), gap);
                 }
                 false
             }
@@ -391,7 +375,7 @@ impl MinBftReplica {
     /// memory DoS — but `accepted` does not move: `replay_future` sends the
     /// message through [`Self::ingest_ui`] once its view is installed. A
     /// sender may hold [`SENT_RETENTION`] entries, the horizon past which
-    /// its counters could not be gap-filled anyway; later ones are dropped
+    /// its counters could not be gap-filled anyway; later ones are refused
     /// and counted.
     fn stash_future(&mut self, sender: ReplicaId, ui: &UI, signed: &[u8], msg: MinBftMsg) {
         if !self.core.own.usig.verify_ui(UsigId(sender.0), ui, signed) {
@@ -399,7 +383,7 @@ impl MinBftReplica {
         }
         let held = self.core.own.future.iter().filter(|(s, _)| *s == sender).count() as u64;
         if held >= SENT_RETENTION {
-            self.core.own.future_dropped += 1;
+            self.refused += 1;
             return;
         }
         self.core.own.future.push((sender, msg));
@@ -473,7 +457,6 @@ impl MinBftReplica {
                 seq,
                 batch,
                 primary_ui: ui,
-                from: me,
                 ui: my_ui,
             }));
             self.record_sent(my_ui.counter, commit.clone());
@@ -483,7 +466,7 @@ impl MinBftReplica {
     }
 
     fn handle_commit(&mut self, vote: &CommitVote, out: &mut Outbox<MinBftMsg>) {
-        let CommitVote { view, seq, primary_ui, from, .. } = *vote;
+        let CommitVote { view, seq, primary_ui, ui, .. } = *vote;
         if view != self.core.vc.view() || !self.core.slots.admits(seq) {
             return; // an executed slot, or one past the horizon: no MAC for it
         }
@@ -518,26 +501,18 @@ impl MinBftReplica {
         }
         slot.digest = Some(digest);
         slot.cert.primary = Some((view, primary_ui));
-        slot.commits.insert(from);
+        slot.commits.insert(ReplicaId(ui.id.0));
         slot.commits.insert(primary);
         self.try_execute(out);
     }
 
-    /// Ingests a [`MinBftMsg::CheckpointHint`] — the FillGap escalation
-    /// for counters older than the resend ring. A verified certificate is
-    /// adopted (state transfer chases it from the dispatch tail) and the
-    /// responder's counter stream is resynced at its ring base; lying
-    /// about one's own `ring_base` only disrupts one's own stream.
-    fn handle_checkpoint_hint(
-        &mut self,
-        from: Endpoint,
-        cert: CheckpointCert,
-        ring_base: u64,
-        sender: ReplicaId,
-    ) {
-        if from != Endpoint::Replica(sender) {
-            return; // a replica may resync only its own stream
-        }
+    /// Ingests responder `sender`'s [`MinBftMsg::CheckpointHint`] — the
+    /// FillGap escalation for counters older than the resend ring. A
+    /// verified certificate is adopted (state transfer chases it from the
+    /// dispatch tail) and the responder's own counter stream is resynced at
+    /// its ring base; lying about one's own `ring_base` only disrupts one's
+    /// own stream.
+    fn handle_checkpoint_hint(&mut self, sender: ReplicaId, cert: CheckpointCert, ring_base: u64) {
         if self.shell.accept_cert(&cert).is_none() {
             return; // forged hint (the shell counted the rejection)
         }
@@ -594,9 +569,8 @@ impl MinBftReplica {
             if msg_view > current {
                 self.core.own.future.push((sender, msg)); // still ahead of us
             } else {
-                // From a generic peer endpoint: dispatch re-checks everything.
-                let from = Endpoint::Replica(self.core.vc.primary_of(msg_view));
-                MinBft::on_message(self, from, msg, out);
+                // Dispatch re-checks everything.
+                MinBft::on_message(self, sender, msg, out);
             }
         }
     }
@@ -618,7 +592,6 @@ impl Discipline for MinBft {
     type Msg = MinBftMsg;
     type Cert = PrimaryCert;
     const PROTOCOL: Protocol = Protocol::MinBft;
-    const REQUEST: fn(Arc<Request>) -> MinBftMsg = MinBftMsg::Request;
     const VIEW_CHANGE: fn(VcVote) -> MinBftMsg = MinBftMsg::ReqViewChange;
 
     fn prepared(slot: &Slot<PrimaryCert>, _: usize) -> bool {
@@ -631,12 +604,11 @@ impl Discipline for MinBft {
 
     fn on_message(
         r: &mut MinBftReplica,
-        from: Endpoint,
+        link: ReplicaId,
         msg: MinBftMsg,
         out: &mut Outbox<MinBftMsg>,
     ) {
         match msg {
-            MinBftMsg::Request(req) => r.intake(req, out),
             MinBftMsg::Prepare { view, seq, batch, ui } => {
                 // The UI certifies the batch digest, which is a function of
                 // the carried requests (see `Batch`).
@@ -656,56 +628,50 @@ impl Discipline for MinBft {
                 }
             }
             MinBftMsg::Commit(vote) => {
+                // The voter is whoever's USIG certified the vote.
                 let digest = vote.batch.digest();
                 let signed = commit_bytes(vote.view, vote.seq, &digest, vote.primary_ui.counter);
+                let (voter, ui) = (ReplicaId(vote.ui.id.0), vote.ui);
                 if vote.view > r.core.vc.view() {
-                    let (sender, ui) = (vote.from, vote.ui);
-                    r.stash_future(sender, &ui, &signed, MinBftMsg::Commit(vote));
+                    r.stash_future(voter, &ui, &signed, MinBftMsg::Commit(vote));
                     return;
                 }
                 let held_back = || MinBftMsg::Commit(Arc::clone(&vote));
-                if r.ingest_ui(vote.from, &vote.ui, &signed, held_back, out) {
+                if r.ingest_ui(voter, &ui, &signed, held_back, out) {
                     r.handle_commit(&vote, out);
                     r.drain_ready(out);
                 }
             }
-            MinBftMsg::ReqViewChange(vote) => r.on_view_change(from, vote, out),
-            MinBftMsg::NewView { view, preprepares } => r.on_new_view(from, view, preprepares, out),
-            MinBftMsg::FillGap { sender, from_counter, upto, from: requester } => {
-                // Serve only gaps in OUR stream, only over the requester's
-                // own link, with a bounded burst; the resends are the
-                // original UI-certified messages, which the requester
-                // re-verifies and ingests in counter order.
-                if sender == r.id && requester != r.id && from == Endpoint::Replica(requester) {
-                    if from_counter < r.core.own.sent_ui.base() {
-                        // The gap starts below the resend ring: those
-                        // counters are gone and USIGs never re-sign them.
-                        // Hand over the stable certificate (if any) so the
-                        // requester resyncs and escalates to state
-                        // transfer instead of backing off forever.
-                        if let Some(cert) = r.shell.ckpt().stable() {
-                            out.send(
-                                Endpoint::Replica(requester),
-                                MinBftMsg::CheckpointHint {
-                                    cert: Box::new(cert.clone()),
-                                    ring_base: r.core.own.sent_ui.base(),
-                                    from: r.id,
-                                },
-                            );
-                        }
+            MinBftMsg::ReqViewChange(vote) => r.on_view_change(link, vote, out),
+            MinBftMsg::NewView { view, preprepares } => r.on_new_view(link, view, preprepares, out),
+            MinBftMsg::FillGap { from_counter, upto } => {
+                // Gaps in OUR stream, served to the requester's link with a
+                // bounded burst; the resends are the original UI-certified
+                // messages, which the requester re-verifies and ingests in
+                // counter order.
+                let requester = Endpoint::Replica(link);
+                if from_counter < r.core.own.sent_ui.base() {
+                    // The gap starts below the resend ring: those counters
+                    // are gone and USIGs never re-sign them. Hand over the
+                    // stable certificate (if any) so the requester resyncs
+                    // and escalates to state transfer instead of backing
+                    // off forever.
+                    if let Some(cert) = r.shell.ckpt().stable() {
+                        let (cert, ring_base) = (Box::new(cert.clone()), r.core.own.sent_ui.base());
+                        out.send(requester, MinBftMsg::CheckpointHint { cert, ring_base });
                     }
-                    let hi = upto.min(from_counter.saturating_add(GAP_FILL_BURST - 1));
-                    for counter in from_counter..=hi {
-                        if let Some(m) = r.core.own.sent_ui.get(counter) {
-                            out.send(Endpoint::Replica(requester), m.clone());
-                        }
+                }
+                let hi = upto.min(from_counter.saturating_add(GAP_FILL_BURST - 1));
+                for counter in from_counter..=hi {
+                    if let Some(m) = r.core.own.sent_ui.get(counter) {
+                        out.send(requester, m.clone());
                     }
                 }
             }
-            MinBftMsg::CheckpointHint { cert, ring_base, from: sender } => {
-                r.handle_checkpoint_hint(from, *cert, ring_base, sender)
+            MinBftMsg::CheckpointHint { cert, ring_base } => {
+                r.handle_checkpoint_hint(link, *cert, ring_base)
             }
-            MinBftMsg::Shell(_) => {}
+            MinBftMsg::Request(_) | MinBftMsg::Shell(_) => {}
         }
     }
 
@@ -777,10 +743,6 @@ impl Discipline for MinBft {
 
     fn mac_count(&self) -> u64 {
         self.usig.issued() + self.usig.verified()
-    }
-
-    fn refused(&self) -> u64 {
-        self.future_dropped
     }
 }
 // lint: end
@@ -996,16 +958,9 @@ mod tests {
         let responder = &mut cluster.nodes_mut()[1];
         responder.core.own.sent_ui.retire_below(ring_base);
         let mut out = Outbox::new();
+        let fill = MinBftMsg::FillGap { from_counter: 1, upto: 4 };
         responder.on_input(
-            Input::Message {
-                from: Endpoint::Replica(requester),
-                msg: MinBftMsg::FillGap {
-                    sender: ReplicaId(1),
-                    from_counter: 1,
-                    upto: 4,
-                    from: requester,
-                },
-            },
+            Input::Message { from: Endpoint::Replica(requester), msg: fill },
             10_000,
             &mut out,
         );
@@ -1013,15 +968,12 @@ mod tests {
             .msgs
             .iter()
             .find_map(|(to, m)| match m {
-                MinBftMsg::CheckpointHint { cert, ring_base: rb, from } => {
-                    Some((*to, cert.clone(), *rb, *from))
-                }
+                MinBftMsg::CheckpointHint { cert, ring_base: rb } => Some((*to, cert.clone(), *rb)),
                 _ => None,
             })
             .expect("a gap below the ring must answer with a checkpoint hint");
-        let (to, cert, rb, from) = hint;
+        let (to, cert, rb) = hint;
         assert_eq!(to, Endpoint::Replica(requester));
-        assert_eq!(from, ReplicaId(1));
         assert_eq!(rb, ring_base);
         assert!(cert.seq > 0, "the hint must carry the stable certificate");
 
@@ -1034,11 +986,7 @@ mod tests {
         node.on_input(
             Input::Message {
                 from: Endpoint::Replica(ReplicaId(1)),
-                msg: MinBftMsg::CheckpointHint {
-                    cert: cert.clone(),
-                    ring_base,
-                    from: ReplicaId(1),
-                },
+                msg: MinBftMsg::CheckpointHint { cert: cert.clone(), ring_base },
             },
             10_001,
             &mut out,
@@ -1051,21 +999,20 @@ mod tests {
             "the adopted certificate must trigger a state-transfer request"
         );
 
-        // A spoofed hint (relayed for someone else's stream) is inert.
-        let accepted_before = node.core.own.accepted[0];
+        // A hint resyncs only its link's own stream: one over a link that
+        // is no replica of the cluster is refused and counted.
+        let accepted_before = node.core.own.accepted.clone();
         let mut out = Outbox::new();
         node.on_input(
             Input::Message {
-                from: Endpoint::Replica(ReplicaId(1)),
-                msg: MinBftMsg::CheckpointHint { cert, ring_base: 400, from: ReplicaId(0) },
+                from: Endpoint::Client(ClientId(0)),
+                msg: MinBftMsg::CheckpointHint { cert, ring_base: 400 },
             },
             10_002,
             &mut out,
         );
-        assert_eq!(
-            node.core.own.accepted[0], accepted_before,
-            "only the sender may resync its stream"
-        );
+        assert_eq!(node.core.own.accepted, accepted_before, "a client link resynced a stream");
+        assert_eq!(node.refused(), 1);
     }
 
     #[test]
@@ -1181,8 +1128,8 @@ mod tests {
     ) -> MinBftMsg {
         let statement = commit_bytes(view, seq, &batch.digest(), primary_ui.counter);
         let ui = signer.core.own.usig.create_ui(&statement).unwrap();
-        let (batch, from) = (batch.clone(), signer.id);
-        MinBftMsg::Commit(Arc::new(CommitVote { view, seq, batch, primary_ui, from, ui }))
+        let batch = batch.clone();
+        MinBftMsg::Commit(Arc::new(CommitVote { view, seq, batch, primary_ui, ui }))
     }
 
     /// Delivers `msg` from replica `from`; returns how many MACs it cost.
@@ -1281,7 +1228,10 @@ mod tests {
         assert_eq!(deliver(&mut r, 0, prepare, &mut out), 1);
         assert_eq!(r.core.own.accepted[0], 1);
         assert_eq!(r.committed_seq(), 1, "primary + replica 1 + own vote");
-        assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.from == r.id)));
+        assert!(out
+            .msgs
+            .iter()
+            .any(|(_, m)| matches!(m, MinBftMsg::Commit(v) if v.ui.id.0 == r.id.0)));
         // A vote for the executed slot: the sender's MAC, nothing more.
         let late = commit_from(&mut replica_of_five(4), 0, 1, &batch, ui);
         assert_eq!(deliver(&mut r, 4, late, &mut out), 1);
@@ -1327,18 +1277,12 @@ mod tests {
             let prepare = MinBftMsg::Prepare { view, seq: i + 1, batch: batch.clone(), ui };
             deliver(&mut r, 0, prepare, &mut out);
             let forged = UI { id: UsigId(0), ..ui };
-            let vote = CommitVote {
-                view,
-                seq: i + 1,
-                batch: batch.clone(),
-                primary_ui: ui,
-                from: ReplicaId(0),
-                ui: forged,
-            };
+            let vote =
+                CommitVote { view, seq: i + 1, batch: batch.clone(), primary_ui: ui, ui: forged };
             deliver(&mut r, 0, MinBftMsg::Commit(Arc::new(vote)), &mut out);
         }
         assert!(r.core.own.future.is_empty());
-        assert_eq!(r.rejected_votes(), 0, "forgeries are refused, not counted as drops");
+        assert_eq!(r.refused(), 0, "forgeries are refused, not counted as drops");
         assert!(out.msgs.is_empty());
     }
 
@@ -1355,14 +1299,14 @@ mod tests {
             assert_eq!(deliver(&mut r, 2, prepare, &mut out), 1);
         }
         assert_eq!(r.core.own.future.len() as u64, SENT_RETENTION);
-        assert_eq!(r.rejected_votes(), extra, "the newest beyond the cap are dropped and counted");
+        assert_eq!(r.refused(), extra, "the newest beyond the cap are dropped and counted");
         assert_eq!(r.core.own.accepted[2], 0, "stashing must not consume the sender's counters");
         // The cap is per sender: another replica's stream still has room.
         let mut other = replica(0);
         let commit = commit_from(&mut other, 2, 1, &batch, prepare_from(&mut sender, 2, 1, &batch));
         deliver(&mut r, 0, commit, &mut out);
         assert_eq!(r.core.own.future.len() as u64, SENT_RETENTION + 1);
-        assert_eq!(r.rejected_votes(), extra);
+        assert_eq!(r.refused(), extra);
     }
 
     #[test]
@@ -1383,37 +1327,35 @@ mod tests {
         assert!(out.msgs.iter().any(|(_, m)| matches!(m, MinBftMsg::Shell(ShellMsg::Reply(_)))));
     }
 
-    /// A gap fill resends to the replica that asked, over its own link: one
-    /// naming another requester is not served to it.
+    /// A gap fill resends to the link that asked: a request over a
+    /// client's link is refused and counted, one over replica 2's link is
+    /// answered to replica 2 alone.
     #[test]
     fn fillgap_is_served_only_over_the_requesters_link() {
         let cfg = config(1, 2, 4, 37);
         let mut cluster = MinBftCluster::new(&cfg);
         run(&mut cluster, &cfg);
         let responder = &mut cluster.nodes_mut()[1];
-        let requester = ReplicaId(2);
-        let fill =
-            MinBftMsg::FillGap { sender: ReplicaId(1), from_counter: 1, upto: 4, from: requester };
+        let fill = MinBftMsg::FillGap { from_counter: 1, upto: 4 };
         let mut out = Outbox::new();
-        for link in [Endpoint::Replica(ReplicaId(0)), Endpoint::Client(ClientId(1))] {
-            responder.on_input(Input::Message { from: link, msg: fill.clone() }, 10_000, &mut out);
-        }
-        assert!(out.msgs.is_empty(), "resent over a forged link: {:?}", out.msgs);
-        let from = Endpoint::Replica(requester);
+        let client = Endpoint::Client(ClientId(1));
+        responder.on_input(Input::Message { from: client, msg: fill.clone() }, 10_000, &mut out);
+        assert!(out.msgs.is_empty(), "resent to a client link: {:?}", out.msgs);
+        assert_eq!(responder.refused(), 1);
+        let from = Endpoint::Replica(ReplicaId(2));
         responder.on_input(Input::Message { from, msg: fill }, 10_001, &mut out);
         assert_eq!(out.msgs.len(), 4, "counters 1..=4 resent");
         assert!(out.msgs.iter().all(|(to, _)| *to == from));
     }
 
-    /// The voter id is wire-supplied: one naming a replica outside the
-    /// cluster must be refused, not used as an index (a remote crash).
+    /// A view-change vote over a link outside the cluster is refused.
     #[test]
     fn view_change_vote_from_outside_the_cluster_is_refused() {
         crate::agreement::tests::refuses_votes_from_outside_the_cluster(MinBftCluster::new);
     }
 
-    /// One endpoint is one vote: one link claiming every other voter's id
-    /// must not assemble the demands that install the next view.
+    /// One link is one vote: one link voting once per other replica must
+    /// not assemble the demands that install the next view.
     #[test]
     fn one_link_cannot_forge_a_view_change_quorum() {
         use crate::agreement::tests::{counts_one_vote_per_link, minbft_new_view};

@@ -9,7 +9,7 @@
 //! quiet. Experiment E4 measures exactly the paper's trade-off: steady-state
 //! cost (2 replicas, 2 messages/op) vs the failover unavailability window.
 
-use crate::api::{Batch, Endpoint, Input, Outbox, ReplicaId, Request};
+use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica, Replicas};
 use crate::checkpoint::CstInstall;
 use crate::codec::SHELL_TAG;
@@ -54,20 +54,16 @@ pub enum PassiveMsg {
     Heartbeat {
         /// Sender's epoch.
         epoch: u64,
-        /// Sender.
-        from: ReplicaId,
         /// Sender's committed-log length.
         log_len: u64,
     },
-    /// Backup → primary: resend state updates from `from_seq` (the backup
-    /// detected a gap — it crashed through, or the network lost, some
-    /// updates; without a resync a later failover would promote a stale
-    /// log, diverging committed history).
+    /// Backup → primary: resend state updates from `from_seq` to the
+    /// backup's link (the backup detected a gap — it crashed through, or
+    /// the network lost, some updates; without a resync a later failover
+    /// would promote a stale log, diverging committed history).
     SyncRequest {
         /// First missing log sequence.
         from_seq: u64,
-        /// The requesting replica.
-        from: ReplicaId,
     },
     /// A reply, checkpoint voucher or state transfer (see [`ShellMsg`]).
     /// Passive checkpoints are per log sequence — the slot and log domains
@@ -81,8 +77,8 @@ crate::wire! {
     enum PassiveMsg {
         0 => Request(req),
         1 => StateUpdate { epoch, first_seq, ops },
-        2 => Heartbeat { epoch, from, log_len },
-        3 => SyncRequest { from_seq, from },
+        2 => Heartbeat { epoch, log_len },
+        3 => SyncRequest { from_seq },
         SHELL_TAG => Shell(msg),
     }
 }
@@ -246,6 +242,14 @@ impl PassiveReplica {
         }
     }
 
+    /// Sends the peer a heartbeat and arms the next one.
+    fn beat(&self, out: &mut Outbox<PassiveMsg>) {
+        let heartbeat =
+            PassiveMsg::Heartbeat { epoch: self.core.epoch, log_len: self.shell.committed() };
+        out.send(Endpoint::Replica(self.peer()), heartbeat);
+        out.arm(self.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
+    }
+
     /// Re-anchors update hold-back just above the committed log after an
     /// install or a recovery moved it.
     fn resume_above_log(&mut self) {
@@ -257,10 +261,8 @@ impl PassiveReplica {
     fn maybe_request_sync(&mut self, now: u64, out: &mut Outbox<PassiveMsg>) {
         if now >= self.core.sync_req_at.saturating_add(SYNC_REQ_BACKOFF) {
             self.core.sync_req_at = now;
-            out.send(
-                Endpoint::Replica(self.peer()),
-                PassiveMsg::SyncRequest { from_seq: self.shell.committed() + 1, from: self.id },
-            );
+            let from_seq = self.shell.committed() + 1;
+            out.send(Endpoint::Replica(self.peer()), PassiveMsg::SyncRequest { from_seq });
         }
     }
 
@@ -308,121 +310,101 @@ impl PassiveReplica {
 impl Core for Passive {
     type Msg = PassiveMsg;
     const PROTOCOL: Protocol = Protocol::Passive;
-    const REQUEST: fn(Arc<Request>) -> PassiveMsg = PassiveMsg::Request;
     const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = entry_digest;
 
-    fn dispatch(r: &mut PassiveReplica, input: Input<PassiveMsg>, out: &mut Outbox<PassiveMsg>) {
+    fn intake(r: &mut PassiveReplica, req: Arc<Request>, out: &mut Outbox<PassiveMsg>) {
+        let role = if r.is_primary() { Role::Primary } else { Role::Idle };
+        if let Intake::Sealed(reqs) = r.shell.intake(req, role, out) {
+            r.propose(reqs, out);
+        }
+    }
+
+    fn on_message(
+        r: &mut PassiveReplica,
+        link: ReplicaId,
+        msg: PassiveMsg,
+        out: &mut Outbox<PassiveMsg>,
+    ) {
         let now = r.now;
-        match input {
-            Input::Message { from, msg } => match msg {
-                PassiveMsg::Request(req) => {
-                    let role = if r.is_primary() { Role::Primary } else { Role::Idle };
-                    if let Intake::Sealed(reqs) = r.shell.intake(req, role, out) {
-                        r.propose(reqs, out);
+        match msg {
+            PassiveMsg::StateUpdate { epoch, first_seq, ops } => {
+                r.handle_state_update(epoch, first_seq, ops, now, out)
+            }
+            PassiveMsg::Heartbeat { epoch, log_len } => {
+                if epoch >= r.core.epoch {
+                    r.core.epoch = epoch;
+                    r.core.last_heartbeat = now;
+                    // The advertised log length exposes updates this
+                    // backup never saw (e.g. lost during its own crash
+                    // window) — resync before any failover promotes a
+                    // stale log into committed history.
+                    if !r.is_primary() && log_len > r.shell.committed() {
+                        r.maybe_request_sync(now, out);
                     }
                 }
-                PassiveMsg::StateUpdate { epoch, first_seq, ops } => {
-                    r.handle_state_update(epoch, first_seq, ops, now, out)
+            }
+            // Replayed only to the requester's own link.
+            PassiveMsg::SyncRequest { from_seq } if r.is_primary() => {
+                if from_seq < r.core.shipped.base() {
+                    // The gap starts below the shipped-window retention:
+                    // those updates are gone, and a partial replay from
+                    // `shipped.base()` would leave the backup with a hole
+                    // it can never fill (it would silently stay promotable
+                    // with a shorter log). Answer the state request this
+                    // stands for — the certificate-checked path.
+                    let have = from_seq.saturating_sub(1);
+                    r.route(link, ShellMsg::StateRequest { have }, out);
+                    return;
                 }
-                PassiveMsg::Heartbeat { epoch, from: _, log_len } => {
-                    if epoch >= r.core.epoch {
-                        r.core.epoch = epoch;
-                        r.core.last_heartbeat = now;
-                        // The advertised log length exposes updates this
-                        // backup never saw (e.g. lost during its own crash
-                        // window) — resync before any failover promotes a
-                        // stale log into committed history.
-                        if !r.is_primary() && log_len > r.shell.committed() {
-                            r.maybe_request_sync(now, out);
-                        }
-                    }
+                // Replay the retained contiguous run from the requested
+                // sequence (bounded burst).
+                let ops: Box<[Shipped]> = (from_seq..from_seq.saturating_add(SYNC_BURST))
+                    .map_while(|seq| r.core.shipped.get(seq).cloned())
+                    .collect();
+                if !ops.is_empty() {
+                    let update =
+                        PassiveMsg::StateUpdate { epoch: r.core.epoch, first_seq: from_seq, ops };
+                    out.send(Endpoint::Replica(link), update);
                 }
-                PassiveMsg::SyncRequest { from_seq, from: requester } => {
-                    // Replayed only to the requester's own link.
-                    if r.is_primary() && requester != r.id && from == Endpoint::Replica(requester) {
-                        if from_seq < r.core.shipped.base() {
-                            // The gap starts below the shipped-window
-                            // retention: those updates are gone, and a
-                            // partial replay from `shipped.base()` would
-                            // leave the backup with a hole it can never
-                            // fill (it would silently stay promotable with
-                            // a shorter log). Answer the state request this
-                            // stands for — the certificate-checked path.
-                            let have = from_seq.saturating_sub(1);
-                            r.route(from, ShellMsg::StateRequest { have, from: requester }, out);
-                            return;
-                        }
-                        // Replay the retained contiguous run from the
-                        // requested sequence (bounded burst).
-                        let ops: Box<[Shipped]> = (from_seq..from_seq.saturating_add(SYNC_BURST))
-                            .map_while(|seq| r.core.shipped.get(seq).cloned())
-                            .collect();
-                        if !ops.is_empty() {
-                            out.send(
-                                Endpoint::Replica(requester),
-                                PassiveMsg::StateUpdate {
-                                    epoch: r.core.epoch,
-                                    first_seq: from_seq,
-                                    ops,
-                                },
-                            );
-                        }
-                    }
-                }
-                PassiveMsg::Shell(_) => {}
-            },
-            Input::Timer { kind: TIMER_FLUSH, token } => {
+            }
+            PassiveMsg::Request(_) | PassiveMsg::SyncRequest { .. } | PassiveMsg::Shell(_) => {}
+        }
+    }
+
+    fn on_timer(r: &mut PassiveReplica, kind: u32, token: u64, out: &mut Outbox<PassiveMsg>) {
+        let now = r.now;
+        match kind {
+            TIMER_FLUSH => {
                 if let Some(reqs) = r.shell.on_flush_timer(token, r.is_primary()) {
                     r.propose(reqs, out);
                 }
             }
-            Input::Timer { kind: TIMER_HEARTBEAT, .. } => {
-                if r.is_primary() {
-                    out.send(
-                        Endpoint::Replica(r.peer()),
-                        PassiveMsg::Heartbeat {
-                            epoch: r.core.epoch,
-                            from: r.id,
-                            log_len: r.shell.committed(),
-                        },
-                    );
-                    out.arm(r.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
-                }
+            TIMER_HEARTBEAT if r.is_primary() => {
+                r.beat(out);
             }
-            Input::Timer { kind: TIMER_DETECT, .. } => {
-                if !r.is_primary() {
-                    if now.saturating_sub(r.core.last_heartbeat) > r.core.detect_timeout {
-                        if r.shell.behind() {
-                            // Promotion gate: a certified checkpoint ahead
-                            // of our log proves committed history we do
-                            // not hold — promoting now would install a
-                            // shorter log as the new committed prefix.
-                            // Keep detecting; the transfer is chased after
-                            // every input. (If the only snapshot holder is
-                            // dead, the pair stays safely unavailable — the
-                            // documented 2-replica residual.)
-                            out.arm(r.core.detect_timeout, TIMER_DETECT, 0);
-                            return;
-                        }
-                        // Failure detected: promote r.
-                        r.core.epoch += 1;
-                        r.core.failovers += 1;
-                        debug_assert!(r.is_primary());
-                        out.send(
-                            Endpoint::Replica(r.peer()),
-                            PassiveMsg::Heartbeat {
-                                epoch: r.core.epoch,
-                                from: r.id,
-                                log_len: r.shell.committed(),
-                            },
-                        );
-                        out.arm(r.core.heartbeat_interval, TIMER_HEARTBEAT, 0);
-                    } else {
-                        out.arm(r.core.detect_timeout, TIMER_DETECT, 0);
-                    }
+            TIMER_DETECT if !r.is_primary() => {
+                if now.saturating_sub(r.core.last_heartbeat) <= r.core.detect_timeout {
+                    out.arm(r.core.detect_timeout, TIMER_DETECT, 0);
+                    return;
                 }
+                if r.shell.behind() {
+                    // Promotion gate: a certified checkpoint ahead of our
+                    // log proves committed history we do not hold —
+                    // promoting now would install a shorter log as the new
+                    // committed prefix. Keep detecting; the transfer is
+                    // chased after every input. (If the only snapshot
+                    // holder is dead, the pair stays safely unavailable —
+                    // the documented 2-replica residual.)
+                    out.arm(r.core.detect_timeout, TIMER_DETECT, 0);
+                    return;
+                }
+                // Failure detected: promote r.
+                r.core.epoch += 1;
+                r.core.failovers += 1;
+                debug_assert!(r.is_primary());
+                r.beat(out);
             }
-            Input::Timer { .. } => {}
+            _ => {}
         }
     }
 
@@ -485,7 +467,7 @@ impl Core for Passive {
 mod tests {
     use super::*;
     use crate::adversary::Behavior;
-    use crate::api::{ClientId, Cluster, ReplicaNode};
+    use crate::api::{ClientId, Cluster, Input, ReplicaNode};
     use crate::runner::{run, RunConfig};
 
     fn config(clients: u32, reqs: u64, seed: u64) -> RunConfig {
@@ -569,20 +551,21 @@ mod tests {
         PassiveReplica::new(ReplicaId(2), 100, 400);
     }
 
-    /// The primary replays shipped updates to the backup that asked, over
-    /// its own link: a request naming the backup from a client's link is
-    /// not answered.
+    /// The primary replays shipped updates to the link that asked: a
+    /// request over a client's link is refused and counted, one over the
+    /// backup's link is answered to the backup alone.
     #[test]
     fn sync_requests_are_replayed_only_over_the_requesters_link() {
         let cfg = config(1, 4, 51);
         let mut cluster = PassiveCluster::new(&cfg);
         run(&mut cluster, &cfg);
         let primary = &mut cluster.nodes_mut()[0];
-        let sync = PassiveMsg::SyncRequest { from_seq: 1, from: ReplicaId(1) };
+        let sync = PassiveMsg::SyncRequest { from_seq: 1 };
         let mut out = Outbox::new();
         let client = Endpoint::Client(ClientId(1));
         primary.on_input(Input::Message { from: client, msg: sync.clone() }, 1 << 30, &mut out);
-        assert!(out.msgs.is_empty(), "replayed over a forged link: {:?}", out.msgs);
+        assert!(out.msgs.is_empty(), "replayed to a client link: {:?}", out.msgs);
+        assert_eq!(primary.refused(), 1);
         let backup = Endpoint::Replica(ReplicaId(1));
         primary.on_input(Input::Message { from: backup, msg: sync }, 1 << 30, &mut out);
         assert!(matches!(

@@ -64,7 +64,7 @@ pub enum PbftMsg {
         /// broadcast fan-out).
         batch: Arc<Batch>,
     },
-    /// Backup's agreement to the proposal.
+    /// Backup's agreement to the proposal (the voter is its link).
     Prepare {
         /// View.
         view: u64,
@@ -72,10 +72,9 @@ pub enum PbftMsg {
         seq: u64,
         /// Request digest.
         digest: [u8; 32],
-        /// Voting replica.
-        from: ReplicaId,
     },
-    /// Commit vote after the prepared certificate is reached.
+    /// Commit vote after the prepared certificate is reached (the voter is
+    /// its link).
     Commit {
         /// View.
         view: u64,
@@ -83,8 +82,6 @@ pub enum PbftMsg {
         seq: u64,
         /// Request digest.
         digest: [u8; 32],
-        /// Voting replica.
-        from: ReplicaId,
     },
     /// Suspicion of the primary; vote to move to a new view.
     ViewChange(VcVote),
@@ -105,8 +102,8 @@ crate::wire! {
     enum PbftMsg {
         0 => Request(req),
         1 => PrePrepare { view, seq, batch },
-        2 => Prepare { view, seq, digest, from },
-        3 => Commit { view, seq, digest, from },
+        2 => Prepare { view, seq, digest },
+        3 => Commit { view, seq, digest },
         5 => ViewChange(vote),
         6 => NewView { view, preprepares },
         SHELL_TAG => Shell(msg),
@@ -158,34 +155,34 @@ impl PbftReplica {
                 continue;
             }
             let b = if i < half { &batch } else { &evil };
-            let (to, digest, from) = (Endpoint::Replica(ReplicaId(i)), b.digest(), self.id);
+            let (to, digest) = (Endpoint::Replica(ReplicaId(i)), b.digest());
             out.send(to, PbftMsg::PrePrepare { view, seq, batch: b.clone() });
-            out.send(to, PbftMsg::Prepare { view, seq, digest, from });
-            out.send(to, PbftMsg::Commit { view, seq, digest, from });
+            out.send(to, PbftMsg::Prepare { view, seq, digest });
+            out.send(to, PbftMsg::Commit { view, seq, digest });
         }
     }
 
     fn handle_preprepare(
         &mut self,
-        from: Endpoint,
+        link: ReplicaId,
         view: u64,
         seq: u64,
         batch: Arc<Batch>,
         out: &mut Outbox<PbftMsg>,
     ) {
         let (primary, me) = (self.core.vc.primary_of(view), self.id);
-        if from != Endpoint::Replica(primary) {
+        if link != primary {
             return; // only the view's primary may pre-prepare
         }
         let Some((digest, slot)) = self.admit(view, seq, &batch) else { return };
         slot.cert.insert(primary);
         slot.cert.insert(me);
-        out.broadcast(self.n, self.id, PbftMsg::Prepare { view, seq, digest, from: self.id });
+        out.broadcast(self.n, self.id, PbftMsg::Prepare { view, seq, digest });
         Pbft::reannounce_commit(self, seq, out);
         self.maybe_advance(seq, out);
     }
 
-    /// Counts `from`'s PREPARE — or, with `commit`, its COMMIT — for
+    /// Counts `voter`'s PREPARE — or, with `commit`, its COMMIT — for
     /// `digest` at `seq`.
     fn handle_vote(
         &mut self,
@@ -193,7 +190,7 @@ impl PbftReplica {
         view: u64,
         seq: u64,
         digest: [u8; 32],
-        from: ReplicaId,
+        voter: ReplicaId,
         out: &mut Outbox<PbftMsg>,
     ) {
         if view != self.core.vc.view() || !self.core.slots.admits(seq) {
@@ -202,7 +199,7 @@ impl PbftReplica {
         let Some(slot) = self.core.slots.get_or_insert_default(seq) else { return };
         if slot.digest.is_none_or(|d| d == digest) {
             let votes = if commit { &mut slot.commits } else { &mut slot.cert };
-            votes.insert(from);
+            votes.insert(voter);
         }
         self.maybe_advance(seq, out);
     }
@@ -216,7 +213,7 @@ impl PbftReplica {
             slot.sent_commit = true;
             slot.commits.insert(me);
             let view = self.core.vc.view();
-            out.broadcast(self.n, me, PbftMsg::Commit { view, seq, digest, from: me });
+            out.broadcast(self.n, me, PbftMsg::Commit { view, seq, digest });
         }
         self.try_execute(out);
     }
@@ -248,7 +245,7 @@ impl PbftReplica {
                 let pp = PbftMsg::PrePrepare { view, seq: *seq, batch: batch.clone() };
                 self.core.proposals.insert(*seq, pp);
             }
-            out.broadcast(self.n, me, PbftMsg::Prepare { view, seq: *seq, digest, from: me });
+            out.broadcast(self.n, me, PbftMsg::Prepare { view, seq: *seq, digest });
         }
         for (seq, _) in preprepares {
             self.maybe_advance(*seq, out);
@@ -262,7 +259,6 @@ impl Discipline for Pbft {
     /// arrived in the current view.
     type Cert = ReplicaSet;
     const PROTOCOL: Protocol = Protocol::Pbft;
-    const REQUEST: fn(Arc<Request>) -> PbftMsg = PbftMsg::Request;
     const VIEW_CHANGE: fn(VcVote) -> PbftMsg = PbftMsg::ViewChange;
 
     fn prepared(slot: &Slot<ReplicaSet>, quorum: usize) -> bool {
@@ -273,27 +269,20 @@ impl Discipline for Pbft {
         slot.sent_commit && slot.commits.len() >= quorum
     }
 
-    fn on_message(r: &mut PbftReplica, from: Endpoint, msg: PbftMsg, out: &mut Outbox<PbftMsg>) {
+    fn on_message(r: &mut PbftReplica, link: ReplicaId, msg: PbftMsg, out: &mut Outbox<PbftMsg>) {
         match msg {
-            PbftMsg::Request(req) => r.intake(req, out),
             PbftMsg::PrePrepare { view, seq, batch } => {
-                r.handle_preprepare(from, view, seq, batch, out)
+                r.handle_preprepare(link, view, seq, batch, out)
             }
-            // A vote counts only from its voter's own link: one link
-            // naming three ids is one replica, not a quorum.
-            PbftMsg::Prepare { view, seq, digest, from: voter }
-                if from == Endpoint::Replica(voter) =>
-            {
-                r.handle_vote(false, view, seq, digest, voter, out)
+            PbftMsg::Prepare { view, seq, digest } => {
+                r.handle_vote(false, view, seq, digest, link, out)
             }
-            PbftMsg::Commit { view, seq, digest, from: voter }
-                if from == Endpoint::Replica(voter) =>
-            {
-                r.handle_vote(true, view, seq, digest, voter, out)
+            PbftMsg::Commit { view, seq, digest } => {
+                r.handle_vote(true, view, seq, digest, link, out)
             }
-            PbftMsg::ViewChange(vote) => r.on_view_change(from, vote, out),
-            PbftMsg::NewView { view, preprepares } => r.on_new_view(from, view, preprepares, out),
-            PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } | PbftMsg::Shell(_) => {}
+            PbftMsg::ViewChange(vote) => r.on_view_change(link, vote, out),
+            PbftMsg::NewView { view, preprepares } => r.on_new_view(link, view, preprepares, out),
+            PbftMsg::Request(_) | PbftMsg::Shell(_) => {}
         }
     }
 
@@ -320,7 +309,7 @@ impl Discipline for Pbft {
         let Some(slot) = r.core.slots.get(seq) else { return };
         if let (true, Some(digest)) = (slot.sent_commit, slot.digest) {
             let (view, me) = (r.core.vc.view(), r.id);
-            out.broadcast(r.n, me, PbftMsg::Commit { view, seq, digest, from: me });
+            out.broadcast(r.n, me, PbftMsg::Commit { view, seq, digest });
         }
     }
 
@@ -644,27 +633,18 @@ mod tests {
         deliver(&mut r, 0, proposal);
         let mut sent = Vec::new();
         for from in [2, 3] {
-            let prepare =
-                PbftMsg::Prepare { view: 0, seq: 1, digest: good.digest(), from: ReplicaId(from) };
+            let prepare = PbftMsg::Prepare { view: 0, seq: 1, digest: good.digest() };
             sent.extend(deliver(&mut r, from, prepare));
         }
         assert!(sent.iter().any(|(_, m)| matches!(m, PbftMsg::Commit { .. })), "prepared");
         let proposal = PbftMsg::PrePrepare { view: 0, seq: 1, batch: tampered.clone() };
         assert!(deliver(&mut r, 0, proposal).is_empty(), "a second proposal for the slot");
         for from in [0, 2, 3] {
-            let commit = PbftMsg::Commit {
-                view: 0,
-                seq: 1,
-                digest: tampered.digest(),
-                from: ReplicaId(from),
-            };
-            deliver(&mut r, from, commit);
+            deliver(&mut r, from, PbftMsg::Commit { view: 0, seq: 1, digest: tampered.digest() });
         }
         assert_eq!(r.committed_seq(), 0, "votes for the tampered digest do not count");
         for from in [0, 2] {
-            let commit =
-                PbftMsg::Commit { view: 0, seq: 1, digest: good.digest(), from: ReplicaId(from) };
-            deliver(&mut r, from, commit);
+            deliver(&mut r, from, PbftMsg::Commit { view: 0, seq: 1, digest: good.digest() });
         }
         assert_eq!(r.committed_log()[0].digest, good.digest());
     }
@@ -687,8 +667,8 @@ mod tests {
         for seq in [SLOT_HORIZON + 2, 1 << 28, u64::MAX] {
             for (from, msg) in [
                 (0, PbftMsg::PrePrepare { view: 0, seq, batch: batch.clone() }),
-                (3, PbftMsg::Prepare { view: 0, seq, digest, from: ReplicaId(3) }),
-                (3, PbftMsg::Commit { view: 0, seq, digest, from: ReplicaId(3) }),
+                (3, PbftMsg::Prepare { view: 0, seq, digest }),
+                (3, PbftMsg::Commit { view: 0, seq, digest }),
             ] {
                 let from = Endpoint::Replica(ReplicaId(from));
                 r.on_input(Input::Message { from, msg }, 10, &mut out);
@@ -711,7 +691,7 @@ mod tests {
         assert!(out.msgs.is_empty(), "voted past the horizon: {:?}", out.msgs);
 
         let at = 1 + SLOT_HORIZON;
-        let commit = PbftMsg::Commit { view: 1, seq: at, digest, from: ReplicaId(3) };
+        let commit = PbftMsg::Commit { view: 1, seq: at, digest };
         r.on_input(
             Input::Message { from: Endpoint::Replica(ReplicaId(3)), msg: commit },
             12,
@@ -720,52 +700,74 @@ mod tests {
         assert_eq!(r.core.slots.get(at).map(|s| s.commits.len()), Some(1));
     }
 
-    /// The same holds for the agreement votes: replica 3 alone, naming 0,
-    /// 2 and 3 in its PREPAREs and COMMITs, must not make replica 1 execute
-    /// a slot — on a fresh slot that would let one Byzantine primary commit
-    /// both halves of an equivocation.
-    #[test]
-    fn one_link_cannot_forge_a_commit_quorum() {
+    /// Replica 1 of four, holding the primary's PRE-PREPARE for slot 1 and
+    /// a vote-casting helper: `vote(r, link)` delivers a PREPARE and a
+    /// COMMIT for the slot over `link`.
+    fn preprepared() -> (PbftReplica, impl Fn(&mut PbftReplica, Endpoint)) {
         let batch = Arc::new(Batch::single(Arc::new(Request {
             op: OpId { client: ClientId(1), seq: 1 },
             payload: b"SET k v".to_vec(),
         })));
         let digest = batch.digest();
         let mut r = PbftReplica::new(ReplicaId(1), 1);
-        let mut out = Outbox::new();
         let proposal = PbftMsg::PrePrepare { view: 0, seq: 1, batch };
         let primary = Endpoint::Replica(ReplicaId(0));
-        r.on_input(Input::Message { from: primary, msg: proposal }, 10, &mut out);
-        let vote = |r: &mut PbftReplica, link: u32, voter: u32| {
-            let (from, voter) = (Endpoint::Replica(ReplicaId(link)), ReplicaId(voter));
+        r.on_input(Input::Message { from: primary, msg: proposal }, 10, &mut Outbox::new());
+        let vote = move |r: &mut PbftReplica, from: Endpoint| {
             let mut out = Outbox::new();
             for msg in [
-                PbftMsg::Prepare { view: 0, seq: 1, digest, from: voter },
-                PbftMsg::Commit { view: 0, seq: 1, digest, from: voter },
+                PbftMsg::Prepare { view: 0, seq: 1, digest },
+                PbftMsg::Commit { view: 0, seq: 1, digest },
             ] {
                 r.on_input(Input::Message { from, msg }, 11, &mut out);
             }
         };
-        for claimed in [0, 2, 3] {
-            vote(&mut r, 3, claimed);
+        (r, vote)
+    }
+
+    /// The same holds for the agreement votes: replica 3 alone, voting
+    /// three times over its link, must not make replica 1 execute a slot —
+    /// on a fresh slot that would let one Byzantine primary commit both
+    /// halves of an equivocation.
+    #[test]
+    fn one_link_cannot_forge_a_commit_quorum() {
+        let (mut r, vote) = preprepared();
+        for _ in 0..3 {
+            vote(&mut r, Endpoint::Replica(ReplicaId(3)));
         }
         assert_eq!(r.committed_seq(), 0, "one link voted three times");
-        // The same votes over their voters' own links do commit it.
+        // The votes over links 0 and 2 do commit it.
         for voter in [0, 2] {
-            vote(&mut r, voter, voter);
+            vote(&mut r, Endpoint::Replica(ReplicaId(voter)));
         }
         assert_eq!(r.committed_seq(), 1);
     }
 
-    /// The voter id is wire-supplied: one naming a replica outside the
-    /// cluster must be refused, not used as an index (a remote crash).
+    /// Links 4 and 5 are no replicas of an f = 1 cluster (ids 0–3): their
+    /// PREPAREs and COMMITs are refused and counted, not the two votes
+    /// that would complete replica 1's quorums without any other replica
+    /// of the cluster.
+    #[test]
+    fn votes_over_links_outside_the_cluster_cannot_commit_a_slot() {
+        let (mut r, vote) = preprepared();
+        for link in [4, 5] {
+            vote(&mut r, Endpoint::Replica(ReplicaId(link)));
+        }
+        assert_eq!((r.committed_seq(), r.refused()), (0, 4));
+        for voter in [0, 2] {
+            vote(&mut r, Endpoint::Replica(ReplicaId(voter)));
+        }
+        assert_eq!(r.committed_seq(), 1);
+    }
+
+    /// A view-change vote over a link outside the cluster is refused.
     #[test]
     fn view_change_vote_from_outside_the_cluster_is_refused() {
         crate::agreement::tests::refuses_votes_from_outside_the_cluster(PbftCluster::new);
     }
 
-    /// One endpoint is one vote: one link claiming every other voter's id
-    /// must not assemble the demands that install the next view.
+    /// One link is one vote: one link voting once per other replica must
+    /// not assemble the demands that install the next view.
     #[test]
     fn one_link_cannot_forge_a_view_change_quorum() {
         use crate::agreement::tests::{counts_one_vote_per_link, pbft_new_view};

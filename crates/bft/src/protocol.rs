@@ -10,6 +10,7 @@
 
 use crate::api::{Cluster, ReplicaNode};
 use crate::codec::Wire;
+use crate::dense::MAX_REPLICAS;
 use crate::minbft::MinBftCluster;
 use crate::passive::PassiveCluster;
 use crate::pbft::PbftCluster;
@@ -53,6 +54,17 @@ impl Protocol {
             Protocol::MinBft => 2 * f + 1,
             Protocol::Passive => 2,
         }
+    }
+
+    /// [`replicas`](Self::replicas), if a cluster of that size fits
+    /// [`MAX_REPLICAS`]: `None` beyond it, or where `3f+1` overflows.
+    pub fn checked_replicas(self, f: u32) -> Option<u32> {
+        let n = match self {
+            Protocol::Pbft => f.checked_mul(3)?.checked_add(1)?,
+            Protocol::MinBft => f.checked_mul(2)?.checked_add(1)?,
+            Protocol::Passive => 2,
+        };
+        (n <= MAX_REPLICAS).then_some(n)
     }
 
     /// Matching replies a client needs: f+1, or one for passive

@@ -58,7 +58,10 @@ use std::sync::Arc;
 
 /// The four messages every replica's shell sends and receives, whichever
 /// protocol orders its requests: each protocol's message enum carries them
-/// in one `Shell(ShellMsg)` variant, and the chassis routes them.
+/// in one `Shell(ShellMsg)` variant, and the chassis routes them. None
+/// names its sender: the chassis takes one only over the link of a replica
+/// of the cluster, and that link is the sender (a voucher's `from` is its
+/// signer, and must be that link).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShellMsg {
     /// Execution result (replica → client).
@@ -66,12 +69,11 @@ pub enum ShellMsg {
     /// A MAC'd checkpoint voucher; a quorum of matching ones forms a
     /// certificate. Boxed — vouchers are periodic, not per-request.
     Checkpoint(Box<CheckpointVoucher>),
-    /// A recovering replica asks its peers for the certified state.
+    /// A recovering replica asks its peers for the certified state; the
+    /// answer goes back over the link the request arrived on.
     StateRequest {
         /// Requester's execution watermark.
         have: u64,
-        /// Requesting replica.
-        from: ReplicaId,
     },
     /// A peer's state-transfer answer (see [`StateTransfer`]). Boxed —
     /// transfers are rare and huge.
@@ -82,36 +84,35 @@ crate::wire! {
     enum ShellMsg {
         0 => Reply(reply),
         1 => Checkpoint(voucher),
-        2 => StateRequest { have, from },
+        2 => StateRequest { have },
         3 => StateResponse(transfer),
     }
 }
 
-impl ShellMsg {
-    /// The replica the message names as its sender: a replica takes it
-    /// only over that replica's own link.
-    pub(crate) fn sender(&self) -> ReplicaId {
-        match self {
-            ShellMsg::Reply(reply) => reply.replica,
-            ShellMsg::Checkpoint(voucher) => voucher.from,
-            ShellMsg::StateRequest { from, .. } => *from,
-            ShellMsg::StateResponse(st) => st.from,
-        }
-    }
+/// What a message is to the chassis, which routes the first two kinds
+/// itself.
+pub enum Routed<M> {
+    /// A client request: taken over any link.
+    Request(Arc<Request>),
+    /// A shell message.
+    Shell(ShellMsg),
+    /// One of the protocol's own messages.
+    Own(M),
 }
 
-/// A protocol's message enum: its own messages plus one `Shell(ShellMsg)`
-/// variant — implemented by [`carries_shell!`], never by hand. (`pub` only
-/// so the chassis's public impls may name it; the module is private.)
-pub trait Carrier: From<ShellMsg> + Clone {
-    /// The shell message this is, or the protocol's own message back.
-    fn into_shell(self) -> Result<ShellMsg, Self>;
+/// A protocol's message enum: its own messages plus a `Request` and a
+/// `Shell(ShellMsg)` variant — implemented by [`carries_shell!`], never by
+/// hand. (`pub` only so the chassis's public impls may name it; the module
+/// is private.)
+pub trait Carrier: From<ShellMsg> + From<Arc<Request>> + Clone {
+    /// Which kind of message this is.
+    fn route(self) -> Routed<Self>;
     /// The shell message this is, if it is one.
     fn as_shell(&self) -> Option<&ShellMsg>;
 }
 
-/// Implements [`Carrier`] (and `From<ShellMsg>`) for a message enum with a
-/// `Shell(ShellMsg)` variant.
+/// Implements [`Carrier`] (and both `From`s) for a message enum with a
+/// `Request(Arc<Request>)` and a `Shell(ShellMsg)` variant.
 macro_rules! carries_shell {
     ($msg:ident) => {
         impl From<$crate::shell::ShellMsg> for $msg {
@@ -120,11 +121,18 @@ macro_rules! carries_shell {
             }
         }
 
+        impl From<std::sync::Arc<$crate::api::Request>> for $msg {
+            fn from(req: std::sync::Arc<$crate::api::Request>) -> Self {
+                $msg::Request(req)
+            }
+        }
+
         impl $crate::shell::Carrier for $msg {
-            fn into_shell(self) -> Result<$crate::shell::ShellMsg, Self> {
+            fn route(self) -> $crate::shell::Routed<Self> {
                 match self {
-                    $msg::Shell(msg) => Ok(msg),
-                    other => Err(other),
+                    $msg::Request(req) => $crate::shell::Routed::Request(req),
+                    $msg::Shell(msg) => $crate::shell::Routed::Shell(msg),
+                    other => $crate::shell::Routed::Own(other),
                 }
             }
 
@@ -633,11 +641,7 @@ impl Shell {
         out: &mut Outbox<M>,
     ) {
         if self.behind() && self.ckpt.may_request(now) {
-            out.broadcast(
-                self.n,
-                self.id,
-                ShellMsg::StateRequest { have: self.exec_upto, from: self.id }.into(),
-            );
+            out.broadcast(self.n, self.id, ShellMsg::StateRequest { have: self.exec_upto }.into());
         }
     }
 
@@ -683,19 +687,20 @@ impl Shell {
             tamper_suffix(&mut suffix, cert.seq);
         }
         let suffix = Arc::new(suffix);
-        let transfer = StateTransfer { cert, snapshot, log_base, suffix, view, from: self.id };
+        let transfer = StateTransfer { cert, snapshot, log_base, suffix, view };
         out.send(Endpoint::Replica(to), ShellMsg::StateResponse(Box::new(transfer)).into());
     }
 
-    /// Validates a transfer response — the certificate verifies and the
-    /// state rebuilt from the image digests to what it certifies;
-    /// everything in the response is adversarial until both pass, and a
-    /// failure of either is counted, once — and buffers it with the
-    /// rebuilt state. Returns the install once `quorum` distinct
+    /// Validates `responder`'s transfer response — the certificate
+    /// verifies and the state rebuilt from the image digests to what it
+    /// certifies; everything in the response is adversarial until both
+    /// pass, and a failure of either is counted, once — and buffers it with
+    /// the rebuilt state. Returns the install once `quorum` distinct
     /// responders agree on the watermark, with the suffix voted slot by
     /// slot (see [`CstBuffer`]).
     pub(crate) fn admit_transfer(
         &mut self,
+        responder: ReplicaId,
         st: StateTransfer,
         quorum: usize,
     ) -> Option<CstInstall> {
@@ -706,7 +711,7 @@ impl Shell {
             self.ckpt.note_rejected();
             return None;
         };
-        self.cst.admit(st, state, self.exec_upto);
+        self.cst.admit(responder, st, state, self.exec_upto);
         let plan = self.cst.install_plan(quorum)?;
         self.cst.clear();
         Some(plan)
@@ -930,7 +935,7 @@ mod tests {
         laggard.request_transfer(0, &mut out);
         laggard.request_transfer(1, &mut out);
         assert_eq!(out.msgs.len(), (N - 1) as usize, "one broadcast inside the backoff");
-        assert_eq!(out.msgs[0].1, ShellMsg::StateRequest { have: 0, from: ReplicaId(3) });
+        assert_eq!(out.msgs[0].1, ShellMsg::StateRequest { have: 0 });
 
         // The served image is exactly the framed snapshot + sessions of the
         // state at the watermark.
@@ -944,10 +949,10 @@ mod tests {
         assert_eq!(out.msgs.len(), (N - 1) as usize);
 
         // Flipped snapshot byte and bad-MAC certificate: rejected, counted.
-        assert!(laggard.admit_transfer(served(&s[0], 0, true, false), 1).is_none());
+        assert!(laggard.admit_transfer(ReplicaId(0), served(&s[0], 0, true, false), 1).is_none());
         let mut forged = served(&s[0], 0, false, false);
         forged.cert.vouchers[0].tag = Tag([0; 32]);
-        assert!(laggard.admit_transfer(forged, 1).is_none());
+        assert!(laggard.admit_transfer(ReplicaId(0), forged, 1).is_none());
         assert_eq!(laggard.ckpt().stats().rejected, 2);
         assert_eq!(laggard.exec_upto(), 0, "nothing installed");
 
@@ -956,13 +961,18 @@ mod tests {
         // but never install it …
         let tampered = served(&s[0], 0, false, true);
         assert_ne!(tampered.suffix, served(&s[1], 0, false, false).suffix);
-        assert!(laggard.admit_transfer(tampered.clone(), QUORUM).is_none(), "1 of 2 responders");
-        let stalled = laggard.admit_transfer(served(&s[1], 0, false, false), QUORUM).unwrap();
+        assert!(
+            laggard.admit_transfer(ReplicaId(0), tampered.clone(), QUORUM).is_none(),
+            "1 of 2 responders"
+        );
+        let stalled =
+            laggard.admit_transfer(ReplicaId(1), served(&s[1], 0, false, false), QUORUM).unwrap();
         assert_eq!(stalled.suffix.len(), 1, "only slot 5 is quorate");
         // … and a second honest responder out-votes it.
-        assert!(laggard.admit_transfer(tampered, 3).is_none());
-        assert!(laggard.admit_transfer(served(&s[1], 0, false, false), 3).is_none());
-        let plan = laggard.admit_transfer(served(&s[2], 0, false, false), QUORUM).unwrap();
+        assert!(laggard.admit_transfer(ReplicaId(0), tampered, 3).is_none());
+        assert!(laggard.admit_transfer(ReplicaId(1), served(&s[1], 0, false, false), 3).is_none());
+        let plan =
+            laggard.admit_transfer(ReplicaId(2), served(&s[2], 0, false, false), QUORUM).unwrap();
         assert_eq!(plan.suffix.iter().map(|(slot, _)| *slot).collect::<Vec<_>>(), vec![5, 6]);
         assert_eq!(plan.view, 5);
         // A proposal the laggard accepted for a slot it will never execute
@@ -1010,7 +1020,7 @@ mod tests {
             snapshot: Some((st.cert.clone(), st.log_base, (*st.snapshot).clone())),
             ..Default::default()
         };
-        assert!(laggard.admit_transfer(st, 1).is_none());
+        assert!(laggard.admit_transfer(ReplicaId(0), st, 1).is_none());
         assert_eq!(laggard.ckpt().stats().rejected, 1);
         assert_eq!(laggard.recover(&on_disk, Batch::digest), RecoveryReport::default());
         assert_eq!(
@@ -1018,7 +1028,7 @@ mod tests {
             (0, shells(&keys)[0].state_digest())
         );
         // The honest image still installs afterwards.
-        let plan = laggard.admit_transfer(served(&s[1], 0, false, false), 1).unwrap();
+        let plan = laggard.admit_transfer(ReplicaId(1), served(&s[1], 0, false, false), 1).unwrap();
         laggard.install(&plan, Batch::digest);
         assert_eq!(laggard.state_digest(), s[1].state_digest());
     }
@@ -1217,7 +1227,7 @@ mod tests {
         assert!(before.0 > before.1, "its own next checkpoint would be skipped");
         let cert = live.ckpt().stable().unwrap().clone();
         assert_eq!(behind.accept_cert(&cert), Some(256));
-        let plan = behind.admit_transfer(served(&live, 160, false, false), 1).unwrap();
+        let plan = behind.admit_transfer(live.id, served(&live, 160, false, false), 1).unwrap();
         behind.install(&plan, Batch::digest);
         let mut events = Vec::new();
         behind.drain_durable(&mut events);

@@ -26,10 +26,9 @@
 //!
 //! # Trust boundary
 //!
-//! A vote is bound to the link it arrived on: `ViewLedger::record`
-//! rejects one whose claimed voter is not the sending replica or is not a
-//! replica of this cluster, so one endpoint is one vote however many ids it
-//! claims. Beyond that, `executed_upto` claims and prepared sets are
+//! A vote names no voter: the voter is the replica whose link it arrived
+//! on, which the chassis resolved to a replica of this cluster, so one
+//! link is one vote. Beyond that, `executed_upto` claims and prepared sets are
 //! **unauthenticated and trusted as honest**: this model measures
 //! resilience against replica misbehaviour in the agreement path
 //! (equivocation, forgery, crashes, omission, transport faults), not
@@ -43,7 +42,7 @@
 //! USIG-signing the view-change messages themselves (Veronese et al.) is
 //! the remaining step, recorded in the ROADMAP.
 
-use crate::api::{noop_batch, Batch, Endpoint, OpId, ReplicaId, Request};
+use crate::api::{noop_batch, Batch, OpId, ReplicaId, Request};
 use crate::checkpoint::CheckpointCert;
 use crate::shell::{Role, Shell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,8 +58,6 @@ pub(crate) type PreparedSet = Vec<(u64, Arc<Batch>)>;
 pub struct VcVote {
     /// Proposed view.
     pub new_view: u64,
-    /// Voter (must be the replica the vote arrives from).
-    pub from: ReplicaId,
     /// Entries prepared at the voter (must survive the view change).
     pub prepared: Vec<(u64, Arc<Batch>)>,
     /// The voter's execution watermark — the quorum's maximum is the
@@ -74,7 +71,7 @@ pub struct VcVote {
     pub cert: Option<Box<CheckpointCert>>,
 }
 
-crate::wire! { struct VcVote { new_view, from, prepared, executed_upto, cert } }
+crate::wire! { struct VcVote { new_view, prepared, executed_upto, cert } }
 
 /// What the primary-elect re-proposes when it installs a view.
 #[derive(Debug, PartialEq)]
@@ -120,9 +117,6 @@ pub(crate) struct ViewLedger {
     sent_for: u64,
     /// When `sent_for` was last raised — the escalation rate limiter.
     demanded_at: u64,
-    /// Votes refused because the claimed voter was not the link's sender
-    /// or not a replica of this cluster.
-    rejected: u64,
 }
 
 // Votes are attacker-controlled, so the whole ledger is an ingress region:
@@ -131,7 +125,7 @@ pub(crate) struct ViewLedger {
 impl ViewLedger {
     /// The ledger of replica `id` in a cluster of `n`, at view 0.
     pub(crate) fn new(id: ReplicaId, n: u32) -> Self {
-        ViewLedger { id, n, view: 0, rounds: Vec::new(), sent_for: 0, demanded_at: 0, rejected: 0 }
+        ViewLedger { id, n, view: 0, rounds: Vec::new(), sent_for: 0, demanded_at: 0 }
     }
 
     /// Current view.
@@ -156,11 +150,6 @@ impl ViewLedger {
         } else {
             Role::Backup
         }
-    }
-
-    /// Votes refused for a voter id that did not match their sender.
-    pub(crate) fn rejected(&self) -> u64 {
-        self.rejected
     }
 
     /// A watched request ran out of `patience`: the view to demand now, if
@@ -195,28 +184,24 @@ impl ViewLedger {
         let executed_upto = shell.exec_upto();
         self.tally(new_view, self.id, prepared.clone(), executed_upto, shell.ckpt().stable_seq());
         let cert = shell.ckpt().stable().cloned().map(Box::new);
-        Some(VcVote { new_view, from: self.id, prepared, executed_upto, cert })
+        Some(VcVote { new_view, prepared, executed_upto, cert })
     }
 
-    /// Records a peer's vote, which arrived from `link`; returns how many
-    /// distinct replicas now demand `vote.new_view`, or `None` when the
-    /// vote was stale or refused. A carried certificate floors the round
-    /// only once `shell` verified it; a forged one contributes 0.
+    /// Records the vote of `voter`, a replica of this cluster; returns how
+    /// many distinct replicas now demand `vote.new_view`, or `None` when
+    /// the vote was stale. A carried certificate floors the round only once
+    /// `shell` verified it; a forged one contributes 0.
     pub(crate) fn record(
         &mut self,
-        link: Endpoint,
+        voter: ReplicaId,
         vote: VcVote,
         shell: &mut Shell,
     ) -> Option<usize> {
         if vote.new_view <= self.view {
             return None;
         }
-        if link != Endpoint::Replica(vote.from) || vote.from.0 >= self.n {
-            self.rejected += 1;
-            return None;
-        }
         let cert_seq = vote.cert.and_then(|c| shell.accept_cert(&c)).unwrap_or(0);
-        Some(self.tally(vote.new_view, vote.from, vote.prepared, vote.executed_upto, cert_seq))
+        Some(self.tally(vote.new_view, voter, vote.prepared, vote.executed_upto, cert_seq))
     }
 
     /// Stores one voter's prepared set and watermark claims in the round
@@ -336,8 +321,7 @@ impl ViewLedger {
         }
     }
 
-    /// Rejuvenation: back to view 0 with no round in progress (the
-    /// rejection counter is measurement, not protocol state, and stays).
+    /// Rejuvenation: back to view 0 with no round in progress.
     pub(crate) fn wipe(&mut self) {
         self.view = 0;
         self.rounds.clear();
@@ -499,7 +483,7 @@ mod tests {
         let mut ledger = ViewLedger::new(ReplicaId(2), 4);
         assert_eq!(ledger.on_patience_timer(1_500, 1_500), Some(1));
         let vote = ledger.demand(1, 1_500, Vec::new(), &shell).expect("first demand for view 1");
-        assert_eq!((vote.new_view, vote.from, vote.executed_upto), (1, ReplicaId(2), 0));
+        assert_eq!((vote.new_view, vote.executed_upto), (1, 0));
         assert!(ledger.demand(1, 1_600, Vec::new(), &shell).is_none(), "one vote per view");
         assert_eq!(ledger.on_patience_timer(2_999, 1_500), None, "inside the patience period");
         // View 1 never installed: escalate past it, not to it again.
@@ -512,27 +496,17 @@ mod tests {
         assert_eq!(ledger.on_patience_timer(3_000, 1_500), Some(5));
     }
 
+    /// The voter is the link the chassis resolved: one link is one vote
+    /// however often it votes, and a vote for an installed view is stale.
     #[test]
     fn votes_count_once_per_voter_and_only_from_the_voters_own_link() {
         let mut shell = shell(0, &[], 1);
         let mut ledger = ViewLedger::new(ReplicaId(1), 4);
-        let vote = |from: u32| VcVote {
-            new_view: 1,
-            from: ReplicaId(from),
-            prepared: Vec::new(),
-            executed_upto: 0,
-            cert: None,
-        };
-        let link = |id: u32| Endpoint::Replica(ReplicaId(id));
-        assert_eq!(ledger.record(link(3), vote(3), &mut shell), Some(1));
-        assert_eq!(ledger.record(link(3), vote(3), &mut shell), Some(1), "a duplicate");
-        assert_eq!(ledger.record(link(3), vote(0), &mut shell), None, "r3 voting as r0");
-        assert_eq!(ledger.record(link(99), vote(99), &mut shell), None, "not a replica");
-        assert_eq!(ledger.record(Endpoint::Client(ClientId(3)), vote(3), &mut shell), None);
-        assert_eq!(ledger.rejected(), 3);
-        assert_eq!(ledger.record(link(0), vote(0), &mut shell), Some(2));
+        let vote = || VcVote { new_view: 1, prepared: Vec::new(), executed_upto: 0, cert: None };
+        assert_eq!(ledger.record(ReplicaId(3), vote(), &mut shell), Some(1));
+        assert_eq!(ledger.record(ReplicaId(3), vote(), &mut shell), Some(1), "a duplicate");
+        assert_eq!(ledger.record(ReplicaId(0), vote(), &mut shell), Some(2));
         ledger.installed(1);
-        assert_eq!(ledger.record(link(2), vote(2), &mut shell), None, "stale, not refused");
-        assert_eq!(ledger.rejected(), 3);
+        assert_eq!(ledger.record(ReplicaId(2), vote(), &mut shell), None, "stale");
     }
 }

@@ -16,7 +16,7 @@
 //! divergence, or digest mismatch exits nonzero.
 
 use rsoc_bft::Protocol;
-use rsoc_transport::run::{client, digest_hex, parse_digest_hex, parse_protocol};
+use rsoc_transport::run::{client, cluster_size, digest_hex, parse_digest_hex, parse_protocol};
 use rsoc_transport::ClientConfig;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -74,7 +74,7 @@ fn run() -> Result<(), String> {
         }
     }
 
-    let n = protocol.replicas(f) as usize;
+    let n = cluster_size(protocol, f)? as usize;
     if addrs.len() != n {
         return Err(format!(
             "--addrs has {} entries, {} cluster needs {n}",

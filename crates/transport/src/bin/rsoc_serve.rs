@@ -23,7 +23,7 @@
 
 use rsoc_bft::runner::RunConfig;
 use rsoc_bft::Protocol;
-use rsoc_transport::run::{digest_hex, parse_protocol, serve};
+use rsoc_transport::run::{cluster_size, digest_hex, parse_protocol, serve};
 use rsoc_transport::{bind_reuseaddr, WallClock};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
@@ -72,7 +72,7 @@ fn run() -> Result<(), String> {
         }
     }
 
-    let n = protocol.replicas(f);
+    let n = cluster_size(protocol, f)?;
     if id >= n {
         return Err(format!("--id {id} out of range for n={n}"));
     }

@@ -12,6 +12,7 @@ use crate::clock::WallClock;
 use crate::node::{serve as serve_loop, ServeReport};
 use rsoc_bft::api::{Cluster, ReplicaNode};
 use rsoc_bft::codec::Wire;
+use rsoc_bft::dense::MAX_REPLICAS;
 use rsoc_bft::durable::RecoveryReport;
 use rsoc_bft::runner::{run, RunConfig};
 use rsoc_bft::{ClusterJob, Protocol};
@@ -32,6 +33,18 @@ pub fn parse_protocol(name: &str) -> Result<Protocol, String> {
         Some(_) => Err(format!("protocol {name:?} is not served over TCP (use pbft or minbft)")),
         None => Err(format!("unknown protocol {name:?}")),
     }
+}
+
+/// The size of `protocol`'s cluster for the binaries' `--f`, refused
+/// before anything is bound or dialled where it exceeds
+/// [`MAX_REPLICAS`] (or `u32`).
+///
+/// # Errors
+/// A cluster of more than [`MAX_REPLICAS`] replicas.
+pub fn cluster_size(protocol: Protocol, f: u32) -> Result<u32, String> {
+    protocol.checked_replicas(f).ok_or_else(|| {
+        format!("--f {f}: a {} cluster holds at most {MAX_REPLICAS} replicas", protocol.name())
+    })
 }
 
 /// Runs replica `id`'s serve loop. Every process constructs the same

@@ -140,7 +140,6 @@ mod tests {
         let ui = UI { id: UsigId(1), counter: 9, tag: Tag([6; 32]) };
         let vote = |cert| VcVote {
             new_view: 2,
-            from: ReplicaId(1),
             prepared: vec![(1, batch.clone())],
             executed_upto: 0,
             cert,
@@ -151,7 +150,6 @@ mod tests {
             log_base: 64,
             suffix: Arc::new(vec![(65, batch.clone())]),
             view: 1,
-            from: ReplicaId(3),
         };
         let shell = [
             ShellMsg::Reply(Reply {
@@ -160,44 +158,44 @@ mod tests {
                 result: Arc::new(vec![1; 300]),
             }),
             ShellMsg::Checkpoint(Box::new(cert(1).vouchers[0].clone())),
-            ShellMsg::StateRequest { have: 4, from: ReplicaId(2) },
+            ShellMsg::StateRequest { have: 4 },
             ShellMsg::StateResponse(Box::new(transfer)),
         ];
-        let (digest, from) = (batch.digest(), ReplicaId(1));
+        let digest = batch.digest();
         let preprepares = vec![(1, batch.clone()), (2, batch.clone())];
         let pbft = [
             PbftMsg::Request(request(1)),
             PbftMsg::PrePrepare { view: 0, seq: 1, batch: batch.clone() },
-            PbftMsg::Prepare { view: 0, seq: 1, digest, from },
-            PbftMsg::Commit { view: 0, seq: 1, digest, from },
+            PbftMsg::Prepare { view: 0, seq: 1, digest },
+            PbftMsg::Commit { view: 0, seq: 1, digest },
             PbftMsg::ViewChange(vote(None)),
             PbftMsg::NewView { view: 2, preprepares: preprepares.clone() },
         ]
         .into_iter()
         .chain((1..=3).map(|f| PbftMsg::ViewChange(vote(Some(cert(f))))))
         .chain(shell.iter().cloned().map(PbftMsg::Shell));
-        let commit = CommitVote { view: 0, seq: 1, batch: batch.clone(), primary_ui: ui, from, ui };
+        let commit = CommitVote { view: 0, seq: 1, batch: batch.clone(), primary_ui: ui, ui };
         let minbft = [
             MinBftMsg::Request(request(1)),
             MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui },
             MinBftMsg::Commit(Arc::new(commit)),
             MinBftMsg::ReqViewChange(vote(Some(cert(1)))),
             MinBftMsg::NewView { view: 2, preprepares },
-            MinBftMsg::FillGap { sender: ReplicaId(0), from_counter: 3, upto: 9, from },
+            MinBftMsg::FillGap { from_counter: 3, upto: 9 },
         ]
         .into_iter()
-        .chain((1..=3).map(|f| MinBftMsg::CheckpointHint { cert: cert(f), ring_base: 7, from }))
+        .chain((1..=3).map(|f| MinBftMsg::CheckpointHint { cert: cert(f), ring_base: 7 }))
         .chain(shell.iter().cloned().map(MinBftMsg::Shell));
         let ops = (1..=4).map(|seq| (request(seq), Arc::new(vec![2; 40]))).collect();
         let passive = [
             PassiveMsg::Request(request(1)),
             PassiveMsg::StateUpdate { epoch: 1, first_seq: 1, ops },
-            PassiveMsg::Heartbeat { epoch: 1, from, log_len: 9 },
-            PassiveMsg::SyncRequest { from_seq: 5, from },
+            PassiveMsg::Heartbeat { epoch: 1, log_len: 9 },
+            PassiveMsg::SyncRequest { from_seq: 5 },
         ]
         .into_iter()
         .chain(shell.iter().cloned().map(PassiveMsg::Shell));
-        let from = Endpoint::Replica(from);
+        let from = Endpoint::Replica(ReplicaId(1));
         sized_once(pbft.map(|msg| Envelope::Msg { from, msg }));
         sized_once(minbft.map(|msg| Envelope::Msg { from, msg }));
         sized_once(passive.map(|msg| Envelope::Msg { from, msg }));

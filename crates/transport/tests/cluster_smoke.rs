@@ -103,3 +103,25 @@ fn passive_is_refused_before_any_socket_is_bound() {
         assert!(out.stdout.is_empty(), "{argv:?} bound before refusing: {:?}", out.stdout);
     }
 }
+
+/// A vote tally holds 64 replicas, so a PBFT cluster at f = 22 (67
+/// replicas) is refused before any socket is bound — as is an `--f` whose
+/// `3f+1` overflows `u32`.
+#[test]
+fn a_cluster_past_64_replicas_is_refused_before_any_socket_is_bound() {
+    let serve = env!("CARGO_BIN_EXE_rsoc-serve");
+    let client = env!("CARGO_BIN_EXE_rsoc-client");
+    let argvs: [&[&str]; 3] = [
+        &[serve, "--f", "22"],
+        &[serve, "--f", "4294967295"],
+        &[client, "--f", "22", "--addrs", "x"],
+    ];
+    for argv in argvs {
+        let out = Command::new(argv[0]).args(&argv[1..]).output().expect("spawn");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(!out.status.success(), "{argv:?} accepted the cluster");
+        assert!(!stdout.contains("LISTENING"), "{argv:?} bound before refusing: {stdout}");
+        assert!(stderr.contains("at most 64 replicas"), "{argv:?}: {stderr}");
+    }
+}

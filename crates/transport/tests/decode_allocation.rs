@@ -98,7 +98,7 @@ fn a_lying_count_costs_no_more_than_its_frame() {
     let cases: Vec<(&str, Decode, Vec<u8>)> = vec![
         ("HelloClient.ids", pbft, lying(&[&[1]], &ff)),
         ("PrePrepare.batch", pbft, lying(&[MSG, &[1], &u64s(0), &u64s(1)], &ff)),
-        ("ViewChange.prepared", pbft, lying(&[MSG, &[5], &u64s(2), &[1, 0, 0, 0]], &ff)),
+        ("ViewChange.prepared", pbft, lying(&[MSG, &[5], &u64s(2)], &ff)),
         ("NewView.preprepares", pbft, lying(&[MSG, &[6], &u64s(2)], &ff)),
         (
             "StateResponse.suffix",
@@ -114,7 +114,7 @@ fn a_lying_count_costs_no_more_than_its_frame() {
             "ViewChange.cert.vouchers",
             pbft,
             lying(
-                &[MSG, &[5], &u64s(2), &[1, 0, 0, 0], &u64s(0), &u64s(1), &[1], &u64s(8), &[7; 32]],
+                &[MSG, &[5], &u64s(2), &u64s(0), &u64s(1), &[1], &u64s(8), &[7; 32]],
                 &[0xFF; 100],
             ),
         ),

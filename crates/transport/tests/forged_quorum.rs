@@ -123,8 +123,8 @@ fn a_client_connection_cannot_vote_as_replicas() {
     send(&mut stream, Envelope::Msg { from: Endpoint::Client(ClientId(0)), msg });
     for voter in [ReplicaId(1), ReplicaId(2)] {
         for msg in [
-            PbftMsg::Prepare { view: 0, seq: 1, digest, from: voter },
-            PbftMsg::Commit { view: 0, seq: 1, digest, from: voter },
+            PbftMsg::Prepare { view: 0, seq: 1, digest },
+            PbftMsg::Commit { view: 0, seq: 1, digest },
         ] {
             send(&mut stream, Envelope::Msg { from: Endpoint::Replica(voter), msg });
         }

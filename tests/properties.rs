@@ -747,18 +747,14 @@ proptest! {
         backup.on_input(
             Input::Message {
                 from: Endpoint::Replica(ReplicaId(2)),
-                msg: PbftMsg::Prepare {
-                    view: 0, seq: stale_seq, digest: evil_batch.digest(), from: ReplicaId(2),
-                },
+                msg: PbftMsg::Prepare { view: 0, seq: stale_seq, digest: evil_batch.digest() },
             },
             2, &mut out,
         );
         backup.on_input(
             Input::Message {
                 from: Endpoint::Replica(ReplicaId(2)),
-                msg: PbftMsg::Commit {
-                    view: 0, seq: stale_seq, digest: evil_batch.digest(), from: ReplicaId(2),
-                },
+                msg: PbftMsg::Commit { view: 0, seq: stale_seq, digest: evil_batch.digest() },
             },
             3, &mut out,
         );
