@@ -3,9 +3,11 @@
 //! The message plane is allocation-free end to end: client requests travel
 //! as [`Arc<Request>`] (issuing a request allocates its payload exactly
 //! once — every fan-out send, retransmission, batch slot, and pending-map
-//! entry afterwards is a refcount bump), batches as [`Arc<Batch>`]
-//! (PR 3), and execution results as `Arc<Vec<u8>>` shared between the
-//! exactly-once dedup index and every [`Reply`] that carries them.
+//! entry afterwards is a refcount bump), batches as [`Arc<Batch>`], and
+//! an execution result as one `Arc<Vec<u8>>` shared by every [`Reply`]
+//! that carries it. A replica's exactly-once reply cache keeps
+//! its own copy of each result in one framed log, so answering a retry
+//! copies the result once into a fresh `Arc`.
 
 use rsoc_crypto::{sha256, Sha256};
 use std::fmt;
@@ -303,8 +305,9 @@ pub struct Reply {
     pub replica: ReplicaId,
     /// Operation being answered.
     pub op: OpId,
-    /// State-machine result — shared with the replica's exactly-once
-    /// dedup index, so answering a retry clones a refcount, not bytes.
+    /// State-machine result. The replica's exactly-once reply cache keeps a
+    /// copy of the bytes, so a retry's reply is byte-identical to this one
+    /// but is not the same allocation.
     pub result: Arc<Vec<u8>>,
 }
 

@@ -524,9 +524,9 @@ impl CheckpointStore {
 }
 
 /// Latest executed `(seq, reply)` per client — the checkpointable core of
-/// the executed-reply dedup index.
+/// the exactly-once reply cache.
 ///
-/// A transfer-recovered or rejuvenated replica rebuilds its dedup index
+/// A transfer-recovered or rejuvenated replica rebuilds its reply cache
 /// from the suffix replay only, so any op below the checkpoint watermark
 /// lost its retry reply: the replica would silently queue a client's
 /// retransmit of an already-committed request instead of answering it.

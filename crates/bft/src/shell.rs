@@ -8,12 +8,13 @@
 //! of how agreement is reached). The [`Shell`] owns both — the request
 //! accumulator, the op → slot assignments, the backup watchlist and its
 //! patience, the next free sequence number; the committed log, the state
-//! machine, the exactly-once reply index, client sessions, certified
-//! checkpoints, the state-transfer replay ring and buffer, and the durable
-//! event queue — and the code that runs over them. The shell sits inside
-//! the replica chassis ([`Replica`](crate::chassis::Replica)), which
-//! gates a faulty script's outputs and makes the calls every input or
-//! lifecycle event makes; the protocol core makes the rest:
+//! machine, the exactly-once reply cache (one framed log of results),
+//! client sessions, certified checkpoints, the state-transfer replay ring
+//! and buffer, and the durable event queue — and the code that runs over
+//! them. The shell sits inside the replica chassis
+//! ([`Replica`](crate::chassis::Replica)), which gates a faulty script's
+//! outputs and makes the calls every input or lifecycle event makes; the
+//! protocol core makes the rest:
 //!
 //! | the core (or the chassis) calls…  | when                                          |
 //! |-----------------------------------|-----------------------------------------------|
@@ -50,7 +51,7 @@ use crate::checkpoint::{
     StateTransfer,
 };
 use crate::codec::Wire;
-use crate::dense::{op_token, token_op, OpIndex, SeqWindow};
+use crate::dense::{op_token, token_op, OpIndex, ReplyLog, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::statemachine::{KvStore, StateMachine};
 use rsoc_crypto::{sha256, Tag};
@@ -195,8 +196,8 @@ pub(crate) struct Shell {
     /// Highest executed agreement slot (passive: its log sequence).
     exec_upto: u64,
     machine: KvStore,
-    /// Exactly-once dedup: op → shared execution result.
-    executed: OpIndex<Arc<Vec<u8>>>,
+    /// Exactly-once dedup: op → its latest execution result.
+    executed: ReplyLog,
     /// Latest executed reply per client, snapshotted into checkpoint
     /// images so a transfer-recovered replica answers client retries for
     /// ops below the watermark. Maintained only while checkpointing is
@@ -252,7 +253,7 @@ impl Shell {
             log: CommittedLog::new(),
             exec_upto: 0,
             machine: KvStore::new(),
-            executed: OpIndex::new(),
+            executed: ReplyLog::new(),
             sessions: ClientSessions::new(),
             ckpt: CheckpointStore::new(id, voucher_quorum, 0, CkptKeys::provision(0, 1)),
             replay_ring: SeqWindow::with_base(1),
@@ -340,12 +341,12 @@ impl Shell {
 
     /// Whether `op` already executed here.
     pub(crate) fn has_executed(&self, op: &OpId) -> bool {
-        self.executed.contains_key(op)
+        self.executed.contains(op)
     }
 
     /// The byte-identical reply to a retry of an already-executed `op`.
     fn cached_reply(&self, op: OpId) -> Option<Reply> {
-        let result = self.executed.get(&op)?.clone();
+        let result = Arc::new(self.executed.get(&op)?.to_vec());
         Some(Reply { replica: self.id, op, result })
     }
 
@@ -433,7 +434,7 @@ impl Shell {
     fn seal(&mut self) -> Option<Vec<Arc<Request>>> {
         let (executed, assigned) = (&self.executed, &self.assigned);
         let reqs =
-            self.batcher.drain(|r| !executed.contains_key(&r.op) && !assigned.contains_key(&r.op));
+            self.batcher.drain(|r| !executed.contains(&r.op) && !assigned.contains_key(&r.op));
         (!reqs.is_empty()).then_some(reqs)
     }
 
@@ -473,7 +474,7 @@ impl Shell {
         }
     }
 
-    /// Executes ordered slot `seq`: apply → log → dedup index → watchlist
+    /// Executes ordered slot `seq`: apply → log → reply cache → watchlist
     /// and assignment → session → replay ring → [`DurableEvent::Commit`].
     /// One agreement slot commits the whole batch; the log stays
     /// per-request (dense global sequence, each entry stamped `digest`).
@@ -493,10 +494,10 @@ impl Shell {
             let log_seq = self.log.committed() + 1;
             let result = Arc::new(self.machine.apply(&req.payload));
             self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
-            self.executed.insert(req.op, result.clone());
+            self.executed.insert(req.op, &result);
             self.pending.remove(&req.op);
             // Unreachable from here on: `intake` and `seal` ask the
-            // executed index first.
+            // reply cache first.
             self.assigned.remove(&req.op);
             if self.ckpt.enabled() {
                 self.sessions.note(req.op.client, req.op.seq, &result);
@@ -747,7 +748,7 @@ impl Shell {
         self.ckpt.note_transfer();
     }
 
-    /// Replaces state machine, sessions, dedup index, log base and replay
+    /// Replaces state machine, sessions, reply cache, log base and replay
     /// ring with the state [`verify_image`] rebuilt from a certified image
     /// at `cert.seq`.
     fn restore(
@@ -759,13 +760,11 @@ impl Shell {
         self.ckpt.adopt_cert(cert);
         self.machine = machine;
         self.sessions = sessions;
-        // Restore the dedup index for ops below the watermark: a client
+        // Restore the reply cache for ops below the watermark: a client
         // retrying a committed op gets its original reply back instead of
         // a re-execution (or a silent wait on a backup's watchlist).
         let executed = &mut self.executed;
-        self.sessions.for_each(|client, seq, reply| {
-            executed.insert(OpId { client, seq }, Arc::new(reply.to_vec()));
-        });
+        self.sessions.for_each(|client, seq, reply| executed.insert(OpId { client, seq }, reply));
         self.assigned = OpIndex::new();
         self.log.reset_to(log_len);
         self.replay_ring = SeqWindow::with_base(cert.seq + 1);
@@ -819,7 +818,7 @@ impl Shell {
         self.pending = OpIndex::new();
         self.batcher.reset();
         self.machine = KvStore::new();
-        self.executed = OpIndex::new();
+        self.executed = ReplyLog::new();
         self.sessions.clear();
         self.replay_ring = SeqWindow::with_base(1);
         self.cst.clear();
@@ -1267,6 +1266,158 @@ mod tests {
             (Endpoint::Client(ClientId(2)), ShellMsg::Reply(last.expect("5 000 slots ran")))
         );
         assert!(out.timers.is_empty() && shell.assigned.is_empty());
+    }
+
+    /// What a client retrying `op` is sent, through the intake path.
+    fn retry(shell: &mut Shell, op: OpId) -> Option<Reply> {
+        let mut out = Outbox::<ShellMsg>::new();
+        let resent = Arc::new(Request { op, payload: b"GET resent".to_vec() });
+        assert_eq!(shell.intake(resent, Role::Idle, &mut out), Intake::Done);
+        match out.msgs.pop() {
+            Some((Endpoint::Client(client), ShellMsg::Reply(reply))) if client == op.client => {
+                Some(reply)
+            }
+            None => None,
+            other => panic!("a retry is answered to its client or not at all, got {other:?}"),
+        }
+    }
+
+    /// Executes `payloads` as client 9's ops 1, 2, … , one slot each;
+    /// returns the replies the live path sent.
+    fn execute_all(shell: &mut Shell, payloads: &[Vec<u8>]) -> Vec<Reply> {
+        let mut replies = Vec::new();
+        for (seq, payload) in (1..).zip(payloads) {
+            let op = OpId { client: ClientId(9), seq };
+            let b = Arc::new(Batch::single(Arc::new(Request { op, payload: payload.clone() })));
+            shell.execute(seq, &b, b.digest(), |reply| replies.push(reply));
+        }
+        replies
+    }
+
+    #[test]
+    fn a_retry_gets_the_byte_identical_reply_of_a_live_execution() {
+        let (mut shell, _) = front_end();
+        let big = vec![b'x'; 64 * 1024 + 3];
+        let payloads = [
+            b"SET empty ".to_vec(),
+            b"GET empty".to_vec(),
+            [&b"SET big "[..], &big].concat(),
+            b"GET big".to_vec(),
+            b"SET empty again".to_vec(),
+            b"GET missing".to_vec(),
+        ];
+        let replies = execute_all(&mut shell, &payloads);
+        let results: Vec<&[u8]> = replies.iter().map(|r| &r.result[..]).collect();
+        assert_eq!(results, [&b"(nil)"[..], b"", b"(nil)", &big, b"", b"(nil)"]);
+        for reply in &replies {
+            assert_eq!(retry(&mut shell, reply.op).as_ref(), Some(reply), "op {:?}", reply.op);
+        }
+        assert_eq!(retry(&mut shell, OpId { client: ClientId(9), seq: 7 }), None, "never ran");
+    }
+
+    #[test]
+    fn a_retry_of_a_re_executed_op_gets_its_latest_result() {
+        let (mut shell, _) = front_end();
+        let op = OpId { client: ClientId(9), seq: 1 };
+        let first = execute_all(&mut shell, &[b"SET r first".to_vec()]);
+        assert_eq!(retry(&mut shell, op), first.first().cloned());
+        let b = Arc::new(Batch::single(Arc::new(Request { op, payload: b"SET r again".to_vec() })));
+        let mut again = Vec::new();
+        shell.execute(2, &b, b.digest(), |reply| again.push(reply));
+        assert_eq!(again[0].result[..], *b"first");
+        assert_eq!(retry(&mut shell, op), again.pop());
+    }
+
+    /// The `replies` to slots `from` on, as replica `id` sends them.
+    fn from_slot(replies: Vec<Reply>, from: u64, id: ReplicaId) -> Vec<Reply> {
+        replies
+            .into_iter()
+            .filter(|r| r.op.seq >= from)
+            .map(|r| Reply { replica: id, ..r })
+            .collect()
+    }
+
+    #[test]
+    fn a_retry_gets_the_original_reply_after_a_transfer_install() {
+        let keys = CkptKeys::provision(11, N as usize);
+        let mut s = shells(&keys);
+        let mut laggard = s.pop().unwrap();
+        let (_, v0) = run(&mut s[0], 1, 6);
+        let (replies, v1) = run(&mut s[1], 1, 6);
+        assert!(s[0].on_voucher(&v1[0]) && s[1].on_voucher(&v0[0]));
+        assert_eq!(laggard.accept_cert(&s[0].ckpt().stable().unwrap().clone()), Some(4));
+        assert!(laggard.admit_transfer(ReplicaId(0), served(&s[0], 0, false, false), 2).is_none());
+        let plan = laggard.admit_transfer(ReplicaId(1), served(&s[1], 0, false, false), 2).unwrap();
+        laggard.install(&plan, Batch::digest);
+        // Slot 4's ops come back from the image's sessions, 5's and 6's
+        // from the replayed suffix.
+        for original in from_slot(replies, 4, ReplicaId(3)) {
+            assert_eq!(retry(&mut laggard, original.op), Some(original));
+        }
+    }
+
+    #[test]
+    fn a_retry_gets_the_original_reply_after_recovery() {
+        let keys = CkptKeys::provision(11, N as usize);
+        let mut s = shells(&keys);
+        s[0].enable_durability();
+        let (replies, v0) = run(&mut s[0], 1, 6);
+        let (_, v1) = run(&mut s[1], 1, 6);
+        assert!(s[0].on_voucher(&v1[0]) && s[1].on_voucher(&v0[0]));
+        let mut events = Vec::new();
+        s[0].drain_durable(&mut events);
+        let mut disk = RecoveredState::default();
+        for event in events {
+            match event {
+                DurableEvent::Commit { seq, batch } => disk.commits.push((seq, batch)),
+                DurableEvent::Stable { cert, log_len, snapshot } => {
+                    disk.snapshot = Some((cert, log_len, (*snapshot).clone()));
+                }
+                DurableEvent::UsigCounter(_) => unreachable!("the shell never emits one"),
+            }
+        }
+        let mut restarted = shells(&keys).remove(0);
+        let report = restarted.recover(&disk, Batch::digest);
+        assert_eq!((report.installed_seq, report.replayed), (4, 2));
+        // Slot 4's ops come back from the snapshot's sessions, 5's and 6's
+        // from the replayed WAL.
+        for original in from_slot(replies, 4, ReplicaId(0)) {
+            assert_eq!(retry(&mut restarted, original.op), Some(original));
+        }
+    }
+
+    #[test]
+    fn wipe_empties_the_reply_cache() {
+        let (mut shell, _) = front_end();
+        let replies = execute_all(&mut shell, &[b"SET a 1".to_vec(), b"GET a".to_vec()]);
+        shell.wipe();
+        for reply in replies {
+            assert!(!shell.has_executed(&reply.op));
+            assert_eq!(retry(&mut shell, reply.op), None);
+        }
+    }
+
+    /// The reply cache of a replica that executed 10⁵ `SET`s of fresh keys
+    /// (each answered `(nil)`) holds at most 64 bytes per op: index buckets
+    /// plus the framed log's capacity. An `Arc<Vec<u8>>` per op needs 77
+    /// before malloc rounding (a 32-byte bucket, a 40-byte `ArcInner`, the
+    /// five result bytes).
+    #[test]
+    fn the_reply_cache_costs_at_most_64_bytes_per_op() {
+        const OPS: u64 = 100_000;
+        let (mut shell, _) = front_end();
+        for seq in 1..=OPS {
+            let op = OpId { client: ClientId(9), seq };
+            let payload = format!("SET key{seq} v").into_bytes();
+            let b = Arc::new(Batch::single(Arc::new(Request { op, payload })));
+            shell.execute(seq, &b, b.digest(), |reply| assert_eq!(reply.result[..], *b"(nil)"));
+        }
+        let footprint = shell.executed.footprint() as u64;
+        assert!(footprint <= 64 * OPS, "{footprint} bytes for {OPS} ops");
+        for seq in [1, OPS] {
+            let op = OpId { client: ClientId(9), seq };
+            assert_eq!(retry(&mut shell, op).map(|r| r.result), Some(Arc::new(b"(nil)".to_vec())));
+        }
     }
 
     fn req(client: u32, seq: u64) -> Arc<Request> {

@@ -785,7 +785,7 @@ proptest! {
         let digest_before = cluster.nodes()[0].state_digest();
 
         // A client retry for an executed op must be answered from the
-        // exactly-once dedup index (one Reply, shared result) without
+        // exactly-once reply cache (one Reply, the cached result) without
         // re-entering agreement — the retired slot cannot be reused.
         let op = OpId { client: ClientId(0), seq: 1 };
         let primary = &mut cluster.nodes_mut()[0];
