@@ -9,6 +9,7 @@
 //! its own copy of each result in one framed log, so answering a retry
 //! copies the result once into a fresh `Arc`.
 
+use crate::checkpoint::LogView;
 use rsoc_crypto::{sha256, Sha256};
 use std::fmt;
 use std::sync::Arc;
@@ -320,7 +321,8 @@ pub struct LogEntry {
     pub seq: u64,
     /// Which operation was committed here.
     pub op: OpId,
-    /// Digest of the committed request.
+    /// Batch digest of the agreement slot that committed the op: every op
+    /// of one slot carries the same digest.
     pub digest: [u8; 32],
 }
 
@@ -420,8 +422,10 @@ pub trait ReplicaNode {
     /// Handles one input, emitting effects into `out`.
     fn on_input(&mut self, input: Input<Self::Msg>, now: u64, out: &mut Outbox<Self::Msg>);
 
-    /// The committed log so far (dense, in sequence order).
-    fn committed_log(&self) -> &[LogEntry];
+    /// The retained committed log (dense, in sequence order), read through
+    /// a view: the replica keeps one digest per slot, not one
+    /// [`LogEntry`] per op.
+    fn committed_log(&self) -> LogView<'_>;
 
     /// Wraps a client request into a protocol message. The `Arc` makes
     /// client fan-out (n sends per issue, plus every retransmission)

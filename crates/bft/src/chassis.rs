@@ -44,10 +44,8 @@
 //! [`Discipline`](crate::agreement::Discipline).
 
 use crate::adversary::ReplicaScript;
-use crate::api::{
-    Batch, Cluster, Endpoint, Input, LogEntry, Outbox, ReplicaId, ReplicaNode, Reply, Request,
-};
-use crate::checkpoint::{CheckpointStats, CkptKeys, CstInstall};
+use crate::api::{Batch, Cluster, Endpoint, Input, Outbox, ReplicaId, ReplicaNode, Reply, Request};
+use crate::checkpoint::{CheckpointStats, CkptKeys, CstInstall, LogView};
 use crate::dense::MAX_REPLICAS;
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::protocol::Protocol;
@@ -169,11 +167,12 @@ impl<P: Core> Replica<P> {
         self.shell.state_digest()
     }
 
-    /// Messages refused, each counted once: every message but a request
-    /// that did not arrive over the link of another replica of this
-    /// cluster, a voucher naming another replica than its link, and
-    /// (MinBFT) a certified future-view message past its sender's share of
-    /// the stash.
+    /// Messages refused, each counted once: a request whose client seq
+    /// exceeds `u32::MAX` (the seq space of a patience-timer token), every
+    /// other message that did not arrive over the link of another replica
+    /// of this cluster, a voucher naming another replica than its link,
+    /// and (MinBFT) a certified future-view message past its sender's
+    /// share of the stash.
     pub fn refused(&self) -> u64 {
         self.refused
     }
@@ -197,6 +196,10 @@ impl<P: Core> Replica<P> {
                     _ => None,
                 };
                 match (msg.route(), link) {
+                    // A patience timer's token carries 32 bits of seq.
+                    (Routed::Request(req), _) if req.op.seq > u64::from(u32::MAX) => {
+                        self.refused += 1
+                    }
                     (Routed::Request(req), _) => P::intake(self, req, out),
                     (Routed::Shell(msg), Some(link)) => self.route(link, msg, out),
                     (Routed::Own(msg), Some(link)) => P::on_message(self, link, msg, out),
@@ -294,7 +297,7 @@ impl<P: Core> ReplicaNode for Replica<P> {
         out.timers.extend(staged.timers);
     }
 
-    fn committed_log(&self) -> &[LogEntry] {
+    fn committed_log(&self) -> LogView<'_> {
         self.shell.log()
     }
 
@@ -429,6 +432,7 @@ mod tests {
     use crate::adversary::Window;
     use crate::api::{ClientId, OpId};
     use crate::checkpoint::{verify_image, StateTransfer};
+    use crate::dense::op_token;
     use crate::minbft::MinBftCluster;
     use crate::passive::PassiveCluster;
     use crate::pbft::PbftCluster;
@@ -516,6 +520,35 @@ mod tests {
         keeps_the_contract(PbftCluster::new);
         keeps_the_contract(MinBftCluster::new);
         keeps_the_contract(PassiveCluster::new);
+    }
+
+    /// A patience timer's token carries 32 bits of client seq: a request
+    /// past them is refused and counted by every replica, with no effect (a
+    /// backup panicked on it in a debug build, and in a release build armed
+    /// a timer that could never find its op). The last seq that fits is
+    /// taken in.
+    fn refuses_client_seqs_past_the_token_space<P: Core>(make: fn(&RunConfig) -> Replicas<P>) {
+        let name = P::PROTOCOL.name();
+        for mut node in make(&RunConfig::default()).into_nodes() {
+            let id = node.id;
+            node.on_input(idle(), 10, &mut Outbox::new());
+            let mut out = Outbox::new();
+            node.on_input(request::<P>(1 << 32), 20, &mut out);
+            assert!(out.msgs.is_empty() && out.timers.is_empty(), "{name} {id:?}");
+            assert_eq!(node.refused(), 1, "{name} {id:?}");
+            let last = OpId { client: ClientId(1), seq: u32::MAX.into() };
+            node.on_input(request::<P>(last.seq), 30, &mut out);
+            assert_eq!(node.refused(), 1, "{name} {id:?}");
+            let backup = id.0 > 0 && P::PROTOCOL.tolerates_byzantine();
+            assert_eq!(node.shell.watching(op_token(last)), backup, "{name} {id:?}");
+        }
+    }
+
+    #[test]
+    fn every_protocol_refuses_client_seqs_past_the_token_space() {
+        refuses_client_seqs_past_the_token_space(PbftCluster::new);
+        refuses_client_seqs_past_the_token_space(MinBftCluster::new);
+        refuses_client_seqs_past_the_token_space(PassiveCluster::new);
     }
 
     /// A transfer is the whole state, and it goes to the link that asked:

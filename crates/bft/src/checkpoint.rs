@@ -67,7 +67,7 @@
 //! quorum. The responder's `view` claim remains trusted liveness-only
 //! metadata, like the view claims in view-change votes.
 
-use crate::api::{Batch, ClientId, LogEntry, ReplicaId};
+use crate::api::{Batch, ClientId, LogEntry, OpId, ReplicaId};
 use crate::dense::{ReplicaSet, MAX_REPLICAS};
 use crate::statemachine::{KvStore, StateMachine};
 use crate::statetree::StateTree;
@@ -856,7 +856,7 @@ impl CstBuffer {
 /// fabricates a slot above `after` when the suffix is empty — either way
 /// the requester's f+1 cross-check must out-vote it.
 pub fn tamper_suffix(suffix: &mut Vec<(u64, Arc<Batch>)>, after: u64) {
-    use crate::api::{ClientId, OpId, Request};
+    use crate::api::Request;
     match suffix.last_mut() {
         Some((_, batch)) => {
             let evil: Vec<Arc<Request>> = batch
@@ -880,14 +880,24 @@ pub fn tamper_suffix(suffix: &mut Vec<(u64, Arc<Batch>)>, after: u64) {
 // lint: end
 
 /// A committed log that can truncate below the stable checkpoint: the
-/// retained entries are a contiguous *suffix* of the full history,
-/// `base` counts the truncated prefix. `committed()` (= base + retained)
-/// is the replica's total progress; the safety checker aligns replicas by
-/// entry `seq`, so truncation at different watermarks stays comparable.
+/// retained ops are a contiguous *suffix* of the full history, `base`
+/// counts the truncated prefix. `committed()` (= base + retained) is the
+/// replica's total progress; the safety checker aligns replicas by entry
+/// `seq`, so truncation at different watermarks stays comparable.
+///
+/// One agreement slot commits a whole batch under one digest, so the log
+/// keeps that digest once per slot, not once per op, and an op's seq is
+/// its position: 16 bytes per op plus 40 per slot. [`view`](Self::view)
+/// reads it back as [`LogEntry`]s.
 #[derive(Debug, Default)]
 pub struct CommittedLog {
     base: u64,
-    entries: Vec<LogEntry>,
+    /// The retained ops: `ops[i]` committed at seq `base + 1 + i`.
+    ops: Vec<OpId>,
+    /// One `(first seq, batch digest)` per retained slot, ascending. The
+    /// first slot may start at or below `base`: it straddles the
+    /// watermark.
+    slots: Vec<(u64, [u8; 32])>,
 }
 
 impl CommittedLog {
@@ -896,15 +906,20 @@ impl CommittedLog {
         Self::default()
     }
 
-    /// Appends the next committed entry (entry seqs are dense, 1-based).
-    pub fn push(&mut self, entry: LogEntry) {
-        debug_assert_eq!(entry.seq, self.committed() + 1, "log seqs must stay dense");
-        self.entries.push(entry);
+    /// Appends one executed slot: its ops in execution order, each
+    /// committed under the slot's batch `digest` at the next dense seq. A
+    /// slot without ops leaves no record.
+    pub fn append(&mut self, ops: impl IntoIterator<Item = OpId>, digest: [u8; 32]) {
+        let first = self.committed() + 1;
+        self.ops.extend(ops);
+        if self.committed() >= first {
+            self.slots.push((first, digest));
+        }
     }
 
     /// Total committed operations, including the truncated prefix.
     pub fn committed(&self) -> u64 {
-        self.base + self.entries.len() as u64
+        self.base + self.ops.len() as u64
     }
 
     /// Sequence number of the first retained entry (== base + 1), or
@@ -914,27 +929,105 @@ impl CommittedLog {
     }
 
     /// The retained suffix, in sequence order.
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
+    pub fn view(&self) -> LogView<'_> {
+        LogView { base: self.base, ops: &self.ops, slots: &self.slots }
     }
 
     /// Drops entries with `seq <= watermark` (no-op for watermarks at or
-    /// below the current base; never truncates above what is committed).
+    /// below the current base; never truncates above what is committed),
+    /// and every slot record but the one the first retained op belongs
+    /// to.
     pub fn truncate_below(&mut self, watermark: u64) {
         let watermark = watermark.min(self.committed());
         if watermark <= self.base {
             return;
         }
-        let drop = (watermark - self.base) as usize;
-        self.entries.drain(..drop);
+        self.ops.drain(..(watermark - self.base) as usize);
         self.base = watermark;
+        let stale = if self.ops.is_empty() {
+            self.slots.len()
+        } else {
+            self.slots.partition_point(|&(first, _)| first <= watermark + 1) - 1
+        };
+        self.slots.drain(..stale);
     }
 
     /// Resets to a transferred base: the snapshot covers everything up to
-    /// `base`; the caller replays the suffix via [`push`](Self::push).
+    /// `base`; the caller replays the suffix via [`append`](Self::append).
     pub fn reset_to(&mut self, base: u64) {
-        self.entries.clear();
+        self.ops.clear();
+        self.slots.clear();
         self.base = base;
+    }
+
+    /// Bytes the log holds: each vector's capacity × element size.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
+        self.ops.capacity() * std::mem::size_of::<OpId>()
+            + self.slots.capacity() * std::mem::size_of::<(u64, [u8; 32])>()
+    }
+}
+
+/// A replica's retained committed log, read as [`LogEntry`]s (see
+/// [`CommittedLog`]). Entries are dense in `seq`; every op of one slot
+/// carries that slot's batch digest.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LogView<'a> {
+    base: u64,
+    ops: &'a [OpId],
+    slots: &'a [(u64, [u8; 32])],
+}
+
+impl<'a> LogView<'a> {
+    /// Retained entries.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// True when no entry is retained.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// The `index`-th retained entry (seq `first().seq + index`).
+    pub fn get(&self, index: usize) -> Option<LogEntry> {
+        let op = *self.ops.get(index)?;
+        let seq = self.base + 1 + index as u64;
+        let slot = self.slots.partition_point(|&(first, _)| first <= seq).checked_sub(1)?;
+        let &(_, digest) = self.slots.get(slot)?;
+        Some(LogEntry { seq, op, digest })
+    }
+
+    /// The first retained entry.
+    pub fn first(&self) -> Option<LogEntry> {
+        self.get(0)
+    }
+
+    /// The last retained entry.
+    pub fn last(&self) -> Option<LogEntry> {
+        self.get(self.len().checked_sub(1)?)
+    }
+
+    /// The retained entries in sequence order, walking ops and slots once.
+    pub fn iter(&self) -> impl Iterator<Item = LogEntry> + 'a {
+        let mut slots = self.slots;
+        self.ops.iter().zip(self.base + 1..).map_while(move |(&op, seq)| {
+            while let [_, rest @ ..] = slots {
+                match rest.first() {
+                    Some(&(first, _)) if first <= seq => slots = rest,
+                    _ => break,
+                }
+            }
+            let &(_, digest) = slots.first()?;
+            Some(LogEntry { seq, op, digest })
+        })
+    }
+}
+
+/// Two views are equal when they retain the same entries.
+impl PartialEq for LogView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -955,8 +1048,22 @@ mod tests {
         (kv, sessions)
     }
 
+    fn op(seq: u64) -> OpId {
+        OpId { client: ClientId(1), seq }
+    }
+
+    /// Slot `slot`'s batch digest.
+    fn digest(slot: u64) -> [u8; 32] {
+        sha256(&slot.to_le_bytes())
+    }
+
+    /// The entry at `seq` of a log whose slot s holds seqs 2s-1 and 2s.
     fn entry(seq: u64) -> LogEntry {
-        LogEntry { seq, op: OpId { client: ClientId(1), seq }, digest: sha256(&seq.to_le_bytes()) }
+        LogEntry { seq, op: op(seq), digest: digest(seq.div_ceil(2)) }
+    }
+
+    fn entries(log: &CommittedLog) -> Vec<LogEntry> {
+        log.view().iter().collect()
     }
 
     fn store(me: u32, quorum: usize, interval: u64, keys: &Arc<CkptKeys>) -> CheckpointStore {
@@ -1106,29 +1213,57 @@ mod tests {
     #[test]
     fn committed_log_truncates_and_stays_seq_aligned() {
         let mut log = CommittedLog::new();
-        for seq in 1..=10 {
-            log.push(entry(seq));
+        for slot in 1..=5 {
+            log.append([op(2 * slot - 1), op(2 * slot)], digest(slot));
         }
+        // A slot without ops leaves no record.
+        log.append([], digest(6));
         assert_eq!(log.committed(), 10);
         assert_eq!(log.first_retained(), 1);
-        log.truncate_below(4);
+        assert_eq!(entries(&log), (1..=10).map(entry).collect::<Vec<_>>());
+        // Truncating inside slot 3 keeps its digest for the op it retains.
+        log.truncate_below(5);
         assert_eq!(log.committed(), 10);
-        assert_eq!(log.first_retained(), 5);
-        assert_eq!(log.entries().first().map(|e| e.seq), Some(5));
+        assert_eq!(log.first_retained(), 6);
+        let view = log.view();
+        assert_eq!((view.len(), view.first(), view.last()), (5, Some(entry(6)), Some(entry(10))));
+        assert_eq!(view.get(1), Some(entry(7)));
+        assert_eq!(view.get(5), None);
+        assert_eq!(entries(&log), (6..=10).map(entry).collect::<Vec<_>>());
         // Truncating below the base or above the head is clamped.
         log.truncate_below(2);
-        assert_eq!(log.first_retained(), 5);
+        assert_eq!(log.first_retained(), 6);
         log.truncate_below(99);
         assert_eq!(log.committed(), 10);
-        assert!(log.entries().is_empty());
-        log.push(entry(11));
+        assert!(log.view().is_empty() && log.view().first().is_none());
+        log.append([op(11)], digest(6));
         assert_eq!(log.committed(), 11);
+        assert_eq!(entries(&log), [entry(11)]);
         // Transfer install: base jumps, suffix replays on top.
         log.reset_to(20);
         assert_eq!(log.committed(), 20);
-        log.push(entry(21));
-        assert_eq!(log.committed(), 21);
-        assert_eq!(log.entries().len(), 1);
+        assert!(log.view().is_empty());
+        log.append([op(21), op(22)], digest(11));
+        assert_eq!(log.committed(), 22);
+        assert_eq!(entries(&log), [entry(21), entry(22)]);
+        // A reset below the old head keeps no slot record from above it.
+        log.reset_to(4);
+        log.append([op(5), op(6)], digest(3));
+        assert_eq!((log.view().first(), log.view().last()), (Some(entry(5)), Some(entry(6))));
+        assert_eq!(entries(&log), [entry(5), entry(6)]);
+    }
+
+    /// One digest per slot: 10⁵ ops in 8-request slots cost at most 32
+    /// bytes each (a [`LogEntry`] per op cost at least 56).
+    #[test]
+    fn the_committed_log_costs_at_most_32_bytes_per_op() {
+        let mut log = CommittedLog::new();
+        for slot in 0..12_500 {
+            log.append((1..=8).map(|i| op(slot * 8 + i)), digest(slot));
+        }
+        assert_eq!(log.committed(), 100_000);
+        let per_op = log.footprint() as f64 / 1e5;
+        assert!(per_op <= 32.0, "{per_op:.1} bytes per op");
     }
 
     /// The certificate signs the state's roots, and only a state

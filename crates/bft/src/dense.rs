@@ -268,12 +268,30 @@ fn hash_op(op: OpId) -> u64 {
     x ^ (x >> 31)
 }
 
+/// An [`OpId`] packed losslessly into three words: the client, then the
+/// seq's low and high halves. It has no padding, so a bucket holding it
+/// beside a `u64` or an `Arc` is 24 bytes; an `OpId`'s 4 bytes of padding
+/// would leave the tag no room and make it 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key([u32; 3]);
+
+impl Key {
+    fn pack(op: OpId) -> Self {
+        Key([op.client.0, op.seq as u32, (op.seq >> 32) as u32])
+    }
+
+    fn op(self) -> OpId {
+        let [client, lo, hi] = self.0;
+        OpId { client: ClientId(client), seq: (u64::from(hi) << 32) | u64::from(lo) }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Bucket<V> {
     Empty,
     /// A deleted entry: probe chains continue through it, inserts reuse it.
     Tombstone,
-    Full(OpId, V),
+    Full(Key, V),
 }
 
 /// An open-addressed hash map from [`OpId`] to `V` — the replica-side
@@ -287,7 +305,9 @@ enum Bucket<V> {
 /// of capacity. No SipHash, no random state: the same operation history
 /// always produces the same table — callers may iterate, but any
 /// result that feeds protocol decisions must be order-canonicalized
-/// first (sorted), which the view-change paths do.
+/// first (sorted), which the view-change paths do. A bucket keeps its key
+/// packed into three `u32`s, so with a `u64` or an `Arc` value it is 24
+/// bytes.
 #[derive(Debug, Clone)]
 pub struct OpIndex<V> {
     buckets: Vec<Bucket<V>>,
@@ -332,11 +352,11 @@ impl<V> OpIndex<V> {
         self.graves = 0;
         let mask = self.mask();
         for b in old {
-            if let Bucket::Full(op, v) = b {
-                let mut i = (hash_op(op) as usize) & mask;
+            if let Bucket::Full(key, v) = b {
+                let mut i = (hash_op(key.op()) as usize) & mask;
                 loop {
                     if matches!(self.buckets[i], Bucket::Empty) {
-                        self.buckets[i] = Bucket::Full(op, v);
+                        self.buckets[i] = Bucket::Full(key, v);
                         break;
                     }
                     i = (i + 1) & mask;
@@ -364,12 +384,12 @@ impl<V> OpIndex<V> {
         if self.buckets.is_empty() {
             return None;
         }
-        let mask = self.mask();
+        let (key, mask) = (Key::pack(op), self.mask());
         let mut i = (hash_op(op) as usize) & mask;
         loop {
             match &self.buckets[i] {
                 Bucket::Empty => return None,
-                Bucket::Full(k, _) if *k == op => return Some(i),
+                Bucket::Full(k, _) if *k == key => return Some(i),
                 _ => i = (i + 1) & mask,
             }
         }
@@ -401,12 +421,12 @@ impl<V> OpIndex<V> {
     /// first tombstone along the probe chain is reused for new keys.
     pub fn insert(&mut self, op: OpId, value: V) -> Option<V> {
         self.ensure_capacity();
-        let mask = self.mask();
+        let (key, mask) = (Key::pack(op), self.mask());
         let mut i = (hash_op(op) as usize) & mask;
         let mut grave: Option<usize> = None;
         loop {
             match &mut self.buckets[i] {
-                Bucket::Full(k, v) if *k == op => {
+                Bucket::Full(k, v) if *k == key => {
                     return Some(std::mem::replace(v, value));
                 }
                 Bucket::Tombstone => {
@@ -423,7 +443,7 @@ impl<V> OpIndex<V> {
                         }
                         None => i,
                     };
-                    self.buckets[slot] = Bucket::Full(op, value);
+                    self.buckets[slot] = Bucket::Full(key, value);
                     self.len += 1;
                     return None;
                 }
@@ -451,7 +471,7 @@ impl<V> OpIndex<V> {
     /// results depend on order must sort (see `OpIndex` docs).
     pub fn iter(&self) -> impl Iterator<Item = (OpId, &V)> {
         self.buckets.iter().filter_map(|b| match b {
-            Bucket::Full(k, v) => Some((*k, v)),
+            Bucket::Full(k, v) => Some((k.op(), v)),
             _ => None,
         })
     }
@@ -532,9 +552,10 @@ impl ReplyLog {
 }
 
 /// Packs an `OpId` into the `u64` timer-token space (client in the high
-/// 32 bits). Client sequence numbers stay far below 2^32 in any finite
-/// run; the debug assert enforces the assumption instead of letting a
-/// truncated token silently dead-letter a patience timer.
+/// 32 bits). A replica refuses a request whose client seq exceeds
+/// `u32::MAX` before intake, so every op minted here fits; the debug
+/// assert enforces that instead of letting a truncated token silently
+/// dead-letter a patience timer.
 pub fn op_token(op: OpId) -> u64 {
     debug_assert!(op.seq >> 32 == 0, "client sequence exceeds the token space");
     ((op.client.0 as u64) << 32) | (op.seq & 0xFFFF_FFFF)
@@ -599,7 +620,8 @@ impl ReplicaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ClientId, ReplicaId};
+    use crate::api::{ClientId, ReplicaId, Request};
+    use std::sync::Arc;
 
     fn op(client: u32, seq: u64) -> OpId {
         OpId { client: ClientId(client), seq }
@@ -799,6 +821,25 @@ mod tests {
         for k in &keys {
             assert_eq!(a.get(k), b.get(k));
         }
+    }
+
+    #[test]
+    fn op_index_buckets_are_24_bytes_and_keys_round_trip() {
+        assert_eq!(std::mem::size_of::<Bucket<u64>>(), 24);
+        assert_eq!(std::mem::size_of::<Bucket<Arc<Request>>>(), 24);
+        let mut m: OpIndex<u64> = OpIndex::new();
+        let keys = [op(u32::MAX, u64::MAX), op(1, 1 << 32), op(1, 0), op(0, u64::MAX >> 1)];
+        for (v, k) in (0..).zip(keys) {
+            m.insert(k, v);
+        }
+        for (v, k) in (0..).zip(keys) {
+            assert_eq!(m.get(&k), Some(&v));
+        }
+        let mut iterated: Vec<OpId> = m.iter().map(|(k, _)| k).collect();
+        iterated.sort_unstable_by_key(|k| (k.client.0, k.seq));
+        let mut sorted = keys;
+        sorted.sort_unstable_by_key(|k| (k.client.0, k.seq));
+        assert_eq!(iterated, sorted);
     }
 
     #[test]

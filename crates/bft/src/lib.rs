@@ -134,7 +134,7 @@ pub use adversary::{
     ScenarioOracle, Window,
 };
 pub use api::{ClientId, LogEntry, OpId, ReplicaId, Reply, Request};
-pub use checkpoint::{CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKeys};
+pub use checkpoint::{CheckpointCert, CheckpointStats, CheckpointVoucher, CkptKeys, LogView};
 pub use codec::{decode_frame, encode_frame, Wire, WIRE_VERSION};
 pub use durable::{DurableEvent, RecoveredState, RecoveryReport};
 pub use plane::{step_node, Clock, Transport};

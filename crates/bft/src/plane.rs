@@ -122,7 +122,8 @@ impl ReplyTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ClientId, Endpoint, LogEntry, OpId, Request};
+    use crate::api::{ClientId, Endpoint, OpId, Request};
+    use crate::checkpoint::LogView;
 
     /// A node that echoes every message back to its sender and arms one
     /// timer per input — just enough surface to exercise the choreography.
@@ -146,8 +147,8 @@ mod tests {
             out.arm(10, 1, self.inputs);
         }
 
-        fn committed_log(&self) -> &[LogEntry] {
-            &[]
+        fn committed_log(&self) -> LogView<'_> {
+            LogView::default()
         }
 
         fn make_request(_req: Arc<Request>) -> u64 {

@@ -1185,20 +1185,130 @@ pub fn check_safety<C: Cluster>(cluster: &C) -> bool {
             let la = cluster.nodes()[a.0 as usize].committed_log();
             let lb = cluster.nodes()[b.0 as usize].committed_log();
             let (Some(fa), Some(fb)) = (la.first(), lb.first()) else { continue };
-            // Retained entries are dense in seq, so the overlap range maps
-            // to index offsets directly.
+            // Retained entries are dense in seq: skipping to the later first
+            // seq aligns the two walks, and the shorter one ends the overlap.
             let lo = fa.seq.max(fb.seq);
-            let hi = (fa.seq + la.len() as u64 - 1).min(fb.seq + lb.len() as u64 - 1);
-            for seq in lo..=hi {
-                // bounds: lo..=hi is the intersection of both retained ranges
-                let ea = &la[(seq - fa.seq) as usize];
-                // bounds: lo..=hi is the intersection of both retained ranges
-                let eb = &lb[(seq - fb.seq) as usize];
-                if ea.seq != eb.seq || ea.op != eb.op || ea.digest != eb.digest {
-                    return false;
-                }
+            let ea = la.iter().skip((lo - fa.seq) as usize);
+            let eb = lb.iter().skip((lo - fb.seq) as usize);
+            if ea.zip(eb).any(|(x, y)| x != y) {
+                return false;
             }
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::ReplicaScript;
+    use crate::api::Reply;
+    use crate::checkpoint::{CommittedLog, LogView};
+
+    /// A replica that is nothing but its committed log.
+    struct Logged(CommittedLog);
+
+    impl ReplicaNode for Logged {
+        type Msg = u64;
+
+        fn id(&self) -> ReplicaId {
+            ReplicaId(0)
+        }
+
+        fn on_input(&mut self, _input: Input<u64>, _now: u64, _out: &mut Outbox<u64>) {}
+
+        fn committed_log(&self) -> LogView<'_> {
+            self.0.view()
+        }
+
+        fn make_request(_req: Arc<Request>) -> u64 {
+            0
+        }
+
+        fn as_reply(_msg: &u64) -> Option<&Reply> {
+            None
+        }
+
+        fn state_digest(&self) -> [u8; 32] {
+            [0; 32]
+        }
+
+        fn current_view(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Two correct replicas.
+    struct Pair([Logged; 2]);
+
+    impl Cluster for Pair {
+        type Node = Logged;
+
+        fn nodes_mut(&mut self) -> &mut [Logged] {
+            &mut self.0
+        }
+
+        fn nodes(&self) -> &[Logged] {
+            &self.0
+        }
+
+        fn reply_quorum(&self) -> usize {
+            1
+        }
+
+        fn protocol_name(&self) -> &'static str {
+            "logged"
+        }
+
+        fn correct_replicas(&self) -> Vec<ReplicaId> {
+            vec![ReplicaId(0), ReplicaId(1)]
+        }
+
+        fn set_script(&mut self, _id: ReplicaId, _script: ReplicaScript) {}
+
+        fn into_nodes(self) -> Vec<Logged> {
+            self.0.into()
+        }
+    }
+
+    /// A log of `slots`, each its ops (client 1's seqs) and a digest byte,
+    /// truncated below `watermark`.
+    fn log(slots: &[(&[u64], u8)], watermark: u64) -> Logged {
+        let mut log = CommittedLog::new();
+        for &(seqs, digest) in slots {
+            log.append(seqs.iter().map(|&seq| OpId { client: ClientId(1), seq }), [digest; 32]);
+        }
+        log.truncate_below(watermark);
+        Logged(log)
+    }
+
+    fn safe(a: Logged, b: Logged) -> bool {
+        check_safety(&Pair([a, b]))
+    }
+
+    /// Every op of a slot is compared at its own seq — op and slot digest —
+    /// and only where both retained logs overlap.
+    #[test]
+    fn check_safety_compares_every_overlapping_seq() {
+        let four: &[(&[u64], u8)] = &[(&[1, 2], 1), (&[3, 4], 2)];
+        assert!(safe(log(four, 0), log(four, 0)));
+        assert!(safe(log(four, 0), log(&four[..1], 0)), "one replica is behind");
+        assert!(safe(log(four, 0), log(&[], 0)));
+
+        let other_op: &[(&[u64], u8)] = &[(&[1, 2], 1), (&[3, 9], 2)];
+        assert!(!safe(log(four, 0), log(other_op, 0)), "a different op at seq 4");
+        let split: &[(&[u64], u8)] = &[(&[1, 2], 1), (&[3], 2), (&[4], 7)];
+        assert!(!safe(log(four, 0), log(split, 0)), "a different digest on slot 2's second op");
+
+        // Truncated inside slot 2 (seqs 4..) and inside slot 3 (seqs 6..):
+        // the overlap is 6..=8.
+        let eight: &[(&[u64], u8)] = &[(&[1, 2], 1), (&[3, 4], 2), (&[5, 6], 3), (&[7, 8], 4)];
+        assert!(safe(log(eight, 3), log(eight, 5)));
+        let late: &[(&[u64], u8)] = &[(&[1, 2], 1), (&[3, 4], 2), (&[5, 6], 3), (&[7, 9], 4)];
+        assert!(!safe(log(eight, 3), log(late, 5)), "a different op at seq 8");
+        let early: &[(&[u64], u8)] = &[(&[1, 2], 1), (&[3, 4], 2), (&[5, 6], 5), (&[7, 8], 4)];
+        assert!(!safe(log(eight, 3), log(early, 5)), "a different digest at seq 6");
+        let below: &[(&[u64], u8)] = &[(&[1, 2], 1), (&[3, 9], 2), (&[5, 6], 3), (&[7, 8], 4)];
+        assert!(safe(log(eight, 3), log(below, 5)), "seq 4 is truncated on one side");
+    }
 }

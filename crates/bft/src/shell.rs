@@ -43,11 +43,11 @@
 //! Provisioning (batching, patience, checkpoint keys) is the chassis's.
 
 use crate::api::{
-    Batch, BatchDecision, Batcher, Endpoint, LogEntry, OpId, Outbox, ReplicaId, Reply, Request,
+    Batch, BatchDecision, Batcher, Endpoint, OpId, Outbox, ReplicaId, Reply, Request,
 };
 use crate::checkpoint::{
     tamper_suffix, verify_image, CheckpointCert, CheckpointImage, CheckpointStore,
-    CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer, CstInstall,
+    CheckpointVoucher, CkptKeys, ClientSessions, CommittedLog, CstBuffer, CstInstall, LogView,
     StateTransfer,
 };
 use crate::codec::Wire;
@@ -319,8 +319,8 @@ impl Shell {
     }
 
     /// The retained committed-log suffix.
-    pub(crate) fn log(&self) -> &[LogEntry] {
-        self.log.entries()
+    pub(crate) fn log(&self) -> LogView<'_> {
+        self.log.view()
     }
 
     /// Digest of the state machine.
@@ -474,10 +474,11 @@ impl Shell {
         }
     }
 
-    /// Executes ordered slot `seq`: apply → log → reply cache → watchlist
-    /// and assignment → session → replay ring → [`DurableEvent::Commit`].
-    /// One agreement slot commits the whole batch; the log stays
-    /// per-request (dense global sequence, each entry stamped `digest`).
+    /// Executes ordered slot `seq`: apply → reply cache → watchlist and
+    /// assignment → session, per request, then log → replay ring →
+    /// [`DurableEvent::Commit`]. One agreement slot commits the whole
+    /// batch: the log appends its requests at the next dense global seqs
+    /// and keeps `digest` once for the slot.
     /// `executed(reply)` runs once per request, in order: the live path
     /// sends the reply there, replay paths (transfer suffix, WAL) pass a
     /// no-op — those replies went out before the crash or will be
@@ -491,9 +492,7 @@ impl Shell {
     ) {
         self.advance_to(seq);
         for req in batch.requests() {
-            let log_seq = self.log.committed() + 1;
             let result = Arc::new(self.machine.apply(&req.payload));
-            self.log.push(LogEntry { seq: log_seq, op: req.op, digest });
             self.executed.insert(req.op, &result);
             self.pending.remove(&req.op);
             // Unreachable from here on: `intake` and `seal` ask the
@@ -504,6 +503,7 @@ impl Shell {
             }
             executed(Reply { replica: self.id, op: req.op, result });
         }
+        self.log.append(batch.requests().iter().map(|r| r.op), digest);
         if self.ckpt.enabled() {
             self.replay_ring.insert(seq, batch.clone());
         }
@@ -1398,12 +1398,12 @@ mod tests {
     }
 
     /// The reply cache of a replica that executed 10⁵ `SET`s of fresh keys
-    /// (each answered `(nil)`) holds at most 64 bytes per op: index buckets
-    /// plus the framed log's capacity. An `Arc<Vec<u8>>` per op needs 77
-    /// before malloc rounding (a 32-byte bucket, a 40-byte `ArcInner`, the
-    /// five result bytes).
+    /// (each answered `(nil)`) holds at most 48 bytes per op: 24-byte index
+    /// buckets plus the framed log's capacity, about 42 in all. An
+    /// `Arc<Vec<u8>>` per op needs 69 before malloc rounding (a bucket, a
+    /// 40-byte `ArcInner`, the five result bytes).
     #[test]
-    fn the_reply_cache_costs_at_most_64_bytes_per_op() {
+    fn the_reply_cache_costs_at_most_48_bytes_per_op() {
         const OPS: u64 = 100_000;
         let (mut shell, _) = front_end();
         for seq in 1..=OPS {
@@ -1413,7 +1413,7 @@ mod tests {
             shell.execute(seq, &b, b.digest(), |reply| assert_eq!(reply.result[..], *b"(nil)"));
         }
         let footprint = shell.executed.footprint() as u64;
-        assert!(footprint <= 64 * OPS, "{footprint} bytes for {OPS} ops");
+        assert!(footprint <= 48 * OPS, "{footprint} bytes for {OPS} ops");
         for seq in [1, OPS] {
             let op = OpId { client: ClientId(9), seq };
             assert_eq!(retry(&mut shell, op).map(|r| r.result), Some(Arc::new(b"(nil)".to_vec())));
