@@ -10,12 +10,13 @@
 //! module provides three layers:
 //!
 //! * [`ReplicaScript`] — per-replica, time-phased fault windows: crash /
-//!   recover, silence, equivocation, UI forgery, delayed / duplicated /
-//!   reordered sends, and stale-message replay. Replicas interpret only the
-//!   *content* attacks (equivocation, forgery — those need protocol
-//!   knowledge to fabricate conflicting messages); every transport-level
-//!   window is interpreted uniformly by the
-//!   [runner](crate::runner::run_scenario), not per protocol.
+//!   recover, silence, equivocation, UI forgery, duplicated / reordered
+//!   sends, stale-message replay, rejuvenation and state-transfer or
+//!   checkpoint lies. Replicas interpret only the *content* attacks
+//!   (equivocation, forgery — those need protocol knowledge to fabricate
+//!   conflicting messages); every transport-level window is interpreted
+//!   uniformly by the [runner](crate::runner::run_scenario), not per
+//!   protocol.
 //! * [`Scenario`] — a whole-run script: replica scripts plus network-level
 //!   faults (replica-set partitions over a cycle window, per-source link
 //!   degradation with drop/delay, DoS-rate client floods).
@@ -92,25 +93,58 @@ impl ReplaySpec {
     }
 }
 
-/// A composable, time-phased fault script for one replica.
+/// One kind of replica fault, active over a [`Window`] of a
+/// [`ReplicaScript`]. Adding a kind is one variant here and one builder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// Inputs are ignored; the replica resumes with its pre-crash state.
+    Crash,
+    /// The replica receives but sends nothing.
+    Silence,
+    /// PBFT-style conflicting proposals.
+    Equivocate,
+    /// MinBFT-style fabricated certificates.
+    ForgeUi,
+    /// Every send is delivered twice.
+    Duplicate,
+    /// Each outbox burst departs in reversed order.
+    Reorder,
+    /// Stale-message replay (see [`ReplaySpec`]).
+    Replay { period: u64, burst: usize },
+    /// A wipe at the window's first cycle (the window is one cycle long).
+    Rejuvenate,
+    /// Served state-transfer snapshots are tampered with.
+    CorruptSnapshot,
+    /// Served log suffixes carry uncommitted batches.
+    CorruptSuffix,
+    /// Checkpoint vouchers are cast over a fabricated digest.
+    ForgeCheckpoint,
+}
+
+impl Fault {
+    /// Whether the fault attacks the replica's *content* (its logs and
+    /// state), which takes the replica out of cross-replica safety checks.
+    fn is_content_attack(self) -> bool {
+        matches!(
+            self,
+            Fault::Equivocate
+                | Fault::ForgeUi
+                | Fault::CorruptSnapshot
+                | Fault::CorruptSuffix
+                | Fault::ForgeCheckpoint
+        )
+    }
+}
+
+/// A composable, time-phased fault script for one replica: one list of
+/// windowed faults.
 ///
-/// Each fault class holds independent windows, so scripts compose freely:
-/// a replica can equivocate early, fall silent for a window, then crash
-/// for good. The [`Behavior`] presets convert losslessly via `From`.
+/// Windows compose freely: a replica can equivocate early, fall silent
+/// for a window, then crash for good. The [`Behavior`] presets convert
+/// losslessly via `From`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplicaScript {
-    crash: Vec<Window>,
-    silence: Vec<Window>,
-    equivocate: Vec<Window>,
-    forge_ui: Vec<Window>,
-    delay: Vec<(Window, u64)>,
-    duplicate: Vec<Window>,
-    reorder: Vec<Window>,
-    replay: Vec<ReplaySpec>,
-    rejuvenate: Vec<u64>,
-    corrupt_snapshot: Vec<Window>,
-    corrupt_suffix: Vec<Window>,
-    forge_checkpoint: Vec<Window>,
+    faults: Vec<(Window, Fault)>,
 }
 
 impl ReplicaScript {
@@ -119,202 +153,116 @@ impl ReplicaScript {
         Self::default()
     }
 
+    fn with(mut self, w: Window, fault: Fault) -> Self {
+        self.faults.push((w, fault));
+        self
+    }
+
     /// Adds a crash window: inputs are ignored while it is active; the
     /// replica resumes with its pre-crash state afterwards (fail-recover).
-    pub fn crash(mut self, w: Window) -> Self {
-        self.crash.push(w);
-        self
+    pub fn crash(self, w: Window) -> Self {
+        self.with(w, Fault::Crash)
     }
 
     /// Adds a silence window: the replica receives but sends nothing
     /// (omission fault / kill-switch).
-    pub fn silence(mut self, w: Window) -> Self {
-        self.silence.push(w);
-        self
+    pub fn silence(self, w: Window) -> Self {
+        self.with(w, Fault::Silence)
     }
 
     /// Adds an equivocation window (PBFT-style conflicting proposals).
-    pub fn equivocate(mut self, w: Window) -> Self {
-        self.equivocate.push(w);
-        self
+    pub fn equivocate(self, w: Window) -> Self {
+        self.with(w, Fault::Equivocate)
     }
 
     /// Adds a UI-forgery window (MinBFT-style fabricated certificates).
-    pub fn forge_ui(mut self, w: Window) -> Self {
-        self.forge_ui.push(w);
-        self
-    }
-
-    /// Adds a send-delay window: every message this replica sends during
-    /// it arrives `extra` cycles late (slow/aging egress link).
-    pub fn delay_sends(mut self, w: Window, extra: u64) -> Self {
-        self.delay.push((w, extra));
-        self
+    pub fn forge_ui(self, w: Window) -> Self {
+        self.with(w, Fault::ForgeUi)
     }
 
     /// Adds a duplication window: every send is delivered twice.
-    pub fn duplicate_sends(mut self, w: Window) -> Self {
-        self.duplicate.push(w);
-        self
+    pub fn duplicate_sends(self, w: Window) -> Self {
+        self.with(w, Fault::Duplicate)
     }
 
     /// Adds a reorder window: each outbox burst departs in reversed order.
-    pub fn reorder_sends(mut self, w: Window) -> Self {
-        self.reorder.push(w);
-        self
+    pub fn reorder_sends(self, w: Window) -> Self {
+        self.with(w, Fault::Reorder)
     }
 
     /// Adds a stale-replay schedule (see [`ReplaySpec`]).
-    pub fn replay_sends(mut self, spec: ReplaySpec) -> Self {
-        self.replay.push(spec);
-        self
+    pub fn replay_sends(self, spec: ReplaySpec) -> Self {
+        self.with(spec.window, Fault::Replay { period: spec.period, burst: spec.burst })
     }
 
     /// Schedules a rejuvenation at virtual time `at`: the runner wipes the
     /// replica's volatile state (see [`ReplicaNode::wipe`]) and it must
     /// re-join through certificate-verified state transfer.
-    pub fn rejuvenate_at(mut self, at: u64) -> Self {
-        self.rejuvenate.push(at);
-        self
+    pub fn rejuvenate_at(self, at: u64) -> Self {
+        self.with(Window::new(at, at.saturating_add(1)), Fault::Rejuvenate)
     }
 
     /// Adds a snapshot-corruption window: state-transfer snapshots this
     /// replica *serves* during it are tampered with (the requester's
     /// certificate cross-check must reject them).
-    pub fn corrupt_snapshots(mut self, w: Window) -> Self {
-        self.corrupt_snapshot.push(w);
-        self
+    pub fn corrupt_snapshots(self, w: Window) -> Self {
+        self.with(w, Fault::CorruptSnapshot)
     }
 
     /// Adds a suffix-corruption window: the log suffixes this replica
     /// *serves* with state transfers during it carry batches the cluster
     /// never committed (certificate and snapshot stay honest, so only the
     /// requester's f+1 slot-by-slot vote can out-vote the lie).
-    pub fn corrupt_suffixes(mut self, w: Window) -> Self {
-        self.corrupt_suffix.push(w);
-        self
+    pub fn corrupt_suffixes(self, w: Window) -> Self {
+        self.with(w, Fault::CorruptSuffix)
     }
 
     /// Adds a checkpoint-forgery window: instead of honest vouchers, the
     /// replica broadcasts vouchers over a fabricated state digest (one
     /// with a garbage MAC, one properly keyed — neither may certify).
-    pub fn forge_checkpoints(mut self, w: Window) -> Self {
-        self.forge_checkpoint.push(w);
-        self
+    pub fn forge_checkpoints(self, w: Window) -> Self {
+        self.with(w, Fault::ForgeCheckpoint)
     }
 
     /// True when the script has no faults at all — the hot-path flag the
     /// protocols use to skip the staging outbox entirely.
     pub fn unconstrained(&self) -> bool {
-        self.crash.is_empty()
-            && self.silence.is_empty()
-            && self.equivocate.is_empty()
-            && self.forge_ui.is_empty()
-            && self.delay.is_empty()
-            && self.duplicate.is_empty()
-            && self.reorder.is_empty()
-            && self.replay.is_empty()
-            && self.rejuvenate.is_empty()
-            && self.corrupt_snapshot.is_empty()
-            && self.corrupt_suffix.is_empty()
-            && self.forge_checkpoint.is_empty()
+        self.faults.is_empty()
     }
 
-    /// Whether the replica ignores inputs at `now` (inside a crash window).
-    pub fn crashed_at(&self, now: u64) -> bool {
-        self.crash.iter().any(|w| w.contains(now))
+    /// Whether a window of `fault` covers `now`.
+    pub(crate) fn active(&self, now: u64, fault: Fault) -> bool {
+        self.faults.iter().any(|&(w, f)| f == fault && w.contains(now))
     }
 
-    /// Whether the replica's sends leave the tile at `now`.
-    pub fn sends_at(&self, now: u64) -> bool {
-        !self.crashed_at(now) && !self.silence.iter().any(|w| w.contains(now))
+    /// Every windowed fault, in the order the builders added them.
+    pub(crate) fn faults(&self) -> &[(Window, Fault)] {
+        &self.faults
     }
 
-    /// Whether an equivocation window is active at `now`.
-    pub fn equivocates_at(&self, now: u64) -> bool {
-        self.equivocate.iter().any(|w| w.contains(now))
-    }
-
-    /// Whether a UI-forgery window is active at `now`.
-    pub fn forges_ui_at(&self, now: u64) -> bool {
-        self.forge_ui.iter().any(|w| w.contains(now))
-    }
-
-    /// Extra send latency at `now` (sums overlapping delay windows).
-    pub fn send_delay_at(&self, now: u64) -> u64 {
-        self.delay.iter().filter(|(w, _)| w.contains(now)).map(|(_, e)| e).sum()
-    }
-
-    /// Whether sends are duplicated at `now`.
-    pub fn duplicates_at(&self, now: u64) -> bool {
-        self.duplicate.iter().any(|w| w.contains(now))
-    }
-
-    /// Whether outbox bursts are reordered at `now`.
-    pub fn reorders_at(&self, now: u64) -> bool {
-        self.reorder.iter().any(|w| w.contains(now))
-    }
-
-    /// The replay schedules of this script.
-    pub fn replays(&self) -> &[ReplaySpec] {
-        &self.replay
-    }
-
-    /// The scheduled rejuvenation times of this script.
-    pub fn rejuvenations(&self) -> &[u64] {
-        &self.rejuvenate
-    }
-
-    /// Whether a snapshot-corruption window is active at `now`.
-    pub fn corrupts_snapshot_at(&self, now: u64) -> bool {
-        self.corrupt_snapshot.iter().any(|w| w.contains(now))
-    }
-
-    /// Whether a suffix-corruption window is active at `now`.
-    pub fn corrupts_suffix_at(&self, now: u64) -> bool {
-        self.corrupt_suffix.iter().any(|w| w.contains(now))
-    }
-
-    /// Whether a checkpoint-forgery window is active at `now`.
-    pub fn forges_checkpoint_at(&self, now: u64) -> bool {
-        self.forge_checkpoint.iter().any(|w| w.contains(now))
+    /// The replay schedule at list position `i`, if that fault is one.
+    pub(crate) fn replay(&self, i: usize) -> Option<ReplaySpec> {
+        let &(window, Fault::Replay { period, burst }) = self.faults.get(i)? else { return None };
+        Some(ReplaySpec { window, period, burst })
     }
 
     /// Whether the script mounts a *content* attack (equivocation, UI
-    /// forgery, checkpoint forgery, snapshot corruption) at any time. Such
-    /// replicas are excluded from cross-replica safety checks — their logs
-    /// and state are attacker-controlled. Transport-level faults (crash,
-    /// silence, delay, duplication, reordering, replay) and rejuvenation
-    /// leave the replica's *state* honest, so it stays in the checked set.
+    /// forgery, checkpoint forgery, snapshot or suffix corruption) at any
+    /// time. Such replicas are excluded from cross-replica safety checks —
+    /// their logs and state are attacker-controlled. Transport-level
+    /// faults (crash, silence, duplication, reordering, replay) and
+    /// rejuvenation leave the replica's *state* honest, so it stays in the
+    /// checked set.
     pub fn is_byzantine(&self) -> bool {
-        !self.equivocate.is_empty()
-            || !self.forge_ui.is_empty()
-            || !self.corrupt_snapshot.is_empty()
-            || !self.corrupt_suffix.is_empty()
-            || !self.forge_checkpoint.is_empty()
+        self.faults.iter().any(|(_, f)| f.is_content_attack())
     }
 
     /// The first cycle by which every windowed fault of this script is
-    /// over (`u64::MAX` when any window never heals).
+    /// over (`u64::MAX` when any window never heals). A rejuvenation is
+    /// over the cycle after the wipe (recovery itself is the protocol's
+    /// job).
     pub fn heals_by(&self) -> u64 {
-        let untils = self
-            .crash
-            .iter()
-            .chain(&self.silence)
-            .chain(&self.equivocate)
-            .chain(&self.forge_ui)
-            .chain(&self.corrupt_snapshot)
-            .chain(&self.corrupt_suffix)
-            .chain(&self.forge_checkpoint)
-            .map(|w| w.until)
-            .chain(self.delay.iter().map(|(w, _)| w.until))
-            .chain(self.duplicate.iter().map(|w| w.until))
-            .chain(self.reorder.iter().map(|w| w.until))
-            .chain(self.replay.iter().map(|r| r.window.until))
-            // A rejuvenation is instantaneous: the fault is "over" the
-            // cycle after the wipe (recovery itself is the protocol's job).
-            .chain(self.rejuvenate.iter().map(|t| t.saturating_add(1)));
-        untils.max().unwrap_or(0)
+        self.faults.iter().map(|(w, _)| w.until).max().unwrap_or(0)
     }
 }
 
@@ -561,26 +509,96 @@ impl ScenarioOracle {
 mod tests {
     use super::*;
 
+    use Fault::*;
+
+    /// Every fault kind (a new variant joins this list).
+    const KINDS: [Fault; 11] = [
+        Crash,
+        Silence,
+        Equivocate,
+        ForgeUi,
+        Duplicate,
+        Reorder,
+        Replay { period: 5, burst: 2 },
+        Rejuvenate,
+        CorruptSnapshot,
+        CorruptSuffix,
+        ForgeCheckpoint,
+    ];
+
+    /// Adds `kind` over `w` through its public builder. Exhaustive, so a
+    /// new variant does not compile until it has a builder here.
+    fn add(s: ReplicaScript, kind: Fault, w: Window) -> ReplicaScript {
+        match kind {
+            Crash => s.crash(w),
+            Silence => s.silence(w),
+            Equivocate => s.equivocate(w),
+            ForgeUi => s.forge_ui(w),
+            Duplicate => s.duplicate_sends(w),
+            Reorder => s.reorder_sends(w),
+            Replay { period, burst } => s.replay_sends(ReplaySpec { window: w, period, burst }),
+            // A rejuvenation is instantaneous: `w` names only its cycle.
+            Rejuvenate => s.rejuvenate_at(w.from),
+            CorruptSnapshot => s.corrupt_snapshots(w),
+            CorruptSuffix => s.corrupt_suffixes(w),
+            ForgeCheckpoint => s.forge_checkpoints(w),
+        }
+    }
+
+    /// The window `add(_, kind, [from, until))` stores.
+    fn stored(kind: Fault, from: u64, until: u64) -> Window {
+        Window::new(from, if kind == Rejuvenate { from + 1 } else { until })
+    }
+
+    #[test]
+    fn every_fault_kind_is_active_exactly_in_its_windows() {
+        let content: Vec<Fault> = KINDS.into_iter().filter(|f| f.is_content_attack()).collect();
+        assert_eq!(content, [Equivocate, ForgeUi, CorruptSnapshot, CorruptSuffix, ForgeCheckpoint]);
+        for kind in KINDS {
+            let w = stored(kind, 100, 200);
+            let s = add(ReplicaScript::correct(), kind, Window::new(100, 200));
+            assert_eq!(s.faults(), [(w, kind)], "{kind:?}");
+            assert!(s.active(w.from, kind) && s.active(w.until - 1, kind), "{kind:?}");
+            assert!(!s.active(w.from - 1, kind) && !s.active(w.until, kind), "{kind:?}");
+            for other in KINDS.into_iter().filter(|&o| o != kind) {
+                assert!(!s.active(w.from, other), "{kind:?} leaks into {other:?}");
+            }
+            assert_eq!(s.is_byzantine(), content.contains(&kind), "{kind:?}");
+            assert_eq!(s.heals_by(), w.until, "{kind:?}");
+            assert!(!s.unconstrained(), "{kind:?}");
+
+            // Overlapping windows compose: the kind is active wherever
+            // either window is, and heals when the later one does.
+            let (a, b) = (w, stored(kind, 150, 300));
+            let both = add(s, kind, Window::new(150, 300));
+            for t in [99, 100, 101, 120, 149, 150, 151, 199, 200, 250, 299, 300] {
+                let want = a.contains(t) || b.contains(t);
+                assert_eq!(both.active(t, kind), want, "{kind:?} at {t}");
+            }
+            assert_eq!(both.heals_by(), b.until, "{kind:?}");
+        }
+        let none = ReplicaScript::correct();
+        assert!(none.unconstrained() && !none.is_byzantine() && none.heals_by() == 0);
+        assert!(KINDS.iter().all(|&kind| !none.active(0, kind) && !none.active(u64::MAX, kind)));
+        assert_eq!(ReplicaScript::correct().rejuvenate_at(u64::MAX).heals_by(), u64::MAX);
+    }
+
     #[test]
     fn behavior_presets_convert_losslessly() {
-        let correct = ReplicaScript::from(Behavior::Correct);
-        assert!(correct.unconstrained());
-        assert!(!correct.crashed_at(0) && correct.sends_at(u64::MAX - 1));
-
-        let crashed = ReplicaScript::from(Behavior::Crashed);
-        assert!(crashed.crashed_at(0) && !crashed.sends_at(0));
+        let lowered = |b: Behavior| ReplicaScript::from(b).faults().to_vec();
+        assert_eq!(lowered(Behavior::Correct), []);
+        assert_eq!(lowered(Behavior::Crashed), [(Window::ALWAYS, Crash)]);
+        assert_eq!(lowered(Behavior::CrashAt(10)), [(Window::from(10), Crash)]);
+        assert_eq!(lowered(Behavior::Silent), [(Window::ALWAYS, Silence)]);
+        assert_eq!(lowered(Behavior::Equivocate), [(Window::ALWAYS, Equivocate)]);
+        assert_eq!(lowered(Behavior::ForgeUi), [(Window::ALWAYS, ForgeUi)]);
 
         let crash_at = ReplicaScript::from(Behavior::CrashAt(10));
-        assert!(!crash_at.crashed_at(9));
-        assert!(crash_at.crashed_at(10));
-
+        assert!(!crash_at.active(9, Crash) && crash_at.active(10, Crash));
         let silent = ReplicaScript::from(Behavior::Silent);
-        assert!(!silent.crashed_at(5), "silent receives");
-        assert!(!silent.sends_at(5), "silent never sends");
-
-        assert!(ReplicaScript::from(Behavior::Equivocate).equivocates_at(123));
+        assert!(!silent.active(5, Crash), "silent receives");
+        assert!(silent.active(5, Silence), "silent never sends");
         assert!(ReplicaScript::from(Behavior::Equivocate).is_byzantine());
-        assert!(ReplicaScript::from(Behavior::ForgeUi).forges_ui_at(123));
         assert!(ReplicaScript::from(Behavior::ForgeUi).is_byzantine());
         assert!(!ReplicaScript::from(Behavior::Crashed).is_byzantine());
     }
@@ -593,10 +611,10 @@ mod tests {
             .equivocate(Window::new(0, 100))
             .silence(Window::new(200, 300))
             .crash(Window::from(400));
-        assert!(s.equivocates_at(50) && !s.equivocates_at(150));
-        assert!(s.sends_at(150));
-        assert!(!s.sends_at(250) && !s.crashed_at(250));
-        assert!(s.crashed_at(400) && !s.sends_at(400));
+        assert!(s.active(50, Equivocate) && !s.active(150, Equivocate));
+        assert!(!s.active(150, Silence) && !s.active(150, Crash));
+        assert!(s.active(250, Silence) && !s.active(250, Crash));
+        assert!(s.active(400, Crash) && !s.active(400, Silence));
         assert!(s.is_byzantine());
         assert_eq!(s.heals_by(), u64::MAX);
         assert!(!s.unconstrained());
@@ -604,19 +622,16 @@ mod tests {
 
     #[test]
     fn transport_fault_queries() {
+        let replay = Replay { period: 5, burst: 2 };
         let s = ReplicaScript::correct()
-            .delay_sends(Window::new(10, 20), 7)
-            .delay_sends(Window::new(15, 30), 3)
             .duplicate_sends(Window::new(5, 6))
             .reorder_sends(Window::new(8, 9))
-            .replay_sends(ReplaySpec { window: Window::new(40, 50), period: 5, burst: 2 });
-        assert_eq!(s.send_delay_at(12), 7);
-        assert_eq!(s.send_delay_at(17), 10, "overlapping delay windows sum");
-        assert_eq!(s.send_delay_at(25), 3);
-        assert_eq!(s.send_delay_at(30), 0);
-        assert!(s.duplicates_at(5) && !s.duplicates_at(6));
-        assert!(s.reorders_at(8) && !s.reorders_at(9));
-        assert_eq!(s.replays().len(), 1);
+            .replay_sends(ReplaySpec { window: Window::new(40, 50), period: 5, burst: 2 })
+            .rejuvenate_at(30);
+        assert!(s.active(5, Duplicate) && !s.active(6, Duplicate));
+        assert!(s.active(8, Reorder) && !s.active(9, Reorder));
+        assert_eq!(s.faults()[2], (Window::new(40, 50), replay));
+        assert_eq!(s.faults()[3], (Window::new(30, 31), Rejuvenate));
         assert!(!s.is_byzantine(), "transport faults keep state honest");
         assert_eq!(s.heals_by(), 50);
     }

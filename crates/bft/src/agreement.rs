@@ -24,6 +24,7 @@
 //! before NEW-VIEW, MinBFT's after — outbox order drives the simulator's
 //! latency draws.
 
+use crate::adversary::Fault;
 use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica};
 use crate::checkpoint::CstInstall;
@@ -207,7 +208,7 @@ impl<D: Discipline> Replica<Agreement<D>> {
             self.shell.execute(next, &batch, digest, |reply| {
                 out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
             });
-            self.shell.checkpoint(next, self.script.forges_checkpoint_at(self.now), out);
+            self.shell.checkpoint(next, self.script.active(self.now, Fault::ForgeCheckpoint), out);
         }
         self.retire_executed();
     }
@@ -394,8 +395,8 @@ pub(crate) mod tests {
         PbftMsg::NewView { view, preprepares }
     }
 
-    pub(crate) fn minbft_new_view(view: u64, preprepares: PreparedSet) -> MinBftMsg {
-        MinBftMsg::NewView { view, preprepares }
+    pub(crate) fn minbft_new_view(view: u64, _: PreparedSet) -> MinBftMsg {
+        MinBftMsg::NewView { view }
     }
 
     /// The voter is the link, so a vote over a link that is no replica of

@@ -43,7 +43,7 @@
 //! ([`Agreement`](crate::agreement::Agreement)), and supply only a
 //! [`Discipline`](crate::agreement::Discipline).
 
-use crate::adversary::ReplicaScript;
+use crate::adversary::{Fault, ReplicaScript};
 use crate::api::{Batch, Cluster, Endpoint, Input, Outbox, ReplicaId, ReplicaNode, Reply, Request};
 use crate::checkpoint::{CheckpointStats, CkptKeys, CstInstall, LogView};
 use crate::dense::MAX_REPLICAS;
@@ -234,8 +234,8 @@ impl<P: Core> Replica<P> {
                     have,
                     link,
                     self.core.view(),
-                    byzantine && self.script.corrupts_snapshot_at(self.now),
-                    byzantine && self.script.corrupts_suffix_at(self.now),
+                    byzantine && self.script.active(self.now, Fault::CorruptSnapshot),
+                    byzantine && self.script.active(self.now, Fault::CorruptSuffix),
                     out,
                 );
             }
@@ -263,7 +263,7 @@ impl<P: Core> ReplicaNode for Replica<P> {
 
     fn on_input(&mut self, input: Input<P::Msg>, now: u64, out: &mut Outbox<P::Msg>) {
         self.now = now;
-        if self.script.crashed_at(now) {
+        if self.script.active(now, Fault::Crash) {
             self.in_outage = true;
             return;
         }
@@ -291,7 +291,7 @@ impl<P: Core> ReplicaNode for Replica<P> {
         let mut staged = Outbox::new();
         self.step(input, &mut staged);
         // Script gate on outputs (timers always pass — they are local).
-        if self.script.sends_at(now) {
+        if !self.script.active(now, Fault::Silence) {
             out.msgs.extend(staged.msgs);
         }
         out.timers.extend(staged.timers);

@@ -56,7 +56,10 @@ pub use rsoc_crypto::{crc32, Crc32};
 /// PBFT `Prepare` / `Commit`, `VcVote`, MinBFT `CommitVote`, `FillGap` and
 /// `CheckpointHint`, passive `Heartbeat` and `SyncRequest`, and the shell's
 /// `StateRequest` and `StateTransfer` are gone — the link is the sender.
-pub const WIRE_VERSION: u8 = 5;
+/// Version 6: two fields no receiver read are gone — passive
+/// `StateUpdate.ops` ships requests without their results, and MinBFT
+/// `NewView` carries only its view.
+pub const WIRE_VERSION: u8 = 6;
 
 /// The tag of a [`ShellMsg`](crate::ShellMsg) in every protocol's frame,
 /// clear of the protocols' own tags (which count up from 0).
@@ -655,7 +658,7 @@ mod tests {
                 executed_upto: 5,
                 cert: Some(Box::new(cert(4))),
             }),
-            MinBftMsg::NewView { view: 1, preprepares: vec![(6, batch.clone())] },
+            MinBftMsg::NewView { view: 1 },
             MinBftMsg::FillGap { from_counter: 3, upto: 9 },
             MinBftMsg::CheckpointHint { cert: Box::new(cert(12)), ring_base: 7 },
         ]
@@ -668,7 +671,7 @@ mod tests {
             PassiveMsg::StateUpdate {
                 epoch: 1,
                 first_seq: 4,
-                ops: Box::new([(req(0, 4, b"SET k0.4 v4".to_vec()), Arc::new(b"OK".to_vec()))]),
+                ops: Box::new([req(0, 4, b"SET k0.4 v4".to_vec())]),
             },
             PassiveMsg::Heartbeat { epoch: 1, log_len: 9 },
             PassiveMsg::SyncRequest { from_seq: 5 },

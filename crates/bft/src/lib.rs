@@ -144,4 +144,4 @@ pub use runner::{
     RunReport, ScenarioOutcome,
 };
 pub use shell::ShellMsg;
-pub use statemachine::{CounterMachine, KvStore, StateMachine};
+pub use statemachine::{KvStore, StateMachine};

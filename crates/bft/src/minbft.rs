@@ -21,7 +21,7 @@
 //! Wire format: PREPARE and COMMIT carry [`Arc<Batch>`] — the broadcast
 //! fan-out bumps a refcount per peer instead of deep-cloning the batch.
 
-use crate::adversary::conflicting_batch;
+use crate::adversary::{conflicting_batch, Fault};
 use crate::agreement::{Agreement, Discipline, Slot};
 use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
 use crate::chassis::{Replica, Replicas};
@@ -87,13 +87,11 @@ pub enum MinBftMsg {
     Commit(Arc<CommitVote>),
     /// Vote to replace the primary.
     ReqViewChange(VcVote),
-    /// New primary's installation message (re-proposals follow as normal
-    /// UI-certified PREPAREs).
+    /// New primary's installation message. It carries no entries: the
+    /// re-proposals follow as normal UI-certified PREPAREs.
     NewView {
         /// Installed view.
         view: u64,
-        /// Re-proposed entries.
-        preprepares: Vec<(u64, Arc<Batch>)>,
     },
     /// Reliable-FIFO-channel emulation: the requester (its link) asks the
     /// receiver to resend its own UI-certified messages with counters in
@@ -139,7 +137,7 @@ crate::wire! {
         1 => Prepare { view, seq, batch, ui },
         2 => Commit(vote),
         4 => ReqViewChange(vote),
-        5 => NewView { view, preprepares },
+        5 => NewView { view },
         6 => FillGap { from_counter, upto },
         7 => CheckpointHint { cert, ring_base },
         SHELL_TAG => Shell(msg),
@@ -643,7 +641,7 @@ impl Discipline for MinBft {
                 }
             }
             MinBftMsg::ReqViewChange(vote) => r.on_view_change(link, vote, out),
-            MinBftMsg::NewView { view, preprepares } => r.on_new_view(link, view, preprepares, out),
+            MinBftMsg::NewView { view } => r.on_new_view(link, view, PreparedSet::new(), out),
             MinBftMsg::FillGap { from_counter, upto } => {
                 // Gaps in OUR stream, served to the requester's link with a
                 // bounded burst; the resends are the original UI-certified
@@ -684,7 +682,7 @@ impl Discipline for MinBft {
             return; // fail-stopped USIG: replica can no longer lead
         };
         r.own_slot(seq, &batch, digest).issued(view, ui, me);
-        if r.script.forges_ui_at(r.now) {
+        if r.script.active(r.now, Fault::ForgeUi) {
             r.forge_equivocation(view, seq, &batch, ui, out);
             return;
         }
@@ -697,7 +695,7 @@ impl Discipline for MinBft {
     /// Announces the view, then re-proposes the plan under fresh UIs.
     fn lead(r: &mut MinBftReplica, plan: PreparedSet, out: &mut Outbox<MinBftMsg>) {
         let view = r.core.vc.view();
-        out.broadcast(r.n, r.id, MinBftMsg::NewView { view, preprepares: plan.clone() });
+        out.broadcast(r.n, r.id, MinBftMsg::NewView { view });
         r.install_as_primary(plan, out);
         r.replay_future(out);
     }
@@ -1193,7 +1191,7 @@ mod tests {
             let mut out = Outbox::new();
             let prepare = MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui };
             deliver(&mut r, 0, prepare, &mut out);
-            let new_view = MinBftMsg::NewView { view: later, preprepares: Vec::new() };
+            let new_view = MinBftMsg::NewView { view: later };
             deliver(&mut r, (later % 5) as u32, new_view, &mut out);
             assert_eq!((r.view(), votes(&r, 1)), (later, 0));
 
@@ -1319,7 +1317,7 @@ mod tests {
         let prepare = MinBftMsg::Prepare { view: 1, seq: 1, batch, ui };
         deliver(&mut r, 1, prepare, &mut out);
         assert_eq!((r.core.own.future.len(), r.core.own.accepted[1], r.committed_seq()), (1, 0, 0));
-        let new_view = MinBftMsg::NewView { view: 1, preprepares: Vec::new() };
+        let new_view = MinBftMsg::NewView { view: 1 };
         deliver(&mut r, 1, new_view, &mut out);
         assert_eq!((r.core.own.future.len(), r.core.own.accepted[1], r.view()), (0, 1, 1));
         assert_eq!(r.committed_seq(), 1, "primary + own vote is the f+1 quorum");

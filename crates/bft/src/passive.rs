@@ -35,18 +35,18 @@ const TIMER_DETECT: u32 = 4;
 pub enum PassiveMsg {
     /// Client request (shared across the fan-out).
     Request(Arc<Request>),
-    /// Primary → backup: a contiguous run of executed operations and their
-    /// results, shipped as one message (batching amortizes the per-message
-    /// cost; `ops.len() == 1` is the unbatched case).
+    /// Primary → backup: a contiguous run of executed operations, shipped
+    /// as one message (batching amortizes the per-message cost;
+    /// `ops.len() == 1` is the unbatched case).
     StateUpdate {
         /// Epoch of the sending primary.
         epoch: u64,
         /// Log sequence of `ops[0]`; `ops[i]` has sequence `first_seq + i`.
         first_seq: u64,
-        /// Executed `(request, result)` pairs in log order (results let the
-        /// backup answer retries identically) — both shared, not copied.
-        /// A boxed slice, not a `Vec`: it keeps this variant small enough
-        /// for the enum to stay the size of its [`ShellMsg`].
+        /// Executed requests in log order, shared, not copied. The backup
+        /// executes each itself, so no result ships. A boxed slice, not a
+        /// `Vec`: it keeps this variant small enough for the enum to stay
+        /// the size of its [`ShellMsg`].
         ops: Box<[Shipped]>,
     },
     /// Primary liveness signal, advertising the primary's log length so a
@@ -83,9 +83,8 @@ crate::wire! {
     }
 }
 
-/// One executed operation as the primary ships it: the request and its
-/// result.
-pub type Shipped = (Arc<Request>, Arc<Vec<u8>>);
+/// One executed operation as the primary ships it: the request alone.
+pub type Shipped = Arc<Request>;
 
 /// Passive's slot and log domains coincide: every operation is its own
 /// single-request batch (which is also how suffixes and durable commits
@@ -99,8 +98,8 @@ fn entry_digest(batch: &Batch) -> [u8; 32] {
     batch.requests().first().map_or_else(|| batch.digest(), |req| req.digest())
 }
 
-/// How many shipped `(request, result)` pairs the primary retains for
-/// backup resync (beyond this horizon a gapped backup stays a laggard).
+/// How many shipped requests the primary retains for backup resync
+/// (beyond this horizon a gapped backup stays a laggard).
 const SHIP_RETENTION: u64 = 512;
 /// Cycles between a gapped backup's sync requests (request or response
 /// can be lost — re-ask, but do not spam).
@@ -207,7 +206,7 @@ impl PassiveReplica {
             let seq = self.shell.next_seq();
             let batch = single(req.clone());
             self.shell.execute(seq, &batch, entry_digest(&batch), |reply| {
-                ops.push((req.clone(), reply.result.clone()));
+                ops.push(req.clone());
                 out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
             });
             self.checkpoint(seq, out);
@@ -281,10 +280,10 @@ impl PassiveReplica {
         // predecessor applied so the backup's log mirrors the primary's.
         // Re-deliveries of already-applied sequences fall below the window
         // watermark and are rejected outright.
-        // The shipped results are not kept: the backup executes every
-        // update itself and answers retries with its own (deterministically
-        // identical) result, like every other execution path.
-        for (i, (req, _)) in ops.into_vec().into_iter().enumerate() {
+        // The backup executes every update itself and answers retries with
+        // its own (deterministically identical) result, like every other
+        // execution path.
+        for (i, req) in ops.into_vec().into_iter().enumerate() {
             if self.shell.has_executed(&req.op) {
                 continue;
             }

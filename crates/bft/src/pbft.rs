@@ -32,7 +32,7 @@
 //! PBFT certifies a proposal — PRE-PREPARE, then PREPARE and COMMIT votes
 //! tallied in [`ReplicaSet`] bitmasks — and how its new primary leads.
 
-use crate::adversary::conflicting_batch;
+use crate::adversary::{conflicting_batch, Fault};
 use crate::agreement::{Agreement, Discipline, Slot};
 use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
 use crate::chassis::{Replica, Replicas};
@@ -290,7 +290,7 @@ impl Discipline for Pbft {
     /// computation) for up to `batch_size` requests.
     fn propose(r: &mut PbftReplica, reqs: Vec<Arc<Request>>, out: &mut Outbox<PbftMsg>) {
         let (seq, batch) = r.shell.open_slot(reqs);
-        if r.script.equivocates_at(r.now) {
+        if r.script.active(r.now, Fault::Equivocate) {
             r.equivocate(seq, batch, out);
             return;
         }

@@ -38,7 +38,7 @@
 //! bit-identical** to the unscripted path (the committed BENCH records
 //! regenerate unchanged).
 
-use crate::adversary::Scenario;
+use crate::adversary::{Fault, Scenario};
 use crate::api::{
     ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
 };
@@ -390,11 +390,11 @@ enum Queued<M> {
         flood: u32,
         k: u64,
     },
-    /// Scenario: the next stale-replay burst of `replica`'s schedule
-    /// `spec` (k bursts injected so far).
+    /// Scenario: the next stale-replay burst of the replay schedule at
+    /// position `fault` of `replica`'s script (k bursts injected so far).
     ReplayTick {
         replica: u32,
-        spec: u32,
+        fault: u32,
         k: u64,
     },
     /// Scenario: rejuvenate (wipe) `replica` — it re-joins through state
@@ -564,9 +564,9 @@ impl<N: ReplicaNode> Sim<'_, N> {
 
     /// Routes one outgoing message: egress serialization, baseline loss,
     /// then — only under an active scenario — partition severing,
-    /// link-fault drop/delay, per-replica send delay, duplication, and
-    /// replay recording. The fault-free tail is exactly the pre-scenario
-    /// harness (same main-RNG draws in the same order).
+    /// link-fault drop/delay, duplication, and replay recording. The
+    /// fault-free tail is exactly the pre-scenario harness (same main-RNG
+    /// draws in the same order).
     fn route_one(&mut self, from: ReplicaId, to: Endpoint, msg: N::Msg, now: u64) {
         let config = self.config;
         // Sender-side serialization: each message occupies the replica's
@@ -591,7 +591,7 @@ impl<N: ReplicaNode> Sim<'_, N> {
         if self.fault.active {
             let script = &self.fault.scripts[from.0 as usize];
             // Record protocol sends for stale-replay schedules (oldest kept).
-            if !script.replays().is_empty()
+            if script.faults().iter().any(|(_, f)| matches!(f, Fault::Replay { .. }))
                 && matches!(to, Endpoint::Replica(_))
                 && self.fault.recorded[from.0 as usize].len() < REPLAY_RECORD_CAP
             {
@@ -610,8 +610,8 @@ impl<N: ReplicaNode> Sim<'_, N> {
             // Link faults: probabilistic drops plus fixed extra delay on
             // matching (source, dest) pairs. All randomness from the fault
             // stream — the main RNG's draw order is scenario-independent.
-            let mut extra = script.send_delay_at(now);
-            let duplicate = script.duplicates_at(now);
+            let mut extra = 0;
+            let duplicate = script.active(now, Fault::Duplicate);
             for l in &self.fault.scenario.links {
                 let src_match = l.source.is_none_or(|s| s == from.0);
                 let dst_match = match (l.dest, to) {
@@ -662,7 +662,7 @@ impl<N: ReplicaNode> Transport<N::Msg> for Sim<'_, N> {
         // A reorder window flips the departure order of this whole burst —
         // later-queued messages grab the egress port (and their latency
         // samples) first. Only taken when a scenario scripts it.
-        if self.fault.active && self.fault.scripts[from.0 as usize].reorders_at(now) {
+        if self.fault.active && self.fault.scripts[from.0 as usize].active(now, Fault::Reorder) {
             out.msgs.reverse();
         }
         for (to, msg) in out.msgs.drain(..) {
@@ -691,14 +691,16 @@ impl<N: ReplicaNode> Sim<'_, N> {
             }
         }
         for (r, script) in self.fault.scripts.iter().enumerate() {
-            for (si, spec) in script.replays().iter().enumerate() {
-                if let Some(at) = spec.train().first() {
-                    self.queue
-                        .push(at, Queued::ReplayTick { replica: r as u32, spec: si as u32, k: 0 });
+            let replica = r as u32;
+            for i in 0..script.faults().len() {
+                if let Some(at) = script.replay(i).and_then(|spec| spec.train().first()) {
+                    self.queue.push(at, Queued::ReplayTick { replica, fault: i as u32, k: 0 });
                 }
             }
-            for &at in script.rejuvenations() {
-                self.queue.push(at, Queued::RejuvTick { replica: r as u32 });
+            for &(window, f) in script.faults() {
+                if f == Fault::Rejuvenate {
+                    self.queue.push(window.from, Queued::RejuvTick { replica });
+                }
             }
         }
     }
@@ -724,9 +726,12 @@ impl<N: ReplicaNode> Sim<'_, N> {
         }
     }
 
-    /// Burst `k` of `replica`'s replay schedule `spec`.
-    fn replay_tick(&mut self, replica: u32, spec: u32, k: u64, now: u64) {
-        let s = self.fault.scripts[replica as usize].replays()[spec as usize];
+    /// Burst `k` of the replay schedule at position `fault` of
+    /// `replica`'s script.
+    fn replay_tick(&mut self, replica: u32, fault: u32, k: u64, now: u64) {
+        let Some(s) = self.fault.scripts[replica as usize].replay(fault as usize) else {
+            return;
+        };
         if !s.window.contains(now) {
             return;
         }
@@ -748,7 +753,7 @@ impl<N: ReplicaNode> Sim<'_, N> {
             self.queue.push(now + delay, Queued::Deliver { from, to, msg });
         }
         if let Some(next) = s.train().next_after(now) {
-            self.queue.push(next, Queued::ReplayTick { replica, spec, k: k + 1 });
+            self.queue.push(next, Queued::ReplayTick { replica, fault, k: k + 1 });
         }
     }
 }
@@ -833,7 +838,7 @@ fn drive<C: Cluster, L: Load<C::Node>>(
             Queued::ClientTimer { op } => sim.retransmit(op, now),
             Queued::Arrival => load.on_arrival(now, &mut sim),
             Queued::FloodTick { flood, k } => sim.flood_tick(flood, k, now),
-            Queued::ReplayTick { replica, spec, k } => sim.replay_tick(replica, spec, k, now),
+            Queued::ReplayTick { replica, fault, k } => sim.replay_tick(replica, fault, k, now),
             Queued::RejuvTick { replica } => {
                 // Leave/wipe/re-join: all volatile state goes; the replica
                 // discovers it is behind (its kept stable certificate, or a

@@ -120,43 +120,6 @@ impl StateMachine for KvStore {
     }
 }
 
-/// A saturating counter machine: `ADD n` / `READ`.
-#[derive(Debug, Clone, Default)]
-pub struct CounterMachine {
-    value: u64,
-}
-
-impl CounterMachine {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        CounterMachine::default()
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
-
-impl StateMachine for CounterMachine {
-    fn apply(&mut self, command: &[u8]) -> Vec<u8> {
-        let text = std::str::from_utf8(command).unwrap_or("");
-        if let Some(rest) = text.strip_prefix("ADD ") {
-            if let Ok(n) = rest.trim().parse::<u64>() {
-                self.value = self.value.saturating_add(n);
-                return self.value.to_string().into_bytes();
-            }
-        } else if text == "READ" {
-            return self.value.to_string().into_bytes();
-        }
-        b"ERR".to_vec()
-    }
-
-    fn state_digest(&self) -> [u8; 32] {
-        rsoc_crypto::sha256(&self.value.to_le_bytes())
-    }
-}
-
 /// Actuator-command arbiter for the automotive example: keeps the latest
 /// command per actuator and rejects stale timestamps (`CMD actuator ts value`).
 #[derive(Debug, Clone, Default)]
@@ -363,16 +326,6 @@ mod tests {
             assert_eq!(kv.apply(&[b"DEL ", &vec![b'a'; len][..]].concat()), b"1");
         }
         assert_eq!(kv.state_digest(), KvStore::new().state_digest());
-    }
-
-    #[test]
-    fn counter_machine() {
-        let mut c = CounterMachine::new();
-        assert_eq!(c.apply(b"ADD 5"), b"5");
-        assert_eq!(c.apply(b"ADD 3"), b"8");
-        assert_eq!(c.apply(b"READ"), b"8");
-        assert_eq!(c.apply(b"ADD x"), b"ERR");
-        assert_eq!(c.value(), 8);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! * a 2D mesh topology with per-link fault states,
 //! * dimension-ordered (XY) and fault-adaptive routing,
 //! * a cycle-accurate-ish packet network with link contention,
-//! * an end-to-end retransmission layer, and
-//! * a closed-form hop-latency model used by the BFT transport in
-//!   `rsoc-soc` (protocol experiments need latencies, not flit traces).
+//! * a windowed link-fault script on its indexed queue path, and
+//! * an end-to-end retransmission layer.
+//!
+//! Protocol experiments need latencies, not flit traces: the BFT runner's
+//! `LatencyModel::MeshHops` prices a message in closed form instead.
 //!
 //! Experiment **E10** sweeps link-fault rates over this simulator.
 //!
@@ -27,7 +29,6 @@
 //! assert!(net.stats().delivered.iter().any(|d| d.packet == id));
 //! ```
 
-pub mod latency;
 pub mod network;
 pub mod reference;
 pub mod retransmit;
@@ -35,7 +36,6 @@ pub mod router;
 pub mod topology;
 pub mod traffic;
 
-pub use latency::HopLatencyModel;
 pub use network::{LinkFaultWindow, LinkScript, Network, NetworkConfig, NetworkStats};
 pub use reference::ReferenceNetwork;
 pub use router::Routing;

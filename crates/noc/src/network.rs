@@ -492,6 +492,22 @@ mod tests {
     }
 
     #[test]
+    fn model_matches_uncongested_network_hops() {
+        // The closed form protocol experiments price messages with (one
+        // cycle per Manhattan hop, no overhead or serialization) is the
+        // packet network's uncongested latency.
+        let mesh = Mesh2d::new(6, 6);
+        let mut net = Network::new(mesh, NetworkConfig::default());
+        let src = mesh.node_at(0, 2).unwrap();
+        let dst = mesh.node_at(5, 4).unwrap();
+        net.inject(src, dst, 1);
+        net.drain(1000);
+        let measured = net.stats().delivered[0].latency;
+        assert_eq!(measured, mesh.hops(src, dst) as u64);
+        assert_eq!(measured, 7);
+    }
+
+    #[test]
     fn self_delivery_is_instant() {
         let mut n = net(Routing::Xy);
         let a = n.mesh().node_at(1, 1).unwrap();

@@ -34,7 +34,6 @@ pub mod rng;
 pub mod script;
 pub mod slab;
 pub mod stats;
-pub mod time;
 pub mod wheel;
 pub mod workload;
 
@@ -42,6 +41,5 @@ pub use rng::SimRng;
 pub use script::{PulseTrain, Window};
 pub use slab::Slab;
 pub use stats::{Histogram, LogHistogram, OnlineStats};
-pub use time::SimTime;
 pub use wheel::TimingWheel;
 pub use workload::{Arrival, ArrivalGen, KeyDist, KeyPicker, RateMod};

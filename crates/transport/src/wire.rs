@@ -169,7 +169,7 @@ mod tests {
             PbftMsg::Prepare { view: 0, seq: 1, digest },
             PbftMsg::Commit { view: 0, seq: 1, digest },
             PbftMsg::ViewChange(vote(None)),
-            PbftMsg::NewView { view: 2, preprepares: preprepares.clone() },
+            PbftMsg::NewView { view: 2, preprepares },
         ]
         .into_iter()
         .chain((1..=3).map(|f| PbftMsg::ViewChange(vote(Some(cert(f))))))
@@ -180,13 +180,13 @@ mod tests {
             MinBftMsg::Prepare { view: 0, seq: 1, batch: batch.clone(), ui },
             MinBftMsg::Commit(Arc::new(commit)),
             MinBftMsg::ReqViewChange(vote(Some(cert(1)))),
-            MinBftMsg::NewView { view: 2, preprepares },
+            MinBftMsg::NewView { view: 2 },
             MinBftMsg::FillGap { from_counter: 3, upto: 9 },
         ]
         .into_iter()
         .chain((1..=3).map(|f| MinBftMsg::CheckpointHint { cert: cert(f), ring_base: 7 }))
         .chain(shell.iter().cloned().map(MinBftMsg::Shell));
-        let ops = (1..=4).map(|seq| (request(seq), Arc::new(vec![2; 40]))).collect();
+        let ops = (1..=4).map(request).collect();
         let passive = [
             PassiveMsg::Request(request(1)),
             PassiveMsg::StateUpdate { epoch: 1, first_seq: 1, ops },

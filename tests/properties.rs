@@ -838,13 +838,10 @@ proptest! {
                 msg: PassiveMsg::StateUpdate {
                     epoch: 0,
                     first_seq: 1,
-                    ops: Box::new([(
-                        Arc::new(Request {
-                            op: OpId { client: ClientId(9), seq: 999 },
-                            payload: b"SET k9.999 forged".to_vec(),
-                        }),
-                        Arc::new(b"forged".to_vec()),
-                    )]),
+                    ops: Box::new([Arc::new(Request {
+                        op: OpId { client: ClientId(9), seq: 999 },
+                        payload: b"SET k9.999 forged".to_vec(),
+                    })]),
                 },
             },
             1, &mut out,
