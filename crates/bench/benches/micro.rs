@@ -11,6 +11,7 @@ use rsoc_bft::codec::{decode_frame, encode_frame, Wire};
 use rsoc_bft::durable::{DurableEvent, RecoveredState};
 use rsoc_bft::minbft::MinBftCluster;
 use rsoc_bft::pbft::{PbftCluster, PbftMsg, PbftReplica};
+use rsoc_bft::plane::{step_node, Transport};
 use rsoc_bft::runner::{run, RunConfig};
 use rsoc_bft::statemachine::{KvStore, StateMachine};
 use rsoc_crypto::{hmac_sha256, sha256, MacKey};
@@ -23,6 +24,7 @@ use rsoc_noc::{Mesh2d, Routing};
 use rsoc_store::{crc32, frame_record, DataDir, WalRecord};
 use rsoc_transport::wire::{decode_envelope, encode_envelope, Envelope};
 use std::collections::VecDeque;
+use std::io;
 use std::sync::Arc;
 
 fn bench_crypto(c: &mut Criterion) {
@@ -290,18 +292,52 @@ fn bench_framing(c: &mut Criterion) {
 }
 
 /// Four durable PBFT replicas driven by hand over a FIFO in-memory
-/// network, replica 0 persisting to a [`DataDir`] before its messages
-/// leave, with a checkpoint every 256 slots.
+/// network, each stepped by [`step_node`], with a checkpoint every 256
+/// slots. Only replica 0's durable events reach a [`DataDir`].
 struct DurableCluster {
     nodes: Vec<PbftReplica>,
-    store: DataDir,
+    wire: Fifo,
     now: u64,
     next_seq: u64,
+}
+
+/// The cluster's network: one FIFO queue of replica-bound messages, and
+/// replica 0's data directory with the bytes it was handed.
+struct Fifo {
+    queue: VecDeque<(usize, Endpoint, PbftMsg)>,
+    store: DataDir,
     /// Commit bytes and image bytes replica 0 handed to its store, and
     /// the length of the last image among them.
     wal_bytes: u64,
     image_bytes: u64,
     last_image: u64,
+}
+
+impl Transport<PbftMsg> for Fifo {
+    fn persist(&mut self, from: ReplicaId, events: &[DurableEvent]) -> io::Result<()> {
+        if from != ReplicaId(0) {
+            return Ok(());
+        }
+        for event in events {
+            match event {
+                DurableEvent::Commit { batch, .. } => self.wal_bytes += batch.wire_len() as u64,
+                DurableEvent::Stable { snapshot, .. } => {
+                    self.last_image = snapshot.len() as u64;
+                    self.image_bytes += self.last_image;
+                }
+                DurableEvent::UsigCounter(_) => {}
+            }
+        }
+        self.store.persist(events)
+    }
+
+    fn dispatch(&mut self, from: ReplicaId, out: &mut Outbox<PbftMsg>, _now: u64) {
+        for (dest, msg) in out.msgs.drain(..) {
+            if let Endpoint::Replica(r) = dest {
+                self.queue.push_back((r.0 as usize, Endpoint::Replica(from), msg));
+            }
+        }
+    }
 }
 
 impl DurableCluster {
@@ -321,56 +357,27 @@ impl DurableCluster {
             .join(format!("rsoc_micro_persist_stable_{keys}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (store, _) = DataDir::open(&dir).expect("open the data directory");
-        DurableCluster {
-            nodes,
-            store,
-            now: 0,
-            next_seq: keys + 1,
-            wal_bytes: 0,
-            image_bytes: 0,
-            last_image: 0,
-        }
+        let wire =
+            Fifo { queue: VecDeque::new(), store, wal_bytes: 0, image_bytes: 0, last_image: 0 };
+        DurableCluster { nodes, wire, now: 0, next_seq: keys + 1 }
     }
 
     /// Orders 256 fresh writes — exactly one stable checkpoint — each run
     /// until the network is quiet.
     fn checkpoint_interval(&mut self) {
         let mut out = Outbox::new();
-        let mut events = Vec::new();
         for _ in 0..256 {
             let request = write_request(self.next_seq, 100);
             self.next_seq += 1;
             let client = Endpoint::Client(request.op.client);
-            let mut queue: VecDeque<(usize, Endpoint, PbftMsg)> = (0..self.nodes.len())
-                .map(|to| (to, client, PbftReplica::make_request(request.clone())))
-                .collect();
-            while let Some((to, from, msg)) = queue.pop_front() {
+            let requests = (0..self.nodes.len())
+                .map(|to| (to, client, PbftReplica::make_request(request.clone())));
+            self.wire.queue.extend(requests);
+            while let Some((to, from, msg)) = self.wire.queue.pop_front() {
                 self.now += 1;
-                out.clear();
-                self.nodes[to].on_input(Input::Message { from, msg }, self.now, &mut out);
-                events.clear();
-                self.nodes[to].drain_durable(&mut events);
-                if to == 0 {
-                    for event in &events {
-                        match event {
-                            DurableEvent::Commit { batch, .. } => {
-                                self.wal_bytes += batch.wire_len() as u64
-                            }
-                            DurableEvent::Stable { snapshot, .. } => {
-                                self.last_image = snapshot.len() as u64;
-                                self.image_bytes += self.last_image;
-                            }
-                            DurableEvent::UsigCounter(_) => {}
-                        }
-                    }
-                    self.store.persist(&events).expect("persist");
-                }
-                let from = Endpoint::Replica(ReplicaId(to as u32));
-                for (dest, msg) in out.msgs.drain(..) {
-                    if let Endpoint::Replica(r) = dest {
-                        queue.push_back((r.0 as usize, from, msg));
-                    }
-                }
+                let input = Input::Message { from, msg };
+                step_node(&mut self.nodes[to], input, self.now, &mut out, &mut self.wire)
+                    .expect("persist");
             }
         }
     }
@@ -378,7 +385,7 @@ impl DurableCluster {
 
 impl Drop for DurableCluster {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(self.store.path());
+        let _ = std::fs::remove_dir_all(self.wire.store.path());
     }
 }
 
@@ -396,17 +403,17 @@ fn bench_persist_stable(c: &mut Criterion) {
         let mut cluster = DurableCluster::preloaded(keys);
         cluster.checkpoint_interval();
         assert!(
-            cluster.image_bytes > keys * 100,
+            cluster.wire.image_bytes > keys * 100,
             "the first stable checkpoint writes the whole state"
         );
         g.bench_function(format!("persist_stable/{label}"), |b| {
             b.iter(|| cluster.checkpoint_interval())
         });
         assert!(
-            cluster.image_bytes <= cluster.wal_bytes + cluster.last_image,
+            cluster.wire.image_bytes <= cluster.wire.wal_bytes + cluster.wire.last_image,
             "{} image bytes over {} WAL bytes",
-            cluster.image_bytes,
-            cluster.wal_bytes
+            cluster.wire.image_bytes,
+            cluster.wire.wal_bytes
         );
     }
     g.finish();

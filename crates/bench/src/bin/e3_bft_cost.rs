@@ -7,9 +7,9 @@
 //! replicas, protocol messages per committed op, median commit latency,
 //! throughput.
 
-use rsoc_bench::{f1, f3, ExpOptions, Table};
+use rsoc_bench::{f1, f3, mesh_latency, ExpOptions, Table};
 use rsoc_bft::api::Cluster;
-use rsoc_bft::runner::{run, LatencyModel, RunConfig, RunReport};
+use rsoc_bft::runner::{run, RunConfig, RunReport};
 use rsoc_bft::{ClusterJob, Protocol};
 use serde::Serialize;
 
@@ -23,16 +23,6 @@ struct Row {
     p99_latency: f64,
     throughput_per_kcycle: f64,
     committed: u64,
-}
-
-fn mesh_latency(n: u32) -> LatencyModel {
-    // Replica i on tile (i % 4, i / 4) of an 8x8 mesh; clients at the I/O corner.
-    LatencyModel::MeshHops {
-        replica_at: (0..n).map(|i| ((i % 4) as u16, (i / 4) as u16)).collect(),
-        client_at: (0, 0),
-        per_hop: 1,
-        overhead: 3,
-    }
 }
 
 /// A closed-loop run on whichever cluster the protocol builds.

@@ -22,7 +22,7 @@
 //! campaign (see `rsoc_bench::campaign`).
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
-use rsoc_bench::{f1, f3, quick_trials};
+use rsoc_bench::{f1, f3, mesh_latency, quick_trials};
 use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run, LatencyModel, RunConfig};
 use rsoc_bft::Protocol;
@@ -71,17 +71,6 @@ struct Summary {
     latency_model: &'static str,
     speedup_batch8_vs_1: f64,
     mac_ratio_batch8_vs_1: f64,
-}
-
-/// The E3 placement: replica i on tile (i % 4, i / 4), clients at the I/O
-/// corner of the mesh.
-fn mesh_latency(n: u32) -> LatencyModel {
-    LatencyModel::MeshHops {
-        replica_at: (0..n).map(|i| ((i % 4) as u16, (i / 4) as u16)).collect(),
-        client_at: (0, 0),
-        per_hop: 1,
-        overhead: 3,
-    }
 }
 
 fn requests(quick: bool) -> u64 {

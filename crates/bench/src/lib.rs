@@ -29,6 +29,7 @@
 //! (`--stitch`). `transport_smoke` and `f7_chaos` drive real `rsoc-serve`
 //! / `rsoc-client` processes through one [`tcp_cluster`] harness.
 
+use rsoc_bft::runner::LatencyModel;
 use serde::Serialize;
 
 pub mod campaign;
@@ -227,6 +228,17 @@ impl Table {
                 println!("{j}");
             }
         }
+    }
+}
+
+/// The E3 placement on an 8x8 mesh: replica i on tile (i % 4, i / 4),
+/// clients at the I/O corner. E3 and F2 both run over it.
+pub fn mesh_latency(n: u32) -> LatencyModel {
+    LatencyModel::MeshHops {
+        replica_at: (0..n).map(|i| ((i % 4) as u16, (i / 4) as u16)).collect(),
+        client_at: (0, 0),
+        per_hop: 1,
+        overhead: 3,
     }
 }
 

@@ -428,42 +428,28 @@ pub struct OracleVerdict {
     pub digests_ok: bool,
     /// Every workload-client op reached its reply quorum.
     pub liveness_ok: bool,
-    /// Whether liveness was required for this scenario (faults within the
-    /// protocol's tolerance, or healed before the patience bound).
-    pub liveness_expected: bool,
 }
 
 impl OracleVerdict {
-    /// Overall pass: safety and digest agreement always; liveness when
-    /// expected.
+    /// Overall pass: safety, digest agreement and liveness.
     pub fn pass(&self) -> bool {
-        self.safety_ok && self.digests_ok && (self.liveness_ok || !self.liveness_expected)
+        self.safety_ok && self.digests_ok && self.liveness_ok
     }
 }
 
 /// The safety/liveness judge run after every scenario cell.
 ///
 /// Safety is judged unconditionally: Byzantine faults may *never* split
-/// the correct replicas, healed or not. Liveness is judged against the
-/// caller-declared expectation, because only the caller knows whether the
-/// scripted faults stay inside the protocol's tolerance (f crashes for
-/// 3f+1 PBFT is tolerated; the same script against a 2-replica passive
-/// pair is not).
+/// the correct replicas, healed or not. Liveness is required too: every
+/// scenario the campaigns and tests run keeps its faults inside the
+/// protocol's tolerance, or heals them before the patience bound.
 #[derive(Debug, Clone, Copy)]
-pub struct ScenarioOracle {
-    /// Whether all workload ops must commit for the cell to pass.
-    pub expect_liveness: bool,
-}
+pub struct ScenarioOracle;
 
 impl ScenarioOracle {
     /// An oracle that requires liveness.
     pub fn expecting_liveness() -> Self {
-        ScenarioOracle { expect_liveness: true }
-    }
-
-    /// An oracle for scenarios where stalling is acceptable (safety-only).
-    pub fn safety_only() -> Self {
-        ScenarioOracle { expect_liveness: false }
+        ScenarioOracle
     }
 
     /// Judges one finished run: `expected_ops` is the workload total
@@ -500,7 +486,6 @@ impl ScenarioOracle {
             safety_ok: report.safety_ok,
             digests_ok,
             liveness_ok: report.committed >= expected_ops,
-            liveness_expected: self.expect_liveness,
         }
     }
 }
@@ -662,16 +647,14 @@ mod tests {
 
     #[test]
     fn verdict_pass_rules() {
-        let v = |safety, digests, live, expected| OracleVerdict {
+        let v = |safety, digests, live| OracleVerdict {
             safety_ok: safety,
             digests_ok: digests,
             liveness_ok: live,
-            liveness_expected: expected,
         };
-        assert!(v(true, true, true, true).pass());
-        assert!(v(true, true, false, false).pass(), "stall allowed when not expected live");
-        assert!(!v(true, true, false, true).pass());
-        assert!(!v(false, true, true, false).pass(), "safety is unconditional");
-        assert!(!v(true, false, true, false).pass(), "digest agreement is unconditional");
+        assert!(v(true, true, true).pass());
+        assert!(!v(true, true, false).pass(), "liveness is required");
+        assert!(!v(false, true, true).pass(), "safety is required");
+        assert!(!v(true, false, true).pass(), "digest agreement is required");
     }
 }

@@ -10,6 +10,7 @@
 //! copies the result once into a fresh `Arc`.
 
 use crate::checkpoint::LogView;
+use crate::durable::DurableEvent;
 use rsoc_crypto::{sha256, Sha256};
 use std::fmt;
 use std::sync::Arc;
@@ -363,11 +364,15 @@ pub struct Outbox<M> {
     pub msgs: Vec<(Endpoint, M)>,
     /// Timers to arm: (delay cycles, kind, token).
     pub timers: Vec<(u64, u32, u64)>,
+    /// The step's drained durable events, which
+    /// [`step_node`](crate::plane::step_node) hands to the plane's
+    /// [`persist`](crate::plane::Transport::persist) before dispatching.
+    pub(crate) durable: Vec<DurableEvent>,
 }
 
 impl<M> Default for Outbox<M> {
     fn default() -> Self {
-        Outbox { msgs: Vec::new(), timers: Vec::new() }
+        Outbox { msgs: Vec::new(), timers: Vec::new(), durable: Vec::new() }
     }
 }
 
@@ -399,12 +404,13 @@ impl<M> Outbox<M> {
         self.timers.push((delay, kind, token));
     }
 
-    /// Empties both queues, keeping their capacity — the harness reuses
+    /// Empties every queue, keeping its capacity — the harness reuses
     /// one outbox across every delivered event, so the steady state does
     /// not allocate per event.
     pub fn clear(&mut self) {
         self.msgs.clear();
         self.timers.clear();
+        self.durable.clear();
     }
 }
 
@@ -473,17 +479,19 @@ pub trait ReplicaNode {
         &[]
     }
 
-    /// Turns on [`DurableEvent`](crate::durable::DurableEvent) emission.
+    /// Turns on [`DurableEvent`] emission.
     /// Off by default (the simulator never persists), so the hooks are
     /// byte-invisible to every existing plane. Default: no-op, for
     /// protocols without a durability path.
     fn enable_durability(&mut self) {}
 
     /// Moves the events queued since the last drain into `out` (appended;
-    /// the caller owns clearing). The embedding plane persists them
-    /// **before** dispatching the same input's outbox — that ordering is
-    /// what "committed before acked" means. Default: no-op.
-    fn drain_durable(&mut self, _out: &mut Vec<crate::durable::DurableEvent>) {}
+    /// the caller owns clearing). [`step_node`](crate::plane::step_node)
+    /// hands them to the plane's
+    /// [`persist`](crate::plane::Transport::persist) **before** dispatching
+    /// the same input's outbox — that ordering is what "committed before
+    /// acked" means. Default: no-op.
+    fn drain_durable(&mut self, _out: &mut Vec<DurableEvent>) {}
 
     /// Rebuilds core state from a store's replay, **before** the serve
     /// loop starts and before [`enable_durability`](Self::enable_durability)

@@ -3,15 +3,17 @@
 //!
 //! The sans-io cores never touch a disk, exactly as they never touch a
 //! socket: a core *emits* [`DurableEvent`]s describing what must survive
-//! a crash, the embedding plane (the `rsoc_transport` serve loop, via
-//! `rsoc_store`) writes them **before** dispatching the outbox — so no
-//! execution ack leaves the replica until the commit it acknowledges is
-//! on disk — and on restart the plane feeds the replayed
-//! [`RecoveredState`] back through [`ReplicaNode::recover`].
+//! a crash, [`step_node`] hands them to [`Transport::persist`] (the
+//! `rsoc_transport` plane writes them to its `rsoc_store` data
+//! directory) **before** dispatching the outbox — so no execution ack
+//! leaves the replica until the commit it acknowledges is on disk — and
+//! on restart the plane feeds the replayed [`RecoveredState`] back
+//! through [`ReplicaNode::recover`].
 //!
 //! The simulator never enables durability, so these hooks are
 //! byte-invisible there: `drain_durable` on a core that was never
-//! [`enable_durability`]'d is a no-op on an empty buffer.
+//! [`enable_durability`]'d is a no-op on an empty buffer, and
+//! `persist` is never called.
 //!
 //! Three event classes cover the three kinds of state a restart must not
 //! lose:
@@ -41,6 +43,8 @@
 //!   the exact equivocation the hybrid exists to prevent.
 //!
 //! [`enable_durability`]: crate::api::ReplicaNode::enable_durability
+//! [`step_node`]: crate::plane::step_node
+//! [`Transport::persist`]: crate::plane::Transport::persist
 //! [`ReplicaNode::recover`]: crate::api::ReplicaNode::recover
 
 use crate::api::Batch;

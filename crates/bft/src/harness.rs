@@ -42,7 +42,6 @@ mod tests {
         assert_eq!(built.seed, defaulted.seed);
         assert_eq!(built.client_timeout, defaulted.client_timeout);
         assert_eq!(built.max_cycles, defaulted.max_cycles);
-        assert_eq!(built.drop_rate, defaulted.drop_rate);
         assert_eq!(built.payload_size, defaulted.payload_size);
         assert_eq!(built.batch_size, defaulted.batch_size);
         assert_eq!(built.batch_flush, defaulted.batch_flush);
@@ -62,7 +61,6 @@ mod tests {
             .latency(LatencyModel::Fixed(7))
             .client_timeout(9_000)
             .max_cycles(500_000)
-            .drop_rate(0.01)
             .payload_size(64)
             .batch_size(8)
             .batch_flush(150)
@@ -78,7 +76,6 @@ mod tests {
         assert!(matches!(config.latency, LatencyModel::Fixed(7)));
         assert_eq!(config.client_timeout, 9_000);
         assert_eq!(config.max_cycles, 500_000);
-        assert_eq!(config.drop_rate, 0.01);
         assert_eq!(config.payload_size, 64);
         assert_eq!(config.batch_size, 8);
         assert_eq!(config.batch_flush, 150);

@@ -329,12 +329,12 @@ impl Discipline for Pbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::Behavior;
+    use crate::adversary::{Behavior, LinkFault, Scenario, Window};
     use crate::api::{ClientId, Cluster, Input, OpId, ReplicaNode};
     use crate::codec::{decode_frame, encode_frame, Wire};
     use crate::dense::SLOT_HORIZON;
     use crate::durable::RecoveredState;
-    use crate::runner::{run, RunConfig};
+    use crate::runner::{run, run_scenario, RunConfig};
     use rsoc_crypto::sha256;
 
     fn config(f: u32, clients: u32, reqs: u64, seed: u64) -> RunConfig {
@@ -550,11 +550,19 @@ mod tests {
 
     #[test]
     fn message_loss_is_recovered_by_retries() {
-        let cfg = RunConfig { drop_rate: 0.05, max_cycles: 5_000_000, ..config(1, 1, 8, 17) };
+        let cfg = RunConfig { max_cycles: 5_000_000, ..config(1, 1, 8, 17) };
+        let loss = Scenario::none().link_fault(LinkFault {
+            source: None,
+            dest: None,
+            window: Window::ALWAYS,
+            drop_rate: 0.05,
+            extra_delay: 0,
+        });
         let mut cluster = PbftCluster::new(&cfg);
-        let report = run(&mut cluster, &cfg);
-        assert_eq!(report.committed, 8);
-        assert!(report.safety_ok);
+        let out = run_scenario(&mut cluster, &cfg, &loss);
+        assert_eq!(out.report.committed, 8);
+        assert!(out.report.safety_ok);
+        assert!(out.script_drops > 0, "the link fault must actually drop messages");
     }
 
     #[test]

@@ -58,9 +58,13 @@ const REPLAY_RECORD_CAP: usize = 64;
 /// timers every protocol's message cascades are finite).
 const QUIESCE_EVENT_CAP: u64 = 5_000_000;
 
+/// `Sim` keeps [`Transport::persist`]'s default and simulator replicas
+/// never enable durability, so a simulator step cannot fail.
+const SIM_PERSISTS_NOTHING: &str = "the simulator persists nothing";
+
 /// RNG stream salts, XORed into [`RunConfig::seed`] — one stream per
-/// consumer, so no subsystem's draws perturb another's: latencies and
-/// baseline loss; scenario faults; the open loop's arrivals and users.
+/// consumer, so no subsystem's draws perturb another's: latencies;
+/// scenario faults; the open loop's arrivals and users.
 const SALT_MAIN: u64 = 0xB07_F00D;
 const SALT_FAULT: u64 = 0xADD_FA017;
 const SALT_WORKLOAD: u64 = 0x0A22_17A1;
@@ -131,8 +135,6 @@ pub struct RunConfig {
     pub client_timeout: u64,
     /// Hard stop for the run.
     pub max_cycles: u64,
-    /// Probability that any single replica→replica message is lost.
-    pub drop_rate: f64,
     /// Payload bytes per request.
     pub payload_size: usize,
     /// Maximum requests agreed on as one consensus unit (1 = unbatched).
@@ -177,7 +179,6 @@ impl Default for RunConfig {
             latency: LatencyModel::Uniform { min: 5, max: 15 },
             client_timeout: 4_000,
             max_cycles: 2_000_000,
-            drop_rate: 0.0,
             payload_size: 16,
             batch_size: 1,
             batch_flush: 200,
@@ -259,13 +260,6 @@ impl RunConfigBuilder {
     /// Hard stop for the run. Default 2_000_000 cycles.
     pub fn max_cycles(mut self, cycles: u64) -> Self {
         self.config.max_cycles = cycles;
-        self
-    }
-
-    /// Probability that any single replica→replica message is lost.
-    /// Default 0.0.
-    pub fn drop_rate(mut self, rate: f64) -> Self {
-        self.config.drop_rate = rate;
         self
     }
 
@@ -583,10 +577,6 @@ impl<N: ReplicaNode> Sim<'_, N> {
         };
         if let Endpoint::Replica(_) = to {
             self.messages_protocol += 1;
-            if self.rng.chance(config.drop_rate) {
-                self.messages_total += 1; // sent but lost
-                return;
-            }
         }
         if self.fault.active {
             let script = &self.fault.scripts[from.0 as usize];
@@ -824,7 +814,8 @@ fn drive<C: Cluster, L: Load<C::Node>>(
         match ev {
             Queued::Deliver { from, to: Endpoint::Replica(r), msg } => {
                 let node = &mut cluster.nodes_mut()[r.0 as usize];
-                step_node(node, Input::Message { from, msg }, now, &mut out, &mut sim);
+                step_node(node, Input::Message { from, msg }, now, &mut out, &mut sim)
+                    .expect(SIM_PERSISTS_NOTHING);
             }
             Queued::Deliver { from, to: Endpoint::Client(c), msg } => {
                 if let Some(done) = sim.on_reply(from, c, &msg) {
@@ -833,7 +824,8 @@ fn drive<C: Cluster, L: Load<C::Node>>(
             }
             Queued::ReplicaTimer { replica, kind, token } => {
                 let node = &mut cluster.nodes_mut()[replica.0 as usize];
-                step_node(node, Input::Timer { kind, token }, now, &mut out, &mut sim);
+                step_node(node, Input::Timer { kind, token }, now, &mut out, &mut sim)
+                    .expect(SIM_PERSISTS_NOTHING);
             }
             Queued::ClientTimer { op } => sim.retransmit(op, now),
             Queued::Arrival => load.on_arrival(now, &mut sim),
@@ -868,7 +860,8 @@ fn drive<C: Cluster, L: Load<C::Node>>(
             drained += 1;
             let Queued::Deliver { from, to: Endpoint::Replica(r), msg } = ev else { continue };
             let node = &mut cluster.nodes_mut()[r.0 as usize];
-            step_node(node, Input::Message { from, msg }, at, &mut out, &mut sim);
+            step_node(node, Input::Message { from, msg }, at, &mut out, &mut sim)
+                .expect(SIM_PERSISTS_NOTHING);
         }
     }
 

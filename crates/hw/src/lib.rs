@@ -34,7 +34,6 @@ pub mod circuits;
 pub mod diverse;
 pub mod ecc;
 pub mod faults;
-pub mod layers;
 pub mod netlist;
 pub mod redundancy;
 pub mod register;

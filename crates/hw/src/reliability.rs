@@ -120,25 +120,6 @@ pub fn estimate_nmr_ideal_voter(
     }
 }
 
-/// Convenience sweep: reliability of `netlist` across several fault
-/// probabilities. Each point uses a forked RNG stream so points are
-/// independent and reproducible.
-pub fn reliability_sweep(
-    netlist: &Netlist,
-    p_faults: &[f64],
-    trials: u64,
-    rng: &SimRng,
-) -> Vec<ReliabilityReport> {
-    p_faults
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let mut stream = rng.fork(i as u64 + 1);
-            estimate_reliability(netlist, &FaultSampler::new(p), trials, &mut stream)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,22 +171,6 @@ mod tests {
             tmr_rep.correct_fraction,
             simplex_rep.correct_fraction
         );
-    }
-
-    #[test]
-    fn sweep_is_monotone_in_fault_rate() {
-        let n = ripple_carry_adder(3);
-        let rng = SimRng::new(4);
-        let reports = reliability_sweep(&n, &[0.0, 0.01, 0.1, 0.5], 2000, &rng);
-        assert_eq!(reports.len(), 4);
-        for w in reports.windows(2) {
-            assert!(
-                w[0].correct_fraction >= w[1].correct_fraction - 0.02,
-                "reliability should not improve with more faults: {} -> {}",
-                w[0].correct_fraction,
-                w[1].correct_fraction
-            );
-        }
     }
 
     #[test]

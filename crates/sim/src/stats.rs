@@ -169,22 +169,6 @@ impl Histogram {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
-
-    /// Buckets samples into `bins` equal-width bins over `[lo, hi)`,
-    /// returning counts. Out-of-range samples clamp to the edge bins.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn bucketize(&self, lo: f64, hi: f64, bins: usize) -> Vec<u64> {
-        assert!(bins > 0 && lo < hi, "invalid bucket spec");
-        let mut counts = vec![0u64; bins];
-        let width = (hi - lo) / bins as f64;
-        for &s in &self.samples {
-            let idx = (((s - lo) / width).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-            counts[idx] += 1;
-        }
-        counts
-    }
 }
 
 /// Sub-bucket resolution bits of [`LogHistogram`]: 32 sub-buckets per
@@ -426,17 +410,6 @@ mod tests {
         assert_eq!(h.median(), None);
         assert_eq!(h.mean(), None);
         assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new();
-        for x in [0.1, 0.2, 0.5, 0.9, 1.5, -3.0] {
-            h.record(x);
-        }
-        let buckets = h.bucketize(0.0, 1.0, 2);
-        // bin 0 = [0.0,0.5): {0.1, 0.2, clamped -3.0}; bin 1 = [0.5,1.0): {0.5, 0.9, clamped 1.5}.
-        assert_eq!(buckets, vec![3, 3]);
     }
 
     #[test]

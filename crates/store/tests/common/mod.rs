@@ -1,16 +1,19 @@
 //! Four durable PBFT replicas driven by hand over a FIFO in-memory
-//! network (no timers: the primary is correct), each persisting its
-//! durable events to its own [`DataDir`] before its messages leave, with a
-//! checkpoint every four slots.
+//! network (no timers: the primary is correct), each stepped by
+//! [`step_node`], so its durable events reach its own [`DataDir`] before
+//! its messages leave, with a checkpoint every four slots.
 #![allow(dead_code)] // each test file uses its own part
 
 use rsoc_bft::api::{
     ClientId, Cluster, Endpoint, Input, OpId, Outbox, ReplicaId, ReplicaNode, Request,
 };
+use rsoc_bft::durable::DurableEvent;
 use rsoc_bft::pbft::{PbftCluster, PbftMsg, PbftReplica};
+use rsoc_bft::plane::{step_node, Transport};
 use rsoc_bft::runner::RunConfig;
 use rsoc_store::DataDir;
 use std::collections::VecDeque;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -24,8 +27,29 @@ pub fn fresh_nodes() -> Vec<PbftReplica> {
 
 pub struct Net {
     pub nodes: Vec<PbftReplica>,
-    pub stores: Vec<DataDir>,
+    wire: Fifo,
     now: u64,
+}
+
+/// The network the replicas step into: each replica's data directory,
+/// and one FIFO queue of replica-bound messages.
+struct Fifo {
+    stores: Vec<DataDir>,
+    queue: VecDeque<(usize, Endpoint, PbftMsg)>,
+}
+
+impl Transport<PbftMsg> for Fifo {
+    fn persist(&mut self, from: ReplicaId, events: &[DurableEvent]) -> io::Result<()> {
+        self.stores[from.0 as usize].persist(events)
+    }
+
+    fn dispatch(&mut self, from: ReplicaId, out: &mut Outbox<PbftMsg>, _now: u64) {
+        for (dest, msg) in out.msgs.drain(..) {
+            if let Endpoint::Replica(r) = dest {
+                self.queue.push_back((r.0 as usize, Endpoint::Replica(from), msg));
+            }
+        }
+    }
 }
 
 impl Net {
@@ -37,23 +61,14 @@ impl Net {
             payload: format!("SET k1.{seq} v{seq}").into_bytes(),
         });
         let from = Endpoint::Client(ClientId(1));
-        let mut queue: VecDeque<(usize, Endpoint, PbftMsg)> =
-            (0..N).map(|to| (to, from, PbftReplica::make_request(request.clone()))).collect();
+        let requests = (0..N).map(|to| (to, from, PbftReplica::make_request(request.clone())));
+        self.wire.queue.extend(requests);
         let mut out = Outbox::new();
-        let mut events = Vec::new();
-        while let Some((to, from, msg)) = queue.pop_front() {
+        while let Some((to, from, msg)) = self.wire.queue.pop_front() {
             self.now += 1;
-            out.clear();
-            self.nodes[to].on_input(Input::Message { from, msg }, self.now, &mut out);
-            self.nodes[to].drain_durable(&mut events);
-            self.stores[to].persist(&events).expect("persist");
-            events.clear();
-            let from = Endpoint::Replica(ReplicaId(to as u32));
-            for (dest, msg) in out.msgs.drain(..) {
-                if let Endpoint::Replica(r) = dest {
-                    queue.push_back((r.0 as usize, from, msg));
-                }
-            }
+            let input = Input::Message { from, msg };
+            step_node(&mut self.nodes[to], input, self.now, &mut out, &mut self.wire)
+                .expect("persist");
         }
     }
 
@@ -67,7 +82,7 @@ impl Net {
         let report = node.recover(state);
         node.enable_durability();
         self.nodes[id] = node;
-        self.stores[id] = store;
+        self.wire.stores[id] = store;
         (replayed, report.committed)
     }
 }
@@ -77,7 +92,7 @@ pub fn cluster(root: &Path) -> Net {
     let mut nodes = fresh_nodes();
     nodes.iter_mut().for_each(|n| n.enable_durability());
     let stores = (0..N).map(|i| DataDir::open(dir_of(root, i)).expect("open").0).collect();
-    Net { nodes, stores, now: 0 }
+    Net { nodes, wire: Fifo { stores, queue: VecDeque::new() }, now: 0 }
 }
 
 pub fn dir_of(root: &Path, i: usize) -> PathBuf {

@@ -9,9 +9,10 @@
 //!   mpsc channel — the node loop's single ingress;
 //! * the **node loop** (the caller's thread) owns the protocol node and
 //!   a [`TcpPlane`], popping due timers and delivering network events
-//!   through `step_durable` — the simulator's clear/deliver/dispatch
-//!   choreography (see [`step_node`](rsoc_bft::plane::step_node)) with a
-//!   persistence step spliced between deliver and dispatch;
+//!   through [`step_node`], the step the simulator takes too. With a
+//!   data directory the plane's
+//!   [`persist`](rsoc_bft::plane::Transport::persist) writes each step's
+//!   durable events before its outbox is dispatched;
 //! * a [`PeerPool`] writer thread per peer owns outbound delivery with
 //!   reconnect and backoff; client-facing writers are spawned per
 //!   client connection.
@@ -31,7 +32,7 @@ use crate::wire::{decode_envelope, encode_envelope, Envelope};
 use rsoc_bft::api::{Endpoint, Input, Outbox, ReplicaId, ReplicaNode};
 use rsoc_bft::codec::Wire;
 use rsoc_bft::durable::DurableEvent;
-use rsoc_bft::plane::{Clock, Transport};
+use rsoc_bft::plane::{step_node, Clock, Transport};
 use rsoc_store::DataDir;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -61,10 +62,12 @@ enum NetEvent<M> {
 }
 
 /// The real-transport implementation of the sans-io [`Transport`]
-/// boundary: peers over the [`PeerPool`], clients over their registered
+/// boundary: durable events into the replica's [`DataDir`] (when it has
+/// one), peers over the [`PeerPool`], clients over their registered
 /// connection writers, timers in a local heap the serve loop pops.
 pub struct TcpPlane<M> {
     me: ReplicaId,
+    store: Option<DataDir>,
     pool: PeerPool,
     clients: HashMap<u32, SyncSender<Vec<u8>>>,
     timers: BinaryHeap<Reverse<(u64, u32, u64)>>,
@@ -72,10 +75,12 @@ pub struct TcpPlane<M> {
 }
 
 impl<M: Wire> TcpPlane<M> {
-    /// Builds the plane over an already-connected pool.
-    pub fn new(me: ReplicaId, pool: PeerPool) -> Self {
+    /// Builds the plane over an already-connected pool, persisting into
+    /// `store` when there is one.
+    pub fn new(me: ReplicaId, pool: PeerPool, store: Option<DataDir>) -> Self {
         TcpPlane {
             me,
+            store,
             pool,
             clients: HashMap::new(),
             timers: BinaryHeap::new(),
@@ -108,6 +113,13 @@ impl<M: Wire> TcpPlane<M> {
 }
 
 impl<M: Wire> Transport<M> for TcpPlane<M> {
+    fn persist(&mut self, _from: ReplicaId, events: &[DurableEvent]) -> io::Result<()> {
+        match self.store.as_mut() {
+            Some(store) => store.persist(events),
+            None => Ok(()),
+        }
+    }
+
     fn dispatch(&mut self, from: ReplicaId, out: &mut Outbox<M>, now: u64) {
         for (to, msg) in out.msgs.drain(..) {
             let body = encode_envelope(&Envelope::Msg { from: Endpoint::Replica(from), msg });
@@ -142,38 +154,6 @@ pub struct ServeReport {
     pub digest: [u8; 32],
 }
 
-/// One serve-loop step under the durability choreography: deliver the
-/// input, persist every event the core marked durable, *then* dispatch
-/// the outbox — no execution ack leaves the replica before the commit it
-/// acknowledges is on disk. With no store this is exactly
-/// [`step_node`](rsoc_bft::plane::step_node); a persist failure aborts
-/// the serve loop (fail-stop beats acking unpersisted state).
-fn step_durable<N>(
-    node: &mut N,
-    input: Input<N::Msg>,
-    now: u64,
-    out: &mut Outbox<N::Msg>,
-    plane: &mut TcpPlane<N::Msg>,
-    store: &mut Option<DataDir>,
-    events: &mut Vec<DurableEvent>,
-) -> io::Result<()>
-where
-    N: ReplicaNode,
-    N::Msg: Wire,
-{
-    out.clear();
-    node.on_input(input, now, out);
-    if let Some(store) = store.as_mut() {
-        events.clear();
-        node.drain_durable(events);
-        if !events.is_empty() {
-            store.persist(events)?;
-        }
-    }
-    plane.dispatch(node.id(), out, now);
-    Ok(())
-}
-
 /// Runs one protocol node against real TCP until a client sends
 /// [`Envelope::Shutdown`].
 ///
@@ -184,13 +164,15 @@ where
 ///
 /// With a `store`, the node runs durable: the caller has already
 /// replayed the store's [`RecoveredState`](rsoc_bft::durable) into the
-/// node, and every step persists before it dispatches.
+/// node, and every step persists before it dispatches. A failed persist
+/// ends the loop with its error (fail-stop beats acking unpersisted
+/// state).
 pub fn serve<N>(
     mut node: N,
     listener: TcpListener,
     mut peer_addrs: Vec<String>,
     clock: WallClock,
-    mut store: Option<DataDir>,
+    store: Option<DataDir>,
 ) -> io::Result<ServeReport>
 where
     N: ReplicaNode,
@@ -199,7 +181,6 @@ where
     if store.is_some() {
         node.enable_durability();
     }
-    let mut events: Vec<DurableEvent> = Vec::new();
     let me = node.id();
     // Never dial ourselves: inbound handles everything addressed to us,
     // and the protocols never self-send anyway.
@@ -208,7 +189,7 @@ where
     }
     let hello = encode_envelope::<N::Msg>(&Envelope::HelloReplica(me.0));
     let pool = PeerPool::connect(peer_addrs, hello);
-    let mut plane: TcpPlane<N::Msg> = TcpPlane::new(me, pool);
+    let mut plane: TcpPlane<N::Msg> = TcpPlane::new(me, pool, store);
 
     let (tx, rx) = channel::<NetEvent<N::Msg>>();
     spawn_acceptor::<N::Msg>(listener, tx);
@@ -218,15 +199,7 @@ where
         // Fire everything due before blocking again.
         let now = clock.now();
         while let Some((kind, token)) = plane.pop_due_timer(now) {
-            step_durable(
-                &mut node,
-                Input::Timer { kind, token },
-                clock.now(),
-                &mut out,
-                &mut plane,
-                &mut store,
-                &mut events,
-            )?;
+            step_node(&mut node, Input::Timer { kind, token }, clock.now(), &mut out, &mut plane)?;
         }
         let wait = match plane.next_timer() {
             Some(at) => clock.cycles_to_duration(at.saturating_sub(clock.now())).min(IDLE_WAIT),
@@ -234,14 +207,12 @@ where
         };
         match rx.recv_timeout(wait) {
             Ok(NetEvent::Deliver { from, msg }) => {
-                step_durable(
+                step_node(
                     &mut node,
                     Input::Message { from, msg },
                     clock.now(),
                     &mut out,
                     &mut plane,
-                    &mut store,
-                    &mut events,
                 )?;
             }
             Ok(NetEvent::RegisterClients { ids, tx }) => plane.register_clients(ids, tx),

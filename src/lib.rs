@@ -16,7 +16,7 @@
 //! | layer | crate |
 //! |---|---|
 //! | simulation kernel | [`sim`] |
-//! | gates, ECC, registers, vendor layers | [`hw`] |
+//! | gates, ECC, registers | [`hw`] |
 //! | crypto primitives | [`crypto`] |
 //! | trusted hybrids (USIG, TrInc, A2M) | [`hybrid`] |
 //! | network-on-chip | [`noc`] |
