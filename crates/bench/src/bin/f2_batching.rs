@@ -18,8 +18,7 @@
 //! recorded perf trajectory, and asserts the headline result: ≥2× ops/cycle
 //! at batch=8 vs batch=1 on the mesh workload, safety checker green
 //! throughout. The grid has no named scenarios, so `--scenario` and
-//! `--list` are refused; `--shard i/N` and `--stitch` work as in every
-//! campaign (see `rsoc_bench::campaign`).
+//! `--list` are refused (see `rsoc_bench::campaign`).
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
 use rsoc_bench::{f1, f3, mesh_latency, quick_trials};

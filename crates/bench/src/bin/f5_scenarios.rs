@@ -35,9 +35,9 @@
 //! record is virtual-time only, hence byte-identical for any `--jobs N`
 //! (checked in CI) and machine-independent. `--quick` sweeps the same
 //! matrix (the cells are already small); `--scenario NAME` filters to one
-//! scenario (CI uses it for per-scenario log groups), `--list` prints
-//! the scenario names, and `--shard i/N` / `--stitch` split the matrix
-//! across invocations (see `rsoc_bench::campaign`).
+//! scenario (CI uses it for per-scenario log groups) and writes no
+//! record, and `--list` prints the scenario names (see
+//! `rsoc_bench::campaign`).
 //!
 //! [`ScenarioOracle`]: rsoc_bft::adversary::ScenarioOracle
 

@@ -43,9 +43,9 @@
 //!
 //! Writes **`BENCH_6.json`** (self-validated by re-reading). Virtual-time
 //! only: byte-identical for any `--jobs N` (checked in CI) and
-//! machine-independent. `--scenario NAME` filters to one scenario,
-//! `--list` prints the names, and `--shard i/N` / `--stitch` split the
-//! matrix across invocations (see `rsoc_bench::campaign`).
+//! machine-independent. `--scenario NAME` filters to one scenario and
+//! writes no record, and `--list` prints the names (see
+//! `rsoc_bench::campaign`).
 //!
 //! [`ScenarioOracle`]: rsoc_bft::adversary::ScenarioOracle
 

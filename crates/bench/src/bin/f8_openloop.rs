@@ -30,13 +30,9 @@
 //!
 //! Writes **`BENCH_8.json`** (self-validated by re-reading: every row's
 //! histogram bucket counts must sum to its committed count). Virtual-time
-//! only: byte-identical for any `--jobs N`. `--shard i/N` computes only
-//! the cells with canonical index ≡ i (mod N) and writes
-//! `BENCH_8.shard{i}of{N}.jsonl`; `--stitch OUT IN...` re-assembles shard
-//! files into a document byte-identical to the unsharded `BENCH_8.json` —
-//! the multi-machine sweep contract CI's shard-stitch gate asserts.
-//! `--scenario NAME` runs one generator's cells (see
-//! `rsoc_bench::campaign`).
+//! only: byte-identical for any `--jobs N`. `--scenario NAME` runs one
+//! generator's cells, with the full grid's seeds, and writes no record
+//! (see `rsoc_bench::campaign`).
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
 use rsoc_bench::quick_trials;
@@ -235,8 +231,8 @@ impl Campaign for F8 {
     }
 
     /// A pure function of the cell's coordinates, never a shared
-    /// sequential stream — shards replay exactly the traces the whole
-    /// sweep does.
+    /// sequential stream — a `--scenario` subset replays exactly the
+    /// traces the whole sweep does.
     fn seed(at: Coord, _: usize) -> u64 {
         at.xor_seed(0xF8_0000)
     }

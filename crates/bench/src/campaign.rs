@@ -1,4 +1,4 @@
-//! One campaign path: grid → run → judge → record → stitch.
+//! One campaign path: grid → run → judge → record.
 //!
 //! A *campaign* is a grid of seeded cells — spec × protocol × batch —
 //! whose rows form a committed `BENCH_*.json` record. A campaign binary
@@ -10,14 +10,12 @@
 //!    not honour exits 2 before a cell runs or a file is written);
 //! 2. enumerate the grid in canonical order ([`grid`]): every cell keeps
 //!    the index and seed it has in the unfiltered grid, so a `--scenario`
-//!    subset or a `--shard` replays exactly the full grid's cells;
+//!    subset replays exactly the full grid's cells;
 //! 3. build each cell's cluster ([`Protocol::build`], the workspace's
 //!    only `match` that constructs clusters) and run it;
 //! 4. judge every row with the campaign's oracle and print the table;
-//! 5. write the record, a shard of it (`--shard i/N`), or the record
-//!    stitched from shards (`--stitch OUT SHARD...`). A whole run and a
-//!    stitch assemble the document through the same function, which is
-//!    what makes a stitched record byte-identical to a whole run's.
+//! 5. write the whole grid's record ([`record`]), re-read it and
+//!    [`verify`] what landed. A `--scenario` subset writes nothing.
 
 use std::fs;
 
@@ -27,7 +25,7 @@ use rsoc_bft::{ClusterJob, Protocol};
 use serde::Serialize;
 use serde_json::Value;
 
-use crate::{parse_shard, run_cells_sharded, usage_error, ExpOptions, Flags, Table};
+use crate::{run_cells, usage_error, ExpOptions, Table};
 
 /// Where a spec sits in the grid: its name and the protocols and batch
 /// sizes it crosses, each in grid order.
@@ -84,7 +82,7 @@ pub struct Cell<'a, S> {
 pub trait Campaign: Sync {
     /// Binary name, recorded as the record's `"experiment"`.
     const NAME: &'static str;
-    /// The record a whole run writes; shard files go next to it.
+    /// The record a whole run writes.
     const RECORD: &'static str;
     /// Whether the specs are scenarios `--scenario` and `--list` name.
     const NAMED: bool = true;
@@ -176,117 +174,46 @@ pub fn run_cell<K: Campaign>(campaign: &K, cell: &Cell<K::Spec>) -> K::Row {
 ///
 /// # Panics
 /// If a row fails its oracle (after the table is printed, before any
-/// file is written), a record fails [`verify`], or a stitch is refused.
+/// file is written) or the record fails [`verify`].
 pub fn main<K: Campaign>(campaign: K) {
-    let flags = Flags { shard: true, scenario: K::NAMED };
-    let o = ExpOptions::from_args_with(flags);
+    let o = ExpOptions::from_args_with(K::NAMED);
     let specs = campaign.specs();
-    if let Some(paths) = &o.stitch {
-        let shards: Vec<String> = paths[1..]
-            .iter()
-            .map(|p| fs::read_to_string(p).unwrap_or_else(|e| panic!("read shard {p}: {e}")))
-            .collect();
-        let doc = stitch(&campaign, &shards).unwrap_or_else(|e| panic!("stitch refused: {e}"));
-        return write_verified(&campaign, &paths[0], &doc);
-    }
     let names: Vec<&str> = specs.iter().map(|s| K::axes(s).name).collect();
     if o.list {
         return names.iter().for_each(|name| println!("{name}"));
     }
     if let Some(name) = o.scenario.as_deref().filter(|n| !names.contains(n)) {
-        usage_error(&format!("unknown scenario {name:?}; use --list"), flags);
+        usage_error(&format!("unknown scenario {name:?}; use --list"), K::NAMED);
     }
 
     let cells = grid::<K>(&specs, o.scenario.as_deref(), o.quick);
-    let rows = run_cells_sharded(&cells, o.jobs, o.shard, |c| run_cell(&campaign, c));
+    let rows = run_cells(&cells, o.jobs, |c| run_cell(&campaign, c));
     let mut table = Table::new(K::TITLE, &K::COLUMNS.iter().map(|c| c.0).collect::<Vec<_>>());
     let mut failures = Vec::new();
-    for (c, row) in &rows {
-        table.row(&K::COLUMNS.iter().map(|(_, cell)| cell(row)).collect::<Vec<_>>(), row);
-        failures.extend(campaign.check(&cells[*c], row).err());
+    for (cell, row) in cells.iter().zip(&rows) {
+        table.row(&K::COLUMNS.iter().map(|(_, column)| column(row)).collect::<Vec<_>>(), row);
+        failures.extend(campaign.check(cell, row).err());
     }
     table.print(o.json);
     assert!(failures.is_empty(), "{} cell(s) failed:\n  {}", failures.len(), failures.join("\n  "));
 
-    let texts: Vec<String> =
-        rows.iter().map(|(_, r)| serde_json::to_string(r).expect("serialize row")).collect();
-    match (o.shard, &o.scenario) {
-        // A subset is for one CI log group; only the whole grid records.
-        (_, Some(_)) => {}
-        (Some((i, n)), None) => {
-            let path = format!("{}.shard{i}of{n}.jsonl", K::RECORD.trim_end_matches(".json"));
-            fs::write(&path, shard_text(&campaign, o.quick, (i, n), &texts))
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("\nwrote {path} ({} of {} cells)", texts.len(), grid_size(&campaign));
-        }
-        (None, None) => write_verified(&campaign, K::RECORD, &record(&campaign, o.quick, &texts)),
+    // A subset is for one CI log group; only the whole grid records.
+    if o.scenario.is_none() {
+        write_verified(&campaign, K::RECORD, &record(&campaign, o.quick, &rows));
     }
     println!("\n{}", K::SHAPE);
 }
 
-/// The record's opening, everything before `,"rows"`.
-fn head<K: Campaign>(campaign: &K, quick: bool) -> String {
+/// The whole-run record from the grid's rows, in canonical order.
+pub fn record<K: Campaign>(campaign: &K, quick: bool, rows: &[K::Row]) -> String {
     let fields = campaign.header(quick, campaign.specs().len(), grid_size(campaign));
-    format!("{{\"experiment\":\"{}\",\"schema_version\":1,\"quick\":{quick}{fields}", K::NAME)
-}
-
-/// The one assembly of a record from its opening and row texts.
-fn assemble<K: Campaign>(campaign: &K, head: &str, rows: &[String]) -> Result<String, String> {
-    let rows = rows.join(",");
-    let parsed = serde_json::from_str(&format!("[{rows}]")).map_err(|_| "malformed row")?;
+    let texts: Vec<String> =
+        rows.iter().map(|r| serde_json::to_string(r).expect("serialize row")).collect();
+    let rows = texts.join(",");
+    let parsed: Value = serde_json::from_str(&format!("[{rows}]")).expect("serialized rows parse");
     let trailer = campaign.trailer(parsed.as_array().map_or(&[], Vec::as_slice));
-    Ok(format!("{head},\"rows\":[{rows}]{trailer}}}"))
-}
-
-/// The whole-run record from the grid's row texts, in canonical order.
-pub fn record<K: Campaign>(campaign: &K, quick: bool, rows: &[String]) -> String {
-    assemble(campaign, &head(campaign, quick), rows).expect("serialized rows parse")
-}
-
-/// A shard file: the record's opening tagged with the shard, then one
-/// row per line.
-pub fn shard_text<K: Campaign>(
-    campaign: &K,
-    quick: bool,
-    (i, n): (usize, usize),
-    rows: &[String],
-) -> String {
-    let lines: String = rows.iter().map(|row| format!("\n{row}")).collect();
-    format!("{},\"shard\":\"{i}/{n}\"}}{lines}", head(campaign, quick))
-}
-
-/// Re-assembles shard files, given in any order, into the whole-run
-/// record. Row `k` of shard `i/N` is cell `i + k·N`.
-///
-/// # Errors
-/// A file that is not a shard of this campaign, shards whose headers
-/// disagree, or shards that miss or repeat a cell.
-pub fn stitch<K: Campaign>(campaign: &K, shards: &[String]) -> Result<String, String> {
-    let mut opening: Option<&str> = None;
-    let mut rows: Vec<(usize, String)> = Vec::new();
-    for shard in shards {
-        let mut lines = shard.lines();
-        let first = lines.next().unwrap_or_default();
-        let (h, (i, n)) = first
-            .rsplit_once(",\"shard\":\"")
-            .and_then(|(h, tag)| Some((h, parse_shard(tag.strip_suffix("\"}")?)?)))
-            .ok_or_else(|| format!("no shard header: {first:?}"))?;
-        if [false, true].into_iter().all(|quick| head(campaign, quick) != h) {
-            return Err(format!("not a {} shard: {first}", K::NAME));
-        }
-        if *opening.get_or_insert(h) != h {
-            return Err("shard headers disagree".into());
-        }
-        // Saturating: a forged `i/N` fails the coverage check, not the sum.
-        let cell = |k: usize| i.saturating_add(k.saturating_mul(n));
-        rows.extend(lines.enumerate().map(|(k, line)| (cell(k), line.to_string())));
-    }
-    rows.sort_by_key(|&(cell, _)| cell);
-    if !rows.iter().map(|&(cell, _)| cell).eq(0..grid_size(campaign)) {
-        return Err("shards must cover every grid cell exactly once".into());
-    }
-    let texts: Vec<String> = rows.into_iter().map(|(_, text)| text).collect();
-    assemble(campaign, opening.ok_or("no shard files")?, &texts)
+    let head = format!("{{\"experiment\":\"{}\",\"schema_version\":1,\"quick\":{quick}", K::NAME);
+    format!("{head}{fields},\"rows\":[{rows}]{trailer}}}")
 }
 
 /// Checks a record: one row per grid cell, no row failed, broke safety
@@ -318,9 +245,8 @@ fn write_verified<K: Campaign>(campaign: &K, path: &str, doc: &str) {
 /// Histogram self-consistency: a row carrying a sparse latency histogram
 /// (`hist_bucket_indices` / `hist_bucket_counts`) must account for every
 /// committed op — ragged arrays or a count-sum ≠ `committed` means the
-/// record was produced by a broken merge (e.g. a bad shard stitch) and
-/// cannot be trusted as a baseline or a current run. Rows without
-/// histogram fields are skipped.
+/// record was produced by a broken merge and cannot be trusted as a
+/// baseline or a current run. Rows without histogram fields are skipped.
 pub fn hist_inconsistency(row: &Value) -> Option<String> {
     let counts = row["hist_bucket_counts"].as_array()?;
     let (indices, buckets) =

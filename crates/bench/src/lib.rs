@@ -25,9 +25,8 @@
 //! JSON object per row. `--quick` cuts trial counts for smoke runs. The
 //! `f*` campaigns above share one [`campaign`] module, which also writes
 //! the committed `BENCH_*.json` records the README's results sections
-//! quote, shards them (`--shard i/N`) and stitches shards back together
-//! (`--stitch`). `transport_smoke` and `f7_chaos` drive real `rsoc-serve`
-//! / `rsoc-client` processes through one [`tcp_cluster`] harness.
+//! quote. `transport_smoke` and `f7_chaos` drive real `rsoc-serve` /
+//! `rsoc-client` processes through one [`tcp_cluster`] harness.
 
 use rsoc_bft::runner::LatencyModel;
 use serde::Serialize;
@@ -36,12 +35,13 @@ pub mod campaign;
 pub mod parallel;
 pub mod tcp_cluster;
 pub use campaign::{hist_inconsistency, Campaign};
-pub use parallel::{default_jobs, run_cells, run_cells_sharded};
+pub use parallel::{default_jobs, run_cells};
 
-/// The command line of every experiment binary: one parser, seven
-/// options. A binary names the [`Flags`] it honours beyond `--json`,
-/// `--quick` and `--jobs N`; anything else is refused (exit 2) before a
-/// cell runs or a file is written.
+/// The command line of every experiment binary: one parser, five
+/// options. `--json`, `--quick` and `--jobs N` are always honoured;
+/// `--scenario NAME` and `--list` only by a binary with named scenarios.
+/// Anything else is refused (exit 2) before a cell runs or a file is
+/// written.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpOptions {
     /// Emit one JSON object per row after the table.
@@ -53,60 +53,40 @@ pub struct ExpOptions {
     /// merged in canonical cell order, so output is identical for any
     /// value.
     pub jobs: usize,
-    /// Cell partition for multi-machine sweeps (`--shard i/N`): this
-    /// invocation computes only cells whose canonical index is `i mod N`.
-    /// Each cell is a pure function of its parameters, so concatenating
-    /// the shards' records in canonical index order reproduces the
-    /// unsharded sweep byte-identically. `None` = the whole grid.
-    pub shard: Option<(usize, usize)>,
-    /// `--stitch OUT SHARD...`: the output path, then the shard files to
-    /// re-assemble into it instead of running anything.
-    pub stitch: Option<Vec<String>>,
     /// `--scenario NAME`: run only the named spec's cells.
     pub scenario: Option<String>,
     /// `--list`: print the spec names and exit.
     pub list: bool,
 }
 
-/// The flags a binary honours beyond `--json`, `--quick` and `--jobs N`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Flags {
-    /// `--shard i/N` and `--stitch OUT SHARD...`.
-    pub shard: bool,
-    /// `--scenario NAME` and `--list`.
-    pub scenario: bool,
-}
-
 impl ExpOptions {
     /// Parses `std::env::args` for a binary honouring only `--json`,
     /// `--quick` and `--jobs N`; see [`from_args_with`](Self::from_args_with).
     pub fn from_args() -> Self {
-        Self::from_args_with(Flags::default())
+        Self::from_args_with(false)
     }
 
-    /// Parses `std::env::args`, or prints the error and a usage line and
+    /// Parses `std::env::args` (`scenario`: whether `--scenario` and
+    /// `--list` are honoured), or prints the error and a usage line and
     /// exits with status 2.
-    pub fn from_args_with(flags: Flags) -> Self {
+    pub fn from_args_with(scenario: bool) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args, flags).unwrap_or_else(|e| usage_error(&e, flags))
+        Self::parse(&args, scenario).unwrap_or_else(|e| usage_error(&e, scenario))
     }
 
     /// Parses an argument vector (without the program name).
     ///
     /// # Errors
-    /// An unknown flag, a missing or malformed value, a flag outside
-    /// `flags`, `--shard` with `--scenario`, or `--stitch` anywhere but
-    /// first (it takes the rest of the line).
-    pub fn parse<S: AsRef<str>>(args: &[S], flags: Flags) -> Result<Self, String> {
+    /// An unknown flag, a missing or malformed value, or `--scenario` /
+    /// `--list` when `scenario` is false.
+    pub fn parse<S: AsRef<str>>(args: &[S], scenario: bool) -> Result<Self, String> {
         let mut o = ExpOptions { jobs: default_jobs(), ..ExpOptions::default() };
-        let mut args = args.iter().map(AsRef::as_ref).enumerate();
-        while let Some((at, a)) = args.next() {
-            let honoured = (flags.shard || !matches!(a, "--shard" | "--stitch"))
-                && (flags.scenario || !matches!(a, "--scenario" | "--list"));
-            if !honoured {
+        let mut args = args.iter().map(AsRef::as_ref);
+        while let Some(a) = args.next() {
+            if !scenario && matches!(a, "--scenario" | "--list") {
                 return Err(format!("{a} is not supported by this binary"));
             }
-            let mut value = || args.next().map(|(_, v)| v).ok_or(format!("{a} needs a value"));
+            let mut value = || args.next().ok_or(format!("{a} needs a value"));
             match a {
                 "--json" => o.json = true,
                 "--quick" => o.quick = true,
@@ -116,24 +96,9 @@ impl ExpOptions {
                     let bad = format!("--jobs needs a positive integer, got {v:?}");
                     o.jobs = v.parse::<usize>().map_err(|_| bad)?.max(1);
                 }
-                "--shard" => {
-                    let v = value()?;
-                    let bad = format!("--shard needs i/N with 0 <= i < N, got {v:?}");
-                    o.shard = Some(parse_shard(v).ok_or(bad)?);
-                }
                 "--scenario" => o.scenario = Some(value()?.to_string()),
-                "--stitch" => {
-                    let rest: Vec<String> = args.by_ref().map(|(_, v)| v.to_string()).collect();
-                    if at > 0 || rest.len() < 2 {
-                        return Err("--stitch OUT SHARD... takes the whole command line".into());
-                    }
-                    o.stitch = Some(rest);
-                }
                 other => return Err(format!("unknown argument: {other}")),
             }
-        }
-        if o.shard.is_some() && o.scenario.is_some() {
-            return Err("--shard splits the whole grid; it does not combine with --scenario".into());
         }
         Ok(o)
     }
@@ -154,20 +119,12 @@ pub fn quick_trials(full: u64, quick: bool) -> u64 {
 }
 
 /// Reports a command-line error with the binary's usage line and exits 2.
-pub fn usage_error(msg: &str, flags: Flags) -> ! {
+pub fn usage_error(msg: &str, scenario: bool) -> ! {
     let bin = std::env::args().next().unwrap_or_default();
     let bin = std::path::Path::new(&bin).file_name().unwrap_or_default().to_string_lossy();
-    let scenario = if flags.scenario { " [--scenario NAME | --list]" } else { "" };
-    let shard = if flags.shard { " [--shard i/N]\n       or: --stitch OUT SHARD..." } else { "" };
-    eprintln!("error: {msg}\nusage: {bin} [--json] [--quick] [--jobs N]{scenario}{shard}");
+    let scenario = if scenario { " [--scenario NAME | --list]" } else { "" };
+    eprintln!("error: {msg}\nusage: {bin} [--json] [--quick] [--jobs N]{scenario}");
     std::process::exit(2);
-}
-
-/// Parses a `i/N` shard designator (`0 <= i < N`, `N >= 1`).
-pub fn parse_shard(v: &str) -> Option<(usize, usize)> {
-    let (i, n) = v.split_once('/')?;
-    let (i, n) = (i.parse::<usize>().ok()?, n.parse::<usize>().ok()?);
-    (n >= 1 && i < n).then_some((i, n))
 }
 
 /// A table printer that also serializes rows as JSON.

@@ -13,10 +13,11 @@
 //!
 //! Scheduling is a shared atomic cursor (work stealing by index): threads
 //! claim the next unstarted cell, so a grid of unequal cell costs load-
-//! balances without any cost model. Within one process the worker count
-//! changes *which thread* computes a cell but never *what* it computes —
-//! cells must not share mutable state (the binaries derive per-cell RNG
-//! streams from per-cell seeds, never a shared sequential generator).
+//! balances without any cost model. The worker count changes *which
+//! thread* computes a cell but never *what* it computes — cells must not
+//! share mutable state (the binaries derive per-cell RNG streams from
+//! per-cell seeds, never a shared sequential generator). A whole campaign
+//! runs in one process: its longest cell, not the grid, bounds its time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -57,33 +58,6 @@ where
                 .unwrap_or_else(|| panic!("cell {i} produced no result (worker panicked?)"))
         })
         .collect()
-}
-
-/// Runs the shard `(i, n)` slice of `cells` — those with canonical index
-/// `≡ i (mod n)` — on `jobs` threads, returning `(canonical_index,
-/// result)` pairs in ascending index order. `shard == None` covers the
-/// whole grid (then the indices are simply `0..cells.len()`).
-///
-/// Because every cell is a pure function of its parameters, running each
-/// shard in a separate process and concatenating the pairs sorted by
-/// canonical index reproduces [`run_cells`]'s output byte-identically —
-/// that is the multi-machine sweep contract CI's shard-stitch gate
-/// asserts.
-pub fn run_cells_sharded<T, R, F>(
-    cells: &[T],
-    jobs: usize,
-    shard: Option<(usize, usize)>,
-    work: F,
-) -> Vec<(usize, R)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (i, n) = shard.unwrap_or((0, 1));
-    let mine: Vec<usize> = (0..cells.len()).filter(|c| c % n == i).collect();
-    let results = run_cells(&mine, jobs, |&c| work(&cells[c]));
-    mine.into_iter().zip(results).collect()
 }
 
 /// The default worker count: the machine's available parallelism (1 when
@@ -127,20 +101,5 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn shards_partition_and_stitch_to_the_whole_grid() {
-        let cells: Vec<u64> = (0..23).collect();
-        let whole: Vec<(usize, u64)> =
-            run_cells_sharded(&cells, 2, None, |c| c * 7).into_iter().collect();
-        assert_eq!(whole.len(), 23);
-        for n in [1usize, 2, 3, 5] {
-            let mut stitched: Vec<(usize, u64)> = (0..n)
-                .flat_map(|i| run_cells_sharded(&cells, 2, Some((i, n)), |c| c * 7))
-                .collect();
-            stitched.sort_by_key(|&(i, _)| i);
-            assert_eq!(stitched, whole, "{n} shards must stitch to the whole sweep");
-        }
     }
 }

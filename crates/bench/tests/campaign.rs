@@ -1,9 +1,8 @@
 //! The campaign module's contracts, over a small campaign of real
 //! clusters and over the shared argument parser:
 //!
-//! - shard files stitched in any order reproduce the whole-run record
-//!   byte for byte, and a missing cell, a repeated cell or shards whose
-//!   headers disagree are refused;
+//! - the whole-run record keeps its layout and verifies, and a record
+//!   that lost a cell is refused;
 //! - a `--scenario` subset runs its cells with the full grid's seeds;
 //! - a flag a binary does not honour exits 2 before anything is written
 //!   or spawned.
@@ -11,7 +10,7 @@
 use std::process::Command;
 
 use rsoc_bench::campaign::{self, Axes, Campaign, Cell, Column, Coord};
-use rsoc_bench::{ExpOptions, Flags};
+use rsoc_bench::ExpOptions;
 use rsoc_bft::api::{Cluster, ClusterStats};
 use rsoc_bft::runner::{run, RunConfig};
 use rsoc_bft::Protocol;
@@ -93,74 +92,27 @@ impl Campaign for Toy {
     }
 }
 
-fn rows(quick: bool) -> Vec<String> {
+fn rows() -> Vec<ToyRow> {
     let specs = Toy.specs();
-    campaign::grid::<Toy>(&specs, None, quick)
+    campaign::grid::<Toy>(&specs, None, false)
         .iter()
-        .map(|cell| serde_json::to_string(&campaign::run_cell(&Toy, cell)).expect("row"))
-        .collect()
-}
-
-fn shards(rows: &[String], n: usize, quick: bool) -> Vec<String> {
-    (0..n)
-        .map(|i| {
-            let mine: Vec<String> = rows.iter().skip(i).step_by(n).cloned().collect();
-            campaign::shard_text(&Toy, quick, (i, n), &mine)
-        })
+        .map(|cell| campaign::run_cell(&Toy, cell))
         .collect()
 }
 
 #[test]
-fn stitched_shards_reproduce_the_whole_record_in_any_order() {
-    let rows = rows(false);
-    let whole = campaign::record(&Toy, false, &rows);
+fn the_whole_record_keeps_its_layout_and_verifies() {
+    let whole = campaign::record(&Toy, false, &rows());
     assert!(whole.starts_with(
         r#"{"experiment":"toy","schema_version":1,"quick":false,"specs":2,"grid_cells":10,"rows":[{"spec":"all","protocol":"pbft","batch_size":1,"seed":7340032,"#
     ));
     assert!(whole.ends_with(r#""safety_ok":true}],"committed":60}"#), "{whole}");
     campaign::verify(&Toy, &whole).expect("whole record verifies");
-    for n in 1..=4 {
-        let mut parts = shards(&rows, n, false);
-        for _ in 0..n {
-            assert_eq!(campaign::stitch(&Toy, &parts).as_ref(), Ok(&whole), "{n} shards");
-            parts.rotate_left(1);
-        }
-        parts.reverse();
-        assert_eq!(campaign::stitch(&Toy, &parts).as_ref(), Ok(&whole), "{n} shards reversed");
-    }
-}
-
-#[test]
-fn stitch_refuses_a_missing_or_repeated_cell_and_disagreeing_headers() {
-    let rows = rows(false);
-    let parts = shards(&rows, 3, false);
-    let cover = "shards must cover every grid cell exactly once";
-    assert_eq!(campaign::stitch(&Toy, &parts[..2]), Err(cover.into()));
-    let short = parts[0].rsplit_once('\n').expect("a row line").0.to_string();
-    assert_eq!(
-        campaign::stitch(&Toy, &[short, parts[1].clone(), parts[2].clone()]),
-        Err(cover.into())
-    );
-    let repeated = [parts.clone(), vec![parts[1].clone()]].concat();
-    assert_eq!(campaign::stitch(&Toy, &repeated), Err(cover.into()));
-
-    let quick = shards(&rows, 3, true);
-    let mixed = [parts[0].clone(), quick[1].clone(), parts[2].clone()];
-    assert_eq!(campaign::stitch(&Toy, &mixed), Err("shard headers disagree".into()));
-    let whole = campaign::record(&Toy, false, &rows);
-    assert!(campaign::stitch(&Toy, &[whole]).is_err(), "a whole record is not a shard");
-    let forged_tag = format!("\"1/{}\"", usize::MAX);
-    let forged = parts[0].lines().next().expect("header").replace("\"0/3\"", &forged_tag);
-    let forged = format!("{forged}\n{}\n{}", rows[0], rows[1]);
-    assert_eq!(campaign::stitch(&Toy, &[forged]), Err(cover.into()), "index overflow");
-    let foreign = parts[0].replacen("\"toy\"", "\"f5_scenarios\"", 1);
-    assert!(campaign::stitch(&Toy, &[foreign]).unwrap_err().starts_with("not a toy shard"));
 }
 
 #[test]
 fn verify_refuses_a_record_that_lost_a_cell() {
-    let rows = rows(false);
-    let short = campaign::record(&Toy, false, &rows[1..]);
+    let short = campaign::record(&Toy, false, &rows()[1..]);
     assert_eq!(campaign::verify(&Toy, &short), Err("9 rows for a 10-cell grid".into()));
 }
 
@@ -178,48 +130,42 @@ fn a_scenario_subset_runs_the_full_grids_cells() {
     assert_eq!(subset[3].seed, 0x70_1101);
 }
 
-const ALL: Flags = Flags { shard: true, scenario: true };
-const NONE: Flags = Flags { shard: false, scenario: false };
+/// The `scenario` argument of [`ExpOptions::parse`]: whether `--scenario`
+/// and `--list` are honoured.
+const NAMED: bool = true;
+const UNNAMED: bool = false;
 
 #[test]
 fn parser_accepts_every_documented_invocation() {
-    let o = ExpOptions::parse(&["--quick", "--jobs", "4", "--json"], NONE).expect("base flags");
+    let o = ExpOptions::parse(&["--quick", "--jobs", "4", "--json"], UNNAMED).expect("base flags");
     assert!(o.quick && o.json && o.jobs == 4);
-    assert_eq!(ExpOptions::parse(&["--jobs", "0"], NONE).map(|o| o.jobs), Ok(1));
-    let o = ExpOptions::parse(&["--quick", "--shard", "1/2"], ALL).expect("shard");
-    assert_eq!(o.shard, Some((1, 2)));
-    let o = ExpOptions::parse(&["--quick", "--jobs", "2", "--scenario", "drop_storm"], ALL);
+    assert_eq!(ExpOptions::parse(&["--jobs", "0"], UNNAMED).map(|o| o.jobs), Ok(1));
+    let o = ExpOptions::parse(&["--quick", "--jobs", "2", "--scenario", "drop_storm"], NAMED);
     assert_eq!(o.expect("scenario").scenario.as_deref(), Some("drop_storm"));
-    assert!(ExpOptions::parse(&["--list"], ALL).expect("list").list);
-    let o = ExpOptions::parse(&["--stitch", "out.json", "a.jsonl", "b.jsonl"], ALL);
-    assert_eq!(
-        o.expect("stitch").stitch,
-        Some(vec!["out.json".into(), "a.jsonl".into(), "b.jsonl".into()])
-    );
-    let o = ExpOptions::parse::<&str>(&[], NONE).expect("no flags");
+    assert!(ExpOptions::parse(&["--list"], NAMED).expect("list").list);
+    let o = ExpOptions::parse::<&str>(&[], UNNAMED).expect("no flags");
     assert_eq!(o, ExpOptions { jobs: rsoc_bench::default_jobs(), ..ExpOptions::default() });
 }
 
 #[test]
 fn parser_refuses_what_the_binary_cannot_honour() {
-    let shard_only = Flags { shard: true, scenario: false };
-    let refused: &[(&[&str], Flags, &str)] = &[
-        (&["--quick", "--scenaro", "drop_storm"], ALL, "unknown argument: --scenaro"),
-        (&["--bogus"], NONE, "unknown argument: --bogus"),
-        (&["--scenario"], ALL, "--scenario needs a value"),
-        (&["--jobs"], NONE, "--jobs needs a value"),
-        (&["--jobs", "four"], NONE, "--jobs needs a positive integer"),
-        (&["--shard", "2/2"], ALL, "--shard needs i/N"),
-        (&["--shard", "0/2"], NONE, "--shard is not supported"),
-        (&["--stitch", "out", "a"], NONE, "--stitch is not supported"),
-        (&["--scenario", "mesh"], shard_only, "--scenario is not supported"),
-        (&["--list"], shard_only, "--list is not supported"),
-        (&["--shard", "0/2", "--scenario", "x"], ALL, "does not combine with --scenario"),
-        (&["--quick", "--stitch", "out", "a"], ALL, "takes the whole command line"),
-        (&["--stitch", "out"], ALL, "takes the whole command line"),
+    let refused: &[(&[&str], bool, &str)] = &[
+        (&["--quick", "--scenaro", "drop_storm"], NAMED, "unknown argument: --scenaro"),
+        (&["--bogus"], UNNAMED, "unknown argument: --bogus"),
+        (&["--scenario"], NAMED, "--scenario needs a value"),
+        (&["--jobs"], UNNAMED, "--jobs needs a value"),
+        (&["--jobs", "four"], UNNAMED, "--jobs needs a positive integer"),
+        (&["--shard", "2/2"], NAMED, "unknown argument: --shard"),
+        (&["--shard", "0/2"], UNNAMED, "unknown argument: --shard"),
+        (&["--stitch", "out", "a"], UNNAMED, "unknown argument: --stitch"),
+        (&["--scenario", "mesh"], UNNAMED, "--scenario is not supported"),
+        (&["--list"], UNNAMED, "--list is not supported"),
+        (&["--shard", "0/2", "--scenario", "x"], NAMED, "unknown argument: --shard"),
+        (&["--quick", "--stitch", "out", "a"], NAMED, "unknown argument: --stitch"),
+        (&["--stitch", "out"], NAMED, "unknown argument: --stitch"),
     ];
-    for &(args, flags, why) in refused {
-        let err = ExpOptions::parse(args, flags).expect_err(&format!("{args:?} accepted"));
+    for &(args, named, why) in refused {
+        let err = ExpOptions::parse(args, named).expect_err(&format!("{args:?} accepted"));
         assert!(err.contains(why), "{args:?}: {err}");
     }
 }
@@ -231,6 +177,8 @@ fn refused_flags_exit_2_before_anything_is_written() {
     let cases: &[(&str, &[&str])] = &[
         (env!("CARGO_BIN_EXE_f5_scenarios"), &["--scenaro", "x"]),
         (env!("CARGO_BIN_EXE_f5_scenarios"), &["--quick", "--scenario", "no_such_scenario"]),
+        (env!("CARGO_BIN_EXE_f5_scenarios"), &["--shard", "0/2"]),
+        (env!("CARGO_BIN_EXE_f8_openloop"), &["--stitch", "out", "a"]),
         (env!("CARGO_BIN_EXE_f6_recovery"), &["--scenario"]),
         (env!("CARGO_BIN_EXE_f2_batching"), &["--list"]),
         (env!("CARGO_BIN_EXE_f7_chaos"), &["--clients", "abc"]),

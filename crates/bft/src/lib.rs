@@ -115,6 +115,8 @@ pub mod broadcast;
 mod chassis;
 pub mod checkpoint;
 pub mod codec;
+#[cfg(test)]
+mod cycle;
 pub mod dense;
 pub mod durable;
 pub mod harness;

@@ -84,7 +84,8 @@ fn passive_open_loop_commits_all_arrivals() {
 
 /// The whole report — counts, distinct users, and the histogram's sparse
 /// serialization — must replay bit-identically from the seed. This is
-/// the property the sharded sweep's byte-compare gate rests on.
+/// the property the campaigns' `--jobs 1` vs `--jobs N` byte-compare
+/// rests on.
 #[test]
 fn open_loop_replays_bit_identically() {
     let cfg = config(29);

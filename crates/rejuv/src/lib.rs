@@ -31,9 +31,7 @@
 //! ```
 
 pub mod apt;
-pub mod cycle;
 
 pub use apt::{
     analytic_mttf_no_rejuvenation, mean_time_to_failure, simulate, AptConfig, Policy, RejuvReport,
 };
-pub use cycle::{rejuvenation_cycle, CycleConfig, CycleReport};

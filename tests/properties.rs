@@ -16,6 +16,7 @@ use manycore_resilience::hw::{EccRegister, LoadOutcome, RegisterCell};
 use manycore_resilience::hybrid::{A2m, KeyRing, TrInc, UiWindow, Usig, UsigId};
 use manycore_resilience::noc::network::{Network, NetworkConfig};
 use manycore_resilience::noc::{Mesh2d, NodeId, Routing};
+use manycore_resilience::sim::LogHistogram;
 use proptest::prelude::*;
 
 proptest! {
@@ -848,5 +849,43 @@ proptest! {
         );
         prop_assert_eq!(cluster.nodes()[1].committed_log().len(), log_before);
         prop_assert_eq!(cluster.nodes()[1].state_digest(), digest_before);
+    }
+}
+
+// ---------------- latency histogram merges ----------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Merging per-part histograms in any partition order equals the
+    /// histogram of all samples recorded in one place — sparse encoding
+    /// included.
+    #[test]
+    fn histogram_merge_is_partition_invariant(
+        samples in proptest::collection::vec(any::<u64>(), 1..400),
+        cuts in proptest::collection::vec(any::<u64>(), 0..6),
+    ) {
+        let mut whole = LogHistogram::new();
+        for &s in &samples {
+            whole.record(s);
+        }
+        // Partition the sample stream at the (sorted, deduped) cut points.
+        let mut bounds: Vec<usize> =
+            cuts.iter().map(|c| (*c % samples.len() as u64) as usize).collect();
+        bounds.push(0);
+        bounds.push(samples.len());
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut merged = LogHistogram::new();
+        for w in bounds.windows(2) {
+            let mut part = LogHistogram::new();
+            for &s in &samples[w[0]..w[1]] {
+                part.record(s);
+            }
+            merged.merge(&part);
+        }
+        prop_assert_eq!(merged.count(), whole.count());
+        prop_assert_eq!(merged.to_sparse(), whole.to_sparse());
+        prop_assert_eq!(merged.quantile(0.999), whole.quantile(0.999));
     }
 }
