@@ -69,7 +69,8 @@ pub enum AdaptPolicy {
     Adaptive(AdaptiveController),
 }
 
-/// Outcome of replaying a threat trace under a policy (experiment E7).
+/// Outcome of replaying a threat trace under a policy (the §II-D claim;
+/// `tests::adaptive_gets_both` pins it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptReport {
     /// Total trace duration.
@@ -104,8 +105,9 @@ impl AdaptReport {
 
 /// A threat trace segment: for `duration` cycles, an attacker capable of
 /// Byzantine-compromising `byz_faults` replicas is active, and the detector
-/// reports `detected` (the detector may lag or misjudge; E7 feeds it
-/// realistic lag).
+/// reports `detected` (the detector may lag or misjudge;
+/// `tests::adaptive_with_lagging_detector_pays_in_protection` feeds it a
+/// blind one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSegment {
     /// Segment length in cycles.

@@ -16,7 +16,8 @@
 //! * [`AdaptiveController`] + [`simulate_adaptation`] — maps threat level
 //!   to a deployment (an [`rsoc_bft::Protocol`] + f), and replays a ground-truth threat
 //!   trace to compare static vs adaptive configurations on
-//!   *under-protection time* and *resource cost* (experiment E7).
+//!   *under-protection time* and *resource cost* (§II-D; pinned by
+//!   `controller::tests::adaptive_gets_both` and its neighbours).
 //!
 //! ## Example
 //!

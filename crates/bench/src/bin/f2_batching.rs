@@ -6,8 +6,8 @@
 //! multiplicative throughput on a bandwidth-limited NoC at a bounded
 //! latency cost.
 //!
-//! Sweep: batch size × protocol (PBFT / MinBFT) × latency model (the E3
-//! mesh-hop workload and a uniform-latency interconnect), with the
+//! Sweep: batch size × protocol (PBFT / MinBFT) × latency model (the
+//! `mesh_latency` mesh-hop placement and a uniform-latency interconnect), with the
 //! egress-serialization cost (`link_occupancy`) charging the per-message
 //! fixed cost that batching amortizes. Metrics: committed ops per kcycle,
 //! MAC operations per op (MinBFT USIG create+verify), protocol messages
@@ -95,7 +95,7 @@ impl Campaign for F2 {
     ];
     const SHAPE: &'static str = "Expected shape: ops/cycle rises steeply with batch size while\n\
          MACs/op and msg/op fall ~1/B; p50 latency pays a bounded batching\n\
-         tax at low load. The mesh rows are the E3 workload's placement\n\
+         tax at low load. The mesh rows are the 8x8 mesh-hop placement\n\
          under egress serialization - the recorded perf baseline.";
     type Spec = Spec;
     type Row = Row;

@@ -1,30 +1,23 @@
-//! # rsoc-bench — experiment harness
+//! # rsoc-bench — campaign harness
 //!
-//! One binary per experiment (the README's *Experiments* section is the
-//! index):
+//! The paper's claims are held by tier-1 tests (the README's *Claims*
+//! table names each one); this crate holds what writes a record or
+//! drives a real plane:
 //!
-//! | binary | paper claim |
+//! | binary | what it does |
 //! |---|---|
-//! | `e1_gate_redundancy` | gate-level redundancy trades area for masking (§I) |
-//! | `e2_hybrid_ecc` | plain vs parity vs SEC-DED USIG counters (§III) |
-//! | `e3_bft_cost` | MinBFT 2f+1 vs PBFT 3f+1 cost (§II-A, §III) |
-//! | `e4_passive_active` | passive failover gap vs active masking (§II-A) |
-//! | `e5_diversity` | diversity vs common-mode compromise (§II-B) |
-//! | `e6_rejuvenation` | rejuvenation policies vs APT (§II-C) |
-//! | `e7_adaptation` | static vs adaptive deployments (§II-D) |
-//! | `e8_reconfig` | voted vs direct privilege change (§II-E) |
-//! | `e9_fpga_relocation` | relocation vs grid backdoors (§II-C/E) |
-//! | `e10_noc_faults` | routing policies vs link faults (§I) |
-//! | `f1_layered_stack` | full-stack ablation (Fig. 1) |
 //! | `f2_batching` | batched consensus + amortized authentication (writes `BENCH_2.json`) |
 //! | `f5_scenarios` | adversarial scenario campaign, oracle-judged (writes `BENCH_5.json`) |
 //! | `f6_recovery` | checkpoints, state transfer and rejuvenation re-join (writes `BENCH_6.json`) |
 //! | `f8_openloop` | open-loop arrivals, skewed populations, latency tails (writes `BENCH_8.json`) |
+//! | `transport_smoke` | PBFT and MinBFT over real TCP processes, digest-gated |
+//! | `f7_chaos` | crash-restart chaos over real TCP processes, digest-gated |
+//! | `check_regression` | CI perf gate over a committed `BENCH_*.json` baseline |
 //!
-//! Every binary prints an aligned table to stdout and, with `--json`, one
-//! JSON object per row. `--quick` cuts trial counts for smoke runs. The
-//! `f*` campaigns above share one [`campaign`] module, which also writes
-//! the committed `BENCH_*.json` records the README's results sections
+//! The `f*` campaigns share one [`campaign`] module: each prints an
+//! aligned table to stdout (with `--json`, one JSON object per row),
+//! `--quick` cuts the workload for smoke runs, and a whole run writes
+//! the committed `BENCH_*.json` record the README's results sections
 //! quote. `transport_smoke` and `f7_chaos` drive real `rsoc-serve` /
 //! `rsoc-client` processes through one [`tcp_cluster`] harness.
 
@@ -37,7 +30,7 @@ pub mod tcp_cluster;
 pub use campaign::{hist_inconsistency, Campaign};
 pub use parallel::{default_jobs, run_cells};
 
-/// The command line of every experiment binary: one parser, five
+/// The command line of every campaign binary: one parser, five
 /// options. `--json`, `--quick` and `--jobs N` are always honoured;
 /// `--scenario NAME` and `--list` only by a binary with named scenarios.
 /// Anything else is refused (exit 2) before a cell runs or a file is
@@ -60,12 +53,6 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses `std::env::args` for a binary honouring only `--json`,
-    /// `--quick` and `--jobs N`; see [`from_args_with`](Self::from_args_with).
-    pub fn from_args() -> Self {
-        Self::from_args_with(false)
-    }
-
     /// Parses `std::env::args` (`scenario`: whether `--scenario` and
     /// `--list` are honoured), or prints the error and a usage line and
     /// exits with status 2.
@@ -101,11 +88,6 @@ impl ExpOptions {
             }
         }
         Ok(o)
-    }
-
-    /// Scales a trial count down in quick mode.
-    pub fn trials(&self, full: u64) -> u64 {
-        quick_trials(full, self.quick)
     }
 }
 
@@ -188,8 +170,8 @@ impl Table {
     }
 }
 
-/// The E3 placement on an 8x8 mesh: replica i on tile (i % 4, i / 4),
-/// clients at the I/O corner. E3 and F2 both run over it.
+/// The mesh placement on an 8x8 mesh: replica i on tile (i % 4, i / 4),
+/// clients at the I/O corner. F2's mesh rows run over it.
 pub fn mesh_latency(n: u32) -> LatencyModel {
     LatencyModel::MeshHops {
         replica_at: (0..n).map(|i| ((i % 4) as u16, (i / 4) as u16)).collect(),
@@ -228,11 +210,9 @@ mod tests {
 
     #[test]
     fn quick_scales_trials() {
-        let q = ExpOptions { quick: true, ..ExpOptions::default() };
-        assert_eq!(q.trials(1000), 100);
-        assert_eq!(q.trials(5), 1);
-        let f = ExpOptions::default();
-        assert_eq!(f.trials(1000), 1000);
+        assert_eq!(quick_trials(1000, true), 100);
+        assert_eq!(quick_trials(5, true), 1);
+        assert_eq!(quick_trials(1000, false), 1000);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic parallel sweep runner.
 //!
-//! Every experiment binary sweeps a grid of independent, seeded cells
+//! Every campaign binary sweeps a grid of independent, seeded cells
 //! (protocol × batch × window, fault-rate points, policy variants, …) —
 //! each cell is a pure function of its parameters, so the only thing
 //! serializing a full sweep was the `for` loop around it. [`run_cells`]

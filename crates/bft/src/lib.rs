@@ -89,8 +89,10 @@
 //!   checker; its clients count reply quorums with [`plane::ReplyTally`],
 //!   per link.
 //!
-//! Experiments **E3** (replica/message cost), **E4** (passive vs active)
-//! and the protocol halves of **E5–E7** run on this crate.
+//! The root package's `tests/smr_over_soc.rs` (replica/message cost),
+//! `tests/adversary_scenarios.rs` (passive vs active) and
+//! `tests/properties.rs` (resilient broadcast) hold this crate's paper
+//! claims; the README's *Claims* table names each test.
 //!
 //! ## Example: MinBFT committing under a Byzantine backup
 //!

@@ -211,8 +211,8 @@ fn commit_bytes(view: u64, seq: u64, digest: &[u8; 32], primary_counter: u64) ->
     b
 }
 
-/// Which register protects each replica's USIG counter (experiment E2 /
-/// ablations swap this).
+/// Which register protects each replica's USIG counter (ablations swap
+/// this; `rsoc_hybrid::usig`'s tests pin what each does with a flipped bit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CounterProtection {
     /// Unprotected flip-flops.
@@ -300,7 +300,8 @@ impl MinBftReplica {
         (self.core.own.usig.issued(), self.core.own.usig.verified())
     }
 
-    /// SEU injection into the USIG counter register (E2 / F1).
+    /// SEU injection into the USIG counter register (the §III failure mode
+    /// `rsoc_hybrid::usig`'s tests pin on a lone USIG).
     pub fn inject_usig_flip(&mut self, bit: u32) {
         self.core.own.usig.inject_counter_flip(bit);
     }

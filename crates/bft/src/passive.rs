@@ -6,8 +6,10 @@
 //!
 //! The primary executes requests and ships state updates to the backup;
 //! a heartbeat failure detector promotes the backup when the primary goes
-//! quiet. Experiment E4 measures exactly the paper's trade-off: steady-state
-//! cost (2 replicas, 2 messages/op) vs the failover unavailability window.
+//! quiet. This is the paper's trade-off: steady-state cost (2 replicas,
+//! 2 messages/op) vs a failover unavailability window that grows with the
+//! detector timeout, as the root package's `tests/adversary_scenarios.rs`
+//! pins.
 
 use crate::api::{Batch, Endpoint, Outbox, ReplicaId, Request};
 use crate::chassis::{Core, Replica, Replicas};

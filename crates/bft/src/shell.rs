@@ -163,8 +163,8 @@ pub(crate) enum Role {
     Primary,
     /// Watches the primary: remember the request and start its patience.
     Backup,
-    /// Neither (a passive backup ignores requests — the failover gap E4
-    /// measures).
+    /// Neither (a passive backup ignores requests — the failover gap the
+    /// root package's `tests/adversary_scenarios.rs` pins).
     Idle,
 }
 

@@ -5,7 +5,8 @@
 //! HMAC circuit inside the trusted perimeter; we implement SHA-256 and
 //! HMAC-SHA-256 from scratch so the workspace has no external crypto
 //! dependencies and the hybrid's behaviour (including its failure modes
-//! under register bit-flips, experiment E2) is fully under our control.
+//! under register bit-flips, which `rsoc_hybrid::usig`'s tests pin) is
+//! fully under our control.
 //! The CRC-32 that guards bitstreams and on-disk records against accidental
 //! damage lives here too ([`crc32()`]), so both share one kernel.
 //!

@@ -14,8 +14,9 @@
 //! variants on demand ("IP compilers \[that\] generate diverse versions of
 //! identical softcores ... on the fly", §II-B).
 //!
-//! Experiments **E5** (diversity vs common-mode compromise) and **E6**
-//! (diverse rejuvenation) build on these types.
+//! The §II-B claim (diversity vs common-mode compromise) is pinned by
+//! `metrics`' tests; §II-C's diverse rejuvenation builds on these types
+//! in `rsoc_rejuv::apt`.
 //!
 //! ## Example
 //!

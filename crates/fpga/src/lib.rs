@@ -17,8 +17,9 @@
 //!   partial dynamic reconfiguration, plus relocation and spatial
 //!   rejuvenation of softcore blocks.
 //!
-//! Experiments **E8** (voted privilege change, with `rsoc-soc`) and **E9**
-//! (relocation vs grid backdoors) run on this crate.
+//! The root package's `tests/voted_reconfig.rs` (voted privilege change,
+//! with `rsoc-soc`) and `tests/fabric_properties.rs` (relocation vs grid
+//! backdoors) hold the paper claims built on this crate.
 //!
 //! ## Example
 //!

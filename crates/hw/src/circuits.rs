@@ -112,7 +112,8 @@ pub fn parity_tree(width: usize) -> Netlist {
 /// Appends a 3-input majority function (`(a&b)|(a&c)|(b&c)`) to `n`,
 /// returning the output gate. The voter is built from ordinary gates and is
 /// therefore itself fault-prone — TMR analyses that assume perfect voters
-/// overstate reliability, which E1 quantifies.
+/// overstate reliability, which `reliability::tests::ideal_voter_beats_gate_voter`
+/// pins.
 pub fn majority3(n: &mut Netlist, a: GateId, b: GateId, c: GateId) -> GateId {
     let ab = n.and(a, b);
     let ac = n.and(a, c);

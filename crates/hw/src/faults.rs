@@ -21,7 +21,8 @@ pub enum FaultKind {
 /// contract `rsoc_lint` enforces), not of a per-process hash seed.
 pub type FaultMap = BTreeMap<GateId, FaultKind>;
 
-/// Samples random fault maps for Monte-Carlo reliability runs (E1).
+/// Samples random fault maps for Monte-Carlo reliability runs
+/// ([`crate::reliability`]).
 ///
 /// Each *logic* gate fails independently with probability `p_fault`; a
 /// failing gate draws uniformly among the enabled fault kinds. Input

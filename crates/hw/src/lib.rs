@@ -5,8 +5,9 @@
 //! redundancy with *fault-prone* majority voters, Hamming SEC-DED error
 //! correction, and register cells with plain / parity / ECC protection.
 //!
-//! These models back experiments **E1** (gate-level redundancy) and **E2**
-//! (hybrid register protection), and provide the gate-equivalent complexity
+//! These models back the paper's gate-level redundancy claim (§I, pinned
+//! by `reliability`'s and `diverse`'s tests) and hybrid register
+//! protection (§III, pinned by `rsoc_hybrid::usig`'s), and provide the gate-equivalent complexity
 //! accounting that §III of the paper uses to argue for "exactly right
 //! complexity" hybrids.
 //!

@@ -4,7 +4,7 @@
 //! [`nmr`] replicates a module N times and votes each output with a majority
 //! circuit built from ordinary — fault-prone — gates. This keeps the analysis
 //! honest: reliability gains saturate once voter failures dominate, the
-//! crossover E1 measures.
+//! crossover `reliability::tests::tmr_loses_at_extreme_fault_rates` pins.
 
 use crate::circuits::majority_n;
 use crate::netlist::{GateId, Netlist};

@@ -6,8 +6,9 @@
 //! * [`ParityRegister`] — detects an odd number of flips but cannot correct.
 //! * [`EccRegister`] — Hamming SEC-DED; corrects one flip, detects two.
 //!
-//! Each reports a gate-equivalent cost so experiments can reproduce the
-//! paper's complexity-vs-resilience middle-ground argument (E2).
+//! Each reports a gate-equivalent cost so tests can pin the paper's
+//! complexity-vs-resilience middle-ground argument (§III; see
+//! `rsoc_hybrid::usig`'s `gate_cost_tracks_register_protection`).
 
 use crate::ecc::{DecodeOutcome, Hamming};
 use rsoc_sim::SimRng;

@@ -1,5 +1,6 @@
 //! Monte-Carlo reliability estimation for netlists under stochastic gate
-//! faults — the measurement engine behind experiment E1.
+//! faults — the measurement engine behind the §I gate-redundancy claim
+//! this module's tests pin.
 
 use crate::faults::FaultSampler;
 use crate::netlist::Netlist;
@@ -74,7 +75,8 @@ pub fn estimate_reliability(
 /// This is the classic Lyons–Vanderkulk TMR model. Comparing it against
 /// [`estimate_reliability`] of [`crate::redundancy::nmr`] (whose voter is
 /// built from fault-prone gates) quantifies how much of the redundancy
-/// budget the voter itself consumes — E1 reports both.
+/// budget the voter itself consumes — `tests::ideal_voter_beats_gate_voter`
+/// compares both.
 ///
 /// # Panics
 /// Panics if `trials == 0` or `n` is even.

@@ -11,7 +11,7 @@
 //!
 //! * [`Usig`] — MinBFT's Unique Sequential Identifier Generator: a
 //!   monotonic counter + HMAC. Its counter register is a pluggable
-//!   [`rsoc_hw::RegisterCell`], so experiment E2 can flip its bits and
+//!   [`rsoc_hw::RegisterCell`], so `usig`'s tests flip its bits and
 //!   watch plain registers break consensus while SEC-DED survives.
 //! * [`TrInc`] — trusted incremental counters with interval attestations.
 //! * [`A2m`] — attested append-only memory with hash-chained certificates.

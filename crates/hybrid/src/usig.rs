@@ -6,8 +6,8 @@
 //! different messages with the same counter), which is what lets MinBFT run
 //! with 2f+1 replicas instead of 3f+1 (§II-A, §III of the paper).
 //!
-//! The counter lives in a pluggable [`RegisterCell`]: experiment E2 flips
-//! its bits to reproduce §III's observation that "any bitflip in the
+//! The counter lives in a pluggable [`RegisterCell`]: this module's tests
+//! flip its bits to reproduce §III's observation that "any bitflip in the
 //! counter will have catastrophic effects on the consensus problem".
 
 use rsoc_crypto::{sha256, MacKey, Tag};
@@ -149,7 +149,8 @@ impl Usig {
     /// Loads the counter (detecting/correcting upsets per the register's
     /// protection), increments, stores back, and certifies. With a plain
     /// register an undetected flip silently yields a duplicate or skipped
-    /// counter — the E2 failure mode.
+    /// counter — the §III failure mode
+    /// `tests::plain_register_flip_causes_duplicate_or_gap` pins.
     ///
     /// # Errors
     /// [`UsigError::CounterCorrupted`] when the register detects
@@ -200,7 +201,7 @@ impl Usig {
         }
     }
 
-    /// Flips a bit of the counter register (SEU injection for E2).
+    /// Flips a bit of the counter register (SEU injection).
     pub fn inject_counter_flip(&mut self, bit: u32) {
         self.counter.inject_flip(bit);
     }

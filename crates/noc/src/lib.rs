@@ -13,7 +13,8 @@
 //! Protocol experiments need latencies, not flit traces: the BFT runner's
 //! `LatencyModel::MeshHops` prices a message in closed form instead.
 //!
-//! Experiment **E10** sweeps link-fault rates over this simulator.
+//! The §I claim that the interconnect is itself a fault point is pinned
+//! by `network`'s and `retransmit`'s tests over this simulator.
 //!
 //! ## Example
 //!

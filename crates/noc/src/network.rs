@@ -3,8 +3,9 @@
 //!
 //! The model is packet-granular (one packet occupies one link per cycle):
 //! coarser than flit-level wormhole simulation but preserving the
-//! properties E10 measures — contention, path length, and the effect of
-//! dead links under different routing policies.
+//! properties the §I claim needs — contention, path length, and the
+//! effect of dead links under different routing policies (this module's
+//! tests pin them).
 //!
 //! # Engine
 //!

@@ -1,8 +1,8 @@
 //! End-to-end retransmission over the unreliable packet network.
 //!
 //! XY routing drops packets at dead links; a source-side timeout/retry layer
-//! recovers deliveries at a latency cost. E10 compares plain XY, XY+retry,
-//! and fault-adaptive routing.
+//! recovers deliveries at a latency cost; this module's tests pin it
+//! beside `network`'s plain XY and fault-adaptive routing tests.
 
 use crate::network::{Network, PacketId};
 use crate::topology::NodeId;

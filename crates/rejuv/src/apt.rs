@@ -94,8 +94,8 @@ enum ReplicaState {
 /// Runs one campaign of the APT against the replicated system under
 /// `policy`.
 ///
-/// Adversary model (the crate docs give the paper's argument for it; E6
-/// in the README's *Experiments* table sweeps it): the APT is
+/// Adversary model (the crate docs give the paper's argument for it; the
+/// README's *Claims* table names the tests that pin it): the APT is
 /// *effort-bounded* — it develops one exploit at a time, greedily targeting
 /// the deployed variant that covers the most currently-healthy replicas.
 /// Development takes an `Exp(mean_exploit_time)` delay; if the target

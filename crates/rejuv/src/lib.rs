@@ -13,7 +13,7 @@
 //! exploits are kept in an inventory, so rejuvenating to the **same**
 //! variant invites instant re-compromise while **diverse** rejuvenation
 //! forces fresh exploit development — exactly the paper's argument.
-//! Experiment **E6** sweeps the policies.
+//! `apt`'s tests pin the policies' order (§II-C).
 //!
 //! ## Example
 //!

@@ -24,7 +24,8 @@
 //! * [`ResilientSoc`] — tile inventory + replica placement + protocol runs
 //!   over NoC-derived latencies;
 //! * [`SocManager`] — the epoch control loop wiring detector → controller
-//!   → rejuvenation/relocation through the gate (experiment F1).
+//!   → rejuvenation/relocation through the gate (Fig. 1; the root
+//!   package's `tests/layered_stack.rs`).
 //!
 //! ## Example
 //!

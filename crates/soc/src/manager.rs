@@ -1,6 +1,6 @@
 //! The epoch control loop: detector → controller → workload → voted
 //! rejuvenation/relocation. This is the vertical integration the paper
-//! sketches in Fig. 1 and experiment **F1** ablates.
+//! sketches in Fig. 1, held by the root package's `tests/layered_stack.rs`.
 
 use crate::privilege::{PrivilegeGate, PrivilegedOp, Vote};
 use crate::soc::{ResilientSoc, SocConfig};
@@ -19,7 +19,8 @@ const FRAMES_PER_TILE: u32 = 2;
 /// Words per frame in the managed fabric.
 const WORDS_PER_FRAME: usize = 8;
 
-/// Manager configuration and feature toggles (the F1 ablation switches).
+/// Manager configuration and feature toggles (the layer ablation
+/// switches).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManagerConfig {
     /// Kernel replicas voting at the privilege gate.

@@ -10,8 +10,8 @@
 //! over the operation digest. A minority of compromised kernels can
 //! neither push their own operation through nor forge votes; and because
 //! only the *gate's* principal holds ICAP write rights, bypassing the gate
-//! is structurally impossible. Experiment **E8** compares this against the
-//! direct-grant baseline.
+//! is structurally impossible. This module's tests and the root package's
+//! `tests/voted_reconfig.rs` pin it (§II-E).
 
 use crate::tile::TileId;
 use rsoc_crypto::{sha256, MacKey, Tag};

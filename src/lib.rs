@@ -7,9 +7,9 @@
 //! integration tests (`tests/`).
 //!
 //! See `README.md`: *Architecture tour* is the system inventory,
-//! *Experiments* the experiment index, and *Performance* onwards the
-//! paper-claim-vs-measured results, backed by the committed, regenerable
-//! `BENCH_*.json` records.
+//! *Claims* the index from each paper claim to the tier-1 tests that hold
+//! it, and *Performance* onwards the paper-claim-vs-measured results,
+//! backed by the committed, regenerable `BENCH_*.json` records.
 //!
 //! ## Layer map (paper Fig. 1 → crates)
 //!

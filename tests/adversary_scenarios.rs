@@ -13,7 +13,7 @@ use manycore_resilience::bft::minbft::{CommitVote, MinBftCluster, MinBftMsg, Min
 use manycore_resilience::bft::passive::PassiveCluster;
 use manycore_resilience::bft::pbft::PbftCluster;
 use manycore_resilience::bft::runner::{
-    run, run_open_loop, run_scenario, LatencyModel, OpenLoopSpec, RunConfig,
+    run, run_open_loop, run_scenario, LatencyModel, OpenLoopSpec, RunConfig, RunReport,
 };
 use manycore_resilience::sim::{Arrival, KeyDist};
 use std::sync::Arc;
@@ -157,6 +157,41 @@ fn passive_failover_from_scripted_crash_window() {
     let verdict = ScenarioOracle::expecting_liveness().judge(&cluster, &out.report, 8);
     assert!(verdict.pass(), "{verdict:?}");
     assert!(cluster.nodes()[1].is_primary(), "backup must have promoted itself");
+}
+
+/// §II-A: passive replication's recovery "requires reliable detection and
+/// is not seamless to the user", while active replication masks a crash.
+/// The primary (passive) or a backup (MinBFT) crashes at cycle 100,
+/// mid-workload; the worst commit latency is the visible gap.
+#[test]
+fn passive_failover_gap_grows_with_the_detector_timeout_while_minbft_masks_a_backup_crash() {
+    let cfg = RunConfig::builder()
+        .f(1)
+        .clients(1)
+        .requests_per_client(10)
+        .seed(0xE4)
+        .client_timeout(300)
+        .max_cycles(400_000_000)
+        .build();
+    let crash =
+        |victim| Scenario::none().script(victim, ReplicaScript::correct().crash(Window::from(100)));
+    let worst = |report: &RunReport| {
+        assert_eq!(report.committed, 10, "{}: every op commits", report.protocol);
+        report.commit_latency.quantile(1.0).expect("ops committed")
+    };
+    let passive_worst = |detect: u64| {
+        let mut cluster = PassiveCluster::with_detector(&cfg, detect / 4, detect);
+        worst(&run_scenario(&mut cluster, &cfg, &crash(0)).report)
+    };
+    // 915 and 6 622 cycles today.
+    let (short, long) = (passive_worst(400), passive_worst(3_200));
+    assert!(short > 400.0, "the failover gap spans the detector timeout: {short}");
+    assert!(long > 3_200.0 && long > short, "the gap grows with the timeout: {short} -> {long}");
+
+    // 50 cycles today, 41 fault-free: the client never times out.
+    let masked = run_scenario(&mut MinBftCluster::new(&cfg), &cfg, &crash(2)).report;
+    assert_eq!(masked.client_retries, 0, "a crashed MinBFT backup is invisible to the client");
+    assert!(worst(&masked) < 300.0, "no op waits out the client timeout: {}", worst(&masked));
 }
 
 #[test]
