@@ -101,7 +101,7 @@ struct Row {
     /// Sparse log-bucketed latency histogram: occupied bucket indices…
     hist_bucket_indices: Vec<u64>,
     /// …and their counts. Summing these MUST reproduce `committed` — the
-    /// self-check `check_regression` enforces on every record.
+    /// self-check `campaign::verify` makes on every record written.
     hist_bucket_counts: Vec<u64>,
     stable_seq: u64,
     state_transfers: u64,

@@ -245,9 +245,9 @@ fn write_verified<K: Campaign>(campaign: &K, path: &str, doc: &str) {
 /// Histogram self-consistency: a row carrying a sparse latency histogram
 /// (`hist_bucket_indices` / `hist_bucket_counts`) must account for every
 /// committed op — ragged arrays or a count-sum ≠ `committed` means the
-/// record was produced by a broken merge and cannot be trusted as a
-/// baseline or a current run. Rows without histogram fields are skipped.
-pub fn hist_inconsistency(row: &Value) -> Option<String> {
+/// row lost commits on their way into the record. Rows without histogram
+/// fields are skipped.
+fn hist_inconsistency(row: &Value) -> Option<String> {
     let counts = row["hist_bucket_counts"].as_array()?;
     let (indices, buckets) =
         (row["hist_bucket_indices"].as_array().map_or(0, Vec::len), counts.len());
@@ -258,4 +258,49 @@ pub fn hist_inconsistency(row: &Value) -> Option<String> {
     let committed = row["committed"].as_u64();
     let shown = committed.map_or("missing".into(), |c| c.to_string());
     (committed != Some(sum)).then(|| format!("histogram sums to {sum} but committed is {shown}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn consistent_histogram_passes_and_rows_without_one_are_skipped() {
+        let good: Value = serde_json::from_str(
+            r#"{"protocol": "pbft", "committed": 10,
+                "hist_bucket_indices": [3, 7], "hist_bucket_counts": [4, 6]}"#,
+        )
+        .unwrap();
+        assert_eq!(hist_inconsistency(&good), None);
+        // Earlier campaigns carry no histogram: not an inconsistency.
+        let legacy: Value =
+            serde_json::from_str(r#"{"protocol": "pbft", "ops_per_kcycle": 1.5}"#).unwrap();
+        assert_eq!(hist_inconsistency(&legacy), None);
+    }
+
+    #[test]
+    fn histogram_not_summing_to_committed_is_flagged() {
+        let short: Value = serde_json::from_str(
+            r#"{"protocol": "pbft", "committed": 10,
+                "hist_bucket_indices": [3, 7], "hist_bucket_counts": [4, 5]}"#,
+        )
+        .unwrap();
+        let why = hist_inconsistency(&short).expect("lost commit must be flagged");
+        assert!(why.contains("sums to 9"), "{why}");
+
+        let ragged: Value = serde_json::from_str(
+            r#"{"protocol": "pbft", "committed": 4,
+                "hist_bucket_indices": [3], "hist_bucket_counts": [3, 1]}"#,
+        )
+        .unwrap();
+        let why = hist_inconsistency(&ragged).expect("ragged arrays must be flagged");
+        assert!(why.contains("ragged"), "{why}");
+
+        let no_committed: Value = serde_json::from_str(
+            r#"{"protocol": "pbft",
+                "hist_bucket_indices": [3], "hist_bucket_counts": [3]}"#,
+        )
+        .unwrap();
+        assert!(hist_inconsistency(&no_committed).is_some());
+    }
 }

@@ -12,7 +12,6 @@
 //! | `f8_openloop` | open-loop arrivals, skewed populations, latency tails (writes `BENCH_8.json`) |
 //! | `transport_smoke` | PBFT and MinBFT over real TCP processes, digest-gated |
 //! | `f7_chaos` | crash-restart chaos over real TCP processes, digest-gated |
-//! | `check_regression` | CI perf gate over a committed `BENCH_*.json` baseline |
 //!
 //! The `f*` campaigns share one [`campaign`] module: each prints an
 //! aligned table to stdout (with `--json`, one JSON object per row),
@@ -27,7 +26,7 @@ use serde::Serialize;
 pub mod campaign;
 pub mod parallel;
 pub mod tcp_cluster;
-pub use campaign::{hist_inconsistency, Campaign};
+pub use campaign::Campaign;
 pub use parallel::{default_jobs, run_cells};
 
 /// The command line of every campaign binary: one parser, five

@@ -2,7 +2,7 @@
 //! clusters and over the shared argument parser:
 //!
 //! - the whole-run record keeps its layout and verifies, and a record
-//!   that lost a cell is refused;
+//!   that lost a cell or a commit, or holds a failed row, is refused;
 //! - a `--scenario` subset runs its cells with the full grid's seeds;
 //! - a flag a binary does not honour exits 2 before anything is written
 //!   or spawned.
@@ -110,10 +110,30 @@ fn the_whole_record_keeps_its_layout_and_verifies() {
     campaign::verify(&Toy, &whole).expect("whole record verifies");
 }
 
+/// Every refusal of [`campaign::verify`], each on the whole record with
+/// one thing broken: a lost cell, a failed or an unsafe row, a histogram
+/// that lost a commit, and ragged histogram arrays. Each toy row commits 6.
 #[test]
 fn verify_refuses_a_record_that_lost_a_cell() {
-    let short = campaign::record(&Toy, false, &rows()[1..]);
-    assert_eq!(campaign::verify(&Toy, &short), Err("9 rows for a 10-cell grid".into()));
+    let rows = rows();
+    let whole = campaign::record(&Toy, false, &rows);
+    let first_row =
+        |fields: &str| whole.replacen(r#"{"spec""#, &format!(r#"{{{fields},"spec""#), 1);
+    let hist = |indices: &str, counts: &str| {
+        first_row(&format!(r#""hist_bucket_indices":[{indices}],"hist_bucket_counts":[{counts}]"#))
+    };
+    campaign::verify(&Toy, &hist("3,7", "2,4")).expect("a histogram summing to 6 verifies");
+    let refused = [
+        (campaign::record(&Toy, false, &rows[1..]), "9 rows for a 10-cell grid"),
+        (first_row(r#""pass":false"#), "failed cell recorded"),
+        (whole.replacen(r#""safety_ok":true"#, r#""safety_ok":false"#, 1), "failed cell recorded"),
+        (hist("3,7", "2,3"), "histogram sums to 5 but committed is 6"),
+        (hist("3", "3,3"), "ragged histogram: 1 bucket indices vs 2 counts"),
+    ];
+    for (doc, why) in refused {
+        let err = campaign::verify(&Toy, &doc).expect_err(why);
+        assert!(err.contains(why), "{why}: {err}");
+    }
 }
 
 #[test]

@@ -26,7 +26,8 @@
 //!
 //! With `interval == 0` the subsystem is **disabled** and byte-invisible:
 //! no messages, no timers, no RNG draws, no report changes — the
-//! fault-free benches (BENCH_2/4/5) stay byte-identical to the
+//! checkpoint-free campaign cells (all of BENCH_2 and BENCH_5, and every
+//! BENCH_8 cell but `minbft_ring_aging`) stay byte-identical to the
 //! checkpoint-less build.
 //!
 //! # What a certificate certifies

@@ -1,12 +1,10 @@
 //! Deterministic state machines replicated by the protocols.
 //!
-//! The paper's SMR claims are payload-agnostic; these machines give the
-//! examples and experiments realistic commands (a key-value store for
-//! generic services, a counter for quick tests, and an actuator-command
-//! arbiter for the automotive scenario).
+//! The paper's SMR claims are payload-agnostic; the one machine here, a
+//! key-value store, gives every protocol, campaign and plane realistic
+//! commands.
 
 use crate::statetree::{StateTree, MAX_KEY_LEN};
-use std::collections::BTreeMap;
 
 /// A deterministic state machine: same command sequence → same results.
 pub trait StateMachine: std::fmt::Debug {
@@ -117,58 +115,6 @@ impl StateMachine for KvStore {
 
     fn state_digest(&self) -> [u8; 32] {
         self.tree.root()
-    }
-}
-
-/// Actuator-command arbiter for the automotive example: keeps the latest
-/// command per actuator and rejects stale timestamps (`CMD actuator ts value`).
-#[derive(Debug, Clone, Default)]
-pub struct ActuatorArbiter {
-    latest: BTreeMap<String, (u64, String)>,
-}
-
-impl ActuatorArbiter {
-    /// Creates an empty arbiter.
-    pub fn new() -> Self {
-        ActuatorArbiter::default()
-    }
-
-    /// Latest accepted (timestamp, value) for an actuator.
-    pub fn current(&self, actuator: &str) -> Option<&(u64, String)> {
-        self.latest.get(actuator)
-    }
-}
-
-impl StateMachine for ActuatorArbiter {
-    fn apply(&mut self, command: &[u8]) -> Vec<u8> {
-        let text = match std::str::from_utf8(command) {
-            Ok(t) => t,
-            Err(_) => return b"ERR".to_vec(),
-        };
-        let mut it = text.split(' ');
-        match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("CMD"), Some(act), Some(ts), Some(value)) => {
-                let Ok(ts) = ts.parse::<u64>() else { return b"ERR".to_vec() };
-                match self.latest.get(act) {
-                    Some((cur, _)) if *cur >= ts => b"STALE".to_vec(),
-                    _ => {
-                        self.latest.insert(act.to_string(), (ts, value.to_string()));
-                        b"OK".to_vec()
-                    }
-                }
-            }
-            _ => b"ERR".to_vec(),
-        }
-    }
-
-    fn state_digest(&self) -> [u8; 32] {
-        let mut h = rsoc_crypto::Sha256::new();
-        for (k, (ts, v)) in &self.latest {
-            h.update(k.as_bytes());
-            h.update(&ts.to_le_bytes());
-            h.update(v.as_bytes());
-        }
-        h.finalize()
     }
 }
 
@@ -326,16 +272,5 @@ mod tests {
             assert_eq!(kv.apply(&[b"DEL ", &vec![b'a'; len][..]].concat()), b"1");
         }
         assert_eq!(kv.state_digest(), KvStore::new().state_digest());
-    }
-
-    #[test]
-    fn arbiter_rejects_stale() {
-        let mut a = ActuatorArbiter::new();
-        assert_eq!(a.apply(b"CMD brake 10 engage"), b"OK");
-        assert_eq!(a.apply(b"CMD brake 9 release"), b"STALE");
-        assert_eq!(a.apply(b"CMD brake 10 release"), b"STALE");
-        assert_eq!(a.apply(b"CMD brake 11 release"), b"OK");
-        assert_eq!(a.current("brake").unwrap().1, "release");
-        assert_eq!(a.apply(b"CMD brake nope x"), b"ERR");
     }
 }

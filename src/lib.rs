@@ -3,8 +3,7 @@
 //! Umbrella crate for the reproduction of *"The Path to Fault- and
 //! Intrusion-Resilient Manycore Systems on a Chip"* (Shoker,
 //! Esteves-Verissimo, Völp — DSN 2023). Re-exports every subsystem crate
-//! and hosts the runnable examples (`examples/`) and cross-crate
-//! integration tests (`tests/`).
+//! and hosts the cross-crate integration tests (`tests/`).
 //!
 //! See `README.md`: *Architecture tour* is the system inventory,
 //! *Claims* the index from each paper claim to the tier-1 tests that hold
