@@ -5,9 +5,9 @@
 //! once — every fan-out send, retransmission, batch slot, and pending-map
 //! entry afterwards is a refcount bump), batches as [`Arc<Batch>`], and
 //! an execution result as one `Arc<Vec<u8>>` shared by every [`Reply`]
-//! that carries it. A replica's exactly-once reply cache keeps
-//! its own copy of each result in one framed log, so answering a retry
-//! copies the result once into a fresh `Arc`.
+//! that carries it. A replica's client sessions keep their own copy of
+//! each client's newest results, so answering a retry copies the result
+//! once into a fresh `Arc`.
 
 use crate::checkpoint::LogView;
 use crate::durable::DurableEvent;
@@ -307,9 +307,9 @@ pub struct Reply {
     pub replica: ReplicaId,
     /// Operation being answered.
     pub op: OpId,
-    /// State-machine result. The replica's exactly-once reply cache keeps a
-    /// copy of the bytes, so a retry's reply is byte-identical to this one
-    /// but is not the same allocation.
+    /// State-machine result. The replica's client session keeps a copy of
+    /// the bytes, so a retry's reply is byte-identical to this one but is
+    /// not the same allocation.
     pub result: Arc<Vec<u8>>,
 }
 

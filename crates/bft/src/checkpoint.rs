@@ -28,12 +28,16 @@
 //! no messages, no timers, no RNG draws, no report changes — the
 //! checkpoint-free campaign cells (all of BENCH_2 and BENCH_5, and every
 //! BENCH_8 cell but `minbft_ring_aging`) stay byte-identical to the
-//! checkpoint-less build.
+//! checkpoint-less build. The client-session table ([`ClientSessions`],
+//! the replica's one exactly-once table) is execution state, not part of
+//! the subsystem: every execution writes it whatever the interval, and a
+//! checkpoint certifies it with the state machine.
 //!
 //! # What a certificate certifies
 //!
 //! The state machine and the client-session table each live in a paged
-//! Merkle tree (see [`KvStore`]), and a voucher signs
+//! Merkle tree (see [`KvStore`]; the sessions written since the last
+//! checkpoint reach theirs when it is captured), and a voucher signs
 //!
 //! ```text
 //! digest = sha256("CKROOT1\0" · kv_root · sessions_root)
@@ -44,11 +48,11 @@
 //! roots rehash only dirty pages, and the retained [`CheckpointImage`] is
 //! two `Arc` clones whose pages the live state copies on write. Bytes
 //! exist only where bytes are needed — a served transfer, a persisted
-//! stable checkpoint — in the unchanged `CKIMG1` framing
-//! ([`encode_image`]), built at most once per checkpoint. Every consumer
-//! of such bytes goes through [`verify_image`]: decode, rebuild both
-//! trees from scratch, recompute the digest, compare with the
-//! certificate. `sha256(image) == cert.digest` is **not** the contract.
+//! stable checkpoint — in the `CKIMG2` framing ([`encode_image`]), built
+//! at most once per checkpoint. Every consumer of such bytes goes through
+//! [`verify_image`]: decode, rebuild both trees from scratch, recompute
+//! the digest, compare with the certificate. `sha256(image) ==
+//! cert.digest` is **not** the contract.
 //!
 //! # Trust boundary
 //!
@@ -69,7 +73,7 @@
 //! metadata, like the view claims in view-change votes.
 
 use crate::api::{Batch, ClientId, LogEntry, OpId, ReplicaId};
-use crate::dense::{ReplicaSet, MAX_REPLICAS};
+use crate::dense::{OpIndex, ReplicaSet, MAX_REPLICAS};
 use crate::statemachine::{KvStore, StateMachine};
 use crate::statetree::StateTree;
 use rsoc_crypto::{MacKey, Sha256, Tag};
@@ -228,8 +232,9 @@ pub struct CheckpointImage {
 }
 
 impl CheckpointImage {
-    /// Captures `kv` and `sessions` as they are now.
-    pub fn capture(kv: &KvStore, sessions: &ClientSessions) -> Self {
+    /// Captures `kv` and `sessions` as they are now (syncing `sessions`).
+    pub fn capture(kv: &KvStore, sessions: &mut ClientSessions) -> Self {
+        sessions.sync();
         CheckpointImage { kv: kv.clone(), sessions: sessions.clone(), bytes: OnceLock::new() }
     }
 
@@ -524,30 +529,58 @@ impl CheckpointStore {
     }
 }
 
-/// Latest executed `(seq, reply)` per client — the checkpointable core of
-/// the exactly-once reply cache.
+/// Executed ops whose replies a client's session keeps: the
+/// [`SESSION_WINDOW`] highest seqs it executed. Every client's largest
+/// span of ops in flight (its newest issued seq less its oldest
+/// unanswered one, plus 1) is at most 7 in every campaign cell, ledger
+/// workload and test, so a retry always finds its op in the window.
+pub const SESSION_WINDOW: usize = 16;
+
+/// The exactly-once table: per client, the `(seq, reply)` pairs of its
+/// [`SESSION_WINDOW`] highest executed seqs.
 ///
-/// A transfer-recovered or rejuvenated replica rebuilds its reply cache
-/// from the suffix replay only, so any op below the checkpoint watermark
-/// lost its retry reply: the replica would silently queue a client's
-/// retransmit of an already-committed request instead of answering it.
-/// Snapshotting this table into the checkpoint image closes that hole.
-/// With pipelined clients (window > 1) only the *latest* op per client is
-/// retained — a deliberate bound on image size; with window = 1 (every
-/// recovery campaign cell) it covers every retryable op exactly.
-///
-/// The table rides in a second instance of the state machine's paged
-/// Merkle tree (key: the client id, big-endian so tree order is client
-/// order; value: `seq u64 LE · reply`), so it is digested incrementally
-/// and cloned in O(1) with it; two tables are equal when their roots are.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Every execution writes it, live or replayed, whether checkpoints are
+/// on or not, and every retry, seal filter and `has_executed` reads it.
+/// An op below its client's window is unknown. A window is stored as its
+/// pairs in ascending seq order, each framed
+/// `seq u64 LE · reply_len u64 LE · reply`, so the table costs
+/// O(clients × W) bytes whatever the run's length. The certified windows
+/// live in a second instance of the state machine's paged Merkle tree,
+/// one entry per client (keyed by the client id, big-endian so tree order
+/// is client order), so they are digested incrementally, cloned in O(1),
+/// and transferred with the KV: a replica that installs an image or
+/// recovers one from disk answers every retry its peers would. A window
+/// written since the last checkpoint's capture waits in a flat per-client
+/// index in front of the tree: a tree write costs a walk of cold pages
+/// and a hash-index write does not, and a checkpoint then writes each
+/// client once, however many of its ops executed since the last one.
+#[derive(Debug, Clone, Default)]
 pub struct ClientSessions {
+    /// The windows as of the last sync.
     tree: StateTree,
+    /// The windows written since, keyed by [`written_key`], each with
+    /// its highest seq: a lookup of a newer op reads the index alone.
+    written: OpIndex<(u64, Vec<u8>)>,
 }
 
-/// Longest reply [`ClientSessions::note`] stores without a heap buffer
-/// (a `SET`'s `(nil)` or an overwritten value of ordinary size).
-const INLINE_REPLY: usize = 120;
+/// `client`'s key in [`ClientSessions::written`]: its op 0, which the
+/// index never confuses with another client's.
+fn written_key(client: ClientId) -> OpId {
+    OpId { client, seq: 0 }
+}
+
+/// The `(seq, reply)` pairs of a stored window, in ascending seq order.
+fn pairs(window: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
+    let mut rest = window;
+    std::iter::from_fn(move || {
+        let (seq, tail) = rest.split_first_chunk::<8>()?;
+        let (len, tail) = tail.split_first_chunk::<8>()?;
+        let len = usize::try_from(u64::from_le_bytes(*len)).ok()?;
+        let reply = tail.get(..len)?;
+        rest = tail.get(len..)?;
+        Some((u64::from_le_bytes(*seq), reply))
+    })
+}
 
 impl ClientSessions {
     /// An empty table.
@@ -555,90 +588,119 @@ impl ClientSessions {
         Self::default()
     }
 
-    /// Records an executed op's reply; keeps the highest seq per client.
-    /// Every op of a checkpointing run passes through here, so the stored
-    /// value is built on the stack when the reply is short (up to 120
-    /// bytes), and the value it replaces is not copied out.
-    pub fn note(&mut self, client: ClientId, seq: u64, result: &[u8]) {
-        if self.get(client).is_some_and(|(have, _)| have >= seq) {
-            return;
+    /// Records executed `op`'s reply in its client's window. A seq already
+    /// there takes the new reply; a window that is full drops its lowest
+    /// seq for a higher one, and ignores a lower one.
+    pub fn note(&mut self, op: OpId, result: &[u8]) {
+        let key = written_key(op.client);
+        if !self.written.contains_key(&key) {
+            let synced = self.tree.get(&op.client.0.to_be_bytes()).unwrap_or_default();
+            let newest = pairs(synced).last().map_or(0, |(seq, _)| seq);
+            self.written.insert(key, (newest, synced.to_vec()));
         }
-        let mut inline = [0u8; 8 + INLINE_REPLY];
-        let spilled: Vec<u8>;
-        let value = if result.len() <= INLINE_REPLY {
-            inline[..8].copy_from_slice(&seq.to_le_bytes());
-            inline[8..8 + result.len()].copy_from_slice(result);
-            &inline[..8 + result.len()]
-        } else {
-            spilled = [&seq.to_le_bytes()[..], result].concat();
-            &spilled[..]
+        let Some((newest, window)) = self.written.get_mut(&key) else { return };
+        // Byte offsets: where the new pair goes, the end of the pair it
+        // replaces (one of the same seq), and the end of the lowest pair.
+        let (mut count, mut end, mut lowest_end, mut place) = (0, 0, 0, None);
+        for (seq, reply) in pairs(window) {
+            let start = end;
+            end += 16 + reply.len();
+            count += 1;
+            if count == 1 {
+                lowest_end = end;
+            }
+            if place.is_none() && seq >= op.seq {
+                place = Some((start, if seq == op.seq { end } else { start }));
+            }
+        }
+        let (at, past) = place.unwrap_or((end, end));
+        let evict = at == past && count >= SESSION_WINDOW;
+        if evict && at == 0 {
+            return; // below a full window
+        }
+        *newest = op.seq.max(*newest);
+        let len = (result.len() as u64).to_le_bytes();
+        let pair = op.seq.to_le_bytes().into_iter().chain(len).chain(result.iter().copied());
+        window.splice(at..past, pair);
+        if evict {
+            window.drain(..lowest_end);
+        }
+    }
+
+    /// The reply of `op`, if it is in its client's window.
+    pub fn get(&self, op: OpId) -> Option<&[u8]> {
+        let window = match self.written.get(&written_key(op.client)) {
+            Some((newest, _)) if op.seq > *newest => return None,
+            Some((_, window)) => window,
+            None => self.tree.get(&op.client.0.to_be_bytes())?,
         };
-        self.tree.insert(&client.0.to_be_bytes(), value, |_| {});
+        pairs(window).find(|(seq, _)| *seq == op.seq).map(|(_, reply)| reply)
     }
 
-    /// Latest executed `(seq, reply)` for a client.
-    pub fn get(&self, client: ClientId) -> Option<(u64, &[u8])> {
-        Self::split(self.tree.get(&client.0.to_be_bytes())?)
+    /// Writes the windows written since the last sync into the tree, which
+    /// then holds every window: what a checkpoint digests and frames.
+    fn sync(&mut self) {
+        for (op, (_, window)) in self.written.iter() {
+            self.tree.insert(&op.client.0.to_be_bytes(), window, |_| {});
+        }
+        self.written = OpIndex::new();
     }
 
-    /// Number of clients with a recorded session.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// True when no sessions are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.tree.len() == 0
-    }
-
-    /// Drops all sessions (rejuvenation wipe).
-    pub fn clear(&mut self) {
-        self.tree = StateTree::new();
-    }
-
-    /// Visits every session in ascending client order.
+    /// Visits every windowed `(client, seq, reply)` as of the last
+    /// capture or image, in ascending `(client, seq)` order.
     pub fn for_each(&self, mut visit: impl FnMut(ClientId, u64, &[u8])) {
-        self.tree.for_each(|key, value| {
-            if let (Ok(client), Some((seq, reply))) = (key.try_into(), Self::split(value)) {
-                visit(ClientId(u32::from_be_bytes(client)), seq, reply);
+        self.tree.for_each(|key, window| {
+            if let Ok(client) = key.try_into() {
+                let client = ClientId(u32::from_be_bytes(client));
+                pairs(window).for_each(|(seq, reply)| visit(client, seq, reply));
             }
         });
     }
 
-    /// Splits a stored value into `(seq, reply)`.
-    fn split(value: &[u8]) -> Option<(u64, &[u8])> {
-        let (seq, reply) = value.split_first_chunk::<8>()?;
-        Some((u64::from_le_bytes(*seq), reply))
+    /// Bytes the table holds: the tree's (see `StateTree::footprint`), the
+    /// index's buckets and the windows' capacity.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
+        self.tree.footprint()
+            + self.written.footprint()
+            + self.written.iter().map(|(_, (_, window))| window.capacity()).sum::<usize>()
     }
 }
 
-/// Leading magic of a checkpoint image (version 1).
-pub const IMAGE_MAGIC: &[u8; 8] = b"CKIMG1\0\0";
+/// Leading magic of a checkpoint image (version 2: a session window per
+/// client).
+pub const IMAGE_MAGIC: &[u8; 8] = b"CKIMG2\0\0";
 
 /// Frames a KV snapshot and the client-session table into one checkpoint
 /// image. This is what transfers and snapshot files carry (certificates
 /// sign the state's Merkle roots, not these bytes — see the module docs):
-/// `magic · kv_len · kv · n_sessions · [client · seq · reply_len · reply]*`
-/// with sessions in ascending client order (all integers little-endian),
-/// so identical state always produces identical bytes.
-pub fn encode_image(kv: &[u8], sessions: &ClientSessions) -> Vec<u8> {
+/// `magic · kv_len · kv · n_pairs · [client · seq · reply_len · reply]*`
+/// with every windowed pair in ascending `(client, seq)` order (all
+/// integers little-endian), so identical state always produces identical
+/// bytes. Syncs `sessions` first.
+pub fn encode_image(kv: &[u8], sessions: &mut ClientSessions) -> Vec<u8> {
+    sessions.sync();
     encode_image_with(kv.len(), |out| out.extend_from_slice(kv), sessions)
 }
 
-/// [`encode_image`] with the `kv_len` KV bytes appended by `write_kv`
-/// into the exactly-sized image, not copied from a buffer.
+/// [`encode_image`] of synced `sessions`, with the `kv_len` KV bytes
+/// appended by `write_kv` into the exactly-sized image, not copied from a
+/// buffer.
 pub(crate) fn encode_image_with(
     kv_len: usize,
     write_kv: impl FnOnce(&mut Vec<u8>),
     sessions: &ClientSessions,
 ) -> Vec<u8> {
-    let mut body = 0usize;
-    sessions.for_each(|_, _, reply| body += 4 + 8 + 8 + reply.len());
+    let (mut n_pairs, mut body) = (0u64, 0usize);
+    sessions.for_each(|_, _, reply| {
+        n_pairs += 1;
+        body += 4 + 8 + 8 + reply.len();
+    });
     let mut out = Vec::with_capacity(8 + 8 + kv_len + 8 + body);
     out.extend_from_slice(IMAGE_MAGIC);
     out.extend_from_slice(&(kv_len as u64).to_le_bytes());
     write_kv(&mut out);
-    out.extend_from_slice(&(sessions.len() as u64).to_le_bytes());
+    out.extend_from_slice(&n_pairs.to_le_bytes());
     sessions.for_each(|client, seq, reply| {
         out.extend_from_slice(&client.0.to_le_bytes());
         out.extend_from_slice(&seq.to_le_bytes());
@@ -653,7 +715,8 @@ pub(crate) fn encode_image_with(
 /// the certificate pins the digest, but a *corrupt* image must still be
 /// rejected, not panic). Returns the KV part and the session table, or
 /// `None` on any framing violation: bad magic, truncation, trailing
-/// bytes, or sessions out of ascending client order.
+/// bytes, pairs out of ascending `(client, seq)` order, or more than
+/// [`SESSION_WINDOW`] pairs for one client.
 pub fn decode_image(bytes: &[u8]) -> Option<(&[u8], ClientSessions)> {
     fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
         let end = at.checked_add(n)?;
@@ -670,23 +733,24 @@ pub fn decode_image(bytes: &[u8]) -> Option<(&[u8], ClientSessions)> {
     }
     let kv_len = usize::try_from(take_u64(bytes, &mut at)?).ok()?;
     let kv = take(bytes, &mut at, kv_len)?;
-    let n_sessions = take_u64(bytes, &mut at)?;
+    let n_pairs = take_u64(bytes, &mut at)?;
     let mut sessions = ClientSessions::new();
-    let mut prev: Option<u32> = None;
-    for _ in 0..n_sessions {
-        let client = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().ok()?);
-        if prev.is_some_and(|p| p >= client) {
-            return None; // must be strictly ascending: canonical + no dups
+    let (mut prev, mut run): (Option<OpId>, usize) = (None, 0);
+    for _ in 0..n_pairs {
+        let client = ClientId(u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().ok()?));
+        let op = OpId { client, seq: take_u64(bytes, &mut at)? };
+        run = if prev.is_some_and(|p| p.client == client) { run + 1 } else { 1 };
+        if prev.is_some_and(|p| p >= op) || run > SESSION_WINDOW {
+            return None; // must be strictly ascending and windowed: canonical
         }
-        prev = Some(client);
-        let seq = take_u64(bytes, &mut at)?;
+        prev = Some(op);
         let len = usize::try_from(take_u64(bytes, &mut at)?).ok()?;
-        let result = take(bytes, &mut at, len)?;
-        sessions.note(ClientId(client), seq, result);
+        sessions.note(op, take(bytes, &mut at, len)?);
     }
     if at != bytes.len() {
         return None; // trailing garbage
     }
+    sessions.sync();
     Some((kv, sessions))
 }
 
@@ -1045,7 +1109,7 @@ mod tests {
             kv.apply(format!("SET {k} {v}").as_bytes());
         }
         let mut sessions = ClientSessions::new();
-        sessions.note(ClientId(7), 3, b"(nil)");
+        sessions.note(OpId { client: ClientId(7), seq: 3 }, b"(nil)");
         (kv, sessions)
     }
 
@@ -1156,8 +1220,8 @@ mod tests {
         let keys = CkptKeys::provision(7, 4);
         let mut s = store(1, 2, 4, &keys);
         assert!(s.serve().is_none());
-        let (kv, sessions) = state(&[("a", "1")]);
-        let image = CheckpointImage::capture(&kv, &sessions);
+        let (kv, mut sessions) = state(&[("a", "1")]);
+        let image = CheckpointImage::capture(&kv, &mut sessions);
         let digest = image.digest();
         let v = s.record_local(4, digest, 4, image);
         s.record(&v);
@@ -1165,7 +1229,7 @@ mod tests {
         s.record(&keys.sign(ReplicaId(2), 4, digest));
         let (cert, log_len, served) = s.serve().expect("stable + local image");
         assert_eq!((cert.seq, log_len), (4, 4));
-        assert_eq!(*served, encode_image(&kv.snapshot(), &sessions));
+        assert_eq!(*served, encode_image(&kv.snapshot(), &mut sessions));
         assert!(verify_image(cert, &served).is_some());
         // The bytes are built once per checkpoint, then shared.
         assert!(Arc::ptr_eq(&served, &s.serve().unwrap().2));
@@ -1182,8 +1246,8 @@ mod tests {
         let keys = CkptKeys::provision(7, 4);
         let mut s = store(0, 2, 4, &keys);
         let digest = sha256(b"state");
-        let (kv, sessions) = state(&[]);
-        let v = s.record_local(4, digest, 4, CheckpointImage::capture(&kv, &sessions));
+        let (kv, mut sessions) = state(&[]);
+        let v = s.record_local(4, digest, 4, CheckpointImage::capture(&kv, &mut sessions));
         s.record(&v);
         s.record(&keys.sign(ReplicaId(2), 4, digest));
         s.wipe();
@@ -1271,12 +1335,12 @@ mod tests {
     /// *rebuilt from the bytes* is ever compared with it.
     #[test]
     fn snapshot_cross_check() {
-        let (kv, sessions) = state(&[("a", "1"), ("b", "2")]);
-        let captured = CheckpointImage::capture(&kv, &sessions);
+        let (kv, mut sessions) = state(&[("a", "1"), ("b", "2")]);
+        let captured = CheckpointImage::capture(&kv, &mut sessions);
         let cert = CheckpointCert { seq: 1, digest: captured.digest(), vouchers: vec![] };
         let image = captured.bytes();
-        let (kv2, sessions2) = verify_image(&cert, &image).expect("the certified state");
-        assert_eq!((kv2.snapshot(), &sessions2), (kv.snapshot(), &sessions));
+        let (kv2, mut sessions2) = verify_image(&cert, &image).expect("the certified state");
+        assert_eq!(encode_image(&kv2.snapshot(), &mut sessions2), *image);
         // Not the flat hash of the image: that contract is gone.
         let flat = CheckpointCert { digest: sha256(&image), ..cert.clone() };
         assert!(verify_image(&flat, &image).is_none());
@@ -1290,56 +1354,79 @@ mod tests {
         // A well-formed image of *other* state under the honest
         // certificate: other pairs, or the same pairs and another session.
         let (other, _) = state(&[("a", "1"), ("b", "3")]);
-        assert!(verify_image(&cert, &encode_image(&other.snapshot(), &sessions)).is_none());
+        assert!(verify_image(&cert, &encode_image(&other.snapshot(), &mut sessions)).is_none());
         let mut replayed = sessions.clone();
-        replayed.note(ClientId(7), 4, b"1");
-        assert!(verify_image(&cert, &encode_image(&kv.snapshot(), &replayed)).is_none());
+        replayed.note(OpId { client: ClientId(7), seq: 4 }, b"1");
+        assert!(verify_image(&cert, &encode_image(&kv.snapshot(), &mut replayed)).is_none());
+    }
+
+    fn at(client: u32, seq: u64) -> OpId {
+        OpId { client: ClientId(client), seq }
     }
 
     #[test]
-    fn sessions_keep_latest_per_client() {
+    fn sessions_keep_a_window_of_the_highest_seqs_per_client() {
         let mut s = ClientSessions::new();
-        s.note(ClientId(3), 2, b"r2");
-        s.note(ClientId(3), 1, b"r1");
-        s.note(ClientId(1), 5, b"r5");
-        assert_eq!(s.len(), 2);
-        let (seq, result) = s.get(ClientId(3)).unwrap();
-        assert_eq!((seq, result), (2, b"r2".as_slice()), "older seq must not clobber");
-        s.note(ClientId(3), 7, b"r7");
-        assert_eq!(s.get(ClientId(3)).unwrap().0, 7);
-        let mut order = Vec::new();
-        s.for_each(|client, _, _| order.push(client.0));
-        assert_eq!(order, vec![1, 3], "iteration is ascending client order");
-        s.clear();
-        assert!(s.is_empty());
+        s.note(at(3, 2), b"r2");
+        s.note(at(3, 1), b"r1");
+        s.note(at(1, 5), b"r5");
+        assert_eq!((s.get(at(3, 1)), s.get(at(3, 2))), (Some(&b"r1"[..]), Some(&b"r2"[..])));
+        // A sync moves the windows into the tree; later writes start
+        // from them.
+        s.sync();
+        assert_eq!((s.get(at(3, 1)), s.get(at(1, 5))), (Some(&b"r1"[..]), Some(&b"r5"[..])));
+        assert_eq!(s.get(at(3, 3)), None, "never ran");
+        // A seq already in the window takes its latest reply.
+        s.note(at(3, 2), b"r2 again");
+        assert_eq!(s.get(at(3, 2)), Some(&b"r2 again"[..]));
+        // A full window drops its lowest seq for a higher one, in any
+        // order, and ignores a lower one.
+        let top = SESSION_WINDOW as u64 + 2;
+        for seq in (3..=top).rev() {
+            s.note(at(3, seq), format!("r{seq}").as_bytes());
+        }
+        assert_eq!((s.get(at(3, 1)), s.get(at(3, 2))), (None, None));
+        s.note(at(3, 1), b"late");
+        assert_eq!(s.get(at(3, 1)), None);
+        let mut visited = Vec::new();
+        s.sync();
+        s.for_each(|client, seq, reply| visited.push((client.0, seq, reply.to_vec())));
+        let mut expected = vec![(1, 5, b"r5".to_vec())];
+        expected.extend((3..=top).map(|seq| (3, seq, format!("r{seq}").into_bytes())));
+        assert_eq!(visited, expected, "ascending (client, seq) order");
     }
 
     #[test]
     fn image_roundtrip_is_canonical() {
         let mut s = ClientSessions::new();
-        s.note(ClientId(9), 4, b"ok 9.4");
-        s.note(ClientId(2), 1, b""); // empty replies survive
+        s.note(at(9, 4), b"ok 9.4");
+        s.note(at(9, 2), b"ok 9.2");
+        s.note(at(2, 1), b""); // empty replies survive
         let kv = b"KV k1 v1\nKV k2 v2\n";
-        let image = encode_image(kv, &s);
-        let (kv2, s2) = decode_image(&image).expect("well-formed image");
+        let image = encode_image(kv, &mut s);
+        let (kv2, mut s2) = decode_image(&image).expect("well-formed image");
         assert_eq!(kv2, kv);
-        assert_eq!(s2, s);
+        assert_eq!((s2.get(at(9, 2)), s2.get(at(2, 1))), (Some(&b"ok 9.2"[..]), Some(&b""[..])));
         // Canonical: re-encoding the decoded table gives identical bytes.
-        assert_eq!(encode_image(kv2, &s2), image);
+        assert_eq!(encode_image(kv2, &mut s2), image);
         // Empty everything still frames.
-        let empty = encode_image(b"", &ClientSessions::new());
-        let (kv3, s3) = decode_image(&empty).unwrap();
-        assert!(kv3.is_empty() && s3.is_empty());
+        let empty = encode_image(b"", &mut ClientSessions::new());
+        let (kv3, mut s3) = decode_image(&empty).unwrap();
+        assert!(kv3.is_empty());
+        assert_eq!(encode_image(b"", &mut s3), empty);
     }
 
     #[test]
     fn image_decode_rejects_malformed() {
         let mut s = ClientSessions::new();
-        s.note(ClientId(1), 1, b"r");
-        let good = encode_image(b"kv", &s);
+        s.note(at(1, 1), b"r");
+        let good = encode_image(b"kv", &mut s);
         assert!(decode_image(&good).is_some());
         assert!(decode_image(b"").is_none(), "empty");
         assert!(decode_image(b"NOTMAGIC").is_none(), "bad magic");
+        let mut old = good.clone();
+        old[..8].copy_from_slice(b"CKIMG1\0\0");
+        assert!(decode_image(&old).is_none(), "a version 1 image");
         assert!(decode_image(&good[..good.len() - 1]).is_none(), "truncated");
         let mut trailing = good.clone();
         trailing.push(0);
@@ -1348,20 +1435,36 @@ mod tests {
         let mut huge = good.clone();
         huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode_image(&huge).is_none(), "kv length overruns");
-        // Duplicate / descending clients violate canonical order.
-        let mut two = ClientSessions::new();
-        two.note(ClientId(1), 1, b"a");
-        two.note(ClientId(2), 1, b"b");
-        let img = encode_image(b"", &two);
-        let mut swapped = img.clone();
-        // Sessions start after magic(8) + kv_len(8) + kv(0) + count(8) = 24;
-        // each entry is 4 + 8 + 8 + 1 = 21 bytes.
-        let (a, b) = (24usize, 45usize);
-        let first: Vec<u8> = swapped[a..a + 21].to_vec();
-        let second: Vec<u8> = swapped[b..b + 21].to_vec();
-        swapped[a..a + 21].copy_from_slice(&second);
-        swapped[b..b + 21].copy_from_slice(&first);
-        assert!(decode_image(&swapped).is_none(), "descending client order");
+        // Pairs start after magic(8) + kv_len(8) + kv(0) + count(8) = 24;
+        // each is 4 + 8 + 8 + 1 = 21 bytes. Swapping two of them breaks
+        // ascending (client, seq) order, whether they differ in client or
+        // in seq, and so does repeating one.
+        let pair = |bytes: &[u8], i: usize| bytes[24 + 21 * i..24 + 21 * (i + 1)].to_vec();
+        for (first, second) in [(at(1, 1), at(2, 1)), (at(1, 1), at(1, 2))] {
+            let mut two = ClientSessions::new();
+            two.note(first, b"a");
+            two.note(second, b"b");
+            let img = encode_image(b"", &mut two);
+            assert!(decode_image(&img).is_some());
+            let swapped = [&img[..24], &pair(&img, 1), &pair(&img, 0)].concat();
+            assert!(decode_image(&swapped).is_none(), "descending: {first:?} {second:?}");
+            let repeated = [&img[..24], &pair(&img, 0), &pair(&img, 0)].concat();
+            assert!(decode_image(&repeated).is_none(), "repeated: {first:?}");
+        }
+        // More pairs for one client than its window holds.
+        let mut full = ClientSessions::new();
+        for seq in 1..=SESSION_WINDOW as u64 {
+            full.note(at(1, seq), b"r");
+        }
+        let img = encode_image(b"", &mut full);
+        assert!(decode_image(&img).is_some());
+        let mut over = img.clone();
+        over[16..24].copy_from_slice(&(SESSION_WINDOW as u64 + 1).to_le_bytes());
+        over.extend_from_slice(&1u32.to_le_bytes());
+        over.extend_from_slice(&(SESSION_WINDOW as u64 + 1).to_le_bytes());
+        over.extend_from_slice(&1u64.to_le_bytes());
+        over.push(b'r');
+        assert!(decode_image(&over).is_none(), "an overfull window");
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   hold-back queues). Anchored at a low-watermark: entries below it are
 //!   *retired* and can never be resurrected, which doubles as slot GC.
 //! * [`OpIndex`] — an open-addressed hash index for *sparse* [`OpId`]
-//!   keys (exactly-once dedup, op→slot assignment, pending watchlists).
-//!   Linear probing with tombstones, power-of-two capacity, vendored so
-//!   the workspace keeps its no-external-deps invariant. The exactly-once
-//!   reply cache is an `OpIndex` of offsets into one framed log of
-//!   results, so it holds no heap object per executed op.
+//!   keys (op→slot assignment, pending watchlists, recently written
+//!   client sessions). Linear probing with tombstones, power-of-two
+//!   capacity, vendored so the workspace keeps its no-external-deps
+//!   invariant.
 //! * [`ReplicaSet`] — a bitset over replica ids for quorum tallies
 //!   (prepare/commit certificates), replacing per-vote `BTreeSet` nodes
 //!   with a single word.
@@ -296,7 +295,8 @@ enum Bucket<V> {
 
 /// An open-addressed hash map from [`OpId`] to `V` — the replica-side
 /// index for op→slot assignment (`assigned`), backup watchlists
-/// (`pending`), and the record offsets of the exactly-once reply cache.
+/// (`pending`), and the client sessions' windows written since their
+/// last checkpoint.
 ///
 /// Linear probing over a power-of-two table with tombstone deletion:
 /// removals leave a tombstone so later probes keep walking, and the
@@ -488,66 +488,6 @@ impl<V> OpIndex<V> {
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> usize {
         self.buckets.len() * std::mem::size_of::<Bucket<V>>()
-    }
-}
-
-// ----------------------------------------------------------------- ReplyLog
-
-/// The exactly-once reply cache: every executed op's result, framed
-/// `len u32 LE · bytes` in one append-only buffer, found through an
-/// [`OpIndex`] of record offsets. A replica keeps every result it ever
-/// executed, so the cache holds no heap object per op — one table and one
-/// buffer, freed as two. Recording an op again appends a new record and
-/// repoints the index: the latest result wins, and the old record stays in
-/// the buffer unreferenced.
-#[derive(Debug, Default)]
-pub(crate) struct ReplyLog {
-    /// Op → offset of its record in `frames`.
-    index: OpIndex<u64>,
-    /// The records, in the order they were recorded.
-    frames: Vec<u8>,
-}
-
-/// The offset recorded for an op whose result is too long to frame: past
-/// the end of any buffer, so [`ReplyLog::get`] finds no record there.
-const UNFRAMED: u64 = u64::MAX;
-
-impl ReplyLog {
-    /// An empty cache.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `op`'s `result`. A result longer than `u32::MAX` bytes (a
-    /// value of 4 GiB) cannot be framed: its op counts as executed, and a
-    /// retry of it goes unanswered.
-    pub(crate) fn insert(&mut self, op: OpId, result: &[u8]) {
-        let Ok(len) = u32::try_from(result.len()) else {
-            self.index.insert(op, UNFRAMED);
-            return;
-        };
-        self.index.insert(op, self.frames.len() as u64);
-        self.frames.extend_from_slice(&len.to_le_bytes());
-        self.frames.extend_from_slice(result);
-    }
-
-    /// Whether `op` was recorded.
-    pub(crate) fn contains(&self, op: &OpId) -> bool {
-        self.index.contains_key(op)
-    }
-
-    /// `op`'s latest recorded result.
-    pub(crate) fn get(&self, op: &OpId) -> Option<&[u8]> {
-        let at = usize::try_from(*self.index.get(op)?).ok()?;
-        let (len, result) = self.frames.get(at..)?.split_first_chunk::<4>()?;
-        result.get(..u32::from_le_bytes(*len) as usize)
-    }
-
-    /// Bytes the cache holds: the index's buckets plus the buffer's
-    /// capacity.
-    #[cfg(test)]
-    pub(crate) fn footprint(&self) -> usize {
-        self.index.footprint() + self.frames.capacity()
     }
 }
 

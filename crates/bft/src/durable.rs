@@ -20,7 +20,7 @@
 //!
 //! * [`DurableEvent::Commit`] — one agreement slot's committed batch.
 //!   Replaying the contiguous run of these from the last snapshot
-//!   reconstructs the committed log, the dedup index, and the state
+//!   reconstructs the committed log, the client sessions, and the state
 //!   machine byte-identically (log-entry digests are recomputed from the
 //!   batch, which carries its own digest preimage — see
 //!   [`Batch`]).

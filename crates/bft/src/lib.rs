@@ -56,8 +56,8 @@
 //! * `shell` (crate-private) — the one replica shell inside the chassis.
 //!   It *owns* the request accumulator, the op → slot assignments, the
 //!   backup watchlist and the next free sequence number, the committed
-//!   log, the state machine, the exactly-once reply index, client
-//!   sessions, the checkpoint store, the state-transfer replay ring and
+//!   log, the state machine, the client sessions (the exactly-once
+//!   table), the checkpoint store, the state-transfer replay ring and
 //!   response buffer, and the [`durable`] event queue, and holds — once —
 //!   the code over them: request `intake` (cached reply / re-announce /
 //!   accumulate-and-seal / watch) and its flush timer, execute-and-reply,

@@ -8,10 +8,10 @@
 //! of how agreement is reached). The [`Shell`] owns both — the request
 //! accumulator, the op → slot assignments, the backup watchlist and its
 //! patience, the next free sequence number; the committed log, the state
-//! machine, the exactly-once reply cache (one framed log of results),
-//! client sessions, certified checkpoints, the state-transfer replay ring
-//! and buffer, and the durable event queue — and the code that runs over
-//! them. The shell sits inside the replica chassis
+//! machine, the client sessions (the exactly-once table: a window of
+//! replies per client), certified checkpoints, the state-transfer replay
+//! ring and buffer, and the durable event queue — and the code that runs
+//! over them. The shell sits inside the replica chassis
 //! ([`Replica`](crate::chassis::Replica)), which gates a faulty script's
 //! outputs and makes the calls every input or lifecycle event makes; the
 //! protocol core makes the rest:
@@ -51,7 +51,7 @@ use crate::checkpoint::{
     StateTransfer,
 };
 use crate::codec::Wire;
-use crate::dense::{op_token, token_op, OpIndex, ReplyLog, SeqWindow};
+use crate::dense::{op_token, token_op, OpIndex, SeqWindow};
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
 use crate::statemachine::{KvStore, StateMachine};
 use rsoc_crypto::{sha256, Tag};
@@ -171,8 +171,8 @@ pub(crate) enum Role {
 /// What [`Shell::intake`] leaves for the ordering core to do.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Intake {
-    /// Nothing: answered from the reply cache, accumulated, watched or
-    /// dropped.
+    /// Nothing: answered from the client's session, accumulated, watched
+    /// or dropped.
     Done,
     /// A client retry for an op already in flight at this slot:
     /// re-announce it so replicas that discarded messages during a view
@@ -196,12 +196,10 @@ pub(crate) struct Shell {
     /// Highest executed agreement slot (passive: its log sequence).
     exec_upto: u64,
     machine: KvStore,
-    /// Exactly-once dedup: op → its latest execution result.
-    executed: ReplyLog,
-    /// Latest executed reply per client, snapshotted into checkpoint
-    /// images so a transfer-recovered replica answers client retries for
-    /// ops below the watermark. Maintained only while checkpointing is
-    /// enabled (byte-invisible otherwise).
+    /// The exactly-once table: each client's window of executed replies,
+    /// written by every execution and certified with the state machine,
+    /// so a replica that installs or recovers an image answers the
+    /// retries its peers would.
     sessions: ClientSessions,
     /// Vouchers, certificates and the transfer backoff (inert at
     /// interval 0).
@@ -253,7 +251,6 @@ impl Shell {
             log: CommittedLog::new(),
             exec_upto: 0,
             machine: KvStore::new(),
-            executed: ReplyLog::new(),
             sessions: ClientSessions::new(),
             ckpt: CheckpointStore::new(id, voucher_quorum, 0, CkptKeys::provision(0, 1)),
             replay_ring: SeqWindow::with_base(1),
@@ -341,12 +338,12 @@ impl Shell {
 
     /// Whether `op` already executed here.
     pub(crate) fn has_executed(&self, op: &OpId) -> bool {
-        self.executed.contains(op)
+        self.sessions.get(*op).is_some()
     }
 
     /// The byte-identical reply to a retry of an already-executed `op`.
     fn cached_reply(&self, op: OpId) -> Option<Reply> {
-        let result = Arc::new(self.executed.get(&op)?.to_vec());
+        let result = Arc::new(self.sessions.get(op)?.to_vec());
         Some(Reply { replica: self.id, op, result })
     }
 
@@ -373,9 +370,9 @@ impl Shell {
     }
 
     /// Takes one client request in. A retry of an executed op is answered
-    /// from the reply cache whatever the role. A primary then either finds
-    /// the op already in flight ([`Intake::Reannounce`]) or offers it to
-    /// the accumulator, which seals at `batch_size` ([`Intake::Sealed`])
+    /// from its client's session whatever the role. A primary then either
+    /// finds the op already in flight ([`Intake::Reannounce`]) or offers it
+    /// to the accumulator, which seals at `batch_size` ([`Intake::Sealed`])
     /// or arms the flush timer; a backup puts it on its watchlist and
     /// starts its patience timer.
     pub(crate) fn intake<M: From<ShellMsg>>(
@@ -432,9 +429,9 @@ impl Shell {
     /// change (proposed by the new primary, then this replica re-elected):
     /// those already executed or in flight are dropped.
     fn seal(&mut self) -> Option<Vec<Arc<Request>>> {
-        let (executed, assigned) = (&self.executed, &self.assigned);
+        let (sessions, assigned) = (&self.sessions, &self.assigned);
         let reqs =
-            self.batcher.drain(|r| !executed.contains(&r.op) && !assigned.contains_key(&r.op));
+            self.batcher.drain(|r| sessions.get(r.op).is_none() && !assigned.contains_key(&r.op));
         (!reqs.is_empty()).then_some(reqs)
     }
 
@@ -474,8 +471,8 @@ impl Shell {
         }
     }
 
-    /// Executes ordered slot `seq`: apply → reply cache → watchlist and
-    /// assignment → session, per request, then log → replay ring →
+    /// Executes ordered slot `seq`: apply → session → watchlist and
+    /// assignment, per request, then log → replay ring →
     /// [`DurableEvent::Commit`]. One agreement slot commits the whole
     /// batch: the log appends its requests at the next dense global seqs
     /// and keeps `digest` once for the slot.
@@ -493,14 +490,11 @@ impl Shell {
         self.advance_to(seq);
         for req in batch.requests() {
             let result = Arc::new(self.machine.apply(&req.payload));
-            self.executed.insert(req.op, &result);
+            self.sessions.note(req.op, &result);
             self.pending.remove(&req.op);
             // Unreachable from here on: `intake` and `seal` ask the
-            // reply cache first.
+            // session first.
             self.assigned.remove(&req.op);
-            if self.ckpt.enabled() {
-                self.sessions.note(req.op.client, req.op.seq, &result);
-            }
             executed(Reply { replica: self.id, op: req.op, result });
         }
         self.log.append(batch.requests().iter().map(|r| r.op), digest);
@@ -521,7 +515,8 @@ impl Shell {
     }
 
     /// Takes a certified checkpoint when execution crossed a watermark
-    /// boundary: capture the state (two O(1) clones the live state then
+    /// boundary: capture the state (the sessions written since the last
+    /// checkpoint go into their tree, then two O(1) clones the live state
     /// copies on write), digest it (rehashing only the pages written since
     /// the last checkpoint), retain the capture for serving transfers,
     /// broadcast the MAC'd voucher, and count our own. The digest covers
@@ -545,7 +540,7 @@ impl Shell {
         if !self.ckpt.due(exec_seq) {
             return false;
         }
-        let image = CheckpointImage::capture(&self.machine, &self.sessions);
+        let image = CheckpointImage::capture(&self.machine, &mut self.sessions);
         if forge {
             let lie = sha256(b"forged-checkpoint-state");
             let garbage = CheckpointVoucher {
@@ -748,9 +743,11 @@ impl Shell {
         self.ckpt.note_transfer();
     }
 
-    /// Replaces state machine, sessions, reply cache, log base and replay
-    /// ring with the state [`verify_image`] rebuilt from a certified image
-    /// at `cert.seq`.
+    /// Replaces state machine, sessions, log base and replay ring with the
+    /// state [`verify_image`] rebuilt from a certified image at `cert.seq`:
+    /// a client retrying an op of its window below the watermark gets its
+    /// original reply back instead of a re-execution (or a silent wait on
+    /// a backup's watchlist).
     fn restore(
         &mut self,
         cert: &CheckpointCert,
@@ -760,11 +757,6 @@ impl Shell {
         self.ckpt.adopt_cert(cert);
         self.machine = machine;
         self.sessions = sessions;
-        // Restore the reply cache for ops below the watermark: a client
-        // retrying a committed op gets its original reply back instead of
-        // a re-execution (or a silent wait on a backup's watchlist).
-        let executed = &mut self.executed;
-        self.sessions.for_each(|client, seq, reply| executed.insert(OpId { client, seq }, reply));
         self.assigned = OpIndex::new();
         self.log.reset_to(log_len);
         self.replay_ring = SeqWindow::with_base(cert.seq + 1);
@@ -818,8 +810,7 @@ impl Shell {
         self.pending = OpIndex::new();
         self.batcher.reset();
         self.machine = KvStore::new();
-        self.executed = ReplyLog::new();
-        self.sessions.clear();
+        self.sessions = ClientSessions::new();
         self.replay_ring = SeqWindow::with_base(1);
         self.cst.clear();
         self.durable.clear();
@@ -832,6 +823,7 @@ impl Shell {
 mod tests {
     use super::*;
     use crate::api::{ClientId, Request};
+    use crate::checkpoint::SESSION_WINDOW;
 
     const N: u32 = 4;
     const QUORUM: usize = 2;
@@ -940,7 +932,7 @@ mod tests {
         // state at the watermark.
         let mut at_4 = shells(&keys).remove(0);
         run(&mut at_4, 1, 4);
-        let image = crate::checkpoint::encode_image(&at_4.machine.snapshot(), &at_4.sessions);
+        let image = crate::checkpoint::encode_image(&at_4.machine.snapshot(), &mut at_4.sessions);
         assert_eq!(*served(&s[0], 0, false, false).snapshot, image);
 
         // A peer that is not behind gets no answer.
@@ -987,14 +979,15 @@ mod tests {
         assert_eq!(laggard.ckpt().stats().transfers, 1);
         assert!(!laggard.behind());
         // A retry of an op *below* the watermark gets the original reply
-        // (client 7's latest op at the checkpoint was seq 4) …
+        // (client 7's op at the checkpoint was seq 4) …
         let op = OpId { client: ClientId(7), seq: 4 };
         let original = s[1].cached_reply(op).unwrap();
         let retried = laggard.cached_reply(op).unwrap();
         assert_eq!((retried.replica, &retried.result), (ReplicaId(3), &original.result));
-        // … and so do the replayed ones; older ops aged out of the session.
+        // … and so do older ops of the session window and the replayed ones.
+        assert!(laggard.has_executed(&OpId { client: ClientId(7), seq: 1 }));
         assert!(laggard.has_executed(&OpId { client: ClientId(8), seq: 6 }));
-        assert!(!laggard.has_executed(&OpId { client: ClientId(7), seq: 3 }));
+        assert!(!laggard.has_executed(&OpId { client: ClientId(7), seq: 7 }));
     }
 
     /// The check a byte flip cannot reach: an image that frames, parses
@@ -1012,7 +1005,7 @@ mod tests {
         // Replica 0's *current* state (slot 5 applied) under the honest
         // certificate for slot 4.
         let mut st = served(&s[0], 0, false, false);
-        let newer = crate::checkpoint::encode_image(&s[0].machine.snapshot(), &s[0].sessions);
+        let newer = crate::checkpoint::encode_image(&s[0].machine.snapshot(), &mut s[0].sessions);
         assert_ne!(*st.snapshot, newer);
         st.snapshot = Arc::new(newer);
         let on_disk = RecoveredState {
@@ -1192,27 +1185,28 @@ mod tests {
             }
         }
         // The state grows by as much as the WAL does, so the gap between
-        // images doubles: logarithmically many, and never more image bytes
-        // than WAL bytes plus one image.
-        assert_eq!(written, [1, 2, 4, 8, 16, 32]);
+        // images about doubles (the image also carries the client's session
+        // window, which stops growing at 16 replies): logarithmically many,
+        // and never more image bytes than WAL bytes plus one image.
+        assert_eq!(written, [1, 3, 7, 14, 28]);
         assert!(written.len() as u32 <= CHECKPOINTS.ilog2() + 2);
         let largest = *images.last().unwrap();
         assert!(images.iter().sum::<u64>() <= 2 * wal + largest);
         assert!(images.iter().sum::<u64>() <= wal + largest, "the bound the rule itself gives");
 
-        // A restart installs the last image written, replays the eight
+        // A restart installs the last image written, replays the twelve
         // skipped checkpoints' worth of WAL above it, and stands where the
         // live replica does — including on when the next image is due:
         // recovery queues nothing, and the disk's image is not written
         // again until the WAL on top of it (replayed and new) outweighs it.
         let mut restarted = shells(&keys).remove(0);
         let report = restarted.recover(&disk, Batch::digest);
-        assert_eq!(report, RecoveryReport { installed_seq: 128, replayed: 32, committed: 160 });
+        assert_eq!(report, RecoveryReport { installed_seq: 112, replayed: 48, committed: 160 });
         assert_eq!(restarted.state_digest(), live.state_digest());
         restarted.enable_durability();
         for k in CHECKPOINTS + 1..=64 {
             let queued = stabilise(&mut [&mut live, &mut peer, &mut restarted], k);
-            assert_eq!(image_lens(&queued[0]).len(), usize::from(k == 64), "checkpoint {k}");
+            assert_eq!(image_lens(&queued[0]).len(), usize::from(k == 56), "checkpoint {k}");
             assert_eq!(image_lens(&queued[2]), image_lens(&queued[0]), "checkpoint {k}");
         }
 
@@ -1235,7 +1229,8 @@ mod tests {
     }
 
     /// `assigned` answers "is this op in flight?", so it holds the ops in
-    /// flight — not every op ever proposed.
+    /// flight — not every op ever proposed; and a session keeps its
+    /// client's newest ops, not every op it ever ran.
     #[test]
     fn assignments_are_dropped_at_execution_and_retries_still_hit_the_reply_cache() {
         let (mut shell, mut out) = front_end();
@@ -1253,11 +1248,13 @@ mod tests {
             last = replies.pop();
         }
         assert_eq!(shell.committed(), 10_000);
-        // An executed op is answered from the reply cache — the oldest and
-        // the newest alike, whatever the role — and never re-proposed.
+        // An executed op of the window is answered from the session — the
+        // oldest and the newest alike, whatever the role — and never
+        // re-proposed.
         out.clear();
+        let oldest = 5_000 - SESSION_WINDOW as u64 + 1;
         for role in [Role::Primary, Role::Backup, Role::Idle] {
-            assert_eq!(shell.intake(req(1, 1), role, &mut out), Intake::Done);
+            assert_eq!(shell.intake(req(1, oldest), role, &mut out), Intake::Done);
             assert_eq!(shell.intake(req(2, 5_000), role, &mut out), Intake::Done);
         }
         assert_eq!(out.msgs.len(), 6);
@@ -1266,6 +1263,10 @@ mod tests {
             (Endpoint::Client(ClientId(2)), ShellMsg::Reply(last.expect("5 000 slots ran")))
         );
         assert!(out.timers.is_empty() && shell.assigned.is_empty());
+        // An op below its client's window is unknown.
+        assert!(shell.has_executed(&req(1, oldest).op));
+        assert!(!shell.has_executed(&req(1, oldest - 1).op));
+        assert!(!shell.has_executed(&req(1, 1).op));
     }
 
     /// What a client retrying `op` is sent, through the intake path.
@@ -1328,13 +1329,9 @@ mod tests {
         assert_eq!(retry(&mut shell, op), again.pop());
     }
 
-    /// The `replies` to slots `from` on, as replica `id` sends them.
-    fn from_slot(replies: Vec<Reply>, from: u64, id: ReplicaId) -> Vec<Reply> {
-        replies
-            .into_iter()
-            .filter(|r| r.op.seq >= from)
-            .map(|r| Reply { replica: id, ..r })
-            .collect()
+    /// The `replies` as replica `id` sends them.
+    fn sent_by(replies: Vec<Reply>, id: ReplicaId) -> Vec<Reply> {
+        replies.into_iter().map(|r| Reply { replica: id, ..r }).collect()
     }
 
     #[test]
@@ -1349,9 +1346,11 @@ mod tests {
         assert!(laggard.admit_transfer(ReplicaId(0), served(&s[0], 0, false, false), 2).is_none());
         let plan = laggard.admit_transfer(ReplicaId(1), served(&s[1], 0, false, false), 2).unwrap();
         laggard.install(&plan, Batch::digest);
-        // Slot 4's ops come back from the image's sessions, 5's and 6's
-        // from the replayed suffix.
-        for original in from_slot(replies, 4, ReplicaId(3)) {
+        // Clients 7 and 8 run ops 1..=6, one per slot, so a window-4
+        // client may have all of ops 1..=4 in flight at the watermark:
+        // they come back from the image's sessions, 5 and 6 from the
+        // replayed suffix.
+        for original in sent_by(replies, ReplicaId(3)) {
             assert_eq!(retry(&mut laggard, original.op), Some(original));
         }
     }
@@ -1379,9 +1378,9 @@ mod tests {
         let mut restarted = shells(&keys).remove(0);
         let report = restarted.recover(&disk, Batch::digest);
         assert_eq!((report.installed_seq, report.replayed), (4, 2));
-        // Slot 4's ops come back from the snapshot's sessions, 5's and 6's
-        // from the replayed WAL.
-        for original in from_slot(replies, 4, ReplicaId(0)) {
+        // Ops 1..=4 of a window-4 client come back from the snapshot's
+        // sessions, 5 and 6 from the replayed WAL.
+        for original in sent_by(replies, ReplicaId(0)) {
             assert_eq!(retry(&mut restarted, original.op), Some(original));
         }
     }
@@ -1397,26 +1396,44 @@ mod tests {
         }
     }
 
-    /// The reply cache of a replica that executed 10⁵ `SET`s of fresh keys
-    /// (each answered `(nil)`) holds at most 48 bytes per op: 24-byte index
-    /// buckets plus the framed log's capacity, about 42 in all. An
-    /// `Arc<Vec<u8>>` per op needs 69 before malloc rounding (a bucket, a
-    /// 40-byte `ArcInner`, the five result bytes).
+    /// The exactly-once table holds a window per client, not a reply per
+    /// op: after 10⁴ and after 10⁵ `SET`s of fresh keys over 16 clients
+    /// (each answered `(nil)`) it holds the same bytes, give or take a
+    /// buffer's spare capacity — with checkpoints off (every window in the
+    /// flat index) and on (in the tree, the last interval's in the index).
     #[test]
-    fn the_reply_cache_costs_at_most_48_bytes_per_op() {
-        const OPS: u64 = 100_000;
-        let (mut shell, _) = front_end();
-        for seq in 1..=OPS {
-            let op = OpId { client: ClientId(9), seq };
-            let payload = format!("SET key{seq} v").into_bytes();
-            let b = Arc::new(Batch::single(Arc::new(Request { op, payload })));
-            shell.execute(seq, &b, b.digest(), |reply| assert_eq!(reply.result[..], *b"(nil)"));
-        }
-        let footprint = shell.executed.footprint() as u64;
-        assert!(footprint <= 48 * OPS, "{footprint} bytes for {OPS} ops");
-        for seq in [1, OPS] {
-            let op = OpId { client: ClientId(9), seq };
-            assert_eq!(retry(&mut shell, op).map(|r| r.result), Some(Arc::new(b"(nil)".to_vec())));
+    fn the_session_table_costs_the_same_after_10k_and_100k_ops() {
+        const CLIENTS: u64 = 16;
+        const SEQS: u64 = 100_000 / CLIENTS;
+        let op = |client: u64, seq| OpId { client: ClientId(client as u32), seq };
+        for interval in [0, INTERVAL] {
+            let (mut shell, mut out) = front_end();
+            shell.set_checkpointing(interval, CkptKeys::provision(11, N as usize));
+            let mut footprints = Vec::new();
+            for seq in 1..=SEQS {
+                for client in 0..CLIENTS {
+                    let slot = (seq - 1) * CLIENTS + client + 1;
+                    let payload = format!("SET key{slot} v").into_bytes();
+                    let req = Arc::new(Request { op: op(client, seq), payload });
+                    let b = Arc::new(Batch::single(req));
+                    shell.execute(slot, &b, b.digest(), |r| assert_eq!(r.result[..], *b"(nil)"));
+                    shell.checkpoint(slot, false, &mut out);
+                    out.clear();
+                }
+                if seq == SEQS / 10 || seq == SEQS {
+                    footprints.push(shell.sessions.footprint());
+                }
+            }
+            let (small, large) = (footprints[0], footprints[1]);
+            assert!(large.abs_diff(small) <= 1024, "interval {interval}: {small} B, {large} B");
+            assert!(large <= 16 * 1024, "interval {interval}: {large} B for {CLIENTS} clients");
+            // Every client's window is answered, and the op below it is not.
+            let oldest = SEQS - SESSION_WINDOW as u64 + 1;
+            for client in 0..CLIENTS {
+                let reply = retry(&mut shell, op(client, oldest)).map(|r| r.result);
+                assert_eq!(reply, Some(Arc::new(b"(nil)".to_vec())), "client {client}");
+                assert!(!shell.has_executed(&op(client, oldest - 1)), "client {client}");
+            }
         }
     }
 
@@ -1453,7 +1470,7 @@ mod tests {
         assert_eq!((seq, batch.len(), shell.next_seq()), (1, 2, 2));
         // A retry of an op in flight is re-announced, not re-proposed.
         assert_eq!(shell.intake(req(2, 1), Role::Primary, &mut out), Intake::Reannounce(1));
-        // Once executed, the retry is answered from the reply cache — for
+        // Once executed, the retry is answered from the session — for
         // every role — and nothing else happens.
         let mut executed = Vec::new();
         shell.execute(seq, &batch, batch.digest(), |reply| executed.push(reply));

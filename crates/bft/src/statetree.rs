@@ -259,6 +259,21 @@ impl Node {
         }
     }
 
+    /// Bytes this subtree holds: each node, its prefix and child list, and
+    /// each page's capacity.
+    #[cfg(test)]
+    fn footprint(&self) -> usize {
+        std::mem::size_of::<Node>()
+            + match &self.body {
+                Body::Page(bytes) => bytes.capacity(),
+                Body::Branch { prefix, children, .. } => {
+                    prefix.capacity()
+                        + children.capacity() * std::mem::size_of::<(u16, Arc<Node>)>()
+                        + children.iter().map(|(_, c)| c.footprint()).sum::<usize>()
+                }
+            }
+    }
+
     /// Writes `key → value` beneath `slot`, lending the value it replaces
     /// to `replaced`; returns that value's length.
     fn insert(
@@ -403,11 +418,6 @@ impl PartialEq for StateTree {
 impl Eq for StateTree {}
 
 impl StateTree {
-    /// An empty tree.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Rebuilds a tree from snapshot bytes, from scratch; `None` unless
     /// they are exactly the framing [`write_to`](Self::write_to) emits.
     pub(crate) fn from_snapshot(bytes: &[u8]) -> Option<StateTree> {
@@ -468,6 +478,12 @@ impl StateTree {
     /// Appends the snapshot — every pair, framed, in key order — to `out`.
     pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         self.root.pages(&mut |page| out.extend_from_slice(page));
+    }
+
+    /// Bytes the tree holds (see `Node::footprint`).
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
+        self.root.footprint()
     }
 
     /// Visits every `(key, value)` in key order.
@@ -539,7 +555,7 @@ mod tests {
     /// deletes outnumber writes in the second half — collapse.
     #[test]
     fn a_mixed_run_tracks_the_reference_map_and_keeps_the_canonical_shape() {
-        let mut tree = StateTree::new();
+        let mut tree = StateTree::default();
         let mut model = BTreeMap::new();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
@@ -576,16 +592,16 @@ mod tests {
             tree.remove(key);
             check_shape(&tree.root, b"");
         }
-        assert_eq!((tree.len(), tree.byte_len(), tree.root()), (0, 0, StateTree::new().root()));
+        assert_eq!((tree.len(), tree.byte_len(), tree.root()), (0, 0, StateTree::default().root()));
     }
 
     #[test]
     fn the_root_depends_on_the_contents_not_on_their_history() {
         let keys: Vec<Vec<u8>> =
             (0..5 * PAGE_CAP).map(|i| format!("user/{i:03}").into_bytes()).collect();
-        let mut ascending = StateTree::new();
-        let mut descending = StateTree::new();
-        let mut churned = StateTree::new();
+        let mut ascending = StateTree::default();
+        let mut descending = StateTree::default();
+        let mut churned = StateTree::default();
         for key in &keys {
             ascending.insert(key, b"v", |_| {});
         }
@@ -612,7 +628,7 @@ mod tests {
 
     #[test]
     fn a_clone_shares_pages_until_they_are_written_and_never_moves() {
-        let mut live = StateTree::new();
+        let mut live = StateTree::default();
         for i in 0..1_000 {
             live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"value", |_| {});
         }
@@ -648,7 +664,7 @@ mod tests {
             tree.insert(key.as_bytes(), &[op as u8; 100], |_| {});
         };
         let rehash_after_256 = |keys: usize| {
-            let mut tree = StateTree::new();
+            let mut tree = StateTree::default();
             (0..keys).for_each(|op| write(&mut tree, op));
             tree.root();
             let hashed = hashed_by(|| {

@@ -1,7 +1,8 @@
 //! Regression: retry dedup must survive a rejuvenation wipe + CST re-join.
 //!
-//! The executed-reply index is volatile; before client sessions were
-//! snapshotted into the checkpoint image, a wiped replica that re-joined
+//! The replies a replica keeps for retries are volatile unless they are
+//! certified state; before client sessions were snapshotted into the
+//! checkpoint image, a wiped replica that re-joined
 //! through state transfer lost every reply below the certified watermark.
 //! A client retrying one of those ops then got *silence* from the
 //! re-joined replica (on a backup the request parks in `pending`
@@ -106,7 +107,7 @@ fn assert_retry_survives_rejoin<C: Cluster>(mut cluster: C, cfg: &RunConfig) {
     let op = OpId { client: ClientId(0), seq };
     let req = Arc::new(Request { op, payload: client_payload(cfg.seed, 0, seq, cfg.payload_size) });
     let expected = retry_and_pump(&mut cluster, 0, &req)
-        .expect("a never-wiped replica answers the retry from its dedup index");
+        .expect("a never-wiped replica answers the retry from its session");
 
     cluster.nodes_mut()[wiped].wipe();
     let digest_wiped = cluster.nodes()[wiped].state_digest();

@@ -785,8 +785,8 @@ proptest! {
         let log_before = cluster.nodes()[0].committed_log().len();
         let digest_before = cluster.nodes()[0].state_digest();
 
-        // A client retry for an executed op must be answered from the
-        // exactly-once reply cache (one Reply, the cached result) without
+        // A client retry for an executed op must be answered from its
+        // client's session window (one Reply, the kept result) without
         // re-entering agreement — the retired slot cannot be reused.
         let op = OpId { client: ClientId(0), seq: 1 };
         let primary = &mut cluster.nodes_mut()[0];
