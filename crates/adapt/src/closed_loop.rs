@@ -3,9 +3,16 @@
 //! no oracle labels. This measures what §II-D actually deploys: detection
 //! lag, false alarms, and hysteresis all show up in the ledger.
 
-use crate::controller::{AdaptReport, AdaptiveController, Deployment};
-use crate::detector::{AnomalySample, DetectorConfig, ThreatDetector};
+use crate::controller::{AdaptReport, LADDER};
+use crate::detector::{AnomalySample, ThreatDetector, ThreatLevel};
 use rsoc_sim::SimRng;
+
+/// Mean equivocation detections per window per active Byzantine fault.
+const EQUIVOCATIONS_PER_FAULT: f64 = 1.5;
+/// Mean MAC failures per window per active Byzantine fault.
+const MAC_FAILURES_PER_FAULT: f64 = 2.5;
+/// Mean SEU events per window (environment noise).
+const BACKGROUND_SEU: f64 = 0.2;
 
 /// Ground truth for one observation window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,25 +26,14 @@ pub struct GroundTruthWindow {
 /// Noise model mapping ground truth to observed anomaly counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservationModel {
-    /// Mean equivocation detections per window per active Byzantine fault.
-    pub equivocations_per_fault: f64,
-    /// Mean MAC failures per window per active Byzantine fault.
-    pub mac_failures_per_fault: f64,
     /// Mean benign timeouts per window (congestion noise, independent of
     /// the attacker — the false-alarm channel).
     pub background_timeouts: f64,
-    /// Mean SEU events per window (environment noise).
-    pub background_seu: f64,
 }
 
 impl Default for ObservationModel {
     fn default() -> Self {
-        ObservationModel {
-            equivocations_per_fault: 1.5,
-            mac_failures_per_fault: 2.5,
-            background_timeouts: 0.3,
-            background_seu: 0.2,
-        }
+        ObservationModel { background_timeouts: 0.3 }
     }
 }
 
@@ -51,20 +47,21 @@ impl ObservationModel {
         };
         let f = truth.byz_faults as f64;
         AnomalySample {
-            equivocations: draw(self.equivocations_per_fault * f, rng),
-            mac_failures: draw(self.mac_failures_per_fault * f, rng),
+            equivocations: draw(EQUIVOCATIONS_PER_FAULT * f, rng),
+            mac_failures: draw(MAC_FAILURES_PER_FAULT * f, rng),
             timeouts: draw(self.background_timeouts + 0.4 * f, rng),
-            seu_events: draw(self.background_seu, rng),
+            seu_events: draw(BACKGROUND_SEU, rng),
         }
     }
 }
 
 /// Result of a closed-loop run: the standard ledger plus detector quality.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClosedLoopReport {
     /// Protection/cost ledger.
     pub ledger: AdaptReport,
-    /// Windows where an active attacker (`byz_faults > 0`) was masked.
+    /// Windows where an active attacker (`byz_faults > 0`) was masked by
+    /// the deployment in force after the window's switch.
     pub attacks_masked: u32,
     /// Windows where an active attacker exceeded the deployment.
     pub attacks_missed: u32,
@@ -76,56 +73,33 @@ pub struct ClosedLoopReport {
 /// Runs the detector+controller closed loop over ground truth windows.
 pub fn run_closed_loop(
     truth: &[GroundTruthWindow],
-    detector_config: DetectorConfig,
-    controller: AdaptiveController,
     observation: ObservationModel,
     rng: &mut SimRng,
 ) -> ClosedLoopReport {
-    let mut detector = ThreatDetector::new(detector_config);
-    let quiet_deployment = controller.deployment_for(crate::detector::ThreatLevel::Low);
-    let mut current: Deployment = quiet_deployment;
-    let mut ledger = AdaptReport {
-        duration: 0,
-        underprotected_time: 0,
-        replica_cycles: 0,
-        switches: 0,
-        switching_time: 0,
-    };
-    let mut attacks_masked = 0;
-    let mut attacks_missed = 0;
-    let mut false_alarms = 0;
-
+    let mut detector = ThreatDetector::new();
+    let quiet = LADDER[ThreatLevel::Low as usize];
+    let mut current = quiet;
+    let mut report = ClosedLoopReport::default();
     for w in truth {
-        let sample = observation.observe(*w, rng);
-        let level = detector.observe(sample);
-        let want = controller.deployment_for(level);
-        if want != current {
-            ledger.switches += 1;
-            ledger.switching_time += controller.switch_cost.min(w.duration);
-            current = want;
-        }
-        ledger.duration += w.duration;
-        ledger.replica_cycles += w.duration * current.replicas() as u64;
-        let masked = current.masks(w.byz_faults);
-        if !masked {
-            ledger.underprotected_time += w.duration;
-        }
+        let level = detector.observe(observation.observe(*w, rng));
+        report.ledger.charge(&mut current, LADDER[level as usize], w.duration, w.byz_faults);
         if w.byz_faults > 0 {
-            if masked {
-                attacks_masked += 1;
+            if current.masks(w.byz_faults) {
+                report.attacks_masked += 1;
             } else {
-                attacks_missed += 1;
+                report.attacks_missed += 1;
             }
-        } else if current.replicas() > quiet_deployment.replicas() {
-            false_alarms += 1;
+        } else if current.replicas() > quiet.replicas() {
+            report.false_alarm_windows += 1;
         }
     }
-    ClosedLoopReport { ledger, attacks_masked, attacks_missed, false_alarm_windows: false_alarms }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{simulate_adaptation, AdaptPolicy, TraceSegment};
 
     fn storm_truth() -> Vec<GroundTruthWindow> {
         let mut t = Vec::new();
@@ -147,13 +121,7 @@ mod tests {
     #[test]
     fn detector_in_the_loop_masks_most_attack_windows() {
         let mut rng = SimRng::new(1);
-        let report = run_closed_loop(
-            &storm_truth(),
-            DetectorConfig::default(),
-            AdaptiveController::default(),
-            ObservationModel::default(),
-            &mut rng,
-        );
+        let report = run_closed_loop(&storm_truth(), ObservationModel::default(), &mut rng);
         let total_attacks = report.attacks_masked + report.attacks_missed;
         assert_eq!(total_attacks, 16);
         assert!(
@@ -170,13 +138,7 @@ mod tests {
     fn quiet_truth_keeps_footprint_small() {
         let truth = vec![GroundTruthWindow { duration: 1_000, byz_faults: 0 }; 50];
         let mut rng = SimRng::new(2);
-        let report = run_closed_loop(
-            &truth,
-            DetectorConfig::default(),
-            AdaptiveController::default(),
-            ObservationModel::default(),
-            &mut rng,
-        );
+        let report = run_closed_loop(&truth, ObservationModel::default(), &mut rng);
         assert_eq!(report.attacks_missed, 0);
         assert!(
             report.ledger.mean_replicas() < 3.0,
@@ -189,18 +151,9 @@ mod tests {
     #[test]
     fn noisy_background_costs_false_alarms_not_safety() {
         let truth = vec![GroundTruthWindow { duration: 1_000, byz_faults: 0 }; 50];
-        let loud = ObservationModel {
-            background_timeouts: 3.0, // heavy congestion noise
-            ..Default::default()
-        };
+        let loud = ObservationModel { background_timeouts: 3.0 }; // heavy congestion noise
         let mut rng = SimRng::new(3);
-        let report = run_closed_loop(
-            &truth,
-            DetectorConfig::default(),
-            AdaptiveController::default(),
-            loud,
-            &mut rng,
-        );
+        let report = run_closed_loop(&truth, loud, &mut rng);
         assert_eq!(report.ledger.underprotected_time, 0, "false alarms are never unsafe");
         assert!(
             report.false_alarm_windows > 5,
@@ -210,16 +163,30 @@ mod tests {
     }
 
     #[test]
+    fn the_ledger_is_the_scripted_replay_of_the_detected_levels() {
+        let truth = storm_truth();
+        let observation = ObservationModel::default();
+        let closed = run_closed_loop(&truth, observation, &mut SimRng::new(1));
+        // The same draws through a fresh detector give each window's level.
+        let mut rng = SimRng::new(1);
+        let mut detector = ThreatDetector::new();
+        let scripted: Vec<TraceSegment> = truth
+            .iter()
+            .map(|w| TraceSegment {
+                duration: w.duration,
+                byz_faults: w.byz_faults,
+                detected: detector.observe(observation.observe(*w, &mut rng)),
+            })
+            .collect();
+        assert!(closed.ledger.switches > 0, "the storm must make the loop switch");
+        assert_eq!(closed.ledger, simulate_adaptation(&scripted, AdaptPolicy::Adaptive));
+    }
+
+    #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut rng = SimRng::new(seed);
-            run_closed_loop(
-                &storm_truth(),
-                DetectorConfig::default(),
-                AdaptiveController::default(),
-                ObservationModel::default(),
-                &mut rng,
-            )
+            run_closed_loop(&storm_truth(), ObservationModel::default(), &mut rng)
         };
         assert_eq!(run(7), run(7));
     }

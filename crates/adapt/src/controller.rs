@@ -29,49 +29,30 @@ impl Deployment {
     }
 }
 
-/// The controller's policy: a threat-level → deployment table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveController {
-    /// Deployment per [`ThreatLevel`] (index = level order).
-    pub table: [Deployment; 4],
-    /// Cycles of degraded service while switching deployments.
-    pub switch_cost: u64,
-}
+/// The controller's ladder: the deployment for each [`ThreatLevel`]
+/// (index = level order).
+pub const LADDER: [Deployment; 4] = [
+    Deployment { protocol: Protocol::Passive, f: 1 },
+    Deployment { protocol: Protocol::MinBft, f: 1 },
+    Deployment { protocol: Protocol::MinBft, f: 2 },
+    Deployment { protocol: Protocol::Pbft, f: 3 },
+];
 
-impl Default for AdaptiveController {
-    fn default() -> Self {
-        AdaptiveController {
-            table: [
-                Deployment { protocol: Protocol::Passive, f: 1 },
-                Deployment { protocol: Protocol::MinBft, f: 1 },
-                Deployment { protocol: Protocol::MinBft, f: 2 },
-                Deployment { protocol: Protocol::Pbft, f: 3 },
-            ],
-            switch_cost: 500,
-        }
-    }
-}
-
-impl AdaptiveController {
-    /// Deployment for a threat level.
-    pub fn deployment_for(&self, level: ThreatLevel) -> Deployment {
-        let idx = ThreatLevel::ALL.iter().position(|l| *l == level).expect("level in ALL");
-        self.table[idx]
-    }
-}
+/// Cycles of degraded service while switching deployments.
+pub const SWITCH_COST: u64 = 500;
 
 /// Comparison policies for [`simulate_adaptation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptPolicy {
     /// Keep one deployment forever.
     Static(Deployment),
-    /// Follow the controller's table as the detected level changes.
-    Adaptive(AdaptiveController),
+    /// Follow [`LADDER`] as the detected level changes.
+    Adaptive,
 }
 
 /// Outcome of replaying a threat trace under a policy (the §II-D claim;
 /// `tests::adaptive_gets_both` pins it).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdaptReport {
     /// Total trace duration.
     pub duration: u64,
@@ -86,6 +67,39 @@ pub struct AdaptReport {
 }
 
 impl AdaptReport {
+    /// Charges one window of `duration` cycles against an attacker of
+    /// `byz_faults`, switching `current` to `want` at the window's start
+    /// when they differ. Both replays ([`simulate_adaptation`] and
+    /// [`crate::run_closed_loop`]) charge every window here.
+    pub(crate) fn charge(
+        &mut self,
+        current: &mut Deployment,
+        want: Deployment,
+        duration: u64,
+        byz_faults: u32,
+    ) {
+        let mut degraded = 0;
+        if want != *current {
+            self.switches += 1;
+            degraded = SWITCH_COST.min(duration);
+            self.switching_time += degraded;
+            // During the switch the *larger* footprint is reserved but
+            // protection is the weaker of the two configurations.
+            if !(current.masks(byz_faults) && want.masks(byz_faults)) {
+                self.underprotected_time += degraded;
+            }
+            self.replica_cycles += degraded * current.replicas().max(want.replicas()) as u64;
+            *current = want;
+        }
+        // The rest of the window runs the new deployment.
+        let rest = duration - degraded;
+        self.duration += duration;
+        self.replica_cycles += rest * want.replicas() as u64;
+        if !want.masks(byz_faults) {
+            self.underprotected_time += rest;
+        }
+    }
+
     /// Fraction of time under-protected.
     pub fn underprotected_fraction(&self) -> f64 {
         if self.duration == 0 {
@@ -121,48 +135,15 @@ pub struct TraceSegment {
 
 /// Replays `trace` under `policy`.
 pub fn simulate_adaptation(trace: &[TraceSegment], policy: AdaptPolicy) -> AdaptReport {
-    let mut report = AdaptReport {
-        duration: 0,
-        underprotected_time: 0,
-        replica_cycles: 0,
-        switches: 0,
-        switching_time: 0,
-    };
-    let mut current: Deployment = match policy {
+    let pick = |level| match policy {
         AdaptPolicy::Static(d) => d,
-        AdaptPolicy::Adaptive(c) => c.deployment_for(ThreatLevel::Low),
+        AdaptPolicy::Adaptive => LADDER[level as usize],
     };
+    let mut report = AdaptReport::default();
+    let mut current = pick(ThreatLevel::Low);
     for seg in trace {
         // Adaptive: react to the detected level at segment start.
-        if let AdaptPolicy::Adaptive(controller) = policy {
-            let want = controller.deployment_for(seg.detected);
-            if want != current {
-                report.switches += 1;
-                let degraded = controller.switch_cost.min(seg.duration);
-                report.switching_time += degraded;
-                // During the switch the *larger* footprint is reserved but
-                // protection is the weaker of the two configurations.
-                let weaker_masks = |b: u32| current.masks(b) && want.masks(b);
-                if !weaker_masks(seg.byz_faults) {
-                    report.underprotected_time += degraded;
-                }
-                report.replica_cycles += degraded * current.replicas().max(want.replicas()) as u64;
-                current = want;
-                // Remainder of the segment runs the new deployment.
-                let rest = seg.duration - degraded;
-                report.duration += seg.duration;
-                report.replica_cycles += rest * current.replicas() as u64;
-                if !current.masks(seg.byz_faults) {
-                    report.underprotected_time += rest;
-                }
-                continue;
-            }
-        }
-        report.duration += seg.duration;
-        report.replica_cycles += seg.duration * current.replicas() as u64;
-        if !current.masks(seg.byz_faults) {
-            report.underprotected_time += seg.duration;
-        }
+        report.charge(&mut current, pick(seg.detected), seg.duration, seg.byz_faults);
     }
     report
 }
@@ -220,9 +201,9 @@ mod tests {
 
     #[test]
     fn adaptive_gets_both() {
-        let r = simulate_adaptation(&trace(), AdaptPolicy::Adaptive(AdaptiveController::default()));
+        let r = simulate_adaptation(&trace(), AdaptPolicy::Adaptive);
         // Under-protection only during switch windows (≤ 2 switches here).
-        assert!(r.underprotected_time <= 2 * AdaptiveController::default().switch_cost);
+        assert!(r.underprotected_time <= 2 * SWITCH_COST);
         // Mean cost close to the quiet deployment's 2 replicas.
         assert!(r.mean_replicas() < 3.0, "adaptation amortizes to cheap: {}", r.mean_replicas());
         assert!(r.switches >= 2);
@@ -233,13 +214,13 @@ mod tests {
         // Detector stuck at Low while the attacker is active.
         let blind =
             vec![TraceSegment { duration: 10_000, byz_faults: 1, detected: ThreatLevel::Low }];
-        let r = simulate_adaptation(&blind, AdaptPolicy::Adaptive(AdaptiveController::default()));
+        let r = simulate_adaptation(&blind, AdaptPolicy::Adaptive);
         assert_eq!(r.underprotected_time, 10_000, "no detection, no protection");
     }
 
     #[test]
     fn empty_trace_is_zeroes() {
-        let r = simulate_adaptation(&[], AdaptPolicy::Adaptive(AdaptiveController::default()));
+        let r = simulate_adaptation(&[], AdaptPolicy::Adaptive);
         assert_eq!(r.duration, 0);
         assert_eq!(r.underprotected_fraction(), 0.0);
         assert_eq!(r.mean_replicas(), 0.0);

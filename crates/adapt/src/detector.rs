@@ -34,54 +34,36 @@ pub struct AnomalySample {
     pub seu_events: u32,
 }
 
+/// Weight of MAC verification failures (strong intrusion signal).
+const WEIGHT_MAC: f64 = 2.0;
+/// Weight of timeouts (weak signal; also benign congestion).
+const WEIGHT_TIMEOUT: f64 = 0.5;
+/// Weight of equivocation detections (very strong signal).
+const WEIGHT_EQUIVOCATION: f64 = 4.0;
+/// Weight of SEU events (environment signal).
+const WEIGHT_SEU: f64 = 0.25;
+/// EWMA smoothing factor in `(0, 1]`; higher = more reactive.
+const ALPHA: f64 = 0.3;
+/// Score thresholds for Elevated / High / Critical.
+const THRESHOLDS: [f64; 3] = [1.0, 4.0, 10.0];
+/// Fractional hysteresis: to *drop* a level the score must fall below
+/// `threshold * (1 - HYSTERESIS)`.
+const HYSTERESIS: f64 = 0.3;
+
+const _: () = assert!(THRESHOLDS[0] < THRESHOLDS[1] && THRESHOLDS[1] < THRESHOLDS[2]);
+
 impl AnomalySample {
-    fn score(&self, w: &DetectorConfig) -> f64 {
-        self.mac_failures as f64 * w.weight_mac
-            + self.timeouts as f64 * w.weight_timeout
-            + self.equivocations as f64 * w.weight_equivocation
-            + self.seu_events as f64 * w.weight_seu
-    }
-}
-
-/// Detector parameters: signal weights, EWMA smoothing, level thresholds,
-/// and hysteresis margin.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Weight of MAC verification failures (strong intrusion signal).
-    pub weight_mac: f64,
-    /// Weight of timeouts (weak signal; also benign congestion).
-    pub weight_timeout: f64,
-    /// Weight of equivocation detections (very strong signal).
-    pub weight_equivocation: f64,
-    /// Weight of SEU events (environment signal).
-    pub weight_seu: f64,
-    /// EWMA smoothing factor in `(0, 1]`; higher = more reactive.
-    pub alpha: f64,
-    /// Score thresholds for Elevated / High / Critical.
-    pub thresholds: [f64; 3],
-    /// Fractional hysteresis: to *drop* a level the score must fall below
-    /// `threshold * (1 - hysteresis)`.
-    pub hysteresis: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            weight_mac: 2.0,
-            weight_timeout: 0.5,
-            weight_equivocation: 4.0,
-            weight_seu: 0.25,
-            alpha: 0.3,
-            thresholds: [1.0, 4.0, 10.0],
-            hysteresis: 0.3,
-        }
+    fn score(&self) -> f64 {
+        self.mac_failures as f64 * WEIGHT_MAC
+            + self.timeouts as f64 * WEIGHT_TIMEOUT
+            + self.equivocations as f64 * WEIGHT_EQUIVOCATION
+            + self.seu_events as f64 * WEIGHT_SEU
     }
 }
 
 /// EWMA threat detector with hysteresis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThreatDetector {
-    config: DetectorConfig,
     ewma: f64,
     level: ThreatLevel,
     observations: u64,
@@ -89,60 +71,34 @@ pub struct ThreatDetector {
 
 impl ThreatDetector {
     /// Creates a detector at `Low` with zero score.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]` or thresholds are not
-    /// strictly increasing.
-    pub fn new(config: DetectorConfig) -> Self {
-        assert!(config.alpha > 0.0 && config.alpha <= 1.0, "alpha must be in (0,1]");
-        assert!(
-            config.thresholds[0] < config.thresholds[1]
-                && config.thresholds[1] < config.thresholds[2],
-            "thresholds must increase"
-        );
-        ThreatDetector { config, ewma: 0.0, level: ThreatLevel::Low, observations: 0 }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds one sampling window; returns the (possibly unchanged) level.
     pub fn observe(&mut self, sample: AnomalySample) -> ThreatLevel {
         self.observations += 1;
-        let s = sample.score(&self.config);
-        self.ewma = self.config.alpha * s + (1.0 - self.config.alpha) * self.ewma;
+        self.ewma = ALPHA * sample.score() + (1.0 - ALPHA) * self.ewma;
         self.level = self.classify();
         self.level
     }
 
     fn classify(&self) -> ThreatLevel {
-        let t = &self.config.thresholds;
-        let h = 1.0 - self.config.hysteresis;
         // Rising edges use raw thresholds; falling edges the hysteresis ones.
-        let raw = if self.ewma >= t[2] {
+        let raw = if self.ewma >= THRESHOLDS[2] {
             ThreatLevel::Critical
-        } else if self.ewma >= t[1] {
+        } else if self.ewma >= THRESHOLDS[1] {
             ThreatLevel::High
-        } else if self.ewma >= t[0] {
+        } else if self.ewma >= THRESHOLDS[0] {
             ThreatLevel::Elevated
         } else {
             ThreatLevel::Low
         };
-        if raw >= self.level {
-            return raw;
-        }
         // Dropping: only if we cleared the hysteresis band of each level in
         // between.
-        let mut lvl = self.level;
-        while lvl > raw {
-            let idx = match lvl {
-                ThreatLevel::Critical => 2,
-                ThreatLevel::High => 1,
-                ThreatLevel::Elevated => 0,
-                ThreatLevel::Low => unreachable!("lvl > raw >= Low"),
-            };
-            if self.ewma < t[idx] * h {
-                lvl = ThreatLevel::ALL[idx]; // one level down
-            } else {
-                break;
-            }
+        let mut lvl = self.level.max(raw);
+        while lvl > raw && self.ewma < THRESHOLDS[lvl as usize - 1] * (1.0 - HYSTERESIS) {
+            lvl = ThreatLevel::ALL[lvl as usize - 1]; // one level down
         }
         lvl
     }
@@ -173,7 +129,7 @@ mod tests {
 
     #[test]
     fn starts_low_and_stays_low_when_quiet() {
-        let mut d = ThreatDetector::new(DetectorConfig::default());
+        let mut d = ThreatDetector::new();
         for _ in 0..50 {
             assert_eq!(d.observe(quiet()), ThreatLevel::Low);
         }
@@ -182,7 +138,7 @@ mod tests {
 
     #[test]
     fn escalates_under_attack_signals() {
-        let mut d = ThreatDetector::new(DetectorConfig::default());
+        let mut d = ThreatDetector::new();
         for _ in 0..30 {
             d.observe(AnomalySample { equivocations: 3, mac_failures: 4, ..Default::default() });
         }
@@ -191,7 +147,7 @@ mod tests {
 
     #[test]
     fn mild_noise_reaches_elevated_not_critical() {
-        let mut d = ThreatDetector::new(DetectorConfig::default());
+        let mut d = ThreatDetector::new();
         for _ in 0..30 {
             d.observe(AnomalySample { timeouts: 3, ..Default::default() });
         }
@@ -201,8 +157,7 @@ mod tests {
 
     #[test]
     fn hysteresis_delays_deescalation() {
-        let cfg = DetectorConfig::default();
-        let mut d = ThreatDetector::new(cfg);
+        let mut d = ThreatDetector::new();
         for _ in 0..30 {
             d.observe(AnomalySample { equivocations: 2, ..Default::default() });
         }
@@ -220,16 +175,10 @@ mod tests {
 
     #[test]
     fn seu_events_alone_signal_environment_not_intrusion() {
-        let mut d = ThreatDetector::new(DetectorConfig::default());
+        let mut d = ThreatDetector::new();
         for _ in 0..30 {
             d.observe(AnomalySample { seu_events: 2, ..Default::default() });
         }
         assert!(d.level() <= ThreatLevel::Elevated);
-    }
-
-    #[test]
-    #[should_panic(expected = "thresholds must increase")]
-    fn rejects_bad_thresholds() {
-        ThreatDetector::new(DetectorConfig { thresholds: [5.0, 4.0, 10.0], ..Default::default() });
     }
 }

@@ -1023,7 +1023,7 @@ mod tests {
     }
 
     #[test]
-    fn plain_counter_protection_is_available_for_e2() {
+    fn plain_counter_cluster_commits_and_reports_plain() {
         let cfg = config(1, 1, 4, 35);
         let mut cluster = MinBftCluster::with_protection(&cfg, CounterProtection::Plain);
         let report = run(&mut cluster, &cfg);

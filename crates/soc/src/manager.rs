@@ -5,11 +5,8 @@
 use crate::privilege::{PrivilegeGate, PrivilegedOp, Vote};
 use crate::soc::{ResilientSoc, SocConfig};
 use crate::tile::{TileHealth, TileId};
-use rsoc_adapt::{
-    AdaptiveController, AnomalySample, Deployment, DetectorConfig, ThreatDetector, ThreatLevel,
-};
+use rsoc_adapt::{AnomalySample, Deployment, ThreatDetector, ThreatLevel, LADDER};
 use rsoc_bft::runner::RunReport;
-use rsoc_bft::Protocol;
 use rsoc_crypto::MacKey;
 use rsoc_diversity::VariantId;
 use rsoc_fpga::{Bitstream, FpgaFabric, Icap, ReconfigEngine, Region};
@@ -18,41 +15,23 @@ use rsoc_fpga::{Bitstream, FpgaFabric, Icap, ReconfigEngine, Region};
 const FRAMES_PER_TILE: u32 = 2;
 /// Words per frame in the managed fabric.
 const WORDS_PER_FRAME: usize = 8;
+/// Kernel replicas voting at the privilege gate.
+const KERNELS: u32 = 3;
+/// Vote quorum at the gate.
+const GATE_THRESHOLD: usize = 2;
 
-/// Manager configuration and feature toggles (the layer ablation
-/// switches).
+/// Manager feature toggles (the layer ablation switches).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManagerConfig {
-    /// Kernel replicas voting at the privilege gate.
-    pub kernels: u32,
-    /// Vote quorum at the gate.
-    pub gate_threshold: usize,
-    /// Threat detector parameters.
-    pub detector: DetectorConfig,
-    /// Deployment table for adaptation.
-    pub controller: AdaptiveController,
     /// Rejuvenate compromised tiles at epoch end.
     pub enable_rejuvenation: bool,
     /// Rejuvenate onto *diverse* variants (vs same variant).
     pub enable_diversity: bool,
-    /// Adapt deployment to the detected threat level (vs static MinBFT f=1).
-    pub enable_adaptation: bool,
-    /// Relocate rejuvenated softcores to different fabric regions.
-    pub enable_relocation: bool,
 }
 
 impl Default for ManagerConfig {
     fn default() -> Self {
-        ManagerConfig {
-            kernels: 3,
-            gate_threshold: 2,
-            detector: DetectorConfig::default(),
-            controller: AdaptiveController::default(),
-            enable_rejuvenation: true,
-            enable_diversity: true,
-            enable_adaptation: true,
-            enable_relocation: true,
-        }
+        ManagerConfig { enable_rejuvenation: true, enable_diversity: true }
     }
 }
 
@@ -72,7 +51,8 @@ pub struct EpochThreat {
 pub struct EpochReport {
     /// Detected threat level after this epoch's observations.
     pub level: ThreatLevel,
-    /// Deployment used for the epoch's workload.
+    /// Deployment the epoch's workload ran: the level's rung of
+    /// [`LADDER`], or the strongest rung below it the live tiles can host.
     pub deployment: Deployment,
     /// The workload run report.
     pub run: RunReport,
@@ -113,8 +93,8 @@ impl SocManager {
         let mut icap = Icap::new(bs_key.clone());
         icap.allow(PrivilegeGate::GATE_PRINCIPAL, Region::new(0, total_frames));
         let engine = ReconfigEngine::new(fabric, icap);
-        let gate = PrivilegeGate::new(soc_config.seed, config.kernels, config.gate_threshold);
-        let detector = ThreatDetector::new(config.detector);
+        let gate = PrivilegeGate::new(soc_config.seed, KERNELS, GATE_THRESHOLD);
+        let detector = ThreatDetector::new();
         let mut mgr = SocManager { soc, engine, gate, detector, config, bs_key, epoch: 0 };
         // Initial configuration: tile i's softcore in region [i*F, F).
         for i in 0..tiles {
@@ -156,7 +136,7 @@ impl SocManager {
         &mut self,
         op: &PrivilegedOp,
     ) -> Result<(), crate::privilege::GateError> {
-        let votes: Vec<Vote> = (0..self.config.kernels)
+        let votes: Vec<Vote> = (0..KERNELS)
             .map(|k| Vote::sign(k, self.gate.kernel_key(k).expect("provisioned"), op))
             .collect();
         self.gate.execute(&mut self.engine, op, &votes)
@@ -192,12 +172,15 @@ impl SocManager {
             seu_events: threat.seu_events,
         });
 
-        // 3. Deployment.
-        let deployment = if self.config.enable_adaptation {
-            self.config.controller.deployment_for(level)
-        } else {
-            Deployment { protocol: Protocol::MinBft, f: 1 }
-        };
+        // 3. Deployment: the level's rung, stepped down until the live
+        //    tiles can host it (passive is the floor).
+        let live =
+            self.soc.tiles().iter().filter(|t| t.health != TileHealth::Crashed).count() as u32;
+        let deployment = LADDER[..=level as usize]
+            .iter()
+            .rev()
+            .find(|d| d.replicas() <= live)
+            .map_or(LADDER[0], |d| *d);
 
         // 4. Workload.
         let run =
@@ -228,19 +211,15 @@ impl SocManager {
                     self.soc.tiles()[tile.0 as usize].variant
                 };
                 // Spatial rejuvenation: decommission the old site, bring the
-                // softcore up elsewhere (or in place when relocation is off).
+                // softcore up elsewhere. Pick the destination *before*
+                // freeing the old site so the block genuinely moves to a
+                // different grid location.
                 let block = tile.0 as u64;
                 let old_region = self.engine.fabric().block_region(block);
-                let target = if self.config.enable_relocation {
-                    // Pick the destination *before* freeing the old site so
-                    // the block genuinely moves to a different grid location.
-                    let fresh = self.engine.fabric().find_free_region(FRAMES_PER_TILE);
-                    let _ = self.engine.decommission(PrivilegeGate::GATE_PRINCIPAL, block);
-                    fresh.or_else(|| self.engine.fabric().find_free_region(FRAMES_PER_TILE))
-                } else {
-                    let _ = self.engine.decommission(PrivilegeGate::GATE_PRINCIPAL, block);
-                    old_region
-                };
+                let fresh = self.engine.fabric().find_free_region(FRAMES_PER_TILE);
+                let _ = self.engine.decommission(PrivilegeGate::GATE_PRINCIPAL, block);
+                let target =
+                    fresh.or_else(|| self.engine.fabric().find_free_region(FRAMES_PER_TILE));
                 if let Some(region) = target {
                     let op = PrivilegedOp::Reconfigure {
                         region,
@@ -276,6 +255,7 @@ impl SocManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsoc_bft::Protocol;
 
     fn manager(seed: u64) -> SocManager {
         SocManager::new(SocConfig { mesh_width: 4, mesh_height: 4, seed }, ManagerConfig::default())
@@ -348,6 +328,42 @@ mod tests {
         without.run_epoch(&attack, 1, 2);
         assert_ne!(with.soc().tiles()[2].variant, v_before, "diverse rejuvenation changes variant");
         assert_eq!(without.soc().tiles()[2].variant, v_before, "same-variant restart keeps it");
+    }
+
+    #[test]
+    fn a_small_chip_runs_the_strongest_rung_it_can_host() {
+        // High asks for MinBFT f=2: five replicas on a four-tile chip.
+        let mut mgr = SocManager::new(
+            SocConfig { mesh_width: 2, mesh_height: 2, seed: 6 },
+            ManagerConfig::default(),
+        );
+        let attack = EpochThreat { compromise: vec![TileId(0), TileId(1)], ..Default::default() };
+        let report = mgr.run_epoch(&attack, 1, 3);
+        assert_eq!(report.level, ThreatLevel::High);
+        assert_eq!(report.deployment, Deployment { protocol: Protocol::MinBft, f: 1 });
+        assert!(report.run.safety_ok);
+        assert_eq!(report.run.committed, 3);
+    }
+
+    #[test]
+    fn crashed_tiles_cap_the_deployment() {
+        // Nine live tiles: Critical asks for PBFT f=3, which needs ten.
+        let mut mgr = manager(7);
+        mgr.run_epoch(
+            &EpochThreat { crash: (9..16).map(TileId).collect(), ..Default::default() },
+            1,
+            2,
+        );
+        let attack = |tiles: [u32; 3]| EpochThreat {
+            compromise: tiles.map(TileId).to_vec(),
+            ..Default::default()
+        };
+        mgr.run_epoch(&attack([0, 1, 2]), 1, 3);
+        let report = mgr.run_epoch(&attack([3, 4, 5]), 1, 3);
+        assert_eq!(report.level, ThreatLevel::Critical);
+        assert_eq!(report.deployment, Deployment { protocol: Protocol::MinBft, f: 2 });
+        assert!(report.run.safety_ok);
+        assert_eq!(report.run.committed, 3);
     }
 
     #[test]
