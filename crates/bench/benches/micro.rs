@@ -178,7 +178,7 @@ fn bench_commit_batching(c: &mut Criterion) {
 
 /// Write number `op` of the harness's shape: 8 clients, each op writing
 /// its own key, a 100-byte value.
-fn kv_set(kv: &mut KvStore, command: &mut Vec<u8>, op: u64) -> Vec<u8> {
+fn kv_set(kv: &mut KvStore, command: &mut Vec<u8>, op: u64) -> Arc<Vec<u8>> {
     use std::io::Write as _;
     command.clear();
     write!(command, "SET k{}.{} ", op % 8, op / 8).expect("writing to a Vec");

@@ -200,12 +200,10 @@ impl<D: Discipline> Replica<Agreement<D>> {
             }
             // Execution consumes the slot; retiring the watermark below
             // makes the sequence number permanently dead.
-            let Some(Slot { batch: Some(batch), digest: Some(digest), .. }) =
-                self.core.slots.remove(next)
-            else {
-                break; // a batch is always stored with its digest
+            let Some(Slot { batch: Some(batch), .. }) = self.core.slots.remove(next) else {
+                break; // `ready` saw the batch
             };
-            self.shell.execute(next, &batch, digest, |reply| {
+            self.shell.execute(next, &batch, |reply| {
                 out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
             });
             self.shell.checkpoint(next, self.script.active(self.now, Fault::ForgeCheckpoint), out);

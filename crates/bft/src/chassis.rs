@@ -44,7 +44,7 @@
 //! [`Discipline`](crate::agreement::Discipline).
 
 use crate::adversary::{Fault, ReplicaScript};
-use crate::api::{Batch, Cluster, Endpoint, Input, Outbox, ReplicaId, ReplicaNode, Reply, Request};
+use crate::api::{Cluster, Endpoint, Input, Outbox, ReplicaId, ReplicaNode, Reply, Request};
 use crate::checkpoint::{CheckpointStats, CkptKeys, CstInstall, LogView};
 use crate::dense::MAX_REPLICAS;
 use crate::durable::{DurableEvent, RecoveredState, RecoveryReport};
@@ -90,9 +90,6 @@ pub trait Core: Sized {
 
     /// Rejuvenation: forgets the protocol's volatile state.
     fn wipe(&mut self);
-
-    /// The digest a committed log entry carries for a batch.
-    const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = Batch::digest;
 
     /// A peer's voucher completed a stable certificate. By default
     /// nothing: the shell already truncated its log.
@@ -243,7 +240,7 @@ impl<P: Core> Replica<P> {
                 let Some(plan) = self.shell.admit_transfer(link, *st, self.f as usize + 1) else {
                     return;
                 };
-                self.shell.install(&plan, P::ENTRY_DIGEST);
+                self.shell.install(&plan);
                 P::installed(self, &plan, out);
             }
             ShellMsg::Reply(_) => {}
@@ -351,7 +348,7 @@ impl<P: Core> ReplicaNode for Replica<P> {
     }
 
     fn recover(&mut self, state: RecoveredState) -> RecoveryReport {
-        let report = self.shell.recover(&state, P::ENTRY_DIGEST);
+        let report = self.shell.recover(&state);
         P::recovered(self, &state);
         report
     }

@@ -48,7 +48,7 @@
 //! roots rehash only dirty pages, and the retained [`CheckpointImage`] is
 //! two `Arc` clones whose pages the live state copies on write. Bytes
 //! exist only where bytes are needed — a served transfer, a persisted
-//! stable checkpoint — in the `CKIMG2` framing ([`encode_image`]), built
+//! stable checkpoint — in the `CKIMG3` framing ([`encode_image`]), built
 //! at most once per checkpoint. Every consumer of such bytes goes through
 //! [`verify_image`]: decode, rebuild both trees from scratch, recompute
 //! the digest, compare with the certificate. `sha256(image) ==
@@ -75,7 +75,7 @@
 use crate::api::{Batch, ClientId, LogEntry, OpId, ReplicaId};
 use crate::dense::{OpIndex, ReplicaSet, MAX_REPLICAS};
 use crate::statemachine::{KvStore, StateMachine};
-use crate::statetree::StateTree;
+use crate::statetree::{read_varint, varint, StateTree};
 use rsoc_crypto::{MacKey, Sha256, Tag};
 use std::sync::{Arc, OnceLock};
 
@@ -542,18 +542,20 @@ pub const SESSION_WINDOW: usize = 16;
 /// Every execution writes it, live or replayed, whether checkpoints are
 /// on or not, and every retry, seal filter and `has_executed` reads it.
 /// An op below its client's window is unknown. A window is stored as its
-/// pairs in ascending seq order, each framed
-/// `seq u64 LE · reply_len u64 LE · reply`, so the table costs
-/// O(clients × W) bytes whatever the run's length. The certified windows
-/// live in a second instance of the state machine's paged Merkle tree,
-/// one entry per client (keyed by the client id, big-endian so tree order
-/// is client order), so they are digested incrementally, cloned in O(1),
-/// and transferred with the KV: a replica that installs an image or
-/// recovers one from disk answers every retry its peers would. A window
-/// written since the last checkpoint's capture waits in a flat per-client
-/// index in front of the tree: a tree write costs a walk of cold pages
-/// and a hash-index write does not, and a checkpoint then writes each
-/// client once, however many of its ops executed since the last one.
+/// pairs in ascending seq order, each framed `seq · reply_len · reply`
+/// with both integers minimal LEB128 varints (the state tree's length
+/// framing: a `(nil)` reply at a seq below 128 takes 7 bytes), so
+/// the table costs O(clients × W) bytes whatever the run's length. The
+/// certified windows live in a second instance of the state machine's
+/// paged Merkle tree, one entry per client (keyed by the client id,
+/// big-endian so tree order is client order), so they are digested
+/// incrementally, cloned in O(1), and transferred with the KV: a replica
+/// that installs an image or recovers one from disk answers every retry
+/// its peers would. A window written since the last checkpoint's capture
+/// waits in a flat per-client index in front of the tree: a tree write
+/// costs a walk of cold pages and a hash-index write does not, and a
+/// checkpoint then writes each client once, however many of its ops
+/// executed since the last one.
 #[derive(Debug, Clone, Default)]
 pub struct ClientSessions {
     /// The windows as of the last sync.
@@ -569,16 +571,16 @@ fn written_key(client: ClientId) -> OpId {
     OpId { client, seq: 0 }
 }
 
-/// The `(seq, reply)` pairs of a stored window, in ascending seq order.
-fn pairs(window: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
-    let mut rest = window;
+/// The `(seq, reply)` pairs of a stored window, in ascending seq order,
+/// each with the offset its framing ends at.
+fn pairs(window: &[u8]) -> impl Iterator<Item = (u64, &[u8], usize)> {
+    let mut at = 0;
     std::iter::from_fn(move || {
-        let (seq, tail) = rest.split_first_chunk::<8>()?;
-        let (len, tail) = tail.split_first_chunk::<8>()?;
-        let len = usize::try_from(u64::from_le_bytes(*len)).ok()?;
-        let reply = tail.get(..len)?;
-        rest = tail.get(len..)?;
-        Some((u64::from_le_bytes(*seq), reply))
+        let seq = read_varint(window, &mut at)?;
+        let len = usize::try_from(read_varint(window, &mut at)?).ok()?;
+        let reply = window.get(at..at.checked_add(len)?)?;
+        at += len;
+        Some((seq, reply, at))
     })
 }
 
@@ -595,16 +597,16 @@ impl ClientSessions {
         let key = written_key(op.client);
         if !self.written.contains_key(&key) {
             let synced = self.tree.get(&op.client.0.to_be_bytes()).unwrap_or_default();
-            let newest = pairs(synced).last().map_or(0, |(seq, _)| seq);
+            let newest = pairs(synced).last().map_or(0, |(seq, ..)| seq);
             self.written.insert(key, (newest, synced.to_vec()));
         }
         let Some((newest, window)) = self.written.get_mut(&key) else { return };
         // Byte offsets: where the new pair goes, the end of the pair it
         // replaces (one of the same seq), and the end of the lowest pair.
         let (mut count, mut end, mut lowest_end, mut place) = (0, 0, 0, None);
-        for (seq, reply) in pairs(window) {
+        for (seq, _, pair_end) in pairs(window) {
             let start = end;
-            end += 16 + reply.len();
+            end = pair_end;
             count += 1;
             if count == 1 {
                 lowest_end = end;
@@ -619,9 +621,8 @@ impl ClientSessions {
             return; // below a full window
         }
         *newest = op.seq.max(*newest);
-        let len = (result.len() as u64).to_le_bytes();
-        let pair = op.seq.to_le_bytes().into_iter().chain(len).chain(result.iter().copied());
-        window.splice(at..past, pair);
+        let (seq, len) = (varint(op.seq), varint(result.len() as u64));
+        window.splice(at..past, seq.iter().chain(len.iter()).chain(result).copied());
         if evict {
             window.drain(..lowest_end);
         }
@@ -634,7 +635,7 @@ impl ClientSessions {
             Some((_, window)) => window,
             None => self.tree.get(&op.client.0.to_be_bytes())?,
         };
-        pairs(window).find(|(seq, _)| *seq == op.seq).map(|(_, reply)| reply)
+        pairs(window).find(|(seq, ..)| *seq == op.seq).map(|(_, reply, _)| reply)
     }
 
     /// Writes the windows written since the last sync into the tree, which
@@ -652,7 +653,7 @@ impl ClientSessions {
         self.tree.for_each(|key, window| {
             if let Ok(client) = key.try_into() {
                 let client = ClientId(u32::from_be_bytes(client));
-                pairs(window).for_each(|(seq, reply)| visit(client, seq, reply));
+                pairs(window).for_each(|(seq, reply, _)| visit(client, seq, reply));
             }
         });
     }
@@ -667,9 +668,11 @@ impl ClientSessions {
     }
 }
 
-/// Leading magic of a checkpoint image (version 2: a session window per
-/// client).
-pub const IMAGE_MAGIC: &[u8; 8] = b"CKIMG2\0\0";
+/// Leading magic of a checkpoint image (version 3: varint lengths in the
+/// KV pages and the session windows; version 2 brought a session window
+/// per client). An image of another version is refused, so a replica
+/// skips an older snapshot on recovery and re-joins by state transfer.
+pub const IMAGE_MAGIC: &[u8; 8] = b"CKIMG3\0\0";
 
 /// Frames a KV snapshot and the client-session table into one checkpoint
 /// image. This is what transfers and snapshot files carry (certificates
@@ -1100,6 +1103,7 @@ impl PartialEq for LogView<'_> {
 mod tests {
     use super::*;
     use crate::api::{ClientId, OpId};
+    use crate::statetree::hostile_varint_snapshots;
     use rsoc_crypto::sha256;
 
     /// A store holding `pairs` and a table with one session.
@@ -1360,6 +1364,25 @@ mod tests {
         assert!(verify_image(&cert, &encode_image(&kv.snapshot(), &mut replayed)).is_none());
     }
 
+    /// A hostile varint in the KV part of an image is refused before
+    /// anything is rebuilt — the non-minimal spelling of a certified state
+    /// included, whose honest bytes pass under the same certificate.
+    #[test]
+    fn hostile_varints_in_an_image_are_refused() {
+        let mut kv = KvStore::new();
+        kv.apply(b"SET  1");
+        let (mut sessions, honest) = (ClientSessions::new(), [0x00, 0x01, b'1']);
+        assert_eq!(kv.snapshot(), honest);
+        let captured = CheckpointImage::capture(&kv, &mut sessions);
+        let cert = CheckpointCert { seq: 1, digest: captured.digest(), vouchers: vec![] };
+        assert!(verify_image(&cert, &encode_image(&honest, &mut sessions)).is_some());
+        for (what, bytes) in hostile_varint_snapshots() {
+            let image = encode_image(&bytes, &mut sessions);
+            assert!(decode_image(&image).is_some(), "{what}: the outer framing holds");
+            assert!(verify_image(&cert, &image).is_none(), "{what}");
+        }
+    }
+
     fn at(client: u32, seq: u64) -> OpId {
         OpId { client: ClientId(client), seq }
     }
@@ -1424,9 +1447,11 @@ mod tests {
         assert!(decode_image(&good).is_some());
         assert!(decode_image(b"").is_none(), "empty");
         assert!(decode_image(b"NOTMAGIC").is_none(), "bad magic");
-        let mut old = good.clone();
-        old[..8].copy_from_slice(b"CKIMG1\0\0");
-        assert!(decode_image(&old).is_none(), "a version 1 image");
+        for version in [b"CKIMG1\0\0", b"CKIMG2\0\0"] {
+            let mut old = good.clone();
+            old[..8].copy_from_slice(version);
+            assert!(decode_image(&old).is_none(), "an older image: {version:?}");
+        }
         assert!(decode_image(&good[..good.len() - 1]).is_none(), "truncated");
         let mut trailing = good.clone();
         trailing.push(0);

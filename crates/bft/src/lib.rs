@@ -67,10 +67,10 @@
 //!   quorums, USIG and ingress windows, passive ship/sync/promote) and
 //!   calls the shell at fixed points (the table in `shell.rs`; the
 //!   chassis makes the per-input, shell-message and lifecycle calls).
-//!   The replica's role, quorums, the log-entry digest and fault-script
-//!   flags are call-site arguments — the shell never asks which protocol
-//!   it serves. Its four messages are one [`ShellMsg`], carried by every
-//!   protocol's message enum in a single `Shell` variant;
+//!   The replica's role, quorums and fault-script flags are call-site
+//!   arguments — the shell never asks which protocol it serves. Its four
+//!   messages are one [`ShellMsg`], carried by every protocol's message
+//!   enum in a single `Shell` variant;
 //! * [`viewchange`] — the view-change ledger PBFT and MinBFT share: the
 //!   [`viewchange::VcVote`] both carry on the wire, who demands which
 //!   view (a vote's voter is the link it arrives on), the rate-limited

@@ -90,14 +90,9 @@ pub type Shipped = Arc<Request>;
 
 /// Passive's slot and log domains coincide: every operation is its own
 /// single-request batch (which is also how suffixes and durable commits
-/// ship), logged under the *request* digest.
+/// ship), logged under that batch's digest like every other slot.
 fn single(req: Arc<Request>) -> Arc<Batch> {
     Arc::new(Batch::single(req))
-}
-
-/// The log-entry digest of a [`single`] batch.
-fn entry_digest(batch: &Batch) -> [u8; 32] {
-    batch.requests().first().map_or_else(|| batch.digest(), |req| req.digest())
 }
 
 /// How many shipped requests the primary retains for backup resync
@@ -207,7 +202,7 @@ impl PassiveReplica {
         for req in reqs {
             let seq = self.shell.next_seq();
             let batch = single(req.clone());
-            self.shell.execute(seq, &batch, entry_digest(&batch), |reply| {
+            self.shell.execute(seq, &batch, |reply| {
                 ops.push(req.clone());
                 out.send(Endpoint::Client(reply.op.client), ShellMsg::Reply(reply).into());
             });
@@ -295,7 +290,7 @@ impl PassiveReplica {
             let next = self.shell.committed() + 1;
             let Some(req) = self.core.held_updates.remove(next) else { break };
             let batch = single(req);
-            self.shell.execute(next, &batch, entry_digest(&batch), |_| {});
+            self.shell.execute(next, &batch, |_| {});
             self.checkpoint(next, out);
         }
         self.core.held_updates.retire_below(self.shell.committed() + 1);
@@ -311,7 +306,6 @@ impl PassiveReplica {
 impl Core for Passive {
     type Msg = PassiveMsg;
     const PROTOCOL: Protocol = Protocol::Passive;
-    const ENTRY_DIGEST: fn(&Batch) -> [u8; 32] = entry_digest;
 
     fn intake(r: &mut PassiveReplica, req: Arc<Request>, out: &mut Outbox<PassiveMsg>) {
         let role = if r.is_primary() { Role::Primary } else { Role::Idle };

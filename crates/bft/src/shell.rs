@@ -34,12 +34,13 @@
 //!
 //! What legitimately differs between protocols is a call-site argument,
 //! never a branch in here: the replica's [`Role`] towards a request, the
-//! voucher and install quorums, the log-entry digest, and whether a fault
-//! script forges vouchers or corrupts served transfers. What a core does
-//! with sealed requests is its own: PBFT pre-prepares them, MinBFT stamps
-//! a UI on a PREPARE, passive executes and ships them. After an install or
-//! a recovery the protocol runs its own tail — retire its windows below
-//! [`Shell::exec_upto`], join the view, re-arm patience, resume execution.
+//! voucher and install quorums, and whether a fault script forges
+//! vouchers or corrupts served transfers. Every protocol logs a slot
+//! under its batch's digest. What a core does with sealed requests is its
+//! own: PBFT pre-prepares them, MinBFT stamps a UI on a PREPARE, passive
+//! executes and ships them. After an install or a recovery the protocol
+//! runs its own tail — retire its windows below [`Shell::exec_upto`],
+//! join the view, re-arm patience, resume execution.
 //! Provisioning (batching, patience, checkpoint keys) is the chassis's.
 
 use crate::api::{
@@ -475,7 +476,7 @@ impl Shell {
     /// assignment, per request, then log → replay ring →
     /// [`DurableEvent::Commit`]. One agreement slot commits the whole
     /// batch: the log appends its requests at the next dense global seqs
-    /// and keeps `digest` once for the slot.
+    /// and keeps the batch's digest once for the slot.
     /// `executed(reply)` runs once per request, in order: the live path
     /// sends the reply there, replay paths (transfer suffix, WAL) pass a
     /// no-op — those replies went out before the crash or will be
@@ -484,12 +485,11 @@ impl Shell {
         &mut self,
         seq: u64,
         batch: &Arc<Batch>,
-        digest: [u8; 32],
         mut executed: impl FnMut(Reply),
     ) {
         self.advance_to(seq);
         for req in batch.requests() {
-            let result = Arc::new(self.machine.apply(&req.payload));
+            let result = self.machine.apply(&req.payload);
             self.sessions.note(req.op, &result);
             self.pending.remove(&req.op);
             // Unreachable from here on: `intake` and `seal` ask the
@@ -497,7 +497,7 @@ impl Shell {
             self.assigned.remove(&req.op);
             executed(Reply { replica: self.id, op: req.op, result });
         }
-        self.log.append(batch.requests().iter().map(|r| r.op), digest);
+        self.log.append(batch.requests().iter().map(|r| r.op), batch.digest());
         if self.ckpt.enabled() {
             self.replay_ring.insert(seq, batch.clone());
         }
@@ -730,7 +730,7 @@ impl Shell {
     /// the image, the certificate, then the voted suffix replayed through
     /// [`execute`](Self::execute) (every slot matched at the install
     /// quorum).
-    pub(crate) fn install(&mut self, plan: &CstInstall, entry_digest: fn(&Batch) -> [u8; 32]) {
+    pub(crate) fn install(&mut self, plan: &CstInstall) {
         self.restore(&plan.cert, plan.log_base, plan.state.clone());
         // An installed image always goes to disk: the WAL below it was
         // never ours to replay.
@@ -738,7 +738,7 @@ impl Shell {
             self.emit_stable(plan.cert.clone(), plan.log_base, Arc::clone(&plan.snapshot));
         }
         for (slot, batch) in &plan.suffix {
-            self.execute(*slot, batch, entry_digest(batch), |_| {});
+            self.execute(*slot, batch, |_| {});
         }
         self.ckpt.note_transfer();
     }
@@ -769,11 +769,7 @@ impl Shell {
     /// skipped — WAL replay and state transfer cover for it), and only
     /// the dense, CRC-checked commit run above the snapshot replays — the
     /// first gap or empty batch abandons the rest to state transfer.
-    pub(crate) fn recover(
-        &mut self,
-        state: &RecoveredState,
-        entry_digest: fn(&Batch) -> [u8; 32],
-    ) -> RecoveryReport {
+    pub(crate) fn recover(&mut self, state: &RecoveredState) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         if let Some((cert, log_len, image)) = &state.snapshot {
             if let Some(rebuilt) = self.certified_state(cert, image) {
@@ -789,7 +785,7 @@ impl Shell {
             if *seq != self.exec_upto + 1 || batch.is_empty() {
                 break;
             }
-            self.execute(*seq, batch, entry_digest(batch), |_| {});
+            self.execute(*seq, batch, |_| {});
             report.replayed += 1;
         }
         report.committed = self.log.committed();
@@ -868,7 +864,7 @@ mod tests {
         let mut out = Outbox::<ShellMsg>::new();
         for seq in from..=to {
             let b = make(seq);
-            shell.execute(seq, &b, b.digest(), |reply| replies.push(reply));
+            shell.execute(seq, &b, |reply| replies.push(reply));
             shell.checkpoint(seq, false, &mut out);
         }
         // One copy per peer, adjacent: collapse each broadcast to one.
@@ -969,7 +965,7 @@ mod tests {
         // A proposal the laggard accepted for a slot it will never execute
         // (the others did, below the watermark) goes with the install.
         laggard.assign(2, &batch(2));
-        laggard.install(&plan, Batch::digest);
+        laggard.install(&plan);
         assert_eq!(laggard.assigned.len(), 0);
 
         // Same state, same log position, and the transfer is counted.
@@ -1014,14 +1010,14 @@ mod tests {
         };
         assert!(laggard.admit_transfer(ReplicaId(0), st, 1).is_none());
         assert_eq!(laggard.ckpt().stats().rejected, 1);
-        assert_eq!(laggard.recover(&on_disk, Batch::digest), RecoveryReport::default());
+        assert_eq!(laggard.recover(&on_disk), RecoveryReport::default());
         assert_eq!(
             (laggard.exec_upto(), laggard.state_digest()),
             (0, shells(&keys)[0].state_digest())
         );
         // The honest image still installs afterwards.
         let plan = laggard.admit_transfer(ReplicaId(1), served(&s[1], 0, false, false), 1).unwrap();
-        laggard.install(&plan, Batch::digest);
+        laggard.install(&plan);
         assert_eq!(laggard.state_digest(), s[1].state_digest());
     }
 
@@ -1032,7 +1028,7 @@ mod tests {
         let mut out = Outbox::<ShellMsg>::new();
         for seq in 1..=4 {
             let b = batch(seq);
-            s[0].execute(seq, &b, b.digest(), |_| {});
+            s[0].execute(seq, &b, |_| {});
             assert!(!s[0].checkpoint(seq, true, &mut out));
         }
         // Two vouchers per peer: a garbage MAC and a properly MAC'd lie.
@@ -1082,7 +1078,7 @@ mod tests {
         // Clean restart: snapshot at 4, commits 5 and 6 replayed above it.
         let fresh = || shells(&keys).remove(0);
         let mut r = fresh();
-        let report = r.recover(&disk, Batch::digest);
+        let report = r.recover(&disk);
         assert_eq!(report, RecoveryReport { installed_seq: 4, replayed: 2, committed: 12 });
         assert_eq!(r.state_digest(), s[0].state_digest());
         assert_eq!(r.log(), s[0].log());
@@ -1092,7 +1088,7 @@ mod tests {
         gapped.snapshot = disk.snapshot.clone();
         gapped.commits.retain(|(seq, _)| *seq != 5);
         let mut r = fresh();
-        let report = r.recover(&gapped, Batch::digest);
+        let report = r.recover(&gapped);
         assert_eq!(report, RecoveryReport { installed_seq: 4, replayed: 0, committed: 8 });
 
         // A garbage record stops it too, and a snapshot whose bytes no
@@ -1107,7 +1103,7 @@ mod tests {
         });
         torn.commits[2] = (3, Arc::new(Batch::new(Vec::new())));
         let mut r = fresh();
-        let report = r.recover(&torn, Batch::digest);
+        let report = r.recover(&torn);
         assert_eq!(report, RecoveryReport { installed_seq: 0, replayed: 2, committed: 4 });
         assert_eq!(r.exec_upto(), 2);
     }
@@ -1188,25 +1184,25 @@ mod tests {
         // images about doubles (the image also carries the client's session
         // window, which stops growing at 16 replies): logarithmically many,
         // and never more image bytes than WAL bytes plus one image.
-        assert_eq!(written, [1, 3, 7, 14, 28]);
+        assert_eq!(written, [1, 3, 6, 12, 24]);
         assert!(written.len() as u32 <= CHECKPOINTS.ilog2() + 2);
         let largest = *images.last().unwrap();
         assert!(images.iter().sum::<u64>() <= 2 * wal + largest);
         assert!(images.iter().sum::<u64>() <= wal + largest, "the bound the rule itself gives");
 
-        // A restart installs the last image written, replays the twelve
+        // A restart installs the last image written, replays the sixteen
         // skipped checkpoints' worth of WAL above it, and stands where the
         // live replica does — including on when the next image is due:
         // recovery queues nothing, and the disk's image is not written
         // again until the WAL on top of it (replayed and new) outweighs it.
         let mut restarted = shells(&keys).remove(0);
-        let report = restarted.recover(&disk, Batch::digest);
-        assert_eq!(report, RecoveryReport { installed_seq: 112, replayed: 48, committed: 160 });
+        let report = restarted.recover(&disk);
+        assert_eq!(report, RecoveryReport { installed_seq: 96, replayed: 64, committed: 160 });
         assert_eq!(restarted.state_digest(), live.state_digest());
         restarted.enable_durability();
         for k in CHECKPOINTS + 1..=64 {
             let queued = stabilise(&mut [&mut live, &mut peer, &mut restarted], k);
-            assert_eq!(image_lens(&queued[0]).len(), usize::from(k == 56), "checkpoint {k}");
+            assert_eq!(image_lens(&queued[0]).len(), usize::from(k == 47), "checkpoint {k}");
             assert_eq!(image_lens(&queued[2]), image_lens(&queued[0]), "checkpoint {k}");
         }
 
@@ -1214,14 +1210,14 @@ mod tests {
         // say: a replica whose disk holds a large image and no WAL yet
         // falls behind and is brought back by transfer.
         let mut behind = shells(&keys).remove(0);
-        behind.recover(&disk, Batch::digest);
+        behind.recover(&disk);
         behind.enable_durability();
         let before = (behind.durable_image_len, behind.wal_since_image);
         assert!(before.0 > before.1, "its own next checkpoint would be skipped");
         let cert = live.ckpt().stable().unwrap().clone();
         assert_eq!(behind.accept_cert(&cert), Some(256));
         let plan = behind.admit_transfer(live.id, served(&live, 160, false, false), 1).unwrap();
-        behind.install(&plan, Batch::digest);
+        behind.install(&plan);
         let mut events = Vec::new();
         behind.drain_durable(&mut events);
         assert_eq!(image_lens(&events), [plan.snapshot.len() as u64]);
@@ -1243,7 +1239,7 @@ mod tests {
             let (slot, batch) = shell.open_slot(reqs);
             assert_eq!(shell.assigned.len(), 2, "the open slot's two ops");
             let mut replies = Vec::new();
-            shell.execute(slot, &batch, batch.digest(), |reply| replies.push(reply));
+            shell.execute(slot, &batch, |reply| replies.push(reply));
             assert_eq!(shell.assigned.len(), 0, "slot {slot}");
             last = replies.pop();
         }
@@ -1290,7 +1286,7 @@ mod tests {
         for (seq, payload) in (1..).zip(payloads) {
             let op = OpId { client: ClientId(9), seq };
             let b = Arc::new(Batch::single(Arc::new(Request { op, payload: payload.clone() })));
-            shell.execute(seq, &b, b.digest(), |reply| replies.push(reply));
+            shell.execute(seq, &b, |reply| replies.push(reply));
         }
         replies
     }
@@ -1324,7 +1320,7 @@ mod tests {
         assert_eq!(retry(&mut shell, op), first.first().cloned());
         let b = Arc::new(Batch::single(Arc::new(Request { op, payload: b"SET r again".to_vec() })));
         let mut again = Vec::new();
-        shell.execute(2, &b, b.digest(), |reply| again.push(reply));
+        shell.execute(2, &b, |reply| again.push(reply));
         assert_eq!(again[0].result[..], *b"first");
         assert_eq!(retry(&mut shell, op), again.pop());
     }
@@ -1345,7 +1341,7 @@ mod tests {
         assert_eq!(laggard.accept_cert(&s[0].ckpt().stable().unwrap().clone()), Some(4));
         assert!(laggard.admit_transfer(ReplicaId(0), served(&s[0], 0, false, false), 2).is_none());
         let plan = laggard.admit_transfer(ReplicaId(1), served(&s[1], 0, false, false), 2).unwrap();
-        laggard.install(&plan, Batch::digest);
+        laggard.install(&plan);
         // Clients 7 and 8 run ops 1..=6, one per slot, so a window-4
         // client may have all of ops 1..=4 in flight at the watermark:
         // they come back from the image's sessions, 5 and 6 from the
@@ -1376,7 +1372,7 @@ mod tests {
             }
         }
         let mut restarted = shells(&keys).remove(0);
-        let report = restarted.recover(&disk, Batch::digest);
+        let report = restarted.recover(&disk);
         assert_eq!((report.installed_seq, report.replayed), (4, 2));
         // Ops 1..=4 of a window-4 client come back from the snapshot's
         // sessions, 5 and 6 from the replayed WAL.
@@ -1416,7 +1412,7 @@ mod tests {
                     let payload = format!("SET key{slot} v").into_bytes();
                     let req = Arc::new(Request { op: op(client, seq), payload });
                     let b = Arc::new(Batch::single(req));
-                    shell.execute(slot, &b, b.digest(), |r| assert_eq!(r.result[..], *b"(nil)"));
+                    shell.execute(slot, &b, |r| assert_eq!(r.result[..], *b"(nil)"));
                     shell.checkpoint(slot, false, &mut out);
                     out.clear();
                 }
@@ -1473,7 +1469,7 @@ mod tests {
         // Once executed, the retry is answered from the session — for
         // every role — and nothing else happens.
         let mut executed = Vec::new();
-        shell.execute(seq, &batch, batch.digest(), |reply| executed.push(reply));
+        shell.execute(seq, &batch, |reply| executed.push(reply));
         out.clear();
         for role in [Role::Primary, Role::Backup, Role::Idle] {
             assert_eq!(shell.intake(req(2, 1), role, &mut out), Intake::Done);
@@ -1514,7 +1510,7 @@ mod tests {
         // consumes no sequence number.
         shell.intake(req(3, 1), Role::Primary, &mut out);
         let b = Arc::new(Batch::single(req(3, 1)));
-        shell.execute(1, &b, b.digest(), |_| {});
+        shell.execute(1, &b, |_| {});
         shell.assign(6, &Batch::single(req(4, 1)));
         assert_eq!(shell.intake(req(4, 1), Role::Primary, &mut out), Intake::Reannounce(6));
         assert_eq!(shell.on_flush_timer(1, true), None);
@@ -1541,7 +1537,7 @@ mod tests {
         assert_eq!(out.timers, rearmed, "canonical op order");
         // Execution — live or replayed — takes the op off the watchlist.
         let b = Arc::new(Batch::single(req(3, 9)));
-        shell.execute(1, &b, b.digest(), |_| {});
+        shell.execute(1, &b, |_| {});
         assert!(!shell.watching(token));
         assert_eq!(shell.pending_canonical().len(), 1);
         // Rejuvenation forgets watchlist, assignments and accumulator, and

@@ -5,11 +5,13 @@
 //! commands.
 
 use crate::statetree::{StateTree, MAX_KEY_LEN};
+use std::sync::Arc;
 
 /// A deterministic state machine: same command sequence → same results.
 pub trait StateMachine: std::fmt::Debug {
-    /// Applies a command, returning its result. Must be deterministic.
-    fn apply(&mut self, command: &[u8]) -> Vec<u8>;
+    /// Applies a command, returning its result — shared, as the reply
+    /// that carries it shares it. Must be deterministic.
+    fn apply(&mut self, command: &[u8]) -> Arc<Vec<u8>>;
 
     /// A digest of current state (for divergence checks in tests).
     fn state_digest(&self) -> [u8; 32];
@@ -32,7 +34,7 @@ pub trait StateMachine: std::fmt::Debug {
 /// * `clone()` is O(1): the clone shares every page, and a later write
 ///   copies only the pages on its own path;
 /// * [`snapshot`](Self::snapshot) is the pages in key order, whose bytes
-///   are the length-framed sorted `(key, value)` pairs they always were.
+///   are the length-framed sorted `(key, value)` pairs.
 ///
 /// The digest is therefore **not** `sha256(snapshot)`. What ties the two
 /// together is [`install_snapshot`](Self::install_snapshot): it rebuilds
@@ -40,6 +42,30 @@ pub trait StateMachine: std::fmt::Debug {
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
     tree: StateTree,
+    replies: Replies,
+}
+
+/// The constant replies, allocated once per store: a fresh-key `SET`, a
+/// `DEL` and an `ERR` hand out a clone, so only a returned value
+/// allocates.
+#[derive(Debug, Clone)]
+struct Replies {
+    nil: Arc<Vec<u8>>,
+    deleted: Arc<Vec<u8>>,
+    absent: Arc<Vec<u8>>,
+    err: Arc<Vec<u8>>,
+}
+
+impl Default for Replies {
+    fn default() -> Self {
+        let reply = |bytes: &[u8]| Arc::new(bytes.to_vec());
+        Replies {
+            nil: reply(b"(nil)"),
+            deleted: reply(b"1"),
+            absent: reply(b"0"),
+            err: reply(b"ERR"),
+        }
+    }
 }
 
 impl KvStore {
@@ -59,9 +85,10 @@ impl KvStore {
     }
 
     /// Serializes the store for state transfer: length-framed
-    /// `(key, value)` pairs (`key_len u64 LE · key · value_len u64 LE ·
-    /// value`) in ascending key order. O(state) — a checkpoint does not
-    /// call it; a served transfer or a persisted stable checkpoint does.
+    /// `(key, value)` pairs (`key_len · key · value_len · value`, each
+    /// length a minimal LEB128 varint) in ascending key order. O(state) —
+    /// a checkpoint does not call it; a served transfer or a persisted
+    /// stable checkpoint does.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(self.snapshot_len());
         self.write_snapshot(&mut bytes);
@@ -89,27 +116,27 @@ impl KvStore {
     /// lengths, trailing bytes, keys out of order or repeated (an honest
     /// snapshot is always sorted), or a key longer than `SET` accepts.
     pub fn install_snapshot(bytes: &[u8]) -> Option<KvStore> {
-        Some(KvStore { tree: StateTree::from_snapshot(bytes)? })
+        Some(KvStore { tree: StateTree::from_snapshot(bytes)?, replies: Replies::default() })
     }
 }
 
 impl StateMachine for KvStore {
-    fn apply(&mut self, command: &[u8]) -> Vec<u8> {
+    fn apply(&mut self, command: &[u8]) -> Arc<Vec<u8>> {
         let mut parts = command.splitn(3, |b| *b == b' ');
+        let r = &self.replies;
         match (parts.next(), parts.next(), parts.next()) {
             (Some(b"SET"), Some(key), Some(value)) if key.len() <= MAX_KEY_LEN => {
                 let mut old = None;
                 self.tree.insert(key, value, |replaced| old = Some(replaced.to_vec()));
-                old.unwrap_or_else(|| b"(nil)".to_vec())
+                old.map_or_else(|| Arc::clone(&r.nil), Arc::new)
             }
             (Some(b"GET"), Some(key), None) => {
-                self.tree.get(key).map_or_else(|| b"(nil)".to_vec(), <[u8]>::to_vec)
+                self.tree.get(key).map_or_else(|| Arc::clone(&r.nil), |v| Arc::new(v.to_vec()))
             }
-            (Some(b"DEL"), Some(key), None) => match self.tree.remove(key) {
-                Some(_) => b"1".to_vec(),
-                None => b"0".to_vec(),
-            },
-            _ => b"ERR".to_vec(),
+            (Some(b"DEL"), Some(key), None) => {
+                Arc::clone(if self.tree.remove(key).is_some() { &r.deleted } else { &r.absent })
+            }
+            _ => Arc::clone(&r.err),
         }
     }
 
@@ -121,31 +148,46 @@ impl StateMachine for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::statetree::{hostile_varint_snapshots, varint};
 
     #[test]
     fn kv_set_get_del() {
         let mut kv = KvStore::new();
-        assert_eq!(kv.apply(b"GET x"), b"(nil)");
-        assert_eq!(kv.apply(b"SET x 42"), b"(nil)");
-        assert_eq!(kv.apply(b"GET x"), b"42");
-        assert_eq!(kv.apply(b"SET x 43"), b"42");
-        assert_eq!(kv.apply(b"DEL x"), b"1");
-        assert_eq!(kv.apply(b"DEL x"), b"0");
+        assert_eq!(*kv.apply(b"GET x"), b"(nil)");
+        assert_eq!(*kv.apply(b"SET x 42"), b"(nil)");
+        assert_eq!(*kv.apply(b"GET x"), b"42");
+        assert_eq!(*kv.apply(b"SET x 43"), b"42");
+        assert_eq!(*kv.apply(b"DEL x"), b"1");
+        assert_eq!(*kv.apply(b"DEL x"), b"0");
         assert!(kv.is_empty());
+    }
+
+    /// A constant reply is one allocation per store, whatever the number
+    /// of commands that return it; a returned value is its own.
+    #[test]
+    fn constant_replies_share_one_allocation() {
+        let mut kv = KvStore::new();
+        let (first, second) = (kv.apply(b"SET a 1"), kv.apply(b"SET b 2"));
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(&first, &kv.apply(b"GET c")));
+        assert!(Arc::ptr_eq(&kv.apply(b"DEL a"), &kv.apply(b"DEL b")));
+        assert!(Arc::ptr_eq(&kv.apply(b"FROB"), &kv.apply(b"")));
+        assert_eq!(*kv.apply(b"SET c 3"), b"(nil)");
+        assert!(!Arc::ptr_eq(&kv.apply(b"SET c 4"), &kv.apply(b"GET c")));
     }
 
     #[test]
     fn kv_values_may_contain_spaces() {
         let mut kv = KvStore::new();
         kv.apply(b"SET msg hello world");
-        assert_eq!(kv.apply(b"GET msg"), b"hello world");
+        assert_eq!(*kv.apply(b"GET msg"), b"hello world");
     }
 
     #[test]
     fn kv_bad_commands_err() {
         let mut kv = KvStore::new();
-        assert_eq!(kv.apply(b"FROB x"), b"ERR");
-        assert_eq!(kv.apply(b""), b"ERR");
+        assert_eq!(*kv.apply(b"FROB x"), b"ERR");
+        assert_eq!(*kv.apply(b""), b"ERR");
     }
 
     #[test]
@@ -191,12 +233,8 @@ mod tests {
         kv.apply(b"SET b 2");
         kv.apply(b"DEL a");
         let snap = kv.snapshot();
-        // The framing is what it always was: sorted length-framed pairs.
-        let mut framed = Vec::new();
-        for chunk in [&b"b"[..], b"2", b"msg", b"hello world"] {
-            framed.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
-            framed.extend_from_slice(chunk);
-        }
+        // The framing: sorted pairs, each length a one-byte varint here.
+        let framed = [&[1][..], b"b", &[1], b"2", &[3], b"msg", &[11], b"hello world"].concat();
         assert_eq!(snap, framed);
         // The digest is the root of the page tree, not a hash of those
         // bytes. What a certificate over it certifies about a snapshot is
@@ -223,22 +261,21 @@ mod tests {
         kv.apply(b"SET a 1");
         kv.apply(b"SET b 2");
         let snap = kv.snapshot();
+        assert_eq!(snap, [1, b'a', 1, b'1', 1, b'b', 1, b'2']);
         assert!(KvStore::install_snapshot(&snap[..snap.len() - 1]).is_none(), "truncated value");
-        assert!(KvStore::install_snapshot(&snap[..9]).is_none(), "truncated key length");
+        assert!(KvStore::install_snapshot(&snap[..5]).is_none(), "truncated pair");
         let mut trailing = snap.clone();
         trailing.push(0);
         assert!(KvStore::install_snapshot(&trailing).is_none(), "trailing bytes");
-        let mut absurd = snap.clone();
-        absurd[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let absurd = [&varint(u64::MAX)[..], &snap[1..]].concat();
         assert!(KvStore::install_snapshot(&absurd).is_none(), "absurd length field");
-        // Out-of-order pairs can't have come from digest framing.
-        let mut unsorted = Vec::new();
-        for key in [b"b", b"a"] {
-            unsorted.extend_from_slice(&1u64.to_le_bytes());
-            unsorted.extend_from_slice(key);
-            unsorted.extend_from_slice(&1u64.to_le_bytes());
-            unsorted.extend_from_slice(b"x");
+        for (what, bytes) in hostile_varint_snapshots() {
+            assert!(KvStore::install_snapshot(&bytes).is_none(), "{what}");
         }
+        // The non-minimal one spells a state that does install.
+        assert!(KvStore::install_snapshot(&[0x00, 0x01, b'1']).is_some());
+        // Out-of-order pairs can't have come from digest framing.
+        let unsorted = [1, b'b', 1, b'x', 1, b'a', 1, b'x'];
         assert!(KvStore::install_snapshot(&unsorted).is_none(), "unsorted keys");
     }
 
@@ -253,23 +290,19 @@ mod tests {
         for len in 1..=300 {
             let set = [b"SET ", &vec![b'a'; len][..], b" v"].concat();
             let expected: &[u8] = if len <= MAX_KEY_LEN { b"(nil)" } else { b"ERR" };
-            assert_eq!(kv.apply(&set), expected, "key of {len} bytes");
+            assert_eq!(kv.apply(&set)[..], *expected, "key of {len} bytes");
         }
         assert_eq!(kv.len(), MAX_KEY_LEN);
         let huge = vec![b'k'; 64 << 10];
-        assert_eq!(kv.apply(&[b"SET ", &huge[..], b" v"].concat()), b"ERR");
-        assert_eq!(kv.apply(&[b"GET ", &huge[..]].concat()), b"(nil)");
-        assert_eq!(kv.apply(&[b"DEL ", &huge[..]].concat()), b"0");
+        assert_eq!(*kv.apply(&[b"SET ", &huge[..], b" v"].concat()), b"ERR");
+        assert_eq!(*kv.apply(&[b"GET ", &huge[..]].concat()), b"(nil)");
+        assert_eq!(*kv.apply(&[b"DEL ", &huge[..]].concat()), b"0");
         let restored = KvStore::install_snapshot(&kv.snapshot()).expect("well-formed");
         assert_eq!(restored.state_digest(), kv.state_digest());
-        let mut smuggled = Vec::new();
-        for chunk in [&huge[..], b"v"] {
-            smuggled.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
-            smuggled.extend_from_slice(chunk);
-        }
+        let smuggled = [&varint(huge.len() as u64)[..], &huge, &[1], b"v"].concat();
         assert!(KvStore::install_snapshot(&smuggled).is_none());
         for len in (1..=MAX_KEY_LEN).rev() {
-            assert_eq!(kv.apply(&[b"DEL ", &vec![b'a'; len][..]].concat()), b"1");
+            assert_eq!(*kv.apply(&[b"DEL ", &vec![b'a'; len][..]].concat()), b"1");
         }
         assert_eq!(kv.state_digest(), KvStore::new().state_digest());
     }

@@ -8,7 +8,8 @@
 //!
 //! * a subtree holding at most [`PAGE_CAP`] entries is one **leaf page**:
 //!   a byte buffer in exactly the snapshot framing
-//!   (`key_len u64 LE · key · value_len u64 LE · value`, keys ascending);
+//!   (`varint key_len · key · varint value_len · value`, keys ascending,
+//!   every length a minimal LEB128 [`varint`]);
 //! * a larger subtree is a **branch** on the byte that follows the
 //!   longest prefix all of its keys share (a key that *is* the prefix
 //!   takes slot 0, byte `b` takes slot `b + 1`, so slot order is key
@@ -62,17 +63,87 @@ struct Entry<'a> {
     end: usize,
 }
 
+/// A length or a seq as the replicated state's byte encodings write it
+/// (the tree's pages and the client-session windows): minimal LEB128,
+/// seven bits a byte, low bits first, the top bit set on every byte but
+/// the last — one byte below 128, ten for the largest `u64`.
+pub(crate) struct Varint {
+    bytes: [u8; 10],
+    len: u8,
+}
+
+/// Encodes `n` as a [`Varint`].
+pub(crate) fn varint(mut n: u64) -> Varint {
+    let mut out = Varint { bytes: [0; 10], len: 0 };
+    for byte in &mut out.bytes {
+        out.len += 1;
+        if n < 0x80 {
+            *byte = n as u8;
+            break;
+        }
+        *byte = n as u8 | 0x80;
+        n >>= 7;
+    }
+    out
+}
+
+impl std::ops::Deref for Varint {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+/// The framing's length field of `chunk`.
+fn len_of(chunk: &[u8]) -> Varint {
+    varint(chunk.len() as u64)
+}
+
+/// Bytes a chunk of `len` bytes takes framed: its length, then itself.
+fn framed(len: usize) -> usize {
+    varint(len as u64).len() + len
+}
+
 // Snapshots arrive from peers and from disk: the framing is checked
 // before a single byte of it is interpreted.
 // lint: ingress
+/// Reads the [`varint`] at `bytes[*at..]` and moves `at` past it; `None`
+/// if it is truncated, longer than ten bytes, above `u64::MAX` or not
+/// minimal (so a value has one encoding, and equal state equal bytes).
+pub(crate) fn read_varint(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    // The common case, every length below 128: one byte, one branch.
+    let first = *bytes.get(*at)?;
+    if first < 0x80 {
+        *at += 1;
+        return Some(u64::from(first));
+    }
+    let mut value = 0u64;
+    for (i, byte) in bytes.get(*at..)?.iter().take(10).enumerate() {
+        // The tenth byte holds bit 63 alone: a larger one is a value
+        // above `u64::MAX`, or an eleventh byte to come.
+        if i == 9 && *byte > 1 {
+            return None;
+        }
+        value |= u64::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            // A zero last byte adds nothing: a shorter encoding exists.
+            if *byte == 0 {
+                return None;
+            }
+            *at += i + 1;
+            return Some(value);
+        }
+    }
+    None
+}
+
 /// Reads the framed pair at `bytes[start..]`; `None` if it is truncated
-/// or a length field overruns the buffer.
+/// or a length field is malformed or overruns the buffer.
 fn read_entry(bytes: &[u8], start: usize) -> Option<Entry<'_>> {
     fn chunk<'a>(bytes: &'a [u8], at: &mut usize) -> Option<&'a [u8]> {
-        let body = at.checked_add(8)?;
-        let len = u64::from_le_bytes(bytes.get(*at..body)?.try_into().ok()?);
-        let end = body.checked_add(usize::try_from(len).ok()?)?;
-        let chunk = bytes.get(body..end)?;
+        let len = usize::try_from(read_varint(bytes, at)?).ok()?;
+        let end = at.checked_add(len)?;
+        let chunk = bytes.get(*at..end)?;
         *at = end;
         Some(chunk)
     }
@@ -140,11 +211,6 @@ fn replace(bytes: &mut Vec<u8>, at: usize, old: usize, parts: &[&[u8]]) {
     }
 }
 
-/// A length as the framing writes it.
-fn len_le(chunk: &[u8]) -> [u8; 8] {
-    (chunk.len() as u64).to_le_bytes()
-}
-
 /// The child slot `key` falls in under a branch whose prefix is `depth`
 /// bytes long: 0 if the key ends there, else one past its next byte.
 fn slot_of(key: &[u8], depth: usize) -> u16 {
@@ -202,8 +268,8 @@ impl Node {
     }
 
     fn single(key: &[u8], value: &[u8]) -> Node {
-        let mut bytes = Vec::with_capacity(16 + key.len() + value.len());
-        replace(&mut bytes, 0, 0, &[&len_le(key), key, &len_le(value), value]);
+        let mut bytes = Vec::with_capacity(framed(key.len()) + framed(value.len()));
+        replace(&mut bytes, 0, 0, &[&len_of(key), key, &len_of(value), value]);
         Node::page(bytes, 1)
     }
 
@@ -301,13 +367,13 @@ impl Node {
         let old = match &mut node.body {
             Body::Page(page) => match locate(page, key) {
                 Ok(e) => {
-                    let (at, old) = (e.end - e.value.len() - 8, e.value.len());
+                    let (old, size) = (e.value.len(), framed(e.value.len()));
                     replaced(e.value);
-                    replace(page, at, 8 + old, &[&len_le(value), value]);
+                    replace(page, e.end - size, size, &[&len_of(value), value]);
                     Some(old)
                 }
                 Err(at) => {
-                    replace(page, at, 0, &[&len_le(key), key, &len_le(value), value]);
+                    replace(page, at, 0, &[&len_of(key), key, &len_of(value), value]);
                     None
                 }
             },
@@ -321,10 +387,10 @@ impl Node {
                         None
                     }
                 };
-                *bytes += value.len();
+                *bytes += framed(value.len());
                 match old {
-                    Some(old) => *bytes -= old,
-                    None => *bytes += 16 + key.len(),
+                    Some(old) => *bytes -= framed(old),
+                    None => *bytes += framed(key.len()),
                 }
                 old
             }
@@ -358,7 +424,7 @@ impl Node {
                 let i = children.binary_search_by_key(&s, |(s, _)| *s).ok()?;
                 // bounds: `i` is the position binary_search just found
                 let old = Node::remove(&mut children[i].1, key)?;
-                *bytes -= 16 + key.len() + old.len();
+                *bytes -= framed(key.len()) + framed(old.len());
                 // bounds: as above; nothing moved since
                 if children[i].1.entries == 0 {
                     children.remove(i);
@@ -492,9 +558,25 @@ impl StateTree {
     }
 }
 
+/// Snapshots framed with a hostile varint in each way one can be, each
+/// named; every one must be refused wherever snapshot bytes are read.
+/// The first, under a reader that accepted it, would be the one-entry
+/// snapshot `[0x00, 0x01, b'1']` (`"" → "1"`).
+#[cfg(test)]
+pub(crate) fn hostile_varint_snapshots() -> Vec<(&'static str, Vec<u8>)> {
+    vec![
+        ("a non-minimal length", vec![0x80, 0x00, 0x01, b'1']),
+        ("an 11-byte varint", [&[0x80; 10][..], &[0x01, b'1']].concat()),
+        ("a 10-byte varint above u64::MAX", [&[0xFF; 9][..], &[0x02, b'1']].concat()),
+        ("a varint cut off mid-value", vec![0x01, b'a', 0x81]),
+        ("a length past the buffer", [&[0x01, b'a'][..], &varint(u64::MAX), b"1"].concat()),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     /// The snapshot framing of a reference map.
@@ -502,7 +584,7 @@ mod tests {
         let mut out = Vec::new();
         for (k, v) in model {
             for chunk in [k, v] {
-                out.extend_from_slice(&len_le(chunk));
+                out.extend_from_slice(&len_of(chunk));
                 out.extend_from_slice(chunk);
             }
         }
@@ -629,7 +711,7 @@ mod tests {
     #[test]
     fn a_clone_shares_pages_until_they_are_written_and_never_moves() {
         let mut live = StateTree::default();
-        for i in 0..1_000 {
+        for i in 0..2_000 {
             live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"value", |_| {});
         }
         let retained = live.clone();
@@ -640,7 +722,7 @@ mod tests {
             live.root();
         });
         assert!(one_write < (bytes.len() / 20) as u64, "{one_write} of {} bytes", bytes.len());
-        for i in 0..1_000 {
+        for i in 0..2_000 {
             live.insert(format!("k{}.{i}", i % 8).as_bytes(), b"overwritten", |_| {});
             live.remove(format!("k{}.{}", i % 8, i + 1).as_bytes());
         }
@@ -681,7 +763,7 @@ mod tests {
 
     #[test]
     fn malformed_snapshots_do_not_build() {
-        let pair = |k: &[u8], v: &[u8]| [&len_le(k)[..], k, &len_le(v)[..], v].concat();
+        let pair = |k: &[u8], v: &[u8]| [&len_of(k)[..], k, &len_of(v)[..], v].concat();
         let good = [pair(b"a", b"1"), pair(b"ab", b"2")].concat();
         assert!(StateTree::from_snapshot(&good).is_some());
         assert!(StateTree::from_snapshot(&good[..good.len() - 1]).is_none(), "truncated");
@@ -690,10 +772,38 @@ mod tests {
         assert!(StateTree::from_snapshot(&swapped).is_none(), "descending");
         let twice = [pair(b"a", b"1"), pair(b"a", b"1")].concat();
         assert!(StateTree::from_snapshot(&twice).is_none(), "duplicate");
-        let overrun = [&u64::MAX.to_le_bytes()[..], b"a"].concat();
-        assert!(StateTree::from_snapshot(&overrun).is_none(), "length overruns the buffer");
+        for (what, bytes) in hostile_varint_snapshots() {
+            assert!(StateTree::from_snapshot(&bytes).is_none(), "{what}");
+        }
         let long = pair(&[b'k'; MAX_KEY_LEN + 1], b"v");
         assert!(StateTree::from_snapshot(&long).is_none(), "a key no store accepts");
         assert!(StateTree::from_snapshot(&pair(&[b'k'; MAX_KEY_LEN], b"v")).is_some());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every `u64` — of every encoded length, as the shift picks it —
+        /// reads back from its own bytes, and from no longer spelling of
+        /// the same value.
+        #[test]
+        fn varints_round_trip_and_have_one_encoding(
+            n in any::<u64>(), shift in 0u32..64,
+        ) {
+            let n = n >> shift;
+            let bytes = varint(n);
+            let mut at = 0;
+            prop_assert_eq!(read_varint(&bytes, &mut at), Some(n));
+            prop_assert_eq!(at, bytes.len());
+            // Pad it: the last byte continues into zero-valued bytes.
+            let mut padded = bytes.to_vec();
+            while padded.len() < 11 {
+                if let Some(last) = padded.last_mut() {
+                    *last |= 0x80;
+                }
+                padded.push(0);
+                prop_assert_eq!(read_varint(&padded, &mut 0), None, "{:?}", padded);
+            }
+        }
     }
 }

@@ -352,7 +352,7 @@ mod tests {
         shell.set_batching(batch_size, 100);
         for seq in 1..=exec_upto {
             let b = batch(&[(9, seq)]);
-            shell.execute(seq, &b, b.digest(), |_| {});
+            shell.execute(seq, &b, |_| {});
         }
         let mut out = Outbox::<PbftMsg>::new();
         for &(client, seq) in pending {

@@ -29,35 +29,36 @@ fn a_kill_after_a_skipped_checkpoint_recovers_to_where_the_live_replica_stands()
     let root = scratch("skipped");
     let mut net = cluster(&root);
     // Every op writes a fresh key, so the image grows with the WAL: the
-    // checkpoint at 4 writes its image, the one at 8 finds less WAL since
-    // then than that image weighs (it also carries the client's session
-    // window) and writes nothing.
-    (1..=10).for_each(|seq| net.commit(seq));
+    // checkpoint at 4 writes its image, the one at 8 finds as much WAL
+    // since then as that image weighs and writes its own, and the one at
+    // 12 finds less WAL since 8 than the image at 8 weighs (it also
+    // carries the client's session window) and writes nothing.
+    (1..=14).for_each(|seq| net.commit(seq));
     assert!(net
         .nodes
         .iter()
-        .all(|n| n.committed_seq() == 10 && n.checkpoint_stats().stable_seq == 8));
+        .all(|n| n.committed_seq() == 14 && n.checkpoint_stats().stable_seq == 12));
     let victim = dir_of(&root, 3);
-    assert_eq!(file_names(&victim), ["snap-4.bin", "wal-0.log", "wal-1.log"]);
+    assert_eq!(file_names(&victim), ["snap-8.bin", "wal-1.log", "wal-2.log"]);
 
     // Kill, reopen: the last image written, then every commit above it —
     // across the skipped checkpoint — through the ordinary replay path.
     let (_store, state) = DataDir::open(&victim).expect("reopen");
     let mut node = fresh_nodes().swap_remove(3);
     let report = node.recover(state);
-    assert_eq!(report, RecoveryReport { installed_seq: 4, replayed: 6, committed: 10 });
+    assert_eq!(report, RecoveryReport { installed_seq: 8, replayed: 6, committed: 14 });
     assert_eq!(node.state_digest(), net.nodes[3].state_digest());
 
     // Back in the cluster it keeps up without a state transfer, and the
-    // checkpoint at 12 — eight commits above the image at 4 — writes.
+    // checkpoint at 16 — eight commits above the image at 8 — writes.
     net.restart(3, &victim);
-    (11..=14).for_each(|seq| net.commit(seq));
+    (15..=18).for_each(|seq| net.commit(seq));
     let digest = net.nodes[0].state_digest();
     for node in &net.nodes {
-        assert_eq!((node.committed_seq(), node.state_digest()), (14, digest), "{:?}", node.id());
+        assert_eq!((node.committed_seq(), node.state_digest()), (18, digest), "{:?}", node.id());
     }
     assert_eq!(net.nodes[3].checkpoint_stats().transfers, 0);
-    assert_eq!(file_names(&victim), ["snap-12.bin", "wal-1.log", "wal-2.log"]);
+    assert_eq!(file_names(&victim), ["snap-16.bin", "wal-2.log", "wal-3.log"]);
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -26,33 +26,33 @@ fn snapshot_file(dir: &Path) -> PathBuf {
     snap
 }
 
-/// Commits fourteen ops (stable checkpoints at 4, 8 and 12), lets
+/// Commits eighteen ops (stable checkpoints at 4, 8, 12 and 16), lets
 /// `damage` loose on replica 3's snapshot file, restarts replica 3 from the directory
 /// (the store must hand the core something exactly if `store_replays`)
 /// and runs twelve more ops past it.
 fn rejoin_after(name: &str, store_replays: bool, damage: impl FnOnce(&Path)) {
     let root = scratch(name);
     let mut net = cluster(&root);
-    (1..=14).for_each(|seq| net.commit(seq));
-    assert!(net.nodes.iter().all(|n| n.committed_seq() == 14));
+    (1..=18).for_each(|seq| net.commit(seq));
+    assert!(net.nodes.iter().all(|n| n.committed_seq() == 18));
 
     // The premise of both tests: the WAL below the snapshot about to be
-    // damaged is gone, because the checkpoint at 12 did write its image
-    // (the commits since the image at 4 outweigh it; those since it at 8
+    // damaged is gone, because the checkpoint at 16 did write its image
+    // (the commits since the image at 8 outweigh it; those since it at 12
     // did not, as the image carries the client's session window) and
     // collected it.
     let victim = dir_of(&root, 3);
-    assert!(snapshot_file(&victim).ends_with("snap-12.bin"));
+    assert!(snapshot_file(&victim).ends_with("snap-16.bin"));
     damage(&snapshot_file(&victim));
     let (replayed, committed) = net.restart(3, &victim);
     assert_eq!(replayed, store_replays);
     assert_eq!(committed, 0, "nothing on disk may be installed or replayed");
     assert_eq!(net.nodes[3].checkpoint_stats().transfers, 0);
 
-    (15..=26).for_each(|seq| net.commit(seq));
+    (19..=30).for_each(|seq| net.commit(seq));
     let digest = net.nodes[0].state_digest();
     for node in &net.nodes {
-        assert_eq!((node.committed_seq(), node.state_digest()), (26, digest), "{:?}", node.id());
+        assert_eq!((node.committed_seq(), node.state_digest()), (30, digest), "{:?}", node.id());
     }
     assert!(net.nodes[3].checkpoint_stats().transfers >= 1, "re-joined by state transfer");
     let _ = std::fs::remove_dir_all(&root);
@@ -83,7 +83,7 @@ fn a_well_framed_snapshot_of_the_wrong_state_is_not_installed() {
         // the snapshot names survives, and replay alone must not carry
         // the replica across the gap below it either.
         let mut bytes = std::fs::read(snap).expect("read");
-        let at = bytes.windows(3).rposition(|w| w == b"v12").expect("the last value written");
+        let at = bytes.windows(3).rposition(|w| w == b"v16").expect("the last value written");
         bytes[at + 1] = b'9';
         let crc = crc32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());

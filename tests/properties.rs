@@ -551,11 +551,18 @@ proptest! {
                 format!("p/{}", (a >> 2) % 160).into_bytes()
             }
         };
+        // Every length a minimal LEB128 varint: seven bits a byte, low
+        // first, the top bit on every byte but the last.
         let framing = |model: &BTreeMap<Vec<u8>, Vec<u8>>| {
             let mut out = Vec::new();
             for (k, v) in model {
                 for chunk in [k, v] {
-                    out.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
+                    let mut len = chunk.len();
+                    while len >= 0x80 {
+                        out.push(len as u8 | 0x80);
+                        len >>= 7;
+                    }
+                    out.push(len as u8);
                     out.extend_from_slice(chunk);
                 }
             }
@@ -591,7 +598,7 @@ proptest! {
                 let reply = kv.apply(&command(b"SET", &key, Some(&value)));
                 (reply, model.insert(key, value).unwrap_or_else(|| b"(nil)".to_vec()))
             };
-            prop_assert_eq!(reply, expected, "reply diverged at step {}", i);
+            prop_assert_eq!(&*reply, &expected, "reply diverged at step {}", i);
             prop_assert_eq!(kv.len(), model.len());
             let snapshot = kv.snapshot();
             prop_assert_eq!(&snapshot, &framing(&model), "snapshot diverged at step {}", i);
