@@ -73,9 +73,9 @@
 //! metadata, like the view claims in view-change votes.
 
 use crate::api::{Batch, ClientId, LogEntry, OpId, ReplicaId};
-use crate::dense::{OpIndex, ReplicaSet, MAX_REPLICAS};
+use crate::dense::{IndexKey, Key, OpIndex, ReplicaSet, MAX_REPLICAS};
 use crate::statemachine::{KvStore, StateMachine};
-use crate::statetree::{read_varint, varint, StateTree};
+use crate::statetree::{read_varint, splice, varint, write_pair, StateTree};
 use rsoc_crypto::{MacKey, Sha256, Tag};
 use std::sync::{Arc, OnceLock};
 
@@ -555,20 +555,15 @@ pub const SESSION_WINDOW: usize = 16;
 /// waits in a flat per-client index in front of the tree: a tree write
 /// costs a walk of cold pages and a hash-index write does not, and a
 /// checkpoint then writes each client once, however many of its ops
-/// executed since the last one.
+/// executed since the last one. A window there is exactly its bytes, so
+/// a client costs its 32-byte bucket and its window.
 #[derive(Debug, Clone, Default)]
 pub struct ClientSessions {
     /// The windows as of the last sync.
     tree: StateTree,
-    /// The windows written since, keyed by [`written_key`], each with
-    /// its highest seq: a lookup of a newer op reads the index alone.
-    written: OpIndex<(u64, Vec<u8>)>,
-}
-
-/// `client`'s key in [`ClientSessions::written`]: its op 0, which the
-/// index never confuses with another client's.
-fn written_key(client: ClientId) -> OpId {
-    OpId { client, seq: 0 }
+    /// The windows written since, keyed by client, each with its highest
+    /// seq: a lookup of a newer op reads the index alone.
+    written: OpIndex<(u64, Box<[u8]>), ClientId>,
 }
 
 /// The `(seq, reply)` pairs of a stored window, in ascending seq order,
@@ -594,13 +589,12 @@ impl ClientSessions {
     /// there takes the new reply; a window that is full drops its lowest
     /// seq for a higher one, and ignores a lower one.
     pub fn note(&mut self, op: OpId, result: &[u8]) {
-        let key = written_key(op.client);
-        if !self.written.contains_key(&key) {
+        if !self.written.contains_key(&op.client) {
             let synced = self.tree.get(&op.client.0.to_be_bytes()).unwrap_or_default();
             let newest = pairs(synced).last().map_or(0, |(seq, ..)| seq);
-            self.written.insert(key, (newest, synced.to_vec()));
+            self.written.insert(op.client, (newest, synced.into()));
         }
-        let Some((newest, window)) = self.written.get_mut(&key) else { return };
+        let Some((newest, window)) = self.written.get_mut(&op.client) else { return };
         // Byte offsets: where the new pair goes, the end of the pair it
         // replaces (one of the same seq), and the end of the lowest pair.
         let (mut count, mut end, mut lowest_end, mut place) = (0, 0, 0, None);
@@ -621,16 +615,16 @@ impl ClientSessions {
             return; // below a full window
         }
         *newest = op.seq.max(*newest);
+        // An evicted lowest pair lies below `at`; a full window that
+        // trades it for a pair of its size is rewritten in place.
+        let from = if evict { lowest_end } else { 0 };
         let (seq, len) = (varint(op.seq), varint(result.len() as u64));
-        window.splice(at..past, seq.iter().chain(len.iter()).chain(result).copied());
-        if evict {
-            window.drain(..lowest_end);
-        }
+        splice(window, from, at, past - at, &[&seq, &len, result]);
     }
 
     /// The reply of `op`, if it is in its client's window.
     pub fn get(&self, op: OpId) -> Option<&[u8]> {
-        let window = match self.written.get(&written_key(op.client)) {
+        let window = match self.written.get(&op.client) {
             Some((newest, _)) if op.seq > *newest => return None,
             Some((_, window)) => window,
             None => self.tree.get(&op.client.0.to_be_bytes())?,
@@ -641,8 +635,8 @@ impl ClientSessions {
     /// Writes the windows written since the last sync into the tree, which
     /// then holds every window: what a checkpoint digests and frames.
     fn sync(&mut self) {
-        for (op, (_, window)) in self.written.iter() {
-            self.tree.insert(&op.client.0.to_be_bytes(), window, |_| {});
+        for (client, (_, window)) in self.written.iter() {
+            self.tree.insert(&client.0.to_be_bytes(), window, |_| {});
         }
         self.written = OpIndex::new();
     }
@@ -659,12 +653,12 @@ impl ClientSessions {
     }
 
     /// Bytes the table holds: the tree's (see `StateTree::footprint`), the
-    /// index's buckets and the windows' capacity.
+    /// index's buckets and the windows' bytes.
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> usize {
         self.tree.footprint()
             + self.written.footprint()
-            + self.written.iter().map(|(_, (_, window))| window.capacity()).sum::<usize>()
+            + self.written.iter().map(|(_, (_, window))| window.len()).sum::<usize>()
     }
 }
 
@@ -737,24 +731,40 @@ pub fn decode_image(bytes: &[u8]) -> Option<(&[u8], ClientSessions)> {
     let kv_len = usize::try_from(take_u64(bytes, &mut at)?).ok()?;
     let kv = take(bytes, &mut at, kv_len)?;
     let n_pairs = take_u64(bytes, &mut at)?;
-    let mut sessions = ClientSessions::new();
+    // The session tree's snapshot, each client's window framed once from
+    // its consecutive pairs.
+    let (mut snapshot, mut window) = (Vec::new(), Vec::new());
+    let close = |snapshot: &mut Vec<u8>, prev: Option<OpId>, window: &[u8]| {
+        if let Some(p) = prev {
+            write_pair(snapshot, &p.client.0.to_be_bytes(), window);
+        }
+    };
     let (mut prev, mut run): (Option<OpId>, usize) = (None, 0);
     for _ in 0..n_pairs {
         let client = ClientId(u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().ok()?));
         let op = OpId { client, seq: take_u64(bytes, &mut at)? };
-        run = if prev.is_some_and(|p| p.client == client) { run + 1 } else { 1 };
+        let same = prev.is_some_and(|p| p.client == client);
+        run = if same { run + 1 } else { 1 };
         if prev.is_some_and(|p| p >= op) || run > SESSION_WINDOW {
             return None; // must be strictly ascending and windowed: canonical
         }
+        if !same {
+            close(&mut snapshot, prev, &window);
+            window.clear();
+        }
         prev = Some(op);
         let len = usize::try_from(take_u64(bytes, &mut at)?).ok()?;
-        sessions.note(op, take(bytes, &mut at, len)?);
+        let reply = take(bytes, &mut at, len)?;
+        window.extend_from_slice(&varint(op.seq));
+        window.extend_from_slice(&varint(len as u64));
+        window.extend_from_slice(reply);
     }
     if at != bytes.len() {
         return None; // trailing garbage
     }
-    sessions.sync();
-    Some((kv, sessions))
+    close(&mut snapshot, prev, &window);
+    let tree = StateTree::from_snapshot(&snapshot)?;
+    Some((kv, ClientSessions { tree, written: OpIndex::new() }))
 }
 
 /// The one check between "collaborative state transfer" and "installing
@@ -955,13 +965,13 @@ pub fn tamper_suffix(suffix: &mut Vec<(u64, Arc<Batch>)>, after: u64) {
 ///
 /// One agreement slot commits a whole batch under one digest, so the log
 /// keeps that digest once per slot, not once per op, and an op's seq is
-/// its position: 16 bytes per op plus 40 per slot. [`view`](Self::view)
-/// reads it back as [`LogEntry`]s.
+/// its position: 12 bytes per op (its id packed without padding) plus 40
+/// per slot. [`view`](Self::view) reads it back as [`LogEntry`]s.
 #[derive(Debug, Default)]
 pub struct CommittedLog {
     base: u64,
-    /// The retained ops: `ops[i]` committed at seq `base + 1 + i`.
-    ops: Vec<OpId>,
+    /// The retained ops, packed: `ops[i]` committed at seq `base + 1 + i`.
+    ops: Vec<Key>,
     /// One `(first seq, batch digest)` per retained slot, ascending. The
     /// first slot may start at or below `base`: it straddles the
     /// watermark.
@@ -979,7 +989,7 @@ impl CommittedLog {
     /// slot without ops leaves no record.
     pub fn append(&mut self, ops: impl IntoIterator<Item = OpId>, digest: [u8; 32]) {
         let first = self.committed() + 1;
-        self.ops.extend(ops);
+        self.ops.extend(ops.into_iter().map(OpId::pack));
         if self.committed() >= first {
             self.slots.push((first, digest));
         }
@@ -1031,7 +1041,7 @@ impl CommittedLog {
     /// Bytes the log holds: each vector's capacity × element size.
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> usize {
-        self.ops.capacity() * std::mem::size_of::<OpId>()
+        self.ops.capacity() * std::mem::size_of::<Key>()
             + self.slots.capacity() * std::mem::size_of::<(u64, [u8; 32])>()
     }
 }
@@ -1042,7 +1052,7 @@ impl CommittedLog {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LogView<'a> {
     base: u64,
-    ops: &'a [OpId],
+    ops: &'a [Key],
     slots: &'a [(u64, [u8; 32])],
 }
 
@@ -1059,7 +1069,7 @@ impl<'a> LogView<'a> {
 
     /// The `index`-th retained entry (seq `first().seq + index`).
     pub fn get(&self, index: usize) -> Option<LogEntry> {
-        let op = *self.ops.get(index)?;
+        let op = OpId::unpack(*self.ops.get(index)?);
         let seq = self.base + 1 + index as u64;
         let slot = self.slots.partition_point(|&(first, _)| first <= seq).checked_sub(1)?;
         let &(_, digest) = self.slots.get(slot)?;
@@ -1087,7 +1097,7 @@ impl<'a> LogView<'a> {
                 }
             }
             let &(_, digest) = slots.first()?;
-            Some(LogEntry { seq, op, digest })
+            Some(LogEntry { seq, op: OpId::unpack(op), digest })
         })
     }
 }
@@ -1322,17 +1332,18 @@ mod tests {
         assert_eq!(entries(&log), [entry(5), entry(6)]);
     }
 
-    /// One digest per slot: 10⁵ ops in 8-request slots cost at most 32
-    /// bytes each (a [`LogEntry`] per op cost at least 56).
+    /// One digest per slot and a packed 12-byte op id per op: 10⁵ ops in
+    /// 8-request slots cost at most 24 bytes each (22.3; 27.5 with 16-byte
+    /// op ids, and a [`LogEntry`] per op cost at least 56).
     #[test]
-    fn the_committed_log_costs_at_most_32_bytes_per_op() {
+    fn the_committed_log_costs_at_most_24_bytes_per_op() {
         let mut log = CommittedLog::new();
         for slot in 0..12_500 {
             log.append((1..=8).map(|i| op(slot * 8 + i)), digest(slot));
         }
         assert_eq!(log.committed(), 100_000);
         let per_op = log.footprint() as f64 / 1e5;
-        assert!(per_op <= 32.0, "{per_op:.1} bytes per op");
+        assert!(per_op <= 24.0, "{per_op:.1} bytes per op");
     }
 
     /// The certificate signs the state's roots, and only a state
@@ -1490,6 +1501,56 @@ mod tests {
         over.extend_from_slice(&1u64.to_le_bytes());
         over.push(b'r');
         assert!(decode_image(&over).is_none(), "an overfull window");
+    }
+
+    /// A client's unsynced window costs its 32-byte bucket and its bytes:
+    /// 40 000 clients with one `(nil)` reply each cost at most 64 bytes a
+    /// client (59.4; 86.7 with 48-byte buckets and growable windows).
+    #[test]
+    fn a_client_costs_at_most_64_bytes_of_session_table() {
+        let mut s = ClientSessions::new();
+        for client in 0..40_000 {
+            s.note(at(client, 1), b"(nil)");
+        }
+        let per_client = s.footprint() as f64 / 4e4;
+        assert!(per_client <= 64.0, "{per_client:.1} bytes per client");
+        assert!((0..40_000).all(|client| s.get(at(client, 1)) == Some(&b"(nil)"[..])));
+    }
+
+    /// How the tree's nodes, the session index and the committed log are
+    /// laid out in memory moves no byte a replica certifies or ships: a
+    /// fixed state of 10⁴ keys and 600 clients' windows (each full, with
+    /// evictions) keeps the KV root, the sessions root, the certified
+    /// digest and the image it had before any of them changed.
+    #[test]
+    fn a_fixed_state_keeps_its_roots_digest_and_image() {
+        let mut kv = KvStore::new();
+        let mut sessions = ClientSessions::new();
+        for i in 0..10_000u64 {
+            let user = (i * 7_919) % 600;
+            kv.apply(format!("SET k{user}.{i} v{i}").as_bytes());
+            sessions.note(at(user as u32, i / 600 + 1), format!("ok {i}").as_bytes());
+        }
+        kv.apply(b"DEL k7.7");
+        let image = CheckpointImage::capture(&kv, &mut sessions);
+        let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let bytes = image.bytes();
+        assert_eq!(
+            [hex(&kv.state_digest()), hex(&sessions.tree.root()), hex(&image.digest())],
+            [
+                "e529904d8d7a764086578d64033e7363baeecebad4a77ffa67aec0530084ac98",
+                "55b8a0c30e61c4c91d314cb8dd181f47cdf1b2c988f2c6ae221def6adcf3144e",
+                "41c7afb7407eb5db7e454fa3a37b6ee31c9199e9b037976fd7987968ed884df4",
+            ]
+        );
+        assert_eq!(
+            (bytes.len(), hex(&sha256(&bytes))),
+            (414_572, "5411ac7d1b9e9865446b3690bdafe33aef6d9512ebeb7b4abe5ca31c773498b1".into())
+        );
+        // Decoded, the image rebuilds the same state and the same bytes.
+        let (kv2, mut sessions2) = decode_image(&bytes).expect("own image");
+        assert_eq!(sessions2.tree.root(), sessions.tree.root());
+        assert_eq!(encode_image(kv2, &mut sessions2), *bytes);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   hold-back queues). Anchored at a low-watermark: entries below it are
 //!   *retired* and can never be resurrected, which doubles as slot GC.
 //! * [`OpIndex`] — an open-addressed hash index for *sparse* [`OpId`]
-//!   keys (op→slot assignment, pending watchlists, recently written
-//!   client sessions). Linear probing with tombstones, power-of-two
-//!   capacity, vendored so the workspace keeps its no-external-deps
-//!   invariant.
+//!   keys (op→slot assignment, pending watchlists), or [`ClientId`] keys
+//!   (recently written client sessions). Linear probing with tombstones,
+//!   power-of-two capacity, vendored so the workspace keeps its
+//!   no-external-deps invariant.
 //! * [`ReplicaSet`] — a bitset over replica ids for quorum tallies
 //!   (prepare/commit certificates), replacing per-vote `BTreeSet` nodes
 //!   with a single word.
@@ -254,12 +254,11 @@ impl<T> SeqWindow<T> {
 
 // ------------------------------------------------------------------ OpIndex
 
-/// Hashes an [`OpId`] to a well-mixed 64-bit value (SplitMix64 finalizer
-/// over the packed identity). Fixed, seedless: determinism across runs and
-/// processes is a feature here (sweep JSON must be byte-identical).
+/// SplitMix64's finalizer: a well-mixed 64-bit value. Fixed, seedless:
+/// determinism across runs and processes is a feature here (sweep JSON
+/// must be byte-identical).
 #[inline]
-fn hash_op(op: OpId) -> u64 {
-    let mut x = ((op.client.0 as u64) << 48) ^ op.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -269,34 +268,68 @@ fn hash_op(op: OpId) -> u64 {
 
 /// An [`OpId`] packed losslessly into three words: the client, then the
 /// seq's low and high halves. It has no padding, so a bucket holding it
-/// beside a `u64` or an `Arc` is 24 bytes; an `OpId`'s 4 bytes of padding
-/// would leave the tag no room and make it 32.
+/// beside a `u64` or an `Arc` is 24 bytes (an `OpId`'s 4 bytes of padding
+/// would leave the tag no room and make it 32), and a committed log keeps
+/// 12 bytes per op, not 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Key([u32; 3]);
+pub struct Key([u32; 3]);
 
-impl Key {
-    fn pack(op: OpId) -> Self {
-        Key([op.client.0, op.seq as u32, (op.seq >> 32) as u32])
+/// A key an [`OpIndex`] holds: stored packed, hashed without a seed.
+pub trait IndexKey: Copy {
+    /// What a bucket stores: the key without padding.
+    type Packed: Copy + Eq + std::fmt::Debug;
+    /// The key as a bucket stores it.
+    fn pack(self) -> Self::Packed;
+    /// The key a bucket stored as `packed`.
+    fn unpack(packed: Self::Packed) -> Self;
+    /// A well-mixed 64-bit hash of the key.
+    fn hash(self) -> u64;
+}
+
+impl IndexKey for OpId {
+    type Packed = Key;
+
+    fn pack(self) -> Key {
+        Key([self.client.0, self.seq as u32, (self.seq >> 32) as u32])
     }
 
-    fn op(self) -> OpId {
-        let [client, lo, hi] = self.0;
+    fn unpack(Key([client, lo, hi]): Key) -> Self {
         OpId { client: ClientId(client), seq: (u64::from(hi) << 32) | u64::from(lo) }
+    }
+
+    fn hash(self) -> u64 {
+        mix((u64::from(self.client.0) << 48) ^ self.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+}
+
+impl IndexKey for ClientId {
+    type Packed = ClientId;
+
+    fn pack(self) -> ClientId {
+        self
+    }
+
+    fn unpack(packed: ClientId) -> Self {
+        packed
+    }
+
+    fn hash(self) -> u64 {
+        mix(u64::from(self.0))
     }
 }
 
 #[derive(Debug, Clone)]
-enum Bucket<V> {
+enum Bucket<P, V> {
     Empty,
     /// A deleted entry: probe chains continue through it, inserts reuse it.
     Tombstone,
-    Full(Key, V),
+    Full(P, V),
 }
 
-/// An open-addressed hash map from [`OpId`] to `V` — the replica-side
-/// index for op→slot assignment (`assigned`), backup watchlists
-/// (`pending`), and the client sessions' windows written since their
-/// last checkpoint.
+/// An open-addressed hash map from an [`OpId`] (or another [`IndexKey`])
+/// to `V` — the replica-side index for op→slot assignment (`assigned`)
+/// and backup watchlists (`pending`), and, keyed by [`ClientId`], for the
+/// client sessions' windows written since their last checkpoint.
 ///
 /// Linear probing over a power-of-two table with tombstone deletion:
 /// removals leave a tombstone so later probes keep walking, and the
@@ -305,25 +338,26 @@ enum Bucket<V> {
 /// of capacity. No SipHash, no random state: the same operation history
 /// always produces the same table — callers may iterate, but any
 /// result that feeds protocol decisions must be order-canonicalized
-/// first (sorted), which the view-change paths do. A bucket keeps its key
-/// packed into three `u32`s, so with a `u64` or an `Arc` value it is 24
-/// bytes.
+/// first (sorted), which the view-change paths do. A bucket keeps an
+/// `OpId` packed into three `u32`s, so with a `u64` or an `Arc` value it
+/// is 24 bytes; keyed by a 4-byte `ClientId` with a `(u64, Box<[u8]>)`
+/// value (a session's newest seq and its exactly sized window) it is 32.
 #[derive(Debug, Clone)]
-pub struct OpIndex<V> {
-    buckets: Vec<Bucket<V>>,
+pub struct OpIndex<V, K: IndexKey = OpId> {
+    buckets: Vec<Bucket<K::Packed, V>>,
     /// Live entries.
     len: usize,
     /// Tombstones (graves still blocking probe chains).
     graves: usize,
 }
 
-impl<V> Default for OpIndex<V> {
+impl<V, K: IndexKey> Default for OpIndex<V, K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V> OpIndex<V> {
+impl<V, K: IndexKey> OpIndex<V, K> {
     /// An empty index (allocates on first insert).
     pub fn new() -> Self {
         OpIndex { buckets: Vec::new(), len: 0, graves: 0 }
@@ -346,14 +380,14 @@ impl<V> OpIndex<V> {
     /// Grows (or initially allocates) to `cap` buckets and rehashes every
     /// live entry, dropping tombstones.
     fn rehash_to(&mut self, cap: usize) {
-        let mut buckets: Vec<Bucket<V>> = Vec::with_capacity(cap);
+        let mut buckets: Vec<Bucket<K::Packed, V>> = Vec::with_capacity(cap);
         buckets.resize_with(cap, || Bucket::Empty);
         let old = std::mem::replace(&mut self.buckets, buckets);
         self.graves = 0;
         let mask = self.mask();
         for b in old {
             if let Bucket::Full(key, v) = b {
-                let mut i = (hash_op(key.op()) as usize) & mask;
+                let mut i = (K::unpack(key).hash() as usize) & mask;
                 loop {
                     if matches!(self.buckets[i], Bucket::Empty) {
                         self.buckets[i] = Bucket::Full(key, v);
@@ -380,12 +414,12 @@ impl<V> OpIndex<V> {
     // them allocation-free (growth lives in `rehash_to`, off-path).
     // lint: hot-path
     /// Index of `op`'s bucket if present.
-    fn find(&self, op: OpId) -> Option<usize> {
+    fn find(&self, op: K) -> Option<usize> {
         if self.buckets.is_empty() {
             return None;
         }
-        let (key, mask) = (Key::pack(op), self.mask());
-        let mut i = (hash_op(op) as usize) & mask;
+        let (key, mask) = (op.pack(), self.mask());
+        let mut i = (op.hash() as usize) & mask;
         loop {
             match &self.buckets[i] {
                 Bucket::Empty => return None,
@@ -396,7 +430,7 @@ impl<V> OpIndex<V> {
     }
 
     /// Shared-ref lookup.
-    pub fn get(&self, op: &OpId) -> Option<&V> {
+    pub fn get(&self, op: &K) -> Option<&V> {
         self.find(*op).map(|i| match &self.buckets[i] {
             Bucket::Full(_, v) => v,
             _ => unreachable!("find returns full buckets"),
@@ -404,7 +438,7 @@ impl<V> OpIndex<V> {
     }
 
     /// Mutable lookup.
-    pub fn get_mut(&mut self, op: &OpId) -> Option<&mut V> {
+    pub fn get_mut(&mut self, op: &K) -> Option<&mut V> {
         let i = self.find(*op)?;
         match &mut self.buckets[i] {
             Bucket::Full(_, v) => Some(v),
@@ -413,16 +447,16 @@ impl<V> OpIndex<V> {
     }
 
     /// True when `op` has a live entry.
-    pub fn contains_key(&self, op: &OpId) -> bool {
+    pub fn contains_key(&self, op: &K) -> bool {
         self.find(*op).is_some()
     }
 
     /// Inserts `op → value`, returning the displaced value if any. The
     /// first tombstone along the probe chain is reused for new keys.
-    pub fn insert(&mut self, op: OpId, value: V) -> Option<V> {
+    pub fn insert(&mut self, op: K, value: V) -> Option<V> {
         self.ensure_capacity();
-        let (key, mask) = (Key::pack(op), self.mask());
-        let mut i = (hash_op(op) as usize) & mask;
+        let (key, mask) = (op.pack(), self.mask());
+        let mut i = (op.hash() as usize) & mask;
         let mut grave: Option<usize> = None;
         loop {
             match &mut self.buckets[i] {
@@ -453,7 +487,7 @@ impl<V> OpIndex<V> {
     }
 
     /// Removes `op`, leaving a tombstone so probe chains stay intact.
-    pub fn remove(&mut self, op: &OpId) -> Option<V> {
+    pub fn remove(&mut self, op: &K) -> Option<V> {
         let i = self.find(*op)?;
         let old = std::mem::replace(&mut self.buckets[i], Bucket::Tombstone);
         self.len -= 1;
@@ -466,28 +500,32 @@ impl<V> OpIndex<V> {
 
     // lint: end
 
-    /// Iterates live `(OpId, &V)` entries in *table* order — deterministic
+    /// Iterates live `(key, &V)` entries in *table* order — deterministic
     /// for a given operation history, but NOT canonical. Callers whose
     /// results depend on order must sort (see `OpIndex` docs).
-    pub fn iter(&self) -> impl Iterator<Item = (OpId, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.buckets.iter().filter_map(|b| match b {
-            Bucket::Full(k, v) => Some((k.op(), v)),
+            Bucket::Full(k, v) => Some((K::unpack(*k), v)),
             _ => None,
         })
     }
 
-    /// Live `(OpId, &V)` entries sorted by `(client, seq)` — the canonical
-    /// order for protocol decisions (view-change re-batching).
-    pub fn iter_canonical(&self) -> Vec<(OpId, &V)> {
-        let mut all: Vec<(OpId, &V)> = self.iter().collect();
-        all.sort_unstable_by_key(|(op, _)| (op.client.0, op.seq));
+    /// Live `(key, &V)` entries in key order — for an `OpId` `(client,
+    /// seq)`, the canonical order for protocol decisions (view-change
+    /// re-batching).
+    pub fn iter_canonical(&self) -> Vec<(K, &V)>
+    where
+        K: Ord,
+    {
+        let mut all: Vec<(K, &V)> = self.iter().collect();
+        all.sort_unstable_by_key(|(key, _)| *key);
         all
     }
 
     /// Bytes the table holds: buckets × bucket size.
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> usize {
-        self.buckets.len() * std::mem::size_of::<Bucket<V>>()
+        self.buckets.len() * std::mem::size_of::<Bucket<K::Packed, V>>()
     }
 }
 
@@ -765,8 +803,10 @@ mod tests {
 
     #[test]
     fn op_index_buckets_are_24_bytes_and_keys_round_trip() {
-        assert_eq!(std::mem::size_of::<Bucket<u64>>(), 24);
-        assert_eq!(std::mem::size_of::<Bucket<Arc<Request>>>(), 24);
+        assert_eq!(std::mem::size_of::<Bucket<Key, u64>>(), 24);
+        assert_eq!(std::mem::size_of::<Bucket<Key, Arc<Request>>>(), 24);
+        // A session's bucket: keyed by client, its newest seq and window.
+        assert_eq!(std::mem::size_of::<Bucket<ClientId, (u64, Box<[u8]>)>>(), 32);
         let mut m: OpIndex<u64> = OpIndex::new();
         let keys = [op(u32::MAX, u64::MAX), op(1, 1 << 32), op(1, 0), op(0, u64::MAX >> 1)];
         for (v, k) in (0..).zip(keys) {
